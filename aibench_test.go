@@ -3,9 +3,11 @@ package aibench_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"aibench"
 )
@@ -79,6 +81,36 @@ func TestPlanSessionsMatchSerialLoop(t *testing.T) {
 				t.Fatalf("session %s epoch %d loss differs: %v vs %v", p.ID, e+1, p.Losses[e], w.Losses[e])
 			}
 		}
+	}
+}
+
+// TestRecommendationSeed12Terminates is the regression test for the
+// rejection-sampling hang PR 13's benchmark found: at plan seed 12 the
+// recommendation dataset has a user with no item past the affinity
+// threshold, and DC-AI-C10 never finished its first batch.
+func TestRecommendationSeed12Terminates(t *testing.T) {
+	runner, err := aibench.NewSuite().NewRunner(aibench.Plan{
+		Kind: aibench.RunSession, Session: aibench.QuasiEntireSession,
+		Benchmarks: []string{"DC-AI-C10", "MLPerf-RC"}, Seed: 12, Epochs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		res, err := runner.Run(context.Background(), nil)
+		if err == nil && (len(res.Sessions) != 2 || res.Sessions[0].Epochs != 1 || res.Sessions[1].Epochs != 1) {
+			err = fmt.Errorf("sessions = %+v, want two one-epoch sessions", res.Sessions)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("seed-12 recommendation sessions did not finish one epoch")
 	}
 }
 

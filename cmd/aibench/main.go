@@ -129,7 +129,7 @@ func cmdVersion(s *aibench.Suite, args []string) {
 	fmt.Printf("aibench suite %s\n", s.SHA())
 	fmt.Printf("go: %s  gomaxprocs: %d  os/arch: %s/%s\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.GOOS, runtime.GOARCH)
-	fmt.Printf("kernels: %s (active: %s)\n",
+	fmt.Printf("kernels: %s (active: %s; blocked = tuned@builtin)\n",
 		strings.Join(aibench.KernelNames(), ", "), aibench.ActiveKernel())
 	label := "from " + aibench.TuningSource()
 	if aibench.TuningSource() == "builtin" {

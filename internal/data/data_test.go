@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aibench/internal/tensor"
 )
@@ -329,6 +330,59 @@ func TestRatingsTrainBatchBalanced(t *testing.T) {
 	}
 	if pos != 10 {
 		t.Fatalf("positives %d, want 10", pos)
+	}
+}
+
+// TestRatingsNoQualifyingItem covers users the rejection samplers can
+// never satisfy: with one latent dimension and three items, seed 3 has
+// a user with no item above +0.5, one with none below −0.5, and one
+// with no negative-affinity item at all. Sampling used to spin forever
+// on them; now their extreme item stands in.
+func TestRatingsNoQualifyingItem(t *testing.T) {
+	r := NewRatings(3, 8, 3, 1)
+	noPos, noNeg, allNonNeg := -1, -1, -1
+	for u := 0; u < r.Users; u++ {
+		hi, lo := r.affinity(u, r.heldOut[u]), r.affinity(u, r.worst[u])
+		if hi <= 0.5 {
+			noPos = u
+		}
+		if lo >= -0.5 {
+			noNeg = u
+		}
+		if lo >= 0 {
+			allNonNeg = u
+		}
+	}
+	if noPos < 0 || noNeg < 0 || allNonNeg < 0 {
+		t.Fatalf("seed no longer produces the degenerate users (noPos=%d noNeg=%d allNonNeg=%d)", noPos, noNeg, allNonNeg)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		users, items, labels := r.TrainBatch(256)
+		for k, u := range users {
+			a := r.affinity(u, items[k])
+			switch {
+			case labels[k] == 1 && a <= 0.5 && items[k] != r.heldOut[u]:
+				t.Errorf("user %d positive %d: affinity %g is neither past +0.5 nor the user's best", u, items[k], a)
+			case labels[k] == 0 && a >= -0.5 && items[k] != r.worst[u]:
+				t.Errorf("user %d negative %d: affinity %g is neither past −0.5 nor the user's worst", u, items[k], a)
+			}
+		}
+		_, cands := r.EvalCase(allNonNeg, 5)
+		if len(cands) != 6 {
+			t.Errorf("EvalCase returned %d candidates, want 6", len(cands))
+		}
+		for _, c := range cands[1:] {
+			if c != r.worst[allNonNeg] {
+				t.Errorf("EvalCase negative %d, want the lowest-affinity item %d", c, r.worst[allNonNeg])
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sampling did not terminate")
 	}
 }
 

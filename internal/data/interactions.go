@@ -13,8 +13,12 @@ type Ratings struct {
 	Dim          int
 	userF        [][]float64
 	itemF        [][]float64
-	// heldOut[u] is the test positive for user u (leave-one-out protocol).
+	// heldOut[u] is the test positive for user u (leave-one-out
+	// protocol): the user's highest-affinity item. worst[u] is the
+	// lowest-affinity one. Together they decide, without sampling,
+	// whether any item clears an affinity threshold for that user.
 	heldOut []int
+	worst   []int
 	rng     *rand.Rand
 }
 
@@ -36,8 +40,9 @@ func NewRatings(seed int64, users, items, dim int) *Ratings {
 		userF: mk(users), itemF: mk(items), rng: rng,
 	}
 	r.heldOut = make([]int, users)
+	r.worst = make([]int, users)
 	for u := range r.heldOut {
-		r.heldOut[u] = r.BestItem(u)
+		r.heldOut[u], r.worst[u] = r.extremes(u)
 	}
 	return r
 }
@@ -51,20 +56,48 @@ func (r *Ratings) affinity(u, i int) float64 {
 	return s
 }
 
-// BestItem returns the ground-truth top item for a user.
-func (r *Ratings) BestItem(u int) int {
-	best, bestV := 0, r.affinity(u, 0)
+// extremes returns the user's highest- and lowest-affinity items
+// (first index on ties).
+func (r *Ratings) extremes(u int) (best, worst int) {
+	bestV := r.affinity(u, 0)
+	worstV := bestV
 	for i := 1; i < r.Items; i++ {
-		if v := r.affinity(u, i); v > bestV {
+		switch v := r.affinity(u, i); {
+		case v > bestV:
 			best, bestV = i, v
+		case v < worstV:
+			worst, worstV = i, v
 		}
 	}
+	return best, worst
+}
+
+// BestItem returns the ground-truth top item for a user.
+func (r *Ratings) BestItem(u int) int {
+	best, _ := r.extremes(u)
 	return best
 }
 
+// sample rejection-samples an item whose affinity for user u passes
+// ok. extreme is the user's item most likely to pass (arg-max for a
+// lower bound, arg-min for an upper one): when even it fails, no item
+// can pass and sampling would never end, so it is returned as the
+// closest stand-in without consuming a draw.
+func (r *Ratings) sample(u, extreme int, ok func(affinity float64) bool) int {
+	if !ok(r.affinity(u, extreme)) {
+		return extreme
+	}
+	for {
+		if i := r.rng.Intn(r.Items); ok(r.affinity(u, i)) {
+			return i
+		}
+	}
+}
+
 // TrainBatch draws n (user, item, label) triples with balanced
-// positives/negatives. A pair is positive when its ground-truth affinity
-// is in the user's top quartile.
+// positives/negatives. A pair is positive when its ground-truth
+// affinity is above 0.5 and negative when below −0.5; a user with no
+// item past a threshold contributes their extreme item instead.
 func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
 	users = make([]int, n)
 	items = make([]int, n)
@@ -73,32 +106,28 @@ func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
 		u := r.rng.Intn(r.Users)
 		users[k] = u
 		if k%2 == 0 {
-			// Positive: sample until we find a top-affinity item.
-			for {
-				i := r.rng.Intn(r.Items)
-				if r.affinity(u, i) > 0.5 {
-					items[k], labels[k] = i, 1
-					break
-				}
-			}
+			items[k] = r.sample(u, r.heldOut[u], func(a float64) bool { return a > 0.5 })
+			labels[k] = 1
 		} else {
-			for {
-				i := r.rng.Intn(r.Items)
-				if r.affinity(u, i) < -0.5 {
-					items[k], labels[k] = i, 0
-					break
-				}
-			}
+			items[k] = r.sample(u, r.worst[u], func(a float64) bool { return a < -0.5 })
 		}
 	}
 	return users, items, labels
 }
 
 // EvalCase returns the leave-one-out evaluation instance for a user: the
-// held-out true item and negatives sampled from low-affinity items.
+// held-out true item and negatives sampled from negative-affinity items
+// (the user's lowest-affinity item stands in for all of them when the
+// user has no negative-affinity item to sample).
 func (r *Ratings) EvalCase(u, negatives int) (trueItem int, candidates []int) {
 	trueItem = r.heldOut[u]
 	candidates = []int{trueItem}
+	if r.affinity(u, r.worst[u]) >= 0 {
+		for len(candidates) < negatives+1 {
+			candidates = append(candidates, r.worst[u])
+		}
+		return trueItem, candidates
+	}
 	for len(candidates) < negatives+1 {
 		i := r.rng.Intn(r.Items)
 		if i != trueItem && r.affinity(u, i) < 0 {

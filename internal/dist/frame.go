@@ -43,11 +43,18 @@ const (
 	frameError      // message (terminal: the child is giving up)
 )
 
-// maxFrame bounds a frame the parent will allocate for: a gradient
+// maxFrame bounds the length prefix readFrame accepts: a gradient
 // frame is O(grains × paramLen) float64s, far under this for every
-// benchmark in the zoo, while a corrupt length prefix would otherwise
-// ask for gigabytes.
+// benchmark in the zoo.
 const maxFrame = 1 << 30
+
+// frameChunk bounds what readFrame allocates on the prefix's word
+// alone. A frame up to this size gets one exact-size buffer; a longer
+// one starts here and at most doubles each time the bytes declared so
+// far have actually arrived, so a corrupt or hostile prefix costs
+// memory proportional to the bytes received, not to the number it
+// declares.
+const frameChunk = 1 << 20
 
 // writeFrame emits one frame and flushes, so the peer — always blocked
 // reading between requests — sees it immediately.
@@ -78,11 +85,18 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("dist: truncated frame: %v", err)
+	body := make([]byte, min(n, frameChunk))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			return 0, nil, fmt.Errorf("dist: truncated frame: %v", err)
+		}
+		got = len(body)
+		if got == int(n) {
+			return body[0], body[1:], nil
+		}
+		body = append(body, make([]byte, min(int(n)-got, got))...)
 	}
-	return body[0], body[1:], nil
 }
 
 // Payload append helpers.

@@ -100,8 +100,8 @@ func Col2Im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
 }
 
 // Conv2D convolves an NCHW input with an OIKK weight tensor, producing
-// an N×O×outH×outW output. Both kernels implement it as im2col + GEMM
-// (mirroring cuDNN's implicit-GEMM kernels); the blocked kernel unfolds
+// an N×O×outH×outW output. Both implementations do it as im2col + GEMM
+// (mirroring cuDNN's implicit-GEMM kernels); the GEBP engine unfolds
 // and multiplies chunk-by-chunk instead of materializing the full
 // column matrix.
 func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {

@@ -90,7 +90,7 @@ func (nk naiveKernels) Outer(a, b *Tensor) *Tensor {
 
 // Conv2D is im2col followed by GEMM, mirroring how cuDNN's
 // implicit-GEMM kernels work. It materializes the full column matrix;
-// the blocked kernel's chunked variant avoids that. The parallel
+// the GEBP engine's chunked variant avoids that. The parallel
 // threshold is resolved once and handed to all three stages rather
 // than re-resolved per parGate entry.
 func (nk naiveKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {

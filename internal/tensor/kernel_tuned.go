@@ -2,40 +2,113 @@ package tensor
 
 import "aibench/internal/parallel"
 
-// tunedKernels is the autotunable third kernel tier: the same
-// GEBP engine as blocked, but with the tile geometry (BlockM×BlockN),
-// register micro-kernel (MR×NR from MicroMenu), k-unroll depth, and
-// parallel threshold read from the active Tuning at op-call time
-// instead of baked in as constants. internal/tune sweeps the menu per
-// GEMM shape class on the current machine and persists the winner as a
-// tuneconfig envelope; with no persisted config the builtin default is
-// exactly the blocked kernel's configuration.
+// gebpKernels is the one optimized engine behind two registered names:
+// a GEBP-style GEMM that packs both operands into contiguous panels
+// and drives a straight-line MR×NR register micro-kernel over a 2-D
+// grid of cache-sized output tiles, plus a chunked im2col-GEMM
+// convolution that never materializes the full column matrix. The tile
+// geometry (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu),
+// k-unroll depth, and parallel threshold come from a Tuning:
 //
-// Determinism contract: identical to blocked — every output element
-// accumulates its k terms ascending into a single accumulator under
-// every TileConfig, so the tuned kernel is bitwise-equal to naive and
-// blocked for any tuning, and the tuning (like kernel and shard count)
-// is a pure scheduling/perf knob.
-type tunedKernels struct{}
+//   - "blocked" (the default kernel) is pinned to DefaultTuning(). It
+//     never reads the active tuning, so SetTuning cannot move it.
+//   - "tuned" reads ActiveTuning() at op-call time; internal/tune
+//     sweeps the menu per GEMM shape class on the current machine and
+//     persists the winner as a tuneconfig envelope. Until one is
+//     applied the active tuning is the builtin one, i.e. blocked.
+//
+// Determinism contract: every output element accumulates its k terms
+// in ascending order into a single accumulator under every TileConfig,
+// exactly like the naive kernel's serial loops. Tiles write disjoint
+// output regions, so the 2-D parallel decomposition affects scheduling
+// only — results are bitwise reproducible for any goroutine
+// interleaving and any tuning, and match the naive kernel bit for bit
+// on finite data (the only divergence is the naive kernel's skip of
+// exact-zero multiplicands, which cannot change a finite sum).
+type gebpKernels struct {
+	name   string
+	pinned *Tuning // nil: follow the active tuning
+}
 
-func (tunedKernels) Name() string { return "tuned" }
+func (g gebpKernels) Name() string { return g.name }
 
-func (tunedKernels) ParallelThreshold() int { return ActiveTuning().Threshold }
+func (g gebpKernels) tuning() *Tuning {
+	if g.pinned != nil {
+		return g.pinned
+	}
+	return &activeTuningState.Load().tuning
+}
+
+func (g gebpKernels) ParallelThreshold() int { return g.tuning().Threshold }
+
+// convRowChunk is how many im2col rows (output pixels) one convolution
+// task unfolds, multiplies, and scatters at a time.
+const convRowChunk = 128
+
+// operand is a strided view of one logical GEMM operand as `lanes`
+// vectors of length K: element k of lane i is data[i*laneStride +
+// k*kStride]. Lanes are the rows of the left operand and the columns
+// of the right one, so the four transpose combinations are four
+// stride choices and both operands pack through the same routine.
+type operand struct {
+	data                []float64
+	lanes, K            int
+	laneStride, kStride int
+}
+
+// rowsOf views a 2-D tensor with its rows as lanes (k runs along a row).
+func rowsOf(t *Tensor) operand {
+	return operand{t.Data, t.shape[0], t.shape[1], t.shape[1], 1}
+}
+
+// colsOf views a 2-D tensor with its columns as lanes (k runs down a column).
+func colsOf(t *Tensor) operand {
+	return operand{t.Data, t.shape[1], t.shape[0], 1, t.shape[1]}
+}
+
+// pack copies an operand into width-lane panels laid out k-major —
+// panel p holds lanes [p·width, p·width+width) interleaved as
+// dst[(p·K+k)·width+l] — so the micro-kernel reads its width operands
+// from one cache line per k step. Lanes past the last stay zero
+// (padding contributes +0/−0 products, which never change a finite
+// accumulator).
+func pack(o operand, width, threshold int) []float64 {
+	K := o.K
+	panels := (o.lanes + width - 1) / width
+	dst := make([]float64, panels*K*width)
+	parGate(threshold, panels, o.lanes*K, func(p int) {
+		for l := 0; l < width; l++ {
+			lane := p*width + l
+			if lane >= o.lanes {
+				break
+			}
+			di := p*K*width + l
+			si := lane * o.laneStride
+			for k := 0; k < K; k++ {
+				dst[di] = o.data[si]
+				di += width
+				si += o.kStride
+			}
+		}
+	})
+	return dst
+}
 
 // microFunc is the shared micro-kernel signature: fill the rows×cols
 // corner of an MR×NR output tile at dst (leading dimension ldc) from
 // the packed panels ap (MR-row, k-major) and bp (NR-column, k-major).
+// The arithmetic always runs the full MR×NR (padding lanes are zero);
+// rows/cols only mask the store.
 type microFunc func(ap, bp []float64, K int, dst []float64, ldc, rows, cols int)
 
 // microFor maps a TileConfig's register shape to its straight-line
-// micro-kernel, or nil when no such kernel exists. The 2×4 ×4-unrolled
-// entry is the blocked kernel's microKernel itself.
+// micro-kernel, or nil when no such kernel exists.
 func microFor(c TileConfig) microFunc {
 	switch [3]int{c.MR, c.NR, c.KUnroll} {
 	case [3]int{2, 4, 1}:
 		return micro2x4u1
 	case [3]int{2, 4, 4}:
-		return microKernel
+		return micro2x4u4
 	case [3]int{4, 4, 1}:
 		return micro4x4u1
 	case [3]int{4, 4, 2}:
@@ -48,9 +121,103 @@ func microFor(c TileConfig) microFunc {
 	return nil
 }
 
-// micro2x4u1 is the rolled 2×4 micro-kernel: microKernel's tail loop
-// as the whole body. Bit-identical to microKernel (same additions in
-// the same ascending-k order); only loop-control overhead differs.
+// storeEdge is every micro-kernel's masked store for edge tiles: it
+// writes the rows×cols corner of the accumulator block acc (row-major,
+// nr wide) to dst. Interior tiles take the straight-store fast path
+// inline instead.
+func storeEdge(dst []float64, ldc, rows, cols, nr int, acc ...float64) {
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			dst[r*ldc+c] = acc[r*nr+c]
+		}
+	}
+}
+
+// micro2x4u4 is the builtin micro-kernel: one 2×4 output tile as dot
+// products over the packed panels, k ascending with one scalar
+// accumulator per element. 2×4 keeps the 8 accumulators plus the 6
+// operand temporaries inside the 15 usable amd64 XMM registers. The k
+// loop is unrolled ×4: each accumulator still receives exactly one
+// product per k step in ascending k order (the unroll widens the loop
+// body, not the addition tree), so the result is bit-identical to the
+// rolled loop while amortizing loop control and bounds checks.
+func micro2x4u4(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
+	var c00, c01, c02, c03 float64
+	var c10, c11, c12, c13 float64
+	p := 0
+	for ; p+4 <= K; p += 4 {
+		a := ap[2*p : 2*p+8]
+		b := bp[4*p : 4*p+16]
+		a0, a1 := a[0], a[1]
+		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		a0, a1 = a[2], a[3]
+		b0, b1, b2, b3 = b[4], b[5], b[6], b[7]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		a0, a1 = a[4], a[5]
+		b0, b1, b2, b3 = b[8], b[9], b[10], b[11]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+		a0, a1 = a[6], a[7]
+		b0, b1, b2, b3 = b[12], b[13], b[14], b[15]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+	}
+	for ; p < K; p++ {
+		a := ap[2*p : 2*p+2]
+		b := bp[4*p : 4*p+4]
+		a0, a1 := a[0], a[1]
+		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		c00 += a0 * b0
+		c01 += a0 * b1
+		c02 += a0 * b2
+		c03 += a0 * b3
+		c10 += a1 * b0
+		c11 += a1 * b1
+		c12 += a1 * b2
+		c13 += a1 * b3
+	}
+	if rows >= 2 && cols >= 4 { // interior tile: straight stores
+		d0 := dst[:4]
+		d1 := dst[ldc : ldc+4]
+		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
+		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
+		return
+	}
+	storeEdge(dst, ldc, rows, cols, 4,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13)
+}
+
+// micro2x4u1 is the rolled 2×4 micro-kernel: micro2x4u4's tail loop
+// as the whole body. Bit-identical to it (same additions in the same
+// ascending-k order); only loop-control overhead differs.
 func micro2x4u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
@@ -75,15 +242,9 @@ func micro2x4u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
 		return
 	}
-	acc := [2][4]float64{
-		{c00, c01, c02, c03},
-		{c10, c11, c12, c13},
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r][c]
-		}
-	}
+	storeEdge(dst, ldc, rows, cols, 4,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13)
 }
 
 // micro4x4u1 holds a 4×4 accumulator block: 16 accumulators, 8 operand
@@ -129,17 +290,11 @@ func micro4x4u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
 		return
 	}
-	acc := [4][4]float64{
-		{c00, c01, c02, c03},
-		{c10, c11, c12, c13},
-		{c20, c21, c22, c23},
-		{c30, c31, c32, c33},
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r][c]
-		}
-	}
+	storeEdge(dst, ldc, rows, cols, 4,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13,
+		c20, c21, c22, c23,
+		c30, c31, c32, c33)
 }
 
 // micro4x4u2 is micro4x4u1 with the k loop unrolled ×2 — each
@@ -224,17 +379,11 @@ func micro4x4u2(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
 		return
 	}
-	acc := [4][4]float64{
-		{c00, c01, c02, c03},
-		{c10, c11, c12, c13},
-		{c20, c21, c22, c23},
-		{c30, c31, c32, c33},
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r][c]
-		}
-	}
+	storeEdge(dst, ldc, rows, cols, 4,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13,
+		c20, c21, c22, c23,
+		c30, c31, c32, c33)
 }
 
 // micro2x8u1 streams 8 columns of B against 2 rows of A: 16
@@ -276,15 +425,9 @@ func micro2x8u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d1[4], d1[5], d1[6], d1[7] = c14, c15, c16, c17
 		return
 	}
-	acc := [2][8]float64{
-		{c00, c01, c02, c03, c04, c05, c06, c07},
-		{c10, c11, c12, c13, c14, c15, c16, c17},
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r][c]
-		}
-	}
+	storeEdge(dst, ldc, rows, cols, 8,
+		c00, c01, c02, c03, c04, c05, c06, c07,
+		c10, c11, c12, c13, c14, c15, c16, c17)
 }
 
 // micro2x8u2 is micro2x8u1 with the k loop unrolled ×2; bit-identical
@@ -367,21 +510,17 @@ func micro2x8u2(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d1[4], d1[5], d1[6], d1[7] = c14, c15, c16, c17
 		return
 	}
-	acc := [2][8]float64{
-		{c00, c01, c02, c03, c04, c05, c06, c07},
-		{c10, c11, c12, c13, c14, c15, c16, c17},
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r][c]
-		}
-	}
+	storeEdge(dst, ldc, rows, cols, 8,
+		c00, c01, c02, c03, c04, c05, c06, c07,
+		c10, c11, c12, c13, c14, c15, c16, c17)
 }
 
-// tunedTile is gemmTile generalized over the config: same fixed
-// column-panel-major tile walk, with panel strides and the micro-kernel
-// taken from cfg instead of the package constants.
-func tunedTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int, cfg TileConfig, micro microFunc) {
+// gebpTile fills the rows×cols output region starting at dst (leading
+// dimension ldc) from the packed panel ranges. apack's first panel is
+// the tile's first MR rows; bpack's first panel its first NR columns.
+// Serial and fixed-order: callers decide the parallel decomposition.
+func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int, cfg *TileConfig) {
+	micro := microFor(*cfg)
 	pmr, pnr := cfg.MR, cfg.NR
 	for jp := 0; jp < cols; jp += pnr {
 		bp := bpack[(jp/pnr)*K*pnr:]
@@ -393,12 +532,16 @@ func tunedTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int
 	}
 }
 
-// tunedGemm is blockedGemm generalized over the config: a 2-D grid of
-// BlockM×BlockN output tiles (disjoint writes, scheduling-independent),
-// serial below the threshold. Block sizes are validated multiples of
-// MR/NR, so tile origins always land on panel boundaries.
-func tunedGemm(apack, bpack []float64, m, n, K int, cfg TileConfig, threshold int) *Tensor {
-	micro := microFor(cfg)
+// gemm packs both operands through the config's panel shapes and runs
+// the 2-D decomposition: the output splits into BlockM×BlockN tiles
+// (disjoint writes, scheduling-independent) handed to the pool as a
+// flattened grid; small products run the same tile loop serially.
+// Block sizes are validated multiples of MR/NR, so tile origins always
+// land on panel boundaries.
+func gemm(a, b operand, cfg *TileConfig, threshold int) *Tensor {
+	m, n, K := a.lanes, b.lanes, a.K
+	apack := pack(a, cfg.MR, threshold)
+	bpack := pack(b, cfg.NR, threshold)
 	out := New(m, n)
 	mt := (m + cfg.BlockM - 1) / cfg.BlockM
 	nt := (n + cfg.BlockN - 1) / cfg.BlockN
@@ -406,7 +549,7 @@ func tunedGemm(apack, bpack []float64, m, n, K int, cfg TileConfig, threshold in
 		i0, j0 := ti*cfg.BlockM, tj*cfg.BlockN
 		rows := min(cfg.BlockM, m-i0)
 		cols := min(cfg.BlockN, n-j0)
-		tunedTile(apack[(i0/cfg.MR)*K*cfg.MR:], bpack[(j0/cfg.NR)*K*cfg.NR:], K, rows, cols, out.Data[i0*n+j0:], n, cfg, micro)
+		gebpTile(apack[(i0/cfg.MR)*K*cfg.MR:], bpack[(j0/cfg.NR)*K*cfg.NR:], K, rows, cols, out.Data[i0*n+j0:], n, cfg)
 	}
 	if m*K*n >= threshold && mt*nt > 1 {
 		parallel.For2D(0, mt, nt, tile)
@@ -420,69 +563,46 @@ func tunedGemm(apack, bpack []float64, m, n, K int, cfg TileConfig, threshold in
 	return out
 }
 
-// tunedGemmOp packs both operands through the config's panel shapes
-// and runs the tuned engine; the three GEMM entry points differ only
-// in their load closures.
-func tunedGemmOp(m, n, K int, loadA func(r, k int) float64, loadB func(k, c int) float64, cfg TileConfig, threshold int) *Tensor {
-	apack := packA(m, K, cfg.MR, threshold, loadA)
-	bpack := packB(n, K, cfg.NR, threshold, loadB)
-	return tunedGemm(apack, bpack, m, n, K, cfg, threshold)
+// gemm runs a product under this kernel's tuning, picking the config
+// by the product's shape class.
+func (g gebpKernels) gemm(a, b operand) *Tensor {
+	t := g.tuning()
+	return gemm(a, b, t.gemmFor(a.lanes, a.K, b.lanes), t.Threshold)
 }
 
-func (tunedKernels) MatMul(a, b *Tensor) *Tensor {
-	t := ActiveTuning()
-	m, K := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	ad, bd := a.Data, b.Data
-	return tunedGemmOp(m, n, K,
-		func(r, k int) float64 { return ad[r*K+k] },
-		func(k, c int) float64 { return bd[k*n+c] },
-		t.gemmFor(m, K, n), t.Threshold)
+func (g gebpKernels) MatMul(a, b *Tensor) *Tensor { return g.gemm(rowsOf(a), colsOf(b)) }
+
+// MatMulT: b is stored n×K, so the logical right operand's columns
+// are b's rows.
+func (g gebpKernels) MatMulT(a, b *Tensor) *Tensor { return g.gemm(rowsOf(a), rowsOf(b)) }
+
+// TMatMul: a is stored K×m, so the logical left operand's rows are
+// a's columns.
+func (g gebpKernels) TMatMul(a, b *Tensor) *Tensor { return g.gemm(colsOf(a), colsOf(b)) }
+
+// MatVec and Outer have no k-reuse to block for, so they share the
+// gated naive bodies; the threshold is the only parameter that applies.
+func (g gebpKernels) MatVec(a, v *Tensor) *Tensor {
+	return gatedMatVec(g.tuning().Threshold, a, v)
 }
 
-func (tunedKernels) MatMulT(a, b *Tensor) *Tensor {
-	t := ActiveTuning()
-	m, K := a.shape[0], a.shape[1]
-	n := b.shape[0] // b is n×K; logical B = bᵀ (K×n)
-	ad, bd := a.Data, b.Data
-	return tunedGemmOp(m, n, K,
-		func(r, k int) float64 { return ad[r*K+k] },
-		func(k, c int) float64 { return bd[c*K+k] },
-		t.gemmFor(m, K, n), t.Threshold)
+func (g gebpKernels) Outer(a, b *Tensor) *Tensor {
+	return gatedOuter(g.tuning().Threshold, a, b)
 }
 
-func (tunedKernels) TMatMul(a, b *Tensor) *Tensor {
-	t := ActiveTuning()
-	K, m := a.shape[0], a.shape[1] // a is K×m; logical A = aᵀ (m×K)
-	n := b.shape[1]
-	ad, bd := a.Data, b.Data
-	return tunedGemmOp(m, n, K,
-		func(r, k int) float64 { return ad[k*m+r] },
-		func(k, c int) float64 { return bd[k*n+c] },
-		t.gemmFor(m, K, n), t.Threshold)
+func (g gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
+	t := g.tuning()
+	return conv2D(x, weight, p, &t.Conv, t.Threshold)
 }
 
-// MatVec and Outer share the gated naive bodies (no k-reuse to tile);
-// the tuned threshold is the only parameter that applies.
-func (tunedKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(ActiveTuning().Threshold, a, v)
-}
-
-func (tunedKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(ActiveTuning().Threshold, a, b)
-}
-
-func (tunedKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
-	t := ActiveTuning()
-	return tunedConv2D(x, weight, p, t.Conv, t.Threshold)
-}
-
-// tunedConv2D is the blocked kernel's chunked im2col-GEMM generalized
-// over the config: each task unfolds a chunk of output pixels straight
-// into packed MR-row panels and multiplies against the once-packed
-// weight panels. The chunk length rounds convRowChunk up to a multiple
-// of cfg.MR so chunks pack into whole panels.
-func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *Tensor {
+// conv2D is a blocked im2col-GEMM: the (n·oh·ow)×(c·k·k) column matrix
+// is never materialized. Each task unfolds a chunk of output pixels
+// straight into packed MR-row panels, multiplies them against the
+// once-packed weight panels, and scatters the product into NCHW — so
+// the working set per task is one chunk, not the whole unfolding. The
+// chunk length rounds convRowChunk up to a multiple of cfg.MR so
+// chunks pack into whole panels.
+func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	outC := weight.shape[0]
 	oh, ow := p.OutDim(h), p.OutDim(w)
@@ -493,11 +613,10 @@ func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold in
 	K := c * kk * kk
 	rows := n * oh * ow
 	plane := oh * ow
-	micro := microFor(cfg)
 	pmr := cfg.MR
 	chunk := (convRowChunk + pmr - 1) / pmr * pmr
-	wd := weight.Data // outC×K row-major; logical B = wmatᵀ (K×outC)
-	wpack := packB(outC, K, cfg.NR, threshold, func(k, oc int) float64 { return wd[oc*K+k] })
+	// weight is outC×K row-major; the logical right operand is its transpose.
+	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.NR, threshold)
 
 	out := New(n, outC, oh, ow)
 	chunks := (rows + chunk - 1) / chunk
@@ -528,7 +647,7 @@ func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold in
 			}
 		}
 		scratch := make([]float64, cr*outC)
-		tunedTile(apack, wpack, K, cr, outC, scratch, outC, cfg, micro)
+		gebpTile(apack, wpack, K, cr, outC, scratch, outC, cfg)
 		for r := 0; r < cr; r++ {
 			row := lo + r
 			img, pix := row/plane, row%plane
@@ -541,8 +660,8 @@ func tunedConv2D(x, weight *Tensor, p Conv2DParams, cfg TileConfig, threshold in
 	return out
 }
 
-// TunedMatMul runs (m×k)·(k×n) through the tuned engine under an
-// explicit config and threshold, bypassing the active tuning (and the
+// TunedMatMul runs (m×k)·(k×n) through the engine under an explicit
+// config and threshold, bypassing the active tuning (and the
 // package-level telemetry counters). It is the measurement hook for
 // internal/tune's sweep and the adversarial-config equivalence tests.
 func TunedMatMul(a, b *Tensor, cfg TileConfig, threshold int) *Tensor {
@@ -552,17 +671,11 @@ func TunedMatMul(a, b *Tensor, cfg TileConfig, threshold int) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic("tensor: TunedMatMul shape mismatch")
 	}
-	m, K := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	ad, bd := a.Data, b.Data
-	return tunedGemmOp(m, n, K,
-		func(r, k int) float64 { return ad[r*K+k] },
-		func(k, c int) float64 { return bd[k*n+c] },
-		cfg, threshold)
+	return gemm(rowsOf(a), colsOf(b), &cfg, threshold)
 }
 
-// TunedConv2D runs an NCHW convolution through the tuned engine under
-// an explicit config and threshold; same role as TunedMatMul.
+// TunedConv2D runs an NCHW convolution through the engine under an
+// explicit config and threshold; same role as TunedMatMul.
 func TunedConv2D(x, w *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *Tensor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -570,5 +683,5 @@ func TunedConv2D(x, w *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *T
 	if len(x.shape) != 4 || len(w.shape) != 4 || x.shape[1] != w.shape[1] {
 		panic("tensor: TunedConv2D shape mismatch")
 	}
-	return tunedConv2D(x, w, p, cfg, threshold)
+	return conv2D(x, w, p, &cfg, threshold)
 }

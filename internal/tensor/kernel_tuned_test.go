@@ -224,3 +224,67 @@ func TestSetTuningValidatesAndTracksSource(t *testing.T) {
 			ActiveTuning(), TuningSource())
 	}
 }
+
+// TestBlockedPinnedToBuiltinTuning proves "blocked" is the engine under
+// DefaultTuning() and nothing else: with a hostile tuning active (tiny
+// 8×8 blocks, the spilling 4×4 micro-kernel, everything parallel) it
+// still resolves the builtin tuning, still reports the builtin
+// threshold, and still matches the naive oracle bit for bit on the odd
+// and prime shape table.
+func TestBlockedPinnedToBuiltinTuning(t *testing.T) {
+	naive, blocked := kernelPair(t)
+	tuned, _ := LookupKernels("tuned")
+	hostile := TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}
+	withTuning(t, Tuning{Threshold: 1, Square: hostile, Skinny: hostile, Fat: hostile, Conv: hostile}, "hostile")
+	if got := tuned.ParallelThreshold(); got != 1 {
+		t.Fatalf("tuned threshold = %d: the hostile tuning is not active", got)
+	}
+	if got := blocked.ParallelThreshold(); got != 1<<17 {
+		t.Fatalf("blocked threshold = %d under a hostile SetTuning, want %d", got, 1<<17)
+	}
+	if got := *blocked.(gebpKernels).tuning(); got != DefaultTuning() {
+		t.Fatalf("blocked resolves tuning %+v, want the builtin", got)
+	}
+	rng := rand.New(rand.NewSource(83))
+	for _, dims := range oddShapes {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := Randn(rng, 0, 1, m, k)
+		b := Randn(rng, 0, 1, k, n)
+		bt := Randn(rng, 0, 1, n, k)
+		at := Randn(rng, 0, 1, k, m)
+		name := func(op string) string { return fmt.Sprintf("blocked %s %v", op, dims) }
+		bitwiseEqual(t, name("MatMul"), blocked.MatMul(a, b), naive.MatMul(a, b))
+		bitwiseEqual(t, name("MatMulT"), blocked.MatMulT(a, bt), naive.MatMulT(a, bt))
+		bitwiseEqual(t, name("TMatMul"), blocked.TMatMul(at, b), naive.TMatMul(at, b))
+	}
+	x := Randn(rng, 0, 1, 2, 3, 13, 11)
+	w := Randn(rng, 0, 1, 5, 3, 3, 3)
+	p := Conv2DParams{Kernel: 3, Stride: 2, Padding: 1}
+	bitwiseEqual(t, "blocked Conv2D", blocked.Conv2D(x, w, p), naive.Conv2D(x, w, p))
+}
+
+// TestBlockedAllocatesLikeTunedBuiltin: one engine means one allocation
+// profile — per call, "blocked" and "tuned" at the builtin tuning
+// allocate the same number of objects.
+func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
+	_, blocked := kernelPair(t)
+	tuned, _ := LookupKernels("tuned")
+	withTuning(t, DefaultTuning(), "")
+	rng := rand.New(rand.NewSource(89))
+	a, b := Randn(rng, 0, 1, 256, 256), Randn(rng, 0, 1, 256, 256)
+	x, w := Randn(rng, 0, 1, 8, 16, 32, 32), Randn(rng, 0, 1, 32, 16, 3, 3)
+	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+	for _, op := range []struct {
+		name string
+		run  func(Kernels)
+	}{
+		{"MatMul 256^3", func(k Kernels) { k.MatMul(a, b) }},
+		{"Conv2D 8x16x32x32 * 32x16x3x3", func(k Kernels) { k.Conv2D(x, w, p) }},
+	} {
+		got := testing.AllocsPerRun(5, func() { op.run(blocked) })
+		want := testing.AllocsPerRun(5, func() { op.run(tuned) })
+		if got != want {
+			t.Errorf("%s: blocked allocates %v objects per call, tuned@builtin %v", op.name, got, want)
+		}
+	}
+}

@@ -19,11 +19,12 @@ import (
 // so every output element's accumulation order must be fixed by the
 // operand shapes alone.
 //
-// Three kernels are registered by default: "naive" (the original
-// row-parallel loops, kept as the reference oracle), "blocked" (the
-// default — cache-blocked, panel-packed GEMM with a register
-// micro-kernel and a 2-D row×column-block work decomposition), and
-// "tuned" (the same GEBP engine with tile geometry, micro-kernel
+// Two implementations are registered under three names: "naive" (the
+// original row-parallel loops, kept as the reference oracle), and the
+// GEBP engine of kernel_tuned.go — cache-blocked, panel-packed GEMM
+// with a register micro-kernel and a 2-D row×column-block work
+// decomposition — once as "blocked" (the default, pinned to
+// DefaultTuning()) and once as "tuned" (tile geometry, micro-kernel
 // shape, k-unroll, and parallel threshold read from the active Tuning
 // — see SetTuning and internal/tune).
 type Kernels interface {
@@ -114,9 +115,10 @@ func ActiveKernels() Kernels {
 }
 
 func init() {
+	builtin := DefaultTuning()
 	RegisterKernels(naiveKernels{})
-	RegisterKernels(blockedKernels{})
-	RegisterKernels(tunedKernels{})
+	RegisterKernels(gebpKernels{name: "blocked", pinned: &builtin})
+	RegisterKernels(gebpKernels{name: "tuned"})
 	name := DefaultKernel
 	if v := os.Getenv(EnvKernel); v != "" {
 		name = v

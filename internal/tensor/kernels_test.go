@@ -77,6 +77,14 @@ func maxAbsDiff(a, b *Tensor) float64 {
 	return worst
 }
 
+// oddShapes is the m×k×n table the equivalence tests share: degenerate
+// 1×1, panel-edge cases where m/n are not multiples of the micro-tile,
+// and sizes big enough to cross the parallel threshold.
+var oddShapes = [][3]int{
+	{1, 1, 1}, {3, 129, 63}, {255, 257, 63}, {64, 64, 64},
+	{5, 1, 7}, {1, 513, 1}, {31, 2, 129}, {4, 4, 4}, {65, 63, 66},
+}
+
 // TestCrossKernelEquivalence runs every dispatchable op under every
 // optimized kernel (blocked, tuned, future tiers) across odd and prime
 // shapes — degenerate 1×1, panel-edge cases where m/n are not
@@ -86,10 +94,7 @@ func maxAbsDiff(a, b *Tensor) float64 {
 func TestCrossKernelEquivalence(t *testing.T) {
 	naive, _ := kernelPair(t)
 	rng := rand.New(rand.NewSource(99))
-	for _, dims := range [][3]int{
-		{1, 1, 1}, {3, 129, 63}, {255, 257, 63}, {64, 64, 64},
-		{5, 1, 7}, {1, 513, 1}, {31, 2, 129}, {4, 4, 4}, {65, 63, 66},
-	} {
+	for _, dims := range oddShapes {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := Randn(rng, 0, 1, m, k)
 		b := Randn(rng, 0, 1, k, n)

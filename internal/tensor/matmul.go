@@ -8,7 +8,8 @@ import (
 
 // The package-level linear-algebra entry points validate shapes and
 // dispatch to the active compute kernel (see Kernels in kernels.go).
-// Implementations live in kernel_naive.go and kernel_blocked.go;
+// Implementations live in kernel_naive.go (the oracle) and
+// kernel_tuned.go (the GEBP engine behind "blocked" and "tuned");
 // selection happens via UseKernels, the AIBENCH_KERNEL environment
 // variable, or the CLI's -kernel flag. Each entry point is also the
 // telemetry choke point: one gated per-op call/FLOP count covers every

@@ -5,18 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// The tuned kernel's configuration surface. The blocked kernel bakes
-// its tile geometry in at compile time (64×64 blocks, a 2×4 register
-// micro-kernel, ×4 k-unroll); the tuned kernel takes the same GEBP
-// engine and turns every one of those constants into a runtime
-// parameter so a per-machine sweep (internal/tune) can pick the
-// fastest combination per GEMM shape class. Crucially none of these
-// parameters can change results: every output element accumulates its
-// k terms ascending into a single accumulator under every
-// configuration, so the tuned kernel stays bitwise-equal to naive and
-// blocked no matter which config is active.
+// The GEBP engine's configuration surface (kernel_tuned.go). Tile
+// geometry, register micro-kernel, k-unroll, and parallel threshold
+// are runtime parameters: the "blocked" kernel is the engine pinned to
+// DefaultTuning() (64×64 blocks, a 2×4 micro-kernel, ×4 k-unroll), the
+// "tuned" kernel is the same engine under the active tuning, so a
+// per-machine sweep (internal/tune) can pick the fastest combination
+// per GEMM shape class. Crucially none of these parameters can change
+// results: every output element accumulates its k terms ascending into
+// a single accumulator under every configuration, so the engine stays
+// bitwise-equal to naive no matter which config is active.
 
-// TileConfig parameterizes one instantiation of the tuned GEBP engine.
+// TileConfig parameterizes one instantiation of the GEBP engine.
 type TileConfig struct {
 	// MR×NR is the register micro-tile: MR rows of A and NR columns of
 	// B held in scalar registers while streaming the shared k
@@ -41,7 +41,7 @@ func (c TileConfig) String() string {
 	return fmt.Sprintf("%dx%du%d@%dx%d", c.MR, c.NR, c.KUnroll, c.BlockM, c.BlockN)
 }
 
-// Validate reports why the config cannot drive the tuned engine; nil
+// Validate reports why the config cannot drive the GEBP engine; nil
 // means it can.
 func (c TileConfig) Validate() error {
 	if microFor(c) == nil {
@@ -105,7 +105,7 @@ func GEMMShapeClass(m, k, n int) string {
 	}
 }
 
-// Tuning is the tuned kernel's complete parameter set: one TileConfig
+// Tuning is the GEBP engine's complete parameter set: one TileConfig
 // per shape class plus the shared parallel threshold.
 type Tuning struct {
 	// Threshold is the multiply-add count above which the tuned
@@ -120,10 +120,13 @@ type Tuning struct {
 	Conv   TileConfig `json:"conv"`
 }
 
-// DefaultTuning is the built-in configuration used when no persisted
-// tuneconfig has been applied: the blocked kernel's proven constants
-// for every class, so an untuned `tuned` run is never worse than
-// blocked by construction.
+// DefaultTuning is the built-in configuration: the one "blocked" is
+// pinned to, and the active one until a persisted tuneconfig is
+// applied — so an untuned `tuned` run is the blocked kernel, and never
+// worse than it by construction. 64×64 tiles keep the packed A and B
+// slices a tile touches (64·K doubles each) within L2 for the suite's
+// typical K while still cutting a 512×512 product into 64 independent
+// tasks; the 2×4 micro-kernel measured faster than the spilling 4×4.
 func DefaultTuning() Tuning {
 	std := TileConfig{MR: 2, NR: 4, KUnroll: 4, BlockM: 64, BlockN: 64}
 	return Tuning{Threshold: 1 << 17, Square: std, Skinny: std, Fat: std, Conv: std}
@@ -149,14 +152,14 @@ func (t Tuning) Validate() error {
 
 // gemmFor selects the TileConfig the tuned kernel uses for a GEMM of
 // the given shape.
-func (t *Tuning) gemmFor(m, k, n int) TileConfig {
+func (t *Tuning) gemmFor(m, k, n int) *TileConfig {
 	switch GEMMShapeClass(m, k, n) {
 	case ShapeSkinny:
-		return t.Skinny
+		return &t.Skinny
 	case ShapeFat:
-		return t.Fat
+		return &t.Fat
 	}
-	return t.Square
+	return &t.Square
 }
 
 // Summary renders the tuning as one line for `aibench version` and run
