@@ -316,6 +316,7 @@ func BenchmarkMatMul(b *testing.B) {
 					rng := rand.New(rand.NewSource(7))
 					x := tensor.Randn(rng, 0, 1, sh.m, sh.k)
 					y := tensor.Randn(rng, 0, 1, sh.k, sh.n)
+					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						tensor.MatMul(x, y)
@@ -337,9 +338,32 @@ func BenchmarkConv2D(b *testing.B) {
 			x := tensor.Randn(rng, 0, 1, 8, 32, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 64, 32, 3, 3)
 			p := tensor.Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tensor.Conv2D(x, w, p)
+			}
+		})
+	}
+}
+
+// BenchmarkConv2DBackward measures both gradients of one convolution
+// under each compute kernel, at the shape bench/ probes forward
+// (8×16×32×32 ⊛ 32×16×3×3). B/op is the point: naive materializes the
+// column matrix and its gradient, the GEBP engine allocates the two
+// results and nothing else (CI holds blocked to ≤ ¼ of naive's bytes).
+func BenchmarkConv2DBackward(b *testing.B) {
+	for _, kname := range benchKernels() {
+		underKernel(b, kname, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			x := tensor.Randn(rng, 0, 1, 8, 16, 32, 32)
+			w := tensor.Randn(rng, 0, 1, 32, 16, 3, 3)
+			g := tensor.Randn(rng, 0, 1, 8, 32, 32, 32)
+			p := tensor.Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Conv2DBackward(x, w, g, p, true, true)
 			}
 		})
 	}

@@ -1,5 +1,6 @@
 // Command aibench-benchjson converts `go test -bench` text output into
-// a compact JSON artifact mapping benchmark name → ns/op. CI runs it
+// a compact JSON artifact mapping benchmark name → ns/op (and B/op,
+// allocs/op where the benchmark reports allocations). CI runs it
 // on every push to turn the sharded-session benchmarks into a
 // per-commit performance trajectory (BENCH_<sha>.json artifacts) that
 // can be diffed or plotted across history.
@@ -33,12 +34,26 @@ type report struct {
 	// Kernels maps compute-kernel name → benchmark name → ns/op for
 	// the subset of results that declare a kernel dimension.
 	Kernels map[string]map[string]float64 `json:"kernels,omitempty"`
+	// Mem maps benchmark name → allocation cost for the subset of
+	// results that report it (b.ReportAllocs or -benchmem).
+	Mem map[string]memStats `json:"mem,omitempty"`
+}
+
+// memStats is one benchmark's allocation cost per operation.
+type memStats struct {
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // benchLine matches one result line of `go test -bench` output, e.g.
 //
 //	BenchmarkShardedSession/shards=4-8   1   123456789 ns/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op`)
+
+// memCols matches the allocation columns a result line ends with when
+// the benchmark reports them; custom metrics (GFLOPS) may sit between
+// ns/op and these.
+var memCols = regexp.MustCompile(`\s([0-9.]+) B/op\s+([0-9.]+) allocs/op`)
 
 // kernelDim extracts the kernel=<name> path segment benchmarks use to
 // declare which compute kernel produced a result. It runs against the
@@ -73,12 +88,14 @@ func splitKernels(results map[string]float64) map[string]map[string]float64 {
 	return byKernel
 }
 
-// parseBench extracts benchmark name → ns/op from `go test -bench`
-// output, ignoring non-result lines (headers, PASS/ok, logs). It is an
-// error for the input to contain no results — an empty artifact would
-// silently record "no trajectory" instead of a broken benchmark run.
-func parseBench(r io.Reader) (map[string]float64, error) {
+// parseBench extracts benchmark name → ns/op, and name → B/op and
+// allocs/op where present, from `go test -bench` output, ignoring
+// non-result lines (headers, PASS/ok, logs). It is an error for the
+// input to contain no results — an empty artifact would silently
+// record "no trajectory" instead of a broken benchmark run.
+func parseBench(r io.Reader) (map[string]float64, map[string]memStats, error) {
 	results := make(map[string]float64)
+	var mem map[string]memStats
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -87,17 +104,28 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad ns/op %q in line %q: %v", m[2], sc.Text(), err)
+			return nil, nil, fmt.Errorf("bad ns/op %q in line %q: %v", m[2], sc.Text(), err)
 		}
 		results[m[1]] = ns
+		if mc := memCols.FindStringSubmatch(sc.Text()); mc != nil {
+			bytesPer, berr := strconv.ParseFloat(mc[1], 64)
+			allocs, aerr := strconv.ParseFloat(mc[2], 64)
+			if berr != nil || aerr != nil {
+				return nil, nil, fmt.Errorf("bad B/op or allocs/op in line %q", sc.Text())
+			}
+			if mem == nil {
+				mem = make(map[string]memStats)
+			}
+			mem[m[1]] = memStats{BytesPerOp: bytesPer, AllocsPerOp: allocs}
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(results) == 0 {
-		return nil, fmt.Errorf("no benchmark result lines found")
+		return nil, nil, fmt.Errorf("no benchmark result lines found")
 	}
-	return results, nil
+	return results, mem, nil
 }
 
 func main() {
@@ -115,7 +143,7 @@ func main() {
 		defer f.Close()
 		src = f
 	}
-	results, err := parseBench(src)
+	results, mem, err := parseBench(src)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,7 +163,7 @@ func main() {
 	}
 	enc := json.NewEncoder(dst)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(report{SHA: *sha, Results: results, Kernels: splitKernels(results)}); err != nil {
+	if err := enc.Encode(report{SHA: *sha, Results: results, Kernels: splitKernels(results), Mem: mem}); err != nil {
 		fatal(err)
 	}
 }

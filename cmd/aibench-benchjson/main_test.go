@@ -14,19 +14,37 @@ cpu: AMD EPYC 7B13
 BenchmarkShardedSession/shards=1-8         	       1	 987654321 ns/op
 BenchmarkShardedSession/shards=2-8         	       2	 543210987.5 ns/op
 BenchmarkShardedSession/shards=4-8         	       1	 321098765 ns/op
+BenchmarkMatMul/kernel=blocked/n=256-8     	       3	   3210987 ns/op	        10.45 GFLOPS	  524600 B/op	      10 allocs/op
+BenchmarkConv2DBackward/kernel=naive-8     	       3	  44372334 ns/op	22063170 B/op	      65 allocs/op
 PASS
 ok  	aibench/internal/dist	4.321s
 `
 
 func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sample))
+	got, mem, err := parseBench(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkShardedSession/shards=1-8": 987654321,
-		"BenchmarkShardedSession/shards=2-8": 543210987.5,
-		"BenchmarkShardedSession/shards=4-8": 321098765,
+		"BenchmarkShardedSession/shards=1-8":     987654321,
+		"BenchmarkShardedSession/shards=2-8":     543210987.5,
+		"BenchmarkShardedSession/shards=4-8":     321098765,
+		"BenchmarkMatMul/kernel=blocked/n=256-8": 3210987,
+		"BenchmarkConv2DBackward/kernel=naive-8": 44372334,
+	}
+	// Allocation columns are kept where a line has them — behind a
+	// custom metric or straight after ns/op — and only there.
+	wantMem := map[string]memStats{
+		"BenchmarkMatMul/kernel=blocked/n=256-8": {BytesPerOp: 524600, AllocsPerOp: 10},
+		"BenchmarkConv2DBackward/kernel=naive-8": {BytesPerOp: 22063170, AllocsPerOp: 65},
+	}
+	if len(mem) != len(wantMem) {
+		t.Fatalf("parsed %d allocation entries, want %d: %v", len(mem), len(wantMem), mem)
+	}
+	for name, ms := range wantMem {
+		if mem[name] != ms {
+			t.Errorf("%s mem = %+v, want %+v", name, mem[name], ms)
+		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %v", len(got), len(want), got)
@@ -39,7 +57,7 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestParseBenchRejectsEmpty(t *testing.T) {
-	if _, err := parseBench(strings.NewReader("PASS\nok x 1s\n")); err == nil {
+	if _, _, err := parseBench(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("expected an error for input with no benchmark lines")
 	}
 }

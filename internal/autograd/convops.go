@@ -8,24 +8,12 @@ import (
 func Conv2D(a, w *Value, p tensor.Conv2DParams) *Value {
 	out := tensor.Conv2D(a.Data, w.Data, p)
 	return newNode("conv2d", out, func(g *tensor.Tensor) {
-		n, c, h, wd := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
-		outC := w.Data.Dim(0)
-		// Rearrange grad from NCHW to (n*oh*ow) × outC to invert the
-		// GEMM; NCHWToMat routes through the kernel layer's parallel
-		// gate, so big backward passes split across cores like the
-		// forward convolution does.
-		gmat := tensor.NCHWToMat(g)
-		wmat := w.Data.Reshape(outC, c*p.Kernel*p.Kernel)
-		if a.requiresGrad {
-			// dCols = G·W, then fold back with col2im.
-			dcols := tensor.MatMul(gmat, wmat)
-			a.accumGrad(tensor.Col2Im(dcols, n, c, h, wd, p))
+		dx, dw := tensor.Conv2DBackward(a.Data, w.Data, g, p, a.requiresGrad, w.requiresGrad)
+		if dx != nil {
+			a.accumGrad(dx)
 		}
-		if w.requiresGrad {
-			// dW = Gᵀ·Cols.
-			cols := tensor.Im2Col(a.Data, p)
-			dw := tensor.TMatMul(gmat, cols)
-			w.accumGrad(dw.Reshape(w.Data.Shape()...))
+		if dw != nil {
+			w.accumGrad(dw)
 		}
 	}, a, w)
 }

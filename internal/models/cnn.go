@@ -135,10 +135,11 @@ func argmaxRows(v *autograd.Value) []int {
 	rows, cols := v.Data.Dim(0), v.Data.Dim(1)
 	out := make([]int, rows)
 	for r := 0; r < rows; r++ {
-		best, bv := 0, v.Data.At(r, 0)
-		for c := 1; c < cols; c++ {
-			if x := v.Data.At(r, c); x > bv {
-				best, bv = c, x
+		row := v.Data.Data[r*cols : (r+1)*cols]
+		best := 0
+		for c, x := range row {
+			if x > row[best] {
+				best = c
 			}
 		}
 		out[r] = best

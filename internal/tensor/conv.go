@@ -18,87 +18,6 @@ func (p Conv2DParams) OutDim(in int) int {
 	return (in+2*p.Padding-p.Kernel)/p.Stride + 1
 }
 
-// Im2Col unfolds an NCHW input into a matrix of shape
-// (N*outH*outW) × (C*K*K) so convolution becomes a GEMM. Out-of-bounds
-// (padded) taps read as zero. The active kernel's parallel threshold is
-// resolved once here; kernel code that already holds a threshold calls
-// im2col directly.
-func Im2Col(x *Tensor, p Conv2DParams) *Tensor {
-	return im2col(x, p, ActiveKernels().ParallelThreshold())
-}
-
-func im2col(x *Tensor, p Conv2DParams, threshold int) *Tensor {
-	if len(x.shape) != 4 {
-		panic(fmt.Sprintf("tensor: Im2Col requires NCHW input, got %v", x.shape))
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := p.OutDim(h), p.OutDim(w)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col output would be empty for input %v params %+v", x.shape, p))
-	}
-	k := p.Kernel
-	cols := New(n*oh*ow, c*k*k)
-	// Each output row unfolds one (img, oy, ox) receptive field into its
-	// own slice of cols, so rows parallelize with no shared writes.
-	parGate(threshold, n*oh*ow, n*oh*ow*c*k*k, func(row int) {
-		img := row / (oh * ow)
-		oy := row / ow % oh
-		ox := row % ow
-		dst := cols.Data[row*c*k*k : (row+1)*c*k*k]
-		di := 0
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for ky := 0; ky < k; ky++ {
-				iy := oy*p.Stride - p.Padding + ky
-				for kx := 0; kx < k; kx++ {
-					ix := ox*p.Stride - p.Padding + kx
-					if iy >= 0 && iy < h && ix >= 0 && ix < w {
-						dst[di] = x.Data[base+iy*w+ix]
-					}
-					di++
-				}
-			}
-		}
-	})
-	return cols
-}
-
-// Col2Im folds a (N*outH*outW) × (C*K*K) matrix back into an NCHW tensor of
-// shape [n,c,h,w], accumulating overlapping taps. It is the adjoint of
-// Im2Col and is used by convolution backward passes.
-func Col2Im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
-	oh, ow := p.OutDim(h), p.OutDim(w)
-	k := p.Kernel
-	if len(cols.shape) != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != c*k*k {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with n=%d c=%d h=%d w=%d %+v", cols.shape, n, c, h, w, p))
-	}
-	x := New(n, c, h, w)
-	row := 0
-	for img := 0; img < n; img++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				src := cols.Data[row*c*k*k : (row+1)*c*k*k]
-				si := 0
-				for ch := 0; ch < c; ch++ {
-					base := (img*c + ch) * h * w
-					for ky := 0; ky < k; ky++ {
-						iy := oy*p.Stride - p.Padding + ky
-						for kx := 0; kx < k; kx++ {
-							ix := ox*p.Stride - p.Padding + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								x.Data[base+iy*w+ix] += src[si]
-							}
-							si++
-						}
-					}
-				}
-				row++
-			}
-		}
-	}
-	return x
-}
-
 // Conv2D convolves an NCHW input with an OIKK weight tensor, producing
 // an N×O×outH×outW output. Both implementations do it as im2col + GEMM
 // (mirroring cuDNN's implicit-GEMM kernels); the GEBP engine unfolds
@@ -120,44 +39,31 @@ func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	return ActiveKernels().Conv2D(x, weight, p)
 }
 
-// matToNCHW rearranges a (n*oh*ow) × c matrix whose rows run
-// (img,oy,ox) into an NCHW tensor. Every (img,pix) row writes a
-// disjoint column of the output, so rows parallelize cleanly behind
-// the caller's already-resolved parallel threshold.
-func matToNCHW(prod *Tensor, n, c, oh, ow int, threshold int) *Tensor {
-	out := New(n, c, oh, ow)
-	plane := oh * ow
-	parGate(threshold, n*plane, n*plane*c, func(r int) {
-		img, pix := r/plane, r%plane
-		src := prod.Data[r*c : (r+1)*c]
-		for ch := 0; ch < c; ch++ {
-			out.Data[(img*c+ch)*plane+pix] = src[ch]
-		}
-	})
-	return out
-}
-
-// NCHWToMat is the inverse rearrangement: an NCHW tensor becomes a
-// (n*oh*ow) × c matrix with rows running (img,oy,ox). Convolution
-// backward passes use it to turn the output gradient back into GEMM
-// layout; it routes through the same parallel gate as the kernels,
-// resolving the active kernel's threshold once per call.
-func NCHWToMat(g *Tensor) *Tensor {
-	if len(g.shape) != 4 {
-		panic(fmt.Sprintf("tensor: NCHWToMat requires NCHW input, got %v", g.shape))
+// Conv2DBackward is Conv2D's adjoint: from the output gradient g
+// (N×O×outH×outW) it returns dx = col2im(G·W) in x's shape when needX and
+// dw = Gᵀ·im2col(x) in weight's shape when needW (nil otherwise), where
+// G is g laid out (N·outH·outW)×O and W is weight laid out O×(C·K·K).
+// The two products count as the MatMul and the TMatMul they are.
+func Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
+	if len(x.shape) != 4 {
+		panic(fmt.Sprintf("tensor: Conv2DBackward requires NCHW input, got %v", x.shape))
 	}
-	threshold := ActiveKernels().ParallelThreshold()
-	n, c, oh, ow := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
-	plane := oh * ow
-	out := New(n*plane, c)
-	parGate(threshold, n*plane, n*plane*c, func(r int) {
-		img, pix := r/plane, r%plane
-		dst := out.Data[r*c : (r+1)*c]
-		for ch := 0; ch < c; ch++ {
-			dst[ch] = g.Data[(img*c+ch)*plane+pix]
-		}
-	})
-	return out
+	if len(weight.shape) != 4 || weight.shape[1] != x.shape[1] || weight.shape[2] != p.Kernel || weight.shape[3] != p.Kernel {
+		panic(fmt.Sprintf("tensor: Conv2DBackward weight shape %v incompatible with input %v kernel %d", weight.shape, x.shape, p.Kernel))
+	}
+	n, outC := x.shape[0], weight.shape[0]
+	oh, ow := p.OutDim(x.shape[2]), p.OutDim(x.shape[3])
+	if len(g.shape) != 4 || g.shape[0] != n || g.shape[1] != outC || g.shape[2] != oh || g.shape[3] != ow {
+		panic(fmt.Sprintf("tensor: Conv2DBackward gradient shape %v, want [%d %d %d %d]", g.shape, n, outC, oh, ow))
+	}
+	flops := 2 * int64(n) * int64(oh) * int64(ow) * int64(outC) * int64(x.shape[1]) * int64(p.Kernel) * int64(p.Kernel)
+	if needX {
+		telemetry.CountKernel(telemetry.OpMatMul, flops)
+	}
+	if needW {
+		telemetry.CountKernel(telemetry.OpTMatMul, flops)
+	}
+	return ActiveKernels().Conv2DBackward(x, weight, g, p, needX, needW)
 }
 
 // MaxPool2D applies max pooling to an NCHW tensor and also returns the

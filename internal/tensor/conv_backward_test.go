@@ -1,0 +1,227 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// convCase is one convolution problem with its output gradient.
+type convCase struct {
+	x, w, g *Tensor
+	p       Conv2DParams
+}
+
+func newConvCase(rng *rand.Rand, n, c, h, w, outC int, p Conv2DParams) convCase {
+	return convCase{
+		x: Randn(rng, 0, 1, n, c, h, w),
+		w: Randn(rng, 0, 1, outC, c, p.Kernel, p.Kernel),
+		g: Randn(rng, 0, 1, n, outC, p.OutDim(h), p.OutDim(w)),
+		p: p,
+	}
+}
+
+// TestConv2DBackwardBitwise holds the fused backward to the naive
+// composition bit for bit: every kernel size, stride and padding the
+// models use and some they do not, output planes that are not a
+// multiple of MR and one that spans two chunks, outC = 5 and C·k·k odd
+// so both edge panels are partial, a single image, either gradient
+// alone, under every micro-kernel with everything forked and
+// everything serial — and again on repeat runs, since the fold into dx
+// and the dw reduction must not depend on the schedule.
+func TestConv2DBackwardBitwise(t *testing.T) {
+	naive, _ := kernelPair(t)
+	rng := rand.New(rand.NewSource(101))
+	ran := 0
+	for _, hw := range [][2]int{{7, 9}, {13, 11}} {
+		for _, kern := range []int{1, 3, 5} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1, 2} {
+					p := Conv2DParams{Kernel: kern, Stride: stride, Padding: pad}
+					for _, n := range []int{1, 3} {
+						cc := newConvCase(rng, n, 3, hw[0], hw[1], 5, p)
+						wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, p, true, true)
+						for _, micro := range MicroMenu() {
+							cfg := micro
+							cfg.BlockM, cfg.BlockN = 32, 32
+							for _, threshold := range []int{1, 1 << 30} {
+								name := fmt.Sprintf("n=%d %dx%d %+v cfg=%s threshold=%d", n, hw[0], hw[1], p, cfg, threshold)
+								for rep := 0; rep < 3; rep++ {
+									dx, dw := conv2DBackward(cc.x, cc.w, cc.g, p, true, true, &cfg, threshold)
+									bitwiseEqual(t, name+" dx", dx, wantX)
+									bitwiseEqual(t, name+" dw", dw, wantW)
+									if !dx.SameShape(cc.x) || !dw.SameShape(cc.w) {
+										t.Fatalf("%s: shapes dx %v dw %v", name, dx.Shape(), dw.Shape())
+									}
+								}
+								dx, dw := conv2DBackward(cc.x, cc.w, cc.g, p, false, true, &cfg, threshold)
+								if dx != nil {
+									t.Fatalf("%s: needX=false returned a dx", name)
+								}
+								bitwiseEqual(t, name+" dw alone", dw, wantW)
+								dx, dw = conv2DBackward(cc.x, cc.w, cc.g, p, true, false, &cfg, threshold)
+								if dw != nil {
+									t.Fatalf("%s: needW=false returned a dw", name)
+								}
+								bitwiseEqual(t, name+" dx alone", dx, wantX)
+								ran++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if want := 2 * 3 * 2 * 3 * 2 * len(MicroMenu()) * 2; ran != want {
+		t.Fatalf("swept %d configurations, want %d", ran, want)
+	}
+}
+
+// TestConv2DBackwardDispatch checks the package-level entry point under
+// every registered kernel: shapes follow x and w, a gradient of the
+// wrong shape panics before any kernel sees it, and the result matches
+// the oracle's.
+func TestConv2DBackwardDispatch(t *testing.T) {
+	naive, _ := kernelPair(t)
+	rng := rand.New(rand.NewSource(103))
+	cc := newConvCase(rng, 2, 3, 13, 11, 5, Conv2DParams{Kernel: 3, Stride: 2, Padding: 1})
+	wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+	prev := ActiveKernels().Name()
+	defer func() {
+		if err := UseKernels(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, name := range KernelNames() {
+		if err := UseKernels(name); err != nil {
+			t.Fatal(err)
+		}
+		dx, dw := Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+		bitwiseEqual(t, name+" dx", dx, wantX)
+		bitwiseEqual(t, name+" dw", dw, wantW)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Conv2DBackward accepted a gradient of the input's shape")
+		}
+	}()
+	Conv2DBackward(cc.x, cc.w, cc.x, cc.p, true, true)
+}
+
+// poisonScratch overwrites every pooled buffer, to its full capacity,
+// with NaN.
+func poisonScratch() {
+	for i := range scratchFree {
+		f := &scratchFree[i]
+		f.mu.Lock()
+		for _, buf := range f.bufs {
+			buf = buf[:cap(buf)]
+			for j := range buf {
+				buf[j] = math.NaN()
+			}
+		}
+		f.mu.Unlock()
+	}
+}
+
+// TestScratchPoolDirtyBuffers proves no engine path relies on zeroed
+// scratch and no pooled slice backs a returned Tensor. Each op runs
+// once to stock the pool, the pool is poisoned with NaN, the op runs
+// again on dirty buffers, and the pool is poisoned once more while the
+// result is still held: a padded tap or tail row read before it was
+// written, or a result aliasing scratch, surfaces as a NaN against the
+// naive oracle.
+func TestScratchPoolDirtyBuffers(t *testing.T) {
+	naive, _ := kernelPair(t)
+	rng := rand.New(rand.NewSource(107))
+	a, b := Randn(rng, 0, 1, 65, 63), Randn(rng, 0, 1, 63, 66)
+	bt, at := Randn(rng, 0, 1, 66, 63), Randn(rng, 0, 1, 63, 65)
+	cc := newConvCase(rng, 3, 3, 13, 11, 5, Conv2DParams{Kernel: 3, Stride: 1, Padding: 2})
+	ops := []struct {
+		name string
+		run  func(Kernels) []*Tensor
+	}{
+		{"MatMul", func(k Kernels) []*Tensor { return []*Tensor{k.MatMul(a, b)} }},
+		{"MatMulT", func(k Kernels) []*Tensor { return []*Tensor{k.MatMulT(a, bt)} }},
+		{"TMatMul", func(k Kernels) []*Tensor { return []*Tensor{k.TMatMul(at, b)} }},
+		{"Conv2D", func(k Kernels) []*Tensor { return []*Tensor{k.Conv2D(cc.x, cc.w, cc.p)} }},
+		{"Conv2DBackward", func(k Kernels) []*Tensor {
+			dx, dw := k.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+			return []*Tensor{dx, dw}
+		}},
+	}
+	forked := DefaultTuning()
+	forked.Threshold = 1
+	for _, tuning := range []Tuning{DefaultTuning(), forked} {
+		withTuning(t, tuning, "")
+		for _, kern := range optimizedKernels(t) {
+			for _, op := range ops {
+				want := op.run(naive)
+				op.run(kern)
+				poisonScratch()
+				got := op.run(kern)
+				poisonScratch()
+				for i := range want {
+					bitwiseEqual(t, fmt.Sprintf("%s %s threshold=%d result %d", kern.Name(), op.name, tuning.Threshold, i), got[i], want[i])
+				}
+			}
+		}
+	}
+
+	// A padded lane only ever feeds accumulators the masked store drops,
+	// so no result can show whether it was cleared; look at the panel.
+	panel := make([]float64, 4*3)
+	for i := range panel {
+		panel[i] = math.NaN()
+	}
+	packPanel(panel, operand{[]float64{1, 2, 3, 4, 5, 6}, 2, 3, 3, 1}, 0, 4)
+	for i, want := range []float64{1, 4, 0, 0, 2, 5, 0, 0, 3, 6, 0, 0} {
+		if panel[i] != want {
+			t.Fatalf("packPanel over a dirty panel = %v", panel)
+		}
+	}
+}
+
+// TestConvConcurrentMatchesSerial runs forward and backward
+// convolutions from four goroutines at once — all borrowing from the
+// one scratch pool, all forking into the shared worker budget — and
+// demands every result equal its serial twin bit for bit. Run with
+// -race it is also the pool's data-race test.
+func TestConvConcurrentMatchesSerial(t *testing.T) {
+	_, blocked := kernelPair(t)
+	rng := rand.New(rand.NewSource(109))
+	const workers, rounds = 4, 6
+	cases := make([]convCase, workers)
+	want := make([][3]*Tensor, workers)
+	for i := range cases {
+		// Big enough to cross the parallel threshold, differently shaped
+		// so the goroutines borrow from different and shared size classes.
+		cases[i] = newConvCase(rng, 2+i%2, 8, 17+i, 16, 6+i, Conv2DParams{Kernel: 3, Stride: 1, Padding: 1})
+		cc := cases[i]
+		want[i][0] = blocked.Conv2D(cc.x, cc.w, cc.p)
+		want[i][1], want[i][2] = blocked.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+	}
+	got := make([][rounds][3]*Tensor, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			cc := cases[i]
+			for r := 0; r < rounds; r++ {
+				got[i][r][0] = blocked.Conv2D(cc.x, cc.w, cc.p)
+				got[i][r][1], got[i][r][2] = blocked.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		for r := range got[i] {
+			for j, name := range []string{"out", "dx", "dw"} {
+				bitwiseEqual(t, fmt.Sprintf("goroutine %d round %d %s", i, r, name), got[i][r][j], want[i][j])
+			}
+		}
+	}
+}

@@ -72,16 +72,16 @@ func TestConv2DOutputShape(t *testing.T) {
 }
 
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> — the defining adjoint identity that
+	// <im2col(x), y> == <x, col2im(y)> — the defining adjoint identity that
 	// makes conv backward correct.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
 		x := Randn(rng, 0, 1, 1, 2, 5, 5)
-		cols := Im2Col(x, p)
+		cols := im2col(x, p, 1<<17)
 		y := Randn(rng, 0, 1, cols.Dim(0), cols.Dim(1))
 		lhs := Dot(cols, y)
-		rhs := Dot(x, Col2Im(y, 1, 2, 5, 5, p))
+		rhs := Dot(x, col2im(y, 1, 2, 5, 5, p))
 		return math.Abs(lhs-rhs) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // naiveKernels is the original straight-loop implementation, kept
 // registered as the reference oracle for cross-kernel equivalence
 // tests and for measuring what the blocked kernel buys. Large ops are
@@ -102,4 +104,137 @@ func (nk naiveKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	wmat := weight.Reshape(outC, c*p.Kernel*p.Kernel) // outC × (c*k*k)
 	prod := nk.MatMulT(cols, wmat)                    // (n*oh*ow) × outC
 	return matToNCHW(prod, n, outC, oh, ow, t)
+}
+
+// Conv2DBackward is the materializing composition the fused engine is
+// checked against: lay g out as a matrix, invert the forward GEMM into
+// the full column-matrix gradient and fold it (dx), unfold x into the
+// full column matrix and contract it with g (dw).
+func (nk naiveKernels) Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	outC := weight.shape[0]
+	t := nk.ParallelThreshold()
+	gmat := nchwToMat(g, t)                           // (n*oh*ow) × outC
+	wmat := weight.Reshape(outC, c*p.Kernel*p.Kernel) // outC × (c*k*k)
+	if needX {
+		dx = col2im(nk.MatMul(gmat, wmat), n, c, h, w, p)
+	}
+	if needW {
+		dw = nk.TMatMul(gmat, im2col(x, p, t)).Reshape(weight.shape...)
+	}
+	return dx, dw
+}
+
+// The rest of this file is the oracle's materializing machinery: the
+// full im2col unfolding, its adjoint, and the NCHW↔matrix rearrangers.
+// Only naiveKernels uses it; each helper takes the parallel threshold
+// its caller already resolved.
+
+// im2col unfolds an NCHW input into a matrix of shape
+// (N*outH*outW) × (C*K*K) so convolution becomes a GEMM. Out-of-bounds
+// (padded) taps read as zero.
+func im2col(x *Tensor, p Conv2DParams, threshold int) *Tensor {
+	if len(x.shape) != 4 {
+		panic(fmt.Sprintf("tensor: im2col requires NCHW input, got %v", x.shape))
+	}
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := p.OutDim(h), p.OutDim(w)
+	if oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("tensor: im2col output would be empty for input %v params %+v", x.shape, p))
+	}
+	k := p.Kernel
+	cols := New(n*oh*ow, c*k*k)
+	// Each output row unfolds one (img, oy, ox) receptive field into its
+	// own slice of cols, so rows parallelize with no shared writes.
+	parGate(threshold, n*oh*ow, n*oh*ow*c*k*k, func(row int) {
+		img := row / (oh * ow)
+		oy := row / ow % oh
+		ox := row % ow
+		dst := cols.Data[row*c*k*k : (row+1)*c*k*k]
+		di := 0
+		for ch := 0; ch < c; ch++ {
+			base := (img*c + ch) * h * w
+			for ky := 0; ky < k; ky++ {
+				iy := oy*p.Stride - p.Padding + ky
+				for kx := 0; kx < k; kx++ {
+					ix := ox*p.Stride - p.Padding + kx
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						dst[di] = x.Data[base+iy*w+ix]
+					}
+					di++
+				}
+			}
+		}
+	})
+	return cols
+}
+
+// col2im folds a (N*outH*outW) × (C*K*K) matrix back into an NCHW tensor of
+// shape [n,c,h,w], accumulating overlapping taps in ascending (row, tap)
+// order. It is the adjoint of im2col; the GEBP engine's fused backward
+// must reproduce exactly this order for every element.
+func col2im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
+	oh, ow := p.OutDim(h), p.OutDim(w)
+	k := p.Kernel
+	if len(cols.shape) != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != c*k*k {
+		panic(fmt.Sprintf("tensor: col2im shape %v incompatible with n=%d c=%d h=%d w=%d %+v", cols.shape, n, c, h, w, p))
+	}
+	x := New(n, c, h, w)
+	row := 0
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				src := cols.Data[row*c*k*k : (row+1)*c*k*k]
+				si := 0
+				for ch := 0; ch < c; ch++ {
+					base := (img*c + ch) * h * w
+					for ky := 0; ky < k; ky++ {
+						iy := oy*p.Stride - p.Padding + ky
+						for kx := 0; kx < k; kx++ {
+							ix := ox*p.Stride - p.Padding + kx
+							if iy >= 0 && iy < h && ix >= 0 && ix < w {
+								x.Data[base+iy*w+ix] += src[si]
+							}
+							si++
+						}
+					}
+				}
+				row++
+			}
+		}
+	}
+	return x
+}
+
+// matToNCHW rearranges a (n*oh*ow) × c matrix whose rows run
+// (img,oy,ox) into an NCHW tensor. Every (img,pix) row writes a
+// disjoint column of the output, so rows parallelize cleanly.
+func matToNCHW(prod *Tensor, n, c, oh, ow int, threshold int) *Tensor {
+	out := New(n, c, oh, ow)
+	plane := oh * ow
+	parGate(threshold, n*plane, n*plane*c, func(r int) {
+		img, pix := r/plane, r%plane
+		src := prod.Data[r*c : (r+1)*c]
+		for ch := 0; ch < c; ch++ {
+			out.Data[(img*c+ch)*plane+pix] = src[ch]
+		}
+	})
+	return out
+}
+
+// nchwToMat is the inverse rearrangement: an NCHW tensor becomes a
+// (n*oh*ow) × c matrix with rows running (img,oy,ox), which turns the
+// output gradient back into GEMM layout.
+func nchwToMat(g *Tensor, threshold int) *Tensor {
+	n, c, oh, ow := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
+	plane := oh * ow
+	out := New(n*plane, c)
+	parGate(threshold, n*plane, n*plane*c, func(r int) {
+		img, pix := r/plane, r%plane
+		dst := out.Data[r*c : (r+1)*c]
+		for ch := 0; ch < c; ch++ {
+			dst[ch] = g.Data[(img*c+ch)*plane+pix]
+		}
+	})
+	return out
 }

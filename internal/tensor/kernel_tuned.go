@@ -6,9 +6,14 @@ import "aibench/internal/parallel"
 // a GEBP-style GEMM that packs both operands into contiguous panels
 // and drives a straight-line MR×NR register micro-kernel over a 2-D
 // grid of cache-sized output tiles, plus a chunked im2col-GEMM
-// convolution that never materializes the full column matrix. The tile
-// geometry (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu),
-// k-unroll depth, and parallel threshold come from a Tuning:
+// convolution — forward, input gradient and weight gradient — that
+// never materializes the full column matrix, its gradient, or a
+// GEMM-layout copy of the output gradient. Pack panels and chunk
+// scratch are borrowed from the package's scratch pool (scratch.go)
+// and returned before each op does; an op allocates its results and
+// nothing that grows with its operands. The tile geometry
+// (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu), k-unroll
+// depth, and parallel threshold come from a Tuning:
 //
 //   - "blocked" (the default kernel) is pinned to DefaultTuning(). It
 //     never reads the active tuning, so SetTuning cannot move it.
@@ -69,29 +74,40 @@ func colsOf(t *Tensor) operand {
 // pack copies an operand into width-lane panels laid out k-major —
 // panel p holds lanes [p·width, p·width+width) interleaved as
 // dst[(p·K+k)·width+l] — so the micro-kernel reads its width operands
-// from one cache line per k step. Lanes past the last stay zero
-// (padding contributes +0/−0 products, which never change a finite
-// accumulator).
+// from one cache line per k step. The panels are borrowed scratch: the
+// caller hands them to putScratch once the product is done.
 func pack(o operand, width, threshold int) []float64 {
 	K := o.K
 	panels := (o.lanes + width - 1) / width
-	dst := make([]float64, panels*K*width)
+	dst := getScratch(panels * K * width)
 	parGate(threshold, panels, o.lanes*K, func(p int) {
-		for l := 0; l < width; l++ {
-			lane := p*width + l
-			if lane >= o.lanes {
-				break
-			}
-			di := p*K*width + l
-			si := lane * o.laneStride
-			for k := 0; k < K; k++ {
-				dst[di] = o.data[si]
-				di += width
-				si += o.kStride
-			}
-		}
+		packPanel(dst[p*K*width:], o, p*width, width)
 	})
 	return dst
+}
+
+// packPanel writes lanes [lane0, lane0+width) of o as one k-major
+// panel, dst[k·width+l]. Lanes past the operand's last are written as
+// zeros (padding contributes +0/−0 products, which never change a
+// finite accumulator); dst is reused scratch, so nothing is assumed of
+// what it held.
+func packPanel(dst []float64, o operand, lane0, width int) {
+	for l := 0; l < width; l++ {
+		di := l
+		if lane0+l >= o.lanes {
+			for k := 0; k < o.K; k++ {
+				dst[di] = 0
+				di += width
+			}
+			continue
+		}
+		si := (lane0 + l) * o.laneStride
+		for k := 0; k < o.K; k++ {
+			dst[di] = o.data[si]
+			di += width
+			si += o.kStride
+		}
+	}
 }
 
 // microFunc is the shared micro-kernel signature: fill the rows×cols
@@ -553,13 +569,15 @@ func gemm(a, b operand, cfg *TileConfig, threshold int) *Tensor {
 	}
 	if m*K*n >= threshold && mt*nt > 1 {
 		parallel.For2D(0, mt, nt, tile)
-		return out
-	}
-	for ti := 0; ti < mt; ti++ {
-		for tj := 0; tj < nt; tj++ {
-			tile(ti, tj)
+	} else {
+		for ti := 0; ti < mt; ti++ {
+			for tj := 0; tj < nt; tj++ {
+				tile(ti, tj)
+			}
 		}
 	}
+	putScratch(apack)
+	putScratch(bpack)
 	return out
 }
 
@@ -595,13 +613,23 @@ func (g gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	return conv2D(x, weight, p, &t.Conv, t.Threshold)
 }
 
+func (g gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
+	t := g.tuning()
+	return conv2DBackward(x, weight, grad, p, needX, needW, &t.Conv, t.Threshold)
+}
+
+// convChunk is the number of output pixels one convolution chunk
+// covers: convRowChunk rounded up to a multiple of MR, so chunks pack
+// into whole panels.
+func convChunk(cfg *TileConfig) int {
+	return (convRowChunk + cfg.MR - 1) / cfg.MR * cfg.MR
+}
+
 // conv2D is a blocked im2col-GEMM: the (n·oh·ow)×(c·k·k) column matrix
 // is never materialized. Each task unfolds a chunk of output pixels
 // straight into packed MR-row panels, multiplies them against the
 // once-packed weight panels, and scatters the product into NCHW — so
-// the working set per task is one chunk, not the whole unfolding. The
-// chunk length rounds convRowChunk up to a multiple of cfg.MR so
-// chunks pack into whole panels.
+// the working set per task is one chunk, not the whole unfolding.
 func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	outC := weight.shape[0]
@@ -614,7 +642,7 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 	rows := n * oh * ow
 	plane := oh * ow
 	pmr := cfg.MR
-	chunk := (convRowChunk + pmr - 1) / pmr * pmr
+	chunk := convChunk(cfg)
 	// weight is outC×K row-major; the logical right operand is its transpose.
 	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.NR, threshold)
 
@@ -624,8 +652,8 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 		lo := ci * chunk
 		hi := min(rows, lo+chunk)
 		cr := hi - lo
-		panels := (cr + pmr - 1) / pmr
-		apack := make([]float64, panels*K*pmr) // zero = padded taps and rows
+		padded := (cr + pmr - 1) / pmr * pmr
+		apack := getScratch(padded * K)
 		for r := 0; r < cr; r++ {
 			row := lo + r
 			img := row / plane
@@ -638,26 +666,173 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 					iy := oy*p.Stride - p.Padding + ky
 					for kx := 0; kx < kk; kx++ {
 						ix := ox*p.Stride - p.Padding + kx
+						v := 0.0 // a padded tap
 						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							apack[di] = x.Data[xbase+iy*w+ix]
+							v = x.Data[xbase+iy*w+ix]
 						}
+						apack[di] = v
 						di += pmr
 					}
 				}
 			}
 		}
-		scratch := make([]float64, cr*outC)
-		gebpTile(apack, wpack, K, cr, outC, scratch, outC, cfg)
+		for r := cr; r < padded; r++ { // the last panel's rows past the chunk
+			di := (r/pmr)*K*pmr + r%pmr
+			for k := 0; k < K; k++ {
+				apack[di] = 0
+				di += pmr
+			}
+		}
+		prod := getScratch(cr * outC)
+		gebpTile(apack, wpack, K, cr, outC, prod, outC, cfg)
 		for r := 0; r < cr; r++ {
 			row := lo + r
 			img, pix := row/plane, row%plane
-			src := scratch[r*outC : (r+1)*outC]
+			src := prod[r*outC : (r+1)*outC]
 			for oc := 0; oc < outC; oc++ {
 				out.Data[(img*outC+oc)*plane+pix] = src[oc]
 			}
 		}
+		putScratch(apack)
+		putScratch(prod)
 	})
+	putScratch(wpack)
 	return out
+}
+
+// conv2DBackward is the adjoint of conv2D, equally chunked: neither the
+// column matrix, nor its gradient, nor a GEMM-layout copy of g ever
+// exists in full. With G the gradient as an (n·oh·ow)×outC matrix and W
+// the weights as outC×(c·k·k), dx folds G·W back onto the input and dw
+// is Gᵀ times the unfolded input — the same two products, each output
+// element accumulated in the same order, as the naive composition.
+func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, cfg *TileConfig, threshold int) (dx, dw *Tensor) {
+	if needX {
+		dx = New(x.shape...)
+		convBackwardInput(dx, weight, g, p, cfg, threshold)
+	}
+	if needW {
+		dw = New(weight.shape...)
+		convBackwardWeight(dw, x, g, p, cfg, threshold)
+	}
+	return dx, dw
+}
+
+// convBackwardInput accumulates col2im(G·W) into the zeroed dx. A task
+// owns whole images: chunk by chunk it packs the image's pixels of g
+// straight from NCHW, multiplies them against the once-packed weights,
+// and folds the chunk×(c·k·k) product onto the image's own region of
+// dx. Chunks and their rows run in ascending order within an image and
+// no other task writes that region, so every dx element receives its
+// taps in col2im's ascending (row, tap) order whatever the schedule.
+func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
+	n, c, h, w := dx.shape[0], dx.shape[1], dx.shape[2], dx.shape[3]
+	outC, plane, ow := weight.shape[0], g.shape[2]*g.shape[3], g.shape[3]
+	kk := p.Kernel
+	K := c * kk * kk
+	pmr := cfg.MR
+	// An image smaller than a chunk borrows scratch for its own size.
+	chunk := min(convChunk(cfg), (plane+pmr-1)/pmr*pmr)
+	// W's columns are the right operand's lanes; k runs down its rows.
+	wpack := pack(operand{weight.Data, K, outC, 1, K}, cfg.NR, threshold)
+	parGate(threshold, n, n*plane*outC*K, func(img int) {
+		gpack := getScratch(chunk * outC)
+		prod := getScratch(chunk * K)
+		gimg := g.Data[img*outC*plane : (img+1)*outC*plane]
+		for lo := 0; lo < plane; lo += chunk {
+			cr := min(chunk, plane-lo)
+			// Pixel lo+i of channel oc sits at gimg[oc·plane+lo+i].
+			pixels := operand{gimg[lo:], cr, outC, 1, plane}
+			for r := 0; r < cr; r += pmr {
+				packPanel(gpack[r*outC:], pixels, r, pmr)
+			}
+			gebpTile(gpack, wpack, outC, cr, K, prod, K, cfg)
+			for r := 0; r < cr; r++ {
+				oy, ox := (lo+r)/ow, (lo+r)%ow
+				src := prod[r*K : (r+1)*K]
+				si := 0
+				for ch := 0; ch < c; ch++ {
+					dst := dx.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+					for ky := 0; ky < kk; ky++ {
+						iy := oy*p.Stride - p.Padding + ky
+						if iy < 0 || iy >= h {
+							si += kk
+							continue
+						}
+						for kx := 0; kx < kk; kx++ {
+							ix := ox*p.Stride - p.Padding + kx
+							if ix >= 0 && ix < w {
+								dst[iy*w+ix] += src[si]
+							}
+							si++
+						}
+					}
+				}
+			}
+		}
+		putScratch(gpack)
+		putScratch(prod)
+	})
+	putScratch(wpack)
+}
+
+// convBackwardWeight fills dw = Gᵀ·im2col(x). The reduction runs over
+// all n·oh·ow pixels, and it stays one ascending accumulator chain per
+// element because each micro-kernel call streams the whole of it: g is
+// packed once into MR-row panels (lanes are output channels, k runs
+// over every pixel of every image), and each task unfolds one NR-wide
+// panel of taps of x — NR columns of the column matrix — into scratch
+// and walks it against all of g's panels.
+func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	outC, oh, ow := g.shape[1], g.shape[2], g.shape[3]
+	kk := p.Kernel
+	K := c * kk * kk
+	plane := oh * ow
+	R := n * plane
+	pmr, pnr := cfg.MR, cfg.NR
+	mpanels := (outC + pmr - 1) / pmr
+	gpack := getScratch(mpanels * R * pmr)
+	parGate(threshold, mpanels*n, outC*R, func(t int) {
+		mp, img := t/n, t%n
+		// Channel oc of this image is plane contiguous pixels, which land
+		// at k = img·plane onwards in oc's panel.
+		channels := operand{g.Data[img*outC*plane:], outC, plane, plane, 1}
+		packPanel(gpack[(mp*R+img*plane)*pmr:], channels, mp*pmr, pmr)
+	})
+	parGate(threshold, (K+pnr-1)/pnr, outC*R*K, func(jp int) {
+		j0 := jp * pnr
+		cols := getScratch(R * pnr)
+		for l := 0; l < pnr; l++ {
+			tap := j0 + l
+			if tap >= K { // a lane past the last tap
+				for r := 0; r < R; r++ {
+					cols[r*pnr+l] = 0
+				}
+				continue
+			}
+			ch, ky, kx := tap/(kk*kk), tap/kk%kk, tap%kk
+			di := l
+			for img := 0; img < n; img++ {
+				src := x.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*p.Stride - p.Padding + ky
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*p.Stride - p.Padding + kx
+						v := 0.0 // a padded tap
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = src[iy*w+ix]
+						}
+						cols[di] = v
+						di += pnr
+					}
+				}
+			}
+		}
+		gebpTile(gpack, cols, R, outC, min(pnr, K-j0), dw.Data[j0:], K, cfg)
+		putScratch(cols)
+	})
+	putScratch(gpack)
 }
 
 // TunedMatMul runs (m×k)·(k×n) through the engine under an explicit

@@ -264,8 +264,11 @@ func TestBlockedPinnedToBuiltinTuning(t *testing.T) {
 }
 
 // TestBlockedAllocatesLikeTunedBuiltin: one engine means one allocation
-// profile — per call, "blocked" and "tuned" at the builtin tuning
-// allocate the same number of objects.
+// profile, and with its transient buffers pooled that profile is the
+// result tensor plus the fork-join closures — nothing that grows with
+// the operands. Both kernels run once first so the scratch pool is
+// stocked; the steady-state counts must then agree and stay under a
+// small constant.
 func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
 	_, blocked := kernelPair(t)
 	tuned, _ := LookupKernels("tuned")
@@ -273,18 +276,24 @@ func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	a, b := Randn(rng, 0, 1, 256, 256), Randn(rng, 0, 1, 256, 256)
 	x, w := Randn(rng, 0, 1, 8, 16, 32, 32), Randn(rng, 0, 1, 32, 16, 3, 3)
+	g := Randn(rng, 0, 1, 8, 32, 32, 32)
 	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
 	for _, op := range []struct {
 		name string
+		most float64
 		run  func(Kernels)
 	}{
-		{"MatMul 256^3", func(k Kernels) { k.MatMul(a, b) }},
-		{"Conv2D 8x16x32x32 * 32x16x3x3", func(k Kernels) { k.Conv2D(x, w, p) }},
+		{"MatMul 256^3", 12, func(k Kernels) { k.MatMul(a, b) }},
+		{"Conv2D 8x16x32x32 * 32x16x3x3", 10, func(k Kernels) { k.Conv2D(x, w, p) }},
+		{"Conv2DBackward of it", 20, func(k Kernels) { k.Conv2DBackward(x, w, g, p, true, true) }},
 	} {
+		op.run(blocked)
+		op.run(tuned)
 		got := testing.AllocsPerRun(5, func() { op.run(blocked) })
 		want := testing.AllocsPerRun(5, func() { op.run(tuned) })
-		if got != want {
-			t.Errorf("%s: blocked allocates %v objects per call, tuned@builtin %v", op.name, got, want)
+		t.Logf("%s: %v allocations per call", op.name, got)
+		if got != want || got > op.most {
+			t.Errorf("%s: blocked allocates %v objects per call, tuned@builtin %v, want equal and at most %v", op.name, got, want, op.most)
 		}
 	}
 }

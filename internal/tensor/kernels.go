@@ -11,13 +11,13 @@ import (
 )
 
 // Kernels is the pluggable compute-kernel interface behind the
-// package-level MatMul/MatMulT/TMatMul/MatVec/Outer/Conv2D entry
-// points. Implementations receive shape-validated operands (the
-// wrappers panic on rank/dimension mismatches before dispatching) and
-// must satisfy the determinism contract: for a fixed kernel, results
-// are bitwise identical run to run regardless of goroutine scheduling,
-// so every output element's accumulation order must be fixed by the
-// operand shapes alone.
+// package-level MatMul/MatMulT/TMatMul/MatVec/Outer/Conv2D/
+// Conv2DBackward entry points. Implementations receive shape-validated
+// operands (the wrappers panic on rank/dimension mismatches before
+// dispatching) and must satisfy the determinism contract: for a fixed
+// kernel, results are bitwise identical run to run regardless of
+// goroutine scheduling, so every output element's accumulation order
+// must be fixed by the operand shapes alone.
 //
 // Two implementations are registered under three names: "naive" (the
 // original row-parallel loops, kept as the reference oracle), and the
@@ -31,9 +31,8 @@ type Kernels interface {
 	// Name is the registry key ("naive", "blocked", ...).
 	Name() string
 	// ParallelThreshold is the approximate multiply-add count above
-	// which this kernel's loops (and the shared im2col/rearrange
-	// helpers) fork across CPU cores. Below it the fork-join overhead
-	// outweighs the work.
+	// which this kernel's loops fork across CPU cores. Below it the
+	// fork-join overhead outweighs the work.
 	ParallelThreshold() int
 	// MatMul computes (m×k) · (k×n) → (m×n).
 	MatMul(a, b *Tensor) *Tensor
@@ -47,6 +46,10 @@ type Kernels interface {
 	Outer(a, b *Tensor) *Tensor
 	// Conv2D convolves NCHW x with OIKK weights → N×O×outH×outW.
 	Conv2D(x, w *Tensor, p Conv2DParams) *Tensor
+	// Conv2DBackward maps Conv2D's output gradient g to the input
+	// gradient (x's shape, when needX) and the weight gradient (w's
+	// shape, when needW); a gradient not asked for is nil.
+	Conv2DBackward(x, w, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor)
 }
 
 // EnvKernel is the environment variable consulted at startup to select
@@ -173,9 +176,3 @@ func gatedOuter(threshold int, a, b *Tensor) *Tensor {
 	})
 	return out
 }
-
-// Shared helpers that are not themselves kernel methods (im2col, the
-// NCHW↔matrix rearrangers) take an explicit threshold: their exported
-// wrappers resolve ActiveKernels().ParallelThreshold() exactly once
-// per op call, and kernel code passes its own already-resolved value,
-// so hot paths never re-resolve the registry per parGate entry.

@@ -211,11 +211,14 @@ func TestConv2DBlockedChunkEdges(t *testing.T) {
 	}
 }
 
-// TestNCHWToMatRoundTrip checks the shared rearrangers invert each
-// other (they carry conv gradients between GEMM and NCHW layouts).
+// TestNCHWToMatRoundTrip checks the oracle's rearrangers invert each
+// other (they carry conv products and gradients between GEMM and NCHW
+// layouts), serial and forked.
 func TestNCHWToMatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x := Randn(rng, 0, 1, 3, 5, 4, 7)
-	back := matToNCHW(NCHWToMat(x), 3, 5, 4, 7, ActiveKernels().ParallelThreshold())
-	bitwiseEqual(t, "matToNCHW(NCHWToMat(x))", back, x)
+	for _, threshold := range []int{1, 1 << 30} {
+		back := matToNCHW(nchwToMat(x, threshold), 3, 5, 4, 7, threshold)
+		bitwiseEqual(t, "matToNCHW(nchwToMat(x))", back, x)
+	}
 }

@@ -1,0 +1,57 @@
+package tensor
+
+import (
+	"math/bits"
+	"sync"
+)
+
+// Every transient buffer of the GEBP engine — pack panels, the conv
+// chunk's unfolded panels and product scratch, the backward panels —
+// is borrowed from these free lists and handed back before the op
+// returns, so in steady state an op allocates its result and nothing
+// else. Buffers come in power-of-two size classes; a borrower gets the
+// first len it asked for of a buffer whose previous contents are
+// whatever the last borrower left there, so every lane, tap and tail
+// row the arithmetic reads must be written first — zeros included.
+//
+// The lists are plain mutex-guarded stacks rather than a sync.Pool: the
+// collector empties a sync.Pool, which would make the bytes a job
+// allocates depend on where its GC cycles happen to fall. These only
+// ever grow to the peak number of buffers borrowed at once, so after
+// warm-up the allocation counts of an op are fixed.
+
+// scratchMinBits is the smallest class, 64 floats: below that a class
+// per power of two would only multiply lists.
+const scratchMinBits = 6
+
+var scratchFree [bits.UintSize - scratchMinBits]struct {
+	mu   sync.Mutex
+	bufs [][]float64
+}
+
+// getScratch borrows a dirty buffer of length n.
+func getScratch(n int) []float64 {
+	class := 0
+	if n > 1<<scratchMinBits {
+		class = bits.Len(uint(n-1)) - scratchMinBits
+	}
+	f := &scratchFree[class]
+	f.mu.Lock()
+	if last := len(f.bufs) - 1; last >= 0 {
+		buf := f.bufs[last]
+		f.bufs = f.bufs[:last]
+		f.mu.Unlock()
+		return buf[:n]
+	}
+	f.mu.Unlock()
+	return make([]float64, n, 1<<(class+scratchMinBits))
+}
+
+// putScratch returns a buffer obtained from getScratch. The caller must
+// not touch it afterwards, and must never let it back a returned Tensor.
+func putScratch(buf []float64) {
+	f := &scratchFree[bits.Len(uint(cap(buf)-1))-scratchMinBits]
+	f.mu.Lock()
+	f.bufs = append(f.bufs, buf)
+	f.mu.Unlock()
+}

@@ -1,12 +1,16 @@
 // Package tensor implements dense float64 tensors with the operations the
 // AIBench training substrate needs: element-wise arithmetic, matrix
-// multiplication, 2-D convolution and pooling via im2col, reductions, and
-// deterministic random initialization.
+// multiplication, 2-D convolution (forward and backward, as chunked
+// im2col-GEMMs that never build the column matrix) and pooling,
+// reductions, and deterministic random initialization.
 //
 // Tensors use a flat row-major (C-order) backing slice. Shapes are
 // immutable after construction except through Reshape, which shares the
 // backing data. All operations allocate fresh result tensors unless the
-// name carries an InPlace suffix.
+// name carries an InPlace suffix; what the GEBP engine needs besides the
+// result — pack panels, convolution chunk scratch — it borrows from a
+// package-private free list (scratch.go) and returns before the
+// operation does, so no returned tensor ever shares memory with it.
 package tensor
 
 import (
@@ -30,12 +34,7 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	t := &Tensor{
-		shape: append([]int(nil), shape...),
-		Data:  make([]float64, n),
-	}
-	t.strides = computeStrides(t.shape)
-	return t
+	return shaped(make([]float64, n), shape)
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -48,9 +47,7 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
 	}
-	t := &Tensor{shape: append([]int(nil), shape...), Data: data}
-	t.strides = computeStrides(t.shape)
-	return t
+	return shaped(data, shape)
 }
 
 // Full creates a tensor with every element set to v.
@@ -77,14 +74,26 @@ func Arange(start, stop int) *Tensor {
 	return t
 }
 
-func computeStrides(shape []int) []int {
-	strides := make([]int, len(shape))
+// shaped builds a tensor over data with a private copy of shape and its
+// row-major strides. Both live in one backing array — a tensor costs one
+// bookkeeping allocation, not two — with shape's capacity clipped so an
+// append to it can never reach the strides.
+func shaped(data []float64, shape []int) *Tensor {
+	meta := make([]int, 2*len(shape))
+	copy(meta, shape)
+	return fromMeta(data, meta)
+}
+
+// fromMeta finishes a tensor whose shape already sits in the first half
+// of meta by writing the strides into the second half.
+func fromMeta(data []float64, meta []int) *Tensor {
+	r := len(meta) / 2
 	acc := 1
-	for i := len(shape) - 1; i >= 0; i-- {
-		strides[i] = acc
-		acc *= shape[i]
+	for i := r - 1; i >= 0; i-- {
+		meta[r+i] = acc
+		acc *= meta[i]
 	}
-	return strides
+	return &Tensor{shape: meta[:r:r], strides: meta[r:], Data: data}
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -143,7 +152,9 @@ func (t *Tensor) Clone() *Tensor {
 // Reshape returns a tensor with the new shape sharing t's data. One
 // dimension may be -1 to infer the size.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+	meta := make([]int, 2*len(shape))
+	copy(meta, shape)
+	shape = meta[:len(shape)]
 	infer := -1
 	n := 1
 	for i, d := range shape {
@@ -166,7 +177,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), shape, n))
 	}
-	return &Tensor{shape: shape, strides: computeStrides(shape), Data: t.Data}
+	return fromMeta(t.Data, meta)
 }
 
 // Flatten returns a 1-D view of t sharing its data.

@@ -86,7 +86,8 @@ const (
 	// 2048×64×2048 — a fat output computed from a shallow k.
 	ShapeFat = "fat"
 	// ShapeConv: the im2col GEMM inside Conv2D (rows = output pixels,
-	// k = c·k·k taps), tuned as its own class.
+	// k = c·k·k taps) and its two adjoints inside Conv2DBackward,
+	// tuned as one class of its own.
 	ShapeConv = "conv"
 )
 
@@ -109,11 +110,11 @@ func GEMMShapeClass(m, k, n int) string {
 // per shape class plus the shared parallel threshold.
 type Tuning struct {
 	// Threshold is the multiply-add count above which the tuned
-	// kernel's loops (and the shared im2col/rearrange helpers, while
-	// the tuned kernel is active) fork across cores.
+	// kernel's loops fork across cores.
 	Threshold int `json:"parallel_threshold"`
 	// Square, Skinny, and Fat drive MatMul/MatMulT/TMatMul by
-	// GEMMShapeClass; Conv drives the chunked im2col GEMM in Conv2D.
+	// GEMMShapeClass; Conv drives the chunked im2col GEMMs in Conv2D
+	// and Conv2DBackward.
 	Square TileConfig `json:"square"`
 	Skinny TileConfig `json:"skinny"`
 	Fat    TileConfig `json:"fat"`
