@@ -1,10 +1,10 @@
 // Command aibench-lint runs the suite's determinism lint
-// (internal/analyzers) over Go packages: five analyzers that enforce
+// (internal/analyzers) over Go packages: six analyzers that enforce
 // the reproducibility invariants — no unordered map iteration in
 // result paths, no unseeded randomness or wall-clock in deterministic
 // packages, ctx checked in every epoch loop, tensor math behind the
-// kernel dispatch, sink errors never dropped — at build time, before
-// the code ever runs.
+// kernel dispatch, sink errors never dropped, op results allocated
+// from the step arena — at build time, before the code ever runs.
 //
 // Usage:
 //

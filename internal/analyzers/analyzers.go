@@ -1,4 +1,4 @@
-// Package analyzers is the suite's determinism lint: five custom
+// Package analyzers is the suite's determinism lint: six custom
 // static analyzers that machine-check, at build time, the invariants
 // every reproducibility claim in this repo rests on — bitwise-equal
 // results for any shard count, cross-kernel bitwise equality, and
@@ -26,6 +26,10 @@
 //   - sinkerr: the error from a result-sink Write/Encode is never
 //     dropped (sinks are failable; a swallowed error silently
 //     truncates the persisted longitudinal result stream).
+//   - heapalloc: op bodies of internal/tensor and internal/autograd
+//     allocate their results where their operands are placed — in the
+//     owning benchmark's step arena — never with a heap constructor
+//     (the numbers would not change, only the mallocs would come back).
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, diagnostics, analysistest-style golden tests) but is built on
@@ -126,6 +130,7 @@ func All() []*Analyzer {
 		Ctxloop,
 		Kernelgate,
 		Sinkerr,
+		Heapalloc,
 	}
 }
 

@@ -46,6 +46,14 @@ func TestSinkerr(t *testing.T) {
 	runGolden(t, []*Analyzer{Sinkerr}, "testdata/sinkerr", "aibench/cmd/aibench")
 }
 
+func TestHeapalloc(t *testing.T) {
+	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc", "aibench/internal/autograd")
+}
+
+func TestHeapallocOutOfScope(t *testing.T) {
+	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_outofscope", "aibench/internal/models")
+}
+
 // TestDirectives checks directive misuse programmatically: the
 // lintdirective diagnostic lands on the directive's own line, where a
 // want comment cannot sit without becoming the justification text.

@@ -78,6 +78,15 @@ var sinkPackages = map[string]bool{
 // bypass.
 const tensorPackage = "aibench/internal/tensor"
 
+// autogradPackage builds the training graphs: with tensorPackage, the
+// two packages whose op bodies allocate step-scoped tensors and are
+// bound by the one-allocator rule (heapalloc).
+const autogradPackage = "aibench/internal/autograd"
+
+func inOpPackages(path string) bool {
+	return path == tensorPackage || path == autogradPackage
+}
+
 func inDeterministic(path string) bool { return deterministicPackages[path] }
 func inResultAffecting(path string) bool {
 	return resultAffectingPackages[path]

@@ -18,7 +18,7 @@ type engine struct{}
 
 func (engine) TrainEpoch() float64 { return 0 }
 
-// Seeded violates all five invariants.
+// Seeded violates the five invariants that bind ordinary code.
 func Seeded(shares map[string]float64, sink func(string) error, epochs int) *tensor.Tensor {
 	// maprange: unordered map walk into output.
 	for cat, s := range shares {
@@ -47,4 +47,14 @@ func Seeded(shares map[string]float64, sink func(string) error, epochs int) *ten
 		}
 	}
 	return c
+}
+
+// Doubled violates the sixth, heapalloc: an op that allocates its
+// result on the heap instead of where its operand is placed.
+func Doubled(a *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(a.Shape()...)
+	for i := range out.Data {
+		out.Data[i] = 2 * a.Data[i]
+	}
+	return out
 }

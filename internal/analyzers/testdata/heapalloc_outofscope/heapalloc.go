@@ -1,0 +1,13 @@
+// The same heap-constructing op as the heapalloc golden file, checked
+// as aibench/internal/models: model code builds targets, masks and
+// dataset batches with the heap constructors on purpose, so the
+// analyzer must stay silent and this file has no want comments.
+package heapalloc
+
+import "aibench/internal/tensor"
+
+func heapResult(a *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(a.Shape()...)
+	copy(out.Data, a.Data)
+	return out
+}

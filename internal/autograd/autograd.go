@@ -7,10 +7,27 @@
 // The design mirrors how define-by-run frameworks (PyTorch) execute the
 // AIBench workloads: the graph is rebuilt on every forward pass, so
 // recurrent and data-dependent control flow works naturally.
+//
+// Allocation follows the tensor package's placement rule (tensor.Arena):
+// every tensor an op produces — its forward result, the temporaries of
+// its backward closure, the Grad buffer of an interior node — is
+// allocated where the op's operands are placed, through tensor.ArenaOf /
+// tensor.NewLike, never through a heap constructor (aibench-lint's
+// heapalloc analyzer holds the line). A graph built on a benchmark's
+// adopted parameters therefore lives in that benchmark's step arena and
+// is dead once the owner calls Reset at the top of its next optimizer
+// step; a graph with no adopted operand (gradient checks, the bench's
+// bare-graph probe) is on the heap as it always was. The one exception
+// is the Grad buffer of a leaf: parameters' gradients are read by the
+// optimizer and by internal/dist's all-reduce after the step's graph is
+// gone, so leaves accumulate into heap buffers. The Value nodes
+// themselves, their parent slices and their closures stay ordinary heap
+// objects.
 package autograd
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"aibench/internal/tensor"
 )
@@ -26,6 +43,14 @@ type Value struct {
 	// accumulate (+=) into parent gradients, never overwrite.
 	back func(grad *tensor.Tensor)
 	op   string
+
+	// Traversal state of the sort that last reached this node (walk):
+	// its stamp, how many parents it has expanded, and the link that
+	// threads the node first onto the DFS stack and then onto the
+	// ordered list — so a Backward allocates nothing to find its way.
+	stamp uint64
+	next  int
+	link  *Value
 }
 
 // Var wraps a tensor as a differentiable graph leaf (a trainable
@@ -68,10 +93,17 @@ func (v *Value) ZeroGrad() {
 // of the data's shape on first use. It lets external training engines
 // (internal/dist's all-reduce installs combined gradients before the
 // optimizer step) write gradients without reaching into backward-pass
-// internals.
+// internals. A leaf's buffer outlives every step, so it is built on the
+// heap whatever the leaf's placement; an interior node's buffer dies
+// with its graph and is placed like its data.
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {
-		v.Grad = tensor.New(v.Data.Shape()...)
+		if v.parents == nil {
+			//lint:allow heapalloc a leaf gradient is read after the step's arena is reset
+			v.Grad = tensor.New(v.Data.Shape()...)
+		} else {
+			v.Grad = tensor.NewLike(v.Data)
+		}
 	}
 	return v.Grad
 }
@@ -81,10 +113,22 @@ func (v *Value) accumGrad(g *tensor.Tensor) {
 	if !v.requiresGrad {
 		return
 	}
-	if v.Grad == nil {
-		v.Grad = tensor.New(v.Data.Shape()...)
-	}
-	tensor.AddInPlace(v.Grad, g)
+	tensor.AddInPlace(v.EnsureGrad(), g)
+}
+
+// scalar returns the one-element tensor [v], placed like its operand.
+func scalar(like *tensor.Tensor, v float64) *tensor.Tensor {
+	t := tensor.ArenaOf(like).New(1)
+	t.Data[0] = v
+	return t
+}
+
+// filled returns a tensor shaped and placed like its operand with every
+// element set to v.
+func filled(like *tensor.Tensor, v float64) *tensor.Tensor {
+	t := tensor.NewLike(like)
+	t.Fill(v)
+	return t
 }
 
 // newNode builds an interior graph node. requiresGrad is inherited from
@@ -111,8 +155,7 @@ func (v *Value) Backward() {
 	if v.Data.Size() != 1 {
 		panic(fmt.Sprintf("autograd: Backward requires a scalar output, got shape %v", v.Data.Shape()))
 	}
-	seed := tensor.Ones(v.Data.Shape()...)
-	v.BackwardWith(seed)
+	v.BackwardWith(filled(v.Data, 1))
 }
 
 // BackwardWith runs reverse-mode differentiation seeding v's gradient with
@@ -121,45 +164,64 @@ func (v *Value) BackwardWith(seed *tensor.Tensor) {
 	if !v.Data.SameShape(seed) {
 		panic(fmt.Sprintf("autograd: seed shape %v != value shape %v", seed.Shape(), v.Data.Shape()))
 	}
-	order := topoSort(v)
+	order := walk(v)
 	v.accumGrad(seed)
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
+	for n := order; n != nil; n = n.unlink() {
 		if n.back != nil && n.Grad != nil {
 			n.back(n.Grad)
 		}
 	}
 }
 
-// topoSort returns the graph nodes reachable from root in topological
-// order (parents before children). Iterative DFS so deep recurrent graphs
-// do not overflow the goroutine stack.
-func topoSort(root *Value) []*Value {
-	var order []*Value
-	visited := make(map[*Value]bool)
-	type frame struct {
-		node *Value
-		next int
-	}
-	stack := []frame{{root, 0}}
-	visited[root] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(f.node.parents) {
-			p := f.node.parents[f.next]
-			f.next++
-			if !visited[p] && p.requiresGrad {
-				visited[p] = true
-				stack = append(stack, frame{p, 0})
+// unlink takes v off the sorted list and returns its successor. Both
+// consumers of walk unlink as they go: a parameter must not keep the
+// last graph reachable through its traversal link.
+func (v *Value) unlink() *Value {
+	next := v.link
+	v.link = nil
+	return next
+}
+
+// walks numbers the sorts of the process, so a node's stamp tells
+// whether the current one has reached it; a counter shared by every
+// goroutine only has to hand out distinct numbers.
+var walks atomic.Uint64
+
+// walk sorts the gradient-carrying nodes reachable from root and
+// returns them as a list threaded through their link fields, children
+// before parents — the order Backward visits them in, root first.
+// Iterative DFS so deep recurrent graphs do not overflow the goroutine
+// stack; the stack, the visited set and the result all live in the
+// nodes' own traversal fields.
+func walk(root *Value) *Value {
+	stamp := walks.Add(1)
+	root.stamp, root.next, root.link = stamp, 0, nil
+	var order *Value
+	for top := root; top != nil; {
+		if top.next < len(top.parents) {
+			p := top.parents[top.next]
+			top.next++
+			if p.stamp != stamp && p.requiresGrad {
+				p.stamp, p.next, p.link = stamp, 0, top
+				top = p
 			}
 			continue
 		}
-		order = append(order, f.node)
-		stack = stack[:len(stack)-1]
+		// Every parent of top is sorted: pop it off the stack and push
+		// it onto the front of the list.
+		done := top
+		top = done.link
+		done.link, order = order, done
 	}
 	return order
 }
 
 // GraphSize returns the number of nodes reachable from v that participate
 // in gradient computation. Used by tests and the profiler.
-func GraphSize(v *Value) int { return len(topoSort(v)) }
+func GraphSize(v *Value) int {
+	size := 0
+	for n := walk(v); n != nil; n = n.unlink() {
+		size++
+	}
+	return size
+}

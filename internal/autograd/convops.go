@@ -22,7 +22,7 @@ func Conv2D(a, w *Value, p tensor.Conv2DParams) *Value {
 func MaxPool2D(a *Value, p tensor.Conv2DParams) *Value {
 	out, arg := tensor.MaxPool2D(a.Data, p)
 	return newNode("maxpool", out, func(g *tensor.Tensor) {
-		ga := tensor.New(a.Data.Shape()...)
+		ga := tensor.NewLike(a.Data)
 		for i, idx := range arg {
 			if idx >= 0 {
 				ga.Data[idx] += g.Data[i]
@@ -38,7 +38,7 @@ func AvgPool2D(a *Value, p tensor.Conv2DParams) *Value {
 	return newNode("avgpool", out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		oh, ow := p.OutDim(h), p.OutDim(w)
-		ga := tensor.New(a.Data.Shape()...)
+		ga := tensor.NewLike(a.Data)
 		div := float64(p.Kernel * p.Kernel)
 		oi := 0
 		for img := 0; img < n; img++ {
@@ -75,7 +75,7 @@ func GlobalAvgPool2D(a *Value) *Value {
 	return newNode("gap", out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		plane := h * w
-		ga := tensor.New(a.Data.Shape()...)
+		ga := tensor.NewLike(a.Data)
 		for img := 0; img < n; img++ {
 			for ch := 0; ch < c; ch++ {
 				gv := g.Data[img*c+ch] / float64(plane)
@@ -96,7 +96,7 @@ func UpsampleNearest2D(a *Value, factor int) *Value {
 	return newNode("upsample", out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		oh, ow := h*factor, w*factor
-		ga := tensor.New(a.Data.Shape()...)
+		ga := tensor.NewLike(a.Data)
 		for img := 0; img < n; img++ {
 			for ch := 0; ch < c; ch++ {
 				src := (img*c + ch) * oh * ow

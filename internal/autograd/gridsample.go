@@ -17,7 +17,7 @@ func AffineGrid(theta *Value, outH, outW int) *Value {
 	}
 	n := theta.Data.Dim(0)
 	hw := outH * outW
-	out := tensor.New(n, hw, 2)
+	out := tensor.ArenaOf(theta.Data).New(n, hw, 2)
 	// Base (target) coordinates, normalized to [-1,1].
 	xs := make([]float64, outW)
 	ys := make([]float64, outH)
@@ -45,7 +45,7 @@ func AffineGrid(theta *Value, outH, outW int) *Value {
 		}
 	}
 	return newNode("affinegrid", out, func(g *tensor.Tensor) {
-		gt := tensor.New(n, 6)
+		gt := tensor.NewLike(theta.Data)
 		for img := 0; img < n; img++ {
 			pi := 0
 			for y := 0; y < outH; y++ {
@@ -76,7 +76,7 @@ func GridSample(input, grid *Value, outH, outW int) *Value {
 	if grid.Data.Rank() != 3 || grid.Data.Dim(0) != n || grid.Data.Dim(1) != hw || grid.Data.Dim(2) != 2 {
 		panic(fmt.Sprintf("autograd: GridSample grid shape %v incompatible with [%d,%d,2]", grid.Data.Shape(), n, hw))
 	}
-	out := tensor.New(n, c, outH, outW)
+	out := tensor.ArenaOf(input.Data, grid.Data).New(n, c, outH, outW)
 	// unnormalize maps [-1,1] to pixel coordinates (align_corners=true).
 	unx := func(v float64) float64 { return (v + 1) / 2 * float64(w-1) }
 	uny := func(v float64) float64 { return (v + 1) / 2 * float64(h-1) }
@@ -104,11 +104,11 @@ func GridSample(input, grid *Value, outH, outW int) *Value {
 	return newNode("gridsample", out, func(g *tensor.Tensor) {
 		var gin *tensor.Tensor
 		if input.requiresGrad {
-			gin = tensor.New(input.Data.Shape()...)
+			gin = tensor.NewLike(input.Data)
 		}
 		var ggr *tensor.Tensor
 		if grid.requiresGrad {
-			ggr = tensor.New(grid.Data.Shape()...)
+			ggr = tensor.NewLike(grid.Data)
 		}
 		scatter := func(img, ch, ix, iy int, v float64) {
 			if ix < 0 || ix >= w || iy < 0 || iy >= h {

@@ -24,10 +24,10 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		loss -= math.Log(math.Max(probs.At(r, lab), 1e-300))
 	}
 	loss /= float64(rows)
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(logits.Data, loss)
 	return newNode("softmax_xent", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(rows)
-		gl := tensor.New(rows, cols)
+		gl := tensor.NewLike(logits.Data)
 		for r := 0; r < rows; r++ {
 			base := r * cols
 			for c := 0; c < cols; c++ {
@@ -52,10 +52,10 @@ func MSELoss(pred *Value, target *tensor.Tensor) *Value {
 		loss += d * d
 	}
 	loss /= n
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(pred.Data, loss)
 	return newNode("mse", out, func(g *tensor.Tensor) {
 		scale := 2 * g.Data[0] / n
-		gp := tensor.New(pred.Data.Shape()...)
+		gp := tensor.NewLike(pred.Data)
 		for i := range gp.Data {
 			gp.Data[i] = scale * (pred.Data.Data[i] - target.Data[i])
 		}
@@ -75,10 +75,10 @@ func L1Loss(pred *Value, target *tensor.Tensor) *Value {
 		loss += math.Abs(pred.Data.Data[i] - target.Data[i])
 	}
 	loss /= n
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(pred.Data, loss)
 	return newNode("l1", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / n
-		gp := tensor.New(pred.Data.Shape()...)
+		gp := tensor.NewLike(pred.Data)
 		for i := range gp.Data {
 			d := pred.Data.Data[i] - target.Data[i]
 			switch {
@@ -106,10 +106,10 @@ func BCEWithLogits(logits *Value, target *tensor.Tensor) *Value {
 		loss += math.Max(x, 0) - x*t + math.Log1p(math.Exp(-math.Abs(x)))
 	}
 	loss /= n
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(logits.Data, loss)
 	return newNode("bce", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / n
-		gp := tensor.New(logits.Data.Shape()...)
+		gp := tensor.NewLike(logits.Data)
 		for i, x := range logits.Data.Data {
 			s := 1 / (1 + math.Exp(-x))
 			gp.Data[i] = scale * (s - target.Data[i])
@@ -135,10 +135,10 @@ func HuberLoss(pred *Value, target *tensor.Tensor, delta float64) *Value {
 		}
 	}
 	loss /= n
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(pred.Data, loss)
 	return newNode("huber", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / n
-		gp := tensor.New(pred.Data.Shape()...)
+		gp := tensor.NewLike(pred.Data)
 		for i := range gp.Data {
 			d := pred.Data.Data[i] - target.Data[i]
 			switch {
@@ -176,12 +176,14 @@ func TripletLoss(anchor, pos, neg *Value, margin float64) *Value {
 		}
 	}
 	loss /= float64(rows)
-	out := tensor.FromSlice([]float64{loss}, 1)
+	ar := tensor.ArenaOf(anchor.Data, pos.Data, neg.Data)
+	out := ar.New(1)
+	out.Data[0] = loss
 	return newNode("triplet", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(rows)
-		ga := tensor.New(rows, cols)
-		gp := tensor.New(rows, cols)
-		gn := tensor.New(rows, cols)
+		ga := ar.New(rows, cols)
+		gp := ar.New(rows, cols)
+		gn := ar.New(rows, cols)
 		for r := 0; r < rows; r++ {
 			if !active[r] {
 				continue
@@ -223,10 +225,10 @@ func MaskedSoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		count = 1
 	}
 	loss /= float64(count)
-	out := tensor.FromSlice([]float64{loss}, 1)
+	out := scalar(logits.Data, loss)
 	return newNode("masked_xent", out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(count)
-		gl := tensor.New(rows, cols)
+		gl := tensor.NewLike(logits.Data)
 		for r, lab := range labels {
 			if lab < 0 {
 				continue

@@ -64,6 +64,17 @@ func Transpose(a *Value) *Value {
 	}, a)
 }
 
+// arenaOf returns the placement of an op over vs: the arena of the
+// first operand that has one.
+func arenaOf(vs []*Value) *tensor.Arena {
+	for _, v := range vs {
+		if ar := tensor.ArenaOf(v.Data); ar != nil {
+			return ar
+		}
+	}
+	return nil
+}
+
 // Concat concatenates Values along dimension 0.
 func Concat(vs ...*Value) *Value {
 	ts := make([]*tensor.Tensor, len(vs))
@@ -92,7 +103,8 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		total += v.Data.Dim(1)
 	}
-	out := tensor.New(rows, total)
+	ar := arenaOf(vs)
+	out := ar.New(rows, total)
 	off := 0
 	for _, v := range vs {
 		c := v.Data.Dim(1)
@@ -105,7 +117,7 @@ func ConcatCols(vs ...*Value) *Value {
 		off := 0
 		for _, v := range vs {
 			c := v.Data.Dim(1)
-			gv := tensor.New(rows, c)
+			gv := ar.New(rows, c)
 			for r := 0; r < rows; r++ {
 				copy(gv.Data[r*c:(r+1)*c], g.Data[r*total+off:r*total+off+c])
 			}
@@ -119,10 +131,10 @@ func ConcatCols(vs ...*Value) *Value {
 func SliceRows(a *Value, lo, hi int) *Value {
 	out := a.Data.SliceRows(lo, hi)
 	return newNode("slicerows", out, func(g *tensor.Tensor) {
-		ga := tensor.New(a.Data.Shape()...)
+		ga := tensor.NewLike(a.Data)
 		rowVol := 1
-		for _, d := range a.Data.Shape()[1:] {
-			rowVol *= d
+		for d := 1; d < a.Data.Rank(); d++ {
+			rowVol *= a.Data.Dim(d)
 		}
 		copy(ga.Data[lo*rowVol:hi*rowVol], g.Data)
 		a.accumGrad(ga)
@@ -139,12 +151,12 @@ func SliceCols(a *Value, lo, hi int) *Value {
 		panic(fmt.Sprintf("autograd: SliceCols [%d,%d) out of bounds for %d cols", lo, hi, cols))
 	}
 	w := hi - lo
-	out := tensor.New(rows, w)
+	out := tensor.ArenaOf(a.Data).New(rows, w)
 	for r := 0; r < rows; r++ {
 		copy(out.Data[r*w:(r+1)*w], a.Data.Data[r*cols+lo:r*cols+hi])
 	}
 	return newNode("slicecols", out, func(g *tensor.Tensor) {
-		ga := tensor.New(rows, cols)
+		ga := tensor.NewLike(a.Data)
 		for r := 0; r < rows; r++ {
 			copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
 		}
@@ -159,7 +171,7 @@ func Gather(weight *Value, ids []int) *Value {
 		panic("autograd: Gather requires a 2-D weight matrix")
 	}
 	vocab, dim := weight.Data.Dim(0), weight.Data.Dim(1)
-	out := tensor.New(len(ids), dim)
+	out := tensor.ArenaOf(weight.Data).New(len(ids), dim)
 	for i, id := range ids {
 		if id < 0 || id >= vocab {
 			panic(fmt.Sprintf("autograd: Gather index %d out of vocab %d", id, vocab))
@@ -167,7 +179,7 @@ func Gather(weight *Value, ids []int) *Value {
 		copy(out.Data[i*dim:(i+1)*dim], weight.Data.Data[id*dim:(id+1)*dim])
 	}
 	return newNode("gather", out, func(g *tensor.Tensor) {
-		gw := tensor.New(vocab, dim)
+		gw := tensor.NewLike(weight.Data)
 		for i, id := range ids {
 			for d := 0; d < dim; d++ {
 				gw.Data[id*dim+d] += g.Data[i*dim+d]
@@ -180,27 +192,27 @@ func Gather(weight *Value, ids []int) *Value {
 // ConcatChannels concatenates two NCHW Values along the channel
 // dimension.
 func ConcatChannels(a, b *Value) *Value {
-	as, bs := a.Data.Shape(), b.Data.Shape()
-	if len(as) != 4 || len(bs) != 4 || as[0] != bs[0] || as[2] != bs[2] || as[3] != bs[3] {
-		panic(fmt.Sprintf("autograd: ConcatChannels shapes %v and %v incompatible", as, bs))
+	ad, bd := a.Data, b.Data
+	if ad.Rank() != 4 || bd.Rank() != 4 || ad.Dim(0) != bd.Dim(0) || ad.Dim(2) != bd.Dim(2) || ad.Dim(3) != bd.Dim(3) {
+		panic(fmt.Sprintf("autograd: ConcatChannels shapes %v and %v incompatible", ad.Shape(), bd.Shape()))
 	}
-	n, ca, cb, h, w := as[0], as[1], bs[1], as[2], as[3]
+	n, ca, cb, h, w := ad.Dim(0), ad.Dim(1), bd.Dim(1), ad.Dim(2), ad.Dim(3)
 	plane := h * w
-	out := tensor.New(n, ca+cb, h, w)
+	out := tensor.ArenaOf(a.Data, b.Data).New(n, ca+cb, h, w)
 	for i := 0; i < n; i++ {
 		copy(out.Data[i*(ca+cb)*plane:], a.Data.Data[i*ca*plane:(i+1)*ca*plane])
 		copy(out.Data[(i*(ca+cb)+ca)*plane:], b.Data.Data[i*cb*plane:(i+1)*cb*plane])
 	}
 	return newNode("concatchan", out, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			ga := tensor.New(as...)
+			ga := tensor.NewLike(a.Data)
 			for i := 0; i < n; i++ {
 				copy(ga.Data[i*ca*plane:(i+1)*ca*plane], g.Data[i*(ca+cb)*plane:])
 			}
 			a.accumGrad(ga)
 		}
 		if b.requiresGrad {
-			gb := tensor.New(bs...)
+			gb := tensor.NewLike(b.Data)
 			for i := 0; i < n; i++ {
 				copy(gb.Data[i*cb*plane:(i+1)*cb*plane], g.Data[(i*(ca+cb)+ca)*plane:])
 			}
@@ -218,7 +230,7 @@ func GatherCols(a *Value, idx []int) *Value {
 	}
 	rows, cols := a.Data.Dim(0), a.Data.Dim(1)
 	w := len(idx)
-	out := tensor.New(rows, w)
+	out := tensor.ArenaOf(a.Data).New(rows, w)
 	for _, j := range idx {
 		if j < 0 || j >= cols {
 			panic(fmt.Sprintf("autograd: GatherCols index %d out of %d cols", j, cols))
@@ -230,7 +242,7 @@ func GatherCols(a *Value, idx []int) *Value {
 		}
 	}
 	return newNode("gathercols", out, func(g *tensor.Tensor) {
-		ga := tensor.New(rows, cols)
+		ga := tensor.NewLike(a.Data)
 		for r := 0; r < rows; r++ {
 			for k, j := range idx {
 				ga.Data[r*cols+j] += g.Data[r*w+k]
@@ -248,7 +260,7 @@ func RowsMean(a *Value) *Value {
 	tensor.ScaleInPlace(out, 1/float64(rows))
 	return newNode("rowsmean", out, func(g *tensor.Tensor) {
 		cols := a.Data.Dim(1)
-		ga := tensor.New(rows, cols)
+		ga := tensor.NewLike(a.Data)
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				ga.Data[r*cols+c] = g.Data[c] / float64(rows)

@@ -11,7 +11,7 @@ func SoftmaxRows(a *Value) *Value {
 	out := tensor.SoftmaxRows(a.Data)
 	return newNode("softmax", out, func(g *tensor.Tensor) {
 		rows, cols := out.Dim(0), out.Dim(1)
-		ga := tensor.New(rows, cols)
+		ga := tensor.NewLike(out)
 		for r := 0; r < rows; r++ {
 			base := r * cols
 			dot := 0.0
@@ -34,8 +34,9 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 	n, c, h, w := x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2), x.Data.Dim(3)
 	plane := h * w
 	m := float64(n * plane)
-	mean := tensor.New(c)
-	variance := tensor.New(c)
+	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
+	mean := ar.New(c)
+	variance := ar.New(c)
 	for ch := 0; ch < c; ch++ {
 		s := 0.0
 		for img := 0; img < n; img++ {
@@ -56,12 +57,12 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 		}
 		variance.Data[ch] = v / m
 	}
-	invStd := tensor.New(c)
+	invStd := ar.New(c)
 	for ch := 0; ch < c; ch++ {
 		invStd.Data[ch] = 1 / math.Sqrt(variance.Data[ch]+eps)
 	}
-	xhat := tensor.New(x.Data.Shape()...)
-	o := tensor.New(x.Data.Shape()...)
+	xhat := ar.New(n, c, h, w)
+	o := ar.New(n, c, h, w)
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
 			base := (img*c + ch) * plane
@@ -76,10 +77,10 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 	}
 	node := newNode("batchnorm", o, nil, x, gamma, beta)
 	node.back = func(g *tensor.Tensor) {
-		dgamma := tensor.New(c)
-		dbeta := tensor.New(c)
-		sumDy := tensor.New(c)
-		sumDyXhat := tensor.New(c)
+		dgamma := ar.New(c)
+		dbeta := ar.New(c)
+		sumDy := ar.New(c)
+		sumDyXhat := ar.New(c)
 		for img := 0; img < n; img++ {
 			for ch := 0; ch < c; ch++ {
 				base := (img*c + ch) * plane
@@ -95,7 +96,7 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 		gamma.accumGrad(dgamma)
 		beta.accumGrad(dbeta)
 		if x.requiresGrad {
-			gx := tensor.New(x.Data.Shape()...)
+			gx := ar.New(n, c, h, w)
 			for img := 0; img < n; img++ {
 				for ch := 0; ch < c; ch++ {
 					base := (img*c + ch) * plane
@@ -118,8 +119,9 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.Tensor, eps float64) *Value {
 	n, c, h, w := x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2), x.Data.Dim(3)
 	plane := h * w
-	o := tensor.New(x.Data.Shape()...)
-	scale := tensor.New(c)
+	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
+	o := ar.New(n, c, h, w)
+	scale := ar.New(c)
 	for ch := 0; ch < c; ch++ {
 		scale.Data[ch] = gamma.Data.Data[ch] / math.Sqrt(runVar.Data[ch]+eps)
 	}
@@ -134,7 +136,7 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 	}
 	return newNode("batchnorm_inf", o, func(g *tensor.Tensor) {
 		if x.requiresGrad {
-			gx := tensor.New(x.Data.Shape()...)
+			gx := ar.New(n, c, h, w)
 			for img := 0; img < n; img++ {
 				for ch := 0; ch < c; ch++ {
 					base := (img*c + ch) * plane
@@ -154,9 +156,10 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 	rows, cols := x.Data.Dim(0), x.Data.Dim(1)
 	d := float64(cols)
-	xhat := tensor.New(rows, cols)
-	invStd := make([]float64, rows)
-	o := tensor.New(rows, cols)
+	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
+	xhat := ar.New(rows, cols)
+	invStd := ar.New(rows).Data
+	o := ar.New(rows, cols)
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		mu := 0.0
@@ -179,8 +182,8 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 		}
 	}
 	return newNode("layernorm", o, func(g *tensor.Tensor) {
-		dgamma := tensor.New(cols)
-		dbeta := tensor.New(cols)
+		dgamma := ar.New(cols)
+		dbeta := ar.New(cols)
 		for r := 0; r < rows; r++ {
 			base := r * cols
 			for c := 0; c < cols; c++ {
@@ -191,7 +194,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 		gamma.accumGrad(dgamma)
 		beta.accumGrad(dbeta)
 		if x.requiresGrad {
-			gx := tensor.New(rows, cols)
+			gx := ar.New(rows, cols)
 			for r := 0; r < rows; r++ {
 				base := r * cols
 				sDy, sDyX := 0.0, 0.0

@@ -77,7 +77,7 @@ func Pow(a *Value, p float64) *Value {
 func ReLU(a *Value) *Value {
 	out := tensor.ReLU(a.Data)
 	return newNode("relu", out, func(g *tensor.Tensor) {
-		da := tensor.New(a.Data.Shape()...)
+		da := tensor.NewLike(a.Data)
 		for i, x := range a.Data.Data {
 			if x > 0 {
 				da.Data[i] = g.Data[i]
@@ -97,7 +97,7 @@ func LeakyReLU(a *Value, slope float64) *Value {
 		return slope * x
 	})
 	return newNode("leakyrelu", out, func(g *tensor.Tensor) {
-		da := tensor.New(a.Data.Shape()...)
+		da := tensor.NewLike(a.Data)
 		for i, x := range a.Data.Data {
 			if x > 0 {
 				da.Data[i] = g.Data[i]
@@ -113,7 +113,7 @@ func LeakyReLU(a *Value, slope float64) *Value {
 func Sigmoid(a *Value) *Value {
 	out := tensor.Sigmoid(a.Data)
 	return newNode("sigmoid", out, func(g *tensor.Tensor) {
-		da := tensor.New(out.Shape()...)
+		da := tensor.NewLike(out)
 		for i, s := range out.Data {
 			da.Data[i] = g.Data[i] * s * (1 - s)
 		}
@@ -125,7 +125,7 @@ func Sigmoid(a *Value) *Value {
 func Tanh(a *Value) *Value {
 	out := tensor.Tanh(a.Data)
 	return newNode("tanh", out, func(g *tensor.Tensor) {
-		da := tensor.New(out.Shape()...)
+		da := tensor.NewLike(out)
 		for i, t := range out.Data {
 			da.Data[i] = g.Data[i] * (1 - t*t)
 		}
@@ -153,7 +153,7 @@ func Log(a *Value) *Value {
 func Sqrt(a *Value) *Value {
 	out := tensor.Sqrt(a.Data)
 	return newNode("sqrt", out, func(g *tensor.Tensor) {
-		da := tensor.New(out.Shape()...)
+		da := tensor.NewLike(out)
 		for i, s := range out.Data {
 			da.Data[i] = g.Data[i] / (2 * s)
 		}
@@ -163,18 +163,18 @@ func Sqrt(a *Value) *Value {
 
 // Sum reduces a to a scalar by summation.
 func Sum(a *Value) *Value {
-	out := tensor.FromSlice([]float64{tensor.Sum(a.Data)}, 1)
+	out := scalar(a.Data, tensor.Sum(a.Data))
 	return newNode("sum", out, func(g *tensor.Tensor) {
-		a.accumGrad(tensor.Full(g.Data[0], a.Data.Shape()...))
+		a.accumGrad(filled(a.Data, g.Data[0]))
 	}, a)
 }
 
 // Mean reduces a to a scalar by averaging.
 func Mean(a *Value) *Value {
 	n := float64(a.Data.Size())
-	out := tensor.FromSlice([]float64{tensor.Sum(a.Data) / n}, 1)
+	out := scalar(a.Data, tensor.Sum(a.Data)/n)
 	return newNode("mean", out, func(g *tensor.Tensor) {
-		a.accumGrad(tensor.Full(g.Data[0]/n, a.Data.Shape()...))
+		a.accumGrad(filled(a.Data, g.Data[0]/n))
 	}, a)
 }
 
@@ -191,7 +191,7 @@ func Dropout(a *Value, mask *tensor.Tensor) *Value {
 func Abs(a *Value) *Value {
 	out := tensor.Abs(a.Data)
 	return newNode("abs", out, func(g *tensor.Tensor) {
-		da := tensor.New(a.Data.Shape()...)
+		da := tensor.NewLike(a.Data)
 		for i, x := range a.Data.Data {
 			switch {
 			case x > 0:

@@ -8,9 +8,11 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"aibench/internal/gpusim"
+	"aibench/internal/tensor"
 )
 
 func sameSessionResults(t *testing.T, got, want []SessionResult) {
@@ -58,6 +60,50 @@ func TestRunSuiteScaledDeterministic(t *testing.T) {
 		if serial[i].ID != b.ID {
 			t.Fatalf("result %d is %s, want registry order (%s)", i, serial[i].ID, b.ID)
 		}
+	}
+}
+
+// TestConcurrentSuitesShareNoArena runs four suites at once, each with
+// Workers: 4 — sixteen sessions' step arenas live on as many goroutines
+// — one of them sharded four ways on the local backend, with every
+// Reset poisoning what it rewinds. Each benchmark instance owns its
+// arena and only its own goroutine touches it, so every suite must
+// reproduce the serial run bit for bit; an arena shared between
+// instances (a process global, a pooled slab) would hand a neighbour
+// poisoned memory, and -race would name the two goroutines.
+func TestConcurrentSuitesShareNoArena(t *testing.T) {
+	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetPoison))
+	r := NewRegistry()
+	var benches []*Benchmark
+	for _, id := range []string{"DC-AI-C2", "DC-AI-C3", "DC-AI-C6", "DC-AI-C16", "DC-AI-C17", "MLPerf-RL"} {
+		b := r.ByID(id)
+		if b == nil {
+			t.Fatalf("no benchmark %s", id)
+		}
+		benches = append(benches, b)
+	}
+	cfgs := []SessionConfig{
+		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11},
+		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11},
+		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 12},
+		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11, Shards: 4},
+	}
+	want := make([][]SessionResult, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = RunSuiteScaled(benches, cfg, 1)
+	}
+	got := make([][]SessionResult, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = RunSuiteScaled(benches, cfg, 4)
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		sameSessionResults(t, got[i], want[i])
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 // instead of a recursive test run.
 func TestMain(m *testing.M) {
 	if os.Getenv(dist.WorkerEnv) != "" {
+		applyArenaModeFromEnv()
 		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -45,6 +45,7 @@ func (f *fakePhased) LowerIsBetter() bool   { return true }
 func (f *fakePhased) ScaledTarget() float64 { return 0 }
 func (f *fakePhased) Module() nn.Module     { return fakeModule{f.a, f.b} }
 func (f *fakePhased) Spec() workload.Model  { return workload.Model{Name: "fake"} }
+func (f *fakePhased) Arena() *tensor.Arena  { return nil } // a heap-only workload
 
 func (f *fakePhased) BeginEpoch()        { f.events = append(f.events, "epoch") }
 func (f *fakePhased) StepsPerEpoch() int { return 1 }

@@ -95,6 +95,14 @@ func (r *replica) beginEpoch() int {
 // its flattened gradient and buffer capture in isolation. The returned
 // slices are reused across calls.
 func (r *replica) computePhase(p int) PhaseOut {
+	// The replica drives the optimizer steps, so it ends them: the
+	// workload's step arena is reset once per step, before phase 0
+	// draws its batch — never between phases or grains, because later
+	// phases and grains reuse tensors earlier ones built (a CycleGAN's
+	// shared draw, a TBPTT segment's entry states).
+	if p == 0 {
+		r.trainer.Arena().Reset()
+	}
 	// Every rank snapshots its own buffers before BeginPhase; ranks are
 	// bitwise in lockstep, so this equals the old shared rank-0 read.
 	off := 0

@@ -18,6 +18,7 @@ import (
 // two-iteration residual autoencoder with a tanh soft binarizer on
 // synthetic images; quality is MS-SSIM of the reconstruction.
 type ImageCompression struct {
+	stepArena
 	enc     *nn.Conv2D
 	bottle  *nn.Conv2D // produces the (soft) binary code
 	expand  *nn.Conv2D
@@ -50,6 +51,7 @@ func NewImageCompression(seed int64) *ImageCompression {
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	b.testX, _ = b.ds.Batch(32)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -80,6 +82,7 @@ func (b *ImageCompression) TrainEpoch() float64 {
 	b.opt.SetLR(2e-3 * math.Pow(0.993, float64(b.epoch)))
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		x, _ := b.ds.Batch(8)
 		b.opt.ZeroGrad()
 		recon := b.reconstruct(autograd.Const(x))
@@ -94,6 +97,7 @@ func (b *ImageCompression) TrainEpoch() float64 {
 // Quality implements Benchmark: mean MS-SSIM between original and
 // reconstruction on held-out images (paper target: 0.99).
 func (b *ImageCompression) Quality() float64 {
+	b.arena.Reset()
 	x := b.testX
 	recon := b.reconstruct(autograd.Const(x))
 	n := x.Dim(0)

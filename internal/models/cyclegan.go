@@ -76,6 +76,7 @@ func (d *patchDiscriminator) Buffers() []*tensor.Tensor { return d.b1.Buffers() 
 // domains; quality is per-pixel accuracy of the B→A translation against
 // the latent scene labels (the Cityscapes evaluation protocol).
 type ImageToImage struct {
+	stepArena
 	gAB, gBA *convGenerator
 	dA, dB   *patchDiscriminator
 	optG     optim.Optimizer
@@ -104,6 +105,7 @@ func NewImageToImage(seed int64) *ImageToImage {
 	b.optD = optim.NewAdam(Modules(b.dA, b.dB), 2e-3)
 	b.batches = 6
 	b.batch = 6
+	b.adopt(b.Module())
 	return b
 }
 
@@ -115,6 +117,7 @@ func (b *ImageToImage) Name() string { return "Image-to-Image" }
 func (b *ImageToImage) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		a, bd, _ := b.ds.Pair(6)
 		av, bv := autograd.Const(a), autograd.Const(bd)
 
@@ -261,6 +264,7 @@ func (b *ImageToImage) Buffers() []*tensor.Tensor {
 // and compare with the scene's segmentation (the "FCN-score"-style
 // protocol the Cityscapes benchmark uses; paper target 0.52).
 func (b *ImageToImage) Quality() float64 {
+	b.arena.Reset()
 	a, bd, seg := b.ds.Pair(8)
 	fakeA := b.gBA.Forward(autograd.Const(bd)).Data
 	n, c := a.Dim(0), a.Dim(1)

@@ -146,6 +146,7 @@ func roiCrop(feat *autograd.Value, sample int, b data.Box, imgSize, poolN int) *
 // VOC2007, scaled to a two-stage detector (conv backbone, RPN, RoIAlign
 // head) on synthetic annotated scenes; quality is mAP@0.5.
 type ObjectDetection struct {
+	stepArena
 	backbone *detectorBackbone
 	rpnHead  *rpn
 	clsHead  *nn.Sequential
@@ -208,6 +209,7 @@ func newTwoStageDetector(seed int64, withMask bool) *ObjectDetection {
 	// Held-out scenes from the same generator: the class textures are
 	// part of the task definition and must match between train and eval.
 	b.evalX, b.evalGT = b.ds.Scene(24)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -220,6 +222,7 @@ func (b *ObjectDetection) TrainEpoch() float64 {
 	b.BeginEpoch()
 	total := 0.0
 	for it := 0; it < b.batches; it++ {
+		b.arena.Reset()
 		x, boxes := b.ds.Scene(8)
 		negs := b.drawNegatives(len(boxes))
 		b.opt.ZeroGrad()
@@ -463,6 +466,7 @@ func (b *ObjectDetection) Detect(x *tensor.Tensor) []metrics.DetectionResult {
 
 // Quality implements Benchmark: mAP@0.5 on the fixed held-out scenes.
 func (b *ObjectDetection) Quality() float64 {
+	b.arena.Reset()
 	results := b.Detect(b.evalX)
 	return metrics.MeanAP(results, b.evalGT, b.classes, 0.5)
 }

@@ -17,6 +17,7 @@ import (
 // a mini CNN embedding on synthetic identities; quality is verification
 // accuracy with a distance threshold fit on training pairs.
 type FaceEmbedding struct {
+	stepArena
 	net      *miniResNet
 	embed    *nn.Linear
 	opt      optim.Optimizer
@@ -39,6 +40,7 @@ func NewFaceEmbedding(seed int64) *FaceEmbedding {
 		dim:      8,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -55,6 +57,7 @@ func (b *FaceEmbedding) TrainEpoch() float64 {
 	b.net.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		a, p, n := b.ds.Triplets(b.triplets)
 		b.opt.ZeroGrad()
 		loss := autograd.TripletLoss(b.embedBatch(a), b.embedBatch(p), b.embedBatch(n), 0.5)
@@ -104,6 +107,7 @@ func (b *FaceEmbedding) Buffers() []*tensor.Tensor { return b.net.Buffers() }
 func (b *FaceEmbedding) Quality() float64 {
 	b.net.SetTraining(false)
 	dist := func(x, y *tensor.Tensor) []float64 {
+		b.arena.Reset()
 		ex := b.embedBatch(x).Data
 		ey := b.embedBatch(y).Data
 		n := ex.Dim(0)
@@ -189,6 +193,7 @@ func (b *FaceEmbedding) Spec() workload.Model {
 // Intellifusion dataset, scaled to a 4-channel mini ResNet classifying
 // synthetic RGB-D identities.
 type Face3D struct {
+	stepArena
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.Faces
@@ -203,7 +208,7 @@ func NewFace3D(seed int64) *Face3D {
 	net := newMiniResNet(rng, 4, 8, 6) // 4 input channels: RGB + depth
 	ds := data.NewFaces(seed+1000, 6, 4, 8, 8, 0.4)
 	testX, testY := ds.Batch(72)
-	return &Face3D{
+	b := &Face3D{
 		net:     net,
 		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4, false),
 		ds:      ds,
@@ -211,6 +216,8 @@ func NewFace3D(seed int64) *Face3D {
 		testY:   testY,
 		batches: 8,
 	}
+	b.adopt(b.Module())
+	return b
 }
 
 // Name implements Benchmark.
@@ -221,6 +228,7 @@ func (b *Face3D) TrainEpoch() float64 {
 	b.net.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		x, y := b.ds.Batch(16)
 		b.opt.ZeroGrad()
 		loss := autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(x)), y)
@@ -233,6 +241,7 @@ func (b *Face3D) TrainEpoch() float64 {
 
 // Quality implements Benchmark: identification accuracy.
 func (b *Face3D) Quality() float64 {
+	b.arena.Reset()
 	b.net.SetTraining(false)
 	logits := b.net.Forward(autograd.Const(b.testX))
 	return metrics.Accuracy(argmaxRows(logits), b.testY)

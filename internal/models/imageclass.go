@@ -15,6 +15,7 @@ import (
 // ImageClassification is DC-AI-C1: ResNet-50 on ImageNet, scaled to a
 // mini residual network on synthetic class-conditional images.
 type ImageClassification struct {
+	stepArena
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.ImageClassification
@@ -30,7 +31,7 @@ func NewImageClassification(seed int64) *ImageClassification {
 	net := newMiniResNet(rng, 3, 8, 8)
 	ds := data.NewImageClassification(seed+1000, 8, 3, 8, 8, 0.4)
 	testX, testY := ds.Batch(96)
-	return &ImageClassification{
+	b := &ImageClassification{
 		net:     net,
 		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4, false),
 		ds:      ds,
@@ -39,6 +40,8 @@ func NewImageClassification(seed int64) *ImageClassification {
 		batches: 8,
 		batch:   16,
 	}
+	b.adopt(b.Module())
+	return b
 }
 
 // Name implements Benchmark.
@@ -49,6 +52,7 @@ func (b *ImageClassification) TrainEpoch() float64 {
 	b.net.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		x, y := b.ds.Batch(b.batch)
 		b.opt.ZeroGrad()
 		logits := b.net.Forward(autograd.Const(x))
@@ -92,6 +96,7 @@ func (b *ImageClassification) Buffers() []*tensor.Tensor { return b.net.Buffers(
 
 // Quality implements Benchmark: Top-1 accuracy on held-out data.
 func (b *ImageClassification) Quality() float64 {
+	b.arena.Reset()
 	b.net.SetTraining(false)
 	logits := b.net.Forward(autograd.Const(b.testX))
 	return metrics.Accuracy(argmaxRows(logits), b.testY)

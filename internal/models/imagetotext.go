@@ -16,6 +16,7 @@ import (
 // followed by a language-generating LSTM) on MS-COCO, scaled to a mini
 // CNN encoder plus LSTM decoder on synthetic captioned images.
 type ImageToText struct {
+	stepArena
 	encoder *miniResNet
 	imgProj *nn.Linear
 	emb     *nn.Embedding
@@ -46,6 +47,7 @@ func NewImageToText(seed int64) *ImageToText {
 		batches: 12,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -87,6 +89,7 @@ func (b *ImageToText) TrainEpoch() float64 {
 	b.encoder.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		x, _, caps := b.ds.Pair(12)
 		b.opt.ZeroGrad()
 		loss := b.captionNLL(x, caps, true)
@@ -100,6 +103,7 @@ func (b *ImageToText) TrainEpoch() float64 {
 // Quality implements Benchmark: caption perplexity on held-out images
 // (the paper's metric, target 4.2).
 func (b *ImageToText) Quality() float64 {
+	b.arena.Reset()
 	b.encoder.SetTraining(false)
 	x, _, caps := b.ds.Pair(24)
 	nll := b.captionNLL(x, caps, false)

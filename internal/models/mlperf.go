@@ -109,6 +109,7 @@ func maskRCNNSpec() workload.Model {
 // one-stage detector predicting class and box per feature cell directly
 // (no proposal/RoI stage), scaled onto the same synthetic scenes.
 type SSDLight struct {
+	stepArena
 	backbone *detectorBackbone
 	head     *nn.Conv2D // per cell: objectness + 4 box + classes
 	opt      optim.Optimizer
@@ -142,6 +143,7 @@ func NewSSDLight(seed int64) *SSDLight {
 	// Held-out scenes from the same generator: the class textures are
 	// part of the task definition and must match between train and eval.
 	b.evalX, b.evalGT = b.ds.Scene(24)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -157,6 +159,7 @@ func (b *SSDLight) TrainEpoch() float64 {
 	total := 0.0
 	cells := b.grid * b.grid
 	for it := 0; it < b.batches; it++ {
+		b.arena.Reset()
 		x, boxes := b.ds.Scene(8)
 		b.opt.ZeroGrad()
 		pred := b.head.Forward(b.headInput(x))
@@ -225,6 +228,7 @@ func (b *SSDLight) headInput(x *tensor.Tensor) *autograd.Value {
 
 // Quality implements Benchmark: mAP@0.5 on the fixed held-out scenes.
 func (b *SSDLight) Quality() float64 {
+	b.arena.Reset()
 	b.backbone.SetTraining(false)
 	x, truth := b.evalX, b.evalGT
 	pred := b.head.Forward(b.headInput(x))
@@ -302,6 +306,7 @@ func (b *SSDLight) Spec() workload.Model {
 // encoder-decoder with attention, scaled onto the synthetic parallel
 // corpus; quality is corpus BLEU of the greedy decode.
 type GNMT struct {
+	stepArena
 	emb     *nn.Embedding
 	enc     *nn.LSTMCell
 	dec     *nn.LSTMCell
@@ -332,6 +337,7 @@ func NewGNMT(seed int64) *GNMT {
 		batches: 20,
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -361,6 +367,7 @@ func (b *GNMT) decodeStep(tok int, h, c, encStates *autograd.Value) (*autograd.V
 func (b *GNMT) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		src, tgt := b.ds.Pair()
 		b.opt.ZeroGrad()
 		encStates, h, c := b.encode(src)
@@ -404,6 +411,7 @@ func (b *GNMT) Translate(src []int, maxLen int) []int {
 func (b *GNMT) Quality() float64 {
 	var hyps, refs [][]int
 	for i := 0; i < 16; i++ {
+		b.arena.Reset()
 		src, _ := b.ds.Pair()
 		hyps = append(hyps, b.Translate(src, 8))
 		refs = append(refs, b.ds.Reference(src))

@@ -14,6 +14,7 @@ package models
 
 import (
 	"aibench/internal/nn"
+	"aibench/internal/tensor"
 	"aibench/internal/workload"
 )
 
@@ -36,6 +37,35 @@ type Benchmark interface {
 	Module() nn.Module
 	// Spec returns the paper-scale architecture.
 	Spec() workload.Model
+	// Arena returns the step arena the instance owns (see stepArena). A
+	// driver that runs the optimizer steps itself — internal/dist's
+	// replica loop — resets it once per step; TrainEpoch and Quality
+	// reset it themselves.
+	Arena() *tensor.Arena
+}
+
+// stepArena is embedded by every benchmark: the one arena all of the
+// instance's step-scoped tensors come from. The constructor adopts the
+// module's parameters into it, so every activation, interior gradient
+// and backward temporary computed from them is arena-backed, and the
+// instance resets it at the top of each optimizer step and of each
+// Quality batch — on its own goroutine, the only one that ever touches
+// it. Whatever must survive a reset (replay-buffer images, recurrent
+// state carried across truncated-BPTT segments) is copied out with
+// Tensor.Detach; parameters, their gradients, optimizer state, running
+// statistics and dataset batches are heap tensors and never die. The
+// arena holds no memory until the first step, so an instance that is
+// only characterized costs nothing.
+type stepArena struct{ arena tensor.Arena }
+
+// Arena implements Benchmark.
+func (s *stepArena) Arena() *tensor.Arena { return &s.arena }
+
+// adopt places every parameter of m in the instance's arena.
+func (s *stepArena) adopt(m nn.Module) {
+	for _, p := range m.Params() {
+		s.arena.Adopt(p.Value.Data)
+	}
 }
 
 // MeetsTarget reports whether quality q satisfies the benchmark's scaled

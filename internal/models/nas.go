@@ -184,6 +184,7 @@ func (c *nasController) sample(rng *rand.Rand) (architecture, *autograd.Value) {
 // the synthetic Markov language; quality is the validation perplexity of
 // the controller's best sampled child.
 type NAS struct {
+	stepArena
 	child      *nasChild
 	controller *nasController
 	optChild   optim.Optimizer
@@ -220,6 +221,7 @@ func NewNAS(seed int64) *NAS {
 	}
 	b.optChild = optim.NewAdam(b.child, 3e-3)
 	b.optCtrl = optim.NewAdam(b.controller, 2e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -233,6 +235,7 @@ func (b *NAS) TrainEpoch() float64 {
 	total := 0.0
 	// Phase 1: shared-weight training under sampled architectures.
 	for i := 0; i < 6; i++ {
+		b.arena.Reset()
 		arch, _ := b.controller.sample(b.rng)
 		stream := b.lang.Stream(b.seqLen)
 		b.optChild.ZeroGrad()
@@ -243,6 +246,7 @@ func (b *NAS) TrainEpoch() float64 {
 	}
 	// Phase 2: controller REINFORCE steps.
 	for i := 0; i < 4; i++ {
+		b.arena.Reset()
 		arch, nlp := b.controller.sample(b.rng)
 		val := b.lang.Stream(b.seqLen)
 		ppl := math.Exp(b.child.nll(arch, val).Item())
@@ -352,6 +356,7 @@ func (b *NAS) BestArchitecture(samples int) (architecture, float64) {
 	best := architecture{}
 	bestPPL := math.Inf(1)
 	for i := 0; i < samples; i++ {
+		b.arena.Reset()
 		arch, _ := b.controller.sample(b.rng)
 		val := b.lang.Stream(4 * b.seqLen)
 		ppl := math.Exp(b.child.nll(arch, val).Item())

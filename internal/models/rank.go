@@ -48,6 +48,7 @@ func (m *mfScorer) Params() []*nn.Param {
 // teacher/student on synthetic check-ins; quality is the student's
 // precision@5 against ground-truth preferences.
 type LearningToRank struct {
+	stepArena
 	teacher       *mfScorer
 	student       *mfScorer
 	optT, optS    optim.Optimizer
@@ -75,6 +76,7 @@ func NewLearningToRank(seed int64) *LearningToRank {
 	}
 	b.optT = optim.NewAdam(b.teacher, 5e-3)
 	b.optS = optim.NewAdam(b.student, 5e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -98,6 +100,7 @@ func (b *LearningToRank) TrainEpoch() float64 {
 	total := 0.0
 	if b.epoch <= b.teacherEpochs {
 		for i := 0; i < b.batches; i++ {
+			b.arena.Reset()
 			users, pos, neg := b.ds.BPRTriple(b.batch)
 			b.optT.ZeroGrad()
 			loss := bprLoss(b.teacher, users, pos, neg)
@@ -108,6 +111,7 @@ func (b *LearningToRank) TrainEpoch() float64 {
 		return total / float64(b.batches)
 	}
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		users, pos, neg := b.ds.BPRTriple(b.batch)
 		b.optS.ZeroGrad()
 		rank := bprLoss(b.student, users, pos, neg)
@@ -197,6 +201,7 @@ func (b *LearningToRank) rankItems(u int) []int {
 func (b *LearningToRank) Quality() float64 {
 	total := 0.0
 	for u := 0; u < b.users; u++ {
+		b.arena.Reset()
 		ranked := b.rankItems(u)
 		relevant := b.ds.TopK(u, 5)
 		total += metrics.PrecisionAtK(ranked, relevant, 5)

@@ -18,6 +18,7 @@ import (
 // latent-factor interactions; quality is HR@10 under the leave-one-out
 // protocol.
 type Recommendation struct {
+	stepArena
 	userEmb *nn.Embedding
 	itemEmb *nn.Embedding
 	mlp     *nn.Sequential
@@ -46,6 +47,7 @@ func NewRecommendation(seed int64) *Recommendation {
 		users:   users,
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -64,6 +66,7 @@ func (b *Recommendation) score(users, items []int) *autograd.Value {
 func (b *Recommendation) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		users, items, labels := b.ds.TrainBatch(b.batch)
 		b.opt.ZeroGrad()
 		logits := b.score(users, items)
@@ -109,6 +112,7 @@ func (b *Recommendation) BeginStep() []Grain {
 func (b *Recommendation) Quality() float64 {
 	total := 0.0
 	for u := 0; u < b.users; u++ {
+		b.arena.Reset()
 		trueItem, cands := b.ds.EvalCase(u, 50)
 		users := make([]int, len(cands))
 		for i := range users {

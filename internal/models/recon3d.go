@@ -16,6 +16,7 @@ import (
 // image encoder that regresses an 8³ voxel occupancy grid from a
 // silhouette view; quality is average intersection-over-union.
 type Recon3D struct {
+	stepArena
 	enc     *convBlock
 	enc2    *convBlock
 	fc      *nn.Linear
@@ -38,6 +39,7 @@ func NewRecon3D(seed int64) *Recon3D {
 		d:       d,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -58,6 +60,7 @@ func (b *Recon3D) TrainEpoch() float64 {
 	b.enc2.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		views, voxels := b.ds.Sample(8)
 		b.opt.ZeroGrad()
 		logits := b.voxelLogits(autograd.Const(views))
@@ -73,6 +76,7 @@ func (b *Recon3D) TrainEpoch() float64 {
 // Quality implements Benchmark: mean voxel IoU at threshold 0.5 on
 // held-out shapes (paper target: 45.83% average IU).
 func (b *Recon3D) Quality() float64 {
+	b.arena.Reset()
 	b.enc.SetTraining(false)
 	b.enc2.SetTraining(false)
 	views, voxels := b.ds.Sample(16)

@@ -21,6 +21,7 @@ import (
 // "pro move prediction"). Notably the paper could not converge this
 // benchmark either (34% of the 40% target after 96 hours).
 type ReinforcementLearning struct {
+	stepArena
 	policy  *convBlock
 	polHead *nn.Linear
 	valHead *nn.Linear
@@ -43,6 +44,7 @@ func NewReinforcementLearning(seed int64) *ReinforcementLearning {
 		batches: 4,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -145,6 +147,7 @@ func (b *ReinforcementLearning) TrainEpoch() float64 {
 	b.policy.SetTraining(true)
 	total := 0.0
 	for it := 0; it < b.batches; it++ {
+		b.arena.Reset()
 		steps := b.episode(12)
 		b.opt.ZeroGrad()
 		loss := b.episodeLoss(steps)
@@ -220,6 +223,7 @@ func (b *ReinforcementLearning) Quality() float64 {
 	b.policy.SetTraining(false)
 	match, total := 0, 0
 	for i := 0; i < 60; i++ {
+		b.arena.Reset()
 		ax, ay := b.rng.Intn(b.board), b.rng.Intn(b.board)
 		tx, ty := b.rng.Intn(b.board), b.rng.Intn(b.board)
 		if ax == tx && ay == ty {

@@ -18,6 +18,7 @@ import (
 // with framewise alignment targets; quality is word error rate of the
 // greedy collapsed decode.
 type SpeechRecognition struct {
+	stepArena
 	front   *nn.Linear
 	gru     *nn.GRUCell
 	proj    *nn.Linear
@@ -48,6 +49,7 @@ func NewSpeechRecognition(seed int64) *SpeechRecognition {
 		vocab: vocab, batches: 10,
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -75,6 +77,7 @@ func (b *SpeechRecognition) frameLogits(frames *autograd.Value) *autograd.Value 
 func (b *SpeechRecognition) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		frames, _, align := b.ds.Utterance(4)
 		b.opt.ZeroGrad()
 		logits := b.frameLogits(autograd.Const(frames))
@@ -203,6 +206,7 @@ func (b *SpeechRecognition) Quality() float64 {
 	total := 0.0
 	const utterances = 12
 	for i := 0; i < utterances; i++ {
+		b.arena.Reset()
 		frames, tokens, _ := b.ds.Utterance(4)
 		hyp := b.decode(autograd.Const(frames))
 		total += metrics.WER(hyp, tokens)

@@ -17,6 +17,7 @@ import (
 // generator and bilinear sampler warp the input, and a classifier labels
 // the rectified image. Scaled to synthetic distorted digits.
 type SpatialTransformer struct {
+	stepArena
 	locConv    *convBlock
 	locFC      *nn.Linear
 	classifier *miniResNet
@@ -48,6 +49,7 @@ func NewSpatialTransformer(seed int64) *SpatialTransformer {
 	tensor.ScaleInPlace(b.locFC.W.Value.Data, 0.01)
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	b.testX, b.testY = b.ds.DistortedBatch(72, 0.25, 0.2)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -72,6 +74,7 @@ func (b *SpatialTransformer) TrainEpoch() float64 {
 	b.classifier.SetTraining(true)
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)
 		b.opt.ZeroGrad()
 		loss := autograd.SoftmaxCrossEntropy(b.forward(autograd.Const(x)), y)
@@ -120,6 +123,7 @@ func (b *SpatialTransformer) Buffers() []*tensor.Tensor {
 
 // Quality implements Benchmark: accuracy on held-out distorted images.
 func (b *SpatialTransformer) Quality() float64 {
+	b.arena.Reset()
 	b.locConv.SetTraining(false)
 	b.classifier.SetTraining(false)
 	logits := b.forward(autograd.Const(b.testX))

@@ -16,6 +16,7 @@ import (
 // LSTM decoder on synthetic (document, headline) pairs; quality is
 // Rouge-L of the greedy decode.
 type TextSummarization struct {
+	stepArena
 	emb     *nn.Embedding
 	enc     *nn.LSTMCell
 	dec     *nn.LSTMCell
@@ -48,6 +49,7 @@ func NewTextSummarization(seed int64) *TextSummarization {
 		maxHead: 5,
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
+	b.adopt(b.Module())
 	return b
 }
 
@@ -89,6 +91,7 @@ func (b *TextSummarization) stepLogits(tok int, h, c, encStates *autograd.Value)
 func (b *TextSummarization) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		doc, head := b.ds.Pair()
 		b.opt.ZeroGrad()
 		encStates, h, c := b.encode(doc)
@@ -133,6 +136,7 @@ func (b *TextSummarization) Quality() float64 {
 	total := 0.0
 	const docs = 12
 	for i := 0; i < docs; i++ {
+		b.arena.Reset()
 		doc, _ := b.ds.Pair()
 		ref := b.ds.Reference(doc)
 		hyp := b.greedyDecode(doc)

@@ -52,6 +52,7 @@ func (b *decoderBlock) Params() []*nn.Param {
 // to a one-encoder/one-decoder-block model on the synthetic parallel
 // corpus.
 type TextToText struct {
+	stepArena
 	emb     *nn.Embedding
 	enc     *nn.TransformerBlock
 	dec     *decoderBlock
@@ -87,6 +88,7 @@ func NewTextToText(seed int64) *TextToText {
 		src, tgt := ds.Pair()
 		b.evalSet = append(b.evalSet, [2][]int{src, tgt})
 	}
+	b.adopt(b.Module())
 	return b
 }
 
@@ -96,7 +98,7 @@ func (b *TextToText) Name() string { return "Text-to-Text Translation" }
 // embed looks up tokens and adds positional encodings.
 func (b *TextToText) embed(tokens []int) *autograd.Value {
 	e := b.emb.Lookup(tokens)
-	pe := tensor.New(len(tokens), b.dim)
+	pe := tensor.NewLike(e.Data)
 	for i := range tokens {
 		copy(pe.Data[i*b.dim:(i+1)*b.dim], b.pos.Data[i*b.dim:(i+1)*b.dim])
 	}
@@ -116,6 +118,7 @@ func (b *TextToText) logits(src, tgt []int) (*autograd.Value, []int) {
 func (b *TextToText) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		src, tgt := b.ds.Pair()
 		b.opt.ZeroGrad()
 		lg, want := b.logits(src, tgt)
@@ -159,6 +162,7 @@ func (b *TextToText) BeginStep() []Grain {
 func (b *TextToText) Quality() float64 {
 	correct, count := 0, 0
 	for _, pair := range b.evalSet {
+		b.arena.Reset()
 		lg, want := b.logits(pair[0], pair[1])
 		pred := argmaxRows(lg)
 		for i := range want {

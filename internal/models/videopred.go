@@ -19,6 +19,7 @@ import (
 // current frame, composited by action-conditioned gates the network
 // learns; quality is next-frame MSE.
 type VideoPrediction struct {
+	stepArena
 	gate    *nn.Sequential // action → softmax gates over the shift bank
 	shiftW  *tensor.Tensor // constant [K², 1, K, K] shift kernels
 	sumW    *tensor.Tensor // constant [1, K², 1, 1] compositing kernel
@@ -52,6 +53,12 @@ func NewVideoPrediction(seed int64) *VideoPrediction {
 		h:       12, w: 12,
 	}
 	b.opt = optim.NewAdam(b.gate, 5e-3)
+	b.adopt(b.Module())
+	// The fixed convolution banks are not parameters, but the first op
+	// of a step convolves a dataset batch with one of them: place them
+	// too, or that product — the step's largest tensor — stays on the
+	// heap.
+	b.arena.Adopt(b.shiftW, b.sumW)
 	return b
 }
 
@@ -77,6 +84,7 @@ func (b *VideoPrediction) forward(frames, actions *autograd.Value) *autograd.Val
 func (b *VideoPrediction) TrainEpoch() float64 {
 	total := 0.0
 	for i := 0; i < b.batches; i++ {
+		b.arena.Reset()
 		frames, actions, next := b.ds.Transition(8)
 		b.opt.ZeroGrad()
 		pred := b.forward(autograd.Const(frames), autograd.Const(actions))
@@ -118,6 +126,7 @@ func (b *VideoPrediction) BeginStep() []Grain {
 // Quality implements Benchmark: next-frame MSE on held-out transitions
 // (paper target: 72 MSE on 8-bit pixels ≈ 0.0011 in [0,1] units).
 func (b *VideoPrediction) Quality() float64 {
+	b.arena.Reset()
 	frames, actions, next := b.ds.Transition(24)
 	pred := b.forward(autograd.Const(frames), autograd.Const(actions))
 	return metrics.MSE(pred.Data.Data, next.Data)

@@ -18,6 +18,7 @@ import (
 // critic is weight-clipped per the WGAN algorithm and the quality metric
 // is the estimated Earth-Mover distance.
 type ImageGeneration struct {
+	stepArena
 	gen     *nn.Sequential
 	critic  *nn.Sequential
 	optG    optim.Optimizer
@@ -49,7 +50,7 @@ func NewImageGeneration(seed int64) *ImageGeneration {
 		nn.NewLinear(rng, hidden, hidden), nn.ReLU{},
 		nn.NewLinear(rng, hidden, 1),
 	)
-	return &ImageGeneration{
+	b := &ImageGeneration{
 		gen: gen, critic: critic,
 		optG: optim.NewRMSProp(gen, 5e-4, 0.99),
 		optD: optim.NewRMSProp(critic, 5e-4, 0.99),
@@ -57,6 +58,8 @@ func NewImageGeneration(seed int64) *ImageGeneration {
 		zDim: zDim, imgVol: imgVol,
 		batches: 10, batch: 32, clip: 0.1,
 	}
+	b.adopt(b.Module())
+	return b
 }
 
 // Name implements Benchmark.
@@ -75,6 +78,7 @@ func (b *ImageGeneration) TrainEpoch() float64 {
 	for i := 0; i < b.batches; i++ {
 		// Critic steps: maximize E[f(real)] − E[f(fake)].
 		for c := 0; c < 3; c++ {
+			b.arena.Reset()
 			real := b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
 			fake := b.sample(b.batch)
 			b.optD.ZeroGrad()
@@ -86,6 +90,7 @@ func (b *ImageGeneration) TrainEpoch() float64 {
 			b.clipCritic()
 		}
 		// Generator step: maximize E[f(fake)].
+		b.arena.Reset()
 		b.optG.ZeroGrad()
 		fake := b.sample(b.batch)
 		loss := autograd.Neg(autograd.Mean(b.critic.Forward(fake)))
@@ -195,6 +200,7 @@ func (b *ImageGeneration) ApplyPhase(phase int) {
 // generated and real samples (the paper trains the EM-distance estimate
 // to 0.5±0.005; lower is better here).
 func (b *ImageGeneration) Quality() float64 {
+	b.arena.Reset()
 	n := 64
 	real := b.ds.Real(n).Reshape(n, b.imgVol)
 	fake := b.sample(n)

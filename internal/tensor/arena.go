@@ -1,0 +1,226 @@
+package tensor
+
+import (
+	"math"
+	"sync/atomic"
+)
+
+// Arena is the step allocator: a bump allocator over retained slabs
+// that hands out step-scoped tensors — data, shape and strides, and the
+// Tensor struct itself — without touching the Go heap once its slabs
+// have grown to one step's footprint.
+//
+// Placement travels with the operands, the way a framework tensor
+// carries its device. A Tensor records the arena it is placed in (nil:
+// the Go heap); every op that allocates its result allocates it where
+// its operands are placed (ArenaOf), so everything computed from an
+// adopted tensor is arena-backed and everything computed from plain
+// heap tensors stays on the heap. Constructors that take no operand —
+// New, Full, Ones, FromSlice, Rand… — always build on the heap.
+//
+// Ownership: one benchmark instance owns one arena, adopts its
+// parameters into it at construction (Adopt marks placement; the
+// parameter's own storage stays where it is) and calls Reset once per
+// optimizer step. Only the owner's goroutine may allocate from or
+// reset an arena — there is no lock. Pool workers inside a parallel
+// kernel section write into results the owner allocated before the
+// fork; they never allocate.
+//
+// Lifetime: Reset rewinds the arena. Every tensor handed out since the
+// previous Reset — and every view of one — is dead from then on: its
+// memory will be handed out again. A value that must outlive its step
+// (a replay-buffer entry, carried recurrent state) is copied out with
+// Detach first. Never arena-backed: parameter storage, leaf gradients,
+// optimizer state, running statistics, datasets.
+//
+// Growth is deterministic: slabs double, are never freed and never
+// depend on the collector, so after the first step of a fixed-shape
+// loop an arena allocates nothing and the allocation counts of a run
+// repeat exactly. The zero Arena is ready to use and holds no memory
+// until its first allocation; a nil *Arena is the heap.
+type Arena struct {
+	floats  slabs[float64]
+	ints    slabs[int]
+	tensors slabs[Tensor]
+}
+
+// First-slab sizes, in elements. Small on purpose: the suite's smallest
+// steps fit the first float slab (64 KB), so their whole working set
+// stays cache-resident, and larger ones get there in a few doublings.
+const (
+	arenaFloats  = 1 << 13
+	arenaInts    = 1 << 10
+	arenaTensors = 1 << 8
+)
+
+// slabs is one element type's slab list with its bump position:
+// slabs before cur are spent, slab cur is used up to off.
+type slabs[T any] struct {
+	list     [][]T
+	cur, off int
+}
+
+// take hands out the next n elements, contents unspecified. A request
+// that does not fit the current slab moves on to the next one that
+// holds it, growing the list with a slab at least twice the last when
+// none does — the skipped tail is the price of never moving memory.
+func (s *slabs[T]) take(n, first int) []T {
+	for ; s.cur < len(s.list); s.cur, s.off = s.cur+1, 0 {
+		if slab := s.list[s.cur]; n <= len(slab)-s.off {
+			out := slab[s.off : s.off+n : s.off+n]
+			s.off += n
+			return out
+		}
+	}
+	size := first
+	if last := len(s.list) - 1; last >= 0 {
+		size = 2 * len(s.list[last])
+	}
+	s.list = append(s.list, make([]T, max(size, n)))
+	s.off = n
+	return s.list[s.cur][:n:n]
+}
+
+// rewind makes every slab available again, first handing the used
+// region of each to wipe when one is given.
+func (s *slabs[T]) rewind(wipe func([]T)) {
+	if wipe != nil {
+		for i := 0; i <= s.cur && i < len(s.list); i++ {
+			used := s.list[i]
+			if i == s.cur {
+				used = used[:s.off]
+			}
+			wipe(used)
+		}
+	}
+	s.cur, s.off = 0, 0
+}
+
+// New returns a zero-filled tensor of the given shape placed in a; on
+// a nil arena it is the heap constructor New.
+func (a *Arena) New(shape ...int) *Tensor {
+	if a == nil {
+		return New(shape...)
+	}
+	data := a.floats.take(volume(shape), arenaFloats)
+	clear(data)
+	return a.shaped(data, shape)
+}
+
+// shaped is the package's one way to finish a tensor: data under a
+// private copy of shape and its row-major strides, placed in a. On the
+// heap (nil a) shape and strides share one backing array — a tensor
+// costs one bookkeeping allocation, not two — with shape's capacity
+// clipped so an append to it can never reach the strides; in an arena
+// all three pieces come from its slabs.
+func (a *Arena) shaped(data []float64, shape []int) *Tensor {
+	r := len(shape)
+	var meta []int
+	var t *Tensor
+	if a == nil {
+		meta, t = make([]int, 2*r), new(Tensor)
+	} else {
+		meta, t = a.ints.take(2*r, arenaInts), &a.tensors.take(1, arenaTensors)[0]
+	}
+	copy(meta, shape)
+	acc := 1
+	for i := r - 1; i >= 0; i-- {
+		meta[r+i] = acc
+		acc *= meta[i]
+	}
+	*t = Tensor{shape: meta[:r:r], strides: meta[r:], Data: data, arena: a}
+	return t
+}
+
+// Adopt places the given heap tensors in a: their storage stays where
+// it is, but from now on results computed from them are allocated from
+// a. A benchmark adopts its parameters; nothing else needs adopting,
+// because everything a step computes descends from one.
+func (a *Arena) Adopt(ts ...*Tensor) {
+	for _, t := range ts {
+		t.arena = a
+	}
+}
+
+// Reset ends a step: every tensor allocated from a since the previous
+// Reset is dead and its memory is handed out again. Nothing is freed.
+// A nil arena has nothing to reset.
+func (a *Arena) Reset() {
+	if a == nil {
+		return
+	}
+	switch ArenaResetMode(arenaResetMode.Load()) {
+	case ResetNever:
+		// Forget the slabs instead of rewinding them: nothing is ever
+		// handed out twice, which is what the heap would have done.
+		*a = Arena{}
+	case ResetPoison:
+		a.floats.rewind(func(used []float64) {
+			for i := range used {
+				used[i] = math.NaN()
+			}
+		})
+		a.ints.rewind(func(used []int) {
+			for i := range used {
+				used[i] = math.MinInt
+			}
+		})
+		a.tensors.rewind(func(used []Tensor) { clear(used) })
+	default:
+		a.floats.rewind(nil)
+		a.ints.rewind(nil)
+		a.tensors.rewind(nil)
+	}
+}
+
+// ArenaOf returns the placement of an op's result: the arena of the
+// first operand that has one, nil (the heap) when none has. An instance
+// has one arena and its tensors meet no other's, so which placed
+// operand wins is immaterial.
+func ArenaOf(ts ...*Tensor) *Arena {
+	for _, t := range ts {
+		if t.arena != nil {
+			return t.arena
+		}
+	}
+	return nil
+}
+
+// NewLike returns a zero-filled tensor with t's shape and placement.
+func NewLike(t *Tensor) *Tensor { return t.arena.New(t.shape...) }
+
+// Detach returns a deep copy of t on the heap with no placement: the
+// way a value computed in one step survives into the next.
+func (t *Tensor) Detach() *Tensor {
+	//lint:allow heapalloc leaving the arena is what Detach is for
+	c := New(t.shape...)
+	copy(c.Data, t.Data)
+	return c
+}
+
+// ArenaResetMode is what Reset does with the memory it rewinds; see
+// SetArenaResetMode.
+type ArenaResetMode int32
+
+const (
+	// ResetRewind is the production behaviour: rewind, touch nothing.
+	ResetRewind ArenaResetMode = iota
+	// ResetPoison also overwrites the rewound floats with NaN and
+	// zeroes the rewound Tensor structs, so any use of a tensor past
+	// its step shows up in the numbers or panics.
+	ResetPoison
+	// ResetNever drops the slabs instead of reusing them: the
+	// reference run for ResetPoison, in which stale tensors stay
+	// intact exactly as heap tensors would.
+	ResetNever
+)
+
+var arenaResetMode atomic.Int32
+
+// SetArenaResetMode is a hook for the escape-safety tests and nothing
+// else: it switches every arena in the process to the given mode and
+// returns the previous one. Results must be bitwise equal under all
+// three modes; a difference means a tensor outlived its step.
+func SetArenaResetMode(m ArenaResetMode) ArenaResetMode {
+	return ArenaResetMode(arenaResetMode.Swap(int32(m)))
+}

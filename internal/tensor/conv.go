@@ -71,7 +71,7 @@ func Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx
 func MaxPool2D(x *Tensor, p Conv2DParams) (*Tensor, []int) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := p.OutDim(h), p.OutDim(w)
-	out := New(n, c, oh, ow)
+	out := x.arena.New(n, c, oh, ow)
 	arg := make([]int, n*c*oh*ow)
 	oi := 0
 	for img := 0; img < n; img++ {
@@ -113,7 +113,7 @@ func MaxPool2D(x *Tensor, p Conv2DParams) (*Tensor, []int) {
 func AvgPool2D(x *Tensor, p Conv2DParams) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := p.OutDim(h), p.OutDim(w)
-	out := New(n, c, oh, ow)
+	out := x.arena.New(n, c, oh, ow)
 	div := float64(p.Kernel * p.Kernel)
 	oi := 0
 	for img := 0; img < n; img++ {
@@ -148,7 +148,7 @@ func AvgPool2D(x *Tensor, p Conv2DParams) *Tensor {
 // an N×C matrix.
 func GlobalAvgPool2D(x *Tensor) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	out := New(n, c)
+	out := x.arena.New(n, c)
 	plane := h * w
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
@@ -168,7 +168,7 @@ func GlobalAvgPool2D(x *Tensor) *Tensor {
 func UpsampleNearest2D(x *Tensor, factor int) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := h*factor, w*factor
-	out := New(n, c, oh, ow)
+	out := x.arena.New(n, c, oh, ow)
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
 			src := (img*c + ch) * h * w

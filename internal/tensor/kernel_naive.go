@@ -19,7 +19,7 @@ func (naiveKernels) ParallelThreshold() int { return 1 << 17 }
 func (nk naiveKernels) MatMul(a, b *Tensor) *Tensor {
 	m, ka := a.shape[0], a.shape[1]
 	n := b.shape[1]
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
 	// ikj loop order keeps the inner loop streaming over contiguous rows
 	// of b and out. Each output row depends only on one row of a, so
 	// rows parallelize cleanly.
@@ -43,7 +43,7 @@ func (nk naiveKernels) MatMul(a, b *Tensor) *Tensor {
 func (nk naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 	m, ka := a.shape[0], a.shape[1]
 	n, kb := b.shape[0], b.shape[1]
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
 	parGate(nk.ParallelThreshold(), m, m*ka*n, func(i int) {
 		arow := a.Data[i*ka : (i+1)*ka]
 		orow := out.Data[i*n : (i+1)*n]
@@ -62,7 +62,7 @@ func (nk naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 func (nk naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 	ka, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
 	// i-outer/k-middle order so output rows are independent and can be
 	// split across cores; per-element accumulation still runs k
 	// ascending, matching the k-outer serial order bit for bit.
@@ -143,7 +143,7 @@ func im2col(x *Tensor, p Conv2DParams, threshold int) *Tensor {
 		panic(fmt.Sprintf("tensor: im2col output would be empty for input %v params %+v", x.shape, p))
 	}
 	k := p.Kernel
-	cols := New(n*oh*ow, c*k*k)
+	cols := x.arena.New(n*oh*ow, c*k*k)
 	// Each output row unfolds one (img, oy, ox) receptive field into its
 	// own slice of cols, so rows parallelize with no shared writes.
 	parGate(threshold, n*oh*ow, n*oh*ow*c*k*k, func(row int) {
@@ -179,7 +179,7 @@ func col2im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
 	if len(cols.shape) != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != c*k*k {
 		panic(fmt.Sprintf("tensor: col2im shape %v incompatible with n=%d c=%d h=%d w=%d %+v", cols.shape, n, c, h, w, p))
 	}
-	x := New(n, c, h, w)
+	x := cols.arena.New(n, c, h, w)
 	row := 0
 	for img := 0; img < n; img++ {
 		for oy := 0; oy < oh; oy++ {
@@ -210,7 +210,7 @@ func col2im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
 // (img,oy,ox) into an NCHW tensor. Every (img,pix) row writes a
 // disjoint column of the output, so rows parallelize cleanly.
 func matToNCHW(prod *Tensor, n, c, oh, ow int, threshold int) *Tensor {
-	out := New(n, c, oh, ow)
+	out := prod.arena.New(n, c, oh, ow)
 	plane := oh * ow
 	parGate(threshold, n*plane, n*plane*c, func(r int) {
 		img, pix := r/plane, r%plane
@@ -228,7 +228,7 @@ func matToNCHW(prod *Tensor, n, c, oh, ow int, threshold int) *Tensor {
 func nchwToMat(g *Tensor, threshold int) *Tensor {
 	n, c, oh, ow := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
 	plane := oh * ow
-	out := New(n*plane, c)
+	out := g.arena.New(n*plane, c)
 	parGate(threshold, n*plane, n*plane*c, func(r int) {
 		img, pix := r/plane, r%plane
 		dst := out.Data[r*c : (r+1)*c]

@@ -75,14 +75,23 @@ func colsOf(t *Tensor) operand {
 // panel p holds lanes [p·width, p·width+width) interleaved as
 // dst[(p·K+k)·width+l] — so the micro-kernel reads its width operands
 // from one cache line per k step. The panels are borrowed scratch: the
-// caller hands them to putScratch once the product is done.
+// caller hands them to putScratch once the product is done. Panels are
+// disjoint, so the gate decides scheduling only; the closure the pool
+// needs is built on the parallel branch alone, because it escapes into
+// the pool and would cost a heap allocation per small product too.
 func pack(o operand, width, threshold int) []float64 {
 	K := o.K
 	panels := (o.lanes + width - 1) / width
 	dst := getScratch(panels * K * width)
-	parGate(threshold, panels, o.lanes*K, func(p int) {
+	if o.lanes*K >= threshold && panels > 1 {
+		parallel.For(0, panels, func(p int) {
+			packPanel(dst[p*K*width:], o, p*width, width)
+		})
+		return dst
+	}
+	for p := 0; p < panels; p++ {
 		packPanel(dst[p*K*width:], o, p*width, width)
-	})
+	}
 	return dst
 }
 
@@ -549,30 +558,27 @@ func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int,
 }
 
 // gemm packs both operands through the config's panel shapes and runs
-// the 2-D decomposition: the output splits into BlockM×BlockN tiles
-// (disjoint writes, scheduling-independent) handed to the pool as a
-// flattened grid; small products run the same tile loop serially.
-// Block sizes are validated multiples of MR/NR, so tile origins always
-// land on panel boundaries.
-func gemm(a, b operand, cfg *TileConfig, threshold int) *Tensor {
+// the 2-D decomposition: the output, allocated in ar, splits into
+// BlockM×BlockN tiles (disjoint writes, scheduling-independent) handed
+// to the pool as a flattened grid; small products walk the same tiles
+// serially, without building the closure the pool would need. Block
+// sizes are validated multiples of MR/NR, so tile origins always land
+// on panel boundaries.
+func gemm(ar *Arena, a, b operand, cfg *TileConfig, threshold int) *Tensor {
 	m, n, K := a.lanes, b.lanes, a.K
 	apack := pack(a, cfg.MR, threshold)
 	bpack := pack(b, cfg.NR, threshold)
-	out := New(m, n)
+	out := ar.New(m, n)
 	mt := (m + cfg.BlockM - 1) / cfg.BlockM
 	nt := (n + cfg.BlockN - 1) / cfg.BlockN
-	tile := func(ti, tj int) {
-		i0, j0 := ti*cfg.BlockM, tj*cfg.BlockN
-		rows := min(cfg.BlockM, m-i0)
-		cols := min(cfg.BlockN, n-j0)
-		gebpTile(apack[(i0/cfg.MR)*K*cfg.MR:], bpack[(j0/cfg.NR)*K*cfg.NR:], K, rows, cols, out.Data[i0*n+j0:], n, cfg)
-	}
 	if m*K*n >= threshold && mt*nt > 1 {
-		parallel.For2D(0, mt, nt, tile)
+		parallel.For2D(0, mt, nt, func(ti, tj int) {
+			gemmTile(apack, bpack, out.Data, m, n, K, ti, tj, cfg)
+		})
 	} else {
 		for ti := 0; ti < mt; ti++ {
 			for tj := 0; tj < nt; tj++ {
-				tile(ti, tj)
+				gemmTile(apack, bpack, out.Data, m, n, K, ti, tj, cfg)
 			}
 		}
 	}
@@ -581,22 +587,37 @@ func gemm(a, b operand, cfg *TileConfig, threshold int) *Tensor {
 	return out
 }
 
-// gemm runs a product under this kernel's tuning, picking the config
-// by the product's shape class.
-func (g gebpKernels) gemm(a, b operand) *Tensor {
-	t := g.tuning()
-	return gemm(a, b, t.gemmFor(a.lanes, a.K, b.lanes), t.Threshold)
+// gemmTile fills output tile (ti, tj) of the m×n product from the
+// packed operands.
+func gemmTile(apack, bpack, out []float64, m, n, K, ti, tj int, cfg *TileConfig) {
+	i0, j0 := ti*cfg.BlockM, tj*cfg.BlockN
+	rows := min(cfg.BlockM, m-i0)
+	cols := min(cfg.BlockN, n-j0)
+	gebpTile(apack[(i0/cfg.MR)*K*cfg.MR:], bpack[(j0/cfg.NR)*K*cfg.NR:], K, rows, cols, out[i0*n+j0:], n, cfg)
 }
 
-func (g gebpKernels) MatMul(a, b *Tensor) *Tensor { return g.gemm(rowsOf(a), colsOf(b)) }
+// gemm runs a product under this kernel's tuning, picking the config
+// by the product's shape class.
+func (g gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
+	t := g.tuning()
+	return gemm(ar, a, b, t.gemmFor(a.lanes, a.K, b.lanes), t.Threshold)
+}
+
+func (g gebpKernels) MatMul(a, b *Tensor) *Tensor {
+	return g.gemm(ArenaOf(a, b), rowsOf(a), colsOf(b))
+}
 
 // MatMulT: b is stored n×K, so the logical right operand's columns
 // are b's rows.
-func (g gebpKernels) MatMulT(a, b *Tensor) *Tensor { return g.gemm(rowsOf(a), rowsOf(b)) }
+func (g gebpKernels) MatMulT(a, b *Tensor) *Tensor {
+	return g.gemm(ArenaOf(a, b), rowsOf(a), rowsOf(b))
+}
 
 // TMatMul: a is stored K×m, so the logical left operand's rows are
 // a's columns.
-func (g gebpKernels) TMatMul(a, b *Tensor) *Tensor { return g.gemm(colsOf(a), colsOf(b)) }
+func (g gebpKernels) TMatMul(a, b *Tensor) *Tensor {
+	return g.gemm(ArenaOf(a, b), colsOf(a), colsOf(b))
+}
 
 // MatVec and Outer have no k-reuse to block for, so they share the
 // gated naive bodies; the threshold is the only parameter that applies.
@@ -646,7 +667,7 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 	// weight is outC×K row-major; the logical right operand is its transpose.
 	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.NR, threshold)
 
-	out := New(n, outC, oh, ow)
+	out := ArenaOf(x, weight).New(n, outC, oh, ow)
 	chunks := (rows + chunk - 1) / chunk
 	parGate(threshold, chunks, rows*K*outC, func(ci int) {
 		lo := ci * chunk
@@ -707,12 +728,13 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 // is Gᵀ times the unfolded input — the same two products, each output
 // element accumulated in the same order, as the naive composition.
 func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, cfg *TileConfig, threshold int) (dx, dw *Tensor) {
+	ar := ArenaOf(g, x, weight)
 	if needX {
-		dx = New(x.shape...)
+		dx = ar.New(x.shape...)
 		convBackwardInput(dx, weight, g, p, cfg, threshold)
 	}
 	if needW {
-		dw = New(weight.shape...)
+		dw = ar.New(weight.shape...)
 		convBackwardWeight(dw, x, g, p, cfg, threshold)
 	}
 	return dx, dw
@@ -846,7 +868,7 @@ func TunedMatMul(a, b *Tensor, cfg TileConfig, threshold int) *Tensor {
 	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
 		panic("tensor: TunedMatMul shape mismatch")
 	}
-	return gemm(rowsOf(a), colsOf(b), &cfg, threshold)
+	return gemm(ArenaOf(a, b), rowsOf(a), colsOf(b), &cfg, threshold)
 }
 
 // TunedConv2D runs an NCHW convolution through the engine under an

@@ -150,7 +150,7 @@ func parGate(threshold, units, flops int, fn func(i int)) {
 // block for, so every kernel uses it — only the threshold differs.
 func gatedMatVec(threshold int, a, v *Tensor) *Tensor {
 	m, k := a.shape[0], a.shape[1]
-	out := New(m)
+	out := ArenaOf(a, v).New(m)
 	parGate(threshold, m, m*k, func(i int) {
 		row := a.Data[i*k : (i+1)*k]
 		s := 0.0
@@ -166,7 +166,7 @@ func gatedMatVec(threshold int, a, v *Tensor) *Tensor {
 // caller's parallel gate.
 func gatedOuter(threshold int, a, b *Tensor) *Tensor {
 	m, n := a.shape[0], b.shape[0]
-	out := New(m, n)
+	out := ArenaOf(a, b).New(m, n)
 	parGate(threshold, m, m*n, func(i int) {
 		av := a.Data[i]
 		orow := out.Data[i*n : (i+1)*n]

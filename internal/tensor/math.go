@@ -14,7 +14,7 @@ func checkSameShape(op string, a, b *Tensor) {
 // Add returns a + b element-wise.
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
-	out := New(a.shape...)
+	out := ArenaOf(a, b).New(a.shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -24,7 +24,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b element-wise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSameShape("Sub", a, b)
-	out := New(a.shape...)
+	out := ArenaOf(a, b).New(a.shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
@@ -34,7 +34,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b element-wise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
-	out := New(a.shape...)
+	out := ArenaOf(a, b).New(a.shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
@@ -44,7 +44,7 @@ func Mul(a, b *Tensor) *Tensor {
 // Div returns a / b element-wise.
 func Div(a, b *Tensor) *Tensor {
 	checkSameShape("Div", a, b)
-	out := New(a.shape...)
+	out := ArenaOf(a, b).New(a.shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] / b.Data[i]
 	}
@@ -69,7 +69,7 @@ func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) {
 
 // Scale returns alpha * a.
 func Scale(a *Tensor, alpha float64) *Tensor {
-	out := New(a.shape...)
+	out := NewLike(a)
 	for i := range a.Data {
 		out.Data[i] = alpha * a.Data[i]
 	}
@@ -85,7 +85,7 @@ func ScaleInPlace(a *Tensor, alpha float64) {
 
 // AddScalar returns a + c element-wise.
 func AddScalar(a *Tensor, c float64) *Tensor {
-	out := New(a.shape...)
+	out := NewLike(a)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] + c
 	}
@@ -97,7 +97,7 @@ func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
 // Apply returns f applied element-wise to a.
 func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.shape...)
+	out := NewLike(a)
 	for i := range a.Data {
 		out.Data[i] = f(a.Data[i])
 	}
@@ -158,7 +158,7 @@ func AddRowVector(a, v *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
 		panic(fmt.Sprintf("tensor: AddRowVector shapes %v and %v incompatible", a.shape, v.shape))
 	}
-	out := New(a.shape...)
+	out := ArenaOf(a, v).New(a.shape...)
 	rows, cols := a.shape[0], a.shape[1]
 	for r := 0; r < rows; r++ {
 		base := r * cols
@@ -175,7 +175,7 @@ func AddChannelVector(a, v *Tensor) *Tensor {
 	if len(a.shape) != 4 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
 		panic(fmt.Sprintf("tensor: AddChannelVector shapes %v and %v incompatible", a.shape, v.shape))
 	}
-	out := New(a.shape...)
+	out := ArenaOf(a, v).New(a.shape...)
 	n, c, h, w := a.shape[0], a.shape[1], a.shape[2], a.shape[3]
 	plane := h * w
 	for i := 0; i < n; i++ {

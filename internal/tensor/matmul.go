@@ -58,7 +58,7 @@ func Transpose(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose requires a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
+	out := a.arena.New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.Data[j*m+i] = a.Data[i*n+j]

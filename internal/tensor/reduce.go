@@ -71,7 +71,7 @@ func SumRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SumRows requires 2-D input, got %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(cols)
+	out := a.arena.New(cols)
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		for c := 0; c < cols; c++ {
@@ -88,7 +88,7 @@ func SumCols(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SumCols requires 2-D input, got %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows)
+	out := a.arena.New(rows)
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		s := 0.0
@@ -108,7 +108,7 @@ func SumChannels(a *Tensor) *Tensor {
 	}
 	n, c, h, w := a.shape[0], a.shape[1], a.shape[2], a.shape[3]
 	plane := h * w
-	out := New(c)
+	out := a.arena.New(c)
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
 			base := (img*c + ch) * plane
@@ -150,7 +150,7 @@ func SoftmaxRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SoftmaxRows requires 2-D input, got %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(a.shape...)
+	out := NewLike(a)
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		m := a.Data[base]
@@ -178,7 +178,7 @@ func LogSumExpRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: LogSumExpRows requires 2-D input, got %v", a.shape))
 	}
 	rows, cols := a.shape[0], a.shape[1]
-	out := New(rows)
+	out := a.arena.New(rows)
 	for r := 0; r < rows; r++ {
 		base := r * cols
 		m := a.Data[base]

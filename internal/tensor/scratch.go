@@ -19,6 +19,15 @@ import (
 // allocates depend on where its GC cycles happen to fall. These only
 // ever grow to the peak number of buffers borrowed at once, so after
 // warm-up the allocation counts of an op are fixed.
+//
+// This is deliberately not the step Arena. An arena has one owner and
+// no lock: only the goroutine that runs a benchmark's steps may
+// allocate from it. Engine scratch is borrowed by pool workers, several
+// at once, from inside parallel sections, and returned before the op
+// ends rather than at the end of a step — so it stays a process-wide
+// locked free list for now. Folding the two together needs the
+// run-scoped execution context (ROADMAP) that gives a run's arenas and
+// its scratch one owner.
 
 // scratchMinBits is the smallest class, 64 floats: below that a class
 // per power of two would only multiply lists.

@@ -6,11 +6,29 @@
 //
 // Tensors use a flat row-major (C-order) backing slice. Shapes are
 // immutable after construction except through Reshape, which shares the
-// backing data. All operations allocate fresh result tensors unless the
-// name carries an InPlace suffix; what the GEBP engine needs besides the
-// result — pack panels, convolution chunk scratch — it borrows from a
-// package-private free list (scratch.go) and returns before the
-// operation does, so no returned tensor ever shares memory with it.
+// backing data.
+//
+// Where a tensor lives is decided by placement, not by the op. The
+// constructors that take no operand (New, Full, Ones, FromSlice, Rand…)
+// build on the Go heap. Every operation — unless its name carries an
+// InPlace suffix — allocates a fresh result where its operands are
+// placed: in the step arena of the first operand that has one (see
+// Arena, ArenaOf, NewLike), on the heap when none has. A benchmark
+// instance owns exactly one arena, adopts its parameters into it, and
+// resets it once per optimizer step and per evaluation batch from its
+// own goroutine — the only one that may allocate from it; pool workers
+// inside a parallel kernel section only write into results allocated
+// before the fork. So a training step's activations, interior gradients
+// and backward temporaries cost no mallocs once the arena's slabs have
+// grown to one step's footprint, and are dead after the next Reset;
+// what must outlive a step is copied out with Detach. Parameter
+// storage, leaf gradients, optimizer state, batch-norm running
+// statistics and datasets are never arena-backed.
+//
+// What the GEBP engine needs besides the result — pack panels,
+// convolution chunk scratch — it borrows from a package-private free
+// list (scratch.go) and returns before the operation does, so no
+// returned tensor ever shares memory with it.
 package tensor
 
 import (
@@ -23,31 +41,44 @@ type Tensor struct {
 	shape   []int
 	strides []int
 	Data    []float64
+	// arena is the tensor's placement: where results computed from it
+	// are allocated (nil: the Go heap). See Arena.
+	arena *Arena
 }
 
-// New creates a zero-filled tensor with the given shape.
+// New creates a zero-filled tensor with the given shape on the heap.
 func New(shape ...int) *Tensor {
+	return (*Arena)(nil).shaped(make([]float64, volume(shape)), shape)
+}
+
+// volume returns the element count of shape. Like every variadic-shape
+// entry point it formats a copy of shape when it panics, so the
+// caller's slice does not escape and `New(rows, cols)` builds its
+// argument on the stack.
+func volume(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return shaped(make([]float64, n), shape)
+	return n
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
-// directly, not copied; its length must equal the shape volume.
+// FromSlice wraps data in a heap tensor of the given shape. The slice is
+// used directly, not copied; its length must equal the shape volume.
 func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
+	return (*Arena)(nil).view(data, shape)
+}
+
+// view wraps data under shape with placement a.
+func (a *Arena) view(data []float64, shape []int) *Tensor {
+	n := volume(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), append([]int(nil), shape...), n))
 	}
-	return shaped(data, shape)
+	return a.shaped(data, shape)
 }
 
 // Full creates a tensor with every element set to v.
@@ -72,28 +103,6 @@ func Arange(start, stop int) *Tensor {
 		t.Data[i] = float64(start + i)
 	}
 	return t
-}
-
-// shaped builds a tensor over data with a private copy of shape and its
-// row-major strides. Both live in one backing array — a tensor costs one
-// bookkeeping allocation, not two — with shape's capacity clipped so an
-// append to it can never reach the strides.
-func shaped(data []float64, shape []int) *Tensor {
-	meta := make([]int, 2*len(shape))
-	copy(meta, shape)
-	return fromMeta(data, meta)
-}
-
-// fromMeta finishes a tensor whose shape already sits in the first half
-// of meta by writing the strides into the second half.
-func fromMeta(data []float64, meta []int) *Tensor {
-	r := len(meta) / 2
-	acc := 1
-	for i := r - 1; i >= 0; i-- {
-		meta[r+i] = acc
-		acc *= meta[i]
-	}
-	return &Tensor{shape: meta[:r:r], strides: meta[r:], Data: data}
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -121,7 +130,9 @@ func (t *Tensor) SameShape(u *Tensor) bool {
 	return true
 }
 
-// offset computes the flat index for the given multi-index.
+// offset computes the flat index for the given multi-index. The
+// out-of-bounds panic formats a copy of idx: formatting idx itself would
+// make the variadic slice of every At and Set call escape to the heap.
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
@@ -129,7 +140,7 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, j := range idx {
 		if j < 0 || j >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off += j * t.strides[i]
 	}
@@ -142,22 +153,21 @@ func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
 // Set assigns the element at the multi-index.
 func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy placed like t.
 func (t *Tensor) Clone() *Tensor {
-	c := New(t.shape...)
+	c := NewLike(t)
 	copy(c.Data, t.Data)
 	return c
 }
 
-// Reshape returns a tensor with the new shape sharing t's data. One
-// dimension may be -1 to infer the size.
+// Reshape returns a tensor with the new shape sharing t's data (and its
+// placement). One dimension may be -1 to infer the size.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	meta := make([]int, 2*len(shape))
-	copy(meta, shape)
-	shape = meta[:len(shape)]
+	var buf [8]int
+	dims := append(buf[:0], shape...)
 	infer := -1
 	n := 1
-	for i, d := range shape {
+	for i, d := range dims {
 		if d == -1 {
 			if infer >= 0 {
 				panic("tensor: at most one -1 dimension in Reshape")
@@ -169,15 +179,21 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	}
 	if infer >= 0 {
 		if n == 0 || len(t.Data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, append([]int(nil), dims...)))
 		}
-		shape[infer] = len(t.Data) / n
-		n *= shape[infer]
+		dims[infer] = len(t.Data) / n
+		n *= dims[infer]
 	}
 	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), shape, n))
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), append([]int(nil), dims...), n))
 	}
-	return fromMeta(t.Data, meta)
+	return t.arena.shaped(t.Data, dims)
+}
+
+// withRows allocates a zero tensor of shape [rows, rest...] in a.
+func (a *Arena) withRows(rows int, rest []int) *Tensor {
+	var buf [8]int
+	return a.New(append(append(buf[:0], rows), rest...)...)
 }
 
 // Flatten returns a 1-D view of t sharing its data.
@@ -213,13 +229,14 @@ func (t *Tensor) String() string {
 	return b.String()
 }
 
-// Row returns row i of a 2-D tensor as a shared-data 1-D view.
+// Row returns row i of a 2-D tensor as a shared-data 1-D view placed
+// like t.
 func (t *Tensor) Row(i int) *Tensor {
 	if len(t.shape) != 2 {
 		panic("tensor: Row requires a 2-D tensor")
 	}
 	cols := t.shape[1]
-	return FromSlice(t.Data[i*cols:(i+1)*cols], cols)
+	return t.arena.view(t.Data[i*cols:(i+1)*cols], []int{cols})
 }
 
 // SliceRows returns rows [lo,hi) of the first dimension as a copy.
@@ -234,7 +251,7 @@ func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	for _, d := range t.shape[1:] {
 		rowVol *= d
 	}
-	out := New(append([]int{hi - lo}, t.shape[1:]...)...)
+	out := t.arena.withRows(hi-lo, t.shape[1:])
 	copy(out.Data, t.Data[lo*rowVol:hi*rowVol])
 	return out
 }
@@ -258,7 +275,7 @@ func Concat(ts ...*Tensor) *Tensor {
 		}
 		total += t.shape[0]
 	}
-	out := New(append([]int{total}, rest...)...)
+	out := ArenaOf(ts...).withRows(total, rest)
 	off := 0
 	for _, t := range ts {
 		copy(out.Data[off:], t.Data)
