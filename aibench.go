@@ -34,7 +34,6 @@ package aibench
 
 import (
 	"io"
-	"runtime"
 
 	"aibench/internal/core"
 	"aibench/internal/dist"
@@ -156,65 +155,33 @@ const (
 	QuasiEntireSession = core.QuasiEntireSession
 )
 
-// UseKernels selects the named compute kernel ("naive", "blocked",
-// "tuned") for every subsequent tensor operation; see the README's
-// kernel architecture section. Selection is process-global; the
-// AIBENCH_KERNEL environment variable sets the startup default.
-func UseKernels(name string) error { return tensor.UseKernels(name) }
-
-// KernelNames lists the registered compute kernels.
+// KernelNames lists the registered compute kernels ("naive",
+// "blocked", "tuned"); a run selects one through Plan.Kernel. See the
+// README's kernel architecture section.
 func KernelNames() []string { return tensor.KernelNames() }
 
-// ActiveKernel reports which compute kernel tensor ops dispatch to.
-func ActiveKernel() string { return tensor.ActiveKernels().Name() }
+// DefaultKernel names the process default kernel — what a Plan with an
+// empty Kernel runs on: $AIBENCH_KERNEL or "blocked", fixed at startup.
+func DefaultKernel() string { return tensor.ProcessKernels().Name() }
 
-// EnvTuneFrom is the environment variable the benchmark harness (and
-// anything else that cannot take a flag) reads at startup to load a
+// EnvTuneFrom is the environment variable the root benchmarks (which
+// cannot take a flag) read to measure the tuned kernel under a
 // persisted tuneconfig stream, mirroring the `-tune-from` CLI flag.
 const EnvTuneFrom = "AIBENCH_TUNE_FROM"
 
 // TuneKernels sweeps the tuned kernel's configuration menu on this
 // machine — a deterministic timed search per (op, shape-class) — and
-// returns the winning TuneConfig. It measures through dedicated hooks
-// without touching the active kernel or tuning; persist the result
-// with ResultWriter (KindTuneConfig) and activate it with ApplyTuning
-// or Plan.TuneFrom.
+// returns the winning TuneConfig. It measures each candidate as a
+// kernel value of its own, so no run in the process sees it; persist
+// the result with ResultWriter (KindTuneConfig) and run under it with
+// Plan.TuneFrom.
 func TuneKernels(opts TuneOptions) *TuneConfig { return tune.Search(opts) }
 
-// ApplyTuning validates cfg and activates it as the tuned kernel's
-// parameter set, recording source (a stream path, typically) as its
-// provenance. Tuning, like kernel selection, is process-global and a
-// pure scheduling/perf knob: results are bitwise identical under every
-// config.
-func ApplyTuning(cfg *TuneConfig, source string) error { return tune.Apply(cfg, source) }
-
-// LoadTuning reads the tuneconfig stream at path, selects this
+// LoadTuning reads the tuneconfig stream at path and selects this
 // machine's config (exact GOARCH+GOMAXPROCS match preferred, then
-// same-GOARCH, error when the architecture is absent), and applies it.
-func LoadTuning(path string) (*TuneConfig, error) {
-	cfgs, err := tune.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := tune.Select(cfgs, runtime.GOARCH, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, err
-	}
-	if err := tune.Apply(cfg, path); err != nil {
-		return nil, err
-	}
-	return cfg, nil
-}
-
-// TuningSource names where the tuned kernel's active configuration
-// came from: "builtin" until a persisted config is applied, then the
-// source ApplyTuning/LoadTuning recorded.
-func TuningSource() string { return tensor.TuningSource() }
-
-// TuningSummary renders the tuned kernel's active configuration as one
-// line (per-shape-class tiles plus the parallel threshold) for version
-// banners and run listings.
-func TuningSummary() string { return tensor.ActiveTuning().Summary() }
+// same-GOARCH, error when the architecture is absent). It only reads:
+// a run uses the config by naming the file in Plan.TuneFrom.
+func LoadTuning(path string) (*TuneConfig, error) { return tune.Load(path) }
 
 // TitanXP returns the characterization device of Table 4.
 func TitanXP() Device { return gpusim.TitanXP() }

@@ -250,43 +250,40 @@ func BenchmarkSubsetSavings(b *testing.B) {
 	b.ReportMetric(c.AIBenchVsMLPerf*100, "aibench_vs_mlperf_pct_paper_37")
 }
 
-// TestMain applies $AIBENCH_TUNE_FROM before any benchmark runs, so CI
-// can measure the tuned kernel under the config a `aibench tune` sweep
-// just persisted instead of the builtin defaults.
-func TestMain(m *testing.M) {
-	if path := os.Getenv(aibench.EnvTuneFrom); path != "" {
-		if _, err := aibench.LoadTuning(path); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", aibench.EnvTuneFrom, err)
-			os.Exit(1)
-		}
-	}
-	os.Exit(m.Run())
-}
-
-// benchKernels lists the kernels a compute benchmark sweeps: every
-// registered kernel by default, or only $AIBENCH_KERNEL when CI pins
-// one (the sub-benchmark names carry kernel=<name> either way, so the
-// perf trajectory separates kernel wins from orchestration wins).
-func benchKernels() []string {
+// benchKernels lists the kernels a compute benchmark sweeps, as values
+// the benchmark calls directly: every registered kernel by default, or
+// only $AIBENCH_KERNEL when CI pins one (the sub-benchmark names carry
+// kernel=<name> either way, so the perf trajectory separates kernel
+// wins from orchestration wins). With $AIBENCH_TUNE_FROM set, "tuned"
+// is the engine under that persisted config instead of the builtin
+// defaults, so CI measures what an `aibench tune` sweep just wrote.
+func benchKernels(b *testing.B) []tensor.Kernels {
+	names := tensor.KernelNames()
 	if k := os.Getenv(tensor.EnvKernel); k != "" {
-		return []string{k}
+		names = []string{k}
 	}
-	return tensor.KernelNames()
-}
-
-// underKernel runs fn with the named compute kernel active, restoring
-// the previous selection afterwards.
-func underKernel(b *testing.B, name string, fn func(b *testing.B)) {
-	prev := aibench.ActiveKernel()
-	if err := aibench.UseKernels(name); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := aibench.UseKernels(prev); err != nil {
-			b.Fatal(err)
+	var out []tensor.Kernels
+	for _, name := range names {
+		k, ok := tensor.LookupKernels(name)
+		if !ok {
+			b.Fatalf("$%s names unknown kernel %q", tensor.EnvKernel, name)
 		}
-	}()
-	b.Run("kernel="+name, fn)
+		if path := os.Getenv(aibench.EnvTuneFrom); path != "" && name == "tuned" {
+			cfg, err := aibench.LoadTuning(path)
+			var tuning tensor.Tuning
+			if err == nil {
+				tuning, err = cfg.Tuning()
+			}
+			if err == nil {
+				k, err = tensor.Tuned(tuning)
+			}
+			if err != nil {
+				b.Fatalf("$%s: %v", aibench.EnvTuneFrom, err)
+			}
+		}
+		out = append(out, k)
+	}
+	return out
 }
 
 // BenchmarkMatMul sweeps GEMM shapes under each compute kernel — the
@@ -309,8 +306,8 @@ func BenchmarkMatMul(b *testing.B) {
 		{"skinny=64x2048x64", 64, 2048, 64},
 		{"fat=2048x64x2048", 2048, 64, 2048},
 	}
-	for _, kname := range benchKernels() {
-		underKernel(b, kname, func(b *testing.B) {
+	for _, k := range benchKernels(b) {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			for _, sh := range shapes {
 				b.Run(sh.name, func(b *testing.B) {
 					rng := rand.New(rand.NewSource(7))
@@ -319,7 +316,7 @@ func BenchmarkMatMul(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						tensor.MatMul(x, y)
+						k.MatMul(x, y)
 					}
 					flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
@@ -332,8 +329,8 @@ func BenchmarkMatMul(b *testing.B) {
 // BenchmarkConv2D measures the im2col-GEMM convolution under each
 // compute kernel at a ResNet-block-like geometry.
 func BenchmarkConv2D(b *testing.B) {
-	for _, kname := range benchKernels() {
-		underKernel(b, kname, func(b *testing.B) {
+	for _, k := range benchKernels(b) {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			x := tensor.Randn(rng, 0, 1, 8, 32, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 64, 32, 3, 3)
@@ -341,7 +338,7 @@ func BenchmarkConv2D(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.Conv2D(x, w, p)
+				k.Conv2D(x, w, p)
 			}
 		})
 	}
@@ -353,8 +350,8 @@ func BenchmarkConv2D(b *testing.B) {
 // column matrix and its gradient, the GEBP engine allocates the two
 // results and nothing else (CI holds blocked to ≤ ¼ of naive's bytes).
 func BenchmarkConv2DBackward(b *testing.B) {
-	for _, kname := range benchKernels() {
-		underKernel(b, kname, func(b *testing.B) {
+	for _, k := range benchKernels(b) {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			x := tensor.Randn(rng, 0, 1, 8, 16, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 32, 16, 3, 3)
@@ -363,7 +360,7 @@ func BenchmarkConv2DBackward(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tensor.Conv2DBackward(x, w, g, p, true, true)
+				k.Conv2DBackward(x, w, g, p, true, true)
 			}
 		})
 	}

@@ -114,28 +114,34 @@ func usage() {
 // cmdVersion prints the header every bug report and trace artifact
 // needs: the roster fingerprint behind each envelope's suite_sha, the
 // toolchain, the registered compute kernels, and the tuned kernel's
-// resolved tuning config. -tune-from loads a persisted config first,
-// so the banner shows exactly what a run with the same flag would use.
+// tuning config. -tune-from reads a persisted config, so the banner
+// shows exactly what a run with the same flag would use.
 func cmdVersion(s *aibench.Suite, args []string) {
 	fs := flag.NewFlagSet("version", flag.ExitOnError)
 	tuneFrom := tuneFromFlag(fs)
 	fs.Parse(args)
+	// A config with no entries covers no shape class, so every class
+	// keeps its builtin default.
+	label, cfg := "builtin defaults", &aibench.TuneConfig{Kernel: "tuned"}
 	if *tuneFrom != "" {
-		if _, err := aibench.LoadTuning(*tuneFrom); err != nil {
+		var err error
+		if cfg, err = aibench.LoadTuning(*tuneFrom); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		label = "from " + *tuneFrom
+	}
+	tuning, err := cfg.Tuning()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Printf("aibench suite %s\n", s.SHA())
 	fmt.Printf("go: %s  gomaxprocs: %d  os/arch: %s/%s\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.GOOS, runtime.GOARCH)
-	fmt.Printf("kernels: %s (active: %s; blocked = tuned@builtin)\n",
-		strings.Join(aibench.KernelNames(), ", "), aibench.ActiveKernel())
-	label := "from " + aibench.TuningSource()
-	if aibench.TuningSource() == "builtin" {
-		label = "builtin defaults"
-	}
-	fmt.Printf("tuning: %s: %s\n", label, aibench.TuningSummary())
+	fmt.Printf("kernels: %s (default: %s; blocked = tuned@builtin)\n",
+		strings.Join(aibench.KernelNames(), ", "), aibench.DefaultKernel())
+	fmt.Printf("tuning: %s: %s\n", label, tuning.Summary())
 }
 
 // kernelFlag registers the -kernel flag shared by the training
@@ -148,20 +154,10 @@ func kernelFlag(fs *flag.FlagSet) *string {
 }
 
 // tuneFromFlag registers the -tune-from flag shared by the training
-// commands and `version`; the value goes into Plan.TuneFrom (the run
-// commands default -kernel to tuned when it is set).
+// commands and `version`; the value goes into Plan.TuneFrom, which
+// implies the tuned kernel when -kernel is not given.
 func tuneFromFlag(fs *flag.FlagSet) *string {
 	return fs.String("tune-from", "", "load the tuned kernel's config from this tuneconfig JSONL stream (implies -kernel tuned)")
-}
-
-// applyTuneFrom defaults the kernel to tuned when -tune-from is given
-// without -kernel: tuning parameterizes only the tuned kernel, so the
-// flag alone is an unambiguous ask. An explicit -kernel still wins —
-// NewRunner rejects the combination with a real error message.
-func applyTuneFrom(tuneFrom, kernel *string) {
-	if *tuneFrom != "" && *kernel == "" {
-		*kernel = "tuned"
-	}
 }
 
 // backendFlag registers the -backend flag shared by the sharded
@@ -360,7 +356,6 @@ func cmdRun(s *aibench.Suite, args []string) {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (try `aibench list`)\n", id)
 		os.Exit(1)
 	}
-	applyTuneFrom(tuneFrom, kernel)
 	kind := aibench.EntireSession
 	if *quasi {
 		kind = aibench.QuasiEntireSession
@@ -410,7 +405,6 @@ func cmdRunAll(s *aibench.Suite, args []string) {
 	opts := runOptsFlags(fs)
 	verbose := fs.Bool("v", false, "stream per-epoch progress from every session")
 	fs.Parse(args)
-	applyTuneFrom(tuneFrom, kernel)
 	kind := aibench.EntireSession
 	if *quasi {
 		kind = aibench.QuasiEntireSession
@@ -451,7 +445,7 @@ func cmdRunAll(s *aibench.Suite, args []string) {
 		}
 	}
 	fmt.Printf("\n%d/%d sessions reached their target in %s (workers=%d kernel=%s)\n",
-		reached, ran, elapsed.Round(time.Millisecond), width, aibench.ActiveKernel())
+		reached, ran, elapsed.Round(time.Millisecond), width, res.Meta.Kernel)
 	printTrace(res)
 	exitOnRunError(runErr)
 	if *out != "" {
@@ -481,7 +475,6 @@ func cmdScaling(s *aibench.Suite, args []string) {
 	out := outFlag(fs)
 	opts := runOptsFlags(fs)
 	id := parseWithID(fs, args)
-	applyTuneFrom(tuneFrom, kernel)
 	var shards []int
 	for _, tok := range strings.Split(*shardsCSV, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(tok))

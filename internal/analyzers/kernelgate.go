@@ -26,7 +26,7 @@ import (
 //
 // The fix is tensor.MatMul / MatMulT / TMatMul / MatVec / Outer /
 // Conv2D (or the element-wise helpers), which dispatch through the
-// active kernel and inherit its determinism guarantees.
+// run's kernel and inherit its determinism guarantees.
 var Kernelgate = &Analyzer{
 	Name:  "kernelgate",
 	Doc:   "GEMM-shaped and element-wise tensor loops outside internal/tensor must route through tensor.Kernels",

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"aibench/internal/gpusim"
-	"aibench/internal/tensor"
 )
 
 // Plan canonicalization: the exact-result-cache seam. Two Plans that
@@ -60,7 +59,7 @@ func (p Plan) Canonical() ([]byte, error) {
 		Seed:      p.Seed,
 		Epochs:    p.Epochs,
 		Shards:    p.Shards,
-		Kernel:    p.Kernel,
+		Kernel:    p.kernelName(), // resolved the way NewRunner and Runner.Meta resolve it
 		TuneFrom:  p.TuneFrom,
 		Backend:   p.Backend,
 		Workers:   p.Workers,
@@ -98,12 +97,6 @@ func (p Plan) Canonical() ([]byte, error) {
 		if cp.Device == "" {
 			cp.Device = gpusim.TitanXP().Name // NewRunner's default device, made explicit
 		}
-	}
-	if cp.Kernel == "" {
-		// The run would dispatch to the active kernel (Runner.Meta
-		// resolves it the same way); name it so the key doesn't depend
-		// on submission-time global state staying implicit.
-		cp.Kernel = tensor.ActiveKernels().Name()
 	}
 	if cp.Workers < 0 {
 		cp.Workers = 0 // every non-positive width means "GOMAXPROCS"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"aibench/internal/dist"
 	"aibench/internal/gpusim"
@@ -76,18 +75,20 @@ type Plan struct {
 	// ShardSweep lists the shard counts a scaling run measures
 	// (RunScaling; empty = 1,2,4).
 	ShardSweep []int
-	// Kernel selects the compute kernel for the run; empty keeps the
-	// active one. Validated at build time; applied once at Run start,
-	// and only when it differs from the active kernel.
+	// Kernel names the compute kernel the run's tensors dispatch to;
+	// empty means "tuned" when TuneFrom is set and the process default
+	// ($AIBENCH_KERNEL or blocked) otherwise. NewRunner resolves it to
+	// one tensor.Kernels value that travels with the run — no run
+	// changes what another dispatches to.
 	Kernel string
 	// TuneFrom, when set, loads a persisted `tuneconfig` envelope
-	// stream (written by `aibench tune`) and applies this machine's
-	// config to the tuned kernel at Run start. Only meaningful when the
-	// effective kernel is "tuned"; anything else is a build-time error.
-	// Loading and selection are validated eagerly by NewRunner, so a
-	// missing file or missing-architecture config fails before any work
-	// runs. Tuning is a pure scheduling/perf knob: results are bitwise
-	// identical under every config.
+	// stream (written by `aibench tune`) and runs the tuned kernel
+	// under this machine's config from it. It implies Kernel "tuned";
+	// any other explicit kernel is a build-time error. Loading and
+	// selection are validated eagerly by NewRunner, so a missing file or
+	// missing-architecture config fails before any work runs. Tuning is
+	// a pure scheduling/perf knob: results are bitwise identical under
+	// every config.
 	TuneFrom string
 	// Backend names the dist execution backend sharded training runs
 	// on ("local", "process", ...; empty = local), selected from the
@@ -109,8 +110,8 @@ type Plan struct {
 	// engines emit a span tree plus deterministic counters (see
 	// internal/telemetry's two-plane contract), attached to the
 	// RunResult and delivered through the sink as trailing "trace" and
-	// "runmetrics" records. Collection is process-global (like kernel
-	// selection): at most one telemetry run per process at a time.
+	// "runmetrics" records. Collection is process-global: at most one
+	// telemetry run per process at a time.
 	Telemetry bool
 }
 
@@ -271,15 +272,29 @@ type Runner struct {
 	plan Plan
 	reg  *Registry
 	bs   []*Benchmark
-	// tuneCfg is the machine's config selected from Plan.TuneFrom at
-	// build time; nil when the plan loads no tuning.
-	tuneCfg *tune.Config
+	// kernels is what (Plan.Kernel, Plan.TuneFrom) resolved to at build
+	// time: the value Run hands every instance it builds.
+	kernels tensor.Kernels
+}
+
+// kernelName is the registered name the plan's kernel goes by: the
+// explicit one, "tuned" when only TuneFrom is set (a tuning
+// parameterizes nothing else, so the file alone is an unambiguous
+// ask), else the process default's.
+func (p Plan) kernelName() string {
+	switch {
+	case p.Kernel != "":
+		return p.Kernel
+	case p.TuneFrom != "":
+		return "tuned"
+	}
+	return tensor.ProcessKernels().Name()
 }
 
 // NewRunner validates the plan against the registry and returns the
 // runner, or an error naming exactly what is wrong — unknown benchmark
 // ids, an unknown kernel, an out-of-range kind, or a malformed shard
-// sweep. Nothing global is touched until Run.
+// sweep. Nothing global is touched, here or in Run.
 func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("core: NewRunner: nil registry")
@@ -308,38 +323,24 @@ func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 			bs = append(bs, b)
 		}
 	}
-	if p.Kernel != "" {
-		known := false
-		for _, n := range tensor.KernelNames() {
-			known = known || n == p.Kernel
-		}
-		if !known {
-			return nil, fmt.Errorf("core: Plan.Kernel: unknown compute kernel %q (have %v)", p.Kernel, tensor.KernelNames())
-		}
-	}
 	if p.Backend != "" && !dist.Known(p.Backend) {
 		return nil, fmt.Errorf("core: Plan.Backend: unknown dist backend %q (have %v)", p.Backend, dist.Names())
 	}
-	var tuneCfg *tune.Config
+	var tuning *tensor.Tuning
 	if p.TuneFrom != "" {
-		kernel := p.Kernel
-		if kernel == "" {
-			kernel = tensor.ActiveKernels().Name()
-		}
-		if kernel != "tuned" {
-			return nil, fmt.Errorf("core: Plan.TuneFrom: tuning parameterizes the %q kernel, but the plan runs %q", "tuned", kernel)
-		}
-		cfgs, err := tune.LoadFile(p.TuneFrom)
+		cfg, err := tune.Load(p.TuneFrom)
 		if err != nil {
 			return nil, fmt.Errorf("core: Plan.TuneFrom: %v", err)
 		}
-		tuneCfg, err = tune.Select(cfgs, runtime.GOARCH, runtime.GOMAXPROCS(0))
+		t, err := cfg.Tuning()
 		if err != nil {
 			return nil, fmt.Errorf("core: Plan.TuneFrom %s: %v", p.TuneFrom, err)
 		}
-		if _, err := tuneCfg.Tuning(); err != nil {
-			return nil, fmt.Errorf("core: Plan.TuneFrom %s: %v", p.TuneFrom, err)
-		}
+		tuning = &t
+	}
+	kernels, err := tensor.ResolveKernels(p.kernelName(), tuning)
+	if err != nil {
+		return nil, fmt.Errorf("core: Plan.Kernel: %v", err)
 	}
 	if p.Shards < 0 {
 		return nil, fmt.Errorf("core: Plan.Shards: %d < 0", p.Shards)
@@ -360,7 +361,7 @@ func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 	if p.Device.Name == "" {
 		p.Device = gpusim.TitanXP()
 	}
-	return &Runner{plan: p, reg: reg, bs: bs, tuneCfg: tuneCfg}, nil
+	return &Runner{plan: p, reg: reg, bs: bs, kernels: kernels}, nil
 }
 
 // Plan returns the validated plan (defaults filled in).
@@ -372,27 +373,22 @@ func (r *Runner) Benchmarks() []*Benchmark {
 }
 
 // Meta describes the run for result envelopes. The kernel is the one
-// the run will dispatch to (the plan's, or the active one when the plan
-// leaves it unset); Started is left to the caller that opens a stream.
+// the run dispatches to; Started is left to the caller that opens a
+// stream.
 func (r *Runner) Meta() RunMeta {
-	kernel := r.plan.Kernel
-	if kernel == "" {
-		kernel = tensor.ActiveKernels().Name()
-	}
 	m := RunMeta{
 		SuiteSHA: r.reg.SHA(),
 		Seed:     r.plan.Seed,
-		Kernel:   kernel,
+		Kernel:   r.kernels.Name(),
 		Shards:   r.plan.Shards,
 		Backend:  r.plan.Backend,
 	}
 	// Tuned runs record their config provenance; other kernels leave
 	// the field empty so pre-tuning envelopes stay byte-stable.
-	if kernel == "tuned" {
-		if r.plan.TuneFrom != "" {
-			m.Tuning = r.plan.TuneFrom
-		} else {
-			m.Tuning = tensor.TuningSource()
+	if m.Kernel == "tuned" {
+		m.Tuning = r.plan.TuneFrom
+		if m.Tuning == "" {
+			m.Tuning = tensor.TuningBuiltin
 		}
 	}
 	return m
@@ -404,21 +400,15 @@ func (r *Runner) Meta() RunMeta {
 // and is returned. Cancelling ctx stops cleanly — no new work launches,
 // running sessions stop at their next epoch boundary — and is not an
 // error: the partial RunResult is returned with zero-valued slots for
-// work that never ran. A nil sink just collects.
+// work that never ran. A nil sink just collects. The run's kernels ride
+// on the context to every place an instance is built (the serial
+// session path, the dist backends), so concurrent Runs under different
+// kernels never see each other.
 func (r *Runner) Run(ctx context.Context, sink func(Record) error) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if k := r.plan.Kernel; k != "" && k != tensor.ActiveKernels().Name() {
-		if err := tensor.UseKernels(k); err != nil {
-			return nil, err
-		}
-	}
-	if r.tuneCfg != nil {
-		if err := tune.Apply(r.tuneCfg, r.plan.TuneFrom); err != nil {
-			return nil, err
-		}
-	}
+	ctx = tensor.WithKernels(ctx, r.kernels)
 	res := &RunResult{Kind: r.plan.Kind, Meta: r.Meta()}
 	if !r.plan.Telemetry {
 		err := r.runKind(ctx, sink, nil, res)

@@ -25,7 +25,7 @@ func TestNewRunnerValidation(t *testing.T) {
 		want string
 	}{
 		{"unknown benchmark", Plan{Benchmarks: []string{"DC-AI-C99"}}, "unknown benchmark"},
-		{"unknown kernel", Plan{Kernel: "vectorized-fantasy"}, "unknown compute kernel"},
+		{"unknown kernel", Plan{Kernel: "vectorized-fantasy"}, "unknown kernel"},
 		{"unknown backend", Plan{Backend: "quantum-fantasy"}, "unknown dist backend"},
 		{"bad kind", Plan{Kind: RunKind(42)}, "not a run kind"},
 		{"bad session kind", Plan{Kind: RunSession, Session: SessionKind(7)}, "not a session kind"},
@@ -171,8 +171,6 @@ func TestRunnerSinkErrorStopsRun(t *testing.T) {
 // plan is the one sessions dispatch to and record.
 func TestRunnerAppliesPlanKernel(t *testing.T) {
 	reg := NewRegistry()
-	prev := tensor.ActiveKernels().Name()
-	defer tensor.UseKernels(prev)
 	runner, err := NewRunner(reg, Plan{
 		Kind: RunSession, Benchmarks: []string{"DC-AI-C15"},
 		Session: QuasiEntireSession, Epochs: 1, Seed: 7, Kernel: "naive",
@@ -206,17 +204,12 @@ func tuneStream(t *testing.T) string {
 }
 
 // TestRunnerTuneFrom pins the tune → run round trip: a persisted
-// config loads at build time, applies at Run start, lands in RunMeta as
-// provenance, and the session's numbers are bitwise identical to a
-// naive run — the whole point of tuning being a pure perf knob.
+// config loads at build time into the kernel the run carries, lands in
+// RunMeta as provenance, implies the tuned kernel when the plan names
+// none, and the session's numbers are bitwise identical to a naive run
+// — the whole point of tuning being a pure perf knob.
 func TestRunnerTuneFrom(t *testing.T) {
 	reg := NewRegistry()
-	prevKernel := tensor.ActiveKernels().Name()
-	prevTuning, prevSrc := tensor.ActiveTuning(), tensor.TuningSource()
-	defer func() {
-		tensor.UseKernels(prevKernel)
-		tensor.SetTuning(prevTuning, prevSrc)
-	}()
 	path := tuneStream(t)
 
 	// Build-time validation: a non-tuned kernel rejects TuneFrom, a
@@ -235,24 +228,42 @@ func TestRunnerTuneFrom(t *testing.T) {
 		t.Fatal("TuneFrom selected a foreign-architecture config")
 	}
 
-	runner, err := NewRunner(reg, Plan{
+	plan := Plan{
 		Kind: RunSession, Benchmarks: []string{"DC-AI-C15"},
 		Session: QuasiEntireSession, Epochs: 2, Seed: 7,
 		Kernel: "tuned", TuneFrom: path,
-	})
+	}
+	runner, err := NewRunner(reg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := runner.Meta().Tuning; got != path {
 		t.Fatalf("RunMeta.Tuning = %q, want the stream path %q", got, path)
 	}
+	if got := runner.kernels.ParallelThreshold(); got != 65536 {
+		t.Fatalf("the runner's kernel forks at %d, want the config's 65536", got)
+	}
 	res, err := runner.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.ActiveTuning().Threshold != 65536 || tensor.TuningSource() != path {
-		t.Fatalf("Run did not apply the config: threshold=%d source=%q",
-			tensor.ActiveTuning().Threshold, tensor.TuningSource())
+	if registered, _ := tensor.LookupKernels("tuned"); registered.ParallelThreshold() != tensor.DefaultTuning().Threshold {
+		t.Fatalf("the run moved the registered tuned kernel to threshold %d", registered.ParallelThreshold())
+	}
+
+	// TuneFrom alone is the same plan: same runner, same cache key.
+	implied := plan
+	implied.Kernel = ""
+	irunner, err := NewRunner(reg, implied)
+	if err != nil {
+		t.Fatalf("TuneFrom without a kernel: %v", err)
+	}
+	if irunner.Meta() != runner.Meta() {
+		t.Fatalf("TuneFrom alone resolved to %+v, want %+v", irunner.Meta(), runner.Meta())
+	}
+	wantKey, _ := plan.Canonical()
+	if gotKey, _ := implied.Canonical(); !bytes.Equal(gotKey, wantKey) {
+		t.Fatalf("TuneFrom alone canonicalizes to %s, want %s", gotKey, wantKey)
 	}
 
 	naive, err := NewRunner(reg, Plan{
@@ -278,20 +289,6 @@ func TestRunnerTuneFrom(t *testing.T) {
 			t.Fatalf("epoch %d loss differs under tuning: %v vs %v", e+1, got.Losses[e], ref.Losses[e])
 		}
 	}
-}
-
-// TestRunScaledSessionStillPanicsOnUnknownKernel pins the legacy
-// facade's documented contract while Plan takes over validation.
-func TestRunScaledSessionStillPanicsOnUnknownKernel(t *testing.T) {
-	reg := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunScaledSession accepted an unknown kernel without panicking")
-		}
-	}()
-	reg.ByID("DC-AI-C15").RunScaledSession(SessionConfig{
-		Kind: QuasiEntireSession, MaxEpochs: 1, Kernel: "bogus",
-	})
 }
 
 // TestRunnerScalingAndCharacterize exercises the two analytic run kinds

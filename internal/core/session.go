@@ -36,22 +36,12 @@ type SessionConfig struct {
 	// identical for every N, so the count is a pure scheduling knob).
 	// Benchmarks without a shardable train step fall back to serial.
 	Shards int
-	// Kernel optionally selects the compute kernel ("naive", "blocked",
-	// ...) for this and subsequent sessions; empty keeps whatever is
-	// active (the AIBENCH_KERNEL env var or the blocked default).
-	// Selection is process-global — concurrent sessions always share
-	// one kernel — and is skipped entirely when the requested kernel
-	// is already active, so suite runs don't hammer the global
-	// dispatch state once per session. An unknown name makes
-	// RunScaledSession panic (the legacy contract); Plan validates the
-	// name up front and returns an error instead.
-	Kernel string
 	// Backend names the dist execution backend for sharded sessions
 	// ("local", "process", ...); empty selects local. Only consulted
 	// when Shards >= 1 routes through internal/dist — backends are
 	// bitwise-equivalent by contract, differing only in where replica
 	// compute runs and how big the failure domain is. An unknown name
-	// errors like an unknown kernel (Plan validates it up front).
+	// is an error (Plan validates it up front).
 	Backend string
 	Log     io.Writer // optional progress stream
 	// trace, when set by the Plan Runner, is the session's benchmark
@@ -118,11 +108,10 @@ func (s serialTrainer) Quality() (float64, error)    { return s.w.Quality(), nil
 // fixed epoch budget (Section 3.4's distinction). With cfg.Shards >= 1
 // the session trains data-parallel through internal/dist — each step's
 // batch splits across shard workers and gradients combine with a
-// deterministic all-reduce — when the benchmark supports it.
-//
-// An unknown cfg.Kernel panics. New code should run sessions through a
-// Plan instead, which validates the kernel at build time and threads a
-// context into the epoch loop.
+// deterministic all-reduce — when the benchmark supports it. The
+// session computes on the process default kernel; new code should run
+// sessions through a Plan instead, which selects a kernel and threads a
+// context into the epoch loop. An unknown cfg.Backend panics.
 func (b *Benchmark) RunScaledSession(cfg SessionConfig) SessionResult {
 	res, err := b.runSession(context.Background(), cfg)
 	if err != nil {
@@ -132,9 +121,9 @@ func (b *Benchmark) RunScaledSession(cfg SessionConfig) SessionResult {
 }
 
 // runSession is the context-aware session engine behind both
-// RunScaledSession and the Plan Runner: it validates the kernel with an
-// error instead of a panic, skips the process-global kernel switch when
-// the requested kernel is already active, and checks ctx at every epoch
+// RunScaledSession and the Plan Runner: it places the instance it
+// builds under the kernels ctx carries (tensor.KernelsFrom — the dist
+// backends do the same for their replicas) and checks ctx at every epoch
 // boundary so a cancelled run stops training instead of spending the
 // remaining epoch budget (the completed prefix is still returned, with
 // Interrupted set).
@@ -142,11 +131,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 150
 	}
-	if cfg.Kernel != "" && cfg.Kernel != tensor.ActiveKernels().Name() {
-		if err := tensor.UseKernels(cfg.Kernel); err != nil {
-			return SessionResult{}, err
-		}
-	}
+	kernels := tensor.KernelsFrom(ctx)
 	backendName := cfg.Backend
 	if backendName == "" {
 		backendName = "local"
@@ -182,6 +167,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	}
 	if trainer == nil { // serial path (Shards == 0, not shardable, or rejected)
 		wl := b.Factory(cfg.Seed)
+		wl.Arena().SetKernels(kernels)
 		trainer = serialTrainer{w: wl}
 		name, target = wl.Name(), wl.ScaledTarget()
 		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
@@ -199,7 +185,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	}
 	res := SessionResult{
 		ID: b.ID, Name: name, Kind: cfg.Kind, Shards: shards,
-		FallbackReason: fallback, Kernel: tensor.ActiveKernels().Name(),
+		FallbackReason: fallback, Kernel: kernels.Name(),
 		Target: target,
 	}
 	for ep := 1; ep <= cfg.MaxEpochs; ep++ {

@@ -90,24 +90,30 @@ func TestShardedLossesBitwiseIdentical(t *testing.T) {
 // in the same ascending-k order — the losses must match bitwise across
 // kernels too.
 func TestShardDeterminismAcrossKernels(t *testing.T) {
-	prev := tensor.ActiveKernels().Name()
-	defer func() {
-		if err := tensor.UseKernels(prev); err != nil {
+	runSession := func(t *testing.T, id, kernel string, shards int) core.SessionResult {
+		t.Helper()
+		runner, err := core.NewRunner(core.NewRegistry(), core.Plan{
+			Kind: core.RunSession, Benchmarks: []string{id}, Session: core.QuasiEntireSession,
+			Seed: 42, Epochs: 2, Shards: shards, Kernel: kernel,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
+		res, err := runner.Run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Sessions[0]
+	}
 	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C6", "DC-AI-C17"} {
 		var acrossKernels []core.SessionResult
 		for _, kname := range tensor.KernelNames() {
-			if err := tensor.UseKernels(kname); err != nil {
-				t.Fatal(err)
-			}
-			base := runSession(t, id, 1, 2, core.QuasiEntireSession)
+			base := runSession(t, id, kname, 1)
 			if base.Kernel != kname {
 				t.Fatalf("%s: SessionResult.Kernel = %q, want %q", id, base.Kernel, kname)
 			}
 			for _, n := range []int{2, 4, 7} {
-				got := runSession(t, id, n, 2, core.QuasiEntireSession)
+				got := runSession(t, id, kname, n)
 				sameResult(t, id+"/"+kname, n, got, base)
 			}
 			acrossKernels = append(acrossKernels, base)

@@ -3,11 +3,13 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
 	"aibench/internal/models"
+	"aibench/internal/tensor"
 )
 
 // The wire protocol between the process backend and its worker
@@ -21,12 +23,13 @@ import (
 // Payload fields are fixed-width little-endian integers, float64s as
 // their IEEE-754 bit patterns (math.Float64bits — the round trip is
 // bitwise, which is what makes cross-backend determinism provable),
-// strings and vectors length-prefixed with a u32. The protocol is
+// strings and vectors length-prefixed with a u32; the two control-plane
+// bodies (the hello, the close reply's counters) are JSON. The protocol is
 // strictly request/reply per rank and the parent is the only
 // initiator, so no frame ever needs reordering or an id.
 const (
 	// parent → child
-	frameHello      byte = iota + 1 // benchID, seed, rank, workers, counters
+	frameHello      byte = iota + 1 // hello
 	frameBeginEpoch                 // (empty)
 	frameCompute                    // phase
 	frameApply                      // phase, grad, buf
@@ -202,7 +205,35 @@ func (f *frameReader) f64s(dst []float64) []float64 {
 	return dst
 }
 
-// Spec and phase-output frame bodies, shared by both ends.
+// Hello, spec and phase-output frame bodies, shared by both ends.
+
+// hello is the first frame a child receives: which replica to build
+// and what the run computes on. The kernel travels as the two things
+// the parent's plan resolved it from — its registered name, plus the
+// tuning when the run's "tuned" kernel was built from one — so the
+// child rebuilds it with the same tensor.ResolveKernels call. It is
+// control plane, sent once, and travels as JSON like the close reply's
+// counters; whether the kernel exists and the tuning can drive the
+// engine is for ResolveKernels to say, not the decoder.
+type hello struct {
+	BenchID  string         `json:"bench_id"`
+	Kernel   string         `json:"kernel"`
+	Tuning   *tensor.Tuning `json:"tuning,omitempty"` // nil: the registered kernel of that name
+	Seed     int64          `json:"seed"`
+	Rank     int            `json:"rank"`
+	Workers  int            `json:"workers"`
+	Counters bool           `json:"counters"`
+}
+
+func encodeHello(h hello) []byte {
+	b, _ := json.Marshal(h) // strings, ints and bools cannot fail
+	return b
+}
+
+func decodeHello(payload []byte) (h hello, err error) {
+	err = json.Unmarshal(payload, &h)
+	return h, err
+}
 
 func encodeSpec(s GroupSpec) []byte {
 	b := appendStr(nil, s.Name)

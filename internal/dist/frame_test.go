@@ -33,8 +33,7 @@ func FuzzReadFrame(f *testing.F) {
 		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 8,
 	}
 	out := PhaseOut{Total: 4, Grains: []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}, Buf: []float64{0.5}}}}
-	hello := appendStr(appendStr(nil, "DC-AI-C16"), "blocked")
-	hello = appendBool(appendU32(appendU32(appendU64(hello, 42), 1), 2), true)
+	hello := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true})
 	for _, fr := range []struct {
 		typ     byte
 		payload []byte

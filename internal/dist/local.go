@@ -5,6 +5,7 @@ import (
 
 	"aibench/internal/models"
 	"aibench/internal/parallel"
+	"aibench/internal/tensor"
 )
 
 // Local runs every replica rank inside this process on the shared
@@ -32,8 +33,9 @@ func (l *Local) Workers() int { return l.workers }
 // Open constructs the replica ranks serially — replica construction
 // order is part of the deterministic contract (each factory call may
 // advance shared state such as the dataset cache) — and validates the
-// shapes agree. The context is unused: nothing outlives the group.
-func (l *Local) Open(_ context.Context, _ string, factory models.Factory, seed int64) (Group, error) {
+// shapes agree. The context only supplies the run's kernels: nothing
+// outlives the group.
+func (l *Local) Open(ctx context.Context, _ string, factory models.Factory, seed int64) (Group, error) {
 	g := &localGroup{
 		replicas: make([]*replica, l.workers),
 		outs:     make([]PhaseOut, l.workers),
@@ -41,7 +43,7 @@ func (l *Local) Open(_ context.Context, _ string, factory models.Factory, seed i
 	}
 	specs := make([]GroupSpec, l.workers)
 	for r := 0; r < l.workers; r++ {
-		rep, err := newReplica(factory, seed, r, l.workers)
+		rep, err := newReplica(factory, seed, r, l.workers, tensor.KernelsFrom(ctx))
 		if err != nil {
 			return nil, err
 		}

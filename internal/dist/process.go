@@ -44,9 +44,10 @@ func (p *Process) Workers() int { return p.workers }
 // Open spawns one worker child per rank (this binary re-executed with
 // WorkerEnv set), sends each its hello, and validates the specs the
 // children constructed. The context bounds the children's lifetime:
-// cancellation kills them. The factory is unused — children rebuild the
-// workload from benchID on their side of the pipe, which is exactly
-// what makes the isolation real.
+// cancellation kills them, and it carries the run's kernels, which the
+// hello hands on. The factory is unused — children rebuild the workload
+// from benchID on their side of the pipe, which is exactly what makes
+// the isolation real.
 func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, seed int64) (Group, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -58,16 +59,10 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 		quals:    make([]float64, p.workers),
 		counters: telemetry.Enabled(),
 	}
-	// The hello carries the parent's active kernel: kernel selection is
-	// process-global, so each child must mirror it or its floats could
-	// come from a different dispatch path than the local backend's.
-	hello := func(rank int) []byte {
-		b := appendStr(nil, benchID)
-		b = appendStr(b, tensor.ActiveKernels().Name())
-		b = appendU64(b, uint64(seed))
-		b = appendU32(b, uint32(rank))
-		b = appendU32(b, uint32(p.workers))
-		return appendBool(b, g.counters)
+	k := tensor.KernelsFrom(ctx)
+	h := hello{BenchID: benchID, Kernel: k.Name(), Seed: seed, Workers: p.workers, Counters: g.counters}
+	if t, ok := tensor.TuningOf(k); ok {
+		h.Tuning = &t
 	}
 	for rank := 0; rank < p.workers; rank++ {
 		cmd := exec.CommandContext(ctx, exe, "worker")
@@ -93,7 +88,8 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 	}
 	specs := make([]GroupSpec, p.workers)
 	for rank, wp := range g.procs {
-		if err := writeFrame(wp.bw, frameHello, hello(rank)); err != nil {
+		h.Rank = rank
+		if err := writeFrame(wp.bw, frameHello, encodeHello(h)); err != nil {
 			g.kill()
 			return nil, fmt.Errorf("dist: process backend: replica %d: sending hello: %v", rank, err)
 		}

@@ -13,11 +13,18 @@ import (
 	"aibench/internal/tensor"
 )
 
-// trainVia runs epochs through a dist.Engine on the given backend and
-// returns the per-epoch losses plus the final quality.
+// trainVia runs epochs through a dist.Engine on the given backend,
+// under the process default kernel, and returns the per-epoch losses
+// plus the final quality.
 func trainVia(t *testing.T, id string, backend dist.Backend, epochs int) ([]float64, float64) {
 	t.Helper()
-	eng, err := dist.New(context.Background(), id, findFactory(t, id), 42, backend)
+	return trainViaCtx(context.Background(), t, id, backend, epochs)
+}
+
+// trainViaCtx is trainVia under whatever kernels ctx carries.
+func trainViaCtx(ctx context.Context, t *testing.T, id string, backend dist.Backend, epochs int) ([]float64, float64) {
+	t.Helper()
+	eng, err := dist.New(ctx, id, findFactory(t, id), 42, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +79,14 @@ func TestProcessEngineMatchesLocalBitwise(t *testing.T) {
 
 // TestProcessBackendAcrossKernels re-checks local/process bit-identity
 // under every registered compute kernel: the hello frame carries the
-// parent's kernel selection, so the children must dispatch their floats
-// through the same kernel path the parent would have.
+// run's kernel, so the children must dispatch their floats through the
+// same kernel path the local replicas do.
 func TestProcessBackendAcrossKernels(t *testing.T) {
-	prev := tensor.ActiveKernels().Name()
-	defer func() {
-		if err := tensor.UseKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	for _, kname := range tensor.KernelNames() {
-		if err := tensor.UseKernels(kname); err != nil {
-			t.Fatal(err)
-		}
-		ll, lq := trainVia(t, "DC-AI-C1", dist.NewLocal(2), 2)
-		pl, pq := trainVia(t, "DC-AI-C1", dist.NewProcess(2), 2)
+		k, _ := tensor.LookupKernels(kname)
+		ctx := tensor.WithKernels(context.Background(), k)
+		ll, lq := trainViaCtx(ctx, t, "DC-AI-C1", dist.NewLocal(2), 2)
+		pl, pq := trainViaCtx(ctx, t, "DC-AI-C1", dist.NewProcess(2), 2)
 		sameFloats(t, "DC-AI-C1/"+kname, pl, ll)
 		if math.Float64bits(pq) != math.Float64bits(lq) {
 			t.Fatalf("kernel %s: process quality %v differs bitwise from local %v", kname, pq, lq)

@@ -31,11 +31,13 @@ type replica struct {
 }
 
 // newReplica constructs rank's workload from the factory at the shared
-// seed and validates its shape. Every rank runs exactly this — replica
-// construction is part of the deterministic contract, so the validation
-// errors are worded identically wherever they surface.
-func newReplica(factory models.Factory, seed int64, rank, workers int) (*replica, error) {
+// seed, places it under the run's kernels k, and validates its shape.
+// Every rank runs exactly this — replica construction is part of the
+// deterministic contract, so the validation errors are worded
+// identically wherever they surface.
+func newReplica(factory models.Factory, seed int64, rank, workers int, k tensor.Kernels) (*replica, error) {
 	wl := factory(seed)
+	wl.Arena().SetKernels(k)
 	st := models.AsPhased(wl)
 	if st == nil {
 		return nil, ErrNotShardable

@@ -25,9 +25,10 @@ const WorkerEnv = "AIBENCH_DIST_WORKER"
 // (the parent died — exit quietly, the parent is not listening).
 //
 // Failures are containment boundaries, not crashes: a bad benchmark
-// id, a construction error, or a panic inside the model's own code is
-// reported to the parent as an error frame and the worker exits, so
-// the parent can fail that one benchmark and keep the suite running.
+// id, kernel or tuning, a construction error, or a panic inside the
+// model's own code is reported to the parent as an error frame and the
+// worker exits, so the parent can fail that one benchmark and keep the
+// suite running.
 func WorkerMain(r io.Reader, w io.Writer) (err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -63,46 +64,13 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 	if typ != frameHello {
 		return fail(fmt.Sprintf("expected hello frame, got type %d", typ))
 	}
-	fr := &frameReader{b: payload}
-	benchID := fr.str()
-	kernel := fr.str()
-	seed := int64(fr.u64())
-	rank := int(fr.u32())
-	workers := int(fr.u32())
-	counters := fr.bool()
-	if fr.err != nil {
-		return fail(fmt.Sprintf("bad hello frame: %v", fr.err))
+	h, herr := decodeHello(payload)
+	if herr != nil {
+		return fail(fmt.Sprintf("bad hello frame: %v", herr))
 	}
-	// Mirror the parent's process-global kernel selection before any
-	// tensor op runs, so both backends dispatch every float through the
-	// same kernel path.
-	if kernel != tensor.ActiveKernels().Name() {
-		if kerr := tensor.UseKernels(kernel); kerr != nil {
-			return fail(kerr.Error())
-		}
-	}
-
-	// The counter gate opens before the replica is constructed so the
-	// capture covers construction kernels too — in local mode the
-	// parent's gate is already open when Open builds its replicas, and
-	// the two planes must merge to identical totals.
-	if counters {
-		telemetry.BeginWorkerCapture()
-	}
-
-	var factory models.Factory
-	for _, e := range models.AllEntries() {
-		if e.ID == benchID {
-			factory = e.Factory
-			break
-		}
-	}
-	if factory == nil {
-		return fail(fmt.Sprintf("unknown benchmark id %q", benchID))
-	}
-	rep, nerr := newReplica(factory, seed, rank, workers)
-	if nerr != nil {
-		return fail(nerr.Error())
+	rep, oerr := h.open()
+	if oerr != nil {
+		return fail(oerr.Error())
 	}
 	if werr := writeFrame(bw, frameSpec, encodeSpec(rep.spec)); werr != nil {
 		return werr
@@ -151,7 +119,7 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			}
 		case frameClose:
 			var cs telemetry.CounterSet
-			if counters {
+			if h.Counters {
 				cs = telemetry.EndWorkerCapture()
 			}
 			body, jerr := json.Marshal(cs)
@@ -163,4 +131,28 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			return fail(fmt.Sprintf("unexpected frame type %d", typ))
 		}
 	}
+}
+
+// open builds the replica a hello asks for, placed under the kernel it
+// names — resolved by the rule the parent's NewRunner used, so a
+// `-tune-from` run's children compute under the same tuning its
+// envelopes name.
+func (h hello) open() (*replica, error) {
+	k, err := tensor.ResolveKernels(h.Kernel, h.Tuning)
+	if err != nil {
+		return nil, err
+	}
+	// The counter gate opens before the replica is constructed so the
+	// capture covers construction kernels too — in local mode the
+	// parent's gate is already open when Open builds its replicas, and
+	// the two planes must merge to identical totals.
+	if h.Counters {
+		telemetry.BeginWorkerCapture()
+	}
+	for _, e := range models.AllEntries() {
+		if e.ID == h.BenchID {
+			return newReplica(e.Factory, h.Seed, h.Rank, h.Workers, k)
+		}
+	}
+	return nil, fmt.Errorf("unknown benchmark id %q", h.BenchID)
 }

@@ -1,0 +1,189 @@
+package dist
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"aibench/internal/models"
+	"aibench/internal/tensor"
+	"aibench/internal/tensor/kerneltest"
+)
+
+// sweptTuning is a tuning no builtin kernel runs under, as a
+// `-tune-from` run would carry it.
+func sweptTuning() tensor.Tuning {
+	t := tensor.DefaultTuning()
+	t.Threshold = 12345
+	t.Conv = tensor.TileConfig{MR: 4, NR: 4, KUnroll: 1, BlockM: 32, BlockN: 32}
+	return t
+}
+
+// FuzzWorkerHello hardens the first thing a worker child does with
+// bytes from its pipe: decodeHello must turn any payload into a hello
+// or an error — never a panic — a hello that decodes must survive an
+// encode/decode round trip unchanged, and resolving the kernel it names
+// must reject what it cannot build instead of panicking on it.
+func FuzzWorkerHello(f *testing.F) {
+	swept := sweptTuning()
+	invalid := tensor.Tuning{Threshold: -1, Square: tensor.TileConfig{MR: 3, BlockM: -64}}
+	for _, h := range []hello{
+		{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true},
+		{BenchID: "DC-AI-C1", Kernel: "tuned", Tuning: &swept, Seed: -7, Workers: 1},
+		{BenchID: "DC-AI-C1", Kernel: "tuned", Tuning: &invalid},
+		{BenchID: "", Kernel: "cuda"},
+	} {
+		f.Add(encodeHello(h))
+	}
+	whole := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "tuned", Tuning: &swept})
+	f.Add(whole[:len(whole)-6]) // cut short
+	f.Add([]byte(`{"kernel":"tuned","tuning":null,"seed":1e99}`))
+	f.Add([]byte(`{"kernel":"tuned","tuning":{"parallel_threshold":-9223372036854775808,"square":{"mr":0}}}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h, err := decodeHello(payload)
+		if err != nil {
+			return // rejecting the input is fine; panicking is not
+		}
+		again, err := decodeHello(encodeHello(h))
+		if err != nil || !reflect.DeepEqual(again, h) {
+			t.Fatalf("hello %+v re-decodes as %+v, err %v", h, again, err)
+		}
+		if k, err := tensor.ResolveKernels(h.Kernel, h.Tuning); err == nil && h.Tuning != nil && k.ParallelThreshold() != h.Tuning.Threshold {
+			t.Fatalf("hello tuning %+v resolved to a kernel forking at %d", *h.Tuning, k.ParallelThreshold())
+		}
+	})
+}
+
+// TestWorkerReplicaRunsUnderTheSentTuning: the replica a hello opens is
+// placed under the kernel the hello describes — name and tuning — so a
+// `-backend process -tune-from F` run's children compute under F, the
+// tuning every envelope of the run names, not under the builtin one.
+func TestWorkerReplicaRunsUnderTheSentTuning(t *testing.T) {
+	swept := sweptTuning()
+	k, err := tensor.Tuned(swept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What Process.Open derives from the run's context…
+	h := hello{BenchID: "DC-AI-C16", Kernel: k.Name(), Seed: 42, Workers: 1}
+	if tuning, ok := tensor.TuningOf(k); ok {
+		h.Tuning = &tuning
+	}
+	// …crosses the pipe and is opened on the far side.
+	sent, err := decodeHello(encodeHello(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sent.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.params {
+		got := tensor.KernelsOf(p.Value.Data)
+		if tuning, _ := tensor.TuningOf(got); got.Name() != "tuned" || got.ParallelThreshold() != 12345 || tuning != swept {
+			t.Fatalf("parameter %s dispatches to %s forking at %d under %+v, want the sent tuning", p.Name, got.Name(), got.ParallelThreshold(), tuning)
+		}
+	}
+}
+
+// TestWorkerRejectsUnbuildableKernel: a hello naming a kernel the child
+// does not have, a tuning that fails Validate, or a tuning for a kernel
+// that takes none comes back as an error frame — the parent fails that
+// one benchmark with the reason — never a panic or a wait for more
+// input.
+func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
+	bad := tensor.DefaultTuning()
+	bad.Fat.BlockM = 7
+	good := tensor.DefaultTuning()
+	for _, c := range []struct {
+		name string
+		h    hello
+		want string
+	}{
+		{"unknown kernel", hello{BenchID: "DC-AI-C16", Kernel: "cuda", Workers: 1}, "unknown kernel"},
+		{"invalid tuning", hello{BenchID: "DC-AI-C16", Kernel: "tuned", Tuning: &bad, Workers: 1}, "BlockM"},
+		{"tuning for blocked", hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &good, Workers: 1}, "parameterizes"},
+	} {
+		var out bytes.Buffer
+		err := WorkerMain(bytes.NewReader(frameBytes(t, frameHello, encodeHello(c.h))), &out)
+		if err == nil {
+			t.Errorf("%s: WorkerMain served the hello", c.name)
+		}
+		typ, payload, rerr := readFrame(bufio.NewReader(&out))
+		if rerr != nil || typ != frameError {
+			t.Fatalf("%s: reply frame type %d, err %v; want an error frame", c.name, typ, rerr)
+		}
+		if msg := (&frameReader{b: payload}).str(); !strings.Contains(msg, c.want) || strings.Contains(msg, "panicked") {
+			t.Errorf("%s: error frame says %q, want mention of %q and no panic", c.name, msg, c.want)
+		}
+	}
+}
+
+// TestRunKernelSeesEveryShardedCall is models'
+// TestRunKernelSeesEveryCall through the replica loop, on both paths
+// that build a replica: the local backend's Open under the kernels the
+// run's context carries, and the worker child's hello. Every kernel
+// call of a sharded DC-AI-C16 epoch and its evaluation must dispatch
+// through the kernel the replicas were placed under.
+func TestRunKernelSeesEveryShardedCall(t *testing.T) {
+	naive, _ := tensor.LookupKernels("naive")
+	var factory models.Factory
+	for _, e := range models.AllEntries() {
+		if e.ID == "DC-AI-C16" {
+			factory = e.Factory
+		}
+	}
+
+	t.Run("local", func(t *testing.T) {
+		counting := kerneltest.Count(naive)
+		var eng *Engine
+		ran := kerneltest.TelemetryCalls(func() {
+			var err error
+			if eng, err = New(tensor.WithKernels(context.Background(), counting), "DC-AI-C16", factory, 42, NewLocal(2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err = eng.TrainEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err = eng.Quality(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Construction runs before the instance has its kernels; C16's
+		// builds no tensor through a kernel, so the counts still agree.
+		if got := counting.Calls.Load(); got != ran || ran == 0 {
+			t.Errorf("%d of %d kernel calls went through the run's kernel", got, ran)
+		}
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		rep, err := hello{BenchID: "DC-AI-C16", Kernel: "naive", Seed: 42, Workers: 1}.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A wrapper cannot cross a pipe: count through what the hello
+		// resolved by wrapping it where the hello put it.
+		counting := kerneltest.Count(tensor.KernelsOf(rep.params[0].Value.Data))
+		rep.trainer.Arena().SetKernels(counting)
+		ran := kerneltest.TelemetryCalls(func() {
+			for step, steps := 0, rep.beginEpoch(); step < steps; step++ {
+				for p := range rep.spec.Phases {
+					rep.computePhase(p)
+					rep.apply(p, make([]float64, rep.spec.GroupLen[p]), make([]float64, rep.spec.BufLen))
+				}
+			}
+			rep.quality()
+		})
+		if got := counting.Calls.Load(); got != ran || ran == 0 {
+			t.Errorf("%d of %d kernel calls went through the hello's kernel", got, ran)
+		}
+	})
+}

@@ -40,7 +40,8 @@ type Benchmark interface {
 	// Arena returns the step arena the instance owns (see stepArena). A
 	// driver that runs the optimizer steps itself — internal/dist's
 	// replica loop — resets it once per step; TrainEpoch and Quality
-	// reset it themselves.
+	// reset it themselves. Whoever builds an instance for a run records
+	// the run's kernels on it (Arena.SetKernels) before the first step.
 	Arena() *tensor.Arena
 }
 

@@ -35,7 +35,6 @@ import (
 	"aibench/internal/gpusim"
 	"aibench/internal/results"
 	"aibench/internal/telemetry"
-	"aibench/internal/tensor"
 )
 
 // PlanRequest is the submission wire format: the canonical-plan shape
@@ -167,61 +166,6 @@ func (j *job) errText() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.errMsg
-}
-
-// kernelGate serializes the process-global kernel/tuning state that a
-// run switches on entry (tensor.UseKernels in Runner.Run and the
-// session engine, tune.Apply for tuned plans). The globals themselves
-// are atomic, so the hazard is not a data race but a semantic one:
-// with Workers > 1, a job starting with a different kernel would
-// silently switch an in-flight job's tensor dispatch mid-run, making
-// its results disagree with its envelope meta and cache key. The gate
-// admits any number of jobs that agree on the (kernel, tuning)
-// signature concurrently — same-name switches are idempotent — and
-// makes a job with any other signature wait until the pool drains
-// before it may switch. One gate per process, like the state it
-// guards: every Server in the process shares it.
-type kernelGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	sig     string
-	active  int
-	waiting int
-}
-
-func newKernelGate() *kernelGate {
-	g := &kernelGate{}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-var kernelGuard = newKernelGate()
-
-// acquire blocks until sig is compatible with every job already inside
-// the gate (identical signature, or none running), then enters. While
-// anyone is waiting, matching-signature jobs queue up too instead of
-// barging in — otherwise a steady stream of same-kernel jobs could
-// keep the gate occupied and starve a differing-kernel job forever.
-func (g *kernelGate) acquire(sig string) {
-	g.mu.Lock()
-	for g.active > 0 && (g.sig != sig || g.waiting > 0) {
-		g.waiting++
-		g.cond.Wait()
-		g.waiting--
-	}
-	g.sig = sig
-	g.active++
-	g.mu.Unlock()
-}
-
-// release exits the gate, waking waiters when the pool drains.
-func (g *kernelGate) release() {
-	g.mu.Lock()
-	g.active--
-	if g.active == 0 {
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
 }
 
 // resultCache is the exact result cache: completed envelope streams
@@ -459,14 +403,6 @@ func (s *Server) worker() {
 // run meta, so the stream is a pure function of (roster, canonical
 // plan) and replaying it later is exact.
 func (s *Server) runJob(j *job) {
-	// Hold the kernel gate for the whole job — including Meta(), whose
-	// tuning provenance must name what the run actually dispatches to.
-	// The submit handler pinned plan.Kernel, so the signature names a
-	// concrete kernel, never "whatever happens to be active".
-	plan := j.runner.Plan()
-	kernelGuard.acquire(plan.Kernel + "\x00" + plan.TuneFrom)
-	defer kernelGuard.release()
-
 	var cacheBuf bytesBuffer
 	w := results.NewWriter(io.MultiWriter(&cacheBuf, markWriter{j}), j.runner.Meta())
 	sink := func(rec core.Record) error {
@@ -491,12 +427,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.state.Store(jobCompleted)
 		s.stats.Inc(telemetry.SvcJobsCompleted)
-		// An ambient-tuned run (kernel "tuned" with no TuneFrom pin)
-		// uses whatever tuning is active when the worker reaches it, so
-		// its stream is not a pure function of the canonical plan —
-		// caching it would replay one ambient state's bytes forever.
-		cacheable := plan.Kernel != "tuned" || plan.TuneFrom != ""
-		if cleanRun(res) && cacheable {
+		if cleanRun(res) {
 			s.cache.put(j.key, cacheBuf.Bytes())
 		}
 	}
@@ -599,13 +530,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, "bad plan: "+err.Error(), http.StatusBadRequest)
 		return
-	}
-	if plan.Kernel == "" {
-		// Pin the kernel now: the cache key and the envelope meta must
-		// name what this job will dispatch to, not whatever kernel an
-		// earlier job's plan left active. runJob's kernelGuard then
-		// holds concurrent workers to the pin for the whole run.
-		plan.Kernel = tensor.ActiveKernels().Name()
 	}
 	runner, err := core.NewRunner(s.reg, plan)
 	if err != nil {

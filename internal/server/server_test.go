@@ -9,6 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +19,6 @@ import (
 	"time"
 
 	"aibench/internal/results"
-	"aibench/internal/tensor"
 )
 
 func newTestServer(t *testing.T, opts Options, start bool) (*Server, *httptest.Server) {
@@ -449,75 +451,78 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestKernelGateExcludesDifferingSignatures: the gate admits any
-// number of same-signature jobs but never lets two different
-// signatures inside together — the invariant that keeps one job's
-// kernel switch from corrupting another's in-flight run.
-func TestKernelGateExcludesDifferingSignatures(t *testing.T) {
-	g := newKernelGate()
-	var aInside, bInside atomic.Int32
-	var overlap atomic.Bool
-	var wg sync.WaitGroup
-	work := func(sig string, mine, other *atomic.Int32) {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			g.acquire(sig)
-			mine.Add(1)
-			if other.Load() != 0 {
-				overlap.Store(true)
-			}
-			mine.Add(-1)
-			g.release()
-		}
-	}
-	for i := 0; i < 4; i++ {
-		wg.Add(2)
-		go work("naive\x00", &aInside, &bInside)
-		go work("blocked\x00", &bInside, &aInside)
-	}
-	wg.Wait()
-	if overlap.Load() {
-		t.Fatal("jobs with different kernel signatures were inside the gate concurrently")
-	}
-}
-
 // TestConcurrentMixedKernelJobsStayExact: with Workers > 1 and
-// submissions naming different kernels, every response must be
-// byte-identical to the same plan run alone on a serial server — a
-// concurrent job's kernel switch must never leak into another job's
-// dispatch (the cached-forever corruption the kernel gate exists to
-// prevent).
+// submissions naming different kernels, the jobs really run at the same
+// time — a run's kernel is a value its own tensors carry, so there is
+// nothing to take turns on — and every response is byte-identical to
+// the same plan run alone on a serial server, labelled with its own
+// plan's kernel. A tuned plan is a pure function of its canonical form
+// with or without tune_from, so it is cached like any other.
 func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
-	prev := tensor.ActiveKernels().Name()
-	defer func() {
-		if err := tensor.UseKernels(prev); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	plan := func(seed int, kernel string) string {
-		return fmt.Sprintf(`{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C1"],"seed":%d,"epochs":1,"kernel":%q}`, seed, kernel)
+	tuneFile := filepath.Join(t.TempDir(), "tune.jsonl")
+	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"conv2d","shape_class":"conv","mr":4,"nr":4,"k_unroll":1,"block_m":32,"block_n":32}]}}`,
+		runtime.GOARCH, runtime.GOMAXPROCS(0))
+	if err := os.WriteFile(tuneFile, []byte(line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	plans := []string{
-		plan(11, "naive"),
-		plan(12, "blocked"),
-		plan(13, "naive"),
-		plan(14, "blocked"),
+	// The cheap benchmark's record streams early and the expensive one
+	// follows, so each job spends most of its run with a record out.
+	plan := func(seed int, kernel string) string {
+		return fmt.Sprintf(`{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C16","DC-AI-C1"],"seed":%d,"epochs":1,"workers":1,%s}`, seed, kernel)
+	}
+	plans := []struct{ body, kernel, tuning string }{
+		{plan(11, `"kernel":"naive"`), "naive", ""},
+		{plan(12, `"kernel":"blocked"`), "blocked", ""},
+		{plan(13, `"kernel":"tuned"`), "tuned", "builtin"},
+		{plan(14, `"kernel":"naive"`), "naive", ""},
+		// tune_from alone implies the tuned kernel, as on the CLI.
+		{plan(15, fmt.Sprintf(`"tune_from":%q`, tuneFile)), "tuned", tuneFile},
 	}
 
 	_, serial := newTestServer(t, Options{Workers: 1, QueueCap: 8}, true)
 	want := make([][]byte, len(plans))
 	for i, p := range plans {
-		resp := submit(t, serial, "ref", p)
+		resp := submit(t, serial, "ref", p.body)
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("reference run %d: status %d err %v", i, resp.StatusCode, err)
+			t.Fatalf("reference run %d: status %d err %v: %s", i, resp.StatusCode, err, body)
 		}
 		want[i] = body
 	}
 
-	_, mixed := newTestServer(t, Options{Workers: 4, QueueCap: 8}, true)
+	s, mixed := newTestServer(t, Options{Workers: 4, QueueCap: 8}, true)
+	// Watch the ledger for two jobs under different kernels that have
+	// each streamed a record and not yet finished: both are inside
+	// their runs at that instant.
+	var overlapped atomic.Bool
+	watchDone := make(chan struct{})
+	stopWatch := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		for {
+			select {
+			case <-stopWatch:
+				return
+			default:
+			}
+			var midRun []string
+			s.mu.Lock()
+			for _, j := range s.jobs {
+				if j.state.Load() == jobRunning && j.records.Load() > 0 {
+					midRun = append(midRun, j.runner.Meta().Kernel)
+				}
+			}
+			s.mu.Unlock()
+			for _, k := range midRun {
+				if k != midRun[0] {
+					overlapped.Store(true)
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+
 	got := make([][]byte, len(plans))
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
@@ -542,15 +547,40 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 				return
 			}
 			got[i], errs[i] = io.ReadAll(resp.Body)
-		}(i, p)
+		}(i, p.body)
 	}
 	wg.Wait()
-	for i := range plans {
+	close(stopWatch)
+	<-watchDone
+	for i, p := range plans {
 		if errs[i] != nil {
 			t.Fatalf("concurrent run %d: %v", i, errs[i])
 		}
 		if !bytes.Equal(want[i], got[i]) {
-			t.Errorf("concurrent run %d diverged from its solo reference; a foreign kernel switch leaked into the run", i)
+			t.Errorf("concurrent run %d diverged from its solo reference", i)
+		}
+		stream, err := results.Read(bytes.NewReader(got[i]))
+		if err != nil || len(stream.Records) != 2 {
+			t.Fatalf("concurrent run %d: %d records, err %v", i, len(stream.Records), err)
+		}
+		for _, rec := range stream.Records {
+			if rec.Session.Kernel != p.kernel || rec.Run.Kernel != p.kernel || rec.Run.Tuning != p.tuning {
+				t.Errorf("run %d (%s): session says kernel %q, envelope says %q tuning %q; want %q tuning %q",
+					i, rec.Session.ID, rec.Session.Kernel, rec.Run.Kernel, rec.Run.Tuning, p.kernel, p.tuning)
+			}
+		}
+	}
+	if !overlapped.Load() {
+		t.Error("no two jobs under different kernels were ever mid-run at the same instant: mixed-kernel tenants are being serialized")
+	}
+
+	// Both tuned plans are in the cache now and replay byte-identically.
+	for _, i := range []int{2, 4} {
+		resp := submit(t, mixed, "again", plans[i].body)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, want[i]) {
+			t.Errorf("resubmitted tuned plan %d: X-Cache %q err %v, want a byte-identical hit", i, resp.Header.Get("X-Cache"), err)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func Count(c Counter, n int64) {
 type KernelOp int
 
 // The counted kernel-op entry points (the package-level tensor
-// wrappers that dispatch to the active Kernels implementation).
+// wrappers that dispatch to their operands' Kernels implementation).
 const (
 	OpMatMul KernelOp = iota
 	OpMatMulT

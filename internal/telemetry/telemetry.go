@@ -20,9 +20,9 @@
 //
 // Telemetry defaults off. A nil *Span no-ops every method, and the
 // counter hooks are gated behind one atomic load, so the instrumented
-// hot paths pay near-zero overhead until a Tracer is started. Like
-// kernel selection, the counter plane is process-global: exactly one
-// run should trace at a time (concurrent traced runs share counters).
+// hot paths pay near-zero overhead until a Tracer is started. The
+// counter plane is process-global: exactly one run should trace at a
+// time (concurrent traced runs share counters).
 //
 // Determinism rule for instrumentation sites: siblings created
 // concurrently (the per-benchmark spans of a pooled suite run) must

@@ -11,18 +11,23 @@ import (
 // have grown to one step's footprint.
 //
 // Placement travels with the operands, the way a framework tensor
-// carries its device. A Tensor records the arena it is placed in (nil:
-// the Go heap); every op that allocates its result allocates it where
-// its operands are placed (ArenaOf), so everything computed from an
-// adopted tensor is arena-backed and everything computed from plain
-// heap tensors stays on the heap. Constructors that take no operand —
-// New, Full, Ones, FromSlice, Rand… — always build on the heap.
+// carries its device, and it means two things: where results are
+// allocated and which kernels compute them. A Tensor records the arena
+// it is placed in (nil: the Go heap, the process default kernels);
+// every op that allocates its result allocates it where its operands
+// are placed (ArenaOf) and every kernel entry point dispatches to the
+// kernels recorded there (KernelsOf), so everything computed from an
+// adopted tensor is arena-backed and runs on the owning run's kernels,
+// and everything computed from plain heap tensors stays on the heap
+// and the process default. Constructors that take no operand — New,
+// Full, Ones, FromSlice, Rand… — always build on the heap.
 //
 // Ownership: one benchmark instance owns one arena, adopts its
 // parameters into it at construction (Adopt marks placement; the
 // parameter's own storage stays where it is) and calls Reset once per
-// optimizer step. Only the owner's goroutine may allocate from or
-// reset an arena — there is no lock. Pool workers inside a parallel
+// optimizer step; the run that builds the instance calls SetKernels
+// before the first step. Only the owner's goroutine may allocate from
+// or reset an arena — there is no lock. Pool workers inside a parallel
 // kernel section write into results the owner allocated before the
 // fork; they never allocate.
 //
@@ -39,6 +44,9 @@ import (
 // repeat exactly. The zero Arena is ready to use and holds no memory
 // until its first allocation; a nil *Arena is the heap.
 type Arena struct {
+	// kernels is the compute kernel of the run that owns the instance;
+	// nil means the process default.
+	kernels Kernels
 	floats  slabs[float64]
 	ints    slabs[int]
 	tensors slabs[Tensor]
@@ -153,7 +161,7 @@ func (a *Arena) Reset() {
 	case ResetNever:
 		// Forget the slabs instead of rewinding them: nothing is ever
 		// handed out twice, which is what the heap would have done.
-		*a = Arena{}
+		*a = Arena{kernels: a.kernels}
 	case ResetPoison:
 		a.floats.rewind(func(used []float64) {
 			for i := range used {
@@ -184,6 +192,26 @@ func ArenaOf(ts ...*Tensor) *Arena {
 		}
 	}
 	return nil
+}
+
+// SetKernels records k as the kernels every op on a's tensors
+// dispatches to. The run that builds a benchmark instance calls it
+// once, before the instance's first step. A nil arena — a heap-only
+// workload — stays on the process default.
+func (a *Arena) SetKernels(k Kernels) {
+	if a != nil {
+		a.kernels = k
+	}
+}
+
+// KernelsOf returns the kernels an op on the given operands dispatches
+// to: those of the first placed operand (ArenaOf), else — or when its
+// arena records none — the process default.
+func KernelsOf(ts ...*Tensor) Kernels {
+	if a := ArenaOf(ts...); a != nil && a.kernels != nil {
+		return a.kernels
+	}
+	return processKernels
 }
 
 // NewLike returns a zero-filled tensor with t's shape and placement.

@@ -151,10 +151,7 @@ func TestPlacementIsInherited(t *testing.T) {
 	}
 	for _, kernel := range KernelNames() {
 		k, _ := LookupKernels(kernel)
-		prev := ActiveKernels().Name()
-		if err := UseKernels(k.Name()); err != nil {
-			t.Fatal(err)
-		}
+		a.SetKernels(k)
 		for name, run := range ops {
 			a.Reset()
 			placed, heap := run(build(&a)), run(build(nil))
@@ -174,9 +171,6 @@ func TestPlacementIsInherited(t *testing.T) {
 					}
 				}
 			}
-		}
-		if err := UseKernels(prev); err != nil {
-			t.Fatal(err)
 		}
 	}
 	// One placed operand is enough, on either side.

@@ -36,7 +36,7 @@ func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	oh, ow := p.OutDim(x.shape[2]), p.OutDim(x.shape[3])
 	telemetry.CountKernel(telemetry.OpConv2D,
 		2*int64(x.shape[0])*int64(oh)*int64(ow)*int64(x.shape[1])*int64(p.Kernel)*int64(p.Kernel)*int64(weight.shape[0]))
-	return ActiveKernels().Conv2D(x, weight, p)
+	return KernelsOf(x, weight).Conv2D(x, weight, p)
 }
 
 // Conv2DBackward is Conv2D's adjoint: from the output gradient g
@@ -63,7 +63,7 @@ func Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx
 	if needW {
 		telemetry.CountKernel(telemetry.OpTMatMul, flops)
 	}
-	return ActiveKernels().Conv2DBackward(x, weight, g, p, needX, needW)
+	return KernelsOf(x, weight, g).Conv2DBackward(x, weight, g, p, needX, needW)
 }
 
 // MaxPool2D applies max pooling to an NCHW tensor and also returns the

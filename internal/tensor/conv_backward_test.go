@@ -88,16 +88,13 @@ func TestConv2DBackwardDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	cc := newConvCase(rng, 2, 3, 13, 11, 5, Conv2DParams{Kernel: 3, Stride: 2, Padding: 1})
 	wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
-	prev := ActiveKernels().Name()
-	defer func() {
-		if err := UseKernels(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
 	for _, name := range KernelNames() {
-		if err := UseKernels(name); err != nil {
-			t.Fatal(err)
-		}
+		// The entry point dispatches to the kernels its operands are
+		// placed under: adopt the input into an arena that records them.
+		var ar Arena
+		k, _ := LookupKernels(name)
+		ar.SetKernels(k)
+		ar.Adopt(cc.x)
 		dx, dw := Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
 		bitwiseEqual(t, name+" dx", dx, wantX)
 		bitwiseEqual(t, name+" dw", dw, wantW)
@@ -134,7 +131,7 @@ func poisonScratch() {
 // written, or a result aliasing scratch, surfaces as a NaN against the
 // naive oracle.
 func TestScratchPoolDirtyBuffers(t *testing.T) {
-	naive, _ := kernelPair(t)
+	naive, blocked := kernelPair(t)
 	rng := rand.New(rand.NewSource(107))
 	a, b := Randn(rng, 0, 1, 65, 63), Randn(rng, 0, 1, 63, 66)
 	bt, at := Randn(rng, 0, 1, 66, 63), Randn(rng, 0, 1, 63, 65)
@@ -155,8 +152,7 @@ func TestScratchPoolDirtyBuffers(t *testing.T) {
 	forked := DefaultTuning()
 	forked.Threshold = 1
 	for _, tuning := range []Tuning{DefaultTuning(), forked} {
-		withTuning(t, tuning, "")
-		for _, kern := range optimizedKernels(t) {
+		for _, kern := range []Kernels{blocked, mustTuned(t, tuning)} {
 			for _, op := range ops {
 				want := op.run(naive)
 				op.run(kern)

@@ -13,14 +13,15 @@ import "aibench/internal/parallel"
 // and returned before each op does; an op allocates its results and
 // nothing that grows with its operands. The tile geometry
 // (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu), k-unroll
-// depth, and parallel threshold come from a Tuning:
+// depth, and parallel threshold come from the Tuning the value was
+// built with, fixed for its lifetime:
 //
-//   - "blocked" (the default kernel) is pinned to DefaultTuning(). It
-//     never reads the active tuning, so SetTuning cannot move it.
-//   - "tuned" reads ActiveTuning() at op-call time; internal/tune
-//     sweeps the menu per GEMM shape class on the current machine and
-//     persists the winner as a tuneconfig envelope. Until one is
-//     applied the active tuning is the builtin one, i.e. blocked.
+//   - "blocked" (the default kernel) is the engine at DefaultTuning().
+//   - "tuned" is whatever Tuned(t) was handed: the registered one is
+//     Tuned(DefaultTuning()), i.e. blocked under another name, and a
+//     run with Plan.TuneFrom builds its own from the persisted config
+//     internal/tune swept on this machine. Nothing reads a tuning at
+//     op-call time from anywhere but the receiver.
 //
 // Determinism contract: every output element accumulates its k terms
 // in ascending order into a single accumulator under every TileConfig,
@@ -32,19 +33,36 @@ import "aibench/internal/parallel"
 // exact-zero multiplicands, which cannot change a finite sum).
 type gebpKernels struct {
 	name   string
-	pinned *Tuning // nil: follow the active tuning
+	tuning Tuning
 }
 
-func (g gebpKernels) Name() string { return g.name }
+// tunedName is the one kernel name a caller-supplied Tuning may ride
+// under.
+const tunedName = "tuned"
 
-func (g gebpKernels) tuning() *Tuning {
-	if g.pinned != nil {
-		return g.pinned
+// Tuned returns the GEBP engine under t as a Kernels value named
+// "tuned": a plain value with no tie to process state, so two of them
+// under different tunings run side by side. An invalid t is an error.
+func Tuned(t Tuning) (Kernels, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
-	return &activeTuningState.Load().tuning
+	return &gebpKernels{name: tunedName, tuning: t}, nil
 }
 
-func (g gebpKernels) ParallelThreshold() int { return g.tuning().Threshold }
+// TuningOf returns the tuning a Tuned kernel was built with; ok is
+// false for every other kernel ("blocked" takes no tuning — it is
+// DefaultTuning() by definition).
+func TuningOf(k Kernels) (Tuning, bool) {
+	if g, ok := k.(*gebpKernels); ok && g.name == tunedName {
+		return g.tuning, true
+	}
+	return Tuning{}, false
+}
+
+func (g *gebpKernels) Name() string { return g.name }
+
+func (g *gebpKernels) ParallelThreshold() int { return g.tuning.Threshold }
 
 // convRowChunk is how many im2col rows (output pixels) one convolution
 // task unfolds, multiplies, and scatters at a time.
@@ -598,44 +616,44 @@ func gemmTile(apack, bpack, out []float64, m, n, K, ti, tj int, cfg *TileConfig)
 
 // gemm runs a product under this kernel's tuning, picking the config
 // by the product's shape class.
-func (g gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
-	t := g.tuning()
+func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
+	t := &g.tuning
 	return gemm(ar, a, b, t.gemmFor(a.lanes, a.K, b.lanes), t.Threshold)
 }
 
-func (g gebpKernels) MatMul(a, b *Tensor) *Tensor {
+func (g *gebpKernels) MatMul(a, b *Tensor) *Tensor {
 	return g.gemm(ArenaOf(a, b), rowsOf(a), colsOf(b))
 }
 
 // MatMulT: b is stored n×K, so the logical right operand's columns
 // are b's rows.
-func (g gebpKernels) MatMulT(a, b *Tensor) *Tensor {
+func (g *gebpKernels) MatMulT(a, b *Tensor) *Tensor {
 	return g.gemm(ArenaOf(a, b), rowsOf(a), rowsOf(b))
 }
 
 // TMatMul: a is stored K×m, so the logical left operand's rows are
 // a's columns.
-func (g gebpKernels) TMatMul(a, b *Tensor) *Tensor {
+func (g *gebpKernels) TMatMul(a, b *Tensor) *Tensor {
 	return g.gemm(ArenaOf(a, b), colsOf(a), colsOf(b))
 }
 
 // MatVec and Outer have no k-reuse to block for, so they share the
 // gated naive bodies; the threshold is the only parameter that applies.
-func (g gebpKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(g.tuning().Threshold, a, v)
+func (g *gebpKernels) MatVec(a, v *Tensor) *Tensor {
+	return gatedMatVec(g.tuning.Threshold, a, v)
 }
 
-func (g gebpKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(g.tuning().Threshold, a, b)
+func (g *gebpKernels) Outer(a, b *Tensor) *Tensor {
+	return gatedOuter(g.tuning.Threshold, a, b)
 }
 
-func (g gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
-	t := g.tuning()
+func (g *gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
+	t := &g.tuning
 	return conv2D(x, weight, p, &t.Conv, t.Threshold)
 }
 
-func (g gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
-	t := g.tuning()
+func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
+	t := &g.tuning
 	return conv2DBackward(x, weight, grad, p, needX, needW, &t.Conv, t.Threshold)
 }
 
@@ -855,30 +873,4 @@ func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, thres
 		putScratch(cols)
 	})
 	putScratch(gpack)
-}
-
-// TunedMatMul runs (m×k)·(k×n) through the engine under an explicit
-// config and threshold, bypassing the active tuning (and the
-// package-level telemetry counters). It is the measurement hook for
-// internal/tune's sweep and the adversarial-config equivalence tests.
-func TunedMatMul(a, b *Tensor, cfg TileConfig, threshold int) *Tensor {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if len(a.shape) != 2 || len(b.shape) != 2 || a.shape[1] != b.shape[0] {
-		panic("tensor: TunedMatMul shape mismatch")
-	}
-	return gemm(ArenaOf(a, b), rowsOf(a), colsOf(b), &cfg, threshold)
-}
-
-// TunedConv2D runs an NCHW convolution through the engine under an
-// explicit config and threshold; same role as TunedMatMul.
-func TunedConv2D(x, w *Tensor, p Conv2DParams, cfg TileConfig, threshold int) *Tensor {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	if len(x.shape) != 4 || len(w.shape) != 4 || x.shape[1] != w.shape[1] {
-		panic("tensor: TunedConv2D shape mismatch")
-	}
-	return conv2D(x, w, p, &cfg, threshold)
 }

@@ -6,19 +6,20 @@ import (
 	"testing"
 )
 
-// withTuning activates cfg for the duration of the test, restoring the
-// previous tuning (and its provenance label) afterwards.
-func withTuning(t *testing.T, cfg Tuning, source string) {
+// mustTuned builds the GEBP engine under t, failing the test on an
+// invalid tuning.
+func mustTuned(t *testing.T, tuning Tuning) Kernels {
 	t.Helper()
-	prev, prevSrc := ActiveTuning(), TuningSource()
-	if err := SetTuning(cfg, source); err != nil {
-		t.Fatalf("SetTuning: %v", err)
+	k, err := Tuned(tuning)
+	if err != nil {
+		t.Fatalf("Tuned: %v", err)
 	}
-	t.Cleanup(func() {
-		if err := SetTuning(prev, prevSrc); err != nil {
-			t.Fatalf("restore tuning: %v", err)
-		}
-	})
+	return k
+}
+
+// uniform is the tuning that runs every shape class under cfg.
+func uniform(cfg TileConfig, threshold int) Tuning {
+	return Tuning{Threshold: threshold, Square: cfg, Skinny: cfg, Fat: cfg, Conv: cfg}
 }
 
 func TestTunedKernelRegistered(t *testing.T) {
@@ -29,8 +30,8 @@ func TestTunedKernelRegistered(t *testing.T) {
 	if k.Name() != "tuned" {
 		t.Fatalf("Name() = %q", k.Name())
 	}
-	if got, want := k.ParallelThreshold(), ActiveTuning().Threshold; got != want {
-		t.Fatalf("ParallelThreshold = %d, want the active tuning's %d", got, want)
+	if got, ok := TuningOf(k); !ok || got != DefaultTuning() {
+		t.Fatalf("registered tuned runs under %+v (ok=%v), want the builtin tuning", got, ok)
 	}
 	found := false
 	for _, name := range KernelNames() {
@@ -88,13 +89,13 @@ func TestGEMMShapeClass(t *testing.T) {
 	}
 }
 
-// TestTunedMatMulMenuBitwise drives the tuned GEBP engine directly
+// TestTunedMenuMatMulBitwise drives the tuned GEBP engine directly
 // through every micro-kernel in the menu, at block sizes and thresholds
 // that force both the serial and the fully parallel path, on shapes
 // chosen to hit degenerate, panel-edge, and interior cases — and
 // demands bitwise equality with the naive oracle every time. This is
 // the tuning contract: configs move throughput, never bits.
-func TestTunedMatMulMenuBitwise(t *testing.T) {
+func TestTunedMenuMatMulBitwise(t *testing.T) {
 	naive, _ := kernelPair(t)
 	rng := rand.New(rand.NewSource(71))
 	shapes := [][3]int{{1, 1, 1}, {3, 129, 63}, {255, 257, 63}, {65, 63, 66}, {2, 8, 2}}
@@ -108,8 +109,8 @@ func TestTunedMatMulMenuBitwise(t *testing.T) {
 				cfg := micro
 				cfg.BlockM, cfg.BlockN = blk, blk
 				for _, threshold := range []int{1, 1 << 30} {
-					got := TunedMatMul(a, b, cfg, threshold)
-					name := fmt.Sprintf("TunedMatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
+					got := mustTuned(t, uniform(cfg, threshold)).MatMul(a, b)
+					name := fmt.Sprintf("Tuned MatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
 					bitwiseEqual(t, name, got, want)
 				}
 			}
@@ -117,9 +118,9 @@ func TestTunedMatMulMenuBitwise(t *testing.T) {
 	}
 }
 
-// TestTunedConv2DMenuBitwise does the same for the chunked im2col
+// TestTunedMenuConv2DBitwise does the same for the chunked im2col
 // convolution path, including chunk-edge pixel counts.
-func TestTunedConv2DMenuBitwise(t *testing.T) {
+func TestTunedMenuConv2DBitwise(t *testing.T) {
 	naive, _ := kernelPair(t)
 	rng := rand.New(rand.NewSource(73))
 	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
@@ -131,8 +132,8 @@ func TestTunedConv2DMenuBitwise(t *testing.T) {
 			cfg := micro
 			cfg.BlockM, cfg.BlockN = blk, blk
 			for _, threshold := range []int{1, 1 << 30} {
-				got := TunedConv2D(x, w, p, cfg, threshold)
-				name := fmt.Sprintf("TunedConv2D cfg=%s threshold=%d", cfg, threshold)
+				got := mustTuned(t, uniform(cfg, threshold)).Conv2D(x, w, p)
+				name := fmt.Sprintf("Tuned Conv2D cfg=%s threshold=%d", cfg, threshold)
 				bitwiseEqual(t, name, got, want)
 			}
 		}
@@ -140,7 +141,7 @@ func TestTunedConv2DMenuBitwise(t *testing.T) {
 }
 
 // TestTunedKernelAdversarialConfigs runs every dispatchable op through
-// the registered tuned kernel under hostile-but-valid tunings — a
+// a tuned kernel built from hostile-but-valid tunings — a
 // different micro-kernel per shape class, a threshold of 1 (everything
 // parallel), a threshold beyond any test shape (everything serial) —
 // and demands bitwise equality with the naive oracle on odd and prime
@@ -148,10 +149,6 @@ func TestTunedConv2DMenuBitwise(t *testing.T) {
 // persisted config can never change training numbers.
 func TestTunedKernelAdversarialConfigs(t *testing.T) {
 	naive, _ := kernelPair(t)
-	tuned, ok := LookupKernels("tuned")
-	if !ok {
-		t.Fatal("tuned kernel not registered")
-	}
 	tunings := []Tuning{
 		{
 			Threshold: 1,
@@ -170,7 +167,7 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(79))
 	for ti, tuning := range tunings {
-		withTuning(t, tuning, fmt.Sprintf("adversarial-%d", ti))
+		tuned := mustTuned(t, tuning)
 		for _, dims := range [][3]int{{1, 1, 1}, {3, 129, 63}, {255, 257, 63}, {64, 2048, 64}, {129, 7, 130}} {
 			m, k, n := dims[0], dims[1], dims[2]
 			a := Randn(rng, 0, 1, m, k)
@@ -194,56 +191,86 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 	}
 }
 
-func TestSetTuningValidatesAndTracksSource(t *testing.T) {
-	// Pin a known state so assertions don't depend on test order.
-	withTuning(t, DefaultTuning(), "")
-	if got := TuningSource(); got != BuiltinTuningSource {
-		t.Fatalf("empty source recorded as %q, want %q", got, BuiltinTuningSource)
-	}
-	before := ActiveTuning()
+// TestTunedValidatesAndCarriesItsTuning: the constructor is the one
+// place a tuning is checked, and the value it returns reports exactly
+// what it was built with — nothing else in the process moves.
+func TestTunedValidatesAndCarriesItsTuning(t *testing.T) {
 	bad := DefaultTuning()
 	bad.Fat.BlockM = 7
-	if err := SetTuning(bad, "bad.jsonl"); err == nil {
-		t.Fatal("SetTuning accepted an invalid config")
-	}
-	if ActiveTuning() != before || TuningSource() != BuiltinTuningSource {
-		t.Fatal("rejected SetTuning still mutated the active tuning")
+	if _, err := Tuned(bad); err == nil {
+		t.Fatal("Tuned accepted an invalid config")
 	}
 	bad = DefaultTuning()
 	bad.Threshold = 0
-	if err := SetTuning(bad, ""); err == nil {
-		t.Fatal("SetTuning accepted a non-positive threshold")
+	if _, err := Tuned(bad); err == nil {
+		t.Fatal("Tuned accepted a non-positive threshold")
 	}
 	good := DefaultTuning()
+	good.Threshold = 1 << 15
 	good.Square = TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64}
-	if err := SetTuning(good, "sweep.jsonl"); err != nil {
-		t.Fatal(err)
+	k := mustTuned(t, good)
+	if got, ok := TuningOf(k); !ok || got != good || k.Name() != "tuned" || k.ParallelThreshold() != 1<<15 {
+		t.Fatalf("Tuned(%+v) = %q carrying %+v (ok=%v)", good, k.Name(), got, ok)
 	}
-	if ActiveTuning() != good || TuningSource() != "sweep.jsonl" {
-		t.Fatalf("active = %+v from %q, want the applied config from sweep.jsonl",
-			ActiveTuning(), TuningSource())
+	registered, _ := LookupKernels("tuned")
+	if got, _ := TuningOf(registered); got != DefaultTuning() {
+		t.Fatalf("building a tuned kernel moved the registered one to %+v", got)
+	}
+	for _, name := range []string{"naive", "blocked"} {
+		k, _ := LookupKernels(name)
+		if _, ok := TuningOf(k); ok {
+			t.Errorf("TuningOf(%s) reports a tuning; only Tuned kernels take one", name)
+		}
 	}
 }
 
-// TestBlockedPinnedToBuiltinTuning proves "blocked" is the engine under
-// DefaultTuning() and nothing else: with a hostile tuning active (tiny
-// 8×8 blocks, the spilling 4×4 micro-kernel, everything parallel) it
-// still resolves the builtin tuning, still reports the builtin
-// threshold, and still matches the naive oracle bit for bit on the odd
-// and prime shape table.
-func TestBlockedPinnedToBuiltinTuning(t *testing.T) {
+// TestResolveKernels pins the one rule a plan and a worker hello share.
+func TestResolveKernels(t *testing.T) {
+	hostile := uniform(TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}, 1)
+	for _, c := range []struct {
+		name    string
+		tuning  *Tuning
+		want    string // resolved Name(); "" = an error
+		wantThr int
+	}{
+		{"", nil, "", 0},
+		{"naive", nil, "naive", 1 << 17},
+		{"tuned", nil, "tuned", DefaultTuning().Threshold},
+		{"tuned", &hostile, "tuned", 1},
+		{"blocked", &hostile, "", 0},
+		{"", &hostile, "", 0},
+		{"no-such-kernel", nil, "", 0},
+		{"tuned", &Tuning{}, "", 0},
+	} {
+		k, err := ResolveKernels(c.name, c.tuning)
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("ResolveKernels(%q, %v) = %s, want an error", c.name, c.tuning, k.Name())
+			}
+			continue
+		}
+		if err != nil || k.Name() != c.want || k.ParallelThreshold() != c.wantThr {
+			t.Errorf("ResolveKernels(%q, %v) = %v, %v; want %s at threshold %d", c.name, c.tuning, k, err, c.want, c.wantThr)
+		}
+	}
+}
+
+// TestBlockedIsTheBuiltinTuning proves "blocked" is the engine under
+// DefaultTuning() and nothing else — a hostile tuned kernel (tiny 8×8
+// blocks, the spilling 4×4 micro-kernel, everything parallel) living
+// beside it changes nothing about it — and that it matches the naive
+// oracle bit for bit on the odd and prime shape table.
+func TestBlockedIsTheBuiltinTuning(t *testing.T) {
 	naive, blocked := kernelPair(t)
-	tuned, _ := LookupKernels("tuned")
 	hostile := TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}
-	withTuning(t, Tuning{Threshold: 1, Square: hostile, Skinny: hostile, Fat: hostile, Conv: hostile}, "hostile")
-	if got := tuned.ParallelThreshold(); got != 1 {
-		t.Fatalf("tuned threshold = %d: the hostile tuning is not active", got)
+	if got := mustTuned(t, uniform(hostile, 1)).ParallelThreshold(); got != 1 {
+		t.Fatalf("hostile tuned threshold = %d, want 1", got)
 	}
 	if got := blocked.ParallelThreshold(); got != 1<<17 {
-		t.Fatalf("blocked threshold = %d under a hostile SetTuning, want %d", got, 1<<17)
+		t.Fatalf("blocked threshold = %d beside a hostile tuned kernel, want %d", got, 1<<17)
 	}
-	if got := *blocked.(gebpKernels).tuning(); got != DefaultTuning() {
-		t.Fatalf("blocked resolves tuning %+v, want the builtin", got)
+	if got := blocked.(*gebpKernels).tuning; got != DefaultTuning() {
+		t.Fatalf("blocked runs under tuning %+v, want the builtin", got)
 	}
 	rng := rand.New(rand.NewSource(83))
 	for _, dims := range oddShapes {
@@ -272,7 +299,6 @@ func TestBlockedPinnedToBuiltinTuning(t *testing.T) {
 func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
 	_, blocked := kernelPair(t)
 	tuned, _ := LookupKernels("tuned")
-	withTuning(t, DefaultTuning(), "")
 	rng := rand.New(rand.NewSource(89))
 	a, b := Randn(rng, 0, 1, 256, 256), Randn(rng, 0, 1, 256, 256)
 	x, w := Randn(rng, 0, 1, 8, 16, 32, 32), Randn(rng, 0, 1, 32, 16, 3, 3)

@@ -1,18 +1,28 @@
 package tensor
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"aibench/internal/parallel"
 )
 
 // Kernels is the pluggable compute-kernel interface behind the
 // package-level MatMul/MatMulT/TMatMul/MatVec/Outer/Conv2D/
-// Conv2DBackward entry points. Implementations receive shape-validated
+// Conv2DBackward entry points. A Kernels value is the substrate a run
+// computes on, and it travels the way the step arena does: the run
+// that owns a benchmark instance records its kernels on the instance's
+// arena (Arena.SetKernels), every tensor computed from the instance's
+// parameters carries that placement, and each entry point dispatches
+// to the kernels of its first placed operand. Operands placed nowhere
+// — plain heap tensors — dispatch to the process default, fixed at
+// init. Nothing after init writes kernel state, so any number of runs
+// under different kernels share a process without seeing each other.
+//
+// Implementations receive shape-validated
 // operands (the wrappers panic on rank/dimension mismatches before
 // dispatching) and must satisfy the determinism contract: for a fixed
 // kernel, results are bitwise identical run to run regardless of
@@ -24,9 +34,9 @@ import (
 // GEBP engine of kernel_tuned.go — cache-blocked, panel-packed GEMM
 // with a register micro-kernel and a 2-D row×column-block work
 // decomposition — once as "blocked" (the default, pinned to
-// DefaultTuning()) and once as "tuned" (tile geometry, micro-kernel
-// shape, k-unroll, and parallel threshold read from the active Tuning
-// — see SetTuning and internal/tune).
+// DefaultTuning()) and once as "tuned" (the same engine under whatever
+// Tuning it was built with — see Tuned and internal/tune; the
+// registered one is built with DefaultTuning()).
 type Kernels interface {
 	// Name is the registry key ("naive", "blocked", ...).
 	Name() string
@@ -52,19 +62,20 @@ type Kernels interface {
 	Conv2DBackward(x, w, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor)
 }
 
-// EnvKernel is the environment variable consulted at startup to select
-// the active kernel (same names as UseKernels). Unset means
-// DefaultKernel.
+// EnvKernel is the environment variable consulted once, at init, to
+// name the process default kernel. Unset means DefaultKernel.
 const EnvKernel = "AIBENCH_KERNEL"
 
-// DefaultKernel is the kernel selected when neither the environment
-// nor UseKernels chooses one.
+// DefaultKernel is the process default kernel when the environment
+// names none.
 const DefaultKernel = "blocked"
 
 var (
 	kernelMu sync.Mutex
 	registry = map[string]Kernels{}
-	active   atomic.Pointer[Kernels]
+	// processKernels is what unplaced operands dispatch to and what an
+	// empty Plan.Kernel means. Written by init only.
+	processKernels Kernels
 )
 
 // RegisterKernels adds an implementation to the registry; it panics on
@@ -90,8 +101,8 @@ func KernelNames() []string {
 	return names
 }
 
-// LookupKernels returns the named kernel without activating it, so
-// tests and tools can run two kernels side by side.
+// LookupKernels returns the named registered kernel: a value to call
+// directly or to hand to a run.
 func LookupKernels(name string) (Kernels, bool) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
@@ -99,36 +110,59 @@ func LookupKernels(name string) (Kernels, bool) {
 	return k, ok
 }
 
-// UseKernels makes the named kernel the active one for every
-// subsequent package-level op. Switching is process-global: do it at
-// startup (CLI flag, env) or between sessions, not while tensor ops
-// from another goroutine are in flight with a different expectation.
-func UseKernels(name string) error {
+// ProcessKernels returns the process default kernel: $AIBENCH_KERNEL
+// or DefaultKernel, fixed at init.
+func ProcessKernels() Kernels { return processKernels }
+
+// ResolveKernels is the one rule that turns what a plan (or a worker's
+// hello frame) says about its kernel into the value the run dispatches
+// to: the named registered kernel, or — when t is non-nil — the GEBP
+// engine under *t, which only the "tuned" name accepts.
+func ResolveKernels(name string, t *Tuning) (Kernels, error) {
+	if t != nil {
+		if name != tunedName {
+			return nil, fmt.Errorf("tensor: a tuning parameterizes the %q kernel, not %q", tunedName, name)
+		}
+		return Tuned(*t)
+	}
 	k, ok := LookupKernels(name)
 	if !ok {
-		return fmt.Errorf("tensor: unknown kernel %q (registered: %v)", name, KernelNames())
+		return nil, fmt.Errorf("tensor: unknown kernel %q (registered: %v)", name, KernelNames())
 	}
-	active.Store(&k)
-	return nil
+	return k, nil
 }
 
-// ActiveKernels returns the kernel the package-level ops dispatch to.
-func ActiveKernels() Kernels {
-	return *active.Load()
+type kernelsKey struct{}
+
+// WithKernels returns a context carrying k as the run's kernels: the
+// one argument every place that builds a benchmark instance for a run
+// already receives.
+func WithKernels(ctx context.Context, k Kernels) context.Context {
+	return context.WithValue(ctx, kernelsKey{}, k)
+}
+
+// KernelsFrom returns the kernels ctx carries, or the process default
+// when it carries none.
+func KernelsFrom(ctx context.Context) Kernels {
+	if k, ok := ctx.Value(kernelsKey{}).(Kernels); ok {
+		return k
+	}
+	return processKernels
 }
 
 func init() {
-	builtin := DefaultTuning()
 	RegisterKernels(naiveKernels{})
-	RegisterKernels(gebpKernels{name: "blocked", pinned: &builtin})
-	RegisterKernels(gebpKernels{name: "tuned"})
+	RegisterKernels(&gebpKernels{name: "blocked", tuning: DefaultTuning()})
+	RegisterKernels(&gebpKernels{name: tunedName, tuning: DefaultTuning()})
 	name := DefaultKernel
 	if v := os.Getenv(EnvKernel); v != "" {
 		name = v
 	}
-	if err := UseKernels(name); err != nil {
+	k, err := ResolveKernels(name, nil)
+	if err != nil {
 		panic(fmt.Sprintf("tensor: %s=%q: %v", EnvKernel, name, err))
 	}
+	processKernels = k
 }
 
 // parGate runs fn over [0, units) — across the cores when flops is at

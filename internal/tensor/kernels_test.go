@@ -47,23 +47,16 @@ func TestKernelRegistryAndSelection(t *testing.T) {
 	if len(names) < 2 || names[0] != "blocked" || names[1] != "naive" {
 		t.Fatalf("KernelNames = %v, want [blocked naive ...]", names)
 	}
-	if os.Getenv(EnvKernel) == "" && ActiveKernels().Name() != DefaultKernel {
-		t.Fatalf("default active kernel = %q, want %q", ActiveKernels().Name(), DefaultKernel)
+	if os.Getenv(EnvKernel) == "" && ProcessKernels().Name() != DefaultKernel {
+		t.Fatalf("process default kernel = %q, want %q", ProcessKernels().Name(), DefaultKernel)
 	}
-	if err := UseKernels("no-such-kernel"); err == nil {
-		t.Fatal("UseKernels accepted an unknown name")
-	}
-	prev := ActiveKernels().Name()
 	for _, name := range names {
-		if err := UseKernels(name); err != nil {
-			t.Fatalf("UseKernels(%q): %v", name, err)
-		}
-		if ActiveKernels().Name() != name {
-			t.Fatalf("active = %q after UseKernels(%q)", ActiveKernels().Name(), name)
+		if k, ok := LookupKernels(name); !ok || k.Name() != name {
+			t.Fatalf("LookupKernels(%q) = %v, %v", name, k, ok)
 		}
 	}
-	if err := UseKernels(prev); err != nil {
-		t.Fatal(err)
+	if _, ok := LookupKernels("no-such-kernel"); ok {
+		t.Fatal("LookupKernels found an unknown name")
 	}
 }
 

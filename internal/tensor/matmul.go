@@ -7,13 +7,13 @@ import (
 )
 
 // The package-level linear-algebra entry points validate shapes and
-// dispatch to the active compute kernel (see Kernels in kernels.go).
-// Implementations live in kernel_naive.go (the oracle) and
-// kernel_tuned.go (the GEBP engine behind "blocked" and "tuned");
-// selection happens via UseKernels, the AIBENCH_KERNEL environment
-// variable, or the CLI's -kernel flag. Each entry point is also the
-// telemetry choke point: one gated per-op call/FLOP count covers every
-// kernel implementation.
+// dispatch to the kernels their operands are placed under (KernelsOf;
+// see Kernels in kernels.go). Implementations live in kernel_naive.go
+// (the oracle) and kernel_tuned.go (the GEBP engine behind "blocked"
+// and "tuned"); a run selects one through Plan.Kernel / the CLI's
+// -kernel flag, and the AIBENCH_KERNEL environment variable names the
+// process default. Each entry point is also the telemetry choke point:
+// one gated per-op call/FLOP count covers every kernel implementation.
 
 // MatMul multiplies two 2-D tensors: (m×k) · (k×n) → (m×n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -24,7 +24,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v vs %v", a.shape, b.shape))
 	}
 	telemetry.CountKernel(telemetry.OpMatMul, 2*int64(a.shape[0])*int64(a.shape[1])*int64(b.shape[1]))
-	return ActiveKernels().MatMul(a, b)
+	return KernelsOf(a, b).MatMul(a, b)
 }
 
 // MatMulT multiplies a by the transpose of b: (m×k) · (n×k)ᵀ → (m×n).
@@ -37,7 +37,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v vs %v", a.shape, b.shape))
 	}
 	telemetry.CountKernel(telemetry.OpMatMulT, 2*int64(a.shape[0])*int64(a.shape[1])*int64(b.shape[0]))
-	return ActiveKernels().MatMulT(a, b)
+	return KernelsOf(a, b).MatMulT(a, b)
 }
 
 // TMatMul multiplies the transpose of a by b: (k×m)ᵀ · (k×n) → (m×n).
@@ -49,7 +49,7 @@ func TMatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v vs %v", a.shape, b.shape))
 	}
 	telemetry.CountKernel(telemetry.OpTMatMul, 2*int64(a.shape[1])*int64(a.shape[0])*int64(b.shape[1]))
-	return ActiveKernels().TMatMul(a, b)
+	return KernelsOf(a, b).TMatMul(a, b)
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -73,7 +73,7 @@ func MatVec(a, v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec shapes %v and %v incompatible", a.shape, v.shape))
 	}
 	telemetry.CountKernel(telemetry.OpMatVec, 2*int64(a.shape[0])*int64(a.shape[1]))
-	return ActiveKernels().MatVec(a, v)
+	return KernelsOf(a, v).MatVec(a, v)
 }
 
 // Outer returns the outer product of two 1-D tensors: (m) ⊗ (n) → (m×n).
@@ -82,5 +82,5 @@ func Outer(a, b *Tensor) *Tensor {
 		panic("tensor: Outer requires 1-D operands")
 	}
 	telemetry.CountKernel(telemetry.OpOuter, int64(a.shape[0])*int64(b.shape[0]))
-	return ActiveKernels().Outer(a, b)
+	return KernelsOf(a, b).Outer(a, b)
 }

@@ -13,7 +13,9 @@
 // build on the Go heap. Every operation — unless its name carries an
 // InPlace suffix — allocates a fresh result where its operands are
 // placed: in the step arena of the first operand that has one (see
-// Arena, ArenaOf, NewLike), on the heap when none has. A benchmark
+// Arena, ArenaOf, NewLike), on the heap when none has — and the kernel
+// entry points compute it with the kernels that arena records
+// (KernelsOf), the process default when none does. A benchmark
 // instance owns exactly one arena, adopts its parameters into it, and
 // resets it once per optimizer step and per evaluation batch from its
 // own goroutine — the only one that may allocate from it; pool workers
@@ -42,7 +44,8 @@ type Tensor struct {
 	strides []int
 	Data    []float64
 	// arena is the tensor's placement: where results computed from it
-	// are allocated (nil: the Go heap). See Arena.
+	// are allocated and which kernels compute them (nil: the Go heap,
+	// the process default kernels). See Arena.
 	arena *Arena
 }
 

@@ -1,20 +1,17 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // The GEBP engine's configuration surface (kernel_tuned.go). Tile
 // geometry, register micro-kernel, k-unroll, and parallel threshold
-// are runtime parameters: the "blocked" kernel is the engine pinned to
-// DefaultTuning() (64×64 blocks, a 2×4 micro-kernel, ×4 k-unroll), the
-// "tuned" kernel is the same engine under the active tuning, so a
-// per-machine sweep (internal/tune) can pick the fastest combination
-// per GEMM shape class. Crucially none of these parameters can change
-// results: every output element accumulates its k terms ascending into
-// a single accumulator under every configuration, so the engine stays
-// bitwise-equal to naive no matter which config is active.
+// are runtime parameters: the "blocked" kernel is the engine at
+// DefaultTuning() (64×64 blocks, a 2×4 micro-kernel, ×4 k-unroll), a
+// "tuned" kernel is the same engine under the Tuning handed to Tuned,
+// so a per-machine sweep (internal/tune) can pick the fastest
+// combination per GEMM shape class. Crucially none of these parameters
+// can change results: every output element accumulates its k terms
+// ascending into a single accumulator under every configuration, so
+// the engine stays bitwise-equal to naive under every tuning.
 
 // TileConfig parameterizes one instantiation of the GEBP engine.
 type TileConfig struct {
@@ -121,10 +118,10 @@ type Tuning struct {
 	Conv   TileConfig `json:"conv"`
 }
 
-// DefaultTuning is the built-in configuration: the one "blocked" is
-// pinned to, and the active one until a persisted tuneconfig is
-// applied — so an untuned `tuned` run is the blocked kernel, and never
-// worse than it by construction. 64×64 tiles keep the packed A and B
+// DefaultTuning is the built-in configuration: the one "blocked" runs
+// under, and the registered "tuned" too — so a `tuned` run without a
+// persisted tuneconfig is the blocked kernel, and never worse than it
+// by construction. 64×64 tiles keep the packed A and B
 // slices a tile touches (64·K doubles each) within L2 for the suite's
 // typical K while still cutting a 512×512 product into 64 independent
 // tasks; the 2×4 micro-kernel measured faster than the spilling 4×4.
@@ -133,7 +130,8 @@ func DefaultTuning() Tuning {
 	return Tuning{Threshold: 1 << 17, Square: std, Skinny: std, Fat: std, Conv: std}
 }
 
-// Validate reports why the tuning cannot be activated; nil means it can.
+// Validate reports why the tuning cannot drive the GEBP engine; nil
+// means it can.
 func (t Tuning) Validate() error {
 	if t.Threshold <= 0 {
 		return fmt.Errorf("tensor: tuning parallel threshold %d must be positive", t.Threshold)
@@ -170,41 +168,6 @@ func (t Tuning) Summary() string {
 		t.Square, t.Skinny, t.Fat, t.Conv, t.Threshold)
 }
 
-// BuiltinTuningSource is TuningSource's value until a persisted
-// configuration is applied.
-const BuiltinTuningSource = "builtin"
-
-// tuningState pairs the active tuning with a label naming where it
-// came from (a tuneconfig stream path, "builtin", ...).
-type tuningState struct {
-	tuning Tuning
-	source string
-}
-
-var activeTuningState atomic.Pointer[tuningState]
-
-func init() {
-	activeTuningState.Store(&tuningState{tuning: DefaultTuning(), source: BuiltinTuningSource})
-}
-
-// SetTuning activates a validated tuning for the tuned kernel,
-// recording source as its provenance (persisted into RunMeta for tuned
-// runs). Like UseKernels it is process-global: apply it at startup or
-// between runs, not mid-op.
-func SetTuning(t Tuning, source string) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	if source == "" {
-		source = BuiltinTuningSource
-	}
-	activeTuningState.Store(&tuningState{tuning: t, source: source})
-	return nil
-}
-
-// ActiveTuning returns the tuned kernel's current parameter set.
-func ActiveTuning() Tuning { return activeTuningState.Load().tuning }
-
-// TuningSource names where the active tuning came from ("builtin"
-// until a persisted configuration is applied).
-func TuningSource() string { return activeTuningState.Load().source }
+// TuningBuiltin is what RunMeta.Tuning says for a "tuned" run that
+// loaded no persisted configuration.
+const TuningBuiltin = "builtin"

@@ -106,16 +106,6 @@ func (c *Config) Tuning() (tensor.Tuning, error) {
 	return t, nil
 }
 
-// Apply validates the config and activates it as the tuned kernel's
-// parameter set, with source recorded as its provenance.
-func Apply(c *Config, source string) error {
-	t, err := c.Tuning()
-	if err != nil {
-		return err
-	}
-	return tensor.SetTuning(t, source)
-}
-
 // Options control a Search sweep.
 type Options struct {
 	// Quick shrinks the shape menu and round count for tests and smoke
@@ -187,9 +177,9 @@ func fill(t *tensor.Tensor) {
 }
 
 // Search runs the full deterministic sweep and returns the winning
-// configuration for this machine. It drives the tuned engine directly
-// (tensor.TunedMatMul / TunedConv2D) and never touches the active
-// kernel or tuning, so it is safe to run inside a live process.
+// configuration for this machine. Each candidate is measured as its
+// own tensor.Tuned value, called directly, so the sweep is safe to run
+// inside a live process: no run sees it.
 func Search(opts Options) *Config {
 	rounds := opts.Rounds
 	if rounds <= 0 {
@@ -306,22 +296,33 @@ func convFlops(cs convShape) float64 {
 	return 2 * float64(cs.n) * float64(oh) * float64(ow) * float64(cs.c) * float64(cs.k) * float64(cs.k) * float64(cs.outC)
 }
 
+// engine is the GEBP engine running every shape class under cand. The
+// menus hold valid configs only, so a rejection is a bug in them.
+func engine(cand tensor.TileConfig, threshold int) tensor.Kernels {
+	k, err := tensor.Tuned(tensor.Tuning{Threshold: threshold, Square: cand, Skinny: cand, Fat: cand, Conv: cand})
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 // timeGemmClass returns the summed best-of-rounds time across the
 // class's shapes, plus the best time of the final (largest) shape for
 // throughput reporting. One untimed warmup per shape absorbs
 // first-touch and scheduler noise.
 func timeGemmClass(class gemmClass, cand tensor.TileConfig, threshold, rounds int) (total, last time.Duration) {
+	eng := engine(cand, threshold)
 	for _, s := range class.shapes {
 		m, k, n := s[0], s[1], s[2]
 		a := tensor.New(m, k)
 		b := tensor.New(k, n)
 		fill(a)
 		fill(b)
-		tensor.TunedMatMul(a, b, cand, threshold)
+		eng.MatMul(a, b)
 		best := time.Duration(0)
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
-			tensor.TunedMatMul(a, b, cand, threshold)
+			eng.MatMul(a, b)
 			if d := time.Since(start); best == 0 || d < best {
 				best = d
 			}
@@ -339,11 +340,12 @@ func timeConv(cs convShape, cand tensor.TileConfig, threshold, rounds int) time.
 	w := tensor.New(cs.outC, cs.c, cs.k, cs.k)
 	fill(x)
 	fill(w)
-	tensor.TunedConv2D(x, w, p, cand, threshold)
+	eng := engine(cand, threshold)
+	eng.Conv2D(x, w, p)
 	best := time.Duration(0)
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
-		tensor.TunedConv2D(x, w, p, cand, threshold)
+		eng.Conv2D(x, w, p)
 		if d := time.Since(start); best == 0 || d < best {
 			best = d
 		}
@@ -428,4 +430,19 @@ func Select(cfgs []*Config, goarch string, gomaxprocs int) (*Config, error) {
 		return archOnly, nil
 	}
 	return nil, fmt.Errorf("tune: no tuneconfig for goarch=%s among %d envelope(s)", goarch, len(cfgs))
+}
+
+// Load reads the tuneconfig stream at path and selects this machine's
+// config from it: the one step every consumer of a persisted stream
+// takes before Config.Tuning.
+func Load(path string) (*Config, error) {
+	cfgs, err := LoadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	c, err := Select(cfgs, runtime.GOARCH, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, fmt.Errorf("%v in %s", err, path)
+	}
+	return c, nil
 }

@@ -170,16 +170,10 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestApplyRoundTrip persists a hand-built stream, loads + selects +
-// applies it, and checks the tensor layer reflects it with the path as
-// provenance — the `tune` → `run -tune-from` contract.
-func TestApplyRoundTrip(t *testing.T) {
-	prev, prevSrc := tensor.ActiveTuning(), tensor.TuningSource()
-	defer func() {
-		if err := tensor.SetTuning(prev, prevSrc); err != nil {
-			t.Fatal(err)
-		}
-	}()
+// TestLoadedConfigRoundTrip persists a hand-built stream, loads +
+// selects it, and checks the kernel built from it carries the swept
+// parameters — the `tune` → `run -tune-from` contract.
+func TestLoadedConfigRoundTrip(t *testing.T) {
 	path := writeStream(t, envLine(runtime.GOARCH, runtime.GOMAXPROCS(0)))
 	cfgs, err := LoadFile(path)
 	if err != nil {
@@ -189,17 +183,19 @@ func TestApplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Apply(cfg, path); err != nil {
+	tuning, err := cfg.Tuning()
+	if err != nil {
 		t.Fatal(err)
 	}
-	active := tensor.ActiveTuning()
-	if active.Threshold != 32768 {
-		t.Errorf("threshold not active: %d", active.Threshold)
+	k, err := tensor.Tuned(tuning)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}); active.Square != want {
-		t.Errorf("square class = %v, want %v", active.Square, want)
+	if k.ParallelThreshold() != 32768 {
+		t.Errorf("threshold not carried: %d", k.ParallelThreshold())
 	}
-	if tensor.TuningSource() != path {
-		t.Errorf("provenance = %q, want the stream path", tensor.TuningSource())
+	got, _ := tensor.TuningOf(k)
+	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}); got.Square != want {
+		t.Errorf("square class = %v, want %v", got.Square, want)
 	}
 }
