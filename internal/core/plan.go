@@ -110,8 +110,9 @@ type Plan struct {
 	// engines emit a span tree plus deterministic counters (see
 	// internal/telemetry's two-plane contract), attached to the
 	// RunResult and delivered through the sink as trailing "trace" and
-	// "runmetrics" records. Collection is process-global: at most one
-	// telemetry run per process at a time.
+	// "runmetrics" records. The trace is the run's own: traced and
+	// untraced runs overlap in one process freely, and each trace is
+	// byte-identical to the one the plan produces alone.
 	Telemetry bool
 }
 
@@ -272,9 +273,10 @@ type Runner struct {
 	plan Plan
 	reg  *Registry
 	bs   []*Benchmark
-	// kernels is what (Plan.Kernel, Plan.TuneFrom) resolved to at build
-	// time: the value Run hands every instance it builds.
-	kernels tensor.Kernels
+	// run is what every instance an untraced Run builds is placed
+	// under: the kernels (Plan.Kernel, Plan.TuneFrom) resolved to at
+	// build time, no counters. A traced Run adds its tracer's.
+	run tensor.Run
 }
 
 // kernelName is the registered name the plan's kernel goes by: the
@@ -361,7 +363,7 @@ func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 	if p.Device.Name == "" {
 		p.Device = gpusim.TitanXP()
 	}
-	return &Runner{plan: p, reg: reg, bs: bs, kernels: kernels}, nil
+	return &Runner{plan: p, reg: reg, bs: bs, run: tensor.Run{Kernels: kernels}}, nil
 }
 
 // Plan returns the validated plan (defaults filled in).
@@ -379,7 +381,7 @@ func (r *Runner) Meta() RunMeta {
 	m := RunMeta{
 		SuiteSHA: r.reg.SHA(),
 		Seed:     r.plan.Seed,
-		Kernel:   r.kernels.Name(),
+		Kernel:   r.run.Kernels.Name(),
 		Shards:   r.plan.Shards,
 		Backend:  r.plan.Backend,
 	}
@@ -400,22 +402,23 @@ func (r *Runner) Meta() RunMeta {
 // and is returned. Cancelling ctx stops cleanly — no new work launches,
 // running sessions stop at their next epoch boundary — and is not an
 // error: the partial RunResult is returned with zero-valued slots for
-// work that never ran. A nil sink just collects. The run's kernels ride
-// on the context to every place an instance is built (the serial
-// session path, the dist backends), so concurrent Runs under different
-// kernels never see each other.
+// work that never ran. A nil sink just collects. The run's kernels and,
+// when it is traced, its counters ride on the context as one value to
+// every place an instance is built (the serial session path, the dist
+// backends), so concurrent Runs — under different kernels, traced or
+// not — never see each other.
 func (r *Runner) Run(ctx context.Context, sink func(Record) error) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx = tensor.WithKernels(ctx, r.kernels)
 	res := &RunResult{Kind: r.plan.Kind, Meta: r.Meta()}
 	if !r.plan.Telemetry {
-		err := r.runKind(ctx, sink, nil, res)
+		err := r.runKind(tensor.WithRun(ctx, &r.run), sink, nil, res)
 		return res, err
 	}
 
 	tr := telemetry.Start(r.plan.Kind.String())
+	ctx = tensor.WithRun(ctx, &tensor.Run{Kernels: r.run.Kernels, Counters: tr.Counters()})
 	counted := sink
 	if sink != nil {
 		// Count records after their sink accepted them, through the
@@ -425,7 +428,7 @@ func (r *Runner) Run(ctx context.Context, sink func(Record) error) (*RunResult, 
 			if err := sink(rec); err != nil {
 				return err
 			}
-			telemetry.Count(telemetry.CounterSinkRecords, 1)
+			tr.Counters().Count(telemetry.CounterSinkRecords, 1)
 			return nil
 		}
 	}

@@ -240,7 +240,7 @@ func TestRunnerTuneFrom(t *testing.T) {
 	if got := runner.Meta().Tuning; got != path {
 		t.Fatalf("RunMeta.Tuning = %q, want the stream path %q", got, path)
 	}
-	if got := runner.kernels.ParallelThreshold(); got != 65536 {
+	if got := runner.run.Kernels.ParallelThreshold(); got != 65536 {
 		t.Fatalf("the runner's kernel forks at %d, want the config's 65536", got)
 	}
 	res, err := runner.Run(context.Background(), nil)

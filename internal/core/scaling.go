@@ -131,7 +131,7 @@ func timeShardedEpochs(ctx context.Context, b *Benchmark, backend string, n, epo
 		if _, terr := eng.TrainEpoch(); terr != nil {
 			return 0, false, terr
 		}
-		telemetry.Count(telemetry.CounterEpochs, 1)
+		span.Count(telemetry.CounterEpochs, 1)
 	}
 	span.Add(int64(epochs))
 	return time.Since(start).Seconds() / float64(epochs), true, nil

@@ -122,8 +122,8 @@ func (b *Benchmark) RunScaledSession(cfg SessionConfig) SessionResult {
 
 // runSession is the context-aware session engine behind both
 // RunScaledSession and the Plan Runner: it places the instance it
-// builds under the kernels ctx carries (tensor.KernelsFrom — the dist
-// backends do the same for their replicas) and checks ctx at every epoch
+// builds under the run ctx carries (tensor.RunFrom — the dist backends
+// do the same for their replicas) and checks ctx at every epoch
 // boundary so a cancelled run stops training instead of spending the
 // remaining epoch budget (the completed prefix is still returned, with
 // Interrupted set).
@@ -131,7 +131,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 150
 	}
-	kernels := tensor.KernelsFrom(ctx)
+	run := tensor.RunFrom(ctx)
 	backendName := cfg.Backend
 	if backendName == "" {
 		backendName = "local"
@@ -167,7 +167,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	}
 	if trainer == nil { // serial path (Shards == 0, not shardable, or rejected)
 		wl := b.Factory(cfg.Seed)
-		wl.Arena().SetKernels(kernels)
+		wl.Arena().SetRun(run)
 		trainer = serialTrainer{w: wl}
 		name, target = wl.Name(), wl.ScaledTarget()
 		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
@@ -185,7 +185,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	}
 	res := SessionResult{
 		ID: b.ID, Name: name, Kind: cfg.Kind, Shards: shards,
-		FallbackReason: fallback, Kernel: kernels.Name(),
+		FallbackReason: fallback, Kernel: run.Kernels.Name(),
 		Target: target,
 	}
 	for ep := 1; ep <= cfg.MaxEpochs; ep++ {
@@ -207,7 +207,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 			res.Error = err.Error()
 			break
 		}
-		telemetry.Count(telemetry.CounterEpochs, 1)
+		espan.Count(telemetry.CounterEpochs, 1)
 		res.Losses = append(res.Losses, loss)
 		res.Epochs = ep
 		q, qerr := trainer.Quality()
@@ -227,8 +227,7 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 	}
 	if closeEng != nil {
 		// Close before the tracer snapshots: process backends fold
-		// their children's deterministic counters into the run's plane
-		// here.
+		// their children's deterministic counters into the run's here.
 		if cerr := closeEng(); cerr != nil && res.Error == "" {
 			res.Error = cerr.Error()
 		}

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
-
-	"aibench/internal/telemetry"
 )
 
 // telemetryPlan is the seeded plan the determinism tests run twice:
@@ -49,13 +48,6 @@ func runTelemetryPlan(t *testing.T, reg *Registry, p Plan) (*RunResult, []Record
 // goroutine scheduling.
 func TestTelemetryDeterministicPlane(t *testing.T) {
 	reg := NewRegistry()
-	// Warm the per-benchmark Shardable/Spec caches first: the probe work
-	// of a cold cache runs kernel ops the second run wouldn't, and the
-	// deterministic plane must not depend on in-process history.
-	warm := telemetryPlan()
-	warm.Telemetry = false
-	runTelemetryPlan(t, reg, warm)
-
 	res1, recs1 := runTelemetryPlan(t, reg, telemetryPlan())
 	res2, _ := runTelemetryPlan(t, reg, telemetryPlan())
 
@@ -127,7 +119,7 @@ func TestTelemetryDeterministicPlane(t *testing.T) {
 }
 
 // TestTelemetryOffEmitsNoExtraRecords pins the disabled default: no
-// trace/runmetrics records, no attached planes, counters untouched.
+// trace/runmetrics records, no attached planes.
 func TestTelemetryOffEmitsNoExtraRecords(t *testing.T) {
 	reg := NewRegistry()
 	p := telemetryPlan()
@@ -141,8 +133,79 @@ func TestTelemetryOffEmitsNoExtraRecords(t *testing.T) {
 			t.Fatalf("telemetry-off run emitted a %s record", r.Kind)
 		}
 	}
-	if telemetry.Enabled() {
-		t.Fatal("telemetry gate left on")
+}
+
+// TestConcurrentTracedRunsStayExact is what "a run's counters are a
+// value" buys: four traced plans — a serial session, a sharded one on
+// each backend, a replay — and an untraced session run in one process
+// at once, every one of them inside Run at the same instant (each
+// holds its first record in its sink until all five have one), and
+// each traced run's deterministic plane is byte-equal to the one the
+// same plan produces alone: no Start zeroes a neighbour, no Stop blinds
+// one, no call of one run — or of the untraced run, which attaches no
+// trace — lands in another's counts.
+func TestConcurrentTracedRunsStayExact(t *testing.T) {
+	reg := NewRegistry()
+	session := func(id string, shards int, backend string, traced bool) Plan {
+		return Plan{Kind: RunSession, Benchmarks: []string{id}, Session: QuasiEntireSession,
+			Epochs: 3, Seed: 11, Shards: shards, Backend: backend, Telemetry: traced}
+	}
+	plans := []Plan{
+		session("DC-AI-C1", 0, "", true),
+		session("DC-AI-C16", 2, "local", true),
+		session("DC-AI-C16", 2, "process", true),
+		{Kind: RunReplay, Benchmarks: []string{"DC-AI-C1", "DC-AI-C16"}, Seed: 11, Telemetry: true},
+		session("DC-AI-C16", 0, "", false),
+	}
+	plane := func(res *RunResult) []byte {
+		if res.Trace == nil {
+			return nil
+		}
+		b, err := json.Marshal(res.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	solo := make([][]byte, len(plans))
+	for i, p := range plans {
+		res, _ := runTelemetryPlan(t, reg, p)
+		solo[i] = plane(res)
+	}
+
+	together := make([]*RunResult, len(plans))
+	errs := make([]error, len(plans))
+	var inside, done sync.WaitGroup
+	inside.Add(len(plans))
+	for i, p := range plans {
+		r, err := NewRunner(reg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			var once sync.Once
+			together[i], errs[i] = r.Run(context.Background(), func(Record) error {
+				once.Do(func() {
+					inside.Done()
+					inside.Wait()
+				})
+				return nil
+			})
+		}()
+	}
+	done.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("plan %d: %v", i, errs[i])
+		}
+		if got := plane(together[i]); !bytes.Equal(got, solo[i]) {
+			t.Errorf("plan %d: deterministic plane among concurrent runs differs from the solo run's:\n%s\n%s", i, got, solo[i])
+		}
+	}
+	if together[4].Trace != nil || together[4].Metrics != nil {
+		t.Error("the untraced run attached a trace")
 	}
 }
 

@@ -143,8 +143,8 @@ func (e *Engine) MeetsTarget(q float64) bool { return e.spec.MeetsTarget(q) }
 func (e *Engine) Phases() []models.PhaseSpec { return e.spec.Phases }
 
 // Close releases the replica group (child processes, pool slots).
-// Idempotent; call before the telemetry tracer stops so process
-// backends can fold their children's counters into the run's plane.
+// Idempotent; call before the run's tracer stops so process backends
+// can fold their children's counters into the run's.
 func (e *Engine) Close() error {
 	if e.closed {
 		return nil
@@ -245,7 +245,7 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 
 	// Gather grains in canonical order and all-reduce.
 	total := outs[0].Total
-	telemetry.Count(telemetry.CounterGrains, int64(total))
+	span.Count(telemetry.CounterGrains, int64(total))
 	for r := 1; r < len(outs); r++ {
 		if outs[r].Total != total {
 			return 0, fmt.Errorf("dist: phase %q: replica %d produced %d grains, replica 0 produced %d",
@@ -295,8 +295,8 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 	Reduce(e.reduction, sc.scalars, sc.weights, lossOut[:])
 	rspan.Add(int64(total) * int64(plen+1))
 	rspan.End()
-	telemetry.Count(telemetry.CounterReduceRounds, 2)
-	telemetry.Count(telemetry.CounterReduceFloats, int64(total)*int64(plen+1))
+	span.Count(telemetry.CounterReduceRounds, 2)
+	span.Count(telemetry.CounterReduceFloats, int64(total)*int64(plen+1))
 	phaseLoss := lossOut[0]
 	if e.spec.BufLen > 0 {
 		bspan := span.Child("bufsync")
@@ -306,8 +306,8 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 		Reduce(e.reduction, sc.vecs, sc.weights, e.reducedBuf)
 		bspan.Add(int64(total) * int64(e.spec.BufLen))
 		bspan.End()
-		telemetry.Count(telemetry.CounterReduceRounds, 1)
-		telemetry.Count(telemetry.CounterReduceFloats, int64(total)*int64(e.spec.BufLen))
+		span.Count(telemetry.CounterReduceRounds, 1)
+		span.Count(telemetry.CounterReduceFloats, int64(total)*int64(e.spec.BufLen))
 	}
 
 	// Apply: install the reduced gradient (and buffer state) on every

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"aibench/internal/models"
+	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
 )
 
@@ -24,7 +25,7 @@ import (
 // their IEEE-754 bit patterns (math.Float64bits — the round trip is
 // bitwise, which is what makes cross-backend determinism provable),
 // strings and vectors length-prefixed with a u32; the two control-plane
-// bodies (the hello, the close reply's counters) are JSON. The protocol is
+// bodies (the hello, the close reply's counts) are JSON. The protocol is
 // strictly request/reply per rank and the parent is the only
 // initiator, so no frame ever needs reordering or an id.
 const (
@@ -42,7 +43,7 @@ const (
 	framePhaseOut   // PhaseOut
 	frameApplied    // (empty)
 	frameQualityOut // quality
-	frameClosed     // CounterSet capture
+	frameClosed     // kernel-op counts
 	frameError      // message (terminal: the child is giving up)
 )
 
@@ -213,7 +214,7 @@ func (f *frameReader) f64s(dst []float64) []float64 {
 // tuning when the run's "tuned" kernel was built from one — so the
 // child rebuilds it with the same tensor.ResolveKernels call. It is
 // control plane, sent once, and travels as JSON like the close reply's
-// counters; whether the kernel exists and the tuning can drive the
+// counts; whether the kernel exists and the tuning can drive the
 // engine is for ResolveKernels to say, not the decoder.
 type hello struct {
 	BenchID  string         `json:"bench_id"`
@@ -233,6 +234,36 @@ func encodeHello(h hello) []byte {
 func decodeHello(payload []byte) (h hello, err error) {
 	err = json.Unmarshal(payload, &h)
 	return h, err
+}
+
+// The close reply carries home what the child's counters hold: its
+// kernel-op counts (a replica counts nothing else).
+
+func encodeClosed(ops []telemetry.OpCount) []byte {
+	b, _ := json.Marshal(ops) // strings and ints cannot fail
+	return b
+}
+
+// decodeClosed is the parent's side of a trust boundary: the result is
+// added into the run's counters as it stands, so a body that does not
+// read as a snapshot — a negative call or FLOP total, an op listed
+// twice — is refused here. An op name this binary does not know is
+// left for Merge to drop.
+func decodeClosed(payload []byte) (ops []telemetry.OpCount, err error) {
+	if err = json.Unmarshal(payload, &ops); err != nil {
+		return nil, fmt.Errorf("dist: decoding counters: %v", err)
+	}
+	for i, oc := range ops {
+		if oc.Calls < 0 || oc.FLOPs < 0 {
+			return nil, fmt.Errorf("dist: counters: op %q has negative totals (%d calls, %d flops)", oc.Op, oc.Calls, oc.FLOPs)
+		}
+		for _, prev := range ops[:i] {
+			if prev.Op == oc.Op {
+				return nil, fmt.Errorf("dist: counters: op %q listed twice", oc.Op)
+			}
+		}
+	}
+	return ops, nil
 }
 
 func encodeSpec(s GroupSpec) []byte {

@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
+	"os"
+	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"aibench/internal/models"
+	"aibench/internal/telemetry"
 )
 
 // frameBytes is one frame exactly as writeFrame puts it on the pipe.
@@ -49,7 +54,7 @@ func FuzzReadFrame(f *testing.F) {
 		{framePhaseOut, encodePhaseOut(out)},
 		{frameApplied, nil},
 		{frameQualityOut, appendF64(nil, 0.75)},
-		{frameClosed, appendStr(nil, `{"epochs":2}`)},
+		{frameClosed, []byte(`[{"op":"matmul","calls":4,"flops":1024}]`)},
 		{frameError, appendStr(nil, "replica gave up")},
 	} {
 		f.Add(frameBytes(f, fr.typ, fr.payload))
@@ -108,3 +113,98 @@ func TestReadFrameMultiChunk(t *testing.T) {
 		t.Fatalf("second frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
 }
+
+// hostileClosed are close-reply bodies a well-behaved child never
+// sends: each would move the parent's counters somewhere no run of the
+// plan could.
+var hostileClosed = map[string]string{
+	`[{"op":"matmul","calls":-3,"flops":10}]`:                                   "negative",
+	`[{"op":"matmul","calls":3,"flops":-9223372036854775808}]`:                  "negative",
+	`[{"op":"conv2d","calls":1,"flops":1},{"op":"conv2d","calls":1,"flops":1}]`: "twice",
+	`[{"op":"warp","calls":1},{"op":"matvec"},{"op":"warp","calls":1}]`:         "twice",
+	`[{"op":"matmul","calls":"3"}]`:                                             "decoding counters",
+	`{"epochs":2}`:                                                              "decoding counters",
+}
+
+// FuzzClosedFrame hardens the last thing the parent does with bytes
+// from a child's pipe: decodeClosed must turn any close-reply body into
+// kernel-op counts or an error — never a panic — and counts it lets
+// through must be ones Merge can add as they stand: no negative total,
+// no op listed twice, and unchanged by an encode/decode round trip.
+// Merged into fresh counters, nothing they name can come out negative
+// and nothing this binary does not know can come out at all.
+func FuzzClosedFrame(f *testing.F) {
+	f.Add(encodeClosed(nil))
+	f.Add(encodeClosed([]telemetry.OpCount{{Op: "matmul", Calls: 4, FLOPs: 1024}, {Op: "conv2d", Calls: 1, FLOPs: 1 << 40}}))
+	f.Add(encodeClosed([]telemetry.OpCount{{Op: "from-a-newer-worker", Calls: 9, FLOPs: 9}}))
+	for body := range hostileClosed {
+		f.Add([]byte(body))
+	}
+	whole := encodeClosed([]telemetry.OpCount{{Op: "outer", Calls: 2, FLOPs: 8}})
+	f.Add(whole[:len(whole)-2]) // cut short
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		ops, err := decodeClosed(payload)
+		if err != nil {
+			return // rejecting the input is fine; panicking is not
+		}
+		if again, err := decodeClosed(encodeClosed(ops)); err != nil || !reflect.DeepEqual(again, ops) {
+			t.Fatalf("counts %+v re-decode as %+v, err %v", ops, again, err)
+		}
+		var c telemetry.Counters
+		c.Merge(ops)
+		sent := map[string]bool{}
+		for _, op := range ops {
+			if op.Calls < 0 || op.FLOPs < 0 || sent[op.Op] {
+				t.Fatalf("decodeClosed let %+v through in %+v", op, ops)
+			}
+			sent[op.Op] = true
+		}
+		for _, op := range c.Snapshot().Kernel {
+			if !sent[op.Op] || op.Calls <= 0 || op.FLOPs < 0 {
+				t.Fatalf("merging %+v produced op %+v", ops, op)
+			}
+		}
+	})
+}
+
+// TestCloseRefusesHostileCounters: a child whose close reply does not
+// read as kernel-op counts fails its group with the reason and moves
+// none of the run's counters; an honest reply is merged.
+func TestCloseRefusesHostileCounters(t *testing.T) {
+	closeWith := func(body string) (telemetry.CounterSet, error) {
+		// Any child that exits on its own will do: Close only reaps it.
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var counters telemetry.Counters
+		g := &processGroup{counters: &counters, procs: []*workerProc{{
+			cmd: cmd,
+			in:  nopWriteCloser{io.Discard},
+			bw:  bufio.NewWriter(io.Discard),
+			br:  bufio.NewReader(bytes.NewReader(frameBytes(t, frameClosed, []byte(body)))),
+		}}}
+		err := g.Close()
+		return counters.Snapshot(), err
+	}
+	for body, want := range hostileClosed {
+		got, err := closeWith(body)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "replica 0") {
+			t.Errorf("close reply %s: err = %v, want replica 0 refused for %q", body, err, want)
+		}
+		if !reflect.DeepEqual(got, telemetry.CounterSet{}) {
+			t.Errorf("close reply %s was refused but still counted %+v", body, got)
+		}
+	}
+	got, err := closeWith(`[{"op":"matvec","calls":2,"flops":64},{"op":"warp","calls":1,"flops":1}]`)
+	want := telemetry.CounterSet{Kernel: []telemetry.OpCount{{Op: "matvec", Calls: 2, FLOPs: 64}}}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("honest close reply merged as %+v, err %v; want %+v", got, err, want)
+	}
+}
+
+type nopWriteCloser struct{ io.Writer }
+
+func (nopWriteCloser) Close() error { return nil }

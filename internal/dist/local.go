@@ -33,8 +33,8 @@ func (l *Local) Workers() int { return l.workers }
 // Open constructs the replica ranks serially — replica construction
 // order is part of the deterministic contract (each factory call may
 // advance shared state such as the dataset cache) — and validates the
-// shapes agree. The context only supplies the run's kernels: nothing
-// outlives the group.
+// shapes agree. The context only supplies the run the replicas are
+// placed under: nothing outlives the group.
 func (l *Local) Open(ctx context.Context, _ string, factory models.Factory, seed int64) (Group, error) {
 	g := &localGroup{
 		replicas: make([]*replica, l.workers),
@@ -43,7 +43,7 @@ func (l *Local) Open(ctx context.Context, _ string, factory models.Factory, seed
 	}
 	specs := make([]GroupSpec, l.workers)
 	for r := 0; r < l.workers; r++ {
-		rep, err := newReplica(factory, seed, r, l.workers, tensor.KernelsFrom(ctx))
+		rep, err := newReplica(factory, seed, r, l.workers, tensor.RunFrom(ctx))
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -44,8 +43,9 @@ func (p *Process) Workers() int { return p.workers }
 // Open spawns one worker child per rank (this binary re-executed with
 // WorkerEnv set), sends each its hello, and validates the specs the
 // children constructed. The context bounds the children's lifetime:
-// cancellation kills them, and it carries the run's kernels, which the
-// hello hands on. The factory is unused — children rebuild the workload
+// cancellation kills them, and it carries the run: its kernels, which
+// the hello hands on, and its counters, which the hello asks each child
+// to keep its own of and Close folds the children's into. The factory is unused — children rebuild the workload
 // from benchID on their side of the pipe, which is exactly what makes
 // the isolation real.
 func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, seed int64) (Group, error) {
@@ -53,15 +53,15 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 	if err != nil {
 		return nil, fmt.Errorf("dist: process backend: locating executable: %v", err)
 	}
+	run := tensor.RunFrom(ctx)
 	g := &processGroup{
 		procs:    make([]*workerProc, 0, p.workers),
 		outs:     make([]PhaseOut, p.workers),
 		quals:    make([]float64, p.workers),
-		counters: telemetry.Enabled(),
+		counters: run.Counters,
 	}
-	k := tensor.KernelsFrom(ctx)
-	h := hello{BenchID: benchID, Kernel: k.Name(), Seed: seed, Workers: p.workers, Counters: g.counters}
-	if t, ok := tensor.TuningOf(k); ok {
+	h := hello{BenchID: benchID, Kernel: run.Kernels.Name(), Seed: seed, Workers: p.workers, Counters: run.Counters != nil}
+	if t, ok := tensor.TuningOf(run.Kernels); ok {
 		h.Tuning = &t
 	}
 	for rank := 0; rank < p.workers; rank++ {
@@ -133,7 +133,7 @@ type processGroup struct {
 	procs    []*workerProc
 	outs     []PhaseOut
 	quals    []float64
-	counters bool
+	counters *telemetry.Counters // the run's; nil when it is not traced
 	broken   bool
 	closed   bool
 }
@@ -253,8 +253,8 @@ func (g *processGroup) Quality() ([]float64, error) {
 }
 
 // Close shuts the children down. On the clean path each child gets a
-// close frame, replies with its deterministic-counter capture — merged
-// into the parent's plane before the tracer snapshots it — and is
+// close frame, replies with its kernel-op counts — validated, then
+// merged into the run's before its tracer snapshots them — and is
 // reaped; on the broken path whatever is left is killed. Idempotent.
 func (g *processGroup) Close() error {
 	if g.closed {
@@ -275,14 +275,11 @@ func (g *processGroup) Close() error {
 			if rerr != nil {
 				return rerr
 			}
-			fr := &frameReader{b: body}
-			var cs telemetry.CounterSet
-			if jerr := json.Unmarshal([]byte(fr.str()), &cs); jerr != nil {
-				return fmt.Errorf("dist: process backend: replica %d: decoding counters: %v", rank, jerr)
+			ops, derr := decodeClosed(body)
+			if derr != nil {
+				return fmt.Errorf("dist: process backend: replica %d: %v", rank, derr)
 			}
-			if g.counters {
-				telemetry.Merge(cs)
-			}
+			g.counters.Merge(ops)
 			return nil
 		}()
 		if err != nil && first == nil {

@@ -84,7 +84,7 @@ func TestProcessEngineMatchesLocalBitwise(t *testing.T) {
 func TestProcessBackendAcrossKernels(t *testing.T) {
 	for _, kname := range tensor.KernelNames() {
 		k, _ := tensor.LookupKernels(kname)
-		ctx := tensor.WithKernels(context.Background(), k)
+		ctx := tensor.WithRun(context.Background(), &tensor.Run{Kernels: k})
 		ll, lq := trainViaCtx(ctx, t, "DC-AI-C1", dist.NewLocal(2), 2)
 		pl, pq := trainViaCtx(ctx, t, "DC-AI-C1", dist.NewProcess(2), 2)
 		sameFloats(t, "DC-AI-C1/"+kname, pl, ll)

@@ -5,6 +5,7 @@ import (
 
 	"aibench/internal/models"
 	"aibench/internal/nn"
+	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
 )
 
@@ -23,6 +24,9 @@ type replica struct {
 	groups  [][]*nn.Param // per phase: the phase's reduce group
 	buffers []*tensor.Tensor
 	spec    GroupSpec
+	// counters is what the replica's ops count into: its run's, nil
+	// when the run is untraced. A worker child ships them home.
+	counters *telemetry.Counters
 
 	bufSnap     []float64   // phase-start buffer state (all ranks identical)
 	gradScratch [][]float64 // k-th grain's reusable gradient vector
@@ -31,18 +35,19 @@ type replica struct {
 }
 
 // newReplica constructs rank's workload from the factory at the shared
-// seed, places it under the run's kernels k, and validates its shape.
+// seed, places it under the run — its kernels and its counters — and
+// validates its shape.
 // Every rank runs exactly this — replica construction is part of the
 // deterministic contract, so the validation errors are worded
 // identically wherever they surface.
-func newReplica(factory models.Factory, seed int64, rank, workers int, k tensor.Kernels) (*replica, error) {
+func newReplica(factory models.Factory, seed int64, rank, workers int, run *tensor.Run) (*replica, error) {
 	wl := factory(seed)
-	wl.Arena().SetKernels(k)
+	wl.Arena().SetRun(run)
 	st := models.AsPhased(wl)
 	if st == nil {
 		return nil, ErrNotShardable
 	}
-	r := &replica{rank: rank, workers: workers, trainer: st, params: st.Module().Params()}
+	r := &replica{rank: rank, workers: workers, trainer: st, params: st.Module().Params(), counters: run.Counters}
 	if bt, ok := wl.(models.Buffered); ok {
 		r.buffers = bt.Buffers()
 	}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -118,40 +117,33 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 				return werr
 			}
 		case frameClose:
-			var cs telemetry.CounterSet
-			if h.Counters {
-				cs = telemetry.EndWorkerCapture()
-			}
-			body, jerr := json.Marshal(cs)
-			if jerr != nil {
-				return fail(fmt.Sprintf("encoding counters: %v", jerr))
-			}
-			return writeFrame(bw, frameClosed, appendStr(nil, string(body)))
+			// An untraced run's replica has no counters and replies with
+			// no counts.
+			return writeFrame(bw, frameClosed, encodeClosed(rep.counters.Snapshot().Kernel))
 		default:
 			return fail(fmt.Sprintf("unexpected frame type %d", typ))
 		}
 	}
 }
 
-// open builds the replica a hello asks for, placed under the kernel it
-// names — resolved by the rule the parent's NewRunner used, so a
-// `-tune-from` run's children compute under the same tuning its
-// envelopes name.
+// open builds the replica a hello asks for, placed under the child's
+// half of the run: the kernel the hello names — resolved by the rule
+// the parent's NewRunner used, so a `-tune-from` run's children compute
+// under the same tuning its envelopes name — and, when the parent's run
+// is traced, counters of the child's own, which see exactly the calls a
+// local replica's would and go home in the close reply.
 func (h hello) open() (*replica, error) {
 	k, err := tensor.ResolveKernels(h.Kernel, h.Tuning)
 	if err != nil {
 		return nil, err
 	}
-	// The counter gate opens before the replica is constructed so the
-	// capture covers construction kernels too — in local mode the
-	// parent's gate is already open when Open builds its replicas, and
-	// the two planes must merge to identical totals.
+	run := &tensor.Run{Kernels: k}
 	if h.Counters {
-		telemetry.BeginWorkerCapture()
+		run.Counters = new(telemetry.Counters)
 	}
 	for _, e := range models.AllEntries() {
 		if e.ID == h.BenchID {
-			return newReplica(e.Factory, h.Seed, h.Rank, h.Workers, k)
+			return newReplica(e.Factory, h.Seed, h.Rank, h.Workers, run)
 		}
 	}
 	return nil, fmt.Errorf("unknown benchmark id %q", h.BenchID)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aibench/internal/models"
+	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
 	"aibench/internal/tensor/kerneltest"
 )
@@ -84,7 +85,7 @@ func TestWorkerReplicaRunsUnderTheSentTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range rep.params {
-		got := tensor.KernelsOf(p.Value.Data)
+		got := tensor.RunOf(p.Value.Data).Kernels
 		if tuning, _ := tensor.TuningOf(got); got.Name() != "tuned" || got.ParallelThreshold() != 12345 || tuning != swept {
 			t.Fatalf("parameter %s dispatches to %s forking at %d under %+v, want the sent tuning", p.Name, got.Name(), got.ParallelThreshold(), tuning)
 		}
@@ -126,10 +127,12 @@ func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
 
 // TestRunKernelSeesEveryShardedCall is models'
 // TestRunKernelSeesEveryCall through the replica loop, on both paths
-// that build a replica: the local backend's Open under the kernels the
-// run's context carries, and the worker child's hello. Every kernel
-// call of a sharded DC-AI-C16 epoch and its evaluation must dispatch
-// through the kernel the replicas were placed under.
+// that build a replica: the local backend's Open under the run its
+// context carries, and the worker child's hello. Every kernel call of a
+// sharded DC-AI-C16 epoch and its evaluation must dispatch through the
+// kernel the replicas were placed under and count into the run's
+// counters — the child's own, when the hello asks for them — and none
+// may fall through to the process default.
 func TestRunKernelSeesEveryShardedCall(t *testing.T) {
 	naive, _ := tensor.LookupKernels("naive")
 	var factory models.Factory
@@ -138,52 +141,55 @@ func TestRunKernelSeesEveryShardedCall(t *testing.T) {
 			factory = e.Factory
 		}
 	}
+	check := func(t *testing.T, counting *kerneltest.Counting, counters *telemetry.Counters, fell int64) {
+		t.Helper()
+		if got, traced := counting.Calls.Load(), kerneltest.Traced(counters); fell != 0 || got == 0 || traced != got {
+			t.Errorf("%d kernel calls went through the run's kernel, %d into its counters; %d fell through to the process default", got, traced, fell)
+		}
+	}
 
 	t.Run("local", func(t *testing.T) {
-		counting := kerneltest.Count(naive)
-		var eng *Engine
-		ran := kerneltest.TelemetryCalls(func() {
-			var err error
-			if eng, err = New(tensor.WithKernels(context.Background(), counting), "DC-AI-C16", factory, 42, NewLocal(2)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err = eng.TrainEpoch(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err = eng.Quality(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		counting, counters := kerneltest.Count(naive), new(telemetry.Counters)
+		ctx := tensor.WithRun(context.Background(), &tensor.Run{Kernels: counting, Counters: counters})
+		before := tensor.UnplacedDispatches()
+		eng, err := New(ctx, "DC-AI-C16", factory, 42, NewLocal(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = eng.TrainEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = eng.Quality(); err != nil {
+			t.Fatal(err)
+		}
+		fell := tensor.UnplacedDispatches() - before
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Construction runs before the instance has its kernels; C16's
-		// builds no tensor through a kernel, so the counts still agree.
-		if got := counting.Calls.Load(); got != ran || ran == 0 {
-			t.Errorf("%d of %d kernel calls went through the run's kernel", got, ran)
-		}
+		check(t, counting, counters, fell)
 	})
 
 	t.Run("worker", func(t *testing.T) {
-		rep, err := hello{BenchID: "DC-AI-C16", Kernel: "naive", Seed: 42, Workers: 1}.open()
+		rep, err := hello{BenchID: "DC-AI-C16", Kernel: "naive", Seed: 42, Workers: 1, Counters: true}.open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A wrapper cannot cross a pipe: count through what the hello
 		// resolved by wrapping it where the hello put it.
-		counting := kerneltest.Count(tensor.KernelsOf(rep.params[0].Value.Data))
-		rep.trainer.Arena().SetKernels(counting)
-		ran := kerneltest.TelemetryCalls(func() {
-			for step, steps := 0, rep.beginEpoch(); step < steps; step++ {
-				for p := range rep.spec.Phases {
-					rep.computePhase(p)
-					rep.apply(p, make([]float64, rep.spec.GroupLen[p]), make([]float64, rep.spec.BufLen))
-				}
-			}
-			rep.quality()
-		})
-		if got := counting.Calls.Load(); got != ran || ran == 0 {
-			t.Errorf("%d of %d kernel calls went through the hello's kernel", got, ran)
+		run := tensor.RunOf(rep.params[0].Value.Data)
+		if run.Counters == nil || run.Counters != rep.counters {
+			t.Fatal("a hello asking for counters opened a replica that does not count into the ones it ships home")
 		}
+		counting := kerneltest.Count(run.Kernels)
+		rep.trainer.Arena().SetRun(&tensor.Run{Kernels: counting, Counters: run.Counters})
+		before := tensor.UnplacedDispatches()
+		for step, steps := 0, rep.beginEpoch(); step < steps; step++ {
+			for p := range rep.spec.Phases {
+				rep.computePhase(p)
+				rep.apply(p, make([]float64, rep.spec.GroupLen[p]), make([]float64, rep.spec.BufLen))
+			}
+		}
+		rep.quality()
+		check(t, counting, run.Counters, tensor.UnplacedDispatches()-before)
 	})
 }

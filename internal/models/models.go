@@ -41,7 +41,7 @@ type Benchmark interface {
 	// driver that runs the optimizer steps itself — internal/dist's
 	// replica loop — resets it once per step; TrainEpoch and Quality
 	// reset it themselves. Whoever builds an instance for a run records
-	// the run's kernels on it (Arena.SetKernels) before the first step.
+	// the run on it (Arena.SetRun) before the first step.
 	Arena() *tensor.Arena
 }
 

@@ -54,11 +54,11 @@ type PlanRequest struct {
 	Backend    string   `json:"backend,omitempty"`
 	Workers    int      `json:"workers,omitempty"`
 	Device     string   `json:"device,omitempty"`
+	Telemetry  bool     `json:"telemetry,omitempty"`
 }
 
 // plan converts the request to a core.Plan, resolving names the way
-// the CLI flags do. Telemetry stays off: collection is process-global
-// (one run per process) and a multi-tenant server runs many.
+// the CLI flags do.
 func (pr PlanRequest) plan() (core.Plan, error) {
 	p := core.Plan{
 		Benchmarks: pr.Benchmarks,
@@ -70,6 +70,7 @@ func (pr PlanRequest) plan() (core.Plan, error) {
 		TuneFrom:   pr.TuneFrom,
 		Backend:    pr.Backend,
 		Workers:    pr.Workers,
+		Telemetry:  pr.Telemetry,
 	}
 	switch pr.Kind {
 	case "", "session":

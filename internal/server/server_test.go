@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"aibench/internal/core"
 	"aibench/internal/results"
 )
 
@@ -41,16 +42,34 @@ func newTestServer(t *testing.T, opts Options, start bool) (*Server, *httptest.S
 
 func submit(t *testing.T, ts *httptest.Server, tenant, body string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("X-Tenant", tenant)
-	resp, err := ts.Client().Do(req)
+	resp, err := do(ts, tenant, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+func do(ts *httptest.Server, tenant, body string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("X-Tenant", tenant)
+	return ts.Client().Do(req)
+}
+
+// post is submit for goroutines other than the test's own: it reports
+// failure — a non-200 status included — instead of ending the test.
+func post(ts *httptest.Server, tenant, body string) ([]byte, error) {
+	resp, err := do(ts, tenant, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -431,7 +450,7 @@ func TestSubmitValidation(t *testing.T) {
 		name, body string
 	}{
 		{"garbage", `{nope`},
-		{"unknown field", `{"telemetry":true}`},
+		{"unknown field", `{"profile":true}`},
 		{"unknown kind", `{"kind":"warmup"}`},
 		{"unknown session", `{"session":"forever"}`},
 		{"unknown benchmark", `{"benchmarks":["DC-AI-C99"]}`},
@@ -492,66 +511,20 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 	}
 
 	s, mixed := newTestServer(t, Options{Workers: 4, QueueCap: 8}, true)
-	// Watch the ledger for two jobs under different kernels that have
-	// each streamed a record and not yet finished: both are inside
-	// their runs at that instant.
-	var overlapped atomic.Bool
-	watchDone := make(chan struct{})
-	stopWatch := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		for {
-			select {
-			case <-stopWatch:
-				return
-			default:
-			}
-			var midRun []string
-			s.mu.Lock()
-			for _, j := range s.jobs {
-				if j.state.Load() == jobRunning && j.records.Load() > 0 {
-					midRun = append(midRun, j.runner.Meta().Kernel)
-				}
-			}
-			s.mu.Unlock()
-			for _, k := range midRun {
-				if k != midRun[0] {
-					overlapped.Store(true)
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	overlapped := watchMidRun(s, func(j *job) string { return j.runner.Meta().Kernel })
 
 	got := make([][]byte, len(plans))
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
 	for i, p := range plans {
 		wg.Add(1)
-		go func(i int, p string) {
+		go func() {
 			defer wg.Done()
-			req, err := http.NewRequest(http.MethodPost, mixed.URL+"/jobs", strings.NewReader(p))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			req.Header.Set("X-Tenant", fmt.Sprintf("tenant-%d", i))
-			resp, err := mixed.Client().Do(req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			got[i], errs[i] = io.ReadAll(resp.Body)
-		}(i, p.body)
+			got[i], errs[i] = post(mixed, fmt.Sprintf("tenant-%d", i), p.body)
+		}()
 	}
 	wg.Wait()
-	close(stopWatch)
-	<-watchDone
+	sawOverlap := overlapped()
 	for i, p := range plans {
 		if errs[i] != nil {
 			t.Fatalf("concurrent run %d: %v", i, errs[i])
@@ -570,7 +543,7 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 			}
 		}
 	}
-	if !overlapped.Load() {
+	if !sawOverlap {
 		t.Error("no two jobs under different kernels were ever mid-run at the same instant: mixed-kernel tenants are being serialized")
 	}
 
@@ -582,6 +555,128 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 		if err != nil || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, want[i]) {
 			t.Errorf("resubmitted tuned plan %d: X-Cache %q err %v, want a byte-identical hit", i, resp.Header.Get("X-Cache"), err)
 		}
+	}
+}
+
+// watchMidRun polls the ledger for two jobs with different labels that
+// have each streamed a record and not yet finished — both inside their
+// runs at that instant — until the returned function is called, which
+// reports whether it ever saw that.
+func watchMidRun(s *Server, label func(*job) string) (stop func() bool) {
+	var overlapped atomic.Bool
+	done, quit := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			var midRun []string
+			s.mu.Lock()
+			for _, j := range s.jobs {
+				if j.state.Load() == jobRunning && j.records.Load() > 0 {
+					midRun = append(midRun, label(j))
+				}
+			}
+			s.mu.Unlock()
+			for _, l := range midRun {
+				if l != midRun[0] {
+					overlapped.Store(true)
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	return func() bool {
+		close(quit)
+		<-done
+		return overlapped.Load()
+	}
+}
+
+// TestConcurrentTelemetryJobsStayExact: "telemetry" is a plan knob like
+// any other on the wire, because a run's trace is its own — two traced
+// jobs mid-run at the same instant on a two-worker server each stream a
+// trace record whose data is byte-identical to the one the library
+// produces running the same plan alone, followed by a runmetrics
+// record; and a traced stream is cached under its own key and replayed
+// whole.
+func TestConcurrentTelemetryJobsStayExact(t *testing.T) {
+	// The plans differ in epochs, so their traces differ too.
+	body := func(epochs int) string {
+		return fmt.Sprintf(`{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C16","DC-AI-C1"],"seed":21,"epochs":%d,"workers":1,"telemetry":true}`, epochs)
+	}
+	epochs := []int{2, 3}
+	want := make([][]byte, len(epochs))
+	for i, n := range epochs {
+		runner, err := core.NewRunner(core.NewRegistry(), core.Plan{
+			Kind: core.RunSession, Session: core.QuasiEntireSession, Benchmarks: []string{"DC-AI-C16", "DC-AI-C1"},
+			Seed: 21, Epochs: n, Workers: 1, Telemetry: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runner.Run(context.Background(), func(core.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(res.Trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, ts := newTestServer(t, Options{Workers: 2, QueueCap: 4}, true)
+	overlapped := watchMidRun(s, func(j *job) string { return j.id })
+	got := make([][]byte, len(epochs))
+	errs := make([]error, len(epochs))
+	var wg sync.WaitGroup
+	for i, n := range epochs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = post(ts, fmt.Sprintf("tenant-%d", i), body(n))
+		}()
+	}
+	wg.Wait()
+	if !overlapped() {
+		t.Error("the two traced jobs were never mid-run at the same instant: traced tenants are being serialized")
+	}
+	for i, n := range epochs {
+		if errs[i] != nil {
+			t.Fatalf("traced job %d: %v", i, errs[i])
+		}
+		var kinds []string
+		for _, line := range bytes.Split(bytes.TrimSpace(got[i]), []byte("\n")) {
+			var env struct {
+				Kind string          `json:"kind"`
+				Data json.RawMessage `json:"data"`
+			}
+			if err := json.Unmarshal(line, &env); err != nil {
+				t.Fatalf("traced job %d: %v in %s", i, err, line)
+			}
+			kinds = append(kinds, env.Kind)
+			if env.Kind == "trace" && !bytes.Equal(env.Data, want[i]) {
+				t.Errorf("traced job %d: served trace differs from the library's solo trace:\n%s\n%s", i, env.Data, want[i])
+			}
+		}
+		if fmt.Sprint(kinds) != "[session session trace runmetrics]" {
+			t.Errorf("traced job %d streamed %v, want two sessions, a trace and a runmetrics record", i, kinds)
+		}
+		resp := submit(t, ts, "again", body(n))
+		again, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(again, got[i]) {
+			t.Errorf("resubmitted traced plan %d: X-Cache %q err %v, want a byte-identical hit", i, resp.Header.Get("X-Cache"), err)
+		}
+	}
+	// The untraced twin of a cached traced plan is a different plan.
+	resp := submit(t, ts, "again", strings.Replace(body(epochs[0]), `,"telemetry":true`, "", 1))
+	twin, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.Header.Get("X-Cache") != "miss" || bytes.Contains(twin, []byte(`"kind":"trace"`)) {
+		t.Errorf("untraced twin: X-Cache %q err %v trace %v, want a trace-free miss", resp.Header.Get("X-Cache"), err, bytes.Contains(twin, []byte(`"kind":"trace"`)))
 	}
 }
 

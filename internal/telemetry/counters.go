@@ -2,20 +2,13 @@ package telemetry
 
 import "sync/atomic"
 
-// The deterministic counter plane: process-global atomics the
-// instrumented packages bump through one gated call. The counts are
-// pure functions of the work a seeded Plan executes — kernel dispatches
-// and their FLOP cost, grains scheduled, floats all-reduced, epochs
-// trained, records sunk — never of how that work was scheduled, so the
-// snapshot in a Trace is bitwise-reproducible.
-
-// gate is the process-global switch for the counter and pool-stat
-// planes; Start flips it on, Stop off. Disabled instrumentation sites
-// pay one atomic load.
-var gate atomic.Bool
-
-// Enabled reports whether a tracer is currently collecting.
-func Enabled() bool { return gate.Load() }
+// The deterministic counter plane: one Counters per traced run, owned
+// by its Tracer and bumped by the instrumented packages through the
+// spans and tensors the run hands them. The counts are pure functions
+// of the work a seeded Plan executes — kernel dispatches and their FLOP
+// cost, grains scheduled, floats all-reduced, epochs trained, records
+// sunk — never of how that work was scheduled or what else the process
+// was running, so the snapshot in a Trace is bitwise-reproducible.
 
 // Counter names one deterministic scalar counter.
 type Counter int
@@ -41,14 +34,20 @@ const (
 	numCounters
 )
 
-var counterVals [numCounters]atomic.Int64
+// Counters is one run's counter plane. The zero value is ready to use;
+// a nil *Counters is "tracing off" — every method no-ops, as on a nil
+// *Span — and all methods are safe for concurrent use.
+type Counters struct {
+	scalars [numCounters]atomic.Int64
+	calls   [numKernelOps]atomic.Int64
+	flops   [numKernelOps]atomic.Int64
+}
 
-// Count adds n to a scalar counter; a no-op until a tracer starts.
-func Count(c Counter, n int64) {
-	if !gate.Load() {
-		return
+// Count adds n to a scalar counter.
+func (c *Counters) Count(k Counter, n int64) {
+	if c != nil {
+		c.scalars[k].Add(n)
 	}
-	counterVals[c].Add(n)
 }
 
 // KernelOp identifies one tensor kernel entry point.
@@ -71,19 +70,12 @@ var kernelOpNames = [numKernelOps]string{
 	"matmul", "matmult", "tmatmul", "matvec", "outer", "conv2d",
 }
 
-var (
-	kernelCalls [numKernelOps]atomic.Int64
-	kernelFLOPs [numKernelOps]atomic.Int64
-)
-
-// CountKernel records one kernel-op dispatch of the given FLOP cost;
-// a no-op until a tracer starts.
-func CountKernel(op KernelOp, flops int64) {
-	if !gate.Load() {
-		return
+// CountKernel records one kernel-op dispatch of the given FLOP cost.
+func (c *Counters) CountKernel(op KernelOp, flops int64) {
+	if c != nil {
+		c.calls[op].Add(1)
+		c.flops[op].Add(flops)
 	}
-	kernelCalls[op].Add(1)
-	kernelFLOPs[op].Add(flops)
 }
 
 // OpCount is one kernel op's call and FLOP totals.
@@ -105,71 +97,44 @@ type CounterSet struct {
 	Kernel       []OpCount `json:"kernel,omitempty"`
 }
 
-// BeginWorkerCapture arms the counter plane inside a dist worker
-// process: counters reset and the gate opens, so every kernel dispatch
-// from replica construction onward is recorded. The worker has no
-// tracer — spans stay parent-side — and ships the capture home with
-// EndWorkerCapture when it shuts down.
-func BeginWorkerCapture() {
-	resetCounters()
-	gate.Store(true)
-}
-
-// EndWorkerCapture closes the worker's gate and returns everything it
-// counted, for the parent to fold into its own plane with Merge.
-func EndWorkerCapture() CounterSet {
-	gate.Store(false)
-	return snapshotCounters()
-}
-
-// Merge folds a worker process's counter capture into this process's
-// plane. Kernel ops are resolved against the fixed enum order, so a
-// merged snapshot is byte-identical to one where the work ran
-// in-process; unknown op names (a newer worker binary) are dropped. A
-// no-op unless a tracer is collecting.
-func Merge(cs CounterSet) {
-	if !gate.Load() {
+// Merge folds the kernel-op counts of a worker process's snapshot into
+// c — the only counters a replica's work touches; the scalar ones are
+// counted parent-side, through spans. Ops are resolved against the
+// fixed enum order, so a merged snapshot is byte-identical to one where
+// the work ran in-process; unknown op names (a newer worker binary) are
+// dropped. Merge adds what it is given: counts that crossed a trust
+// boundary are validated there first.
+func (c *Counters) Merge(ops []OpCount) {
+	if c == nil {
 		return
 	}
-	counterVals[CounterEpochs].Add(cs.Epochs)
-	counterVals[CounterGrains].Add(cs.Grains)
-	counterVals[CounterReduceRounds].Add(cs.ReduceRounds)
-	counterVals[CounterReduceFloats].Add(cs.ReduceFloats)
-	counterVals[CounterSinkRecords].Add(cs.SinkRecords)
-	for _, oc := range cs.Kernel {
-		for i := 0; i < int(numKernelOps); i++ {
-			if kernelOpNames[i] == oc.Op {
-				kernelCalls[i].Add(oc.Calls)
-				kernelFLOPs[i].Add(oc.FLOPs)
+	for _, oc := range ops {
+		for i, name := range kernelOpNames {
+			if name == oc.Op {
+				c.calls[i].Add(oc.Calls)
+				c.flops[i].Add(oc.FLOPs)
 				break
 			}
 		}
 	}
 }
 
-func resetCounters() {
-	for i := range counterVals {
-		counterVals[i].Store(0)
+// Snapshot reads everything c has counted; the zero CounterSet on a
+// nil c.
+func (c *Counters) Snapshot() CounterSet {
+	if c == nil {
+		return CounterSet{}
 	}
-	for i := 0; i < int(numKernelOps); i++ {
-		kernelCalls[i].Store(0)
-		kernelFLOPs[i].Store(0)
-	}
-}
-
-func snapshotCounters() CounterSet {
 	cs := CounterSet{
-		Epochs:       counterVals[CounterEpochs].Load(),
-		Grains:       counterVals[CounterGrains].Load(),
-		ReduceRounds: counterVals[CounterReduceRounds].Load(),
-		ReduceFloats: counterVals[CounterReduceFloats].Load(),
-		SinkRecords:  counterVals[CounterSinkRecords].Load(),
+		Epochs:       c.scalars[CounterEpochs].Load(),
+		Grains:       c.scalars[CounterGrains].Load(),
+		ReduceRounds: c.scalars[CounterReduceRounds].Load(),
+		ReduceFloats: c.scalars[CounterReduceFloats].Load(),
+		SinkRecords:  c.scalars[CounterSinkRecords].Load(),
 	}
-	for i := 0; i < int(numKernelOps); i++ {
-		if c := kernelCalls[i].Load(); c > 0 {
-			cs.Kernel = append(cs.Kernel, OpCount{
-				Op: kernelOpNames[i], Calls: c, FLOPs: kernelFLOPs[i].Load(),
-			})
+	for i, name := range kernelOpNames {
+		if n := c.calls[i].Load(); n > 0 {
+			cs.Kernel = append(cs.Kernel, OpCount{Op: name, Calls: n, FLOPs: c.flops[i].Load()})
 		}
 	}
 	return cs

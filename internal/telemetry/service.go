@@ -3,14 +3,15 @@ package telemetry
 import "sync/atomic"
 
 // The serving plane: long-lived totals for a process that runs many
-// plans over its lifetime — the benchmark server. Unlike the
-// deterministic counter plane above (process-global, gated, reset per
-// telemetry run so a Trace snapshot is a pure function of one seeded
-// run), serving totals are instance-based and always on: a server owns
-// its own ServiceStats, every accept/reject/cache decision bumps it,
-// and a /stats read is a handful of atomic loads. The two planes never
-// mix — serving totals are operational, not part of any result record,
-// so they impose nothing on the byte-identical replay contract.
+// plans over its lifetime — the benchmark server. Like the
+// deterministic counter plane (one Counters per traced run, so a Trace
+// snapshot is a pure function of one seeded run) serving totals are a
+// value with an owner, but the owner is a server and they are always
+// on: a server owns its own ServiceStats, every accept/reject/cache
+// decision bumps it, and a /stats read is a handful of atomic loads.
+// The two planes never mix — serving totals are operational, not part
+// of any result record, so they impose nothing on the byte-identical
+// replay contract.
 
 // ServiceCounter names one monotonic serving total.
 type ServiceCounter int

@@ -18,11 +18,14 @@
 //     segregated into its own RunMetrics payload (envelope kind
 //     "runmetrics"), excluded from result comparison.
 //
-// Telemetry defaults off. A nil *Span no-ops every method, and the
-// counter hooks are gated behind one atomic load, so the instrumented
-// hot paths pay near-zero overhead until a Tracer is started. The
-// counter plane is process-global: exactly one run should trace at a
-// time (concurrent traced runs share counters).
+// Telemetry defaults off, and a traced run is a value, not a mode of
+// the process: Start returns a Tracer that owns the run's span tree
+// and its Counters, the run's engines reach both through the spans and
+// tensors they already hold, and a nil *Span or nil *Counters no-ops
+// every method — an untraced hot path pays a nil check. Any number of
+// traced and untraced runs share a process without seeing each other.
+// Only the pool statistics of the wall-clock plane describe something
+// process-wide (see wallclock.go).
 //
 // Determinism rule for instrumentation sites: siblings created
 // concurrently (the per-benchmark spans of a pooled suite run) must
@@ -79,6 +82,13 @@ func (s *Span) Add(n int64) {
 	s.tr.mu.Unlock()
 }
 
+// Count adds n to scalar counter c of the run the span belongs to.
+func (s *Span) Count(c Counter, n int64) {
+	if s != nil {
+		s.tr.counters.Count(c, n)
+	}
+}
+
 // End closes the span, fixing its wall-clock duration. Ending twice is
 // a no-op; spans still open when the tracer stops are force-ended at
 // the stop time.
@@ -103,44 +113,50 @@ type SpanCarrier interface {
 	SetSpan(*Span)
 }
 
-// Tracer collects one run's span tree and owns the counter plane for
-// the run's duration. Build with Start, finish with Stop.
+// Tracer collects one run's span tree and counters. Build with Start,
+// finish with exactly one Stop.
 type Tracer struct {
-	mu    sync.Mutex
-	root  *Span
-	kind  string
-	epoch time.Time
+	mu       sync.Mutex
+	root     *Span
+	kind     string
+	epoch    time.Time
+	counters Counters
+	pool     PoolStats // the process's pool totals when the run started
 }
 
-// Start opens a trace for one run of the named kind: it resets and
-// enables the process-global counter and pool-stat planes and returns
-// a tracer whose root span the run's engines hang their spans from.
+// Start opens a trace for one run of the named kind and returns the
+// tracer whose root span the run's engines hang their spans from and
+// whose Counters they count into. Until Stop the tracer is live, which
+// is what keeps the pool statistics collecting — all a tracer abandoned
+// without Stop (its run panicked) leaves behind.
 func Start(kind string) *Tracer {
-	t := &Tracer{kind: kind, epoch: wallNow()}
+	liveTracers.Add(1)
+	t := &Tracer{kind: kind, epoch: wallNow(), pool: poolSince(PoolStats{})}
 	t.root = &Span{tr: t, name: "run"}
-	resetCounters()
-	resetPoolStats()
-	gate.Store(true)
 	return t
 }
 
 // Root returns the run's root span.
 func (t *Tracer) Root() *Span { return t.root }
 
-// Stop disables the counter plane, force-ends any still-open span, and
-// splits the collected data into its two planes: the deterministic
+// Counters returns the run's counters, for the run to place its
+// tensors under.
+func (t *Tracer) Counters() *Counters { return &t.counters }
+
+// Stop ends the run's trace: it force-ends any still-open span and
+// splits the collected data into its two planes — the deterministic
 // Trace (canonical span tree + counter snapshot) and the wall-clock
-// RunMetrics (per-span timings aligned by span id, pool stats, GC and
-// heap gauges).
+// RunMetrics (per-span timings aligned by span id, the pool's activity
+// since Start, GC and heap gauges).
 func (t *Tracer) Stop() (*Trace, *RunMetrics) {
-	gate.Store(false)
-	now := t.nowNS()
+	now, pool := t.nowNS(), poolSince(t.pool)
+	liveTracers.Add(-1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	endOpen(t.root, now)
 	spans, timings := canonicalize(t.root)
-	tr := &Trace{Kind: t.kind, Spans: spans, Counters: snapshotCounters()}
-	return tr, newRunMetrics(t.kind, now, timings)
+	tr := &Trace{Kind: t.kind, Spans: spans, Counters: t.counters.Snapshot()}
+	return tr, newRunMetrics(t.kind, now, pool, timings)
 }
 
 // endOpen force-ends every span still open at stop time (a cancelled

@@ -19,29 +19,64 @@ func TestNilSpanIsSafe(t *testing.T) {
 	s.End()
 }
 
-func TestCountersGatedWhenDisabled(t *testing.T) {
-	resetCounters()
-	Count(CounterEpochs, 3)
-	CountKernel(OpMatMul, 100)
-	if Enabled() {
-		t.Fatal("gate unexpectedly on")
+func TestNilCountersAndNoTracerAreOff(t *testing.T) {
+	var c *Counters
+	c.Count(CounterEpochs, 3)
+	c.CountKernel(OpMatMul, 100)
+	c.Merge([]OpCount{{Op: "matmul", Calls: 1}})
+	if cs := c.Snapshot(); cs.Epochs != 0 || len(cs.Kernel) != 0 {
+		t.Fatalf("nil counters recorded data: %+v", cs)
 	}
-	cs := snapshotCounters()
-	if cs.Epochs != 0 || len(cs.Kernel) != 0 {
-		t.Fatalf("disabled counters recorded data: %+v", cs)
-	}
+	var s *Span
+	s.Count(CounterEpochs, 1)
 	if PoolBegin(2, 1) != nil {
-		t.Fatal("PoolBegin returned non-nil while disabled")
+		t.Fatal("PoolBegin returned non-nil with no live tracer")
+	}
+}
+
+// Two tracers live at once own their counters outright: neither Start
+// resets nor Stop blinds the other, a span counts into its own run, and
+// the pool statistics each reports are its own window of the
+// process-wide totals.
+func TestOverlappingTracersStayExact(t *testing.T) {
+	a := Start("session")
+	a.Counters().CountKernel(OpMatMul, 10)
+	PoolBegin(1, 0)()
+	b := Start("replay")
+	b.Root().Child("x").Count(CounterEpochs, 5)
+	b.Counters().Merge([]OpCount{{Op: "conv2d", Calls: 1, FLOPs: 9}, {Op: "from-the-future", Calls: 7}})
+	PoolBegin(3, 2)()
+	ta, ma := a.Stop()
+	if PoolBegin(1, 1) == nil {
+		t.Fatal("pool statistics stopped collecting while a tracer is still live")
+	}
+	b.Counters().CountKernel(OpConv2D, 1)
+	tb, mb := b.Stop()
+	if want := (CounterSet{Kernel: []OpCount{{Op: "matmul", Calls: 1, FLOPs: 10}}}); !reflect.DeepEqual(ta.Counters, want) {
+		t.Errorf("first tracer counted %+v, want %+v", ta.Counters, want)
+	}
+	if want := (CounterSet{Epochs: 5, Kernel: []OpCount{{Op: "conv2d", Calls: 2, FLOPs: 10}}}); !reflect.DeepEqual(tb.Counters, want) {
+		t.Errorf("second tracer counted %+v, want %+v", tb.Counters, want)
+	}
+	if ma.Pool.Calls != 2 || ma.Pool.SerialCalls != 1 || ma.Pool.ExtraRequested != 4 || ma.Pool.ExtraAcquired != 2 {
+		t.Errorf("first tracer's pool window = %+v", ma.Pool)
+	}
+	if mb.Pool.Calls != 2 || mb.Pool.SerialCalls != 0 || mb.Pool.ExtraRequested != 4 || mb.Pool.ExtraAcquired != 3 {
+		t.Errorf("second tracer's pool window = %+v", mb.Pool)
+	}
+	if PoolBegin(1, 1) != nil {
+		t.Error("pool statistics still collecting after the last tracer stopped")
 	}
 }
 
 func TestTracerCollectsCountersAndSpans(t *testing.T) {
 	tr := Start("session")
-	Count(CounterEpochs, 2)
-	Count(CounterGrains, 8)
-	CountKernel(OpConv2D, 1000)
-	CountKernel(OpMatMul, 500)
-	CountKernel(OpMatMul, 500)
+	c := tr.Counters()
+	c.Count(CounterEpochs, 2)
+	c.Count(CounterGrains, 8)
+	c.CountKernel(OpConv2D, 1000)
+	c.CountKernel(OpMatMul, 500)
+	c.CountKernel(OpMatMul, 500)
 	done := PoolBegin(3, 2)
 	if done == nil {
 		t.Fatal("PoolBegin returned nil while enabled")
@@ -53,9 +88,6 @@ func TestTracerCollectsCountersAndSpans(t *testing.T) {
 	e.End()
 	b.End()
 	trace, m := tr.Stop()
-	if Enabled() {
-		t.Fatal("gate still on after Stop")
-	}
 	if trace.Kind != "session" {
 		t.Fatalf("kind = %q", trace.Kind)
 	}
@@ -211,7 +243,7 @@ func TestWriteChrome(t *testing.T) {
 
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := Start("scaling")
-	Count(CounterEpochs, 1)
+	tr.Root().Count(CounterEpochs, 1)
 	s := tr.Root().Child("shards=2")
 	s.Add(4)
 	s.End()

@@ -30,11 +30,15 @@ type SpanTiming struct {
 	DurNS   int64 `json:"dur_ns"`
 }
 
-// PoolStats aggregates the fork-join pool's behaviour over the run:
-// how often parallel sections ran, how many extra workers they wanted
-// versus got from the process-wide budget, and total busy time.
+// PoolStats aggregates the fork-join pool's behaviour over the run's
+// window: how often parallel sections ran, how many extra workers they
+// wanted versus got from the process-wide budget, and total busy time.
+// The pool and its budget belong to the process, so like the heap and
+// GC gauges beside it in RunMetrics this is process-wide activity
+// between the run's Start and Stop: exactly the run's own sections
+// when it ran alone, its neighbours' too when runs overlapped.
 type PoolStats struct {
-	// Calls counts parallel sections entered while tracing.
+	// Calls counts parallel sections entered during the run's window.
 	Calls int64 `json:"calls"`
 	// SerialCalls counts sections that got no extra workers and ran serially.
 	SerialCalls int64 `json:"serial_calls"`
@@ -45,28 +49,38 @@ type PoolStats struct {
 	BusyNS int64 `json:"busy_ns"`
 }
 
+// The pool totals are monotone — only ever added to, never reset — and
+// a tracer reports the difference between its Stop and its Start, so
+// overlapping traced runs cannot corrupt each other's reading.
+// liveTracers counts the tracers between Start and Stop; sections
+// entered while it is zero are not recorded.
 var (
 	poolCalls     atomic.Int64
 	poolSerial    atomic.Int64
 	poolRequested atomic.Int64
 	poolAcquired  atomic.Int64
 	poolBusyNS    atomic.Int64
+	liveTracers   atomic.Int64
 )
 
-func resetPoolStats() {
-	poolCalls.Store(0)
-	poolSerial.Store(0)
-	poolRequested.Store(0)
-	poolAcquired.Store(0)
-	poolBusyNS.Store(0)
+// poolSince returns the pool's activity since the reading base (the
+// zero PoolStats reads the totals themselves).
+func poolSince(base PoolStats) PoolStats {
+	return PoolStats{
+		Calls:          poolCalls.Load() - base.Calls,
+		SerialCalls:    poolSerial.Load() - base.SerialCalls,
+		ExtraRequested: poolRequested.Load() - base.ExtraRequested,
+		ExtraAcquired:  poolAcquired.Load() - base.ExtraAcquired,
+		BusyNS:         poolBusyNS.Load() - base.BusyNS,
+	}
 }
 
 // PoolBegin records entry into a parallel section that wanted
 // `requested` extra workers and got `acquired`. It returns a function
-// to call when the section completes, or nil when telemetry is off —
-// the disabled fast path is one atomic load.
+// to call when the section completes, or nil when no tracer is live —
+// the untraced fast path is one atomic load and allocates nothing.
 func PoolBegin(requested, acquired int) func() {
-	if !gate.Load() {
+	if liveTracers.Load() == 0 {
 		return nil
 	}
 	poolCalls.Add(1)
@@ -99,19 +113,13 @@ type RunMetrics struct {
 	Spans []SpanTiming `json:"spans"`
 }
 
-func newRunMetrics(kind string, wallNS int64, timings []SpanTiming) *RunMetrics {
+func newRunMetrics(kind string, wallNS int64, pool PoolStats, timings []SpanTiming) *RunMetrics {
 	m := &RunMetrics{
 		Kind:       kind,
 		WallNS:     wallNS,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Pool: PoolStats{
-			Calls:          poolCalls.Load(),
-			SerialCalls:    poolSerial.Load(),
-			ExtraRequested: poolRequested.Load(),
-			ExtraAcquired:  poolAcquired.Load(),
-			BusyNS:         poolBusyNS.Load(),
-		},
-		Spans: timings,
+		Pool:       pool,
+		Spans:      timings,
 	}
 	samples := []metrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},

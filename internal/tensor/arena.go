@@ -11,22 +11,24 @@ import (
 // have grown to one step's footprint.
 //
 // Placement travels with the operands, the way a framework tensor
-// carries its device, and it means two things: where results are
-// allocated and which kernels compute them. A Tensor records the arena
-// it is placed in (nil: the Go heap, the process default kernels);
-// every op that allocates its result allocates it where its operands
-// are placed (ArenaOf) and every kernel entry point dispatches to the
-// kernels recorded there (KernelsOf), so everything computed from an
-// adopted tensor is arena-backed and runs on the owning run's kernels,
-// and everything computed from plain heap tensors stays on the heap
-// and the process default. Constructors that take no operand — New,
-// Full, Ones, FromSlice, Rand… — always build on the heap.
+// carries its device, and it means three things: where results are
+// allocated, which kernels compute them and which run's counters count
+// them. A Tensor records the arena it is placed in (nil: the Go heap,
+// the process default kernels, no counters); every op that allocates
+// its result allocates it where its operands are placed (ArenaOf) and
+// every kernel entry point dispatches under the Run recorded there
+// (RunOf), so everything computed from an adopted tensor is
+// arena-backed, runs on the owning run's kernels and shows up in the
+// owning run's trace, and everything computed from plain heap tensors
+// stays on the heap, on the process default, and in no trace.
+// Constructors that take no operand — New, Full, Ones, FromSlice,
+// Rand… — always build on the heap.
 //
 // Ownership: one benchmark instance owns one arena, adopts its
 // parameters into it at construction (Adopt marks placement; the
 // parameter's own storage stays where it is) and calls Reset once per
-// optimizer step; the run that builds the instance calls SetKernels
-// before the first step. Only the owner's goroutine may allocate from
+// optimizer step; the run that builds the instance calls SetRun before
+// the first step. Only the owner's goroutine may allocate from
 // or reset an arena — there is no lock. Pool workers inside a parallel
 // kernel section write into results the owner allocated before the
 // fork; they never allocate.
@@ -44,9 +46,9 @@ import (
 // repeat exactly. The zero Arena is ready to use and holds no memory
 // until its first allocation; a nil *Arena is the heap.
 type Arena struct {
-	// kernels is the compute kernel of the run that owns the instance;
-	// nil means the process default.
-	kernels Kernels
+	// run is the run that owns the instance; nil means the process
+	// default.
+	run     *Run
 	floats  slabs[float64]
 	ints    slabs[int]
 	tensors slabs[Tensor]
@@ -161,7 +163,7 @@ func (a *Arena) Reset() {
 	case ResetNever:
 		// Forget the slabs instead of rewinding them: nothing is ever
 		// handed out twice, which is what the heap would have done.
-		*a = Arena{kernels: a.kernels}
+		*a = Arena{run: a.run}
 	case ResetPoison:
 		a.floats.rewind(func(used []float64) {
 			for i := range used {
@@ -194,24 +196,36 @@ func ArenaOf(ts ...*Tensor) *Arena {
 	return nil
 }
 
-// SetKernels records k as the kernels every op on a's tensors
-// dispatches to. The run that builds a benchmark instance calls it
-// once, before the instance's first step. A nil arena — a heap-only
-// workload — stays on the process default.
-func (a *Arena) SetKernels(k Kernels) {
+// SetRun records r as the run a's tensors are placed under: every op
+// on them dispatches to r's kernels and counts into r's counters. The
+// run that builds a benchmark instance calls it once, before the
+// instance's first step. A nil arena — a heap-only workload — stays on
+// the process default.
+func (a *Arena) SetRun(r *Run) {
 	if a != nil {
-		a.kernels = k
+		a.run = r
 	}
 }
 
-// KernelsOf returns the kernels an op on the given operands dispatches
-// to: those of the first placed operand (ArenaOf), else — or when its
-// arena records none — the process default.
-func KernelsOf(ts ...*Tensor) Kernels {
-	if a := ArenaOf(ts...); a != nil && a.kernels != nil {
-		return a.kernels
+// unplaced counts the lookups that fell through to the process
+// default. Monotone, never reset: read it as a before/after delta.
+var unplaced atomic.Int64
+
+// UnplacedDispatches returns how many kernel calls so far reached no
+// operand placed under a run — a product of two heap constants, a
+// network left out of Module(). Zero across a benchmark's step is what
+// makes "a run sees exactly its own calls" true.
+func UnplacedDispatches() int64 { return unplaced.Load() }
+
+// RunOf returns the run an op on the given operands dispatches under:
+// that of the first placed operand (ArenaOf), else — or when its arena
+// records none — the process default.
+func RunOf(ts ...*Tensor) *Run {
+	if a := ArenaOf(ts...); a != nil && a.run != nil {
+		return a.run
 	}
-	return processKernels
+	unplaced.Add(1)
+	return processRun
 }
 
 // NewLike returns a zero-filled tensor with t's shape and placement.

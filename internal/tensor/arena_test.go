@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"aibench/internal/telemetry"
 )
 
 // adopted returns a heap tensor of the given shape filled with a
@@ -151,7 +153,8 @@ func TestPlacementIsInherited(t *testing.T) {
 	}
 	for _, kernel := range KernelNames() {
 		k, _ := LookupKernels(kernel)
-		a.SetKernels(k)
+		counters := new(telemetry.Counters)
+		a.SetRun(&Run{Kernels: k, Counters: counters})
 		for name, run := range ops {
 			a.Reset()
 			placed, heap := run(build(&a)), run(build(nil))
@@ -171,6 +174,16 @@ func TestPlacementIsInherited(t *testing.T) {
 					}
 				}
 			}
+		}
+		// Placement is also whose trace an op shows up in: the placed
+		// half of "linalg" (5 calls) and "conv" (3) counted into the
+		// arena's run, the heap half into nobody's.
+		var calls int64
+		for _, op := range counters.Snapshot().Kernel {
+			calls += op.Calls
+		}
+		if calls != 8 {
+			t.Errorf("%s: the arena's run counted %d kernel calls, want the 8 its placed operands made", kernel, calls)
 		}
 	}
 	// One placed operand is enough, on either side.

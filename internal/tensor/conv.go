@@ -34,9 +34,8 @@ func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 		panic(fmt.Sprintf("tensor: Conv2D input channels %d != weight in-channels %d", x.shape[1], weight.shape[1]))
 	}
 	oh, ow := p.OutDim(x.shape[2]), p.OutDim(x.shape[3])
-	telemetry.CountKernel(telemetry.OpConv2D,
-		2*int64(x.shape[0])*int64(oh)*int64(ow)*int64(x.shape[1])*int64(p.Kernel)*int64(p.Kernel)*int64(weight.shape[0]))
-	return KernelsOf(x, weight).Conv2D(x, weight, p)
+	flops := 2 * int64(x.shape[0]) * int64(oh) * int64(ow) * int64(x.shape[1]) * int64(p.Kernel) * int64(p.Kernel) * int64(weight.shape[0])
+	return dispatch(telemetry.OpConv2D, flops, x, weight).Conv2D(x, weight, p)
 }
 
 // Conv2DBackward is Conv2D's adjoint: from the output gradient g
@@ -57,13 +56,14 @@ func Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx
 		panic(fmt.Sprintf("tensor: Conv2DBackward gradient shape %v, want [%d %d %d %d]", g.shape, n, outC, oh, ow))
 	}
 	flops := 2 * int64(n) * int64(oh) * int64(ow) * int64(outC) * int64(x.shape[1]) * int64(p.Kernel) * int64(p.Kernel)
+	r := RunOf(x, weight, g)
 	if needX {
-		telemetry.CountKernel(telemetry.OpMatMul, flops)
+		r.Counters.CountKernel(telemetry.OpMatMul, flops)
 	}
 	if needW {
-		telemetry.CountKernel(telemetry.OpTMatMul, flops)
+		r.Counters.CountKernel(telemetry.OpTMatMul, flops)
 	}
-	return KernelsOf(x, weight, g).Conv2DBackward(x, weight, g, p, needX, needW)
+	return r.Kernels.Conv2DBackward(x, weight, g, p, needX, needW)
 }
 
 // MaxPool2D applies max pooling to an NCHW tensor and also returns the

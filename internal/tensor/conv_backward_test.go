@@ -93,7 +93,7 @@ func TestConv2DBackwardDispatch(t *testing.T) {
 		// placed under: adopt the input into an arena that records them.
 		var ar Arena
 		k, _ := LookupKernels(name)
-		ar.SetKernels(k)
+		ar.SetRun(&Run{Kernels: k})
 		ar.Adopt(cc.x)
 		dx, dw := Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
 		bitwiseEqual(t, name+" dx", dx, wantX)

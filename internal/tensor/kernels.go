@@ -8,19 +8,21 @@ import (
 	"sync"
 
 	"aibench/internal/parallel"
+	"aibench/internal/telemetry"
 )
 
 // Kernels is the pluggable compute-kernel interface behind the
 // package-level MatMul/MatMulT/TMatMul/MatVec/Outer/Conv2D/
 // Conv2DBackward entry points. A Kernels value is the substrate a run
 // computes on, and it travels the way the step arena does: the run
-// that owns a benchmark instance records its kernels on the instance's
-// arena (Arena.SetKernels), every tensor computed from the instance's
-// parameters carries that placement, and each entry point dispatches
-// to the kernels of its first placed operand. Operands placed nowhere
-// — plain heap tensors — dispatch to the process default, fixed at
-// init. Nothing after init writes kernel state, so any number of runs
-// under different kernels share a process without seeing each other.
+// that owns a benchmark instance records itself — a Run: its kernels
+// and its telemetry counters — on the instance's arena (Arena.SetRun),
+// every tensor computed from the instance's parameters carries that
+// placement, and each entry point dispatches to the kernels of its
+// first placed operand. Operands placed nowhere — plain heap tensors —
+// dispatch to the process default, fixed at init. Nothing after init
+// writes kernel state, so any number of runs under different kernels
+// share a process without seeing each other.
 //
 // Implementations receive shape-validated
 // operands (the wrappers panic on rank/dimension mismatches before
@@ -73,9 +75,9 @@ const DefaultKernel = "blocked"
 var (
 	kernelMu sync.Mutex
 	registry = map[string]Kernels{}
-	// processKernels is what unplaced operands dispatch to and what an
-	// empty Plan.Kernel means. Written by init only.
-	processKernels Kernels
+	// processRun is what unplaced operands dispatch under — the kernel
+	// an empty Plan.Kernel means, no counters. Written by init only.
+	processRun *Run
 )
 
 // RegisterKernels adds an implementation to the registry; it panics on
@@ -112,7 +114,7 @@ func LookupKernels(name string) (Kernels, bool) {
 
 // ProcessKernels returns the process default kernel: $AIBENCH_KERNEL
 // or DefaultKernel, fixed at init.
-func ProcessKernels() Kernels { return processKernels }
+func ProcessKernels() Kernels { return processRun.Kernels }
 
 // ResolveKernels is the one rule that turns what a plan (or a worker's
 // hello frame) says about its kernel into the value the run dispatches
@@ -132,22 +134,42 @@ func ResolveKernels(name string, t *Tuning) (Kernels, error) {
 	return k, nil
 }
 
-type kernelsKey struct{}
-
-// WithKernels returns a context carrying k as the run's kernels: the
-// one argument every place that builds a benchmark instance for a run
-// already receives.
-func WithKernels(ctx context.Context, k Kernels) context.Context {
-	return context.WithValue(ctx, kernelsKey{}, k)
+// Run is the one run-scoped value: what a run places its benchmark
+// instances under. Runner.Run builds it, the context carries it to the
+// three places an instance is built, each records it on the instance's
+// arena, and from there every kernel entry point finds both halves in
+// one look: the kernels its ops compute with and the counters they
+// count into (nil: the run is not traced). Read-only once built.
+type Run struct {
+	Kernels  Kernels
+	Counters *telemetry.Counters
 }
 
-// KernelsFrom returns the kernels ctx carries, or the process default
-// when it carries none.
-func KernelsFrom(ctx context.Context) Kernels {
-	if k, ok := ctx.Value(kernelsKey{}).(Kernels); ok {
-		return k
+// dispatch is every kernel entry point's last step: one look for the
+// run its operands are placed under, one call of op at the given FLOP
+// cost counted into that run's counters (a nil check when it has none),
+// and the kernels to make the call on.
+func dispatch(op telemetry.KernelOp, flops int64, ts ...*Tensor) Kernels {
+	r := RunOf(ts...)
+	r.Counters.CountKernel(op, flops)
+	return r.Kernels
+}
+
+type runKey struct{}
+
+// WithRun returns a context carrying r: the one argument every place
+// that builds a benchmark instance for a run already receives.
+func WithRun(ctx context.Context, r *Run) context.Context {
+	return context.WithValue(ctx, runKey{}, r)
+}
+
+// RunFrom returns the run ctx carries, or the process default — its
+// kernels, untraced — when it carries none.
+func RunFrom(ctx context.Context) *Run {
+	if r, ok := ctx.Value(runKey{}).(*Run); ok {
+		return r
 	}
-	return processKernels
+	return processRun
 }
 
 func init() {
@@ -162,7 +184,7 @@ func init() {
 	if err != nil {
 		panic(fmt.Sprintf("tensor: %s=%q: %v", EnvKernel, name, err))
 	}
-	processKernels = k
+	processRun = &Run{Kernels: k}
 }
 
 // parGate runs fn over [0, units) — across the cores when flops is at

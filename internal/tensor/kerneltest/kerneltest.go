@@ -13,9 +13,11 @@ import (
 // calls the way the telemetry kernel-call counter does: one per op,
 // except Conv2DBackward, which counts one per gradient asked for (the
 // MatMul and the TMatMul it stands for). Place it on a benchmark
-// instance's arena and its count is how many of the instance's ops
-// dispatched through the arena's kernels; the telemetry counter over
-// the same window is how many ran at all.
+// instance's arena, beside a telemetry.Counters, and its count is how
+// many of the instance's ops dispatched through the arena's kernels —
+// the same number the counters read, since both hang off the one Run —
+// while the growth of tensor.UnplacedDispatches over the same window is
+// how many dispatched anywhere else.
 type Counting struct {
 	tensor.Kernels
 	Calls atomic.Int64
@@ -64,16 +66,10 @@ func (c *Counting) Conv2DBackward(x, w, g *tensor.Tensor, p tensor.Conv2DParams,
 	return c.Kernels.Conv2DBackward(x, w, g, p, needX, needW)
 }
 
-// TelemetryCalls runs fn with the process's telemetry counter plane
-// capturing and returns how many kernel calls it counted: every call
-// fn made through the package-level entry points, whichever kernels it
-// dispatched to. The plane is process-global, so callers do not run in
-// parallel with each other or with a telemetry run.
-func TelemetryCalls(fn func()) int64 {
-	telemetry.BeginWorkerCapture()
-	fn()
+// Traced returns how many kernel calls c has counted, over all ops.
+func Traced(c *telemetry.Counters) int64 {
 	var n int64
-	for _, op := range telemetry.EndWorkerCapture().Kernel {
+	for _, op := range c.Snapshot().Kernel {
 		n += op.Calls
 	}
 	return n

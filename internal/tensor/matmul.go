@@ -7,13 +7,15 @@ import (
 )
 
 // The package-level linear-algebra entry points validate shapes and
-// dispatch to the kernels their operands are placed under (KernelsOf;
-// see Kernels in kernels.go). Implementations live in kernel_naive.go
-// (the oracle) and kernel_tuned.go (the GEBP engine behind "blocked"
-// and "tuned"); a run selects one through Plan.Kernel / the CLI's
-// -kernel flag, and the AIBENCH_KERNEL environment variable names the
-// process default. Each entry point is also the telemetry choke point:
-// one gated per-op call/FLOP count covers every kernel implementation.
+// dispatch to the kernels their operands are placed under (dispatch;
+// see Run and Kernels in kernels.go). Implementations live in
+// kernel_naive.go (the oracle) and kernel_tuned.go (the GEBP engine
+// behind "blocked" and "tuned"); a run selects one through Plan.Kernel
+// / the CLI's -kernel flag, and the AIBENCH_KERNEL environment variable
+// names the process default. Each entry point is also the telemetry
+// choke point: one per-op call/FLOP count, into the counters of the run
+// it dispatched under, covers every kernel implementation — and costs
+// a nil check when that run is untraced or the operands are unplaced.
 
 // MatMul multiplies two 2-D tensors: (m×k) · (k×n) → (m×n).
 func MatMul(a, b *Tensor) *Tensor {
@@ -23,8 +25,8 @@ func MatMul(a, b *Tensor) *Tensor {
 	if a.shape[1] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v vs %v", a.shape, b.shape))
 	}
-	telemetry.CountKernel(telemetry.OpMatMul, 2*int64(a.shape[0])*int64(a.shape[1])*int64(b.shape[1]))
-	return KernelsOf(a, b).MatMul(a, b)
+	flops := 2 * int64(a.shape[0]) * int64(a.shape[1]) * int64(b.shape[1])
+	return dispatch(telemetry.OpMatMul, flops, a, b).MatMul(a, b)
 }
 
 // MatMulT multiplies a by the transpose of b: (m×k) · (n×k)ᵀ → (m×n).
@@ -36,8 +38,8 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if a.shape[1] != b.shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v vs %v", a.shape, b.shape))
 	}
-	telemetry.CountKernel(telemetry.OpMatMulT, 2*int64(a.shape[0])*int64(a.shape[1])*int64(b.shape[0]))
-	return KernelsOf(a, b).MatMulT(a, b)
+	flops := 2 * int64(a.shape[0]) * int64(a.shape[1]) * int64(b.shape[0])
+	return dispatch(telemetry.OpMatMulT, flops, a, b).MatMulT(a, b)
 }
 
 // TMatMul multiplies the transpose of a by b: (k×m)ᵀ · (k×n) → (m×n).
@@ -48,8 +50,8 @@ func TMatMul(a, b *Tensor) *Tensor {
 	if a.shape[0] != b.shape[0] {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v vs %v", a.shape, b.shape))
 	}
-	telemetry.CountKernel(telemetry.OpTMatMul, 2*int64(a.shape[1])*int64(a.shape[0])*int64(b.shape[1]))
-	return KernelsOf(a, b).TMatMul(a, b)
+	flops := 2 * int64(a.shape[1]) * int64(a.shape[0]) * int64(b.shape[1])
+	return dispatch(telemetry.OpTMatMul, flops, a, b).TMatMul(a, b)
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -72,8 +74,8 @@ func MatVec(a, v *Tensor) *Tensor {
 	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
 		panic(fmt.Sprintf("tensor: MatVec shapes %v and %v incompatible", a.shape, v.shape))
 	}
-	telemetry.CountKernel(telemetry.OpMatVec, 2*int64(a.shape[0])*int64(a.shape[1]))
-	return KernelsOf(a, v).MatVec(a, v)
+	flops := 2 * int64(a.shape[0]) * int64(a.shape[1])
+	return dispatch(telemetry.OpMatVec, flops, a, v).MatVec(a, v)
 }
 
 // Outer returns the outer product of two 1-D tensors: (m) ⊗ (n) → (m×n).
@@ -81,6 +83,6 @@ func Outer(a, b *Tensor) *Tensor {
 	if len(a.shape) != 1 || len(b.shape) != 1 {
 		panic("tensor: Outer requires 1-D operands")
 	}
-	telemetry.CountKernel(telemetry.OpOuter, int64(a.shape[0])*int64(b.shape[0]))
-	return KernelsOf(a, b).Outer(a, b)
+	flops := int64(a.shape[0]) * int64(b.shape[0])
+	return dispatch(telemetry.OpOuter, flops, a, b).Outer(a, b)
 }

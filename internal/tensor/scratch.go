@@ -24,10 +24,15 @@ import (
 // no lock: only the goroutine that runs a benchmark's steps may
 // allocate from it. Engine scratch is borrowed by pool workers, several
 // at once, from inside parallel sections, and returned before the op
-// ends rather than at the end of a step — so it stays a process-wide
-// locked free list for now. Folding the two together needs the
-// run-scoped execution context (ROADMAP) that gives a run's arenas and
-// its scratch one owner.
+// ends rather than at the end of a step. Nor is it run-scoped state
+// waiting for a run to own it: a buffer carries nothing from one
+// borrower to the next that either may read — dirty by contract, and
+// TestScratchPoolDirtyBuffers hands them out NaN-poisoned — so no run
+// can see another through it. It is a process allocator like the Go
+// heap beneath it, and per-worker run-owned scratch would add a
+// mechanism that changes nothing a run can observe. Revisit only if the
+// class mutexes show up as contention (parallel.* or
+// tensor.kernel_time_share on the benchmark ladder).
 
 // scratchMinBits is the smallest class, 64 floats: below that a class
 // per power of two would only multiply lists.

@@ -14,8 +14,9 @@
 // InPlace suffix — allocates a fresh result where its operands are
 // placed: in the step arena of the first operand that has one (see
 // Arena, ArenaOf, NewLike), on the heap when none has — and the kernel
-// entry points compute it with the kernels that arena records
-// (KernelsOf), the process default when none does. A benchmark
+// entry points compute it with the kernels, and count it into the
+// telemetry counters, of the run that arena records (RunOf): the
+// process default and nobody's counters when none does. A benchmark
 // instance owns exactly one arena, adopts its parameters into it, and
 // resets it once per optimizer step and per evaluation batch from its
 // own goroutine — the only one that may allocate from it; pool workers
