@@ -17,7 +17,8 @@ import (
 )
 
 // cmdServe runs suite-as-a-service: the internal/server HTTP front end
-// over a bounded per-tenant fair queue, a worker pool, and the exact
+// — a bounded per-tenant fair queue in front of -workers run slots,
+// each job running on its own submission's goroutine, and the exact
 // result cache. SIGINT/SIGTERM starts a graceful drain — running jobs
 // finish and stream out, queued jobs are shed with 503, new
 // submissions are refused — bounded by -drain-timeout, after which
@@ -25,7 +26,7 @@ import (
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address (use :0 to pick a free port)")
-	workers := fs.Int("workers", 1, "worker pool width: how many jobs run concurrently")
+	workers := fs.Int("workers", 1, "run slots: how many jobs run concurrently")
 	queueCap := fs.Int("queue", 16, "submission queue bound across all tenants (full queue answers 429)")
 	cacheCap := fs.Int("cache", 64, "exact result cache bound, in completed streams")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for running jobs before canceling them")

@@ -152,3 +152,130 @@ func TestCanonicalRejectsUnnameableKinds(t *testing.T) {
 		t.Fatal("expected an error for an out-of-range session kind")
 	}
 }
+
+// wirePlans spans what the wire can say: every kind, crossed with the
+// knobs that kind reads (session kinds, devices, sweeps) and a few it
+// shares with the others, all pairwise distinct as runs.
+func wirePlans() []Plan {
+	var plans []Plan
+	for _, seed := range []int64{0, 7} {
+		for _, ids := range [][]string{nil, {"DC-AI-C9", "DC-AI-C1", "DC-AI-C9"}} {
+			base := Plan{Benchmarks: ids, Seed: seed}
+			for _, sk := range []SessionKind{EntireSession, QuasiEntireSession} {
+				p := base
+				p.Kind, p.Session, p.Epochs, p.Shards, p.Backend, p.Telemetry = RunSession, sk, 3, 2, "process", seed != 0
+				plans = append(plans, p)
+			}
+			for _, dev := range wireDevices {
+				p := base
+				p.Kind, p.Device, p.Workers = RunCharacterize, dev, 4
+				plans = append(plans, p)
+			}
+			for _, sweep := range [][]int{{1, 2, 4}, {1, 3}} {
+				p := base
+				p.Kind, p.ShardSweep, p.Kernel = RunScaling, sweep, "naive"
+				plans = append(plans, p)
+			}
+			p := base
+			p.Kind, p.TuneFrom = RunReplay, "tune.jsonl"
+			plans = append(plans, p)
+		}
+	}
+	return plans
+}
+
+// TestParsePlanInvertsCanonical: the canonical form is a fixed point of
+// parse-then-canonicalize for every kind — so the `plan` a GET
+// /jobs/{id} returns, resubmitted, is a cache hit — and plans that
+// differ as runs (session kinds, devices, sweeps, seeds, selections)
+// never collide on the way.
+func TestParsePlanInvertsCanonical(t *testing.T) {
+	seen := map[string]int{}
+	for i, p := range wirePlans() {
+		canonical, err := p.Canonical()
+		if err != nil {
+			t.Fatalf("plan %d: %v", i, err)
+		}
+		if j, dup := seen[string(canonical)]; dup {
+			t.Fatalf("plans %d and %d collide on %s", j, i, canonical)
+		}
+		seen[string(canonical)] = i
+		parsed, err := ParsePlan(bytes.NewReader(canonical))
+		if err != nil {
+			t.Fatalf("plan %d: canonical form %s does not parse: %v", i, canonical, err)
+		}
+		again, err := parsed.Canonical()
+		if err != nil {
+			t.Fatalf("plan %d: reparsed plan does not canonicalize: %v", i, err)
+		}
+		if !bytes.Equal(canonical, again) {
+			t.Fatalf("plan %d: canonical form is not a fixed point:\n%s\n%s", i, canonical, again)
+		}
+		if parsed.Kind != p.Kind {
+			t.Fatalf("plan %d: kind %v came back as %v", i, p.Kind, parsed.Kind)
+		}
+	}
+}
+
+// TestParsePlanDefaultsAndRejections: an empty object is the default
+// plan; names the tables do not hold, and fields the wire shape does
+// not have, are errors that say which.
+func TestParsePlanDefaultsAndRejections(t *testing.T) {
+	p, err := ParsePlan(strings.NewReader(`{}`))
+	if err != nil || p.Kind != RunSession || p.Session != EntireSession || p.Device.Name != "" {
+		t.Fatalf("empty plan parsed as %+v, err %v", p, err)
+	}
+	for body, want := range map[string]string{
+		`{"kind":"warmup"}`:     `unknown run kind "warmup"`,
+		`{"session":"forever"}`: `unknown session kind "forever"`,
+		`{"device":"H100"}`:     `unknown device "H100"`,
+		`{"profile":true}`:      `unknown field "profile"`,
+		`{nope`:                 `invalid character`,
+	} {
+		if _, err := ParsePlan(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want mention of %s", body, err, want)
+		}
+	}
+}
+
+// FuzzParsePlan hardens the server's front door: POST /jobs feeds the
+// request body straight into ParsePlan. Whatever bytes arrive, it must
+// answer with a plan or an error — never a panic — and a plan it
+// accepts must canonicalize to bytes that parse back to themselves,
+// or a job's reported plan would not name the job's cache entry.
+func FuzzParsePlan(f *testing.F) {
+	for _, p := range wirePlans() {
+		canonical, err := p.Canonical()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(canonical)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"kind":"characterize","device":"H100"}`))
+	f.Add([]byte(`{"benchmarks":null,"shard_sweep":[0,-1],"workers":-9,"seed":-1}`))
+	f.Add([]byte(`{"kind":"session","session":"quasi-entire","epochs":1e3}`))
+	f.Add([]byte(`{"kind":"session"}{"kind":"replay"}`))
+	f.Add([]byte(`{"profile":true}`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte{0xff, 0xfe, 0x00})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(bytes.NewReader(data))
+		if err != nil {
+			return // rejecting the input is fine; panicking is not
+		}
+		canonical, err := p.Canonical()
+		if err != nil {
+			t.Fatalf("parsed plan %+v does not canonicalize: %v", p, err)
+		}
+		parsed, err := ParsePlan(bytes.NewReader(canonical))
+		if err != nil {
+			t.Fatalf("canonical form %s does not parse: %v", canonical, err)
+		}
+		again, err := parsed.Canonical()
+		if err != nil || !bytes.Equal(canonical, again) {
+			t.Fatalf("canonical form is not a fixed point (err %v):\n%s\n%s", err, canonical, again)
+		}
+	})
+}

@@ -36,15 +36,8 @@ const (
 // (Persisted envelopes are tagged per record with RecordKind, which
 // names the characterize kind's records "characterization".)
 func (k RunKind) String() string {
-	switch k {
-	case RunSession:
-		return "session"
-	case RunCharacterize:
-		return "characterize"
-	case RunScaling:
-		return "scaling"
-	case RunReplay:
-		return "replay"
+	if k >= 0 && int(k) < len(runKindNames) {
+		return runKindNames[k]
 	}
 	return fmt.Sprintf("RunKind(%d)", int(k))
 }
@@ -361,7 +354,7 @@ func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 		}
 	}
 	if p.Device.Name == "" {
-		p.Device = gpusim.TitanXP()
+		p.Device = wireDevices[0]
 	}
 	return &Runner{plan: p, reg: reg, bs: bs, run: tensor.Run{Kernels: kernels}}, nil
 }

@@ -1,122 +1,102 @@
 package server
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
-// fairQueue is the bounded submission queue with per-tenant fair
-// scheduling: each tenant gets a FIFO, and pop serves the tenant FIFOs
-// round-robin, so one tenant flooding the queue delays its own later
-// jobs, not other tenants' first ones. The bound is global — push
-// refuses outright when capacity jobs are queued, which is the
-// server's backpressure signal (429), never unbounded memory.
+// fairQueue is a fair turnstile in front of the server's run slots: a
+// submission enters, waits for its ticket to be granted, runs, and
+// releases the slot. Waiters stand in per-tenant FIFOs served
+// round-robin, so one tenant flooding the server delays its own later
+// jobs, not other tenants' first ones. The bound is global and counts
+// waiters only — enter refuses outright when capacity submissions are
+// already waiting, which is the server's backpressure signal (429),
+// never unbounded memory.
+//
+// Every decision — who waits, who holds a slot — is made under mu, so
+// the one interleaving left (a waiter giving up while a slot is being
+// handed to it) has exactly one answer: leave reports it.
 //
 // The round-robin ring is an explicit slice in tenant arrival order,
-// not a map iteration, so pop order is deterministic for a given
-// push/pop history (and stays clear of the maprange invariant).
+// not a map iteration, so grant order is deterministic for a given
+// enter/release history (and stays clear of the maprange invariant).
 type fairQueue struct {
 	mu sync.Mutex
-	// capacity bounds the total queued jobs across all tenants.
+	// capacity bounds the waiters across all tenants; n counts them.
 	capacity int
-	// n is the current total across all tenant FIFOs.
-	n int
-	// fifos holds each tenant's pending jobs in arrival order.
-	fifos map[string][]*job
-	// ring lists tenants with pending jobs, in first-arrival order;
-	// next indexes the tenant pop serves first.
+	n        int
+	// free counts open slots nobody waits for: a slot is only ever free
+	// while no one is waiting.
+	free int
+	// fifos holds each tenant's waiters in arrival order.
+	fifos map[string][]*ticket
+	// ring lists tenants with waiters, in first-arrival order; next
+	// indexes the tenant the next freed slot goes to.
 	ring []string
 	next int
-	// ready carries one wake-up token per queued job. Removed jobs
-	// leave their token behind, so tokens may outnumber jobs (pop
-	// skips the stale ones) — but never the reverse: push only drops
-	// its send when the channel already holds a full queue's worth.
-	ready chan struct{}
+}
+
+// ticket is one submission's place at the turnstile; granted is closed,
+// under the queue's mutex, when a slot becomes the holder's.
+type ticket struct {
+	tenant  string
+	granted chan struct{}
 }
 
 func newFairQueue(capacity int) *fairQueue {
 	if capacity <= 0 {
 		capacity = 16
 	}
-	return &fairQueue{
-		capacity: capacity,
-		fifos:    map[string][]*job{},
-		ready:    make(chan struct{}, capacity),
-	}
+	return &fairQueue{capacity: capacity, fifos: map[string][]*ticket{}}
 }
 
-// push appends j to its tenant's FIFO; false means the queue is at
-// capacity and the caller must shed the job (429 + Retry-After).
-func (q *fairQueue) push(j *job) bool {
-	q.mu.Lock()
-	if q.n >= q.capacity {
-		q.mu.Unlock()
-		return false
-	}
-	if _, seen := q.fifos[j.tenant]; !seen {
-		q.ring = append(q.ring, j.tenant)
-	}
-	q.fifos[j.tenant] = append(q.fifos[j.tenant], j)
-	q.n++
-	q.mu.Unlock()
-	// Wake one pop. Non-blocking: stale tokens from removed jobs can
-	// fill the channel, and dropping the send is then safe — a full
-	// channel already holds one token per possible queued job, so no
-	// waiting worker can miss this push.
-	select {
-	case q.ready <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// pop blocks until a job is available or ctx is done, then returns the
-// next job in round-robin tenant order (nil on cancellation). Each pop
-// advances the ring one tenant, so tenants with pending work alternate
-// regardless of how deep any one tenant's FIFO is. Tokens whose job was
-// removed while queued are stale; pop skips them and keeps waiting.
-func (q *fairQueue) pop(ctx context.Context) *job {
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-q.ready:
-		}
-		if j := q.take(); j != nil {
-			return j
-		}
-	}
-}
-
-// tryPop is pop without the wait: the drain path uses it to flush
-// abandoned jobs after the workers have exited.
-func (q *fairQueue) tryPop() *job {
-	for {
-		select {
-		case <-q.ready:
-		default:
-			return nil
-		}
-		if j := q.take(); j != nil {
-			return j
-		}
-	}
-}
-
-// remove unlinks a still-queued job so its capacity is released the
-// moment its client disconnects — an abandoned submission must not
-// hold a queue slot (and draw 429s for live traffic) until a worker
-// gets around to discarding it. The job's ready token stays in the
-// channel; tokens are fungible, so pop treats one with no job behind
-// it as stale. Reports whether j was found (false means a worker
-// already claimed it).
-func (q *fairQueue) remove(j *job) bool {
+// enter takes a free slot at once or joins the tenant's FIFO; nil means
+// capacity submissions are already waiting and the caller must shed
+// this one (429 + Retry-After).
+func (q *fairQueue) enter(tenant string) *ticket {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	fifo := q.fifos[j.tenant]
+	if q.free == 0 && q.n >= q.capacity {
+		return nil
+	}
+	t := &ticket{tenant: tenant, granted: make(chan struct{})}
+	if q.free > 0 {
+		q.free--
+		close(t.granted)
+		return t
+	}
+	if _, seen := q.fifos[tenant]; !seen {
+		q.ring = append(q.ring, tenant)
+	}
+	q.fifos[tenant] = append(q.fifos[tenant], t)
+	q.n++
+	return t
+}
+
+// release gives a slot back — or, from Start, opens a new one: it goes
+// to the head waiter of the ring's next tenant, else it stays free.
+// Each grant advances the ring one tenant, so tenants with waiters
+// alternate regardless of how deep any one tenant's FIFO is.
+func (q *fairQueue) release() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if t := q.take(); t != nil {
+		close(t.granted)
+	} else {
+		q.free++
+	}
+}
+
+// leave unlinks a waiter that gave up — its client disconnected or the
+// server is draining — so its place frees the moment it goes: an
+// abandoned submission must not hold capacity (and draw 429s for live
+// traffic). It reports whether t was still waiting; false means a slot
+// was granted first, and that slot is the caller's to release.
+func (q *fairQueue) leave(t *ticket) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	fifo := q.fifos[t.tenant]
 	idx := -1
 	for i := range fifo {
-		if fifo[i] == j {
+		if fifo[i] == t {
 			idx = i
 			break
 		}
@@ -125,9 +105,9 @@ func (q *fairQueue) remove(j *job) bool {
 		return false
 	}
 	if len(fifo) == 1 {
-		delete(q.fifos, j.tenant)
-		for ri, t := range q.ring {
-			if t == j.tenant {
+		delete(q.fifos, t.tenant)
+		for ri, tenant := range q.ring {
+			if tenant == t.tenant {
 				q.ring = append(q.ring[:ri], q.ring[ri+1:]...)
 				if ri < q.next {
 					q.next--
@@ -141,24 +121,21 @@ func (q *fairQueue) remove(j *job) bool {
 			q.next %= len(q.ring)
 		}
 	} else {
-		q.fifos[j.tenant] = append(fifo[:idx], fifo[idx+1:]...)
+		q.fifos[t.tenant] = append(fifo[:idx], fifo[idx+1:]...)
 	}
 	q.n--
 	return true
 }
 
-// take removes and returns the head job of the ring's next tenant, or
-// nil when the consumed token was stale (its job was removed while
-// queued and the queue is now empty).
-func (q *fairQueue) take() *job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// take unlinks and returns the head waiter of the ring's next tenant,
+// or nil when no one waits. The caller holds mu.
+func (q *fairQueue) take() *ticket {
 	if len(q.ring) == 0 {
 		return nil
 	}
 	tenant := q.ring[q.next]
 	fifo := q.fifos[tenant]
-	j := fifo[0]
+	t := fifo[0]
 	if len(fifo) == 1 {
 		// Tenant drained: drop it from the ring; next now indexes the
 		// following tenant, so no advance.
@@ -174,12 +151,5 @@ func (q *fairQueue) take() *job {
 		q.next = (q.next + 1) % len(q.ring)
 	}
 	q.n--
-	return j
-}
-
-// depth reports how many jobs are queued.
-func (q *fairQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
+	return t
 }

@@ -1,10 +1,16 @@
 // Package server is suite-as-a-service: a stdlib-only HTTP/JSON front
 // end that accepts Plan submissions and runs them through the same
-// Suite/Runner engine the CLI uses. Three properties shape it:
+// Suite/Runner engine the CLI uses. Four properties shape it:
 //
-//   - Backpressure is explicit. Submissions land in a bounded queue
-//     with per-tenant fair scheduling; a full queue answers 429 with
-//     Retry-After instead of growing without bound.
+//   - Backpressure is explicit. A fixed number of run slots sits
+//     behind a bounded, per-tenant-fair turnstile; when the line at it
+//     is full a submission is answered 429 with Retry-After instead of
+//     growing memory without bound.
+//   - A job runs on the goroutine that owns its response. net/http
+//     gives every submission a goroutine; it waits its turn, runs the
+//     plan, and streams into its own ResponseWriter — no pool, no
+//     hand-off, so a client that leaves, a drain and a run that panics
+//     each end exactly one job.
 //   - Results stream as they are produced. The response body is the
 //     same versioned JSONL envelope stream `aibench run -out` writes,
 //     flushed per record, so a saved response body feeds
@@ -16,11 +22,13 @@
 //     replayed byte-identically for every later identical submission —
 //     zero retraining.
 //
-// Endpoints: POST /jobs (submit, NDJSON stream), GET /jobs/{id}
-// (status), GET /healthz, GET /stats (serving-plane counters).
+// Endpoints: POST /jobs (submit a core.ParsePlan wire plan, NDJSON
+// stream back), GET /jobs/{id} (status), GET /healthz, GET /stats
+// (serving-plane counters).
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,77 +40,9 @@ import (
 	"sync/atomic"
 
 	"aibench/internal/core"
-	"aibench/internal/gpusim"
 	"aibench/internal/results"
 	"aibench/internal/telemetry"
 )
-
-// PlanRequest is the submission wire format: the canonical-plan shape
-// (core.Plan.Canonical) with every knob optional. Strings name kinds
-// the way the CLI does ("session", "quasi-entire", ...); zero values
-// mean the Plan defaults.
-type PlanRequest struct {
-	Kind       string   `json:"kind"`
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	Session    string   `json:"session,omitempty"`
-	Seed       int64    `json:"seed,omitempty"`
-	Epochs     int      `json:"epochs,omitempty"`
-	Shards     int      `json:"shards,omitempty"`
-	ShardSweep []int    `json:"shard_sweep,omitempty"`
-	Kernel     string   `json:"kernel,omitempty"`
-	TuneFrom   string   `json:"tune_from,omitempty"`
-	Backend    string   `json:"backend,omitempty"`
-	Workers    int      `json:"workers,omitempty"`
-	Device     string   `json:"device,omitempty"`
-	Telemetry  bool     `json:"telemetry,omitempty"`
-}
-
-// plan converts the request to a core.Plan, resolving names the way
-// the CLI flags do.
-func (pr PlanRequest) plan() (core.Plan, error) {
-	p := core.Plan{
-		Benchmarks: pr.Benchmarks,
-		Seed:       pr.Seed,
-		Epochs:     pr.Epochs,
-		Shards:     pr.Shards,
-		ShardSweep: pr.ShardSweep,
-		Kernel:     pr.Kernel,
-		TuneFrom:   pr.TuneFrom,
-		Backend:    pr.Backend,
-		Workers:    pr.Workers,
-		Telemetry:  pr.Telemetry,
-	}
-	switch pr.Kind {
-	case "", "session":
-		p.Kind = core.RunSession
-	case "characterize":
-		p.Kind = core.RunCharacterize
-	case "scaling":
-		p.Kind = core.RunScaling
-	case "replay":
-		p.Kind = core.RunReplay
-	default:
-		return p, fmt.Errorf("unknown run kind %q (want session, characterize, scaling, or replay)", pr.Kind)
-	}
-	switch pr.Session {
-	case "", "entire":
-		p.Session = core.EntireSession
-	case "quasi-entire":
-		p.Session = core.QuasiEntireSession
-	default:
-		return p, fmt.Errorf("unknown session kind %q (want entire or quasi-entire)", pr.Session)
-	}
-	switch pr.Device {
-	case "":
-	case gpusim.TitanXP().Name:
-		p.Device = gpusim.TitanXP()
-	case gpusim.TitanRTX().Name:
-		p.Device = gpusim.TitanRTX()
-	default:
-		return p, fmt.Errorf("unknown device %q (want %q or %q)", pr.Device, gpusim.TitanXP().Name, gpusim.TitanRTX().Name)
-	}
-	return p, nil
-}
 
 // Job states.
 const (
@@ -129,10 +69,9 @@ func stateName(s int32) string {
 	return fmt.Sprintf("state(%d)", s)
 }
 
-// job is one admitted submission. Its lifecycle is driven by a CAS on
-// state: the worker claims queued→running, the disconnect watcher
-// claims queued→canceled, and exactly the winner closes done — so a
-// client abandoning a queued job and a worker popping it never race.
+// job is one admitted submission: the status ledger's view of it. The
+// goroutine serving the submission is the only writer of state and
+// errMsg; GET /jobs/{id} and Shutdown read them.
 type job struct {
 	id     string
 	tenant string
@@ -140,27 +79,23 @@ type job struct {
 	key       string
 	canonical []byte
 	runner    *core.Runner
-	// ctx is the client's request context: its cancellation is the
-	// disconnect signal that stops the run at the next epoch boundary.
-	ctx    context.Context
-	cancel context.CancelFunc
-	// out is the client's response stream (flushed per write); wrote
-	// records whether the worker started streaming, so the handler
-	// knows whether a canceled job may still get a plain status reply.
-	out     io.Writer
-	wrote   atomic.Bool
+	// cancel ends the job's context — the client's request context, so
+	// a disconnect does the same: a waiting job leaves the line, a
+	// running one stops at its next epoch boundary.
+	cancel  context.CancelFunc
 	state   atomic.Int32
 	records atomic.Int64
-	done    chan struct{}
 
 	mu     sync.Mutex
 	errMsg string
 }
 
-func (j *job) setErr(msg string) {
+// finish moves j to a terminal state with the reason it ended there.
+func (j *job) finish(state int32, msg string) {
 	j.mu.Lock()
 	j.errMsg = msg
 	j.mu.Unlock()
+	j.state.Store(state)
 }
 
 func (j *job) errText() string {
@@ -220,23 +155,22 @@ func (c *resultCache) len() int {
 type Options struct {
 	// Registry is the benchmark roster; nil builds the full suite.
 	Registry *core.Registry
-	// Workers is the worker-pool width (how many jobs run
-	// concurrently); <= 0 means 1. Each job additionally parallelizes
-	// internally per its own Plan.Workers.
+	// Workers is the number of run slots — how many jobs run
+	// concurrently, each on its own submission's goroutine; <= 0 means
+	// 1. Each job additionally parallelizes internally per its own
+	// Plan.Workers.
 	Workers int
-	// QueueCap bounds the submission queue across all tenants; <= 0
-	// means 16. A full queue answers 429.
+	// QueueCap bounds the submissions waiting for a slot, across all
+	// tenants; <= 0 means 16. A full line answers 429.
 	QueueCap int
 	// CacheEntries bounds the exact result cache; <= 0 means 64.
 	CacheEntries int
-	// Stats receives the serving-plane counters; nil allocates a fresh
-	// set (readable through /stats either way).
-	Stats *telemetry.ServiceStats
 }
 
-// Server runs Plans submitted over HTTP through a bounded fair queue,
-// a worker pool, and an exact result cache. Construct with New, start
-// the pool with Start, serve Handler, stop with Shutdown.
+// Server runs Plans submitted over HTTP: a bounded fair turnstile in
+// front of a fixed number of run slots, and an exact result cache.
+// Construct with New, open the slots with Start, serve Handler, stop
+// with Shutdown.
 type Server struct {
 	reg      *core.Registry
 	sha      string
@@ -247,6 +181,8 @@ type Server struct {
 	queueCap int
 	mux      *http.ServeMux
 
+	// ctx ends when a drain begins; wg counts admitted jobs whose
+	// handlers have not returned.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -276,17 +212,13 @@ func New(opts Options) *Server {
 	if queueCap <= 0 {
 		queueCap = 16
 	}
-	stats := opts.Stats
-	if stats == nil {
-		stats = telemetry.NewServiceStats()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		reg:      reg,
 		sha:      reg.SHA(),
 		queue:    newFairQueue(queueCap),
 		cache:    newResultCache(opts.CacheEntries),
-		stats:    stats,
+		stats:    telemetry.NewServiceStats(),
 		workers:  workers,
 		queueCap: queueCap,
 		ctx:      ctx,
@@ -309,103 +241,58 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // carries.
 func (s *Server) SuiteSHA() string { return s.sha }
 
-// Start launches the worker pool.
+// Start opens the run slots. Until it is called no job runs:
+// submissions wait in line up to QueueCap and are refused beyond it.
 func (s *Server) Start() {
 	for i := 0; i < s.workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+		s.queue.release()
 	}
 }
 
-// Shutdown drains gracefully: new submissions are refused (503),
-// workers finish the jobs they are running and exit, and jobs still
-// queued are canceled so their blocked handlers return. If ctx expires
-// first, in-flight runs are canceled too and stop at their next epoch
-// boundary.
+// Shutdown drains gracefully: new submissions are refused (503), jobs
+// still waiting for a slot shed themselves (503), and running jobs
+// finish and stream out. If ctx expires first, every job still live is
+// canceled too — a run stops at its next epoch boundary — and Shutdown
+// keeps waiting for the handlers to return.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
+	s.cancel()
 
-	s.cancel() // workers exit after their current job
 	finished := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(finished)
 	}()
-	var err error
 	select {
 	case <-finished:
+		return nil
 	case <-ctx.Done():
-		// Impatient shutdown: cancel in-flight runs (they stop at the
-		// next epoch boundary) and wait for the workers to come back.
-		// The ledger is scanned here, after s.cancel, not snapshotted
-		// before it: a worker that claimed a queued job while the drain
-		// flag was going up either observed the cancellation and shed
-		// the job without running it, or claimed it before — in which
-		// case its queued→running CAS is already visible to this scan.
-		// Either way no unkillable run can slip past the deadline.
-		s.mu.Lock()
-		for _, id := range s.jobOrder {
-			if j := s.jobs[id]; j != nil && j.state.Load() == jobRunning {
-				j.cancel()
-			}
-		}
-		s.mu.Unlock()
-		<-finished
-		err = ctx.Err()
 	}
-
-	// Shed what never ran, releasing the blocked submit handlers.
-	for j := s.queue.tryPop(); j != nil; j = s.queue.tryPop() {
-		s.stats.Gauge(telemetry.GaugeQueueDepth, -1)
-		if j.state.CompareAndSwap(jobQueued, jobCanceled) {
-			s.stats.Inc(telemetry.SvcJobsCanceled)
-			j.setErr("server draining")
-			close(j.done)
+	// Every admitted job is in the ledger until it is terminal, and none
+	// is admitted once draining is set, so this scan misses no run.
+	s.mu.Lock()
+	for _, id := range s.jobOrder {
+		if j := s.jobs[id]; j != nil && !terminal(j.state.Load()) {
+			j.cancel()
 		}
 	}
-	return err
+	s.mu.Unlock()
+	<-finished
+	return ctx.Err()
 }
 
-// worker pops jobs in fair order and runs them until Shutdown.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.queue.pop(s.ctx)
-		if j == nil {
-			return
-		}
-		s.stats.Gauge(telemetry.GaugeQueueDepth, -1)
-		if !j.state.CompareAndSwap(jobQueued, jobRunning) {
-			continue // abandoned while queued; its watcher closed done
-		}
-		if s.ctx.Err() != nil {
-			// Claimed in the instant Shutdown fired: shed instead of
-			// starting a run nothing would cancel — the impatient
-			// drain's cancel scan only covers jobs it can see running.
-			j.state.Store(jobCanceled)
-			j.setErr("server draining")
-			s.stats.Inc(telemetry.SvcJobsCanceled)
-			close(j.done)
-			return
-		}
-		s.stats.Gauge(telemetry.GaugeWorkersBusy, 1)
-		s.runJob(j)
-		s.stats.Gauge(telemetry.GaugeWorkersBusy, -1)
-		close(j.done)
-	}
-}
-
-// runJob executes one claimed job, streaming envelopes to the client
-// while teeing them into a buffer that becomes the cache entry when —
-// and only when — the run finishes cleanly: no engine error, no
+// runJob executes j's plan on the calling goroutine — the one that
+// holds j's slot and owns its response — streaming envelopes to out
+// while teeing them into a buffer that becomes the cache entry when,
+// and only when, the run finishes cleanly: no engine error, no
 // cancellation, no per-benchmark failure. Started stays empty in the
 // run meta, so the stream is a pure function of (roster, canonical
 // plan) and replaying it later is exact.
-func (s *Server) runJob(j *job) {
-	var cacheBuf bytesBuffer
-	w := results.NewWriter(io.MultiWriter(&cacheBuf, markWriter{j}), j.runner.Meta())
+func (s *Server) runJob(ctx context.Context, j *job, out io.Writer) {
+	var cacheBuf bytes.Buffer
+	w := results.NewWriter(io.MultiWriter(&cacheBuf, out), j.runner.Meta())
 	sink := func(rec core.Record) error {
 		if err := w.Write(rec); err != nil {
 			return err
@@ -413,20 +300,27 @@ func (s *Server) runJob(j *job) {
 		j.records.Add(1)
 		return nil
 	}
-	res, err := j.runner.Run(j.ctx, sink)
+	res, err := func() (res *core.RunResult, err error) {
+		// A run that panics fails its own job, like any other run error;
+		// the deferred releases up the stack then free its slot.
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("run panicked: %v", p)
+			}
+		}()
+		return j.runner.Run(ctx, sink)
+	}()
 
 	switch {
-	case j.ctx.Err() != nil:
-		j.state.Store(jobCanceled)
-		j.setErr("canceled: " + j.ctx.Err().Error())
+	case ctx.Err() != nil:
+		j.finish(jobCanceled, "canceled: "+ctx.Err().Error())
 		s.stats.Inc(telemetry.SvcJobsCanceled)
 	case err != nil:
-		j.state.Store(jobFailed)
-		j.setErr(err.Error())
+		j.finish(jobFailed, err.Error())
 		s.stats.Inc(telemetry.SvcJobsFailed)
-		s.writeErrorEnvelope(j, err)
+		writeErrorEnvelope(out, j.runner.Meta(), err)
 	default:
-		j.state.Store(jobCompleted)
+		j.finish(jobCompleted, "")
 		s.stats.Inc(telemetry.SvcJobsCompleted)
 		if cleanRun(res) {
 			s.cache.put(j.key, cacheBuf.Bytes())
@@ -453,39 +347,18 @@ func cleanRun(res *core.RunResult) bool {
 // stream (not the cache) so a consumer can tell a failed run from a
 // merely short one. The "error" kind is unknown to results.Read, which
 // counts it as Skipped — it never poisons the decodable records.
-func (s *Server) writeErrorEnvelope(j *job, runErr error) {
+func writeErrorEnvelope(out io.Writer, meta core.RunMeta, runErr error) {
 	data, err := json.Marshal(map[string]string{"error": runErr.Error()})
 	if err != nil {
 		return
 	}
-	line, err := json.Marshal(results.Envelope{V: results.Version, Kind: "error", Run: j.runner.Meta(), Data: data})
+	line, err := json.Marshal(results.Envelope{V: results.Version, Kind: "error", Run: meta, Data: data})
 	if err != nil {
 		return
 	}
-	if _, err := (markWriter{j}).Write(append(line, '\n')); err != nil {
+	if _, err := out.Write(append(line, '\n')); err != nil {
 		return // client is gone; the job ledger still holds the error
 	}
-}
-
-// bytesBuffer is a minimal append-only buffer (bytes.Buffer without
-// the reader half).
-type bytesBuffer struct{ b []byte }
-
-func (bb *bytesBuffer) Write(p []byte) (int, error) {
-	bb.b = append(bb.b, p...)
-	return len(p), nil
-}
-
-func (bb *bytesBuffer) Bytes() []byte { return bb.b }
-
-// markWriter forwards to the job's response stream, recording that
-// streaming began so the submit handler knows the response is spoken
-// for.
-type markWriter struct{ j *job }
-
-func (m markWriter) Write(p []byte) (int, error) {
-	m.j.wrote.Store(true)
-	return m.j.out.Write(p)
 }
 
 // flushWriter flushes the response after every write so each envelope
@@ -506,10 +379,11 @@ func (f flushWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// handleSubmit admits one Plan submission: validate, consult the exact
-// cache, enqueue under the tenant's FIFO, then block while the worker
-// streams the response. Nothing is written before the queue decision,
-// so a full queue can still answer 429 cleanly.
+// handleSubmit serves one Plan submission from end to end on its own
+// goroutine: validate, consult the exact cache, take a place in line
+// (or be refused: 429), be admitted to the ledger (or be refused: the
+// server is draining), wait for a slot, run, stream. Nothing is written
+// before the slot is granted, so every refusal is a clean status reply.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -520,14 +394,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 		return
 	}
-	var pr PlanRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&pr); err != nil {
-		http.Error(w, "bad plan: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	plan, err := pr.plan()
+	plan, err := core.ParsePlan(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		http.Error(w, "bad plan: "+err.Error(), http.StatusBadRequest)
 		return
@@ -560,98 +427,77 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	jctx, jcancel := context.WithCancel(r.Context())
-	defer jcancel()
-	j := &job{
-		tenant:    tenant,
-		key:       key,
-		canonical: canonical,
-		runner:    runner,
-		ctx:       jctx,
-		cancel:    jcancel,
-		out:       flushWriter{w: w, rc: http.NewResponseController(w)},
-		done:      make(chan struct{}),
+	t := s.queue.enter(tenant)
+	if t == nil {
+		s.stats.Inc(telemetry.SvcJobsRejected)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "queue full", http.StatusTooManyRequests)
+		return
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		// Drain began while this submission validated; shed it before
-		// it can reach the queue.
-		s.mu.Unlock()
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	j := &job{tenant: tenant, key: key, canonical: canonical, runner: runner, cancel: cancel}
+	if !s.admit(j) {
+		// Drain began while this submission validated.
+		if !s.queue.leave(t) {
+			s.queue.release()
+		}
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 		return
 	}
-	s.nextID++
-	j.id = "j-" + strconv.FormatInt(s.nextID, 10)
-	s.mu.Unlock()
-
-	// The ledger entry goes in before the queue push: the moment push
-	// succeeds a worker may stream the X-Job-Id header to the client,
-	// and a GET /jobs/{id} racing that must find the job, not a
-	// transient 404. A rejected push takes the entry back out.
-	s.remember(j)
-
-	// Streaming headers likewise go on before the job is queued — once
-	// a worker can write, the header map must not be touched
-	// concurrently. A rejected push undoes them.
+	defer s.wg.Done()
+	s.stats.Inc(telemetry.SvcJobsAccepted)
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Set("X-Cache", "miss")
 	h.Set("X-Cache-Key", key)
 	h.Set("X-Job-Id", j.id)
 
-	if !s.queue.push(j) {
-		s.forget(j)
-		s.stats.Inc(telemetry.SvcJobsRejected)
-		h.Del("X-Cache")
-		h.Del("X-Cache-Key")
-		h.Del("X-Job-Id")
-		h.Set("Retry-After", "1")
-		http.Error(w, "queue full", http.StatusTooManyRequests)
+	// Wait for the slot, the client to go, or a drain to begin — then
+	// ask the queue which it was: leave's answer is taken under the same
+	// mutex a grant is made under, so a slot handed over while this
+	// waiter was giving up is neither lost nor used twice.
+	s.stats.Gauge(telemetry.GaugeQueueDepth, 1)
+	select {
+	case <-t.granted:
+	case <-ctx.Done():
+	case <-s.ctx.Done():
+	}
+	s.stats.Gauge(telemetry.GaugeQueueDepth, -1)
+	if s.queue.leave(t) {
+		cause := "server draining"
+		if ctx.Err() != nil {
+			cause = "canceled while queued: " + ctx.Err().Error()
+		}
+		j.finish(jobCanceled, cause)
+		s.stats.Inc(telemetry.SvcJobsCanceled)
+		http.Error(w, "job "+j.id+" canceled before start: "+cause, http.StatusServiceUnavailable)
 		return
 	}
-	s.stats.Inc(telemetry.SvcJobsAccepted)
-	s.stats.Gauge(telemetry.GaugeQueueDepth, 1)
-
-	// The disconnect watcher: a client abandoning a queued job first
-	// unlinks it from the queue so its capacity frees immediately, then
-	// races the worker's claim through the state CAS — exactly one side
-	// wins and closes done. A running job needs no watcher; its run
-	// context is the request context.
-	go func() {
-		select {
-		case <-jctx.Done():
-			if s.queue.remove(j) {
-				s.stats.Gauge(telemetry.GaugeQueueDepth, -1)
-			}
-			if j.state.CompareAndSwap(jobQueued, jobCanceled) {
-				s.stats.Inc(telemetry.SvcJobsCanceled)
-				j.setErr("canceled while queued: " + jctx.Err().Error())
-				close(j.done)
-			}
-		case <-j.done:
-		}
-	}()
-
-	// The worker streams the whole response; this handler just keeps
-	// the connection open until the job reaches a terminal state.
-	<-j.done
-	if !j.wrote.Load() {
-		// Never started (abandoned in queue, or shed by a drain):
-		// the response is still unwritten, so say what happened.
-		http.Error(w, "job "+j.id+" canceled before start: "+j.errText(), http.StatusServiceUnavailable)
-	}
+	defer s.queue.release()
+	s.stats.Gauge(telemetry.GaugeWorkersBusy, 1)
+	defer s.stats.Gauge(telemetry.GaugeWorkersBusy, -1)
+	j.state.Store(jobRunning)
+	s.runJob(ctx, j, flushWriter{w: w, rc: http.NewResponseController(w)})
 }
 
-// remember adds j to the bounded status ledger. Eviction takes the
-// oldest *terminal* entry: a queued or running job must stay findable
-// no matter how much history accumulates behind it — Shutdown's cancel
-// scan and GET /jobs/{id} both walk this ledger. Live entries are
-// bounded by QueueCap plus the worker count, so a terminal candidate
-// always exists long before the ledger truly fills with live jobs.
-func (s *Server) remember(j *job) {
+// admit gives j its id and enters it in the bounded status ledger,
+// unless a drain has begun; from here Shutdown waits for j's handler.
+// Ledger eviction takes the oldest *terminal* entry: a queued or
+// running job must stay findable no matter how much history accumulates
+// behind it — Shutdown's cancel scan and GET /jobs/{id} both walk this
+// ledger. Live entries are bounded by QueueCap plus the slot count, so
+// a terminal candidate always exists long before the ledger truly fills
+// with live jobs.
+func (s *Server) admit(j *job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.wg.Add(1)
+	s.nextID++
+	j.id = "j-" + strconv.FormatInt(s.nextID, 10)
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
 	for len(s.jobOrder) > maxJobLedger {
@@ -669,20 +515,7 @@ func (s *Server) remember(j *job) {
 			break // every entry is live; run long until they settle
 		}
 	}
-}
-
-// forget removes a job the queue refused: the ledger must not hold an
-// entry for a submission that was answered 429.
-func (s *Server) forget(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, j.id)
-	for i := len(s.jobOrder) - 1; i >= 0; i-- {
-		if s.jobOrder[i] == j.id {
-			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-			break
-		}
-	}
+	return true
 }
 
 // terminal reports whether a job state is final.

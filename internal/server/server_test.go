@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"aibench/internal/core"
+	"aibench/internal/models"
 	"aibench/internal/results"
 )
 
@@ -71,6 +72,11 @@ func post(ts *httptest.Server, tenant, body string) ([]byte, error) {
 	}
 	return io.ReadAll(resp.Body)
 }
+
+// parked reports how many admitted jobs wait for a slot: the queue-depth
+// gauge, which a job raises only once it is in line, in the ledger and
+// counted as accepted.
+func parked(s *Server) int64 { return s.stats.Snapshot().QueueDepth }
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -184,7 +190,7 @@ func TestQueueFullRejectsAndDrainSheds(t *testing.T) {
 		resp.Body.Close()
 		firstDone <- resp.StatusCode
 	}()
-	waitFor(t, "first job queued", func() bool { return s.queue.depth() == 1 })
+	waitFor(t, "first job queued", func() bool { return parked(s) == 1 })
 
 	second := submit(t, ts, "bob", smallPlan)
 	_, _ = io.Copy(io.Discard, second.Body)
@@ -277,40 +283,54 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	}
 }
 
-// TestTenantFairnessOverHTTP: with submissions parked in the queue,
-// pop order interleaves tenants — B's first job runs before A's
-// second even though A enqueued two jobs first.
+// TestTenantFairnessOverHTTP: with submissions parked at the turnstile,
+// slots go to tenants in turn — B's first job runs before A's second
+// even though A submitted two jobs first.
 func TestTenantFairnessOverHTTP(t *testing.T) {
-	s := New(Options{QueueCap: 8}) // workers held back: pops are manual
+	s := New(Options{QueueCap: 8}) // slots held back until everyone is in line
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// Jobs that run until canceled: each holds the one slot until the
+	// test has seen whose turn it was.
+	long := `{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C1"],"seed":3,"epochs":100000}`
 	handlers := make(chan struct{}, 3)
-	enqueue := func(tenant string, depth int) {
+	enqueue := func(tenant string, depth int64) {
 		go func() {
-			resp := submit(t, ts, tenant, smallPlan)
+			resp := submit(t, ts, tenant, long)
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			handlers <- struct{}{}
 		}()
-		waitFor(t, "queue depth", func() bool { return s.queue.depth() == depth })
+		waitFor(t, "queue depth", func() bool { return parked(s) == depth })
 	}
 	enqueue("a", 1)
 	enqueue("a", 2)
 	enqueue("b", 3)
+	s.Start() // one slot
 
 	var order []string
 	for i := 0; i < 3; i++ {
-		j := s.queue.pop(context.Background())
-		order = append(order, j.tenant)
-		// Release the parked handler the way a drain would.
-		if j.state.CompareAndSwap(jobQueued, jobCanceled) {
-			j.setErr("test drain")
-			close(j.done)
-		}
+		var running *job
+		waitFor(t, "a job running", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for _, id := range s.jobOrder {
+				if j := s.jobs[id]; j.state.Load() == jobRunning {
+					running = j
+					return true
+				}
+			}
+			return false
+		})
+		order = append(order, running.tenant)
+		// Stop it the way an impatient drain would; its slot goes to the
+		// next tenant in turn.
+		running.cancel()
+		waitFor(t, "the running job to stop", func() bool { return running.state.Load() == jobCanceled })
 	}
 	if want := []string{"a", "b", "a"}; order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("pop tenant order %v, want %v", order, want)
+		t.Fatalf("run tenant order %v, want %v", order, want)
 	}
 	for i := 0; i < 3; i++ {
 		select {
@@ -704,7 +724,7 @@ func TestDisconnectWhileQueuedFreesCapacity(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, "first job queued", func() bool { return s.queue.depth() == 1 })
+	waitFor(t, "first job queued", func() bool { return parked(s) == 1 })
 
 	cancel() // client walks away while queued
 	<-firstDone
@@ -721,7 +741,7 @@ func TestDisconnectWhileQueuedFreesCapacity(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	waitFor(t, "second job queued", func() bool { return s.queue.depth() == 1 })
+	waitFor(t, "second job queued", func() bool { return parked(s) == 1 })
 	if snap := s.stats.Snapshot(); snap.JobsRejected != 0 || snap.JobsAccepted != 2 {
 		t.Fatalf("stats after resubmission = %+v, want rejected 0, accepted 2", snap)
 	}
@@ -752,7 +772,7 @@ func TestQueuedJobVisibleInLedgerAndRejectionLeavesNoEntry(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	waitFor(t, "first job queued", func() bool { return s.queue.depth() == 1 })
+	waitFor(t, "first job queued", func() bool { return parked(s) == 1 })
 
 	s.mu.Lock()
 	if len(s.jobOrder) != 1 {
@@ -867,5 +887,61 @@ func TestReplayAndCharacterizeKindsServe(t *testing.T) {
 		if again.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, againBody) {
 			t.Fatalf("%s: resubmission missed the cache or diverged", tc.name)
 		}
+	}
+}
+
+// TestPanickingRunFailsOneJob: a run that panics fails its own job —
+// state failed, a terminal error envelope on the stream, nothing
+// cached, slot and gauges given back — and the server goes on to run
+// the next submission on the same single slot.
+func TestPanickingRunFailsOneJob(t *testing.T) {
+	real := core.NewRegistry().ByID("DC-AI-C16")
+	boom := *real
+	boom.ID = "DC-AI-BOOM"
+	boom.Factory = func(int64) models.Benchmark { panic("factory exploded") }
+	s, ts := newTestServer(t, Options{
+		Workers: 1, QueueCap: 4,
+		Registry: &core.Registry{AIBench: []*core.Benchmark{real, &boom}},
+	}, true)
+
+	plan := func(id string) string {
+		return fmt.Sprintf(`{"kind":"session","session":"quasi-entire","benchmarks":[%q],"seed":1,"epochs":1}`, id)
+	}
+	resp := submit(t, ts, "alice", plan("DC-AI-BOOM"))
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("panicking submit: status %d err %v", resp.StatusCode, err)
+	}
+	if !bytes.Contains(body, []byte(`"kind":"error"`)) || !bytes.Contains(body, []byte("run panicked: factory exploded")) {
+		t.Fatalf("panicking run's stream carries no terminal error envelope: %s", body)
+	}
+	var status jobStatus
+	st, err := ts.Client().Get(ts.URL + "/jobs/" + resp.Header.Get("X-Job-Id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(st.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	st.Body.Close()
+	if status.State != "failed" || !strings.Contains(status.Error, "run panicked") {
+		t.Fatalf("panicked job status = %+v, want failed with the panic as its error", status)
+	}
+	if snap := s.stats.Snapshot(); snap.JobsFailed != 1 || snap.QueueDepth != 0 || snap.WorkersBusy != 0 {
+		t.Fatalf("stats after the panic = %+v, want failed 1 and both gauges zero", snap)
+	}
+	if s.cache.len() != 0 {
+		t.Fatal("a panicked run was cached")
+	}
+
+	next := submit(t, ts, "bob", plan("DC-AI-C16"))
+	nextBody, err := io.ReadAll(next.Body)
+	next.Body.Close()
+	if err != nil || next.StatusCode != http.StatusOK {
+		t.Fatalf("submit after the panic: status %d err %v", next.StatusCode, err)
+	}
+	if stream, err := results.Read(bytes.NewReader(nextBody)); err != nil || len(stream.Sessions()) != 1 {
+		t.Fatalf("submit after the panic did not stream a session: %v\n%s", err, nextBody)
 	}
 }
