@@ -104,22 +104,17 @@ func batchName(n int) string {
 // quasi-entire (fixed 3-epoch) sessions against entire sessions for the
 // subset — the Section 3.4 trade-off in miniature.
 func BenchmarkAblationQuasiVsEntire(b *testing.B) {
-	b.Run("quasi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			suite := aibench.NewSuite()
-			suite.Benchmark("DC-AI-C16").RunScaledSession(aibench.SessionConfig{
-				Kind: aibench.QuasiEntireSession, Seed: 42, MaxEpochs: 3,
-			})
-		}
-	})
-	b.Run("entire", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			suite := aibench.NewSuite()
-			suite.Benchmark("DC-AI-C16").RunScaledSession(aibench.SessionConfig{
-				Kind: aibench.EntireSession, Seed: 42, MaxEpochs: 60,
-			})
-		}
-	})
+	for name, plan := range map[string]aibench.Plan{
+		"quasi":  {Session: aibench.QuasiEntireSession, Epochs: 3},
+		"entire": {Session: aibench.EntireSession, Epochs: 60},
+	} {
+		plan.Benchmarks, plan.Seed = []string{"DC-AI-C16"}, 42
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runSessions(b, aibench.NewSuite(), plan)
+			}
+		})
+	}
 }
 
 // BenchmarkAblationDeviceScaling measures the simulated RTX/XP speedup

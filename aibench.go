@@ -58,8 +58,6 @@ func NewSuite() *Suite { return &Suite{reg: core.NewRegistry()} }
 type (
 	// Benchmark is one component benchmark (metadata + scaled workload).
 	Benchmark = core.Benchmark
-	// SessionConfig configures a scaled training session.
-	SessionConfig = core.SessionConfig
 	// SessionResult reports a scaled training session.
 	SessionResult = core.SessionResult
 	// Characterization is one benchmark's workload characterization.

@@ -25,11 +25,25 @@ func TestSuiteAPI(t *testing.T) {
 	}
 }
 
+// runSessions runs a session plan through the suite's Runner.
+func runSessions(t testing.TB, s *aibench.Suite, p aibench.Plan) []aibench.SessionResult {
+	t.Helper()
+	p.Kind = aibench.RunSession
+	runner, err := s.NewRunner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Sessions
+}
+
 func TestSuiteScaledSessionThroughAPI(t *testing.T) {
-	s := aibench.NewSuite()
-	res := s.Benchmark("DC-AI-C16").RunScaledSession(aibench.SessionConfig{
-		Kind: aibench.EntireSession, Seed: 42, MaxEpochs: 60,
-	})
+	res := runSessions(t, aibench.NewSuite(), aibench.Plan{
+		Benchmarks: []string{"DC-AI-C16"}, Session: aibench.EntireSession, Seed: 42, Epochs: 60,
+	})[0]
 	if !res.ReachedGoal {
 		t.Fatalf("learning-to-rank session missed target: %.3f vs %.3f", res.FinalQuality, res.Target)
 	}
@@ -39,38 +53,24 @@ func TestSuiteScaledSessionThroughAPI(t *testing.T) {
 }
 
 // TestPlanSessionsMatchSerialLoop pins the acceptance guarantee of the
-// pooled session engine: a Plan suite run across 4 workers produces
-// results bitwise identical (losses included) to a plain serial loop
-// over Suite.All() using the same per-benchmark derived seeds.
+// pooled suite loop: a Plan suite run across 4 workers produces results
+// bitwise identical (losses included) to the same plan at Workers 1 —
+// a plain serial loop over Suite.All() in registry order. (That each
+// session trains on DeriveSeed(plan.Seed, id) is pinned where the raw
+// seed is reachable: core's TestRunnerTrainsOnDerivedSeeds.)
 func TestPlanSessionsMatchSerialLoop(t *testing.T) {
 	s := aibench.NewSuite()
-	cfg := aibench.SessionConfig{Kind: aibench.QuasiEntireSession, MaxEpochs: 1, Seed: 42}
+	plan := aibench.Plan{Session: aibench.QuasiEntireSession, Seed: 42, Epochs: 1, Workers: 1}
+	serial := runSessions(t, s, plan)
+	plan.Workers = 4
+	pooled := runSessions(t, s, plan)
 
-	var serial []aibench.SessionResult
-	for _, b := range s.All() {
-		c := cfg
-		c.Seed = aibench.DeriveSeed(cfg.Seed, b.ID)
-		serial = append(serial, b.RunScaledSession(c))
-	}
-	runner, err := s.NewRunner(aibench.Plan{
-		Kind: aibench.RunSession, Session: cfg.Kind, Seed: cfg.Seed,
-		Epochs: cfg.MaxEpochs, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runner.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled := res.Sessions
-
-	if len(pooled) != len(serial) {
-		t.Fatalf("pooled ran %d sessions, serial %d", len(pooled), len(serial))
+	if len(pooled) != len(serial) || len(serial) != len(s.All()) {
+		t.Fatalf("pooled ran %d sessions, serial %d, suite has %d", len(pooled), len(serial), len(s.All()))
 	}
 	for i := range pooled {
 		p, w := pooled[i], serial[i]
-		if p.ID != w.ID || p.Epochs != w.Epochs || p.ReachedGoal != w.ReachedGoal {
+		if p.ID != s.All()[i].ID || p.ID != w.ID || p.Epochs != w.Epochs || p.ReachedGoal != w.ReachedGoal {
 			t.Fatalf("session %d differs:\npooled %+v\nserial %+v", i, p, w)
 		}
 		if math.Float64bits(p.FinalQuality) != math.Float64bits(w.FinalQuality) {

@@ -367,28 +367,17 @@ func BenchmarkConv2DBackward(b *testing.B) {
 }
 
 // BenchmarkSuiteScaled measures a full 24-benchmark quasi-entire suite
-// pass through the real training stack: the serial loop baseline
-// against the pooled engine at several widths. On a 4+ core machine
-// workers-4 should run at least 2x faster wall-clock than serial-loop,
-// with bitwise-identical results (TestRunAllScaledMatchesSerialLoop).
+// pass through the real training stack at several widths of the suite
+// loop; workers-1 is the plain serial loop. On a 4+ core machine
+// workers-4 should run at least 2x faster wall-clock than workers-1,
+// with bitwise-identical results (TestPlanSessionsMatchSerialLoop).
 func BenchmarkSuiteScaled(b *testing.B) {
-	cfg := aibench.SessionConfig{Kind: aibench.QuasiEntireSession, MaxEpochs: 1, Seed: 42}
-	b.Run("serial-loop", func(b *testing.B) {
-		suite := aibench.NewSuite()
-		for i := 0; i < b.N; i++ {
-			for _, bench := range suite.All() {
-				c := cfg
-				c.Seed = aibench.DeriveSeed(cfg.Seed, bench.ID)
-				bench.RunScaledSession(c)
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			suite := aibench.NewSuite()
 			runner, err := suite.NewRunner(aibench.Plan{
-				Kind: aibench.RunSession, Session: cfg.Kind, Seed: cfg.Seed,
-				Epochs: cfg.MaxEpochs, Workers: workers,
+				Kind: aibench.RunSession, Session: aibench.QuasiEntireSession, Seed: 42,
+				Epochs: 1, Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -56,7 +56,7 @@ var enginePackages = map[string]bool{
 	"aibench/internal/core":   true,
 	"aibench/internal/dist":   true,
 	"aibench":                 true, // facade wrappers over the Runner
-	"aibench/internal/server": true, // worker loops drive Runner.Run; job ctx is the cancellation signal
+	"aibench/internal/server": true, // each job drives Runner.Run on its own goroutine; the job ctx is the cancellation signal
 }
 
 // sinkPackages move records through failable sinks: the engines that

@@ -28,7 +28,6 @@ var Ctxloop = &Analyzer{
 var epochMethods = map[string]bool{
 	"TrainEpoch":       true,
 	"runSession":       true,
-	"RunScaledSession": true,
 	"RunReplaySession": true,
 }
 

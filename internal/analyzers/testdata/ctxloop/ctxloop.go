@@ -13,7 +13,7 @@ func (engine) Step() float64       { return 0 }
 
 type runner struct{}
 
-func (runner) RunScaledSession(id string) error { return nil }
+func (runner) runSession(id string) error { return nil }
 
 // unguarded trains out its full budget even after cancellation: the
 // violation the Plan Runner's contract forbids.
@@ -26,8 +26,8 @@ func unguarded(eng engine, epochs int) {
 // unguardedRange is the same violation in range-loop form, over a
 // session entry point.
 func unguardedRange(r runner, ids []string) {
-	for _, id := range ids { // want "loop invokes RunScaledSession without checking a context"
-		_ = r.RunScaledSession(id)
+	for _, id := range ids { // want "loop invokes runSession without checking a context"
+		_ = r.runSession(id)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -100,11 +101,17 @@ func TestEpochsToQualityDeterministicAndPositive(t *testing.T) {
 func TestScaledSessionEntireVsQuasi(t *testing.T) {
 	r := NewRegistry()
 	b := r.ByID("DC-AI-C16") // fastest scaled benchmark
-	entire := b.RunScaledSession(SessionConfig{Kind: EntireSession, Seed: 42, MaxEpochs: 60})
+	entire, err := b.runSession(context.Background(), Plan{Session: EntireSession, Epochs: 60}, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !entire.ReachedGoal {
 		t.Fatalf("entire session missed target: quality %.3f target %.3f", entire.FinalQuality, entire.Target)
 	}
-	quasi := b.RunScaledSession(SessionConfig{Kind: QuasiEntireSession, Seed: 42, MaxEpochs: 5})
+	quasi, err := b.runSession(context.Background(), Plan{Session: QuasiEntireSession, Epochs: 5}, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if quasi.Epochs != 5 {
 		t.Fatalf("quasi-entire session ran %d epochs, want 5", quasi.Epochs)
 	}

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"sync"
 
-	"aibench/internal/gpusim"
 	"aibench/internal/parallel"
 	"aibench/internal/telemetry"
 )
@@ -39,131 +37,47 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// RunSuiteScaled executes a scaled training session for every benchmark
-// in bs across a bounded worker pool (workers <= 0 means GOMAXPROCS)
-// and returns the results in bs order. Each benchmark trains with a
-// seed derived via DeriveSeed, and progress lines from concurrent
-// sessions are interleaved safely through a mutex-guarded writer, so
-// results are bitwise independent of the worker count.
-func RunSuiteScaled(bs []*Benchmark, cfg SessionConfig, workers int) []SessionResult {
-	return RunSuiteScaledStream(context.Background(), bs, cfg, workers, nil)
-}
-
-// RunSuiteScaledStream is RunSuiteScaled with completion streaming and
-// cancellation: sink, when non-nil, receives each SessionResult as its
-// session finishes (calls are serialized; completion order is
-// scheduler-dependent, result contents are not), so long runs can
-// persist partial results as they arrive. Once ctx is cancelled — or
-// any session panics — no new session launches; sessions already
-// running stop at their next epoch boundary (Interrupted set) and are
-// still delivered. Slots for sessions that never launched are
-// zero-valued (empty ID) in the returned slice.
-func RunSuiteScaledStream(ctx context.Context, bs []*Benchmark, cfg SessionConfig, workers int, sink func(SessionResult)) []SessionResult {
-	var s func(SessionResult) error
-	if sink != nil {
-		s = func(r SessionResult) error { sink(r); return nil }
-	}
-	out, err := runSuiteSessions(ctx, bs, cfg, workers, nil, s)
-	if err != nil {
-		// The adapted sink never fails, so the only error source is the
-		// per-session kernel validation — the legacy panic contract.
-		panic(fmt.Sprintf("core: SessionConfig.Kernel: %v", err))
-	}
-	return out
-}
-
-// runSuiteSessions is the suite-level session engine behind the stream
-// facade and the Plan Runner: each benchmark trains with its derived
-// seed under the shared context, and sink errors (a full disk while
-// persisting, say) cancel the remaining sessions and surface as the
-// returned error rather than vanishing. Each session's spans hang
-// under a per-benchmark child of root (nil disables tracing); the
-// benchmark ids give concurrent siblings the distinct names the
-// telemetry canonicalization contract requires.
-func runSuiteSessions(ctx context.Context, bs []*Benchmark, cfg SessionConfig, workers int, root *telemetry.Span, sink func(SessionResult) error) ([]SessionResult, error) {
-	base := cfg
-	if cfg.Log != nil {
-		base.Log = &syncWriter{w: cfg.Log}
-	}
+// each is the one suite loop every run kind goes through: it runs body
+// once per benchmark of the plan, at most width at a time (<= 0 means
+// GOMAXPROCS; 1 runs them in plan order), each under its own span of
+// root — the benchmark ids give concurrent siblings the distinct names
+// the telemetry canonicalization contract requires. The record a body
+// returns lands in res and then goes to sink; a body that measured
+// nothing returns the zero Record. Sink calls are serialized, in
+// completion order. The first error — a body's or the sink's — is
+// latched and returned, and cancels the bodies still running; what
+// those had measured by then is still filed and delivered, so the sink
+// sees every record res holds. Once ctx is done (or a body panics; the
+// panic is re-raised here) no further benchmark launches.
+func (r *Runner) each(ctx context.Context, width int, root *telemetry.Span, sink func(Record) error, res *RunResult,
+	body func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]SessionResult, len(bs))
 	var mu sync.Mutex
 	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	pool := parallel.New(workers)
-	pool.ForEachCtx(ctx, len(bs), func(i int) {
-		c := base
-		c.Seed = DeriveSeed(cfg.Seed, bs[i].ID)
-		c.trace = root.Child(bs[i].ID)
-		r, err := bs[i].runSession(ctx, c)
-		c.trace.End()
-		if err != nil {
-			fail(err)
+	parallel.ForCtx(ctx, width, len(r.bs), func(i int) {
+		b := r.bs[i]
+		// A sweep has nothing to measure on a benchmark without a sharded
+		// train step: skipped before its span opens, so a trace lists
+		// only what was measured.
+		if r.plan.Kind == RunScaling && !b.Shardable() {
 			return
 		}
-		out[i] = r
-		if sink != nil {
-			mu.Lock()
-			err := sink(r)
-			mu.Unlock()
-			if err != nil {
-				fail(err)
-			}
-		}
-	})
-	return out, firstErr
-}
-
-// CharacterizeSuiteParallel characterizes bs on dev across a bounded
-// worker pool (workers <= 0 means GOMAXPROCS), returning results in bs
-// order. Characterization is analytic and per-benchmark independent,
-// so the parallel run is exactly CharacterizeSuite, faster.
-func CharacterizeSuiteParallel(bs []*Benchmark, dev gpusim.Device, workers int) []Characterization {
-	out, _ := characterizeSuite(context.Background(), bs, dev, workers, nil, nil)
-	return out
-}
-
-// characterizeSuite is the pooled characterization engine behind
-// CharacterizeSuiteParallel and the Plan Runner: results stay in bs
-// order (cancelled slots zero-valued), each completed characterization
-// streams through sink, and a sink error cancels the remaining work
-// and is returned.
-func characterizeSuite(ctx context.Context, bs []*Benchmark, dev gpusim.Device, workers int, root *telemetry.Span, sink func(Characterization) error) ([]Characterization, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := make([]Characterization, len(bs))
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	pool := parallel.New(workers)
-	pool.ForEachCtx(ctx, len(bs), func(i int) {
-		span := root.Child(bs[i].ID)
-		c := bs[i].Characterize(dev)
+		span := root.Child(b.ID)
+		rec, err := body(ctx, b, span)
 		span.End()
-		out[i] = c
-		if sink != nil {
-			mu.Lock()
-			err := sink(c)
-			mu.Unlock()
-			if err != nil {
-				fail(err)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil && rec.Kind != "" {
+			res.put(i, rec)
+			if sink != nil {
+				err = sink(rec)
 			}
 		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+			cancel()
+		}
 	})
-	return out, firstErr
+	return firstErr
 }

@@ -5,15 +5,47 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aibench/internal/gpusim"
 	"aibench/internal/tensor"
 )
+
+// runPlan runs p through the Runner on the full registry.
+func runPlan(t *testing.T, ctx context.Context, p Plan, sink func(Record) error) (*RunResult, error) {
+	t.Helper()
+	runner, err := NewRunner(NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runner.Run(ctx, sink)
+}
+
+// sessionsOf runs a session plan to completion.
+func sessionsOf(t *testing.T, p Plan) []SessionResult {
+	t.Helper()
+	p.Kind = RunSession
+	res, err := runPlan(t, context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Sessions
+}
+
+func idsOf(bs []*Benchmark) []string {
+	ids := make([]string, len(bs))
+	for i, b := range bs {
+		ids[i] = b.ID
+	}
+	return ids
+}
 
 func sameSessionResults(t *testing.T, got, want []SessionResult) {
 	t.Helper()
@@ -43,22 +75,69 @@ func sameSessionResults(t *testing.T, got, want []SessionResult) {
 	}
 }
 
-// TestRunSuiteScaledDeterministic is the engine's core guarantee: the
-// worker count is a pure scheduling knob. An 8-worker run must return
-// bitwise-identical SessionResults (losses included) to a 1-worker run.
-func TestRunSuiteScaledDeterministic(t *testing.T) {
-	r := NewRegistry()
-	cfg := SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 42}
-	serial := RunSuiteScaled(r.All(), cfg, 1)
-	parallel8 := RunSuiteScaled(r.All(), cfg, 8)
-	sameSessionResults(t, parallel8, serial)
+// TestSessionsWorkersDeterministic is the suite loop's core guarantee:
+// the worker count is a pure scheduling knob. An 8-worker run must
+// return bitwise-identical SessionResults (losses included) to a
+// 1-worker run, in registry order.
+func TestSessionsWorkersDeterministic(t *testing.T) {
+	p := Plan{Session: QuasiEntireSession, Epochs: 2, Seed: 42, Workers: 1}
+	serial := sessionsOf(t, p)
+	p.Workers = 8
+	sameSessionResults(t, sessionsOf(t, p), serial)
 
-	if len(serial) != 24 {
-		t.Fatalf("suite ran %d sessions, want 24", len(serial))
+	all := NewRegistry().All()
+	if len(serial) != len(all) {
+		t.Fatalf("suite ran %d sessions, want %d", len(serial), len(all))
 	}
-	for i, b := range r.All() {
+	for i, b := range all {
 		if serial[i].ID != b.ID {
 			t.Fatalf("result %d is %s, want registry order (%s)", i, serial[i].ID, b.ID)
+		}
+	}
+}
+
+// TestRunnerTrainsOnDerivedSeeds is the oracle that does not go through
+// the suite loop: whatever the Runner files for a benchmark is bitwise
+// what the kind's body measures when handed DeriveSeed(plan.Seed, id)
+// directly — the public per-benchmark seed contract (aibench.DeriveSeed).
+// A Runner that trained every benchmark on the raw plan seed would still
+// agree with itself at any worker count; it does not agree with this.
+func TestRunnerTrainsOnDerivedSeeds(t *testing.T) {
+	ids := []string{"DC-AI-C16", "DC-AI-C4", "DC-AI-C10"}
+	for _, shards := range []int{0, 2} {
+		runner, err := NewRunner(NewRegistry(), Plan{
+			Benchmarks: ids, Session: QuasiEntireSession, Epochs: 2, Seed: 42, Shards: shards, Workers: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runner.Run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := tensor.WithRun(context.Background(), &runner.run)
+		var want []SessionResult
+		for _, b := range runner.Benchmarks() {
+			sr, err := b.runSession(ctx, runner.Plan(), DeriveSeed(42, b.ID), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, sr)
+		}
+		sameSessionResults(t, res.Sessions, want)
+	}
+
+	res, err := runPlan(t, context.Background(), Plan{Kind: RunReplay, Benchmarks: ids, Seed: 42}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want := NewRegistry().ByID(id).RunReplaySession(DeriveSeed(42, id))
+		if res.Replays[i] != want {
+			t.Fatalf("replay row %d = %+v, want the derived-seed session %+v", i, res.Replays[i], want)
+		}
+		if raw := NewRegistry().ByID(id).RunReplaySession(42); raw == want {
+			t.Fatalf("%s replays the same on the raw and the derived seed: the check above proves nothing", id)
 		}
 	}
 }
@@ -73,36 +152,31 @@ func TestRunSuiteScaledDeterministic(t *testing.T) {
 // poisoned memory, and -race would name the two goroutines.
 func TestConcurrentSuitesShareNoArena(t *testing.T) {
 	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetPoison))
-	r := NewRegistry()
-	var benches []*Benchmark
-	for _, id := range []string{"DC-AI-C2", "DC-AI-C3", "DC-AI-C6", "DC-AI-C16", "DC-AI-C17", "MLPerf-RL"} {
-		b := r.ByID(id)
-		if b == nil {
-			t.Fatalf("no benchmark %s", id)
+	plan := func(seed int64, shards, workers int) Plan {
+		return Plan{
+			Benchmarks: []string{"DC-AI-C2", "DC-AI-C3", "DC-AI-C6", "DC-AI-C16", "DC-AI-C17", "MLPerf-RL"},
+			Session:    QuasiEntireSession, Epochs: 2, Seed: seed, Shards: shards, Workers: workers,
 		}
-		benches = append(benches, b)
 	}
-	cfgs := []SessionConfig{
-		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11},
-		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11},
-		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 12},
-		{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 11, Shards: 4},
+	suites := []struct {
+		seed   int64
+		shards int
+	}{{11, 0}, {11, 0}, {12, 0}, {11, 4}}
+	want := make([][]SessionResult, len(suites))
+	for i, s := range suites {
+		want[i] = sessionsOf(t, plan(s.seed, s.shards, 1))
 	}
-	want := make([][]SessionResult, len(cfgs))
-	for i, cfg := range cfgs {
-		want[i] = RunSuiteScaled(benches, cfg, 1)
-	}
-	got := make([][]SessionResult, len(cfgs))
+	got := make([][]SessionResult, len(suites))
 	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
+	for i, s := range suites {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = RunSuiteScaled(benches, cfg, 4)
+			got[i] = sessionsOf(t, plan(s.seed, s.shards, 4))
 		}()
 	}
 	wg.Wait()
-	for i := range cfgs {
+	for i := range suites {
 		sameSessionResults(t, got[i], want[i])
 	}
 }
@@ -130,107 +204,94 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestRunSuiteScaledLogLinesIntact runs concurrent logged sessions and
-// checks every line in the shared stream is a whole, well-formed
-// progress line from exactly one session (no torn interleaving).
-func TestRunSuiteScaledLogLinesIntact(t *testing.T) {
-	r := NewRegistry()
+// TestSessionLogLinesIntact runs concurrent logged sessions and checks
+// every line in the shared stream is a whole, well-formed progress line
+// from exactly one session (no torn interleaving).
+func TestSessionLogLinesIntact(t *testing.T) {
 	var buf bytes.Buffer
-	bs := r.AIBench[:6]
-	RunSuiteScaled(bs, SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 1, Seed: 1, Log: &buf}, 6)
-	ids := map[string]bool{}
-	for _, b := range bs {
-		ids[b.ID] = true
+	ids := idsOf(NewRegistry().AIBench[:6])
+	sessionsOf(t, Plan{Benchmarks: ids, Session: QuasiEntireSession, Epochs: 1, Seed: 1, Workers: 6, Log: &buf})
+	known := map[string]bool{}
+	for _, id := range ids {
+		known[id] = true
 	}
 	lines := 0
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		line := sc.Text()
 		fields := strings.Fields(line)
-		if len(fields) < 4 || !ids[fields[0]] || fields[1] != "epoch" {
+		if len(fields) < 4 || !known[fields[0]] || fields[1] != "epoch" {
 			t.Fatalf("torn or malformed log line: %q", line)
 		}
 		lines++
 	}
-	if lines != len(bs) {
-		t.Fatalf("got %d log lines, want one per session (%d)", lines, len(bs))
+	if lines != len(ids) {
+		t.Fatalf("got %d log lines, want one per session (%d)", lines, len(ids))
 	}
 }
 
-// TestRunSuiteScaledStreamDeliversEveryResult checks the JSONL-backing
-// stream: every completed session reaches the sink exactly once, sink
-// contents match the returned slice, and the stream round-trips
-// through JSON encoding (the run-all -out persistence format).
-func TestRunSuiteScaledStreamDeliversEveryResult(t *testing.T) {
-	r := NewRegistry()
-	bs := r.AIBench[:5]
-	cfg := SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 1, Seed: 3}
+// TestSessionSinkDeliversEveryResult checks the JSONL-backing stream:
+// every completed session reaches the sink exactly once, sink contents
+// match the returned slice, and the stream round-trips through JSON
+// encoding (the run-all -out persistence format).
+func TestSessionSinkDeliversEveryResult(t *testing.T) {
+	ids := idsOf(NewRegistry().AIBench[:5])
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	streamed := map[string]SessionResult{}
-	results := RunSuiteScaledStream(context.Background(), bs, cfg, 4, func(res SessionResult) {
-		if _, dup := streamed[res.ID]; dup {
-			t.Errorf("result %s streamed twice", res.ID)
+	res, err := runPlan(t, context.Background(), Plan{
+		Benchmarks: ids, Session: QuasiEntireSession, Epochs: 1, Seed: 3, Workers: 4,
+	}, func(rec Record) error {
+		sr := *rec.Session
+		if _, dup := streamed[sr.ID]; dup {
+			t.Errorf("result %s streamed twice", sr.ID)
 		}
-		streamed[res.ID] = res
-		enc.Encode(res)
+		streamed[sr.ID] = sr
+		return enc.Encode(sr)
 	})
-	if len(streamed) != len(bs) {
-		t.Fatalf("streamed %d results, want %d", len(streamed), len(bs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, res := range results {
-		got, ok := streamed[res.ID]
+	if len(streamed) != len(ids) {
+		t.Fatalf("streamed %d results, want %d", len(streamed), len(ids))
+	}
+	for _, sr := range res.Sessions {
+		got, ok := streamed[sr.ID]
 		if !ok {
-			t.Fatalf("result %s never streamed", res.ID)
+			t.Fatalf("result %s never streamed", sr.ID)
 		}
-		if !reflect.DeepEqual(got, res) {
-			t.Fatalf("streamed %s differs from returned result", res.ID)
+		if !reflect.DeepEqual(got, sr) {
+			t.Fatalf("streamed %s differs from returned result", sr.ID)
 		}
 	}
 	dec := json.NewDecoder(&buf)
 	lines := 0
 	for dec.More() {
-		var res SessionResult
-		if err := dec.Decode(&res); err != nil {
+		var sr SessionResult
+		if err := dec.Decode(&sr); err != nil {
 			t.Fatalf("JSONL line %d does not decode: %v", lines, err)
 		}
-		if !reflect.DeepEqual(res, streamed[res.ID]) {
-			t.Fatalf("JSONL round-trip of %s lost data", res.ID)
+		if !reflect.DeepEqual(sr, streamed[sr.ID]) {
+			t.Fatalf("JSONL round-trip of %s lost data", sr.ID)
 		}
 		lines++
 	}
-	if lines != len(bs) {
-		t.Fatalf("JSONL stream has %d lines, want %d", lines, len(bs))
+	if lines != len(ids) {
+		t.Fatalf("JSONL stream has %d lines, want %d", lines, len(ids))
 	}
 }
 
-// TestRunSuiteScaledStreamCancelled checks a dead context launches no
-// session: the sink never fires and every slot is zero-valued.
-func TestRunSuiteScaledStreamCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRegistry()
-	cfg := SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 1, Seed: 3}
-	results := RunSuiteScaledStream(ctx, r.AIBench[:4], cfg, 2, func(SessionResult) {
-		t.Error("sink fired under a pre-cancelled context")
-	})
-	for i, res := range results {
-		if res.ID != "" {
-			t.Fatalf("slot %d ran (%s) under a pre-cancelled context", i, res.ID)
-		}
-	}
-}
-
-// TestRunSuiteScaledShardsDeterministic checks suite fan-out composes
-// with within-session sharding: a sharded pooled run equals a sharded
+// TestSessionShardsDeterministic checks suite fan-out composes with
+// within-session sharding: a sharded pooled run equals a sharded
 // serial run bitwise, and shardable benchmarks report their count.
-func TestRunSuiteScaledShardsDeterministic(t *testing.T) {
-	r := NewRegistry()
-	bs := []*Benchmark{r.ByID("DC-AI-C1"), r.ByID("DC-AI-C4"), r.ByID("DC-AI-C10")}
-	cfg := SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 2, Seed: 42, Shards: 3}
-	serial := RunSuiteScaled(bs, cfg, 1)
-	pooled := RunSuiteScaled(bs, cfg, 3)
-	sameSessionResults(t, pooled, serial)
+func TestSessionShardsDeterministic(t *testing.T) {
+	p := Plan{
+		Benchmarks: []string{"DC-AI-C1", "DC-AI-C4", "DC-AI-C10"},
+		Session:    QuasiEntireSession, Epochs: 2, Seed: 42, Shards: 3, Workers: 1,
+	}
+	serial := sessionsOf(t, p)
+	p.Workers = 3
+	sameSessionResults(t, sessionsOf(t, p), serial)
 	wantShards := map[string]int{"DC-AI-C1": 3, "DC-AI-C4": 0, "DC-AI-C10": 3}
 	for _, res := range serial {
 		if res.Shards != wantShards[res.ID] {
@@ -239,15 +300,110 @@ func TestRunSuiteScaledShardsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCharacterizeSuiteParallelMatchesSerial checks the pooled
+// TestCharacterizePooledMatchesSerial checks the pooled
 // characterization is exactly the serial pipeline, in order.
-func TestCharacterizeSuiteParallelMatchesSerial(t *testing.T) {
+func TestCharacterizePooledMatchesSerial(t *testing.T) {
 	r := NewRegistry()
-	dev := gpusim.TitanXP()
 	bs := append(r.AIBench[:4:4], r.MLPerf[:2]...)
-	serial := CharacterizeSuite(bs, dev)
-	pooled := CharacterizeSuiteParallel(bs, dev, 4)
-	if !reflect.DeepEqual(serial, pooled) {
-		t.Fatal("parallel characterization differs from serial")
+	serial := CharacterizeSuite(bs, gpusim.TitanXP())
+	res, err := runPlan(t, context.Background(), Plan{Kind: RunCharacterize, Benchmarks: idsOf(bs), Workers: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, res.Characterizations) {
+		t.Fatal("pooled characterization differs from serial")
+	}
+}
+
+// filled counts the records a run kept: non-zero slots of a pooled
+// kind, rows of a plan-order one.
+func filled(res *RunResult) int { return len(res.Records()) }
+
+// TestEveryKindSinkErrorAndCancel pins the suite loop's contract once
+// for all four kinds, since all four run through it: a sink error on
+// the first record is returned and nothing further launches, while a
+// record already in flight still lands in the result and is still
+// delivered (the sink sees everything the RunResult holds); a context
+// cancelled before the run launches nothing, and one cancelled from the
+// first record's sink launches nothing more — neither is an error, and
+// the RunResult is the documented partial one (zero-valued slots for
+// sessions and characterizations, compact rows for scaling and replay);
+// and sink calls never overlap, whatever the width.
+func TestEveryKindSinkErrorAndCancel(t *testing.T) {
+	const workers = 2
+	ids := []string{"DC-AI-C15", "DC-AI-C16", "DC-AI-C10", "DC-AI-C3", "DC-AI-C4"}
+	kinds := []struct {
+		plan  Plan
+		width int // how many benchmarks the loop may have in flight
+		slots int // len of the kind's result slice after a run that launched nothing
+	}{
+		{Plan{Kind: RunSession, Benchmarks: ids, Session: QuasiEntireSession, Epochs: 1, Seed: 5, Workers: workers}, workers, len(ids)},
+		{Plan{Kind: RunCharacterize, Benchmarks: ids, Workers: workers}, workers, len(ids)},
+		{Plan{Kind: RunScaling, Benchmarks: ids, ShardSweep: []int{1, 2}, Epochs: 1, Seed: 5}, 1, 0},
+		{Plan{Kind: RunReplay, Benchmarks: ids, Seed: 5}, 1, 0},
+	}
+	slotsOf := func(res *RunResult) int {
+		return len(res.Sessions) + len(res.Characterizations) + len(res.Scaling) + len(res.Replays)
+	}
+	for _, k := range kinds {
+		t.Run(k.plan.Kind.String(), func(t *testing.T) {
+			boom := errors.New("disk full")
+			calls := 0
+			res, err := runPlan(t, context.Background(), k.plan, func(Record) error {
+				calls++
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("run error = %v, want the sink's", err)
+			}
+			if n := filled(res); n != calls || n < 1 || n > k.width {
+				t.Fatalf("run kept %d records and delivered %d after the sink failed, want the same in-flight 1..%d", n, calls, k.width)
+			}
+
+			dead, cancel := context.WithCancel(context.Background())
+			cancel()
+			res, err = runPlan(t, dead, k.plan, func(Record) error {
+				t.Error("sink fired under a pre-cancelled context")
+				return nil
+			})
+			if err != nil || filled(res) != 0 || slotsOf(res) != k.slots {
+				t.Fatalf("pre-cancelled run: err %v, %d records in %d slots, want nil, 0 in %d", err, filled(res), slotsOf(res), k.slots)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			calls = 0
+			res, err = runPlan(t, ctx, k.plan, func(Record) error {
+				calls++
+				cancel()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("cancelled run returned %v; cancellation is not an error", err)
+			}
+			if n := filled(res); n != calls || n < 1 || n > k.width {
+				t.Fatalf("cancelled run kept %d records and delivered %d, want the same in-flight 1..%d", n, calls, k.width)
+			}
+
+			var inside atomic.Int32
+			p := k.plan
+			p.Workers = 4
+			res, err = runPlan(t, context.Background(), p, func(Record) error {
+				if inside.Add(1) != 1 {
+					t.Error("sink calls overlap")
+				}
+				time.Sleep(time.Millisecond)
+				inside.Add(-1)
+				return nil
+			})
+			// DC-AI-C4 has no sharded train step: a sweep skips it.
+			want := len(ids)
+			if p.Kind == RunScaling {
+				want--
+			}
+			if err != nil || filled(res) != want {
+				t.Fatalf("clean run: err %v, %d records, want %d", err, filled(res), want)
+			}
+		})
 	}
 }

@@ -261,6 +261,22 @@ func (r *RunResult) Records() []Record {
 	return out
 }
 
+// put files a record the suite loop produced for the plan's i-th
+// benchmark: sessions and characterizations into their slot, scaling
+// rows and replays appended (their loop runs in plan order).
+func (r *RunResult) put(i int, rec Record) {
+	switch rec.Kind {
+	case KindSession:
+		r.Sessions[i] = *rec.Session
+	case KindCharacterization:
+		r.Characterizations[i] = *rec.Characterization
+	case KindScaling:
+		r.Scaling = append(r.Scaling, *rec.Scaling)
+	case KindReplay:
+		r.Replays = append(r.Replays, *rec.Replay)
+	}
+}
+
 // Runner executes a validated Plan. Build one with NewRunner.
 type Runner struct {
 	plan Plan
@@ -284,6 +300,14 @@ func (p Plan) kernelName() string {
 		return "tuned"
 	}
 	return tensor.ProcessKernels().Name()
+}
+
+// backendName is the registered name the plan's dist backend goes by.
+func (p Plan) backendName() string {
+	if p.Backend == "" {
+		return "local"
+	}
+	return p.Backend
 }
 
 // NewRunner validates the plan against the registry and returns the
@@ -392,10 +416,12 @@ func (r *Runner) Meta() RunMeta {
 // Run executes the plan under ctx. Every produced record is delivered
 // to sink (serialized calls, completion order) as it completes, so long
 // runs persist partial results; a sink error cancels the remaining work
-// and is returned. Cancelling ctx stops cleanly — no new work launches,
-// running sessions stop at their next epoch boundary — and is not an
-// error: the partial RunResult is returned with zero-valued slots for
-// work that never ran. A nil sink just collects. The run's kernels and,
+// and is returned (work in flight at that moment is still delivered:
+// the sink sees every record the RunResult holds). Cancelling ctx stops
+// cleanly — no new work launches, running sessions stop at their next
+// epoch boundary — and is not an error: the partial RunResult is
+// returned with zero-valued slots for work that never ran. A nil sink
+// just collects. The run's kernels and,
 // when it is traced, its counters ride on the context as one value to
 // every place an instance is built (the serial session path, the dist
 // backends), so concurrent Runs — under different kernels, traced or
@@ -439,64 +465,40 @@ func (r *Runner) Run(ctx context.Context, sink func(Record) error) (*RunResult, 
 	return res, nil
 }
 
-// runKind dispatches the plan's kind through its engine, hanging
+// runKind runs the plan's kind through the suite loop, hanging
 // telemetry spans under root (nil when telemetry is off) and filling
-// res in place.
+// res in place. A kind is its per-benchmark body: what it measures on
+// one benchmark, returned as the Record to keep. Sessions and
+// characterizations pool across Plan.Workers into slots aligned with
+// the plan's benchmark order; a sweep wall-clocks and a replay is
+// instant, so both run one benchmark at a time into compact rows.
 func (r *Runner) runKind(ctx context.Context, sink func(Record) error, root *telemetry.Span, res *RunResult) error {
-	switch r.plan.Kind {
+	p := r.plan
+	switch p.Kind {
 	case RunSession:
-		cfg := SessionConfig{
-			Kind: r.plan.Session, Seed: r.plan.Seed, MaxEpochs: r.plan.Epochs,
-			Shards: r.plan.Shards, Backend: r.plan.Backend, Log: r.plan.Log,
+		if p.Log != nil {
+			p.Log = &syncWriter{w: p.Log}
 		}
-		var s func(SessionResult) error
-		if sink != nil {
-			s = func(sr SessionResult) error {
-				return sink(Record{Kind: KindSession, Session: &sr})
-			}
-		}
-		out, err := runSuiteSessions(ctx, r.bs, cfg, r.plan.Workers, root, s)
-		res.Sessions = out
-		return err
-
+		res.Sessions = make([]SessionResult, len(r.bs))
+		return r.each(ctx, p.Workers, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
+			sr, err := b.runSession(ctx, p, DeriveSeed(p.Seed, b.ID), span)
+			return Record{Kind: KindSession, Session: &sr}, err
+		})
 	case RunCharacterize:
-		var s func(Characterization) error
-		if sink != nil {
-			s = func(c Characterization) error {
-				return sink(Record{Kind: KindCharacterization, Characterization: &c})
-			}
-		}
-		out, err := characterizeSuite(ctx, r.bs, r.plan.Device, r.plan.Workers, root, s)
-		res.Characterizations = out
-		return err
-
+		res.Characterizations = make([]Characterization, len(r.bs))
+		return r.each(ctx, p.Workers, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
+			c := b.Characterize(p.Device)
+			return Record{Kind: KindCharacterization, Characterization: &c}, nil
+		})
 	case RunScaling:
-		var s func(ScalingRow) error
-		if sink != nil {
-			s = func(row ScalingRow) error {
-				return sink(Record{Kind: KindScaling, Scaling: &row})
-			}
-		}
-		rows, err := scalingReport(ctx, r.bs, r.plan.Backend, r.plan.ShardSweep, r.plan.Epochs, r.plan.Seed, root, s)
-		res.Scaling = rows
-		return err
-
+		return r.each(ctx, 1, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
+			return b.runSweep(ctx, p, DeriveSeed(p.Seed, b.ID), span)
+		})
 	case RunReplay:
-		for _, b := range r.bs {
-			if ctx.Err() != nil {
-				break
-			}
-			bspan := root.Child(b.ID)
-			rs := b.RunReplaySession(DeriveSeed(r.plan.Seed, b.ID))
-			bspan.End()
-			res.Replays = append(res.Replays, rs)
-			if sink != nil {
-				if err := sink(Record{Kind: KindReplay, Replay: &rs}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return r.each(ctx, 1, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
+			rs := b.RunReplaySession(DeriveSeed(p.Seed, b.ID))
+			return Record{Kind: KindReplay, Replay: &rs}, nil
+		})
 	}
-	return fmt.Errorf("core: unreachable run kind %v", r.plan.Kind) // NewRunner validated Kind
+	return fmt.Errorf("core: unreachable run kind %v", p.Kind) // NewRunner validated Kind
 }

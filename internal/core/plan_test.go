@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -60,43 +59,6 @@ func TestNewRunnerValidation(t *testing.T) {
 	}
 }
 
-// TestRunnerSessionsMatchLegacySuiteRun pins the migration guarantee:
-// a Plan session run is bitwise identical to the deprecated
-// RunSuiteScaled facade over the same benchmarks, seeds included.
-func TestRunnerSessionsMatchLegacySuiteRun(t *testing.T) {
-	reg := NewRegistry()
-	ids := []string{"DC-AI-C15", "DC-AI-C16"}
-	bs := []*Benchmark{reg.ByID(ids[0]), reg.ByID(ids[1])}
-	cfg := SessionConfig{Kind: QuasiEntireSession, MaxEpochs: 1, Seed: 42}
-	legacy := RunSuiteScaled(bs, cfg, 2)
-
-	runner, err := NewRunner(reg, Plan{
-		Kind: RunSession, Benchmarks: ids, Session: QuasiEntireSession,
-		Epochs: 1, Seed: 42, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runner.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sessions) != len(legacy) {
-		t.Fatalf("runner produced %d sessions, legacy %d", len(res.Sessions), len(legacy))
-	}
-	for i := range legacy {
-		p, w := res.Sessions[i], legacy[i]
-		if p.ID != w.ID || p.Epochs != w.Epochs || math.Float64bits(p.FinalQuality) != math.Float64bits(w.FinalQuality) {
-			t.Fatalf("session %d differs:\nplan   %+v\nlegacy %+v", i, p, w)
-		}
-		for e := range w.Losses {
-			if math.Float64bits(p.Losses[e]) != math.Float64bits(w.Losses[e]) {
-				t.Fatalf("session %s epoch %d loss differs: %v vs %v", p.ID, e+1, p.Losses[e], w.Losses[e])
-			}
-		}
-	}
-}
-
 // cancelOnFirstLine cancels its context the first time a progress line
 // is written — i.e. right after the session's first epoch completes.
 type cancelOnFirstLine struct {
@@ -121,9 +83,7 @@ func TestSessionEpochLoopHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &cancelOnFirstLine{cancel: cancel}
-	res, err := b.runSession(ctx, SessionConfig{
-		Kind: QuasiEntireSession, MaxEpochs: 50, Seed: 7, Log: w,
-	})
+	res, err := b.runSession(ctx, Plan{Session: QuasiEntireSession, Epochs: 50, Log: w}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,32 +98,6 @@ func TestSessionEpochLoopHonoursContext(t *testing.T) {
 	}
 	if len(res.Losses) != res.Epochs {
 		t.Fatalf("loss trace %d != completed epochs %d", len(res.Losses), res.Epochs)
-	}
-}
-
-// TestRunnerSinkErrorStopsRun pins the sink contract: a failing sink (a
-// full disk, say) cancels the remaining work and surfaces as the run's
-// error instead of vanishing.
-func TestRunnerSinkErrorStopsRun(t *testing.T) {
-	reg := NewRegistry()
-	runner, err := NewRunner(reg, Plan{Kind: RunReplay, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk full")
-	n := 0
-	res, err := runner.Run(context.Background(), func(Record) error {
-		n++
-		if n == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("run error = %v, want the sink's", err)
-	}
-	if len(res.Replays) != 3 {
-		t.Fatalf("run kept going after the sink failed: %d records", len(res.Replays))
 	}
 }
 

@@ -26,93 +26,60 @@ type ScalingRow struct {
 	Points []ScalingPoint `json:"points"`
 }
 
-// scalingReport is the context-aware sweep engine behind the Plan
-// Runner's RunScaling kind (`Plan{Kind: RunScaling}` is the public
-// entry point): each shard count trains `epochs` epochs through
-// internal/dist on the named backend and reports wall-clock time per
-// epoch plus speedup against the 1-shard baseline. The training itself
-// is bitwise identical at every point (the dist determinism contract),
-// so the sweep measures pure scheduling gain — and, across backends,
-// pure isolation cost. Benchmarks without a shardable train step are
-// skipped. Cancellation is checked between benchmarks and at every
-// timed epoch boundary (a row is never emitted half-measured), and
-// each completed row streams through sink; a sink error stops the
-// sweep and is returned with the rows measured so far. A backend
-// runtime failure (a dead replica process) likewise aborts the sweep:
-// its timings would no longer be comparable.
-func scalingReport(ctx context.Context, bs []*Benchmark, backend string, shards []int, epochs int, seed int64, root *telemetry.Span, sink func(ScalingRow) error) ([]ScalingRow, error) {
+// runSweep is the scaling kind's body: each shard count of the plan's
+// sweep trains Plan.Epochs epochs (0 = 2) through internal/dist on the
+// plan's backend and reports wall-clock time per epoch plus speedup
+// against the 1-shard baseline. The training itself is bitwise
+// identical at every point (the dist determinism contract), so the
+// sweep measures pure scheduling gain — and, across backends, pure
+// isolation cost. A row is never emitted half-measured: a sweep
+// cancelled at a timed epoch boundary, or whose engine cannot open,
+// yields no record. A backend runtime failure (a dead replica process)
+// is the sweep's error: its timings would no longer be comparable.
+func (b *Benchmark) runSweep(ctx context.Context, p Plan, seed int64, span *telemetry.Span) (Record, error) {
+	epochs := p.Epochs
 	if epochs <= 0 {
 		epochs = 2
 	}
-	var rows []ScalingRow
-	for _, b := range bs {
-		if ctx.Err() != nil {
-			break
-		}
-		if !b.Shardable() {
-			continue
-		}
-		bspan := root.Child(b.ID)
-		baseline, ok, err := timeShardedEpochs(ctx, b, backend, 1, epochs, seed, bspan)
-		if err != nil {
-			bspan.End()
-			return rows, err
-		}
-		if !ok {
-			bspan.End()
-			break
-		}
-		row := ScalingRow{ID: b.ID, Name: b.Task}
-		for _, n := range shards {
-			sec := baseline
-			if n != 1 {
-				if sec, ok, err = timeShardedEpochs(ctx, b, backend, n, epochs, seed, bspan); err != nil {
-					bspan.End()
-					return rows, err
-				} else if !ok {
-					break
-				}
-			}
-			row.Points = append(row.Points, ScalingPoint{
-				Shards: n, SecPerEpoch: sec, Speedup: baseline / sec,
-			})
-		}
-		bspan.End()
-		if !ok {
-			break // cancelled mid-sweep: drop the half-measured row
-		}
-		rows = append(rows, row)
-		if sink != nil {
-			if err := sink(row); err != nil {
-				return rows, err
-			}
-		}
+	backend := p.backendName()
+	baseline, ok, err := b.timeShardedEpochs(ctx, backend, 1, epochs, seed, span)
+	if !ok {
+		return Record{}, err
 	}
-	return rows, nil
+	row := &ScalingRow{ID: b.ID, Name: b.Task}
+	for _, n := range p.ShardSweep {
+		sec := baseline
+		if n != 1 {
+			if sec, ok, err = b.timeShardedEpochs(ctx, backend, n, epochs, seed, span); !ok {
+				return Record{}, err
+			}
+		}
+		row.Points = append(row.Points, ScalingPoint{
+			Shards: n, SecPerEpoch: sec, Speedup: baseline / sec,
+		})
+	}
+	return Record{Kind: KindScaling, Scaling: row}, nil
 }
 
 // timeShardedEpochs trains `epochs` epochs at the given shard count on
-// the named backend ("" = local) and returns the mean wall-clock
-// seconds per epoch; ok is false when ctx was cancelled before the
-// measurement completed (the Plan Runner's epoch-boundary cancellation
-// contract — a cancelled sweep must not train out its epoch budget). A
-// non-nil error is a backend runtime failure; a workload the engine
-// rejects up front is skipped (ok with zero time).
-func timeShardedEpochs(ctx context.Context, b *Benchmark, backend string, n, epochs int, seed int64, parent *telemetry.Span) (sec float64, ok bool, err error) {
-	if backend == "" {
-		backend = "local"
-	}
+// the named backend and returns the mean wall-clock seconds per epoch.
+// ok is false when there is no measurement: ctx was cancelled before it
+// completed (the epoch-boundary cancellation contract — a cancelled
+// sweep must not train out its epoch budget), the engine could not open
+// the workload, or — with a non-nil error — the backend failed at run
+// time.
+func (b *Benchmark) timeShardedEpochs(ctx context.Context, backend string, n, epochs int, seed int64, parent *telemetry.Span) (sec float64, ok bool, err error) {
 	be, err := dist.NewBackend(backend, n)
 	if err != nil {
-		return 0, false, err // Plan validation makes this unreachable
+		return 0, false, err // NewRunner validated the name
 	}
-	eng, err := dist.New(ctx, b.ID, b.Factory, DeriveSeed(seed, b.ID), be)
+	eng, err := dist.New(ctx, b.ID, b.Factory, seed, be)
 	if err != nil {
-		return 0, true, nil
+		return 0, false, nil
 	}
 	defer func() {
 		if cerr := eng.Close(); cerr != nil && err == nil {
-			err = cerr
+			sec, ok, err = 0, false, cerr
 		}
 	}()
 	// Each measured shard count gets its own span; its value is the

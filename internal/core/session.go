@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"aibench/internal/dist"
 	"aibench/internal/models"
@@ -24,31 +23,6 @@ const (
 	// bottleneck hunting over the full suite).
 	QuasiEntireSession
 )
-
-// SessionConfig controls a scaled training session.
-type SessionConfig struct {
-	Kind      SessionKind
-	Seed      int64
-	MaxEpochs int // cap for EntireSession; epoch count for QuasiEntire
-	// Shards selects data-parallel training: 0 runs the classic serial
-	// TrainEpoch loop; N >= 1 routes through internal/dist with N
-	// workers when the benchmark supports sharding (losses are bitwise
-	// identical for every N, so the count is a pure scheduling knob).
-	// Benchmarks without a shardable train step fall back to serial.
-	Shards int
-	// Backend names the dist execution backend for sharded sessions
-	// ("local", "process", ...); empty selects local. Only consulted
-	// when Shards >= 1 routes through internal/dist — backends are
-	// bitwise-equivalent by contract, differing only in where replica
-	// compute runs and how big the failure domain is. An unknown name
-	// is an error (Plan validates it up front).
-	Backend string
-	Log     io.Writer // optional progress stream
-	// trace, when set by the Plan Runner, is the session's benchmark
-	// span: the epoch loop hangs per-epoch spans under it, and sharded
-	// trainers nest their phase spans under each epoch's.
-	trace *telemetry.Span
-}
 
 // SessionResult records one scaled training session.
 type SessionResult struct {
@@ -102,100 +76,85 @@ type serialTrainer struct{ w models.Benchmark }
 func (s serialTrainer) TrainEpoch() (float64, error) { return s.w.TrainEpoch(), nil }
 func (s serialTrainer) Quality() (float64, error)    { return s.w.Quality(), nil }
 
-// RunScaledSession executes a real training session of the scaled model
-// through the tensor/autograd/nn/optim stack: an entire session stops
-// when the scaled quality target is met, a quasi-entire session runs the
-// fixed epoch budget (Section 3.4's distinction). With cfg.Shards >= 1
-// the session trains data-parallel through internal/dist — each step's
-// batch splits across shard workers and gradients combine with a
-// deterministic all-reduce — when the benchmark supports it. The
-// session computes on the process default kernel; new code should run
-// sessions through a Plan instead, which selects a kernel and threads a
-// context into the epoch loop. An unknown cfg.Backend panics.
-func (b *Benchmark) RunScaledSession(cfg SessionConfig) SessionResult {
-	res, err := b.runSession(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: SessionConfig: %v", err))
-	}
-	return res
-}
-
-// runSession is the context-aware session engine behind both
-// RunScaledSession and the Plan Runner: it places the instance it
-// builds under the run ctx carries (tensor.RunFrom — the dist backends
-// do the same for their replicas) and checks ctx at every epoch
-// boundary so a cancelled run stops training instead of spending the
-// remaining epoch budget (the completed prefix is still returned, with
-// Interrupted set).
-func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionResult, error) {
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = 150
+// runSession is the session kind's body: one real training session of
+// the scaled model through the tensor/autograd/nn/optim stack, shaped by
+// the plan — an entire session stops when the scaled quality target is
+// met, a quasi-entire session runs the fixed epoch budget (Section 3.4's
+// distinction); Plan.Epochs caps either (0 = 150). With Plan.Shards >= 1
+// the session trains data-parallel through internal/dist on the plan's
+// backend — each step's batch splits across shard workers and gradients
+// combine with a deterministic all-reduce, so losses are bitwise
+// identical for every shard count — when the benchmark supports it, and
+// serial with a FallbackReason when it does not. The instance it builds
+// trains from seed (the Runner derives one per benchmark) and is placed
+// under the run ctx carries (tensor.RunFrom — the dist backends do the
+// same for their replicas); per-epoch spans hang under span, and a
+// sharded trainer nests its phase spans under each epoch's. ctx is
+// checked at every epoch boundary, so a cancelled run stops training
+// instead of spending the remaining epoch budget (the completed prefix
+// is still returned, with Interrupted set).
+func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *telemetry.Span) (SessionResult, error) {
+	maxEpochs := p.Epochs
+	if maxEpochs <= 0 {
+		maxEpochs = 150
 	}
 	run := tensor.RunFrom(ctx)
-	backendName := cfg.Backend
-	if backendName == "" {
-		backendName = "local"
-	}
 	var (
 		trainer  epochTrainer
-		carrier  telemetry.SpanCarrier
+		eng      *dist.Engine // nil on the serial path
 		name     string
 		target   float64
 		meets    func(float64) bool
 		shards   int
 		fallback string
-		closeEng func() error
 	)
-	if cfg.Shards > 0 && b.Shardable() {
-		be, err := dist.NewBackend(backendName, cfg.Shards)
+	if p.Shards > 0 && b.Shardable() {
+		be, err := dist.NewBackend(p.backendName(), p.Shards)
 		if err != nil {
-			return SessionResult{}, err
+			return SessionResult{}, err // NewRunner validated the name
 		}
-		eng, err := dist.New(ctx, b.ID, b.Factory, cfg.Seed, be)
-		if err != nil {
+		if eng, err = dist.New(ctx, b.ID, b.Factory, seed, be); err != nil {
 			// Shardable() vouched the train-step interface exists, but
 			// the engine also validates the phase declaration (at least
 			// one phase, a reporting phase, matching reduce groups) and
 			// the backend must bring its replicas up; run serial and say
 			// why instead of crashing the session.
-			fallback = fmt.Sprintf("requested shards=%d on the %q backend but the dist engine rejected the workload: %v", cfg.Shards, backendName, err)
+			fallback = fmt.Sprintf("requested shards=%d on the %q backend but the dist engine rejected the workload: %v", p.Shards, p.backendName(), err)
 		} else {
-			trainer, carrier, shards = eng, eng, eng.Workers()
+			trainer, shards = eng, eng.Workers()
 			name, target, meets = eng.Name(), eng.Target(), eng.MeetsTarget
-			closeEng = eng.Close
 		}
 	}
 	if trainer == nil { // serial path (Shards == 0, not shardable, or rejected)
-		wl := b.Factory(cfg.Seed)
+		wl := b.Factory(seed)
 		wl.Arena().SetRun(run)
 		trainer = serialTrainer{w: wl}
 		name, target = wl.Name(), wl.ScaledTarget()
 		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
-		carrier, _ = wl.(telemetry.SpanCarrier)
-		if cfg.Shards > 0 && fallback == "" {
-			fallback = fmt.Sprintf("requested shards=%d on the %q backend but workload implements no sharded train step (models.ShardedTrainer or models.PhasedTrainer)", cfg.Shards, backendName)
+		if p.Shards > 0 && fallback == "" {
+			fallback = fmt.Sprintf("requested shards=%d on the %q backend but workload implements no sharded train step (models.ShardedTrainer or models.PhasedTrainer)", p.Shards, p.backendName())
 		}
 		// Record why the run asked for data-parallel training and
 		// didn't get it, so the fallback is never mistaken for a
 		// sharded session (dist's determinism makes the two otherwise
 		// hard to tell apart from losses alone).
-		if fallback != "" && cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "%s: serial fallback: %s\n", b.ID, fallback)
+		if fallback != "" && p.Log != nil {
+			fmt.Fprintf(p.Log, "%s: serial fallback: %s\n", b.ID, fallback)
 		}
 	}
 	res := SessionResult{
-		ID: b.ID, Name: name, Kind: cfg.Kind, Shards: shards,
+		ID: b.ID, Name: name, Kind: p.Session, Shards: shards,
 		FallbackReason: fallback, Kernel: run.Kernels.Name(),
 		Target: target,
 	}
-	for ep := 1; ep <= cfg.MaxEpochs; ep++ {
+	for ep := 1; ep <= maxEpochs; ep++ {
 		if ctx.Err() != nil {
 			res.Interrupted = true
 			break
 		}
-		espan := cfg.trace.Child("epoch")
-		if carrier != nil {
-			carrier.SetSpan(espan)
+		espan := span.Child("epoch")
+		if eng != nil {
+			eng.SetSpan(espan) // the step's phase spans nest under its epoch
 		}
 		loss, err := trainer.TrainEpoch()
 		if err != nil {
@@ -217,22 +176,22 @@ func (b *Benchmark) runSession(ctx context.Context, cfg SessionConfig) (SessionR
 			break
 		}
 		res.FinalQuality = q
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "%s epoch %d: loss=%.4f quality=%.4f\n", b.ID, ep, loss, q)
+		if p.Log != nil {
+			fmt.Fprintf(p.Log, "%s epoch %d: loss=%.4f quality=%.4f\n", b.ID, ep, loss, q)
 		}
-		if cfg.Kind == EntireSession && meets(q) {
+		if p.Session == EntireSession && meets(q) {
 			res.ReachedGoal = true
 			break
 		}
 	}
-	if closeEng != nil {
+	if eng != nil {
 		// Close before the tracer snapshots: process backends fold
 		// their children's deterministic counters into the run's here.
-		if cerr := closeEng(); cerr != nil && res.Error == "" {
+		if cerr := eng.Close(); cerr != nil && res.Error == "" {
 			res.Error = cerr.Error()
 		}
 	}
-	if cfg.Kind == QuasiEntireSession && !res.Interrupted && res.Error == "" {
+	if p.Session == QuasiEntireSession && !res.Interrupted && res.Error == "" {
 		res.ReachedGoal = true // quasi-entire sessions complete by definition
 	}
 	return res, nil

@@ -75,18 +75,18 @@ type Group interface {
 type GroupSpec struct {
 	// Name, Target, and LowerIsBetter mirror the models.Benchmark
 	// metadata (session naming and the entire-session stopping rule).
-	Name          string
-	Target        float64
-	LowerIsBetter bool
+	Name          string  `json:"name"`
+	Target        float64 `json:"target"`
+	LowerIsBetter bool    `json:"lower_is_better"`
 	// Phases is the benchmark's per-step phase list.
-	Phases []models.PhaseSpec
+	Phases []models.PhaseSpec `json:"phases"`
 	// GroupLen is the flattened length of each phase's reduce group.
-	GroupLen []int
+	GroupLen []int `json:"group_len"`
 	// ParamLen is the flattened length of the full parameter set.
-	ParamLen int
+	ParamLen int `json:"param_len"`
 	// BufLen is the flattened length of the non-gradient buffer state
 	// (0 for benchmarks without batch-norm-style buffers).
-	BufLen int
+	BufLen int `json:"buf_len"`
 }
 
 // MeetsTarget reports whether quality q satisfies the workload's

@@ -81,9 +81,9 @@ type Engine struct {
 	span *telemetry.Span
 }
 
-// SetSpan implements telemetry.SpanCarrier: the session engine hands
-// the engine each epoch's span so per-step phase spans nest under the
-// right epoch. Call between epochs, never mid-step.
+// SetSpan sets the parent of the spans subsequent steps emit: the
+// session body hands the engine each epoch's span so per-step phase
+// spans nest under the right epoch. Call between epochs, never mid-step.
 func (e *Engine) SetSpan(s *telemetry.Span) { e.span = s }
 
 // New opens a data-parallel engine for the benchmark on the given
@@ -244,13 +244,17 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 	cspan.End()
 
 	// Gather grains in canonical order and all-reduce.
-	total := outs[0].Total
+	total, got := outs[0].Total, 0
 	span.Count(telemetry.CounterGrains, int64(total))
-	for r := 1; r < len(outs); r++ {
+	for r := range outs {
 		if outs[r].Total != total {
 			return 0, fmt.Errorf("dist: phase %q: replica %d produced %d grains, replica 0 produced %d",
 				e.spec.Phases[p].Name, r, outs[r].Total, total)
 		}
+		got += len(outs[r].Grains)
+	}
+	if got != total { // checked before total sizes the gather scratch
+		return 0, fmt.Errorf("dist: phase %q: replicas reported %d of the phase's %d grains", e.spec.Phases[p].Name, got, total)
 	}
 	sc := &e.scratch[p]
 	if len(sc.order) != total {

@@ -28,15 +28,24 @@ var shardedIDs = []string{
 	"MLPerf-RC", "MLPerf-RL",
 }
 
+// sessionOf runs a one-benchmark session plan through the Plan Runner.
+func sessionOf(t *testing.T, p core.Plan) core.SessionResult {
+	t.Helper()
+	p.Kind, p.Seed = core.RunSession, 42
+	runner, err := core.NewRunner(core.NewRegistry(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.Run(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Sessions[0]
+}
+
 func runSession(t *testing.T, id string, shards, epochs int, kind core.SessionKind) core.SessionResult {
 	t.Helper()
-	b := core.NewRegistry().ByID(id)
-	if b == nil {
-		t.Fatalf("unknown benchmark %s", id)
-	}
-	return b.RunScaledSession(core.SessionConfig{
-		Kind: kind, Seed: 42, MaxEpochs: epochs, Shards: shards,
-	})
+	return sessionOf(t, core.Plan{Benchmarks: []string{id}, Session: kind, Epochs: epochs, Shards: shards})
 }
 
 func sameResult(t *testing.T, id string, shards int, got, want core.SessionResult) {
@@ -92,18 +101,9 @@ func TestShardedLossesBitwiseIdentical(t *testing.T) {
 func TestShardDeterminismAcrossKernels(t *testing.T) {
 	runSession := func(t *testing.T, id, kernel string, shards int) core.SessionResult {
 		t.Helper()
-		runner, err := core.NewRunner(core.NewRegistry(), core.Plan{
-			Kind: core.RunSession, Benchmarks: []string{id}, Session: core.QuasiEntireSession,
-			Seed: 42, Epochs: 2, Shards: shards, Kernel: kernel,
+		return sessionOf(t, core.Plan{
+			Benchmarks: []string{id}, Session: core.QuasiEntireSession, Epochs: 2, Shards: shards, Kernel: kernel,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runner.Run(context.Background(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Sessions[0]
 	}
 	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C6", "DC-AI-C17"} {
 		var acrossKernels []core.SessionResult

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 
-	"aibench/internal/models"
 	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
 )
@@ -24,10 +23,11 @@ import (
 // Payload fields are fixed-width little-endian integers, float64s as
 // their IEEE-754 bit patterns (math.Float64bits — the round trip is
 // bitwise, which is what makes cross-backend determinism provable),
-// strings and vectors length-prefixed with a u32; the two control-plane
-// bodies (the hello, the close reply's counts) are JSON. The protocol is
-// strictly request/reply per rank and the parent is the only
-// initiator, so no frame ever needs reordering or an id.
+// strings and vectors length-prefixed with a u32; the three
+// control-plane bodies (the hello, the spec reply, the close reply's
+// counts) are JSON. The protocol is strictly request/reply per rank and
+// the parent is the only initiator, so no frame ever needs reordering
+// or an id.
 const (
 	// parent → child
 	frameHello      byte = iota + 1 // hello
@@ -110,12 +110,6 @@ func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUin
 func appendF64(b []byte, v float64) []byte {
 	return appendU64(b, math.Float64bits(v))
 }
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
 func appendStr(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
@@ -169,15 +163,6 @@ func (f *frameReader) u64() uint64 {
 
 func (f *frameReader) f64() float64 { return math.Float64frombits(f.u64()) }
 
-func (f *frameReader) bool() bool {
-	if !f.need(1) {
-		return false
-	}
-	v := f.b[0] != 0
-	f.b = f.b[1:]
-	return v
-}
-
 func (f *frameReader) str() string {
 	n := int(f.u32())
 	if !f.need(n) {
@@ -206,7 +191,7 @@ func (f *frameReader) f64s(dst []float64) []float64 {
 	return dst
 }
 
-// Hello, spec and phase-output frame bodies, shared by both ends.
+// Hello, spec, close and phase-output frame bodies, shared by both ends.
 
 // hello is the first frame a child receives: which replica to build
 // and what the run computes on. The kernel travels as the two things
@@ -266,42 +251,32 @@ func decodeClosed(payload []byte) (ops []telemetry.OpCount, err error) {
 	return ops, nil
 }
 
-func encodeSpec(s GroupSpec) []byte {
-	b := appendStr(nil, s.Name)
-	b = appendF64(b, s.Target)
-	b = appendBool(b, s.LowerIsBetter)
-	b = appendU32(b, uint32(len(s.Phases)))
-	for p, ph := range s.Phases {
-		b = appendStr(b, ph.Name)
-		b = appendBool(b, ph.Report)
-		b = appendU32(b, uint32(s.GroupLen[p]))
-	}
-	b = appendU32(b, uint32(s.ParamLen))
-	b = appendU32(b, uint32(s.BufLen))
-	return b
-}
+// The spec reply is control plane too, sent once per child, and
+// travels as JSON (float64 targets round-trip bitwise through
+// encoding/json's shortest-representation digits).
 
-func decodeSpec(payload []byte) (GroupSpec, error) {
-	fr := &frameReader{b: payload}
-	s := GroupSpec{
-		Name:          fr.str(),
-		Target:        fr.f64(),
-		LowerIsBetter: fr.bool(),
+func encodeSpec(s GroupSpec) ([]byte, error) { return json.Marshal(s) }
+
+// decodeSpec is the parent's side of a trust boundary: the engine sizes
+// its reduce vectors and slices them by what the spec declares, so a
+// spec whose lengths do not describe one workload — no phase, a group
+// per phase missing, a group longer than the parameter set, a vector
+// longer than any frame could carry — is refused here.
+func decodeSpec(payload []byte) (s GroupSpec, err error) {
+	if err = json.Unmarshal(payload, &s); err != nil {
+		return GroupSpec{}, fmt.Errorf("dist: decoding spec: %v", err)
 	}
-	n := int(fr.u32())
-	if fr.err == nil && n > 0 {
-		s.Phases = make([]models.PhaseSpec, 0, n)
-		s.GroupLen = make([]int, 0, n)
-		for i := 0; i < n && fr.err == nil; i++ {
-			name := fr.str()
-			report := fr.bool()
-			s.Phases = append(s.Phases, models.PhaseSpec{Name: name, Report: report})
-			s.GroupLen = append(s.GroupLen, int(fr.u32()))
+	const maxVec = maxFrame / 8
+	if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || s.ParamLen > maxVec || s.BufLen < 0 || s.BufLen > maxVec {
+		return GroupSpec{}, fmt.Errorf("dist: spec: %d phases, %d reduce groups, %d params, %d buffers do not describe a workload",
+			len(s.Phases), len(s.GroupLen), s.ParamLen, s.BufLen)
+	}
+	for p, n := range s.GroupLen {
+		if n < 0 || n > s.ParamLen {
+			return GroupSpec{}, fmt.Errorf("dist: spec: phase %q reduces %d of %d params", s.Phases[p].Name, n, s.ParamLen)
 		}
 	}
-	s.ParamLen = int(fr.u32())
-	s.BufLen = int(fr.u32())
-	return s, fr.err
+	return s, nil
 }
 
 func encodePhaseOut(out PhaseOut) []byte {
@@ -317,11 +292,22 @@ func encodePhaseOut(out PhaseOut) []byte {
 	return b
 }
 
-// decodePhaseOut decodes into out, reusing its grain vectors.
-func decodePhaseOut(payload []byte, out *PhaseOut) error {
+// grainMin is the fewest bytes a grain occupies in a phase-out frame
+// (its index, sample count, loss and two empty vectors).
+const grainMin = 4 + 4 + 8 + 4 + 4
+
+// decodePhaseOut decodes into out, reusing its grain vectors. It is the
+// parent's side of a trust boundary: the grain count is bounded by the
+// bytes the frame actually holds, and every grain must carry a gradient
+// of gradLen floats and a buffer capture of bufLen — the lengths the
+// group's spec declared, which the engine's reduce indexes by.
+func decodePhaseOut(payload []byte, out *PhaseOut, gradLen, bufLen int) error {
 	fr := &frameReader{b: payload}
 	out.Total = int(fr.u32())
 	n := int(fr.u32())
+	if fr.err == nil && n > len(fr.b)/grainMin {
+		fr.err = fmt.Errorf("dist: phase-out frame declares %d grains in %d bytes", n, len(fr.b))
+	}
 	if fr.err != nil {
 		return fr.err
 	}
@@ -336,6 +322,10 @@ func decodePhaseOut(payload []byte, out *PhaseOut) error {
 		g.Loss = fr.f64()
 		g.Grad = fr.f64s(g.Grad)
 		g.Buf = fr.f64s(g.Buf)
+		if fr.err == nil && (len(g.Grad) != gradLen || len(g.Buf) != bufLen) {
+			return fmt.Errorf("dist: grain %d carries %d gradient and %d buffer floats, the spec declared %d and %d",
+				g.Grain, len(g.Grad), len(g.Buf), gradLen, bufLen)
+		}
 	}
 	return fr.err
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"os"
@@ -15,6 +16,26 @@ import (
 	"aibench/internal/models"
 	"aibench/internal/telemetry"
 )
+
+// seedSpec and seedPhaseOut are a spec reply and a phase-0 compute
+// reply as a two-phase worker child would send them.
+var (
+	seedSpec = GroupSpec{
+		Name: "img-cls", Target: 0.9, LowerIsBetter: true,
+		Phases:   []models.PhaseSpec{{Name: "train", Report: true}, {Name: "distill"}},
+		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 1,
+	}
+	seedPhaseOut = PhaseOut{Total: 4, Grains: []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}, Buf: []float64{0.5}}}}
+)
+
+func mustEncodeSpec(tb testing.TB, s GroupSpec) []byte {
+	tb.Helper()
+	b, err := encodeSpec(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
 
 // frameBytes is one frame exactly as writeFrame puts it on the pipe.
 func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
@@ -32,12 +53,7 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 // error — never a panic, and never an allocation sized by the prefix
 // alone. A frame that does decode must re-encode to the bytes consumed.
 func FuzzReadFrame(f *testing.F) {
-	spec := GroupSpec{
-		Name: "img-cls", Target: 0.9, LowerIsBetter: true,
-		Phases:   []models.PhaseSpec{{Name: "train", Report: true}, {Name: "distill"}},
-		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 8,
-	}
-	out := PhaseOut{Total: 4, Grains: []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}, Buf: []float64{0.5}}}}
+	spec, out := mustEncodeSpec(f, seedSpec), seedPhaseOut
 	hello := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true})
 	for _, fr := range []struct {
 		typ     byte
@@ -49,7 +65,7 @@ func FuzzReadFrame(f *testing.F) {
 		{frameApply, appendF64s(appendF64s(appendU32(nil, 0), []float64{1, 2, 3}), []float64{4})},
 		{frameQuality, nil},
 		{frameClose, nil},
-		{frameSpec, encodeSpec(spec)},
+		{frameSpec, spec},
 		{frameEpochSteps, appendU32(nil, 10)},
 		{framePhaseOut, encodePhaseOut(out)},
 		{frameApplied, nil},
@@ -112,6 +128,177 @@ func TestReadFrameMultiChunk(t *testing.T) {
 	if typ, got, err = readFrame(r); err != nil || typ != frameApplied || len(got) != 0 {
 		t.Fatalf("second frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
+}
+
+// binarySpecCrasher is the 22-byte spec reply that killed the parent
+// when specs travelled in the hand-rolled binary codec: an empty name, a
+// target, a flag, then a phase count of 0xFFFFFFFF the decoder sized a
+// slice by — fatal error: runtime: out of memory, which nothing
+// recovers.
+var binarySpecCrasher = append(appendF64(appendStr(nil, ""), 0.5), 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0)
+
+// hostileSpecs are spec replies a well-behaved child never sends: each
+// would have the engine size or slice a vector by a length that
+// describes no workload.
+var hostileSpecs = map[string]string{
+	string(binarySpecCrasher): "decoding spec",
+	`{"name":"x","target":0.5,"phases":[],"group_len":[],"param_len":4,"buf_len":0}`:                                                  "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[],"param_len":4,"buf_len":0}`:                        "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4,4],"param_len":4,"buf_len":0}`:                     "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":-1}`:                      "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":1000000000000}`:           "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[5],"param_len":4,"buf_len":0}`:                       `phase "a" reduces 5 of 4 params`,
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[-1],"param_len":4,"buf_len":0}`:                      `phase "a" reduces -1 of 4 params`,
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[0],"param_len":-4,"buf_len":0}`:                      `phase "a" reduces 0 of -4 params`,
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[900000000000],"param_len":900000000000,"buf_len":0}`: "do not describe a workload",
+}
+
+// FuzzSpecFrame hardens the first payload the parent decodes from a
+// child: decodeSpec must turn any spec reply into an error or a spec
+// the engine can size and slice its reduce vectors by — at least one
+// phase, one reduce group per phase, every group within the parameter
+// set, no vector longer than a frame could carry — never a panic, and
+// never an allocation sized by a number the payload merely declares. A
+// spec it lets through survives an encode/decode round trip unchanged.
+func FuzzSpecFrame(f *testing.F) {
+	whole := mustEncodeSpec(f, seedSpec)
+	f.Add(whole)
+	f.Add(whole[:len(whole)-4]) // cut short
+	for body := range hostileSpecs {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := decodeSpec(payload)
+		if err != nil {
+			return // rejecting the input is fine; panicking is not
+		}
+		if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || len(s.Phases) > len(payload) || s.BufLen < 0 || s.BufLen > maxFrame/8 || s.ParamLen > maxFrame/8 {
+			t.Fatalf("decodeSpec let %+v through", s)
+		}
+		for _, n := range s.GroupLen {
+			if n < 0 || n > s.ParamLen {
+				t.Fatalf("decodeSpec let a %d-float group of %d params through: %+v", n, s.ParamLen, s)
+			}
+		}
+		if again, err := decodeSpec(mustEncodeSpec(t, s)); err != nil || !reflect.DeepEqual(again, s) {
+			t.Fatalf("spec %+v re-decodes as %+v, err %v", s, again, err)
+		}
+	})
+}
+
+// hostilePhaseOuts are compute replies to seedSpec's phase 0 that a
+// well-behaved child never sends.
+func hostilePhaseOuts() map[string][]byte {
+	short, long, noBuf := seedPhaseOut, seedPhaseOut, seedPhaseOut
+	short.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2}, Buf: []float64{0.5}}}
+	long.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5, 4}, Buf: []float64{0.5}}}
+	noBuf.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}}}
+	whole := encodePhaseOut(seedPhaseOut)
+	return map[string][]byte{
+		"grain 1 carries 2 gradient and 1 buffer floats": encodePhaseOut(short),
+		"grain 1 carries 4 gradient and 1 buffer floats": encodePhaseOut(long),
+		"grain 1 carries 3 gradient and 0 buffer floats": encodePhaseOut(noBuf),
+		"declares 4294967295 grains in 0 bytes":          appendU32(appendU32(nil, 4), 0xffffffff),
+		"declares 3 grains in 56 bytes":                  append(appendU32(appendU32(nil, 4), 3), whole[8:]...),
+		"truncated frame payload":                        whole[:len(whole)-3],
+	}
+}
+
+// FuzzPhaseOutFrame hardens the payload the parent decodes every step:
+// decodePhaseOut must turn any compute reply into an error or grains
+// whose gradient and buffer vectors have exactly the lengths the
+// group's spec declared — what the engine's reduce indexes by — never a
+// panic, and never more grains than the bytes that arrived can hold.
+func FuzzPhaseOutFrame(f *testing.F) {
+	f.Add(encodePhaseOut(seedPhaseOut), uint16(3), uint16(1))
+	f.Add(encodePhaseOut(PhaseOut{Total: 2}), uint16(0), uint16(0))
+	for _, body := range hostilePhaseOuts() {
+		f.Add(body, uint16(3), uint16(1))
+	}
+	f.Add([]byte{}, uint16(0), uint16(0))
+
+	f.Fuzz(func(t *testing.T, payload []byte, gradLen, bufLen uint16) {
+		out := PhaseOut{Grains: make([]GrainOut, 1)} // as a previous step left it
+		if err := decodePhaseOut(payload, &out, int(gradLen), int(bufLen)); err != nil {
+			return // rejecting the input is fine; panicking is not
+		}
+		if len(out.Grains)*grainMin > len(payload) {
+			t.Fatalf("%d grains decoded from %d bytes", len(out.Grains), len(payload))
+		}
+		for _, g := range out.Grains {
+			if len(g.Grad) != int(gradLen) || len(g.Buf) != int(bufLen) {
+				t.Fatalf("decodePhaseOut let grain %+v through under lengths %d/%d", g, gradLen, bufLen)
+			}
+		}
+		if again := encodePhaseOut(out); !bytes.Equal(again, payload[:len(again)]) {
+			t.Fatalf("phase-out re-encodes to %x, input began %x", again, payload[:len(again)])
+		}
+	})
+}
+
+// cannedGroup is a one-child process group whose child already said
+// everything in replies and hears nothing: the parent's half of the
+// protocol, run against bytes a test chose.
+func cannedGroup(spec GroupSpec, replies ...[]byte) *processGroup {
+	return &processGroup{spec: spec, outs: make([]PhaseOut, 1), quals: make([]float64, 1), procs: []*workerProc{{
+		in: nopWriteCloser{io.Discard},
+		bw: bufio.NewWriter(io.Discard),
+		br: bufio.NewReader(bytes.NewReader(bytes.Join(replies, nil))),
+	}}}
+}
+
+// TestHandshakeRefusesHostileSpec: a child whose spec reply describes
+// no workload — the old codec's out-of-memory crasher first among them —
+// fails its group's open with the reason and the replica's rank; the
+// parent is alive to say so.
+func TestHandshakeRefusesHostileSpec(t *testing.T) {
+	for body, want := range hostileSpecs {
+		err := cannedGroup(GroupSpec{}, frameBytes(t, frameSpec, []byte(body))).handshake(hello{BenchID: "DC-AI-C16"})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "replica 0") {
+			t.Errorf("spec reply %q: err = %v, want replica 0 refused for %q", body, err, want)
+		}
+	}
+	g := cannedGroup(GroupSpec{}, frameBytes(t, frameSpec, mustEncodeSpec(t, seedSpec)))
+	if err := g.handshake(hello{BenchID: "DC-AI-C16"}); err != nil || !reflect.DeepEqual(g.spec, seedSpec) {
+		t.Errorf("honest spec reply opened as %+v, err %v; want %+v", g.spec, err, seedSpec)
+	}
+}
+
+// TestEngineRefusesHostilePhaseOut: a child whose compute reply carries
+// a gradient or buffer vector of the wrong length, or more grains than
+// bytes, fails its benchmark's epoch with the reason and the replica's
+// rank — it used to reach the all-reduce and panic there with an index
+// out of range — and an honest reply that owns up to one grain of four
+// is refused before the engine sizes anything by the four.
+func TestEngineRefusesHostilePhaseOut(t *testing.T) {
+	epoch := func(phaseOut []byte) error {
+		g := cannedGroup(seedSpec, frameBytes(t, frameEpochSteps, appendU32(nil, 1)), frameBytes(t, framePhaseOut, phaseOut))
+		eng, err := New(context.Background(), "canned", nil, 1, cannedBackend{g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.TrainEpoch()
+		return err
+	}
+	for want, body := range hostilePhaseOuts() {
+		if err := epoch(body); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "replica 0") {
+			t.Errorf("compute reply %x: err = %v, want replica 0 refused for %q", body, err, want)
+		}
+	}
+	if err := epoch(encodePhaseOut(seedPhaseOut)); err == nil || !strings.Contains(err.Error(), "reported 1 of the phase's 4 grains") {
+		t.Errorf("one grain of four: err = %v, want the count refused", err)
+	}
+}
+
+// cannedBackend opens the group it was given.
+type cannedBackend struct{ g Group }
+
+func (cannedBackend) Name() string { return "canned" }
+func (cannedBackend) Workers() int { return 1 }
+func (b cannedBackend) Open(context.Context, string, models.Factory, int64) (Group, error) {
+	return b.g, nil
 }
 
 // hostileClosed are close-reply bodies a well-behaved child never

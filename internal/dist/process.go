@@ -42,12 +42,13 @@ func (p *Process) Workers() int { return p.workers }
 
 // Open spawns one worker child per rank (this binary re-executed with
 // WorkerEnv set), sends each its hello, and validates the specs the
-// children constructed. The context bounds the children's lifetime:
-// cancellation kills them, and it carries the run: its kernels, which
-// the hello hands on, and its counters, which the hello asks each child
-// to keep its own of and Close folds the children's into. The factory is unused — children rebuild the workload
-// from benchID on their side of the pipe, which is exactly what makes
-// the isolation real.
+// children constructed. The context bounds the children's lifetime —
+// cancellation kills them — and carries the run: its kernels, which
+// the hello hands on, and its counters, of which the hello asks each
+// child to keep its own and Close folds the children's into the run's.
+// The factory is unused: children rebuild the workload from benchID on
+// their side of the pipe, which is exactly what makes the isolation
+// real.
 func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, seed int64) (Group, error) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -86,33 +87,35 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 		g.kill()
 		return nil, fmt.Errorf("dist: process backend: spawning replica %d: %v", rank, perr)
 	}
-	specs := make([]GroupSpec, p.workers)
-	for rank, wp := range g.procs {
-		h.Rank = rank
-		if err := writeFrame(wp.bw, frameHello, encodeHello(h)); err != nil {
-			g.kill()
-			return nil, fmt.Errorf("dist: process backend: replica %d: sending hello: %v", rank, err)
-		}
-	}
-	for rank, wp := range g.procs {
-		payload, err := g.recv(rank, wp, frameSpec)
-		if err != nil {
-			g.kill()
-			return nil, err
-		}
-		spec, derr := decodeSpec(payload)
-		if derr != nil {
-			g.kill()
-			return nil, fmt.Errorf("dist: process backend: replica %d: %v", rank, derr)
-		}
-		specs[rank] = spec
-	}
-	if err := validateSpecs(specs); err != nil {
+	if err := g.handshake(h); err != nil {
 		g.kill()
 		return nil, err
 	}
-	g.spec = specs[0]
 	return g, nil
+}
+
+// handshake sends every child its hello (h with the child's rank) and
+// takes the group's spec from their replies: each must decode to a
+// workload shape, and all to the same one.
+func (g *processGroup) handshake(h hello) error {
+	for rank, wp := range g.procs {
+		h.Rank = rank
+		if err := writeFrame(wp.bw, frameHello, encodeHello(h)); err != nil {
+			return fmt.Errorf("dist: process backend: replica %d: sending hello: %v", rank, err)
+		}
+	}
+	specs := make([]GroupSpec, len(g.procs))
+	for rank, wp := range g.procs {
+		payload, err := g.recv(rank, wp, frameSpec)
+		if err != nil {
+			return err
+		}
+		if specs[rank], err = decodeSpec(payload); err != nil {
+			return fmt.Errorf("dist: process backend: replica %d: %v", rank, err)
+		}
+	}
+	g.spec = specs[0]
+	return validateSpecs(specs)
 }
 
 // workerProc is one child: its process handle and the buffered frame
@@ -219,7 +222,7 @@ func (g *processGroup) BeginEpoch() (int, error) {
 
 func (g *processGroup) ComputePhase(p int) ([]PhaseOut, error) {
 	err := g.collective(frameCompute, appendU32(nil, uint32(p)), framePhaseOut, func(rank int, body []byte) error {
-		if derr := decodePhaseOut(body, &g.outs[rank]); derr != nil {
+		if derr := decodePhaseOut(body, &g.outs[rank], g.spec.GroupLen[p], g.spec.BufLen); derr != nil {
 			return fmt.Errorf("dist: process backend: replica %d: %v", rank, derr)
 		}
 		return nil

@@ -71,7 +71,11 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 	if oerr != nil {
 		return fail(oerr.Error())
 	}
-	if werr := writeFrame(bw, frameSpec, encodeSpec(rep.spec)); werr != nil {
+	spec, serr := encodeSpec(rep.spec)
+	if serr != nil { // a NaN or infinite target
+		return fail(fmt.Sprintf("encoding spec: %v", serr))
+	}
+	if werr := writeFrame(bw, frameSpec, spec); werr != nil {
 		return werr
 	}
 

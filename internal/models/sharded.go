@@ -51,11 +51,11 @@ type ShardedTrainer interface {
 
 // PhaseSpec names one phase of a multi-phase optimizer step.
 type PhaseSpec struct {
-	Name string
+	Name string `json:"name"`
 	// Report marks the phase's reduced loss as part of the step's
 	// reported loss (the mean over reporting phases). At least one
 	// phase of every step must report.
-	Report bool
+	Report bool `json:"report"`
 }
 
 // PhasedTrainer is the per-phase grain contract: an optimizer step

@@ -1,6 +1,6 @@
 // Package parallel implements the bounded fork-join worker pool the
 // suite uses to execute benchmarks and split tensor-kernel loops across
-// CPU cores. The pool is stateless between calls: every For/ForEach
+// CPU cores. The pool is stateless between calls: every For/ForCtx
 // spawns extra goroutines, drains an atomic index counter with the
 // calling goroutine participating, and joins before returning, so
 // nested use (a pooled suite run whose sessions call pooled matmuls)
@@ -47,52 +47,15 @@ func tryAcquire() bool {
 
 func release() { <-extraTokens }
 
-// Pool bounds the number of goroutines a For/Map/ForEach call may use.
-// The zero value is not ready for use; construct with New.
-type Pool struct {
-	workers int
-}
-
-// New returns a pool of the given width. A non-positive width defaults
-// to runtime.GOMAXPROCS(0).
-func New(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
-// ForEach invokes fn(i) for every i in [0, n), using at most the pool's
-// worker count of goroutines (including the caller). With one worker
-// (or n <= 1) it degrades to a plain serial loop on the calling
-// goroutine.
-func (p *Pool) ForEach(n int, fn func(i int)) { For(p.workers, n, fn) }
-
-// ForEachCtx is ForEach with cancellation: once ctx is done, no new
-// index is claimed (indices already running finish normally).
-func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) {
-	ForCtx(ctx, p.workers, n, fn)
-}
-
-// Map applies fn to every element of in and collects the results in
-// order. fn receives the element index and value.
-func Map[T, R any](p *Pool, in []T, fn func(i int, v T) R) []R {
-	out := make([]R, len(in))
-	p.ForEach(len(in), func(i int) { out[i] = fn(i, in[i]) })
-	return out
-}
-
-// For is the free-function form of Pool.ForEach: it runs fn(i) for
-// i in [0, n) across at most workers goroutines including the caller
-// (non-positive means GOMAXPROCS), further capped by the process-wide
-// extra-worker budget. Indices are claimed from a shared atomic
-// counter, so execution order across goroutines is nondeterministic;
-// no index runs twice, and on a panic-free run every index runs. If an
-// invocation panics, remaining unclaimed indices are skipped and the
-// first panic is re-raised on the caller's goroutine (see ForCtx).
+// For runs fn(i) for i in [0, n) across at most workers goroutines
+// including the caller (non-positive means GOMAXPROCS; with one worker,
+// or n <= 1, a plain serial loop on the calling goroutine), further
+// capped by the process-wide extra-worker budget. Indices are claimed
+// from a shared atomic counter, so execution order across goroutines is
+// nondeterministic; no index runs twice, and on a panic-free run every
+// index runs. If an invocation panics, remaining unclaimed indices are
+// skipped and the first panic is re-raised on the caller's goroutine
+// (see ForCtx).
 func For(workers, n int, fn func(i int)) {
 	ForCtx(context.Background(), workers, n, fn)
 }

@@ -8,23 +8,13 @@ import (
 	"time"
 )
 
-func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
-	if got, want := New(0).Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(0).Workers() = %d, want %d", got, want)
-	}
-	if got := New(-3).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("New(-3).Workers() = %d", got)
-	}
-	if got := New(5).Workers(); got != 5 {
-		t.Fatalf("New(5).Workers() = %d", got)
-	}
-}
-
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 64} {
+// TestForCoversEveryIndexOnce holds at every width, including the
+// non-positive ones that default to GOMAXPROCS.
+func TestForCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{-3, 0, 1, 2, 8, 64} {
 		const n = 1000
 		counts := make([]atomic.Int32, n)
-		New(workers).ForEach(n, func(i int) { counts[i].Add(1) })
+		For(workers, n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
@@ -33,39 +23,40 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForEachEmptyAndSingle(t *testing.T) {
+func TestForEmptyAndSingle(t *testing.T) {
 	ran := 0
-	New(4).ForEach(0, func(int) { ran++ })
+	For(4, 0, func(int) { ran++ })
 	if ran != 0 {
-		t.Fatalf("ForEach(0) ran %d times", ran)
+		t.Fatalf("For(n=0) ran %d times", ran)
 	}
-	New(4).ForEach(1, func(i int) { ran += i + 1 })
+	For(4, 1, func(i int) { ran += i + 1 })
 	if ran != 1 {
-		t.Fatalf("ForEach(1) ran fn(%d)", ran)
+		t.Fatalf("For(n=1) ran fn(%d)", ran)
 	}
 }
 
-func TestMapPreservesOrder(t *testing.T) {
-	in := make([]int, 257)
-	for i := range in {
-		in[i] = i
-	}
-	out := Map(New(8), in, func(i, v int) int { return v * v })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+// TestForOneWorkerRunsInOrder: width 1 is a plain loop on the calling
+// goroutine — what the plan-order run kinds rely on.
+func TestForOneWorkerRunsInOrder(t *testing.T) {
+	var order []int
+	For(1, 257, func(i int) { order = append(order, i) })
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order[%d] = %d", i, v)
 		}
+	}
+	if len(order) != 257 {
+		t.Fatalf("ran %d of 257 indices", len(order))
 	}
 }
 
 func TestNestedForDoesNotDeadlock(t *testing.T) {
 	var total atomic.Int64
-	p := New(4)
-	p.ForEach(8, func(i int) {
-		p.ForEach(8, func(j int) { total.Add(1) })
+	For(4, 8, func(i int) {
+		For(4, 8, func(j int) { total.Add(1) })
 	})
 	if total.Load() != 64 {
-		t.Fatalf("nested ForEach ran %d inner iterations, want 64", total.Load())
+		t.Fatalf("nested For ran %d inner iterations, want 64", total.Load())
 	}
 }
 

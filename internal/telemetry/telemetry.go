@@ -106,13 +106,6 @@ func (s *Span) End() {
 	t.mu.Unlock()
 }
 
-// SpanCarrier is implemented by trainers that hang internal spans
-// under a caller-owned parent: the session engine hands the dist
-// engine each epoch's span so per-step phase spans nest correctly.
-type SpanCarrier interface {
-	SetSpan(*Span)
-}
-
 // Tracer collects one run's span tree and counters. Build with Start,
 // finish with exactly one Stop.
 type Tracer struct {
