@@ -23,60 +23,102 @@ func newConvCase(rng *rand.Rand, n, c, h, w, outC int, p Conv2DParams) convCase 
 	}
 }
 
-// TestConv2DBackwardBitwise holds the fused backward to the naive
-// composition bit for bit: every kernel size, stride and padding the
-// models use and some they do not, output planes that are not a
-// multiple of MR and one that spans two chunks, outC = 5 and C·k·k odd
-// so both edge panels are partial, a single image, either gradient
-// alone, under every micro-kernel with everything forked and
-// everything serial — and again on repeat runs, since the fold into dx
-// and the dw reduction must not depend on the schedule.
-func TestConv2DBackwardBitwise(t *testing.T) {
-	naive, _ := kernelPair(t)
-	rng := rand.New(rand.NewSource(101))
-	ran := 0
+// convTable calls fn on every case of the conv bitwise sweep: every
+// kernel size, stride and padding the models use and some they do not,
+// over a 7×9 and a 13×11 image, one image and three. Output rows are
+// not all a multiple of 4 or 8, some planes exceed convRowChunk so an
+// image spans two chunks, and outC = 5 and C·k·k odd leave both edge
+// panels partial.
+func convTable(rng *rand.Rand, fn func(name string, cc convCase)) {
 	for _, hw := range [][2]int{{7, 9}, {13, 11}} {
 		for _, kern := range []int{1, 3, 5} {
 			for _, stride := range []int{1, 2} {
 				for _, pad := range []int{0, 1, 2} {
 					p := Conv2DParams{Kernel: kern, Stride: stride, Padding: pad}
 					for _, n := range []int{1, 3} {
-						cc := newConvCase(rng, n, 3, hw[0], hw[1], 5, p)
-						wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, p, true, true)
-						for _, micro := range MicroMenu() {
-							cfg := micro
-							cfg.BlockM, cfg.BlockN = 32, 32
-							for _, threshold := range []int{1, 1 << 30} {
-								name := fmt.Sprintf("n=%d %dx%d %+v cfg=%s threshold=%d", n, hw[0], hw[1], p, cfg, threshold)
-								for rep := 0; rep < 3; rep++ {
-									dx, dw := conv2DBackward(cc.x, cc.w, cc.g, p, true, true, &cfg, threshold)
-									bitwiseEqual(t, name+" dx", dx, wantX)
-									bitwiseEqual(t, name+" dw", dw, wantW)
-									if !dx.SameShape(cc.x) || !dw.SameShape(cc.w) {
-										t.Fatalf("%s: shapes dx %v dw %v", name, dx.Shape(), dw.Shape())
-									}
-								}
-								dx, dw := conv2DBackward(cc.x, cc.w, cc.g, p, false, true, &cfg, threshold)
-								if dx != nil {
-									t.Fatalf("%s: needX=false returned a dx", name)
-								}
-								bitwiseEqual(t, name+" dw alone", dw, wantW)
-								dx, dw = conv2DBackward(cc.x, cc.w, cc.g, p, true, false, &cfg, threshold)
-								if dw != nil {
-									t.Fatalf("%s: needW=false returned a dw", name)
-								}
-								bitwiseEqual(t, name+" dx alone", dx, wantX)
-								ran++
-							}
-						}
+						fn(fmt.Sprintf("n=%d %dx%d %+v", n, hw[0], hw[1], p), newConvCase(rng, n, 3, hw[0], hw[1], 5, p))
 					}
 				}
 			}
 		}
 	}
-	if want := 2 * 3 * 2 * 3 * 2 * len(MicroMenu()) * 2; ran != want {
-		t.Fatalf("swept %d configurations, want %d", ran, want)
+}
+
+// convConfigs calls fn under every micro-kernel (32×32 blocks), with
+// everything forked and everything serial.
+func convConfigs(fn func(name string, cfg *TileConfig, threshold int)) {
+	for _, micro := range MicroMenu() {
+		cfg := micro
+		cfg.BlockM, cfg.BlockN = 32, 32
+		for _, threshold := range []int{1, 1 << 30} {
+			fn(fmt.Sprintf("cfg=%s threshold=%d", cfg, threshold), &cfg, threshold)
+		}
 	}
+}
+
+// convSweepSize is how many (case, config) pairs convTable × convConfigs visit.
+var convSweepSize = 2 * 3 * 2 * 3 * 2 * len(MicroMenu()) * 2
+
+// TestConv2DBackwardBitwise holds the fused backward to the naive
+// composition bit for bit over convTable × convConfigs, either gradient
+// alone as well as both, and again on repeat runs, since the fold into
+// dx and the dw reduction must not depend on the schedule.
+func TestConv2DBackwardBitwise(t *testing.T) {
+	naive, _ := kernelPair(t)
+	ran := 0
+	convTable(rand.New(rand.NewSource(101)), func(caseName string, cc convCase) {
+		wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
+		convConfigs(func(cfgName string, cfg *TileConfig, threshold int) {
+			name := caseName + " " + cfgName
+			for rep := 0; rep < 3; rep++ {
+				dx, dw := conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true, cfg, threshold)
+				bitwiseEqual(t, name+" dx", dx, wantX)
+				bitwiseEqual(t, name+" dw", dw, wantW)
+				if !dx.SameShape(cc.x) || !dw.SameShape(cc.w) {
+					t.Fatalf("%s: shapes dx %v dw %v", name, dx.Shape(), dw.Shape())
+				}
+			}
+			dx, dw := conv2DBackward(cc.x, cc.w, cc.g, cc.p, false, true, cfg, threshold)
+			if dx != nil {
+				t.Fatalf("%s: needX=false returned a dx", name)
+			}
+			bitwiseEqual(t, name+" dw alone", dw, wantW)
+			dx, dw = conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, false, cfg, threshold)
+			if dw != nil {
+				t.Fatalf("%s: needW=false returned a dw", name)
+			}
+			bitwiseEqual(t, name+" dx alone", dx, wantX)
+			ran++
+		})
+	})
+	if ran != convSweepSize {
+		t.Fatalf("swept %d configurations, want %d", ran, convSweepSize)
+	}
+}
+
+// TestConvBackwardInputFoldOrder: element 1 of a 1×3 image under a 3×3
+// kernel with padding 1 receives one term from each of the three output
+// pixels, pixel j through tap (1, 2−j). With g = (1, 1e16, −1e16) and
+// unit weights the terms sum to 0 in col2im's ascending-pixel order and
+// to 1 in ascending-tap order, so a fold that walks taps upwards fails
+// here every time rather than on unlucky random data.
+func TestConvBackwardInputFoldOrder(t *testing.T) {
+	naive, _ := kernelPair(t)
+	one, big := 1.0, 1e16
+	if (one+big)-big == (-big+big)+one {
+		t.Fatal("the terms do not tell the two orders apart")
+	}
+	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
+	x, w := New(1, 1, 1, 3), Ones(1, 1, 3, 3)
+	g := FromSlice([]float64{one, big, -big}, 1, 1, 1, 3)
+	want, _ := naive.Conv2DBackward(x, w, g, p, true, false)
+	if want.Data[1] != (one+big)-big {
+		t.Fatalf("col2im gives dx[1] = %v, want the ascending-pixel sum %v", want.Data[1], (one+big)-big)
+	}
+	convConfigs(func(name string, cfg *TileConfig, threshold int) {
+		dx, _ := conv2DBackward(x, w, g, p, true, false, cfg, threshold)
+		bitwiseEqual(t, name, dx, want)
+	})
 }
 
 // TestConv2DBackwardDispatch checks the package-level entry point under

@@ -5,10 +5,12 @@ import "aibench/internal/parallel"
 // gebpKernels is the one optimized engine behind two registered names:
 // a GEBP-style GEMM that packs both operands into contiguous panels
 // and drives a straight-line MR×NR register micro-kernel over a 2-D
-// grid of cache-sized output tiles, plus a chunked im2col-GEMM
+// grid of cache-sized output tiles, plus an implicit im2col-GEMM
 // convolution — forward, input gradient and weight gradient — that
-// never materializes the full column matrix, its gradient, or a
-// GEMM-layout copy of the output gradient. Pack panels and chunk
+// gathers every tap from a zero-bordered image copy without a bounds
+// test, never materializes the column matrix, its gradient or a
+// GEMM-layout copy of the output gradient, and stores the forward
+// product straight into NCHW. Pack panels, padded copies and chunk
 // scratch are borrowed from the package's scratch pool (scratch.go)
 // and returned before each op does; an op allocates its results and
 // nothing that grows with its operands. The tile geometry
@@ -64,8 +66,10 @@ func (g *gebpKernels) Name() string { return g.name }
 
 func (g *gebpKernels) ParallelThreshold() int { return g.tuning.Threshold }
 
-// convRowChunk is how many im2col rows (output pixels) one convolution
-// task unfolds, multiplies, and scatters at a time.
+// convRowChunk is how many output pixels of one image a convolution
+// pass gathers and multiplies at a time. It is a multiple of every
+// MicroMenu NR, so a chunk's pixels fill whole NR-lane panels, and it
+// sizes the chunk's pixel-offset table, a fixed array on the stack.
 const convRowChunk = 128
 
 // operand is a strided view of one logical GEMM operand as `lanes`
@@ -657,83 +661,123 @@ func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, ne
 	return conv2DBackward(x, weight, grad, p, needX, needW, &t.Conv, t.Threshold)
 }
 
-// convChunk is the number of output pixels one convolution chunk
-// covers: convRowChunk rounded up to a multiple of MR, so chunks pack
-// into whole panels.
-func convChunk(cfg *TileConfig) int {
-	return (convRowChunk + cfg.MR - 1) / cfg.MR * cfg.MR
+// convGeom is a convolution's input seen through a zero-bordered copy
+// of each image: every channel plane grows by the padding on each side
+// to hp×wp, so every tap of every output pixel, padded or not, is an
+// in-bounds load and no pass tests a bound per tap. Tap (ch, ky, kx) of
+// the pixel whose receptive field starts at offset 0 is at
+// (ch·hp+ky)·wp+kx. Task closures capture it and derive the rest (K =
+// taps(), a padded image's size()): a closure is a heap allocation per
+// call, sized by what it captures.
+type convGeom struct {
+	c, h, w, k, stride, pad int
+	oh, ow, hp, wp          int
 }
 
-// conv2D is a blocked im2col-GEMM: the (n·oh·ow)×(c·k·k) column matrix
-// is never materialized. Each task unfolds a chunk of output pixels
-// straight into packed MR-row panels, multiplies them against the
-// once-packed weight panels, and scatters the product into NCHW — so
-// the working set per task is one chunk, not the whole unfolding.
-func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *Tensor {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	outC := weight.shape[0]
-	oh, ow := p.OutDim(h), p.OutDim(w)
-	if oh <= 0 || ow <= 0 {
-		panic("tensor: Conv2D output would be empty")
-	}
-	kk := p.Kernel
-	K := c * kk * kk
-	rows := n * oh * ow
-	plane := oh * ow
-	pmr := cfg.MR
-	chunk := convChunk(cfg)
-	// weight is outC×K row-major; the logical right operand is its transpose.
-	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.NR, threshold)
+func convGeomOf(x []int, p Conv2DParams) convGeom {
+	h, w := x[2], x[3]
+	return convGeom{x[1], h, w, p.Kernel, p.Stride, p.Padding, p.OutDim(h), p.OutDim(w), h + 2*p.Padding, w + 2*p.Padding}
+}
 
-	out := ArenaOf(x, weight).New(n, outC, oh, ow)
-	chunks := (rows + chunk - 1) / chunk
-	parGate(threshold, chunks, rows*K*outC, func(ci int) {
-		lo := ci * chunk
-		hi := min(rows, lo+chunk)
-		cr := hi - lo
-		padded := (cr + pmr - 1) / pmr * pmr
-		apack := getScratch(padded * K)
-		for r := 0; r < cr; r++ {
-			row := lo + r
-			img := row / plane
-			oy := row / ow % oh
-			ox := row % ow
-			di := (r/pmr)*K*pmr + r%pmr
-			for ch := 0; ch < c; ch++ {
-				xbase := (img*c + ch) * h * w
-				for ky := 0; ky < kk; ky++ {
-					iy := oy*p.Stride - p.Padding + ky
-					for kx := 0; kx < kk; kx++ {
-						ix := ox*p.Stride - p.Padding + kx
-						v := 0.0 // a padded tap
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							v = x.Data[xbase+iy*w+ix]
-						}
-						apack[di] = v
-						di += pmr
-					}
+func (cg convGeom) taps() int { return cg.c * cg.k * cg.k }
+func (cg convGeom) size() int { return cg.c * cg.hp * cg.wp }
+
+// padImage copies the c×h×w image src into dst, size() long, inside its
+// zero border. dst is dirty scratch, so the border is written too.
+func (cg convGeom) padImage(dst, src []float64) {
+	clear(dst)
+	for ch := 0; ch < cg.c; ch++ {
+		for y := 0; y < cg.h; y++ {
+			copy(dst[(ch*cg.hp+y+cg.pad)*cg.wp+cg.pad:][:cg.w], src[(ch*cg.h+y)*cg.w:])
+		}
+	}
+}
+
+// offsets fills off[j] with where output pixel lo+j's receptive field
+// starts in a padded image.
+func (cg convGeom) offsets(off []int, lo int) {
+	for j := range off {
+		oy, ox := (lo+j)/cg.ow, (lo+j)%cg.ow
+		off[j] = (oy*cg.wp + ox) * cg.stride
+	}
+}
+
+// gather packs the taps of the pixels at off in the padded image xp as
+// NR-lane k-major panels — packPanel's layout of the column matrix's
+// rows, read straight from the image. Lanes past the last pixel are
+// zeros.
+func (cg convGeom) gather(dst, xp []float64, off []int, nr int) {
+	K := cg.taps()
+	for j := 0; j < (len(off)+nr-1)/nr*nr; j++ {
+		di := j/nr*K*nr + j%nr
+		if j >= len(off) {
+			for t := 0; t < K; t++ {
+				dst[di] = 0
+				di += nr
+			}
+			continue
+		}
+		for ch := 0; ch < cg.c; ch++ {
+			for ky := 0; ky < cg.k; ky++ {
+				for _, v := range xp[off[j]+(ch*cg.hp+ky)*cg.wp:][:cg.k] {
+					dst[di] = v
+					di += nr
 				}
 			}
 		}
-		for r := cr; r < padded; r++ { // the last panel's rows past the chunk
-			di := (r/pmr)*K*pmr + r%pmr
-			for k := 0; k < K; k++ {
-				apack[di] = 0
-				di += pmr
+	}
+}
+
+// fold adds the taps×pixels product prod (tap t of pixel j at
+// prod[t·len(off)+j]) into the padded accumulator acc. A pixel reaches
+// an element through at most one tap, and a later pixel reaches it
+// through a lower tap, so walking each channel's taps in descending
+// order hands every element its terms in ascending pixel order, as
+// col2im adds them.
+func (cg convGeom) fold(acc, prod []float64, off []int) {
+	cr := len(off)
+	for ch := 0; ch < cg.c; ch++ {
+		for ky := cg.k - 1; ky >= 0; ky-- {
+			for kx := cg.k - 1; kx >= 0; kx-- {
+				t := (ch*cg.k+ky)*cg.k + kx
+				dst, src := acc[(ch*cg.hp+ky)*cg.wp+kx:], prod[t*cr:(t+1)*cr]
+				for j, o := range off {
+					dst[o] += src[j]
+				}
 			}
 		}
-		prod := getScratch(cr * outC)
-		gebpTile(apack, wpack, K, cr, outC, prod, outC, cfg)
-		for r := 0; r < cr; r++ {
-			row := lo + r
-			img, pix := row/plane, row%plane
-			src := prod[r*outC : (r+1)*outC]
-			for oc := 0; oc < outC; oc++ {
-				out.Data[(img*outC+oc)*plane+pix] = src[oc]
-			}
+	}
+}
+
+// conv2D is an implicit im2col-GEMM with the weights as the left
+// operand (MR lanes over output channels) and the output pixels as the
+// right one (NR lanes). A task owns an image: chunk by chunk it gathers
+// the pixels' taps from one zero-bordered copy of the image into
+// panels, and the micro-kernel stores the outC×chunk tile straight into
+// the image's NCHW planes (ldc = oh·ow), so there is no column matrix,
+// no product scratch and no scatter.
+func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *Tensor {
+	n, outC, cg := x.shape[0], weight.shape[0], convGeomOf(x.shape, p)
+	if cg.oh <= 0 || cg.ow <= 0 {
+		panic("tensor: Conv2D output would be empty")
+	}
+	K := cg.taps()
+	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.MR, threshold)
+	out := ArenaOf(x, weight).New(n, outC, cg.oh, cg.ow)
+	parGate(threshold, n, n*cg.oh*cg.ow*K*outC, func(img int) {
+		K, plane, pnr := cg.taps(), cg.oh*cg.ow, cfg.NR
+		xp := getScratch(cg.size())
+		cg.padImage(xp, x.Data[img*cg.c*cg.h*cg.w:])
+		bpack := getScratch((min(convRowChunk, plane) + pnr - 1) / pnr * pnr * K)
+		var off [convRowChunk]int
+		for lo := 0; lo < plane; lo += convRowChunk {
+			px := off[:min(convRowChunk, plane-lo)]
+			cg.offsets(px, lo)
+			cg.gather(bpack, xp, px, pnr)
+			gebpTile(wpack, bpack, K, outC, len(px), out.Data[img*outC*plane+lo:], plane, cfg)
 		}
-		putScratch(apack)
-		putScratch(prod)
+		putScratch(xp)
+		putScratch(bpack)
 	})
 	putScratch(wpack)
 	return out
@@ -758,58 +802,47 @@ func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, cfg
 	return dx, dw
 }
 
-// convBackwardInput accumulates col2im(G·W) into the zeroed dx. A task
-// owns whole images: chunk by chunk it packs the image's pixels of g
-// straight from NCHW, multiplies them against the once-packed weights,
-// and folds the chunk×(c·k·k) product onto the image's own region of
-// dx. Chunks and their rows run in ascending order within an image and
-// no other task writes that region, so every dx element receives its
-// taps in col2im's ascending (row, tap) order whatever the schedule.
+// convBackwardInput computes col2im(G·W) into dx as the taps×pixels
+// product Wᵀ·Gᵀ: Wᵀ's rows (taps) are the left operand, packed once;
+// a chunk of one image's pixels of g, packed straight from NCHW, is the
+// right one. A task owns an image. It folds each chunk's product into a
+// zero-bordered accumulator, chunks in ascending order, then copies the
+// interior into dx. No other task writes that image, so every dx
+// element receives its terms in col2im's ascending (row, tap) order
+// whatever the schedule.
 func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
-	n, c, h, w := dx.shape[0], dx.shape[1], dx.shape[2], dx.shape[3]
-	outC, plane, ow := weight.shape[0], g.shape[2]*g.shape[3], g.shape[3]
-	kk := p.Kernel
-	K := c * kk * kk
-	pmr := cfg.MR
-	// An image smaller than a chunk borrows scratch for its own size.
-	chunk := min(convChunk(cfg), (plane+pmr-1)/pmr*pmr)
-	// W's columns are the right operand's lanes; k runs down its rows.
-	wpack := pack(operand{weight.Data, K, outC, 1, K}, cfg.NR, threshold)
-	parGate(threshold, n, n*plane*outC*K, func(img int) {
-		gpack := getScratch(chunk * outC)
-		prod := getScratch(chunk * K)
+	n, outC, cg := dx.shape[0], weight.shape[0], convGeomOf(dx.shape, p)
+	K := cg.taps()
+	// Wᵀ's lanes are W's columns; k runs down them over output channels.
+	wpack := pack(operand{weight.Data, K, outC, 1, K}, cfg.MR, threshold)
+	parGate(threshold, n, n*cg.oh*cg.ow*outC*K, func(img int) {
+		K, plane, pnr := cg.taps(), cg.oh*cg.ow, cfg.NR
+		// An image smaller than a chunk borrows scratch for its own size.
+		chunk := min(convRowChunk, plane)
+		acc := getScratch(cg.size())
+		clear(acc)
+		gpack := getScratch((chunk + pnr - 1) / pnr * pnr * outC)
+		prod := getScratch(K * chunk)
 		gimg := g.Data[img*outC*plane : (img+1)*outC*plane]
+		var off [convRowChunk]int
 		for lo := 0; lo < plane; lo += chunk {
-			cr := min(chunk, plane-lo)
-			// Pixel lo+i of channel oc sits at gimg[oc·plane+lo+i].
-			pixels := operand{gimg[lo:], cr, outC, 1, plane}
-			for r := 0; r < cr; r += pmr {
-				packPanel(gpack[r*outC:], pixels, r, pmr)
+			px := off[:min(chunk, plane-lo)]
+			// Pixel lo+j of channel oc sits at gimg[oc·plane+lo+j].
+			pixels := operand{gimg[lo:], len(px), outC, 1, plane}
+			for r := 0; r < len(px); r += pnr {
+				packPanel(gpack[r*outC:], pixels, r, pnr)
 			}
-			gebpTile(gpack, wpack, outC, cr, K, prod, K, cfg)
-			for r := 0; r < cr; r++ {
-				oy, ox := (lo+r)/ow, (lo+r)%ow
-				src := prod[r*K : (r+1)*K]
-				si := 0
-				for ch := 0; ch < c; ch++ {
-					dst := dx.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
-					for ky := 0; ky < kk; ky++ {
-						iy := oy*p.Stride - p.Padding + ky
-						if iy < 0 || iy >= h {
-							si += kk
-							continue
-						}
-						for kx := 0; kx < kk; kx++ {
-							ix := ox*p.Stride - p.Padding + kx
-							if ix >= 0 && ix < w {
-								dst[iy*w+ix] += src[si]
-							}
-							si++
-						}
-					}
-				}
+			gebpTile(wpack, gpack, outC, K, len(px), prod, len(px), cfg)
+			cg.offsets(px, lo)
+			cg.fold(acc, prod, px)
+		}
+		dimg := dx.Data[img*cg.c*cg.h*cg.w:]
+		for ch := 0; ch < cg.c; ch++ {
+			for y := 0; y < cg.h; y++ {
+				copy(dimg[(ch*cg.h+y)*cg.w:][:cg.w], acc[(ch*cg.hp+y+cg.pad)*cg.wp+cg.pad:])
 			}
 		}
+		putScratch(acc)
 		putScratch(gpack)
 		putScratch(prod)
 	})
@@ -817,31 +850,29 @@ func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, t
 }
 
 // convBackwardWeight fills dw = Gᵀ·im2col(x). The reduction runs over
-// all n·oh·ow pixels, and it stays one ascending accumulator chain per
-// element because each micro-kernel call streams the whole of it: g is
-// packed once into MR-row panels (lanes are output channels, k runs
-// over every pixel of every image), and each task unfolds one NR-wide
-// panel of taps of x — NR columns of the column matrix — into scratch
-// and walks it against all of g's panels.
+// all n·oh·ow pixels, one ascending accumulator chain per element, as
+// each micro-kernel call streams the whole of it. One borrow holds the
+// padded images, then g packed into MR-row panels (lanes are output
+// channels, k runs over every pixel of every image); each task gathers
+// one NR-wide panel of taps — NR columns of the column matrix — output
+// row by output row from the padded images and walks it against g.
 func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	outC, oh, ow := g.shape[1], g.shape[2], g.shape[3]
-	kk := p.Kernel
-	K := c * kk * kk
-	plane := oh * ow
-	R := n * plane
-	pmr, pnr := cfg.MR, cfg.NR
-	mpanels := (outC + pmr - 1) / pmr
-	gpack := getScratch(mpanels * R * pmr)
-	parGate(threshold, mpanels*n, outC*R, func(t int) {
-		mp, img := t/n, t%n
+	n, outC, cg := x.shape[0], g.shape[1], convGeomOf(x.shape, p)
+	K, R := cg.taps(), n*cg.oh*cg.ow
+	buf := getScratch(n*cg.size() + (outC+cfg.MR-1)/cfg.MR*cfg.MR*R)
+	parGate(threshold, n, outC*R, func(img int) {
+		n, plane, size, pmr := x.shape[0], cg.oh*cg.ow, cg.size(), cfg.MR
+		cg.padImage(buf[img*size:(img+1)*size], x.Data[img*cg.c*cg.h*cg.w:])
 		// Channel oc of this image is plane contiguous pixels, which land
 		// at k = img·plane onwards in oc's panel.
 		channels := operand{g.Data[img*outC*plane:], outC, plane, plane, 1}
-		packPanel(gpack[(mp*R+img*plane)*pmr:], channels, mp*pmr, pmr)
+		for mp := 0; mp*pmr < outC; mp++ {
+			packPanel(buf[n*size+(mp*n+img)*plane*pmr:], channels, mp*pmr, pmr)
+		}
 	})
-	parGate(threshold, (K+pnr-1)/pnr, outC*R*K, func(jp int) {
-		j0 := jp * pnr
+	parGate(threshold, (K+cfg.NR-1)/cfg.NR, outC*R*K, func(jp int) {
+		n, K, size, pnr := x.shape[0], cg.taps(), cg.size(), cfg.NR
+		R, j0 := n*cg.oh*cg.ow, jp*pnr
 		cols := getScratch(R * pnr)
 		for l := 0; l < pnr; l++ {
 			tap := j0 + l
@@ -851,26 +882,21 @@ func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, thres
 				}
 				continue
 			}
-			ch, ky, kx := tap/(kk*kk), tap/kk%kk, tap%kk
+			ch, ky, kx := tap/(cg.k*cg.k), tap/cg.k%cg.k, tap%cg.k
+			src := buf[(ch*cg.hp+ky)*cg.wp+kx:]
 			di := l
 			for img := 0; img < n; img++ {
-				src := x.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*p.Stride - p.Padding + ky
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*p.Stride - p.Padding + kx
-						v := 0.0 // a padded tap
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							v = src[iy*w+ix]
-						}
-						cols[di] = v
+				for oy := 0; oy < cg.oh; oy++ {
+					row := src[img*size+oy*cg.stride*cg.wp:]
+					for ox := 0; ox < cg.ow; ox++ {
+						cols[di] = row[ox*cg.stride]
 						di += pnr
 					}
 				}
 			}
 		}
-		gebpTile(gpack, cols, R, outC, min(pnr, K-j0), dw.Data[j0:], K, cfg)
+		gebpTile(buf[n*size:], cols, R, outC, min(pnr, K-j0), dw.Data[j0:], K, cfg)
 		putScratch(cols)
 	})
-	putScratch(gpack)
+	putScratch(buf)
 }

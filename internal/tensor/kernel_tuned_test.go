@@ -118,25 +118,24 @@ func TestTunedMenuMatMulBitwise(t *testing.T) {
 	}
 }
 
-// TestTunedMenuConv2DBitwise does the same for the chunked im2col
-// convolution path, including chunk-edge pixel counts.
+// TestTunedMenuConv2DBitwise does the same for the forward convolution
+// over the backward's sweep (convTable × convConfigs): partial edge
+// panels on both operands, images that span two chunks, and output rows
+// that are not a multiple of NR, so a tile stored straight into NCHW
+// crosses row ends.
 func TestTunedMenuConv2DBitwise(t *testing.T) {
 	naive, _ := kernelPair(t)
-	rng := rand.New(rand.NewSource(73))
-	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
-	x := Randn(rng, 0, 1, 2, 3, 16, 9)
-	w := Randn(rng, 0, 1, 5, 3, 3, 3)
-	want := naive.Conv2D(x, w, p)
-	for _, micro := range MicroMenu() {
-		for _, blk := range []int{32, 64} {
-			cfg := micro
-			cfg.BlockM, cfg.BlockN = blk, blk
-			for _, threshold := range []int{1, 1 << 30} {
-				got := mustTuned(t, uniform(cfg, threshold)).Conv2D(x, w, p)
-				name := fmt.Sprintf("Tuned Conv2D cfg=%s threshold=%d", cfg, threshold)
-				bitwiseEqual(t, name, got, want)
-			}
-		}
+	ran := 0
+	convTable(rand.New(rand.NewSource(73)), func(caseName string, cc convCase) {
+		want := naive.Conv2D(cc.x, cc.w, cc.p)
+		convConfigs(func(cfgName string, cfg *TileConfig, threshold int) {
+			got := mustTuned(t, uniform(*cfg, threshold)).Conv2D(cc.x, cc.w, cc.p)
+			bitwiseEqual(t, "Tuned Conv2D "+caseName+" "+cfgName, got, want)
+			ran++
+		})
+	})
+	if ran != convSweepSize {
+		t.Fatalf("swept %d configurations, want %d", ran, convSweepSize)
 	}
 }
 

@@ -121,14 +121,17 @@ func Sigmoid(a *Tensor) *Tensor {
 	return Apply(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 }
 
-// ReLU returns max(0, a) element-wise.
+// ReLU returns max(0, a) element-wise; NaN and −0 map to +0. A direct
+// loop over the zero-filled result, not Apply: an indirect call per
+// element is most of the cost of an op this cheap.
 func ReLU(a *Tensor) *Tensor {
-	return Apply(a, func(x float64) float64 {
+	out := NewLike(a)
+	for i, x := range a.Data {
 		if x > 0 {
-			return x
+			out.Data[i] = x
 		}
-		return 0
-	})
+	}
+	return out
 }
 
 // Pow returns a^p element-wise.

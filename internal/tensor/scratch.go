@@ -6,7 +6,7 @@ import (
 )
 
 // Every transient buffer of the GEBP engine — pack panels, the conv
-// chunk's unfolded panels and product scratch, the backward panels —
+// passes' padded image copies, gathered panels and product scratch —
 // is borrowed from these free lists and handed back before the op
 // returns, so in steady state an op allocates its result and nothing
 // else. Buffers come in power-of-two size classes; a borrower gets the

@@ -274,6 +274,19 @@ func TestApplyFunctions(t *testing.T) {
 	}
 }
 
+// TestReLUBits pins ReLU's output bits on the edge values: only x > 0
+// passes through, so NaN, −0 and −Inf all come out as +0.
+func TestReLUBits(t *testing.T) {
+	in := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1)}
+	want := []float64{0, 0, 0, 1, 0, math.Inf(1), 0}
+	got := ReLU(FromSlice(in, len(in)))
+	for i := range in {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want[i]) {
+			t.Errorf("ReLU(%v) = %v (bits %#x), want %v", in[i], got.Data[i], math.Float64bits(got.Data[i]), want[i])
+		}
+	}
+}
+
 func TestDotNormMaxAbs(t *testing.T) {
 	a := FromSlice([]float64{3, 4}, 2)
 	if Dot(a, a) != 25 {

@@ -82,9 +82,9 @@ const (
 	// ShapeFat: the output dominates (max(m,n) ≥ 4·k), e.g.
 	// 2048×64×2048 — a fat output computed from a shallow k.
 	ShapeFat = "fat"
-	// ShapeConv: the im2col GEMM inside Conv2D (rows = output pixels,
-	// k = c·k·k taps) and its two adjoints inside Conv2DBackward,
-	// tuned as one class of its own.
+	// ShapeConv: the implicit im2col GEMM inside Conv2D (rows = output
+	// channels, columns = output pixels, k = c·k·k taps) and its two
+	// adjoints inside Conv2DBackward, tuned as one class of its own.
 	ShapeConv = "conv"
 )
 
@@ -110,8 +110,9 @@ type Tuning struct {
 	// kernel's loops fork across cores.
 	Threshold int `json:"parallel_threshold"`
 	// Square, Skinny, and Fat drive MatMul/MatMulT/TMatMul by
-	// GEMMShapeClass; Conv drives the chunked im2col GEMMs in Conv2D
-	// and Conv2DBackward.
+	// GEMMShapeClass; Conv drives Conv2D's weights×pixels GEMM (MR
+	// lanes over output channels, NR over pixels) and Conv2DBackward's
+	// taps×pixels and channels×taps ones.
 	Square TileConfig `json:"square"`
 	Skinny TileConfig `json:"skinny"`
 	Fat    TileConfig `json:"fat"`

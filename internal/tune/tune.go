@@ -374,7 +374,13 @@ func LoadFile(path string) ([]*Config, error) {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	return decode(f, path)
+}
+
+// decode is LoadFile's reader half; name stands for the stream in
+// errors.
+func decode(r io.Reader, name string) ([]*Config, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	var out []*Config
 	lineNo := 0
@@ -393,15 +399,15 @@ func LoadFile(path string) ([]*Config, error) {
 		}
 		c := &Config{}
 		if err := json.Unmarshal(env.Data, c); err != nil {
-			return nil, fmt.Errorf("tune: %s:%d: bad tuneconfig payload: %v", path, lineNo, err)
+			return nil, fmt.Errorf("tune: %s:%d: bad tuneconfig payload: %v", name, lineNo, err)
 		}
 		out = append(out, c)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tune: %s: %v", path, err)
+		return nil, fmt.Errorf("tune: %s: %v", name, err)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("tune: %s: no tuneconfig envelopes found", path)
+		return nil, fmt.Errorf("tune: %s: no tuneconfig envelopes found", name)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -198,4 +199,37 @@ func TestLoadedConfigRoundTrip(t *testing.T) {
 	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}); got.Square != want {
 		t.Errorf("square class = %v, want %v", got.Square, want)
 	}
+}
+
+// FuzzTuneConfigStream feeds arbitrary bytes to the stream decoder
+// behind LoadFile, the last file decoder without a fuzz target. It must
+// not panic, and every Config it returns must either convert to a
+// Tuning that validates or make Config.Tuning say why not: a hostile
+// stream can never reach tensor.Tuned as an unchecked tuning.
+func FuzzTuneConfigStream(f *testing.F) {
+	f.Add([]byte(envLine("amd64", 4) + "\n" + envLine("arm64", 8) + "\n"))
+	f.Add([]byte(`{"v":1,"kind":"session","run":{},"data":{"id":"DC-AI-C1"}}` + "\nnot json at all\n" + `{"v":7,"kind":"tuneconfig","data":{}}`))
+	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":"not an object"}`))
+	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","parallel_threshold":-5,"entries":[{"op":"conv2d","shape_class":"conv","mr":-3,"nr":0,"k_unroll":999,"block_m":0}]}}`))
+	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","entries":[{"op":"gemm","shape_class":"fat","mr":4,"nr":4,"k_unroll":2,"block_m":8,"block_n":12},{"op":"gemm","shape_class":"cube"}]}}`))
+	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"naive"}}`))
+	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"entries":[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfgs, err := decode(bytes.NewReader(data), "fuzz")
+		if err != nil {
+			if cfgs != nil {
+				t.Fatalf("decode returned %d configs beside error %v", len(cfgs), err)
+			}
+			return
+		}
+		for i, c := range cfgs {
+			tuning, err := c.Tuning()
+			if err != nil {
+				continue
+			}
+			if verr := tuning.Validate(); verr != nil {
+				t.Fatalf("config %d converted to a tuning that does not validate: %v (%+v)", i, verr, c)
+			}
+		}
+	})
 }
