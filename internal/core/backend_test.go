@@ -38,10 +38,10 @@ type flakyGroup struct {
 	epochs int
 }
 
-func (g *flakyGroup) BeginEpoch() (int, error) {
+func (g *flakyGroup) BeginEpoch() error {
 	g.epochs++
 	if g.epochs > 2 {
-		return 0, errors.New("dist: flaky-test backend: replica 1 exited mid-run (injected)")
+		return errors.New("dist: flaky-test backend: replica 1 exited mid-run (injected)")
 	}
 	return g.Group.BeginEpoch()
 }

@@ -38,31 +38,27 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 }
 
 // each is the one suite loop every run kind goes through: it runs body
-// once per benchmark of the plan, at most width at a time (<= 0 means
+// once per benchmark of bs, at most width at a time (<= 0 means
 // GOMAXPROCS; 1 runs them in plan order), each under its own span of
 // root — the benchmark ids give concurrent siblings the distinct names
 // the telemetry canonicalization contract requires. The record a body
-// returns lands in res and then goes to sink; a body that measured
-// nothing returns the zero Record. Sink calls are serialized, in
-// completion order. The first error — a body's or the sink's — is
-// latched and returned, and cancels the bodies still running; what
-// those had measured by then is still filed and delivered, so the sink
-// sees every record res holds. Once ctx is done (or a body panics; the
-// panic is re-raised here) no further benchmark launches.
-func (r *Runner) each(ctx context.Context, width int, root *telemetry.Span, sink func(Record) error, res *RunResult,
+// returns for bs[i] is filed in res as the i-th and then goes to sink;
+// a body that measured nothing returns the zero Record. It knows
+// nothing of run kinds: a kind that skips benchmarks hands it a shorter
+// list. Sink calls are serialized, in completion order. The first
+// error — a body's or the sink's — is latched and returned, and
+// cancels the bodies still running; what those had measured by then is
+// still filed and delivered, so the sink sees every record res holds.
+// Once ctx is done (or a body panics; the panic is re-raised here) no
+// further benchmark launches.
+func each(ctx context.Context, bs []*Benchmark, width int, root *telemetry.Span, sink func(Record) error, res *RunResult,
 	body func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error)) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var mu sync.Mutex
 	var firstErr error
-	parallel.ForCtx(ctx, width, len(r.bs), func(i int) {
-		b := r.bs[i]
-		// A sweep has nothing to measure on a benchmark without a sharded
-		// train step: skipped before its span opens, so a trace lists
-		// only what was measured.
-		if r.plan.Kind == RunScaling && !b.Shardable() {
-			return
-		}
+	parallel.ForCtx(ctx, width, len(bs), func(i int) {
+		b := bs[i]
 		span := root.Child(b.ID)
 		rec, err := body(ctx, b, span)
 		span.End()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"aibench/internal/dist"
 	"aibench/internal/gpusim"
@@ -480,22 +481,26 @@ func (r *Runner) runKind(ctx context.Context, sink func(Record) error, root *tel
 			p.Log = &syncWriter{w: p.Log}
 		}
 		res.Sessions = make([]SessionResult, len(r.bs))
-		return r.each(ctx, p.Workers, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
+		return each(ctx, r.bs, p.Workers, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
 			sr, err := b.runSession(ctx, p, DeriveSeed(p.Seed, b.ID), span)
 			return Record{Kind: KindSession, Session: &sr}, err
 		})
 	case RunCharacterize:
 		res.Characterizations = make([]Characterization, len(r.bs))
-		return r.each(ctx, p.Workers, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
+		return each(ctx, r.bs, p.Workers, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
 			c := b.Characterize(p.Device)
 			return Record{Kind: KindCharacterization, Characterization: &c}, nil
 		})
 	case RunScaling:
-		return r.each(ctx, 1, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
+		// A sweep has nothing to measure on a benchmark without a sharded
+		// train step: it is left out of the loop, so a trace lists only
+		// what was measured.
+		shardable := slices.DeleteFunc(slices.Clone(r.bs), func(b *Benchmark) bool { return !b.Shardable() })
+		return each(ctx, shardable, 1, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
 			return b.runSweep(ctx, p, DeriveSeed(p.Seed, b.ID), span)
 		})
 	case RunReplay:
-		return r.each(ctx, 1, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
+		return each(ctx, r.bs, 1, root, sink, res, func(_ context.Context, b *Benchmark, _ *telemetry.Span) (Record, error) {
 			rs := b.RunReplaySession(DeriveSeed(p.Seed, b.ID))
 			return Record{Kind: KindReplay, Replay: &rs}, nil
 		})

@@ -132,7 +132,7 @@ func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *te
 		name, target = wl.Name(), wl.ScaledTarget()
 		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
 		if p.Shards > 0 && fallback == "" {
-			fallback = fmt.Sprintf("requested shards=%d on the %q backend but workload implements no sharded train step (models.ShardedTrainer or models.PhasedTrainer)", p.Shards, p.backendName())
+			fallback = fmt.Sprintf("requested shards=%d on the %q backend but workload implements no sharded train step (models.PhasedTrainer)", p.Shards, p.backendName())
 		}
 		// Record why the run asked for data-parallel training and
 		// didn't get it, so the fallback is never mistaken for a

@@ -41,21 +41,26 @@ type Backend interface {
 // calls in flight), and every error is fatal to the group: a dead
 // child process or a diverged replica surfaces here as a per-benchmark
 // error for the session to record, never as a panic that takes the
-// suite down. Close releases whatever the backend spawned and is
+// suite down. BeginEpoch and ApplyPhase answer nothing the engine
+// needs, so a backend may return from them before the ranks have
+// finished: each rank still runs them in order, before the next
+// collective's work, and a rank that fails in one surfaces at the next
+// collective that reads from the ranks (ComputePhase, Quality or
+// Close). Close releases whatever the backend spawned and is
 // idempotent.
 type Group interface {
 	// Spec describes the workload as every rank constructed it.
 	Spec() GroupSpec
-	// BeginEpoch starts an epoch on every rank and returns the
-	// benchmark's step count for it.
-	BeginEpoch() (steps int, err error)
+	// BeginEpoch starts an epoch on every rank (the epoch runs
+	// Spec().Steps steps).
+	BeginEpoch() error
 	// ComputePhase runs phase p's grain compute on every rank and
 	// returns one PhaseOut per rank. The returned slices are valid
 	// until the next collective call.
 	ComputePhase(p int) ([]PhaseOut, error)
 	// ApplyPhase installs the all-reduced gradient (sliced to the
 	// phase group's length) and buffer state on every rank and applies
-	// the phase update.
+	// the phase update. The vectors may be reused once it returns.
 	ApplyPhase(p int, grad, buf []float64) error
 	// Quality evaluates the benchmark metric on every rank (identical
 	// draws keep dataset RNG streams in lockstep) and returns the
@@ -87,6 +92,9 @@ type GroupSpec struct {
 	// BufLen is the flattened length of the non-gradient buffer state
 	// (0 for benchmarks without batch-norm-style buffers).
 	BufLen int `json:"buf_len"`
+	// Steps is the benchmark's optimizer steps per epoch, fixed for the
+	// instance's lifetime.
+	Steps int `json:"steps"`
 }
 
 // MeetsTarget reports whether quality q satisfies the workload's
@@ -124,9 +132,9 @@ func validateSpecs(specs []GroupSpec) error {
 	s0 := specs[0]
 	for r := 1; r < len(specs); r++ {
 		s := specs[r]
-		if len(s.Phases) != len(s0.Phases) || s.ParamLen != s0.ParamLen || s.BufLen != s0.BufLen {
-			return fmt.Errorf("dist: replica %d constructed a different workload shape than replica 0 (%d phases/%d params/%d buffers vs %d/%d/%d)",
-				r, len(s.Phases), s.ParamLen, s.BufLen, len(s0.Phases), s0.ParamLen, s0.BufLen)
+		if len(s.Phases) != len(s0.Phases) || s.ParamLen != s0.ParamLen || s.BufLen != s0.BufLen || s.Steps != s0.Steps {
+			return fmt.Errorf("dist: replica %d constructed a different workload shape than replica 0 (%d phases/%d params/%d buffers/%d steps vs %d/%d/%d/%d)",
+				r, len(s.Phases), s.ParamLen, s.BufLen, s.Steps, len(s0.Phases), s0.ParamLen, s0.BufLen, s0.Steps)
 		}
 		for p := range s0.Phases {
 			if s.GroupLen[p] != s0.GroupLen[p] {

@@ -19,9 +19,9 @@
 //
 // Phases run strictly in declared order: a WGAN's critic updates
 // complete (reduce + apply) before its generator phase draws a single
-// gradient, exactly as the serial alternating scheme demands. The
-// single-phase models.ShardedTrainer contract is executed as the
-// degenerate one-phase case through the same loop.
+// gradient, exactly as the serial alternating scheme demands. Most
+// benchmarks declare a single "step" phase and run through the same
+// loop.
 //
 // The engine talks to replicas only through the Backend/Group
 // lifecycle, and backends register by name (dist.Register) so plans
@@ -43,10 +43,9 @@ import (
 	"aibench/internal/telemetry"
 )
 
-// ErrNotShardable reports that a benchmark's workload implements
-// neither models.PhasedTrainer nor models.ShardedTrainer and cannot
-// train data-parallel.
-var ErrNotShardable = errors.New("dist: benchmark implements no sharded train step (models.ShardedTrainer or models.PhasedTrainer)")
+// ErrNotShardable reports that a benchmark's workload does not
+// implement models.PhasedTrainer and cannot train data-parallel.
+var ErrNotShardable = errors.New("dist: benchmark implements no sharded train step (models.PhasedTrainer)")
 
 // phaseScratch holds one phase's reusable gather/reduce vectors; the
 // step loop is exactly what the scaling sweep and
@@ -65,11 +64,10 @@ type phaseScratch struct {
 // fixed-order all-reduce, and the identical update every rank applies
 // — the group underneath only decides where each rank's compute runs.
 type Engine struct {
-	group     Group
-	spec      GroupSpec
-	workers   int
-	reduction Reduction
-	closed    bool
+	group   Group
+	spec    GroupSpec
+	workers int
+	closed  bool
 
 	reduced    []float64 // all-reduced gradient of the current phase
 	reducedBuf []float64 // all-reduced buffer state
@@ -106,7 +104,6 @@ func New(ctx context.Context, benchID string, factory models.Factory, seed int64
 		group:      group,
 		spec:       spec,
 		workers:    backend.Workers(),
-		reduction:  Linear,
 		reduced:    make([]float64, spec.ParamLen),
 		reducedBuf: make([]float64, spec.BufLen),
 		scratch:    make([]phaseScratch, len(spec.Phases)),
@@ -115,15 +112,11 @@ func New(ctx context.Context, benchID string, factory models.Factory, seed int64
 }
 
 // Shardable reports whether the factory's benchmark supports
-// data-parallel training (implements models.ShardedTrainer or
-// models.PhasedTrainer).
+// data-parallel training (implements models.PhasedTrainer).
 func Shardable(factory models.Factory) bool {
-	return models.AsPhased(factory(1)) != nil
+	_, ok := factory(1).(models.PhasedTrainer)
+	return ok
 }
-
-// SetReduction selects the all-reduce combination order (Linear by
-// default). Must be called before training starts.
-func (e *Engine) SetReduction(r Reduction) { e.reduction = r }
 
 // Workers returns the backend's replica count.
 func (e *Engine) Workers() int { return e.workers }
@@ -159,10 +152,10 @@ func (e *Engine) Close() error {
 // the group failed (a dead replica, a determinism violation) and the
 // engine is no longer usable.
 func (e *Engine) TrainEpoch() (float64, error) {
-	steps, err := e.group.BeginEpoch()
-	if err != nil {
+	if err := e.group.BeginEpoch(); err != nil {
 		return 0, err
 	}
+	steps := e.spec.Steps
 	if steps <= 0 {
 		return 0, nil
 	}
@@ -294,9 +287,9 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 	// The gradient reduce and the loss-scalar reduce are two rounds over
 	// total grains of plen and 1 floats respectively.
 	rspan := span.Child("allreduce")
-	Reduce(e.reduction, sc.vecs, sc.weights, e.reduced[:plen])
+	Reduce(sc.vecs, sc.weights, e.reduced[:plen])
 	var lossOut [1]float64
-	Reduce(e.reduction, sc.scalars, sc.weights, lossOut[:])
+	Reduce(sc.scalars, sc.weights, lossOut[:])
 	rspan.Add(int64(total) * int64(plen+1))
 	rspan.End()
 	span.Count(telemetry.CounterReduceRounds, 2)
@@ -307,7 +300,7 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 		for g, gr := range sc.order {
 			sc.vecs[g] = gr.Buf
 		}
-		Reduce(e.reduction, sc.vecs, sc.weights, e.reducedBuf)
+		Reduce(sc.vecs, sc.weights, e.reducedBuf)
 		bspan.Add(int64(total) * int64(e.spec.BufLen))
 		bspan.End()
 		span.Count(telemetry.CounterReduceRounds, 1)

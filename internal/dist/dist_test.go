@@ -134,36 +134,6 @@ func TestShardedEntireSessionIdentical(t *testing.T) {
 	}
 }
 
-// TestTreeReductionDeterministic checks the alternative fixed-topology
-// tree all-reduce is also worker-count invariant (its results may
-// differ from Linear's, but never across shard counts).
-func TestTreeReductionDeterministic(t *testing.T) {
-	factory := findFactory(t, "DC-AI-C10")
-	train := func(shards int) []float64 {
-		eng, err := dist.New(context.Background(), "DC-AI-C10", factory, 7, dist.NewLocal(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetReduction(dist.Tree)
-		losses := make([]float64, 3)
-		for e := range losses {
-			if losses[e], err = eng.TrainEpoch(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return losses
-	}
-	base := train(1)
-	for _, n := range []int{3, 8} {
-		got := train(n)
-		for e := range base {
-			if math.Float64bits(got[e]) != math.Float64bits(base[e]) {
-				t.Fatalf("tree reduce shards=%d epoch %d: %v != %v", n, e+1, got[e], base[e])
-			}
-		}
-	}
-}
-
 // TestNotShardableFallsBackToSerial checks a benchmark without a
 // shardable train step runs the classic serial session (bitwise equal
 // to a Shards=0 run) and reports Shards=0.

@@ -25,9 +25,17 @@ import (
 // bitwise, which is what makes cross-backend determinism provable),
 // strings and vectors length-prefixed with a u32; the three
 // control-plane bodies (the hello, the spec reply, the close reply's
-// counts) are JSON. The protocol is strictly request/reply per rank and
-// the parent is the only initiator, so no frame ever needs reordering
-// or an id.
+// counts) are JSON.
+//
+// The parent is the only initiator: it sends requests, and replyTo
+// declares which reply each one gets. Begin-epoch and apply are
+// one-way — the child runs them and answers nothing — because the
+// child serves one ordered pipe in one sequential loop: it has finished
+// apply(p) before it reads compute(p+1), so an acknowledgement would
+// prove nothing the next reply does not. A child that fails in a
+// one-way request sends an error frame in place of the next reply it
+// owes (compute, quality and close always follow). Requests and
+// replies therefore pair up in order and no frame ever needs an id.
 const (
 	// parent → child
 	frameHello      byte = iota + 1 // hello
@@ -39,13 +47,24 @@ const (
 
 	// child → parent
 	frameSpec       // GroupSpec
-	frameEpochSteps // steps
 	framePhaseOut   // PhaseOut
-	frameApplied    // (empty)
 	frameQualityOut // quality
 	frameClosed     // kernel-op counts
 	frameError      // message (terminal: the child is giving up)
 )
+
+// replyTo is the protocol, declared once for both ends: every request
+// type the parent may send, mapped to the reply type the child answers
+// it with — zero for a one-way request. A frame type it does not list
+// is not a request.
+var replyTo = map[byte]byte{
+	frameHello:      frameSpec,
+	frameBeginEpoch: 0,
+	frameCompute:    framePhaseOut,
+	frameApply:      0,
+	frameQuality:    frameQualityOut,
+	frameClose:      frameClosed,
+}
 
 // maxFrame bounds the length prefix readFrame accepts: a gradient
 // frame is O(grains × paramLen) float64s, far under this for every
@@ -76,7 +95,9 @@ func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 }
 
 // readFrame reads one frame. io.EOF surfaces unchanged so callers can
-// tell a cleanly-closed pipe (dead peer) from a protocol error.
+// tell a cleanly-closed pipe (dead peer) from a protocol error; a frame
+// the stream ends inside — a peer killed mid-write — is an error that
+// wraps io.EOF or io.ErrUnexpectedEOF.
 func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -93,7 +114,7 @@ func readFrame(r *bufio.Reader) (byte, []byte, error) {
 	got := 0
 	for {
 		if _, err := io.ReadFull(r, body[got:]); err != nil {
-			return 0, nil, fmt.Errorf("dist: truncated frame: %v", err)
+			return 0, nil, fmt.Errorf("dist: truncated frame: %w", err)
 		}
 		got = len(body)
 		if got == int(n) {
@@ -258,18 +279,19 @@ func decodeClosed(payload []byte) (ops []telemetry.OpCount, err error) {
 func encodeSpec(s GroupSpec) ([]byte, error) { return json.Marshal(s) }
 
 // decodeSpec is the parent's side of a trust boundary: the engine sizes
-// its reduce vectors and slices them by what the spec declares, so a
-// spec whose lengths do not describe one workload — no phase, a group
-// per phase missing, a group longer than the parameter set, a vector
-// longer than any frame could carry — is refused here.
+// its reduce vectors and slices them by what the spec declares, and
+// loops over its steps, so a spec that does not describe one workload —
+// no phase, a group per phase missing, a group longer than the
+// parameter set, a vector longer than any frame could carry, a negative
+// step count — is refused here.
 func decodeSpec(payload []byte) (s GroupSpec, err error) {
 	if err = json.Unmarshal(payload, &s); err != nil {
 		return GroupSpec{}, fmt.Errorf("dist: decoding spec: %v", err)
 	}
 	const maxVec = maxFrame / 8
-	if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || s.ParamLen > maxVec || s.BufLen < 0 || s.BufLen > maxVec {
-		return GroupSpec{}, fmt.Errorf("dist: spec: %d phases, %d reduce groups, %d params, %d buffers do not describe a workload",
-			len(s.Phases), len(s.GroupLen), s.ParamLen, s.BufLen)
+	if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || s.ParamLen > maxVec || s.BufLen < 0 || s.BufLen > maxVec || s.Steps < 0 {
+		return GroupSpec{}, fmt.Errorf("dist: spec: %d phases, %d reduce groups, %d params, %d buffers, %d steps do not describe a workload",
+			len(s.Phases), len(s.GroupLen), s.ParamLen, s.BufLen, s.Steps)
 	}
 	for p, n := range s.GroupLen {
 		if n < 0 || n > s.ParamLen {

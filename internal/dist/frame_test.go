@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 
 	"aibench/internal/models"
@@ -23,7 +24,7 @@ var (
 	seedSpec = GroupSpec{
 		Name: "img-cls", Target: 0.9, LowerIsBetter: true,
 		Phases:   []models.PhaseSpec{{Name: "train", Report: true}, {Name: "distill"}},
-		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 1,
+		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 1, Steps: 1,
 	}
 	seedPhaseOut = PhaseOut{Total: 4, Grains: []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}, Buf: []float64{0.5}}}}
 )
@@ -66,9 +67,7 @@ func FuzzReadFrame(f *testing.F) {
 		{frameQuality, nil},
 		{frameClose, nil},
 		{frameSpec, spec},
-		{frameEpochSteps, appendU32(nil, 10)},
 		{framePhaseOut, encodePhaseOut(out)},
-		{frameApplied, nil},
 		{frameQualityOut, appendF64(nil, 0.75)},
 		{frameClosed, []byte(`[{"op":"matmul","calls":4,"flops":1024}]`)},
 		{frameError, appendStr(nil, "replica gave up")},
@@ -77,11 +76,13 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	whole := frameBytes(f, framePhaseOut, encodePhaseOut(out))
 	f.Add(whole[:len(whole)-3])                               // truncated payload
-	f.Add([]byte{0, 0, 0, 0, frameApplied})                   // zero length
+	f.Add([]byte{0, 0, 0, 0, frameSpec})                      // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameSpec, 1, 2})    // prefix past maxFrame
 	f.Add([]byte{0x00, 0x00, 0x00, 0x40, frameSpec, 1, 2})    // prefix = maxFrame, 3 bytes behind it
 	f.Add(append(frameBytes(f, frameQuality, nil), whole...)) // two frames back to back
 	f.Add([]byte{5, 0})                                       // short prefix
+	f.Add(frameBytes(f, 0, nil))                              // type zero: no request, no reply
+	f.Add(frameBytes(f, 0xff, appendStr(nil, "unlisted")))    // a type replyTo does not list
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
@@ -119,13 +120,13 @@ func TestReadFrameMultiChunk(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	stream := append(frameBytes(t, frameApply, payload), frameBytes(t, frameApplied, nil)...)
+	stream := append(frameBytes(t, frameApply, payload), frameBytes(t, frameQuality, nil)...)
 	r := bufio.NewReader(bytes.NewReader(stream))
 	typ, got, err := readFrame(r)
 	if err != nil || typ != frameApply || !bytes.Equal(got, payload) {
 		t.Fatalf("first frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
-	if typ, got, err = readFrame(r); err != nil || typ != frameApplied || len(got) != 0 {
+	if typ, got, err = readFrame(r); err != nil || typ != frameQuality || len(got) != 0 {
 		t.Fatalf("second frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
 }
@@ -151,13 +152,15 @@ var hostileSpecs = map[string]string{
 	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[-1],"param_len":4,"buf_len":0}`:                      `phase "a" reduces -1 of 4 params`,
 	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[0],"param_len":-4,"buf_len":0}`:                      `phase "a" reduces 0 of -4 params`,
 	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[900000000000],"param_len":900000000000,"buf_len":0}`: "do not describe a workload",
+	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":0,"steps":-1}`:            "-1 steps do not describe a workload",
 }
 
 // FuzzSpecFrame hardens the first payload the parent decodes from a
 // child: decodeSpec must turn any spec reply into an error or a spec
 // the engine can size and slice its reduce vectors by — at least one
 // phase, one reduce group per phase, every group within the parameter
-// set, no vector longer than a frame could carry — never a panic, and
+// set, no vector longer than a frame could carry, no negative step
+// count — never a panic, and
 // never an allocation sized by a number the payload merely declares. A
 // spec it lets through survives an encode/decode round trip unchanged.
 func FuzzSpecFrame(f *testing.F) {
@@ -174,7 +177,7 @@ func FuzzSpecFrame(f *testing.F) {
 		if err != nil {
 			return // rejecting the input is fine; panicking is not
 		}
-		if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || len(s.Phases) > len(payload) || s.BufLen < 0 || s.BufLen > maxFrame/8 || s.ParamLen > maxFrame/8 {
+		if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || len(s.Phases) > len(payload) || s.BufLen < 0 || s.BufLen > maxFrame/8 || s.ParamLen > maxFrame/8 || s.Steps < 0 {
 			t.Fatalf("decodeSpec let %+v through", s)
 		}
 		for _, n := range s.GroupLen {
@@ -242,11 +245,31 @@ func FuzzPhaseOutFrame(f *testing.F) {
 // everything in replies and hears nothing: the parent's half of the
 // protocol, run against bytes a test chose.
 func cannedGroup(spec GroupSpec, replies ...[]byte) *processGroup {
-	return &processGroup{spec: spec, outs: make([]PhaseOut, 1), quals: make([]float64, 1), procs: []*workerProc{{
-		in: nopWriteCloser{io.Discard},
-		bw: bufio.NewWriter(io.Discard),
-		br: bufio.NewReader(bytes.NewReader(bytes.Join(replies, nil))),
-	}}}
+	return cannedRanks(spec, bytes.Join(replies, nil))
+}
+
+// cannedRanks is cannedGroup with one child per stream of replies.
+func cannedRanks(spec GroupSpec, streams ...[]byte) *processGroup {
+	g := &processGroup{spec: spec, outs: make([]PhaseOut, len(streams)), quals: make([]float64, len(streams))}
+	for _, replies := range streams {
+		g.procs = append(g.procs, &workerProc{
+			in: nopWriteCloser{io.Discard},
+			bw: bufio.NewWriter(io.Discard),
+			br: bufio.NewReader(bytes.NewReader(replies)),
+		})
+	}
+	return g
+}
+
+// exitingChild is a real child process that exits on its own, for the
+// paths that kill or reap one.
+func exitingChild(tb testing.TB) *exec.Cmd {
+	tb.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	if err := cmd.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	return cmd
 }
 
 // TestHandshakeRefusesHostileSpec: a child whose spec reply describes
@@ -274,7 +297,7 @@ func TestHandshakeRefusesHostileSpec(t *testing.T) {
 // is refused before the engine sizes anything by the four.
 func TestEngineRefusesHostilePhaseOut(t *testing.T) {
 	epoch := func(phaseOut []byte) error {
-		g := cannedGroup(seedSpec, frameBytes(t, frameEpochSteps, appendU32(nil, 1)), frameBytes(t, framePhaseOut, phaseOut))
+		g := cannedGroup(seedSpec, frameBytes(t, framePhaseOut, phaseOut))
 		eng, err := New(context.Background(), "canned", nil, 1, cannedBackend{g})
 		if err != nil {
 			t.Fatal(err)
@@ -289,6 +312,103 @@ func TestEngineRefusesHostilePhaseOut(t *testing.T) {
 	}
 	if err := epoch(encodePhaseOut(seedPhaseOut)); err == nil || !strings.Contains(err.Error(), "reported 1 of the phase's 4 grains") {
 		t.Errorf("one grain of four: err = %v, want the count refused", err)
+	}
+}
+
+// TestHandshakeRefusesDisagreeingSteps: steps per epoch are a fact of
+// the instance, so ranks whose specs declare different counts fail the
+// open instead of training out of lockstep.
+func TestHandshakeRefusesDisagreeingSteps(t *testing.T) {
+	other := seedSpec
+	other.Steps = 2
+	g := cannedRanks(GroupSpec{}, frameBytes(t, frameSpec, mustEncodeSpec(t, seedSpec)), frameBytes(t, frameSpec, mustEncodeSpec(t, other)))
+	err := g.handshake(hello{BenchID: "DC-AI-C16"})
+	if err == nil || !strings.Contains(err.Error(), "replica 1") || !strings.Contains(err.Error(), "2 steps") {
+		t.Fatalf("ranks declaring 1 and 2 steps: err = %v, want replica 1 refused for its 2 steps", err)
+	}
+}
+
+// twoGrains is an honest, complete reply to seedSpec's phase 0 from a
+// group of one.
+var twoGrains = PhaseOut{Total: 2, Grains: []GrainOut{
+	{Grain: 0, N: 4, Loss: 0.5, Grad: []float64{1, 2, 3}, Buf: []float64{0.25}},
+	{Grain: 1, N: 4, Loss: 0.75, Grad: []float64{-1, 0, 1}, Buf: []float64{0.5}},
+}}
+
+// TestOneWayFailureSurfacesAtTheNextCollective: apply is one-way, so a
+// child that gives up in it — an error frame where no reply is owed —
+// fails the epoch at the next compute with its rank and its own words,
+// and a child that answers a one-way request anyway (a stale ack, a
+// reply to nothing) is refused as out of sequence rather than read as
+// the next phase's output.
+func TestOneWayFailureSurfacesAtTheNextCollective(t *testing.T) {
+	epoch := func(afterApply ...[]byte) error {
+		replies := append([][]byte{frameBytes(t, framePhaseOut, encodePhaseOut(twoGrains))}, afterApply...)
+		eng, err := New(context.Background(), "canned", nil, 1, cannedBackend{cannedGroup(seedSpec, replies...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.TrainEpoch()
+		return err
+	}
+	err := epoch(frameBytes(t, frameError, appendStr(nil, "replica panicked: apply blew up")))
+	if err == nil || !strings.Contains(err.Error(), "replica 0: replica panicked: apply blew up") {
+		t.Errorf("error frame after apply: err = %v, want replica 0 failed with the child's message", err)
+	}
+	next := frameBytes(t, framePhaseOut, encodePhaseOut(PhaseOut{Total: 1, Grains: []GrainOut{{Grain: 0, N: 1, Grad: []float64{1, 2}, Buf: []float64{0}}}}))
+	if err := epoch(next); err != nil {
+		t.Fatalf("honest replies: %v", err)
+	}
+	for name, stale := range map[string][]byte{
+		"empty ack":     frameBytes(t, frameSpec, nil),
+		"quality reply": frameBytes(t, frameQualityOut, appendF64(nil, 1)),
+		"unlisted type": frameBytes(t, 0xff, nil),
+	} {
+		if err := epoch(stale, next); err == nil || !strings.Contains(err.Error(), "replica 0") || !strings.Contains(err.Error(), "out of sequence") {
+			t.Errorf("%s after apply: err = %v, want replica 0 refused as out of sequence", name, err)
+		}
+	}
+}
+
+// brokenPipe is the write end of a pipe whose reader is gone.
+type brokenPipe struct{}
+
+func (brokenPipe) Write([]byte) (int, error) { return 0, syscall.EPIPE }
+
+// TestWriteToGoneChildReportsWhatItLeft: a write fails only when the
+// child is gone, so a one-way request — or the close — written to one
+// reports what the child left in its pipe: its error frame, or that it
+// exited mid-run. Never the pipe's own "broken pipe".
+func TestWriteToGoneChildReportsWhatItLeft(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		left       []byte
+	}{
+		{"killed", "replica 0 exited mid-run (killed or crashed)", nil},
+		{"killed mid-reply", "replica 0 exited mid-run (killed or crashed)", frameBytes(t, frameQualityOut, appendF64(nil, 1))[:7]},
+		{"gave up", "replica 0: replica panicked: out of memory", frameBytes(t, frameError, appendStr(nil, "replica panicked: out of memory"))},
+		{"gave up after a reply", "replica 0: bad apply frame (phase 9)",
+			bytes.Join([][]byte{frameBytes(t, frameQualityOut, appendF64(nil, 1)), frameBytes(t, frameError, appendStr(nil, "bad apply frame (phase 9)"))}, nil)},
+	} {
+		for name, write := range map[string]func(g *processGroup) error{
+			"begin-epoch": (*processGroup).BeginEpoch,
+			"apply":       func(g *processGroup) error { return g.ApplyPhase(0, []float64{1, 2, 3}, []float64{0}) },
+			"close":       (*processGroup).Close,
+		} {
+			g := cannedGroup(seedSpec, c.left)
+			g.procs[0].cmd = exitingChild(t)
+			g.procs[0].bw = bufio.NewWriter(brokenPipe{})
+			err := write(g)
+			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "broken pipe") {
+				t.Errorf("%s, %s: err = %v, want %q", c.name, name, err, c.want)
+			}
+			if _, qerr := g.Quality(); qerr == nil {
+				t.Errorf("%s, %s: the group is still up after losing its child", c.name, name)
+			}
+			if cerr := g.Close(); cerr != nil && name != "close" {
+				t.Errorf("%s, %s: closing the broken group: %v", c.name, name, cerr)
+			}
+		}
 	}
 }
 
@@ -362,13 +482,9 @@ func FuzzClosedFrame(f *testing.F) {
 func TestCloseRefusesHostileCounters(t *testing.T) {
 	closeWith := func(body string) (telemetry.CounterSet, error) {
 		// Any child that exits on its own will do: Close only reaps it.
-		cmd := exec.Command(os.Args[0], "-test.run=^$")
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
 		var counters telemetry.Counters
 		g := &processGroup{counters: &counters, procs: []*workerProc{{
-			cmd: cmd,
+			cmd: exitingChild(t),
 			in:  nopWriteCloser{io.Discard},
 			bw:  bufio.NewWriter(io.Discard),
 			br:  bufio.NewReader(bytes.NewReader(frameBytes(t, frameClosed, []byte(body)))),

@@ -63,7 +63,6 @@ type localGroup struct {
 	replicas []*replica
 	outs     []PhaseOut
 	quals    []float64
-	steps    []int
 }
 
 func (g *localGroup) run(fn func(r int)) {
@@ -73,12 +72,9 @@ func (g *localGroup) run(fn func(r int)) {
 
 func (g *localGroup) Spec() GroupSpec { return g.replicas[0].spec }
 
-func (g *localGroup) BeginEpoch() (int, error) {
-	if g.steps == nil {
-		g.steps = make([]int, len(g.replicas))
-	}
-	g.run(func(r int) { g.steps[r] = g.replicas[r].beginEpoch() })
-	return g.steps[0], nil
+func (g *localGroup) BeginEpoch() error {
+	g.run(func(r int) { g.replicas[r].trainer.BeginEpoch() })
+	return nil
 }
 
 func (g *localGroup) ComputePhase(p int) ([]PhaseOut, error) {

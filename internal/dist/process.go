@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -100,13 +101,13 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 func (g *processGroup) handshake(h hello) error {
 	for rank, wp := range g.procs {
 		h.Rank = rank
-		if err := writeFrame(wp.bw, frameHello, encodeHello(h)); err != nil {
-			return fmt.Errorf("dist: process backend: replica %d: sending hello: %v", rank, err)
+		if err := g.write(rank, wp, frameHello, encodeHello(h)); err != nil {
+			return err
 		}
 	}
 	specs := make([]GroupSpec, len(g.procs))
 	for rank, wp := range g.procs {
-		payload, err := g.recv(rank, wp, frameSpec)
+		payload, err := g.recv(rank, wp, replyTo[frameHello])
 		if err != nil {
 			return err
 		}
@@ -128,8 +129,9 @@ type workerProc struct {
 }
 
 // processGroup drives the worker children. Every collective sends the
-// command to all ranks first (children overlap their compute) and then
-// reads replies rank by rank. Any pipe failure marks the group broken:
+// request to all ranks first (children overlap their compute) and then
+// reads the replies replyTo declares rank by rank; a one-way request is
+// done once it is sent. Any pipe failure marks the group broken:
 // further collectives fail fast and Close kills whatever is left.
 type processGroup struct {
 	spec     GroupSpec
@@ -143,7 +145,9 @@ type processGroup struct {
 
 // recv reads one frame from a rank and requires the given type. A
 // closed pipe or an error frame is translated into the per-benchmark
-// error the session records as the failure reason.
+// error the session records as the failure reason; any other type is
+// out of sequence — a reply to nothing the parent asked, or none to
+// what it did.
 func (g *processGroup) recv(rank int, wp *workerProc, want byte) ([]byte, error) {
 	typ, payload, err := g.recvAny(rank, wp)
 	if err != nil {
@@ -151,7 +155,7 @@ func (g *processGroup) recv(rank int, wp *workerProc, want byte) ([]byte, error)
 	}
 	if typ != want {
 		g.broken = true
-		return nil, fmt.Errorf("dist: process backend: replica %d: expected frame type %d, got %d", rank, want, typ)
+		return nil, fmt.Errorf("dist: process backend: replica %d: frame type %d out of sequence (expected %d)", rank, typ, want)
 	}
 	return payload, nil
 }
@@ -160,7 +164,8 @@ func (g *processGroup) recvAny(rank int, wp *workerProc) (byte, []byte, error) {
 	typ, payload, err := readFrame(wp.br)
 	if err != nil {
 		g.broken = true
-		if err == io.EOF {
+		// The pipe ended, between frames or inside one: the child is gone.
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, fmt.Errorf("dist: process backend: replica %d exited mid-run (killed or crashed)", rank)
 		}
 		return 0, nil, fmt.Errorf("dist: process backend: replica %d: %v", rank, err)
@@ -173,28 +178,54 @@ func (g *processGroup) recvAny(rank int, wp *workerProc) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// collective broadcasts one command frame and then collects each
-// rank's reply of the wanted type through per-rank handler calls.
-func (g *processGroup) collective(typ byte, payload []byte, want byte, handle func(rank int, payload []byte) error) error {
+// write sends one request frame to a rank. A write fails only when the
+// child is gone, so the failure is reported as what the child left
+// behind, never as the pipe's own error: the group is marked broken,
+// the child killed, and its pipe read to the end — the error frame it
+// sent, or else the exited-mid-run error.
+func (g *processGroup) write(rank int, wp *workerProc, typ byte, payload []byte) error {
+	if writeFrame(wp.bw, typ, payload) == nil {
+		return nil
+	}
+	g.broken = true
+	_ = wp.cmd.Process.Kill()
+	for {
+		if _, _, err := g.recvAny(rank, wp); err != nil {
+			return err
+		}
+	}
+}
+
+// send writes one request to every rank. For a one-way request
+// (BeginEpoch, ApplyPhase) that is the whole collective: a rank that
+// fails in it reports so in place of its next reply.
+func (g *processGroup) send(typ byte, payload []byte) error {
 	if g.broken || g.closed {
 		return fmt.Errorf("dist: process backend: replica group is down")
 	}
 	for rank, wp := range g.procs {
-		if err := writeFrame(wp.bw, typ, payload); err != nil {
-			g.broken = true
-			return fmt.Errorf("dist: process backend: replica %d: %v", rank, err)
+		if err := g.write(rank, wp, typ, payload); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// collective sends one request to every rank and then collects each
+// rank's reply — the type replyTo declares — through per-rank handler
+// calls; a handler's error is reported against its rank.
+func (g *processGroup) collective(typ byte, payload []byte, handle func(rank int, payload []byte) error) error {
+	if err := g.send(typ, payload); err != nil {
+		return err
+	}
 	for rank, wp := range g.procs {
-		body, err := g.recv(rank, wp, want)
+		body, err := g.recv(rank, wp, replyTo[typ])
 		if err != nil {
 			return err
 		}
-		if handle != nil {
-			if err := handle(rank, body); err != nil {
-				g.broken = true
-				return err
-			}
+		if err := handle(rank, body); err != nil {
+			g.broken = true
+			return fmt.Errorf("dist: process backend: replica %d: %v", rank, err)
 		}
 	}
 	return nil
@@ -202,30 +233,11 @@ func (g *processGroup) collective(typ byte, payload []byte, want byte, handle fu
 
 func (g *processGroup) Spec() GroupSpec { return g.spec }
 
-func (g *processGroup) BeginEpoch() (int, error) {
-	steps := 0
-	err := g.collective(frameBeginEpoch, nil, frameEpochSteps, func(rank int, body []byte) error {
-		fr := &frameReader{b: body}
-		s := int(fr.u32())
-		if fr.err != nil {
-			return fmt.Errorf("dist: process backend: replica %d: %v", rank, fr.err)
-		}
-		if rank == 0 {
-			steps = s
-		} else if s != steps {
-			return fmt.Errorf("dist: process backend: replica %d reported %d steps, replica 0 reported %d", rank, s, steps)
-		}
-		return nil
-	})
-	return steps, err
-}
+func (g *processGroup) BeginEpoch() error { return g.send(frameBeginEpoch, nil) }
 
 func (g *processGroup) ComputePhase(p int) ([]PhaseOut, error) {
-	err := g.collective(frameCompute, appendU32(nil, uint32(p)), framePhaseOut, func(rank int, body []byte) error {
-		if derr := decodePhaseOut(body, &g.outs[rank], g.spec.GroupLen[p], g.spec.BufLen); derr != nil {
-			return fmt.Errorf("dist: process backend: replica %d: %v", rank, derr)
-		}
-		return nil
+	err := g.collective(frameCompute, appendU32(nil, uint32(p)), func(rank int, body []byte) error {
+		return decodePhaseOut(body, &g.outs[rank], g.spec.GroupLen[p], g.spec.BufLen)
 	})
 	if err != nil {
 		return nil, err
@@ -237,17 +249,14 @@ func (g *processGroup) ApplyPhase(p int, grad, buf []float64) error {
 	body := appendU32(nil, uint32(p))
 	body = appendF64s(body, grad)
 	body = appendF64s(body, buf)
-	return g.collective(frameApply, body, frameApplied, nil)
+	return g.send(frameApply, body)
 }
 
 func (g *processGroup) Quality() ([]float64, error) {
-	err := g.collective(frameQuality, nil, frameQualityOut, func(rank int, body []byte) error {
+	err := g.collective(frameQuality, nil, func(rank int, body []byte) error {
 		fr := &frameReader{b: body}
 		g.quals[rank] = fr.f64()
-		if fr.err != nil {
-			return fmt.Errorf("dist: process backend: replica %d: %v", rank, fr.err)
-		}
-		return nil
+		return fr.err
 	})
 	if err != nil {
 		return nil, err
@@ -271,10 +280,10 @@ func (g *processGroup) Close() error {
 	var first error
 	for rank, wp := range g.procs {
 		err := func() error {
-			if werr := writeFrame(wp.bw, frameClose, nil); werr != nil {
-				return fmt.Errorf("dist: process backend: replica %d: %v", rank, werr)
+			if werr := g.write(rank, wp, frameClose, nil); werr != nil {
+				return werr
 			}
-			body, rerr := g.recv(rank, wp, frameClosed)
+			body, rerr := g.recv(rank, wp, replyTo[frameClose])
 			if rerr != nil {
 				return rerr
 			}

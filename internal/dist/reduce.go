@@ -1,33 +1,16 @@
 package dist
 
-// Reduction selects the deterministic combination order of the
-// all-reduce. Both orders depend only on the grain count — never on
-// the worker count or scheduling — so either yields bitwise-identical
-// results for any number of workers.
-type Reduction int
-
-const (
-	// Linear combines grain vectors in ascending grain order (the
-	// rank-ordered all-reduce): dst = ((w0·v0 + w1·v1) + w2·v2) + …
-	Linear Reduction = iota
-	// Tree combines weighted grain vectors pairwise in a fixed binary
-	// tree: (w0·v0 + w1·v1) + (w2·v2 + w3·v3), then pairs of pairs, the
-	// topology a hierarchical (NCCL-style) all-reduce would use.
-	Tree
-)
-
 // Reduce combines vecs — one equal-length vector per grain — into dst
-// as the weighted sum Σ w[g]·vecs[g] in the reduction's fixed order.
-// dst is fully overwritten.
-func Reduce(r Reduction, vecs [][]float64, weights []float64, dst []float64) {
+// as the weighted sum Σ w[g]·vecs[g] in ascending grain order (the
+// rank-ordered all-reduce): dst = ((w0·v0 + w1·v1) + w2·v2) + … The
+// order depends only on the grain count — never on the worker count or
+// scheduling — so the result is bitwise identical for any number of
+// workers. dst is fully overwritten.
+func Reduce(vecs [][]float64, weights []float64, dst []float64) {
 	if len(vecs) == 0 {
 		for j := range dst {
 			dst[j] = 0
 		}
-		return
-	}
-	if r == Tree {
-		treeReduce(vecs, weights, dst)
 		return
 	}
 	for j := range dst {
@@ -39,33 +22,4 @@ func Reduce(r Reduction, vecs [][]float64, weights []float64, dst []float64) {
 			dst[j] += w * v[j]
 		}
 	}
-}
-
-// treeReduce sums the weighted leaves pairwise level by level. Scratch
-// nodes are fresh allocations so the input vectors are never mutated.
-func treeReduce(vecs [][]float64, weights []float64, dst []float64) {
-	cur := make([][]float64, len(vecs))
-	for g, v := range vecs {
-		leaf := make([]float64, len(v))
-		for j := range v {
-			leaf[j] = weights[g] * v[j]
-		}
-		cur[g] = leaf
-	}
-	for len(cur) > 1 {
-		next := cur[:0]
-		for i := 0; i < len(cur); i += 2 {
-			if i+1 == len(cur) {
-				next = append(next, cur[i])
-				break
-			}
-			a, b := cur[i], cur[i+1]
-			for j := range a {
-				a[j] += b[j]
-			}
-			next = append(next, a)
-		}
-		cur = next
-	}
-	copy(dst, cur[0])
 }

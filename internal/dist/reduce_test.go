@@ -9,43 +9,11 @@ func TestLinearReduceOrder(t *testing.T) {
 	vecs := [][]float64{{1, 10}, {2, 20}, {3, 30}}
 	w := []float64{0.5, 0.25, 0.25}
 	dst := make([]float64, 2)
-	Reduce(Linear, vecs, w, dst)
+	Reduce(vecs, w, dst)
 	want := []float64{(0.5*1 + 0.25*2) + 0.25*3, (0.5*10 + 0.25*20) + 0.25*30}
 	for j := range want {
 		if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
 			t.Fatalf("linear dst[%d] = %v, want %v", j, dst[j], want[j])
-		}
-	}
-}
-
-func TestTreeReduceOrder(t *testing.T) {
-	// Five grains: tree combines (0,1), (2,3), carries 4, then pairs of
-	// pairs: ((01),(23)), carry 4, then ((0123),4).
-	vecs := [][]float64{{1}, {2}, {4}, {8}, {16}}
-	w := []float64{1, 1, 1, 1, 1}
-	dst := make([]float64, 1)
-	Reduce(Tree, vecs, w, dst)
-	want := ((1.0 + 2.0) + (4.0 + 8.0)) + 16.0
-
-	if math.Float64bits(dst[0]) != math.Float64bits(want) {
-		t.Fatalf("tree dst = %v, want %v", dst[0], want)
-	}
-	// Inputs must not be mutated by the tree scratch.
-	if vecs[0][0] != 1 || vecs[1][0] != 2 {
-		t.Fatalf("tree reduce mutated its inputs: %v", vecs)
-	}
-}
-
-func TestReduceAgreesNumerically(t *testing.T) {
-	vecs := [][]float64{{0.1, -3}, {0.2, 5}, {0.3, -7}, {0.4, 11}, {0.5, -13}, {0.6, 17}, {0.7, -19}}
-	w := []float64{0.1, 0.2, 0.1, 0.15, 0.15, 0.1, 0.2}
-	lin := make([]float64, 2)
-	tree := make([]float64, 2)
-	Reduce(Linear, vecs, w, lin)
-	Reduce(Tree, vecs, w, tree)
-	for j := range lin {
-		if math.Abs(lin[j]-tree[j]) > 1e-12 {
-			t.Fatalf("linear and tree diverge beyond rounding at %d: %v vs %v", j, lin[j], tree[j])
 		}
 	}
 }
@@ -55,7 +23,7 @@ func TestReduceScalarVectors(t *testing.T) {
 	// length-1 vectors.
 	vecs := [][]float64{{2}, {4}, {6}}
 	var dst [1]float64
-	Reduce(Linear, vecs, []float64{0.5, 0.25, 0.25}, dst[:])
+	Reduce(vecs, []float64{0.5, 0.25, 0.25}, dst[:])
 	want := (0.5*2 + 0.25*4) + 0.25*6
 
 	if math.Float64bits(dst[0]) != math.Float64bits(want) {
@@ -72,7 +40,7 @@ func TestGrainWeightingHandlesUnevenGrains(t *testing.T) {
 		vecs[i] = []float64{1}
 	}
 	dst := make([]float64, 1)
-	Reduce(Linear, vecs, w, dst)
+	Reduce(vecs, w, dst)
 	if math.Abs(dst[0]-1) > 1e-15 {
 		t.Fatalf("uneven-grain weights do not sum to 1: %v", dst[0])
 	}

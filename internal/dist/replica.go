@@ -43,8 +43,8 @@ type replica struct {
 func newReplica(factory models.Factory, seed int64, rank, workers int, run *tensor.Run) (*replica, error) {
 	wl := factory(seed)
 	wl.Arena().SetRun(run)
-	st := models.AsPhased(wl)
-	if st == nil {
+	st, ok := wl.(models.PhasedTrainer)
+	if !ok {
 		return nil, ErrNotShardable
 	}
 	r := &replica{rank: rank, workers: workers, trainer: st, params: st.Module().Params(), counters: run.Counters}
@@ -68,6 +68,7 @@ func newReplica(factory models.Factory, seed int64, rank, workers int, run *tens
 		LowerIsBetter: st.LowerIsBetter(),
 		Phases:        phases,
 		GroupLen:      make([]int, len(phases)),
+		Steps:         st.StepsPerEpoch(),
 	}
 	for _, p := range r.params {
 		r.spec.ParamLen += p.Value.Data.Size()
@@ -88,12 +89,6 @@ func newReplica(factory models.Factory, seed int64, rank, workers int, run *tens
 	}
 	r.bufSnap = make([]float64, r.spec.BufLen)
 	return r, nil
-}
-
-// beginEpoch starts the trainer's epoch and returns its step count.
-func (r *replica) beginEpoch() int {
-	r.trainer.BeginEpoch()
-	return r.trainer.StepsPerEpoch()
 }
 
 // computePhase runs the rank's round-robin share of phase p's grains:

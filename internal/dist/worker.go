@@ -17,17 +17,20 @@ import (
 // binary's flags.
 const WorkerEnv = "AIBENCH_DIST_WORKER"
 
-// WorkerMain is the replica side of the process backend: a
-// request/reply loop over length-prefixed frames on (r, w), normally
-// the child's stdin/stdout. It constructs exactly one replica from the
-// hello frame and then serves collectives until a close frame or EOF
-// (the parent died — exit quietly, the parent is not listening).
+// WorkerMain is the replica side of the process backend: one
+// sequential loop over length-prefixed request frames on (r, w),
+// normally the child's stdin/stdout. It constructs exactly one replica
+// from the first frame, a hello, and then serves requests — answering
+// each with the reply replyTo declares, or with nothing for a one-way
+// request — until a close frame or EOF (the parent died — exit quietly,
+// the parent is not listening).
 //
 // Failures are containment boundaries, not crashes: a bad benchmark
-// id, kernel or tuning, a construction error, or a panic inside the
-// model's own code is reported to the parent as an error frame and the
-// worker exits, so the parent can fail that one benchmark and keep the
-// suite running.
+// id, kernel or tuning, a construction error, a frame that is no
+// request or arrives out of sequence, or a panic inside the model's own
+// code is reported to the parent as an error frame and the worker
+// exits, so the parent can fail that one benchmark and keep the suite
+// running.
 func WorkerMain(r io.Reader, w io.Writer) (err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -53,32 +56,7 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 		return fmt.Errorf("dist: worker: %s", msg)
 	}
 
-	typ, payload, rerr := readFrame(br)
-	if rerr != nil {
-		if rerr == io.EOF {
-			return nil
-		}
-		return rerr
-	}
-	if typ != frameHello {
-		return fail(fmt.Sprintf("expected hello frame, got type %d", typ))
-	}
-	h, herr := decodeHello(payload)
-	if herr != nil {
-		return fail(fmt.Sprintf("bad hello frame: %v", herr))
-	}
-	rep, oerr := h.open()
-	if oerr != nil {
-		return fail(oerr.Error())
-	}
-	spec, serr := encodeSpec(rep.spec)
-	if serr != nil { // a NaN or infinite target
-		return fail(fmt.Sprintf("encoding spec: %v", serr))
-	}
-	if werr := writeFrame(bw, frameSpec, spec); werr != nil {
-		return werr
-	}
-
+	var rep *replica                  // nil until the hello
 	var applyGrad, applyBuf []float64 // reused across steps
 	for {
 		typ, payload, rerr := readFrame(br)
@@ -88,22 +66,37 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			}
 			return rerr
 		}
+		reply, ok := replyTo[typ]
+		switch {
+		case !ok:
+			return fail(fmt.Sprintf("frame type %d is not a request", typ))
+		case rep == nil && typ != frameHello:
+			return fail(fmt.Sprintf("expected hello frame, got type %d", typ))
+		case rep != nil && typ == frameHello:
+			return fail(fmt.Sprintf("frame type %d is a second hello", typ))
+		}
 		fr := &frameReader{b: payload}
+		var body []byte
 		switch typ {
-		case frameBeginEpoch:
-			steps := rep.beginEpoch()
-			if werr := writeFrame(bw, frameEpochSteps, appendU32(nil, uint32(steps))); werr != nil {
-				return werr
+		case frameHello:
+			h, herr := decodeHello(payload)
+			if herr != nil {
+				return fail(fmt.Sprintf("bad hello frame: %v", herr))
 			}
+			if rep, herr = h.open(); herr != nil {
+				return fail(herr.Error())
+			}
+			if body, herr = encodeSpec(rep.spec); herr != nil { // a NaN or infinite target
+				return fail(fmt.Sprintf("encoding spec: %v", herr))
+			}
+		case frameBeginEpoch:
+			rep.trainer.BeginEpoch()
 		case frameCompute:
 			p := int(fr.u32())
 			if fr.err != nil || p < 0 || p >= len(rep.spec.Phases) {
 				return fail(fmt.Sprintf("bad compute frame (phase %d)", p))
 			}
-			out := rep.computePhase(p)
-			if werr := writeFrame(bw, framePhaseOut, encodePhaseOut(out)); werr != nil {
-				return werr
-			}
+			body = encodePhaseOut(rep.computePhase(p))
 		case frameApply:
 			p := int(fr.u32())
 			applyGrad = fr.f64s(applyGrad)
@@ -112,20 +105,20 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 				return fail(fmt.Sprintf("bad apply frame (phase %d)", p))
 			}
 			rep.apply(p, applyGrad, applyBuf)
-			if werr := writeFrame(bw, frameApplied, nil); werr != nil {
-				return werr
-			}
 		case frameQuality:
-			q := rep.quality()
-			if werr := writeFrame(bw, frameQualityOut, appendF64(nil, q)); werr != nil {
-				return werr
-			}
+			body = appendF64(nil, rep.quality())
 		case frameClose:
 			// An untraced run's replica has no counters and replies with
 			// no counts.
-			return writeFrame(bw, frameClosed, encodeClosed(rep.counters.Snapshot().Kernel))
-		default:
-			return fail(fmt.Sprintf("unexpected frame type %d", typ))
+			body = encodeClosed(rep.counters.Snapshot().Kernel)
+		}
+		if reply != 0 {
+			if werr := writeFrame(bw, reply, body); werr != nil {
+				return werr
+			}
+		}
+		if typ == frameClose {
+			return nil
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,6 +126,44 @@ func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesFramesOutsideTheProtocol: a child serves only the
+// requests replyTo lists, in sequence. A type the table does not list,
+// a reply type sent as a request, and a second hello each come back as
+// an error frame naming the type — the parent fails that one benchmark
+// with the reason — never a panic or a reply to something nobody asked.
+func TestWorkerRefusesFramesOutsideTheProtocol(t *testing.T) {
+	h := frameBytes(t, frameHello, encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "naive", Seed: 42, Workers: 1}))
+	for _, c := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"unlisted type", bytes.Join([][]byte{h, frameBytes(t, 0xff, nil)}, nil), "frame type 255 is not a request"},
+		{"reply as request", bytes.Join([][]byte{h, frameBytes(t, framePhaseOut, encodePhaseOut(seedPhaseOut))}, nil), fmt.Sprintf("frame type %d is not a request", framePhaseOut)},
+		{"second hello", bytes.Join([][]byte{h, h}, nil), fmt.Sprintf("frame type %d is a second hello", frameHello)},
+		{"request before hello", frameBytes(t, frameApply, nil), fmt.Sprintf("expected hello frame, got type %d", frameApply)},
+	} {
+		var out bytes.Buffer
+		if err := WorkerMain(bytes.NewReader(c.in), &out); err == nil {
+			t.Errorf("%s: WorkerMain served it", c.name)
+		}
+		r := bufio.NewReader(&out)
+		typ, payload, err := readFrame(r)
+		if typ == frameSpec { // the hello's reply
+			typ, payload, err = readFrame(r)
+		}
+		if err != nil || typ != frameError {
+			t.Fatalf("%s: reply frame type %d, err %v; want an error frame", c.name, typ, err)
+		}
+		if msg := (&frameReader{b: payload}).str(); msg != c.want {
+			t.Errorf("%s: error frame says %q, want %q", c.name, msg, c.want)
+		}
+		if r.Buffered() != 0 {
+			t.Errorf("%s: %d bytes after the error frame", c.name, r.Buffered())
+		}
+	}
+}
+
 // TestRunKernelSeesEveryShardedCall is models'
 // TestRunKernelSeesEveryCall through the replica loop, on both paths
 // that build a replica: the local backend's Open under the run its
@@ -183,7 +222,8 @@ func TestRunKernelSeesEveryShardedCall(t *testing.T) {
 		counting := kerneltest.Count(run.Kernels)
 		rep.trainer.Arena().SetRun(&tensor.Run{Kernels: counting, Counters: run.Counters})
 		before := tensor.UnplacedDispatches()
-		for step, steps := 0, rep.beginEpoch(); step < steps; step++ {
+		rep.trainer.BeginEpoch()
+		for step := 0; step < rep.spec.Steps; step++ {
 			for p := range rep.spec.Phases {
 				rep.computePhase(p)
 				rep.apply(p, make([]float64, rep.spec.GroupLen[p]), make([]float64, rep.spec.BufLen))

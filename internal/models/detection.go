@@ -147,6 +147,7 @@ func roiCrop(feat *autograd.Value, sample int, b data.Box, imgSize, poolN int) *
 // head) on synthetic annotated scenes; quality is mAP@0.5.
 type ObjectDetection struct {
 	stepArena
+	singlePhase
 	backbone *detectorBackbone
 	rpnHead  *rpn
 	clsHead  *nn.Sequential
@@ -314,7 +315,7 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 	return loss
 }
 
-// BeginEpoch implements ShardedTrainer: training mode plus the decayed
+// BeginEpoch implements PhasedTrainer: training mode plus the decayed
 // learning rate (every replica advances the schedule identically).
 func (b *ObjectDetection) BeginEpoch() {
 	b.backbone.SetTraining(true)
@@ -322,17 +323,17 @@ func (b *ObjectDetection) BeginEpoch() {
 	b.opt.SetLR(2e-3 * math.Pow(0.985, float64(b.epoch)))
 }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *ObjectDetection) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *ObjectDetection) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the scene macro-batch and
+// BeginPhase implements PhasedTrainer: draw the scene macro-batch and
 // the per-image negative RoIs, then split the batch into per-grain
 // image ranges (batch-norm statistics are computed per grain; the
 // engine reduces and syncs the running stats through Buffers).
-func (b *ObjectDetection) BeginStep() []Grain {
+func (b *ObjectDetection) BeginPhase(int) []Grain {
 	x, boxes := b.ds.Scene(8)
 	negs := b.drawNegatives(len(boxes))
 	bounds := GrainBounds(x.Dim(0), shardGrains)

@@ -18,6 +18,7 @@ import (
 // accuracy with a distance threshold fit on training pairs.
 type FaceEmbedding struct {
 	stepArena
+	singlePhase
 	net      *miniResNet
 	embed    *nn.Linear
 	opt      optim.Optimizer
@@ -68,20 +69,20 @@ func (b *FaceEmbedding) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer.
+// BeginEpoch implements PhasedTrainer.
 func (b *FaceEmbedding) BeginEpoch() { b.net.SetTraining(true) }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *FaceEmbedding) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *FaceEmbedding) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the step's triplet
+// BeginPhase implements PhasedTrainer: draw the step's triplet
 // macro-batch once — all RNG happens here, keeping replicas in
 // lockstep — and split it row-wise into per-grain triplet sub-batches,
 // anchors, positives, and negatives sliced in step.
-func (b *FaceEmbedding) BeginStep() []Grain {
+func (b *FaceEmbedding) BeginPhase(int) []Grain {
 	a, p, n := b.ds.Triplets(b.triplets)
 	bounds := GrainBounds(b.triplets, shardGrains)
 	gs := make([]Grain, len(bounds))

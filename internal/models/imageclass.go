@@ -16,6 +16,7 @@ import (
 // mini residual network on synthetic class-conditional images.
 type ImageClassification struct {
 	stepArena
+	singlePhase
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.ImageClassification
@@ -64,18 +65,18 @@ func (b *ImageClassification) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer.
+// BeginEpoch implements PhasedTrainer.
 func (b *ImageClassification) BeginEpoch() { b.net.SetTraining(true) }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *ImageClassification) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *ImageClassification) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the macro-batch and split
+// BeginPhase implements PhasedTrainer: draw the macro-batch and split
 // it into per-grain classification sub-batches.
-func (b *ImageClassification) BeginStep() []Grain {
+func (b *ImageClassification) BeginPhase(int) []Grain {
 	x, y := b.ds.Batch(b.batch)
 	bounds := GrainBounds(b.batch, shardGrains)
 	gs := make([]Grain, len(bounds))

@@ -45,11 +45,11 @@ func (r renamed) Name() string         { return r.name }
 func (r renamed) Spec() workload.Model { return r.spec }
 
 // renamedSharded is renamed for benchmarks whose underlying model has
-// a sharded train step: the wrapper keeps the ShardedTrainer contract
+// a sharded train step: the wrapper keeps the PhasedTrainer contract
 // visible (the MLPerf twin of a shardable AIBench model trains
 // data-parallel too) and forwards the buffer sync of Buffered models.
 type renamedSharded struct {
-	ShardedTrainer
+	PhasedTrainer
 	name string
 	spec workload.Model
 }
@@ -60,7 +60,7 @@ func (r renamedSharded) Spec() workload.Model { return r.spec }
 // Buffers implements Buffered by forwarding to the wrapped model (an
 // empty set when the model carries no non-gradient state).
 func (r renamedSharded) Buffers() []*tensor.Tensor {
-	if bt, ok := r.ShardedTrainer.(Buffered); ok {
+	if bt, ok := r.PhasedTrainer.(Buffered); ok {
 		return bt.Buffers()
 	}
 	return nil

@@ -49,6 +49,7 @@ func (m *mfScorer) Params() []*nn.Param {
 // precision@5 against ground-truth preferences.
 type LearningToRank struct {
 	stepArena
+	singlePhase
 	teacher       *mfScorer
 	student       *mfScorer
 	optT, optS    optim.Optimizer
@@ -130,17 +131,17 @@ func (b *LearningToRank) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer: advance the distillation
+// BeginEpoch implements PhasedTrainer: advance the distillation
 // curriculum (the sharded counterpart of TrainEpoch's epoch counter).
 func (b *LearningToRank) BeginEpoch() { b.epoch++ }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *LearningToRank) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer: step whichever optimizer the
+// ApplyPhase implements PhasedTrainer: step whichever optimizer the
 // current curriculum phase trains. The other model's parameters carry
 // all-reduced zero gradients and are untouched.
-func (b *LearningToRank) ApplyStep() {
+func (b *LearningToRank) ApplyPhase(int) {
 	if b.epoch <= b.teacherEpochs {
 		b.optT.Step()
 	} else {
@@ -148,9 +149,9 @@ func (b *LearningToRank) ApplyStep() {
 	}
 }
 
-// BeginStep implements ShardedTrainer: draw the BPR triple macro-batch
+// BeginPhase implements PhasedTrainer: draw the BPR triple macro-batch
 // and split it into per-grain ranking (or distillation) sub-batches.
-func (b *LearningToRank) BeginStep() []Grain {
+func (b *LearningToRank) BeginPhase(int) []Grain {
 	users, pos, neg := b.ds.BPRTriple(b.batch)
 	teacherPhase := b.epoch <= b.teacherEpochs
 	bounds := GrainBounds(b.batch, shardGrains)

@@ -19,6 +19,7 @@ import (
 // protocol.
 type Recommendation struct {
 	stepArena
+	singlePhase
 	userEmb *nn.Embedding
 	itemEmb *nn.Embedding
 	mlp     *nn.Sequential
@@ -79,18 +80,18 @@ func (b *Recommendation) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer (no per-epoch state).
+// BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *Recommendation) BeginEpoch() {}
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *Recommendation) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *Recommendation) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *Recommendation) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the interaction macro-batch
+// BeginPhase implements PhasedTrainer: draw the interaction macro-batch
 // and split it into per-grain scoring sub-batches.
-func (b *Recommendation) BeginStep() []Grain {
+func (b *Recommendation) BeginPhase(int) []Grain {
 	users, items, labels := b.ds.TrainBatch(b.batch)
 	bounds := GrainBounds(b.batch, shardGrains)
 	gs := make([]Grain, len(bounds))

@@ -22,6 +22,7 @@ import (
 // benchmark either (34% of the 40% target after 96 hours).
 type ReinforcementLearning struct {
 	stepArena
+	singlePhase
 	policy  *convBlock
 	polHead *nn.Linear
 	valHead *nn.Linear
@@ -181,21 +182,21 @@ func (b *ReinforcementLearning) episodeLoss(steps []rlStep) *autograd.Value {
 // episodes.
 const rlEpisodesPerStep = 2
 
-// BeginEpoch implements ShardedTrainer.
+// BeginEpoch implements PhasedTrainer.
 func (b *ReinforcementLearning) BeginEpoch() { b.policy.SetTraining(true) }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *ReinforcementLearning) StepsPerEpoch() int { return b.batches / rlEpisodesPerStep }
 
-// ApplyStep implements ShardedTrainer.
-func (b *ReinforcementLearning) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: every replica self-plays the
+// BeginPhase implements PhasedTrainer: every replica self-plays the
 // step's episodes (identical policy weights and rng keep the
 // trajectories in lockstep; the generation forwards' batch-norm
 // drift is discarded by the engine's phase-start buffer snapshot),
 // then each episode becomes one grain weighted by its step count.
-func (b *ReinforcementLearning) BeginStep() []Grain {
+func (b *ReinforcementLearning) BeginPhase(int) []Grain {
 	episodes := make([][]rlStep, rlEpisodesPerStep)
 	for e := range episodes {
 		episodes[e] = b.episode(12)

@@ -18,36 +18,10 @@ const shardGrains = 8
 // the step's macro-batch, accumulating into the replica module's
 // (engine-zeroed) gradients, and returns the slice's mean loss and its
 // sample count. Grains must not draw from any RNG: every random choice
-// of a step happens in BeginStep, which all replicas execute
+// of a step happens in BeginPhase, which all replicas execute
 // identically, so a grain's gradient is bitwise independent of which
 // replica runs it.
 type Grain func() (loss float64, n int)
-
-// ShardedTrainer is implemented by benchmarks whose optimizer step can
-// be computed data-parallel: the step's gradient is the fixed-order
-// weighted reduction of independent grain gradients. internal/dist
-// trains one identically-seeded replica per worker through this
-// interface, all-reduces grain gradients deterministically, and has
-// every replica apply the same update, keeping replicas bitwise
-// in lockstep.
-type ShardedTrainer interface {
-	Benchmark
-	// BeginEpoch advances per-epoch state (training mode, curriculum
-	// phase). Every replica calls it once at the start of each epoch.
-	BeginEpoch()
-	// StepsPerEpoch returns the number of optimizer steps in one epoch.
-	StepsPerEpoch() int
-	// BeginStep draws the step's macro-batch from the synthetic dataset
-	// stream and partitions it into grains. Every replica calls
-	// BeginStep for every step — the identical draws keep all replicas'
-	// dataset RNG streams in lockstep — and receives the same grain
-	// decomposition regardless of the worker count.
-	BeginStep() []Grain
-	// ApplyStep applies one optimizer step from the gradients currently
-	// on the module (the engine installs the all-reduced gradients
-	// before calling it).
-	ApplyStep()
-}
 
 // PhaseSpec names one phase of a multi-phase optimizer step.
 type PhaseSpec struct {
@@ -58,25 +32,26 @@ type PhaseSpec struct {
 	Report bool `json:"report"`
 }
 
-// PhasedTrainer is the per-phase grain contract: an optimizer step
-// consists of a fixed, ordered list of named phases — a WGAN's
+// PhasedTrainer is implemented by benchmarks whose optimizer step can
+// be computed data-parallel: the step is a fixed, ordered list of named
+// phases — one "step" phase for most models; a WGAN's
 // critic-then-generator updates, ENAS's weights-then-controller steps,
 // truncated-BPTT segments of a recurrent model — each with its own
 // grain decomposition, gradient all-reduce over the phase's parameter
-// group, and buffer sync. internal/dist executes the phases of every
-// step in declared order on every replica: phase p's grains are
+// group, and buffer sync. internal/dist trains one identically-seeded
+// replica per worker through this interface and executes the phases of
+// every step in declared order on every replica: phase p's grains are
 // computed, all-reduced, installed, and applied before phase p+1
 // begins, so later phases observe the parameter updates of earlier
-// ones and replicas stay in bitwise lockstep. The single-phase
-// ShardedTrainer contract is the degenerate one-phase case (the engine
-// adapts it automatically); implement PhasedTrainer only when a step
-// genuinely decomposes into ordered sub-updates.
+// ones and replicas stay in bitwise lockstep.
 type PhasedTrainer interface {
 	Benchmark
 	// BeginEpoch advances per-epoch state (training mode, curriculum
 	// phase, LR schedules). Every replica calls it once per epoch.
 	BeginEpoch()
 	// StepsPerEpoch returns the number of optimizer steps in one epoch.
+	// The count is fixed for the instance's lifetime: the engine reads
+	// it once, when the replica is built.
 	StepsPerEpoch() int
 	// Phases returns the step's fixed phase list. The list must not
 	// depend on training progress: every step of every epoch runs the
@@ -112,31 +87,13 @@ type Buffered interface {
 	Buffers() []*tensor.Tensor
 }
 
-// onePhase adapts the single-phase ShardedTrainer contract to the
-// phase contract: one reporting phase spanning the whole step, reduced
-// over the full parameter vector.
-type onePhase struct{ ShardedTrainer }
+// singlePhase is embedded by trainers whose optimizer step is one
+// gradient computation: one reporting phase, named "step", reduced over
+// the full parameter set.
+type singlePhase struct{}
 
-func (onePhase) Phases() []PhaseSpec         { return []PhaseSpec{{Name: "step", Report: true}} }
-func (p onePhase) BeginPhase(int) []Grain    { return p.BeginStep() }
-func (onePhase) PhaseParams(int) []*nn.Param { return nil }
-func (p onePhase) ApplyPhase(int)            { p.ApplyStep() }
-
-// AsPhased returns a benchmark's phase view: PhasedTrainer
-// implementations are returned unchanged, plain ShardedTrainer
-// implementations are wrapped as the degenerate one-phase step, and
-// benchmarks without a sharded train step return nil. Callers that
-// need the concrete workload (Buffered probes, metadata) must keep b
-// itself: the one-phase wrapper hides interfaces beyond PhasedTrainer.
-func AsPhased(b Benchmark) PhasedTrainer {
-	switch t := b.(type) {
-	case PhasedTrainer:
-		return t
-	case ShardedTrainer:
-		return onePhase{t}
-	}
-	return nil
-}
+func (singlePhase) Phases() []PhaseSpec         { return []PhaseSpec{{Name: "step", Report: true}} }
+func (singlePhase) PhaseParams(int) []*nn.Param { return nil }
 
 // GrainBounds splits n samples into at most grains contiguous
 // near-equal [lo,hi) ranges. The split depends only on (n, grains),

@@ -18,6 +18,7 @@ import (
 // the rectified image. Scaled to synthetic distorted digits.
 type SpatialTransformer struct {
 	stepArena
+	singlePhase
 	locConv    *convBlock
 	locFC      *nn.Linear
 	classifier *miniResNet
@@ -85,21 +86,21 @@ func (b *SpatialTransformer) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer.
+// BeginEpoch implements PhasedTrainer.
 func (b *SpatialTransformer) BeginEpoch() {
 	b.locConv.SetTraining(true)
 	b.classifier.SetTraining(true)
 }
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *SpatialTransformer) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *SpatialTransformer) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *SpatialTransformer) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the distorted macro-batch
+// BeginPhase implements PhasedTrainer: draw the distorted macro-batch
 // and split it into per-grain rectification sub-batches.
-func (b *SpatialTransformer) BeginStep() []Grain {
+func (b *SpatialTransformer) BeginPhase(int) []Grain {
 	x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)
 	bounds := GrainBounds(b.batch, shardGrains)
 	gs := make([]Grain, len(bounds))

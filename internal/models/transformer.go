@@ -53,6 +53,7 @@ func (b *decoderBlock) Params() []*nn.Param {
 // corpus.
 type TextToText struct {
 	stepArena
+	singlePhase
 	emb     *nn.Embedding
 	enc     *nn.TransformerBlock
 	dec     *decoderBlock
@@ -130,20 +131,20 @@ func (b *TextToText) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer (no per-epoch state).
+// BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *TextToText) BeginEpoch() {}
 
-// StepsPerEpoch implements ShardedTrainer: the serial epoch's 24 pairs
+// StepsPerEpoch implements PhasedTrainer: the serial epoch's 24 pairs
 // regrouped into macro-steps of shardGrains pairs each — the standard
 // large-batch data-parallel recipe, same data per epoch.
 func (b *TextToText) StepsPerEpoch() int { return b.batches / shardGrains }
 
-// ApplyStep implements ShardedTrainer.
-func (b *TextToText) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *TextToText) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the macro-batch of
+// BeginPhase implements PhasedTrainer: draw the macro-batch of
 // translation pairs, one grain per pair, weighted by target length.
-func (b *TextToText) BeginStep() []Grain {
+func (b *TextToText) BeginPhase(int) []Grain {
 	gs := make([]Grain, shardGrains)
 	for g := range gs {
 		src, tgt := b.ds.Pair()

@@ -20,6 +20,7 @@ import (
 // learns; quality is next-frame MSE.
 type VideoPrediction struct {
 	stepArena
+	singlePhase
 	gate    *nn.Sequential // action → softmax gates over the shift bank
 	shiftW  *tensor.Tensor // constant [K², 1, K, K] shift kernels
 	sumW    *tensor.Tensor // constant [1, K², 1, 1] compositing kernel
@@ -96,18 +97,18 @@ func (b *VideoPrediction) TrainEpoch() float64 {
 	return total / float64(b.batches)
 }
 
-// BeginEpoch implements ShardedTrainer (no per-epoch state).
+// BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *VideoPrediction) BeginEpoch() {}
 
-// StepsPerEpoch implements ShardedTrainer.
+// StepsPerEpoch implements PhasedTrainer.
 func (b *VideoPrediction) StepsPerEpoch() int { return b.batches }
 
-// ApplyStep implements ShardedTrainer.
-func (b *VideoPrediction) ApplyStep() { b.opt.Step() }
+// ApplyPhase implements PhasedTrainer.
+func (b *VideoPrediction) ApplyPhase(int) { b.opt.Step() }
 
-// BeginStep implements ShardedTrainer: draw the transition macro-batch
+// BeginPhase implements PhasedTrainer: draw the transition macro-batch
 // and split it into per-grain compositing sub-batches.
-func (b *VideoPrediction) BeginStep() []Grain {
+func (b *VideoPrediction) BeginPhase(int) []Grain {
 	frames, actions, next := b.ds.Transition(8)
 	bounds := GrainBounds(frames.Dim(0), shardGrains)
 	gs := make([]Grain, len(bounds))
