@@ -100,7 +100,7 @@ type (
 	// RunMetrics is a telemetry run's wall-clock plane (span timings,
 	// pool stats, GC/heap gauges), excluded from result comparison.
 	RunMetrics = telemetry.RunMetrics
-	// TuneConfig is one machine's tuned-kernel configuration: the
+	// TuneConfig is one machine's blocked-kernel configuration: the
 	// per-(op, shape-class) tile winners an `aibench tune` sweep found,
 	// persisted as a `tuneconfig` envelope and reloaded via
 	// Plan.TuneFrom / LoadTuning.
@@ -153,21 +153,15 @@ const (
 	QuasiEntireSession = core.QuasiEntireSession
 )
 
-// KernelNames lists the registered compute kernels ("naive",
-// "blocked", "tuned"); a run selects one through Plan.Kernel. See the
-// README's kernel architecture section.
+// KernelNames lists the compute kernels ("blocked", "naive"); a run
+// selects one through Plan.Kernel. See the README's kernel
+// architecture section.
 func KernelNames() []string { return tensor.KernelNames() }
 
-// DefaultKernel names the process default kernel — what a Plan with an
-// empty Kernel runs on: $AIBENCH_KERNEL or "blocked", fixed at startup.
-func DefaultKernel() string { return tensor.ProcessKernels().Name() }
+// DefaultKernel is the kernel a Plan with an empty Kernel runs on.
+const DefaultKernel = tensor.DefaultKernel
 
-// EnvTuneFrom is the environment variable the root benchmarks (which
-// cannot take a flag) read to measure the tuned kernel under a
-// persisted tuneconfig stream, mirroring the `-tune-from` CLI flag.
-const EnvTuneFrom = "AIBENCH_TUNE_FROM"
-
-// TuneKernels sweeps the tuned kernel's configuration menu on this
+// TuneKernels sweeps the blocked kernel's configuration menu on this
 // machine — a deterministic timed search per (op, shape-class) — and
 // returns the winning TuneConfig. It measures each candidate as a
 // kernel value of its own, so no run in the process sees it; persist

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	aibench list
-//	aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend local|process] [-kernel naive|blocked|tuned] [-tune-from F] [-out results.jsonl]
+//	aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend local|process] [-kernel blocked|naive] [-tune-from F] [-out results.jsonl]
 //	aibench run-all [-workers N] [-epochs N] [-seed S] [-quasi] [-shards N] [-backend B] [-kernel K] [-tune-from F] [-out results.jsonl] [-v]
 //	aibench scaling [id] [-shards 1,2,4] [-backend B] [-epochs N] [-seed S] [-kernel K] [-tune-from F] [-out results.jsonl]
 //	aibench characterize <id|all> [-gpu xp|rtx] [-workers N] [-out results.jsonl]
@@ -35,7 +35,7 @@
 // trace/metrics records and print a span summary), -cpuprofile, and
 // -memprofile (runtime/pprof profiles of the run).
 //
-// `aibench tune` sweeps the tuned kernel's tile/micro-kernel menu on
+// `aibench tune` sweeps the blocked kernel's tile/micro-kernel menu on
 // this machine and prints the winning config per (op, shape class);
 // -out persists it as a tuneconfig envelope that `run -tune-from`,
 // `version -tune-from`, and $AIBENCH_TUNE_FROM (benchmarks) reload.
@@ -113,16 +113,16 @@ func usage() {
 
 // cmdVersion prints the header every bug report and trace artifact
 // needs: the roster fingerprint behind each envelope's suite_sha, the
-// toolchain, the registered compute kernels, and the tuned kernel's
-// tuning config. -tune-from reads a persisted config, so the banner
-// shows exactly what a run with the same flag would use.
+// toolchain, the compute kernels, and the blocked kernel's tuning
+// config. -tune-from reads a persisted config, so the banner shows
+// exactly what a run with the same flag would use.
 func cmdVersion(s *aibench.Suite, args []string) {
 	fs := flag.NewFlagSet("version", flag.ExitOnError)
 	tuneFrom := tuneFromFlag(fs)
 	fs.Parse(args)
 	// A config with no entries covers no shape class, so every class
 	// keeps its builtin default.
-	label, cfg := "builtin defaults", &aibench.TuneConfig{Kernel: "tuned"}
+	label, cfg := "builtin defaults", &aibench.TuneConfig{Kernel: "blocked"}
 	if *tuneFrom != "" {
 		var err error
 		if cfg, err = aibench.LoadTuning(*tuneFrom); err != nil {
@@ -139,8 +139,7 @@ func cmdVersion(s *aibench.Suite, args []string) {
 	fmt.Printf("aibench suite %s\n", s.SHA())
 	fmt.Printf("go: %s  gomaxprocs: %d  os/arch: %s/%s\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.GOOS, runtime.GOARCH)
-	fmt.Printf("kernels: %s (default: %s; blocked = tuned@builtin)\n",
-		strings.Join(aibench.KernelNames(), ", "), aibench.DefaultKernel())
+	fmt.Printf("kernels: %s (default: %s)\n", strings.Join(aibench.KernelNames(), ", "), aibench.DefaultKernel)
 	fmt.Printf("tuning: %s: %s\n", label, tuning.Summary())
 }
 
@@ -149,15 +148,14 @@ func cmdVersion(s *aibench.Suite, args []string) {
 // it up front.
 func kernelFlag(fs *flag.FlagSet) *string {
 	names := strings.Join(aibench.KernelNames(), "|")
-	return fs.String("kernel", "", "compute kernel ("+names+"; default: $"+
-		"AIBENCH_KERNEL or blocked)")
+	return fs.String("kernel", "", "compute kernel ("+names+"; default: "+aibench.DefaultKernel+")")
 }
 
 // tuneFromFlag registers the -tune-from flag shared by the training
 // commands and `version`; the value goes into Plan.TuneFrom, which
-// implies the tuned kernel when -kernel is not given.
+// builds the blocked kernel under the stream's config.
 func tuneFromFlag(fs *flag.FlagSet) *string {
-	return fs.String("tune-from", "", "load the tuned kernel's config from this tuneconfig JSONL stream (implies -kernel tuned)")
+	return fs.String("tune-from", "", "run the blocked kernel under the config in this tuneconfig JSONL stream")
 }
 
 // backendFlag registers the -backend flag shared by the sharded
@@ -641,7 +639,7 @@ func cmdReplay(s *aibench.Suite, args []string) {
 	}
 }
 
-// cmdTune sweeps the tuned kernel's candidate menu on this machine and
+// cmdTune sweeps the blocked kernel's candidate menu on this machine and
 // prints the winning tile config per (op, shape class). -out persists
 // the config as a tuneconfig envelope keyed by suite SHA, GOARCH, and
 // GOMAXPROCS; `run -tune-from`, `version -tune-from`, and the
@@ -668,7 +666,7 @@ func cmdTune(s *aibench.Suite, args []string) {
 			os.Exit(1)
 		}
 		w := aibench.NewResultWriter(f, aibench.RunMeta{
-			SuiteSHA: s.SHA(), Kernel: "tuned",
+			SuiteSHA: s.SHA(), Kernel: cfg.Kernel,
 			Started: time.Now().UTC().Format(time.RFC3339),
 		})
 		werr := w.Write(rec)

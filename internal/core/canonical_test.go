@@ -45,12 +45,12 @@ func TestCanonicalFieldOrderInsensitive(t *testing.T) {
 
 // TestCanonicalDefaultsExplicit: a Plan relying on defaults must
 // canonicalize identically to one spelling those defaults out — the
-// kernel resolves to the process default, a scaling run's empty sweep
+// kernel resolves to blocked, a scaling run's empty sweep
 // becomes 1,2,4, a characterization's zero device becomes the Titan XP
 // — so a defaulted resubmission hits the cache entry its explicit twin
 // created.
 func TestCanonicalDefaultsExplicit(t *testing.T) {
-	active := tensor.ProcessKernels().Name()
+	active := tensor.DefaultKernel
 
 	defaulted, err := Plan{Kind: RunScaling, Benchmarks: []string{"DC-AI-C1"}, Seed: 3}.Canonical()
 	if err != nil {

@@ -69,16 +69,16 @@ type Plan struct {
 	// ShardSweep lists the shard counts a scaling run measures
 	// (RunScaling; empty = 1,2,4).
 	ShardSweep []int
-	// Kernel names the compute kernel the run's tensors dispatch to;
-	// empty means "tuned" when TuneFrom is set and the process default
-	// ($AIBENCH_KERNEL or blocked) otherwise. NewRunner resolves it to
-	// one tensor.Kernels value that travels with the run — no run
-	// changes what another dispatches to.
+	// Kernel names the compute kernel the run's tensors dispatch to:
+	// "blocked" (the GEBP engine; what empty means) or "naive" (the
+	// reference oracle). NewRunner resolves it to one tensor.Kernels
+	// value that travels with the run — no run changes what another
+	// dispatches to.
 	Kernel string
 	// TuneFrom, when set, loads a persisted `tuneconfig` envelope
-	// stream (written by `aibench tune`) and runs the tuned kernel
-	// under this machine's config from it. It implies Kernel "tuned";
-	// any other explicit kernel is a build-time error. Loading and
+	// stream (written by `aibench tune`) and builds the blocked kernel
+	// under this machine's config from it; with Kernel "naive", which
+	// takes no tuning, it is a build-time error. Loading and
 	// selection are validated eagerly by NewRunner, so a missing file or
 	// missing-architecture config fails before any work runs. Tuning is
 	// a pure scheduling/perf knob: results are bitwise identical under
@@ -127,10 +127,9 @@ type RunMeta struct {
 	// Started is the wall-clock start of the run in RFC 3339, stamped
 	// by the caller that opens the stream (empty in library use).
 	Started string `json:"started,omitempty"`
-	// Tuning names the tuned kernel's config provenance — the stream
-	// the config was loaded from, or "builtin" when the run used the
-	// default parameters. Empty for every other kernel, so existing
-	// envelopes are unchanged.
+	// Tuning names the stream the blocked kernel's config was loaded
+	// from (Plan.TuneFrom); empty when the run used the builtin
+	// tensor.DefaultTuning or the naive kernel.
 	Tuning string `json:"tuning,omitempty"`
 }
 
@@ -148,7 +147,7 @@ const (
 	// emits one of each after its result records.
 	KindTrace      RecordKind = "trace"
 	KindRunMetrics RecordKind = "runmetrics"
-	// KindTuneConfig carries a machine's tuned-kernel configuration (a
+	// KindTuneConfig carries a machine's blocked-kernel configuration (a
 	// tune.Config: the per-shape-class tile winners from an `aibench
 	// tune` sweep), persisted so later runs reload it via Plan.TuneFrom.
 	KindTuneConfig RecordKind = "tuneconfig"
@@ -289,18 +288,13 @@ type Runner struct {
 	run tensor.Run
 }
 
-// kernelName is the registered name the plan's kernel goes by: the
-// explicit one, "tuned" when only TuneFrom is set (a tuning
-// parameterizes nothing else, so the file alone is an unambiguous
-// ask), else the process default's.
+// kernelName is the name the plan's kernel goes by: the explicit one,
+// else tensor.DefaultKernel.
 func (p Plan) kernelName() string {
-	switch {
-	case p.Kernel != "":
-		return p.Kernel
-	case p.TuneFrom != "":
-		return "tuned"
+	if p.Kernel == "" {
+		return tensor.DefaultKernel
 	}
-	return tensor.ProcessKernels().Name()
+	return p.Kernel
 }
 
 // backendName is the registered name the plan's dist backend goes by.
@@ -393,25 +387,17 @@ func (r *Runner) Benchmarks() []*Benchmark {
 }
 
 // Meta describes the run for result envelopes. The kernel is the one
-// the run dispatches to; Started is left to the caller that opens a
-// stream.
+// the run dispatches to and the tuning the stream it was built from;
+// Started is left to the caller that opens a stream.
 func (r *Runner) Meta() RunMeta {
-	m := RunMeta{
+	return RunMeta{
 		SuiteSHA: r.reg.SHA(),
 		Seed:     r.plan.Seed,
 		Kernel:   r.run.Kernels.Name(),
 		Shards:   r.plan.Shards,
 		Backend:  r.plan.Backend,
+		Tuning:   r.plan.TuneFrom,
 	}
-	// Tuned runs record their config provenance; other kernels leave
-	// the field empty so pre-tuning envelopes stay byte-stable.
-	if m.Kernel == "tuned" {
-		m.Tuning = r.plan.TuneFrom
-		if m.Tuning == "" {
-			m.Tuning = tensor.TuningBuiltin
-		}
-	}
-	return m
 }
 
 // Run executes the plan under ctx. Every produced record is delivered

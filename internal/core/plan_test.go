@@ -129,7 +129,7 @@ func TestRunnerAppliesPlanKernel(t *testing.T) {
 func tuneStream(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tune.jsonl")
-	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","goarch":%q,"gomaxprocs":%d,"parallel_threshold":65536,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128}]}}`,
+	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":%q,"gomaxprocs":%d,"parallel_threshold":65536,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128}]}}`,
 		runtime.GOARCH, runtime.GOMAXPROCS(0))
 	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -138,51 +138,56 @@ func tuneStream(t *testing.T) string {
 }
 
 // TestRunnerTuneFrom pins the tune → run round trip: a persisted
-// config loads at build time into the kernel the run carries, lands in
-// RunMeta as provenance, implies the tuned kernel when the plan names
-// none, and the session's numbers are bitwise identical to a naive run
-// — the whole point of tuning being a pure perf knob.
+// config loads at build time into the blocked kernel the run carries,
+// lands in RunMeta as provenance, and the session's numbers are
+// bitwise identical to a naive run — the whole point of tuning being a
+// pure perf knob.
 func TestRunnerTuneFrom(t *testing.T) {
 	reg := NewRegistry()
 	path := tuneStream(t)
 
-	// Build-time validation: a non-tuned kernel rejects TuneFrom, a
-	// missing file and a foreign-architecture stream fail eagerly.
-	if _, err := NewRunner(reg, Plan{Kernel: "blocked", TuneFrom: path}); err == nil || !strings.Contains(err.Error(), "tuned") {
-		t.Fatalf("TuneFrom with blocked kernel: err = %v, want kernel mismatch", err)
+	// Build-time validation: naive rejects TuneFrom, "tuned" is no
+	// kernel, a missing file and a foreign-architecture stream fail
+	// eagerly.
+	if _, err := NewRunner(reg, Plan{Kernel: "naive", TuneFrom: path}); err == nil || !strings.Contains(err.Error(), `"blocked" kernel`) {
+		t.Fatalf("TuneFrom with naive kernel: err = %v, want kernel mismatch", err)
 	}
-	if _, err := NewRunner(reg, Plan{Kernel: "tuned", TuneFrom: filepath.Join(t.TempDir(), "absent.jsonl")}); err == nil {
+	if _, err := NewRunner(reg, Plan{Kernel: "tuned"}); err == nil || !strings.Contains(err.Error(), "blocked, naive") {
+		t.Fatalf("Kernel tuned: err = %v, want an unknown kernel naming blocked, naive", err)
+	}
+	if _, err := NewRunner(reg, Plan{TuneFrom: filepath.Join(t.TempDir(), "absent.jsonl")}); err == nil {
 		t.Fatal("TuneFrom with a missing file built a runner")
 	}
 	foreign := filepath.Join(t.TempDir(), "foreign.jsonl")
-	if err := os.WriteFile(foreign, []byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","goarch":"no-such-arch","gomaxprocs":1}}`+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(foreign, []byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":"no-such-arch","gomaxprocs":1}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(reg, Plan{Kernel: "tuned", TuneFrom: foreign}); err == nil {
+	if _, err := NewRunner(reg, Plan{TuneFrom: foreign}); err == nil {
 		t.Fatal("TuneFrom selected a foreign-architecture config")
 	}
 
 	plan := Plan{
 		Kind: RunSession, Benchmarks: []string{"DC-AI-C15"},
 		Session: QuasiEntireSession, Epochs: 2, Seed: 7,
-		Kernel: "tuned", TuneFrom: path,
+		Kernel: "blocked", TuneFrom: path,
 	}
 	runner, err := NewRunner(reg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runner.Meta().Tuning; got != path {
-		t.Fatalf("RunMeta.Tuning = %q, want the stream path %q", got, path)
+	if got := runner.Meta(); got.Tuning != path || got.Kernel != "blocked" {
+		t.Fatalf("RunMeta kernel %q tuning %q, want blocked from the stream path %q", got.Kernel, got.Tuning, path)
 	}
-	if got := runner.run.Kernels.ParallelThreshold(); got != 65536 {
-		t.Fatalf("the runner's kernel forks at %d, want the config's 65536", got)
+	if got, _ := tensor.TuningOf(runner.run.Kernels); got.Threshold != 65536 {
+		t.Fatalf("the runner's kernel forks at %d, want the config's 65536", got.Threshold)
 	}
 	res, err := runner.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if registered, _ := tensor.LookupKernels("tuned"); registered.ParallelThreshold() != tensor.DefaultTuning().Threshold {
-		t.Fatalf("the run moved the registered tuned kernel to threshold %d", registered.ParallelThreshold())
+	builtin, _ := tensor.LookupKernels("blocked")
+	if got, _ := tensor.TuningOf(builtin); got != tensor.DefaultTuning() {
+		t.Fatalf("the run moved the builtin blocked kernel to %+v", got)
 	}
 
 	// TuneFrom alone is the same plan: same runner, same cache key.
@@ -212,7 +217,7 @@ func TestRunnerTuneFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	if naive.Meta().Tuning != "" {
-		t.Fatalf("non-tuned RunMeta.Tuning = %q, want empty", naive.Meta().Tuning)
+		t.Fatalf("naive RunMeta.Tuning = %q, want empty", naive.Meta().Tuning)
 	}
 	got, ref := res.Sessions[0], want.Sessions[0]
 	if math.Float64bits(got.FinalQuality) != math.Float64bits(ref.FinalQuality) || len(got.Losses) != len(ref.Losses) {

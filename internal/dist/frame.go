@@ -216,16 +216,16 @@ func (f *frameReader) f64s(dst []float64) []float64 {
 
 // hello is the first frame a child receives: which replica to build
 // and what the run computes on. The kernel travels as the two things
-// the parent's plan resolved it from — its registered name, plus the
-// tuning when the run's "tuned" kernel was built from one — so the
-// child rebuilds it with the same tensor.ResolveKernels call. It is
+// the parent's plan resolved it from — its name, plus the tuning a
+// blocked kernel was built with (tensor.TuningOf) — so the child
+// rebuilds it with the same tensor.ResolveKernels call. It is
 // control plane, sent once, and travels as JSON like the close reply's
 // counts; whether the kernel exists and the tuning can drive the
 // engine is for ResolveKernels to say, not the decoder.
 type hello struct {
 	BenchID  string         `json:"bench_id"`
 	Kernel   string         `json:"kernel"`
-	Tuning   *tensor.Tuning `json:"tuning,omitempty"` // nil: the registered kernel of that name
+	Tuning   *tensor.Tuning `json:"tuning,omitempty"` // nil: the named kernel as looked up
 	Seed     int64          `json:"seed"`
 	Rank     int            `json:"rank"`
 	Workers  int            `json:"workers"`

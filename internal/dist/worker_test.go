@@ -34,16 +34,17 @@ func FuzzWorkerHello(f *testing.F) {
 	invalid := tensor.Tuning{Threshold: -1, Square: tensor.TileConfig{MR: 3, BlockM: -64}}
 	for _, h := range []hello{
 		{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true},
-		{BenchID: "DC-AI-C1", Kernel: "tuned", Tuning: &swept, Seed: -7, Workers: 1},
-		{BenchID: "DC-AI-C1", Kernel: "tuned", Tuning: &invalid},
+		{BenchID: "DC-AI-C1", Kernel: "blocked", Tuning: &swept, Seed: -7, Workers: 1},
+		{BenchID: "DC-AI-C1", Kernel: "blocked", Tuning: &invalid},
+		{BenchID: "DC-AI-C1", Kernel: "naive", Tuning: &swept},
 		{BenchID: "", Kernel: "cuda"},
 	} {
 		f.Add(encodeHello(h))
 	}
-	whole := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "tuned", Tuning: &swept})
+	whole := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &swept})
 	f.Add(whole[:len(whole)-6]) // cut short
-	f.Add([]byte(`{"kernel":"tuned","tuning":null,"seed":1e99}`))
-	f.Add([]byte(`{"kernel":"tuned","tuning":{"parallel_threshold":-9223372036854775808,"square":{"mr":0}}}`))
+	f.Add([]byte(`{"kernel":"blocked","tuning":null,"seed":1e99}`))
+	f.Add([]byte(`{"kernel":"blocked","tuning":{"parallel_threshold":-9223372036854775808,"square":{"mr":0}}}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -55,8 +56,10 @@ func FuzzWorkerHello(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, h) {
 			t.Fatalf("hello %+v re-decodes as %+v, err %v", h, again, err)
 		}
-		if k, err := tensor.ResolveKernels(h.Kernel, h.Tuning); err == nil && h.Tuning != nil && k.ParallelThreshold() != h.Tuning.Threshold {
-			t.Fatalf("hello tuning %+v resolved to a kernel forking at %d", *h.Tuning, k.ParallelThreshold())
+		if k, err := tensor.ResolveKernels(h.Kernel, h.Tuning); err == nil && h.Tuning != nil {
+			if got, _ := tensor.TuningOf(k); got != *h.Tuning {
+				t.Fatalf("hello tuning %+v resolved to a kernel under %+v", *h.Tuning, got)
+			}
 		}
 	})
 }
@@ -67,7 +70,7 @@ func FuzzWorkerHello(f *testing.F) {
 // tuning every envelope of the run names, not under the builtin one.
 func TestWorkerReplicaRunsUnderTheSentTuning(t *testing.T) {
 	swept := sweptTuning()
-	k, err := tensor.Tuned(swept)
+	k, err := tensor.Blocked(swept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +90,8 @@ func TestWorkerReplicaRunsUnderTheSentTuning(t *testing.T) {
 	}
 	for _, p := range rep.params {
 		got := tensor.RunOf(p.Value.Data).Kernels
-		if tuning, _ := tensor.TuningOf(got); got.Name() != "tuned" || got.ParallelThreshold() != 12345 || tuning != swept {
-			t.Fatalf("parameter %s dispatches to %s forking at %d under %+v, want the sent tuning", p.Name, got.Name(), got.ParallelThreshold(), tuning)
+		if tuning, _ := tensor.TuningOf(got); got.Name() != "blocked" || tuning != swept {
+			t.Fatalf("parameter %s dispatches to %s under %+v, want the sent tuning", p.Name, got.Name(), tuning)
 		}
 	}
 }
@@ -108,8 +111,9 @@ func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
 		want string
 	}{
 		{"unknown kernel", hello{BenchID: "DC-AI-C16", Kernel: "cuda", Workers: 1}, "unknown kernel"},
-		{"invalid tuning", hello{BenchID: "DC-AI-C16", Kernel: "tuned", Tuning: &bad, Workers: 1}, "BlockM"},
-		{"tuning for blocked", hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &good, Workers: 1}, "parameterizes"},
+		{"former tuned name", hello{BenchID: "DC-AI-C16", Kernel: "tuned", Workers: 1}, "unknown kernel"},
+		{"invalid tuning", hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &bad, Workers: 1}, "BlockM"},
+		{"tuning for naive", hello{BenchID: "DC-AI-C16", Kernel: "naive", Tuning: &good, Workers: 1}, "parameterizes"},
 	} {
 		var out bytes.Buffer
 		err := WorkerMain(bytes.NewReader(frameBytes(t, frameHello, encodeHello(c.h))), &out)

@@ -348,7 +348,7 @@ func (s *Stream) ByRun(suiteSHA string, seed int64) []core.Record {
 	return out
 }
 
-// TuneConfigs returns the stream's tuned-kernel configuration records
+// TuneConfigs returns the stream's blocked-kernel tuning records
 // in file order.
 func (s *Stream) TuneConfigs() []*tune.Config {
 	var out []*tune.Config

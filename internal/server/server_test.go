@@ -490,20 +490,84 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// tuneStream writes a one-line tuneconfig stream for this machine that
+// moves the conv class and the parallel threshold off the builtin
+// tuning.
+func tuneStream(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tune.jsonl")
+	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"conv2d","shape_class":"conv","mr":4,"nr":4,"k_unroll":1,"block_m":32,"block_n":32}]}}`,
+		runtime.GOARCH, runtime.GOMAXPROCS(0))
+	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTuneFromWireForms: a tuning parameterizes the blocked kernel and
+// nothing else, so tune_from alone and tune_from beside
+// "kernel":"blocked" are one plan — the same canonical bytes, one cache
+// entry — while "tuned", the GEBP engine's former second name, and a
+// tuning for naive are 400s that say what the server has.
+func TestTuneFromWireForms(t *testing.T) {
+	tuneFile := tuneStream(t)
+	session := `{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C16"],"epochs":1,`
+	implied := session + fmt.Sprintf(`"tune_from":%q}`, tuneFile)
+	explicit := session + fmt.Sprintf(`"kernel":"blocked","tune_from":%q}`, tuneFile)
+	var keys [2][]byte
+	for i, body := range []string{implied, explicit} {
+		p, err := core.ParsePlan(strings.NewReader(body))
+		if err == nil {
+			keys[i], err = p.Canonical()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+	}
+	if !bytes.Equal(keys[0], keys[1]) || !strings.Contains(string(keys[0]), `"kernel":"blocked"`) {
+		t.Fatalf("tune_from alone canonicalizes to %s, beside blocked to %s; want one blocked plan", keys[0], keys[1])
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 1, QueueCap: 4}, true)
+	var bodies [2][]byte
+	for i, body := range []string{implied, explicit} {
+		resp := submit(t, ts, "alice", body)
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("submission %d: status %d err %v: %s", i, resp.StatusCode, err, b)
+		}
+		if want := [2]string{"miss", "hit"}[i]; resp.Header.Get("X-Cache") != want {
+			t.Fatalf("submission %d: X-Cache %q, want %q", i, resp.Header.Get("X-Cache"), want)
+		}
+		bodies[i] = b
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("the explicit blocked plan's cache hit differs from the implied plan's stream")
+	}
+
+	for body, want := range map[string]string{
+		`{"kernel":"tuned"}`: "blocked, naive",
+		fmt.Sprintf(`{"kernel":"naive","tune_from":%q}`, tuneFile): `"blocked" kernel`,
+	} {
+		resp := submit(t, ts, "alice", body)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("%s: status %d %q, want 400 naming %s", body, resp.StatusCode, msg, want)
+		}
+	}
+}
+
 // TestConcurrentMixedKernelJobsStayExact: with Workers > 1 and
 // submissions naming different kernels, the jobs really run at the same
 // time — a run's kernel is a value its own tensors carry, so there is
 // nothing to take turns on — and every response is byte-identical to
 // the same plan run alone on a serial server, labelled with its own
-// plan's kernel. A tuned plan is a pure function of its canonical form
-// with or without tune_from, so it is cached like any other.
+// plan's kernel. A blocked plan under a tuning is a pure function of its
+// canonical form, so it is cached like any other.
 func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
-	tuneFile := filepath.Join(t.TempDir(), "tune.jsonl")
-	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"tuned","goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"conv2d","shape_class":"conv","mr":4,"nr":4,"k_unroll":1,"block_m":32,"block_n":32}]}}`,
-		runtime.GOARCH, runtime.GOMAXPROCS(0))
-	if err := os.WriteFile(tuneFile, []byte(line+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tuneFile := tuneStream(t)
 	// The cheap benchmark's record streams early and the expensive one
 	// follows, so each job spends most of its run with a record out.
 	plan := func(seed int, kernel string) string {
@@ -512,10 +576,10 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 	plans := []struct{ body, kernel, tuning string }{
 		{plan(11, `"kernel":"naive"`), "naive", ""},
 		{plan(12, `"kernel":"blocked"`), "blocked", ""},
-		{plan(13, `"kernel":"tuned"`), "tuned", "builtin"},
+		{plan(13, fmt.Sprintf(`"kernel":"blocked","tune_from":%q`, tuneFile)), "blocked", tuneFile},
 		{plan(14, `"kernel":"naive"`), "naive", ""},
-		// tune_from alone implies the tuned kernel, as on the CLI.
-		{plan(15, fmt.Sprintf(`"tune_from":%q`, tuneFile)), "tuned", tuneFile},
+		// tune_from alone tunes the default kernel, blocked.
+		{plan(15, fmt.Sprintf(`"tune_from":%q`, tuneFile)), "blocked", tuneFile},
 	}
 
 	_, serial := newTestServer(t, Options{Workers: 1, QueueCap: 8}, true)

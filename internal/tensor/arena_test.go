@@ -258,21 +258,19 @@ func TestAtSetDoNotAllocate(t *testing.T) {
 // (on the heap: data, shape+strides, struct; in an arena: nothing).
 func TestSmallGEMMBuildsNoClosures(t *testing.T) {
 	var ar Arena
-	for _, kernel := range []string{"blocked", "tuned"} {
-		k, _ := LookupKernels(kernel)
-		a, b := adopted(&ar, 8, 8), adopted(&ar, 8, 8)
-		ha, hb := a.Detach(), b.Detach()
-		k.MatMul(a, b) // warm the scratch free lists and the slabs
-		if got := testing.AllocsPerRun(50, func() { k.MatMul(ha, hb); k.MatMulT(ha, hb); k.TMatMul(ha, hb) }); got != 9 {
-			t.Errorf("%s: three small heap GEMMs make %v mallocs, want 9 (3 per result)", kernel, got)
-		}
-		if got := testing.AllocsPerRun(50, func() {
-			ar.Reset()
-			k.MatMul(a, b)
-			k.MatMulT(a, b)
-			k.TMatMul(a, b)
-		}); got != 0 {
-			t.Errorf("%s: three small arena GEMMs make %v mallocs, want 0", kernel, got)
-		}
+	k, _ := LookupKernels("blocked")
+	a, b := adopted(&ar, 8, 8), adopted(&ar, 8, 8)
+	ha, hb := a.Detach(), b.Detach()
+	k.MatMul(a, b) // warm the scratch free lists and the slabs
+	if got := testing.AllocsPerRun(50, func() { k.MatMul(ha, hb); k.MatMulT(ha, hb); k.TMatMul(ha, hb) }); got != 9 {
+		t.Errorf("three small heap GEMMs make %v mallocs, want 9 (3 per result)", got)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		ar.Reset()
+		k.MatMul(a, b)
+		k.MatMulT(a, b)
+		k.TMatMul(a, b)
+	}); got != 0 {
+		t.Errorf("three small arena GEMMs make %v mallocs, want 0", got)
 	}
 }

@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // naiveKernels is the original straight-loop implementation, kept
-// registered as the reference oracle for cross-kernel equivalence
+// selectable as the reference oracle for cross-kernel equivalence
 // tests and for measuring what the blocked kernel buys. Large ops are
 // row-parallel (outer loop only); every output element accumulates its
 // k terms in ascending order, so results are bitwise reproducible.
@@ -11,19 +11,20 @@ type naiveKernels struct{}
 
 func (naiveKernels) Name() string { return "naive" }
 
-// ParallelThreshold: the fork-join overhead of the pool is ~µs, so a
-// kernel needs on the order of 10^5 multiply-adds before splitting the
-// outer loop pays for itself.
-func (naiveKernels) ParallelThreshold() int { return 1 << 17 }
+// naiveThreshold is the multiply-add count above which the oracle's
+// loops fork: the fork-join overhead of the pool is ~µs, so a kernel
+// needs on the order of 10^5 multiply-adds before splitting the outer
+// loop pays for itself.
+const naiveThreshold = 1 << 17
 
-func (nk naiveKernels) MatMul(a, b *Tensor) *Tensor {
+func (naiveKernels) MatMul(a, b *Tensor) *Tensor {
 	m, ka := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	out := ArenaOf(a, b).New(m, n)
 	// ikj loop order keeps the inner loop streaming over contiguous rows
 	// of b and out. Each output row depends only on one row of a, so
 	// rows parallelize cleanly.
-	parGate(nk.ParallelThreshold(), m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, func(i int) {
 		arow := a.Data[i*ka : (i+1)*ka]
 		orow := out.Data[i*n : (i+1)*n]
 		for k := 0; k < ka; k++ {
@@ -40,11 +41,11 @@ func (nk naiveKernels) MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-func (nk naiveKernels) MatMulT(a, b *Tensor) *Tensor {
+func (naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 	m, ka := a.shape[0], a.shape[1]
 	n, kb := b.shape[0], b.shape[1]
 	out := ArenaOf(a, b).New(m, n)
-	parGate(nk.ParallelThreshold(), m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, func(i int) {
 		arow := a.Data[i*ka : (i+1)*ka]
 		orow := out.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -59,14 +60,14 @@ func (nk naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 	return out
 }
 
-func (nk naiveKernels) TMatMul(a, b *Tensor) *Tensor {
+func (naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 	ka, m := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	out := ArenaOf(a, b).New(m, n)
 	// i-outer/k-middle order so output rows are independent and can be
 	// split across cores; per-element accumulation still runs k
 	// ascending, matching the k-outer serial order bit for bit.
-	parGate(nk.ParallelThreshold(), m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, func(i int) {
 		orow := out.Data[i*n : (i+1)*n]
 		for k := 0; k < ka; k++ {
 			av := a.Data[k*m+i]
@@ -82,28 +83,25 @@ func (nk naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-func (nk naiveKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(nk.ParallelThreshold(), a, v)
+func (naiveKernels) MatVec(a, v *Tensor) *Tensor {
+	return gatedMatVec(naiveThreshold, a, v)
 }
 
-func (nk naiveKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(nk.ParallelThreshold(), a, b)
+func (naiveKernels) Outer(a, b *Tensor) *Tensor {
+	return gatedOuter(naiveThreshold, a, b)
 }
 
 // Conv2D is im2col followed by GEMM, mirroring how cuDNN's
 // implicit-GEMM kernels work. It materializes the full column matrix;
-// the GEBP engine's chunked variant avoids that. The parallel
-// threshold is resolved once and handed to all three stages rather
-// than re-resolved per parGate entry.
+// the GEBP engine's chunked variant avoids that.
 func (nk naiveKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	outC := weight.shape[0]
 	oh, ow := p.OutDim(h), p.OutDim(w)
-	t := nk.ParallelThreshold()
-	cols := im2col(x, p, t)                           // (n*oh*ow) × (c*k*k)
+	cols := im2col(x, p, naiveThreshold)              // (n*oh*ow) × (c*k*k)
 	wmat := weight.Reshape(outC, c*p.Kernel*p.Kernel) // outC × (c*k*k)
 	prod := nk.MatMulT(cols, wmat)                    // (n*oh*ow) × outC
-	return matToNCHW(prod, n, outC, oh, ow, t)
+	return matToNCHW(prod, n, outC, oh, ow, naiveThreshold)
 }
 
 // Conv2DBackward is the materializing composition the fused engine is
@@ -113,22 +111,21 @@ func (nk naiveKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 func (nk naiveKernels) Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	outC := weight.shape[0]
-	t := nk.ParallelThreshold()
-	gmat := nchwToMat(g, t)                           // (n*oh*ow) × outC
+	gmat := nchwToMat(g, naiveThreshold)              // (n*oh*ow) × outC
 	wmat := weight.Reshape(outC, c*p.Kernel*p.Kernel) // outC × (c*k*k)
 	if needX {
 		dx = col2im(nk.MatMul(gmat, wmat), n, c, h, w, p)
 	}
 	if needW {
-		dw = nk.TMatMul(gmat, im2col(x, p, t)).Reshape(weight.shape...)
+		dw = nk.TMatMul(gmat, im2col(x, p, naiveThreshold)).Reshape(weight.shape...)
 	}
 	return dx, dw
 }
 
 // The rest of this file is the oracle's materializing machinery: the
 // full im2col unfolding, its adjoint, and the NCHW↔matrix rearrangers.
-// Only naiveKernels uses it; each helper takes the parallel threshold
-// its caller already resolved.
+// Only naiveKernels uses it; each helper takes its parallel threshold
+// as an argument, so a test can force either side of the gate.
 
 // im2col unfolds an NCHW input into a matrix of shape
 // (N*outH*outW) × (C*K*K) so convolution becomes a GEMM. Out-of-bounds

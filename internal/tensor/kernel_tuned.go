@@ -2,8 +2,8 @@ package tensor
 
 import "aibench/internal/parallel"
 
-// gebpKernels is the one optimized engine behind two registered names:
-// a GEBP-style GEMM that packs both operands into contiguous panels
+// gebpKernels is the optimized engine, the kernel named "blocked": a
+// GEBP-style GEMM that packs both operands into contiguous panels
 // and drives a straight-line MR×NR register micro-kernel over a 2-D
 // grid of cache-sized output tiles, plus an implicit im2col-GEMM
 // convolution — forward, input gradient and weight gradient — that
@@ -16,14 +16,11 @@ import "aibench/internal/parallel"
 // nothing that grows with its operands. The tile geometry
 // (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu), k-unroll
 // depth, and parallel threshold come from the Tuning the value was
-// built with, fixed for its lifetime:
-//
-//   - "blocked" (the default kernel) is the engine at DefaultTuning().
-//   - "tuned" is whatever Tuned(t) was handed: the registered one is
-//     Tuned(DefaultTuning()), i.e. blocked under another name, and a
-//     run with Plan.TuneFrom builds its own from the persisted config
-//     internal/tune swept on this machine. Nothing reads a tuning at
-//     op-call time from anywhere but the receiver.
+// built with, fixed for its lifetime: DefaultTuning() for the value
+// LookupKernels("blocked") returns, and whatever Blocked(t) was handed
+// otherwise — a run with Plan.TuneFrom builds its own from the
+// persisted config internal/tune swept on this machine. Nothing reads
+// a tuning at op-call time from anywhere but the receiver.
 //
 // Determinism contract: every output element accumulates its k terms
 // in ascending order into a single accumulator under every TileConfig,
@@ -34,37 +31,29 @@ import "aibench/internal/parallel"
 // on finite data (the only divergence is the naive kernel's skip of
 // exact-zero multiplicands, which cannot change a finite sum).
 type gebpKernels struct {
-	name   string
 	tuning Tuning
 }
 
-// tunedName is the one kernel name a caller-supplied Tuning may ride
-// under.
-const tunedName = "tuned"
-
-// Tuned returns the GEBP engine under t as a Kernels value named
-// "tuned": a plain value with no tie to process state, so two of them
-// under different tunings run side by side. An invalid t is an error.
-func Tuned(t Tuning) (Kernels, error) {
+// Blocked returns the GEBP engine under t: a plain value with no tie
+// to process state, so two of them under different tunings run side by
+// side. An invalid t is an error.
+func Blocked(t Tuning) (Kernels, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return &gebpKernels{name: tunedName, tuning: t}, nil
+	return &gebpKernels{tuning: t}, nil
 }
 
-// TuningOf returns the tuning a Tuned kernel was built with; ok is
-// false for every other kernel ("blocked" takes no tuning — it is
-// DefaultTuning() by definition).
+// TuningOf returns the tuning a blocked kernel was built with; ok is
+// false for naive, which takes none.
 func TuningOf(k Kernels) (Tuning, bool) {
-	if g, ok := k.(*gebpKernels); ok && g.name == tunedName {
+	if g, ok := k.(*gebpKernels); ok {
 		return g.tuning, true
 	}
 	return Tuning{}, false
 }
 
-func (g *gebpKernels) Name() string { return g.name }
-
-func (g *gebpKernels) ParallelThreshold() int { return g.tuning.Threshold }
+func (g *gebpKernels) Name() string { return "blocked" }
 
 // convRowChunk is how many output pixels of one image a convolution
 // pass gathers and multiplies at a time. It is a multiple of every

@@ -3,16 +3,17 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// mustTuned builds the GEBP engine under t, failing the test on an
+// mustBlocked builds the GEBP engine under t, failing the test on an
 // invalid tuning.
-func mustTuned(t *testing.T, tuning Tuning) Kernels {
+func mustBlocked(t *testing.T, tuning Tuning) Kernels {
 	t.Helper()
-	k, err := Tuned(tuning)
+	k, err := Blocked(tuning)
 	if err != nil {
-		t.Fatalf("Tuned: %v", err)
+		t.Fatalf("Blocked: %v", err)
 	}
 	return k
 }
@@ -20,26 +21,6 @@ func mustTuned(t *testing.T, tuning Tuning) Kernels {
 // uniform is the tuning that runs every shape class under cfg.
 func uniform(cfg TileConfig, threshold int) Tuning {
 	return Tuning{Threshold: threshold, Square: cfg, Skinny: cfg, Fat: cfg, Conv: cfg}
-}
-
-func TestTunedKernelRegistered(t *testing.T) {
-	k, ok := LookupKernels("tuned")
-	if !ok {
-		t.Fatal("tuned kernel not registered")
-	}
-	if k.Name() != "tuned" {
-		t.Fatalf("Name() = %q", k.Name())
-	}
-	if got, ok := TuningOf(k); !ok || got != DefaultTuning() {
-		t.Fatalf("registered tuned runs under %+v (ok=%v), want the builtin tuning", got, ok)
-	}
-	found := false
-	for _, name := range KernelNames() {
-		found = found || name == "tuned"
-	}
-	if !found {
-		t.Fatalf("KernelNames() = %v, missing tuned", KernelNames())
-	}
 }
 
 func TestTileConfigValidate(t *testing.T) {
@@ -89,7 +70,7 @@ func TestGEMMShapeClass(t *testing.T) {
 	}
 }
 
-// TestTunedMenuMatMulBitwise drives the tuned GEBP engine directly
+// TestTunedMenuMatMulBitwise drives the GEBP engine directly
 // through every micro-kernel in the menu, at block sizes and thresholds
 // that force both the serial and the fully parallel path, on shapes
 // chosen to hit degenerate, panel-edge, and interior cases — and
@@ -109,8 +90,8 @@ func TestTunedMenuMatMulBitwise(t *testing.T) {
 				cfg := micro
 				cfg.BlockM, cfg.BlockN = blk, blk
 				for _, threshold := range []int{1, 1 << 30} {
-					got := mustTuned(t, uniform(cfg, threshold)).MatMul(a, b)
-					name := fmt.Sprintf("Tuned MatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
+					got := mustBlocked(t, uniform(cfg, threshold)).MatMul(a, b)
+					name := fmt.Sprintf("Blocked MatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
 					bitwiseEqual(t, name, got, want)
 				}
 			}
@@ -129,8 +110,8 @@ func TestTunedMenuConv2DBitwise(t *testing.T) {
 	convTable(rand.New(rand.NewSource(73)), func(caseName string, cc convCase) {
 		want := naive.Conv2D(cc.x, cc.w, cc.p)
 		convConfigs(func(cfgName string, cfg *TileConfig, threshold int) {
-			got := mustTuned(t, uniform(*cfg, threshold)).Conv2D(cc.x, cc.w, cc.p)
-			bitwiseEqual(t, "Tuned Conv2D "+caseName+" "+cfgName, got, want)
+			got := mustBlocked(t, uniform(*cfg, threshold)).Conv2D(cc.x, cc.w, cc.p)
+			bitwiseEqual(t, "Blocked Conv2D "+caseName+" "+cfgName, got, want)
 			ran++
 		})
 	})
@@ -140,7 +121,7 @@ func TestTunedMenuConv2DBitwise(t *testing.T) {
 }
 
 // TestTunedKernelAdversarialConfigs runs every dispatchable op through
-// a tuned kernel built from hostile-but-valid tunings — a
+// a blocked kernel built from hostile-but-valid tunings — a
 // different micro-kernel per shape class, a threshold of 1 (everything
 // parallel), a threshold beyond any test shape (everything serial) —
 // and demands bitwise equality with the naive oracle on odd and prime
@@ -166,7 +147,7 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(79))
 	for ti, tuning := range tunings {
-		tuned := mustTuned(t, tuning)
+		tuned := mustBlocked(t, tuning)
 		for _, dims := range [][3]int{{1, 1, 1}, {3, 129, 63}, {255, 257, 63}, {64, 2048, 64}, {129, 7, 130}} {
 			m, k, n := dims[0], dims[1], dims[2]
 			a := Randn(rng, 0, 1, m, k)
@@ -196,79 +177,80 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 func TestTunedValidatesAndCarriesItsTuning(t *testing.T) {
 	bad := DefaultTuning()
 	bad.Fat.BlockM = 7
-	if _, err := Tuned(bad); err == nil {
-		t.Fatal("Tuned accepted an invalid config")
+	if _, err := Blocked(bad); err == nil {
+		t.Fatal("Blocked accepted an invalid config")
 	}
 	bad = DefaultTuning()
 	bad.Threshold = 0
-	if _, err := Tuned(bad); err == nil {
-		t.Fatal("Tuned accepted a non-positive threshold")
+	if _, err := Blocked(bad); err == nil {
+		t.Fatal("Blocked accepted a non-positive threshold")
 	}
 	good := DefaultTuning()
 	good.Threshold = 1 << 15
 	good.Square = TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64}
-	k := mustTuned(t, good)
-	if got, ok := TuningOf(k); !ok || got != good || k.Name() != "tuned" || k.ParallelThreshold() != 1<<15 {
-		t.Fatalf("Tuned(%+v) = %q carrying %+v (ok=%v)", good, k.Name(), got, ok)
+	k := mustBlocked(t, good)
+	if got, ok := TuningOf(k); !ok || got != good || k.Name() != "blocked" {
+		t.Fatalf("Blocked(%+v) = %q carrying %+v (ok=%v)", good, k.Name(), got, ok)
 	}
-	registered, _ := LookupKernels("tuned")
-	if got, _ := TuningOf(registered); got != DefaultTuning() {
-		t.Fatalf("building a tuned kernel moved the registered one to %+v", got)
+	builtin, _ := LookupKernels("blocked")
+	if got, _ := TuningOf(builtin); got != DefaultTuning() {
+		t.Fatalf("building a tuned blocked kernel moved the builtin one to %+v", got)
 	}
-	for _, name := range []string{"naive", "blocked"} {
-		k, _ := LookupKernels(name)
-		if _, ok := TuningOf(k); ok {
-			t.Errorf("TuningOf(%s) reports a tuning; only Tuned kernels take one", name)
-		}
+	naive, _ := LookupKernels("naive")
+	if _, ok := TuningOf(naive); ok {
+		t.Error("TuningOf(naive) reports a tuning; only blocked takes one")
 	}
 }
 
-// TestResolveKernels pins the one rule a plan and a worker hello share.
+// TestResolveKernels pins the one rule a plan and a worker hello share:
+// a name picks naive or blocked, a tuning parameterizes blocked and
+// nothing else, and "tuned" — the GEBP engine's former second name — is
+// an unknown kernel like any other.
 func TestResolveKernels(t *testing.T) {
 	hostile := uniform(TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}, 1)
+	builtin := DefaultTuning()
 	for _, c := range []struct {
-		name    string
-		tuning  *Tuning
-		want    string // resolved Name(); "" = an error
-		wantThr int
+		name       string
+		tuning     *Tuning
+		want       string  // resolved Name(); "" = an error
+		wantTuning *Tuning // TuningOf the result; nil = none
+		wantErr    string
 	}{
-		{"", nil, "", 0},
-		{"naive", nil, "naive", 1 << 17},
-		{"tuned", nil, "tuned", DefaultTuning().Threshold},
-		{"tuned", &hostile, "tuned", 1},
-		{"blocked", &hostile, "", 0},
-		{"", &hostile, "", 0},
-		{"no-such-kernel", nil, "", 0},
-		{"tuned", &Tuning{}, "", 0},
+		{"naive", nil, "naive", nil, ""},
+		{"blocked", nil, "blocked", &builtin, ""},
+		{"blocked", &hostile, "blocked", &hostile, ""},
+		{"naive", &hostile, "", nil, `parameterizes the "blocked" kernel`},
+		{"", &hostile, "", nil, `parameterizes the "blocked" kernel`},
+		{"tuned", nil, "", nil, "have: blocked, naive"},
+		{"tuned", &hostile, "", nil, `parameterizes the "blocked" kernel`},
+		{"", nil, "", nil, "unknown kernel"},
+		{"no-such-kernel", nil, "", nil, "unknown kernel"},
+		{"blocked", &Tuning{}, "", nil, "threshold"},
 	} {
 		k, err := ResolveKernels(c.name, c.tuning)
 		if c.want == "" {
-			if err == nil {
-				t.Errorf("ResolveKernels(%q, %v) = %s, want an error", c.name, c.tuning, k.Name())
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("ResolveKernels(%q, %v) = %v, %v; want an error mentioning %q", c.name, c.tuning, k, err, c.wantErr)
 			}
 			continue
 		}
-		if err != nil || k.Name() != c.want || k.ParallelThreshold() != c.wantThr {
-			t.Errorf("ResolveKernels(%q, %v) = %v, %v; want %s at threshold %d", c.name, c.tuning, k, err, c.want, c.wantThr)
+		if err != nil || k.Name() != c.want {
+			t.Errorf("ResolveKernels(%q, %v) = %v, %v; want %s", c.name, c.tuning, k, err, c.want)
+			continue
+		}
+		got, ok := TuningOf(k)
+		if ok != (c.wantTuning != nil) || ok && got != *c.wantTuning {
+			t.Errorf("ResolveKernels(%q, %v) runs under %+v (ok=%v), want %v", c.name, c.tuning, got, ok, c.wantTuning)
 		}
 	}
 }
 
-// TestBlockedIsTheBuiltinTuning proves "blocked" is the engine under
-// DefaultTuning() and nothing else — a hostile tuned kernel (tiny 8×8
-// blocks, the spilling 4×4 micro-kernel, everything parallel) living
-// beside it changes nothing about it — and that it matches the naive
-// oracle bit for bit on the odd and prime shape table.
+// TestBlockedIsTheBuiltinTuning proves the kernel the name "blocked"
+// looks up is the engine under DefaultTuning(), and that it matches the
+// naive oracle bit for bit on the odd and prime shape table.
 func TestBlockedIsTheBuiltinTuning(t *testing.T) {
 	naive, blocked := kernelPair(t)
-	hostile := TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}
-	if got := mustTuned(t, uniform(hostile, 1)).ParallelThreshold(); got != 1 {
-		t.Fatalf("hostile tuned threshold = %d, want 1", got)
-	}
-	if got := blocked.ParallelThreshold(); got != 1<<17 {
-		t.Fatalf("blocked threshold = %d beside a hostile tuned kernel, want %d", got, 1<<17)
-	}
-	if got := blocked.(*gebpKernels).tuning; got != DefaultTuning() {
+	if got, _ := TuningOf(blocked); got != DefaultTuning() {
 		t.Fatalf("blocked runs under tuning %+v, want the builtin", got)
 	}
 	rng := rand.New(rand.NewSource(83))
@@ -289,15 +271,13 @@ func TestBlockedIsTheBuiltinTuning(t *testing.T) {
 	bitwiseEqual(t, "blocked Conv2D", blocked.Conv2D(x, w, p), naive.Conv2D(x, w, p))
 }
 
-// TestBlockedAllocatesLikeTunedBuiltin: one engine means one allocation
-// profile, and with its transient buffers pooled that profile is the
-// result tensor plus the fork-join closures — nothing that grows with
-// the operands. Both kernels run once first so the scratch pool is
-// stocked; the steady-state counts must then agree and stay under a
-// small constant.
-func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
+// TestBlockedAllocationBounds: with its transient buffers pooled, the
+// GEBP engine allocates the result tensor plus the fork-join closures —
+// nothing that grows with the operands. Each op runs once first so the
+// scratch pool is stocked; the steady-state count must then stay under
+// a small constant.
+func TestBlockedAllocationBounds(t *testing.T) {
 	_, blocked := kernelPair(t)
-	tuned, _ := LookupKernels("tuned")
 	rng := rand.New(rand.NewSource(89))
 	a, b := Randn(rng, 0, 1, 256, 256), Randn(rng, 0, 1, 256, 256)
 	x, w := Randn(rng, 0, 1, 8, 16, 32, 32), Randn(rng, 0, 1, 32, 16, 3, 3)
@@ -313,12 +293,10 @@ func TestBlockedAllocatesLikeTunedBuiltin(t *testing.T) {
 		{"Conv2DBackward of it", 20, func(k Kernels) { k.Conv2DBackward(x, w, g, p, true, true) }},
 	} {
 		op.run(blocked)
-		op.run(tuned)
 		got := testing.AllocsPerRun(5, func() { op.run(blocked) })
-		want := testing.AllocsPerRun(5, func() { op.run(tuned) })
 		t.Logf("%s: %v allocations per call", op.name, got)
-		if got != want || got > op.most {
-			t.Errorf("%s: blocked allocates %v objects per call, tuned@builtin %v, want equal and at most %v", op.name, got, want, op.most)
+		if got > op.most {
+			t.Errorf("%s: blocked allocates %v objects per call, want at most %v", op.name, got, op.most)
 		}
 	}
 }

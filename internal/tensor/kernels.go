@@ -3,9 +3,7 @@ package tensor
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
+	"strings"
 
 	"aibench/internal/parallel"
 	"aibench/internal/telemetry"
@@ -20,9 +18,9 @@ import (
 // every tensor computed from the instance's parameters carries that
 // placement, and each entry point dispatches to the kernels of its
 // first placed operand. Operands placed nowhere — plain heap tensors —
-// dispatch to the process default, fixed at init. Nothing after init
-// writes kernel state, so any number of runs under different kernels
-// share a process without seeing each other.
+// dispatch to DefaultKernel. Nothing writes kernel state, so any number
+// of runs under different kernels share a process without seeing each
+// other.
 //
 // Implementations receive shape-validated
 // operands (the wrappers panic on rank/dimension mismatches before
@@ -31,21 +29,16 @@ import (
 // goroutine scheduling, so every output element's accumulation order
 // must be fixed by the operand shapes alone.
 //
-// Two implementations are registered under three names: "naive" (the
-// original row-parallel loops, kept as the reference oracle), and the
-// GEBP engine of kernel_tuned.go — cache-blocked, panel-packed GEMM
-// with a register micro-kernel and a 2-D row×column-block work
-// decomposition — once as "blocked" (the default, pinned to
-// DefaultTuning()) and once as "tuned" (the same engine under whatever
-// Tuning it was built with — see Tuned and internal/tune; the
-// registered one is built with DefaultTuning()).
+// Two implementations, selected by name: "naive" (the original
+// row-parallel loops, kept as the reference oracle) and "blocked" (the
+// default), the GEBP engine of kernel_tuned.go — cache-blocked,
+// panel-packed GEMM with a register micro-kernel and a 2-D
+// row×column-block work decomposition — under the Tuning it was built
+// with: DefaultTuning() when looked up by name, any other through
+// Blocked (see internal/tune).
 type Kernels interface {
-	// Name is the registry key ("naive", "blocked", ...).
+	// Name is what a plan selects the kernel by ("naive" or "blocked").
 	Name() string
-	// ParallelThreshold is the approximate multiply-add count above
-	// which this kernel's loops fork across CPU cores. Below it the
-	// fork-join overhead outweighs the work.
-	ParallelThreshold() int
 	// MatMul computes (m×k) · (k×n) → (m×n).
 	MatMul(a, b *Tensor) *Tensor
 	// MatMulT computes a · bᵀ for b stored (n×k): (m×k) · (n×k)ᵀ → (m×n).
@@ -64,72 +57,48 @@ type Kernels interface {
 	Conv2DBackward(x, w, g *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor)
 }
 
-// EnvKernel is the environment variable consulted once, at init, to
-// name the process default kernel. Unset means DefaultKernel.
-const EnvKernel = "AIBENCH_KERNEL"
-
-// DefaultKernel is the process default kernel when the environment
-// names none.
+// DefaultKernel is the kernel a plan that names none runs on, and the
+// one unplaced operands dispatch to.
 const DefaultKernel = "blocked"
 
 var (
-	kernelMu sync.Mutex
-	registry = map[string]Kernels{}
-	// processRun is what unplaced operands dispatch under — the kernel
-	// an empty Plan.Kernel means, no counters. Written by init only.
-	processRun *Run
+	// builtinBlocked is the GEBP engine at DefaultTuning(): what the
+	// name "blocked" looks up.
+	builtinBlocked = &gebpKernels{tuning: DefaultTuning()}
+	// processRun is what unplaced operands dispatch under: the default
+	// kernel, no counters.
+	processRun = &Run{Kernels: builtinBlocked}
 )
 
-// RegisterKernels adds an implementation to the registry; it panics on
-// a duplicate name so two kernels can never silently shadow each other.
-func RegisterKernels(k Kernels) {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	if _, dup := registry[k.Name()]; dup {
-		panic(fmt.Sprintf("tensor: kernel %q registered twice", k.Name()))
-	}
-	registry[k.Name()] = k
-}
+// KernelNames lists the kernels a plan can name, sorted.
+func KernelNames() []string { return []string{"blocked", "naive"} }
 
-// KernelNames lists the registered kernels in sorted order.
-func KernelNames() []string {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// LookupKernels returns the named registered kernel: a value to call
-// directly or to hand to a run.
+// LookupKernels returns the named kernel — naive, or blocked at
+// DefaultTuning() — as a value to call directly or to hand to a run.
 func LookupKernels(name string) (Kernels, bool) {
-	kernelMu.Lock()
-	defer kernelMu.Unlock()
-	k, ok := registry[name]
-	return k, ok
+	switch name {
+	case "naive":
+		return naiveKernels{}, true
+	case "blocked":
+		return builtinBlocked, true
+	}
+	return nil, false
 }
-
-// ProcessKernels returns the process default kernel: $AIBENCH_KERNEL
-// or DefaultKernel, fixed at init.
-func ProcessKernels() Kernels { return processRun.Kernels }
 
 // ResolveKernels is the one rule that turns what a plan (or a worker's
 // hello frame) says about its kernel into the value the run dispatches
-// to: the named registered kernel, or — when t is non-nil — the GEBP
-// engine under *t, which only the "tuned" name accepts.
+// to: the named kernel, or — when t is non-nil — the blocked engine
+// under *t, since only "blocked" takes a tuning.
 func ResolveKernels(name string, t *Tuning) (Kernels, error) {
 	if t != nil {
-		if name != tunedName {
-			return nil, fmt.Errorf("tensor: a tuning parameterizes the %q kernel, not %q", tunedName, name)
+		if name != "blocked" {
+			return nil, fmt.Errorf(`tensor: a tuning parameterizes the "blocked" kernel, not %q`, name)
 		}
-		return Tuned(*t)
+		return Blocked(*t)
 	}
 	k, ok := LookupKernels(name)
 	if !ok {
-		return nil, fmt.Errorf("tensor: unknown kernel %q (registered: %v)", name, KernelNames())
+		return nil, fmt.Errorf("tensor: unknown kernel %q (have: %s)", name, strings.Join(KernelNames(), ", "))
 	}
 	return k, nil
 }
@@ -163,28 +132,13 @@ func WithRun(ctx context.Context, r *Run) context.Context {
 	return context.WithValue(ctx, runKey{}, r)
 }
 
-// RunFrom returns the run ctx carries, or the process default — its
-// kernels, untraced — when it carries none.
+// RunFrom returns the run ctx carries, or the process default — the
+// default kernel, untraced — when it carries none.
 func RunFrom(ctx context.Context) *Run {
 	if r, ok := ctx.Value(runKey{}).(*Run); ok {
 		return r
 	}
 	return processRun
-}
-
-func init() {
-	RegisterKernels(naiveKernels{})
-	RegisterKernels(&gebpKernels{name: "blocked", tuning: DefaultTuning()})
-	RegisterKernels(&gebpKernels{name: tunedName, tuning: DefaultTuning()})
-	name := DefaultKernel
-	if v := os.Getenv(EnvKernel); v != "" {
-		name = v
-	}
-	k, err := ResolveKernels(name, nil)
-	if err != nil {
-		panic(fmt.Sprintf("tensor: %s=%q: %v", EnvKernel, name, err))
-	}
-	processRun = &Run{Kernels: k}
 }
 
 // parGate runs fn over [0, units) — across the cores when flops is at

@@ -9,13 +9,13 @@ import (
 // The package-level linear-algebra entry points validate shapes and
 // dispatch to the kernels their operands are placed under (dispatch;
 // see Run and Kernels in kernels.go). Implementations live in
-// kernel_naive.go (the oracle) and kernel_tuned.go (the GEBP engine
-// behind "blocked" and "tuned"); a run selects one through Plan.Kernel
-// / the CLI's -kernel flag, and the AIBENCH_KERNEL environment variable
-// names the process default. Each entry point is also the telemetry
-// choke point: one per-op call/FLOP count, into the counters of the run
-// it dispatched under, covers every kernel implementation — and costs
-// a nil check when that run is untraced or the operands are unplaced.
+// kernel_naive.go (the oracle, "naive") and kernel_tuned.go (the GEBP
+// engine, "blocked"); a run selects one through Plan.Kernel / the CLI's
+// -kernel flag, and operands no run placed use DefaultKernel. Each
+// entry point is also the telemetry choke point: one per-op call/FLOP
+// count, into the counters of the run it dispatched under, covers every
+// kernel implementation — and costs a nil check when that run is
+// untraced or the operands are unplaced.
 
 // MatMul multiplies two 2-D tensors: (m×k) · (k×n) → (m×n).
 func MatMul(a, b *Tensor) *Tensor {

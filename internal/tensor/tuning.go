@@ -4,11 +4,11 @@ import "fmt"
 
 // The GEBP engine's configuration surface (kernel_tuned.go). Tile
 // geometry, register micro-kernel, k-unroll, and parallel threshold
-// are runtime parameters: the "blocked" kernel is the engine at
-// DefaultTuning() (64×64 blocks, a 2×4 micro-kernel, ×4 k-unroll), a
-// "tuned" kernel is the same engine under the Tuning handed to Tuned,
-// so a per-machine sweep (internal/tune) can pick the fastest
-// combination per GEMM shape class. Crucially none of these parameters
+// are runtime parameters of the "blocked" kernel: looked up by name it
+// is the engine at DefaultTuning() (64×64 blocks, a 2×4 micro-kernel,
+// ×4 k-unroll), and Blocked builds it under any other Tuning, so a
+// per-machine sweep (internal/tune) can pick the fastest combination
+// per GEMM shape class. Crucially none of these parameters
 // can change results: every output element accumulates its k terms
 // ascending into a single accumulator under every configuration, so
 // the engine stays bitwise-equal to naive under every tuning.
@@ -89,7 +89,7 @@ const (
 )
 
 // GEMMShapeClass buckets a (m×k)·(k×n) product into the tuning shape
-// class the tuned kernel will look up. Pure function of the shape, so
+// class the blocked kernel will look up. Pure function of the shape, so
 // config selection is deterministic per call site.
 func GEMMShapeClass(m, k, n int) string {
 	long := max(m, n)
@@ -106,7 +106,7 @@ func GEMMShapeClass(m, k, n int) string {
 // Tuning is the GEBP engine's complete parameter set: one TileConfig
 // per shape class plus the shared parallel threshold.
 type Tuning struct {
-	// Threshold is the multiply-add count above which the tuned
+	// Threshold is the multiply-add count above which the blocked
 	// kernel's loops fork across cores.
 	Threshold int `json:"parallel_threshold"`
 	// Square, Skinny, and Fat drive MatMul/MatMulT/TMatMul by
@@ -120,12 +120,11 @@ type Tuning struct {
 }
 
 // DefaultTuning is the built-in configuration: the one "blocked" runs
-// under, and the registered "tuned" too — so a `tuned` run without a
-// persisted tuneconfig is the blocked kernel, and never worse than it
-// by construction. 64×64 tiles keep the packed A and B
-// slices a tile touches (64·K doubles each) within L2 for the suite's
-// typical K while still cutting a 512×512 product into 64 independent
-// tasks; the 2×4 micro-kernel measured faster than the spilling 4×4.
+// under when no persisted tuneconfig names another. 64×64 tiles keep
+// the packed A and B slices a tile touches (64·K doubles each) within
+// L2 for the suite's typical K while still cutting a 512×512 product
+// into 64 independent tasks; the 2×4 micro-kernel measured faster than
+// the spilling 4×4.
 func DefaultTuning() Tuning {
 	std := TileConfig{MR: 2, NR: 4, KUnroll: 4, BlockM: 64, BlockN: 64}
 	return Tuning{Threshold: 1 << 17, Square: std, Skinny: std, Fat: std, Conv: std}
@@ -150,7 +149,7 @@ func (t Tuning) Validate() error {
 	return nil
 }
 
-// gemmFor selects the TileConfig the tuned kernel uses for a GEMM of
+// gemmFor selects the TileConfig the blocked kernel uses for a GEMM of
 // the given shape.
 func (t *Tuning) gemmFor(m, k, n int) *TileConfig {
 	switch GEMMShapeClass(m, k, n) {
@@ -168,7 +167,3 @@ func (t Tuning) Summary() string {
 	return fmt.Sprintf("gemm[square]=%s gemm[skinny]=%s gemm[fat]=%s conv=%s parallel-threshold=%d",
 		t.Square, t.Skinny, t.Fat, t.Conv, t.Threshold)
 }
-
-// TuningBuiltin is what RunMeta.Tuning says for a "tuned" run that
-// loaded no persisted configuration.
-const TuningBuiltin = "builtin"

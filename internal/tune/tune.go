@@ -1,4 +1,4 @@
-// Package tune searches the tuned kernel's configuration space on the
+// Package tune searches the blocked kernel's configuration space on the
 // current machine and persists the winner as a versioned `tuneconfig`
 // result envelope.
 //
@@ -14,7 +14,7 @@
 // Timing necessarily reads the wall clock, which is why this package
 // lives outside the deterministic-scope lint set: a tuning config can
 // never change results (every tensor.TileConfig yields bitwise-equal
-// output — that is the tuned kernel's contract), only speed. The
+// output — that is the GEBP engine's contract), only speed. The
 // envelope key is (suite_sha, GOARCH, GOMAXPROCS, kernel, op,
 // shape_class): suite_sha rides in the envelope's RunMeta, the rest in
 // the Config payload.
@@ -57,7 +57,7 @@ func (e Entry) TileConfig() tensor.TileConfig {
 }
 
 // Config is the persisted payload of a `tuneconfig` envelope: the
-// machine key (GOARCH, GOMAXPROCS), the tuned kernel it parameterizes,
+// machine key (GOARCH, GOMAXPROCS), the kernel it parameterizes,
 // the swept parallel threshold, and one Entry per (op, shape-class).
 type Config struct {
 	Kernel     string  `json:"kernel"`
@@ -74,8 +74,10 @@ type Config struct {
 // *are* recognized must validate.
 func (c *Config) Tuning() (tensor.Tuning, error) {
 	t := tensor.DefaultTuning()
-	if c.Kernel != "tuned" {
-		return t, fmt.Errorf("tune: config tunes kernel %q, not %q", c.Kernel, "tuned")
+	// "tuned" is the name configs were written under before the GEBP
+	// engine had one; they still load.
+	if c.Kernel != "blocked" && c.Kernel != "tuned" {
+		return t, fmt.Errorf(`tune: config tunes kernel %q, not "blocked"`, c.Kernel)
 	}
 	if c.Threshold > 0 {
 		t.Threshold = c.Threshold
@@ -178,7 +180,7 @@ func fill(t *tensor.Tensor) {
 
 // Search runs the full deterministic sweep and returns the winning
 // configuration for this machine. Each candidate is measured as its
-// own tensor.Tuned value, called directly, so the sweep is safe to run
+// own tensor.Blocked value, called directly, so the sweep is safe to run
 // inside a live process: no run sees it.
 func Search(opts Options) *Config {
 	rounds := opts.Rounds
@@ -195,7 +197,7 @@ func Search(opts Options) *Config {
 	}
 
 	cfg := &Config{
-		Kernel:     "tuned",
+		Kernel:     "blocked",
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Threshold:  tensor.DefaultTuning().Threshold,
@@ -299,7 +301,7 @@ func convFlops(cs convShape) float64 {
 // engine is the GEBP engine running every shape class under cand. The
 // menus hold valid configs only, so a rejection is a bug in them.
 func engine(cand tensor.TileConfig, threshold int) tensor.Kernels {
-	k, err := tensor.Tuned(tensor.Tuning{Threshold: threshold, Square: cand, Skinny: cand, Fat: cand, Conv: cand})
+	k, err := tensor.Blocked(tensor.Tuning{Threshold: threshold, Square: cand, Skinny: cand, Fat: cand, Conv: cand})
 	if err != nil {
 		panic(err)
 	}

@@ -17,7 +17,7 @@ import (
 // the candidate menu, and the whole config convertible + activatable.
 func TestSearchQuickProducesApplicableConfig(t *testing.T) {
 	cfg := Search(Options{Quick: true})
-	if cfg.Kernel != "tuned" || cfg.GOARCH != runtime.GOARCH || cfg.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+	if cfg.Kernel != "blocked" || cfg.GOARCH != runtime.GOARCH || cfg.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Fatalf("machine key wrong: %+v", cfg)
 	}
 	wantClasses := map[[2]string]bool{
@@ -63,11 +63,11 @@ func TestSearchQuickProducesApplicableConfig(t *testing.T) {
 }
 
 func TestConfigTuningRejectsForeignKernelAndBadEntries(t *testing.T) {
-	c := &Config{Kernel: "blocked"}
+	c := &Config{Kernel: "naive"}
 	if _, err := c.Tuning(); err == nil {
-		t.Fatal("Tuning() accepted a non-tuned kernel config")
+		t.Fatal("Tuning() accepted a naive kernel config")
 	}
-	c = &Config{Kernel: "tuned", Entries: []Entry{
+	c = &Config{Kernel: "blocked", Entries: []Entry{
 		{Op: OpGEMM, ShapeClass: tensor.ShapeSquare, MR: 3, NR: 5, KUnroll: 9, BlockM: 64, BlockN: 64},
 	}}
 	if _, err := c.Tuning(); err == nil {
@@ -79,7 +79,7 @@ func TestConfigTuningRejectsForeignKernelAndBadEntries(t *testing.T) {
 // config written by a newer suite with extra (op, shape_class) pairs
 // still applies, with unknown entries ignored and known ones honored.
 func TestConfigTuningSkipsUnknownClasses(t *testing.T) {
-	c := &Config{Kernel: "tuned", Threshold: 1 << 16, Entries: []Entry{
+	c := &Config{Kernel: "blocked", Threshold: 1 << 16, Entries: []Entry{
 		{Op: "fft", ShapeClass: "radix2", MR: -1, NR: -1, KUnroll: 0, BlockM: 0, BlockN: 0},
 		{Op: OpGEMM, ShapeClass: "banded", MR: 99, NR: 99, KUnroll: 99, BlockM: 1, BlockN: 1},
 		{Op: OpGEMM, ShapeClass: tensor.ShapeFat, MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64},
@@ -102,8 +102,32 @@ func TestConfigTuningSkipsUnknownClasses(t *testing.T) {
 // envLine builds one tuneconfig JSONL envelope line by hand (the
 // results package writes real streams; tune cannot import it).
 func envLine(goarch string, gomaxprocs int) string {
-	return fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{"suite_sha":"t"},"data":{"kernel":"tuned","goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128,"gflops":5.5}]}}`,
-		goarch, gomaxprocs)
+	return kernelLine("blocked", goarch, gomaxprocs)
+}
+
+// kernelLine is envLine with the config's kernel name spelled out.
+func kernelLine(kernel, goarch string, gomaxprocs int) string {
+	return fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{"suite_sha":"t"},"data":{"kernel":%q,"goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128,"gflops":5.5}]}}`,
+		kernel, goarch, gomaxprocs)
+}
+
+// TestLegacyTunedConfigLoads: configs written before the GEBP engine
+// had one name say "kernel":"tuned"; such a line yields exactly the
+// Tuning the same line says with "blocked".
+func TestLegacyTunedConfigLoads(t *testing.T) {
+	var got [2]tensor.Tuning
+	for i, kernel := range []string{"tuned", "blocked"} {
+		cfgs, err := LoadFile(writeStream(t, kernelLine(kernel, "amd64", 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i], err = cfgs[0].Tuning(); err != nil {
+			t.Fatalf("%s config: %v", kernel, err)
+		}
+	}
+	if got[0] != got[1] || got[0].Threshold != 32768 {
+		t.Fatalf(`"tuned" config yields %+v, "blocked" %+v; want the same swept tuning`, got[0], got[1])
+	}
 }
 
 func writeStream(t *testing.T, lines ...string) string {
@@ -147,10 +171,10 @@ func TestLoadFileSkipsForeignLinesAndErrorsOnEmpty(t *testing.T) {
 
 func TestSelect(t *testing.T) {
 	cfgs := []*Config{
-		{Kernel: "tuned", GOARCH: "amd64", GOMAXPROCS: 8},
-		{Kernel: "tuned", GOARCH: "amd64", GOMAXPROCS: 4},
-		{Kernel: "tuned", GOARCH: "arm64", GOMAXPROCS: 8},
-		{Kernel: "tuned", GOARCH: "amd64", GOMAXPROCS: 8, Threshold: 99},
+		{Kernel: "blocked", GOARCH: "amd64", GOMAXPROCS: 8},
+		{Kernel: "blocked", GOARCH: "amd64", GOMAXPROCS: 4},
+		{Kernel: "blocked", GOARCH: "arm64", GOMAXPROCS: 8},
+		{Kernel: "blocked", GOARCH: "amd64", GOMAXPROCS: 8, Threshold: 99},
 	}
 	got, err := Select(cfgs, "amd64", 8)
 	if err != nil {
@@ -188,14 +212,14 @@ func TestLoadedConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := tensor.Tuned(tuning)
+	k, err := tensor.Blocked(tuning)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.ParallelThreshold() != 32768 {
-		t.Errorf("threshold not carried: %d", k.ParallelThreshold())
-	}
 	got, _ := tensor.TuningOf(k)
+	if got.Threshold != 32768 {
+		t.Errorf("threshold not carried: %d", got.Threshold)
+	}
 	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}); got.Square != want {
 		t.Errorf("square class = %v, want %v", got.Square, want)
 	}
@@ -205,7 +229,7 @@ func TestLoadedConfigRoundTrip(t *testing.T) {
 // behind LoadFile, the last file decoder without a fuzz target. It must
 // not panic, and every Config it returns must either convert to a
 // Tuning that validates or make Config.Tuning say why not: a hostile
-// stream can never reach tensor.Tuned as an unchecked tuning.
+// stream can never reach tensor.Blocked as an unchecked tuning.
 func FuzzTuneConfigStream(f *testing.F) {
 	f.Add([]byte(envLine("amd64", 4) + "\n" + envLine("arm64", 8) + "\n"))
 	f.Add([]byte(`{"v":1,"kind":"session","run":{},"data":{"id":"DC-AI-C1"}}` + "\nnot json at all\n" + `{"v":7,"kind":"tuneconfig","data":{}}`))
