@@ -35,10 +35,11 @@
 // trace/metrics records and print a span summary), -cpuprofile, and
 // -memprofile (runtime/pprof profiles of the run).
 //
-// `aibench tune` sweeps the blocked kernel's tile/micro-kernel menu on
-// this machine and prints the winning config per (op, shape class);
-// -out persists it as a tuneconfig envelope that `run -tune-from`,
-// `version -tune-from`, and $AIBENCH_TUNE_FROM (benchmarks) reload.
+// `aibench tune` sweeps the blocked kernel's block sizes and parallel
+// threshold on this machine and prints the winning config per (op,
+// shape class); -out persists it as a tuneconfig envelope that
+// `run -tune-from`, `version -tune-from`, and $AIBENCH_TUNE_FROM
+// (benchmarks) reload.
 package main
 
 import (
@@ -639,8 +640,8 @@ func cmdReplay(s *aibench.Suite, args []string) {
 	}
 }
 
-// cmdTune sweeps the blocked kernel's candidate menu on this machine and
-// prints the winning tile config per (op, shape class). -out persists
+// cmdTune sweeps the blocked kernel's block and threshold menus on this
+// machine and prints the winning blocks per (op, shape class). -out persists
 // the config as a tuneconfig envelope keyed by suite SHA, GOARCH, and
 // GOMAXPROCS; `run -tune-from`, `version -tune-from`, and the
 // benchmark harness ($AIBENCH_TUNE_FROM) reload it. Tuning changes

@@ -93,13 +93,10 @@ func RenderTuneConfigs(w io.Writer, recs []Record) {
 		c := r.TuneConfig
 		fmt.Fprintf(w, "tuned config: kernel=%s goarch=%s gomaxprocs=%d parallel-threshold=%d\n",
 			c.Kernel, c.GOARCH, c.GOMAXPROCS, c.Threshold)
-		fmt.Fprintf(w, "%-8s %-8s %-8s %-10s %9s\n", "Op", "Class", "Micro", "Block", "GFLOPS")
+		fmt.Fprintf(w, "%-8s %-8s %-10s %9s\n", "Op", "Class", "Block", "GFLOPS")
 		for _, e := range c.Entries {
-			fmt.Fprintf(w, "%-8s %-8s %-8s %-10s %9.2f\n",
-				e.Op, e.ShapeClass,
-				fmt.Sprintf("%dx%du%d", e.MR, e.NR, e.KUnroll),
-				fmt.Sprintf("%dx%d", e.BlockM, e.BlockN),
-				e.GFLOPS)
+			fmt.Fprintf(w, "%-8s %-8s %-10s %9.2f\n",
+				e.Op, e.ShapeClass, e.TileConfig(), e.GFLOPS)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 func sweptTuning() tensor.Tuning {
 	t := tensor.DefaultTuning()
 	t.Threshold = 12345
-	t.Conv = tensor.TileConfig{MR: 4, NR: 4, KUnroll: 1, BlockM: 32, BlockN: 32}
+	t.Skinny = tensor.TileConfig{BlockM: 32, BlockN: 32}
 	return t
 }
 
@@ -31,7 +31,7 @@ func sweptTuning() tensor.Tuning {
 // must reject what it cannot build instead of panicking on it.
 func FuzzWorkerHello(f *testing.F) {
 	swept := sweptTuning()
-	invalid := tensor.Tuning{Threshold: -1, Square: tensor.TileConfig{MR: 3, BlockM: -64}}
+	invalid := tensor.Tuning{Threshold: -1, Square: tensor.TileConfig{BlockM: -64}}
 	for _, h := range []hello{
 		{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true},
 		{BenchID: "DC-AI-C1", Kernel: "blocked", Tuning: &swept, Seed: -7, Workers: 1},

@@ -62,26 +62,37 @@ func NewSGD(m nn.Module, lr, momentum, weightDecay float64, nesterov bool) *SGD 
 	}
 }
 
-// Step applies one SGD update.
+// Step applies one SGD update. The decay term is added even when it is
+// zero (0·w is NaN for an infinite weight); the momentum variant is
+// picked once per parameter.
 func (s *SGD) Step() {
+	lr, decay, mom := s.lr, s.WeightDecay, s.Momentum
 	for i, p := range s.params {
 		g := p.Value.Grad
 		if g == nil {
 			continue
 		}
-		w := p.Value.Data
-		v := s.velocity[i]
-		for j := range w.Data {
-			grad := g.Data[j] + s.WeightDecay*w.Data[j]
-			if s.Momentum != 0 {
-				v.Data[j] = s.Momentum*v.Data[j] + grad
-				if s.Nesterov {
-					grad = grad + s.Momentum*v.Data[j]
-				} else {
-					grad = v.Data[j]
-				}
+		w := p.Value.Data.Data
+		gd, v := g.Data[:len(w)], s.velocity[i].Data[:len(w)]
+		switch {
+		case mom == 0:
+			for j := range w {
+				grad := gd[j] + decay*w[j]
+				w[j] -= lr * grad
 			}
-			w.Data[j] -= s.lr * grad
+		case s.Nesterov:
+			for j := range w {
+				grad := gd[j] + decay*w[j]
+				v[j] = mom*v[j] + grad
+				grad = grad + mom*v[j]
+				w[j] -= lr * grad
+			}
+		default:
+			for j := range w {
+				grad := gd[j] + decay*w[j]
+				v[j] = mom*v[j] + grad
+				w[j] -= lr * v[j]
+			}
 		}
 	}
 }
@@ -122,33 +133,53 @@ func NewAdamW(mod nn.Module, lr, weightDecay float64) *Adam {
 	return a
 }
 
-// Step applies one Adam update with bias correction.
+// Step applies one Adam update with bias correction. Whether weight
+// decay is coupled (added to the gradient), decoupled (added to the
+// update) or off is decided once per parameter.
 func (a *Adam) Step() {
 	a.step++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	h := adamStep{a.Beta1, a.Beta2, c1, c2, a.lr, a.Eps}
+	decay := a.WeightDecay
 	for i, p := range a.params {
 		g := p.Value.Grad
 		if g == nil {
 			continue
 		}
-		w := p.Value.Data
-		for j := range w.Data {
-			grad := g.Data[j]
-			if a.WeightDecay != 0 && !a.DecoupledDecay {
-				grad += a.WeightDecay * w.Data[j]
+		w := p.Value.Data.Data
+		gd, m, v := g.Data[:len(w)], a.m[i].Data[:len(w)], a.v[i].Data[:len(w)]
+		switch {
+		case decay == 0:
+			for j := range w {
+				w[j] -= h.update(&m[j], &v[j], gd[j])
 			}
-			a.m[i].Data[j] = a.Beta1*a.m[i].Data[j] + (1-a.Beta1)*grad
-			a.v[i].Data[j] = a.Beta2*a.v[i].Data[j] + (1-a.Beta2)*grad*grad
-			mHat := a.m[i].Data[j] / c1
-			vHat := a.v[i].Data[j] / c2
-			upd := a.lr * mHat / (math.Sqrt(vHat) + a.Eps)
-			if a.DecoupledDecay && a.WeightDecay != 0 {
-				upd += a.lr * a.WeightDecay * w.Data[j]
+		case a.DecoupledDecay:
+			for j := range w {
+				upd := h.update(&m[j], &v[j], gd[j])
+				upd += a.lr * decay * w[j]
+				w[j] -= upd
 			}
-			w.Data[j] -= upd
+		default:
+			for j := range w {
+				w[j] -= h.update(&m[j], &v[j], gd[j]+decay*w[j])
+			}
 		}
 	}
+}
+
+// adamStep is one Adam step's constants: the betas, their bias
+// corrections, the learning rate and epsilon.
+type adamStep struct{ b1, b2, c1, c2, lr, eps float64 }
+
+// update moves one element's moments m and v by grad and returns its
+// bias-corrected update.
+func (h *adamStep) update(m, v *float64, grad float64) float64 {
+	*m = h.b1*(*m) + (1-h.b1)*grad
+	*v = h.b2*(*v) + (1-h.b2)*grad*grad
+	mHat := *m / h.c1
+	vHat := *v / h.c2
+	return h.lr * mHat / (math.Sqrt(vHat) + h.eps)
 }
 
 // RMSProp is the RMSProp optimizer used by several recurrent workloads.
@@ -177,11 +208,12 @@ func (r *RMSProp) Step() {
 		if g == nil {
 			continue
 		}
-		w := p.Value.Data
-		for j := range w.Data {
-			grad := g.Data[j]
-			r.sq[i].Data[j] = r.Alpha*r.sq[i].Data[j] + (1-r.Alpha)*grad*grad
-			w.Data[j] -= r.lr * grad / (math.Sqrt(r.sq[i].Data[j]) + r.Eps)
+		w := p.Value.Data.Data
+		gd, sq := g.Data[:len(w)], r.sq[i].Data[:len(w)]
+		for j := range w {
+			grad := gd[j]
+			sq[j] = r.Alpha*sq[j] + (1-r.Alpha)*grad*grad
+			w[j] -= r.lr * grad / (math.Sqrt(sq[j]) + r.Eps)
 		}
 	}
 }
@@ -210,11 +242,12 @@ func (a *Adagrad) Step() {
 		if g == nil {
 			continue
 		}
-		w := p.Value.Data
-		for j := range w.Data {
-			grad := g.Data[j]
-			a.sum[i].Data[j] += grad * grad
-			w.Data[j] -= a.lr * grad / (math.Sqrt(a.sum[i].Data[j]) + a.Eps)
+		w := p.Value.Data.Data
+		gd, sum := g.Data[:len(w)], a.sum[i].Data[:len(w)]
+		for j := range w {
+			grad := gd[j]
+			sum[j] += grad * grad
+			w[j] -= a.lr * grad / (math.Sqrt(sum[j]) + a.Eps)
 		}
 	}
 }

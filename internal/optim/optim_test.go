@@ -184,3 +184,132 @@ func TestAdamWDecoupledDecay(t *testing.T) {
 		t.Fatalf("w = %g, want %g", w.Value.Data.Data[0], want)
 	}
 }
+
+type paramsModule []*nn.Param
+
+func (m paramsModule) Params() []*nn.Param { return m }
+
+// stepOracle is one parameter's update at 1-based step count step,
+// written per element with every branch inside the loop; s1 and s2 are
+// the parameter's optimizer state.
+type stepOracle func(step int, w, g, s1, s2 []float64)
+
+// TestStepMatchesPerElementFormula steps every optimizer variant five
+// times and demands the weights stay bit-equal to the per-element
+// formula. Signed-zero gradients and weights ride along, and one weight
+// is infinite, so an SGD update that skips a zero decay term (0·∞ is
+// NaN) fails here too.
+func TestStepMatchesPerElementFormula(t *testing.T) {
+	sgd := func(lr, mom, wd float64, nesterov bool) stepOracle {
+		return func(_ int, w, g, v, _ []float64) {
+			for j := range w {
+				grad := g[j] + wd*w[j]
+				if mom != 0 {
+					v[j] = mom*v[j] + grad
+					if nesterov {
+						grad = grad + mom*v[j]
+					} else {
+						grad = v[j]
+					}
+				}
+				w[j] -= lr * grad
+			}
+		}
+	}
+	// Variables, not constants: constant arithmetic is exact, so 1-0.9
+	// would not round like the optimizer's 1-Beta1.
+	b1, b2, eps := 0.9, 0.999, 1e-8
+	adam := func(lr, wd float64, decoupled bool) stepOracle {
+		return func(step int, w, g, m, v []float64) {
+			c1 := 1 - math.Pow(b1, float64(step))
+			c2 := 1 - math.Pow(b2, float64(step))
+			for j := range w {
+				grad := g[j]
+				if wd != 0 && !decoupled {
+					grad += wd * w[j]
+				}
+				m[j] = b1*m[j] + (1-b1)*grad
+				v[j] = b2*v[j] + (1-b2)*grad*grad
+				mHat := m[j] / c1
+				vHat := v[j] / c2
+				upd := lr * mHat / (math.Sqrt(vHat) + eps)
+				if decoupled && wd != 0 {
+					upd += lr * wd * w[j]
+				}
+				w[j] -= upd
+			}
+		}
+	}
+	rmsprop := func(lr, alpha float64) stepOracle {
+		return func(_ int, w, g, sq, _ []float64) {
+			for j := range w {
+				grad := g[j]
+				sq[j] = alpha*sq[j] + (1-alpha)*grad*grad
+				w[j] -= lr * grad / (math.Sqrt(sq[j]) + eps)
+			}
+		}
+	}
+	adagrad := func(lr float64) stepOracle {
+		return func(_ int, w, g, sum, _ []float64) {
+			for j := range w {
+				grad := g[j]
+				sum[j] += grad * grad
+				w[j] -= lr * grad / (math.Sqrt(sum[j]) + eps)
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name   string
+		mk     func(nn.Module) Optimizer
+		oracle stepOracle
+	}{
+		{"sgd", func(m nn.Module) Optimizer { return NewSGD(m, 0.1, 0, 0, false) }, sgd(0.1, 0, 0, false)},
+		{"sgd decay", func(m nn.Module) Optimizer { return NewSGD(m, 0.1, 0, 0.01, false) }, sgd(0.1, 0, 0.01, false)},
+		{"sgd momentum", func(m nn.Module) Optimizer { return NewSGD(m, 0.1, 0.9, 0.01, false) }, sgd(0.1, 0.9, 0.01, false)},
+		{"sgd nesterov", func(m nn.Module) Optimizer { return NewSGD(m, 0.1, 0.9, 0, true) }, sgd(0.1, 0.9, 0, true)},
+		{"adam", func(m nn.Module) Optimizer { return NewAdam(m, 0.05) }, adam(0.05, 0, false)},
+		{"adam coupled decay", func(m nn.Module) Optimizer {
+			a := NewAdam(m, 0.05)
+			a.WeightDecay = 0.01
+			return a
+		}, adam(0.05, 0.01, false)},
+		{"adamw", func(m nn.Module) Optimizer { return NewAdamW(m, 0.05, 0.01) }, adam(0.05, 0.01, true)},
+		{"rmsprop", func(m nn.Module) Optimizer { return NewRMSProp(m, 0.01, 0.99) }, rmsprop(0.01, 0.99)},
+		{"adagrad", func(m nn.Module) Optimizer { return NewAdagrad(m, 0.1) }, adagrad(0.1)},
+	} {
+		sizes := []int{7, 5, 3} // the last parameter never gets a gradient
+		var mod paramsModule
+		var want, s1, s2 [][]float64
+		for i, n := range sizes {
+			w := make([]float64, n)
+			for j := range w {
+				w[j] = 3 * math.Sin(float64(5*i+j+1))
+			}
+			w[0], w[n-1] = negZero, math.Inf(1)
+			mod = append(mod, &nn.Param{Value: autograd.Var(tensor.FromSlice(append([]float64(nil), w...), n))})
+			want = append(want, w)
+			s1, s2 = append(s1, make([]float64, n)), append(s2, make([]float64, n))
+		}
+		opt := c.mk(mod)
+		for step := 1; step <= 5; step++ {
+			for i, n := range sizes[:len(sizes)-1] {
+				g := make([]float64, n)
+				for j := range g {
+					g[j] = math.Sin(float64(31*step + 7*j + i))
+				}
+				g[0], g[1] = negZero, 0
+				mod[i].Value.Grad = tensor.FromSlice(append([]float64(nil), g...), n)
+				c.oracle(step, want[i], g, s1[i], s2[i])
+			}
+			opt.Step()
+			for i, p := range mod {
+				for j, got := range p.Value.Data.Data {
+					if math.Float64bits(got) != math.Float64bits(want[i][j]) {
+						t.Fatalf("%s step %d: param %d[%d] = %v, formula gives %v", c.name, step, i, j, got, want[i][j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -48,8 +48,8 @@ func sampleRecords() []core.Record {
 		{Kind: core.KindTuneConfig, TuneConfig: &tune.Config{
 			Kernel: "tuned", GOARCH: "amd64", GOMAXPROCS: 8, Threshold: 1 << 17,
 			Entries: []tune.Entry{
-				{Op: tune.OpGEMM, ShapeClass: "square", MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128, GFLOPS: 6.25},
-				{Op: tune.OpConv2D, ShapeClass: "conv", MR: 4, NR: 4, KUnroll: 1, BlockM: 64, BlockN: 64, GFLOPS: 3.5},
+				{Op: tune.OpGEMM, ShapeClass: "square", BlockM: 128, BlockN: 128, GFLOPS: 6.25},
+				{Op: "conv2d", ShapeClass: "conv", BlockM: 64, BlockN: 64, GFLOPS: 3.5},
 			},
 		}},
 	}

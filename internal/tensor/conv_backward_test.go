@@ -44,20 +44,22 @@ func convTable(rng *rand.Rand, fn func(name string, cc convCase)) {
 	}
 }
 
-// convConfigs calls fn under every micro-kernel (32×32 blocks), with
-// everything forked and everything serial.
-func convConfigs(fn func(name string, cfg *TileConfig, threshold int)) {
-	for _, micro := range MicroMenu() {
-		cfg := micro
-		cfg.BlockM, cfg.BlockN = 32, 32
+// convConfigs calls fn with the GEBP engine running every class under
+// each of testBlocks, with everything forked and everything serial.
+func convConfigs(fn func(name string, k Kernels)) {
+	for _, cfg := range testBlocks {
 		for _, threshold := range []int{1, 1 << 30} {
-			fn(fmt.Sprintf("cfg=%s threshold=%d", cfg, threshold), &cfg, threshold)
+			k, err := Blocked(uniform(cfg, threshold))
+			if err != nil {
+				panic(err)
+			}
+			fn(fmt.Sprintf("cfg=%s threshold=%d", cfg, threshold), k)
 		}
 	}
 }
 
 // convSweepSize is how many (case, config) pairs convTable × convConfigs visit.
-var convSweepSize = 2 * 3 * 2 * 3 * 2 * len(MicroMenu()) * 2
+var convSweepSize = 2 * 3 * 2 * 3 * 2 * len(testBlocks) * 2
 
 // TestConv2DBackwardBitwise holds the fused backward to the naive
 // composition bit for bit over convTable × convConfigs, either gradient
@@ -68,22 +70,22 @@ func TestConv2DBackwardBitwise(t *testing.T) {
 	ran := 0
 	convTable(rand.New(rand.NewSource(101)), func(caseName string, cc convCase) {
 		wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
-		convConfigs(func(cfgName string, cfg *TileConfig, threshold int) {
+		convConfigs(func(cfgName string, k Kernels) {
 			name := caseName + " " + cfgName
 			for rep := 0; rep < 3; rep++ {
-				dx, dw := conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true, cfg, threshold)
+				dx, dw := k.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
 				bitwiseEqual(t, name+" dx", dx, wantX)
 				bitwiseEqual(t, name+" dw", dw, wantW)
 				if !dx.SameShape(cc.x) || !dw.SameShape(cc.w) {
 					t.Fatalf("%s: shapes dx %v dw %v", name, dx.Shape(), dw.Shape())
 				}
 			}
-			dx, dw := conv2DBackward(cc.x, cc.w, cc.g, cc.p, false, true, cfg, threshold)
+			dx, dw := k.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, false, true)
 			if dx != nil {
 				t.Fatalf("%s: needX=false returned a dx", name)
 			}
 			bitwiseEqual(t, name+" dw alone", dw, wantW)
-			dx, dw = conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, false, cfg, threshold)
+			dx, dw = k.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, false)
 			if dw != nil {
 				t.Fatalf("%s: needW=false returned a dw", name)
 			}
@@ -115,8 +117,8 @@ func TestConvBackwardInputFoldOrder(t *testing.T) {
 	if want.Data[1] != (one+big)-big {
 		t.Fatalf("col2im gives dx[1] = %v, want the ascending-pixel sum %v", want.Data[1], (one+big)-big)
 	}
-	convConfigs(func(name string, cfg *TileConfig, threshold int) {
-		dx, _ := conv2DBackward(x, w, g, p, true, false, cfg, threshold)
+	convConfigs(func(name string, k Kernels) {
+		dx, _ := k.Conv2DBackward(x, w, g, p, true, false)
 		bitwiseEqual(t, name, dx, want)
 	})
 }

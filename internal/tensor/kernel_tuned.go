@@ -4,8 +4,8 @@ import "aibench/internal/parallel"
 
 // gebpKernels is the optimized engine, the kernel named "blocked": a
 // GEBP-style GEMM that packs both operands into contiguous panels
-// and drives a straight-line MR×NR register micro-kernel over a 2-D
-// grid of cache-sized output tiles, plus an implicit im2col-GEMM
+// and drives one straight-line mr×nr (2×4) register micro-kernel over
+// a 2-D grid of cache-sized output tiles, plus an implicit im2col-GEMM
 // convolution — forward, input gradient and weight gradient — that
 // gathers every tap from a zero-bordered image copy without a bounds
 // test, never materializes the column matrix, its gradient or a
@@ -13,14 +13,15 @@ import "aibench/internal/parallel"
 // product straight into NCHW. Pack panels, padded copies and chunk
 // scratch are borrowed from the package's scratch pool (scratch.go)
 // and returned before each op does; an op allocates its results and
-// nothing that grows with its operands. The tile geometry
-// (BlockM×BlockN), micro-kernel (MR×NR from MicroMenu), k-unroll
-// depth, and parallel threshold come from the Tuning the value was
-// built with, fixed for its lifetime: DefaultTuning() for the value
-// LookupKernels("blocked") returns, and whatever Blocked(t) was handed
-// otherwise — a run with Plan.TuneFrom builds its own from the
-// persisted config internal/tune swept on this machine. Nothing reads
-// a tuning at op-call time from anywhere but the receiver.
+// nothing that grows with its operands. The GEMM tile geometry
+// (BlockM×BlockN per shape class) and the parallel threshold come from
+// the Tuning the value was built with, fixed for its lifetime (the
+// conv passes walk their own image chunks and read the threshold
+// alone): DefaultTuning() for the value LookupKernels("blocked")
+// returns, and whatever Blocked(t) was handed otherwise — a run with
+// Plan.TuneFrom builds its own from the persisted config internal/tune
+// swept on this machine. Nothing reads a tuning at op-call time from
+// anywhere but the receiver.
 //
 // Determinism contract: every output element accumulates its k terms
 // in ascending order into a single accumulator under every TileConfig,
@@ -56,9 +57,9 @@ func TuningOf(k Kernels) (Tuning, bool) {
 func (g *gebpKernels) Name() string { return "blocked" }
 
 // convRowChunk is how many output pixels of one image a convolution
-// pass gathers and multiplies at a time. It is a multiple of every
-// MicroMenu NR, so a chunk's pixels fill whole NR-lane panels, and it
-// sizes the chunk's pixel-offset table, a fixed array on the stack.
+// pass gathers and multiplies at a time. It is a multiple of nr, so a
+// chunk's pixels fill whole nr-lane panels, and it sizes the chunk's
+// pixel-offset table, a fixed array on the stack.
 const convRowChunk = 128
 
 // operand is a strided view of one logical GEMM operand as `lanes`
@@ -130,38 +131,19 @@ func packPanel(dst []float64, o operand, lane0, width int) {
 	}
 }
 
-// microFunc is the shared micro-kernel signature: fill the rows×cols
-// corner of an MR×NR output tile at dst (leading dimension ldc) from
-// the packed panels ap (MR-row, k-major) and bp (NR-column, k-major).
-// The arithmetic always runs the full MR×NR (padding lanes are zero);
-// rows/cols only mask the store.
-type microFunc func(ap, bp []float64, K int, dst []float64, ldc, rows, cols int)
+// mr×nr is the register micro-tile: mr rows of A and nr columns of B
+// held in scalar registers while streaming the shared k dimension.
+// Block sizes are multiples of them (TileConfig.Validate).
+const (
+	mr = 2
+	nr = 4
+)
 
-// microFor maps a TileConfig's register shape to its straight-line
-// micro-kernel, or nil when no such kernel exists.
-func microFor(c TileConfig) microFunc {
-	switch [3]int{c.MR, c.NR, c.KUnroll} {
-	case [3]int{2, 4, 1}:
-		return micro2x4u1
-	case [3]int{2, 4, 4}:
-		return micro2x4u4
-	case [3]int{4, 4, 1}:
-		return micro4x4u1
-	case [3]int{4, 4, 2}:
-		return micro4x4u2
-	case [3]int{2, 8, 1}:
-		return micro2x8u1
-	case [3]int{2, 8, 2}:
-		return micro2x8u2
-	}
-	return nil
-}
-
-// storeEdge is every micro-kernel's masked store for edge tiles: it
+// storeEdge is the micro-kernel's masked store for edge tiles: it
 // writes the rows×cols corner of the accumulator block acc (row-major,
 // nr wide) to dst. Interior tiles take the straight-store fast path
 // inline instead.
-func storeEdge(dst []float64, ldc, rows, cols, nr int, acc ...float64) {
+func storeEdge(dst []float64, ldc, rows, cols int, acc ...float64) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			dst[r*ldc+c] = acc[r*nr+c]
@@ -169,10 +151,12 @@ func storeEdge(dst []float64, ldc, rows, cols, nr int, acc ...float64) {
 	}
 }
 
-// micro2x4u4 is the builtin micro-kernel: one 2×4 output tile as dot
-// products over the packed panels, k ascending with one scalar
-// accumulator per element. 2×4 keeps the 8 accumulators plus the 6
-// operand temporaries inside the 15 usable amd64 XMM registers. The k
+// micro2x4u4 is the engine's micro-kernel: it fills the rows×cols
+// corner of one 2×4 output tile at dst (leading dimension ldc) as dot
+// products over the packed panels ap (mr-row, k-major) and bp
+// (nr-column, k-major), k ascending with one scalar accumulator per
+// element. 2×4 keeps the 8 accumulators plus the 6 operand
+// temporaries inside the 15 usable amd64 XMM registers. The k
 // loop is unrolled ×4: each accumulator still receives exactly one
 // product per k step in ascending k order (the unroll widens the loop
 // body, not the addition tree), so the result is bit-identical to the
@@ -246,339 +230,39 @@ func micro2x4u4(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
 		return
 	}
-	storeEdge(dst, ldc, rows, cols, 4,
+	storeEdge(dst, ldc, rows, cols,
 		c00, c01, c02, c03,
 		c10, c11, c12, c13)
-}
-
-// micro2x4u1 is the rolled 2×4 micro-kernel: micro2x4u4's tail loop
-// as the whole body. Bit-identical to it (same additions in the same
-// ascending-k order); only loop-control overhead differs.
-func micro2x4u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	for p := 0; p < K; p++ {
-		a := ap[2*p : 2*p+2]
-		b := bp[4*p : 4*p+4]
-		a0, a1 := a[0], a[1]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-	}
-	if rows >= 2 && cols >= 4 { // interior tile: straight stores
-		d0 := dst[:4]
-		d1 := dst[ldc : ldc+4]
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		return
-	}
-	storeEdge(dst, ldc, rows, cols, 4,
-		c00, c01, c02, c03,
-		c10, c11, c12, c13)
-}
-
-// micro4x4u1 holds a 4×4 accumulator block: 16 accumulators, 8 operand
-// loads per k step. Wider than the register file on amd64 (some
-// accumulators spill) but the higher compute-per-load ratio wins on
-// machines with cheap L1 — that trade is exactly what the tuner
-// measures.
-func micro4x4u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	var c20, c21, c22, c23 float64
-	var c30, c31, c32, c33 float64
-	for p := 0; p < K; p++ {
-		a := ap[4*p : 4*p+4]
-		b := bp[4*p : 4*p+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	if rows >= 4 && cols >= 4 { // interior tile: straight stores
-		d0 := dst[:4]
-		d1 := dst[ldc : ldc+4]
-		d2 := dst[2*ldc : 2*ldc+4]
-		d3 := dst[3*ldc : 3*ldc+4]
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-		d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-		return
-	}
-	storeEdge(dst, ldc, rows, cols, 4,
-		c00, c01, c02, c03,
-		c10, c11, c12, c13,
-		c20, c21, c22, c23,
-		c30, c31, c32, c33)
-}
-
-// micro4x4u2 is micro4x4u1 with the k loop unrolled ×2 — each
-// accumulator still receives exactly one product per k step in
-// ascending k order, so results are bit-identical to the rolled loop.
-func micro4x4u2(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
-	var c00, c01, c02, c03 float64
-	var c10, c11, c12, c13 float64
-	var c20, c21, c22, c23 float64
-	var c30, c31, c32, c33 float64
-	p := 0
-	for ; p+2 <= K; p += 2 {
-		a := ap[4*p : 4*p+8]
-		b := bp[4*p : 4*p+8]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		a0, a1, a2, a3 = a[4], a[5], a[6], a[7]
-		b0, b1, b2, b3 = b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	for ; p < K; p++ {
-		a := ap[4*p : 4*p+4]
-		b := bp[4*p : 4*p+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-	}
-	if rows >= 4 && cols >= 4 { // interior tile: straight stores
-		d0 := dst[:4]
-		d1 := dst[ldc : ldc+4]
-		d2 := dst[2*ldc : 2*ldc+4]
-		d3 := dst[3*ldc : 3*ldc+4]
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		d2[0], d2[1], d2[2], d2[3] = c20, c21, c22, c23
-		d3[0], d3[1], d3[2], d3[3] = c30, c31, c32, c33
-		return
-	}
-	storeEdge(dst, ldc, rows, cols, 4,
-		c00, c01, c02, c03,
-		c10, c11, c12, c13,
-		c20, c21, c22, c23,
-		c30, c31, c32, c33)
-}
-
-// micro2x8u1 streams 8 columns of B against 2 rows of A: 16
-// accumulators with only 10 loads per k step, and the 8-wide b loads
-// are contiguous — the friendliest layout for the compiler to keep in
-// wide registers.
-func micro2x8u1(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 float64
-	var c10, c11, c12, c13, c14, c15, c16, c17 float64
-	for p := 0; p < K; p++ {
-		a := ap[2*p : 2*p+2]
-		b := bp[8*p : 8*p+8]
-		a0, a1 := a[0], a[1]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-	}
-	if rows >= 2 && cols >= 8 { // interior tile: straight stores
-		d0 := dst[:8]
-		d1 := dst[ldc : ldc+8]
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d0[4], d0[5], d0[6], d0[7] = c04, c05, c06, c07
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		d1[4], d1[5], d1[6], d1[7] = c14, c15, c16, c17
-		return
-	}
-	storeEdge(dst, ldc, rows, cols, 8,
-		c00, c01, c02, c03, c04, c05, c06, c07,
-		c10, c11, c12, c13, c14, c15, c16, c17)
-}
-
-// micro2x8u2 is micro2x8u1 with the k loop unrolled ×2; bit-identical
-// to the rolled loop for the same reason as the other unrolls.
-func micro2x8u2(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
-	var c00, c01, c02, c03, c04, c05, c06, c07 float64
-	var c10, c11, c12, c13, c14, c15, c16, c17 float64
-	p := 0
-	for ; p+2 <= K; p += 2 {
-		a := ap[2*p : 2*p+4]
-		b := bp[8*p : 8*p+16]
-		a0, a1 := a[0], a[1]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		a0, a1 = a[2], a[3]
-		b0, b1, b2, b3 = b[8], b[9], b[10], b[11]
-		b4, b5, b6, b7 = b[12], b[13], b[14], b[15]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-	}
-	for ; p < K; p++ {
-		a := ap[2*p : 2*p+2]
-		b := bp[8*p : 8*p+8]
-		a0, a1 := a[0], a[1]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		b4, b5, b6, b7 := b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-	}
-	if rows >= 2 && cols >= 8 { // interior tile: straight stores
-		d0 := dst[:8]
-		d1 := dst[ldc : ldc+8]
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d0[4], d0[5], d0[6], d0[7] = c04, c05, c06, c07
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-		d1[4], d1[5], d1[6], d1[7] = c14, c15, c16, c17
-		return
-	}
-	storeEdge(dst, ldc, rows, cols, 8,
-		c00, c01, c02, c03, c04, c05, c06, c07,
-		c10, c11, c12, c13, c14, c15, c16, c17)
 }
 
 // gebpTile fills the rows×cols output region starting at dst (leading
 // dimension ldc) from the packed panel ranges. apack's first panel is
-// the tile's first MR rows; bpack's first panel its first NR columns.
+// the tile's first mr rows; bpack's first panel its first nr columns.
 // Serial and fixed-order: callers decide the parallel decomposition.
-func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int, cfg *TileConfig) {
-	micro := microFor(*cfg)
-	pmr, pnr := cfg.MR, cfg.NR
-	for jp := 0; jp < cols; jp += pnr {
-		bp := bpack[(jp/pnr)*K*pnr:]
-		jw := min(pnr, cols-jp)
-		for ip := 0; ip < rows; ip += pmr {
-			ap := apack[(ip/pmr)*K*pmr:]
-			micro(ap, bp, K, dst[ip*ldc+jp:], ldc, min(pmr, rows-ip), jw)
+// The arithmetic always runs the full mr×nr (padding lanes are zero);
+// rows/cols only mask the edge tiles' stores.
+func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int) {
+	for jp := 0; jp < cols; jp += nr {
+		bp := bpack[(jp/nr)*K*nr:]
+		jw := min(nr, cols-jp)
+		for ip := 0; ip < rows; ip += mr {
+			ap := apack[(ip/mr)*K*mr:]
+			micro2x4u4(ap, bp, K, dst[ip*ldc+jp:], ldc, min(mr, rows-ip), jw)
 		}
 	}
 }
 
-// gemm packs both operands through the config's panel shapes and runs
-// the 2-D decomposition: the output, allocated in ar, splits into
+// gemm packs both operands into mr- and nr-lane panels and runs the
+// 2-D decomposition: the output, allocated in ar, splits into cfg's
 // BlockM×BlockN tiles (disjoint writes, scheduling-independent) handed
 // to the pool as a flattened grid; small products walk the same tiles
 // serially, without building the closure the pool would need. Block
-// sizes are validated multiples of MR/NR, so tile origins always land
+// sizes are validated multiples of mr/nr, so tile origins always land
 // on panel boundaries.
 func gemm(ar *Arena, a, b operand, cfg *TileConfig, threshold int) *Tensor {
 	m, n, K := a.lanes, b.lanes, a.K
-	apack := pack(a, cfg.MR, threshold)
-	bpack := pack(b, cfg.NR, threshold)
+	apack := pack(a, mr, threshold)
+	bpack := pack(b, nr, threshold)
 	out := ar.New(m, n)
 	mt := (m + cfg.BlockM - 1) / cfg.BlockM
 	nt := (n + cfg.BlockN - 1) / cfg.BlockN
@@ -604,7 +288,7 @@ func gemmTile(apack, bpack, out []float64, m, n, K, ti, tj int, cfg *TileConfig)
 	i0, j0 := ti*cfg.BlockM, tj*cfg.BlockN
 	rows := min(cfg.BlockM, m-i0)
 	cols := min(cfg.BlockN, n-j0)
-	gebpTile(apack[(i0/cfg.MR)*K*cfg.MR:], bpack[(j0/cfg.NR)*K*cfg.NR:], K, rows, cols, out[i0*n+j0:], n, cfg)
+	gebpTile(apack[(i0/mr)*K*mr:], bpack[(j0/nr)*K*nr:], K, rows, cols, out[i0*n+j0:], n)
 }
 
 // gemm runs a product under this kernel's tuning, picking the config
@@ -641,13 +325,11 @@ func (g *gebpKernels) Outer(a, b *Tensor) *Tensor {
 }
 
 func (g *gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
-	t := &g.tuning
-	return conv2D(x, weight, p, &t.Conv, t.Threshold)
+	return conv2D(x, weight, p, g.tuning.Threshold)
 }
 
 func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
-	t := &g.tuning
-	return conv2DBackward(x, weight, grad, p, needX, needW, &t.Conv, t.Threshold)
+	return conv2DBackward(x, weight, grad, p, needX, needW, g.tuning.Threshold)
 }
 
 // convGeom is a convolution's input seen through a zero-bordered copy
@@ -692,10 +374,10 @@ func (cg convGeom) offsets(off []int, lo int) {
 }
 
 // gather packs the taps of the pixels at off in the padded image xp as
-// NR-lane k-major panels — packPanel's layout of the column matrix's
+// nr-lane k-major panels — packPanel's layout of the column matrix's
 // rows, read straight from the image. Lanes past the last pixel are
 // zeros.
-func (cg convGeom) gather(dst, xp []float64, off []int, nr int) {
+func (cg convGeom) gather(dst, xp []float64, off []int) {
 	K := cg.taps()
 	for j := 0; j < (len(off)+nr-1)/nr*nr; j++ {
 		di := j/nr*K*nr + j%nr
@@ -739,31 +421,31 @@ func (cg convGeom) fold(acc, prod []float64, off []int) {
 }
 
 // conv2D is an implicit im2col-GEMM with the weights as the left
-// operand (MR lanes over output channels) and the output pixels as the
-// right one (NR lanes). A task owns an image: chunk by chunk it gathers
+// operand (mr lanes over output channels) and the output pixels as the
+// right one (nr lanes). A task owns an image: chunk by chunk it gathers
 // the pixels' taps from one zero-bordered copy of the image into
 // panels, and the micro-kernel stores the outC×chunk tile straight into
 // the image's NCHW planes (ldc = oh·ow), so there is no column matrix,
 // no product scratch and no scatter.
-func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *Tensor {
+func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 	n, outC, cg := x.shape[0], weight.shape[0], convGeomOf(x.shape, p)
 	if cg.oh <= 0 || cg.ow <= 0 {
 		panic("tensor: Conv2D output would be empty")
 	}
 	K := cg.taps()
-	wpack := pack(operand{weight.Data, outC, K, K, 1}, cfg.MR, threshold)
+	wpack := pack(operand{weight.Data, outC, K, K, 1}, mr, threshold)
 	out := ArenaOf(x, weight).New(n, outC, cg.oh, cg.ow)
 	parGate(threshold, n, n*cg.oh*cg.ow*K*outC, func(img int) {
-		K, plane, pnr := cg.taps(), cg.oh*cg.ow, cfg.NR
+		K, plane := cg.taps(), cg.oh*cg.ow
 		xp := getScratch(cg.size())
 		cg.padImage(xp, x.Data[img*cg.c*cg.h*cg.w:])
-		bpack := getScratch((min(convRowChunk, plane) + pnr - 1) / pnr * pnr * K)
+		bpack := getScratch((min(convRowChunk, plane) + nr - 1) / nr * nr * K)
 		var off [convRowChunk]int
 		for lo := 0; lo < plane; lo += convRowChunk {
 			px := off[:min(convRowChunk, plane-lo)]
 			cg.offsets(px, lo)
-			cg.gather(bpack, xp, px, pnr)
-			gebpTile(wpack, bpack, K, outC, len(px), out.Data[img*outC*plane+lo:], plane, cfg)
+			cg.gather(bpack, xp, px)
+			gebpTile(wpack, bpack, K, outC, len(px), out.Data[img*outC*plane+lo:], plane)
 		}
 		putScratch(xp)
 		putScratch(bpack)
@@ -778,15 +460,15 @@ func conv2D(x, weight *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) *
 // the weights as outC×(c·k·k), dx folds G·W back onto the input and dw
 // is Gᵀ times the unfolded input — the same two products, each output
 // element accumulated in the same order, as the naive composition.
-func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, cfg *TileConfig, threshold int) (dx, dw *Tensor) {
+func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, threshold int) (dx, dw *Tensor) {
 	ar := ArenaOf(g, x, weight)
 	if needX {
 		dx = ar.New(x.shape...)
-		convBackwardInput(dx, weight, g, p, cfg, threshold)
+		convBackwardInput(dx, weight, g, p, threshold)
 	}
 	if needW {
 		dw = ar.New(weight.shape...)
-		convBackwardWeight(dw, x, g, p, cfg, threshold)
+		convBackwardWeight(dw, x, g, p, threshold)
 	}
 	return dx, dw
 }
@@ -799,18 +481,18 @@ func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, cfg
 // interior into dx. No other task writes that image, so every dx
 // element receives its terms in col2im's ascending (row, tap) order
 // whatever the schedule.
-func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
+func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, threshold int) {
 	n, outC, cg := dx.shape[0], weight.shape[0], convGeomOf(dx.shape, p)
 	K := cg.taps()
 	// Wᵀ's lanes are W's columns; k runs down them over output channels.
-	wpack := pack(operand{weight.Data, K, outC, 1, K}, cfg.MR, threshold)
+	wpack := pack(operand{weight.Data, K, outC, 1, K}, mr, threshold)
 	parGate(threshold, n, n*cg.oh*cg.ow*outC*K, func(img int) {
-		K, plane, pnr := cg.taps(), cg.oh*cg.ow, cfg.NR
+		K, plane := cg.taps(), cg.oh*cg.ow
 		// An image smaller than a chunk borrows scratch for its own size.
 		chunk := min(convRowChunk, plane)
 		acc := getScratch(cg.size())
 		clear(acc)
-		gpack := getScratch((chunk + pnr - 1) / pnr * pnr * outC)
+		gpack := getScratch((chunk + nr - 1) / nr * nr * outC)
 		prod := getScratch(K * chunk)
 		gimg := g.Data[img*outC*plane : (img+1)*outC*plane]
 		var off [convRowChunk]int
@@ -818,10 +500,10 @@ func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, t
 			px := off[:min(chunk, plane-lo)]
 			// Pixel lo+j of channel oc sits at gimg[oc·plane+lo+j].
 			pixels := operand{gimg[lo:], len(px), outC, 1, plane}
-			for r := 0; r < len(px); r += pnr {
-				packPanel(gpack[r*outC:], pixels, r, pnr)
+			for r := 0; r < len(px); r += nr {
+				packPanel(gpack[r*outC:], pixels, r, nr)
 			}
-			gebpTile(wpack, gpack, outC, K, len(px), prod, len(px), cfg)
+			gebpTile(wpack, gpack, outC, K, len(px), prod, len(px))
 			cg.offsets(px, lo)
 			cg.fold(acc, prod, px)
 		}
@@ -841,33 +523,33 @@ func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, cfg *TileConfig, t
 // convBackwardWeight fills dw = Gᵀ·im2col(x). The reduction runs over
 // all n·oh·ow pixels, one ascending accumulator chain per element, as
 // each micro-kernel call streams the whole of it. One borrow holds the
-// padded images, then g packed into MR-row panels (lanes are output
+// padded images, then g packed into mr-row panels (lanes are output
 // channels, k runs over every pixel of every image); each task gathers
-// one NR-wide panel of taps — NR columns of the column matrix — output
+// one nr-wide panel of taps — nr columns of the column matrix — output
 // row by output row from the padded images and walks it against g.
-func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, threshold int) {
+func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, threshold int) {
 	n, outC, cg := x.shape[0], g.shape[1], convGeomOf(x.shape, p)
 	K, R := cg.taps(), n*cg.oh*cg.ow
-	buf := getScratch(n*cg.size() + (outC+cfg.MR-1)/cfg.MR*cfg.MR*R)
+	buf := getScratch(n*cg.size() + (outC+mr-1)/mr*mr*R)
 	parGate(threshold, n, outC*R, func(img int) {
-		n, plane, size, pmr := x.shape[0], cg.oh*cg.ow, cg.size(), cfg.MR
+		n, plane, size := x.shape[0], cg.oh*cg.ow, cg.size()
 		cg.padImage(buf[img*size:(img+1)*size], x.Data[img*cg.c*cg.h*cg.w:])
 		// Channel oc of this image is plane contiguous pixels, which land
 		// at k = img·plane onwards in oc's panel.
 		channels := operand{g.Data[img*outC*plane:], outC, plane, plane, 1}
-		for mp := 0; mp*pmr < outC; mp++ {
-			packPanel(buf[n*size+(mp*n+img)*plane*pmr:], channels, mp*pmr, pmr)
+		for mp := 0; mp*mr < outC; mp++ {
+			packPanel(buf[n*size+(mp*n+img)*plane*mr:], channels, mp*mr, mr)
 		}
 	})
-	parGate(threshold, (K+cfg.NR-1)/cfg.NR, outC*R*K, func(jp int) {
-		n, K, size, pnr := x.shape[0], cg.taps(), cg.size(), cfg.NR
-		R, j0 := n*cg.oh*cg.ow, jp*pnr
-		cols := getScratch(R * pnr)
-		for l := 0; l < pnr; l++ {
+	parGate(threshold, (K+nr-1)/nr, outC*R*K, func(jp int) {
+		n, K, size := x.shape[0], cg.taps(), cg.size()
+		R, j0 := n*cg.oh*cg.ow, jp*nr
+		cols := getScratch(R * nr)
+		for l := 0; l < nr; l++ {
 			tap := j0 + l
 			if tap >= K { // a lane past the last tap
 				for r := 0; r < R; r++ {
-					cols[r*pnr+l] = 0
+					cols[r*nr+l] = 0
 				}
 				continue
 			}
@@ -879,12 +561,12 @@ func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, cfg *TileConfig, thres
 					row := src[img*size+oy*cg.stride*cg.wp:]
 					for ox := 0; ox < cg.ow; ox++ {
 						cols[di] = row[ox*cg.stride]
-						di += pnr
+						di += nr
 					}
 				}
 			}
 		}
-		gebpTile(buf[n*size:], cols, R, outC, min(pnr, K-j0), dw.Data[j0:], K, cfg)
+		gebpTile(buf[n*size:], cols, R, outC, min(nr, K-j0), dw.Data[j0:], K)
 		putScratch(cols)
 	})
 	putScratch(buf)

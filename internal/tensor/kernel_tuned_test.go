@@ -20,26 +20,26 @@ func mustBlocked(t *testing.T, tuning Tuning) Kernels {
 
 // uniform is the tuning that runs every shape class under cfg.
 func uniform(cfg TileConfig, threshold int) Tuning {
-	return Tuning{Threshold: threshold, Square: cfg, Skinny: cfg, Fat: cfg, Conv: cfg}
+	return Tuning{Threshold: threshold, Square: cfg, Skinny: cfg, Fat: cfg}
 }
 
+// testBlocks is the block list the bitwise sweeps run every class
+// under: exactly one micro-tile (every tile a single micro-kernel call,
+// so edge shapes reach the masked store), a non-square block, the
+// sweep's 32×32 and the builtin 64×64 (multi-tile walks).
+var testBlocks = []TileConfig{{BlockM: 2, BlockN: 4}, {BlockM: 8, BlockN: 32}, {BlockM: 32, BlockN: 32}, {BlockM: 64, BlockN: 64}}
+
 func TestTileConfigValidate(t *testing.T) {
-	for _, micro := range MicroMenu() {
-		for _, blk := range []int{32, 64, 128} {
-			c := micro
-			c.BlockM, c.BlockN = blk, blk
-			if err := c.Validate(); err != nil {
-				t.Errorf("menu config %s rejected: %v", c, err)
-			}
+	for _, c := range append(testBlocks, TileConfig{BlockM: 128, BlockN: 128}) {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %s rejected: %v", c, err)
 		}
 	}
 	bad := []TileConfig{
-		{MR: 3, NR: 4, KUnroll: 1, BlockM: 64, BlockN: 64},  // no 3-row micro-kernel
-		{MR: 2, NR: 4, KUnroll: 3, BlockM: 64, BlockN: 64},  // unroll depth not in menu
-		{MR: 2, NR: 4, KUnroll: 4, BlockM: 0, BlockN: 64},   // zero block
-		{MR: 2, NR: 4, KUnroll: 4, BlockM: 63, BlockN: 64},  // BlockM not a multiple of MR
-		{MR: 2, NR: 8, KUnroll: 2, BlockM: 64, BlockN: 60},  // BlockN not a multiple of NR
-		{MR: 2, NR: 8, KUnroll: 2, BlockM: 64, BlockN: -64}, // negative block
+		{BlockM: 0, BlockN: 64},   // zero block
+		{BlockM: 63, BlockN: 64},  // BlockM not a multiple of mr
+		{BlockM: 64, BlockN: 62},  // BlockN not a multiple of nr
+		{BlockM: 64, BlockN: -64}, // negative block
 		{},
 	}
 	for _, c := range bad {
@@ -70,12 +70,12 @@ func TestGEMMShapeClass(t *testing.T) {
 	}
 }
 
-// TestTunedMenuMatMulBitwise drives the GEBP engine directly
-// through every micro-kernel in the menu, at block sizes and thresholds
-// that force both the serial and the fully parallel path, on shapes
-// chosen to hit degenerate, panel-edge, and interior cases — and
-// demands bitwise equality with the naive oracle every time. This is
-// the tuning contract: configs move throughput, never bits.
+// TestTunedMenuMatMulBitwise drives the GEBP engine directly through
+// every block of testBlocks, at thresholds that force both the serial
+// and the fully parallel path, on shapes chosen to hit degenerate,
+// panel-edge, and interior cases — and demands bitwise equality with
+// the naive oracle every time. This is the tuning contract: configs
+// move throughput, never bits.
 func TestTunedMenuMatMulBitwise(t *testing.T) {
 	naive, _ := kernelPair(t)
 	rng := rand.New(rand.NewSource(71))
@@ -85,15 +85,11 @@ func TestTunedMenuMatMulBitwise(t *testing.T) {
 		a := Randn(rng, 0, 1, m, k)
 		b := Randn(rng, 0, 1, k, n)
 		want := naive.MatMul(a, b)
-		for _, micro := range MicroMenu() {
-			for _, blk := range []int{32, 64} {
-				cfg := micro
-				cfg.BlockM, cfg.BlockN = blk, blk
-				for _, threshold := range []int{1, 1 << 30} {
-					got := mustBlocked(t, uniform(cfg, threshold)).MatMul(a, b)
-					name := fmt.Sprintf("Blocked MatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
-					bitwiseEqual(t, name, got, want)
-				}
+		for _, cfg := range testBlocks {
+			for _, threshold := range []int{1, 1 << 30} {
+				got := mustBlocked(t, uniform(cfg, threshold)).MatMul(a, b)
+				name := fmt.Sprintf("Blocked MatMul %v cfg=%s threshold=%d", dims, cfg, threshold)
+				bitwiseEqual(t, name, got, want)
 			}
 		}
 	}
@@ -102,15 +98,15 @@ func TestTunedMenuMatMulBitwise(t *testing.T) {
 // TestTunedMenuConv2DBitwise does the same for the forward convolution
 // over the backward's sweep (convTable × convConfigs): partial edge
 // panels on both operands, images that span two chunks, and output rows
-// that are not a multiple of NR, so a tile stored straight into NCHW
+// that are not a multiple of nr, so a tile stored straight into NCHW
 // crosses row ends.
 func TestTunedMenuConv2DBitwise(t *testing.T) {
 	naive, _ := kernelPair(t)
 	ran := 0
 	convTable(rand.New(rand.NewSource(73)), func(caseName string, cc convCase) {
 		want := naive.Conv2D(cc.x, cc.w, cc.p)
-		convConfigs(func(cfgName string, cfg *TileConfig, threshold int) {
-			got := mustBlocked(t, uniform(*cfg, threshold)).Conv2D(cc.x, cc.w, cc.p)
+		convConfigs(func(cfgName string, k Kernels) {
+			got := k.Conv2D(cc.x, cc.w, cc.p)
 			bitwiseEqual(t, "Blocked Conv2D "+caseName+" "+cfgName, got, want)
 			ran++
 		})
@@ -121,28 +117,26 @@ func TestTunedMenuConv2DBitwise(t *testing.T) {
 }
 
 // TestTunedKernelAdversarialConfigs runs every dispatchable op through
-// a blocked kernel built from hostile-but-valid tunings — a
-// different micro-kernel per shape class, a threshold of 1 (everything
-// parallel), a threshold beyond any test shape (everything serial) —
-// and demands bitwise equality with the naive oracle on odd and prime
-// shapes. This is the path a `run -tune-from` takes, so it proves a
-// persisted config can never change training numbers.
+// a blocked kernel built from hostile-but-valid tunings — different
+// blocks per shape class, a threshold of 1 (everything parallel), a
+// threshold beyond any test shape (everything serial) — and demands
+// bitwise equality with the naive oracle on odd and prime shapes.
+// This is the path a `run -tune-from` takes, so it proves a persisted
+// config can never change training numbers.
 func TestTunedKernelAdversarialConfigs(t *testing.T) {
 	naive, _ := kernelPair(t)
 	tunings := []Tuning{
 		{
 			Threshold: 1,
-			Square:    TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 32, BlockN: 32},
-			Skinny:    TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 64, BlockN: 32},
-			Fat:       TileConfig{MR: 2, NR: 4, KUnroll: 1, BlockM: 32, BlockN: 64},
-			Conv:      TileConfig{MR: 2, NR: 8, KUnroll: 1, BlockM: 32, BlockN: 32},
+			Square:    TileConfig{BlockM: 32, BlockN: 32},
+			Skinny:    TileConfig{BlockM: 64, BlockN: 32},
+			Fat:       TileConfig{BlockM: 2, BlockN: 4},
 		},
 		{
 			Threshold: 1 << 30,
-			Square:    TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128},
-			Skinny:    TileConfig{MR: 4, NR: 4, KUnroll: 1, BlockM: 32, BlockN: 32},
-			Fat:       TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 128, BlockN: 64},
-			Conv:      TileConfig{MR: 4, NR: 4, KUnroll: 1, BlockM: 64, BlockN: 128},
+			Square:    TileConfig{BlockM: 128, BlockN: 128},
+			Skinny:    TileConfig{BlockM: 8, BlockN: 32},
+			Fat:       TileConfig{BlockM: 128, BlockN: 64},
 		},
 	}
 	rng := rand.New(rand.NewSource(79))
@@ -187,7 +181,7 @@ func TestTunedValidatesAndCarriesItsTuning(t *testing.T) {
 	}
 	good := DefaultTuning()
 	good.Threshold = 1 << 15
-	good.Square = TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64}
+	good.Square = TileConfig{BlockM: 128, BlockN: 64}
 	k := mustBlocked(t, good)
 	if got, ok := TuningOf(k); !ok || got != good || k.Name() != "blocked" {
 		t.Fatalf("Blocked(%+v) = %q carrying %+v (ok=%v)", good, k.Name(), got, ok)
@@ -207,7 +201,7 @@ func TestTunedValidatesAndCarriesItsTuning(t *testing.T) {
 // nothing else, and "tuned" — the GEBP engine's former second name — is
 // an unknown kernel like any other.
 func TestResolveKernels(t *testing.T) {
-	hostile := uniform(TileConfig{MR: 4, NR: 4, KUnroll: 2, BlockM: 8, BlockN: 8}, 1)
+	hostile := uniform(TileConfig{BlockM: 8, BlockN: 8}, 1)
 	builtin := DefaultTuning()
 	for _, c := range []struct {
 		name       string

@@ -2,14 +2,14 @@
 // current machine and persists the winner as a versioned `tuneconfig`
 // result envelope.
 //
-// The search is a deterministic timed sweep: a fixed menu of register
-// micro-kernels (tensor.MicroMenu) crossed with a fixed menu of block
-// sizes, measured against canonical shapes for each GEMM shape class
-// (square, skinny, fat) plus the im2col conv GEMM, in a fixed order
-// with ties broken by menu position. Only the *timings* are
-// machine-dependent; the candidate set, visit order, and tie-breaks
-// never are, so two runs on the same machine explore identically and
-// the persisted Config fully reproduces the decision.
+// The search is a deterministic timed sweep of the GEBP engine's two
+// parameters (its one 2×4 micro-kernel is not among them): a fixed menu
+// of cache-block sizes, measured against canonical shapes for each
+// GEMM shape class (square, skinny, fat), then a fixed menu of parallel thresholds, in a fixed order with ties broken
+// by menu position. Only the *timings* are machine-dependent; the
+// candidate set, visit order, and tie-breaks never are, so two runs on
+// the same machine explore identically and the persisted Config fully
+// reproduces the decision.
 //
 // Timing necessarily reads the wall clock, which is why this package
 // lives outside the deterministic-scope lint set: a tuning config can
@@ -32,20 +32,17 @@ import (
 	"aibench/internal/tensor"
 )
 
-// Ops that have tuned entries.
-const (
-	OpGEMM   = "gemm"
-	OpConv2D = "conv2d"
-)
+// OpGEMM is the op every tuned entry names.
+const OpGEMM = "gemm"
 
-// Entry is one (op, shape-class) winner: the TileConfig that measured
-// fastest, with its observed throughput for the class's largest shape.
+// Entry is one (op, shape-class) winner: the blocks that measured
+// fastest, with the observed throughput for the class's largest shape.
+// Entries written while the sweep also chose a micro-kernel carry
+// "mr", "nr" and "k_unroll" keys; decoding ignores them. Their
+// "conv2d" entries name no class the engine reads and are skipped.
 type Entry struct {
 	Op         string  `json:"op"`
 	ShapeClass string  `json:"shape_class"`
-	MR         int     `json:"mr"`
-	NR         int     `json:"nr"`
-	KUnroll    int     `json:"k_unroll"`
 	BlockM     int     `json:"block_m"`
 	BlockN     int     `json:"block_n"`
 	GFLOPS     float64 `json:"gflops"`
@@ -53,7 +50,7 @@ type Entry struct {
 
 // TileConfig converts the entry back to the tensor layer's config.
 func (e Entry) TileConfig() tensor.TileConfig {
-	return tensor.TileConfig{MR: e.MR, NR: e.NR, KUnroll: e.KUnroll, BlockM: e.BlockM, BlockN: e.BlockN}
+	return tensor.TileConfig{BlockM: e.BlockM, BlockN: e.BlockN}
 }
 
 // Config is the persisted payload of a `tuneconfig` envelope: the
@@ -69,9 +66,10 @@ type Config struct {
 
 // Tuning converts the config into the tensor layer's Tuning, starting
 // from the builtin defaults so classes a config does not cover keep
-// working. Entries with an unknown (op, shape_class) are skipped —
-// configs written by a newer suite stay loadable — but entries that
-// *are* recognized must validate.
+// working; a zero (absent) threshold keeps the builtin one, a negative
+// one is an error. Entries with an unknown (op, shape_class) are
+// skipped — configs written by a newer suite stay loadable — but
+// entries that *are* recognized must validate.
 func (c *Config) Tuning() (tensor.Tuning, error) {
 	t := tensor.DefaultTuning()
 	// "tuned" is the name configs were written under before the GEBP
@@ -79,7 +77,10 @@ func (c *Config) Tuning() (tensor.Tuning, error) {
 	if c.Kernel != "blocked" && c.Kernel != "tuned" {
 		return t, fmt.Errorf(`tune: config tunes kernel %q, not "blocked"`, c.Kernel)
 	}
-	if c.Threshold > 0 {
+	switch {
+	case c.Threshold < 0:
+		return t, fmt.Errorf("tune: parallel_threshold %d must not be negative", c.Threshold)
+	case c.Threshold > 0:
 		t.Threshold = c.Threshold
 	}
 	for _, e := range c.Entries {
@@ -91,8 +92,6 @@ func (c *Config) Tuning() (tensor.Tuning, error) {
 			dst = &t.Skinny
 		case e.Op == OpGEMM && e.ShapeClass == tensor.ShapeFat:
 			dst = &t.Fat
-		case e.Op == OpConv2D && e.ShapeClass == tensor.ShapeConv:
-			dst = &t.Conv
 		default:
 			continue
 		}
@@ -123,11 +122,9 @@ type Options struct {
 	Log io.Writer
 }
 
-// blockMenu is the swept tile-size menu. Every size is a multiple of
-// every menu MR/NR, so the cross product with MicroMenu always
-// validates.
-func blockMenu() [][2]int {
-	return [][2]int{{32, 32}, {64, 64}, {128, 128}}
+// blockMenu is the swept tile-size menu, in visit order.
+func blockMenu() []tensor.TileConfig {
+	return []tensor.TileConfig{{BlockM: 32, BlockN: 32}, {BlockM: 64, BlockN: 64}, {BlockM: 128, BlockN: 128}}
 }
 
 // thresholdMenu is the swept parallel-threshold menu (multiply-add
@@ -155,18 +152,6 @@ func gemmClasses(quick bool) []gemmClass {
 		{tensor.ShapeSkinny, [][3]int{{64, 2048, 64}, {128, 1024, 128}}},
 		{tensor.ShapeFat, [][3]int{{1024, 64, 1024}, {2048, 64, 2048}}},
 	}
-}
-
-// convShape is the conv class's measurement geometry.
-type convShape struct {
-	n, c, h, w, outC, k, stride, pad int
-}
-
-func convWorkload(quick bool) convShape {
-	if quick {
-		return convShape{n: 2, c: 8, h: 16, w: 16, outC: 16, k: 3, stride: 1, pad: 1}
-	}
-	return convShape{n: 8, c: 32, h: 32, w: 32, outC: 64, k: 3, stride: 1, pad: 1}
 }
 
 // fill writes a deterministic, non-repeating pattern (no RNG needed:
@@ -203,7 +188,7 @@ func Search(opts Options) *Config {
 		Threshold:  tensor.DefaultTuning().Threshold,
 	}
 
-	candidates := candidateMenu()
+	candidates := blockMenu()
 
 	// GEMM classes: per class, the candidate minimizing total best-of-N
 	// time across the class's shapes wins; ties keep the earliest menu
@@ -229,23 +214,6 @@ func Search(opts Options) *Config {
 		logf("tune: gemm/%-6s winner %v", class.name, win)
 	}
 
-	// Conv class: same sweep against the chunked im2col GEMM.
-	{
-		cs := convWorkload(opts.Quick)
-		best := -1
-		var bestTime time.Duration
-		for ci, cand := range candidates {
-			d := timeConv(cs, cand, cfg.Threshold, rounds)
-			logf("tune: conv2d/%-4s %-12v total=%v", tensor.ShapeConv, cand, d)
-			if best < 0 || d < bestTime {
-				best, bestTime = ci, d
-			}
-		}
-		win := candidates[best]
-		cfg.Entries = append(cfg.Entries, entryFor(OpConv2D, tensor.ShapeConv, win, convFlops(cs), bestTime))
-		logf("tune: conv2d/%-4s winner %v", tensor.ShapeConv, win)
-	}
-
 	// Threshold: swept last, with the square winner, over gate-straddling
 	// sizes — small enough that fork-join overhead is visible.
 	gates := [][3]int{{48, 48, 48}, {64, 64, 64}, {96, 96, 96}}
@@ -266,22 +234,8 @@ func Search(opts Options) *Config {
 	return cfg
 }
 
-// candidateMenu crosses the micro-kernel menu with the block menu in
-// fixed order.
-func candidateMenu() []tensor.TileConfig {
-	var out []tensor.TileConfig
-	for _, m := range tensor.MicroMenu() {
-		for _, b := range blockMenu() {
-			c := m
-			c.BlockM, c.BlockN = b[0], b[1]
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func entryFor(op, class string, win tensor.TileConfig, flops float64, best time.Duration) Entry {
-	e := Entry{Op: op, ShapeClass: class, MR: win.MR, NR: win.NR, KUnroll: win.KUnroll, BlockM: win.BlockM, BlockN: win.BlockN}
+	e := Entry{Op: op, ShapeClass: class, BlockM: win.BlockM, BlockN: win.BlockN}
 	if best > 0 {
 		e.GFLOPS = flops / best.Seconds() / 1e9
 	}
@@ -292,16 +246,10 @@ func gemmFlops(s [3]int) float64 {
 	return 2 * float64(s[0]) * float64(s[1]) * float64(s[2])
 }
 
-func convFlops(cs convShape) float64 {
-	p := tensor.Conv2DParams{Kernel: cs.k, Stride: cs.stride, Padding: cs.pad}
-	oh, ow := p.OutDim(cs.h), p.OutDim(cs.w)
-	return 2 * float64(cs.n) * float64(oh) * float64(ow) * float64(cs.c) * float64(cs.k) * float64(cs.k) * float64(cs.outC)
-}
-
 // engine is the GEBP engine running every shape class under cand. The
 // menus hold valid configs only, so a rejection is a bug in them.
 func engine(cand tensor.TileConfig, threshold int) tensor.Kernels {
-	k, err := tensor.Blocked(tensor.Tuning{Threshold: threshold, Square: cand, Skinny: cand, Fat: cand, Conv: cand})
+	k, err := tensor.Blocked(tensor.Tuning{Threshold: threshold, Square: cand, Skinny: cand, Fat: cand})
 	if err != nil {
 		panic(err)
 	}
@@ -333,26 +281,6 @@ func timeGemmClass(class gemmClass, cand tensor.TileConfig, threshold, rounds in
 		last = best
 	}
 	return total, last
-}
-
-// timeConv mirrors timeGemmClass for the conv workload.
-func timeConv(cs convShape, cand tensor.TileConfig, threshold, rounds int) time.Duration {
-	p := tensor.Conv2DParams{Kernel: cs.k, Stride: cs.stride, Padding: cs.pad}
-	x := tensor.New(cs.n, cs.c, cs.h, cs.w)
-	w := tensor.New(cs.outC, cs.c, cs.k, cs.k)
-	fill(x)
-	fill(w)
-	eng := engine(cand, threshold)
-	eng.Conv2D(x, w, p)
-	best := time.Duration(0)
-	for r := 0; r < rounds; r++ {
-		start := time.Now()
-		eng.Conv2D(x, w, p)
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // envelope is the slice of the results-stream framing this package

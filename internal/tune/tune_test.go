@@ -14,7 +14,7 @@ import (
 
 // TestSearchQuickProducesApplicableConfig runs the real (quick) sweep
 // and checks its output end to end: one entry per class, every entry on
-// the candidate menu, and the whole config convertible + activatable.
+// the block menu, and the whole config convertible + activatable.
 func TestSearchQuickProducesApplicableConfig(t *testing.T) {
 	cfg := Search(Options{Quick: true})
 	if cfg.Kernel != "blocked" || cfg.GOARCH != runtime.GOARCH || cfg.GOMAXPROCS != runtime.GOMAXPROCS(0) {
@@ -24,12 +24,11 @@ func TestSearchQuickProducesApplicableConfig(t *testing.T) {
 		{OpGEMM, tensor.ShapeSquare}: true,
 		{OpGEMM, tensor.ShapeSkinny}: true,
 		{OpGEMM, tensor.ShapeFat}:    true,
-		{OpConv2D, tensor.ShapeConv}: true,
 	}
 	if len(cfg.Entries) != len(wantClasses) {
 		t.Fatalf("got %d entries, want %d: %+v", len(cfg.Entries), len(wantClasses), cfg.Entries)
 	}
-	menu := candidateMenu()
+	menu := blockMenu()
 	for _, e := range cfg.Entries {
 		if !wantClasses[[2]string{e.Op, e.ShapeClass}] {
 			t.Errorf("unexpected or duplicate entry %s/%s", e.Op, e.ShapeClass)
@@ -40,7 +39,7 @@ func TestSearchQuickProducesApplicableConfig(t *testing.T) {
 			onMenu = onMenu || c == e.TileConfig()
 		}
 		if !onMenu {
-			t.Errorf("%s/%s winner %v is off the candidate menu", e.Op, e.ShapeClass, e.TileConfig())
+			t.Errorf("%s/%s winner %v is off the block menu", e.Op, e.ShapeClass, e.TileConfig())
 		}
 		if e.GFLOPS <= 0 {
 			t.Errorf("%s/%s reports non-positive GFLOPS %v", e.Op, e.ShapeClass, e.GFLOPS)
@@ -68,10 +67,20 @@ func TestConfigTuningRejectsForeignKernelAndBadEntries(t *testing.T) {
 		t.Fatal("Tuning() accepted a naive kernel config")
 	}
 	c = &Config{Kernel: "blocked", Entries: []Entry{
-		{Op: OpGEMM, ShapeClass: tensor.ShapeSquare, MR: 3, NR: 5, KUnroll: 9, BlockM: 64, BlockN: 64},
+		{Op: OpGEMM, ShapeClass: tensor.ShapeSquare, BlockM: 63, BlockN: 64},
 	}}
 	if _, err := c.Tuning(); err == nil {
-		t.Fatal("Tuning() accepted an off-menu recognized entry")
+		t.Fatal("Tuning() accepted a recognized entry with invalid blocks")
+	}
+	// 0 is an absent threshold (the builtin applies); a negative one is
+	// corrupt, not absent.
+	c = &Config{Kernel: "blocked", Threshold: -5}
+	if _, err := c.Tuning(); err == nil || !strings.Contains(err.Error(), "parallel_threshold") {
+		t.Fatalf("Tuning() of a negative threshold = %v, want an error naming parallel_threshold", err)
+	}
+	c = &Config{Kernel: "blocked"}
+	if got, err := c.Tuning(); err != nil || got.Threshold != tensor.DefaultTuning().Threshold {
+		t.Fatalf("Tuning() of an absent threshold = %d, %v; want the builtin", got.Threshold, err)
 	}
 }
 
@@ -80,9 +89,9 @@ func TestConfigTuningRejectsForeignKernelAndBadEntries(t *testing.T) {
 // still applies, with unknown entries ignored and known ones honored.
 func TestConfigTuningSkipsUnknownClasses(t *testing.T) {
 	c := &Config{Kernel: "blocked", Threshold: 1 << 16, Entries: []Entry{
-		{Op: "fft", ShapeClass: "radix2", MR: -1, NR: -1, KUnroll: 0, BlockM: 0, BlockN: 0},
-		{Op: OpGEMM, ShapeClass: "banded", MR: 99, NR: 99, KUnroll: 99, BlockM: 1, BlockN: 1},
-		{Op: OpGEMM, ShapeClass: tensor.ShapeFat, MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64},
+		{Op: "fft", ShapeClass: "radix2", BlockM: 0, BlockN: 0},
+		{Op: OpGEMM, ShapeClass: "banded", BlockM: 1, BlockN: 1},
+		{Op: OpGEMM, ShapeClass: tensor.ShapeFat, BlockM: 128, BlockN: 64},
 	}}
 	tuning, err := c.Tuning()
 	if err != nil {
@@ -91,7 +100,7 @@ func TestConfigTuningSkipsUnknownClasses(t *testing.T) {
 	if tuning.Threshold != 1<<16 {
 		t.Errorf("threshold not applied: %d", tuning.Threshold)
 	}
-	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 64}); tuning.Fat != want {
+	if want := (tensor.TileConfig{BlockM: 128, BlockN: 64}); tuning.Fat != want {
 		t.Errorf("fat class = %v, want %v", tuning.Fat, want)
 	}
 	if tuning.Square != tensor.DefaultTuning().Square {
@@ -105,7 +114,8 @@ func envLine(goarch string, gomaxprocs int) string {
 	return kernelLine("blocked", goarch, gomaxprocs)
 }
 
-// kernelLine is envLine with the config's kernel name spelled out.
+// kernelLine is envLine with the config's kernel name spelled out. Its
+// entry is in the legacy form that also names a micro-kernel.
 func kernelLine(kernel, goarch string, gomaxprocs int) string {
 	return fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{"suite_sha":"t"},"data":{"kernel":%q,"goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128,"gflops":5.5}]}}`,
 		kernel, goarch, gomaxprocs)
@@ -127,6 +137,31 @@ func TestLegacyTunedConfigLoads(t *testing.T) {
 	}
 	if got[0] != got[1] || got[0].Threshold != 32768 {
 		t.Fatalf(`"tuned" config yields %+v, "blocked" %+v; want the same swept tuning`, got[0], got[1])
+	}
+}
+
+// TestLegacyMicroKernelEntriesLoad: entries written while the sweep also
+// chose a micro-kernel name one the engine no longer has ("mr", "nr",
+// "k_unroll"); they load, each GEMM class gets the entry's blocks, and
+// the conv2d entry those sweeps also wrote is skipped.
+func TestLegacyMicroKernelEntriesLoad(t *testing.T) {
+	cfgs, err := LoadFile(writeStream(t, `{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":"amd64","gomaxprocs":2,"parallel_threshold":65536,"entries":[`+
+		`{"op":"gemm","shape_class":"skinny","mr":4,"nr":4,"k_unroll":2,"block_m":32,"block_n":32,"gflops":1.5},`+
+		`{"op":"gemm","shape_class":"fat","mr":2,"nr":8,"k_unroll":1,"block_m":128,"block_n":64,"gflops":2.5},`+
+		`{"op":"conv2d","shape_class":"conv","mr":2,"nr":8,"k_unroll":1,"block_m":128,"block_n":128,"gflops":2.5}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cfgs[0].Tuning()
+	if err != nil {
+		t.Fatalf("legacy entries: %v", err)
+	}
+	want := tensor.DefaultTuning()
+	want.Threshold = 65536
+	want.Skinny = tensor.TileConfig{BlockM: 32, BlockN: 32}
+	want.Fat = tensor.TileConfig{BlockM: 128, BlockN: 64}
+	if got != want {
+		t.Fatalf("legacy entries yield %+v, want %+v", got, want)
 	}
 }
 
@@ -154,7 +189,7 @@ func TestLoadFileSkipsForeignLinesAndErrorsOnEmpty(t *testing.T) {
 	if len(cfgs) != 2 || cfgs[0].GOARCH != "amd64" || cfgs[1].GOARCH != "arm64" {
 		t.Fatalf("loaded %+v, want the amd64 then arm64 configs", cfgs)
 	}
-	if cfgs[0].Entries[0].TileConfig() != (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}) {
+	if cfgs[0].Entries[0].TileConfig() != (tensor.TileConfig{BlockM: 128, BlockN: 128}) {
 		t.Fatalf("entry decoded wrong: %+v", cfgs[0].Entries[0])
 	}
 
@@ -220,7 +255,7 @@ func TestLoadedConfigRoundTrip(t *testing.T) {
 	if got.Threshold != 32768 {
 		t.Errorf("threshold not carried: %d", got.Threshold)
 	}
-	if want := (tensor.TileConfig{MR: 2, NR: 8, KUnroll: 2, BlockM: 128, BlockN: 128}); got.Square != want {
+	if want := (tensor.TileConfig{BlockM: 128, BlockN: 128}); got.Square != want {
 		t.Errorf("square class = %v, want %v", got.Square, want)
 	}
 }
@@ -229,7 +264,8 @@ func TestLoadedConfigRoundTrip(t *testing.T) {
 // behind LoadFile, the last file decoder without a fuzz target. It must
 // not panic, and every Config it returns must either convert to a
 // Tuning that validates or make Config.Tuning say why not: a hostile
-// stream can never reach tensor.Blocked as an unchecked tuning.
+// stream can never reach tensor.Blocked as an unchecked tuning, and a
+// negative threshold never passes for an absent one.
 func FuzzTuneConfigStream(f *testing.F) {
 	f.Add([]byte(envLine("amd64", 4) + "\n" + envLine("arm64", 8) + "\n"))
 	f.Add([]byte(`{"v":1,"kind":"session","run":{},"data":{"id":"DC-AI-C1"}}` + "\nnot json at all\n" + `{"v":7,"kind":"tuneconfig","data":{}}`))
@@ -250,6 +286,9 @@ func FuzzTuneConfigStream(f *testing.F) {
 			tuning, err := c.Tuning()
 			if err != nil {
 				continue
+			}
+			if c.Threshold < 0 {
+				t.Fatalf("config %d with parallel_threshold %d yielded a tuning", i, c.Threshold)
 			}
 			if verr := tuning.Validate(); verr != nil {
 				t.Fatalf("config %d converted to a tuning that does not validate: %v (%+v)", i, verr, c)
