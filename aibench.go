@@ -41,7 +41,6 @@ import (
 	"aibench/internal/results"
 	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
-	"aibench/internal/tune"
 )
 
 // Suite is the top-level handle: the benchmark registry plus the
@@ -100,15 +99,6 @@ type (
 	// RunMetrics is a telemetry run's wall-clock plane (span timings,
 	// pool stats, GC/heap gauges), excluded from result comparison.
 	RunMetrics = telemetry.RunMetrics
-	// TuneConfig is one machine's blocked-kernel configuration: the
-	// per-(op, shape-class) tile winners an `aibench tune` sweep found,
-	// persisted as a `tuneconfig` envelope and reloaded via
-	// Plan.TuneFrom / LoadTuning.
-	TuneConfig = tune.Config
-	// TuneEntry is one (op, shape-class) winner inside a TuneConfig.
-	TuneEntry = tune.Entry
-	// TuneOptions control a TuneKernels sweep.
-	TuneOptions = tune.Options
 )
 
 // The run kinds a Plan can execute.
@@ -131,7 +121,6 @@ const (
 	KindReplay           = core.KindReplay
 	KindTrace            = core.KindTrace
 	KindRunMetrics       = core.KindRunMetrics
-	KindTuneConfig       = core.KindTuneConfig
 )
 
 // NewRunner validates the plan against the suite's registry and
@@ -160,20 +149,6 @@ func KernelNames() []string { return tensor.KernelNames() }
 
 // DefaultKernel is the kernel a Plan with an empty Kernel runs on.
 const DefaultKernel = tensor.DefaultKernel
-
-// TuneKernels sweeps the blocked kernel's configuration menu on this
-// machine — a deterministic timed search per (op, shape-class) — and
-// returns the winning TuneConfig. It measures each candidate as a
-// kernel value of its own, so no run in the process sees it; persist
-// the result with ResultWriter (KindTuneConfig) and run under it with
-// Plan.TuneFrom.
-func TuneKernels(opts TuneOptions) *TuneConfig { return tune.Search(opts) }
-
-// LoadTuning reads the tuneconfig stream at path and selects this
-// machine's config (exact GOARCH+GOMAXPROCS match preferred, then
-// same-GOARCH, error when the architecture is absent). It only reads:
-// a run uses the config by naming the file in Plan.TuneFrom.
-func LoadTuning(path string) (*TuneConfig, error) { return tune.Load(path) }
 
 // TitanXP returns the characterization device of Table 4.
 func TitanXP() Device { return gpusim.TitanXP() }

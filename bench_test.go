@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"aibench"
@@ -250,57 +249,26 @@ func BenchmarkSubsetSavings(b *testing.B) {
 	b.ReportMetric(c.AIBenchVsMLPerf*100, "aibench_vs_mlperf_pct_paper_37")
 }
 
-// envTuneFrom names a tuneconfig stream for the compute benchmarks
-// (which cannot take a flag) to measure the blocked kernel under,
-// mirroring the `-tune-from` CLI flag.
-const envTuneFrom = "AIBENCH_TUNE_FROM"
-
-// namedKernel is a kernel a compute benchmark sweeps, under the name
-// its sub-benchmarks carry.
-type namedKernel struct {
-	name string
-	tensor.Kernels
-}
-
 // benchKernels lists the kernels a compute benchmark sweeps, as values
-// the benchmark calls directly: every kernel under its own name (the
-// sub-benchmark names carry kernel=<name>, so the perf trajectory
-// separates kernel wins from orchestration wins), plus "swept" — the
-// blocked kernel under the stream $AIBENCH_TUNE_FROM names — when that
-// is set, so CI measures what an `aibench tune` sweep just wrote beside
-// the builtin tuning.
-func benchKernels(b *testing.B) []namedKernel {
-	var out []namedKernel
+// the benchmark calls directly. The sub-benchmark names carry
+// kernel=<name>, so the perf trajectory separates kernel wins from
+// orchestration wins.
+func benchKernels() []tensor.Kernels {
+	var out []tensor.Kernels
 	for _, name := range tensor.KernelNames() {
 		k, _ := tensor.LookupKernels(name)
-		out = append(out, namedKernel{name, k})
-	}
-	if path := os.Getenv(envTuneFrom); path != "" {
-		cfg, err := aibench.LoadTuning(path)
-		var tuning tensor.Tuning
-		if err == nil {
-			tuning, err = cfg.Tuning()
-		}
-		var k tensor.Kernels
-		if err == nil {
-			k, err = tensor.Blocked(tuning)
-		}
-		if err != nil {
-			b.Fatalf("$%s: %v", envTuneFrom, err)
-		}
-		out = append(out, namedKernel{"swept", k})
+		out = append(out, k)
 	}
 	return out
 }
 
 // BenchmarkMatMul sweeps GEMM shapes under each compute kernel — the
 // suite's hottest primitive, and the headline number for the blocked
-// kernel (target: ≥1.5× over naive at 512) and a swept tuning of it
-// (target: ≥ the builtin tuning at 512). Square sizes keep their
+// kernel (target: ≥1.5× over naive at 512). Square sizes keep their
 // historical n=<N> names; the skinny (inner-product-dominated) and fat
-// (outer-product-dominated) shapes exercise the tuning's non-square
-// shape classes. GFLOPS counts a multiply-add as two
-// floating-point operations.
+// (outer-product-dominated) shapes are the other two shape classes
+// bench/ probes. GFLOPS counts a multiply-add as two floating-point
+// operations.
 func BenchmarkMatMul(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -313,8 +281,8 @@ func BenchmarkMatMul(b *testing.B) {
 		{"skinny=64x2048x64", 64, 2048, 64},
 		{"fat=2048x64x2048", 2048, 64, 2048},
 	}
-	for _, k := range benchKernels(b) {
-		b.Run("kernel="+k.name, func(b *testing.B) {
+	for _, k := range benchKernels() {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			for _, sh := range shapes {
 				b.Run(sh.name, func(b *testing.B) {
 					rng := rand.New(rand.NewSource(7))
@@ -336,8 +304,8 @@ func BenchmarkMatMul(b *testing.B) {
 // BenchmarkConv2D measures the im2col-GEMM convolution under each
 // compute kernel at a ResNet-block-like geometry.
 func BenchmarkConv2D(b *testing.B) {
-	for _, k := range benchKernels(b) {
-		b.Run("kernel="+k.name, func(b *testing.B) {
+	for _, k := range benchKernels() {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			x := tensor.Randn(rng, 0, 1, 8, 32, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 64, 32, 3, 3)
@@ -357,8 +325,8 @@ func BenchmarkConv2D(b *testing.B) {
 // column matrix and its gradient, the GEBP engine allocates the two
 // results and nothing else (CI holds blocked to ≤ ¼ of naive's bytes).
 func BenchmarkConv2DBackward(b *testing.B) {
-	for _, k := range benchKernels(b) {
-		b.Run("kernel="+k.name, func(b *testing.B) {
+	for _, k := range benchKernels() {
+		b.Run("kernel="+k.Name(), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			x := tensor.Randn(rng, 0, 1, 8, 16, 32, 32)
 			w := tensor.Randn(rng, 0, 1, 32, 16, 3, 3)

@@ -2,9 +2,8 @@
 // every table and figure of the paper's evaluation section in one pass,
 // separated by headers — the batch mode behind EXPERIMENTS.md. With
 // -from it instead rebuilds run reports (sessions, characterizations,
-// scaling, replays, traces, tuning configs) from a persisted JSONL
-// result stream with zero
-// retraining: the records were already measured, so rebuilding is pure
+// scaling, replays, traces) from a persisted JSONL result stream with
+// zero retraining: the records were already measured, so rebuilding is pure
 // decoding plus the same renderers the live CLI uses, and the output is
 // byte-identical to the live run's.
 //
@@ -14,7 +13,6 @@
 //	aibench-report table5 figure4                # a subset of them
 //	aibench-report -from results.jsonl           # every run report in the file
 //	aibench-report -from results.jsonl sessions  # one run report, bare
-//	aibench-report -from tuneconfig.jsonl tuning # rebuild a tune sweep's table
 //	aibench-report -from results.jsonl -trace    # the telemetry trace report
 //	aibench-report -from results.jsonl -trace-out trace.json  # Chrome trace-event export
 package main

@@ -9,16 +9,15 @@
 // Usage:
 //
 //	aibench list
-//	aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend local|process] [-kernel blocked|naive] [-tune-from F] [-out results.jsonl]
-//	aibench run-all [-workers N] [-epochs N] [-seed S] [-quasi] [-shards N] [-backend B] [-kernel K] [-tune-from F] [-out results.jsonl] [-v]
-//	aibench scaling [id] [-shards 1,2,4] [-backend B] [-epochs N] [-seed S] [-kernel K] [-tune-from F] [-out results.jsonl]
+//	aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend local|process] [-kernel blocked|naive] [-out results.jsonl]
+//	aibench run-all [-workers N] [-epochs N] [-seed S] [-quasi] [-shards N] [-backend B] [-kernel K] [-out results.jsonl] [-v]
+//	aibench scaling [id] [-shards 1,2,4] [-backend B] [-epochs N] [-seed S] [-kernel K] [-out results.jsonl]
 //	aibench characterize <id|all> [-gpu xp|rtx] [-workers N] [-out results.jsonl]
 //	aibench replay [id|all] [-seed S] [-out results.jsonl]
-//	aibench tune [-quick] [-rounds N] [-out tuneconfig.jsonl] [-v]
 //	aibench subset
 //	aibench costs
 //	aibench report <table1..table7|figure1a..figure7|all>
-//	aibench version [-tune-from F]
+//	aibench version
 //	aibench serve [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	aibench submit -plan '{"kind":"session",...}' [-addr host:port] [-tenant T] [-out F]
 //
@@ -34,12 +33,6 @@
 // Every run command also accepts -telemetry (collect the two-plane
 // trace/metrics records and print a span summary), -cpuprofile, and
 // -memprofile (runtime/pprof profiles of the run).
-//
-// `aibench tune` sweeps the blocked kernel's block sizes and parallel
-// threshold on this machine and prints the winning config per (op,
-// shape class); -out persists it as a tuneconfig envelope that
-// `run -tune-from`, `version -tune-from`, and $AIBENCH_TUNE_FROM
-// (benchmarks) reload.
 package main
 
 import (
@@ -88,8 +81,6 @@ func main() {
 		cmdCharacterize(suite, os.Args[2:])
 	case "replay":
 		cmdReplay(suite, os.Args[2:])
-	case "tune":
-		cmdTune(suite, os.Args[2:])
 	case "subset":
 		cmdSubset(suite)
 	case "costs":
@@ -109,39 +100,18 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: aibench <list|run|run-all|scaling|characterize|replay|tune|subset|costs|report|version|serve|submit> [args]")
+	fmt.Fprintln(os.Stderr, "usage: aibench <list|run|run-all|scaling|characterize|replay|subset|costs|report|version|serve|submit> [args]")
 }
 
 // cmdVersion prints the header every bug report and trace artifact
 // needs: the roster fingerprint behind each envelope's suite_sha, the
-// toolchain, the compute kernels, and the blocked kernel's tuning
-// config. -tune-from reads a persisted config, so the banner shows
-// exactly what a run with the same flag would use.
+// toolchain, and the compute kernels. It takes no flags.
 func cmdVersion(s *aibench.Suite, args []string) {
-	fs := flag.NewFlagSet("version", flag.ExitOnError)
-	tuneFrom := tuneFromFlag(fs)
-	fs.Parse(args)
-	// A config with no entries covers no shape class, so every class
-	// keeps its builtin default.
-	label, cfg := "builtin defaults", &aibench.TuneConfig{Kernel: "blocked"}
-	if *tuneFrom != "" {
-		var err error
-		if cfg, err = aibench.LoadTuning(*tuneFrom); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		label = "from " + *tuneFrom
-	}
-	tuning, err := cfg.Tuning()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	flag.NewFlagSet("version", flag.ExitOnError).Parse(args)
 	fmt.Printf("aibench suite %s\n", s.SHA())
 	fmt.Printf("go: %s  gomaxprocs: %d  os/arch: %s/%s\n",
 		runtime.Version(), runtime.GOMAXPROCS(0), runtime.GOOS, runtime.GOARCH)
 	fmt.Printf("kernels: %s (default: %s)\n", strings.Join(aibench.KernelNames(), ", "), aibench.DefaultKernel)
-	fmt.Printf("tuning: %s: %s\n", label, tuning.Summary())
 }
 
 // kernelFlag registers the -kernel flag shared by the training
@@ -150,13 +120,6 @@ func cmdVersion(s *aibench.Suite, args []string) {
 func kernelFlag(fs *flag.FlagSet) *string {
 	names := strings.Join(aibench.KernelNames(), "|")
 	return fs.String("kernel", "", "compute kernel ("+names+"; default: "+aibench.DefaultKernel+")")
-}
-
-// tuneFromFlag registers the -tune-from flag shared by the training
-// commands and `version`; the value goes into Plan.TuneFrom, which
-// builds the blocked kernel under the stream's config.
-func tuneFromFlag(fs *flag.FlagSet) *string {
-	return fs.String("tune-from", "", "run the blocked kernel under the config in this tuneconfig JSONL stream")
 }
 
 // backendFlag registers the -backend flag shared by the sharded
@@ -343,12 +306,11 @@ func cmdRun(s *aibench.Suite, args []string) {
 	shards := fs.Int("shards", 0, "data-parallel shard workers (0 = serial; results are bitwise identical for any count)")
 	backend := backendFlag(fs)
 	kernel := kernelFlag(fs)
-	tuneFrom := tuneFromFlag(fs)
 	out := outFlag(fs)
 	opts := runOptsFlags(fs)
 	id := parseWithID(fs, args)
 	if id == "" {
-		fmt.Fprintln(os.Stderr, "usage: aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend B] [-kernel K] [-tune-from F] [-telemetry] [-out F]")
+		fmt.Fprintln(os.Stderr, "usage: aibench run <id> [-epochs N] [-seed S] [-quasi] [-shards N] [-backend B] [-kernel K] [-telemetry] [-out F]")
 		os.Exit(2)
 	}
 	if s.Benchmark(id) == nil {
@@ -362,7 +324,7 @@ func cmdRun(s *aibench.Suite, args []string) {
 	res, written, interrupted, runErr := runPlan(s, aibench.Plan{
 		Kind: aibench.RunSession, Benchmarks: []string{id}, Session: kind,
 		Seed: *seed, Epochs: *epochs, Shards: *shards, Backend: *backend,
-		Kernel: *kernel, TuneFrom: *tuneFrom, Log: os.Stdout,
+		Kernel: *kernel, Log: os.Stdout,
 	}, *out, opts)
 	if len(res.Sessions) == 0 || res.Sessions[0].ID == "" {
 		exitOnRunError(runErr)
@@ -399,7 +361,6 @@ func cmdRunAll(s *aibench.Suite, args []string) {
 	shards := fs.Int("shards", 0, "data-parallel shard workers per session (0 = serial)")
 	backend := backendFlag(fs)
 	kernel := kernelFlag(fs)
-	tuneFrom := tuneFromFlag(fs)
 	out := outFlag(fs)
 	opts := runOptsFlags(fs)
 	verbose := fs.Bool("v", false, "stream per-epoch progress from every session")
@@ -414,8 +375,7 @@ func cmdRunAll(s *aibench.Suite, args []string) {
 	}
 	plan := aibench.Plan{
 		Kind: aibench.RunSession, Session: kind, Seed: *seed, Epochs: *epochs,
-		Shards: *shards, Backend: *backend, Kernel: *kernel, TuneFrom: *tuneFrom,
-		Workers: *workers,
+		Shards: *shards, Backend: *backend, Kernel: *kernel, Workers: *workers,
 	}
 	if *verbose {
 		plan.Log = os.Stdout
@@ -470,7 +430,6 @@ func cmdScaling(s *aibench.Suite, args []string) {
 	seed := fs.Int64("seed", 42, "base seed")
 	backend := backendFlag(fs)
 	kernel := kernelFlag(fs)
-	tuneFrom := tuneFromFlag(fs)
 	out := outFlag(fs)
 	opts := runOptsFlags(fs)
 	id := parseWithID(fs, args)
@@ -499,7 +458,6 @@ func cmdScaling(s *aibench.Suite, args []string) {
 	res, written, interrupted, runErr := runPlan(s, aibench.Plan{
 		Kind: aibench.RunScaling, Benchmarks: ids, ShardSweep: shards,
 		Epochs: *epochs, Seed: *seed, Backend: *backend, Kernel: *kernel,
-		TuneFrom: *tuneFrom,
 	}, *out, opts)
 	if len(res.Scaling) == 0 {
 		if interrupted {
@@ -638,49 +596,6 @@ func cmdReplay(s *aibench.Suite, args []string) {
 	if *out != "" {
 		fmt.Printf("results streamed to %s (%d JSONL lines)\n", *out, written)
 	}
-}
-
-// cmdTune sweeps the blocked kernel's block and threshold menus on this
-// machine and prints the winning blocks per (op, shape class). -out persists
-// the config as a tuneconfig envelope keyed by suite SHA, GOARCH, and
-// GOMAXPROCS; `run -tune-from`, `version -tune-from`, and the
-// benchmark harness ($AIBENCH_TUNE_FROM) reload it. Tuning changes
-// throughput only — results stay bitwise identical under every config
-// — so a stale or foreign config is a perf bug, never a numbers bug.
-func cmdTune(s *aibench.Suite, args []string) {
-	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "sweep small shapes with one timing round (CI smoke; full sweep makes better configs)")
-	rounds := fs.Int("rounds", 0, "timing rounds per candidate, best kept (0 = default)")
-	out := outFlag(fs)
-	verbose := fs.Bool("v", false, "log each class sweep to stderr as it is timed")
-	fs.Parse(args)
-	opts := aibench.TuneOptions{Quick: *quick, Rounds: *rounds}
-	if *verbose {
-		opts.Log = os.Stderr
-	}
-	cfg := aibench.TuneKernels(opts)
-	rec := aibench.Record{Kind: aibench.KindTuneConfig, TuneConfig: cfg}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cannot create %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		w := aibench.NewResultWriter(f, aibench.RunMeta{
-			SuiteSHA: s.SHA(), Kernel: cfg.Kernel,
-			Started: time.Now().UTC().Format(time.RFC3339),
-		})
-		werr := w.Write(rec)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "cannot write %s: %v\n", *out, werr)
-			os.Exit(1)
-		}
-		fmt.Printf("tuning config streamed to %s (%d JSONL lines)\n", *out, w.Count())
-	}
-	aibench.RenderRunReport("tuning", os.Stdout, []aibench.Record{rec})
 }
 
 func cmdSubset(s *aibench.Suite) {

@@ -43,7 +43,6 @@ var resultAffectingPackages = map[string]bool{
 	"aibench/internal/dist":         true,
 	"aibench/internal/models":       true,
 	"aibench/internal/telemetry":    true, // trace records are persisted and byte-diffed in CI
-	"aibench/internal/tune":         true, // tuneconfig records are persisted and their entry order is contractual
 	"aibench/internal/server":       true, // streamed/cached envelope bodies are byte-compared on replay
 	"aibench/cmd/aibench":           true,
 	"aibench/cmd/aibench-report":    true,

@@ -59,7 +59,6 @@ type canonicalPlan struct {
 	Shards     int      `json:"shards"`
 	ShardSweep []int    `json:"shard_sweep,omitempty"`
 	Kernel     string   `json:"kernel"`
-	TuneFrom   string   `json:"tune_from,omitempty"`
 	Backend    string   `json:"backend,omitempty"`
 	Workers    int      `json:"workers"`
 	Device     string   `json:"device,omitempty"`
@@ -83,7 +82,6 @@ func (p Plan) Canonical() ([]byte, error) {
 		Epochs:    p.Epochs,
 		Shards:    p.Shards,
 		Kernel:    p.kernelName(), // resolved the way NewRunner and Runner.Meta resolve it
-		TuneFrom:  p.TuneFrom,
 		Backend:   p.Backend,
 		Workers:   p.Workers,
 		Telemetry: p.Telemetry,
@@ -142,7 +140,6 @@ func ParsePlan(r io.Reader) (Plan, error) {
 		Shards:     cp.Shards,
 		ShardSweep: cp.ShardSweep,
 		Kernel:     cp.Kernel,
-		TuneFrom:   cp.TuneFrom,
 		Backend:    cp.Backend,
 		Workers:    cp.Workers,
 		Telemetry:  cp.Telemetry,

@@ -177,7 +177,7 @@ func wirePlans() []Plan {
 				plans = append(plans, p)
 			}
 			p := base
-			p.Kind, p.TuneFrom = RunReplay, "tune.jsonl"
+			p.Kind = RunReplay
 			plans = append(plans, p)
 		}
 	}

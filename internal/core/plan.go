@@ -10,7 +10,6 @@ import (
 	"aibench/internal/gpusim"
 	"aibench/internal/telemetry"
 	"aibench/internal/tensor"
-	"aibench/internal/tune"
 )
 
 // RunKind selects what executing a Plan means: the methodology's four
@@ -75,15 +74,6 @@ type Plan struct {
 	// value that travels with the run — no run changes what another
 	// dispatches to.
 	Kernel string
-	// TuneFrom, when set, loads a persisted `tuneconfig` envelope
-	// stream (written by `aibench tune`) and builds the blocked kernel
-	// under this machine's config from it; with Kernel "naive", which
-	// takes no tuning, it is a build-time error. Loading and
-	// selection are validated eagerly by NewRunner, so a missing file or
-	// missing-architecture config fails before any work runs. Tuning is
-	// a pure scheduling/perf knob: results are bitwise identical under
-	// every config.
-	TuneFrom string
 	// Backend names the dist execution backend sharded training runs
 	// on ("local", "process", ...; empty = local), selected from the
 	// dist.Register registry exactly like kernels are. Backends are
@@ -127,10 +117,6 @@ type RunMeta struct {
 	// Started is the wall-clock start of the run in RFC 3339, stamped
 	// by the caller that opens the stream (empty in library use).
 	Started string `json:"started,omitempty"`
-	// Tuning names the stream the blocked kernel's config was loaded
-	// from (Plan.TuneFrom); empty when the run used the builtin
-	// tensor.DefaultTuning or the naive kernel.
-	Tuning string `json:"tuning,omitempty"`
 }
 
 // RecordKind tags a Record's payload; the envelope's "kind" field.
@@ -147,10 +133,6 @@ const (
 	// emits one of each after its result records.
 	KindTrace      RecordKind = "trace"
 	KindRunMetrics RecordKind = "runmetrics"
-	// KindTuneConfig carries a machine's blocked-kernel configuration (a
-	// tune.Config: the per-shape-class tile winners from an `aibench
-	// tune` sweep), persisted so later runs reload it via Plan.TuneFrom.
-	KindTuneConfig RecordKind = "tuneconfig"
 )
 
 // Record is the typed union every run kind emits through the sink:
@@ -163,7 +145,6 @@ type Record struct {
 	Replay           *ReplaySession
 	Trace            *telemetry.Trace
 	RunMetrics       *telemetry.RunMetrics
-	TuneConfig       *tune.Config
 	// Run identifies the run that produced the record (backend, kernel,
 	// seed, ...). Stamped by RunResult.Records for live runs and by
 	// results.Read from the envelope header for rebuilt streams, so
@@ -199,10 +180,6 @@ func (r Record) Payload() any {
 	case KindRunMetrics:
 		if r.RunMetrics != nil {
 			return r.RunMetrics
-		}
-	case KindTuneConfig:
-		if r.TuneConfig != nil {
-			return r.TuneConfig
 		}
 	}
 	return nil
@@ -283,8 +260,8 @@ type Runner struct {
 	reg  *Registry
 	bs   []*Benchmark
 	// run is what every instance an untraced Run builds is placed
-	// under: the kernels (Plan.Kernel, Plan.TuneFrom) resolved to at
-	// build time, no counters. A traced Run adds its tracer's.
+	// under: the kernels Plan.Kernel resolved to at build time, no
+	// counters. A traced Run adds its tracer's.
 	run tensor.Run
 }
 
@@ -340,19 +317,7 @@ func NewRunner(reg *Registry, p Plan) (*Runner, error) {
 	if p.Backend != "" && !dist.Known(p.Backend) {
 		return nil, fmt.Errorf("core: Plan.Backend: unknown dist backend %q (have %v)", p.Backend, dist.Names())
 	}
-	var tuning *tensor.Tuning
-	if p.TuneFrom != "" {
-		cfg, err := tune.Load(p.TuneFrom)
-		if err != nil {
-			return nil, fmt.Errorf("core: Plan.TuneFrom: %v", err)
-		}
-		t, err := cfg.Tuning()
-		if err != nil {
-			return nil, fmt.Errorf("core: Plan.TuneFrom %s: %v", p.TuneFrom, err)
-		}
-		tuning = &t
-	}
-	kernels, err := tensor.ResolveKernels(p.kernelName(), tuning)
+	kernels, err := tensor.ResolveKernels(p.kernelName())
 	if err != nil {
 		return nil, fmt.Errorf("core: Plan.Kernel: %v", err)
 	}
@@ -387,8 +352,8 @@ func (r *Runner) Benchmarks() []*Benchmark {
 }
 
 // Meta describes the run for result envelopes. The kernel is the one
-// the run dispatches to and the tuning the stream it was built from;
-// Started is left to the caller that opens a stream.
+// the run dispatches to; Started is left to the caller that opens a
+// stream.
 func (r *Runner) Meta() RunMeta {
 	return RunMeta{
 		SuiteSHA: r.reg.SHA(),
@@ -396,7 +361,6 @@ func (r *Runner) Meta() RunMeta {
 		Kernel:   r.run.Kernels.Name(),
 		Shards:   r.plan.Shards,
 		Backend:  r.plan.Backend,
-		Tuning:   r.plan.TuneFrom,
 	}
 }
 

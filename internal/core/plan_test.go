@@ -3,15 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"math"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
-
-	"aibench/internal/tensor"
 )
 
 // TestNewRunnerValidation pins the build-time contract: every malformed
@@ -25,6 +18,7 @@ func TestNewRunnerValidation(t *testing.T) {
 	}{
 		{"unknown benchmark", Plan{Benchmarks: []string{"DC-AI-C99"}}, "unknown benchmark"},
 		{"unknown kernel", Plan{Kernel: "vectorized-fantasy"}, "unknown kernel"},
+		{"former tuned name", Plan{Kernel: "tuned"}, "have: blocked, naive"},
 		{"unknown backend", Plan{Backend: "quantum-fantasy"}, "unknown dist backend"},
 		{"bad kind", Plan{Kind: RunKind(42)}, "not a run kind"},
 		{"bad session kind", Plan{Kind: RunSession, Session: SessionKind(7)}, "not a session kind"},
@@ -121,112 +115,6 @@ func TestRunnerAppliesPlanKernel(t *testing.T) {
 	}
 	if runner.Meta().Kernel != "naive" {
 		t.Fatalf("run meta records kernel %q, want %q", runner.Meta().Kernel, "naive")
-	}
-}
-
-// tuneStream writes a minimal tuneconfig JSONL stream matching this
-// machine's (GOARCH, GOMAXPROCS) key.
-func tuneStream(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "tune.jsonl")
-	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":%q,"gomaxprocs":%d,"parallel_threshold":65536,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128}]}}`,
-		runtime.GOARCH, runtime.GOMAXPROCS(0))
-	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestRunnerTuneFrom pins the tune → run round trip: a persisted
-// config loads at build time into the blocked kernel the run carries,
-// lands in RunMeta as provenance, and the session's numbers are
-// bitwise identical to a naive run — the whole point of tuning being a
-// pure perf knob.
-func TestRunnerTuneFrom(t *testing.T) {
-	reg := NewRegistry()
-	path := tuneStream(t)
-
-	// Build-time validation: naive rejects TuneFrom, "tuned" is no
-	// kernel, a missing file and a foreign-architecture stream fail
-	// eagerly.
-	if _, err := NewRunner(reg, Plan{Kernel: "naive", TuneFrom: path}); err == nil || !strings.Contains(err.Error(), `"blocked" kernel`) {
-		t.Fatalf("TuneFrom with naive kernel: err = %v, want kernel mismatch", err)
-	}
-	if _, err := NewRunner(reg, Plan{Kernel: "tuned"}); err == nil || !strings.Contains(err.Error(), "blocked, naive") {
-		t.Fatalf("Kernel tuned: err = %v, want an unknown kernel naming blocked, naive", err)
-	}
-	if _, err := NewRunner(reg, Plan{TuneFrom: filepath.Join(t.TempDir(), "absent.jsonl")}); err == nil {
-		t.Fatal("TuneFrom with a missing file built a runner")
-	}
-	foreign := filepath.Join(t.TempDir(), "foreign.jsonl")
-	if err := os.WriteFile(foreign, []byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":"no-such-arch","gomaxprocs":1}}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(reg, Plan{TuneFrom: foreign}); err == nil {
-		t.Fatal("TuneFrom selected a foreign-architecture config")
-	}
-
-	plan := Plan{
-		Kind: RunSession, Benchmarks: []string{"DC-AI-C15"},
-		Session: QuasiEntireSession, Epochs: 2, Seed: 7,
-		Kernel: "blocked", TuneFrom: path,
-	}
-	runner, err := NewRunner(reg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runner.Meta(); got.Tuning != path || got.Kernel != "blocked" {
-		t.Fatalf("RunMeta kernel %q tuning %q, want blocked from the stream path %q", got.Kernel, got.Tuning, path)
-	}
-	if got, _ := tensor.TuningOf(runner.run.Kernels); got.Threshold != 65536 {
-		t.Fatalf("the runner's kernel forks at %d, want the config's 65536", got.Threshold)
-	}
-	res, err := runner.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtin, _ := tensor.LookupKernels("blocked")
-	if got, _ := tensor.TuningOf(builtin); got != tensor.DefaultTuning() {
-		t.Fatalf("the run moved the builtin blocked kernel to %+v", got)
-	}
-
-	// TuneFrom alone is the same plan: same runner, same cache key.
-	implied := plan
-	implied.Kernel = ""
-	irunner, err := NewRunner(reg, implied)
-	if err != nil {
-		t.Fatalf("TuneFrom without a kernel: %v", err)
-	}
-	if irunner.Meta() != runner.Meta() {
-		t.Fatalf("TuneFrom alone resolved to %+v, want %+v", irunner.Meta(), runner.Meta())
-	}
-	wantKey, _ := plan.Canonical()
-	if gotKey, _ := implied.Canonical(); !bytes.Equal(gotKey, wantKey) {
-		t.Fatalf("TuneFrom alone canonicalizes to %s, want %s", gotKey, wantKey)
-	}
-
-	naive, err := NewRunner(reg, Plan{
-		Kind: RunSession, Benchmarks: []string{"DC-AI-C15"},
-		Session: QuasiEntireSession, Epochs: 2, Seed: 7, Kernel: "naive",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := naive.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if naive.Meta().Tuning != "" {
-		t.Fatalf("naive RunMeta.Tuning = %q, want empty", naive.Meta().Tuning)
-	}
-	got, ref := res.Sessions[0], want.Sessions[0]
-	if math.Float64bits(got.FinalQuality) != math.Float64bits(ref.FinalQuality) || len(got.Losses) != len(ref.Losses) {
-		t.Fatalf("tuned vs naive session differ: %+v vs %+v", got, ref)
-	}
-	for e := range ref.Losses {
-		if math.Float64bits(got.Losses[e]) != math.Float64bits(ref.Losses[e]) {
-			t.Fatalf("epoch %d loss differs under tuning: %v vs %v", e+1, got.Losses[e], ref.Losses[e])
-		}
 	}
 }
 

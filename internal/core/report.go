@@ -22,7 +22,7 @@ import (
 // RunReportNames lists the run reports rebuildable from persisted
 // records, in render order.
 func RunReportNames() []string {
-	return []string{"sessions", "characterizations", "scaling", "replays", "trace", "tuning"}
+	return []string{"sessions", "characterizations", "scaling", "replays", "trace"}
 }
 
 // RunReportKind maps a run-report name to the record kind it renders;
@@ -39,8 +39,6 @@ func RunReportKind(name string) (RecordKind, bool) {
 		return KindReplay, true
 	case "trace":
 		return KindTrace, true
-	case "tuning":
-		return KindTuneConfig, true
 	}
 	return "", false
 }
@@ -72,33 +70,10 @@ func RenderRunRecords(name string, w io.Writer, recs []Record) bool {
 		RenderReplays(w, rs)
 	case "trace":
 		RenderTraces(w, recs)
-	case "tuning":
-		RenderTuneConfigs(w, recs)
 	default:
 		return false
 	}
 	return true
-}
-
-// RenderTuneConfigs writes one table per tuneconfig record: the machine
-// key line, then the per-(op, shape-class) winning tile configs in the
-// order the sweep emitted them. Pure function of the records, so a
-// rebuild from a persisted stream is byte-identical to the live
-// `aibench tune` output.
-func RenderTuneConfigs(w io.Writer, recs []Record) {
-	for _, r := range recs {
-		if r.Kind != KindTuneConfig || r.TuneConfig == nil {
-			continue
-		}
-		c := r.TuneConfig
-		fmt.Fprintf(w, "tuned config: kernel=%s goarch=%s gomaxprocs=%d parallel-threshold=%d\n",
-			c.Kernel, c.GOARCH, c.GOMAXPROCS, c.Threshold)
-		fmt.Fprintf(w, "%-8s %-8s %-10s %9s\n", "Op", "Class", "Block", "GFLOPS")
-		for _, e := range c.Entries {
-			fmt.Fprintf(w, "%-8s %-8s %-10s %9.2f\n",
-				e.Op, e.ShapeClass, e.TileConfig(), e.GFLOPS)
-		}
-	}
 }
 
 // canonical filters out zero-ID entries (sessions that never launched)

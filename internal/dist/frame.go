@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"aibench/internal/telemetry"
-	"aibench/internal/tensor"
 )
 
 // The wire protocol between the process backend and its worker
@@ -215,21 +214,18 @@ func (f *frameReader) f64s(dst []float64) []float64 {
 // Hello, spec, close and phase-output frame bodies, shared by both ends.
 
 // hello is the first frame a child receives: which replica to build
-// and what the run computes on. The kernel travels as the two things
-// the parent's plan resolved it from — its name, plus the tuning a
-// blocked kernel was built with (tensor.TuningOf) — so the child
-// rebuilds it with the same tensor.ResolveKernels call. It is
-// control plane, sent once, and travels as JSON like the close reply's
-// counts; whether the kernel exists and the tuning can drive the
-// engine is for ResolveKernels to say, not the decoder.
+// and what the run computes on. The kernel travels as its name, which
+// the child resolves with the same tensor.ResolveKernels call the
+// parent's plan went through. It is control plane, sent once, and
+// travels as JSON like the close reply's counts; whether the kernel
+// exists is for ResolveKernels to say, not the decoder.
 type hello struct {
-	BenchID  string         `json:"bench_id"`
-	Kernel   string         `json:"kernel"`
-	Tuning   *tensor.Tuning `json:"tuning,omitempty"` // nil: the named kernel as looked up
-	Seed     int64          `json:"seed"`
-	Rank     int            `json:"rank"`
-	Workers  int            `json:"workers"`
-	Counters bool           `json:"counters"`
+	BenchID  string `json:"bench_id"`
+	Kernel   string `json:"kernel"`
+	Seed     int64  `json:"seed"`
+	Rank     int    `json:"rank"`
+	Workers  int    `json:"workers"`
+	Counters bool   `json:"counters"`
 }
 
 func encodeHello(h hello) []byte {

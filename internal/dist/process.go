@@ -63,9 +63,6 @@ func (p *Process) Open(ctx context.Context, benchID string, _ models.Factory, se
 		counters: run.Counters,
 	}
 	h := hello{BenchID: benchID, Kernel: run.Kernels.Name(), Seed: seed, Workers: p.workers, Counters: run.Counters != nil}
-	if t, ok := tensor.TuningOf(run.Kernels); ok {
-		h.Tuning = &t
-	}
 	for rank := 0; rank < p.workers; rank++ {
 		cmd := exec.CommandContext(ctx, exe, "worker")
 		cmd.Env = append(os.Environ(), WorkerEnv+"=1")

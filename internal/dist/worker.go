@@ -26,7 +26,7 @@ const WorkerEnv = "AIBENCH_DIST_WORKER"
 // the parent is not listening).
 //
 // Failures are containment boundaries, not crashes: a bad benchmark
-// id, kernel or tuning, a construction error, a frame that is no
+// id or kernel, a construction error, a frame that is no
 // request or arrives out of sequence, or a panic inside the model's own
 // code is reported to the parent as an error frame and the worker
 // exits, so the parent can fail that one benchmark and keep the suite
@@ -125,12 +125,11 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 
 // open builds the replica a hello asks for, placed under the child's
 // half of the run: the kernel the hello names — resolved by the rule
-// the parent's NewRunner used, so a `-tune-from` run's children compute
-// under the same tuning its envelopes name — and, when the parent's run
+// the parent's NewRunner used — and, when the parent's run
 // is traced, counters of the child's own, which see exactly the calls a
 // local replica's would and go home in the close reply.
 func (h hello) open() (*replica, error) {
-	k, err := tensor.ResolveKernels(h.Kernel, h.Tuning)
+	k, err := tensor.ResolveKernels(h.Kernel)
 	if err != nil {
 		return nil, err
 	}

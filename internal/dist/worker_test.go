@@ -15,36 +15,25 @@ import (
 	"aibench/internal/tensor/kerneltest"
 )
 
-// sweptTuning is a tuning no builtin kernel runs under, as a
-// `-tune-from` run would carry it.
-func sweptTuning() tensor.Tuning {
-	t := tensor.DefaultTuning()
-	t.Threshold = 12345
-	t.Skinny = tensor.TileConfig{BlockM: 32, BlockN: 32}
-	return t
-}
-
 // FuzzWorkerHello hardens the first thing a worker child does with
 // bytes from its pipe: decodeHello must turn any payload into a hello
 // or an error — never a panic — a hello that decodes must survive an
 // encode/decode round trip unchanged, and resolving the kernel it names
 // must reject what it cannot build instead of panicking on it.
 func FuzzWorkerHello(f *testing.F) {
-	swept := sweptTuning()
-	invalid := tensor.Tuning{Threshold: -1, Square: tensor.TileConfig{BlockM: -64}}
 	for _, h := range []hello{
 		{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true},
-		{BenchID: "DC-AI-C1", Kernel: "blocked", Tuning: &swept, Seed: -7, Workers: 1},
-		{BenchID: "DC-AI-C1", Kernel: "blocked", Tuning: &invalid},
-		{BenchID: "DC-AI-C1", Kernel: "naive", Tuning: &swept},
+		{BenchID: "DC-AI-C1", Kernel: "blocked", Seed: -7, Workers: 1},
+		{BenchID: "DC-AI-C1", Kernel: "naive", Rank: -1, Workers: -3},
+		{BenchID: "DC-AI-C1", Kernel: "tuned"},
 		{BenchID: "", Kernel: "cuda"},
 	} {
 		f.Add(encodeHello(h))
 	}
-	whole := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &swept})
+	whole := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "naive", Workers: 2})
 	f.Add(whole[:len(whole)-6]) // cut short
-	f.Add([]byte(`{"kernel":"blocked","tuning":null,"seed":1e99}`))
-	f.Add([]byte(`{"kernel":"blocked","tuning":{"parallel_threshold":-9223372036854775808,"square":{"mr":0}}}`))
+	f.Add([]byte(`{"kernel":"blocked","seed":1e99}`))
+	f.Add([]byte(`{"kernel":["blocked"],"rank":-9223372036854775808}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -56,55 +45,42 @@ func FuzzWorkerHello(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, h) {
 			t.Fatalf("hello %+v re-decodes as %+v, err %v", h, again, err)
 		}
-		if k, err := tensor.ResolveKernels(h.Kernel, h.Tuning); err == nil && h.Tuning != nil {
-			if got, _ := tensor.TuningOf(k); got != *h.Tuning {
-				t.Fatalf("hello tuning %+v resolved to a kernel under %+v", *h.Tuning, got)
-			}
+		if k, err := tensor.ResolveKernels(h.Kernel); err == nil && k.Name() != h.Kernel {
+			t.Fatalf("hello kernel %q resolved to %q", h.Kernel, k.Name())
 		}
 	})
 }
 
-// TestWorkerReplicaRunsUnderTheSentTuning: the replica a hello opens is
-// placed under the kernel the hello describes — name and tuning — so a
-// `-backend process -tune-from F` run's children compute under F, the
-// tuning every envelope of the run names, not under the builtin one.
-func TestWorkerReplicaRunsUnderTheSentTuning(t *testing.T) {
-	swept := sweptTuning()
-	k, err := tensor.Blocked(swept)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// What Process.Open derives from the run's context…
-	h := hello{BenchID: "DC-AI-C16", Kernel: k.Name(), Seed: 42, Workers: 1}
-	if tuning, ok := tensor.TuningOf(k); ok {
-		h.Tuning = &tuning
-	}
-	// …crosses the pipe and is opened on the far side.
-	sent, err := decodeHello(encodeHello(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sent.open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.params {
-		got := tensor.RunOf(p.Value.Data).Kernels
-		if tuning, _ := tensor.TuningOf(got); got.Name() != "blocked" || tuning != swept {
-			t.Fatalf("parameter %s dispatches to %s under %+v, want the sent tuning", p.Name, got.Name(), tuning)
+// TestWorkerReplicaRunsUnderTheSentKernel: the replica a hello opens is
+// placed under the kernel the hello names, so a `-backend process`
+// run's children compute on the kernel every envelope of the run
+// names, not on the process default.
+func TestWorkerReplicaRunsUnderTheSentKernel(t *testing.T) {
+	for _, name := range []string{"naive", "blocked"} {
+		want, _ := tensor.LookupKernels(name)
+		// What Process.Open derives from the run's context crosses the
+		// pipe and is opened on the far side.
+		sent, err := decodeHello(encodeHello(hello{BenchID: "DC-AI-C16", Kernel: want.Name(), Seed: 42, Workers: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sent.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.params {
+			if got := tensor.RunOf(p.Value.Data).Kernels; got != want {
+				t.Fatalf("%s hello: parameter %s dispatches to %s", name, p.Name, got.Name())
+			}
 		}
 	}
 }
 
 // TestWorkerRejectsUnbuildableKernel: a hello naming a kernel the child
-// does not have, a tuning that fails Validate, or a tuning for a kernel
-// that takes none comes back as an error frame — the parent fails that
+// does not have comes back as an error frame — the parent fails that
 // one benchmark with the reason — never a panic or a wait for more
 // input.
 func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
-	bad := tensor.DefaultTuning()
-	bad.Fat.BlockM = 7
-	good := tensor.DefaultTuning()
 	for _, c := range []struct {
 		name string
 		h    hello
@@ -112,8 +88,6 @@ func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
 	}{
 		{"unknown kernel", hello{BenchID: "DC-AI-C16", Kernel: "cuda", Workers: 1}, "unknown kernel"},
 		{"former tuned name", hello{BenchID: "DC-AI-C16", Kernel: "tuned", Workers: 1}, "unknown kernel"},
-		{"invalid tuning", hello{BenchID: "DC-AI-C16", Kernel: "blocked", Tuning: &bad, Workers: 1}, "BlockM"},
-		{"tuning for naive", hello{BenchID: "DC-AI-C16", Kernel: "naive", Tuning: &good, Workers: 1}, "parameterizes"},
 	} {
 		var out bytes.Buffer
 		err := WorkerMain(bytes.NewReader(frameBytes(t, frameHello, encodeHello(c.h))), &out)

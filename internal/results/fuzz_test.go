@@ -34,12 +34,12 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add([]byte(`{"v":1,"kind":"trace","run":{},"data":{"spans":[{"id":9999,"parent":-7,"name":""}]}}`))
 	f.Add([]byte(`{"v":1,"kind":"trace","run":{},"data":{"counters":"not an object"}}`))
 
-	// Tuneconfig envelopes: a valid machine config and hostile variants
-	// (wrong payload shape, out-of-menu tiles that must decode fine —
-	// validation is the applier's job, not the reader's).
-	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{"suite_sha":"abc123","kernel":"tuned"},"data":{"kernel":"tuned","goarch":"amd64","gomaxprocs":8,"parallel_threshold":131072,"entries":[{"op":"gemm","shape_class":"square","mr":2,"nr":8,"k_unroll":2,"block_m":128,"block_n":128,"gflops":6.4},{"op":"conv2d","shape_class":"conv","mr":4,"nr":4,"k_unroll":1,"block_m":64,"block_n":64,"gflops":3.1}]}}`))
-	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":{"entries":[{"mr":-3,"nr":0,"k_unroll":999}]}}`))
-	f.Add([]byte(`{"v":1,"kind":"tuneconfig","run":{},"data":"not an object"}`))
+	// Run headers and payloads a reader must take as they come: keys it
+	// does not know (a retired field, a future one), a characterization
+	// whose maps hold the wrong types, a replay with a null payload.
+	f.Add([]byte(`{"v":1,"kind":"replay","run":{"suite_sha":"abc123","seed":1,"kernel":"blocked","shards":0,"retired":"x","future":[1,{}]},"data":{"id":"DC-AI-C9","epochs":6,"hours":2.5}}`))
+	f.Add([]byte(`{"v":1,"kind":"characterization","run":{},"data":{"id":"DC-AI-C1","shares":{"GEMM":"half"},"stalls":[]}}`))
+	f.Add([]byte(`{"v":1,"kind":"replay","run":null,"data":null}`))
 
 	// The forward/backward-compatibility shapes Read promises to handle.
 	f.Add([]byte(`{"v":99,"kind":"session","run":{},"data":{}}`))           // future version → Skipped
@@ -77,6 +77,5 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		_ = s.Replays()
 		_ = s.Traces()
 		_ = s.RunMetrics()
-		_ = s.TuneConfigs()
 	})
 }

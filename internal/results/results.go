@@ -26,7 +26,6 @@ import (
 
 	"aibench/internal/core"
 	"aibench/internal/telemetry"
-	"aibench/internal/tune"
 )
 
 // Version is the envelope schema version this package writes.
@@ -233,10 +232,6 @@ func decode(env Envelope) (rec core.Record, known bool, err error) {
 		v := new(telemetry.RunMetrics)
 		err = json.Unmarshal(env.Data, v)
 		rec = core.Record{Kind: core.KindRunMetrics, RunMetrics: v}
-	case core.KindTuneConfig:
-		v := new(tune.Config)
-		err = json.Unmarshal(env.Data, v)
-		rec = core.Record{Kind: core.KindTuneConfig, TuneConfig: v}
 	default:
 		return core.Record{}, false, nil
 	}
@@ -343,18 +338,6 @@ func (s *Stream) ByRun(suiteSHA string, seed int64) []core.Record {
 	for _, r := range s.Records {
 		if r.Run != nil && r.Run.SuiteSHA == suiteSHA && r.Run.Seed == seed {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// TuneConfigs returns the stream's blocked-kernel tuning records
-// in file order.
-func (s *Stream) TuneConfigs() []*tune.Config {
-	var out []*tune.Config
-	for _, r := range s.Records {
-		if r.Kind == core.KindTuneConfig && r.TuneConfig != nil {
-			out = append(out, r.TuneConfig)
 		}
 	}
 	return out

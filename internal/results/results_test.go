@@ -9,7 +9,6 @@ import (
 
 	"aibench/internal/core"
 	"aibench/internal/gpusim"
-	"aibench/internal/tune"
 )
 
 func sampleMeta() core.RunMeta {
@@ -44,13 +43,6 @@ func sampleRecords() []core.Record {
 		}},
 		{Kind: core.KindReplay, Replay: &core.ReplaySession{
 			ID: "DC-AI-C9", Epochs: 6, Hours: 2.7128394027,
-		}},
-		{Kind: core.KindTuneConfig, TuneConfig: &tune.Config{
-			Kernel: "tuned", GOARCH: "amd64", GOMAXPROCS: 8, Threshold: 1 << 17,
-			Entries: []tune.Entry{
-				{Op: tune.OpGEMM, ShapeClass: "square", BlockM: 128, BlockN: 128, GFLOPS: 6.25},
-				{Op: "conv2d", ShapeClass: "conv", BlockM: 64, BlockN: 64, GFLOPS: 3.5},
-			},
 		}},
 	}
 }
@@ -94,18 +86,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 				i, s.Records[i].Payload(), recs[i].Payload())
 		}
 	}
-	if got := len(s.Sessions()) + len(s.Characterizations()) + len(s.Scaling()) + len(s.Replays()) + len(s.TuneConfigs()); got != len(recs) {
+	if got := len(s.Sessions()) + len(s.Characterizations()) + len(s.Scaling()) + len(s.Replays()); got != len(recs) {
 		t.Fatalf("typed accessors returned %d records in total, want %d", got, len(recs))
-	}
-
-	// The tuning report rebuilt from the decoded stream must be
-	// byte-identical to one rendered from the in-memory records.
-	var live, rebuilt bytes.Buffer
-	core.RenderTuneConfigs(&live, recs)
-	core.RenderTuneConfigs(&rebuilt, s.Records)
-	if live.String() == "" || live.String() != rebuilt.String() {
-		t.Errorf("rebuilt tuning report differs from live output:\n--- live ---\n%s--- rebuilt ---\n%s",
-			live.String(), rebuilt.String())
 	}
 }
 

@@ -9,9 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -490,71 +487,42 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// tuneStream writes a one-line tuneconfig stream for this machine that
-// moves the conv class and the parallel threshold off the builtin
-// tuning.
-func tuneStream(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "tune.jsonl")
-	line := fmt.Sprintf(`{"v":1,"kind":"tuneconfig","run":{},"data":{"kernel":"blocked","goarch":%q,"gomaxprocs":%d,"parallel_threshold":32768,"entries":[{"op":"conv2d","shape_class":"conv","mr":4,"nr":4,"k_unroll":1,"block_m":32,"block_n":32}]}}`,
-		runtime.GOARCH, runtime.GOMAXPROCS(0))
-	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
-		t.Fatal(err)
+// TestRetiredPlanFieldIsRefused: a wire plan that still says how to
+// tune the blocked kernel is a 400 that names the field, like any other
+// field the wire shape does not have.
+func TestRetiredPlanFieldIsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueCap: 4}, true)
+	resp := submit(t, ts, "alice", `{"tune_from":"x"}`)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "tune_from") {
+		t.Fatalf("status %d %q, want a 400 naming tune_from", resp.StatusCode, msg)
 	}
-	return path
 }
 
-// TestTuneFromWireForms: a tuning parameterizes the blocked kernel and
-// nothing else, so tune_from alone and tune_from beside
-// "kernel":"blocked" are one plan — the same canonical bytes, one cache
-// entry — while "tuned", the GEBP engine's former second name, and a
-// tuning for naive are 400s that say what the server has.
-func TestTuneFromWireForms(t *testing.T) {
-	tuneFile := tuneStream(t)
-	session := `{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C16"],"epochs":1,`
-	implied := session + fmt.Sprintf(`"tune_from":%q}`, tuneFile)
-	explicit := session + fmt.Sprintf(`"kernel":"blocked","tune_from":%q}`, tuneFile)
-	var keys [2][]byte
-	for i, body := range []string{implied, explicit} {
-		p, err := core.ParsePlan(strings.NewReader(body))
-		if err == nil {
-			keys[i], err = p.Canonical()
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-	}
-	if !bytes.Equal(keys[0], keys[1]) || !strings.Contains(string(keys[0]), `"kernel":"blocked"`) {
-		t.Fatalf("tune_from alone canonicalizes to %s, beside blocked to %s; want one blocked plan", keys[0], keys[1])
-	}
-
-	_, ts := newTestServer(t, Options{Workers: 1, QueueCap: 4}, true)
-	var bodies [2][]byte
-	for i, body := range []string{implied, explicit} {
-		resp := submit(t, ts, "alice", body)
-		b, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("submission %d: status %d err %v: %s", i, resp.StatusCode, err, b)
-		}
-		if want := [2]string{"miss", "hit"}[i]; resp.Header.Get("X-Cache") != want {
-			t.Fatalf("submission %d: X-Cache %q, want %q", i, resp.Header.Get("X-Cache"), want)
-		}
-		bodies[i] = b
-	}
-	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatal("the explicit blocked plan's cache hit differs from the implied plan's stream")
-	}
-
-	for body, want := range map[string]string{
-		`{"kernel":"tuned"}`: "blocked, naive",
-		fmt.Sprintf(`{"kernel":"naive","tune_from":%q}`, tuneFile): `"blocked" kernel`,
+// TestCacheKeysPinned: the result cache keys of a session, a
+// characterization and a replay plan are the literal values the tree
+// computed before the tuning field left the wire plan, so no cached
+// result moved to another key.
+func TestCacheKeysPinned(t *testing.T) {
+	sha := core.NewRegistry().SHA()
+	for _, c := range []struct {
+		plan core.Plan
+		want string
+	}{
+		{core.Plan{Kind: core.RunSession, Session: core.QuasiEntireSession, Benchmarks: []string{"DC-AI-C1"}, Seed: 42, Epochs: 1},
+			"sha256:6094becd9b1672ed74458d12ed7f75917247a2c40c52ed12494c36c5e1b65aed"},
+		{core.Plan{Kind: core.RunCharacterize},
+			"sha256:633124b50beec84dfdace5bdeaa54befa4ebaafa24a3cb1ecc306eb496f0ba25"},
+		{core.Plan{Kind: core.RunReplay, Seed: 1},
+			"sha256:6698162142c3a5a3b6b2fd9909aa2b710a60e7e19bdd87b8b46769c15c971c2e"},
 	} {
-		resp := submit(t, ts, "alice", body)
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
-			t.Errorf("%s: status %d %q, want 400 naming %s", body, resp.StatusCode, msg, want)
+		canonical, err := c.plan.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := results.Key(sha, canonical); got != c.want {
+			t.Errorf("%s under suite %s keys to %s, want %s", canonical, sha, got, c.want)
 		}
 	}
 }
@@ -564,22 +532,20 @@ func TestTuneFromWireForms(t *testing.T) {
 // time — a run's kernel is a value its own tensors carry, so there is
 // nothing to take turns on — and every response is byte-identical to
 // the same plan run alone on a serial server, labelled with its own
-// plan's kernel. A blocked plan under a tuning is a pure function of its
-// canonical form, so it is cached like any other.
+// plan's kernel, and each is cached like any other.
 func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
-	tuneFile := tuneStream(t)
 	// The cheap benchmark's record streams early and the expensive one
 	// follows, so each job spends most of its run with a record out.
 	plan := func(seed int, kernel string) string {
 		return fmt.Sprintf(`{"kind":"session","session":"quasi-entire","benchmarks":["DC-AI-C16","DC-AI-C1"],"seed":%d,"epochs":1,"workers":1,%s}`, seed, kernel)
 	}
-	plans := []struct{ body, kernel, tuning string }{
-		{plan(11, `"kernel":"naive"`), "naive", ""},
-		{plan(12, `"kernel":"blocked"`), "blocked", ""},
-		{plan(13, fmt.Sprintf(`"kernel":"blocked","tune_from":%q`, tuneFile)), "blocked", tuneFile},
-		{plan(14, `"kernel":"naive"`), "naive", ""},
-		// tune_from alone tunes the default kernel, blocked.
-		{plan(15, fmt.Sprintf(`"tune_from":%q`, tuneFile)), "blocked", tuneFile},
+	plans := []struct{ body, kernel string }{
+		{plan(11, `"kernel":"naive"`), "naive"},
+		{plan(12, `"kernel":"blocked"`), "blocked"},
+		{plan(13, `"kernel":"blocked"`), "blocked"},
+		{plan(14, `"kernel":"naive"`), "naive"},
+		// No kernel runs on the default, blocked.
+		{plan(15, `"shards":0`), "blocked"},
 	}
 
 	_, serial := newTestServer(t, Options{Workers: 1, QueueCap: 8}, true)
@@ -621,9 +587,9 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 			t.Fatalf("concurrent run %d: %d records, err %v", i, len(stream.Records), err)
 		}
 		for _, rec := range stream.Records {
-			if rec.Session.Kernel != p.kernel || rec.Run.Kernel != p.kernel || rec.Run.Tuning != p.tuning {
-				t.Errorf("run %d (%s): session says kernel %q, envelope says %q tuning %q; want %q tuning %q",
-					i, rec.Session.ID, rec.Session.Kernel, rec.Run.Kernel, rec.Run.Tuning, p.kernel, p.tuning)
+			if rec.Session.Kernel != p.kernel || rec.Run.Kernel != p.kernel {
+				t.Errorf("run %d (%s): session says kernel %q, envelope says %q; want %q",
+					i, rec.Session.ID, rec.Session.Kernel, rec.Run.Kernel, p.kernel)
 			}
 		}
 	}
@@ -631,13 +597,13 @@ func TestConcurrentMixedKernelJobsStayExact(t *testing.T) {
 		t.Error("no two jobs under different kernels were ever mid-run at the same instant: mixed-kernel tenants are being serialized")
 	}
 
-	// Both tuned plans are in the cache now and replay byte-identically.
+	// The blocked plans are in the cache now and replay byte-identically.
 	for _, i := range []int{2, 4} {
 		resp := submit(t, mixed, "again", plans[i].body)
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.Header.Get("X-Cache") != "hit" || !bytes.Equal(body, want[i]) {
-			t.Errorf("resubmitted tuned plan %d: X-Cache %q err %v, want a byte-identical hit", i, resp.Header.Get("X-Cache"), err)
+			t.Errorf("resubmitted plan %d: X-Cache %q err %v, want a byte-identical hit", i, resp.Header.Get("X-Cache"), err)
 		}
 	}
 }

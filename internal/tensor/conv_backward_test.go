@@ -44,25 +44,11 @@ func convTable(rng *rand.Rand, fn func(name string, cc convCase)) {
 	}
 }
 
-// convConfigs calls fn with the GEBP engine running every class under
-// each of testBlocks, with everything forked and everything serial.
-func convConfigs(fn func(name string, k Kernels)) {
-	for _, cfg := range testBlocks {
-		for _, threshold := range []int{1, 1 << 30} {
-			k, err := Blocked(uniform(cfg, threshold))
-			if err != nil {
-				panic(err)
-			}
-			fn(fmt.Sprintf("cfg=%s threshold=%d", cfg, threshold), k)
-		}
-	}
-}
-
-// convSweepSize is how many (case, config) pairs convTable × convConfigs visit.
+// convSweepSize is how many (case, engine) pairs convTable × engines visit.
 var convSweepSize = 2 * 3 * 2 * 3 * 2 * len(testBlocks) * 2
 
 // TestConv2DBackwardBitwise holds the fused backward to the naive
-// composition bit for bit over convTable × convConfigs, either gradient
+// composition bit for bit over convTable × engines, either gradient
 // alone as well as both, and again on repeat runs, since the fold into
 // dx and the dw reduction must not depend on the schedule.
 func TestConv2DBackwardBitwise(t *testing.T) {
@@ -70,7 +56,7 @@ func TestConv2DBackwardBitwise(t *testing.T) {
 	ran := 0
 	convTable(rand.New(rand.NewSource(101)), func(caseName string, cc convCase) {
 		wantX, wantW := naive.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
-		convConfigs(func(cfgName string, k Kernels) {
+		engines(func(cfgName string, k Kernels) {
 			name := caseName + " " + cfgName
 			for rep := 0; rep < 3; rep++ {
 				dx, dw := k.Conv2DBackward(cc.x, cc.w, cc.g, cc.p, true, true)
@@ -117,7 +103,7 @@ func TestConvBackwardInputFoldOrder(t *testing.T) {
 	if want.Data[1] != (one+big)-big {
 		t.Fatalf("col2im gives dx[1] = %v, want the ascending-pixel sum %v", want.Data[1], (one+big)-big)
 	}
-	convConfigs(func(name string, k Kernels) {
+	engines(func(name string, k Kernels) {
 		dx, _ := k.Conv2DBackward(x, w, g, p, true, false)
 		bitwiseEqual(t, name, dx, want)
 	})
@@ -193,10 +179,8 @@ func TestScratchPoolDirtyBuffers(t *testing.T) {
 			return []*Tensor{dx, dw}
 		}},
 	}
-	forked := DefaultTuning()
-	forked.Threshold = 1
-	for _, tuning := range []Tuning{DefaultTuning(), forked} {
-		kern := mustBlocked(t, tuning)
+	for _, threshold := range []int{builtinBlocked.threshold, 1} {
+		kern := &gebpKernels{blockM: 64, blockN: 64, threshold: threshold}
 		for _, op := range ops {
 			want := op.run(naive)
 			op.run(kern)
@@ -204,7 +188,7 @@ func TestScratchPoolDirtyBuffers(t *testing.T) {
 			got := op.run(kern)
 			poisonScratch()
 			for i := range want {
-				bitwiseEqual(t, fmt.Sprintf("%s threshold=%d result %d", op.name, tuning.Threshold, i), got[i], want[i])
+				bitwiseEqual(t, fmt.Sprintf("%s threshold=%d result %d", op.name, threshold, i), got[i], want[i])
 			}
 		}
 	}

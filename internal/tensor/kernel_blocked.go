@@ -13,45 +13,28 @@ import "aibench/internal/parallel"
 // product straight into NCHW. Pack panels, padded copies and chunk
 // scratch are borrowed from the package's scratch pool (scratch.go)
 // and returned before each op does; an op allocates its results and
-// nothing that grows with its operands. The GEMM tile geometry
-// (BlockM×BlockN per shape class) and the parallel threshold come from
-// the Tuning the value was built with, fixed for its lifetime (the
-// conv passes walk their own image chunks and read the threshold
-// alone): DefaultTuning() for the value LookupKernels("blocked")
-// returns, and whatever Blocked(t) was handed otherwise — a run with
-// Plan.TuneFrom builds its own from the persisted config internal/tune
-// swept on this machine. Nothing reads a tuning at op-call time from
-// anywhere but the receiver.
+// nothing that grows with its operands. A GEMM splits its output into
+// blockM×blockN tiles; every loop forks across cores at or above
+// threshold multiply-adds (the conv passes walk their own image chunks
+// and read the threshold alone). LookupKernels("blocked") returns the
+// one value the program runs, builtinBlocked; the package's tests
+// build others to reach every tile edge and both fork paths.
 //
 // Determinism contract: every output element accumulates its k terms
-// in ascending order into a single accumulator under every TileConfig,
+// in ascending order into a single accumulator under every block size,
 // exactly like the naive kernel's serial loops. Tiles write disjoint
 // output regions, so the 2-D parallel decomposition affects scheduling
 // only — results are bitwise reproducible for any goroutine
-// interleaving and any tuning, and match the naive kernel bit for bit
-// on finite data (the only divergence is the naive kernel's skip of
-// exact-zero multiplicands, which cannot change a finite sum).
+// interleaving, block size and threshold, and match the naive kernel
+// bit for bit on finite data (the only divergence is the naive kernel's
+// skip of exact-zero multiplicands, which cannot change a finite sum).
 type gebpKernels struct {
-	tuning Tuning
-}
-
-// Blocked returns the GEBP engine under t: a plain value with no tie
-// to process state, so two of them under different tunings run side by
-// side. An invalid t is an error.
-func Blocked(t Tuning) (Kernels, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &gebpKernels{tuning: t}, nil
-}
-
-// TuningOf returns the tuning a blocked kernel was built with; ok is
-// false for naive, which takes none.
-func TuningOf(k Kernels) (Tuning, bool) {
-	if g, ok := k.(*gebpKernels); ok {
-		return g.tuning, true
-	}
-	return Tuning{}, false
+	// blockM×blockN is the output tile one parallel task owns. Both are
+	// positive multiples of mr/nr, so tile origins land on panel
+	// boundaries.
+	blockM, blockN int
+	// threshold is the multiply-add count from which loops fork.
+	threshold int
 }
 
 func (g *gebpKernels) Name() string { return "blocked" }
@@ -133,7 +116,7 @@ func packPanel(dst []float64, o operand, lane0, width int) {
 
 // mr×nr is the register micro-tile: mr rows of A and nr columns of B
 // held in scalar registers while streaming the shared k dimension.
-// Block sizes are multiples of them (TileConfig.Validate).
+// Block sizes are multiples of them.
 const (
 	mr = 2
 	nr = 4
@@ -253,27 +236,25 @@ func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int)
 }
 
 // gemm packs both operands into mr- and nr-lane panels and runs the
-// 2-D decomposition: the output, allocated in ar, splits into cfg's
-// BlockM×BlockN tiles (disjoint writes, scheduling-independent) handed
+// 2-D decomposition: the output, allocated in ar, splits into
+// blockM×blockN tiles (disjoint writes, scheduling-independent) handed
 // to the pool as a flattened grid; small products walk the same tiles
-// serially, without building the closure the pool would need. Block
-// sizes are validated multiples of mr/nr, so tile origins always land
-// on panel boundaries.
-func gemm(ar *Arena, a, b operand, cfg *TileConfig, threshold int) *Tensor {
+// serially, without building the closure the pool would need.
+func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
 	m, n, K := a.lanes, b.lanes, a.K
-	apack := pack(a, mr, threshold)
-	bpack := pack(b, nr, threshold)
+	apack := pack(a, mr, g.threshold)
+	bpack := pack(b, nr, g.threshold)
 	out := ar.New(m, n)
-	mt := (m + cfg.BlockM - 1) / cfg.BlockM
-	nt := (n + cfg.BlockN - 1) / cfg.BlockN
-	if m*K*n >= threshold && mt*nt > 1 {
+	mt := (m + g.blockM - 1) / g.blockM
+	nt := (n + g.blockN - 1) / g.blockN
+	if m*K*n >= g.threshold && mt*nt > 1 {
 		parallel.For2D(0, mt, nt, func(ti, tj int) {
-			gemmTile(apack, bpack, out.Data, m, n, K, ti, tj, cfg)
+			g.tile(apack, bpack, out.Data, m, n, K, ti, tj)
 		})
 	} else {
 		for ti := 0; ti < mt; ti++ {
 			for tj := 0; tj < nt; tj++ {
-				gemmTile(apack, bpack, out.Data, m, n, K, ti, tj, cfg)
+				g.tile(apack, bpack, out.Data, m, n, K, ti, tj)
 			}
 		}
 	}
@@ -282,20 +263,13 @@ func gemm(ar *Arena, a, b operand, cfg *TileConfig, threshold int) *Tensor {
 	return out
 }
 
-// gemmTile fills output tile (ti, tj) of the m×n product from the
-// packed operands.
-func gemmTile(apack, bpack, out []float64, m, n, K, ti, tj int, cfg *TileConfig) {
-	i0, j0 := ti*cfg.BlockM, tj*cfg.BlockN
-	rows := min(cfg.BlockM, m-i0)
-	cols := min(cfg.BlockN, n-j0)
+// tile fills output tile (ti, tj) of the m×n product from the packed
+// operands.
+func (g *gebpKernels) tile(apack, bpack, out []float64, m, n, K, ti, tj int) {
+	i0, j0 := ti*g.blockM, tj*g.blockN
+	rows := min(g.blockM, m-i0)
+	cols := min(g.blockN, n-j0)
 	gebpTile(apack[(i0/mr)*K*mr:], bpack[(j0/nr)*K*nr:], K, rows, cols, out[i0*n+j0:], n)
-}
-
-// gemm runs a product under this kernel's tuning, picking the config
-// by the product's shape class.
-func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
-	t := &g.tuning
-	return gemm(ar, a, b, t.gemmFor(a.lanes, a.K, b.lanes), t.Threshold)
 }
 
 func (g *gebpKernels) MatMul(a, b *Tensor) *Tensor {
@@ -315,21 +289,21 @@ func (g *gebpKernels) TMatMul(a, b *Tensor) *Tensor {
 }
 
 // MatVec and Outer have no k-reuse to block for, so they share the
-// gated naive bodies; the threshold is the only parameter that applies.
+// gated naive bodies behind the engine's threshold.
 func (g *gebpKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(g.tuning.Threshold, a, v)
+	return gatedMatVec(g.threshold, a, v)
 }
 
 func (g *gebpKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(g.tuning.Threshold, a, b)
+	return gatedOuter(g.threshold, a, b)
 }
 
 func (g *gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
-	return conv2D(x, weight, p, g.tuning.Threshold)
+	return conv2D(x, weight, p, g.threshold)
 }
 
 func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, needX, needW bool) (dx, dw *Tensor) {
-	return conv2DBackward(x, weight, grad, p, needX, needW, g.tuning.Threshold)
+	return conv2DBackward(x, weight, grad, p, needX, needW, g.threshold)
 }
 
 // convGeom is a convolution's input seen through a zero-bordered copy

@@ -31,11 +31,9 @@ import (
 //
 // Two implementations, selected by name: "naive" (the original
 // row-parallel loops, kept as the reference oracle) and "blocked" (the
-// default), the GEBP engine of kernel_tuned.go — cache-blocked,
+// default), the GEBP engine of kernel_blocked.go — cache-blocked,
 // panel-packed GEMM with a register micro-kernel and a 2-D
-// row×column-block work decomposition — under the Tuning it was built
-// with: DefaultTuning() when looked up by name, any other through
-// Blocked (see internal/tune).
+// row×column-block work decomposition over fixed 64×64 blocks.
 type Kernels interface {
 	// Name is what a plan selects the kernel by ("naive" or "blocked").
 	Name() string
@@ -62,9 +60,13 @@ type Kernels interface {
 const DefaultKernel = "blocked"
 
 var (
-	// builtinBlocked is the GEBP engine at DefaultTuning(): what the
-	// name "blocked" looks up.
-	builtinBlocked = &gebpKernels{tuning: DefaultTuning()}
+	// builtinBlocked is the GEBP engine the name "blocked" looks up.
+	// 64×64 tiles keep the packed A and B slices a tile touches (64·K
+	// doubles each) within L2 for the suite's typical K while still
+	// cutting a 512×512 product into 64 independent tasks; at 2¹⁷
+	// multiply-adds a loop is long enough to pay the pool's ~µs
+	// fork-join.
+	builtinBlocked = &gebpKernels{blockM: 64, blockN: 64, threshold: 1 << 17}
 	// processRun is what unplaced operands dispatch under: the default
 	// kernel, no counters.
 	processRun = &Run{Kernels: builtinBlocked}
@@ -73,8 +75,8 @@ var (
 // KernelNames lists the kernels a plan can name, sorted.
 func KernelNames() []string { return []string{"blocked", "naive"} }
 
-// LookupKernels returns the named kernel — naive, or blocked at
-// DefaultTuning() — as a value to call directly or to hand to a run.
+// LookupKernels returns the named kernel as a value to call directly
+// or to hand to a run.
 func LookupKernels(name string) (Kernels, bool) {
 	switch name {
 	case "naive":
@@ -85,17 +87,10 @@ func LookupKernels(name string) (Kernels, bool) {
 	return nil, false
 }
 
-// ResolveKernels is the one rule that turns what a plan (or a worker's
-// hello frame) says about its kernel into the value the run dispatches
-// to: the named kernel, or — when t is non-nil — the blocked engine
-// under *t, since only "blocked" takes a tuning.
-func ResolveKernels(name string, t *Tuning) (Kernels, error) {
-	if t != nil {
-		if name != "blocked" {
-			return nil, fmt.Errorf(`tensor: a tuning parameterizes the "blocked" kernel, not %q`, name)
-		}
-		return Blocked(*t)
-	}
+// ResolveKernels is LookupKernels for a name that arrived from outside
+// — a plan or a worker's hello frame: an unknown name is an error that
+// lists the kernels there are.
+func ResolveKernels(name string) (Kernels, error) {
 	k, ok := LookupKernels(name)
 	if !ok {
 		return nil, fmt.Errorf("tensor: unknown kernel %q (have: %s)", name, strings.Join(KernelNames(), ", "))

@@ -9,13 +9,41 @@ import (
 // The package-level linear-algebra entry points validate shapes and
 // dispatch to the kernels their operands are placed under (dispatch;
 // see Run and Kernels in kernels.go). Implementations live in
-// kernel_naive.go (the oracle, "naive") and kernel_tuned.go (the GEBP
+// kernel_naive.go (the oracle, "naive") and kernel_blocked.go (the GEBP
 // engine, "blocked"); a run selects one through Plan.Kernel / the CLI's
 // -kernel flag, and operands no run placed use DefaultKernel. Each
 // entry point is also the telemetry choke point: one per-op call/FLOP
 // count, into the counters of the run it dispatched under, covers every
 // kernel implementation — and costs a nil check when that run is
 // untraced or the operands are unplaced.
+
+// GEMM shape classes. A (m×k)·(k×n) product is bucketed by which
+// dimension dominates: no kernel reads the class (the GEBP engine runs
+// every shape under the same blocks); it names the shapes
+// bench/probes.go times one GEMM of each.
+const (
+	// ShapeSquare: no dimension dominates (aspect ratios within 4×).
+	ShapeSquare = "square"
+	// ShapeSkinny: the inner dimension dominates (k ≥ 4·max(m,n)),
+	// e.g. 64×2048×64 — skinny operands, small output.
+	ShapeSkinny = "skinny"
+	// ShapeFat: the output dominates (max(m,n) ≥ 4·k), e.g.
+	// 2048×64×2048 — a fat output computed from a shallow k.
+	ShapeFat = "fat"
+)
+
+// GEMMShapeClass buckets a (m×k)·(k×n) product into its shape class.
+func GEMMShapeClass(m, k, n int) string {
+	long := max(m, n)
+	switch {
+	case k >= 4*long:
+		return ShapeSkinny
+	case long >= 4*k:
+		return ShapeFat
+	default:
+		return ShapeSquare
+	}
+}
 
 // MatMul multiplies two 2-D tensors: (m×k) · (k×n) → (m×n).
 func MatMul(a, b *Tensor) *Tensor {
