@@ -3,22 +3,25 @@ package tensor
 import "aibench/internal/parallel"
 
 // gebpKernels is the optimized engine, the kernel named "blocked": a
-// GEBP-style GEMM that packs both operands into contiguous panels
-// and drives one straight-line mr×nr (2×4) register micro-kernel over
-// a 2-D grid of cache-sized output tiles, plus an implicit im2col-GEMM
-// convolution — forward, input gradient and weight gradient — that
-// gathers every tap from a zero-bordered image copy without a bounds
-// test, never materializes the column matrix, its gradient or a
-// GEMM-layout copy of the output gradient, and stores the forward
-// product straight into NCHW. Pack panels, padded copies and chunk
-// scratch are borrowed from the package's scratch pool (scratch.go)
-// and returned before each op does; an op allocates its results and
-// nothing that grows with its operands. A GEMM splits its output into
-// blockM×blockN tiles; every loop forks across cores at or above
-// threshold multiply-adds (the conv passes walk their own image chunks
-// and read the threshold alone). LookupKernels("blocked") returns the
-// one value the program runs, builtinBlocked; the package's tests
-// build others to reach every tile edge and both fork paths.
+// GEBP-style GEMM over mr×nr (2×4) register micro-tiles, plus an
+// implicit im2col-GEMM convolution — forward, input gradient and
+// weight gradient — that gathers every tap from a zero-bordered image
+// copy without a bounds test, never materializes the column matrix,
+// its gradient or a GEMM-layout copy of the output gradient, and
+// stores the forward product straight into NCHW. A GEMM below the fork
+// threshold is too small to repay a copy: microStrided reads both
+// operands where they live. A GEMM at or above it packs both operands
+// into contiguous panels and drives micro2x4u4 over a 2-D grid of
+// cache-sized blockM×blockN output tiles; the conv passes always pack
+// or gather into panels for micro2x4u4. Pack panels, padded copies and
+// chunk scratch are borrowed from the package's scratch pool
+// (scratch.go) and returned before each op does; an op allocates its
+// results and nothing that grows with its operands. Every loop forks
+// across cores at or above threshold multiply-adds (the conv passes
+// walk their own image chunks and read the threshold alone).
+// LookupKernels("blocked") returns the one value the program runs,
+// builtinBlocked; the package's tests build others to reach every tile
+// edge, both GEMM paths and both fork paths.
 //
 // Determinism contract: every output element accumulates its k terms
 // in ascending order into a single accumulator under every block size,
@@ -69,8 +72,10 @@ func colsOf(t *Tensor) operand {
 // pack copies an operand into width-lane panels laid out k-major —
 // panel p holds lanes [p·width, p·width+width) interleaved as
 // dst[(p·K+k)·width+l] — so the micro-kernel reads its width operands
-// from one cache line per k step. The panels are borrowed scratch: the
-// caller hands them to putScratch once the product is done. Panels are
+// from one cache line per k step. Only a GEMM at or above the fork
+// threshold and the conv passes pack; a smaller GEMM reads its operands
+// in place (gemmDirect). The panels are borrowed scratch: the caller
+// hands them to putScratch once the product is done. Panels are
 // disjoint, so the gate decides scheduling only; the closure the pool
 // needs is built on the parallel branch alone, because it escapes into
 // the pool and would cost a heap allocation per small product too.
@@ -134,10 +139,10 @@ func storeEdge(dst []float64, ldc, rows, cols int, acc ...float64) {
 	}
 }
 
-// micro2x4u4 is the engine's micro-kernel: it fills the rows×cols
-// corner of one 2×4 output tile at dst (leading dimension ldc) as dot
-// products over the packed panels ap (mr-row, k-major) and bp
-// (nr-column, k-major), k ascending with one scalar accumulator per
+// micro2x4u4 is the micro-kernel of every packed product: it fills the
+// rows×cols corner of one 2×4 output tile at dst (leading dimension
+// ldc) as dot products over the packed panels ap (mr-row, k-major) and
+// bp (nr-column, k-major), k ascending with one scalar accumulator per
 // element. 2×4 keeps the 8 accumulators plus the 6 operand
 // temporaries inside the 15 usable amd64 XMM registers. The k
 // loop is unrolled ×4: each accumulator still receives exactly one
@@ -235,19 +240,86 @@ func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int)
 	}
 }
 
-// gemm packs both operands into mr- and nr-lane panels and runs the
-// 2-D decomposition: the output, allocated in ar, splits into
+// microStrided is micro2x4u4 reading both operands in place: it fills
+// the rows×cols corner of the 2×4 output block at dst whose rows are
+// lanes i0, i0+1 of a and whose columns are lanes j0…j0+3 of b, in the
+// same ascending k order into one accumulator per element. A lane past
+// an operand's last repeats the last real one, so every load is in
+// bounds, and the masked store drops what it computed. Each k step
+// walks b's four lanes one at a time against both rows of a: fewer live
+// values than loading all six operands first, as micro2x4u4 does, which
+// spills registers here and measured slower.
+func microStrided(a, b operand, i0, j0 int, dst []float64, ldc, rows, cols int) {
+	ia, ib := i0*a.laneStride, j0*b.laneStride
+	// Offsets of the block's other lanes from its first, clamped.
+	da := min(1, a.lanes-1-i0) * a.laneStride
+	db1 := min(1, b.lanes-1-j0) * b.laneStride
+	db2 := min(2, b.lanes-1-j0) * b.laneStride
+	db3 := min(3, b.lanes-1-j0) * b.laneStride
+	ad, bd, ak, bk := a.data, b.data, a.kStride, b.kStride
+	var c00, c01, c02, c03 float64
+	var c10, c11, c12, c13 float64
+	for k := 0; k < a.K; k++ {
+		a0, a1 := ad[ia], ad[ia+da]
+		bv := bd[ib]
+		c00 += a0 * bv
+		c10 += a1 * bv
+		bv = bd[ib+db1]
+		c01 += a0 * bv
+		c11 += a1 * bv
+		bv = bd[ib+db2]
+		c02 += a0 * bv
+		c12 += a1 * bv
+		bv = bd[ib+db3]
+		c03 += a0 * bv
+		c13 += a1 * bv
+		ia += ak
+		ib += bk
+	}
+	if rows >= 2 && cols >= 4 { // interior block: straight stores
+		d0 := dst[:4]
+		d1 := dst[ldc : ldc+4]
+		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
+		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
+		return
+	}
+	storeEdge(dst, ldc, rows, cols,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13)
+}
+
+// gemmDirect is gemm for a product that does not fork: the output,
+// allocated in ar, is walked in 2×4 blocks — gebpTile's order over one
+// tile — straight off the operands, with nothing packed or borrowed.
+func gemmDirect(ar *Arena, a, b operand) *Tensor {
+	m, n := a.lanes, b.lanes
+	out := ar.New(m, n)
+	for j := 0; j < n; j += nr {
+		for i := 0; i < m; i += mr {
+			microStrided(a, b, i, j, out.Data[i*n+j:], n, min(mr, m-i), min(nr, n-j))
+		}
+	}
+	return out
+}
+
+// gemm computes a product below the fork threshold in place
+// (gemmDirect): it has no panel reuse to pay for a copy. A product at
+// or above it packs both operands into mr- and nr-lane panels and runs
+// the 2-D decomposition: the output, allocated in ar, splits into
 // blockM×blockN tiles (disjoint writes, scheduling-independent) handed
-// to the pool as a flattened grid; small products walk the same tiles
-// serially, without building the closure the pool would need.
+// to the pool as a flattened grid; a product that fits one tile walks
+// it serially, without building the closure the pool would need.
 func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
 	m, n, K := a.lanes, b.lanes, a.K
+	if m*K*n < g.threshold {
+		return gemmDirect(ar, a, b)
+	}
 	apack := pack(a, mr, g.threshold)
 	bpack := pack(b, nr, g.threshold)
 	out := ar.New(m, n)
 	mt := (m + g.blockM - 1) / g.blockM
 	nt := (n + g.blockN - 1) / g.blockN
-	if m*K*n >= g.threshold && mt*nt > 1 {
+	if mt*nt > 1 {
 		parallel.For2D(0, mt, nt, func(ti, tj int) {
 			g.tile(apack, bpack, out.Data, m, n, K, ti, tj)
 		})

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,7 +15,11 @@ import (
 var testBlocks = [][2]int{{mr, nr}, {8, 32}, {32, 32}, {64, 64}}
 
 // engines calls fn with the GEBP engine under each of testBlocks, with
-// everything forked (threshold 1) and everything serial (2³⁰).
+// every product packed and forked (threshold 1) and every product read
+// in place (2³⁰, which no test shape reaches, so every GEMM takes the
+// direct path and the conv passes run serially). The packed path walks
+// its tiles serially only at threshold 1 on a product that fits one
+// tile, such as {2, 8, 2} under 64×64.
 func engines(fn func(name string, k Kernels)) {
 	for _, b := range testBlocks {
 		for _, threshold := range []int{1, 1 << 30} {
@@ -192,6 +197,141 @@ func TestBlockedAllocationBounds(t *testing.T) {
 		t.Logf("%s: %v allocations per call", op.name, got)
 		if got > op.most {
 			t.Errorf("%s: blocked allocates %v objects per call, want at most %v", op.name, got, op.most)
+		}
+	}
+}
+
+// salted fills a rows×cols tensor with normal draws, then overwrites
+// one element in 32 (at least one) with NaN, ±Inf, −0 or a subnormal,
+// so a product's outputs mix finite and non-finite values.
+func salted(rng *rand.Rand, rows, cols int) *Tensor {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -0x1p-1050, 0x1p-1030}
+	t := Randn(rng, 0, 1, rows, cols)
+	for range len(t.Data)/32 + 1 {
+		t.Data[rng.Intn(len(t.Data))] = specials[rng.Intn(len(specials))]
+	}
+	return t
+}
+
+// TestDirectMatchesPackedOnEveryValue holds the in-place path to the
+// packed one where the naive oracle cannot judge: naive skips exact-zero
+// multiplicands, which changes nothing finite but turns 0·Inf's NaN into
+// a skipped term. The engine at threshold 2³⁰ (every product direct)
+// must match the engine at threshold 1 (every product packed) bit for
+// bit on operands salted with NaN, ±Inf, −0 and subnormals, edge lanes
+// on both sides included. A NaN
+// matches any NaN: when two NaNs meet, which one an operation returns
+// follows the operand order the compiler picked for a commutative
+// instruction, which neither IEEE 754 nor Go pins.
+func TestDirectMatchesPackedOnEveryValue(t *testing.T) {
+	direct := &gebpKernels{blockM: 64, blockN: 64, threshold: 1 << 30}
+	packed := &gebpKernels{blockM: 64, blockN: 64, threshold: 1}
+	rng := rand.New(rand.NewSource(109))
+	for _, dims := range [][3]int{{12, 16, 16}, {11, 8, 12}, {1, 7, 5}, {7, 1, 9}, {2, 3, 4}, {3, 129, 63}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a, b := salted(rng, m, k), salted(rng, k, n)
+		bt, at := salted(rng, n, k), salted(rng, k, m)
+		for _, op := range []struct {
+			name string
+			run  func(Kernels) *Tensor
+		}{
+			{"MatMul", func(e Kernels) *Tensor { return e.MatMul(a, b) }},
+			{"MatMulT", func(e Kernels) *Tensor { return e.MatMulT(a, bt) }},
+			{"TMatMul", func(e Kernels) *Tensor { return e.TMatMul(at, b) }},
+		} {
+			got, want := op.run(direct), op.run(packed)
+			for i, w := range want.Data {
+				g := got.Data[i]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s %v: element %d is %v (%#x) direct, %v (%#x) packed",
+						op.name, dims, i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// TestSmallProductsBorrowNothing pins where the builtin engine stops
+// reading operands in place: a product one multiply-add under the 2¹⁷
+// fork threshold borrows no scratch, one at the threshold packs. The
+// pool is emptied first and restored afterwards, so whatever a product
+// borrows and hands back shows up on a free list.
+func TestSmallProductsBorrowNothing(t *testing.T) {
+	naive, blocked := kernelPair(t)
+	var held [len(scratchFree)][][]float64
+	for i := range scratchFree {
+		f := &scratchFree[i]
+		f.mu.Lock()
+		held[i], f.bufs = f.bufs, nil
+		f.mu.Unlock()
+	}
+	t.Cleanup(func() {
+		for i := range scratchFree {
+			f := &scratchFree[i]
+			f.mu.Lock()
+			f.bufs = append(f.bufs, held[i]...)
+			f.mu.Unlock()
+		}
+	})
+	pooled := func() int {
+		n := 0
+		for i := range scratchFree {
+			f := &scratchFree[i]
+			f.mu.Lock()
+			n += len(f.bufs)
+			f.mu.Unlock()
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(113))
+	for _, c := range []struct {
+		m     int
+		packs bool
+	}{{127, false}, {128, true}} {
+		a, b := Randn(rng, 0, 1, c.m, 32), Randn(rng, 0, 1, 32, 32)
+		got := blocked.MatMul(a, b)
+		if n := pooled(); (n > 0) != c.packs {
+			t.Errorf("%dx32·32x32 (%d multiply-adds) left %d pooled buffers, want packing %v", c.m, c.m*32*32, n, c.packs)
+		}
+		bitwiseEqual(t, fmt.Sprintf("MatMul %dx32·32x32", c.m), got, naive.MatMul(a, b))
+	}
+}
+
+// BenchmarkSmallGEMM is the per-call rung of the direct path, at the
+// products of DC-AI-C3's d = 16 Transformer: each runs in place under
+// the builtin engine (direct) and packed under an engine whose 2¹⁰
+// threshold sits between these products (1152–3072 multiply-adds) and
+// their operands (at most 256 elements), so it packs them without
+// forking either the pack or the one-tile walk (packed) — the path the
+// builtin engine took before it read small products in place. Results
+// go to a step arena reset every call, as in a training step.
+func BenchmarkSmallGEMM(b *testing.B) {
+	rng := rand.New(rand.NewSource(127))
+	x, w, q := Randn(rng, 0, 1, 12, 16), Randn(rng, 0, 1, 16, 16), Randn(rng, 0, 1, 12, 8)
+	var ar Arena
+	ar.Adopt(x, w, q)
+	ops := []struct {
+		name string
+		run  func(Kernels)
+	}{
+		{"MatMul=12x16x16", func(k Kernels) { k.MatMul(x, w) }},
+		{"MatMulT=12x8x12", func(k Kernels) { k.MatMulT(q, q) }},
+		{"TMatMul=16x12x16", func(k Kernels) { k.TMatMul(x, x) }},
+	}
+	paths := []struct {
+		name string
+		k    Kernels
+	}{{"direct", builtinBlocked}, {"packed", &gebpKernels{blockM: 64, blockN: 64, threshold: 1 << 10}}}
+	for _, op := range ops {
+		for _, p := range paths {
+			b.Run(op.name+"/"+p.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.run(p.k)
+					ar.Reset()
+				}
+			})
 		}
 	}
 }

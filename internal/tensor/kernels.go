@@ -31,9 +31,10 @@ import (
 //
 // Two implementations, selected by name: "naive" (the original
 // row-parallel loops, kept as the reference oracle) and "blocked" (the
-// default), the GEBP engine of kernel_blocked.go — cache-blocked,
-// panel-packed GEMM with a register micro-kernel and a 2-D
-// row×column-block work decomposition over fixed 64×64 blocks.
+// default), the GEBP engine of kernel_blocked.go — register
+// micro-kernels that read a product below the fork threshold in place
+// and a larger one from packed panels, with a 2-D row×column-block
+// work decomposition over fixed 64×64 blocks.
 type Kernels interface {
 	// Name is what a plan selects the kernel by ("naive" or "blocked").
 	Name() string
