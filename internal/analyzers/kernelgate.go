@@ -24,9 +24,9 @@ import (
 //     single loop index, which reimplements the tensor arithmetic
 //     helpers.
 //
-// The fix is tensor.MatMul / MatMulT / TMatMul / MatVec / Outer /
-// Conv2D (or the element-wise helpers), which dispatch through the
-// run's kernel and inherit its determinism guarantees.
+// The fix is tensor.MatMul / MatMulT / TMatMul / Conv2D /
+// Conv2DBackward (or the element-wise helpers), which dispatch through
+// the run's kernel and inherit its determinism guarantees.
 var Kernelgate = &Analyzer{
 	Name:  "kernelgate",
 	Doc:   "GEMM-shaped and element-wise tensor loops outside internal/tensor must route through tensor.Kernels",
@@ -117,7 +117,7 @@ func checkGEMM(pass *Pass, asg *ast.AssignStmt, loopVars map[types.Object]bool) 
 				return true // elementwise product/reduction, no Kernels op exists
 			}
 			pass.Reportf(asg.Pos(),
-				"GEMM-shaped multiply-accumulate over tensor data outside internal/tensor: route through the tensor.Kernels dispatch (tensor.MatMul/MatMulT/TMatMul/MatVec/Conv2D) so the cross-kernel bitwise-equality contract covers it")
+				"GEMM-shaped multiply-accumulate over tensor data outside internal/tensor: route through the tensor.Kernels dispatch (tensor.MatMul/MatMulT/TMatMul/Conv2D/Conv2DBackward) so the cross-kernel bitwise-equality contract covers it")
 			fired = true
 			return false
 		})

@@ -81,7 +81,7 @@ func TestAdoptedGraphSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBackwardLeavesNoTraversalState: walk threads its stack and its
-// result through the nodes; Backward and GraphSize must hand every
+// result through the nodes; Backward and graphSize must hand every
 // link back, so a parameter never keeps the last graph reachable and
 // consecutive sorts over shared nodes see a clean slate.
 func TestBackwardLeavesNoTraversalState(t *testing.T) {
@@ -94,11 +94,11 @@ func TestBackwardLeavesNoTraversalState(t *testing.T) {
 	}
 	// A diamond: h feeds the loss twice.
 	loss := Add(MSELoss(h, target), Mean(Mul(h, h)))
-	if got := GraphSize(loss); got != 6+6+4 {
-		t.Fatalf("GraphSize = %d, want 16 (6 params, 6 affine nodes, mse, mul, mean, add)", got)
+	if got := graphSize(loss); got != 6+6+4 {
+		t.Fatalf("graphSize = %d, want 16 (6 params, 6 affine nodes, mse, mul, mean, add)", got)
 	}
-	if got := GraphSize(loss); got != 16 {
-		t.Fatalf("second GraphSize = %d, want 16", got)
+	if got := graphSize(loss); got != 16 {
+		t.Fatalf("second graphSize = %d, want 16", got)
 	}
 	loss.Backward()
 	for i, p := range params {

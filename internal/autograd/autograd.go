@@ -42,7 +42,6 @@ type Value struct {
 	// back propagates this node's gradient into its parents. It must
 	// accumulate (+=) into parent gradients, never overwrite.
 	back func(grad *tensor.Tensor)
-	op   string
 
 	// Traversal state of the sort that last reached this node (walk):
 	// its stamp, how many parents it has expanded, and the link that
@@ -56,23 +55,16 @@ type Value struct {
 // Var wraps a tensor as a differentiable graph leaf (a trainable
 // parameter or an input we want gradients for).
 func Var(t *tensor.Tensor) *Value {
-	return &Value{Data: t, requiresGrad: true, op: "var"}
+	return &Value{Data: t, requiresGrad: true}
 }
 
 // Const wraps a tensor as a non-differentiable graph leaf.
 func Const(t *tensor.Tensor) *Value {
-	return &Value{Data: t, op: "const"}
+	return &Value{Data: t}
 }
-
-// RequiresGrad reports whether gradients flow into v.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 
 // Shape returns the shape of the underlying tensor.
 func (v *Value) Shape() []int { return v.Data.Shape() }
-
-// Op returns the name of the operation that produced v (for debugging and
-// graph statistics).
-func (v *Value) Op() string { return v.op }
 
 // Item returns the single element of a scalar Value.
 func (v *Value) Item() float64 {
@@ -133,7 +125,7 @@ func filled(like *tensor.Tensor, v float64) *tensor.Tensor {
 
 // newNode builds an interior graph node. requiresGrad is inherited from
 // parents; back is only retained when some parent needs gradients.
-func newNode(op string, data *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Value) *Value {
+func newNode(data *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Value) *Value {
 	need := false
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -141,7 +133,7 @@ func newNode(op string, data *tensor.Tensor, back func(grad *tensor.Tensor), par
 			break
 		}
 	}
-	n := &Value{Data: data, op: op, parents: parents, requiresGrad: need}
+	n := &Value{Data: data, parents: parents, requiresGrad: need}
 	if need {
 		n.back = back
 	}
@@ -214,14 +206,4 @@ func walk(root *Value) *Value {
 		done.link, order = order, done
 	}
 	return order
-}
-
-// GraphSize returns the number of nodes reachable from v that participate
-// in gradient computation. Used by tests and the profiler.
-func GraphSize(v *Value) int {
-	size := 0
-	for n := walk(v); n != nil; n = n.unlink() {
-		size++
-	}
-	return size
 }

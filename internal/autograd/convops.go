@@ -7,7 +7,7 @@ import (
 // Conv2D convolves NCHW input a with OIKK weights w.
 func Conv2D(a, w *Value, p tensor.Conv2DParams) *Value {
 	out := tensor.Conv2D(a.Data, w.Data, p)
-	return newNode("conv2d", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		dx, dw := tensor.Conv2DBackward(a.Data, w.Data, g, p, a.requiresGrad, w.requiresGrad)
 		if dx != nil {
 			a.accumGrad(dx)
@@ -18,24 +18,10 @@ func Conv2D(a, w *Value, p tensor.Conv2DParams) *Value {
 	}, a, w)
 }
 
-// MaxPool2D applies max pooling with gradient routing to argmax positions.
-func MaxPool2D(a *Value, p tensor.Conv2DParams) *Value {
-	out, arg := tensor.MaxPool2D(a.Data, p)
-	return newNode("maxpool", out, func(g *tensor.Tensor) {
-		ga := tensor.NewLike(a.Data)
-		for i, idx := range arg {
-			if idx >= 0 {
-				ga.Data[idx] += g.Data[i]
-			}
-		}
-		a.accumGrad(ga)
-	}, a)
-}
-
 // AvgPool2D applies average pooling.
 func AvgPool2D(a *Value, p tensor.Conv2DParams) *Value {
 	out := tensor.AvgPool2D(a.Data, p)
-	return newNode("avgpool", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		oh, ow := p.OutDim(h), p.OutDim(w)
 		ga := tensor.NewLike(a.Data)
@@ -72,7 +58,7 @@ func AvgPool2D(a *Value, p tensor.Conv2DParams) *Value {
 // GlobalAvgPool2D averages each channel plane, producing an N×C Value.
 func GlobalAvgPool2D(a *Value) *Value {
 	out := tensor.GlobalAvgPool2D(a.Data)
-	return newNode("gap", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		plane := h * w
 		ga := tensor.NewLike(a.Data)
@@ -93,7 +79,7 @@ func GlobalAvgPool2D(a *Value) *Value {
 // backward pass sums gradients over each replicated block.
 func UpsampleNearest2D(a *Value, factor int) *Value {
 	out := tensor.UpsampleNearest2D(a.Data, factor)
-	return newNode("upsample", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		n, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		oh, ow := h*factor, w*factor
 		ga := tensor.NewLike(a.Data)

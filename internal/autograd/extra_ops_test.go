@@ -11,7 +11,7 @@ func TestGradGatherCols(t *testing.T) {
 	a := tensor.Randn(r, 0, 1, 3, 6)
 	idx := []int{5, 0, 2, 2} // includes a repeated column
 	checkGrad(t, func(l []*Value) *Value {
-		return Sum(Tanh(GatherCols(l[0], idx)))
+		return sum(Tanh(GatherCols(l[0], idx)))
 	}, a)
 }
 
@@ -29,7 +29,7 @@ func TestGradConcatChannels(t *testing.T) {
 	a := tensor.Randn(r, 0, 1, 2, 2, 3, 3)
 	b := tensor.Randn(r, 0, 1, 2, 1, 3, 3)
 	checkGrad(t, func(l []*Value) *Value {
-		return Sum(Tanh(ConcatChannels(l[0], l[1])))
+		return sum(Tanh(ConcatChannels(l[0], l[1])))
 	}, a, b)
 }
 
@@ -67,7 +67,7 @@ func TestGatherRepeatedIDsAccumulate(t *testing.T) {
 	// Embedding rows used twice must receive twice the gradient.
 	w := Var(tensor.Ones(3, 2))
 	out := Gather(w, []int{1, 1})
-	Sum(out).Backward()
+	sum(out).Backward()
 	if w.Grad.At(1, 0) != 2 || w.Grad.At(0, 0) != 0 {
 		t.Fatalf("gather grad = %v", w.Grad.Data)
 	}

@@ -44,7 +44,7 @@ func AffineGrid(theta *Value, outH, outW int) *Value {
 			}
 		}
 	}
-	return newNode("affinegrid", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		gt := tensor.NewLike(theta.Data)
 		for img := 0; img < n; img++ {
 			pi := 0
@@ -101,7 +101,7 @@ func GridSample(input, grid *Value, outH, outW int) *Value {
 			}
 		}
 	}
-	return newNode("gridsample", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		var gin *tensor.Tensor
 		if input.requiresGrad {
 			gin = tensor.NewLike(input.Data)

@@ -25,7 +25,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	}
 	loss /= float64(rows)
 	out := scalar(logits.Data, loss)
-	return newNode("softmax_xent", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(rows)
 		gl := tensor.NewLike(logits.Data)
 		for r := 0; r < rows; r++ {
@@ -53,7 +53,7 @@ func MSELoss(pred *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(pred.Data, loss)
-	return newNode("mse", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := 2 * g.Data[0] / n
 		gp := tensor.NewLike(pred.Data)
 		for i := range gp.Data {
@@ -76,7 +76,7 @@ func L1Loss(pred *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(pred.Data, loss)
-	return newNode("l1", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / n
 		gp := tensor.NewLike(pred.Data)
 		for i := range gp.Data {
@@ -107,7 +107,7 @@ func BCEWithLogits(logits *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(logits.Data, loss)
-	return newNode("bce", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / n
 		gp := tensor.NewLike(logits.Data)
 		for i, x := range logits.Data.Data {
@@ -116,42 +116,6 @@ func BCEWithLogits(logits *Value, target *tensor.Tensor) *Value {
 		}
 		logits.accumGrad(gp)
 	}, logits)
-}
-
-// HuberLoss computes the mean smooth-L1 loss with threshold delta, as used
-// by the Faster R-CNN bounding-box regression head.
-func HuberLoss(pred *Value, target *tensor.Tensor, delta float64) *Value {
-	if !pred.Data.SameShape(target) {
-		panic(fmt.Sprintf("autograd: HuberLoss shapes %v vs %v", pred.Data.Shape(), target.Shape()))
-	}
-	n := float64(pred.Data.Size())
-	loss := 0.0
-	for i := range pred.Data.Data {
-		d := pred.Data.Data[i] - target.Data[i]
-		if a := math.Abs(d); a <= delta {
-			loss += 0.5 * d * d
-		} else {
-			loss += delta * (a - 0.5*delta)
-		}
-	}
-	loss /= n
-	out := scalar(pred.Data, loss)
-	return newNode("huber", out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / n
-		gp := tensor.NewLike(pred.Data)
-		for i := range gp.Data {
-			d := pred.Data.Data[i] - target.Data[i]
-			switch {
-			case d > delta:
-				gp.Data[i] = scale * delta
-			case d < -delta:
-				gp.Data[i] = -scale * delta
-			default:
-				gp.Data[i] = scale * d
-			}
-		}
-		pred.accumGrad(gp)
-	}, pred)
 }
 
 // TripletLoss computes mean(max(0, ||a-p||² - ||a-n||² + margin)) over
@@ -179,7 +143,7 @@ func TripletLoss(anchor, pos, neg *Value, margin float64) *Value {
 	ar := tensor.ArenaOf(anchor.Data, pos.Data, neg.Data)
 	out := ar.New(1)
 	out.Data[0] = loss
-	return newNode("triplet", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(rows)
 		ga := ar.New(rows, cols)
 		gp := ar.New(rows, cols)
@@ -226,7 +190,7 @@ func MaskedSoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	}
 	loss /= float64(count)
 	out := scalar(logits.Data, loss)
-	return newNode("masked_xent", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		scale := g.Data[0] / float64(count)
 		gl := tensor.NewLike(logits.Data)
 		for r, lab := range labels {

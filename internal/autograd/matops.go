@@ -9,7 +9,7 @@ import (
 // MatMul multiplies two 2-D Values.
 func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.Data, b.Data)
-	return newNode("matmul", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		// dA = G·Bᵀ, dB = Aᵀ·G
 		a.accumGrad(tensor.MatMulT(g, b.Data))
 		b.accumGrad(tensor.TMatMul(a.Data, g))
@@ -22,7 +22,7 @@ func MatMul(a, b *Value) *Value {
 // dispatch layer instead of paying a Transpose copy each way.
 func MatMulT(a, b *Value) *Value {
 	out := tensor.MatMulT(a.Data, b.Data)
-	return newNode("matmult", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		// out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A
 		a.accumGrad(tensor.MatMul(g, b.Data))
 		b.accumGrad(tensor.TMatMul(g, a.Data))
@@ -32,7 +32,7 @@ func MatMulT(a, b *Value) *Value {
 // AddRowVector adds bias vector v to every row of 2-D a.
 func AddRowVector(a, v *Value) *Value {
 	out := tensor.AddRowVector(a.Data, v.Data)
-	return newNode("addrow", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		a.accumGrad(g)
 		v.accumGrad(tensor.SumRows(g))
 	}, a, v)
@@ -41,7 +41,7 @@ func AddRowVector(a, v *Value) *Value {
 // AddChannelVector adds a per-channel bias to an NCHW Value.
 func AddChannelVector(a, v *Value) *Value {
 	out := tensor.AddChannelVector(a.Data, v.Data)
-	return newNode("addchan", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		a.accumGrad(g)
 		v.accumGrad(tensor.SumChannels(g))
 	}, a, v)
@@ -51,7 +51,7 @@ func AddChannelVector(a, v *Value) *Value {
 // reshaped to a's original shape.
 func Reshape(a *Value, shape ...int) *Value {
 	out := a.Data.Reshape(shape...)
-	return newNode("reshape", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		a.accumGrad(g.Reshape(a.Data.Shape()...))
 	}, a)
 }
@@ -59,7 +59,7 @@ func Reshape(a *Value, shape ...int) *Value {
 // Transpose transposes a 2-D Value.
 func Transpose(a *Value) *Value {
 	out := tensor.Transpose(a.Data)
-	return newNode("transpose", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		a.accumGrad(tensor.Transpose(g))
 	}, a)
 }
@@ -82,7 +82,7 @@ func Concat(vs ...*Value) *Value {
 		ts[i] = v.Data
 	}
 	out := tensor.Concat(ts...)
-	return newNode("concat", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		off := 0
 		for _, v := range vs {
 			n := v.Data.Dim(0)
@@ -113,7 +113,7 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		off += c
 	}
-	return newNode("concatcols", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		off := 0
 		for _, v := range vs {
 			c := v.Data.Dim(1)
@@ -130,7 +130,7 @@ func ConcatCols(vs ...*Value) *Value {
 // SliceRows extracts rows [lo,hi) along dimension 0.
 func SliceRows(a *Value, lo, hi int) *Value {
 	out := a.Data.SliceRows(lo, hi)
-	return newNode("slicerows", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		ga := tensor.NewLike(a.Data)
 		rowVol := 1
 		for d := 1; d < a.Data.Rank(); d++ {
@@ -155,7 +155,7 @@ func SliceCols(a *Value, lo, hi int) *Value {
 	for r := 0; r < rows; r++ {
 		copy(out.Data[r*w:(r+1)*w], a.Data.Data[r*cols+lo:r*cols+hi])
 	}
-	return newNode("slicecols", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		ga := tensor.NewLike(a.Data)
 		for r := 0; r < rows; r++ {
 			copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
@@ -178,7 +178,7 @@ func Gather(weight *Value, ids []int) *Value {
 		}
 		copy(out.Data[i*dim:(i+1)*dim], weight.Data.Data[id*dim:(id+1)*dim])
 	}
-	return newNode("gather", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		gw := tensor.NewLike(weight.Data)
 		for i, id := range ids {
 			for d := 0; d < dim; d++ {
@@ -203,7 +203,7 @@ func ConcatChannels(a, b *Value) *Value {
 		copy(out.Data[i*(ca+cb)*plane:], a.Data.Data[i*ca*plane:(i+1)*ca*plane])
 		copy(out.Data[(i*(ca+cb)+ca)*plane:], b.Data.Data[i*cb*plane:(i+1)*cb*plane])
 	}
-	return newNode("concatchan", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		if a.requiresGrad {
 			ga := tensor.NewLike(a.Data)
 			for i := 0; i < n; i++ {
@@ -241,29 +241,11 @@ func GatherCols(a *Value, idx []int) *Value {
 			out.Data[r*w+k] = a.Data.Data[r*cols+j]
 		}
 	}
-	return newNode("gathercols", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		ga := tensor.NewLike(a.Data)
 		for r := 0; r < rows; r++ {
 			for k, j := range idx {
 				ga.Data[r*cols+j] += g.Data[r*w+k]
-			}
-		}
-		a.accumGrad(ga)
-	}, a)
-}
-
-// RowsMean averages a 2-D Value over its rows producing a 1-D Value of
-// length cols. Used for sequence pooling.
-func RowsMean(a *Value) *Value {
-	rows := a.Data.Dim(0)
-	out := tensor.SumRows(a.Data)
-	tensor.ScaleInPlace(out, 1/float64(rows))
-	return newNode("rowsmean", out, func(g *tensor.Tensor) {
-		cols := a.Data.Dim(1)
-		ga := tensor.NewLike(a.Data)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				ga.Data[r*cols+c] = g.Data[c] / float64(rows)
 			}
 		}
 		a.accumGrad(ga)

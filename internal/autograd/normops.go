@@ -9,7 +9,7 @@ import (
 // SoftmaxRows applies softmax to each row of a 2-D Value.
 func SoftmaxRows(a *Value) *Value {
 	out := tensor.SoftmaxRows(a.Data)
-	return newNode("softmax", out, func(g *tensor.Tensor) {
+	return newNode(out, func(g *tensor.Tensor) {
 		rows, cols := out.Dim(0), out.Dim(1)
 		ga := tensor.NewLike(out)
 		for r := 0; r < rows; r++ {
@@ -75,7 +75,7 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 			}
 		}
 	}
-	node := newNode("batchnorm", o, nil, x, gamma, beta)
+	node := newNode(o, nil, x, gamma, beta)
 	node.back = func(g *tensor.Tensor) {
 		dgamma := ar.New(c)
 		dbeta := ar.New(c)
@@ -134,7 +134,7 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 			}
 		}
 	}
-	return newNode("batchnorm_inf", o, func(g *tensor.Tensor) {
+	return newNode(o, func(g *tensor.Tensor) {
 		if x.requiresGrad {
 			gx := ar.New(n, c, h, w)
 			for img := 0; img < n; img++ {
@@ -181,7 +181,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 			o.Data[base+c] = gamma.Data.Data[c]*xh + beta.Data.Data[c]
 		}
 	}
-	return newNode("layernorm", o, func(g *tensor.Tensor) {
+	return newNode(o, func(g *tensor.Tensor) {
 		dgamma := ar.New(cols)
 		dbeta := ar.New(cols)
 		for r := 0; r < rows; r++ {

@@ -93,38 +93,6 @@ func TestSilhouetteOrdering(t *testing.T) {
 	}
 }
 
-func TestPCAReducesToDominantDirection(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	// Points vary strongly along (1,1,0)/√2, weakly elsewhere.
-	var points [][]float64
-	for i := 0; i < 60; i++ {
-		tv := 10 * rng.NormFloat64()
-		points = append(points, []float64{
-			tv + 0.1*rng.NormFloat64(),
-			tv + 0.1*rng.NormFloat64(),
-			0.1 * rng.NormFloat64(),
-		})
-	}
-	proj := PCA(points, 1)
-	if len(proj) != 60 || len(proj[0]) != 1 {
-		t.Fatalf("projection shape wrong")
-	}
-	// Variance along PC1 should be close to the original dominant variance
-	// (2 * var(t) since both coords carry t).
-	var m, v float64
-	for _, p := range proj {
-		m += p[0]
-	}
-	m /= 60
-	for _, p := range proj {
-		v += (p[0] - m) * (p[0] - m)
-	}
-	v /= 60
-	if v < 100 {
-		t.Fatalf("PC1 variance = %g, too small", v)
-	}
-}
-
 func TestTSNESeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	points, truth := threeBlobs(rng, 8)

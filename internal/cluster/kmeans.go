@@ -1,8 +1,7 @@
 // Package cluster implements the dimensionality-reduction and clustering
 // machinery the paper uses to validate the AIBench subset: t-SNE
 // (Fig 4's embedding of the seventeen benchmarks) plus k-means and
-// silhouette scoring to identify the three clusters, and PCA as the
-// t-SNE preprocessing step.
+// silhouette scoring to identify the three clusters.
 package cluster
 
 import (
@@ -155,108 +154,4 @@ func Silhouette(points [][]float64, assign []int, k int) float64 {
 		return 0
 	}
 	return total / float64(counted)
-}
-
-// PCA projects points onto their top-k principal components via power
-// iteration with deflation. Returns the projected coordinates.
-func PCA(points [][]float64, k int) [][]float64 {
-	n := len(points)
-	if n == 0 {
-		return nil
-	}
-	d := len(points[0])
-	if k > d {
-		k = d
-	}
-	// Center.
-	mean := make([]float64, d)
-	for _, p := range points {
-		for j, v := range p {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	centered := make([][]float64, n)
-	for i, p := range points {
-		centered[i] = make([]float64, d)
-		for j := range p {
-			centered[i][j] = p[j] - mean[j]
-		}
-	}
-	// Covariance (d×d).
-	cov := make([][]float64, d)
-	for i := range cov {
-		cov[i] = make([]float64, d)
-	}
-	for _, p := range centered {
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				cov[i][j] += p[i] * p[j]
-			}
-		}
-	}
-	for i := range cov {
-		for j := range cov[i] {
-			cov[i][j] /= float64(n)
-		}
-	}
-	// Power iteration with deflation.
-	comps := make([][]float64, 0, k)
-	rng := rand.New(rand.NewSource(12345))
-	for c := 0; c < k; c++ {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		for it := 0; it < 200; it++ {
-			nv := make([]float64, d)
-			for i := 0; i < d; i++ {
-				for j := 0; j < d; j++ {
-					nv[i] += cov[i][j] * v[j]
-				}
-			}
-			norm := 0.0
-			for _, x := range nv {
-				norm += x * x
-			}
-			norm = math.Sqrt(norm)
-			if norm == 0 {
-				break
-			}
-			for j := range nv {
-				nv[j] /= norm
-			}
-			v = nv
-		}
-		comps = append(comps, v)
-		// Deflate: cov -= λ v vᵀ with λ = vᵀ cov v.
-		lambda := 0.0
-		for i := 0; i < d; i++ {
-			row := 0.0
-			for j := 0; j < d; j++ {
-				row += cov[i][j] * v[j]
-			}
-			lambda += v[i] * row
-		}
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				cov[i][j] -= lambda * v[i] * v[j]
-			}
-		}
-	}
-	// Project.
-	out := make([][]float64, n)
-	for i, p := range centered {
-		out[i] = make([]float64, k)
-		for c := 0; c < k; c++ {
-			s := 0.0
-			for j := 0; j < d; j++ {
-				s += p[j] * comps[c][j]
-			}
-			out[i][c] = s
-		}
-	}
-	return out
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"aibench/internal/gpusim"
-)
+import "aibench/internal/gpusim"
 
 // Characterization is the per-benchmark workload characterization of
 // Section 5: model characteristics (Fig 1a / Fig 2) and
@@ -58,9 +54,6 @@ func CharacterizeSuite(bs []*Benchmark, dev gpusim.Device) []Characterization {
 
 // Range is a [Min, Max] coverage interval.
 type Range struct{ Min, Max float64 }
-
-// Width returns Max − Min.
-func (r Range) Width() float64 { return r.Max - r.Min }
 
 // Coverage summarizes a suite's model-characteristic ranges (Fig 1a).
 type Coverage struct {
@@ -149,25 +142,6 @@ func HotspotHistogram(cs []Characterization) [4]int {
 		}
 	}
 	return buckets
-}
-
-// DistinctHotspots returns the distinct hotspot-function names above the
-// given share across a characterized suite.
-func DistinctHotspots(cs []Characterization, minShare float64) []string {
-	set := map[string]bool{}
-	for _, c := range cs {
-		for _, h := range c.Hotspots {
-			if h.Share >= minShare {
-				set[h.Name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MetricVectors returns each benchmark's five-metric vector (the Fig 3

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 
 	"aibench/internal/stats"
@@ -69,13 +68,4 @@ func (b *Benchmark) MeasureVariation(baseSeed int64) VariationResult {
 	}
 	res.Measured = stats.CV(res.Epochs)
 	return res
-}
-
-// relDiff is the relative difference |a-b| / max(|a|,|b|).
-func relDiff(a, b float64) float64 {
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m == 0 {
-		return 0
-	}
-	return math.Abs(a-b) / m
 }

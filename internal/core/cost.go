@@ -6,23 +6,6 @@ package core
 // versus the AIBench full suite and 63% versus MLPerf, while full
 // AIBench is 37% cheaper than MLPerf.
 
-// CostRow is one row of Table 6.
-type CostRow struct {
-	ID           string
-	Task         string
-	EpochSeconds float64
-	TotalHours   float64 // negative = N/A
-}
-
-// Table6 returns the training costs of the seventeen AIBench benchmarks.
-func (r *Registry) Table6() []CostRow {
-	out := make([]CostRow, 0, len(r.AIBench))
-	for _, b := range r.AIBench {
-		out = append(out, CostRow{ID: b.ID, Task: b.Task, EpochSeconds: b.EpochSeconds, TotalHours: b.TotalHours})
-	}
-	return out
-}
-
 // suiteHours sums total session hours over benchmarks, skipping N/A
 // entries (the GAN benchmarks without a termination metric).
 func suiteHours(bs []*Benchmark) float64 {

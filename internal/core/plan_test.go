@@ -161,13 +161,15 @@ func TestRunnerScalingAndCharacterize(t *testing.T) {
 // never-launched zero slots, the property that makes rebuilt reports
 // byte-identical to live ones.
 func TestRenderSessionsRestoresRegistryOrder(t *testing.T) {
-	rs := []SessionResult{
-		{ID: "MLPerf-RL", Name: "rl"},
-		{}, // never launched
-		{ID: "DC-AI-C1", Name: "ic"},
+	recs := []Record{
+		{Kind: KindSession, Session: &SessionResult{ID: "MLPerf-RL", Name: "rl"}},
+		{Kind: KindSession, Session: &SessionResult{}}, // never launched
+		{Kind: KindSession, Session: &SessionResult{ID: "DC-AI-C1", Name: "ic"}},
 	}
 	var buf bytes.Buffer
-	RenderSessions(&buf, rs)
+	if !RenderRunRecords("sessions", &buf, recs) {
+		t.Fatal(`RenderRunRecords does not know "sessions"`)
+	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("rendered %d lines, want header + 2 rows:\n%s", len(lines), buf.String())

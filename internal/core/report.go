@@ -107,16 +107,6 @@ func recordBackend(r Record) string {
 	return "local"
 }
 
-// RenderSessions writes the suite session summary table from bare
-// results (no run header: the backend column shows the local default).
-func RenderSessions(w io.Writer, rs []SessionResult) {
-	recs := make([]Record, len(rs))
-	for i := range rs {
-		recs[i] = Record{Kind: KindSession, Session: &rs[i]}
-	}
-	renderSessionRecords(w, recs)
-}
-
 // renderSessionRecords writes the suite session summary table from
 // session records, with the backend column taken from each record's
 // run header.
@@ -149,16 +139,6 @@ func RenderCharacterizations(w io.Writer, cs []Characterization) {
 			c.ID, c.Task, c.MFLOPs, c.MParams, c.Epochs,
 			c.Metrics.AchievedOccupancy, c.Metrics.IPCEfficiency)
 	}
-}
-
-// RenderScaling writes the data-parallel scaling table from bare rows
-// (no run header: the backend column shows the local default).
-func RenderScaling(w io.Writer, rows []ScalingRow) {
-	recs := make([]Record, len(rows))
-	for i := range rows {
-		recs[i] = Record{Kind: KindScaling, Scaling: &rows[i]}
-	}
-	renderScalingRecords(w, recs)
 }
 
 // renderScalingRecords writes the data-parallel scaling table (one

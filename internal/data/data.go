@@ -57,16 +57,6 @@ func minInt(a, b int) int {
 // NewRNG returns a deterministic random source for the given seed.
 func NewRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// Shuffle permutes indices 0..n-1 deterministically.
-func Shuffle(rng *rand.Rand, n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	return idx
-}
-
 // SpecialTokens used by all sequence generators.
 const (
 	PadToken = 0

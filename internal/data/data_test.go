@@ -239,7 +239,7 @@ func TestCaptioningClassCaptionBinding(t *testing.T) {
 	c := NewCaptioning(37, 5, 1, 6, 6, 12, 4)
 	_, labels, caps := c.Pair(10)
 	for i, l := range labels {
-		want := c.Caption(l)
+		want := c.captions[l]
 		if len(caps[i]) != len(want) {
 			t.Fatal("caption length mismatch")
 		}
@@ -305,7 +305,7 @@ func TestRatingsEvalCase(t *testing.T) {
 	if cands[0] != trueItem {
 		t.Fatal("first candidate should be the held-out item")
 	}
-	if trueItem != r.BestItem(3) {
+	if best, _ := r.extremes(3); trueItem != best {
 		t.Fatal("held-out item should be the ground-truth best")
 	}
 	// The true item should have higher affinity than all sampled negatives.
@@ -487,17 +487,5 @@ func TestFacesTripletsAndVerification(t *testing.T) {
 	}
 	if dSame >= dDiff {
 		t.Fatalf("same-pair distance %g >= diff-pair distance %g", dSame, dDiff)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	rng := NewRNG(73)
-	idx := Shuffle(rng, 50)
-	seen := make([]bool, 50)
-	for _, i := range idx {
-		if seen[i] {
-			t.Fatal("duplicate index")
-		}
-		seen[i] = true
 	}
 }

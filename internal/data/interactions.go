@@ -72,12 +72,6 @@ func (r *Ratings) extremes(u int) (best, worst int) {
 	return best, worst
 }
 
-// BestItem returns the ground-truth top item for a user.
-func (r *Ratings) BestItem(u int) int {
-	best, _ := r.extremes(u)
-	return best
-}
-
 // sample rejection-samples an item whose affinity for user u passes
 // ok. extreme is the user's item most likely to pass (arg-max for a
 // lower bound, arg-min for an upper one): when even it fails, no item

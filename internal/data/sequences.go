@@ -200,6 +200,3 @@ func (c *Captioning) Pair(n int) (imgs *tensor.Tensor, labels []int, captions []
 	}
 	return x, labels, captions
 }
-
-// Caption returns the ground-truth caption for a class.
-func (c *Captioning) Caption(class int) []int { return c.captions[class] }

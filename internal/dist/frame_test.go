@@ -428,7 +428,7 @@ var hostileClosed = map[string]string{
 	`[{"op":"matmul","calls":-3,"flops":10}]`:                                   "negative",
 	`[{"op":"matmul","calls":3,"flops":-9223372036854775808}]`:                  "negative",
 	`[{"op":"conv2d","calls":1,"flops":1},{"op":"conv2d","calls":1,"flops":1}]`: "twice",
-	`[{"op":"warp","calls":1},{"op":"matvec"},{"op":"warp","calls":1}]`:         "twice",
+	`[{"op":"warp","calls":1},{"op":"tmatmul"},{"op":"warp","calls":1}]`:        "twice",
 	`[{"op":"matmul","calls":"3"}]`:                                             "decoding counters",
 	`{"epochs":2}`:                                                              "decoding counters",
 }
@@ -447,7 +447,7 @@ func FuzzClosedFrame(f *testing.F) {
 	for body := range hostileClosed {
 		f.Add([]byte(body))
 	}
-	whole := encodeClosed([]telemetry.OpCount{{Op: "outer", Calls: 2, FLOPs: 8}})
+	whole := encodeClosed([]telemetry.OpCount{{Op: "tmatmul", Calls: 2, FLOPs: 8}})
 	f.Add(whole[:len(whole)-2]) // cut short
 	f.Add([]byte{})
 
@@ -501,8 +501,8 @@ func TestCloseRefusesHostileCounters(t *testing.T) {
 			t.Errorf("close reply %s was refused but still counted %+v", body, got)
 		}
 	}
-	got, err := closeWith(`[{"op":"matvec","calls":2,"flops":64},{"op":"warp","calls":1,"flops":1}]`)
-	want := telemetry.CounterSet{Kernel: []telemetry.OpCount{{Op: "matvec", Calls: 2, FLOPs: 64}}}
+	got, err := closeWith(`[{"op":"tmatmul","calls":2,"flops":64},{"op":"warp","calls":1,"flops":1}]`)
+	want := telemetry.CounterSet{Kernel: []telemetry.OpCount{{Op: "tmatmul", Calls: 2, FLOPs: 64}}}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("honest close reply merged as %+v, err %v; want %+v", got, err, want)
 	}

@@ -130,7 +130,12 @@ func TestLowerResNetKernelMix(t *testing.T) {
 	}
 	// Training should emit backward kernels: conv count must exceed the
 	// number of conv layers.
-	convLayers := m.CountKind(workload.Conv)
+	convLayers := 0
+	for _, l := range m.Layers {
+		if l.Kind == workload.Conv {
+			convLayers++
+		}
+	}
 	if counts[Convolution] <= convLayers {
 		t.Fatalf("conv kernels %d <= conv layers %d: no backward kernels", counts[Convolution], convLayers)
 	}
@@ -251,7 +256,7 @@ func TestKernelNameSelection(t *testing.T) {
 }
 
 func TestTable7NamesPresent(t *testing.T) {
-	names := KernelNames()
+	names := kernelNames
 	// Spot-check the exact function names Table 7 lists.
 	want := map[Category]string{
 		DataArrangement: "maxwell_scudnn_128x32_stridedB_splitK_interior_nn",

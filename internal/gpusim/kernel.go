@@ -133,15 +133,6 @@ var kernelNames = map[Category][]string{
 	},
 }
 
-// KernelNames exposes the function-name table (Table 7 reproduction).
-func KernelNames() map[Category][]string {
-	out := make(map[Category][]string, len(kernelNames))
-	for k, v := range kernelNames {
-		out[k] = append([]string(nil), v...)
-	}
-	return out
-}
-
 // pickName deterministically selects a function name for a category from
 // a size-derived variant index.
 func pickName(cat Category, variant int) string {

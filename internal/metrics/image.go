@@ -94,15 +94,6 @@ func downsample2(img []float64, width int) []float64 {
 	return out
 }
 
-// PSNR computes peak signal-to-noise ratio with the given peak value.
-func PSNR(a, b []float64, peak float64) float64 {
-	mse := MSE(a, b)
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(peak*peak/mse)
-}
-
 // EMDistance1D computes the exact 1-D Earth-Mover (Wasserstein-1) distance
 // between two equal-size empirical samples: the mean absolute difference
 // of sorted values. The WGAN workload's loss estimates exactly this

@@ -1,8 +1,8 @@
 // Package metrics implements the quality metrics of Table 3: accuracy,
-// Top-K accuracy, VOC-style mean average precision, word error rate,
-// BLEU, perplexity, MSE, MS-SSIM, intersection-over-union, HR@K,
-// Rouge-L, Earth-Mover distance, and the per-pixel/per-class accuracy
-// used by the Image-to-Image workload.
+// VOC-style mean average precision, word error rate, BLEU, MSE,
+// MS-SSIM, voxel intersection-over-union, HR@K, precision@K, Rouge-L,
+// Earth-Mover distance, and the per-pixel accuracy used by the
+// Image-to-Image workload.
 package metrics
 
 import (
@@ -24,33 +24,6 @@ func Accuracy(pred, labels []int) float64 {
 	return float64(correct) / float64(len(pred))
 }
 
-// TopK reports the fraction of rows whose label appears in the row's k
-// highest-scoring classes. scores is row-major [n][classes].
-func TopK(scores [][]float64, labels []int, k int) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	hit := 0
-	for i, row := range scores {
-		type sc struct {
-			c int
-			v float64
-		}
-		cs := make([]sc, len(row))
-		for c, v := range row {
-			cs[c] = sc{c, v}
-		}
-		sort.Slice(cs, func(a, b int) bool { return cs[a].v > cs[b].v })
-		for j := 0; j < k && j < len(cs); j++ {
-			if cs[j].c == labels[i] {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(scores))
-}
-
 // MSE is the mean squared error between two equal-length vectors.
 func MSE(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) == 0 {
@@ -63,9 +36,6 @@ func MSE(a, b []float64) float64 {
 	}
 	return s / float64(len(a))
 }
-
-// Perplexity converts a mean cross-entropy (nats) to perplexity.
-func Perplexity(meanNLL float64) float64 { return math.Exp(meanNLL) }
 
 // WER computes the word error rate between hypothesis and reference token
 // sequences via Levenshtein distance (substitutions+insertions+deletions
@@ -251,33 +221,6 @@ func PixelAccuracy(pred, truth []int) float64 {
 		}
 	}
 	return float64(ok) / float64(len(pred))
-}
-
-// ClassIoU is the mean per-class IoU over label maps with the given class
-// count (the Cityscapes "Class IOU" metric).
-func ClassIoU(pred, truth []int, classes int) float64 {
-	total, counted := 0.0, 0
-	for c := 0; c < classes; c++ {
-		inter, union := 0, 0
-		for i := range pred {
-			p := pred[i] == c
-			t := truth[i] == c
-			if p && t {
-				inter++
-			}
-			if p || t {
-				union++
-			}
-		}
-		if union > 0 {
-			total += float64(inter) / float64(union)
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
 }
 
 func minInt(a, b int) int {

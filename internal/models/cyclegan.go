@@ -36,11 +36,6 @@ func (g *convGenerator) Params() []*nn.Param {
 	return append(ps, g.out.Params()...)
 }
 
-func (g *convGenerator) SetTraining(t bool) {
-	g.b1.SetTraining(t)
-	g.b2.SetTraining(t)
-}
-
 func (g *convGenerator) Buffers() []*tensor.Tensor {
 	return append(g.b1.Buffers(), g.b2.Buffers()...)
 }
@@ -66,8 +61,6 @@ func (d *patchDiscriminator) Forward(x *autograd.Value) *autograd.Value {
 func (d *patchDiscriminator) Params() []*nn.Param {
 	return append(d.b1.Params(), d.out.Params()...)
 }
-
-func (d *patchDiscriminator) SetTraining(t bool) { d.b1.SetTraining(t) }
 
 func (d *patchDiscriminator) Buffers() []*tensor.Tensor { return d.b1.Buffers() }
 

@@ -367,11 +367,6 @@ func (b *ObjectDetection) maskLoss(cropv *autograd.Value, gt data.Box) *autograd
 	return autograd.BCEWithLogits(logits, target)
 }
 
-func logit(p float64) float64 {
-	p = math.Min(math.Max(p, 0.02), 0.98)
-	return math.Log(p / (1 - p))
-}
-
 // coverage is the fraction of box b's area covered by o.
 func coverage(b, o data.Box) float64 {
 	x1 := maxI(b.X, o.X)
@@ -514,20 +509,4 @@ func fasterRCNNSpec() workload.Model {
 		workload.Layer{Kind: workload.Softmax, Name: "softmax", Elems: 128 * 21},
 	)
 	return workload.Model{Name: "DC-AI-C9 Object Detection (Faster R-CNN/VOC2007)", Layers: ls}
-}
-
-// EvalSet exposes the fixed held-out evaluation scenes (for debugging and
-// the examples).
-func (b *ObjectDetection) EvalSet() (*tensor.Tensor, [][]data.Box) {
-	return b.evalX, b.evalGT
-}
-
-// ClassifyROI classifies a ground-truth box with the RoI head (debug and
-// example helper). trainMode selects batch-statistics vs running-stats
-// normalization in the backbone.
-func (b *ObjectDetection) ClassifyROI(x *tensor.Tensor, img int, box data.Box, trainMode bool) int {
-	b.backbone.SetTraining(trainMode)
-	feat := b.backbone.Forward(autograd.Const(x))
-	logits := b.clsHead.Forward(b.roiFeatures(feat, autograd.Const(x), img, box))
-	return argmaxRows(logits)[0]
 }

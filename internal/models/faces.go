@@ -211,7 +211,7 @@ func NewFace3D(seed int64) *Face3D {
 	testX, testY := ds.Batch(72)
 	b := &Face3D{
 		net:     net,
-		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4, false),
+		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4),
 		ds:      ds,
 		testX:   testX,
 		testY:   testY,

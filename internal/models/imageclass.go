@@ -34,7 +34,7 @@ func NewImageClassification(seed int64) *ImageClassification {
 	testX, testY := ds.Batch(96)
 	b := &ImageClassification{
 		net:     net,
-		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4, false),
+		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4),
 		ds:      ds,
 		testX:   testX,
 		testY:   testY,

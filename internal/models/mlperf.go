@@ -34,20 +34,11 @@ func NewMLPerfRecommendation(seed int64) Benchmark {
 	return renamedSharded{b, "MLPerf Recommendation", b.Spec()}
 }
 
-// renamed wraps a Benchmark with a different display name/spec.
-type renamed struct {
-	Benchmark
-	name string
-	spec workload.Model
-}
-
-func (r renamed) Name() string         { return r.name }
-func (r renamed) Spec() workload.Model { return r.spec }
-
-// renamedSharded is renamed for benchmarks whose underlying model has
-// a sharded train step: the wrapper keeps the PhasedTrainer contract
-// visible (the MLPerf twin of a shardable AIBench model trains
-// data-parallel too) and forwards the buffer sync of Buffered models.
+// renamedSharded wraps a benchmark whose model has a sharded train step
+// with a different display name/spec. The wrapper keeps the
+// PhasedTrainer contract visible (the MLPerf twin of a shardable
+// AIBench model trains data-parallel too) and forwards the buffer sync
+// of Buffered models.
 type renamedSharded struct {
 	PhasedTrainer
 	name string

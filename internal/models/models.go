@@ -51,10 +51,11 @@ type Benchmark interface {
 // and backward temporary computed from them is arena-backed, and the
 // instance resets it at the top of each optimizer step and of each
 // Quality batch — on its own goroutine, the only one that ever touches
-// it. Whatever must survive a reset (replay-buffer images, recurrent
-// state carried across truncated-BPTT segments) is copied out with
-// Tensor.Detach; parameters, their gradients, optimizer state, running
-// statistics and dataset batches are heap tensors and never die. The
+// it. No step-scoped tensor outlives the step: state a later phase
+// reads (the speech model's TBPTT entry state) is built after the
+// reset of the step that reads it. Parameters, their gradients,
+// optimizer state, running statistics and dataset batches are heap
+// tensors and never die. The
 // arena holds no memory until the first step, so an instance that is
 // only characterized costs nothing.
 type stepArena struct{ arena tensor.Arena }

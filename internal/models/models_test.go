@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"aibench/internal/nn"
 	"aibench/internal/workload"
 )
 
@@ -46,8 +45,8 @@ func TestEveryBenchmarkExecutes(t *testing.T) {
 			if math.IsNaN(q) || math.IsInf(q, 0) || q < 0 {
 				t.Fatalf("quality = %g", q)
 			}
-			if n := nn.NumParams(b.Module()); n <= 0 {
-				t.Fatalf("NumParams = %d", n)
+			if len(b.Module().Params()) == 0 {
+				t.Fatal("no parameters")
 			}
 			spec := b.Spec()
 			if len(spec.Layers) == 0 {

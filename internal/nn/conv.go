@@ -55,50 +55,6 @@ func (c *Conv2D) Params() []*Param {
 	return []*Param{c.W}
 }
 
-// MaxPool2D is a max-pooling layer.
-type MaxPool2D struct{ P tensor.Conv2DParams }
-
-// NewMaxPool2D constructs a max-pool layer.
-func NewMaxPool2D(kernel, stride, padding int) *MaxPool2D {
-	return &MaxPool2D{P: tensor.Conv2DParams{Kernel: kernel, Stride: stride, Padding: padding}}
-}
-
-// Forward applies max pooling.
-func (m *MaxPool2D) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.MaxPool2D(x, m.P)
-}
-
-// Params returns nil.
-func (m *MaxPool2D) Params() []*Param { return nil }
-
-// AvgPool2D is an average-pooling layer.
-type AvgPool2D struct{ P tensor.Conv2DParams }
-
-// NewAvgPool2D constructs an average-pool layer.
-func NewAvgPool2D(kernel, stride, padding int) *AvgPool2D {
-	return &AvgPool2D{P: tensor.Conv2DParams{Kernel: kernel, Stride: stride, Padding: padding}}
-}
-
-// Forward applies average pooling.
-func (a *AvgPool2D) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.AvgPool2D(x, a.P)
-}
-
-// Params returns nil.
-func (a *AvgPool2D) Params() []*Param { return nil }
-
-// GlobalAvgPool2D collapses each channel plane to its mean, producing
-// [N, C].
-type GlobalAvgPool2D struct{}
-
-// Forward applies global average pooling.
-func (GlobalAvgPool2D) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.GlobalAvgPool2D(x)
-}
-
-// Params returns nil.
-func (GlobalAvgPool2D) Params() []*Param { return nil }
-
 // BatchNorm2D is per-channel batch normalization over NCHW inputs with
 // running statistics for evaluation mode.
 type BatchNorm2D struct {

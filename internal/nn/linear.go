@@ -41,17 +41,6 @@ func (ReLU) Forward(x *autograd.Value) *autograd.Value { return autograd.ReLU(x)
 // Params returns nil: ReLU has no parameters.
 func (ReLU) Params() []*Param { return nil }
 
-// LeakyReLU is a leaky rectifier with fixed negative slope.
-type LeakyReLU struct{ Slope float64 }
-
-// Forward applies the leaky rectifier.
-func (l LeakyReLU) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.LeakyReLU(x, l.Slope)
-}
-
-// Params returns nil.
-func (LeakyReLU) Params() []*Param { return nil }
-
 // Tanh is a stateless hyperbolic-tangent activation layer.
 type Tanh struct{}
 
@@ -60,59 +49,6 @@ func (Tanh) Forward(x *autograd.Value) *autograd.Value { return autograd.Tanh(x)
 
 // Params returns nil.
 func (Tanh) Params() []*Param { return nil }
-
-// Sigmoid is a stateless logistic activation layer.
-type Sigmoid struct{}
-
-// Forward applies the logistic function.
-func (Sigmoid) Forward(x *autograd.Value) *autograd.Value { return autograd.Sigmoid(x) }
-
-// Params returns nil.
-func (Sigmoid) Params() []*Param { return nil }
-
-// Flatten reshapes [N, ...] to [N, prod(...)].
-type Flatten struct{}
-
-// Forward flattens all but the first dimension.
-func (Flatten) Forward(x *autograd.Value) *autograd.Value {
-	shape := x.Shape()
-	rest := 1
-	for _, d := range shape[1:] {
-		rest *= d
-	}
-	return autograd.Reshape(x, shape[0], rest)
-}
-
-// Params returns nil.
-func (Flatten) Params() []*Param { return nil }
-
-// Dropout zeroes activations with probability P during training and is a
-// no-op in evaluation mode.
-type Dropout struct {
-	P        float64
-	Training bool
-	rng      *rand.Rand
-}
-
-// NewDropout constructs a Dropout layer in training mode.
-func NewDropout(rng *rand.Rand, p float64) *Dropout {
-	return &Dropout{P: p, Training: true, rng: rng}
-}
-
-// Forward applies inverted dropout when training.
-func (d *Dropout) Forward(x *autograd.Value) *autograd.Value {
-	if !d.Training || d.P <= 0 {
-		return x
-	}
-	mask := tensor.Bernoulli(d.rng, 1-d.P, x.Shape()...)
-	return autograd.Dropout(x, mask)
-}
-
-// Params returns nil.
-func (d *Dropout) Params() []*Param { return nil }
-
-// SetTraining flips training mode.
-func (d *Dropout) SetTraining(train bool) { d.Training = train }
 
 // Embedding maps integer ids to dense vectors.
 type Embedding struct {

@@ -5,12 +5,7 @@
 // implementations).
 package nn
 
-import (
-	"fmt"
-
-	"aibench/internal/autograd"
-	"aibench/internal/tensor"
-)
+import "aibench/internal/autograd"
 
 // Param is a named trainable tensor.
 type Param struct {
@@ -27,12 +22,6 @@ type Module interface {
 type Layer interface {
 	Module
 	Forward(x *autograd.Value) *autograd.Value
-}
-
-// Trainable is implemented by layers whose behaviour differs between
-// training and evaluation (Dropout, BatchNorm2D).
-type Trainable interface {
-	SetTraining(train bool)
 }
 
 // Sequential chains layers, feeding each output to the next input.
@@ -58,88 +47,4 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// SetTraining recursively flips training mode on every layer that has one.
-func (s *Sequential) SetTraining(train bool) {
-	for _, l := range s.Layers {
-		if t, ok := l.(Trainable); ok {
-			t.SetTraining(train)
-		}
-	}
-}
-
-// ZeroGrads clears the gradient of every parameter in the module.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
-		p.Value.ZeroGrad()
-	}
-}
-
-// NumParams returns the total number of scalar parameters in the module.
-func NumParams(m Module) int {
-	n := 0
-	for _, p := range m.Params() {
-		n += p.Value.Data.Size()
-	}
-	return n
-}
-
-// GradNorm returns the global L2 norm of all parameter gradients.
-func GradNorm(m Module) float64 {
-	s := 0.0
-	for _, p := range m.Params() {
-		if p.Value.Grad == nil {
-			continue
-		}
-		for _, g := range p.Value.Grad.Data {
-			s += g * g
-		}
-	}
-	return sqrt(s)
-}
-
-func sqrt(x float64) float64 {
-	t := tensor.FromSlice([]float64{x}, 1)
-	return tensor.Sqrt(t).Data[0]
-}
-
-// ClipGradNorm scales all gradients so their global norm is at most max.
-// Returns the pre-clip norm.
-func ClipGradNorm(m Module, max float64) float64 {
-	norm := GradNorm(m)
-	if norm > max && norm > 0 {
-		scale := max / norm
-		for _, p := range m.Params() {
-			if p.Value.Grad != nil {
-				tensor.ScaleInPlace(p.Value.Grad, scale)
-			}
-		}
-	}
-	return norm
-}
-
-// ParamGroup collects parameters from several modules under one name
-// prefix; models use it to assemble heads and backbones.
-func ParamGroup(prefix string, modules ...Module) []*Param {
-	var ps []*Param
-	for _, m := range modules {
-		for _, p := range m.Params() {
-			ps = append(ps, &Param{Name: fmt.Sprintf("%s.%s", prefix, p.Name), Value: p.Value})
-		}
-	}
-	return ps
-}
-
-// CopyParams copies parameter data from src to dst (same shapes required,
-// matched positionally). Used by the ranking-distillation teacher/student
-// setup and by EMA evaluation copies.
-func CopyParams(dst, src Module) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: CopyParams count mismatch %d vs %d", len(dp), len(sp)))
-	}
-	for i := range dp {
-		dp[i].Value.Data.CopyFrom(sp[i].Value.Data)
-	}
 }

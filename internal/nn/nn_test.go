@@ -17,8 +17,12 @@ func TestLinearShapesAndParams(t *testing.T) {
 	if s := y.Shape(); s[0] != 2 || s[1] != 3 {
 		t.Fatalf("shape = %v", s)
 	}
-	if n := NumParams(l); n != 4*3+3 {
-		t.Fatalf("NumParams = %d, want 15", n)
+	n := 0
+	for _, p := range l.Params() {
+		n += p.Value.Data.Size()
+	}
+	if n != 4*3+3 {
+		t.Fatalf("%d parameters, want 15", n)
 	}
 }
 
@@ -59,7 +63,7 @@ func TestBatchNormTrainVsEval(t *testing.T) {
 	x := autograd.Const(tensor.Randn(rng, 3, 2, 4, 4, 3, 3))
 	out := bn.Forward(x)
 	// Training-mode output should be roughly standardized per channel.
-	m := tensor.Mean(out.Data)
+	m := tensor.Sum(out.Data) / float64(out.Data.Size())
 	if math.Abs(m) > 0.2 {
 		t.Fatalf("normalized mean = %g, want ~0", m)
 	}
@@ -71,27 +75,6 @@ func TestBatchNormTrainVsEval(t *testing.T) {
 	out2 := bn.Forward(x)
 	if out2.Shape()[1] != 4 {
 		t.Fatalf("eval shape = %v", out2.Shape())
-	}
-}
-
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := NewDropout(rng, 0.5)
-	d.SetTraining(false)
-	x := autograd.Const(tensor.Randn(rng, 0, 1, 2, 4))
-	if d.Forward(x) != x {
-		t.Fatal("eval-mode dropout should be identity")
-	}
-	d.SetTraining(true)
-	y := d.Forward(x)
-	zeros := 0
-	for _, v := range y.Data.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros == 0 {
-		t.Log("no zeros in an 8-element dropout draw is possible but unlikely; not failing")
 	}
 }
 
@@ -117,14 +100,14 @@ func TestLSTMShapesAndGradientFlow(t *testing.T) {
 		autograd.Const(tensor.Randn(rng, 0, 1, 2, 3)),
 		autograd.Const(tensor.Randn(rng, 0, 1, 2, 3)),
 	}
-	hs := cell.Run(xs)
-	if len(hs) != 3 {
-		t.Fatalf("got %d hidden states", len(hs))
+	h, c := cell.InitState(2)
+	for _, x := range xs {
+		h, c = cell.Step(x, h, c)
 	}
-	if s := hs[2].Shape(); s[0] != 2 || s[1] != 5 {
+	if s := h.Shape(); s[0] != 2 || s[1] != 5 {
 		t.Fatalf("shape = %v", s)
 	}
-	autograd.Sum(hs[2]).Backward()
+	autograd.Mean(h).Backward()
 	for _, p := range cell.Params() {
 		if p.Value.Grad == nil || tensor.MaxAbs(p.Value.Grad) == 0 {
 			t.Fatalf("param %s received no gradient", p.Name)
@@ -149,9 +132,9 @@ func TestLSTMForgetGateBiasInit(t *testing.T) {
 func TestGRUShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cell := NewGRUCell(rng, 3, 6)
-	xs := []*autograd.Value{autograd.Const(tensor.Randn(rng, 0, 1, 2, 3))}
-	hs := cell.Run(xs)
-	if s := hs[0].Shape(); s[0] != 2 || s[1] != 6 {
+	x := autograd.Const(tensor.Randn(rng, 0, 1, 2, 3))
+	h := cell.Step(x, cell.InitState(2))
+	if s := h.Shape(); s[0] != 2 || s[1] != 6 {
 		t.Fatalf("shape = %v", s)
 	}
 }
@@ -207,54 +190,15 @@ func TestPositionalEncodingRange(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	l := NewLinear(rng, 4, 4)
-	x := autograd.Const(tensor.Randn(rng, 0, 10, 8, 4))
-	autograd.Sum(l.Forward(x)).Backward()
-	pre := GradNorm(l)
-	if pre == 0 {
-		t.Fatal("expected nonzero grad")
-	}
-	got := ClipGradNorm(l, 1.0)
-	if math.Abs(got-pre) > 1e-9 {
-		t.Fatalf("ClipGradNorm returned %g, want pre-clip %g", got, pre)
-	}
-	if post := GradNorm(l); post > 1.0+1e-9 {
-		t.Fatalf("post-clip norm %g > 1", post)
-	}
-}
-
 func TestLayerNormLayerNormalizesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ln := NewLayerNorm(6)
 	x := autograd.Const(tensor.Randn(rng, 5, 3, 4, 6))
 	y := ln.Forward(x)
 	for r := 0; r < 4; r++ {
-		row := y.Data.Row(r)
-		if m := tensor.Mean(row); math.Abs(m) > 1e-6 {
+		row := y.Data.SliceRows(r, r+1)
+		if m := tensor.Sum(row) / 6; math.Abs(m) > 1e-6 {
 			t.Fatalf("row %d mean = %g", r, m)
 		}
-	}
-}
-
-func TestCopyParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := NewLinear(rng, 3, 3)
-	b := NewLinear(rng, 3, 3)
-	CopyParams(b, a)
-	if !tensor.AllClose(a.W.Value.Data, b.W.Value.Data, 0) {
-		t.Fatal("weights not copied")
-	}
-}
-
-func TestZeroGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	l := NewLinear(rng, 2, 2)
-	x := autograd.Const(tensor.Randn(rng, 0, 1, 2, 2))
-	autograd.Sum(l.Forward(x)).Backward()
-	ZeroGrads(l)
-	if tensor.MaxAbs(l.W.Value.Grad) != 0 {
-		t.Fatal("grads not zeroed")
 	}
 }

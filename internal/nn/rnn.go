@@ -50,19 +50,6 @@ func (l *LSTMCell) InitState(n int) (h, c *autograd.Value) {
 	return autograd.Const(tensor.New(n, l.Hid)), autograd.Const(tensor.New(n, l.Hid))
 }
 
-// Run unrolls the cell over a sequence xs of [N, In] steps and returns all
-// hidden states.
-func (l *LSTMCell) Run(xs []*autograd.Value) []*autograd.Value {
-	n := xs[0].Shape()[0]
-	h, c := l.InitState(n)
-	out := make([]*autograd.Value, len(xs))
-	for t, x := range xs {
-		h, c = l.Step(x, h, c)
-		out[t] = h
-	}
-	return out
-}
-
 // Params returns the fused gate weights and bias.
 func (l *LSTMCell) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
@@ -108,17 +95,6 @@ func (g *GRUCell) Step(x, h *autograd.Value) *autograd.Value {
 // InitState returns a zero hidden state for batch size n.
 func (g *GRUCell) InitState(n int) *autograd.Value {
 	return autograd.Const(tensor.New(n, g.Hid))
-}
-
-// Run unrolls the cell over a sequence and returns all hidden states.
-func (g *GRUCell) Run(xs []*autograd.Value) []*autograd.Value {
-	h := g.InitState(xs[0].Shape()[0])
-	out := make([]*autograd.Value, len(xs))
-	for t, x := range xs {
-		h = g.Step(x, h)
-		out[t] = h
-	}
-	return out
 }
 
 // Params returns all six weight tensors.

@@ -1,7 +1,7 @@
-// Package optim implements the gradient-descent optimizers and
-// learning-rate schedules used by the AIBench reference implementations:
-// SGD with momentum, Adam/AdamW, RMSProp, and Adagrad, plus step, cosine,
-// exponential, and warmup schedules.
+// Package optim implements the gradient-descent optimizers the AIBench
+// workloads train with: SGD with momentum and weight decay, Adam and
+// RMSProp. A model that decays its learning rate sets it each epoch
+// through SetLR.
 package optim
 
 import (
@@ -17,10 +17,8 @@ type Optimizer interface {
 	Step()
 	// ZeroGrad clears gradients of all managed parameters.
 	ZeroGrad()
-	// SetLR overrides the learning rate (used with schedules).
+	// SetLR overrides the learning rate.
 	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
 }
 
 type base struct {
@@ -34,20 +32,18 @@ func (b *base) ZeroGrad() {
 	}
 }
 func (b *base) SetLR(lr float64) { b.lr = lr }
-func (b *base) LR() float64      { return b.lr }
 
-// SGD is stochastic gradient descent with optional momentum, Nesterov
-// acceleration, and decoupled weight decay.
+// SGD is stochastic gradient descent with heavy-ball momentum and
+// weight decay added to the gradient.
 type SGD struct {
 	base
 	Momentum    float64
-	Nesterov    bool
 	WeightDecay float64
 	velocity    []*tensor.Tensor
 }
 
 // NewSGD constructs an SGD optimizer over the module's parameters.
-func NewSGD(m nn.Module, lr, momentum, weightDecay float64, nesterov bool) *SGD {
+func NewSGD(m nn.Module, lr, momentum, weightDecay float64) *SGD {
 	ps := m.Params()
 	vel := make([]*tensor.Tensor, len(ps))
 	for i, p := range ps {
@@ -56,15 +52,13 @@ func NewSGD(m nn.Module, lr, momentum, weightDecay float64, nesterov bool) *SGD 
 	return &SGD{
 		base:        base{params: ps, lr: lr},
 		Momentum:    momentum,
-		Nesterov:    nesterov,
 		WeightDecay: weightDecay,
 		velocity:    vel,
 	}
 }
 
 // Step applies one SGD update. The decay term is added even when it is
-// zero (0·w is NaN for an infinite weight); the momentum variant is
-// picked once per parameter.
+// zero (0·w is NaN for an infinite weight).
 func (s *SGD) Step() {
 	lr, decay, mom := s.lr, s.WeightDecay, s.Momentum
 	for i, p := range s.params {
@@ -74,39 +68,21 @@ func (s *SGD) Step() {
 		}
 		w := p.Value.Data.Data
 		gd, v := g.Data[:len(w)], s.velocity[i].Data[:len(w)]
-		switch {
-		case mom == 0:
-			for j := range w {
-				grad := gd[j] + decay*w[j]
-				w[j] -= lr * grad
-			}
-		case s.Nesterov:
-			for j := range w {
-				grad := gd[j] + decay*w[j]
-				v[j] = mom*v[j] + grad
-				grad = grad + mom*v[j]
-				w[j] -= lr * grad
-			}
-		default:
-			for j := range w {
-				grad := gd[j] + decay*w[j]
-				v[j] = mom*v[j] + grad
-				w[j] -= lr * v[j]
-			}
+		for j := range w {
+			grad := gd[j] + decay*w[j]
+			v[j] = mom*v[j] + grad
+			w[j] -= lr * v[j]
 		}
 	}
 }
 
-// Adam is the Adam optimizer (Kingma & Ba). With DecoupledDecay it
-// becomes AdamW.
+// Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	base
-	Beta1, Beta2   float64
-	Eps            float64
-	WeightDecay    float64
-	DecoupledDecay bool
-	step           int
-	m, v           []*tensor.Tensor
+	Beta1, Beta2 float64
+	Eps          float64
+	step         int
+	m, v         []*tensor.Tensor
 }
 
 // NewAdam constructs Adam with the canonical defaults β1=0.9, β2=0.999.
@@ -125,23 +101,12 @@ func NewAdam(mod nn.Module, lr float64) *Adam {
 	}
 }
 
-// NewAdamW constructs Adam with decoupled weight decay.
-func NewAdamW(mod nn.Module, lr, weightDecay float64) *Adam {
-	a := NewAdam(mod, lr)
-	a.WeightDecay = weightDecay
-	a.DecoupledDecay = true
-	return a
-}
-
-// Step applies one Adam update with bias correction. Whether weight
-// decay is coupled (added to the gradient), decoupled (added to the
-// update) or off is decided once per parameter.
+// Step applies one Adam update with bias correction.
 func (a *Adam) Step() {
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	h := adamStep{a.Beta1, a.Beta2, c1, c2, a.lr, a.Eps}
-	decay := a.WeightDecay
+	b1, b2, lr, eps := a.Beta1, a.Beta2, a.lr, a.Eps
+	c1 := 1 - math.Pow(b1, float64(a.step))
+	c2 := 1 - math.Pow(b2, float64(a.step))
 	for i, p := range a.params {
 		g := p.Value.Grad
 		if g == nil {
@@ -149,37 +114,15 @@ func (a *Adam) Step() {
 		}
 		w := p.Value.Data.Data
 		gd, m, v := g.Data[:len(w)], a.m[i].Data[:len(w)], a.v[i].Data[:len(w)]
-		switch {
-		case decay == 0:
-			for j := range w {
-				w[j] -= h.update(&m[j], &v[j], gd[j])
-			}
-		case a.DecoupledDecay:
-			for j := range w {
-				upd := h.update(&m[j], &v[j], gd[j])
-				upd += a.lr * decay * w[j]
-				w[j] -= upd
-			}
-		default:
-			for j := range w {
-				w[j] -= h.update(&m[j], &v[j], gd[j]+decay*w[j])
-			}
+		for j := range w {
+			grad := gd[j]
+			m[j] = b1*m[j] + (1-b1)*grad
+			v[j] = b2*v[j] + (1-b2)*grad*grad
+			mHat := m[j] / c1
+			vHat := v[j] / c2
+			w[j] -= lr * mHat / (math.Sqrt(vHat) + eps)
 		}
 	}
-}
-
-// adamStep is one Adam step's constants: the betas, their bias
-// corrections, the learning rate and epsilon.
-type adamStep struct{ b1, b2, c1, c2, lr, eps float64 }
-
-// update moves one element's moments m and v by grad and returns its
-// bias-corrected update.
-func (h *adamStep) update(m, v *float64, grad float64) float64 {
-	*m = h.b1*(*m) + (1-h.b1)*grad
-	*v = h.b2*(*v) + (1-h.b2)*grad*grad
-	mHat := *m / h.c1
-	vHat := *v / h.c2
-	return h.lr * mHat / (math.Sqrt(vHat) + h.eps)
 }
 
 // RMSProp is the RMSProp optimizer used by several recurrent workloads.
@@ -214,40 +157,6 @@ func (r *RMSProp) Step() {
 			grad := gd[j]
 			sq[j] = r.Alpha*sq[j] + (1-r.Alpha)*grad*grad
 			w[j] -= r.lr * grad / (math.Sqrt(sq[j]) + r.Eps)
-		}
-	}
-}
-
-// Adagrad is the Adagrad optimizer (per-parameter adaptive rates).
-type Adagrad struct {
-	base
-	Eps float64
-	sum []*tensor.Tensor
-}
-
-// NewAdagrad constructs Adagrad.
-func NewAdagrad(mod nn.Module, lr float64) *Adagrad {
-	ps := mod.Params()
-	sum := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		sum[i] = tensor.New(p.Value.Data.Shape()...)
-	}
-	return &Adagrad{base: base{params: ps, lr: lr}, Eps: 1e-8, sum: sum}
-}
-
-// Step applies one Adagrad update.
-func (a *Adagrad) Step() {
-	for i, p := range a.params {
-		g := p.Value.Grad
-		if g == nil {
-			continue
-		}
-		w := p.Value.Data.Data
-		gd, sum := g.Data[:len(w)], a.sum[i].Data[:len(w)]
-		for j := range w {
-			grad := gd[j]
-			sum[j] += grad * grad
-			w[j] -= a.lr * grad / (math.Sqrt(sum[j]) + a.Eps)
 		}
 	}
 }

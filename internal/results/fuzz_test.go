@@ -72,9 +72,6 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			t.Fatalf("Kinds() counts %d records, stream has %d", total, len(s.Records))
 		}
 		_ = s.Sessions()
-		_ = s.Characterizations()
-		_ = s.Scaling()
-		_ = s.Replays()
 		_ = s.Traces()
 		_ = s.RunMetrics()
 	})

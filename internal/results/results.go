@@ -270,40 +270,6 @@ func (s *Stream) Sessions() []core.SessionResult {
 	return out
 }
 
-// Characterizations returns the stream's characterization records in
-// file order.
-func (s *Stream) Characterizations() []core.Characterization {
-	var out []core.Characterization
-	for _, r := range s.Records {
-		if r.Kind == core.KindCharacterization && r.Characterization != nil {
-			out = append(out, *r.Characterization)
-		}
-	}
-	return out
-}
-
-// Scaling returns the stream's scaling rows in file order.
-func (s *Stream) Scaling() []core.ScalingRow {
-	var out []core.ScalingRow
-	for _, r := range s.Records {
-		if r.Kind == core.KindScaling && r.Scaling != nil {
-			out = append(out, *r.Scaling)
-		}
-	}
-	return out
-}
-
-// Replays returns the stream's replay records in file order.
-func (s *Stream) Replays() []core.ReplaySession {
-	var out []core.ReplaySession
-	for _, r := range s.Records {
-		if r.Kind == core.KindReplay && r.Replay != nil {
-			out = append(out, *r.Replay)
-		}
-	}
-	return out
-}
-
 // Traces returns the stream's deterministic-plane trace records in
 // file order.
 func (s *Stream) Traces() []*telemetry.Trace {
@@ -323,21 +289,6 @@ func (s *Stream) RunMetrics() []*telemetry.RunMetrics {
 	for _, r := range s.Records {
 		if r.Kind == core.KindRunMetrics && r.RunMetrics != nil {
 			out = append(out, r.RunMetrics)
-		}
-	}
-	return out
-}
-
-// ByRun returns the records whose envelope identified the run by the
-// given suite SHA and seed, in file order. Server-shaped streams —
-// many runs appended or interleaved into one file — separate back into
-// per-run streams this way; records from legacy bare lines carry no
-// run identity and never match.
-func (s *Stream) ByRun(suiteSHA string, seed int64) []core.Record {
-	var out []core.Record
-	for _, r := range s.Records {
-		if r.Run != nil && r.Run.SuiteSHA == suiteSHA && r.Run.Seed == seed {
-			out = append(out, r)
 		}
 	}
 	return out

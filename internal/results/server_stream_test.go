@@ -69,7 +69,16 @@ func TestInterleavedRunsSeparable(t *testing.T) {
 		t.Fatalf("saw %d distinct runs, want 2: %+v", len(s.Runs), s.Runs)
 	}
 
-	runA := s.ByRun("sha-a", 1)
+	byRun := func(suiteSHA string, seed int64) []core.Record {
+		var out []core.Record
+		for _, r := range s.Records {
+			if r.Run != nil && r.Run.SuiteSHA == suiteSHA && r.Run.Seed == seed {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	runA := byRun("sha-a", 1)
 	if len(runA) != 3 {
 		t.Fatalf("run A separated into %d records, want 3", len(runA))
 	}
@@ -84,7 +93,7 @@ func TestInterleavedRunsSeparable(t *testing.T) {
 		}
 	}
 
-	runB := s.ByRun("sha-b", 2)
+	runB := byRun("sha-b", 2)
 	if len(runB) != 2 || runB[0].Kind != core.KindSession || runB[1].Kind != core.KindReplay {
 		t.Fatalf("run B separated wrong: %+v", runB)
 	}
@@ -93,8 +102,8 @@ func TestInterleavedRunsSeparable(t *testing.T) {
 	}
 
 	// Same suite SHA but a different seed is a different run.
-	if got := s.ByRun("sha-a", 2); len(got) != 0 {
-		t.Fatalf("ByRun(sha-a, wrong seed) matched %d records, want 0", len(got))
+	if got := byRun("sha-a", 2); len(got) != 0 {
+		t.Fatalf("run (sha-a, wrong seed) matched %d records, want 0", len(got))
 	}
 }
 

@@ -1,12 +1,10 @@
 // Package stats provides the descriptive statistics the evaluation
 // harness needs: mean, standard deviation, coefficient of variation
-// (the paper's run-to-run variation measure in Table 5), quantiles, and
-// bootstrap confidence intervals.
+// (the paper's run-to-run variation measure in Table 5) and quantiles.
 package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -48,23 +46,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(m)
 }
 
-// MinMax returns the smallest and largest values.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
@@ -87,24 +68,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// BootstrapCI returns a (lo, hi) percentile bootstrap confidence interval
-// for the mean at the given level (e.g. 0.95), using resamples draws.
-func BootstrapCI(rng *rand.Rand, xs []float64, level float64, resamples int) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		s := 0.0
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}
-
 // Normalize scales xs to zero mean and unit variance in place; constant
 // vectors become all-zero. Returns the original mean and std.
 func Normalize(xs []float64) (mean, std float64) {
@@ -118,16 +81,4 @@ func Normalize(xs []float64) (mean, std float64) {
 		}
 	}
 	return mean, std
-}
-
-// MinMaxScale rescales xs to [0,1] in place (constant vectors become 0.5).
-func MinMaxScale(xs []float64) {
-	lo, hi := MinMax(xs)
-	for i := range xs {
-		if hi > lo {
-			xs[i] = (xs[i] - lo) / (hi - lo)
-		} else {
-			xs[i] = 0.5
-		}
-	}
 }

@@ -65,29 +65,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %g %g", lo, hi)
-	}
-}
-
-func TestBootstrapCIContainsMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	lo, hi := BootstrapCI(rng, xs, 0.95, 500)
-	m := Mean(xs)
-	if !(lo <= m && m <= hi) {
-		t.Fatalf("CI [%g,%g] does not contain mean %g", lo, hi, m)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("CI width %g too wide for n=100", hi-lo)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	Normalize(xs)
@@ -101,18 +78,5 @@ func TestNormalize(t *testing.T) {
 	Normalize(c)
 	if c[0] != 0 || c[1] != 0 {
 		t.Fatal("constant vector should normalize to zeros")
-	}
-}
-
-func TestMinMaxScale(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	MinMaxScale(xs)
-	if xs[0] != 0 || xs[2] != 1 || xs[1] != 0.5 {
-		t.Fatalf("scaled = %v", xs)
-	}
-	c := []float64{5, 5}
-	MinMaxScale(c)
-	if c[0] != 0.5 {
-		t.Fatal("constant should scale to 0.5")
 	}
 }

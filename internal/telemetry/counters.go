@@ -59,15 +59,13 @@ const (
 	OpMatMul KernelOp = iota
 	OpMatMulT
 	OpTMatMul
-	OpMatVec
-	OpOuter
 	OpConv2D
 
 	numKernelOps
 )
 
 var kernelOpNames = [numKernelOps]string{
-	"matmul", "matmult", "tmatmul", "matvec", "outer", "conv2d",
+	"matmul", "matmult", "tmatmul", "conv2d",
 }
 
 // CountKernel records one kernel-op dispatch of the given FLOP cost.

@@ -231,8 +231,9 @@ func RunOf(ts ...*Tensor) *Run {
 // NewLike returns a zero-filled tensor with t's shape and placement.
 func NewLike(t *Tensor) *Tensor { return t.arena.New(t.shape...) }
 
-// Detach returns a deep copy of t on the heap with no placement: the
-// way a value computed in one step survives into the next.
+// Detach returns a deep copy of t on the heap with no placement. No
+// model needs one; tests use it to build heap operands beside arena
+// ones.
 func (t *Tensor) Detach() *Tensor {
 	//lint:allow heapalloc leaving the arena is what Detach is for
 	c := New(t.shape...)

@@ -66,48 +66,6 @@ func Conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool) (dx
 	return r.Kernels.Conv2DBackward(x, weight, g, p, needX, needW)
 }
 
-// MaxPool2D applies max pooling to an NCHW tensor and also returns the
-// argmax indices (flat indices into the input) for the backward pass.
-func MaxPool2D(x *Tensor, p Conv2DParams) (*Tensor, []int) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := p.OutDim(h), p.OutDim(w)
-	out := x.arena.New(n, c, oh, ow)
-	arg := make([]int, n*c*oh*ow)
-	oi := 0
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := 0.0
-					bestIdx := -1
-					for ky := 0; ky < p.Kernel; ky++ {
-						iy := oy*p.Stride - p.Padding + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.Kernel; kx++ {
-							ix := ox*p.Stride - p.Padding + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := x.Data[base+iy*w+ix]
-							if bestIdx < 0 || v > best {
-								best = v
-								bestIdx = base + iy*w + ix
-							}
-						}
-					}
-					out.Data[oi] = best
-					arg[oi] = bestIdx
-					oi++
-				}
-			}
-		}
-	}
-	return out, arg
-}
-
 // AvgPool2D applies average pooling to an NCHW tensor. Padding taps count
 // toward the divisor (count_include_pad semantics).
 func AvgPool2D(x *Tensor, p Conv2DParams) *Tensor {

@@ -360,16 +360,6 @@ func (g *gebpKernels) TMatMul(a, b *Tensor) *Tensor {
 	return g.gemm(ArenaOf(a, b), colsOf(a), colsOf(b))
 }
 
-// MatVec and Outer have no k-reuse to block for, so they share the
-// gated naive bodies behind the engine's threshold.
-func (g *gebpKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(g.threshold, a, v)
-}
-
-func (g *gebpKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(g.threshold, a, b)
-}
-
 func (g *gebpKernels) Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	return conv2D(x, weight, p, g.threshold)
 }

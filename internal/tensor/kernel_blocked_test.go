@@ -104,9 +104,6 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 		b := Randn(rng, 0, 1, k, n)
 		bt := Randn(rng, 0, 1, n, k)
 		at := Randn(rng, 0, 1, k, m)
-		v := Randn(rng, 0, 1, k)
-		u := Randn(rng, 0, 1, m)
-		w := Randn(rng, 0, 1, n)
 		ops := []struct {
 			name string
 			run  func(Kernels) *Tensor
@@ -114,8 +111,6 @@ func TestTunedKernelAdversarialConfigs(t *testing.T) {
 			{"MatMul", func(k Kernels) *Tensor { return k.MatMul(a, b) }},
 			{"MatMulT", func(k Kernels) *Tensor { return k.MatMulT(a, bt) }},
 			{"TMatMul", func(k Kernels) *Tensor { return k.TMatMul(at, b) }},
-			{"MatVec", func(k Kernels) *Tensor { return k.MatVec(a, v) }},
-			{"Outer", func(k Kernels) *Tensor { return k.Outer(u, w) }},
 		}
 		for _, op := range ops {
 			want := op.run(naive)

@@ -83,14 +83,6 @@ func (naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-func (naiveKernels) MatVec(a, v *Tensor) *Tensor {
-	return gatedMatVec(naiveThreshold, a, v)
-}
-
-func (naiveKernels) Outer(a, b *Tensor) *Tensor {
-	return gatedOuter(naiveThreshold, a, b)
-}
-
 // Conv2D is im2col followed by GEMM, mirroring how cuDNN's
 // implicit-GEMM kernels work. It materializes the full column matrix;
 // the GEBP engine's chunked variant avoids that.

@@ -10,17 +10,17 @@ import (
 )
 
 // Kernels is the pluggable compute-kernel interface behind the
-// package-level MatMul/MatMulT/TMatMul/MatVec/Outer/Conv2D/
-// Conv2DBackward entry points. A Kernels value is the substrate a run
-// computes on, and it travels the way the step arena does: the run
-// that owns a benchmark instance records itself — a Run: its kernels
-// and its telemetry counters — on the instance's arena (Arena.SetRun),
-// every tensor computed from the instance's parameters carries that
-// placement, and each entry point dispatches to the kernels of its
-// first placed operand. Operands placed nowhere — plain heap tensors —
-// dispatch to DefaultKernel. Nothing writes kernel state, so any number
-// of runs under different kernels share a process without seeing each
-// other.
+// package-level MatMul/MatMulT/TMatMul/Conv2D/Conv2DBackward entry
+// points: the five ops the models dispatch. A Kernels value is the
+// substrate a run computes on, and it travels the way the step arena
+// does: the run that owns a benchmark instance records itself — a Run:
+// its kernels and its telemetry counters — on the instance's arena
+// (Arena.SetRun), every tensor computed from the instance's parameters
+// carries that placement, and each entry point dispatches to the
+// kernels of its first placed operand. Operands placed nowhere — plain
+// heap tensors — dispatch to DefaultKernel. Nothing writes kernel
+// state, so any number of runs under different kernels share a process
+// without seeing each other.
 //
 // Implementations receive shape-validated
 // operands (the wrappers panic on rank/dimension mismatches before
@@ -44,10 +44,6 @@ type Kernels interface {
 	MatMulT(a, b *Tensor) *Tensor
 	// TMatMul computes aᵀ · b for a stored (k×m): (k×m)ᵀ · (k×n) → (m×n).
 	TMatMul(a, b *Tensor) *Tensor
-	// MatVec computes (m×k) · (k) → (m).
-	MatVec(a, v *Tensor) *Tensor
-	// Outer computes (m) ⊗ (n) → (m×n).
-	Outer(a, b *Tensor) *Tensor
 	// Conv2D convolves NCHW x with OIKK weights → N×O×outH×outW.
 	Conv2D(x, w *Tensor, p Conv2DParams) *Tensor
 	// Conv2DBackward maps Conv2D's output gradient g to the input
@@ -149,36 +145,4 @@ func parGate(threshold, units, flops int, fn func(i int)) {
 	for i := 0; i < units; i++ {
 		fn(i)
 	}
-}
-
-// gatedMatVec is the shared MatVec body: a per-row ascending dot
-// product behind the caller's parallel gate. There is no k-reuse to
-// block for, so every kernel uses it — only the threshold differs.
-func gatedMatVec(threshold int, a, v *Tensor) *Tensor {
-	m, k := a.shape[0], a.shape[1]
-	out := ArenaOf(a, v).New(m)
-	parGate(threshold, m, m*k, func(i int) {
-		row := a.Data[i*k : (i+1)*k]
-		s := 0.0
-		for j := 0; j < k; j++ {
-			s += row[j] * v.Data[j]
-		}
-		out.Data[i] = s
-	})
-	return out
-}
-
-// gatedOuter is the shared Outer body: disjoint output rows behind the
-// caller's parallel gate.
-func gatedOuter(threshold int, a, b *Tensor) *Tensor {
-	m, n := a.shape[0], b.shape[0]
-	out := ArenaOf(a, b).New(m, n)
-	parGate(threshold, m, m*n, func(i int) {
-		av := a.Data[i]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			orow[j] = av * b.Data[j]
-		}
-	})
-	return out
 }

@@ -41,16 +41,6 @@ func (c *Counting) TMatMul(a, b *tensor.Tensor) *tensor.Tensor {
 	return c.Kernels.TMatMul(a, b)
 }
 
-func (c *Counting) MatVec(a, v *tensor.Tensor) *tensor.Tensor {
-	c.Calls.Add(1)
-	return c.Kernels.MatVec(a, v)
-}
-
-func (c *Counting) Outer(a, b *tensor.Tensor) *tensor.Tensor {
-	c.Calls.Add(1)
-	return c.Kernels.Outer(a, b)
-}
-
 func (c *Counting) Conv2D(x, w *tensor.Tensor, p tensor.Conv2DParams) *tensor.Tensor {
 	c.Calls.Add(1)
 	return c.Kernels.Conv2D(x, w, p)

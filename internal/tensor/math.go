@@ -41,29 +41,11 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Div returns a / b element-wise.
-func Div(a, b *Tensor) *Tensor {
-	checkSameShape("Div", a, b)
-	out := ArenaOf(a, b).New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] / b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace adds b into a.
 func AddInPlace(a, b *Tensor) {
 	checkSameShape("AddInPlace", a, b)
 	for i := range a.Data {
 		a.Data[i] += b.Data[i]
-	}
-}
-
-// AxpyInPlace computes a += alpha*b.
-func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) {
-	checkSameShape("AxpyInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] += alpha * b.Data[i]
 	}
 }
 
@@ -83,15 +65,6 @@ func ScaleInPlace(a *Tensor, alpha float64) {
 	}
 }
 
-// AddScalar returns a + c element-wise.
-func AddScalar(a *Tensor, c float64) *Tensor {
-	out := NewLike(a)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + c
-	}
-	return out
-}
-
 // Neg returns -a.
 func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
@@ -103,15 +76,6 @@ func Apply(a *Tensor, f func(float64) float64) *Tensor {
 	}
 	return out
 }
-
-// Exp returns e^a element-wise.
-func Exp(a *Tensor) *Tensor { return Apply(a, math.Exp) }
-
-// Log returns ln(a) element-wise.
-func Log(a *Tensor) *Tensor { return Apply(a, math.Log) }
-
-// Sqrt returns sqrt(a) element-wise.
-func Sqrt(a *Tensor) *Tensor { return Apply(a, math.Sqrt) }
 
 // Tanh returns tanh(a) element-wise.
 func Tanh(a *Tensor) *Tensor { return Apply(a, math.Tanh) }
@@ -132,27 +96,6 @@ func ReLU(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Pow returns a^p element-wise.
-func Pow(a *Tensor, p float64) *Tensor {
-	return Apply(a, func(x float64) float64 { return math.Pow(x, p) })
-}
-
-// Abs returns |a| element-wise.
-func Abs(a *Tensor) *Tensor { return Apply(a, math.Abs) }
-
-// Clamp limits each element to [lo, hi].
-func Clamp(a *Tensor, lo, hi float64) *Tensor {
-	return Apply(a, func(x float64) float64 {
-		if x < lo {
-			return lo
-		}
-		if x > hi {
-			return hi
-		}
-		return x
-	})
 }
 
 // AddRowVector adds a 1-D vector v (length = a's last dim) to every row of
@@ -192,19 +135,6 @@ func AddChannelVector(a, v *Tensor) *Tensor {
 	}
 	return out
 }
-
-// Dot returns the inner product of two tensors of identical shape.
-func Dot(a, b *Tensor) float64 {
-	checkSameShape("Dot", a, b)
-	s := 0.0
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
-}
-
-// Norm returns the L2 norm of a.
-func Norm(a *Tensor) float64 { return math.Sqrt(Dot(a, a)) }
 
 // MaxAbs returns the largest absolute element of a (0 for empty tensors).
 func MaxAbs(a *Tensor) float64 {

@@ -6,8 +6,9 @@ import (
 	"aibench/internal/telemetry"
 )
 
-// The package-level linear-algebra entry points validate shapes and
-// dispatch to the kernels their operands are placed under (dispatch;
+// The package-level GEMM entry points — MatMul, MatMulT and TMatMul
+// here, beside Conv2D and Conv2DBackward in conv.go — validate shapes
+// and dispatch to the kernels their operands are placed under (dispatch;
 // see Run and Kernels in kernels.go). Implementations live in
 // kernel_naive.go (the oracle, "naive") and kernel_blocked.go (the GEBP
 // engine, "blocked"); a run selects one through Plan.Kernel / the CLI's
@@ -95,22 +96,4 @@ func Transpose(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// MatVec multiplies a 2-D tensor by a 1-D vector: (m×k) · (k) → (m).
-func MatVec(a, v *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(v.shape) != 1 || a.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v and %v incompatible", a.shape, v.shape))
-	}
-	flops := 2 * int64(a.shape[0]) * int64(a.shape[1])
-	return dispatch(telemetry.OpMatVec, flops, a, v).MatVec(a, v)
-}
-
-// Outer returns the outer product of two 1-D tensors: (m) ⊗ (n) → (m×n).
-func Outer(a, b *Tensor) *Tensor {
-	if len(a.shape) != 1 || len(b.shape) != 1 {
-		panic("tensor: Outer requires 1-D operands")
-	}
-	flops := int64(a.shape[0]) * int64(b.shape[0])
-	return dispatch(telemetry.OpOuter, flops, a, b).Outer(a, b)
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -36,22 +35,4 @@ func XavierUniform(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
 func KaimingNormal(rng *rand.Rand, fanIn int, shape ...int) *Tensor {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	return Randn(rng, 0, std, shape...)
-}
-
-// Bernoulli fills a new tensor with 1/keep with probability keep and 0
-// otherwise (inverted-dropout mask convention). keep must lie in (0, 1]:
-// keep <= 0 would make the 1/keep scale +Inf or negative and silently
-// poison every downstream activation.
-func Bernoulli(rng *rand.Rand, keep float64, shape ...int) *Tensor {
-	if keep <= 0 || keep > 1 {
-		panic(fmt.Sprintf("tensor: Bernoulli keep probability %v outside (0, 1]", keep))
-	}
-	t := New(shape...)
-	inv := 1 / keep
-	for i := range t.Data {
-		if rng.Float64() < keep {
-			t.Data[i] = inv
-		}
-	}
-	return t
 }

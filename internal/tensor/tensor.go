@@ -97,18 +97,6 @@ func Full(v float64, shape ...int) *Tensor {
 // Ones creates a tensor of ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
-// Arange creates a 1-D tensor [start, start+1, ..., stop-1].
-func Arange(start, stop int) *Tensor {
-	if stop < start {
-		panic(fmt.Sprintf("tensor: invalid range [%d,%d)", start, stop))
-	}
-	t := New(stop - start)
-	for i := range t.Data {
-		t.Data[i] = float64(start + i)
-	}
-	return t
-}
-
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
@@ -200,9 +188,6 @@ func (a *Arena) withRows(rows int, rest []int) *Tensor {
 	return a.New(append(append(buf[:0], rows), rest...)...)
 }
 
-// Flatten returns a 1-D view of t sharing its data.
-func (t *Tensor) Flatten() *Tensor { return t.Reshape(len(t.Data)) }
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {
@@ -212,14 +197,6 @@ func (t *Tensor) Fill(v float64) {
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
-
-// CopyFrom copies u's data into t. Shapes must match in volume.
-func (t *Tensor) CopyFrom(u *Tensor) {
-	if len(t.Data) != len(u.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.shape, u.shape))
-	}
-	copy(t.Data, u.Data)
-}
 
 // String renders small tensors fully and large ones as a summary.
 func (t *Tensor) String() string {
@@ -231,16 +208,6 @@ func (t *Tensor) String() string {
 		fmt.Fprintf(&b, "[%g %g %g ... %g]", t.Data[0], t.Data[1], t.Data[2], t.Data[len(t.Data)-1])
 	}
 	return b.String()
-}
-
-// Row returns row i of a 2-D tensor as a shared-data 1-D view placed
-// like t.
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires a 2-D tensor")
-	}
-	cols := t.shape[1]
-	return t.arena.view(t.Data[i*cols:(i+1)*cols], []int{cols})
 }
 
 // SliceRows returns rows [lo,hi) of the first dimension as a copy.

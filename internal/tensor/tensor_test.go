@@ -50,7 +50,7 @@ func TestFromSliceMismatchPanics(t *testing.T) {
 }
 
 func TestReshapeSharesData(t *testing.T) {
-	x := Arange(0, 6)
+	x := FromSlice([]float64{0, 1, 2, 3, 4, 5}, 6)
 	y := x.Reshape(2, 3)
 	y.Set(99, 1, 2)
 	if x.Data[5] != 99 {
@@ -72,7 +72,7 @@ func TestReshapeBadVolumePanics(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	x := Arange(0, 4)
+	x := FromSlice([]float64{0, 1, 2, 3}, 4)
 	y := x.Clone()
 	y.Data[0] = 42
 	if x.Data[0] == 42 {
@@ -91,9 +91,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 	if got := Mul(a, b).Data; got[1] != 6 {
 		t.Fatalf("Mul = %v", got)
-	}
-	if got := Div(a, b).Data; got[3] != 4 {
-		t.Fatalf("Div = %v", got)
 	}
 }
 
@@ -139,19 +136,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMatVecAndOuter(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	v := FromSlice([]float64{1, 1}, 2)
-	mv := MatVec(a, v)
-	if mv.Data[0] != 3 || mv.Data[1] != 7 {
-		t.Fatalf("MatVec = %v", mv.Data)
-	}
-	o := Outer(v, FromSlice([]float64{2, 3}, 2))
-	if o.At(1, 1) != 3 {
-		t.Fatalf("Outer = %v", o.Data)
-	}
-}
-
 func TestSoftmaxRowsSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 0, 5, 6, 10)
@@ -175,7 +159,7 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, 0, 2, 2, 5)
-		b := AddScalar(a, 37.5)
+		b := Apply(a, func(x float64) float64 { return x + 37.5 })
 		return AllClose(SoftmaxRows(a), SoftmaxRows(b), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -188,41 +172,9 @@ func TestReductions(t *testing.T) {
 	if Sum(a) != 21 {
 		t.Fatalf("Sum = %g", Sum(a))
 	}
-	if Mean(a) != 3.5 {
-		t.Fatalf("Mean = %g", Mean(a))
-	}
-	if Max(a) != 6 || Min(a) != 1 {
-		t.Fatalf("Max/Min = %g/%g", Max(a), Min(a))
-	}
-	if ArgMax(a) != 5 {
-		t.Fatalf("ArgMax = %d", ArgMax(a))
-	}
 	sr := SumRows(a)
 	if sr.Data[0] != 5 || sr.Data[1] != 7 || sr.Data[2] != 9 {
 		t.Fatalf("SumRows = %v", sr.Data)
-	}
-	sc := SumCols(a)
-	if sc.Data[0] != 6 || sc.Data[1] != 15 {
-		t.Fatalf("SumCols = %v", sc.Data)
-	}
-	am := ArgMaxRows(a)
-	if am[0] != 2 || am[1] != 2 {
-		t.Fatalf("ArgMaxRows = %v", am)
-	}
-}
-
-func TestLogSumExpMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := Randn(rng, 0, 3, 4, 6)
-	lse := LogSumExpRows(a)
-	for r := 0; r < 4; r++ {
-		naive := 0.0
-		for c := 0; c < 6; c++ {
-			naive += math.Exp(a.At(r, c))
-		}
-		if math.Abs(lse.Data[r]-math.Log(naive)) > 1e-9 {
-			t.Fatalf("row %d: LSE %g vs naive %g", r, lse.Data[r], math.Log(naive))
-		}
 	}
 }
 
@@ -268,10 +220,6 @@ func TestApplyFunctions(t *testing.T) {
 	if math.Abs(s.Data[0]-0.5) > 1e-12 {
 		t.Fatalf("Sigmoid(0) = %g", s.Data[0])
 	}
-	cl := Clamp(a, -0.5, 1)
-	if cl.Data[0] != -0.5 || cl.Data[2] != 1 {
-		t.Fatalf("Clamp = %v", cl.Data)
-	}
 }
 
 // TestReLUBits pins ReLU's output bits on the edge values: only x > 0
@@ -287,14 +235,7 @@ func TestReLUBits(t *testing.T) {
 	}
 }
 
-func TestDotNormMaxAbs(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if Dot(a, a) != 25 {
-		t.Fatalf("Dot = %g", Dot(a, a))
-	}
-	if Norm(a) != 5 {
-		t.Fatalf("Norm = %g", Norm(a))
-	}
+func TestMaxAbs(t *testing.T) {
 	if MaxAbs(FromSlice([]float64{-7, 2}, 2)) != 7 {
 		t.Fatal("MaxAbs wrong")
 	}
@@ -335,10 +276,15 @@ func TestMatMulDistributivity(t *testing.T) {
 func TestRandnStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := Randn(rng, 2, 3, 10000)
-	if m := Mean(x); math.Abs(m-2) > 0.15 {
+	m := Sum(x) / float64(x.Size())
+	if math.Abs(m-2) > 0.15 {
 		t.Fatalf("sample mean %g too far from 2", m)
 	}
-	if v := Variance(x); math.Abs(v-9) > 0.8 {
+	v := 0.0
+	for _, e := range x.Data {
+		v += (e - m) * (e - m)
+	}
+	if v /= float64(x.Size()); math.Abs(v-9) > 0.8 {
 		t.Fatalf("sample variance %g too far from 9", v)
 	}
 }
@@ -348,24 +294,5 @@ func TestRandDeterministic(t *testing.T) {
 	b := Rand(rand.New(rand.NewSource(7)), 0, 1, 10)
 	if !AllClose(a, b, 0) {
 		t.Fatal("same seed should give same tensor")
-	}
-}
-
-func TestBernoulliMaskValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := Bernoulli(rng, 0.5, 1000)
-	for _, v := range m.Data {
-		if v != 0 && v != 2 {
-			t.Fatalf("mask value %g not in {0, 1/keep}", v)
-		}
-	}
-	ones := 0
-	for _, v := range m.Data {
-		if v != 0 {
-			ones++
-		}
-	}
-	if ones < 400 || ones > 600 {
-		t.Fatalf("keep count %d far from 500", ones)
 	}
 }

@@ -201,23 +201,3 @@ func (m Model) Params() int {
 	}
 	return s
 }
-
-// Activations returns total activation elements per sample.
-func (m Model) Activations() int {
-	s := 0
-	for _, l := range m.Layers {
-		s += l.Activations()
-	}
-	return s
-}
-
-// CountKind returns the number of layers of the given kind.
-func (m Model) CountKind(k LayerKind) int {
-	n := 0
-	for _, l := range m.Layers {
-		if l.Kind == k {
-			n++
-		}
-	}
-	return n
-}

@@ -95,6 +95,17 @@ func TestEmbeddingZeroFLOPsButParams(t *testing.T) {
 	}
 }
 
+// countKind returns the number of m's layers of kind k.
+func countKind(m Model, k LayerKind) int {
+	n := 0
+	for _, l := range m.Layers {
+		if l.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestModelAggregation(t *testing.T) {
 	m := Model{Name: "m", Layers: []Layer{
 		{Kind: Linear, In: 10, Out: 20},
@@ -107,8 +118,8 @@ func TestModelAggregation(t *testing.T) {
 	if m.Params() != 10*20+20+20*5+5 {
 		t.Fatalf("model params = %d", m.Params())
 	}
-	if m.CountKind(Linear) != 2 || m.CountKind(ReLU) != 1 {
-		t.Fatal("CountKind wrong")
+	if countKind(m, Linear) != 2 || countKind(m, ReLU) != 1 {
+		t.Fatal("layer kind counts wrong")
 	}
 }
 
@@ -131,8 +142,8 @@ func TestMLPBuilder(t *testing.T) {
 func TestTransformerEncoderBuilder(t *testing.T) {
 	ls := TransformerEncoder(nil, "enc", 6, 64, 512, 2048, 8)
 	m := Model{Name: "enc", Layers: ls}
-	if m.CountKind(Attention) != 6 {
-		t.Fatalf("attention blocks = %d", m.CountKind(Attention))
+	if n := countKind(m, Attention); n != 6 {
+		t.Fatalf("attention blocks = %d", n)
 	}
 	// Transformer-base encoder stack (6 layers, d=512, ff=2048) has about
 	// 6·(4·512² + 2·512·2048) ≈ 18.9M params.
