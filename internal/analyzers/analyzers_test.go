@@ -50,6 +50,10 @@ func TestHeapalloc(t *testing.T) {
 	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc", "aibench/internal/autograd")
 }
 
+func TestHeapallocInsideNN(t *testing.T) {
+	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_nn", "aibench/internal/nn")
+}
+
 func TestHeapallocOutOfScope(t *testing.T) {
 	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_outofscope", "aibench/internal/models")
 }

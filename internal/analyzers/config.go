@@ -77,13 +77,18 @@ var sinkPackages = map[string]bool{
 // bypass.
 const tensorPackage = "aibench/internal/tensor"
 
-// autogradPackage builds the training graphs: with tensorPackage, the
-// two packages whose op bodies allocate step-scoped tensors and are
-// bound by the one-allocator rule (heapalloc).
-const autogradPackage = "aibench/internal/autograd"
+// autogradPackage builds the training graphs and nnPackage the layers
+// that compose them: with tensorPackage, the packages whose op bodies
+// allocate step-scoped tensors and are bound by the one-allocator rule
+// (heapalloc). A layer constructor has no tensor operand, so it builds
+// its parameters on the heap out of the rule's scope.
+const (
+	autogradPackage = "aibench/internal/autograd"
+	nnPackage       = "aibench/internal/nn"
+)
 
 func inOpPackages(path string) bool {
-	return path == tensorPackage || path == autogradPackage
+	return path == tensorPackage || path == autogradPackage || path == nnPackage
 }
 
 func inDeterministic(path string) bool { return deterministicPackages[path] }

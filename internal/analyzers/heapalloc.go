@@ -14,8 +14,8 @@ import (
 // and quietly puts three mallocs per call back on the training loop;
 // nothing but the allocation metrics would ever notice.
 //
-// An op body is any function of internal/tensor or internal/autograd
-// with a tensor operand — a parameter or receiver of type
+// An op body is any function of internal/tensor, internal/autograd or
+// internal/nn with a tensor operand — a parameter or receiver of type
 // *tensor.Tensor or *autograd.Value, a slice of either — including the
 // function literals nested in it (the backward closures). Inside one,
 // calls to tensor.New, tensor.Full and tensor.Ones are flagged, and
@@ -28,7 +28,7 @@ import (
 // outlive the arena.
 var Heapalloc = &Analyzer{
 	Name:  "heapalloc",
-	Doc:   "tensor and autograd op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor",
+	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor",
 	Scope: inOpPackages,
 	Run:   runHeapalloc,
 }

@@ -21,8 +21,12 @@
 // is the Grad buffer of a leaf: parameters' gradients are read by the
 // optimizer and by internal/dist's all-reduce after the step's graph is
 // gone, so leaves accumulate into heap buffers. The Value nodes
-// themselves, their parent slices and their closures stay ordinary heap
-// objects.
+// themselves and their closures stay ordinary heap objects: a node no
+// gradient can flow through (every operand gradient-free, as in
+// evaluation, where models.Evaluate marks the parameters so) is one
+// heap object with neither parents nor a closure, and a node a gradient
+// can flow through is two — it keeps up to two parents in its own
+// inline array.
 package autograd
 
 import (
@@ -35,10 +39,13 @@ import (
 // Value is a node in the computation graph: a tensor plus the bookkeeping
 // needed to differentiate through the operation that produced it.
 type Value struct {
-	Data         *tensor.Tensor
-	Grad         *tensor.Tensor
-	requiresGrad bool
-	parents      []*Value
+	Data *tensor.Tensor
+	Grad *tensor.Tensor
+	// parents are the operands a gradient flows back into; nil on a
+	// leaf and on a node no gradient can flow through. Up to two of
+	// them live in inline, so recording them allocates nothing.
+	parents []*Value
+	inline  [2]*Value
 	// back propagates this node's gradient into its parents. It must
 	// accumulate (+=) into parent gradients, never overwrite.
 	back func(grad *tensor.Tensor)
@@ -48,8 +55,10 @@ type Value struct {
 	// threads the node first onto the DFS stack and then onto the
 	// ordered list — so a Backward allocates nothing to find its way.
 	stamp uint64
-	next  int
 	link  *Value
+	next  int32
+
+	requiresGrad bool
 }
 
 // Var wraps a tensor as a differentiable graph leaf (a trainable
@@ -62,6 +71,16 @@ func Var(t *tensor.Tensor) *Value {
 func Const(t *tensor.Tensor) *Value {
 	return &Value{Data: t}
 }
+
+// RequiresGrad reports whether gradients flow into v.
+func (v *Value) RequiresGrad() bool { return v.requiresGrad }
+
+// SetRequiresGrad marks the leaf v as carrying a gradient or not. Ops
+// read the mark when they build a node, so it decides whether the
+// nodes built from v from now on record parents and a backward closure:
+// models.Evaluate clears it on a benchmark's parameters for the length
+// of an evaluation, which builds no backward graph.
+func (v *Value) SetRequiresGrad(on bool) { v.requiresGrad = on }
 
 // Shape returns the shape of the underlying tensor.
 func (v *Value) Shape() []int { return v.Data.Shape() }
@@ -87,7 +106,9 @@ func (v *Value) ZeroGrad() {
 // optimizer step) write gradients without reaching into backward-pass
 // internals. A leaf's buffer outlives every step, so it is built on the
 // heap whatever the leaf's placement; an interior node's buffer dies
-// with its graph and is placed like its data.
+// with its graph and is placed like its data. (A node no gradient flows
+// through records no parents, so it counts as a leaf here; nothing
+// asks it for a gradient.)
 func (v *Value) EnsureGrad() *tensor.Tensor {
 	if v.Grad == nil {
 		if v.parents == nil {
@@ -123,19 +144,34 @@ func filled(like *tensor.Tensor, v float64) *tensor.Tensor {
 	return t
 }
 
-// newNode builds an interior graph node. requiresGrad is inherited from
-// parents; back is only retained when some parent needs gradients.
-func newNode(data *tensor.Tensor, back func(grad *tensor.Tensor), parents ...*Value) *Value {
-	need := false
-	for _, p := range parents {
+// newNode builds the interior node holding data, which an op computed
+// from operands. A gradient flows through it when one of the operands
+// requires one; only then does the node record them as its parents, and
+// only then does the op attach back:
+//
+//	node := newNode(out, a, b)
+//	if node.requiresGrad {
+//		node.back = func(g *tensor.Tensor) { … }
+//	}
+//	return node
+//
+// so a node no gradient can reach allocates no closure. Two parents fit
+// in the node's inline array; more are copied to a slice of their own.
+func newNode(data *tensor.Tensor, operands ...*Value) *Value {
+	n := &Value{Data: data}
+	for _, p := range operands {
 		if p.requiresGrad {
-			need = true
+			n.requiresGrad = true
 			break
 		}
 	}
-	n := &Value{Data: data, parents: parents, requiresGrad: need}
-	if need {
-		n.back = back
+	if !n.requiresGrad {
+		return n
+	}
+	if len(operands) <= len(n.inline) {
+		n.parents = n.inline[:copy(n.inline[:], operands)]
+	} else {
+		n.parents = append([]*Value(nil), operands...)
 	}
 	return n
 }
@@ -190,7 +226,7 @@ func walk(root *Value) *Value {
 	root.stamp, root.next, root.link = stamp, 0, nil
 	var order *Value
 	for top := root; top != nil; {
-		if top.next < len(top.parents) {
+		if int(top.next) < len(top.parents) {
 			p := top.parents[top.next]
 			top.next++
 			if p.stamp != stamp && p.requiresGrad {

@@ -44,26 +44,30 @@ func AffineGrid(theta *Value, outH, outW int) *Value {
 			}
 		}
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		gt := tensor.NewLike(theta.Data)
-		for img := 0; img < n; img++ {
-			pi := 0
-			for y := 0; y < outH; y++ {
-				for x := 0; x < outW; x++ {
-					ggx := g.Data[(img*hw+pi)*2]
-					ggy := g.Data[(img*hw+pi)*2+1]
-					gt.Data[img*6+0] += ggx * xs[x]
-					gt.Data[img*6+1] += ggx * ys[y]
-					gt.Data[img*6+2] += ggx
-					gt.Data[img*6+3] += ggy * xs[x]
-					gt.Data[img*6+4] += ggy * ys[y]
-					gt.Data[img*6+5] += ggy
-					pi++
+	node := newNode(out, theta)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			gt := tensor.NewLike(theta.Data)
+			for img := 0; img < n; img++ {
+				pi := 0
+				for y := 0; y < outH; y++ {
+					for x := 0; x < outW; x++ {
+						ggx := g.Data[(img*hw+pi)*2]
+						ggy := g.Data[(img*hw+pi)*2+1]
+						gt.Data[img*6+0] += ggx * xs[x]
+						gt.Data[img*6+1] += ggx * ys[y]
+						gt.Data[img*6+2] += ggx
+						gt.Data[img*6+3] += ggy * xs[x]
+						gt.Data[img*6+4] += ggy * ys[y]
+						gt.Data[img*6+5] += ggy
+						pi++
+					}
 				}
 			}
+			theta.accumGrad(gt)
 		}
-		theta.accumGrad(gt)
-	}, theta)
+	}
+	return node
 }
 
 // GridSample bilinearly samples the NCHW input at the normalized grid
@@ -101,58 +105,62 @@ func GridSample(input, grid *Value, outH, outW int) *Value {
 			}
 		}
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		var gin *tensor.Tensor
-		if input.requiresGrad {
-			gin = tensor.NewLike(input.Data)
-		}
-		var ggr *tensor.Tensor
-		if grid.requiresGrad {
-			ggr = tensor.NewLike(grid.Data)
-		}
-		scatter := func(img, ch, ix, iy int, v float64) {
-			if ix < 0 || ix >= w || iy < 0 || iy >= h {
-				return
+	node := newNode(out, input, grid)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			var gin *tensor.Tensor
+			if input.requiresGrad {
+				gin = tensor.NewLike(input.Data)
 			}
-			gin.Data[((img*c+ch)*h+iy)*w+ix] += v
-		}
-		for img := 0; img < n; img++ {
-			for pi := 0; pi < hw; pi++ {
-				gx := unx(grid.Data.Data[(img*hw+pi)*2])
-				gy := uny(grid.Data.Data[(img*hw+pi)*2+1])
-				x0, y0 := int(math.Floor(gx)), int(math.Floor(gy))
-				fx, fy := gx-float64(x0), gy-float64(y0)
-				var dGx, dGy float64
-				for ch := 0; ch < c; ch++ {
-					gy0 := g.Data[(img*c+ch)*hw+pi]
-					if gin != nil {
-						scatter(img, ch, x0, y0, gy0*(1-fx)*(1-fy))
-						scatter(img, ch, x0+1, y0, gy0*fx*(1-fy))
-						scatter(img, ch, x0, y0+1, gy0*(1-fx)*fy)
-						scatter(img, ch, x0+1, y0+1, gy0*fx*fy)
+			var ggr *tensor.Tensor
+			if grid.requiresGrad {
+				ggr = tensor.NewLike(grid.Data)
+			}
+			scatter := func(img, ch, ix, iy int, v float64) {
+				if ix < 0 || ix >= w || iy < 0 || iy >= h {
+					return
+				}
+				gin.Data[((img*c+ch)*h+iy)*w+ix] += v
+			}
+			for img := 0; img < n; img++ {
+				for pi := 0; pi < hw; pi++ {
+					gx := unx(grid.Data.Data[(img*hw+pi)*2])
+					gy := uny(grid.Data.Data[(img*hw+pi)*2+1])
+					x0, y0 := int(math.Floor(gx)), int(math.Floor(gy))
+					fx, fy := gx-float64(x0), gy-float64(y0)
+					var dGx, dGy float64
+					for ch := 0; ch < c; ch++ {
+						gy0 := g.Data[(img*c+ch)*hw+pi]
+						if gin != nil {
+							scatter(img, ch, x0, y0, gy0*(1-fx)*(1-fy))
+							scatter(img, ch, x0+1, y0, gy0*fx*(1-fy))
+							scatter(img, ch, x0, y0+1, gy0*(1-fx)*fy)
+							scatter(img, ch, x0+1, y0+1, gy0*fx*fy)
+						}
+						if ggr != nil {
+							v00 := sample(img, ch, x0, y0)
+							v10 := sample(img, ch, x0+1, y0)
+							v01 := sample(img, ch, x0, y0+1)
+							v11 := sample(img, ch, x0+1, y0+1)
+							// d(out)/d(fx) and d(out)/d(fy).
+							dGx += gy0 * ((v10-v00)*(1-fy) + (v11-v01)*fy)
+							dGy += gy0 * ((v01-v00)*(1-fx) + (v11-v10)*fx)
+						}
 					}
 					if ggr != nil {
-						v00 := sample(img, ch, x0, y0)
-						v10 := sample(img, ch, x0+1, y0)
-						v01 := sample(img, ch, x0, y0+1)
-						v11 := sample(img, ch, x0+1, y0+1)
-						// d(out)/d(fx) and d(out)/d(fy).
-						dGx += gy0 * ((v10-v00)*(1-fy) + (v11-v01)*fy)
-						dGy += gy0 * ((v01-v00)*(1-fx) + (v11-v10)*fx)
+						// Chain through the unnormalization.
+						ggr.Data[(img*hw+pi)*2] += dGx * float64(w-1) / 2
+						ggr.Data[(img*hw+pi)*2+1] += dGy * float64(h-1) / 2
 					}
 				}
-				if ggr != nil {
-					// Chain through the unnormalization.
-					ggr.Data[(img*hw+pi)*2] += dGx * float64(w-1) / 2
-					ggr.Data[(img*hw+pi)*2+1] += dGy * float64(h-1) / 2
-				}
+			}
+			if gin != nil {
+				input.accumGrad(gin)
+			}
+			if ggr != nil {
+				grid.accumGrad(ggr)
 			}
 		}
-		if gin != nil {
-			input.accumGrad(gin)
-		}
-		if ggr != nil {
-			grid.accumGrad(ggr)
-		}
-	}, input, grid)
+	}
+	return node
 }

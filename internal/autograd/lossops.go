@@ -25,18 +25,22 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	}
 	loss /= float64(rows)
 	out := scalar(logits.Data, loss)
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / float64(rows)
-		gl := tensor.NewLike(logits.Data)
-		for r := 0; r < rows; r++ {
-			base := r * cols
-			for c := 0; c < cols; c++ {
-				gl.Data[base+c] = scale * probs.Data[base+c]
+	node := newNode(out, logits)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := g.Data[0] / float64(rows)
+			gl := tensor.NewLike(logits.Data)
+			for r := 0; r < rows; r++ {
+				base := r * cols
+				for c := 0; c < cols; c++ {
+					gl.Data[base+c] = scale * probs.Data[base+c]
+				}
+				gl.Data[base+labels[r]] -= scale
 			}
-			gl.Data[base+labels[r]] -= scale
+			logits.accumGrad(gl)
 		}
-		logits.accumGrad(gl)
-	}, logits)
+	}
+	return node
 }
 
 // MSELoss computes the mean squared error between pred and a constant
@@ -53,14 +57,18 @@ func MSELoss(pred *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(pred.Data, loss)
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := 2 * g.Data[0] / n
-		gp := tensor.NewLike(pred.Data)
-		for i := range gp.Data {
-			gp.Data[i] = scale * (pred.Data.Data[i] - target.Data[i])
+	node := newNode(out, pred)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := 2 * g.Data[0] / n
+			gp := tensor.NewLike(pred.Data)
+			for i := range gp.Data {
+				gp.Data[i] = scale * (pred.Data.Data[i] - target.Data[i])
+			}
+			pred.accumGrad(gp)
 		}
-		pred.accumGrad(gp)
-	}, pred)
+	}
+	return node
 }
 
 // L1Loss computes the mean absolute error between pred and a constant
@@ -76,20 +84,24 @@ func L1Loss(pred *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(pred.Data, loss)
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / n
-		gp := tensor.NewLike(pred.Data)
-		for i := range gp.Data {
-			d := pred.Data.Data[i] - target.Data[i]
-			switch {
-			case d > 0:
-				gp.Data[i] = scale
-			case d < 0:
-				gp.Data[i] = -scale
+	node := newNode(out, pred)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := g.Data[0] / n
+			gp := tensor.NewLike(pred.Data)
+			for i := range gp.Data {
+				d := pred.Data.Data[i] - target.Data[i]
+				switch {
+				case d > 0:
+					gp.Data[i] = scale
+				case d < 0:
+					gp.Data[i] = -scale
+				}
 			}
+			pred.accumGrad(gp)
 		}
-		pred.accumGrad(gp)
-	}, pred)
+	}
+	return node
 }
 
 // BCEWithLogits computes the mean binary cross-entropy of logits against
@@ -107,15 +119,19 @@ func BCEWithLogits(logits *Value, target *tensor.Tensor) *Value {
 	}
 	loss /= n
 	out := scalar(logits.Data, loss)
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / n
-		gp := tensor.NewLike(logits.Data)
-		for i, x := range logits.Data.Data {
-			s := 1 / (1 + math.Exp(-x))
-			gp.Data[i] = scale * (s - target.Data[i])
+	node := newNode(out, logits)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := g.Data[0] / n
+			gp := tensor.NewLike(logits.Data)
+			for i, x := range logits.Data.Data {
+				s := 1 / (1 + math.Exp(-x))
+				gp.Data[i] = scale * (s - target.Data[i])
+			}
+			logits.accumGrad(gp)
 		}
-		logits.accumGrad(gp)
-	}, logits)
+	}
+	return node
 }
 
 // TripletLoss computes mean(max(0, ||a-p||² - ||a-n||² + margin)) over
@@ -143,29 +159,33 @@ func TripletLoss(anchor, pos, neg *Value, margin float64) *Value {
 	ar := tensor.ArenaOf(anchor.Data, pos.Data, neg.Data)
 	out := ar.New(1)
 	out.Data[0] = loss
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / float64(rows)
-		ga := ar.New(rows, cols)
-		gp := ar.New(rows, cols)
-		gn := ar.New(rows, cols)
-		for r := 0; r < rows; r++ {
-			if !active[r] {
-				continue
+	node := newNode(out, anchor, pos, neg)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := g.Data[0] / float64(rows)
+			ga := ar.New(rows, cols)
+			gp := ar.New(rows, cols)
+			gn := ar.New(rows, cols)
+			for r := 0; r < rows; r++ {
+				if !active[r] {
+					continue
+				}
+				base := r * cols
+				for c := 0; c < cols; c++ {
+					a := anchor.Data.Data[base+c]
+					p := pos.Data.Data[base+c]
+					n := neg.Data.Data[base+c]
+					ga.Data[base+c] = scale * 2 * (n - p)
+					gp.Data[base+c] = scale * 2 * (p - a)
+					gn.Data[base+c] = scale * 2 * (a - n)
+				}
 			}
-			base := r * cols
-			for c := 0; c < cols; c++ {
-				a := anchor.Data.Data[base+c]
-				p := pos.Data.Data[base+c]
-				n := neg.Data.Data[base+c]
-				ga.Data[base+c] = scale * 2 * (n - p)
-				gp.Data[base+c] = scale * 2 * (p - a)
-				gn.Data[base+c] = scale * 2 * (a - n)
-			}
+			anchor.accumGrad(ga)
+			pos.accumGrad(gp)
+			neg.accumGrad(gn)
 		}
-		anchor.accumGrad(ga)
-		pos.accumGrad(gp)
-		neg.accumGrad(gn)
-	}, anchor, pos, neg)
+	}
+	return node
 }
 
 // MaskedSoftmaxCrossEntropy is SoftmaxCrossEntropy that ignores rows whose
@@ -190,19 +210,23 @@ func MaskedSoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	}
 	loss /= float64(count)
 	out := scalar(logits.Data, loss)
-	return newNode(out, func(g *tensor.Tensor) {
-		scale := g.Data[0] / float64(count)
-		gl := tensor.NewLike(logits.Data)
-		for r, lab := range labels {
-			if lab < 0 {
-				continue
+	node := newNode(out, logits)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			scale := g.Data[0] / float64(count)
+			gl := tensor.NewLike(logits.Data)
+			for r, lab := range labels {
+				if lab < 0 {
+					continue
+				}
+				base := r * cols
+				for c := 0; c < cols; c++ {
+					gl.Data[base+c] = scale * probs.Data[base+c]
+				}
+				gl.Data[base+lab] -= scale
 			}
-			base := r * cols
-			for c := 0; c < cols; c++ {
-				gl.Data[base+c] = scale * probs.Data[base+c]
-			}
-			gl.Data[base+lab] -= scale
+			logits.accumGrad(gl)
 		}
-		logits.accumGrad(gl)
-	}, logits)
+	}
+	return node
 }

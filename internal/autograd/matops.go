@@ -9,11 +9,15 @@ import (
 // MatMul multiplies two 2-D Values.
 func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.Data, b.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		// dA = G·Bᵀ, dB = Aᵀ·G
-		a.accumGrad(tensor.MatMulT(g, b.Data))
-		b.accumGrad(tensor.TMatMul(a.Data, g))
-	}, a, b)
+	node := newNode(out, a, b)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			// dA = G·Bᵀ, dB = Aᵀ·G
+			a.accumGrad(tensor.MatMulT(g, b.Data))
+			b.accumGrad(tensor.TMatMul(a.Data, g))
+		}
+	}
+	return node
 }
 
 // MatMulT multiplies a by the transpose of b: (m×k) · (n×k)ᵀ → (m×n),
@@ -22,46 +26,66 @@ func MatMul(a, b *Value) *Value {
 // dispatch layer instead of paying a Transpose copy each way.
 func MatMulT(a, b *Value) *Value {
 	out := tensor.MatMulT(a.Data, b.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		// out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A
-		a.accumGrad(tensor.MatMul(g, b.Data))
-		b.accumGrad(tensor.TMatMul(g, a.Data))
-	}, a, b)
+	node := newNode(out, a, b)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			// out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A
+			a.accumGrad(tensor.MatMul(g, b.Data))
+			b.accumGrad(tensor.TMatMul(g, a.Data))
+		}
+	}
+	return node
 }
 
 // AddRowVector adds bias vector v to every row of 2-D a.
 func AddRowVector(a, v *Value) *Value {
 	out := tensor.AddRowVector(a.Data, v.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		a.accumGrad(g)
-		v.accumGrad(tensor.SumRows(g))
-	}, a, v)
+	node := newNode(out, a, v)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			a.accumGrad(g)
+			v.accumGrad(tensor.SumRows(g))
+		}
+	}
+	return node
 }
 
 // AddChannelVector adds a per-channel bias to an NCHW Value.
 func AddChannelVector(a, v *Value) *Value {
 	out := tensor.AddChannelVector(a.Data, v.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		a.accumGrad(g)
-		v.accumGrad(tensor.SumChannels(g))
-	}, a, v)
+	node := newNode(out, a, v)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			a.accumGrad(g)
+			v.accumGrad(tensor.SumChannels(g))
+		}
+	}
+	return node
 }
 
 // Reshape returns a view of a with a new shape; gradients flow back
 // reshaped to a's original shape.
 func Reshape(a *Value, shape ...int) *Value {
 	out := a.Data.Reshape(shape...)
-	return newNode(out, func(g *tensor.Tensor) {
-		a.accumGrad(g.Reshape(a.Data.Shape()...))
-	}, a)
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			a.accumGrad(g.Reshape(a.Data.Shape()...))
+		}
+	}
+	return node
 }
 
 // Transpose transposes a 2-D Value.
 func Transpose(a *Value) *Value {
 	out := tensor.Transpose(a.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		a.accumGrad(tensor.Transpose(g))
-	}, a)
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			a.accumGrad(tensor.Transpose(g))
+		}
+	}
+	return node
 }
 
 // arenaOf returns the placement of an op over vs: the arena of the
@@ -82,14 +106,18 @@ func Concat(vs ...*Value) *Value {
 		ts[i] = v.Data
 	}
 	out := tensor.Concat(ts...)
-	return newNode(out, func(g *tensor.Tensor) {
-		off := 0
-		for _, v := range vs {
-			n := v.Data.Dim(0)
-			v.accumGrad(g.SliceRows(off, off+n))
-			off += n
+	node := newNode(out, vs...)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			off := 0
+			for _, v := range vs {
+				n := v.Data.Dim(0)
+				v.accumGrad(g.SliceRows(off, off+n))
+				off += n
+			}
 		}
-	}, vs...)
+	}
+	return node
 }
 
 // ConcatCols concatenates 2-D Values along dimension 1 (columns). Used to
@@ -113,32 +141,40 @@ func ConcatCols(vs ...*Value) *Value {
 		}
 		off += c
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		off := 0
-		for _, v := range vs {
-			c := v.Data.Dim(1)
-			gv := ar.New(rows, c)
-			for r := 0; r < rows; r++ {
-				copy(gv.Data[r*c:(r+1)*c], g.Data[r*total+off:r*total+off+c])
+	node := newNode(out, vs...)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			off := 0
+			for _, v := range vs {
+				c := v.Data.Dim(1)
+				gv := ar.New(rows, c)
+				for r := 0; r < rows; r++ {
+					copy(gv.Data[r*c:(r+1)*c], g.Data[r*total+off:r*total+off+c])
+				}
+				v.accumGrad(gv)
+				off += c
 			}
-			v.accumGrad(gv)
-			off += c
 		}
-	}, vs...)
+	}
+	return node
 }
 
 // SliceRows extracts rows [lo,hi) along dimension 0.
 func SliceRows(a *Value, lo, hi int) *Value {
 	out := a.Data.SliceRows(lo, hi)
-	return newNode(out, func(g *tensor.Tensor) {
-		ga := tensor.NewLike(a.Data)
-		rowVol := 1
-		for d := 1; d < a.Data.Rank(); d++ {
-			rowVol *= a.Data.Dim(d)
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			ga := tensor.NewLike(a.Data)
+			rowVol := 1
+			for d := 1; d < a.Data.Rank(); d++ {
+				rowVol *= a.Data.Dim(d)
+			}
+			copy(ga.Data[lo*rowVol:hi*rowVol], g.Data)
+			a.accumGrad(ga)
 		}
-		copy(ga.Data[lo*rowVol:hi*rowVol], g.Data)
-		a.accumGrad(ga)
-	}, a)
+	}
+	return node
 }
 
 // SliceCols extracts columns [lo,hi) of a 2-D Value.
@@ -155,13 +191,17 @@ func SliceCols(a *Value, lo, hi int) *Value {
 	for r := 0; r < rows; r++ {
 		copy(out.Data[r*w:(r+1)*w], a.Data.Data[r*cols+lo:r*cols+hi])
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		ga := tensor.NewLike(a.Data)
-		for r := 0; r < rows; r++ {
-			copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			ga := tensor.NewLike(a.Data)
+			for r := 0; r < rows; r++ {
+				copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
+			}
+			a.accumGrad(ga)
 		}
-		a.accumGrad(ga)
-	}, a)
+	}
+	return node
 }
 
 // Gather selects rows of the 2-D weight matrix by index: the embedding
@@ -178,15 +218,19 @@ func Gather(weight *Value, ids []int) *Value {
 		}
 		copy(out.Data[i*dim:(i+1)*dim], weight.Data.Data[id*dim:(id+1)*dim])
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		gw := tensor.NewLike(weight.Data)
-		for i, id := range ids {
-			for d := 0; d < dim; d++ {
-				gw.Data[id*dim+d] += g.Data[i*dim+d]
+	node := newNode(out, weight)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			gw := tensor.NewLike(weight.Data)
+			for i, id := range ids {
+				for d := 0; d < dim; d++ {
+					gw.Data[id*dim+d] += g.Data[i*dim+d]
+				}
 			}
+			weight.accumGrad(gw)
 		}
-		weight.accumGrad(gw)
-	}, weight)
+	}
+	return node
 }
 
 // ConcatChannels concatenates two NCHW Values along the channel
@@ -203,22 +247,26 @@ func ConcatChannels(a, b *Value) *Value {
 		copy(out.Data[i*(ca+cb)*plane:], a.Data.Data[i*ca*plane:(i+1)*ca*plane])
 		copy(out.Data[(i*(ca+cb)+ca)*plane:], b.Data.Data[i*cb*plane:(i+1)*cb*plane])
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			ga := tensor.NewLike(a.Data)
-			for i := 0; i < n; i++ {
-				copy(ga.Data[i*ca*plane:(i+1)*ca*plane], g.Data[i*(ca+cb)*plane:])
+	node := newNode(out, a, b)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			if a.requiresGrad {
+				ga := tensor.NewLike(a.Data)
+				for i := 0; i < n; i++ {
+					copy(ga.Data[i*ca*plane:(i+1)*ca*plane], g.Data[i*(ca+cb)*plane:])
+				}
+				a.accumGrad(ga)
 			}
-			a.accumGrad(ga)
-		}
-		if b.requiresGrad {
-			gb := tensor.NewLike(b.Data)
-			for i := 0; i < n; i++ {
-				copy(gb.Data[i*cb*plane:(i+1)*cb*plane], g.Data[(i*(ca+cb)+ca)*plane:])
+			if b.requiresGrad {
+				gb := tensor.NewLike(b.Data)
+				for i := 0; i < n; i++ {
+					copy(gb.Data[i*cb*plane:(i+1)*cb*plane], g.Data[(i*(ca+cb)+ca)*plane:])
+				}
+				b.accumGrad(gb)
 			}
-			b.accumGrad(gb)
 		}
-	}, a, b)
+	}
+	return node
 }
 
 // GatherCols selects columns of a 2-D Value by index, producing a
@@ -241,13 +289,17 @@ func GatherCols(a *Value, idx []int) *Value {
 			out.Data[r*w+k] = a.Data.Data[r*cols+j]
 		}
 	}
-	return newNode(out, func(g *tensor.Tensor) {
-		ga := tensor.NewLike(a.Data)
-		for r := 0; r < rows; r++ {
-			for k, j := range idx {
-				ga.Data[r*cols+j] += g.Data[r*w+k]
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			ga := tensor.NewLike(a.Data)
+			for r := 0; r < rows; r++ {
+				for k, j := range idx {
+					ga.Data[r*cols+j] += g.Data[r*w+k]
+				}
 			}
+			a.accumGrad(ga)
 		}
-		a.accumGrad(ga)
-	}, a)
+	}
+	return node
 }

@@ -9,21 +9,25 @@ import (
 // SoftmaxRows applies softmax to each row of a 2-D Value.
 func SoftmaxRows(a *Value) *Value {
 	out := tensor.SoftmaxRows(a.Data)
-	return newNode(out, func(g *tensor.Tensor) {
-		rows, cols := out.Dim(0), out.Dim(1)
-		ga := tensor.NewLike(out)
-		for r := 0; r < rows; r++ {
-			base := r * cols
-			dot := 0.0
-			for c := 0; c < cols; c++ {
-				dot += g.Data[base+c] * out.Data[base+c]
+	node := newNode(out, a)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			rows, cols := out.Dim(0), out.Dim(1)
+			ga := tensor.NewLike(out)
+			for r := 0; r < rows; r++ {
+				base := r * cols
+				dot := 0.0
+				for c := 0; c < cols; c++ {
+					dot += g.Data[base+c] * out.Data[base+c]
+				}
+				for c := 0; c < cols; c++ {
+					ga.Data[base+c] = out.Data[base+c] * (g.Data[base+c] - dot)
+				}
 			}
-			for c := 0; c < cols; c++ {
-				ga.Data[base+c] = out.Data[base+c] * (g.Data[base+c] - dot)
-			}
+			a.accumGrad(ga)
 		}
-		a.accumGrad(ga)
-	}, a)
+	}
+	return node
 }
 
 // BatchNorm2D applies training-mode batch normalization to an NCHW Value
@@ -75,40 +79,42 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 			}
 		}
 	}
-	node := newNode(o, nil, x, gamma, beta)
-	node.back = func(g *tensor.Tensor) {
-		dgamma := ar.New(c)
-		dbeta := ar.New(c)
-		sumDy := ar.New(c)
-		sumDyXhat := ar.New(c)
-		for img := 0; img < n; img++ {
-			for ch := 0; ch < c; ch++ {
-				base := (img*c + ch) * plane
-				for k := 0; k < plane; k++ {
-					gy := g.Data[base+k]
-					sumDy.Data[ch] += gy
-					sumDyXhat.Data[ch] += gy * xhat.Data[base+k]
-				}
-			}
-		}
-		copy(dbeta.Data, sumDy.Data)
-		copy(dgamma.Data, sumDyXhat.Data)
-		gamma.accumGrad(dgamma)
-		beta.accumGrad(dbeta)
-		if x.requiresGrad {
-			gx := ar.New(n, c, h, w)
+	node := newNode(o, x, gamma, beta)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			dgamma := ar.New(c)
+			dbeta := ar.New(c)
+			sumDy := ar.New(c)
+			sumDyXhat := ar.New(c)
 			for img := 0; img < n; img++ {
 				for ch := 0; ch < c; ch++ {
 					base := (img*c + ch) * plane
-					ga, is := gamma.Data.Data[ch], invStd.Data[ch]
-					sDy, sDyX := sumDy.Data[ch], sumDyXhat.Data[ch]
 					for k := 0; k < plane; k++ {
 						gy := g.Data[base+k]
-						gx.Data[base+k] = ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX)
+						sumDy.Data[ch] += gy
+						sumDyXhat.Data[ch] += gy * xhat.Data[base+k]
 					}
 				}
 			}
-			x.accumGrad(gx)
+			copy(dbeta.Data, sumDy.Data)
+			copy(dgamma.Data, sumDyXhat.Data)
+			gamma.accumGrad(dgamma)
+			beta.accumGrad(dbeta)
+			if x.requiresGrad {
+				gx := ar.New(n, c, h, w)
+				for img := 0; img < n; img++ {
+					for ch := 0; ch < c; ch++ {
+						base := (img*c + ch) * plane
+						ga, is := gamma.Data.Data[ch], invStd.Data[ch]
+						sDy, sDyX := sumDy.Data[ch], sumDyXhat.Data[ch]
+						for k := 0; k < plane; k++ {
+							gy := g.Data[base+k]
+							gx.Data[base+k] = ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX)
+						}
+					}
+				}
+				x.accumGrad(gx)
+			}
 		}
 	}
 	return node, mean, variance
@@ -134,21 +140,25 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 			}
 		}
 	}
-	return newNode(o, func(g *tensor.Tensor) {
-		if x.requiresGrad {
-			gx := ar.New(n, c, h, w)
-			for img := 0; img < n; img++ {
-				for ch := 0; ch < c; ch++ {
-					base := (img*c + ch) * plane
-					sc := scale.Data[ch]
-					for k := 0; k < plane; k++ {
-						gx.Data[base+k] = sc * g.Data[base+k]
+	node := newNode(o, x)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			if x.requiresGrad {
+				gx := ar.New(n, c, h, w)
+				for img := 0; img < n; img++ {
+					for ch := 0; ch < c; ch++ {
+						base := (img*c + ch) * plane
+						sc := scale.Data[ch]
+						for k := 0; k < plane; k++ {
+							gx.Data[base+k] = sc * g.Data[base+k]
+						}
 					}
 				}
+				x.accumGrad(gx)
 			}
-			x.accumGrad(gx)
 		}
-	}, x)
+	}
+	return node
 }
 
 // LayerNorm normalizes each row of a 2-D Value with learnable per-column
@@ -181,35 +191,39 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 			o.Data[base+c] = gamma.Data.Data[c]*xh + beta.Data.Data[c]
 		}
 	}
-	return newNode(o, func(g *tensor.Tensor) {
-		dgamma := ar.New(cols)
-		dbeta := ar.New(cols)
-		for r := 0; r < rows; r++ {
-			base := r * cols
-			for c := 0; c < cols; c++ {
-				dgamma.Data[c] += g.Data[base+c] * xhat.Data[base+c]
-				dbeta.Data[c] += g.Data[base+c]
-			}
-		}
-		gamma.accumGrad(dgamma)
-		beta.accumGrad(dbeta)
-		if x.requiresGrad {
-			gx := ar.New(rows, cols)
+	node := newNode(o, x, gamma, beta)
+	if node.requiresGrad {
+		node.back = func(g *tensor.Tensor) {
+			dgamma := ar.New(cols)
+			dbeta := ar.New(cols)
 			for r := 0; r < rows; r++ {
 				base := r * cols
-				sDy, sDyX := 0.0, 0.0
 				for c := 0; c < cols; c++ {
-					gy := g.Data[base+c] * gamma.Data.Data[c]
-					sDy += gy
-					sDyX += gy * xhat.Data[base+c]
-				}
-				is := invStd[r]
-				for c := 0; c < cols; c++ {
-					gy := g.Data[base+c] * gamma.Data.Data[c]
-					gx.Data[base+c] = is / d * (d*gy - sDy - xhat.Data[base+c]*sDyX)
+					dgamma.Data[c] += g.Data[base+c] * xhat.Data[base+c]
+					dbeta.Data[c] += g.Data[base+c]
 				}
 			}
-			x.accumGrad(gx)
+			gamma.accumGrad(dgamma)
+			beta.accumGrad(dbeta)
+			if x.requiresGrad {
+				gx := ar.New(rows, cols)
+				for r := 0; r < rows; r++ {
+					base := r * cols
+					sDy, sDyX := 0.0, 0.0
+					for c := 0; c < cols; c++ {
+						gy := g.Data[base+c] * gamma.Data.Data[c]
+						sDy += gy
+						sDyX += gy * xhat.Data[base+c]
+					}
+					is := invStd[r]
+					for c := 0; c < cols; c++ {
+						gy := g.Data[base+c] * gamma.Data.Data[c]
+						gx.Data[base+c] = is / d * (d*gy - sDy - xhat.Data[base+c]*sDyX)
+					}
+				}
+				x.accumGrad(gx)
+			}
 		}
-	}, x, gamma, beta)
+	}
+	return node
 }

@@ -74,7 +74,7 @@ type epochTrainer interface {
 type serialTrainer struct{ w models.Benchmark }
 
 func (s serialTrainer) TrainEpoch() (float64, error) { return s.w.TrainEpoch(), nil }
-func (s serialTrainer) Quality() (float64, error)    { return s.w.Quality(), nil }
+func (s serialTrainer) Quality() (float64, error)    { return models.Evaluate(s.w), nil }
 
 // runSession is the session kind's body: one real training session of
 // the scaled model through the tensor/autograd/nn/optim stack, shaped by

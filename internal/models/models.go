@@ -79,6 +79,27 @@ func MeetsTarget(b Benchmark, q float64) bool {
 	return q >= b.ScaledTarget()
 }
 
+// Evaluate returns b.Quality() computed without a backward graph: for
+// the length of the call the instance's parameters are gradient-free,
+// so every node the evaluation builds is a single heap object with
+// neither parents nor a backward closure. The forward arithmetic is
+// unchanged and Quality never calls Backward, so the result is bitwise
+// that of b.Quality(). The parameters require gradients again when
+// Evaluate returns, even if Quality panics. Each instance owns its
+// parameters, so no other instance sees the change.
+func Evaluate(b Benchmark) float64 {
+	ps := b.Module().Params()
+	for _, p := range ps {
+		p.Value.SetRequiresGrad(false)
+	}
+	defer func() {
+		for _, p := range ps {
+			p.Value.SetRequiresGrad(true)
+		}
+	}()
+	return b.Quality()
+}
+
 // multiModule aggregates several modules' parameters (models with
 // separate generator/discriminator or teacher/student parts).
 type multiModule struct{ mods []nn.Module }

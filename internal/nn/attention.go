@@ -36,7 +36,6 @@ func NewMultiHeadAttention(rng *rand.Rand, d, heads int) *MultiHeadAttention {
 // (self-attention when q == kv; cross-attention in the decoder). If
 // causal is true, position i may only attend to kv positions <= i.
 func (a *MultiHeadAttention) Attend(q, kv *autograd.Value, causal bool) *autograd.Value {
-	tq := q.Shape()[0]
 	hd := a.D / a.Heads
 	qs := autograd.MatMul(q, a.Wq.Value)
 	ks := autograd.MatMul(kv, a.Wk.Value)
@@ -57,9 +56,7 @@ func (a *MultiHeadAttention) Attend(q, kv *autograd.Value, causal bool) *autogra
 		headsOut[h] = autograd.MatMul(attn, vh)
 	}
 	concat := autograd.ConcatCols(headsOut...)
-	out := autograd.MatMul(concat, a.Wo.Value)
-	_ = tq
-	return out
+	return autograd.MatMul(concat, a.Wo.Value)
 }
 
 // Forward is self-attention without masking (encoder usage), satisfying
@@ -76,8 +73,8 @@ func (a *MultiHeadAttention) Params() []*Param {
 // applyCausalMask adds -inf above the diagonal so softmax zeroes future
 // positions.
 func applyCausalMask(scores *autograd.Value) *autograd.Value {
-	t, s := scores.Shape()[0], scores.Shape()[1]
-	mask := tensor.New(t, s)
+	t, s := scores.Data.Dim(0), scores.Data.Dim(1)
+	mask := tensor.NewLike(scores.Data)
 	for i := 0; i < t; i++ {
 		for j := i + 1; j < s; j++ {
 			mask.Data[i*s+j] = -1e9

@@ -87,7 +87,9 @@ func (g *GRUCell) Step(x, h *autograd.Value) *autograd.Value {
 		autograd.Add(autograd.MatMul(x, g.Wxc.Value), autograd.MatMul(autograd.Mul(r, h), g.Whc.Value)),
 		g.Bc.Value))
 	// h' = (1-z)*h + z*cand
-	one := autograd.Const(tensor.Ones(z.Shape()...))
+	ones := tensor.NewLike(z.Data)
+	ones.Fill(1)
+	one := autograd.Const(ones)
 	keep := autograd.Sub(one, z)
 	return autograd.Add(autograd.Mul(keep, h), autograd.Mul(z, cand))
 }
