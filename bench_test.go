@@ -15,6 +15,7 @@ import (
 	"aibench"
 	"aibench/internal/core"
 	"aibench/internal/gpusim"
+	"aibench/internal/models"
 	"aibench/internal/tensor"
 )
 
@@ -396,7 +397,7 @@ func BenchmarkScaledTrainingEpoch(b *testing.B) {
 			w := aibench.NewSuite().Benchmark(id).Factory(42)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.TrainEpoch()
+				models.TrainEpoch(w)
 			}
 		})
 	}

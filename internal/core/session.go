@@ -69,11 +69,12 @@ type epochTrainer interface {
 	Quality() (float64, error)
 }
 
-// serialTrainer adapts the classic serial workload contract — which
-// cannot fail, only panic — to the error-aware trainer interface.
+// serialTrainer adapts the serial epoch and evaluation (models.TrainEpoch
+// and models.Evaluate) — which cannot fail, only panic — to the
+// error-aware trainer interface.
 type serialTrainer struct{ w models.Benchmark }
 
-func (s serialTrainer) TrainEpoch() (float64, error) { return s.w.TrainEpoch(), nil }
+func (s serialTrainer) TrainEpoch() (float64, error) { return models.TrainEpoch(s.w), nil }
 func (s serialTrainer) Quality() (float64, error)    { return models.Evaluate(s.w), nil }
 
 // runSession is the session kind's body: one real training session of

@@ -147,7 +147,7 @@ func (e *Engine) Close() error {
 }
 
 // TrainEpoch runs one data-parallel epoch and returns the mean step
-// loss, matching the Benchmark.TrainEpoch contract. A step's loss is
+// loss, matching the models.TrainEpoch contract. A step's loss is
 // the mean over its reporting phases' reduced losses. An error means
 // the group failed (a dead replica, a determinism violation) and the
 // engine is no longer usable.

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -25,21 +26,26 @@ func (m fakeModule) Params() []*nn.Param { return m }
 // (the way a GAN generator loss backpropagates through the critic);
 // if per-phase reduces mixed gradients across phases, b's update
 // would absorb the leak. Each replica records its own event sequence
-// so the declared phase order is checked on every rank.
+// so the declared phase order is checked on every rank. Phase "first"
+// splits its batch {1, 3} into the grains it is asked for. phases is
+// the declared phase list, and splitsOne makes phase "first" split a
+// one-grain request too.
 type fakePhased struct {
-	a, b   *nn.Param
-	events []string
+	a, b      *nn.Param
+	events    []string
+	phases    []models.PhaseSpec
+	splitsOne bool
 }
 
 func newFakePhased() *fakePhased {
 	return &fakePhased{
-		a: &nn.Param{Name: "a", Value: autograd.Var(tensor.New(1))},
-		b: &nn.Param{Name: "b", Value: autograd.Var(tensor.New(1))},
+		a:      &nn.Param{Name: "a", Value: autograd.Var(tensor.New(1))},
+		b:      &nn.Param{Name: "b", Value: autograd.Var(tensor.New(1))},
+		phases: []models.PhaseSpec{{Name: "first"}, {Name: "second", Report: true}},
 	}
 }
 
 func (f *fakePhased) Name() string          { return "fake-two-phase" }
-func (f *fakePhased) TrainEpoch() float64   { return 0 }
 func (f *fakePhased) Quality() float64      { return 0 }
 func (f *fakePhased) LowerIsBetter() bool   { return true }
 func (f *fakePhased) ScaledTarget() float64 { return 0 }
@@ -47,12 +53,10 @@ func (f *fakePhased) Module() nn.Module     { return fakeModule{f.a, f.b} }
 func (f *fakePhased) Spec() workload.Model  { return workload.Model{Name: "fake"} }
 func (f *fakePhased) Arena() *tensor.Arena  { return nil } // a heap-only workload
 
-func (f *fakePhased) BeginEpoch()        { f.events = append(f.events, "epoch") }
-func (f *fakePhased) StepsPerEpoch() int { return 1 }
+func (f *fakePhased) BeginEpoch()           { f.events = append(f.events, "epoch") }
+func (f *fakePhased) StepsPerEpoch(int) int { return 1 }
 
-func (f *fakePhased) Phases() []models.PhaseSpec {
-	return []models.PhaseSpec{{Name: "first"}, {Name: "second", Report: true}}
-}
+func (f *fakePhased) Phases() []models.PhaseSpec { return f.phases }
 
 func (f *fakePhased) PhaseParams(phase int) []*nn.Param {
 	if phase == 0 {
@@ -61,17 +65,20 @@ func (f *fakePhased) PhaseParams(phase int) []*nn.Param {
 	return []*nn.Param{f.b}
 }
 
-func (f *fakePhased) BeginPhase(phase int) []models.Grain {
+func (f *fakePhased) BeginPhase(phase, grains int) []models.Grain {
 	f.events = append(f.events, "begin:"+f.phaseName(phase))
 	if phase == 0 {
-		mk := func(g float64) models.Grain {
+		mk := func(g float64, n int) models.Grain {
 			return func() (float64, int) {
 				f.a.Value.EnsureGrad().Data[0] += g
 				f.b.Value.EnsureGrad().Data[0] += 1e6 // cross-phase leak
-				return g, 1
+				return g, n
 			}
 		}
-		return []models.Grain{mk(1), mk(3)}
+		if grains == 1 && !f.splitsOne {
+			return []models.Grain{mk(2, 2)} // the batch's mean gradient
+		}
+		return []models.Grain{mk(1, 1), mk(3, 1)}
 	}
 	return []models.Grain{func() (float64, int) {
 		// The second phase sees the first phase's update: its gradient
@@ -91,16 +98,34 @@ func (f *fakePhased) ApplyPhase(phase int) {
 func (f *fakePhased) phaseName(phase int) string { return f.Phases()[phase].Name }
 
 // TestPhaseOrderAndIsolation drives the engine over the fake trainer
-// at several worker counts, asserting (a) every rank executes the
-// phases of every step in declared order, (b) per-phase reduces never
-// mix gradients across phases, and (c) a later phase observes the
-// earlier phase's applied update.
+// at several worker counts, and the serial one-grain driver
+// (models.TrainEpoch) over it once, asserting (a) every rank executes
+// the phases of every step in declared order, (b) per-phase reduces
+// never mix gradients across phases, and (c) a later phase observes
+// the earlier phase's applied update.
 func TestPhaseOrderAndIsolation(t *testing.T) {
 	// One step: phase "first" reduces mean(1,3) = 2 onto a (a: 0 → -2),
 	// then phase "second" reduces 10·a = -20 onto b (b: 0 → 20). Any
 	// cross-phase mixing would pull the 1e6 leak into b.
 	const wantA, wantB = -2.0, 20.0
 	wantEvents := []string{"epoch", "begin:first", "apply:first", "begin:second", "apply:second"}
+	check := func(label string, loss float64, replicas []*fakePhased) {
+		t.Helper()
+		if loss != 5 {
+			t.Errorf("%s: epoch loss %v, want the reporting phase's 5", label, loss)
+		}
+		for r, f := range replicas {
+			if got := strings.Join(f.events, ","); got != strings.Join(wantEvents, ",") {
+				t.Errorf("%s rank %d: event order %q, want %q", label, r, got, wantEvents)
+			}
+			if got := f.a.Value.Data.Data[0]; math.Float64bits(got) != math.Float64bits(wantA) {
+				t.Errorf("%s rank %d: a = %v, want %v", label, r, got, wantA)
+			}
+			if got := f.b.Value.Data.Data[0]; math.Float64bits(got) != math.Float64bits(wantB) {
+				t.Errorf("%s rank %d: b = %v, want %v", label, r, got, wantB)
+			}
+		}
+	}
 
 	for _, workers := range []int{1, 2, 3, 5} {
 		var replicas []*fakePhased
@@ -117,22 +142,49 @@ func TestPhaseOrderAndIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if loss != 5 {
-			t.Errorf("workers=%d: epoch loss %v, want the reporting phase's 5", workers, loss)
-		}
 		if len(replicas) != workers {
 			t.Fatalf("workers=%d: %d replicas constructed", workers, len(replicas))
 		}
-		for r, f := range replicas {
-			if got := strings.Join(f.events, ","); got != strings.Join(wantEvents, ",") {
-				t.Errorf("workers=%d rank %d: event order %q, want %q", workers, r, got, wantEvents)
-			}
-			if got := f.a.Value.Data.Data[0]; math.Float64bits(got) != math.Float64bits(wantA) {
-				t.Errorf("workers=%d rank %d: a = %v, want %v", workers, r, got, wantA)
-			}
-			if got := f.b.Value.Data.Data[0]; math.Float64bits(got) != math.Float64bits(wantB) {
-				t.Errorf("workers=%d rank %d: b = %v, want %v", workers, r, got, wantB)
-			}
+		check(fmt.Sprintf("workers=%d", workers), loss, replicas)
+	}
+
+	f := newFakePhased()
+	check("serial", models.TrainEpoch(f), []*fakePhased{f})
+}
+
+// TestMalformedTrainersAreRefused: both drivers refuse a trainer whose
+// phase list cannot produce a step loss, and the serial driver refuses
+// a phase that splits a one-grain step — each naming the benchmark.
+func TestMalformedTrainersAreRefused(t *testing.T) {
+	serialPanic := func(f *fakePhased) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		models.TrainEpoch(f)
+		return ""
+	}
+	for _, tc := range []struct {
+		phases []models.PhaseSpec
+		want   string
+	}{
+		{nil, "fake-two-phase declares no phases"},
+		{[]models.PhaseSpec{{Name: "first"}, {Name: "second"}}, "fake-two-phase declares no reporting phase"},
+	} {
+		factory := func(int64) models.Benchmark {
+			f := newFakePhased()
+			f.phases = tc.phases
+			return f
 		}
+		_, err := dist.New(context.Background(), "", factory, 1, dist.NewLocal(1))
+		if err == nil || err.Error() != "dist: "+tc.want {
+			t.Errorf("dist.New: error %v, want %q", err, "dist: "+tc.want)
+		}
+		if got := serialPanic(factory(1).(*fakePhased)); got != "models: "+tc.want {
+			t.Errorf("models.TrainEpoch: panic %q, want %q", got, "models: "+tc.want)
+		}
+	}
+	f := newFakePhased()
+	f.splitsOne = true
+	want := `models: fake-two-phase phase "first" made 2 grains of a one-grain step`
+	if got := serialPanic(f); got != want {
+		t.Errorf("models.TrainEpoch: panic %q, want %q", got, want)
 	}
 }

@@ -51,16 +51,9 @@ func newReplica(factory models.Factory, seed int64, rank, workers int, run *tens
 	if bt, ok := wl.(models.Buffered); ok {
 		r.buffers = bt.Buffers()
 	}
-	phases := st.Phases()
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("dist: %s declares no phases", st.Name())
-	}
-	reporting := false
-	for _, p := range phases {
-		reporting = reporting || p.Report
-	}
-	if !reporting {
-		return nil, fmt.Errorf("dist: %s declares no reporting phase", st.Name())
+	phases, err := models.CheckPhases(st)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	r.spec = GroupSpec{
 		Name:          st.Name(),
@@ -68,7 +61,7 @@ func newReplica(factory models.Factory, seed int64, rank, workers int, run *tens
 		LowerIsBetter: st.LowerIsBetter(),
 		Phases:        phases,
 		GroupLen:      make([]int, len(phases)),
-		Steps:         st.StepsPerEpoch(),
+		Steps:         st.StepsPerEpoch(models.ShardGrains),
 	}
 	for _, p := range r.params {
 		r.spec.ParamLen += p.Value.Data.Size()
@@ -111,7 +104,7 @@ func (r *replica) computePhase(p int) PhaseOut {
 	for _, b := range r.buffers {
 		off += copy(r.bufSnap[off:], b.Data)
 	}
-	grains := r.trainer.BeginPhase(p)
+	grains := r.trainer.BeginPhase(p, models.ShardGrains)
 	out := PhaseOut{Total: len(grains), Grains: r.grains[:0]}
 	plen := r.spec.GroupLen[p]
 	k := 0

@@ -77,9 +77,9 @@ type ImageToImage struct {
 	ds       *data.PairedDomains
 	batches  int
 	batch    int
-	// stepA/stepB hold the current sharded step's domain draws: the
+	// stepA/stepB hold the current step's domain draws: the
 	// discriminator phase draws them, the generator phase reuses them
-	// (the serial loop trains both updates on one draw).
+	// (both updates train on one draw).
 	stepA, stepB *tensor.Tensor
 }
 
@@ -105,62 +105,20 @@ func NewImageToImage(seed int64) *ImageToImage {
 // Name implements Benchmark.
 func (b *ImageToImage) Name() string { return "Image-to-Image" }
 
-// TrainEpoch implements Benchmark: adversarial losses on both directions
-// plus the cycle-consistency L1 term (the CycleGAN objective).
-func (b *ImageToImage) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		a, bd, _ := b.ds.Pair(6)
-		av, bv := autograd.Const(a), autograd.Const(bd)
-
-		// Discriminator step.
-		b.optD.ZeroGrad()
-		fakeB := b.gAB.Forward(av)
-		fakeA := b.gBA.Forward(bv)
-		dRealB := b.dB.Forward(bv)
-		dFakeB := b.dB.Forward(autograd.Const(fakeB.Data))
-		dRealA := b.dA.Forward(av)
-		dFakeA := b.dA.Forward(autograd.Const(fakeA.Data))
-		ones := tensor.Ones(dRealB.Shape()...)
-		zeros := tensor.New(dRealB.Shape()...)
-		dLoss := autograd.Add(
-			autograd.Add(autograd.BCEWithLogits(dRealB, ones), autograd.BCEWithLogits(dFakeB, zeros)),
-			autograd.Add(autograd.BCEWithLogits(dRealA, ones), autograd.BCEWithLogits(dFakeA, zeros)))
-		dLoss.Backward()
-		b.optD.Step()
-
-		// Generator step: fool both discriminators + cycle consistency.
-		b.optG.ZeroGrad()
-		fakeB = b.gAB.Forward(av)
-		fakeA = b.gBA.Forward(bv)
-		recA := b.gBA.Forward(fakeB)
-		recB := b.gAB.Forward(fakeA)
-		gAdv := autograd.Add(
-			autograd.BCEWithLogits(b.dB.Forward(fakeB), ones),
-			autograd.BCEWithLogits(b.dA.Forward(fakeA), ones))
-		cycle := autograd.Add(autograd.L1Loss(recA, a), autograd.L1Loss(recB, bd))
-		gLoss := autograd.Add(gAdv, autograd.Scale(cycle, 10))
-		gLoss.Backward()
-		b.optG.Step()
-		total += gLoss.Item()
-	}
-	return total / float64(b.batches)
-}
-
-// cycleganPhases is the serial alternating scheme as ordered phases:
-// one discriminator update, then one generator update whose loss is
-// the step's reported loss (matching TrainEpoch's accounting).
+// cycleganPhases is the CycleGAN alternating scheme as ordered phases:
+// one discriminator update, then one generator update — adversarial
+// losses on both directions plus the cycle-consistency L1 term — whose
+// loss is the step's reported loss.
 var cycleganPhases = []PhaseSpec{
 	{Name: "discriminator"}, {Name: "generator", Report: true},
 }
 
-// BeginEpoch implements PhasedTrainer (the serial loop never toggles
-// training mode either; batch-norm stays in training statistics).
+// BeginEpoch implements PhasedTrainer (training mode is never toggled;
+// batch-norm stays in training statistics).
 func (b *ImageToImage) BeginEpoch() {}
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *ImageToImage) StepsPerEpoch() int { return b.batches }
+func (b *ImageToImage) StepsPerEpoch(int) int { return b.batches }
 
 // Phases implements PhasedTrainer.
 func (b *ImageToImage) Phases() []PhaseSpec { return cycleganPhases }
@@ -168,8 +126,7 @@ func (b *ImageToImage) Phases() []PhaseSpec { return cycleganPhases }
 // PhaseParams implements PhasedTrainer: the discriminator phase
 // reduces only the two patch discriminators, the generator phase only
 // the two generators — the adversarial term backpropagates through the
-// discriminators, and the per-phase group discards those gradients
-// exactly as the serial optG step does.
+// discriminators, and the per-phase group discards those gradients.
 func (b *ImageToImage) PhaseParams(phase int) []*nn.Param {
 	if phase == 0 {
 		return append(b.dA.Params(), b.dB.Params()...)
@@ -182,19 +139,12 @@ func (b *ImageToImage) PhaseParams(phase int) []*nn.Param {
 // reuse) and scores real-vs-translated slices; the generator phase
 // computes the adversarial plus cycle-consistency objective on the
 // same slices.
-func (b *ImageToImage) BeginPhase(phase int) []Grain {
+func (b *ImageToImage) BeginPhase(phase, grains int) []Grain {
 	if phase == 0 {
 		b.stepA, b.stepB, _ = b.ds.Pair(b.batch)
-	}
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		if phase == 0 {
-			gs[g] = func() (float64, int) {
-				a := b.stepA.SliceRows(lo, hi)
-				bd := b.stepB.SliceRows(lo, hi)
-				av, bv := autograd.Const(a), autograd.Const(bd)
+		return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+			return func() (float64, int) {
+				av, bv := autograd.Const(batchRows(b.stepA, lo, hi)), autograd.Const(batchRows(b.stepB, lo, hi))
 				fakeB := b.gAB.Forward(av)
 				fakeA := b.gBA.Forward(bv)
 				dRealB := b.dB.Forward(bv)
@@ -209,11 +159,11 @@ func (b *ImageToImage) BeginPhase(phase int) []Grain {
 				dLoss.Backward()
 				return dLoss.Item(), hi - lo
 			}
-			continue
-		}
-		gs[g] = func() (float64, int) {
-			a := b.stepA.SliceRows(lo, hi)
-			bd := b.stepB.SliceRows(lo, hi)
+		})
+	}
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			a, bd := batchRows(b.stepA, lo, hi), batchRows(b.stepB, lo, hi)
 			av, bv := autograd.Const(a), autograd.Const(bd)
 			fakeB := b.gAB.Forward(av)
 			fakeA := b.gBA.Forward(bv)
@@ -229,8 +179,7 @@ func (b *ImageToImage) BeginPhase(phase int) []Grain {
 			gLoss.Backward()
 			return gLoss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // ApplyPhase implements PhasedTrainer.
@@ -244,8 +193,7 @@ func (b *ImageToImage) ApplyPhase(phase int) {
 
 // Buffers implements Buffered: the batch-norm running statistics of
 // both generators and both discriminators (generator forwards inside
-// the discriminator phase update generator statistics too, exactly as
-// the serial loop does).
+// the discriminator phase update generator statistics too).
 func (b *ImageToImage) Buffers() []*tensor.Tensor {
 	bs := append(b.gAB.Buffers(), b.gBA.Buffers()...)
 	bs = append(bs, b.dA.Buffers()...)

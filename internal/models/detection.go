@@ -217,24 +217,6 @@ func newTwoStageDetector(seed int64, withMask bool) *ObjectDetection {
 // Name implements Benchmark.
 func (b *ObjectDetection) Name() string { return b.name }
 
-// TrainEpoch implements Benchmark: joint RPN + head loss with a decayed
-// learning rate (the Faster R-CNN schedule shape).
-func (b *ObjectDetection) TrainEpoch() float64 {
-	b.BeginEpoch()
-	total := 0.0
-	for it := 0; it < b.batches; it++ {
-		b.arena.Reset()
-		x, boxes := b.ds.Scene(8)
-		negs := b.drawNegatives(len(boxes))
-		b.opt.ZeroGrad()
-		loss := b.rangeLoss(x, boxes, negs, 0, x.Dim(0))
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // drawNegatives draws one candidate negative RoI per image, in image
 // order — the rng stream is identical whether the batch then trains
 // serially or split into grains.
@@ -252,10 +234,7 @@ func (b *ObjectDetection) drawNegatives(n int) []data.Box {
 // the image's pre-drawn candidate negative (used only when it is
 // actually background).
 func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs []data.Box, lo, hi int) *autograd.Value {
-	xs := x
-	if lo != 0 || hi != x.Dim(0) {
-		xs = x.SliceRows(lo, hi)
-	}
+	xs := batchRows(x, lo, hi)
 	feat := b.backbone.Forward(autograd.Const(xs))
 	pred := b.rpnHead.Forward(feat) // [n, 5, 4, 4]
 	n := hi - lo
@@ -316,7 +295,8 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 }
 
 // BeginEpoch implements PhasedTrainer: training mode plus the decayed
-// learning rate (every replica advances the schedule identically).
+// learning rate of the Faster R-CNN schedule shape (every replica
+// advances the schedule identically).
 func (b *ObjectDetection) BeginEpoch() {
 	b.backbone.SetTraining(true)
 	b.epoch++
@@ -324,7 +304,7 @@ func (b *ObjectDetection) BeginEpoch() {
 }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *ObjectDetection) StepsPerEpoch() int { return b.batches }
+func (b *ObjectDetection) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
@@ -333,20 +313,16 @@ func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
 // the per-image negative RoIs, then split the batch into per-grain
 // image ranges (batch-norm statistics are computed per grain; the
 // engine reduces and syncs the running stats through Buffers).
-func (b *ObjectDetection) BeginPhase(int) []Grain {
+func (b *ObjectDetection) BeginPhase(_, grains int) []Grain {
 	x, boxes := b.ds.Scene(8)
 	negs := b.drawNegatives(len(boxes))
-	bounds := GrainBounds(x.Dim(0), shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
+	return splitGrains(x.Dim(0), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
 			loss := b.rangeLoss(x, boxes, negs, lo, hi)
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Buffers implements Buffered: the backbone's batch-norm running

@@ -56,7 +56,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 	for _, e := range AllEntries() {
 		t.Run(e.ID, func(t *testing.T) {
 			b1, b2 := e.Factory(7), e.Factory(7)
-			sameBits(t, "first epoch", []float64{b1.TrainEpoch()}, []float64{b2.TrainEpoch()})
+			sameBits(t, "first epoch", []float64{TrainEpoch(b1)}, []float64{TrainEpoch(b2)})
 
 			probe := &probing{Benchmark: b1}
 			got, want := Evaluate(probe), b2.Quality()
@@ -80,7 +80,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 			}
 			allRequireGrad(t, "after a panicking Evaluate", b1)
 
-			sameBits(t, "epoch after evaluation", []float64{b1.TrainEpoch()}, []float64{b2.TrainEpoch()})
+			sameBits(t, "epoch after evaluation", []float64{TrainEpoch(b1)}, []float64{TrainEpoch(b2)})
 		})
 	}
 }

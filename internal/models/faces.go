@@ -53,27 +53,11 @@ func (b *FaceEmbedding) embedBatch(x *tensor.Tensor) *autograd.Value {
 	return b.embed.Forward(b.net.Features(autograd.Const(x)))
 }
 
-// TrainEpoch implements Benchmark: FaceNet triplet loss.
-func (b *FaceEmbedding) TrainEpoch() float64 {
-	b.net.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		a, p, n := b.ds.Triplets(b.triplets)
-		b.opt.ZeroGrad()
-		loss := autograd.TripletLoss(b.embedBatch(a), b.embedBatch(p), b.embedBatch(n), 0.5)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer.
 func (b *FaceEmbedding) BeginEpoch() { b.net.SetTraining(true) }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *FaceEmbedding) StepsPerEpoch() int { return b.batches }
+func (b *FaceEmbedding) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
@@ -81,23 +65,20 @@ func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
 // BeginPhase implements PhasedTrainer: draw the step's triplet
 // macro-batch once — all RNG happens here, keeping replicas in
 // lockstep — and split it row-wise into per-grain triplet sub-batches,
-// anchors, positives, and negatives sliced in step.
-func (b *FaceEmbedding) BeginPhase(int) []Grain {
+// anchors, positives, and negatives sliced in step, each trained with
+// the FaceNet triplet loss.
+func (b *FaceEmbedding) BeginPhase(_, grains int) []Grain {
 	a, p, n := b.ds.Triplets(b.triplets)
-	bounds := GrainBounds(b.triplets, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
+	return splitGrains(b.triplets, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
 			loss := autograd.TripletLoss(
-				b.embedBatch(a.SliceRows(lo, hi)),
-				b.embedBatch(p.SliceRows(lo, hi)),
-				b.embedBatch(n.SliceRows(lo, hi)), 0.5)
+				b.embedBatch(batchRows(a, lo, hi)),
+				b.embedBatch(batchRows(p, lo, hi)),
+				b.embedBatch(batchRows(n, lo, hi)), 0.5)
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.

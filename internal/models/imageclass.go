@@ -48,48 +48,27 @@ func NewImageClassification(seed int64) *ImageClassification {
 // Name implements Benchmark.
 func (b *ImageClassification) Name() string { return "Image Classification" }
 
-// TrainEpoch implements Benchmark.
-func (b *ImageClassification) TrainEpoch() float64 {
-	b.net.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		x, y := b.ds.Batch(b.batch)
-		b.opt.ZeroGrad()
-		logits := b.net.Forward(autograd.Const(x))
-		loss := autograd.SoftmaxCrossEntropy(logits, y)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer.
 func (b *ImageClassification) BeginEpoch() { b.net.SetTraining(true) }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *ImageClassification) StepsPerEpoch() int { return b.batches }
+func (b *ImageClassification) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements PhasedTrainer: draw the macro-batch and split
 // it into per-grain classification sub-batches.
-func (b *ImageClassification) BeginPhase(int) []Grain {
+func (b *ImageClassification) BeginPhase(_, grains int) []Grain {
 	x, y := b.ds.Batch(b.batch)
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
-			logits := b.net.Forward(autograd.Const(x.SliceRows(lo, hi)))
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			logits := b.net.Forward(autograd.Const(batchRows(x, lo, hi)))
 			loss := autograd.SoftmaxCrossEntropy(logits, y[lo:hi])
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.

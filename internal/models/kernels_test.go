@@ -24,7 +24,7 @@ func TestRunKernelSeesEveryCall(t *testing.T) {
 			counting, counters := kerneltest.Count(naive), new(telemetry.Counters)
 			b.Arena().SetRun(&tensor.Run{Kernels: counting, Counters: counters})
 			before := tensor.UnplacedDispatches()
-			b.TrainEpoch()
+			TrainEpoch(b)
 			b.Quality()
 			fell, traced := tensor.UnplacedDispatches()-before, kerneltest.Traced(counters)
 			if got := counting.Calls.Load(); fell != 0 || got == 0 || traced != got {

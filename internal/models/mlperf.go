@@ -38,11 +38,17 @@ func NewMLPerfRecommendation(seed int64) Benchmark {
 // with a different display name/spec. The wrapper keeps the
 // PhasedTrainer contract visible (the MLPerf twin of a shardable
 // AIBench model trains data-parallel too) and forwards the buffer sync
-// of Buffered models.
+// of Buffered models and the wrapped instance's one-grain driver.
 type renamedSharded struct {
 	PhasedTrainer
 	name string
 	spec workload.Model
+}
+
+// serial implements loopHolder: the driver is kept on the wrapped
+// instance, over the wrapper t.
+func (r renamedSharded) serial(t PhasedTrainer) *serialLoop {
+	return r.PhasedTrainer.(loopHolder).serial(t)
 }
 
 func (r renamedSharded) Name() string         { return r.name }

@@ -13,6 +13,8 @@
 package models
 
 import (
+	"fmt"
+
 	"aibench/internal/nn"
 	"aibench/internal/tensor"
 	"aibench/internal/workload"
@@ -22,8 +24,6 @@ import (
 type Benchmark interface {
 	// Name returns the component-benchmark task name.
 	Name() string
-	// TrainEpoch runs one epoch of training, returning the mean loss.
-	TrainEpoch() float64
 	// Quality evaluates the model on held-out data with the benchmark's
 	// Table 3 metric.
 	Quality() float64
@@ -37,31 +37,80 @@ type Benchmark interface {
 	Module() nn.Module
 	// Spec returns the paper-scale architecture.
 	Spec() workload.Model
-	// Arena returns the step arena the instance owns (see stepArena). A
-	// driver that runs the optimizer steps itself — internal/dist's
-	// replica loop — resets it once per step; TrainEpoch and Quality
-	// reset it themselves. Whoever builds an instance for a run records
-	// the run on it (Arena.SetRun) before the first step.
+	// Arena returns the step arena the instance owns (see stepArena).
+	// Whoever runs the optimizer steps resets it once per step: the
+	// phased drivers (TrainEpoch's one-grain loop, internal/dist's
+	// replica loop) and a serial epoch a benchmark keeps of its own;
+	// Quality resets it itself. Whoever builds an instance for a run
+	// records the run on it (Arena.SetRun) before the first step.
 	Arena() *tensor.Arena
+}
+
+// selfTrained is implemented by a benchmark that keeps a serial epoch
+// of its own: the seven that are not PhasedTrainers, and the three
+// (DC-AI-C6, DC-AI-C17, MLPerf-RL) whose serial algorithm differs from
+// their sharded one.
+type selfTrained interface {
+	// TrainEpoch runs one epoch of training, returning the mean loss.
+	TrainEpoch() float64
+}
+
+// TrainEpoch runs one serial epoch of b and returns its mean step
+// loss. A benchmark with a serial epoch of its own runs it; every other
+// one is a PhasedTrainer and runs its phased step at one grain: per
+// step the arena is reset, and per phase the gradients are zeroed, the
+// phase's one grain runs and ApplyPhase updates. A step's loss is the
+// mean over its reporting phases, as in a sharded step.
+func TrainEpoch(b Benchmark) float64 {
+	if s, ok := b.(selfTrained); ok {
+		return s.TrainEpoch()
+	}
+	t, ok := b.(PhasedTrainer)
+	if !ok {
+		panic(fmt.Sprintf("models: %s has no serial epoch: it neither trains itself nor is a PhasedTrainer", b.Name()))
+	}
+	if h, ok := b.(loopHolder); ok {
+		return h.serial(t).epoch()
+	}
+	return newSerialLoop(t).epoch()
 }
 
 // stepArena is embedded by every benchmark: the one arena all of the
 // instance's step-scoped tensors come from. The constructor adopts the
 // module's parameters into it, so every activation, interior gradient
-// and backward temporary computed from them is arena-backed, and the
-// instance resets it at the top of each optimizer step and of each
-// Quality batch — on its own goroutine, the only one that ever touches
-// it. No step-scoped tensor outlives the step: state a later phase
-// reads (the speech model's TBPTT entry state) is built after the
-// reset of the step that reads it. Parameters, their gradients,
-// optimizer state, running statistics and dataset batches are heap
-// tensors and never die. The
-// arena holds no memory until the first step, so an instance that is
-// only characterized costs nothing.
-type stepArena struct{ arena tensor.Arena }
+// and backward temporary computed from them is arena-backed. It is
+// reset at the top of each optimizer step, by whichever loop runs the
+// step, and of each Quality batch — on the instance's goroutine, the
+// only one that ever touches it. No step-scoped tensor outlives the
+// step: state a later phase reads (the speech model's TBPTT entry
+// state) is built after the reset of the step that reads it.
+// Parameters, their gradients, optimizer state, running statistics and
+// dataset batches are heap tensors and never die. The arena holds no
+// memory until the first step, so an instance that is only
+// characterized costs nothing.
+type stepArena struct {
+	arena tensor.Arena
+	// loop is TrainEpoch's one-grain driver, built by the first epoch.
+	loop *serialLoop
+}
 
 // Arena implements Benchmark.
 func (s *stepArena) Arena() *tensor.Arena { return &s.arena }
+
+// loopHolder is implemented, through stepArena, by every benchmark of
+// the suite: it keeps the instance's one-grain driver across epochs.
+type loopHolder interface {
+	serial(PhasedTrainer) *serialLoop
+}
+
+// serial returns the instance's one-grain driver over t, the instance
+// itself, building it on first use.
+func (s *stepArena) serial(t PhasedTrainer) *serialLoop {
+	if s.loop == nil {
+		s.loop = newSerialLoop(t)
+	}
+	return s.loop
+}
 
 // adopt places every parameter of m in the instance's arena.
 func (s *stepArena) adopt(m nn.Module) {

@@ -26,6 +26,37 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
+// TestOneSerialPath pins the serial path of every benchmark: the ten
+// that keep a serial epoch of their own (the seven serial-only ones,
+// and C6, C17 and MLPerf-RL, whose serial algorithm differs from their
+// sharded one) run it, and the other fourteen are PhasedTrainers that
+// TrainEpoch drives at one grain, with their driver kept on the
+// instance.
+func TestOneSerialPath(t *testing.T) {
+	own := map[string]bool{
+		"DC-AI-C4": true, "DC-AI-C6": true, "DC-AI-C8": true, "DC-AI-C12": true, "DC-AI-C13": true,
+		"DC-AI-C14": true, "DC-AI-C17": true, "MLPerf-ODL": true, "MLPerf-TR": true, "MLPerf-RL": true,
+	}
+	driven := 0
+	for _, e := range AllEntries() {
+		b := e.Factory(1)
+		_, self := b.(selfTrained)
+		_, phased := b.(PhasedTrainer)
+		_, holds := b.(loopHolder)
+		switch {
+		case self != own[e.ID]:
+			t.Errorf("%s: keeps its own serial epoch = %v, want %v", e.ID, self, own[e.ID])
+		case !self && !(phased && holds):
+			t.Errorf("%s: no serial path (PhasedTrainer %v, keeps a driver %v)", e.ID, phased, holds)
+		case !self:
+			driven++
+		}
+	}
+	if driven != 14 {
+		t.Errorf("%d benchmarks run the one-grain driver, want 14", driven)
+	}
+}
+
 // TestEveryBenchmarkExecutes builds each of the 24 benchmarks, runs one
 // training epoch through the full autograd stack, and sanity-checks the
 // quality metric and spec.
@@ -37,7 +68,7 @@ func TestEveryBenchmarkExecutes(t *testing.T) {
 			if b.Name() == "" {
 				t.Fatal("empty name")
 			}
-			loss := b.TrainEpoch()
+			loss := TrainEpoch(b)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				t.Fatalf("loss = %g", loss)
 			}
@@ -79,10 +110,10 @@ func TestTrainingImprovesLoss(t *testing.T) {
 		c := c
 		t.Run(c.id, func(t *testing.T) {
 			b := c.mk()
-			first := b.TrainEpoch()
+			first := TrainEpoch(b)
 			last := first
 			for i := 1; i < c.epochs; i++ {
-				last = b.TrainEpoch()
+				last = TrainEpoch(b)
 			}
 			if last >= first {
 				t.Fatalf("loss did not improve: first %g, last %g", first, last)
@@ -116,7 +147,7 @@ func TestFastBenchmarksReachTarget(t *testing.T) {
 		t.Run(c.id, func(t *testing.T) {
 			b := c.mk()
 			for ep := 0; ep < c.maxEpochs; ep++ {
-				b.TrainEpoch()
+				TrainEpoch(b)
 				if MeetsTarget(b, b.Quality()) {
 					return
 				}
@@ -245,7 +276,7 @@ func TestDetectorNMSSuppressesDuplicates(t *testing.T) {
 	b := NewObjectDetection(3)
 	// Three epochs is enough to produce some detections.
 	for i := 0; i < 3; i++ {
-		b.TrainEpoch()
+		TrainEpoch(b)
 	}
 	results := b.Detect(b.evalX)
 	// After NMS, no two same-class detections in one image may overlap

@@ -284,7 +284,7 @@ var nasPhases = []PhaseSpec{
 func (b *NAS) BeginEpoch() {}
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *NAS) StepsPerEpoch() int { return 2 }
+func (b *NAS) StepsPerEpoch(int) int { return 2 }
 
 // Phases implements PhasedTrainer.
 func (b *NAS) Phases() []PhaseSpec { return nasPhases }
@@ -307,22 +307,18 @@ func (b *NAS) PhaseParams(phase int) []*nn.Param {
 // weighted by prediction count. A controller phase samples an
 // architecture, scores it with the child's validation perplexity,
 // updates the reward baseline, and exposes a single REINFORCE grain.
-func (b *NAS) BeginPhase(phase int) []Grain {
+func (b *NAS) BeginPhase(phase, _ int) []Grain {
 	if phase < 3 {
 		b.stepArch, _ = b.controller.sample(b.rng)
 		b.stepStream = b.lang.Stream(b.seqLen)
 		b.stepStates = b.child.hiddenStates(b.stepArch, b.stepStream)
-		bounds := GrainBounds(len(b.stepStream)-1, nasSegments)
-		gs := make([]Grain, len(bounds))
-		for g, bd := range bounds {
-			lo, hi := bd[0], bd[1]
-			gs[g] = func() (float64, int) {
+		return splitGrains(len(b.stepStream)-1, nasSegments, func(lo, hi int) Grain {
+			return func() (float64, int) {
 				loss := b.child.segmentNLL(b.stepArch, b.stepStream, lo, hi, b.stepStates[lo])
 				loss.Backward()
 				return loss.Item(), hi - lo
 			}
-		}
-		return gs
+		})
 	}
 	arch, nlp := b.controller.sample(b.rng)
 	val := b.lang.Stream(b.seqLen)

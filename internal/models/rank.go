@@ -92,51 +92,14 @@ func bprLoss(m *mfScorer, users, pos, neg []int) *autograd.Value {
 	return autograd.BCEWithLogits(diff, ones)
 }
 
-// TrainEpoch implements Benchmark: the ranking-distillation curriculum —
-// the teacher trains first; once it converges, the student trains with
-// BPR plus a distillation term that pulls its scores toward the
-// teacher's.
-func (b *LearningToRank) TrainEpoch() float64 {
-	b.epoch++
-	total := 0.0
-	if b.epoch <= b.teacherEpochs {
-		for i := 0; i < b.batches; i++ {
-			b.arena.Reset()
-			users, pos, neg := b.ds.BPRTriple(b.batch)
-			b.optT.ZeroGrad()
-			loss := bprLoss(b.teacher, users, pos, neg)
-			loss.Backward()
-			b.optT.Step()
-			total += loss.Item()
-		}
-		return total / float64(b.batches)
-	}
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		users, pos, neg := b.ds.BPRTriple(b.batch)
-		b.optS.ZeroGrad()
-		rank := bprLoss(b.student, users, pos, neg)
-		// Distillation: student score matches the (frozen) teacher score
-		// on both items of the triple.
-		tPos := b.teacher.score(users, pos).Data
-		tNeg := b.teacher.score(users, neg).Data
-		distill := autograd.Add(
-			autograd.MSELoss(b.student.score(users, pos), tPos),
-			autograd.MSELoss(b.student.score(users, neg), tNeg))
-		loss := autograd.Add(rank, autograd.Scale(distill, 0.5))
-		loss.Backward()
-		b.optS.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
-// BeginEpoch implements PhasedTrainer: advance the distillation
-// curriculum (the sharded counterpart of TrainEpoch's epoch counter).
+// BeginEpoch implements PhasedTrainer: advance the ranking-distillation
+// curriculum — the teacher trains first; once it converges, the
+// student trains with BPR plus a distillation term that pulls its
+// scores toward the teacher's.
 func (b *LearningToRank) BeginEpoch() { b.epoch++ }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *LearningToRank) StepsPerEpoch() int { return b.batches }
+func (b *LearningToRank) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer: step whichever optimizer the
 // current curriculum phase trains. The other model's parameters carry
@@ -151,19 +114,18 @@ func (b *LearningToRank) ApplyPhase(int) {
 
 // BeginPhase implements PhasedTrainer: draw the BPR triple macro-batch
 // and split it into per-grain ranking (or distillation) sub-batches.
-func (b *LearningToRank) BeginPhase(int) []Grain {
+func (b *LearningToRank) BeginPhase(_, grains int) []Grain {
 	users, pos, neg := b.ds.BPRTriple(b.batch)
 	teacherPhase := b.epoch <= b.teacherEpochs
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
 			u, p, n := users[lo:hi], pos[lo:hi], neg[lo:hi]
 			var loss *autograd.Value
 			if teacherPhase {
 				loss = bprLoss(b.teacher, u, p, n)
 			} else {
+				// Distillation: the student's score matches the
+				// (frozen) teacher's on both items of the triple.
 				rank := bprLoss(b.student, u, p, n)
 				tPos := b.teacher.score(u, p).Data
 				tNeg := b.teacher.score(u, n).Data
@@ -175,8 +137,7 @@ func (b *LearningToRank) BeginPhase(int) []Grain {
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // rankItems returns all items sorted by the student's score for a user.

@@ -62,50 +62,29 @@ func (b *Recommendation) score(users, items []int) *autograd.Value {
 	return b.mlp.Forward(autograd.ConcatCols(u, v))
 }
 
-// TrainEpoch implements Benchmark: binary cross-entropy on implicit
-// feedback.
-func (b *Recommendation) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		users, items, labels := b.ds.TrainBatch(b.batch)
-		b.opt.ZeroGrad()
-		logits := b.score(users, items)
-		target := tensor.FromSlice(labels, len(labels), 1)
-		loss := autograd.BCEWithLogits(logits, target)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *Recommendation) BeginEpoch() {}
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *Recommendation) StepsPerEpoch() int { return b.batches }
+func (b *Recommendation) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *Recommendation) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements PhasedTrainer: draw the interaction macro-batch
-// and split it into per-grain scoring sub-batches.
-func (b *Recommendation) BeginPhase(int) []Grain {
+// and split it into per-grain scoring sub-batches, binary cross-entropy
+// on implicit feedback.
+func (b *Recommendation) BeginPhase(_, grains int) []Grain {
 	users, items, labels := b.ds.TrainBatch(b.batch)
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
 			logits := b.score(users[lo:hi], items[lo:hi])
 			target := tensor.FromSlice(labels[lo:hi], hi-lo, 1)
 			loss := autograd.BCEWithLogits(logits, target)
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Quality implements Benchmark: mean HR@10 over all users with 50

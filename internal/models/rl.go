@@ -186,7 +186,7 @@ const rlEpisodesPerStep = 2
 func (b *ReinforcementLearning) BeginEpoch() { b.policy.SetTraining(true) }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *ReinforcementLearning) StepsPerEpoch() int { return b.batches / rlEpisodesPerStep }
+func (b *ReinforcementLearning) StepsPerEpoch(int) int { return b.batches / rlEpisodesPerStep }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
@@ -196,7 +196,7 @@ func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
 // trajectories in lockstep; the generation forwards' batch-norm
 // drift is discarded by the engine's phase-start buffer snapshot),
 // then each episode becomes one grain weighted by its step count.
-func (b *ReinforcementLearning) BeginPhase(int) []Grain {
+func (b *ReinforcementLearning) BeginPhase(int, int) []Grain {
 	episodes := make([][]rlStep, rlEpisodesPerStep)
 	for e := range episodes {
 		episodes[e] = b.episode(12)

@@ -133,7 +133,7 @@ func (b *SpeechRecognition) BeginEpoch() {}
 // StepsPerEpoch implements PhasedTrainer: 3 macro-steps of
 // speechUtterPerStep utterances each, close to the serial loop's 10
 // utterances per epoch.
-func (b *SpeechRecognition) StepsPerEpoch() int { return 3 }
+func (b *SpeechRecognition) StepsPerEpoch(int) int { return 3 }
 
 // Phases implements PhasedTrainer.
 func (b *SpeechRecognition) Phases() []PhaseSpec { return speechPhases }
@@ -148,7 +148,7 @@ func (b *SpeechRecognition) PhaseParams(int) []*nn.Param { return nil }
 // state under the post-segment-1 weights (forward only, identically on
 // every replica) and trains frames [mid, T). One grain per utterance,
 // weighted by its segment's frame count.
-func (b *SpeechRecognition) BeginPhase(phase int) []Grain {
+func (b *SpeechRecognition) BeginPhase(phase, _ int) []Grain {
 	if phase == 0 {
 		b.stepFrames = b.stepFrames[:0]
 		b.stepAlign = b.stepAlign[:0]

@@ -69,23 +69,6 @@ func (b *SpatialTransformer) forward(x *autograd.Value) *autograd.Value {
 	return b.classifier.Forward(rectified)
 }
 
-// TrainEpoch implements Benchmark.
-func (b *SpatialTransformer) TrainEpoch() float64 {
-	b.locConv.SetTraining(true)
-	b.classifier.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)
-		b.opt.ZeroGrad()
-		loss := autograd.SoftmaxCrossEntropy(b.forward(autograd.Const(x)), y)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer.
 func (b *SpatialTransformer) BeginEpoch() {
 	b.locConv.SetTraining(true)
@@ -93,27 +76,23 @@ func (b *SpatialTransformer) BeginEpoch() {
 }
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *SpatialTransformer) StepsPerEpoch() int { return b.batches }
+func (b *SpatialTransformer) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *SpatialTransformer) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements PhasedTrainer: draw the distorted macro-batch
 // and split it into per-grain rectification sub-batches.
-func (b *SpatialTransformer) BeginPhase(int) []Grain {
+func (b *SpatialTransformer) BeginPhase(_, grains int) []Grain {
 	x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
-			logits := b.forward(autograd.Const(x.SliceRows(lo, hi)))
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			logits := b.forward(autograd.Const(batchRows(x, lo, hi)))
 			loss := autograd.SoftmaxCrossEntropy(logits, y[lo:hi])
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Buffers implements Buffered: batch-norm running statistics of both

@@ -115,37 +115,22 @@ func (b *TextToText) logits(src, tgt []int) (*autograd.Value, []int) {
 	return b.proj.Forward(out), tgt[1:]
 }
 
-// TrainEpoch implements Benchmark.
-func (b *TextToText) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		src, tgt := b.ds.Pair()
-		b.opt.ZeroGrad()
-		lg, want := b.logits(src, tgt)
-		loss := autograd.SoftmaxCrossEntropy(lg, want)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *TextToText) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer: the serial epoch's 24 pairs
-// regrouped into macro-steps of shardGrains pairs each — the standard
-// large-batch data-parallel recipe, same data per epoch.
-func (b *TextToText) StepsPerEpoch() int { return b.batches / shardGrains }
+// StepsPerEpoch implements PhasedTrainer: the epoch's 24 pairs in
+// steps of one pair per grain — 24 one-pair steps serially, 3
+// eight-pair macro-steps sharded (the standard large-batch
+// data-parallel recipe), the same data per epoch either way.
+func (b *TextToText) StepsPerEpoch(grains int) int { return b.batches / grains }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *TextToText) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements PhasedTrainer: draw the macro-batch of
 // translation pairs, one grain per pair, weighted by target length.
-func (b *TextToText) BeginPhase(int) []Grain {
-	gs := make([]Grain, shardGrains)
+func (b *TextToText) BeginPhase(_, grains int) []Grain {
+	gs := make([]Grain, grains)
 	for g := range gs {
 		src, tgt := b.ds.Pair()
 		gs[g] = func() (float64, int) {

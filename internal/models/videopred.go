@@ -81,47 +81,27 @@ func (b *VideoPrediction) forward(frames, actions *autograd.Value) *autograd.Val
 	return autograd.Conv2D(masked, autograd.Const(b.sumW), tensor.Conv2DParams{Kernel: 1, Stride: 1})
 }
 
-// TrainEpoch implements Benchmark.
-func (b *VideoPrediction) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		frames, actions, next := b.ds.Transition(8)
-		b.opt.ZeroGrad()
-		pred := b.forward(autograd.Const(frames), autograd.Const(actions))
-		loss := autograd.MSELoss(pred, next)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // BeginEpoch implements PhasedTrainer (no per-epoch state).
 func (b *VideoPrediction) BeginEpoch() {}
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *VideoPrediction) StepsPerEpoch() int { return b.batches }
+func (b *VideoPrediction) StepsPerEpoch(int) int { return b.batches }
 
 // ApplyPhase implements PhasedTrainer.
 func (b *VideoPrediction) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements PhasedTrainer: draw the transition macro-batch
 // and split it into per-grain compositing sub-batches.
-func (b *VideoPrediction) BeginPhase(int) []Grain {
+func (b *VideoPrediction) BeginPhase(_, grains int) []Grain {
 	frames, actions, next := b.ds.Transition(8)
-	bounds := GrainBounds(frames.Dim(0), shardGrains)
-	gs := make([]Grain, len(bounds))
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
-			pred := b.forward(autograd.Const(frames.SliceRows(lo, hi)), autograd.Const(actions.SliceRows(lo, hi)))
-			loss := autograd.MSELoss(pred, next.SliceRows(lo, hi))
+	return splitGrains(frames.Dim(0), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			pred := b.forward(autograd.Const(batchRows(frames, lo, hi)), autograd.Const(batchRows(actions, lo, hi)))
+			loss := autograd.MSELoss(pred, batchRows(next, lo, hi))
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // Quality implements Benchmark: next-frame MSE on held-out transitions

@@ -71,36 +71,6 @@ func (b *ImageGeneration) sample(n int) *autograd.Value {
 	return b.gen.Forward(autograd.Const(z))
 }
 
-// TrainEpoch implements Benchmark: the WGAN alternating scheme with
-// n_critic=3 critic steps per generator step and weight clipping.
-func (b *ImageGeneration) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		// Critic steps: maximize E[f(real)] − E[f(fake)].
-		for c := 0; c < 3; c++ {
-			b.arena.Reset()
-			real := b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
-			fake := b.sample(b.batch)
-			b.optD.ZeroGrad()
-			fReal := b.critic.Forward(autograd.Const(real))
-			fFake := b.critic.Forward(autograd.Const(fake.Data))
-			loss := autograd.Sub(autograd.Mean(fFake), autograd.Mean(fReal))
-			loss.Backward()
-			b.optD.Step()
-			b.clipCritic()
-		}
-		// Generator step: maximize E[f(fake)].
-		b.arena.Reset()
-		b.optG.ZeroGrad()
-		fake := b.sample(b.batch)
-		loss := autograd.Neg(autograd.Mean(b.critic.Forward(fake)))
-		loss.Backward()
-		b.optG.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
 // clipCritic clamps every critic weight to [-clip, clip], the WGAN
 // Lipschitz constraint. Deterministic, so sharded replicas applying it
 // after the identical optimizer step stay in bitwise lockstep.
@@ -116,9 +86,9 @@ func (b *ImageGeneration) clipCritic() {
 	}
 }
 
-// wganPhases is the serial alternating scheme as ordered phases: three
-// critic updates, then one generator update whose loss is the step's
-// reported loss (matching TrainEpoch's accounting).
+// wganPhases is the WGAN alternating scheme as ordered phases:
+// n_critic = 3 critic updates, each followed by weight clipping, then
+// one generator update whose loss is the step's reported loss.
 var wganPhases = []PhaseSpec{
 	{Name: "critic-1"}, {Name: "critic-2"}, {Name: "critic-3"},
 	{Name: "generator", Report: true},
@@ -128,7 +98,7 @@ var wganPhases = []PhaseSpec{
 func (b *ImageGeneration) BeginEpoch() {}
 
 // StepsPerEpoch implements PhasedTrainer.
-func (b *ImageGeneration) StepsPerEpoch() int { return b.batches }
+func (b *ImageGeneration) StepsPerEpoch(int) int { return b.batches }
 
 // Phases implements PhasedTrainer.
 func (b *ImageGeneration) Phases() []PhaseSpec { return wganPhases }
@@ -136,7 +106,7 @@ func (b *ImageGeneration) Phases() []PhaseSpec { return wganPhases }
 // PhaseParams implements PhasedTrainer: critic phases reduce only the
 // critic's gradients, the generator phase only the generator's — the
 // generator loss backpropagates through the critic, and the per-phase
-// group discards those gradients exactly as the serial optG step does.
+// group discards those gradients.
 func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 	if phase < 3 {
 		return b.critic.Params()
@@ -149,9 +119,7 @@ func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 // generator phase draws latents and maximizes the critic's score of
 // its slices. Every replica draws identically, keeping the dataset and
 // latent RNG streams in lockstep.
-func (b *ImageGeneration) BeginPhase(phase int) []Grain {
-	bounds := GrainBounds(b.batch, shardGrains)
-	gs := make([]Grain, len(bounds))
+func (b *ImageGeneration) BeginPhase(phase, grains int) []Grain {
 	if phase < 3 {
 		real := b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
 		z := tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
@@ -159,33 +127,29 @@ func (b *ImageGeneration) BeginPhase(phase int) []Grain {
 		// weights; its output is detached so critic grains never put
 		// gradients on the generator.
 		fake := b.gen.Forward(autograd.Const(z)).Data
-		for g, bd := range bounds {
-			lo, hi := bd[0], bd[1]
-			gs[g] = func() (float64, int) {
-				fReal := b.critic.Forward(autograd.Const(real.SliceRows(lo, hi)))
-				fFake := b.critic.Forward(autograd.Const(fake.SliceRows(lo, hi)))
+		return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+			return func() (float64, int) {
+				fReal := b.critic.Forward(autograd.Const(batchRows(real, lo, hi)))
+				fFake := b.critic.Forward(autograd.Const(batchRows(fake, lo, hi)))
 				loss := autograd.Sub(autograd.Mean(fFake), autograd.Mean(fReal))
 				loss.Backward()
 				return loss.Item(), hi - lo
 			}
-		}
-		return gs
+		})
 	}
 	z := tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
-	for g, bd := range bounds {
-		lo, hi := bd[0], bd[1]
-		gs[g] = func() (float64, int) {
-			fake := b.gen.Forward(autograd.Const(z.SliceRows(lo, hi)))
+	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			fake := b.gen.Forward(autograd.Const(batchRows(z, lo, hi)))
 			loss := autograd.Neg(autograd.Mean(b.critic.Forward(fake)))
 			loss.Backward()
 			return loss.Item(), hi - lo
 		}
-	}
-	return gs
+	})
 }
 
 // ApplyPhase implements PhasedTrainer: critic phases step the critic
-// optimizer and re-clip the weights (the serial post-step), the
+// optimizer and re-clip the weights (the WGAN post-step), the
 // generator phase steps the generator optimizer.
 func (b *ImageGeneration) ApplyPhase(phase int) {
 	if phase < 3 {
