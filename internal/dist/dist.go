@@ -214,8 +214,11 @@ func (e *Engine) step() (float64, error) {
 // its grain share, the reduce spans carrying the float counts they
 // combined.
 func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
-	span := parent.Child("phase:" + e.spec.Phases[p].Name)
-	defer span.End()
+	var span *telemetry.Span // untraced steps build no span names
+	if parent != nil {
+		span = parent.Child("phase:" + e.spec.Phases[p].Name)
+		defer span.End()
+	}
 	plen := e.spec.GroupLen[p]
 
 	// Compute: every replica draws the phase's batch (the identical
@@ -229,10 +232,12 @@ func (e *Engine) runPhase(p int, parent *telemetry.Span) (float64, error) {
 		cspan.End()
 		return 0, err
 	}
-	for r := range outs {
-		rspan := cspan.Child(fmt.Sprintf("replica:%d", r))
-		rspan.Add(int64(len(outs[r].Grains)))
-		rspan.End()
+	if cspan != nil {
+		for r := range outs {
+			rspan := cspan.Child(fmt.Sprintf("replica:%d", r))
+			rspan.Add(int64(len(outs[r].Grains)))
+			rspan.End()
+		}
 	}
 	cspan.End()
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"aibench/internal/telemetry"
 )
@@ -71,20 +72,19 @@ var replyTo = map[byte]byte{
 const maxFrame = 1 << 30
 
 // frameChunk bounds what readFrame allocates on the prefix's word
-// alone. A frame up to this size gets one exact-size buffer; a longer
-// one starts here and at most doubles each time the bytes declared so
-// far have actually arrived, so a corrupt or hostile prefix costs
-// memory proportional to the bytes received, not to the number it
-// declares.
+// alone. A frame up to this size (or up to the reading buffer's
+// capacity) is read in one go; a longer one starts there and at most
+// doubles each time the bytes declared so far have actually arrived, so
+// a corrupt or hostile prefix costs memory proportional to the bytes
+// received, not to the number it declares.
 const frameChunk = 1 << 20
 
 // writeFrame emits one frame and flushes, so the peer — always blocked
-// reading between requests — sees it immediately.
+// reading between requests — sees it immediately. The header is built
+// in the writer's own free space, so a frame costs no allocation.
 func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(1+len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -93,34 +93,37 @@ func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	return w.Flush()
 }
 
-// readFrame reads one frame. io.EOF surfaces unchanged so callers can
+// readFrame reads one frame into *buf, the reading peer's own buffer,
+// and returns the payload as a slice of it: a payload is valid until
+// the next frame is read into the same buffer, so every decoder copies
+// out what it keeps (frameReader.f64s, str, JSON). The buffer is kept
+// and grown: a frame up to its capacity costs no allocation, and growth
+// follows the frameChunk rule. io.EOF surfaces unchanged so callers can
 // tell a cleanly-closed pipe (dead peer) from a protocol error; a frame
 // the stream ends inside — a peer killed mid-write — is an error that
 // wraps io.EOF or io.ErrUnexpectedEOF.
-func readFrame(r *bufio.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
+func readFrame(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr))
+	_, _ = r.Discard(4) // Peek just buffered them
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n)
 	}
-	body := make([]byte, min(n, frameChunk))
-	got := 0
-	for {
+	body := (*buf)[:0]
+	for got := 0; got < n; got = len(body) {
+		// Fill what the buffer already holds, or one chunk, or double
+		// the bytes that have arrived — never more than the frame.
+		next := min(n, max(cap(body), frameChunk, 2*got))
+		body = slices.Grow(body, next-got)[:next]
 		if _, err := io.ReadFull(r, body[got:]); err != nil {
 			return 0, nil, fmt.Errorf("dist: truncated frame: %w", err)
 		}
-		got = len(body)
-		if got == int(n) {
-			return body[0], body[1:], nil
-		}
-		body = append(body, make([]byte, min(int(n)-got, got))...)
 	}
+	*buf = body
+	return body[0], body[1:], nil
 }
 
 // Payload append helpers.
@@ -136,8 +139,10 @@ func appendStr(b []byte, s string) []byte {
 }
 func appendF64s(b []byte, vs []float64) []byte {
 	b = appendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = appendF64(b, v)
+	off := len(b)
+	b = slices.Grow(b, 8*len(vs))[:off+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(v))
 	}
 	return b
 }
@@ -297,8 +302,9 @@ func decodeSpec(payload []byte) (s GroupSpec, err error) {
 	return s, nil
 }
 
-func encodePhaseOut(out PhaseOut) []byte {
-	b := appendU32(nil, uint32(out.Total))
+// encodePhaseOut appends out's compute-reply body to b.
+func encodePhaseOut(b []byte, out PhaseOut) []byte {
+	b = appendU32(b, uint32(out.Total))
 	b = appendU32(b, uint32(len(out.Grains)))
 	for _, g := range out.Grains {
 		b = appendU32(b, uint32(g.Grain))
@@ -329,10 +335,13 @@ func decodePhaseOut(payload []byte, out *PhaseOut, gradLen, bufLen int) error {
 	if fr.err != nil {
 		return fr.err
 	}
-	for len(out.Grains) < n {
-		out.Grains = append(out.Grains, GrainOut{})
+	// Slots past len but inside cap still hold the vectors a longer
+	// decode left there: extend over them before appending new ones.
+	grains := out.Grains[:cap(out.Grains)]
+	if len(grains) < n {
+		grains = append(grains, make([]GrainOut, n-len(grains))...)
 	}
-	out.Grains = out.Grains[:n]
+	out.Grains = grains[:n]
 	for i := 0; i < n; i++ {
 		g := &out.Grains[i]
 		g.Grain = int(fr.u32())

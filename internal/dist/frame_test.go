@@ -10,6 +10,7 @@ import (
 	"os/exec"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -53,6 +54,10 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 // prefix, a zero length, or a payload cut short must come back as an
 // error — never a panic, and never an allocation sized by the prefix
 // alone. A frame that does decode must re-encode to the bytes consumed.
+// Read as a stream of frames through one reused buffer, as a peer reads
+// its pipe, every frame must equal the same frame read through a fresh
+// buffer: no byte of an earlier, longer frame may survive into a later
+// one.
 func FuzzReadFrame(f *testing.F) {
 	spec, out := mustEncodeSpec(f, seedSpec), seedPhaseOut
 	hello := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true})
@@ -67,48 +72,73 @@ func FuzzReadFrame(f *testing.F) {
 		{frameQuality, nil},
 		{frameClose, nil},
 		{frameSpec, spec},
-		{framePhaseOut, encodePhaseOut(out)},
+		{framePhaseOut, encodePhaseOut(nil, out)},
 		{frameQualityOut, appendF64(nil, 0.75)},
 		{frameClosed, []byte(`[{"op":"matmul","calls":4,"flops":1024}]`)},
 		{frameError, appendStr(nil, "replica gave up")},
 	} {
 		f.Add(frameBytes(f, fr.typ, fr.payload))
 	}
-	whole := frameBytes(f, framePhaseOut, encodePhaseOut(out))
-	f.Add(whole[:len(whole)-3])                               // truncated payload
-	f.Add([]byte{0, 0, 0, 0, frameSpec})                      // zero length
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameSpec, 1, 2})    // prefix past maxFrame
-	f.Add([]byte{0x00, 0x00, 0x00, 0x40, frameSpec, 1, 2})    // prefix = maxFrame, 3 bytes behind it
-	f.Add(append(frameBytes(f, frameQuality, nil), whole...)) // two frames back to back
-	f.Add([]byte{5, 0})                                       // short prefix
-	f.Add(frameBytes(f, 0, nil))                              // type zero: no request, no reply
-	f.Add(frameBytes(f, 0xff, appendStr(nil, "unlisted")))    // a type replyTo does not list
+	whole := frameBytes(f, framePhaseOut, encodePhaseOut(nil, out))
+	f.Add(whole[:len(whole)-3])                                       // truncated payload
+	f.Add([]byte{0, 0, 0, 0, frameSpec})                              // zero length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameSpec, 1, 2})            // prefix past maxFrame
+	f.Add([]byte{0x00, 0x00, 0x00, 0x40, frameSpec, 1, 2})            // prefix = maxFrame, 3 bytes behind it
+	f.Add(append(frameBytes(f, frameQuality, nil), whole...))         // two frames back to back
+	f.Add(slices.Concat(whole, frameBytes(f, frameError, []byte{7}))) // a longer frame, then a shorter one
+	f.Add(slices.Concat(whole, whole[:len(whole)-3]))                 // a frame, then the same one cut short
+	f.Add([]byte{5, 0})                                               // short prefix
+	f.Add(frameBytes(f, 0, nil))                                      // type zero: no request, no reply
+	f.Add(frameBytes(f, 0xff, appendStr(nil, "unlisted")))            // a type replyTo does not list
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		typ, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)), new([]byte))
 		if err != nil {
 			return // rejecting the input is fine; panicking is not
 		}
 		if again := frameBytes(t, typ, payload); !bytes.HasPrefix(data, again) {
 			t.Fatalf("frame type %d with %d payload bytes re-encodes to %x, input began %x", typ, len(payload), again, data[:min(len(data), len(again))])
 		}
+
+		reused, fresh := bufio.NewReader(bytes.NewReader(data)), bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		for i := 0; ; i++ {
+			typ, payload, err := readFrame(reused, &buf)
+			wantTyp, want, wantErr := readFrame(fresh, new([]byte))
+			if (err == nil) != (wantErr == nil) || typ != wantTyp || !bytes.Equal(payload, want) {
+				t.Fatalf("frame %d through the reused buffer: type %d, payload %x, err %v; through a fresh one: type %d, payload %x, err %v",
+					i, typ, payload, err, wantTyp, want, wantErr)
+			}
+			if err != nil {
+				return
+			}
+		}
 	})
 }
 
 // TestReadFrameOversizedPrefix: the largest prefix readFrame accepts,
 // followed by nothing, is a truncated frame that cost one chunk of
-// memory, not the gigabyte it declared.
+// memory, not the gigabyte it declared — into a fresh buffer, and into
+// one a longer frame already grew, which it reads into without growing
+// it by the declared length.
 func TestReadFrameOversizedPrefix(t *testing.T) {
 	prefix := binary.LittleEndian.AppendUint32(nil, maxFrame)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(prefix)))
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
-		t.Fatalf("err = %v, want truncated frame", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
-		t.Fatalf("allocated %d bytes for a frame that delivered none, want < 4 MiB", got)
+	grown := make([]byte, 0, 3*frameChunk)
+	for _, c := range []struct {
+		name string
+		buf  *[]byte
+	}{{"fresh buffer", new([]byte)}, {"grown buffer", &grown}} {
+		r := bufio.NewReader(bytes.NewReader(prefix))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := readFrame(r, c.buf)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+			t.Fatalf("%s: err = %v, want truncated frame", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+			t.Fatalf("%s: allocated %d bytes for a frame that delivered none, want < 4 MiB", c.name, got)
+		}
 	}
 }
 
@@ -122,11 +152,12 @@ func TestReadFrameMultiChunk(t *testing.T) {
 	}
 	stream := append(frameBytes(t, frameApply, payload), frameBytes(t, frameQuality, nil)...)
 	r := bufio.NewReader(bytes.NewReader(stream))
-	typ, got, err := readFrame(r)
+	var buf []byte
+	typ, got, err := readFrame(r, &buf)
 	if err != nil || typ != frameApply || !bytes.Equal(got, payload) {
 		t.Fatalf("first frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
-	if typ, got, err = readFrame(r); err != nil || typ != frameQuality || len(got) != 0 {
+	if typ, got, err = readFrame(r, &buf); err != nil || typ != frameQuality || len(got) != 0 {
 		t.Fatalf("second frame: type %d, %d payload bytes, err %v", typ, len(got), err)
 	}
 }
@@ -198,11 +229,11 @@ func hostilePhaseOuts() map[string][]byte {
 	short.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2}, Buf: []float64{0.5}}}
 	long.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5, 4}, Buf: []float64{0.5}}}
 	noBuf.Grains = []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}}}
-	whole := encodePhaseOut(seedPhaseOut)
+	whole := encodePhaseOut(nil, seedPhaseOut)
 	return map[string][]byte{
-		"grain 1 carries 2 gradient and 1 buffer floats": encodePhaseOut(short),
-		"grain 1 carries 4 gradient and 1 buffer floats": encodePhaseOut(long),
-		"grain 1 carries 3 gradient and 0 buffer floats": encodePhaseOut(noBuf),
+		"grain 1 carries 2 gradient and 1 buffer floats": encodePhaseOut(nil, short),
+		"grain 1 carries 4 gradient and 1 buffer floats": encodePhaseOut(nil, long),
+		"grain 1 carries 3 gradient and 0 buffer floats": encodePhaseOut(nil, noBuf),
 		"declares 4294967295 grains in 0 bytes":          appendU32(appendU32(nil, 4), 0xffffffff),
 		"declares 3 grains in 56 bytes":                  append(appendU32(appendU32(nil, 4), 3), whole[8:]...),
 		"truncated frame payload":                        whole[:len(whole)-3],
@@ -214,17 +245,34 @@ func hostilePhaseOuts() map[string][]byte {
 // whose gradient and buffer vectors have exactly the lengths the
 // group's spec declared — what the engine's reduce indexes by — never a
 // panic, and never more grains than the bytes that arrived can hold.
+// It decodes into an out a longer decode of another phase left behind,
+// as a rank's out is reused across phases and steps: it must accept and
+// refuse what a decode into a fresh one does, and what it accepts must
+// re-encode to the bytes it read.
 func FuzzPhaseOutFrame(f *testing.F) {
-	f.Add(encodePhaseOut(seedPhaseOut), uint16(3), uint16(1))
-	f.Add(encodePhaseOut(PhaseOut{Total: 2}), uint16(0), uint16(0))
+	f.Add(encodePhaseOut(nil, seedPhaseOut), uint16(3), uint16(1))
+	f.Add(encodePhaseOut(nil, PhaseOut{Total: 2}), uint16(0), uint16(0))
 	for _, body := range hostilePhaseOuts() {
 		f.Add(body, uint16(3), uint16(1))
 	}
 	f.Add([]byte{}, uint16(0), uint16(0))
 
+	longer := encodePhaseOut(nil, PhaseOut{Total: 3, Grains: []GrainOut{
+		{Grain: 0, N: 2, Grad: []float64{9, 9, 9, 9, 9}, Buf: []float64{9, 9}},
+		{Grain: 1, N: 2, Grad: []float64{8, 8, 8, 8, 8}, Buf: []float64{8, 8}},
+		{Grain: 2, N: 2, Grad: []float64{7, 7, 7, 7, 7}, Buf: []float64{7, 7}},
+	}})
+
 	f.Fuzz(func(t *testing.T, payload []byte, gradLen, bufLen uint16) {
-		out := PhaseOut{Grains: make([]GrainOut, 1)} // as a previous step left it
-		if err := decodePhaseOut(payload, &out, int(gradLen), int(bufLen)); err != nil {
+		var out, fresh PhaseOut
+		if err := decodePhaseOut(longer, &out, 5, 2); err != nil {
+			t.Fatal(err)
+		}
+		err := decodePhaseOut(payload, &out, int(gradLen), int(bufLen))
+		if ferr := decodePhaseOut(payload, &fresh, int(gradLen), int(bufLen)); (err == nil) != (ferr == nil) {
+			t.Fatalf("decoding over a longer out: err %v; into a fresh one: err %v", err, ferr)
+		}
+		if err != nil {
 			return // rejecting the input is fine; panicking is not
 		}
 		if len(out.Grains)*grainMin > len(payload) {
@@ -235,7 +283,7 @@ func FuzzPhaseOutFrame(f *testing.F) {
 				t.Fatalf("decodePhaseOut let grain %+v through under lengths %d/%d", g, gradLen, bufLen)
 			}
 		}
-		if again := encodePhaseOut(out); !bytes.Equal(again, payload[:len(again)]) {
+		if again := encodePhaseOut(nil, out); !bytes.Equal(again, payload[:len(again)]) {
 			t.Fatalf("phase-out re-encodes to %x, input began %x", again, payload[:len(again)])
 		}
 	})
@@ -310,7 +358,7 @@ func TestEngineRefusesHostilePhaseOut(t *testing.T) {
 			t.Errorf("compute reply %x: err = %v, want replica 0 refused for %q", body, err, want)
 		}
 	}
-	if err := epoch(encodePhaseOut(seedPhaseOut)); err == nil || !strings.Contains(err.Error(), "reported 1 of the phase's 4 grains") {
+	if err := epoch(encodePhaseOut(nil, seedPhaseOut)); err == nil || !strings.Contains(err.Error(), "reported 1 of the phase's 4 grains") {
 		t.Errorf("one grain of four: err = %v, want the count refused", err)
 	}
 }
@@ -335,6 +383,85 @@ var twoGrains = PhaseOut{Total: 2, Grains: []GrainOut{
 	{Grain: 1, N: 4, Loss: 0.75, Grad: []float64{-1, 0, 1}, Buf: []float64{0.5}},
 }}
 
+// TestDecodePhaseOutKeepsGrainVectors: a rank's out is reused across
+// phases, and a phase may hand the rank no grain at all. When its grain
+// count falls and rises again, the grains past the short decode keep
+// the vectors they had — no step reallocates them — and a reply that
+// carries the wrong lengths is still refused, however long the stale
+// vectors in those slots are.
+func TestDecodePhaseOutKeepsGrainVectors(t *testing.T) {
+	var out PhaseOut
+	decode := func(payload []byte) error { return decodePhaseOut(payload, &out, 3, 1) }
+	if err := decode(encodePhaseOut(nil, twoGrains)); err != nil {
+		t.Fatal(err)
+	}
+	grad, buf := &out.Grains[1].Grad[0], &out.Grains[1].Buf[0]
+	if err := decode(encodePhaseOut(nil, PhaseOut{Total: 2})); err != nil || len(out.Grains) != 0 {
+		t.Fatalf("no grain: %d grains, err %v", len(out.Grains), err)
+	}
+	if err := decode(encodePhaseOut(nil, twoGrains)); err != nil {
+		t.Fatal(err)
+	}
+	if &out.Grains[1].Grad[0] != grad || &out.Grains[1].Buf[0] != buf {
+		t.Error("grain 1 lost its vectors to a decode that handed the rank no grain")
+	}
+	if !reflect.DeepEqual(out, twoGrains) {
+		t.Errorf("decoded %+v, want %+v", out, twoGrains)
+	}
+
+	short := PhaseOut{Total: 2, Grains: []GrainOut{twoGrains.Grains[0], {Grain: 1, N: 4, Grad: []float64{1, 2}, Buf: []float64{0}}}}
+	if err := decode(encodePhaseOut(nil, PhaseOut{Total: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := decode(encodePhaseOut(nil, short)); err == nil || !strings.Contains(err.Error(), "grain 1 carries 2 gradient and 1 buffer floats") {
+		t.Fatalf("a short gradient over a full-length stale one: err = %v, want it refused", err)
+	}
+}
+
+// loopReader serves its bytes over and over, so a warmed bufio.Reader
+// over it reads the same frame forever.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.b[l.off:])
+	l.off = (l.off + n) % len(l.b)
+	return n, nil
+}
+
+// TestFramePathAllocatesNothing pins the steady state of both ends of a
+// pipe: once warmed, reading a frame into a peer's buffer, encoding a
+// compute reply into a reused body and writing a frame allocate
+// nothing.
+func TestFramePathAllocatesNothing(t *testing.T) {
+	r := bufio.NewReader(&loopReader{b: frameBytes(t, framePhaseOut, encodePhaseOut(nil, twoGrains))})
+	var rbuf, wbuf []byte
+	w := bufio.NewWriter(io.Discard)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"readFrame", func() {
+			if _, _, err := readFrame(r, &rbuf); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"encodePhaseOut", func() { wbuf = encodePhaseOut(wbuf[:0], twoGrains) }},
+		{"writeFrame", func() {
+			if err := writeFrame(w, framePhaseOut, wbuf); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		c.call()
+		if allocs := testing.AllocsPerRun(100, c.call); allocs != 0 {
+			t.Errorf("%s: %v allocations per warmed call, want 0", c.name, allocs)
+		}
+	}
+}
+
 // TestOneWayFailureSurfacesAtTheNextCollective: apply is one-way, so a
 // child that gives up in it — an error frame where no reply is owed —
 // fails the epoch at the next compute with its rank and its own words,
@@ -343,7 +470,7 @@ var twoGrains = PhaseOut{Total: 2, Grains: []GrainOut{
 // the next phase's output.
 func TestOneWayFailureSurfacesAtTheNextCollective(t *testing.T) {
 	epoch := func(afterApply ...[]byte) error {
-		replies := append([][]byte{frameBytes(t, framePhaseOut, encodePhaseOut(twoGrains))}, afterApply...)
+		replies := append([][]byte{frameBytes(t, framePhaseOut, encodePhaseOut(nil, twoGrains))}, afterApply...)
 		eng, err := New(context.Background(), "canned", nil, 1, cannedBackend{cannedGroup(seedSpec, replies...)})
 		if err != nil {
 			t.Fatal(err)
@@ -355,7 +482,7 @@ func TestOneWayFailureSurfacesAtTheNextCollective(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "replica 0: replica panicked: apply blew up") {
 		t.Errorf("error frame after apply: err = %v, want replica 0 failed with the child's message", err)
 	}
-	next := frameBytes(t, framePhaseOut, encodePhaseOut(PhaseOut{Total: 1, Grains: []GrainOut{{Grain: 0, N: 1, Grad: []float64{1, 2}, Buf: []float64{0}}}}))
+	next := frameBytes(t, framePhaseOut, encodePhaseOut(nil, PhaseOut{Total: 1, Grains: []GrainOut{{Grain: 0, N: 1, Grad: []float64{1, 2}, Buf: []float64{0}}}}))
 	if err := epoch(next); err != nil {
 		t.Fatalf("honest replies: %v", err)
 	}

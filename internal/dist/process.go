@@ -116,13 +116,15 @@ func (g *processGroup) handshake(h hello) error {
 	return validateSpecs(specs)
 }
 
-// workerProc is one child: its process handle and the buffered frame
-// pipes to it.
+// workerProc is one child: its process handle, the buffered frame
+// pipes to it, and the buffer its replies are read into (see readFrame
+// for how long a payload lives).
 type workerProc struct {
-	cmd *exec.Cmd
-	in  io.WriteCloser
-	bw  *bufio.Writer
-	br  *bufio.Reader
+	cmd  *exec.Cmd
+	in   io.WriteCloser
+	bw   *bufio.Writer
+	br   *bufio.Reader
+	rbuf []byte
 }
 
 // processGroup drives the worker children. Every collective sends the
@@ -136,6 +138,7 @@ type processGroup struct {
 	outs     []PhaseOut
 	quals    []float64
 	counters *telemetry.Counters // the run's; nil when it is not traced
+	req      []byte              // the per-step request body, rebuilt in place
 	broken   bool
 	closed   bool
 }
@@ -158,7 +161,7 @@ func (g *processGroup) recv(rank int, wp *workerProc, want byte) ([]byte, error)
 }
 
 func (g *processGroup) recvAny(rank int, wp *workerProc) (byte, []byte, error) {
-	typ, payload, err := readFrame(wp.br)
+	typ, payload, err := readFrame(wp.br, &wp.rbuf)
 	if err != nil {
 		g.broken = true
 		// The pipe ended, between frames or inside one: the child is gone.
@@ -233,7 +236,8 @@ func (g *processGroup) Spec() GroupSpec { return g.spec }
 func (g *processGroup) BeginEpoch() error { return g.send(frameBeginEpoch, nil) }
 
 func (g *processGroup) ComputePhase(p int) ([]PhaseOut, error) {
-	err := g.collective(frameCompute, appendU32(nil, uint32(p)), func(rank int, body []byte) error {
+	g.req = appendU32(g.req[:0], uint32(p))
+	err := g.collective(frameCompute, g.req, func(rank int, body []byte) error {
 		return decodePhaseOut(body, &g.outs[rank], g.spec.GroupLen[p], g.spec.BufLen)
 	})
 	if err != nil {
@@ -243,10 +247,10 @@ func (g *processGroup) ComputePhase(p int) ([]PhaseOut, error) {
 }
 
 func (g *processGroup) ApplyPhase(p int, grad, buf []float64) error {
-	body := appendU32(nil, uint32(p))
-	body = appendF64s(body, grad)
-	body = appendF64s(body, buf)
-	return g.send(frameApply, body)
+	g.req = appendU32(g.req[:0], uint32(p))
+	g.req = appendF64s(g.req, grad)
+	g.req = appendF64s(g.req, buf)
+	return g.send(frameApply, g.req)
 }
 
 func (g *processGroup) Quality() ([]float64, error) {

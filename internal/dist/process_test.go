@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -59,11 +60,13 @@ func sameFloats(t *testing.T, label string, got, want []float64) {
 // TestProcessEngineMatchesLocalBitwise is the tentpole guarantee: the
 // process backend — replicas in child processes, every float crossing a
 // pipe through the frame codec — trains bitwise identically to the
-// in-process local backend at every shard count, for a single-phase CNN
-// and a multi-phase WGAN (whose critic/generator steps also exercise
-// the buffer-sync frames).
+// in-process local backend at every shard count, for a single-phase CNN,
+// a multi-phase WGAN (whose critic/generator steps also exercise the
+// buffer-sync frames), a single-phase ranking model, and a multi-phase
+// search whose phases hand some ranks no grain — so a rank's reused
+// reply buffers shrink and grow between phases.
 func TestProcessEngineMatchesLocalBitwise(t *testing.T) {
-	for _, id := range []string{"DC-AI-C1", "DC-AI-C2"} {
+	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C16", "DC-AI-C17"} {
 		baseLoss, baseQ := trainVia(t, id, dist.NewLocal(1), 2)
 		for _, n := range []int{1, 2, 4} {
 			ll, lq := trainVia(t, id, dist.NewLocal(n), 2)
@@ -73,6 +76,43 @@ func TestProcessEngineMatchesLocalBitwise(t *testing.T) {
 			if math.Float64bits(lq) != math.Float64bits(baseQ) || math.Float64bits(pq) != math.Float64bits(baseQ) {
 				t.Fatalf("%s shards=%d: quality local=%v process=%v, want bitwise %v", id, n, lq, pq, baseQ)
 			}
+		}
+	}
+}
+
+// TestProcessSteadyStateAllocatesNothing: once a process-backend engine
+// has run one epoch and one evaluation, the parent's side of the next
+// — every request written, every reply read and decoded, the reduce —
+// allocates nothing. DC-AI-C16 is one phase; DC-AI-C17 has phases that
+// hand a rank no grain, so its decodes shrink and grow again.
+func TestProcessSteadyStateAllocatesNothing(t *testing.T) {
+	for _, id := range []string{"DC-AI-C16", "DC-AI-C17"} {
+		eng, err := dist.New(context.Background(), id, findFactory(t, id), 42, dist.NewProcess(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() error {
+			if _, err := eng.TrainEpoch(); err != nil {
+				return err
+			}
+			_, err := eng.Quality()
+			return err
+		}
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = round()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: a warmed epoch and evaluation allocated %d objects in the parent, want 0", id, n)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -131,17 +171,21 @@ func runBackendSession(t *testing.T, id, backend string, shards int) (core.Sessi
 // Plan.Backend through the session engine into dist — and demands the
 // backends agree beyond losses: the deterministic telemetry plane (the
 // canonical span tree plus the counter totals, with each child's
-// capture merged back into the parent) must be byte-identical too.
+// capture merged back into the parent) must be byte-identical too,
+// phase and replica span names included.
 func TestProcessSessionAndTracePlaneMatchLocal(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		lres, ltrace := runBackendSession(t, "DC-AI-C1", "local", shards)
-		pres, ptrace := runBackendSession(t, "DC-AI-C1", "process", shards)
-		sameFloats(t, "session losses", pres.Losses, lres.Losses)
+	for _, c := range []struct {
+		id     string
+		shards int
+	}{{"DC-AI-C1", 2}, {"DC-AI-C1", 4}, {"DC-AI-C16", 2}} {
+		lres, ltrace := runBackendSession(t, c.id, "local", c.shards)
+		pres, ptrace := runBackendSession(t, c.id, "process", c.shards)
+		sameFloats(t, c.id+" session losses", pres.Losses, lres.Losses)
 		if math.Float64bits(pres.FinalQuality) != math.Float64bits(lres.FinalQuality) {
-			t.Fatalf("shards=%d: process quality %v differs bitwise from local %v", shards, pres.FinalQuality, lres.FinalQuality)
+			t.Fatalf("%s shards=%d: process quality %v differs bitwise from local %v", c.id, c.shards, pres.FinalQuality, lres.FinalQuality)
 		}
 		if string(ptrace) != string(ltrace) {
-			t.Fatalf("shards=%d: deterministic trace planes differ:\nlocal:   %s\nprocess: %s", shards, ltrace, ptrace)
+			t.Fatalf("%s shards=%d: deterministic trace planes differ:\nlocal:   %s\nprocess: %s", c.id, c.shards, ltrace, ptrace)
 		}
 	}
 }

@@ -57,9 +57,10 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 	}
 
 	var rep *replica                  // nil until the hello
+	var rbuf, wbuf []byte             // frame bodies, reused across steps
 	var applyGrad, applyBuf []float64 // reused across steps
 	for {
-		typ, payload, rerr := readFrame(br)
+		typ, payload, rerr := readFrame(br, &rbuf)
 		if rerr != nil {
 			if rerr == io.EOF {
 				return nil
@@ -96,7 +97,8 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			if fr.err != nil || p < 0 || p >= len(rep.spec.Phases) {
 				return fail(fmt.Sprintf("bad compute frame (phase %d)", p))
 			}
-			body = encodePhaseOut(rep.computePhase(p))
+			wbuf = encodePhaseOut(wbuf[:0], rep.computePhase(p))
+			body = wbuf
 		case frameApply:
 			p := int(fr.u32())
 			applyGrad = fr.f64s(applyGrad)
@@ -106,7 +108,8 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			}
 			rep.apply(p, applyGrad, applyBuf)
 		case frameQuality:
-			body = appendF64(nil, rep.quality())
+			wbuf = appendF64(wbuf[:0], rep.quality())
+			body = wbuf
 		case frameClose:
 			// An untraced run's replica has no counters and replies with
 			// no counts.

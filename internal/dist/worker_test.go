@@ -94,7 +94,7 @@ func TestWorkerRejectsUnbuildableKernel(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: WorkerMain served the hello", c.name)
 		}
-		typ, payload, rerr := readFrame(bufio.NewReader(&out))
+		typ, payload, rerr := readFrame(bufio.NewReader(&out), new([]byte))
 		if rerr != nil || typ != frameError {
 			t.Fatalf("%s: reply frame type %d, err %v; want an error frame", c.name, typ, rerr)
 		}
@@ -117,7 +117,7 @@ func TestWorkerRefusesFramesOutsideTheProtocol(t *testing.T) {
 		want string
 	}{
 		{"unlisted type", bytes.Join([][]byte{h, frameBytes(t, 0xff, nil)}, nil), "frame type 255 is not a request"},
-		{"reply as request", bytes.Join([][]byte{h, frameBytes(t, framePhaseOut, encodePhaseOut(seedPhaseOut))}, nil), fmt.Sprintf("frame type %d is not a request", framePhaseOut)},
+		{"reply as request", bytes.Join([][]byte{h, frameBytes(t, framePhaseOut, encodePhaseOut(nil, seedPhaseOut))}, nil), fmt.Sprintf("frame type %d is not a request", framePhaseOut)},
 		{"second hello", bytes.Join([][]byte{h, h}, nil), fmt.Sprintf("frame type %d is a second hello", frameHello)},
 		{"request before hello", frameBytes(t, frameApply, nil), fmt.Sprintf("expected hello frame, got type %d", frameApply)},
 	} {
@@ -126,9 +126,10 @@ func TestWorkerRefusesFramesOutsideTheProtocol(t *testing.T) {
 			t.Errorf("%s: WorkerMain served it", c.name)
 		}
 		r := bufio.NewReader(&out)
-		typ, payload, err := readFrame(r)
+		var buf []byte
+		typ, payload, err := readFrame(r, &buf)
 		if typ == frameSpec { // the hello's reply
-			typ, payload, err = readFrame(r)
+			typ, payload, err = readFrame(r, &buf)
 		}
 		if err != nil || typ != frameError {
 			t.Fatalf("%s: reply frame type %d, err %v; want an error frame", c.name, typ, err)
