@@ -28,8 +28,9 @@
 //     truncates the persisted longitudinal result stream).
 //   - heapalloc: op bodies of internal/tensor and internal/autograd
 //     allocate their results where their operands are placed — in the
-//     owning benchmark's step arena — never with a heap constructor
-//     (the numbers would not change, only the mallocs would come back).
+//     owning benchmark's step arena — never with a heap constructor,
+//     and build no graph node on the heap (&Value{…}, new(Value)); the
+//     numbers would not change, only the mallocs would come back.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, diagnostics, analysistest-style golden tests) but is built on

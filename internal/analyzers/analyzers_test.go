@@ -92,7 +92,8 @@ func TestDirectives(t *testing.T) {
 
 // TestSeededFixtureFails runs the whole suite over the
 // deliberate-violation fixture with the scope override CI uses and
-// requires every analyzer to fire: the gate demonstrably can fail.
+// requires every analyzer to fire, heapalloc on both a heap tensor and
+// a heap graph node: the gate demonstrably can fail.
 func TestSeededFixtureFails(t *testing.T) {
 	pkg := mustLoadDir(t, "testdata/fixture", "aibench/internal/lintfixture")
 	diags, err := Run([]*Package{pkg}, All(), true)
@@ -105,10 +106,13 @@ func TestSeededFixtureFails(t *testing.T) {
 			t.Errorf("seeded fixture did not trip %s:\n%s", a.Name, describe(diags))
 		}
 	}
+	if got["heapalloc"] != 2 {
+		t.Errorf("seeded fixture tripped heapalloc %d times, want 2 (Doubled's tensor, Wrapped's node):\n%s", got["heapalloc"], describe(diags))
+	}
 }
 
 // TestTreeIsClean is the no-false-positive corpus: the shipped module,
-// with its two justified suppressions, must lint clean — the same
+// with its justified suppressions, must lint clean — the same
 // invocation CI's lint gate runs.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {

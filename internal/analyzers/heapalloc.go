@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -23,12 +24,18 @@ import (
 // existing storage it is a view, not an allocation). Functions without
 // a tensor operand are constructors and are not in scope.
 //
+// Graph nodes follow the same rule: an interior node is taken from the
+// node slab of its data's arena (autograd's newNode), so an op body
+// that builds an autograd.Value on the heap — &Value{…} or new(Value)
+// — is flagged as well.
+//
 // The documented exceptions carry a //lint:allow: a leaf's gradient
-// buffer (Value.EnsureGrad) and Tensor.Detach, whose purpose is to
-// outlive the arena.
+// buffer (Value.EnsureGrad), the Var and Const leaves, whose nodes
+// outlive every step, and Tensor.Detach, whose purpose is to outlive
+// the arena.
 var Heapalloc = &Analyzer{
 	Name:  "heapalloc",
-	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor",
+	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node on the heap",
 	Scope: inOpPackages,
 	Run:   runHeapalloc,
 }
@@ -44,6 +51,12 @@ func runHeapalloc(pass *Pass) error {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if heapNode(pass, n) {
+					pass.Reportf(n.Pos(),
+						"graph node built on the heap in the body of op %s: an interior node is taken from its data's arena (autograd's newNode) so it dies at the step's Reset",
+						fn.Name.Name)
+					return true
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -77,6 +90,31 @@ func hasTensorOperand(pass *Pass, fn *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// heapNode reports whether n builds an autograd.Value on the heap:
+// &Value{…} or new(Value).
+func heapNode(pass *Pass, n ast.Node) bool {
+	switch e := n.(type) {
+	case *ast.UnaryExpr:
+		lit, ok := e.X.(*ast.CompositeLit)
+		return ok && e.Op == token.AND && isValueType(pass.TypeOf(lit))
+	case *ast.CallExpr:
+		id, ok := e.Fun.(*ast.Ident)
+		if !ok || len(e.Args) != 1 {
+			return false
+		}
+		_, builtin := pass.ObjectOf(id).(*types.Builtin)
+		return builtin && id.Name == "new" && isValueType(pass.TypeOf(e.Args[0]))
+	}
+	return false
+}
+
+// isValueType matches autograd.Value.
+func isValueType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == autogradPackage && named.Obj().Name() == "Value"
 }
 
 // isOperandType matches *tensor.Tensor, *autograd.Value and slices of

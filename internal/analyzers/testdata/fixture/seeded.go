@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"aibench/internal/autograd"
 	"aibench/internal/tensor"
 )
 
@@ -57,4 +58,10 @@ func Doubled(a *tensor.Tensor) *tensor.Tensor {
 		out.Data[i] = 2 * a.Data[i]
 	}
 	return out
+}
+
+// Wrapped violates heapalloc the other way: an op that builds its
+// graph node on the heap instead of in its data's arena.
+func Wrapped(a *autograd.Value) *autograd.Value {
+	return &autograd.Value{Data: tensor.NewLike(a.Data)}
 }

@@ -33,10 +33,11 @@ func mlpParams(rng *rand.Rand) []*Value {
 
 // TestAdoptedGraphSteadyStateAllocs pins the placement rule end to end
 // in autograd: a warmed training step over adopted parameters asks the
-// heap for its graph nodes only — per op a Value and a backward
-// closure, the parents inline in the Value — and for no tensor at all: not a forward result, not
-// an interior Grad, not a backward temporary, not Backward's seed or
-// its traversal. Leaf gradients are heap tensors, allocated once.
+// heap for one backward closure per op and nothing else — not a node
+// (the arena's node slab holds them, parents inline), not a forward
+// result, not an interior Grad, not a backward temporary, not
+// Backward's seed or its traversal. Leaf gradients are heap tensors,
+// allocated once.
 func TestAdoptedGraphSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	params := mlpParams(rng)
@@ -75,8 +76,8 @@ func TestAdoptedGraphSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("loss %v on the arena, %v on the heap", got, heapLoss)
 	}
 	const ops = 9 // 3 matmul, 3 addrow, 2 relu, mse
-	if got := testing.AllocsPerRun(50, step); got > 2*ops+1 {
-		t.Errorf("a warmed adopted MLP step makes %v mallocs, want ≤ %d (2 per op + the Const input)", got, 2*ops+1)
+	if got := testing.AllocsPerRun(50, step); got > ops+1 {
+		t.Errorf("a warmed adopted MLP step makes %v mallocs, want ≤ %d (a closure per op + the Const input)", got, ops+1)
 	}
 }
 
@@ -84,11 +85,11 @@ func TestAdoptedGraphSteadyStateAllocs(t *testing.T) {
 var sink *Value
 
 // TestNodeAllocs pins what a graph node costs the heap when its tensors
-// come from an arena: a node a gradient can flow through is the Value
-// and its backward closure, with up to two parents inline in the Value;
-// a node built from gradient-free operands alone, as in evaluation, is
-// the Value alone, with neither parents nor a closure. A third parent
-// needs a slice of its own.
+// come from an arena: the Value itself comes from the arena's node
+// slab, so a node a gradient can flow through costs its backward
+// closure, with up to two parents inline in the Value, and a node built
+// from gradient-free operands alone, as in evaluation, costs nothing. A
+// third parent needs a slice of its own.
 func TestNodeAllocs(t *testing.T) {
 	r := rng(9)
 	var arena tensor.Arena
@@ -108,26 +109,26 @@ func TestNodeAllocs(t *testing.T) {
 		{"Add", func(grad bool) func() *Value {
 			a, b := leaf(grad, 4, 5), leaf(grad, 4, 5)
 			return func() *Value { return Add(a, b) }
-		}, 2},
+		}, 1},
 		{"MatMul", func(grad bool) func() *Value {
 			a, b := leaf(grad, 4, 5), leaf(grad, 5, 3)
 			return func() *Value { return MatMul(a, b) }
-		}, 2},
+		}, 1},
 		{"SliceCols", func(grad bool) func() *Value {
 			a := leaf(grad, 4, 6)
 			return func() *Value { return SliceCols(a, 1, 4) }
-		}, 2},
+		}, 1},
 		{"LayerNorm", func(grad bool) func() *Value {
 			x, gamma, beta := leaf(grad, 4, 5), leaf(grad, 5), leaf(grad, 5)
 			return func() *Value { return LayerNorm(x, gamma, beta, 1e-5) }
-		}, 3},
+		}, 2},
 		{"BatchNorm2D", func(grad bool) func() *Value {
 			x, gamma, beta := leaf(grad, 2, 3, 2, 2), leaf(grad, 3), leaf(grad, 3)
 			return func() *Value {
 				out, _, _ := BatchNorm2D(x, gamma, beta, 1e-5)
 				return out
 			}
-		}, 3},
+		}, 2},
 	}
 	for _, op := range ops {
 		for _, grad := range []bool{true, false} {
@@ -137,7 +138,7 @@ func TestNodeAllocs(t *testing.T) {
 				t.Errorf("%s (operands require grad: %v): node requiresGrad %v, back set %v, parents %d",
 					op.name, grad, n.requiresGrad, n.back != nil, len(n.parents))
 			}
-			want := 1.0
+			want := 0.0
 			if grad {
 				want = op.grad
 			}
@@ -151,6 +152,59 @@ func TestNodeAllocs(t *testing.T) {
 		}
 	}
 	sink = nil
+}
+
+// TestNodesDieAtReset pins the node slab's lifetime: an interior node
+// is cleared by the Reset that ends its step, under the production
+// rewind and the poisoning one alike, so a node kept past its step
+// reads a nil Data; leaves built on adopted tensors are heap nodes and
+// keep theirs; a node over heap data is a heap node; and a warmed step
+// takes its nodes from the slabs it already has.
+func TestNodesDieAtReset(t *testing.T) {
+	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetRewind))
+	for _, mode := range []tensor.ArenaResetMode{tensor.ResetRewind, tensor.ResetPoison} {
+		tensor.SetArenaResetMode(mode)
+		var arena tensor.Arena
+		r := rng(4)
+		w, x := tensor.Randn(r, 0, 1, 3, 3), tensor.Randn(r, 0, 1, 2, 3)
+		arena.Adopt(w, x)
+		param, input := Var(w), Const(x)
+		kept := ReLU(MatMul(input, param))
+		if kept.Data == nil || tensor.ArenaOf(kept.Data) != &arena {
+			t.Fatalf("mode %d: interior node not built on the arena", mode)
+		}
+		arena.Reset()
+		if kept.Data != nil || kept.requiresGrad || kept.back != nil || kept.parents != nil {
+			t.Errorf("mode %d: a node kept past Reset still holds its step (Data %v)", mode, kept.Data)
+		}
+		if param.Data != w || !param.requiresGrad || input.Data != x {
+			t.Errorf("mode %d: a leaf lost its tensor at Reset", mode)
+		}
+		if heap := MatMul(Const(x.Detach()), Const(w.Detach())); tensor.ArenaOf(heap.Data) != nil || arena.Graph().(*nodes).off != 0 {
+			t.Errorf("mode %d: a node over heap data was taken from the arena", mode)
+		}
+
+		step := func() {
+			arena.Reset()
+			param.ZeroGrad()
+			h := input
+			for range 300 { // more nodes than the first slab holds
+				h = Tanh(MatMul(h, param))
+			}
+			Mean(h).Backward()
+		}
+		step()
+		slabs := len(arena.Graph().(*nodes).list)
+		if slabs < 2 {
+			t.Fatalf("mode %d: the step's nodes fit one slab; the test must outgrow it", mode)
+		}
+		for range 3 {
+			step()
+		}
+		if got := len(arena.Graph().(*nodes).list); got != slabs {
+			t.Errorf("mode %d: a warmed step grew the node slabs from %d to %d", mode, slabs, got)
+		}
+	}
 }
 
 // TestBackwardLeavesNoTraversalState: walk threads its stack and its

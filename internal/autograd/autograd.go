@@ -20,13 +20,20 @@
 // bare-graph probe) is on the heap as it always was. The one exception
 // is the Grad buffer of a leaf: parameters' gradients are read by the
 // optimizer and by internal/dist's all-reduce after the step's graph is
-// gone, so leaves accumulate into heap buffers. The Value nodes
-// themselves and their closures stay ordinary heap objects: a node no
-// gradient can flow through (every operand gradient-free, as in
-// evaluation, where models.Evaluate marks the parameters so) is one
-// heap object with neither parents nor a closure, and a node a gradient
-// can flow through is two — it keeps up to two parents in its own
-// inline array.
+// gone, so leaves accumulate into heap buffers.
+//
+// The interior Value nodes follow the same rule: a node is taken from
+// the node slab of the arena its data is placed in (the arena's graph
+// state, rewound by its Reset), so it dies at the same Reset as the
+// tensors it holds, and a node over heap data is a heap object. A
+// rewind clears the nodes it takes back, so a node kept past its step
+// reads a nil Data. Leaves (Var, Const) are heap objects wherever their
+// tensor is placed: a parameter's node outlives every step. What is
+// left on the heap per node is its backward closure — none for a node
+// no gradient can flow through (every operand gradient-free, as in
+// evaluation, where models.Evaluate marks the parameters so) — and,
+// for an op of more than two parents, the slice that holds them; up to
+// two live in the node's own inline array.
 package autograd
 
 import (
@@ -64,11 +71,13 @@ type Value struct {
 // Var wraps a tensor as a differentiable graph leaf (a trainable
 // parameter or an input we want gradients for).
 func Var(t *tensor.Tensor) *Value {
+	//lint:allow heapalloc a leaf outlives the step: a parameter's node is built once
 	return &Value{Data: t, requiresGrad: true}
 }
 
 // Const wraps a tensor as a non-differentiable graph leaf.
 func Const(t *tensor.Tensor) *Value {
+	//lint:allow heapalloc a leaf outlives the step, like Var's
 	return &Value{Data: t}
 }
 
@@ -155,10 +164,12 @@ func filled(like *tensor.Tensor, v float64) *tensor.Tensor {
 //	}
 //	return node
 //
-// so a node no gradient can reach allocates no closure. Two parents fit
-// in the node's inline array; more are copied to a slice of their own.
+// so a node no gradient can reach allocates no closure. The node is
+// placed like data (nodesOf), zeroed. Two parents fit in its inline
+// array; more are copied to a slice of their own.
 func newNode(data *tensor.Tensor, operands ...*Value) *Value {
-	n := &Value{Data: data}
+	n := nodesOf(tensor.ArenaOf(data)).take()
+	n.Data = data
 	for _, p := range operands {
 		if p.requiresGrad {
 			n.requiresGrad = true
@@ -174,6 +185,64 @@ func newNode(data *tensor.Tensor, operands ...*Value) *Value {
 		n.parents = append([]*Value(nil), operands...)
 	}
 	return n
+}
+
+// nodes is an arena's graph state: a slab list of Values handed out
+// one at a time, the slab after the last twice its size, so after the
+// first step of a fixed-shape loop it grows no more. Slabs never move,
+// so a node's address is stable for its step.
+type nodes struct {
+	list     [][]Value
+	cur, off int
+}
+
+// firstNodes is the first slab's length, the arena's tensor slab's.
+const firstNodes = 1 << 8
+
+// nodesOf returns the node slab of arena a, creating it on first use;
+// nil (the heap) for a nil arena.
+func nodesOf(a *tensor.Arena) *nodes {
+	if a == nil {
+		return nil
+	}
+	s, _ := a.Graph().(*nodes)
+	if s == nil {
+		s = new(nodes)
+		a.SetGraph(s)
+	}
+	return s
+}
+
+// take hands out a zero node; on a nil slab it is a heap object.
+func (s *nodes) take() *Value {
+	if s == nil {
+		return new(Value)
+	}
+	for s.cur < len(s.list) && s.off == len(s.list[s.cur]) {
+		s.cur, s.off = s.cur+1, 0
+	}
+	if s.cur == len(s.list) {
+		size := firstNodes
+		if len(s.list) > 0 {
+			size = 2 * len(s.list[len(s.list)-1])
+		}
+		s.list = append(s.list, make([]Value, size))
+	}
+	s.off++
+	return &s.list[s.cur][s.off-1]
+}
+
+// Rewind clears every node handed out since the last rewind — which
+// also lets the collector have their closures and parent slices — and
+// makes them available again (tensor.Rewinder).
+func (s *nodes) Rewind() {
+	for i := range s.cur { // slabs before cur are used up
+		clear(s.list[i])
+	}
+	if s.cur < len(s.list) {
+		clear(s.list[s.cur][:s.off])
+	}
+	s.cur, s.off = 0, 0
 }
 
 // Backward runs reverse-mode differentiation from v, which must be a

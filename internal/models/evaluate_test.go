@@ -1,6 +1,8 @@
 package models
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"aibench/internal/autograd"
@@ -82,5 +84,54 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 
 			sameBits(t, "epoch after evaluation", []float64{TrainEpoch(b1)}, []float64{TrainEpoch(b2)})
 		})
+	}
+}
+
+// nodeMallocs returns how many heap objects the process has allocated
+// so far from inside autograd's node slab — a slab grown, or a node
+// built over heap data — as recorded by the memory profile, which must
+// be sampling every allocation.
+func nodeMallocs() int64 {
+	runtime.GC() // the profile is published a cycle behind
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for ok := false; !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if strings.HasSuffix(f.Function, "internal/autograd.(*nodes).take") {
+				total += r.AllocObjects
+				break
+			}
+		}
+	}
+	return total
+}
+
+// TestWarmedEvaluateMakesNoNodeMallocs: DC-AI-C3's evaluation builds
+// its graph on the instance's arena, so once a first Evaluate has grown
+// the node slab, the nodes of later ones cost the heap nothing.
+func TestWarmedEvaluateMakesNoNodeMallocs(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	b := NewTextToText(3)
+	before := nodeMallocs()
+	Evaluate(b)
+	warm := nodeMallocs()
+	if warm == before {
+		t.Fatal("the first Evaluate grew no node slab: the profile does not see node mallocs")
+	}
+	for range 3 {
+		Evaluate(b)
+	}
+	if got := nodeMallocs() - warm; got != 0 {
+		t.Errorf("three warmed Evaluates of DC-AI-C3 made %d graph-node mallocs, want 0", got)
 	}
 }

@@ -81,9 +81,11 @@ func TrainEpoch(b Benchmark) float64 {
 // and backward temporary computed from them is arena-backed. It is
 // reset at the top of each optimizer step, by whichever loop runs the
 // step, and of each Quality batch — on the instance's goroutine, the
-// only one that ever touches it. No step-scoped tensor outlives the
-// step: state a later phase reads (the speech model's TBPTT entry
-// state) is built after the reset of the step that reads it.
+// only one that ever touches it. The graph nodes over those tensors
+// come from the arena too (autograd's node slab) and die at the same
+// reset. No step-scoped tensor or node outlives the step: state a later
+// phase reads (the speech model's TBPTT entry state) is built after the
+// reset of the step that reads it.
 // Parameters, their gradients, optimizer state, running statistics and
 // dataset batches are heap tensors and never die. The arena holds no
 // memory until the first step, so an instance that is only
@@ -130,8 +132,10 @@ func MeetsTarget(b Benchmark, q float64) bool {
 
 // Evaluate returns b.Quality() computed without a backward graph: for
 // the length of the call the instance's parameters are gradient-free,
-// so every node the evaluation builds is a single heap object with
-// neither parents nor a backward closure. The forward arithmetic is
+// so every node the evaluation builds has neither parents nor a
+// backward closure, and — taken from the instance's arena like the
+// tensors it holds — costs the heap nothing once the first evaluation
+// has grown the node slab. The forward arithmetic is
 // unchanged and Quality never calls Backward, so the result is bitwise
 // that of b.Quality(). The parameters require gradients again when
 // Evaluate returns, even if Quality panics. Each instance owns its

@@ -79,7 +79,9 @@ func For2D(workers, rows, cols int, fn func(r, c int)) {
 // re-raised on the caller's goroutine after the in-flight indices
 // finish). A suite run whose session dies therefore stops launching
 // new sessions instead of draining the whole work list, and callers
-// can abort long runs cleanly with a context.
+// can abort long runs cleanly with a context. A call that forks costs
+// the heap one object for the state it shares with its workers (fork)
+// and one closure per extra worker; a serial call costs nothing.
 func ForCtx(ctx context.Context, workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -90,21 +92,7 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	var stop atomic.Bool
 	done := ctx.Done()
-	halted := func() bool {
-		if stop.Load() {
-			return true
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		return false
-	}
 	extra := 0
 	for extra < workers-1 && tryAcquire() {
 		extra++
@@ -116,51 +104,88 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int)) {
 		defer poolDone()
 	}
 	if extra == 0 {
-		for i := 0; i < n && !halted(); i++ {
+		for i := 0; i < n && !cancelled(done); i++ {
 			fn(i)
 		}
 		return
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	capture := func() {
-		if r := recover(); r != nil {
-			stop.Store(true)
-			panicMu.Lock()
-			if panicked == nil {
-				panicked = r
-			}
-			panicMu.Unlock()
-		}
-	}
-	drain := func() {
-		for !halted() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	wg.Add(extra)
+	c := &fork{fn: fn, n: n, done: done}
+	c.wg.Add(extra)
 	for w := 0; w < extra; w++ {
-		go func() {
-			defer wg.Done()
-			defer release()
-			defer capture()
-			drain()
-		}()
+		go c.work()
 	}
 	func() { // the caller drains too; capture so workers still join
-		defer capture()
-		drain()
+		defer c.capture()
+		c.drain()
 	}()
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	c.wg.Wait()
+	if c.panicked != nil {
+		panic(c.panicked)
 	}
+}
+
+// cancelled reports whether done, a context's Done channel, is closed;
+// a nil channel never is.
+func cancelled(done <-chan struct{}) bool {
+	if done == nil {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// fork is the state a forking ForCtx call shares with its workers, in
+// one heap object.
+type fork struct {
+	fn   func(i int)
+	n    int
+	done <-chan struct{}
+	// next is the next unclaimed index; stop is set by the first panic.
+	next atomic.Int64
+	stop atomic.Bool
+	wg   sync.WaitGroup
+
+	panicMu  sync.Mutex
+	panicked any
+}
+
+// halted reports whether no new index may be claimed.
+func (c *fork) halted() bool { return c.stop.Load() || cancelled(c.done) }
+
+// capture, deferred, records the first panic of a drain and stops the
+// claiming.
+func (c *fork) capture() {
+	if r := recover(); r != nil {
+		c.stop.Store(true)
+		c.panicMu.Lock()
+		if c.panicked == nil {
+			c.panicked = r
+		}
+		c.panicMu.Unlock()
+	}
+}
+
+// drain runs fn over claimed indices until they run out or the call
+// halts.
+func (c *fork) drain() {
+	for !c.halted() {
+		i := int(c.next.Add(1)) - 1
+		if i >= c.n {
+			return
+		}
+		c.fn(i)
+	}
+}
+
+// work is an extra worker: it drains, then hands back its budget token
+// and joins.
+func (c *fork) work() {
+	defer c.wg.Done()
+	defer release()
+	defer c.capture()
+	c.drain()
 }

@@ -151,3 +151,21 @@ func TestForCtxPreCancelledRunsNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestForkingCallAllocs pins what a forking call costs the heap: one
+// object for the call's shared state plus one closure per extra worker
+// goroutine; a serial call costs nothing.
+func TestForkingCallAllocs(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(i int) { sum.Add(int64(i)) }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if got := testing.AllocsPerRun(100, func() { ForCtx(ctx, 1, 64, fn) }); got != 0 {
+		t.Errorf("a serial call makes %v mallocs, want 0", got)
+	}
+	// Nothing else in this test holds the worker budget, so every call
+	// forks one extra worker.
+	if got := testing.AllocsPerRun(100, func() { ForCtx(ctx, 2, 64, fn) }); got > 2 {
+		t.Errorf("a two-worker call makes %v mallocs, want ≤ 2 (its state and one worker closure)", got)
+	}
+}

@@ -40,6 +40,10 @@ import (
 // Detach first. Never arena-backed: parameter storage, leaf gradients,
 // optimizer state, running statistics, datasets.
 //
+// The graph nodes that hold a step's tensors die with them, so an arena
+// also carries one slot of graph state (SetGraph): autograd keeps its
+// node slab there, and Reset rewinds it together with the tensor slabs.
+//
 // Growth is deterministic: slabs double, are never freed and never
 // depend on the collector, so after the first step of a fixed-shape
 // loop an arena allocates nothing and the allocation counts of a run
@@ -52,7 +56,22 @@ type Arena struct {
 	floats  slabs[float64]
 	ints    slabs[int]
 	tensors slabs[Tensor]
+	// graph is the step-scoped state of the graphs built on a's
+	// tensors (autograd's node slab); nil until the first one.
+	graph Rewinder
 }
+
+// Rewinder is step-scoped state kept beside an arena's slabs. Rewind
+// ends a step for it: whatever it handed out since the last Rewind is
+// dead, exactly like the arena's tensors.
+type Rewinder interface{ Rewind() }
+
+// Graph returns the graph state recorded on a, nil before SetGraph.
+func (a *Arena) Graph() Rewinder { return a.graph }
+
+// SetGraph records g as a's graph state: Reset rewinds it with the
+// slabs, and the never-reuse mode drops it with them.
+func (a *Arena) SetGraph(g Rewinder) { a.graph = g }
 
 // First-slab sizes, in elements. Small on purpose: the suite's smallest
 // steps fit the first float slab (64 KB), so their whole working set
@@ -138,7 +157,10 @@ func (a *Arena) shaped(data []float64, shape []int) *Tensor {
 		meta[r+i] = acc
 		acc *= meta[i]
 	}
-	*t = Tensor{shape: meta[:r:r], strides: meta[r:], Data: data, arena: a}
+	// Field by field, not *t = Tensor{…}: a struct store into a heap
+	// slab is a typed copy with a bulk write barrier. Rewind leaves the
+	// slab as it was, so every field is assigned.
+	t.shape, t.strides, t.Data, t.arena = meta[:r:r], meta[r:], data, a
 	return t
 }
 
@@ -153,17 +175,20 @@ func (a *Arena) Adopt(ts ...*Tensor) {
 }
 
 // Reset ends a step: every tensor allocated from a since the previous
-// Reset is dead and its memory is handed out again. Nothing is freed.
-// A nil arena has nothing to reset.
+// Reset is dead and its memory is handed out again, and the graph
+// state rewinds with it. Nothing is freed. A nil arena has nothing to
+// reset.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
 	switch ArenaResetMode(arenaResetMode.Load()) {
 	case ResetNever:
-		// Forget the slabs instead of rewinding them: nothing is ever
-		// handed out twice, which is what the heap would have done.
+		// Forget the slabs and the graph state instead of rewinding
+		// them: nothing is ever handed out twice, which is what the
+		// heap would have done.
 		*a = Arena{run: a.run}
+		return
 	case ResetPoison:
 		a.floats.rewind(func(used []float64) {
 			for i := range used {
@@ -180,6 +205,9 @@ func (a *Arena) Reset() {
 		a.floats.rewind(nil)
 		a.ints.rewind(nil)
 		a.tensors.rewind(nil)
+	}
+	if a.graph != nil {
+		a.graph.Rewind()
 	}
 }
 
