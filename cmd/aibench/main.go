@@ -303,7 +303,7 @@ func cmdRun(s *aibench.Suite, args []string) {
 	epochs := fs.Int("epochs", 150, "maximum epochs (entire) or exact epochs (quasi)")
 	seed := fs.Int64("seed", 42, "base seed; the session seed is derived deterministically")
 	quasi := fs.Bool("quasi", false, "run a quasi-entire session (fixed epochs)")
-	shards := fs.Int("shards", 0, "data-parallel shard workers (0 = serial; results are bitwise identical for any count)")
+	shards := fs.Int("shards", 0, "data-parallel shard workers (0 = serial; results are identical for any count >= 1)")
 	backend := backendFlag(fs)
 	kernel := kernelFlag(fs)
 	out := outFlag(fs)
@@ -332,9 +332,6 @@ func cmdRun(s *aibench.Suite, args []string) {
 		os.Exit(1)
 	}
 	r := res.Sessions[0]
-	if r.FallbackReason != "" {
-		fmt.Printf("(%s ran serial: %s)\n", r.ID, r.FallbackReason)
-	}
 	fmt.Printf("\n%s (%s): epochs=%d quality=%.4f target=%.4f reached=%v shards=%d kernel=%s\n",
 		r.ID, r.Name, r.Epochs, r.FinalQuality, r.Target, r.ReachedGoal, r.Shards, r.Kernel)
 	printTrace(res)
@@ -421,7 +418,7 @@ func cmdRunAll(s *aibench.Suite, args []string) {
 	}
 }
 
-// cmdScaling sweeps data-parallel shard counts over the shardable
+// cmdScaling sweeps data-parallel shard counts over the selected
 // benchmarks and prints time per epoch plus speedup versus one shard.
 func cmdScaling(s *aibench.Suite, args []string) {
 	fs := flag.NewFlagSet("scaling", flag.ExitOnError)
@@ -449,10 +446,6 @@ func cmdScaling(s *aibench.Suite, args []string) {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", id)
 			os.Exit(1)
 		}
-		if !b.Shardable() {
-			fmt.Fprintf(os.Stderr, "%s has no shardable train step\n", id)
-			os.Exit(1)
-		}
 		ids = []string{id}
 	}
 	res, written, interrupted, runErr := runPlan(s, aibench.Plan{
@@ -460,14 +453,9 @@ func cmdScaling(s *aibench.Suite, args []string) {
 		Epochs: *epochs, Seed: *seed, Backend: *backend, Kernel: *kernel,
 	}, *out, opts)
 	if len(res.Scaling) == 0 {
-		if interrupted {
-			exitOnRunError(runErr)
-			fmt.Fprintln(os.Stderr, "interrupted before any scaling point was measured")
-			os.Exit(1)
-		}
-		fmt.Println("no shardable benchmarks selected")
 		exitOnRunError(runErr)
-		return
+		fmt.Fprintln(os.Stderr, "interrupted before any scaling point was measured")
+		os.Exit(1)
 	}
 	aibench.RenderRunReport("scaling", os.Stdout, res.Records())
 	fmt.Println("\n(identical losses at every shard count; speedup is pure scheduling gain)")

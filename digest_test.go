@@ -38,18 +38,12 @@ func expPath() string {
 }
 
 // digestRuns are the pinned plans: every benchmark's two-epoch
-// quasi-entire session under each kernel, and the shardable ones at
-// two local shards.
-func digestRuns(s *aibench.Suite) map[string]aibench.Plan {
+// quasi-entire session under each kernel, and at two local shards.
+func digestRuns() map[string]aibench.Plan {
 	base := aibench.Plan{Kind: aibench.RunSession, Session: aibench.QuasiEntireSession, Seed: 42, Epochs: 2, Workers: 1}
 	blocked, naive, sharded := base, base, base
 	blocked.Kernel, naive.Kernel = "blocked", "naive"
 	sharded.Shards, sharded.Backend = 2, "local"
-	for _, b := range s.All() {
-		if b.Shardable() {
-			sharded.Benchmarks = append(sharded.Benchmarks, b.ID)
-		}
-	}
 	return map[string]aibench.Plan{"blocked": blocked, "naive": naive, "local-shards-2": sharded}
 }
 
@@ -97,7 +91,7 @@ func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]st
 func TestSessionDigests(t *testing.T) {
 	s := aibench.NewSuite()
 	got := map[string]map[string]string{}
-	for name, p := range digestRuns(s) {
+	for name, p := range digestRuns() {
 		got[name] = recordDigests(t, s, p)
 	}
 	table := map[string]map[string]map[string]string{}

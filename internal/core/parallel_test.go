@@ -283,7 +283,7 @@ func TestSessionSinkDeliversEveryResult(t *testing.T) {
 
 // TestSessionShardsDeterministic checks suite fan-out composes with
 // within-session sharding: a sharded pooled run equals a sharded
-// serial run bitwise, and shardable benchmarks report their count.
+// serial run bitwise, and every benchmark reports its count.
 func TestSessionShardsDeterministic(t *testing.T) {
 	p := Plan{
 		Benchmarks: []string{"DC-AI-C1", "DC-AI-C4", "DC-AI-C10"},
@@ -292,10 +292,9 @@ func TestSessionShardsDeterministic(t *testing.T) {
 	serial := sessionsOf(t, p)
 	p.Workers = 3
 	sameSessionResults(t, sessionsOf(t, p), serial)
-	wantShards := map[string]int{"DC-AI-C1": 3, "DC-AI-C4": 0, "DC-AI-C10": 3}
 	for _, res := range serial {
-		if res.Shards != wantShards[res.ID] {
-			t.Fatalf("%s ran with Shards=%d, want %d", res.ID, res.Shards, wantShards[res.ID])
+		if res.Shards != 3 {
+			t.Fatalf("%s ran with Shards=%d, want 3", res.ID, res.Shards)
 		}
 	}
 }
@@ -396,13 +395,8 @@ func TestEveryKindSinkErrorAndCancel(t *testing.T) {
 				inside.Add(-1)
 				return nil
 			})
-			// DC-AI-C4 has no sharded train step: a sweep skips it.
-			want := len(ids)
-			if p.Kind == RunScaling {
-				want--
-			}
-			if err != nil || filled(res) != want {
-				t.Fatalf("clean run: err %v, %d records, want %d", err, filled(res), want)
+			if err != nil || filled(res) != len(ids) {
+				t.Fatalf("clean run: err %v, %d records, want %d", err, filled(res), len(ids))
 			}
 		})
 	}

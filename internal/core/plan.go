@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 
 	"aibench/internal/dist"
 	"aibench/internal/gpusim"
@@ -442,11 +441,7 @@ func (r *Runner) runKind(ctx context.Context, sink func(Record) error, root *tel
 			return Record{Kind: KindCharacterization, Characterization: &c}, nil
 		})
 	case RunScaling:
-		// A sweep has nothing to measure on a benchmark without a sharded
-		// train step: it is left out of the loop, so a trace lists only
-		// what was measured.
-		shardable := slices.DeleteFunc(slices.Clone(r.bs), func(b *Benchmark) bool { return !b.Shardable() })
-		return each(ctx, shardable, 1, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
+		return each(ctx, r.bs, 1, root, sink, res, func(ctx context.Context, b *Benchmark, span *telemetry.Span) (Record, error) {
 			return b.runSweep(ctx, p, DeriveSeed(p.Seed, b.ID), span)
 		})
 	case RunReplay:

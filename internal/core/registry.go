@@ -55,8 +55,7 @@ type Benchmark struct {
 	// Factory builds the scaled executable workload.
 	Factory models.Factory
 
-	spec      *workload.Model // cached paper-scale architecture, guarded by specMu
-	shardable *bool           // cached Shardable() answer, guarded by specMu
+	spec *workload.Model // cached paper-scale architecture, guarded by specMu
 }
 
 // specMu guards every Benchmark's spec cache. A single package-level

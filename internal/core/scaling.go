@@ -33,9 +33,11 @@ type ScalingRow struct {
 // identical at every point (the dist determinism contract), so the
 // sweep measures pure scheduling gain — and, across backends, pure
 // isolation cost. A row is never emitted half-measured: a sweep
-// cancelled at a timed epoch boundary, or whose engine cannot open,
-// yields no record. A backend runtime failure (a dead replica process)
-// is the sweep's error: its timings would no longer be comparable.
+// cancelled at a timed epoch boundary, or while its engine opens,
+// yields no record. An engine that cannot open (children that cannot
+// start, a bad phase declaration) or a backend runtime failure (a dead
+// replica process) is the sweep's error: there is no comparable timing
+// left to report.
 func (b *Benchmark) runSweep(ctx context.Context, p Plan, seed int64, span *telemetry.Span) (Record, error) {
 	epochs := p.Epochs
 	if epochs <= 0 {
@@ -65,9 +67,8 @@ func (b *Benchmark) runSweep(ctx context.Context, p Plan, seed int64, span *tele
 // the named backend and returns the mean wall-clock seconds per epoch.
 // ok is false when there is no measurement: ctx was cancelled before it
 // completed (the epoch-boundary cancellation contract — a cancelled
-// sweep must not train out its epoch budget), the engine could not open
-// the workload, or — with a non-nil error — the backend failed at run
-// time.
+// sweep must not train out its epoch budget), or — with a non-nil
+// error — the engine could not open or the backend failed at run time.
 func (b *Benchmark) timeShardedEpochs(ctx context.Context, backend string, n, epochs int, seed int64, parent *telemetry.Span) (sec float64, ok bool, err error) {
 	be, err := dist.NewBackend(backend, n)
 	if err != nil {
@@ -75,7 +76,10 @@ func (b *Benchmark) timeShardedEpochs(ctx context.Context, backend string, n, ep
 	}
 	eng, err := dist.New(ctx, b.ID, b.Factory, seed, be)
 	if err != nil {
-		return 0, false, nil
+		if ctx.Err() != nil {
+			return 0, false, nil
+		}
+		return 0, false, err
 	}
 	defer func() {
 		if cerr := eng.Close(); cerr != nil && err == nil {

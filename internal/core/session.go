@@ -30,14 +30,9 @@ type SessionResult struct {
 	Name   string      `json:"name"`
 	Kind   SessionKind `json:"kind"`
 	Epochs int         `json:"epochs"`
-	// Shards is the data-parallel worker count the session actually
-	// trained with; 0 means the serial path (unsharded config, or a
-	// benchmark without a shardable train step).
+	// Shards is the data-parallel worker count the session trained
+	// with; 0 means the serial path.
 	Shards int `json:"shards"`
-	// FallbackReason says why a session that requested sharding ran
-	// serial anyway (empty when the session trained as configured), so
-	// a misconfigured run never silently looks sharded.
-	FallbackReason string `json:"fallback_reason,omitempty"`
 	// Kernel is the compute kernel ("naive", "blocked", ...) the
 	// session's tensor ops dispatched to, so JSONL and perf artifacts
 	// record which kernel produced each number.
@@ -46,8 +41,9 @@ type SessionResult struct {
 	// before it exhausted its epoch budget or reached its target; the
 	// loss trace is the completed-epoch prefix.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Error records a mid-session training failure — a dist backend
-	// losing a replica (a killed or crashed worker process), a
+	// Error records a training failure — a dist group that could not
+	// open (children that cannot start, a bad phase declaration), a
+	// backend losing a replica (a killed or crashed worker process), a
 	// determinism violation — that ended the session early. The
 	// completed-epoch prefix of Losses is kept. Failures are contained
 	// per benchmark: one session's Error never aborts its siblings in a
@@ -85,8 +81,7 @@ func (s serialTrainer) Quality() (float64, error)    { return models.Evaluate(s.
 // the session trains data-parallel through internal/dist on the plan's
 // backend — each step's batch splits across shard workers and gradients
 // combine with a deterministic all-reduce, so losses are bitwise
-// identical for every shard count — when the benchmark supports it, and
-// serial with a FallbackReason when it does not. The instance it builds
+// identical for every shard count. The instance it builds
 // trains from seed (the Runner derives one per benchmark) and is placed
 // under the run ctx carries (tensor.RunFrom — the dist backends do the
 // same for their replicas); per-epoch spans hang under span, and a
@@ -100,53 +95,36 @@ func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *te
 		maxEpochs = 150
 	}
 	run := tensor.RunFrom(ctx)
+	res := SessionResult{ID: b.ID, Kind: p.Session, Kernel: run.Kernels.Name()}
 	var (
-		trainer  epochTrainer
-		eng      *dist.Engine // nil on the serial path
-		name     string
-		target   float64
-		meets    func(float64) bool
-		shards   int
-		fallback string
+		trainer epochTrainer
+		eng     *dist.Engine // nil on the serial path
+		meets   func(float64) bool
 	)
-	if p.Shards > 0 && b.Shardable() {
+	if p.Shards > 0 {
 		be, err := dist.NewBackend(p.backendName(), p.Shards)
 		if err != nil {
 			return SessionResult{}, err // NewRunner validated the name
 		}
 		if eng, err = dist.New(ctx, b.ID, b.Factory, seed, be); err != nil {
-			// Shardable() vouched the train-step interface exists, but
-			// the engine also validates the phase declaration (at least
-			// one phase, a reporting phase, matching reduce groups) and
-			// the backend must bring its replicas up; run serial and say
-			// why instead of crashing the session.
-			fallback = fmt.Sprintf("requested shards=%d on the %q backend but the dist engine rejected the workload: %v", p.Shards, p.backendName(), err)
-		} else {
-			trainer, shards = eng, eng.Workers()
-			name, target, meets = eng.Name(), eng.Target(), eng.MeetsTarget
+			// The group could not come up: this benchmark's failure
+			// alone, contained like a replica lost mid-run — unless
+			// the run was cancelled while it opened.
+			if ctx.Err() != nil {
+				res.Interrupted = true
+			} else {
+				res.Error = err.Error()
+			}
+			return res, nil
 		}
-	}
-	if trainer == nil { // serial path (Shards == 0, not shardable, or rejected)
+		trainer, res.Shards = eng, eng.Workers()
+		res.Name, res.Target, meets = eng.Name(), eng.Target(), eng.MeetsTarget
+	} else {
 		wl := b.Factory(seed)
 		wl.Arena().SetRun(run)
 		trainer = serialTrainer{w: wl}
-		name, target = wl.Name(), wl.ScaledTarget()
+		res.Name, res.Target = wl.Name(), wl.ScaledTarget()
 		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
-		if p.Shards > 0 && fallback == "" {
-			fallback = fmt.Sprintf("requested shards=%d on the %q backend but workload implements no sharded train step (models.PhasedTrainer)", p.Shards, p.backendName())
-		}
-		// Record why the run asked for data-parallel training and
-		// didn't get it, so the fallback is never mistaken for a
-		// sharded session (dist's determinism makes the two otherwise
-		// hard to tell apart from losses alone).
-		if fallback != "" && p.Log != nil {
-			fmt.Fprintf(p.Log, "%s: serial fallback: %s\n", b.ID, fallback)
-		}
-	}
-	res := SessionResult{
-		ID: b.ID, Name: name, Kind: p.Session, Shards: shards,
-		FallbackReason: fallback, Kernel: run.Kernels.Name(),
-		Target: target,
 	}
 	for ep := 1; ep <= maxEpochs; ep++ {
 		if ctx.Err() != nil {
@@ -196,26 +174,6 @@ func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *te
 		res.ReachedGoal = true // quasi-entire sessions complete by definition
 	}
 	return res, nil
-}
-
-// Shardable reports whether the benchmark's workload supports
-// data-parallel sharded sessions. The answer requires building a
-// throwaway workload, so it is cached (same discipline as the Spec
-// cache; safe for concurrent use).
-func (b *Benchmark) Shardable() bool {
-	specMu.Lock()
-	cached := b.shardable
-	specMu.Unlock()
-	if cached != nil {
-		return *cached
-	}
-	v := dist.Shardable(b.Factory) // idempotent: duplicate concurrent probes agree
-	specMu.Lock()
-	if b.shardable == nil {
-		b.shardable = &v
-	}
-	specMu.Unlock()
-	return v
 }
 
 // ReplaySession simulates an entire paper-scale session: epochs drawn

@@ -1,32 +1,49 @@
 package core
 
 import (
-	"bytes"
-	"strings"
+	"context"
 	"testing"
+
+	"aibench/internal/models"
+	"aibench/internal/nn"
+	"aibench/internal/tensor"
+	"aibench/internal/workload"
 )
 
-// TestSerialFallbackReasonRecordedAndLogged checks a session that asks
-// for sharding but runs serial says so — in the result and on the log
-// stream — while sessions that train as configured carry no reason.
-func TestSerialFallbackReasonRecordedAndLogged(t *testing.T) {
-	var log bytes.Buffer
-	p := Plan{Benchmarks: []string{"DC-AI-C4", "DC-AI-C16"}, Session: QuasiEntireSession, Epochs: 1, Seed: 7, Shards: 3, Log: &log}
-	asked := sessionsOf(t, p)
-	if res := asked[0]; res.Shards != 0 {
-		t.Fatalf("DC-AI-C4 reported Shards=%d, want 0", res.Shards)
-	} else if !strings.Contains(res.FallbackReason, "shards=3") {
-		t.Fatalf("FallbackReason %q does not name the requested shard count", res.FallbackReason)
-	}
-	if out := log.String(); !strings.Contains(out, "DC-AI-C4: serial fallback:") || strings.Contains(out, "DC-AI-C16: serial fallback:") {
-		t.Fatalf("log %q: want the serial-fallback line for DC-AI-C4 alone", out)
-	}
-	if sharded := asked[1]; sharded.Shards != 3 || sharded.FallbackReason != "" {
-		t.Fatalf("sharded session reported Shards=%d reason=%q, want 3 and empty", sharded.Shards, sharded.FallbackReason)
-	}
+// noReportPhase is a benchmark whose one phase does not report: a step
+// whose loss would be a mean over nothing, which dist refuses before
+// the first step.
+type noReportPhase struct{ arena tensor.Arena }
 
-	p.Shards = 0
-	if serial := sessionsOf(t, p)[0]; serial.FallbackReason != "" {
-		t.Fatalf("serial-by-config session carries reason %q, want empty", serial.FallbackReason)
+func (*noReportPhase) Name() string                       { return "no reporting phase" }
+func (*noReportPhase) Quality() float64                   { return 0 }
+func (*noReportPhase) LowerIsBetter() bool                { return false }
+func (*noReportPhase) ScaledTarget() float64              { return 1 }
+func (*noReportPhase) Module() nn.Module                  { return models.Modules() }
+func (*noReportPhase) Spec() workload.Model               { return workload.Model{} }
+func (f *noReportPhase) Arena() *tensor.Arena             { return &f.arena }
+func (*noReportPhase) BeginEpoch()                        {}
+func (*noReportPhase) StepsPerEpoch(int) int              { return 1 }
+func (*noReportPhase) Phases() []models.PhaseSpec         { return []models.PhaseSpec{{Name: "step"}} }
+func (*noReportPhase) BeginPhase(int, int) []models.Grain { return nil }
+func (*noReportPhase) PhaseParams(int) []*nn.Param        { return nil }
+func (*noReportPhase) ApplyPhase(int)                     {}
+
+// TestEngineThatCannotOpenIsTheBenchmarksError: a dist group that
+// cannot come up is a real failure. A sweep returns it instead of an
+// empty row set, and a sharded session records it as that session's
+// Error, with no epochs, instead of failing the run.
+func TestEngineThatCannotOpenIsTheBenchmarksError(t *testing.T) {
+	b := &Benchmark{ID: "no-report", Factory: func(int64) models.Benchmark { return &noReportPhase{} }}
+	ctx := context.Background()
+	if rec, err := b.runSweep(ctx, Plan{ShardSweep: []int{1, 2}, Epochs: 1}, 1, nil); err == nil {
+		t.Fatalf("sweep returned %+v and no error", rec)
+	}
+	res, err := b.runSession(ctx, Plan{Session: QuasiEntireSession, Epochs: 2, Shards: 2}, 1, nil)
+	if err != nil {
+		t.Fatalf("session failed the run: %v", err)
+	}
+	if res.Error == "" || res.Epochs != 0 || len(res.Losses) != 0 || res.ReachedGoal {
+		t.Fatalf("session %+v: want an Error, no epochs and no goal", res)
 	}
 }

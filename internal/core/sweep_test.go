@@ -75,28 +75,29 @@ func persistedIDs(s *results.Stream) []string {
 	return ids
 }
 
-// TestSweepSkipsBenchmarkWhoseEngineCannotOpen: a backend that cannot
-// bring one benchmark's replicas up costs the sweep that benchmark's
-// row and nothing else. (It used to emit the row with a zero time per
-// epoch and a NaN speedup, which the envelope writer then refused,
-// failing the whole sweep.) A shard count that cannot open drops the
-// row the same way: its points would not be the sweep the plan asked
-// for.
-func TestSweepSkipsBenchmarkWhoseEngineCannotOpen(t *testing.T) {
+// TestSweepFailsWhenEngineCannotOpen: a backend that cannot bring one
+// benchmark's replicas up is the sweep's error, at the baseline or at
+// a wider shard count. The rows measured before it are kept and
+// persisted, the failing benchmark has no half-measured row, and
+// nothing further launches. (An open failure used to drop the row
+// silently, so a process backend whose children could not start gave
+// an empty sweep and exit status 0.)
+func TestSweepFailsWhenEngineCannotOpen(t *testing.T) {
+	injected := errors.New("no capacity for replicas (injected)")
 	for name, fails := range map[string]func(id string, workers int) bool{
 		"baseline": func(id string, _ int) bool { return id == "DC-AI-C16" },
 		"widened":  func(id string, workers int) bool { return id == "DC-AI-C16" && workers == 2 },
 	} {
 		res, stream, err := sweep(t, context.Background(), func(id string, workers int) error {
 			if fails(id, workers) {
-				return errors.New("no capacity for replicas (injected)")
+				return injected
 			}
 			return nil
 		})
-		if err != nil {
-			t.Fatalf("%s open failure failed the sweep: %v", name, err)
+		if !errors.Is(err, injected) {
+			t.Fatalf("%s open failure: sweep error %v, want the backend's", name, err)
 		}
-		want := []string{"DC-AI-C15", "DC-AI-C10"}
+		want := []string{"DC-AI-C15"}
 		if got := rowIDs(res.Scaling); !slices.Equal(got, want) {
 			t.Fatalf("%s open failure: sweep kept rows %v, want %v", name, got, want)
 		}

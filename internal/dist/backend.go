@@ -31,8 +31,8 @@ type Backend interface {
 	Workers() int
 	// Open constructs the replica group: every rank builds the same
 	// workload from the same seed (bitwise-identical initialization).
-	// Returns ErrNotShardable when the workload exposes no shardable
-	// train step, or the replica's own validation error.
+	// Returns the replica's validation error, or the error of a rank
+	// that could not start.
 	Open(ctx context.Context, benchID string, factory models.Factory, seed int64) (Group, error)
 }
 

@@ -35,17 +35,12 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"aibench/internal/models"
 	"aibench/internal/telemetry"
 )
-
-// ErrNotShardable reports that a benchmark's workload does not
-// implement models.PhasedTrainer and cannot train data-parallel.
-var ErrNotShardable = errors.New("dist: benchmark implements no sharded train step (models.PhasedTrainer)")
 
 // phaseScratch holds one phase's reusable gather/reduce vectors; the
 // step loop is exactly what the scaling sweep and
@@ -88,9 +83,9 @@ func (e *Engine) SetSpan(s *telemetry.Span) { e.span = s }
 // backend: one replica per rank, every replica constructed from the
 // same seed (bitwise-identical initialization). benchID names the
 // workload in the models registry for out-of-process backends; a nil
-// backend defaults to a single-rank Local pool. Returns
-// ErrNotShardable when the workload does not expose a shardable train
-// step. Callers own Close.
+// backend defaults to a single-rank Local pool. An error means the
+// group could not come up — children that cannot start, a phase
+// declaration the replicas refuse. Callers own Close.
 func New(ctx context.Context, benchID string, factory models.Factory, seed int64, backend Backend) (*Engine, error) {
 	if backend == nil {
 		backend = NewLocal(1)
@@ -109,13 +104,6 @@ func New(ctx context.Context, benchID string, factory models.Factory, seed int64
 		scratch:    make([]phaseScratch, len(spec.Phases)),
 	}
 	return e, nil
-}
-
-// Shardable reports whether the factory's benchmark supports
-// data-parallel training (implements models.PhasedTrainer).
-func Shardable(factory models.Factory) bool {
-	_, ok := factory(1).(models.PhasedTrainer)
-	return ok
 }
 
 // Workers returns the backend's replica count.

@@ -62,11 +62,12 @@ func sameFloats(t *testing.T, label string, got, want []float64) {
 // pipe through the frame codec — trains bitwise identically to the
 // in-process local backend at every shard count, for a single-phase CNN,
 // a multi-phase WGAN (whose critic/generator steps also exercise the
-// buffer-sync frames), a single-phase ranking model, and a multi-phase
+// buffer-sync frames), a single-phase ranking model, a multi-phase
 // search whose phases hand some ranks no grain — so a rank's reused
-// reply buffers shrink and grow between phases.
+// reply buffers shrink and grow between phases — and the RGB-D face
+// model, whose batch-norm buffers cross the frame codec every step.
 func TestProcessEngineMatchesLocalBitwise(t *testing.T) {
-	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C16", "DC-AI-C17"} {
+	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C16", "DC-AI-C17", "DC-AI-C8"} {
 		baseLoss, baseQ := trainVia(t, id, dist.NewLocal(1), 2)
 		for _, n := range []int{1, 2, 4} {
 			ll, lq := trainVia(t, id, dist.NewLocal(n), 2)
@@ -162,7 +163,7 @@ func runBackendSession(t *testing.T, id, backend string, shards int) (core.Sessi
 		t.Fatalf("%s on %s failed: %s", id, backend, sr.Error)
 	}
 	if sr.Shards != shards {
-		t.Fatalf("%s on %s ran with %d shards, want %d (fallback: %s)", id, backend, sr.Shards, shards, sr.FallbackReason)
+		t.Fatalf("%s on %s ran with %d shards, want %d", id, backend, sr.Shards, shards)
 	}
 	return sr, trace
 }

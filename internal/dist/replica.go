@@ -19,7 +19,7 @@ type replica struct {
 	rank    int
 	workers int
 
-	trainer models.PhasedTrainer
+	trainer models.Benchmark
 	params  []*nn.Param
 	groups  [][]*nn.Param // per phase: the phase's reduce group
 	buffers []*tensor.Tensor
@@ -41,14 +41,10 @@ type replica struct {
 // deterministic contract, so the validation errors are worded
 // identically wherever they surface.
 func newReplica(factory models.Factory, seed int64, rank, workers int, run *tensor.Run) (*replica, error) {
-	wl := factory(seed)
-	wl.Arena().SetRun(run)
-	st, ok := wl.(models.PhasedTrainer)
-	if !ok {
-		return nil, ErrNotShardable
-	}
+	st := factory(seed)
+	st.Arena().SetRun(run)
 	r := &replica{rank: rank, workers: workers, trainer: st, params: st.Module().Params(), counters: run.Counters}
-	if bt, ok := wl.(models.Buffered); ok {
+	if bt, ok := st.(models.Buffered); ok {
 		r.buffers = bt.Buffers()
 	}
 	phases, err := models.CheckPhases(st)

@@ -19,6 +19,7 @@ import (
 // synthetic images; quality is MS-SSIM of the reconstruction.
 type ImageCompression struct {
 	stepArena
+	singlePhase
 	enc     *nn.Conv2D
 	bottle  *nn.Conv2D // produces the (soft) binary code
 	expand  *nn.Conv2D
@@ -75,23 +76,32 @@ func (b *ImageCompression) reconstruct(x *autograd.Value) *autograd.Value {
 	return recon
 }
 
-// TrainEpoch implements Benchmark: minimize residual energy across
-// iterations, with learning-rate decay for stable convergence.
-func (b *ImageCompression) TrainEpoch() float64 {
+// BeginEpoch implements Benchmark: decay the learning rate for stable
+// convergence.
+func (b *ImageCompression) BeginEpoch() {
 	b.epoch++
 	b.opt.SetLR(2e-3 * math.Pow(0.993, float64(b.epoch)))
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		x, _ := b.ds.Batch(8)
-		b.opt.ZeroGrad()
-		recon := b.reconstruct(autograd.Const(x))
-		loss := autograd.MSELoss(recon, x)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
+}
+
+// StepsPerEpoch implements Benchmark.
+func (b *ImageCompression) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *ImageCompression) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the image macro-batch and split
+// it into per-grain sub-batches, each minimizing the residual energy
+// across codec iterations.
+func (b *ImageCompression) BeginPhase(_, grains int) []Grain {
+	x, _ := b.ds.Batch(8)
+	return splitGrains(x.Dim(0), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			xs := batchRows(x, lo, hi)
+			loss := autograd.MSELoss(b.reconstruct(autograd.Const(xs)), xs)
+			loss.Backward()
+			return loss.Item(), hi - lo
+		}
+	})
 }
 
 // Quality implements Benchmark: mean MS-SSIM between original and

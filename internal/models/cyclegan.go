@@ -113,17 +113,17 @@ var cycleganPhases = []PhaseSpec{
 	{Name: "discriminator"}, {Name: "generator", Report: true},
 }
 
-// BeginEpoch implements PhasedTrainer (training mode is never toggled;
+// BeginEpoch implements Benchmark (training mode is never toggled;
 // batch-norm stays in training statistics).
 func (b *ImageToImage) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *ImageToImage) StepsPerEpoch(int) int { return b.batches }
 
-// Phases implements PhasedTrainer.
+// Phases implements Benchmark.
 func (b *ImageToImage) Phases() []PhaseSpec { return cycleganPhases }
 
-// PhaseParams implements PhasedTrainer: the discriminator phase
+// PhaseParams implements Benchmark: the discriminator phase
 // reduces only the two patch discriminators, the generator phase only
 // the two generators — the adversarial term backpropagates through the
 // discriminators, and the per-phase group discards those gradients.
@@ -134,7 +134,7 @@ func (b *ImageToImage) PhaseParams(phase int) []*nn.Param {
 	return append(b.gAB.Params(), b.gBA.Params()...)
 }
 
-// BeginPhase implements PhasedTrainer: the discriminator phase draws
+// BeginPhase implements Benchmark: the discriminator phase draws
 // the step's paired macro-batch (stored for the generator phase to
 // reuse) and scores real-vs-translated slices; the generator phase
 // computes the adversarial plus cycle-consistency objective on the
@@ -182,7 +182,7 @@ func (b *ImageToImage) BeginPhase(phase, grains int) []Grain {
 	})
 }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *ImageToImage) ApplyPhase(phase int) {
 	if phase == 0 {
 		b.optD.Step()

@@ -294,7 +294,7 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 	return loss
 }
 
-// BeginEpoch implements PhasedTrainer: training mode plus the decayed
+// BeginEpoch implements Benchmark: training mode plus the decayed
 // learning rate of the Faster R-CNN schedule shape (every replica
 // advances the schedule identically).
 func (b *ObjectDetection) BeginEpoch() {
@@ -303,13 +303,13 @@ func (b *ObjectDetection) BeginEpoch() {
 	b.opt.SetLR(2e-3 * math.Pow(0.985, float64(b.epoch)))
 }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *ObjectDetection) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the scene macro-batch and
+// BeginPhase implements Benchmark: draw the scene macro-batch and
 // the per-image negative RoIs, then split the batch into per-grain
 // image ranges (batch-norm statistics are computed per grain; the
 // engine reduces and syncs the running stats through Buffers).

@@ -53,16 +53,16 @@ func (b *FaceEmbedding) embedBatch(x *tensor.Tensor) *autograd.Value {
 	return b.embed.Forward(b.net.Features(autograd.Const(x)))
 }
 
-// BeginEpoch implements PhasedTrainer.
+// BeginEpoch implements Benchmark.
 func (b *FaceEmbedding) BeginEpoch() { b.net.SetTraining(true) }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *FaceEmbedding) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the step's triplet
+// BeginPhase implements Benchmark: draw the step's triplet
 // macro-batch once — all RNG happens here, keeping replicas in
 // lockstep — and split it row-wise into per-grain triplet sub-batches,
 // anchors, positives, and negatives sliced in step, each trained with
@@ -176,6 +176,7 @@ func (b *FaceEmbedding) Spec() workload.Model {
 // synthetic RGB-D identities.
 type Face3D struct {
 	stepArena
+	singlePhase
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.Faces
@@ -205,21 +206,30 @@ func NewFace3D(seed int64) *Face3D {
 // Name implements Benchmark.
 func (b *Face3D) Name() string { return "3D Face Recognition" }
 
-// TrainEpoch implements Benchmark.
-func (b *Face3D) TrainEpoch() float64 {
-	b.net.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		x, y := b.ds.Batch(16)
-		b.opt.ZeroGrad()
-		loss := autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(x)), y)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
+// BeginEpoch implements Benchmark.
+func (b *Face3D) BeginEpoch() { b.net.SetTraining(true) }
+
+// StepsPerEpoch implements Benchmark.
+func (b *Face3D) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *Face3D) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the RGB-D macro-batch and split
+// it into per-grain identification sub-batches.
+func (b *Face3D) BeginPhase(_, grains int) []Grain {
+	x, y := b.ds.Batch(16)
+	return splitGrains(len(y), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			loss := autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(batchRows(x, lo, hi))), y[lo:hi])
+			loss.Backward()
+			return loss.Item(), hi - lo
+		}
+	})
 }
+
+// Buffers implements Buffered: the batch-norm running statistics.
+func (b *Face3D) Buffers() []*tensor.Tensor { return b.net.Buffers() }
 
 // Quality implements Benchmark: identification accuracy.
 func (b *Face3D) Quality() float64 {

@@ -48,16 +48,16 @@ func NewImageClassification(seed int64) *ImageClassification {
 // Name implements Benchmark.
 func (b *ImageClassification) Name() string { return "Image Classification" }
 
-// BeginEpoch implements PhasedTrainer.
+// BeginEpoch implements Benchmark.
 func (b *ImageClassification) BeginEpoch() { b.net.SetTraining(true) }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *ImageClassification) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the macro-batch and split
+// BeginPhase implements Benchmark: draw the macro-batch and split
 // it into per-grain classification sub-batches.
 func (b *ImageClassification) BeginPhase(_, grains int) []Grain {
 	x, y := b.ds.Batch(b.batch)

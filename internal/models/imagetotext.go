@@ -17,6 +17,7 @@ import (
 // CNN encoder plus LSTM decoder on synthetic captioned images.
 type ImageToText struct {
 	stepArena
+	singlePhase
 	encoder *miniResNet
 	imgProj *nn.Linear
 	emb     *nn.Embedding
@@ -77,28 +78,34 @@ func (b *ImageToText) captionNLL(x *tensor.Tensor, captions [][]int, train bool)
 		logits := b.proj.Forward(h)
 		losses = append(losses, autograd.SoftmaxCrossEntropy(logits, targets))
 	}
-	sum := losses[0]
-	for _, l := range losses[1:] {
-		sum = autograd.Add(sum, l)
-	}
-	return autograd.Scale(sum, 1/float64(len(losses)))
+	return meanLoss(losses)
 }
 
-// TrainEpoch implements Benchmark.
-func (b *ImageToText) TrainEpoch() float64 {
-	b.encoder.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		x, _, caps := b.ds.Pair(12)
-		b.opt.ZeroGrad()
-		loss := b.captionNLL(x, caps, true)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
+// BeginEpoch implements Benchmark.
+func (b *ImageToText) BeginEpoch() { b.encoder.SetTraining(true) }
+
+// StepsPerEpoch implements Benchmark.
+func (b *ImageToText) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *ImageToText) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the captioned macro-batch and
+// split it into per-grain image/caption sub-batches.
+func (b *ImageToText) BeginPhase(_, grains int) []Grain {
+	x, _, caps := b.ds.Pair(12)
+	return splitGrains(len(caps), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			loss := b.captionNLL(batchRows(x, lo, hi), caps[lo:hi], true)
+			loss.Backward()
+			return loss.Item(), hi - lo
+		}
+	})
 }
+
+// Buffers implements Buffered: the encoder's batch-norm running
+// statistics.
+func (b *ImageToText) Buffers() []*tensor.Tensor { return b.encoder.Buffers() }
 
 // Quality implements Benchmark: caption perplexity on held-out images
 // (the paper's metric, target 4.2).

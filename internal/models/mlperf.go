@@ -34,21 +34,19 @@ func NewMLPerfRecommendation(seed int64) Benchmark {
 	return renamedSharded{b, "MLPerf Recommendation", b.Spec()}
 }
 
-// renamedSharded wraps a benchmark whose model has a sharded train step
-// with a different display name/spec. The wrapper keeps the
-// PhasedTrainer contract visible (the MLPerf twin of a shardable
-// AIBench model trains data-parallel too) and forwards the buffer sync
-// of Buffered models and the wrapped instance's one-grain driver.
+// renamedSharded wraps a benchmark with a different display name/spec
+// (the MLPerf twin of an AIBench model), forwarding the buffer sync of
+// Buffered models and the wrapped instance's one-grain driver.
 type renamedSharded struct {
-	PhasedTrainer
+	Benchmark
 	name string
 	spec workload.Model
 }
 
 // serial implements loopHolder: the driver is kept on the wrapped
 // instance, over the wrapper t.
-func (r renamedSharded) serial(t PhasedTrainer) *serialLoop {
-	return r.PhasedTrainer.(loopHolder).serial(t)
+func (r renamedSharded) serial(t Benchmark) *serialLoop {
+	return r.Benchmark.(loopHolder).serial(t)
 }
 
 func (r renamedSharded) Name() string         { return r.name }
@@ -57,7 +55,7 @@ func (r renamedSharded) Spec() workload.Model { return r.spec }
 // Buffers implements Buffered by forwarding to the wrapped model (an
 // empty set when the model carries no non-gradient state).
 func (r renamedSharded) Buffers() []*tensor.Tensor {
-	if bt, ok := r.PhasedTrainer.(Buffered); ok {
+	if bt, ok := r.Benchmark.(Buffered); ok {
 		return bt.Buffers()
 	}
 	return nil
@@ -107,6 +105,7 @@ func maskRCNNSpec() workload.Model {
 // (no proposal/RoI stage), scaled onto the same synthetic scenes.
 type SSDLight struct {
 	stepArena
+	singlePhase
 	backbone *detectorBackbone
 	head     *nn.Conv2D // per cell: objectness + 4 box + classes
 	opt      optim.Optimizer
@@ -147,71 +146,91 @@ func NewSSDLight(seed int64) *SSDLight {
 // Name implements Benchmark.
 func (b *SSDLight) Name() string { return "MLPerf Object Detection (light)" }
 
-// TrainEpoch implements Benchmark: the one-stage multibox loss with a
-// decayed learning rate.
-func (b *SSDLight) TrainEpoch() float64 {
+// BeginEpoch implements Benchmark: training mode plus the decayed
+// learning rate.
+func (b *SSDLight) BeginEpoch() {
 	b.backbone.SetTraining(true)
 	b.epoch++
 	b.opt.SetLR(2e-3 * math.Pow(0.995, float64(b.epoch)))
-	total := 0.0
-	cells := b.grid * b.grid
-	for it := 0; it < b.batches; it++ {
-		b.arena.Reset()
-		x, boxes := b.ds.Scene(8)
-		b.opt.ZeroGrad()
-		pred := b.head.Forward(b.headInput(x))
-		n := x.Dim(0)
-		flat := autograd.Reshape(pred, n, (5+b.classes)*cells)
+}
 
-		objT := tensor.New(n, cells)
-		boxT := tensor.New(n, 4*cells)
-		boxMask := tensor.New(n, 4*cells)
-		clsPerCell := make([][]int, n)
-		for i := 0; i < n; i++ {
-			obj, tx, ty, tw, th, cls := cellTargets(boxes[i], b.imgSize, b.grid)
-			clsPerCell[i] = cls // -1 masks background cells
-			for c := 0; c < cells; c++ {
-				if obj[c] > 0 {
-					objT.Set(1, i, c)
-					boxT.Data[i*4*cells+0*cells+c] = tx[c]
-					boxT.Data[i*4*cells+1*cells+c] = ty[c]
-					boxT.Data[i*4*cells+2*cells+c] = tw[c]
-					boxT.Data[i*4*cells+3*cells+c] = th[c]
-					for ch := 0; ch < 4; ch++ {
-						boxMask.Data[i*4*cells+ch*cells+c] = 1
-					}
+// StepsPerEpoch implements Benchmark.
+func (b *SSDLight) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *SSDLight) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the scene macro-batch and split
+// it, images and their per-row boxes together, into per-grain
+// sub-batches trained with the one-stage multibox loss.
+func (b *SSDLight) BeginPhase(_, grains int) []Grain {
+	x, boxes := b.ds.Scene(8)
+	return splitGrains(len(boxes), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			loss := b.multiboxLoss(batchRows(x, lo, hi), boxes[lo:hi])
+			loss.Backward()
+			return loss.Item(), hi - lo
+		}
+	})
+}
+
+// Buffers implements Buffered: the backbone's batch-norm running
+// statistics.
+func (b *SSDLight) Buffers() []*tensor.Tensor { return b.backbone.Buffers() }
+
+// multiboxLoss is the one-stage multibox loss of a scene batch:
+// objectness, masked box regression and per-cell classification.
+func (b *SSDLight) multiboxLoss(x *tensor.Tensor, boxes [][]data.Box) *autograd.Value {
+	cells := b.grid * b.grid
+	pred := b.head.Forward(b.headInput(x))
+	n := x.Dim(0)
+	flat := autograd.Reshape(pred, n, (5+b.classes)*cells)
+
+	objT := tensor.New(n, cells)
+	boxT := tensor.New(n, 4*cells)
+	boxMask := tensor.New(n, 4*cells)
+	clsPerCell := make([][]int, n)
+	for i := 0; i < n; i++ {
+		obj, tx, ty, tw, th, cls := cellTargets(boxes[i], b.imgSize, b.grid)
+		clsPerCell[i] = cls // -1 masks background cells
+		for c := 0; c < cells; c++ {
+			if obj[c] > 0 {
+				objT.Set(1, i, c)
+				boxT.Data[i*4*cells+0*cells+c] = tx[c]
+				boxT.Data[i*4*cells+1*cells+c] = ty[c]
+				boxT.Data[i*4*cells+2*cells+c] = tw[c]
+				boxT.Data[i*4*cells+3*cells+c] = th[c]
+				for ch := 0; ch < 4; ch++ {
+					boxMask.Data[i*4*cells+ch*cells+c] = 1
 				}
 			}
 		}
-		objPred := autograd.SliceCols(flat, 0, cells)
-		boxPred := autograd.Sigmoid(autograd.SliceCols(flat, cells, 5*cells))
-		clsPred := autograd.SliceCols(flat, 5*cells, (5+b.classes)*cells)
-		// Regroup channel-major class predictions into one row per cell:
-		// block c holds the n samples' logits for cell c.
-		blocks := make([]*autograd.Value, cells)
-		clsLabels := make([]int, 0, n*cells)
-		for c := 0; c < cells; c++ {
-			idx := make([]int, b.classes)
-			for ch := 0; ch < b.classes; ch++ {
-				idx[ch] = ch*cells + c
-			}
-			blocks[c] = autograd.GatherCols(clsPred, idx)
-			for i := 0; i < n; i++ {
-				clsLabels = append(clsLabels, clsPerCell[i][c])
-			}
-		}
-		clsRows := autograd.Concat(blocks...)
-
-		objLoss := autograd.BCEWithLogits(objPred, objT)
-		boxLoss := autograd.Scale(
-			autograd.MSELoss(autograd.Mul(boxPred, autograd.Const(boxMask)), tensor.Mul(boxT, boxMask)), 8)
-		clsLoss := autograd.MaskedSoftmaxCrossEntropy(clsRows, clsLabels)
-		loss := autograd.Add(autograd.Add(objLoss, boxLoss), clsLoss)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
 	}
-	return total / float64(b.batches)
+	objPred := autograd.SliceCols(flat, 0, cells)
+	boxPred := autograd.Sigmoid(autograd.SliceCols(flat, cells, 5*cells))
+	clsPred := autograd.SliceCols(flat, 5*cells, (5+b.classes)*cells)
+	// Regroup channel-major class predictions into one row per cell:
+	// block c holds the n samples' logits for cell c.
+	blocks := make([]*autograd.Value, cells)
+	clsLabels := make([]int, 0, n*cells)
+	for c := 0; c < cells; c++ {
+		idx := make([]int, b.classes)
+		for ch := 0; ch < b.classes; ch++ {
+			idx[ch] = ch*cells + c
+		}
+		blocks[c] = autograd.GatherCols(clsPred, idx)
+		for i := 0; i < n; i++ {
+			clsLabels = append(clsLabels, clsPerCell[i][c])
+		}
+	}
+	clsRows := autograd.Concat(blocks...)
+
+	objLoss := autograd.BCEWithLogits(objPred, objT)
+	boxLoss := autograd.Scale(
+		autograd.MSELoss(autograd.Mul(boxPred, autograd.Const(boxMask)), tensor.Mul(boxT, boxMask)), 8)
+	clsLoss := autograd.MaskedSoftmaxCrossEntropy(clsRows, clsLabels)
+	loss := autograd.Add(autograd.Add(objLoss, boxLoss), clsLoss)
+	return loss
 }
 
 // headInput builds the head's input: backbone features concatenated
@@ -304,6 +323,7 @@ func (b *SSDLight) Spec() workload.Model {
 // corpus; quality is corpus BLEU of the greedy decode.
 type GNMT struct {
 	stepArena
+	singlePhase
 	emb     *nn.Embedding
 	enc     *nn.LSTMCell
 	dec     *nn.LSTMCell
@@ -360,13 +380,22 @@ func (b *GNMT) decodeStep(tok int, h, c, encStates *autograd.Value) (*autograd.V
 	return b.proj.Forward(feat), h2, c2
 }
 
-// TrainEpoch implements Benchmark: teacher-forced cross-entropy.
-func (b *GNMT) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		src, tgt := b.ds.Pair()
-		b.opt.ZeroGrad()
+// BeginEpoch implements Benchmark (no per-epoch state).
+func (b *GNMT) BeginEpoch() {}
+
+// StepsPerEpoch implements Benchmark: the epoch's 20 pairs, one pair
+// per step at every grain count — 20 pairs do not divide into
+// ShardGrains grains, and one-pair steps drop none of them.
+func (b *GNMT) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *GNMT) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the step's one translation
+// pair, its one grain trained with teacher-forced cross-entropy.
+func (b *GNMT) BeginPhase(int, int) []Grain {
+	src, tgt := b.ds.Pair()
+	return []Grain{func() (float64, int) {
 		encStates, h, c := b.encode(src)
 		var losses []*autograd.Value
 		for t := 0; t+1 < len(tgt); t++ {
@@ -374,16 +403,10 @@ func (b *GNMT) TrainEpoch() float64 {
 			logits, h, c = b.decodeStep(tgt[t], h, c, encStates)
 			losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{tgt[t+1]}))
 		}
-		sum := losses[0]
-		for _, l := range losses[1:] {
-			sum = autograd.Add(sum, l)
-		}
-		loss := autograd.Scale(sum, 1/float64(len(losses)))
+		loss := meanLoss(losses)
 		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
+		return loss.Item(), len(losses)
+	}}
 }
 
 // Translate greedily decodes a source sentence.

@@ -13,14 +13,26 @@
 package models
 
 import (
-	"fmt"
-
+	"aibench/internal/autograd"
 	"aibench/internal/nn"
 	"aibench/internal/tensor"
 	"aibench/internal/workload"
 )
 
-// Benchmark is a scaled, executable component benchmark.
+// Benchmark is a scaled, executable component benchmark. Its
+// optimizer step is a fixed, ordered list of named phases — one "step"
+// phase for most models; a WGAN's critic-then-generator updates, ENAS's
+// weights-then-controller steps, truncated-BPTT segments of a
+// recurrent model — each with its own grain decomposition, gradient
+// reduce over the phase's parameter group, and buffer sync.
+// internal/dist trains one identically-seeded replica per worker at
+// ShardGrains grains and executes the phases of every step in declared
+// order on every replica: phase p's grains are computed, all-reduced,
+// installed, and applied before phase p+1 begins, so later phases
+// observe the parameter updates of earlier ones and replicas stay in
+// bitwise lockstep. A serial run goes through the same phases at one
+// grain (TrainEpoch), unless the benchmark keeps a serial epoch of its
+// own.
 type Benchmark interface {
 	// Name returns the component-benchmark task name.
 	Name() string
@@ -44,12 +56,45 @@ type Benchmark interface {
 	// Quality resets it itself. Whoever builds an instance for a run
 	// records the run on it (Arena.SetRun) before the first step.
 	Arena() *tensor.Arena
+
+	// BeginEpoch advances per-epoch state (training mode, curriculum
+	// phase, LR schedules). Every replica calls it once per epoch.
+	BeginEpoch()
+	// StepsPerEpoch returns the number of optimizer steps in one epoch
+	// of steps split into the given number of grains. The count is
+	// fixed for the instance's lifetime: a driver reads it once.
+	StepsPerEpoch(grains int) int
+	// Phases returns the step's fixed phase list. The list must not
+	// depend on training progress: every step of every epoch runs the
+	// same phases in the same order.
+	Phases() []PhaseSpec
+	// BeginPhase draws the phase's batch from the synthetic dataset
+	// stream and partitions it into grains: ShardGrains for a sharded
+	// run, one for a serial one. Every replica calls BeginPhase for
+	// every phase of every step — the identical draws keep all
+	// replicas' RNG streams in lockstep — and receives the same grain
+	// decomposition regardless of the worker count. A phase may reuse a
+	// batch drawn by an earlier phase of the same step (the CycleGAN
+	// discriminator/generator pair trains on one draw). A benchmark
+	// with a serial epoch of its own is only asked for ShardGrains and
+	// may split its step its own way.
+	BeginPhase(phase, grains int) []Grain
+	// PhaseParams returns the phase's reduce group: the parameters its
+	// grains produce gradients for and its ApplyPhase updates. nil
+	// means all of Module().Params(). Gradients on parameters outside
+	// the group are neither reduced nor installed, so phases with
+	// disjoint groups (generator vs critic) never mix gradients.
+	PhaseParams(phase int) []*nn.Param
+	// ApplyPhase applies the phase's optimizer update from the
+	// gradients currently installed on the phase's parameter group
+	// (the engine installs the all-reduced gradients before calling
+	// it), plus any deterministic post-step (weight clipping).
+	ApplyPhase(phase int)
 }
 
-// selfTrained is implemented by a benchmark that keeps a serial epoch
-// of its own: the seven that are not PhasedTrainers, and the three
-// (DC-AI-C6, DC-AI-C17, MLPerf-RL) whose serial algorithm differs from
-// their sharded one.
+// selfTrained is implemented by the three benchmarks that keep a
+// serial epoch of their own — DC-AI-C6, DC-AI-C17 and MLPerf-RL —
+// because their serial algorithm differs from their sharded one.
 type selfTrained interface {
 	// TrainEpoch runs one epoch of training, returning the mean loss.
 	TrainEpoch() float64
@@ -57,22 +102,18 @@ type selfTrained interface {
 
 // TrainEpoch runs one serial epoch of b and returns its mean step
 // loss. A benchmark with a serial epoch of its own runs it; every other
-// one is a PhasedTrainer and runs its phased step at one grain: per
-// step the arena is reset, and per phase the gradients are zeroed, the
-// phase's one grain runs and ApplyPhase updates. A step's loss is the
-// mean over its reporting phases, as in a sharded step.
+// one runs its phased step at one grain: per step the arena is reset,
+// and per phase the gradients are zeroed, the phase's one grain runs
+// and ApplyPhase updates. A step's loss is the mean over its reporting
+// phases, as in a sharded step.
 func TrainEpoch(b Benchmark) float64 {
 	if s, ok := b.(selfTrained); ok {
 		return s.TrainEpoch()
 	}
-	t, ok := b.(PhasedTrainer)
-	if !ok {
-		panic(fmt.Sprintf("models: %s has no serial epoch: it neither trains itself nor is a PhasedTrainer", b.Name()))
-	}
 	if h, ok := b.(loopHolder); ok {
-		return h.serial(t).epoch()
+		return h.serial(b).epoch()
 	}
-	return newSerialLoop(t).epoch()
+	return newSerialLoop(b).epoch()
 }
 
 // stepArena is embedded by every benchmark: the one arena all of the
@@ -102,12 +143,12 @@ func (s *stepArena) Arena() *tensor.Arena { return &s.arena }
 // loopHolder is implemented, through stepArena, by every benchmark of
 // the suite: it keeps the instance's one-grain driver across epochs.
 type loopHolder interface {
-	serial(PhasedTrainer) *serialLoop
+	serial(Benchmark) *serialLoop
 }
 
 // serial returns the instance's one-grain driver over t, the instance
 // itself, building it on first use.
-func (s *stepArena) serial(t PhasedTrainer) *serialLoop {
+func (s *stepArena) serial(t Benchmark) *serialLoop {
 	if s.loop == nil {
 		s.loop = newSerialLoop(t)
 	}
@@ -167,3 +208,13 @@ func (m multiModule) Params() []*nn.Param {
 
 // Modules bundles modules into one nn.Module.
 func Modules(mods ...nn.Module) nn.Module { return multiModule{mods: mods} }
+
+// meanLoss is the mean of per-position losses: their sum in order,
+// scaled by 1/len.
+func meanLoss(losses []*autograd.Value) *autograd.Value {
+	sum := losses[0]
+	for _, l := range losses[1:] {
+		sum = autograd.Add(sum, l)
+	}
+	return autograd.Scale(sum, 1/float64(len(losses)))
+}

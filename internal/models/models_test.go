@@ -26,34 +26,29 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
-// TestOneSerialPath pins the serial path of every benchmark: the ten
-// that keep a serial epoch of their own (the seven serial-only ones,
-// and C6, C17 and MLPerf-RL, whose serial algorithm differs from their
-// sharded one) run it, and the other fourteen are PhasedTrainers that
-// TrainEpoch drives at one grain, with their driver kept on the
-// instance.
+// TestOneSerialPath pins the serial path of every benchmark: the three
+// that keep a serial epoch of their own (C6, C17 and MLPerf-RL, whose
+// serial algorithm differs from their sharded one) run it, and the
+// other twenty-one are driven by TrainEpoch at one grain, with their
+// driver kept on the instance.
 func TestOneSerialPath(t *testing.T) {
-	own := map[string]bool{
-		"DC-AI-C4": true, "DC-AI-C6": true, "DC-AI-C8": true, "DC-AI-C12": true, "DC-AI-C13": true,
-		"DC-AI-C14": true, "DC-AI-C17": true, "MLPerf-ODL": true, "MLPerf-TR": true, "MLPerf-RL": true,
-	}
+	own := map[string]bool{"DC-AI-C6": true, "DC-AI-C17": true, "MLPerf-RL": true}
 	driven := 0
 	for _, e := range AllEntries() {
 		b := e.Factory(1)
 		_, self := b.(selfTrained)
-		_, phased := b.(PhasedTrainer)
 		_, holds := b.(loopHolder)
 		switch {
 		case self != own[e.ID]:
 			t.Errorf("%s: keeps its own serial epoch = %v, want %v", e.ID, self, own[e.ID])
-		case !self && !(phased && holds):
-			t.Errorf("%s: no serial path (PhasedTrainer %v, keeps a driver %v)", e.ID, phased, holds)
+		case !self && !holds:
+			t.Errorf("%s: no serial path (keeps no driver)", e.ID)
 		case !self:
 			driven++
 		}
 	}
-	if driven != 14 {
-		t.Errorf("%d benchmarks run the one-grain driver, want 14", driven)
+	if driven != 21 {
+		t.Errorf("%d benchmarks run the one-grain driver, want 21", driven)
 	}
 }
 

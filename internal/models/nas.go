@@ -80,11 +80,7 @@ func (c *nasChild) nll(arch architecture, stream []int) *autograd.Value {
 		logits := c.proj.Forward(h)
 		losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{stream[t+1]}))
 	}
-	sum := losses[0]
-	for _, l := range losses[1:] {
-		sum = autograd.Add(sum, l)
-	}
-	return autograd.Scale(sum, 1/float64(len(losses)))
+	return meanLoss(losses)
 }
 
 // hiddenStates runs the child forward (no backward) over the stream,
@@ -115,11 +111,7 @@ func (c *nasChild) segmentNLL(arch architecture, stream []int, lo, hi int, entry
 		logits := c.proj.Forward(h)
 		losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{stream[t+1]}))
 	}
-	sum := losses[0]
-	for _, l := range losses[1:] {
-		sum = autograd.Add(sum, l)
-	}
-	return autograd.Scale(sum, 1/float64(len(losses)))
+	return meanLoss(losses)
 }
 
 // nasController is the REINFORCE policy over architectures: an LSTM that
@@ -280,16 +272,16 @@ var nasPhases = []PhaseSpec{
 	{Name: "controller-1"}, {Name: "controller-2"},
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *NAS) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *NAS) StepsPerEpoch(int) int { return 2 }
 
-// Phases implements PhasedTrainer.
+// Phases implements Benchmark.
 func (b *NAS) Phases() []PhaseSpec { return nasPhases }
 
-// PhaseParams implements PhasedTrainer: weights phases reduce the
+// PhaseParams implements Benchmark: weights phases reduce the
 // shared child parameters, controller phases the policy parameters —
 // disjoint groups, so the two optimizers never see each other's
 // gradients.
@@ -300,7 +292,7 @@ func (b *NAS) PhaseParams(phase int) []*nn.Param {
 	return b.controller.Params()
 }
 
-// BeginPhase implements PhasedTrainer. A weights phase samples an
+// BeginPhase implements Benchmark. A weights phase samples an
 // architecture from the controller, draws a token stream, and
 // precomputes the truncated-BPTT segment entry states with a forward
 // pass (identical on every replica); its grains are the segments,
@@ -337,7 +329,7 @@ func (b *NAS) BeginPhase(phase, _ int) []Grain {
 	}}
 }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *NAS) ApplyPhase(phase int) {
 	if phase < 3 {
 		b.optChild.Step()

@@ -92,16 +92,16 @@ func bprLoss(m *mfScorer, users, pos, neg []int) *autograd.Value {
 	return autograd.BCEWithLogits(diff, ones)
 }
 
-// BeginEpoch implements PhasedTrainer: advance the ranking-distillation
+// BeginEpoch implements Benchmark: advance the ranking-distillation
 // curriculum — the teacher trains first; once it converges, the
 // student trains with BPR plus a distillation term that pulls its
 // scores toward the teacher's.
 func (b *LearningToRank) BeginEpoch() { b.epoch++ }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *LearningToRank) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer: step whichever optimizer the
+// ApplyPhase implements Benchmark: step whichever optimizer the
 // current curriculum phase trains. The other model's parameters carry
 // all-reduced zero gradients and are untouched.
 func (b *LearningToRank) ApplyPhase(int) {
@@ -112,7 +112,7 @@ func (b *LearningToRank) ApplyPhase(int) {
 	}
 }
 
-// BeginPhase implements PhasedTrainer: draw the BPR triple macro-batch
+// BeginPhase implements Benchmark: draw the BPR triple macro-batch
 // and split it into per-grain ranking (or distillation) sub-batches.
 func (b *LearningToRank) BeginPhase(_, grains int) []Grain {
 	users, pos, neg := b.ds.BPRTriple(b.batch)

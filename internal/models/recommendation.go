@@ -62,16 +62,16 @@ func (b *Recommendation) score(users, items []int) *autograd.Value {
 	return b.mlp.Forward(autograd.ConcatCols(u, v))
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *Recommendation) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *Recommendation) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *Recommendation) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the interaction macro-batch
+// BeginPhase implements Benchmark: draw the interaction macro-batch
 // and split it into per-grain scoring sub-batches, binary cross-entropy
 // on implicit feedback.
 func (b *Recommendation) BeginPhase(_, grains int) []Grain {

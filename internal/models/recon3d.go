@@ -8,6 +8,7 @@ import (
 	"aibench/internal/metrics"
 	"aibench/internal/nn"
 	"aibench/internal/optim"
+	"aibench/internal/tensor"
 	"aibench/internal/workload"
 )
 
@@ -17,6 +18,7 @@ import (
 // silhouette view; quality is average intersection-over-union.
 type Recon3D struct {
 	stepArena
+	singlePhase
 	enc     *convBlock
 	enc2    *convBlock
 	fc      *nn.Linear
@@ -54,23 +56,38 @@ func (b *Recon3D) voxelLogits(views *autograd.Value) *autograd.Value {
 	return b.fc.Forward(flat)
 }
 
-// TrainEpoch implements Benchmark: voxel-wise binary cross-entropy.
-func (b *Recon3D) TrainEpoch() float64 {
+// BeginEpoch implements Benchmark.
+func (b *Recon3D) BeginEpoch() {
 	b.enc.SetTraining(true)
 	b.enc2.SetTraining(true)
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		views, voxels := b.ds.Sample(8)
-		b.opt.ZeroGrad()
-		logits := b.voxelLogits(autograd.Const(views))
-		target := voxels.Reshape(voxels.Dim(0), b.d*b.d*b.d)
-		loss := autograd.BCEWithLogits(logits, target)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
+}
+
+// StepsPerEpoch implements Benchmark.
+func (b *Recon3D) StepsPerEpoch(int) int { return b.batches }
+
+// ApplyPhase implements Benchmark.
+func (b *Recon3D) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the view/voxel macro-batch and
+// split it into per-grain sub-batches trained with voxel-wise binary
+// cross-entropy.
+func (b *Recon3D) BeginPhase(_, grains int) []Grain {
+	views, voxels := b.ds.Sample(8)
+	return splitGrains(views.Dim(0), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			logits := b.voxelLogits(autograd.Const(batchRows(views, lo, hi)))
+			target := batchRows(voxels, lo, hi).Reshape(hi-lo, b.d*b.d*b.d)
+			loss := autograd.BCEWithLogits(logits, target)
+			loss.Backward()
+			return loss.Item(), hi - lo
+		}
+	})
+}
+
+// Buffers implements Buffered: the encoder's batch-norm running
+// statistics.
+func (b *Recon3D) Buffers() []*tensor.Tensor {
+	return append(b.enc.Buffers(), b.enc2.Buffers()...)
 }
 
 // Quality implements Benchmark: mean voxel IoU at threshold 0.5 on

@@ -170,11 +170,7 @@ func (b *ReinforcementLearning) episodeLoss(steps []rlStep) *autograd.Value {
 		vl := autograd.MSELoss(value, tensor.FromSlice([]float64{s.ret}, 1, 1))
 		losses = append(losses, autograd.Add(pg, autograd.Scale(vl, 0.5)))
 	}
-	sum := losses[0]
-	for _, l := range losses[1:] {
-		sum = autograd.Add(sum, l)
-	}
-	return autograd.Scale(sum, 1/float64(len(losses)))
+	return meanLoss(losses)
 }
 
 // rlEpisodesPerStep is the sharded macro-step's episode count: two
@@ -182,16 +178,16 @@ func (b *ReinforcementLearning) episodeLoss(steps []rlStep) *autograd.Value {
 // episodes.
 const rlEpisodesPerStep = 2
 
-// BeginEpoch implements PhasedTrainer.
+// BeginEpoch implements Benchmark.
 func (b *ReinforcementLearning) BeginEpoch() { b.policy.SetTraining(true) }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *ReinforcementLearning) StepsPerEpoch(int) int { return b.batches / rlEpisodesPerStep }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: every replica self-plays the
+// BeginPhase implements Benchmark: every replica self-plays the
 // step's episodes (identical policy weights and rng keep the
 // trajectories in lockstep; the generation forwards' batch-norm
 // drift is discarded by the engine's phase-start buffer snapshot),

@@ -35,58 +35,7 @@ type PhaseSpec struct {
 	Report bool `json:"report"`
 }
 
-// PhasedTrainer is implemented by benchmarks whose optimizer step is
-// a fixed, ordered list of named phases — one "step" phase for most
-// models; a WGAN's critic-then-generator updates, ENAS's
-// weights-then-controller steps, truncated-BPTT segments of a
-// recurrent model — each with its own grain decomposition, gradient
-// reduce over the phase's parameter group, and buffer sync.
-// internal/dist trains one identically-seeded replica per worker
-// through this interface at ShardGrains grains and executes the phases
-// of every step in declared order on every replica: phase p's grains
-// are computed, all-reduced, installed, and applied before phase p+1
-// begins, so later phases observe the parameter updates of earlier
-// ones and replicas stay in bitwise lockstep. A serial run goes
-// through the same phases at one grain (TrainEpoch), unless the
-// benchmark keeps a serial epoch of its own.
-type PhasedTrainer interface {
-	Benchmark
-	// BeginEpoch advances per-epoch state (training mode, curriculum
-	// phase, LR schedules). Every replica calls it once per epoch.
-	BeginEpoch()
-	// StepsPerEpoch returns the number of optimizer steps in one epoch
-	// of steps split into the given number of grains. The count is
-	// fixed for the instance's lifetime: a driver reads it once.
-	StepsPerEpoch(grains int) int
-	// Phases returns the step's fixed phase list. The list must not
-	// depend on training progress: every step of every epoch runs the
-	// same phases in the same order.
-	Phases() []PhaseSpec
-	// BeginPhase draws the phase's batch from the synthetic dataset
-	// stream and partitions it into grains: ShardGrains for a sharded
-	// run, one for a serial one. Every replica calls BeginPhase for
-	// every phase of every step — the identical draws keep all
-	// replicas' RNG streams in lockstep — and receives the same grain
-	// decomposition regardless of the worker count. A phase may reuse a
-	// batch drawn by an earlier phase of the same step (the CycleGAN
-	// discriminator/generator pair trains on one draw). A benchmark
-	// with a serial epoch of its own is only asked for ShardGrains and
-	// may split its step its own way.
-	BeginPhase(phase, grains int) []Grain
-	// PhaseParams returns the phase's reduce group: the parameters its
-	// grains produce gradients for and its ApplyPhase updates. nil
-	// means all of Module().Params(). Gradients on parameters outside
-	// the group are neither reduced nor installed, so phases with
-	// disjoint groups (generator vs critic) never mix gradients.
-	PhaseParams(phase int) []*nn.Param
-	// ApplyPhase applies the phase's optimizer update from the
-	// gradients currently installed on the phase's parameter group
-	// (the engine installs the all-reduced gradients before calling
-	// it), plus any deterministic post-step (weight clipping).
-	ApplyPhase(phase int)
-}
-
-// Buffered is implemented by sharded benchmarks carrying non-gradient
+// Buffered is implemented by benchmarks carrying non-gradient
 // training state (batch-norm running statistics). The engine snapshots
 // buffers at each step's start, restores the snapshot before every
 // grain so captures are assignment-independent, and broadcasts the
@@ -98,8 +47,8 @@ type Buffered interface {
 // CheckPhases returns t's phase list, or an error when t declares no
 // phase or no reporting phase — a step whose loss would be a mean over
 // nothing. Both drivers, dist's replica and the serial TrainEpoch,
-// refuse such a trainer before its first step.
-func CheckPhases(t PhasedTrainer) ([]PhaseSpec, error) {
+// refuse such a benchmark before its first step.
+func CheckPhases(t Benchmark) ([]PhaseSpec, error) {
 	phases := t.Phases()
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("%s declares no phases", t.Name())
@@ -112,7 +61,7 @@ func CheckPhases(t PhasedTrainer) ([]PhaseSpec, error) {
 	return nil, fmt.Errorf("%s declares no reporting phase", t.Name())
 }
 
-// singlePhase is embedded by trainers whose optimizer step is one
+// singlePhase is embedded by benchmarks whose optimizer step is one
 // gradient computation: one reporting phase, named "step", reduced over
 // the full parameter set.
 type singlePhase struct{}
@@ -154,13 +103,13 @@ func batchRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 // trainer plus what dist's replica also reads once per instance — the
 // parameters, the checked phase list and the step count.
 type serialLoop struct {
-	t      PhasedTrainer
+	t      Benchmark
 	params []*nn.Param
 	phases []PhaseSpec
 	steps  int
 }
 
-func newSerialLoop(t PhasedTrainer) *serialLoop {
+func newSerialLoop(t Benchmark) *serialLoop {
 	phases, err := CheckPhases(t)
 	if err != nil {
 		panic("models: " + err.Error())

@@ -127,22 +127,22 @@ func (b *SpeechRecognition) segmentState(frames *tensor.Tensor, lo, hi int, stat
 	return state
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *SpeechRecognition) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer: 3 macro-steps of
+// StepsPerEpoch implements Benchmark: 3 macro-steps of
 // speechUtterPerStep utterances each, close to the serial loop's 10
 // utterances per epoch.
 func (b *SpeechRecognition) StepsPerEpoch(int) int { return 3 }
 
-// Phases implements PhasedTrainer.
+// Phases implements Benchmark.
 func (b *SpeechRecognition) Phases() []PhaseSpec { return speechPhases }
 
-// PhaseParams implements PhasedTrainer: both segments update the full
+// PhaseParams implements Benchmark: both segments update the full
 // acoustic model.
 func (b *SpeechRecognition) PhaseParams(int) []*nn.Param { return nil }
 
-// BeginPhase implements PhasedTrainer: the first segment phase draws
+// BeginPhase implements Benchmark: the first segment phase draws
 // the macro-batch of utterances and trains frames [0, mid) of each
 // from a zero state; the second recomputes each utterance's midpoint
 // state under the post-segment-1 weights (forward only, identically on
@@ -183,7 +183,7 @@ func (b *SpeechRecognition) BeginPhase(phase, _ int) []Grain {
 	return gs
 }
 
-// ApplyPhase implements PhasedTrainer: every segment applies its own
+// ApplyPhase implements Benchmark: every segment applies its own
 // optimizer step, the per-segment-update TBPTT scheme.
 func (b *SpeechRecognition) ApplyPhase(int) { b.opt.Step() }
 

@@ -69,19 +69,19 @@ func (b *SpatialTransformer) forward(x *autograd.Value) *autograd.Value {
 	return b.classifier.Forward(rectified)
 }
 
-// BeginEpoch implements PhasedTrainer.
+// BeginEpoch implements Benchmark.
 func (b *SpatialTransformer) BeginEpoch() {
 	b.locConv.SetTraining(true)
 	b.classifier.SetTraining(true)
 }
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *SpatialTransformer) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *SpatialTransformer) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the distorted macro-batch
+// BeginPhase implements Benchmark: draw the distorted macro-batch
 // and split it into per-grain rectification sub-batches.
 func (b *SpatialTransformer) BeginPhase(_, grains int) []Grain {
 	x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)

@@ -17,6 +17,7 @@ import (
 // Rouge-L of the greedy decode.
 type TextSummarization struct {
 	stepArena
+	singlePhase
 	emb     *nn.Embedding
 	enc     *nn.LSTMCell
 	dec     *nn.LSTMCell
@@ -87,30 +88,38 @@ func (b *TextSummarization) stepLogits(tok int, h, c, encStates *autograd.Value)
 	return b.proj.Forward(feat), h2, c2
 }
 
-// TrainEpoch implements Benchmark: teacher-forced cross-entropy.
-func (b *TextSummarization) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
+// BeginEpoch implements Benchmark (no per-epoch state).
+func (b *TextSummarization) BeginEpoch() {}
+
+// StepsPerEpoch implements Benchmark: the epoch's 16 pairs in steps of
+// one pair per grain — 16 one-pair steps serially, 2 eight-pair
+// macro-steps sharded, the same data per epoch either way.
+func (b *TextSummarization) StepsPerEpoch(grains int) int { return b.batches / grains }
+
+// ApplyPhase implements Benchmark.
+func (b *TextSummarization) ApplyPhase(int) { b.opt.Step() }
+
+// BeginPhase implements Benchmark: draw the macro-batch of (document,
+// headline) pairs, one grain per pair, each trained with teacher-forced
+// cross-entropy and weighted by its target length.
+func (b *TextSummarization) BeginPhase(_, grains int) []Grain {
+	gs := make([]Grain, grains)
+	for g := range gs {
 		doc, head := b.ds.Pair()
-		b.opt.ZeroGrad()
-		encStates, h, c := b.encode(doc)
-		var losses []*autograd.Value
-		for t := 0; t+1 < len(head); t++ {
-			var logits *autograd.Value
-			logits, h, c = b.stepLogits(head[t], h, c, encStates)
-			losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{head[t+1]}))
+		gs[g] = func() (float64, int) {
+			encStates, h, c := b.encode(doc)
+			var losses []*autograd.Value
+			for t := 0; t+1 < len(head); t++ {
+				var logits *autograd.Value
+				logits, h, c = b.stepLogits(head[t], h, c, encStates)
+				losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{head[t+1]}))
+			}
+			loss := meanLoss(losses)
+			loss.Backward()
+			return loss.Item(), len(losses)
 		}
-		sum := losses[0]
-		for _, l := range losses[1:] {
-			sum = autograd.Add(sum, l)
-		}
-		loss := autograd.Scale(sum, 1/float64(len(losses)))
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
 	}
-	return total / float64(b.batches)
+	return gs
 }
 
 // greedyDecode generates a headline for a document.

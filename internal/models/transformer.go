@@ -115,19 +115,19 @@ func (b *TextToText) logits(src, tgt []int) (*autograd.Value, []int) {
 	return b.proj.Forward(out), tgt[1:]
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *TextToText) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer: the epoch's 24 pairs in
+// StepsPerEpoch implements Benchmark: the epoch's 24 pairs in
 // steps of one pair per grain — 24 one-pair steps serially, 3
 // eight-pair macro-steps sharded (the standard large-batch
 // data-parallel recipe), the same data per epoch either way.
 func (b *TextToText) StepsPerEpoch(grains int) int { return b.batches / grains }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *TextToText) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the macro-batch of
+// BeginPhase implements Benchmark: draw the macro-batch of
 // translation pairs, one grain per pair, weighted by target length.
 func (b *TextToText) BeginPhase(_, grains int) []Grain {
 	gs := make([]Grain, grains)

@@ -81,16 +81,16 @@ func (b *VideoPrediction) forward(frames, actions *autograd.Value) *autograd.Val
 	return autograd.Conv2D(masked, autograd.Const(b.sumW), tensor.Conv2DParams{Kernel: 1, Stride: 1})
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *VideoPrediction) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *VideoPrediction) StepsPerEpoch(int) int { return b.batches }
 
-// ApplyPhase implements PhasedTrainer.
+// ApplyPhase implements Benchmark.
 func (b *VideoPrediction) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements PhasedTrainer: draw the transition macro-batch
+// BeginPhase implements Benchmark: draw the transition macro-batch
 // and split it into per-grain compositing sub-batches.
 func (b *VideoPrediction) BeginPhase(_, grains int) []Grain {
 	frames, actions, next := b.ds.Transition(8)

@@ -94,16 +94,16 @@ var wganPhases = []PhaseSpec{
 	{Name: "generator", Report: true},
 }
 
-// BeginEpoch implements PhasedTrainer (no per-epoch state).
+// BeginEpoch implements Benchmark (no per-epoch state).
 func (b *ImageGeneration) BeginEpoch() {}
 
-// StepsPerEpoch implements PhasedTrainer.
+// StepsPerEpoch implements Benchmark.
 func (b *ImageGeneration) StepsPerEpoch(int) int { return b.batches }
 
-// Phases implements PhasedTrainer.
+// Phases implements Benchmark.
 func (b *ImageGeneration) Phases() []PhaseSpec { return wganPhases }
 
-// PhaseParams implements PhasedTrainer: critic phases reduce only the
+// PhaseParams implements Benchmark: critic phases reduce only the
 // critic's gradients, the generator phase only the generator's — the
 // generator loss backpropagates through the critic, and the per-phase
 // group discards those gradients.
@@ -114,7 +114,7 @@ func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 	return b.gen.Params()
 }
 
-// BeginPhase implements PhasedTrainer: a critic phase draws a real
+// BeginPhase implements Benchmark: a critic phase draws a real
 // macro-batch plus latents and scores real-vs-generated slices; the
 // generator phase draws latents and maximizes the critic's score of
 // its slices. Every replica draws identically, keeping the dataset and
@@ -148,7 +148,7 @@ func (b *ImageGeneration) BeginPhase(phase, grains int) []Grain {
 	})
 }
 
-// ApplyPhase implements PhasedTrainer: critic phases step the critic
+// ApplyPhase implements Benchmark: critic phases step the critic
 // optimizer and re-clip the weights (the WGAN post-step), the
 // generator phase steps the generator optimizer.
 func (b *ImageGeneration) ApplyPhase(phase int) {

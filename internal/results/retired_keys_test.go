@@ -15,7 +15,9 @@ import (
 // like any unknown kind, the "tuning" key in its run headers is ignored,
 // and the sessions report rebuilds byte-identical to the same stream
 // without either. The tuning report is gone, so asking for it is an
-// unknown report.
+// unknown report. A session record written while some benchmarks could
+// not shard carries a "fallback_reason"; it loads too, and rebuilds the
+// same sessions report.
 func TestOldStreamsStillLoad(t *testing.T) {
 	var plain bytes.Buffer
 	w := NewWriter(&plain, sampleMeta())
@@ -55,6 +57,20 @@ func TestOldStreamsStillLoad(t *testing.T) {
 	}
 	if a, b := renderReport(t, "sessions", want.Records), renderReport(t, "sessions", got.Records); a != b {
 		t.Fatalf("sessions report from the old stream differs:\n--- plain ---\n%s--- old ---\n%s", a, b)
+	}
+	// The older writer put "fallback_reason" between "shards" and
+	// "kernel" in a session's data.
+	const shards = `"shards":0,"kernel":"blocked"`
+	if n := strings.Count(plain.String(), shards); n != 2 {
+		t.Fatalf("found the session shards key %d times, want 2:\n%s", n, plain.String())
+	}
+	fellBack := read(strings.Replace(plain.String(), shards,
+		`"shards":0,"fallback_reason":"requested shards=2 on the \"local\" backend but workload implements no sharded train step","kernel":"blocked"`, 1))
+	if fellBack.Skipped != 0 || len(fellBack.Records) != len(want.Records) {
+		t.Fatalf("stream with a fallback_reason read %d records, skipped %d; want %d and 0", len(fellBack.Records), fellBack.Skipped, len(want.Records))
+	}
+	if a, b := renderReport(t, "sessions", want.Records), renderReport(t, "sessions", fellBack.Records); a != b {
+		t.Fatalf("sessions report from the stream with a fallback_reason differs:\n--- plain ---\n%s--- old ---\n%s", a, b)
 	}
 	if core.RenderRunRecords("tuning", &bytes.Buffer{}, got.Records) || slices.Contains(core.RunReportNames(), "tuning") {
 		t.Fatal(`"tuning" is still a run report`)
