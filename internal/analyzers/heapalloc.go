@@ -7,7 +7,7 @@ import (
 )
 
 // Heapalloc keeps the step arena the one way an op allocates. A tensor
-// op's result — and every temporary of its backward closure — must be
+// op's result — and every temporary of its backward — must be
 // placed with its operands (tensor.ArenaOf(...).New, tensor.NewLike),
 // so that a graph built on a benchmark's adopted parameters lives in
 // that benchmark's arena and costs no mallocs in steady state. A heap
@@ -18,7 +18,7 @@ import (
 // An op body is any function of internal/tensor, internal/autograd or
 // internal/nn with a tensor operand — a parameter or receiver of type
 // *tensor.Tensor or *autograd.Value, a slice of either — including the
-// function literals nested in it (the backward closures). Inside one,
+// function literals nested in it. Inside one,
 // calls to tensor.New, tensor.Full and tensor.Ones are flagged, and
 // tensor.FromSlice when it wraps a fresh make or slice literal (over
 // existing storage it is a view, not an allocation). Functions without
@@ -29,13 +29,19 @@ import (
 // that builds an autograd.Value on the heap — &Value{…} or new(Value)
 // — is flagged as well.
 //
+// So is a backward closure: an op body that assigns a function literal
+// to an autograd.Value's back field allocates the closure on every
+// call. A backward is a top-level function that reads the operands
+// from the node's parents and anything else from its save area, and
+// naming one allocates nothing.
+//
 // The documented exceptions carry a //lint:allow: a leaf's gradient
 // buffer (Value.EnsureGrad), the Var and Const leaves, whose nodes
 // outlive every step, and Tensor.Detach, whose purpose is to outlive
 // the arena.
 var Heapalloc = &Analyzer{
 	Name:  "heapalloc",
-	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node on the heap",
+	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node or backward closure on the heap",
 	Scope: inOpPackages,
 	Run:   runHeapalloc,
 }
@@ -54,6 +60,12 @@ func runHeapalloc(pass *Pass) error {
 				if heapNode(pass, n) {
 					pass.Reportf(n.Pos(),
 						"graph node built on the heap in the body of op %s: an interior node is taken from its data's arena (autograd's newNode) so it dies at the step's Reset",
+						fn.Name.Name)
+					return true
+				}
+				if lit := backClosure(pass, n); lit != nil {
+					pass.Reportf(lit.Pos(),
+						"backward closure in the body of op %s: a function literal allocates on every call; make the backward a top-level function that reads the node's parents and save area",
 						fn.Name.Name)
 					return true
 				}
@@ -108,6 +120,29 @@ func heapNode(pass *Pass, n ast.Node) bool {
 		return builtin && id.Name == "new" && isValueType(pass.TypeOf(e.Args[0]))
 	}
 	return false
+}
+
+// backClosure returns the function literal n assigns to an
+// autograd.Value's back field, or nil.
+func backClosure(pass *Pass, n ast.Node) *ast.FuncLit {
+	assign, ok := n.(*ast.AssignStmt)
+	if !ok || len(assign.Lhs) != len(assign.Rhs) {
+		return nil
+	}
+	for i, lhs := range assign.Lhs {
+		sel, ok := lhs.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "back" {
+			continue
+		}
+		t := pass.TypeOf(sel.X)
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if lit, ok := assign.Rhs[i].(*ast.FuncLit); ok && isValueType(t) {
+			return lit
+		}
+	}
+	return nil
 }
 
 // isValueType matches autograd.Value.

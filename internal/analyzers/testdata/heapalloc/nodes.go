@@ -6,7 +6,7 @@ import "aibench/internal/tensor"
 // aibench/internal/autograd, so it is that type.
 type Value struct {
 	Data *tensor.Tensor
-	back func(g *tensor.Tensor)
+	back func(n *Value, g *tensor.Tensor)
 }
 
 // nodeSlab stands in for the arena's node slab.
@@ -52,3 +52,25 @@ func leaf(t *tensor.Tensor) *Value {
 	//lint:allow heapalloc a leaf outlives the step
 	return &Value{Data: t}
 }
+
+// closureBack attaches its backward as a closure over its operand: a
+// heap object per call.
+func closureBack(s *nodeSlab, a *Value) *Value {
+	n := s.take()
+	n.Data = tensor.NewLike(a.Data)
+	n.back = func(n *Value, g *tensor.Tensor) { // want "backward closure in the body of op closureBack"
+		tensor.AddInPlace(a.Data, g)
+	}
+	return n
+}
+
+// staticBack is the fix: the backward is a top-level function that
+// finds its operand in the node.
+func staticBack(s *nodeSlab, a *Value) *Value {
+	n := s.take()
+	n.Data = tensor.NewLike(a.Data)
+	n.back = addIntoData
+	return n
+}
+
+func addIntoData(n *Value, g *tensor.Tensor) { tensor.AddInPlace(n.Data, g) }

@@ -10,7 +10,7 @@
 //
 // Allocation follows the tensor package's placement rule (tensor.Arena):
 // every tensor an op produces — its forward result, the temporaries of
-// its backward closure, the Grad buffer of an interior node — is
+// its backward, the Grad buffer of an interior node — is
 // allocated where the op's operands are placed, through tensor.ArenaOf /
 // tensor.NewLike, never through a heap constructor (aibench-lint's
 // heapalloc analyzer holds the line). A graph built on a benchmark's
@@ -28,12 +28,16 @@
 // tensors it holds, and a node over heap data is a heap object. A
 // rewind clears the nodes it takes back, so a node kept past its step
 // reads a nil Data. Leaves (Var, Const) are heap objects wherever their
-// tensor is placed: a parameter's node outlives every step. What is
-// left on the heap per node is its backward closure — none for a node
-// no gradient can flow through (every operand gradient-free, as in
-// evaluation, where models.Evaluate marks the parameters so) — and,
-// for an op of more than two parents, the slice that holds them; up to
-// two live in the node's own inline array.
+// tensor is placed: a parameter's node outlives every step.
+//
+// An op's backward is a top-level function, not a closure: it reads the
+// operands from the node's parents, the op's output from its Data, and
+// anything else the op saved (a normalized input, softmax
+// probabilities, labels, a slice offset, convolution parameters) from a
+// small save area in the node itself. Attaching it allocates nothing,
+// so a node over arena data costs the heap nothing, whether or not a
+// gradient flows through it; only an op of more than three parents
+// (Concat or ConcatCols over more) copies them to a slice of its own.
 package autograd
 
 import (
@@ -49,13 +53,28 @@ type Value struct {
 	Data *tensor.Tensor
 	Grad *tensor.Tensor
 	// parents are the operands a gradient flows back into; nil on a
-	// leaf and on a node no gradient can flow through. Up to two of
+	// leaf and on a node no gradient can flow through. Up to three of
 	// them live in inline, so recording them allocates nothing.
 	parents []*Value
-	inline  [2]*Value
-	// back propagates this node's gradient into its parents. It must
-	// accumulate (+=) into parent gradients, never overwrite.
-	back func(grad *tensor.Tensor)
+	inline  [3]*Value
+	// back propagates g, this node's gradient, into n's parents. It is
+	// a top-level function of the op that built n, so attaching it
+	// allocates nothing. It must accumulate (+=) into parent gradients,
+	// never overwrite.
+	back func(n *Value, g *tensor.Tensor)
+
+	// The save area: what back needs beyond n's parents and n.Data —
+	// anything that follows from their shapes is recomputed instead.
+	// saved holds up to two tensors placed like the op's, ints the
+	// op's index argument (labels, ids, columns), off a slice's first
+	// row or column, alpha Scale's factor and conv a convolution's or
+	// pooling's parameters. A rewind clears the save area with the
+	// rest of the node.
+	saved [2]*tensor.Tensor
+	ints  []int
+	off   int
+	alpha float64
+	conv  tensor.Conv2DParams
 
 	// Traversal state of the sort that last reached this node (walk):
 	// its stamp, how many parents it has expanded, and the link that
@@ -86,7 +105,7 @@ func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 
 // SetRequiresGrad marks the leaf v as carrying a gradient or not. Ops
 // read the mark when they build a node, so it decides whether the
-// nodes built from v from now on record parents and a backward closure:
+// nodes built from v from now on record parents and a backward:
 // models.Evaluate clears it on a benchmark's parameters for the length
 // of an evaluation, which builds no backward graph.
 func (v *Value) SetRequiresGrad(on bool) { v.requiresGrad = on }
@@ -156,17 +175,17 @@ func filled(like *tensor.Tensor, v float64) *tensor.Tensor {
 // newNode builds the interior node holding data, which an op computed
 // from operands. A gradient flows through it when one of the operands
 // requires one; only then does the node record them as its parents, and
-// only then does the op attach back:
+// only then does the op attach its backward and fill the save area:
 //
 //	node := newNode(out, a, b)
 //	if node.requiresGrad {
-//		node.back = func(g *tensor.Tensor) { … }
+//		node.back = fooBack // func fooBack(n *Value, g *tensor.Tensor)
+//		node.saved[0] = …
 //	}
 //	return node
 //
-// so a node no gradient can reach allocates no closure. The node is
-// placed like data (nodesOf), zeroed. Two parents fit in its inline
-// array; more are copied to a slice of their own.
+// The node is placed like data (nodesOf), zeroed. Three parents fit in
+// its inline array; more are copied to a slice of their own.
 func newNode(data *tensor.Tensor, operands ...*Value) *Value {
 	n := nodesOf(tensor.ArenaOf(data)).take()
 	n.Data = data
@@ -232,9 +251,10 @@ func (s *nodes) take() *Value {
 	return &s.list[s.cur][s.off-1]
 }
 
-// Rewind clears every node handed out since the last rewind — which
-// also lets the collector have their closures and parent slices — and
-// makes them available again (tensor.Rewinder).
+// Rewind clears every node handed out since the last rewind — its
+// parents, backward and save area alike, so the collector can have
+// what they referenced — and makes them available again
+// (tensor.Rewinder).
 func (s *nodes) Rewind() {
 	for i := range s.cur { // slabs before cur are used up
 		clear(s.list[i])
@@ -265,7 +285,7 @@ func (v *Value) BackwardWith(seed *tensor.Tensor) {
 	v.accumGrad(seed)
 	for n := order; n != nil; n = n.unlink() {
 		if n.back != nil && n.Grad != nil {
-			n.back(n.Grad)
+			n.back(n, n.Grad)
 		}
 	}
 }

@@ -90,6 +90,37 @@ func TestGradMatMul(t *testing.T) {
 	}, a, b)
 }
 
+// TestGradMatMulT checks attention's Q·Kᵀ op with both operands
+// trainable and with either one a Const, which must get no gradient.
+// The output is weighted so that every entry of G differs.
+func TestGradMatMulT(t *testing.T) {
+	r := rng(31)
+	q := tensor.Randn(r, 0, 1, 3, 4)
+	k := tensor.Randn(r, 0, 1, 5, 4)
+	wt := Const(tensor.Randn(r, 0, 1, 3, 5))
+	checkGrad(t, func(l []*Value) *Value {
+		return Mean(Mul(MatMulT(l[0], l[1]), wt))
+	}, q, k)
+
+	var consts []*Value
+	constant := func(x *tensor.Tensor) *Value {
+		c := Const(x)
+		consts = append(consts, c)
+		return c
+	}
+	checkGrad(t, func(l []*Value) *Value {
+		return Mean(Mul(MatMulT(l[0], constant(k)), wt))
+	}, q)
+	checkGrad(t, func(l []*Value) *Value {
+		return Mean(Mul(MatMulT(constant(q), l[0]), wt))
+	}, k)
+	for i, c := range consts {
+		if c.Grad != nil {
+			t.Fatalf("Const operand %d accumulated a gradient", i)
+		}
+	}
+}
+
 func TestGradActivations(t *testing.T) {
 	r := rng(4)
 	x := tensor.Randn(r, 0.5, 1, 2, 3) // offset avoids ReLU kinks at 0

@@ -11,13 +11,16 @@ func MatMul(a, b *Value) *Value {
 	out := tensor.MatMul(a.Data, b.Data)
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			// dA = G·Bᵀ, dB = Aᵀ·G
-			a.accumGrad(tensor.MatMulT(g, b.Data))
-			b.accumGrad(tensor.TMatMul(a.Data, g))
-		}
+		node.back = matMulBack
 	}
 	return node
+}
+
+func matMulBack(n *Value, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	// dA = G·Bᵀ, dB = Aᵀ·G
+	a.accumGrad(tensor.MatMulT(g, b.Data))
+	b.accumGrad(tensor.TMatMul(a.Data, g))
 }
 
 // MatMulT multiplies a by the transpose of b: (m×k) · (n×k)ᵀ → (m×n),
@@ -28,13 +31,16 @@ func MatMulT(a, b *Value) *Value {
 	out := tensor.MatMulT(a.Data, b.Data)
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			// out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A
-			a.accumGrad(tensor.MatMul(g, b.Data))
-			b.accumGrad(tensor.TMatMul(g, a.Data))
-		}
+		node.back = matMulTBack
 	}
 	return node
+}
+
+func matMulTBack(n *Value, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	// out = A·Bᵀ ⇒ dA = G·B, dB = Gᵀ·A
+	a.accumGrad(tensor.MatMul(g, b.Data))
+	b.accumGrad(tensor.TMatMul(g, a.Data))
 }
 
 // AddRowVector adds bias vector v to every row of 2-D a.
@@ -42,12 +48,14 @@ func AddRowVector(a, v *Value) *Value {
 	out := tensor.AddRowVector(a.Data, v.Data)
 	node := newNode(out, a, v)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(g)
-			v.accumGrad(tensor.SumRows(g))
-		}
+		node.back = addRowVectorBack
 	}
 	return node
+}
+
+func addRowVectorBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(g)
+	n.parents[1].accumGrad(tensor.SumRows(g))
 }
 
 // AddChannelVector adds a per-channel bias to an NCHW Value.
@@ -55,12 +63,14 @@ func AddChannelVector(a, v *Value) *Value {
 	out := tensor.AddChannelVector(a.Data, v.Data)
 	node := newNode(out, a, v)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(g)
-			v.accumGrad(tensor.SumChannels(g))
-		}
+		node.back = addChannelVectorBack
 	}
 	return node
+}
+
+func addChannelVectorBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(g)
+	n.parents[1].accumGrad(tensor.SumChannels(g))
 }
 
 // Reshape returns a view of a with a new shape; gradients flow back
@@ -69,11 +79,14 @@ func Reshape(a *Value, shape ...int) *Value {
 	out := a.Data.Reshape(shape...)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(g.Reshape(a.Data.Shape()...))
-		}
+		node.back = reshapeBack
 	}
 	return node
+}
+
+func reshapeBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	a.accumGrad(g.Reshape(a.Data.Shape()...))
 }
 
 // Transpose transposes a 2-D Value.
@@ -81,11 +94,13 @@ func Transpose(a *Value) *Value {
 	out := tensor.Transpose(a.Data)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(tensor.Transpose(g))
-		}
+		node.back = transposeBack
 	}
 	return node
+}
+
+func transposeBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(tensor.Transpose(g))
 }
 
 // arenaOf returns the placement of an op over vs: the arena of the
@@ -108,16 +123,18 @@ func Concat(vs ...*Value) *Value {
 	out := tensor.Concat(ts...)
 	node := newNode(out, vs...)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			off := 0
-			for _, v := range vs {
-				n := v.Data.Dim(0)
-				v.accumGrad(g.SliceRows(off, off+n))
-				off += n
-			}
-		}
+		node.back = concatBack
 	}
 	return node
+}
+
+func concatBack(n *Value, g *tensor.Tensor) {
+	off := 0
+	for _, v := range n.parents {
+		rows := v.Data.Dim(0)
+		v.accumGrad(g.SliceRows(off, off+rows))
+		off += rows
+	}
 }
 
 // ConcatCols concatenates 2-D Values along dimension 1 (columns). Used to
@@ -143,20 +160,25 @@ func ConcatCols(vs ...*Value) *Value {
 	}
 	node := newNode(out, vs...)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			off := 0
-			for _, v := range vs {
-				c := v.Data.Dim(1)
-				gv := ar.New(rows, c)
-				for r := 0; r < rows; r++ {
-					copy(gv.Data[r*c:(r+1)*c], g.Data[r*total+off:r*total+off+c])
-				}
-				v.accumGrad(gv)
-				off += c
-			}
-		}
+		node.back = concatColsBack
 	}
 	return node
+}
+
+// concatColsBack places each operand's gradient where the output is.
+func concatColsBack(n *Value, g *tensor.Tensor) {
+	ar := tensor.ArenaOf(n.Data)
+	rows, total := n.Data.Dim(0), n.Data.Dim(1)
+	off := 0
+	for _, v := range n.parents {
+		c := v.Data.Dim(1)
+		gv := ar.New(rows, c)
+		for r := 0; r < rows; r++ {
+			copy(gv.Data[r*c:(r+1)*c], g.Data[r*total+off:r*total+off+c])
+		}
+		v.accumGrad(gv)
+		off += c
+	}
 }
 
 // SliceRows extracts rows [lo,hi) along dimension 0.
@@ -164,17 +186,25 @@ func SliceRows(a *Value, lo, hi int) *Value {
 	out := a.Data.SliceRows(lo, hi)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			ga := tensor.NewLike(a.Data)
-			rowVol := 1
-			for d := 1; d < a.Data.Rank(); d++ {
-				rowVol *= a.Data.Dim(d)
-			}
-			copy(ga.Data[lo*rowVol:hi*rowVol], g.Data)
-			a.accumGrad(ga)
-		}
+		node.back = sliceRowsBack
+		node.off = lo
 	}
 	return node
+}
+
+// sliceRowsBack reads lo from the save area; hi follows from the
+// output's rows.
+func sliceRowsBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	lo := n.off
+	hi := lo + n.Data.Dim(0)
+	ga := tensor.NewLike(a.Data)
+	rowVol := 1
+	for d := 1; d < a.Data.Rank(); d++ {
+		rowVol *= a.Data.Dim(d)
+	}
+	copy(ga.Data[lo*rowVol:hi*rowVol], g.Data)
+	a.accumGrad(ga)
 }
 
 // SliceCols extracts columns [lo,hi) of a 2-D Value.
@@ -193,15 +223,24 @@ func SliceCols(a *Value, lo, hi int) *Value {
 	}
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			ga := tensor.NewLike(a.Data)
-			for r := 0; r < rows; r++ {
-				copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
-			}
-			a.accumGrad(ga)
-		}
+		node.back = sliceColsBack
+		node.off = lo
 	}
 	return node
+}
+
+// sliceColsBack reads lo from the save area; hi follows from the
+// output's columns.
+func sliceColsBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	rows, cols := a.Data.Dim(0), a.Data.Dim(1)
+	w := n.Data.Dim(1)
+	lo, hi := n.off, n.off+w
+	ga := tensor.NewLike(a.Data)
+	for r := 0; r < rows; r++ {
+		copy(ga.Data[r*cols+lo:r*cols+hi], g.Data[r*w:(r+1)*w])
+	}
+	a.accumGrad(ga)
 }
 
 // Gather selects rows of the 2-D weight matrix by index: the embedding
@@ -220,17 +259,22 @@ func Gather(weight *Value, ids []int) *Value {
 	}
 	node := newNode(out, weight)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			gw := tensor.NewLike(weight.Data)
-			for i, id := range ids {
-				for d := 0; d < dim; d++ {
-					gw.Data[id*dim+d] += g.Data[i*dim+d]
-				}
-			}
-			weight.accumGrad(gw)
-		}
+		node.back = gatherBack
+		node.ints = ids
 	}
 	return node
+}
+
+func gatherBack(n *Value, g *tensor.Tensor) {
+	weight := n.parents[0]
+	dim := weight.Data.Dim(1)
+	gw := tensor.NewLike(weight.Data)
+	for i, id := range n.ints {
+		for d := 0; d < dim; d++ {
+			gw.Data[id*dim+d] += g.Data[i*dim+d]
+		}
+	}
+	weight.accumGrad(gw)
 }
 
 // ConcatChannels concatenates two NCHW Values along the channel
@@ -249,24 +293,30 @@ func ConcatChannels(a, b *Value) *Value {
 	}
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			if a.requiresGrad {
-				ga := tensor.NewLike(a.Data)
-				for i := 0; i < n; i++ {
-					copy(ga.Data[i*ca*plane:(i+1)*ca*plane], g.Data[i*(ca+cb)*plane:])
-				}
-				a.accumGrad(ga)
-			}
-			if b.requiresGrad {
-				gb := tensor.NewLike(b.Data)
-				for i := 0; i < n; i++ {
-					copy(gb.Data[i*cb*plane:(i+1)*cb*plane], g.Data[(i*(ca+cb)+ca)*plane:])
-				}
-				b.accumGrad(gb)
-			}
-		}
+		node.back = concatChannelsBack
 	}
 	return node
+}
+
+func concatChannelsBack(node *Value, g *tensor.Tensor) {
+	a, b := node.parents[0], node.parents[1]
+	ad, bd := a.Data, b.Data
+	n, ca, cb, h, w := ad.Dim(0), ad.Dim(1), bd.Dim(1), ad.Dim(2), ad.Dim(3)
+	plane := h * w
+	if a.requiresGrad {
+		ga := tensor.NewLike(a.Data)
+		for i := 0; i < n; i++ {
+			copy(ga.Data[i*ca*plane:(i+1)*ca*plane], g.Data[i*(ca+cb)*plane:])
+		}
+		a.accumGrad(ga)
+	}
+	if b.requiresGrad {
+		gb := tensor.NewLike(b.Data)
+		for i := 0; i < n; i++ {
+			copy(gb.Data[i*cb*plane:(i+1)*cb*plane], g.Data[(i*(ca+cb)+ca)*plane:])
+		}
+		b.accumGrad(gb)
+	}
 }
 
 // GatherCols selects columns of a 2-D Value by index, producing a
@@ -291,15 +341,22 @@ func GatherCols(a *Value, idx []int) *Value {
 	}
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			ga := tensor.NewLike(a.Data)
-			for r := 0; r < rows; r++ {
-				for k, j := range idx {
-					ga.Data[r*cols+j] += g.Data[r*w+k]
-				}
-			}
-			a.accumGrad(ga)
-		}
+		node.back = gatherColsBack
+		node.ints = idx
 	}
 	return node
+}
+
+func gatherColsBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	rows, cols := a.Data.Dim(0), a.Data.Dim(1)
+	idx := n.ints
+	w := len(idx)
+	ga := tensor.NewLike(a.Data)
+	for r := 0; r < rows; r++ {
+		for k, j := range idx {
+			ga.Data[r*cols+j] += g.Data[r*w+k]
+		}
+	}
+	a.accumGrad(ga)
 }

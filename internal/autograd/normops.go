@@ -11,23 +11,26 @@ func SoftmaxRows(a *Value) *Value {
 	out := tensor.SoftmaxRows(a.Data)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			rows, cols := out.Dim(0), out.Dim(1)
-			ga := tensor.NewLike(out)
-			for r := 0; r < rows; r++ {
-				base := r * cols
-				dot := 0.0
-				for c := 0; c < cols; c++ {
-					dot += g.Data[base+c] * out.Data[base+c]
-				}
-				for c := 0; c < cols; c++ {
-					ga.Data[base+c] = out.Data[base+c] * (g.Data[base+c] - dot)
-				}
-			}
-			a.accumGrad(ga)
-		}
+		node.back = softmaxRowsBack
 	}
 	return node
+}
+
+func softmaxRowsBack(n *Value, g *tensor.Tensor) {
+	out := n.Data
+	rows, cols := out.Dim(0), out.Dim(1)
+	ga := tensor.NewLike(out)
+	for r := 0; r < rows; r++ {
+		base := r * cols
+		dot := 0.0
+		for c := 0; c < cols; c++ {
+			dot += g.Data[base+c] * out.Data[base+c]
+		}
+		for c := 0; c < cols; c++ {
+			ga.Data[base+c] = out.Data[base+c] * (g.Data[base+c] - dot)
+		}
+	}
+	n.parents[0].accumGrad(ga)
 }
 
 // BatchNorm2D applies training-mode batch normalization to an NCHW Value
@@ -81,43 +84,54 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 	}
 	node := newNode(o, x, gamma, beta)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			dgamma := ar.New(c)
-			dbeta := ar.New(c)
-			sumDy := ar.New(c)
-			sumDyXhat := ar.New(c)
-			for img := 0; img < n; img++ {
-				for ch := 0; ch < c; ch++ {
-					base := (img*c + ch) * plane
-					for k := 0; k < plane; k++ {
-						gy := g.Data[base+k]
-						sumDy.Data[ch] += gy
-						sumDyXhat.Data[ch] += gy * xhat.Data[base+k]
-					}
-				}
-			}
-			copy(dbeta.Data, sumDy.Data)
-			copy(dgamma.Data, sumDyXhat.Data)
-			gamma.accumGrad(dgamma)
-			beta.accumGrad(dbeta)
-			if x.requiresGrad {
-				gx := ar.New(n, c, h, w)
-				for img := 0; img < n; img++ {
-					for ch := 0; ch < c; ch++ {
-						base := (img*c + ch) * plane
-						ga, is := gamma.Data.Data[ch], invStd.Data[ch]
-						sDy, sDyX := sumDy.Data[ch], sumDyXhat.Data[ch]
-						for k := 0; k < plane; k++ {
-							gy := g.Data[base+k]
-							gx.Data[base+k] = ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX)
-						}
-					}
-				}
-				x.accumGrad(gx)
+		node.back = batchNorm2DBack
+		node.saved = [2]*tensor.Tensor{xhat, invStd}
+	}
+	return node, mean, variance
+}
+
+// batchNorm2DBack reads the normalized input and the per-channel
+// inverse deviations from the save area.
+func batchNorm2DBack(node *Value, g *tensor.Tensor) {
+	x, gamma, beta := node.parents[0], node.parents[1], node.parents[2]
+	xhat, invStd := node.saved[0], node.saved[1]
+	n, c, h, w := x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2), x.Data.Dim(3)
+	plane := h * w
+	m := float64(n * plane)
+	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
+	dgamma := ar.New(c)
+	dbeta := ar.New(c)
+	sumDy := ar.New(c)
+	sumDyXhat := ar.New(c)
+	for img := 0; img < n; img++ {
+		for ch := 0; ch < c; ch++ {
+			base := (img*c + ch) * plane
+			for k := 0; k < plane; k++ {
+				gy := g.Data[base+k]
+				sumDy.Data[ch] += gy
+				sumDyXhat.Data[ch] += gy * xhat.Data[base+k]
 			}
 		}
 	}
-	return node, mean, variance
+	copy(dbeta.Data, sumDy.Data)
+	copy(dgamma.Data, sumDyXhat.Data)
+	gamma.accumGrad(dgamma)
+	beta.accumGrad(dbeta)
+	if x.requiresGrad {
+		gx := ar.New(n, c, h, w)
+		for img := 0; img < n; img++ {
+			for ch := 0; ch < c; ch++ {
+				base := (img*c + ch) * plane
+				ga, is := gamma.Data.Data[ch], invStd.Data[ch]
+				sDy, sDyX := sumDy.Data[ch], sumDyXhat.Data[ch]
+				for k := 0; k < plane; k++ {
+					gy := g.Data[base+k]
+					gx.Data[base+k] = ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX)
+				}
+			}
+		}
+		x.accumGrad(gx)
+	}
 }
 
 // BatchNorm2DInference normalizes with fixed (running) statistics; it is a
@@ -142,23 +156,29 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 	}
 	node := newNode(o, x)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			if x.requiresGrad {
-				gx := ar.New(n, c, h, w)
-				for img := 0; img < n; img++ {
-					for ch := 0; ch < c; ch++ {
-						base := (img*c + ch) * plane
-						sc := scale.Data[ch]
-						for k := 0; k < plane; k++ {
-							gx.Data[base+k] = sc * g.Data[base+k]
-						}
-					}
-				}
-				x.accumGrad(gx)
+		node.back = batchNorm2DInferenceBack
+		node.saved[0] = scale
+	}
+	return node
+}
+
+// batchNorm2DInferenceBack reads the per-channel scale from the save
+// area; the gradient is placed where the output is.
+func batchNorm2DInferenceBack(node *Value, g *tensor.Tensor) {
+	x, scale := node.parents[0], node.saved[0]
+	n, c, h, w := x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2), x.Data.Dim(3)
+	plane := h * w
+	gx := tensor.ArenaOf(node.Data).New(n, c, h, w)
+	for img := 0; img < n; img++ {
+		for ch := 0; ch < c; ch++ {
+			base := (img*c + ch) * plane
+			sc := scale.Data[ch]
+			for k := 0; k < plane; k++ {
+				gx.Data[base+k] = sc * g.Data[base+k]
 			}
 		}
 	}
-	return node
+	x.accumGrad(gx)
 }
 
 // LayerNorm normalizes each row of a 2-D Value with learnable per-column
@@ -168,7 +188,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 	d := float64(cols)
 	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
 	xhat := ar.New(rows, cols)
-	invStd := ar.New(rows).Data
+	invStd := ar.New(rows)
 	o := ar.New(rows, cols)
 	for r := 0; r < rows; r++ {
 		base := r * cols
@@ -184,7 +204,7 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 		}
 		v /= d
 		is := 1 / math.Sqrt(v+eps)
-		invStd[r] = is
+		invStd.Data[r] = is
 		for c := 0; c < cols; c++ {
 			xh := (x.Data.Data[base+c] - mu) * is
 			xhat.Data[base+c] = xh
@@ -193,37 +213,47 @@ func LayerNorm(x, gamma, beta *Value, eps float64) *Value {
 	}
 	node := newNode(o, x, gamma, beta)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			dgamma := ar.New(cols)
-			dbeta := ar.New(cols)
-			for r := 0; r < rows; r++ {
-				base := r * cols
-				for c := 0; c < cols; c++ {
-					dgamma.Data[c] += g.Data[base+c] * xhat.Data[base+c]
-					dbeta.Data[c] += g.Data[base+c]
-				}
-			}
-			gamma.accumGrad(dgamma)
-			beta.accumGrad(dbeta)
-			if x.requiresGrad {
-				gx := ar.New(rows, cols)
-				for r := 0; r < rows; r++ {
-					base := r * cols
-					sDy, sDyX := 0.0, 0.0
-					for c := 0; c < cols; c++ {
-						gy := g.Data[base+c] * gamma.Data.Data[c]
-						sDy += gy
-						sDyX += gy * xhat.Data[base+c]
-					}
-					is := invStd[r]
-					for c := 0; c < cols; c++ {
-						gy := g.Data[base+c] * gamma.Data.Data[c]
-						gx.Data[base+c] = is / d * (d*gy - sDy - xhat.Data[base+c]*sDyX)
-					}
-				}
-				x.accumGrad(gx)
-			}
-		}
+		node.back = layerNormBack
+		node.saved = [2]*tensor.Tensor{xhat, invStd}
 	}
 	return node
+}
+
+// layerNormBack reads the normalized input and the per-row inverse
+// deviations from the save area.
+func layerNormBack(node *Value, g *tensor.Tensor) {
+	x, gamma, beta := node.parents[0], node.parents[1], node.parents[2]
+	xhat, invStd := node.saved[0], node.saved[1]
+	rows, cols := x.Data.Dim(0), x.Data.Dim(1)
+	d := float64(cols)
+	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
+	dgamma := ar.New(cols)
+	dbeta := ar.New(cols)
+	for r := 0; r < rows; r++ {
+		base := r * cols
+		for c := 0; c < cols; c++ {
+			dgamma.Data[c] += g.Data[base+c] * xhat.Data[base+c]
+			dbeta.Data[c] += g.Data[base+c]
+		}
+	}
+	gamma.accumGrad(dgamma)
+	beta.accumGrad(dbeta)
+	if x.requiresGrad {
+		gx := ar.New(rows, cols)
+		for r := 0; r < rows; r++ {
+			base := r * cols
+			sDy, sDyX := 0.0, 0.0
+			for c := 0; c < cols; c++ {
+				gy := g.Data[base+c] * gamma.Data.Data[c]
+				sDy += gy
+				sDyX += gy * xhat.Data[base+c]
+			}
+			is := invStd.Data[r]
+			for c := 0; c < cols; c++ {
+				gy := g.Data[base+c] * gamma.Data.Data[c]
+				gx.Data[base+c] = is / d * (d*gy - sDy - xhat.Data[base+c]*sDyX)
+			}
+		}
+		x.accumGrad(gx)
+	}
 }

@@ -7,12 +7,14 @@ func Add(a, b *Value) *Value {
 	out := tensor.Add(a.Data, b.Data)
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(g)
-			b.accumGrad(g)
-		}
+		node.back = addBack
 	}
 	return node
+}
+
+func addBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(g)
+	n.parents[1].accumGrad(g)
 }
 
 // Sub returns a - b element-wise.
@@ -20,12 +22,14 @@ func Sub(a, b *Value) *Value {
 	out := tensor.Sub(a.Data, b.Data)
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(g)
-			b.accumGrad(tensor.Neg(g))
-		}
+		node.back = subBack
 	}
 	return node
+}
+
+func subBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(g)
+	n.parents[1].accumGrad(tensor.Neg(g))
 }
 
 // Mul returns a * b element-wise.
@@ -33,12 +37,15 @@ func Mul(a, b *Value) *Value {
 	out := tensor.Mul(a.Data, b.Data)
 	node := newNode(out, a, b)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(tensor.Mul(g, b.Data))
-			b.accumGrad(tensor.Mul(g, a.Data))
-		}
+		node.back = mulBack
 	}
 	return node
+}
+
+func mulBack(n *Value, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	a.accumGrad(tensor.Mul(g, b.Data))
+	b.accumGrad(tensor.Mul(g, a.Data))
 }
 
 // Scale returns alpha * a.
@@ -46,11 +53,14 @@ func Scale(a *Value, alpha float64) *Value {
 	out := tensor.Scale(a.Data, alpha)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(tensor.Scale(g, alpha))
-		}
+		node.back = scaleBack
+		node.alpha = alpha
 	}
 	return node
+}
+
+func scaleBack(n *Value, g *tensor.Tensor) {
+	n.parents[0].accumGrad(tensor.Scale(g, n.alpha))
 }
 
 // Neg returns -a.
@@ -61,17 +71,20 @@ func ReLU(a *Value) *Value {
 	out := tensor.ReLU(a.Data)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			da := tensor.NewLike(a.Data)
-			for i, x := range a.Data.Data {
-				if x > 0 {
-					da.Data[i] = g.Data[i]
-				}
-			}
-			a.accumGrad(da)
-		}
+		node.back = reluBack
 	}
 	return node
+}
+
+func reluBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	da := tensor.NewLike(a.Data)
+	for i, x := range a.Data.Data {
+		if x > 0 {
+			da.Data[i] = g.Data[i]
+		}
+	}
+	a.accumGrad(da)
 }
 
 // Sigmoid returns the logistic function element-wise.
@@ -79,15 +92,18 @@ func Sigmoid(a *Value) *Value {
 	out := tensor.Sigmoid(a.Data)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			da := tensor.NewLike(out)
-			for i, s := range out.Data {
-				da.Data[i] = g.Data[i] * s * (1 - s)
-			}
-			a.accumGrad(da)
-		}
+		node.back = sigmoidBack
 	}
 	return node
+}
+
+func sigmoidBack(n *Value, g *tensor.Tensor) {
+	out := n.Data
+	da := tensor.NewLike(out)
+	for i, s := range out.Data {
+		da.Data[i] = g.Data[i] * s * (1 - s)
+	}
+	n.parents[0].accumGrad(da)
 }
 
 // Tanh returns tanh element-wise.
@@ -95,15 +111,18 @@ func Tanh(a *Value) *Value {
 	out := tensor.Tanh(a.Data)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			da := tensor.NewLike(out)
-			for i, t := range out.Data {
-				da.Data[i] = g.Data[i] * (1 - t*t)
-			}
-			a.accumGrad(da)
-		}
+		node.back = tanhBack
 	}
 	return node
+}
+
+func tanhBack(n *Value, g *tensor.Tensor) {
+	out := n.Data
+	da := tensor.NewLike(out)
+	for i, t := range out.Data {
+		da.Data[i] = g.Data[i] * (1 - t*t)
+	}
+	n.parents[0].accumGrad(da)
 }
 
 // Mean reduces a to a scalar by averaging.
@@ -112,9 +131,12 @@ func Mean(a *Value) *Value {
 	out := scalar(a.Data, tensor.Sum(a.Data)/n)
 	node := newNode(out, a)
 	if node.requiresGrad {
-		node.back = func(g *tensor.Tensor) {
-			a.accumGrad(filled(a.Data, g.Data[0]/n))
-		}
+		node.back = meanBack
 	}
 	return node
+}
+
+func meanBack(n *Value, g *tensor.Tensor) {
+	a := n.parents[0]
+	a.accumGrad(filled(a.Data, g.Data[0]/float64(a.Data.Size())))
 }

@@ -174,7 +174,7 @@ func MeetsTarget(b Benchmark, q float64) bool {
 // Evaluate returns b.Quality() computed without a backward graph: for
 // the length of the call the instance's parameters are gradient-free,
 // so every node the evaluation builds has neither parents nor a
-// backward closure, and — taken from the instance's arena like the
+// backward, and — taken from the instance's arena like the
 // tensors it holds — costs the heap nothing once the first evaluation
 // has grown the node slab. The forward arithmetic is
 // unchanged and Quality never calls Backward, so the result is bitwise
