@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 
+	"aibench/internal/models"
 	"aibench/internal/telemetry"
 )
 
@@ -107,11 +108,12 @@ func readFrame(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr))
+	n32 := binary.LittleEndian.Uint32(hdr)
 	_, _ = r.Discard(4) // Peek just buffered them
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n)
+	if n32 == 0 || n32 > maxFrame {
+		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n32)
 	}
+	n := int(n32)
 	body := (*buf)[:0]
 	for got := 0; got < n; got = len(body) {
 		// Fill what the buffer already holds, or one chunk, or double
@@ -156,12 +158,13 @@ type frameReader struct {
 }
 
 // need reports whether n more bytes are available, latching a
-// truncation error when they are not.
-func (f *frameReader) need(n int) bool {
+// truncation error when they are not. n is 64 bits wide, so a length a
+// payload declares is bounded before it is ever converted to an int.
+func (f *frameReader) need(n uint64) bool {
 	if f.err != nil {
 		return false
 	}
-	if len(f.b) < n {
+	if uint64(len(f.b)) < n {
 		f.err = fmt.Errorf("dist: truncated frame payload")
 		return false
 	}
@@ -188,9 +191,23 @@ func (f *frameReader) u64() uint64 {
 
 func (f *frameReader) f64() float64 { return math.Float64frombits(f.u64()) }
 
+// count decodes a u32 the decoder keeps as an int. Where int is 32 bits,
+// a value above math.MaxInt is refused before the conversion could make
+// it negative; where it is 64 bits, every u32 fits and nothing changes.
+func (f *frameReader) count() int {
+	v := f.u32()
+	if f.err == nil && uint64(v) > math.MaxInt {
+		f.err = fmt.Errorf("dist: frame field %d out of range", v)
+	}
+	if f.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
 func (f *frameReader) str() string {
-	n := int(f.u32())
-	if !f.need(n) {
+	n := f.u32()
+	if !f.need(uint64(n)) {
 		return ""
 	}
 	s := string(f.b[:n])
@@ -201,10 +218,11 @@ func (f *frameReader) str() string {
 // f64s decodes a float vector into dst (grown as needed, reused
 // otherwise) so steady-state steps do not reallocate.
 func (f *frameReader) f64s(dst []float64) []float64 {
-	n := int(f.u32())
-	if !f.need(8 * n) {
+	n32 := f.u32()
+	if !f.need(8 * uint64(n32)) {
 		return nil
 	}
+	n := int(n32)
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
@@ -287,19 +305,57 @@ func encodeSpec(s GroupSpec) ([]byte, error) { return json.Marshal(s) }
 // step count — is refused here.
 func decodeSpec(payload []byte) (s GroupSpec, err error) {
 	if err = json.Unmarshal(payload, &s); err != nil {
+		// Where int is 32 bits, a length int cannot hold fails the
+		// decode. Read at 64 bits, it gets the refusal it gets where
+		// int is 64 bits.
+		var l specLens
+		if json.Unmarshal(payload, &l) == nil && !l.fitInt() {
+			if lerr := checkSpec(s.Phases, l.GroupLen, l.ParamLen, l.BufLen, l.Steps); lerr != nil {
+				return GroupSpec{}, lerr
+			}
+		}
 		return GroupSpec{}, fmt.Errorf("dist: decoding spec: %v", err)
 	}
-	const maxVec = maxFrame / 8
-	if len(s.Phases) == 0 || len(s.GroupLen) != len(s.Phases) || s.ParamLen > maxVec || s.BufLen < 0 || s.BufLen > maxVec || s.Steps < 0 {
-		return GroupSpec{}, fmt.Errorf("dist: spec: %d phases, %d reduce groups, %d params, %d buffers, %d steps do not describe a workload",
-			len(s.Phases), len(s.GroupLen), s.ParamLen, s.BufLen, s.Steps)
-	}
-	for p, n := range s.GroupLen {
-		if n < 0 || n > s.ParamLen {
-			return GroupSpec{}, fmt.Errorf("dist: spec: phase %q reduces %d of %d params", s.Phases[p].Name, n, s.ParamLen)
-		}
+	if err = checkSpec(s.Phases, s.GroupLen, s.ParamLen, s.BufLen, s.Steps); err != nil {
+		return GroupSpec{}, err
 	}
 	return s, nil
+}
+
+// specLens are a spec's lengths decoded at 64 bits.
+type specLens struct {
+	GroupLen []int64 `json:"group_len"`
+	ParamLen int64   `json:"param_len"`
+	BufLen   int64   `json:"buf_len"`
+	Steps    int64   `json:"steps"`
+}
+
+// fitInt reports whether every length converts to int unchanged.
+func (l specLens) fitInt() bool {
+	fits := func(v int64) bool { return int64(int(v)) == v }
+	for _, n := range l.GroupLen {
+		if !fits(n) {
+			return false
+		}
+	}
+	return fits(l.ParamLen) && fits(l.BufLen) && fits(l.Steps)
+}
+
+// checkSpec refuses lengths that do not describe a workload. Every
+// length it lets through fits an int: a vector length is at most a
+// frame's floats, and a step count must convert unchanged.
+func checkSpec[T int | int64](phases []models.PhaseSpec, groupLen []T, paramLen, bufLen, steps T) error {
+	const maxVec = maxFrame / 8
+	if len(phases) == 0 || len(groupLen) != len(phases) || paramLen > maxVec || bufLen < 0 || bufLen > maxVec || steps < 0 || int64(int(steps)) != int64(steps) {
+		return fmt.Errorf("dist: spec: %d phases, %d reduce groups, %d params, %d buffers, %d steps do not describe a workload",
+			len(phases), len(groupLen), paramLen, bufLen, steps)
+	}
+	for p, n := range groupLen {
+		if n < 0 || n > paramLen {
+			return fmt.Errorf("dist: spec: phase %q reduces %d of %d params", phases[p].Name, n, paramLen)
+		}
+	}
+	return nil
 }
 
 // encodePhaseOut appends out's compute-reply body to b.
@@ -327,14 +383,15 @@ const grainMin = 4 + 4 + 8 + 4 + 4
 // group's spec declared, which the engine's reduce indexes by.
 func decodePhaseOut(payload []byte, out *PhaseOut, gradLen, bufLen int) error {
 	fr := &frameReader{b: payload}
-	out.Total = int(fr.u32())
-	n := int(fr.u32())
-	if fr.err == nil && n > len(fr.b)/grainMin {
-		fr.err = fmt.Errorf("dist: phase-out frame declares %d grains in %d bytes", n, len(fr.b))
+	out.Total = fr.count()
+	n32 := fr.u32()
+	if fr.err == nil && uint64(n32) > uint64(len(fr.b)/grainMin) {
+		fr.err = fmt.Errorf("dist: phase-out frame declares %d grains in %d bytes", n32, len(fr.b))
 	}
 	if fr.err != nil {
 		return fr.err
 	}
+	n := int(n32)
 	// Slots past len but inside cap still hold the vectors a longer
 	// decode left there: extend over them before appending new ones.
 	grains := out.Grains[:cap(out.Grains)]
@@ -344,8 +401,8 @@ func decodePhaseOut(payload []byte, out *PhaseOut, gradLen, bufLen int) error {
 	out.Grains = grains[:n]
 	for i := 0; i < n; i++ {
 		g := &out.Grains[i]
-		g.Grain = int(fr.u32())
-		g.N = int(fr.u32())
+		g.Grain = fr.count()
+		g.N = fr.count()
 		g.Loss = fr.f64()
 		g.Grad = fr.f64s(g.Grad)
 		g.Buf = fr.f64s(g.Buf)

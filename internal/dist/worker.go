@@ -93,20 +93,20 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 		case frameBeginEpoch:
 			rep.trainer.BeginEpoch()
 		case frameCompute:
-			p := int(fr.u32())
-			if fr.err != nil || p < 0 || p >= len(rep.spec.Phases) {
+			p := fr.u32()
+			if fr.err != nil || uint64(p) >= uint64(len(rep.spec.Phases)) {
 				return fail(fmt.Sprintf("bad compute frame (phase %d)", p))
 			}
-			wbuf = encodePhaseOut(wbuf[:0], rep.computePhase(p))
+			wbuf = encodePhaseOut(wbuf[:0], rep.computePhase(int(p)))
 			body = wbuf
 		case frameApply:
-			p := int(fr.u32())
+			p := fr.u32()
 			applyGrad = fr.f64s(applyGrad)
 			applyBuf = fr.f64s(applyBuf)
-			if fr.err != nil || p < 0 || p >= len(rep.spec.Phases) {
+			if fr.err != nil || uint64(p) >= uint64(len(rep.spec.Phases)) {
 				return fail(fmt.Sprintf("bad apply frame (phase %d)", p))
 			}
-			rep.apply(p, applyGrad, applyBuf)
+			rep.apply(int(p), applyGrad, applyBuf)
 		case frameQuality:
 			wbuf = appendF64(wbuf[:0], rep.quality())
 			body = wbuf

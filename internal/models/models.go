@@ -31,8 +31,7 @@ import (
 // installed, and applied before phase p+1 begins, so later phases
 // observe the parameter updates of earlier ones and replicas stay in
 // bitwise lockstep. A serial run goes through the same phases at one
-// grain (TrainEpoch), unless the benchmark keeps a serial epoch of its
-// own.
+// grain (TrainEpoch).
 type Benchmark interface {
 	// Name returns the component-benchmark task name.
 	Name() string
@@ -52,9 +51,9 @@ type Benchmark interface {
 	// Arena returns the step arena the instance owns (see stepArena).
 	// Whoever runs the optimizer steps resets it once per step: the
 	// phased drivers (TrainEpoch's one-grain loop, internal/dist's
-	// replica loop) and a serial epoch a benchmark keeps of its own;
-	// Quality resets it itself. Whoever builds an instance for a run
-	// records the run on it (Arena.SetRun) before the first step.
+	// replica loop); Quality resets it itself. Whoever builds an
+	// instance for a run records the run on it (Arena.SetRun) before the
+	// first step.
 	Arena() *tensor.Arena
 
 	// BeginEpoch advances per-epoch state (training mode, curriculum
@@ -75,9 +74,7 @@ type Benchmark interface {
 	// replicas' RNG streams in lockstep — and receives the same grain
 	// decomposition regardless of the worker count. A phase may reuse a
 	// batch drawn by an earlier phase of the same step (the CycleGAN
-	// discriminator/generator pair trains on one draw). A benchmark
-	// with a serial epoch of its own is only asked for ShardGrains and
-	// may split its step its own way.
+	// discriminator/generator pair trains on one draw).
 	BeginPhase(phase, grains int) []Grain
 	// PhaseParams returns the phase's reduce group: the parameters its
 	// grains produce gradients for and its ApplyPhase updates. nil
@@ -92,24 +89,12 @@ type Benchmark interface {
 	ApplyPhase(phase int)
 }
 
-// selfTrained is implemented by the three benchmarks that keep a
-// serial epoch of their own — DC-AI-C6, DC-AI-C17 and MLPerf-RL —
-// because their serial algorithm differs from their sharded one.
-type selfTrained interface {
-	// TrainEpoch runs one epoch of training, returning the mean loss.
-	TrainEpoch() float64
-}
-
 // TrainEpoch runs one serial epoch of b and returns its mean step
-// loss. A benchmark with a serial epoch of its own runs it; every other
-// one runs its phased step at one grain: per step the arena is reset,
-// and per phase the gradients are zeroed, the phase's one grain runs
-// and ApplyPhase updates. A step's loss is the mean over its reporting
+// loss: b's phased step at one grain. Per step the arena is reset, and
+// per phase the gradients are zeroed, the phase's one grain runs and
+// ApplyPhase updates. A step's loss is the mean over its reporting
 // phases, as in a sharded step.
 func TrainEpoch(b Benchmark) float64 {
-	if s, ok := b.(selfTrained); ok {
-		return s.TrainEpoch()
-	}
 	if h, ok := b.(loopHolder); ok {
 		return h.serial(b).epoch()
 	}

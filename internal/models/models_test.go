@@ -26,29 +26,108 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
-// TestOneSerialPath pins the serial path of every benchmark: the three
-// that keep a serial epoch of their own (C6, C17 and MLPerf-RL, whose
-// serial algorithm differs from their sharded one) run it, and the
-// other twenty-one are driven by TrainEpoch at one grain, with their
-// driver kept on the instance.
+// TestOneSerialPath pins the one serial path: every one of the 24
+// benchmarks is driven by TrainEpoch's one-grain phased driver, kept on
+// the instance, and none keeps a serial epoch of its own.
 func TestOneSerialPath(t *testing.T) {
-	own := map[string]bool{"DC-AI-C6": true, "DC-AI-C17": true, "MLPerf-RL": true}
-	driven := 0
 	for _, e := range AllEntries() {
 		b := e.Factory(1)
-		_, self := b.(selfTrained)
-		_, holds := b.(loopHolder)
-		switch {
-		case self != own[e.ID]:
-			t.Errorf("%s: keeps its own serial epoch = %v, want %v", e.ID, self, own[e.ID])
-		case !self && !holds:
-			t.Errorf("%s: no serial path (keeps no driver)", e.ID)
-		case !self:
-			driven++
+		if _, holds := b.(loopHolder); !holds {
+			t.Errorf("%s: keeps no one-grain driver", e.ID)
+		}
+		if _, own := b.(interface{ TrainEpoch() float64 }); own {
+			t.Errorf("%s: keeps a serial epoch of its own", e.ID)
 		}
 	}
-	if driven != 21 {
-		t.Errorf("%d benchmarks run the one-grain driver, want 21", driven)
+}
+
+// flatGrads returns the gradients of b's parameters, flattened in
+// parameter order (zeros for a parameter no grain reached).
+func flatGrads(b Benchmark) []float64 {
+	var out []float64
+	for _, p := range b.Module().Params() {
+		if g := p.Value.Grad; g != nil {
+			out = append(out, g.Data...)
+		} else {
+			out = append(out, make([]float64, p.Value.Data.Size())...)
+		}
+	}
+	return out
+}
+
+func zeroGrads(b Benchmark) {
+	for _, p := range b.Module().Params() {
+		p.Value.ZeroGrad()
+	}
+}
+
+// TestOneGrainIsTheShardedObjective: the benchmarks whose step is a
+// batch of units — DC-AI-C6's utterances, DC-AI-C17's truncated-BPTT
+// segments, MLPerf-RL's episodes — train one objective serial or
+// sharded. Two instances built from one seed take every phase of a
+// first step, one at one grain and one at ShardGrains: the one grain's
+// loss, sample count and flattened gradient are the sample-weighted sum
+// over the ShardGrains grains. Both instances then apply the sharded
+// gradient, so the next phase starts from the same weights.
+func TestOneGrainIsTheShardedObjective(t *testing.T) {
+	const tol = 1e-12
+	for _, id := range []string{"DC-AI-C6", "DC-AI-C17", "MLPerf-RL"} {
+		t.Run(id, func(t *testing.T) {
+			var e Entry
+			for _, c := range AllEntries() {
+				if c.ID == id {
+					e = c
+				}
+			}
+			serial, sharded := e.Factory(42), e.Factory(42)
+			for _, b := range []Benchmark{serial, sharded} {
+				b.BeginEpoch()
+				b.Arena().Reset()
+			}
+			for p, ph := range serial.Phases() {
+				one := serial.BeginPhase(p, 1)
+				if len(one) != 1 {
+					t.Fatalf("phase %q: BeginPhase(p, 1) made %d grains, want 1", ph.Name, len(one))
+				}
+				zeroGrads(serial)
+				loss, n := one[0]()
+				got := flatGrads(serial)
+
+				gs := sharded.BeginPhase(p, ShardGrains)
+				losses, counts, grads, samples := make([]float64, len(gs)), make([]int, len(gs)), make([][]float64, len(gs)), 0
+				for g, grain := range gs {
+					zeroGrads(sharded)
+					losses[g], counts[g] = grain()
+					grads[g] = flatGrads(sharded)
+					samples += counts[g]
+				}
+				wantLoss, want := 0.0, make([]float64, len(got))
+				for g := range gs {
+					w := float64(counts[g]) / float64(samples)
+					wantLoss += w * losses[g]
+					for j, v := range grads[g] {
+						want[j] += w * v
+					}
+				}
+				if n != samples || math.Abs(loss-wantLoss) > tol {
+					t.Errorf("phase %q: one grain = (%v, %d), %d grains = (%v, %d)", ph.Name, loss, n, len(gs), wantLoss, samples)
+				}
+				worst := 0.0
+				for j := range want {
+					worst = max(worst, math.Abs(got[j]-want[j]))
+				}
+				if worst > tol {
+					t.Errorf("phase %q: gradient differs from the %d grains' weighted sum by %g", ph.Name, len(gs), worst)
+				}
+				for _, b := range []Benchmark{serial, sharded} {
+					off := 0
+					for _, pr := range b.Module().Params() {
+						off += copy(pr.Value.EnsureGrad().Data, want[off:])
+					}
+					b.ApplyPhase(p)
+				}
+			}
+		})
 	}
 }
 

@@ -220,53 +220,17 @@ func NewNAS(seed int64) *NAS {
 // Name implements Benchmark.
 func (b *NAS) Name() string { return "Neural Architecture Search" }
 
-// TrainEpoch implements Benchmark: the ENAS alternating scheme — train
-// the shared child weights under sampled architectures, then update the
-// controller with REINFORCE using validation perplexity as reward.
-func (b *NAS) TrainEpoch() float64 {
-	total := 0.0
-	// Phase 1: shared-weight training under sampled architectures.
-	for i := 0; i < 6; i++ {
-		b.arena.Reset()
-		arch, _ := b.controller.sample(b.rng)
-		stream := b.lang.Stream(b.seqLen)
-		b.optChild.ZeroGrad()
-		loss := b.child.nll(arch, stream)
-		loss.Backward()
-		b.optChild.Step()
-		total += loss.Item()
-	}
-	// Phase 2: controller REINFORCE steps.
-	for i := 0; i < 4; i++ {
-		b.arena.Reset()
-		arch, nlp := b.controller.sample(b.rng)
-		val := b.lang.Stream(b.seqLen)
-		ppl := math.Exp(b.child.nll(arch, val).Item())
-		reward := 1 / ppl
-		if b.baseline == 0 {
-			b.baseline = reward
-		}
-		advantage := reward - b.baseline
-		b.baseline = 0.9*b.baseline + 0.1*reward
-		b.optCtrl.ZeroGrad()
-		// REINFORCE: ∇(−advantage·log π) = advantage·∇(−log π).
-		loss := autograd.Scale(nlp, advantage)
-		loss.Backward()
-		b.optCtrl.Step()
-	}
-	return total / 6
-}
-
 // nasSegments is the truncated-BPTT segment count a weights phase
-// splits the child's token stream into — the grain decomposition of
-// the shared-weight update.
+// splits the child's token stream into; the segments are split over
+// the phase's grains.
 const nasSegments = 4
 
 // nasPhases is the ENAS alternating scheme as ordered phases: three
-// shared-weight child updates (each under a freshly sampled
-// architecture, reporting into the step loss exactly as TrainEpoch
-// averages child losses only), then two controller REINFORCE updates.
-// Two steps per epoch reproduce the serial 6-child/4-controller split.
+// shared-weight child updates, each under a freshly sampled
+// architecture and the only phases reporting into the step loss, then
+// two controller REINFORCE updates that use the child's validation
+// perplexity as reward. Two steps make an epoch of 6 child and 4
+// controller updates.
 var nasPhases = []PhaseSpec{
 	{Name: "weights-1", Report: true}, {Name: "weights-2", Report: true}, {Name: "weights-3", Report: true},
 	{Name: "controller-1"}, {Name: "controller-2"},
@@ -295,21 +259,18 @@ func (b *NAS) PhaseParams(phase int) []*nn.Param {
 // BeginPhase implements Benchmark. A weights phase samples an
 // architecture from the controller, draws a token stream, and
 // precomputes the truncated-BPTT segment entry states with a forward
-// pass (identical on every replica); its grains are the segments,
-// weighted by prediction count. A controller phase samples an
-// architecture, scores it with the child's validation perplexity,
-// updates the reward baseline, and exposes a single REINFORCE grain.
-func (b *NAS) BeginPhase(phase, _ int) []Grain {
+// pass (identical on every replica); its segments are split over the
+// grains, each weighted by its prediction count. A controller phase
+// samples an architecture, scores it with the child's validation
+// perplexity, updates the reward baseline, and exposes a single
+// REINFORCE grain.
+func (b *NAS) BeginPhase(phase, grains int) []Grain {
 	if phase < 3 {
 		b.stepArch, _ = b.controller.sample(b.rng)
 		b.stepStream = b.lang.Stream(b.seqLen)
 		b.stepStates = b.child.hiddenStates(b.stepArch, b.stepStream)
-		return splitGrains(len(b.stepStream)-1, nasSegments, func(lo, hi int) Grain {
-			return func() (float64, int) {
-				loss := b.child.segmentNLL(b.stepArch, b.stepStream, lo, hi, b.stepStates[lo])
-				loss.Backward()
-				return loss.Item(), hi - lo
-			}
+		return splitGrains(nasSegments, grains, func(lo, hi int) Grain {
+			return func() (float64, int) { return unitsGrain(lo, hi, b.segmentLoss) }
 		})
 	}
 	arch, nlp := b.controller.sample(b.rng)
@@ -327,6 +288,13 @@ func (b *NAS) BeginPhase(phase, _ int) []Grain {
 		loss.Backward()
 		return loss.Item(), 1
 	}}
+}
+
+// segmentLoss builds truncated-BPTT segment s's loss from its entry
+// state and returns it with the segment's prediction count.
+func (b *NAS) segmentLoss(s int) (*autograd.Value, int) {
+	lo, hi := part(len(b.stepStream)-1, nasSegments, s)
+	return b.child.segmentNLL(b.stepArch, b.stepStream, lo, hi, b.stepStates[lo]), hi - lo
 }
 
 // ApplyPhase implements Benchmark.

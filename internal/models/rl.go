@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"math/rand"
 
 	"aibench/internal/autograd"
@@ -29,7 +28,6 @@ type ReinforcementLearning struct {
 	opt     optim.Optimizer
 	rng     *rand.Rand
 	board   int
-	batches int
 }
 
 // NewReinforcementLearning constructs the scaled benchmark.
@@ -42,7 +40,6 @@ func NewReinforcementLearning(seed int64) *ReinforcementLearning {
 		valHead: nn.NewLinear(rng, 6*board*board, 1),
 		rng:     rng,
 		board:   board,
-		batches: 4,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	b.adopt(b.Module())
@@ -142,25 +139,8 @@ func (b *ReinforcementLearning) episode(maxSteps int) []rlStep {
 	return steps
 }
 
-// TrainEpoch implements Benchmark: REINFORCE with a learned value
-// baseline over self-generated episodes.
-func (b *ReinforcementLearning) TrainEpoch() float64 {
-	b.policy.SetTraining(true)
-	total := 0.0
-	for it := 0; it < b.batches; it++ {
-		b.arena.Reset()
-		steps := b.episode(12)
-		b.opt.ZeroGrad()
-		loss := b.episodeLoss(steps)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
-// episodeLoss builds one episode's REINFORCE-with-baseline loss (the
-// serial per-episode objective).
+// episodeLoss builds one episode's loss: REINFORCE with a learned value
+// baseline.
 func (b *ReinforcementLearning) episodeLoss(steps []rlStep) *autograd.Value {
 	var losses []*autograd.Value
 	for _, s := range steps {
@@ -173,16 +153,15 @@ func (b *ReinforcementLearning) episodeLoss(steps []rlStep) *autograd.Value {
 	return meanLoss(losses)
 }
 
-// rlEpisodesPerStep is the sharded macro-step's episode count: two
-// steps of two episode-grains reproduce the serial epoch's four
-// episodes.
+// rlEpisodesPerStep is the step's episode count.
 const rlEpisodesPerStep = 2
 
 // BeginEpoch implements Benchmark.
 func (b *ReinforcementLearning) BeginEpoch() { b.policy.SetTraining(true) }
 
-// StepsPerEpoch implements Benchmark.
-func (b *ReinforcementLearning) StepsPerEpoch(int) int { return b.batches / rlEpisodesPerStep }
+// StepsPerEpoch implements Benchmark: two steps of rlEpisodesPerStep
+// episodes.
+func (b *ReinforcementLearning) StepsPerEpoch(int) int { return 2 }
 
 // ApplyPhase implements Benchmark.
 func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
@@ -191,22 +170,19 @@ func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
 // step's episodes (identical policy weights and rng keep the
 // trajectories in lockstep; the generation forwards' batch-norm
 // drift is discarded by the engine's phase-start buffer snapshot),
-// then each episode becomes one grain weighted by its step count.
-func (b *ReinforcementLearning) BeginPhase(int, int) []Grain {
-	episodes := make([][]rlStep, rlEpisodesPerStep)
-	for e := range episodes {
-		episodes[e] = b.episode(12)
+// then splits the episodes over the grains, each weighted by its step
+// count.
+func (b *ReinforcementLearning) BeginPhase(_, grains int) []Grain {
+	var drawn [rlEpisodesPerStep][]rlStep
+	for e := range drawn {
+		drawn[e] = b.episode(12)
 	}
-	gs := make([]Grain, len(episodes))
-	for g := range gs {
-		steps := episodes[g]
-		gs[g] = func() (float64, int) {
-			loss := b.episodeLoss(steps)
-			loss.Backward()
-			return loss.Item(), len(steps)
+	episodes := drawn // never reassigned, so each grain holds a copy and nothing escapes
+	return splitGrains(len(episodes), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			return unitsGrain(lo, hi, func(e int) (*autograd.Value, int) { return b.episodeLoss(episodes[e]), len(episodes[e]) })
 		}
-	}
-	return gs
+	})
 }
 
 // Buffers implements Buffered: the policy trunk's batch-norm running
@@ -284,6 +260,3 @@ func (b *ReinforcementLearning) Spec() workload.Model {
 	)
 	return workload.Model{Name: "MLPerf Reinforcement Learning (Minigo)", Layers: ls}
 }
-
-// ensure math import is used (sigmoid helpers live in detection.go).
-var _ = math.Exp

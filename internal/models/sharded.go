@@ -3,6 +3,7 @@ package models
 import (
 	"fmt"
 
+	"aibench/internal/autograd"
 	"aibench/internal/nn"
 	"aibench/internal/tensor"
 )
@@ -73,20 +74,52 @@ func (singlePhase) PhaseParams(int) []*nn.Param { return nil }
 // near-equal [lo,hi) ranges and returns grain(lo, hi) for each. The
 // split depends only on (n, grains), never on the worker count.
 func splitGrains(n, grains int, grain func(lo, hi int) Grain) []Grain {
-	if grains > n {
-		grains = n
-	}
-	if grains < 1 {
-		grains = 1
-	}
+	grains = max(1, min(grains, n))
 	gs := make([]Grain, grains)
-	lo := 0
 	for g := range gs {
-		hi := lo + (n-lo)/(grains-g)
-		gs[g] = grain(lo, hi)
-		lo = hi
+		gs[g] = grain(part(n, grains, g))
 	}
 	return gs
+}
+
+// part returns range i of n split into parts contiguous near-equal
+// [lo,hi) ranges: each takes an equal share of what the earlier ones
+// left, rounded down.
+func part(n, parts, i int) (lo, hi int) {
+	for g := 0; ; g++ {
+		hi = lo + (n-lo)/(parts-g)
+		if g == i {
+			return lo, hi
+		}
+		lo = hi
+	}
+}
+
+// unitsGrain runs units [lo,hi) of a step — utterances, truncated-BPTT
+// segments, episodes — as one grain; unit(u) builds unit u's loss and
+// returns it with its sample count. One unit is backpropagated as it
+// stands. Several are each backpropagated scaled by their share of the
+// grain's samples, so the grain's loss and gradient are the
+// sample-weighted mean of its units' — what the all-reduce makes of the
+// same units as one grain each.
+func unitsGrain(lo, hi int, unit func(u int) (*autograd.Value, int)) (float64, int) {
+	if hi-lo == 1 {
+		loss, n := unit(lo)
+		loss.Backward()
+		return loss.Item(), n
+	}
+	losses, counts, total := make([]*autograd.Value, hi-lo), make([]int, hi-lo), 0
+	for i := range losses {
+		losses[i], counts[i] = unit(lo + i)
+		total += counts[i]
+	}
+	mean := 0.0
+	for i, loss := range losses {
+		w := float64(counts[i]) / float64(total)
+		autograd.Scale(loss, w).Backward()
+		mean += w * loss.Item()
+	}
+	return mean, total
 }
 
 // batchRows returns rows [lo,hi) of a step's batch: the batch itself

@@ -19,18 +19,17 @@ import (
 // greedy collapsed decode.
 type SpeechRecognition struct {
 	stepArena
-	front   *nn.Linear
-	gru     *nn.GRUCell
-	proj    *nn.Linear
-	opt     optim.Optimizer
-	ds      *data.Speech
-	vocab   int
-	batches int
+	front *nn.Linear
+	gru   *nn.GRUCell
+	proj  *nn.Linear
+	opt   optim.Optimizer
+	ds    *data.Speech
+	vocab int
 
-	// Sharded-step state: the utterances of the current macro-step,
-	// their framewise alignments, the segment split point per
-	// utterance, and the GRU entry state of the current TBPTT segment
-	// (recomputed with post-segment-1 weights before segment 2).
+	// Step state: the utterances of the current step, their framewise
+	// alignments, the segment split point per utterance, and the GRU
+	// entry state of the current TBPTT segment (recomputed with
+	// post-segment-1 weights before segment 2).
 	stepFrames []*tensor.Tensor
 	stepAlign  [][]int
 	stepMid    []int
@@ -46,7 +45,7 @@ func NewSpeechRecognition(seed int64) *SpeechRecognition {
 		gru:   nn.NewGRUCell(rng, hidden, hidden),
 		proj:  nn.NewLinear(rng, hidden, vocab),
 		ds:    data.NewSpeech(seed+1000, vocab, features, 2, 3),
-		vocab: vocab, batches: 10,
+		vocab: vocab,
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
 	b.adopt(b.Module())
@@ -71,27 +70,8 @@ func (b *SpeechRecognition) frameLogits(frames *autograd.Value) *autograd.Value 
 	return b.proj.Forward(autograd.Concat(outs...))
 }
 
-// TrainEpoch implements Benchmark: framewise cross-entropy against the
-// generator's alignment (the CTC-free simplification; the code path —
-// conv front-end, recurrence, softmax over tokens — matches DeepSpeech2).
-func (b *SpeechRecognition) TrainEpoch() float64 {
-	total := 0.0
-	for i := 0; i < b.batches; i++ {
-		b.arena.Reset()
-		frames, _, align := b.ds.Utterance(4)
-		b.opt.ZeroGrad()
-		logits := b.frameLogits(autograd.Const(frames))
-		loss := autograd.SoftmaxCrossEntropy(logits, align)
-		loss.Backward()
-		b.opt.Step()
-		total += loss.Item()
-	}
-	return total / float64(b.batches)
-}
-
-// speechUtterPerStep is the sharded macro-step's utterance count: each
-// optimizer step trains a macro-batch of utterances (one grain each)
-// instead of the serial loop's single utterance per step.
+// speechUtterPerStep is the step's utterance count: each optimizer
+// step trains a batch of utterances, split over the step's grains.
 const speechUtterPerStep = 4
 
 // speechPhases splits every utterance's recurrence into two
@@ -130,9 +110,8 @@ func (b *SpeechRecognition) segmentState(frames *tensor.Tensor, lo, hi int, stat
 // BeginEpoch implements Benchmark (no per-epoch state).
 func (b *SpeechRecognition) BeginEpoch() {}
 
-// StepsPerEpoch implements Benchmark: 3 macro-steps of
-// speechUtterPerStep utterances each, close to the serial loop's 10
-// utterances per epoch.
+// StepsPerEpoch implements Benchmark: 3 steps of speechUtterPerStep
+// utterances each.
 func (b *SpeechRecognition) StepsPerEpoch(int) int { return 3 }
 
 // Phases implements Benchmark.
@@ -143,12 +122,12 @@ func (b *SpeechRecognition) Phases() []PhaseSpec { return speechPhases }
 func (b *SpeechRecognition) PhaseParams(int) []*nn.Param { return nil }
 
 // BeginPhase implements Benchmark: the first segment phase draws
-// the macro-batch of utterances and trains frames [0, mid) of each
-// from a zero state; the second recomputes each utterance's midpoint
-// state under the post-segment-1 weights (forward only, identically on
-// every replica) and trains frames [mid, T). One grain per utterance,
-// weighted by its segment's frame count.
-func (b *SpeechRecognition) BeginPhase(phase, _ int) []Grain {
+// the step's utterances and trains frames [0, mid) of each from a zero
+// state; the second recomputes each utterance's midpoint state under
+// the post-segment-1 weights (forward only, identically on every
+// replica) and trains frames [mid, T). The utterances are split over
+// the grains, each weighted by its segment's frame count.
+func (b *SpeechRecognition) BeginPhase(phase, grains int) []Grain {
 	if phase == 0 {
 		b.stepFrames = b.stepFrames[:0]
 		b.stepAlign = b.stepAlign[:0]
@@ -165,22 +144,27 @@ func (b *SpeechRecognition) BeginPhase(phase, _ int) []Grain {
 			b.stepState[u] = b.segmentState(b.stepFrames[u], 0, b.stepMid[u], b.gru.InitState(1)).Data
 		}
 	}
-	gs := make([]Grain, len(b.stepFrames))
-	for u := range gs {
-		gs[u] = func() (float64, int) {
-			lo, hi := 0, b.stepMid[u]
-			state := b.gru.InitState(1)
-			if phase == 1 {
-				lo, hi = b.stepMid[u], b.stepFrames[u].Dim(0)
-				state = autograd.Const(b.stepState[u])
-			}
-			logits := b.segmentForward(b.stepFrames[u], lo, hi, state)
-			loss := autograd.SoftmaxCrossEntropy(logits, b.stepAlign[u][lo:hi])
-			loss.Backward()
-			return loss.Item(), hi - lo
+	return splitGrains(len(b.stepFrames), grains, func(lo, hi int) Grain {
+		return func() (float64, int) {
+			return unitsGrain(lo, hi, func(u int) (*autograd.Value, int) { return b.segmentLoss(phase, u) })
 		}
+	})
+}
+
+// segmentLoss builds utterance u's loss over the phase's segment —
+// framewise cross-entropy against the generator's alignment (the
+// CTC-free simplification; the code path — front-end, recurrence,
+// softmax over tokens — matches DeepSpeech2) — and returns it with the
+// segment's frame count.
+func (b *SpeechRecognition) segmentLoss(phase, u int) (*autograd.Value, int) {
+	lo, hi := 0, b.stepMid[u]
+	state := b.gru.InitState(1)
+	if phase == 1 {
+		lo, hi = b.stepMid[u], b.stepFrames[u].Dim(0)
+		state = autograd.Const(b.stepState[u])
 	}
-	return gs
+	logits := b.segmentForward(b.stepFrames[u], lo, hi, state)
+	return autograd.SoftmaxCrossEntropy(logits, b.stepAlign[u][lo:hi]), hi - lo
 }
 
 // ApplyPhase implements Benchmark: every segment applies its own
