@@ -394,10 +394,15 @@ func BenchmarkScaledTrainingEpoch(b *testing.B) {
 	for _, id := range []string{"DC-AI-C1", "DC-AI-C9", "DC-AI-C16"} {
 		id := id
 		b.Run(id, func(b *testing.B) {
-			w := aibench.NewSuite().Benchmark(id).Factory(42)
+			tr, err := models.NewTrainer(aibench.NewSuite().Benchmark(id).Factory(42))
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				models.TrainEpoch(w)
+				if _, err := tr.TrainEpoch(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -38,18 +38,31 @@ func expPath() string {
 }
 
 // digestRuns are the pinned plans: every benchmark's two-epoch
-// quasi-entire session under each kernel, and at two local shards.
+// quasi-entire session under each kernel, and at two local shards;
+// and the traced sessions of C1 and C16, serial and at two shards on
+// each backend, whose trace records pin the deterministic plane — the
+// process backend's phase spans and its children's counters with it.
 func digestRuns() map[string]aibench.Plan {
 	base := aibench.Plan{Kind: aibench.RunSession, Session: aibench.QuasiEntireSession, Seed: 42, Epochs: 2, Workers: 1}
 	blocked, naive, sharded := base, base, base
 	blocked.Kernel, naive.Kernel = "blocked", "naive"
 	sharded.Shards, sharded.Backend = 2, "local"
-	return map[string]aibench.Plan{"blocked": blocked, "naive": naive, "local-shards-2": sharded}
+	traced := base
+	traced.Benchmarks, traced.Telemetry = []string{"DC-AI-C1", "DC-AI-C16"}, true
+	tracedLocal, tracedProcess := traced, traced
+	tracedLocal.Shards, tracedLocal.Backend = 2, "local"
+	tracedProcess.Shards, tracedProcess.Backend = 2, "process"
+	return map[string]aibench.Plan{
+		"blocked": blocked, "naive": naive, "local-shards-2": sharded,
+		"traced": traced, "traced-local-shards-2": tracedLocal, "traced-process-shards-2": tracedProcess,
+	}
 }
 
 // recordDigests runs p and returns the sha256 of each record's
-// persisted data, keyed by benchmark id — the bytes `aibench run-all
-// -out` writes, less the run header.
+// persisted data — the bytes `aibench run-all -out` writes, less the
+// run header — keyed by benchmark id for a session record and by
+// "trace" for the run's trace record. The wall-clock runmetrics record
+// is not pinned.
 func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]string {
 	t.Helper()
 	runner, err := s.NewRunner(p)
@@ -70,14 +83,24 @@ func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]st
 		if err := dec.Decode(&env); err != nil {
 			t.Fatal(err)
 		}
-		var id struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(env.Data, &id); err != nil || env.Kind != "session" || id.ID == "" {
+		key := env.Kind
+		switch env.Kind {
+		case "runmetrics":
+			continue
+		case "session":
+			var id struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(env.Data, &id); err != nil || id.ID == "" {
+				t.Fatalf("unexpected session record %s", env.Data)
+			}
+			key = id.ID
+		case "trace":
+		default:
 			t.Fatalf("unexpected %s record %s", env.Kind, env.Data)
 		}
 		sum := sha256.Sum256(env.Data)
-		out[id.ID] = hex.EncodeToString(sum[:])
+		out[key] = hex.EncodeToString(sum[:])
 	}
 	return out
 }

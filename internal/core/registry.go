@@ -12,14 +12,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"aibench/internal/models"
 	"aibench/internal/workload"
 )
 
-// Benchmark is one component benchmark: the scaled executable workload
-// plus the paper-scale constants the evaluation harness replays.
+// Benchmark is one component benchmark: its models registry row — the
+// scaled executable workload's factory, display name, target and
+// metric direction, and paper-scale spec — plus the paper-scale
+// constants the evaluation harness replays.
 type Benchmark struct {
 	ID        string // DC-AI-C1..C17 or MLPerf-*
 	Suite     string // "AIBench" or "MLPerf"
@@ -55,34 +56,13 @@ type Benchmark struct {
 	// Factory builds the scaled executable workload.
 	Factory models.Factory
 
-	spec *workload.Model // cached paper-scale architecture, guarded by specMu
+	entry models.Entry   // the bound row: name, scaled target, direction
+	spec  workload.Model // the row's paper-scale architecture
 }
 
-// specMu guards every Benchmark's spec cache. A single package-level
-// mutex (rather than a per-Benchmark lock) keeps Benchmark free of
-// lock fields so the registry tables can stay plain value literals;
-// the spec itself is computed outside the lock, so concurrent
-// characterization of different benchmarks does not serialize.
-var specMu sync.Mutex
-
-// Spec returns the paper-scale architecture (cached; safe for
-// concurrent use by the parallel characterization pool).
-func (b *Benchmark) Spec() workload.Model {
-	specMu.Lock()
-	cached := b.spec
-	specMu.Unlock()
-	if cached != nil {
-		return *cached
-	}
-	m := b.Factory(1).Spec() // idempotent: duplicate concurrent builds agree
-	specMu.Lock()
-	if b.spec == nil {
-		b.spec = &m
-	}
-	cached = b.spec
-	specMu.Unlock()
-	return *cached
-}
+// Spec returns the paper-scale architecture, evaluated once when the
+// registry bound the benchmark to its row.
+func (b *Benchmark) Spec() workload.Model { return b.spec }
 
 // InSubset reports whether the benchmark belongs to the paper's minimum
 // subset (Image Classification, Object Detection, Learning to Rank).
@@ -179,30 +159,25 @@ type Registry struct {
 	MLPerf  []*Benchmark
 }
 
-// NewRegistry wires the metadata tables to the scaled model factories.
+// NewRegistry binds the metadata tables to the models registry rows,
+// evaluating each row's spec once.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	af := models.AIBenchEntries()
-	for i := range aibenchTable {
-		b := aibenchTable[i]
-		b.Suite = "AIBench"
-		b.Factory = af[i].Factory
-		if af[i].ID != b.ID {
-			panic(fmt.Sprintf("core: registry order mismatch %s vs %s", af[i].ID, b.ID))
+	return &Registry{AIBench: bind(aibenchTable, models.AIBenchEntries()), MLPerf: bind(mlperfTable, models.MLPerfEntries())}
+}
+
+// bind pairs each metadata row with the models row of the same
+// position, which must carry the same id.
+func bind(table []Benchmark, entries []models.Entry) []*Benchmark {
+	out := make([]*Benchmark, len(table))
+	for i, b := range table {
+		e := entries[i]
+		if e.ID != b.ID {
+			panic(fmt.Sprintf("core: registry order mismatch %s vs %s", e.ID, b.ID))
 		}
-		r.AIBench = append(r.AIBench, &b)
+		b.Suite, b.Factory, b.entry, b.spec = e.Suite, e.Factory, e, e.Spec()
+		out[i] = &b
 	}
-	mf := models.MLPerfEntries()
-	for i := range mlperfTable {
-		b := mlperfTable[i]
-		b.Suite = "MLPerf"
-		b.Factory = mf[i].Factory
-		if mf[i].ID != b.ID {
-			panic(fmt.Sprintf("core: registry order mismatch %s vs %s", mf[i].ID, b.ID))
-		}
-		r.MLPerf = append(r.MLPerf, &b)
-	}
-	return r
+	return out
 }
 
 // All returns AIBench then MLPerf benchmarks.

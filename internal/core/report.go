@@ -19,26 +19,54 @@ import (
 // canonical registry order first — so a report rebuilt from a persisted
 // stream is byte-identical to its live-run output.
 
+// runReports is every run report rebuildable from persisted records,
+// in render order: its name, the record kind it renders, and its
+// renderer, which ignores records of other kinds.
+var runReports = []struct {
+	name   string
+	kind   RecordKind
+	render func(io.Writer, []Record)
+}{
+	{"sessions", KindSession, renderSessionRecords},
+	{"characterizations", KindCharacterization, func(w io.Writer, recs []Record) {
+		var cs []Characterization
+		for _, r := range recs {
+			if r.Kind == KindCharacterization && r.Characterization != nil {
+				cs = append(cs, *r.Characterization)
+			}
+		}
+		RenderCharacterizations(w, cs)
+	}},
+	{"scaling", KindScaling, renderScalingRecords},
+	{"replays", KindReplay, func(w io.Writer, recs []Record) {
+		var rs []ReplaySession
+		for _, r := range recs {
+			if r.Kind == KindReplay && r.Replay != nil {
+				rs = append(rs, *r.Replay)
+			}
+		}
+		RenderReplays(w, rs)
+	}},
+	{"trace", KindTrace, RenderTraces},
+}
+
 // RunReportNames lists the run reports rebuildable from persisted
 // records, in render order.
 func RunReportNames() []string {
-	return []string{"sessions", "characterizations", "scaling", "replays", "trace"}
+	names := make([]string, len(runReports))
+	for i, r := range runReports {
+		names[i] = r.name
+	}
+	return names
 }
 
 // RunReportKind maps a run-report name to the record kind it renders;
 // ok is false for unknown names.
 func RunReportKind(name string) (RecordKind, bool) {
-	switch name {
-	case "sessions":
-		return KindSession, true
-	case "characterizations":
-		return KindCharacterization, true
-	case "scaling":
-		return KindScaling, true
-	case "replays":
-		return KindReplay, true
-	case "trace":
-		return KindTrace, true
+	for _, r := range runReports {
+		if r.name == name {
+			return r.kind, true
+		}
 	}
 	return "", false
 }
@@ -47,33 +75,13 @@ func RunReportKind(name string) (RecordKind, bool) {
 // ignoring records of other kinds; it reports whether the name was
 // known.
 func RenderRunRecords(name string, w io.Writer, recs []Record) bool {
-	switch name {
-	case "sessions":
-		renderSessionRecords(w, recs)
-	case "characterizations":
-		var cs []Characterization
-		for _, r := range recs {
-			if r.Kind == KindCharacterization && r.Characterization != nil {
-				cs = append(cs, *r.Characterization)
-			}
+	for _, r := range runReports {
+		if r.name == name {
+			r.render(w, recs)
+			return true
 		}
-		RenderCharacterizations(w, cs)
-	case "scaling":
-		renderScalingRecords(w, recs)
-	case "replays":
-		var rs []ReplaySession
-		for _, r := range recs {
-			if r.Kind == KindReplay && r.Replay != nil {
-				rs = append(rs, *r.Replay)
-			}
-		}
-		RenderReplays(w, rs)
-	case "trace":
-		RenderTraces(w, recs)
-	default:
-		return false
 	}
-	return true
+	return false
 }
 
 // canonical filters out zero-ID entries (sessions that never launched)

@@ -41,13 +41,13 @@ type SessionResult struct {
 	// before it exhausted its epoch budget or reached its target; the
 	// loss trace is the completed-epoch prefix.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Error records a training failure — a dist group that could not
-	// open (children that cannot start, a bad phase declaration), a
-	// backend losing a replica (a killed or crashed worker process), a
-	// determinism violation — that ended the session early. The
-	// completed-epoch prefix of Losses is kept. Failures are contained
-	// per benchmark: one session's Error never aborts its siblings in a
-	// suite run.
+	// Error records a training failure — a trainer that could not come
+	// up (dist children that cannot start, a phase declaration either
+	// driver refuses), a backend losing a replica (a killed or crashed
+	// worker process), a determinism violation — that ended the session
+	// early. The completed-epoch prefix of Losses is kept. Failures are
+	// contained per benchmark: one session's Error never aborts its
+	// siblings in a suite run.
 	Error        string    `json:"error,omitempty"`
 	ReachedGoal  bool      `json:"reached_goal"`
 	FinalQuality float64   `json:"final_quality"`
@@ -56,22 +56,14 @@ type SessionResult struct {
 }
 
 // epochTrainer is one epoch of work plus its evaluation — implemented
-// by the data-parallel dist.Engine and, through serialTrainer, by the
-// scaled workloads themselves. Errors are per-benchmark failures (a
-// dead replica process, a determinism violation), recorded on the
-// session instead of crashing the suite.
+// by the data-parallel dist.Engine and by the serial models.Trainer.
+// Errors are per-benchmark failures (a dead replica process, a
+// determinism violation, a phase that split a one-grain step), recorded
+// on the session instead of crashing the suite.
 type epochTrainer interface {
 	TrainEpoch() (float64, error)
 	Quality() (float64, error)
 }
-
-// serialTrainer adapts the serial epoch and evaluation (models.TrainEpoch
-// and models.Evaluate) — which cannot fail, only panic — to the
-// error-aware trainer interface.
-type serialTrainer struct{ w models.Benchmark }
-
-func (s serialTrainer) TrainEpoch() (float64, error) { return models.TrainEpoch(s.w), nil }
-func (s serialTrainer) Quality() (float64, error)    { return models.Evaluate(s.w), nil }
 
 // runSession is the session kind's body: one real training session of
 // the scaled model through the tensor/autograd/nn/optim stack, shaped by
@@ -99,33 +91,34 @@ func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *te
 	var (
 		trainer epochTrainer
 		eng     *dist.Engine // nil on the serial path
-		meets   func(float64) bool
+		err     error
 	)
 	if p.Shards > 0 {
-		be, err := dist.NewBackend(p.backendName(), p.Shards)
-		if err != nil {
-			return SessionResult{}, err // NewRunner validated the name
+		be, berr := dist.NewBackend(p.backendName(), p.Shards)
+		if berr != nil {
+			return SessionResult{}, berr // NewRunner validated the name
 		}
-		if eng, err = dist.New(ctx, b.ID, b.Factory, seed, be); err != nil {
-			// The group could not come up: this benchmark's failure
-			// alone, contained like a replica lost mid-run — unless
-			// the run was cancelled while it opened.
-			if ctx.Err() != nil {
-				res.Interrupted = true
-			} else {
-				res.Error = err.Error()
-			}
-			return res, nil
+		if eng, err = dist.New(ctx, b.ID, b.Factory, seed, be); err == nil {
+			trainer, res.Shards = eng, eng.Workers()
 		}
-		trainer, res.Shards = eng, eng.Workers()
-		res.Name, res.Target, meets = eng.Name(), eng.Target(), eng.MeetsTarget
 	} else {
 		wl := b.Factory(seed)
 		wl.Arena().SetRun(run)
-		trainer = serialTrainer{w: wl}
-		res.Name, res.Target = wl.Name(), wl.ScaledTarget()
-		meets = func(q float64) bool { return models.MeetsTarget(wl, q) }
+		trainer, err = models.NewTrainer(wl)
 	}
+	if err != nil {
+		// The trainer could not come up — a dist group whose children
+		// cannot start, a phase list either driver refuses: this
+		// benchmark's failure alone, contained like a replica lost
+		// mid-run — unless the run was cancelled while it opened.
+		if ctx.Err() != nil {
+			res.Interrupted = true
+		} else {
+			res.Error = err.Error()
+		}
+		return res, nil
+	}
+	res.Name, res.Target = b.entry.Name, b.entry.ScaledTarget
 	for ep := 1; ep <= maxEpochs; ep++ {
 		if ctx.Err() != nil {
 			res.Interrupted = true
@@ -158,7 +151,7 @@ func (b *Benchmark) runSession(ctx context.Context, p Plan, seed int64, span *te
 		if p.Log != nil {
 			fmt.Fprintf(p.Log, "%s epoch %d: loss=%.4f quality=%.4f\n", b.ID, ep, loss, q)
 		}
-		if p.Session == EntireSession && meets(q) {
+		if p.Session == EntireSession && b.entry.MeetsTarget(q) {
 			res.ReachedGoal = true
 			break
 		}

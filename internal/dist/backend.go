@@ -20,10 +20,11 @@ import (
 //
 // Open builds one replica group for a benchmark. The benchID names the
 // workload in the models registry so out-of-process backends can
-// reconstruct the factory on the far side; in-process backends may use
-// the factory directly and ignore the id. The context bounds the
-// group's lifetime: cancelling it tears down whatever the backend
-// spawned (child processes die with the run instead of leaking).
+// reconstruct the factory on the far side; in-process backends use the
+// factory directly, and every backend names the workload by the id in a
+// refusal. The context bounds the group's lifetime: cancelling it tears
+// down whatever the backend spawned (child processes die with the run
+// instead of leaking).
 type Backend interface {
 	// Name is the registry key ("local", "process", ...).
 	Name() string
@@ -73,16 +74,12 @@ type Group interface {
 }
 
 // GroupSpec is the workload shape a replica group agreed on: the
-// benchmark metadata the session engine needs plus the flattened
-// vector lengths the all-reduce operates over. Out-of-process backends
-// ship it over the wire from rank 0 and validate the other ranks
-// against it.
+// phase list and step count the engine drives and the flattened vector
+// lengths the all-reduce operates over. Out-of-process backends ship it
+// over the wire from rank 0 and validate the other ranks against it.
+// What the benchmark is — its name, target and metric direction — is
+// its registry row, which the session reads directly.
 type GroupSpec struct {
-	// Name, Target, and LowerIsBetter mirror the models.Benchmark
-	// metadata (session naming and the entire-session stopping rule).
-	Name          string  `json:"name"`
-	Target        float64 `json:"target"`
-	LowerIsBetter bool    `json:"lower_is_better"`
 	// Phases is the benchmark's per-step phase list.
 	Phases []models.PhaseSpec `json:"phases"`
 	// GroupLen is the flattened length of each phase's reduce group.
@@ -95,16 +92,6 @@ type GroupSpec struct {
 	// Steps is the benchmark's optimizer steps per epoch, fixed for the
 	// instance's lifetime.
 	Steps int `json:"steps"`
-}
-
-// MeetsTarget reports whether quality q satisfies the workload's
-// scaled target given its metric direction (models.MeetsTarget over
-// the wire-shipped metadata).
-func (s GroupSpec) MeetsTarget(q float64) bool {
-	if s.LowerIsBetter {
-		return q <= s.Target
-	}
-	return q >= s.Target
 }
 
 // GrainOut is one grain's contribution, recorded in isolation by the

@@ -82,7 +82,8 @@ func (e *Engine) SetSpan(s *telemetry.Span) { e.span = s }
 // New opens a data-parallel engine for the benchmark on the given
 // backend: one replica per rank, every replica constructed from the
 // same seed (bitwise-identical initialization). benchID names the
-// workload in the models registry for out-of-process backends; a nil
+// workload in the models registry for out-of-process backends and in
+// every backend's refusals; a nil
 // backend defaults to a single-rank Local pool. An error means the
 // group could not come up — children that cannot start, a phase
 // declaration the replicas refuse. Callers own Close.
@@ -109,16 +110,6 @@ func New(ctx context.Context, benchID string, factory models.Factory, seed int64
 // Workers returns the backend's replica count.
 func (e *Engine) Workers() int { return e.workers }
 
-// Name returns the benchmark's name as the replicas constructed it.
-func (e *Engine) Name() string { return e.spec.Name }
-
-// Target returns the benchmark's scaled quality target.
-func (e *Engine) Target() float64 { return e.spec.Target }
-
-// MeetsTarget reports whether quality q satisfies the benchmark's
-// target given its metric direction.
-func (e *Engine) MeetsTarget(q float64) bool { return e.spec.MeetsTarget(q) }
-
 // Phases returns the benchmark's per-step phase list (one entry, named
 // "step", for single-phase trainers).
 func (e *Engine) Phases() []models.PhaseSpec { return e.spec.Phases }
@@ -135,7 +126,7 @@ func (e *Engine) Close() error {
 }
 
 // TrainEpoch runs one data-parallel epoch and returns the mean step
-// loss, matching the models.TrainEpoch contract. A step's loss is
+// loss, matching the models.Trainer contract. A step's loss is
 // the mean over its reporting phases' reduced losses. An error means
 // the group failed (a dead replica, a determinism violation) and the
 // engine is no longer usable.

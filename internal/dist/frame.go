@@ -292,10 +292,13 @@ func decodeClosed(payload []byte) (ops []telemetry.OpCount, err error) {
 }
 
 // The spec reply is control plane too, sent once per child, and
-// travels as JSON (float64 targets round-trip bitwise through
-// encoding/json's shortest-representation digits).
+// travels as JSON. Encoding it cannot fail: a spec is strings, bools
+// and ints.
 
-func encodeSpec(s GroupSpec) ([]byte, error) { return json.Marshal(s) }
+func encodeSpec(s GroupSpec) []byte {
+	b, _ := json.Marshal(s)
+	return b
+}
 
 // decodeSpec is the parent's side of a trust boundary: the engine sizes
 // its reduce vectors and slices them by what the spec declares, and

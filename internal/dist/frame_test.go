@@ -23,21 +23,11 @@ import (
 // reply as a two-phase worker child would send them.
 var (
 	seedSpec = GroupSpec{
-		Name: "img-cls", Target: 0.9, LowerIsBetter: true,
 		Phases:   []models.PhaseSpec{{Name: "train", Report: true}, {Name: "distill"}},
 		GroupLen: []int{3, 2}, ParamLen: 128, BufLen: 1, Steps: 1,
 	}
 	seedPhaseOut = PhaseOut{Total: 4, Grains: []GrainOut{{Grain: 1, N: 8, Loss: 0.25, Grad: []float64{1, -2, 3.5}, Buf: []float64{0.5}}}}
 )
-
-func mustEncodeSpec(tb testing.TB, s GroupSpec) []byte {
-	tb.Helper()
-	b, err := encodeSpec(s)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
-}
 
 // frameBytes is one frame exactly as writeFrame puts it on the pipe.
 func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
@@ -59,7 +49,7 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 // buffer: no byte of an earlier, longer frame may survive into a later
 // one.
 func FuzzReadFrame(f *testing.F) {
-	spec, out := mustEncodeSpec(f, seedSpec), seedPhaseOut
+	spec, out := encodeSpec(seedSpec), seedPhaseOut
 	hello := encodeHello(hello{BenchID: "DC-AI-C16", Kernel: "blocked", Seed: 42, Rank: 1, Workers: 2, Counters: true})
 	for _, fr := range []struct {
 		typ     byte
@@ -173,17 +163,17 @@ var binarySpecCrasher = append(appendF64(appendStr(nil, ""), 0.5), 1, 0xff, 0xff
 // would have the engine size or slice a vector by a length that
 // describes no workload.
 var hostileSpecs = map[string]string{
-	string(binarySpecCrasher): "decoding spec",
-	`{"name":"x","target":0.5,"phases":[],"group_len":[],"param_len":4,"buf_len":0}`:                                                  "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[],"param_len":4,"buf_len":0}`:                        "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4,4],"param_len":4,"buf_len":0}`:                     "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":-1}`:                      "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":1000000000000}`:           "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[5],"param_len":4,"buf_len":0}`:                       `phase "a" reduces 5 of 4 params`,
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[-1],"param_len":4,"buf_len":0}`:                      `phase "a" reduces -1 of 4 params`,
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[0],"param_len":-4,"buf_len":0}`:                      `phase "a" reduces 0 of -4 params`,
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[900000000000],"param_len":900000000000,"buf_len":0}`: "do not describe a workload",
-	`{"name":"x","target":0.5,"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":0,"steps":-1}`:            "-1 steps do not describe a workload",
+	string(binarySpecCrasher):                                                                                 "decoding spec",
+	`{"phases":[],"group_len":[],"param_len":4,"buf_len":0}`:                                                  "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[],"param_len":4,"buf_len":0}`:                        "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[4,4],"param_len":4,"buf_len":0}`:                     "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":-1}`:                      "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":1000000000000}`:           "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[5],"param_len":4,"buf_len":0}`:                       `phase "a" reduces 5 of 4 params`,
+	`{"phases":[{"name":"a","report":true}],"group_len":[-1],"param_len":4,"buf_len":0}`:                      `phase "a" reduces -1 of 4 params`,
+	`{"phases":[{"name":"a","report":true}],"group_len":[0],"param_len":-4,"buf_len":0}`:                      `phase "a" reduces 0 of -4 params`,
+	`{"phases":[{"name":"a","report":true}],"group_len":[900000000000],"param_len":900000000000,"buf_len":0}`: "do not describe a workload",
+	`{"phases":[{"name":"a","report":true}],"group_len":[4],"param_len":4,"buf_len":0,"steps":-1}`:            "-1 steps do not describe a workload",
 }
 
 // FuzzSpecFrame hardens the first payload the parent decodes from a
@@ -195,7 +185,7 @@ var hostileSpecs = map[string]string{
 // never an allocation sized by a number the payload merely declares. A
 // spec it lets through survives an encode/decode round trip unchanged.
 func FuzzSpecFrame(f *testing.F) {
-	whole := mustEncodeSpec(f, seedSpec)
+	whole := encodeSpec(seedSpec)
 	f.Add(whole)
 	f.Add(whole[:len(whole)-4]) // cut short
 	for body := range hostileSpecs {
@@ -216,7 +206,7 @@ func FuzzSpecFrame(f *testing.F) {
 				t.Fatalf("decodeSpec let a %d-float group of %d params through: %+v", n, s.ParamLen, s)
 			}
 		}
-		if again, err := decodeSpec(mustEncodeSpec(t, s)); err != nil || !reflect.DeepEqual(again, s) {
+		if again, err := decodeSpec(encodeSpec(s)); err != nil || !reflect.DeepEqual(again, s) {
 			t.Fatalf("spec %+v re-decodes as %+v, err %v", s, again, err)
 		}
 	})
@@ -331,7 +321,7 @@ func TestHandshakeRefusesHostileSpec(t *testing.T) {
 			t.Errorf("spec reply %q: err = %v, want replica 0 refused for %q", body, err, want)
 		}
 	}
-	g := cannedGroup(GroupSpec{}, frameBytes(t, frameSpec, mustEncodeSpec(t, seedSpec)))
+	g := cannedGroup(GroupSpec{}, frameBytes(t, frameSpec, encodeSpec(seedSpec)))
 	if err := g.handshake(hello{BenchID: "DC-AI-C16"}); err != nil || !reflect.DeepEqual(g.spec, seedSpec) {
 		t.Errorf("honest spec reply opened as %+v, err %v; want %+v", g.spec, err, seedSpec)
 	}
@@ -369,7 +359,7 @@ func TestEngineRefusesHostilePhaseOut(t *testing.T) {
 func TestHandshakeRefusesDisagreeingSteps(t *testing.T) {
 	other := seedSpec
 	other.Steps = 2
-	g := cannedRanks(GroupSpec{}, frameBytes(t, frameSpec, mustEncodeSpec(t, seedSpec)), frameBytes(t, frameSpec, mustEncodeSpec(t, other)))
+	g := cannedRanks(GroupSpec{}, frameBytes(t, frameSpec, encodeSpec(seedSpec)), frameBytes(t, frameSpec, encodeSpec(other)))
 	err := g.handshake(hello{BenchID: "DC-AI-C16"})
 	if err == nil || !strings.Contains(err.Error(), "replica 1") || !strings.Contains(err.Error(), "2 steps") {
 		t.Fatalf("ranks declaring 1 and 2 steps: err = %v, want replica 1 refused for its 2 steps", err)

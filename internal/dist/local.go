@@ -30,12 +30,13 @@ func (l *Local) Name() string { return "local" }
 // Workers implements Backend.
 func (l *Local) Workers() int { return l.workers }
 
-// Open constructs the replica ranks serially — replica construction
-// order is part of the deterministic contract (each factory call may
-// advance shared state such as the dataset cache) — and validates the
-// shapes agree. The context only supplies the run the replicas are
+// Open constructs the replica ranks one after another, in rank order,
+// and validates the shapes agree. The order carries no numbers: each
+// rank builds its own instance from the seed, and internal/data and
+// internal/models hold only constant tables — no cache a factory call
+// could advance. The context only supplies the run the replicas are
 // placed under: nothing outlives the group.
-func (l *Local) Open(ctx context.Context, _ string, factory models.Factory, seed int64) (Group, error) {
+func (l *Local) Open(ctx context.Context, benchID string, factory models.Factory, seed int64) (Group, error) {
 	g := &localGroup{
 		replicas: make([]*replica, l.workers),
 		outs:     make([]PhaseOut, l.workers),
@@ -43,7 +44,7 @@ func (l *Local) Open(ctx context.Context, _ string, factory models.Factory, seed
 	}
 	specs := make([]GroupSpec, l.workers)
 	for r := 0; r < l.workers; r++ {
-		rep, err := newReplica(factory, seed, r, l.workers, tensor.RunFrom(ctx))
+		rep, err := newReplica(benchID, factory, seed, r, l.workers, tensor.RunFrom(ctx))
 		if err != nil {
 			return nil, err
 		}

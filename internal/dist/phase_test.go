@@ -12,7 +12,6 @@ import (
 	"aibench/internal/models"
 	"aibench/internal/nn"
 	"aibench/internal/tensor"
-	"aibench/internal/workload"
 )
 
 // fakeModule exposes a fixed parameter list.
@@ -45,13 +44,9 @@ func newFakePhased() *fakePhased {
 	}
 }
 
-func (f *fakePhased) Name() string          { return "fake-two-phase" }
-func (f *fakePhased) Quality() float64      { return 0 }
-func (f *fakePhased) LowerIsBetter() bool   { return true }
-func (f *fakePhased) ScaledTarget() float64 { return 0 }
-func (f *fakePhased) Module() nn.Module     { return fakeModule{f.a, f.b} }
-func (f *fakePhased) Spec() workload.Model  { return workload.Model{Name: "fake"} }
-func (f *fakePhased) Arena() *tensor.Arena  { return nil } // a heap-only workload
+func (f *fakePhased) Quality() float64     { return 0 }
+func (f *fakePhased) Module() nn.Module    { return fakeModule{f.a, f.b} }
+func (f *fakePhased) Arena() *tensor.Arena { return nil } // a heap-only workload
 
 func (f *fakePhased) BeginEpoch()           { f.events = append(f.events, "epoch") }
 func (f *fakePhased) StepsPerEpoch(int) int { return 1 }
@@ -99,7 +94,7 @@ func (f *fakePhased) phaseName(phase int) string { return f.Phases()[phase].Name
 
 // TestPhaseOrderAndIsolation drives the engine over the fake trainer
 // at several worker counts, and the serial one-grain driver
-// (models.TrainEpoch) over it once, asserting (a) every rank executes
+// (models.Trainer) over it once, asserting (a) every rank executes
 // the phases of every step in declared order, (b) per-phase reduces
 // never mix gradients across phases, and (c) a later phase observes
 // the earlier phase's applied update.
@@ -149,42 +144,52 @@ func TestPhaseOrderAndIsolation(t *testing.T) {
 	}
 
 	f := newFakePhased()
-	check("serial", models.TrainEpoch(f), []*fakePhased{f})
+	tr, err := models.NewTrainer(f)
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	loss, err := tr.TrainEpoch()
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	check("serial", loss, []*fakePhased{f})
 }
 
 // TestMalformedTrainersAreRefused: both drivers refuse a trainer whose
-// phase list cannot produce a step loss, and the serial driver refuses
-// a phase that splits a one-grain step — each naming the benchmark.
+// phase list cannot produce a step loss — dist naming the benchmark by
+// the id it opens, the serial driver leaving that to the session record
+// it fails — and the serial driver refuses a phase that splits a
+// one-grain step.
 func TestMalformedTrainersAreRefused(t *testing.T) {
-	serialPanic := func(f *fakePhased) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		models.TrainEpoch(f)
-		return ""
-	}
 	for _, tc := range []struct {
 		phases []models.PhaseSpec
 		want   string
 	}{
-		{nil, "fake-two-phase declares no phases"},
-		{[]models.PhaseSpec{{Name: "first"}, {Name: "second"}}, "fake-two-phase declares no reporting phase"},
+		{nil, "declares no phases"},
+		{[]models.PhaseSpec{{Name: "first"}, {Name: "second"}}, "declares no reporting phase"},
 	} {
 		factory := func(int64) models.Benchmark {
 			f := newFakePhased()
 			f.phases = tc.phases
 			return f
 		}
-		_, err := dist.New(context.Background(), "", factory, 1, dist.NewLocal(1))
-		if err == nil || err.Error() != "dist: "+tc.want {
-			t.Errorf("dist.New: error %v, want %q", err, "dist: "+tc.want)
+		_, err := dist.New(context.Background(), "fake-two-phase", factory, 1, dist.NewLocal(1))
+		if want := "dist: fake-two-phase " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("dist.New: error %v, want %q", err, want)
 		}
-		if got := serialPanic(factory(1).(*fakePhased)); got != "models: "+tc.want {
-			t.Errorf("models.TrainEpoch: panic %q, want %q", got, "models: "+tc.want)
+		_, err = models.NewTrainer(factory(1))
+		if want := "models: benchmark " + tc.want; err == nil || err.Error() != want {
+			t.Errorf("models.NewTrainer: error %v, want %q", err, want)
 		}
 	}
 	f := newFakePhased()
 	f.splitsOne = true
-	want := `models: fake-two-phase phase "first" made 2 grains of a one-grain step`
-	if got := serialPanic(f); got != want {
-		t.Errorf("models.TrainEpoch: panic %q, want %q", got, want)
+	tr, err := models.NewTrainer(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `models: phase "first" made 2 grains of a one-grain step`
+	if _, err := tr.TrainEpoch(); err == nil || err.Error() != want {
+		t.Errorf("Trainer.TrainEpoch: error %v, want %q", err, want)
 	}
 }

@@ -36,11 +36,11 @@ type replica struct {
 
 // newReplica constructs rank's workload from the factory at the shared
 // seed, places it under the run — its kernels and its counters — and
-// validates its shape.
+// validates its shape; a refusal names the workload by benchID.
 // Every rank runs exactly this — replica construction is part of the
 // deterministic contract, so the validation errors are worded
 // identically wherever they surface.
-func newReplica(factory models.Factory, seed int64, rank, workers int, run *tensor.Run) (*replica, error) {
+func newReplica(benchID string, factory models.Factory, seed int64, rank, workers int, run *tensor.Run) (*replica, error) {
 	st := factory(seed)
 	st.Arena().SetRun(run)
 	r := &replica{rank: rank, workers: workers, trainer: st, params: st.Module().Params(), counters: run.Counters}
@@ -49,15 +49,12 @@ func newReplica(factory models.Factory, seed int64, rank, workers int, run *tens
 	}
 	phases, err := models.CheckPhases(st)
 	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
+		return nil, fmt.Errorf("dist: %s %w", benchID, err)
 	}
 	r.spec = GroupSpec{
-		Name:          st.Name(),
-		Target:        st.ScaledTarget(),
-		LowerIsBetter: st.LowerIsBetter(),
-		Phases:        phases,
-		GroupLen:      make([]int, len(phases)),
-		Steps:         st.StepsPerEpoch(models.ShardGrains),
+		Phases:   phases,
+		GroupLen: make([]int, len(phases)),
+		Steps:    st.StepsPerEpoch(models.ShardGrains),
 	}
 	for _, p := range r.params {
 		r.spec.ParamLen += p.Value.Data.Size()

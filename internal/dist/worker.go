@@ -87,9 +87,7 @@ func WorkerMain(r io.Reader, w io.Writer) (err error) {
 			if rep, herr = h.open(); herr != nil {
 				return fail(herr.Error())
 			}
-			if body, herr = encodeSpec(rep.spec); herr != nil { // a NaN or infinite target
-				return fail(fmt.Sprintf("encoding spec: %v", herr))
-			}
+			body = encodeSpec(rep.spec)
 		case frameBeginEpoch:
 			rep.trainer.BeginEpoch()
 		case frameCompute:
@@ -142,7 +140,7 @@ func (h hello) open() (*replica, error) {
 	}
 	for _, e := range models.AllEntries() {
 		if e.ID == h.BenchID {
-			return newReplica(e.Factory, h.Seed, h.Rank, h.Workers, run)
+			return newReplica(h.BenchID, e.Factory, h.Seed, h.Rank, h.Workers, run)
 		}
 	}
 	return nil, fmt.Errorf("unknown benchmark id %q", h.BenchID)

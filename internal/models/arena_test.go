@@ -14,11 +14,7 @@ import (
 // appended.
 func trainUnder(e Entry, seed int64, epochs int) []float64 {
 	b := e.Factory(seed)
-	out := make([]float64, 0, epochs+1)
-	for ep := 0; ep < epochs; ep++ {
-		out = append(out, TrainEpoch(b))
-	}
-	return append(out, b.Quality())
+	return append(serialEpochs(b, epochs), b.Quality())
 }
 
 func sameBits(t *testing.T, label string, got, want []float64) {
@@ -119,12 +115,17 @@ func TestParametersAreAdopted(t *testing.T) {
 // temporaries.
 func TestRankStepSteadyStateAllocs(t *testing.T) {
 	b := NewLearningToRank(5)
-	for b.epoch <= b.teacherEpochs { // into the distillation phase, slabs grown
-		TrainEpoch(b)
+	tr, err := NewTrainer(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	loop := b.serial(b)
-	loop.step()
-	got := testing.AllocsPerRun(20, func() { loop.step() })
+	for b.epoch <= b.teacherEpochs { // into the distillation phase, slabs grown
+		if _, err := tr.TrainEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.step()
+	got := testing.AllocsPerRun(20, func() { tr.step() })
 	// 32 measured: six scores (four student, two teacher) of 4 each —
 	// a heap ones column (3) and its constant — 3 for the BPR target's
 	// ones, 3 for the triple draw, and the grain slice and its closure.

@@ -56,9 +56,6 @@ func NewImageCompression(seed int64) *ImageCompression {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ImageCompression) Name() string { return "Image Compression" }
-
 // reconstruct runs the iterative residual codec: each iteration encodes
 // the current residual to a (soft) binary code and decodes an update.
 func (b *ImageCompression) reconstruct(x *autograd.Value) *autograd.Value {
@@ -119,23 +116,16 @@ func (b *ImageCompression) Quality() float64 {
 	return total / float64(n)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ImageCompression) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 0.99 MS-SSIM; the
-// two-iteration scaled codec on noisy 8×8 inputs converges near 0.9 —
-// the additive noise is incompressible through the bottleneck).
-func (b *ImageCompression) ScaledTarget() float64 { return 0.82 }
-
 // Module implements Benchmark.
 func (b *ImageCompression) Module() nn.Module {
 	return Modules(b.enc, b.bottle, b.expand, b.dec)
 }
 
-// Spec implements Benchmark: the full-resolution RNN codec — conv-GRU
-// encoder, binarizer, conv-GRU decoder, and the entropy-coding network,
-// unrolled 16 iterations on 32×32 patches.
-func (b *ImageCompression) Spec() workload.Model {
+// imageCompressionSpec is the paper-scale architecture: the
+// full-resolution RNN codec — conv-GRU encoder, binarizer, conv-GRU
+// decoder, and the entropy-coding network, unrolled 16 iterations on
+// 32×32 patches.
+func imageCompressionSpec() workload.Model {
 	var ls []workload.Layer
 	// Stem: 32×32×3 patch to 8×8×64 features.
 	var oh, ow int

@@ -102,9 +102,6 @@ func NewImageToImage(seed int64) *ImageToImage {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ImageToImage) Name() string { return "Image-to-Image" }
-
 // cycleganPhases is the CycleGAN alternating scheme as ordered phases:
 // one discriminator update, then one generator update — adversarial
 // losses on both directions plus the cycle-consistency L1 term — whose
@@ -260,22 +257,15 @@ func (b *ImageToImage) Quality() float64 {
 	return metrics.PixelAccuracy(pred, truth)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ImageToImage) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper: per-pixel accuracy
-// 0.52±0.005).
-func (b *ImageToImage) ScaledTarget() float64 { return 0.52 }
-
 // Module implements Benchmark.
 func (b *ImageToImage) Module() nn.Module {
 	return Modules(b.gAB, b.gBA, b.dA, b.dB)
 }
 
-// Spec implements Benchmark: CycleGAN with Johnson-style generators
-// (9 residual blocks at 128², the Cityscapes training resolution) and
-// two 70×70 PatchGAN discriminators.
-func (b *ImageToImage) Spec() workload.Model {
+// imageToImageSpec is the paper-scale architecture: CycleGAN with
+// Johnson-style generators (9 residual blocks at 128², the Cityscapes
+// training resolution) and two 70×70 PatchGAN discriminators.
+func imageToImageSpec() workload.Model {
 	var ls []workload.Layer
 	gen := func(tag string) {
 		var oh, ow int

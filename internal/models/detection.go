@@ -159,8 +159,6 @@ type ObjectDetection struct {
 	grid     int
 	batches  int
 	maskHead *nn.Sequential // non-nil for the Mask R-CNN (heavy) variant
-	name     string
-	spec     func() workload.Model
 	evalX    *tensor.Tensor
 	evalGT   [][]data.Box
 	poolN    int
@@ -168,12 +166,7 @@ type ObjectDetection struct {
 }
 
 // NewObjectDetection constructs the scaled DC-AI-C9 benchmark.
-func NewObjectDetection(seed int64) *ObjectDetection {
-	b := newTwoStageDetector(seed, false)
-	b.name = "Object Detection"
-	b.spec = fasterRCNNSpec
-	return b
-}
+func NewObjectDetection(seed int64) *ObjectDetection { return newTwoStageDetector(seed, false) }
 
 func newTwoStageDetector(seed int64, withMask bool) *ObjectDetection {
 	rng := rand.New(rand.NewSource(seed))
@@ -213,9 +206,6 @@ func newTwoStageDetector(seed int64, withMask bool) *ObjectDetection {
 	b.adopt(b.Module())
 	return b
 }
-
-// Name implements Benchmark.
-func (b *ObjectDetection) Name() string { return b.name }
 
 // drawNegatives draws one candidate negative RoI per image, in image
 // order — the rng stream is identical whether the batch then trains
@@ -443,14 +433,6 @@ func (b *ObjectDetection) Quality() float64 {
 	return metrics.MeanAP(results, b.evalGT, b.classes, 0.5)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ObjectDetection) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper's convergent quality: 74% mAP
-// at full scale; the 16×16 scaled task converges around 0.5-0.7 because
-// IoU@0.5 on boxes a few pixels wide punishes single-pixel offsets).
-func (b *ObjectDetection) ScaledTarget() float64 { return 0.50 }
-
 // Module implements Benchmark.
 func (b *ObjectDetection) Module() nn.Module {
 	mods := []nn.Module{b.backbone, b.rpnHead, b.clsHead}
@@ -459,9 +441,6 @@ func (b *ObjectDetection) Module() nn.Module {
 	}
 	return Modules(mods...)
 }
-
-// Spec implements Benchmark.
-func (b *ObjectDetection) Spec() workload.Model { return b.spec() }
 
 // fasterRCNNSpec is Faster R-CNN with ResNet-50 backbone at 800×800
 // (the detectron input scale) — the largest-FLOPs benchmark in the

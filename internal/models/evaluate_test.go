@@ -58,7 +58,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 	for _, e := range AllEntries() {
 		t.Run(e.ID, func(t *testing.T) {
 			b1, b2 := e.Factory(7), e.Factory(7)
-			sameBits(t, "first epoch", []float64{TrainEpoch(b1)}, []float64{TrainEpoch(b2)})
+			sameBits(t, "first epoch", serialEpochs(b1, 1), serialEpochs(b2, 1))
 
 			probe := &probing{Benchmark: b1}
 			got, want := Evaluate(probe), b2.Quality()
@@ -82,7 +82,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 			}
 			allRequireGrad(t, "after a panicking Evaluate", b1)
 
-			sameBits(t, "epoch after evaluation", []float64{TrainEpoch(b1)}, []float64{TrainEpoch(b2)})
+			sameBits(t, "epoch after evaluation", serialEpochs(b1, 1), serialEpochs(b2, 1))
 		})
 	}
 }

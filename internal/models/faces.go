@@ -45,9 +45,6 @@ func NewFaceEmbedding(seed int64) *FaceEmbedding {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *FaceEmbedding) Name() string { return "Face Embedding" }
-
 // embedBatch maps images to embedding vectors.
 func (b *FaceEmbedding) embedBatch(x *tensor.Tensor) *autograd.Value {
 	return b.embed.Forward(b.net.Features(autograd.Const(x)))
@@ -135,19 +132,13 @@ func (b *FaceEmbedding) Quality() float64 {
 	return metrics.Accuracy(pred, truth)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *FaceEmbedding) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper's convergent quality for
-// characterization: 89% accuracy).
-func (b *FaceEmbedding) ScaledTarget() float64 { return 0.89 }
-
 // Module implements Benchmark.
 func (b *FaceEmbedding) Module() nn.Module { return Modules(b.net, b.embed) }
 
-// Spec implements Benchmark: FaceNet's GoogleNet-style Inception backbone
-// (~24M parameters per the paper) with a 128-d embedding.
-func (b *FaceEmbedding) Spec() workload.Model {
+// faceEmbeddingSpec is the paper-scale architecture: FaceNet's
+// GoogleNet-style Inception backbone (~24M parameters per the paper)
+// with a 128-d embedding.
+func faceEmbeddingSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	ls, oh, ow = workload.ConvBNReLU(ls, "stem", 3, 64, 7, 2, 224, 224)
@@ -203,9 +194,6 @@ func NewFace3D(seed int64) *Face3D {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *Face3D) Name() string { return "3D Face Recognition" }
-
 // BeginEpoch implements Benchmark.
 func (b *Face3D) BeginEpoch() { b.net.SetTraining(true) }
 
@@ -239,18 +227,12 @@ func (b *Face3D) Quality() float64 {
 	return metrics.Accuracy(argmaxRows(logits), b.testY)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *Face3D) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper: 94.59% convergent accuracy).
-func (b *Face3D) ScaledTarget() float64 { return 0.92 }
-
 // Module implements Benchmark.
 func (b *Face3D) Module() nn.Module { return b.net }
 
-// Spec implements Benchmark: ResNet-50 with the first convolution
-// adjusted for 4-channel RGB-D input, per Section 4.1.10.
-func (b *Face3D) Spec() workload.Model {
+// face3DSpec is the paper-scale architecture: ResNet-50 with the first
+// convolution adjusted for 4-channel RGB-D input, per Section 4.1.10.
+func face3DSpec() workload.Model {
 	m := workload.ResNet50(4, 112, 112, 253)
 	m.Name = "DC-AI-C8 3D Face Recognition (RGB-D ResNet-50)"
 	return m

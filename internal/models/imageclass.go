@@ -45,9 +45,6 @@ func NewImageClassification(seed int64) *ImageClassification {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ImageClassification) Name() string { return "Image Classification" }
-
 // BeginEpoch implements Benchmark.
 func (b *ImageClassification) BeginEpoch() { b.net.SetTraining(true) }
 
@@ -82,18 +79,12 @@ func (b *ImageClassification) Quality() float64 {
 	return metrics.Accuracy(argmaxRows(logits), b.testY)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ImageClassification) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 74.9% Top-1 at full
-// scale; the scaled synthetic task converges well above it).
-func (b *ImageClassification) ScaledTarget() float64 { return 0.90 }
-
 // Module implements Benchmark.
 func (b *ImageClassification) Module() nn.Module { return b.net }
 
-// Spec implements Benchmark: full ResNet-50 on 224×224 ImageNet crops.
-func (b *ImageClassification) Spec() workload.Model {
+// imageClassificationSpec is the paper-scale architecture: full
+// ResNet-50 on 224×224 ImageNet crops.
+func imageClassificationSpec() workload.Model {
 	m := workload.ResNet50(3, 224, 224, 1000)
 	m.Name = "DC-AI-C1 Image Classification (ResNet-50/ImageNet)"
 	return m

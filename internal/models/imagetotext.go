@@ -52,9 +52,6 @@ func NewImageToText(seed int64) *ImageToText {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ImageToText) Name() string { return "Image-to-Text" }
-
 // captionNLL computes the teacher-forced negative log-likelihood (nats
 // per token) of captions for an image batch. When train is set the
 // returned loss node carries gradients.
@@ -117,21 +114,16 @@ func (b *ImageToText) Quality() float64 {
 	return math.Exp(nll.Item())
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ImageToText) LowerIsBetter() bool { return true }
-
-// ScaledTarget implements Benchmark (paper target: 4.2 perplexity).
-func (b *ImageToText) ScaledTarget() float64 { return 4.2 }
-
 // Module implements Benchmark.
 func (b *ImageToText) Module() nn.Module {
 	return Modules(b.encoder, b.imgProj, b.emb, b.lstm, b.proj)
 }
 
-// Spec implements Benchmark: the paper calls Image-to-Text the most
-// complex model (68.4M learnable parameters): an Inception-style vision
-// CNN followed by a 512-unit LSTM with a large vocabulary softmax.
-func (b *ImageToText) Spec() workload.Model {
+// imageToTextSpec is the paper-scale architecture: the paper calls
+// Image-to-Text the most complex model (68.4M learnable parameters): an
+// Inception-style vision CNN followed by a 512-unit LSTM with a large
+// vocabulary softmax.
+func imageToTextSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	// Inception-style encoder approximated as a deep conv stack at 299².

@@ -11,7 +11,7 @@ import (
 // TestRunKernelSeesEveryCall is what makes "an op dispatches under the
 // run of its first placed operand" safe to rely on, for the run's
 // kernels and for its trace alike: for each of the 24 benchmarks, one
-// TrainEpoch and one Quality under a counting kernel and a Counters set
+// serial epoch and one Quality under a counting kernel and a Counters set
 // on the instance's arena must route every kernel call through that
 // run. A call that reaches no parameter-descended operand — a product
 // of two heap constants, a target network left out of Module() — falls
@@ -24,7 +24,7 @@ func TestRunKernelSeesEveryCall(t *testing.T) {
 			counting, counters := kerneltest.Count(naive), new(telemetry.Counters)
 			b.Arena().SetRun(&tensor.Run{Kernels: counting, Counters: counters})
 			before := tensor.UnplacedDispatches()
-			TrainEpoch(b)
+			serialEpochs(b, 1)
 			b.Quality()
 			fell, traced := tensor.UnplacedDispatches()-before, kerneltest.Traced(counters)
 			if got := counting.Calls.Load(); fell != 0 || got == 0 || traced != got {

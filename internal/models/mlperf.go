@@ -19,57 +19,11 @@ import (
 // (Transformer) translation, recommendation (NCF, shared with
 // DC-AI-C10), and reinforcement learning (Minigo).
 
-// NewMLPerfImageClassification returns the MLPerf image-classification
-// benchmark; the paper notes AIBench and MLPerf share this model and
-// dataset, so numbers are consistent across suites.
-func NewMLPerfImageClassification(seed int64) Benchmark {
-	b := NewImageClassification(seed)
-	return renamedSharded{b, "MLPerf Image Classification", b.Spec()}
-}
-
-// NewMLPerfRecommendation returns the MLPerf recommendation benchmark
-// (same NCF model and MovieLens dataset as DC-AI-C10).
-func NewMLPerfRecommendation(seed int64) Benchmark {
-	b := NewRecommendation(seed)
-	return renamedSharded{b, "MLPerf Recommendation", b.Spec()}
-}
-
-// renamedSharded wraps a benchmark with a different display name/spec
-// (the MLPerf twin of an AIBench model), forwarding the buffer sync of
-// Buffered models and the wrapped instance's one-grain driver.
-type renamedSharded struct {
-	Benchmark
-	name string
-	spec workload.Model
-}
-
-// serial implements loopHolder: the driver is kept on the wrapped
-// instance, over the wrapper t.
-func (r renamedSharded) serial(t Benchmark) *serialLoop {
-	return r.Benchmark.(loopHolder).serial(t)
-}
-
-func (r renamedSharded) Name() string         { return r.name }
-func (r renamedSharded) Spec() workload.Model { return r.spec }
-
-// Buffers implements Buffered by forwarding to the wrapped model (an
-// empty set when the model carries no non-gradient state).
-func (r renamedSharded) Buffers() []*tensor.Tensor {
-	if bt, ok := r.Benchmark.(Buffered); ok {
-		return bt.Buffers()
-	}
-	return nil
-}
-
 // NewMaskRCNN returns the MLPerf heavy-weight object detection benchmark
 // (Mask R-CNN): the two-stage detector with an additional mask head.
-func NewMaskRCNN(seed int64) Benchmark {
-	b := newTwoStageDetector(seed, true)
-	b.name = "MLPerf Object Detection (heavy)"
-	b.spec = maskRCNNSpec
-	return b
-}
+func NewMaskRCNN(seed int64) *ObjectDetection { return newTwoStageDetector(seed, true) }
 
+// maskRCNNSpec is the paper-scale architecture of MLPerf-ODH.
 func maskRCNNSpec() workload.Model {
 	// The paper's OpCounter-style accounting reports MLPerf FLOPs only up
 	// to 24500 M-FLOPs — far below a full 800² Mask R-CNN — because the
@@ -142,9 +96,6 @@ func NewSSDLight(seed int64) *SSDLight {
 	b.adopt(b.Module())
 	return b
 }
-
-// Name implements Benchmark.
-func (b *SSDLight) Name() string { return "MLPerf Object Detection (light)" }
 
 // BeginEpoch implements Benchmark: training mode plus the decayed
 // learning rate.
@@ -274,19 +225,11 @@ func (b *SSDLight) Quality() float64 {
 	return metrics.MeanAP(nms(results, 0.4), truth, b.classes, 0.5)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *SSDLight) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark: MLPerf's convergent quality for
-// SSD is itself low (22.47 mAP per Section 5.2.1), and the scaled
-// one-stage detector mirrors that gap to the two-stage detectors.
-func (b *SSDLight) ScaledTarget() float64 { return 0.22 }
-
 // Module implements Benchmark.
 func (b *SSDLight) Module() nn.Module { return Modules(b.backbone, b.head) }
 
-// Spec implements Benchmark: SSD-ResNet34 at 300×300.
-func (b *SSDLight) Spec() workload.Model {
+// ssdSpec is the paper-scale architecture: SSD-ResNet34 at 300×300.
+func ssdSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	ls, oh, ow = workload.ConvBNReLU(ls, "stem", 3, 64, 7, 2, 300, 300)
@@ -357,9 +300,6 @@ func NewGNMT(seed int64) *GNMT {
 	b.adopt(b.Module())
 	return b
 }
-
-// Name implements Benchmark.
-func (b *GNMT) Name() string { return "MLPerf Translation (recurrent)" }
 
 func (b *GNMT) encode(src []int) (*autograd.Value, *autograd.Value, *autograd.Value) {
 	h, c := b.enc.InitState(1)
@@ -439,23 +379,17 @@ func (b *GNMT) Quality() float64 {
 	return 100 * metrics.BLEU(hyps, refs)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *GNMT) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (MLPerf target: 22.21 BLEU; the
-// deterministic synthetic language supports far higher).
-func (b *GNMT) ScaledTarget() float64 { return 60 }
-
 // Module implements Benchmark.
 func (b *GNMT) Module() nn.Module {
 	return Modules(b.emb, b.enc, b.dec, b.attnW, b.proj)
 }
 
-// Spec implements Benchmark: GNMT — stacked LSTM encoder/decoder with
-// attention and tied embedding/projection, sized to the paper's measured
-// parameter count for the MLPerf recurrent-translation benchmark
-// (49.53M, the suite's most complex model per Section 5.2.1).
-func (b *GNMT) Spec() workload.Model {
+// gnmtSpec is the paper-scale architecture: GNMT — stacked LSTM
+// encoder/decoder with attention and tied embedding/projection, sized
+// to the paper's measured parameter count for the MLPerf
+// recurrent-translation benchmark (49.53M, the suite's most complex
+// model per Section 5.2.1).
+func gnmtSpec() workload.Model {
 	seq, d, hidden, vocab := 25, 768, 768, 24000
 	var ls []workload.Layer
 	ls = append(ls, workload.Layer{Kind: workload.Embedding, Name: "emb", Vocab: vocab, EmbDim: d, Lookups: 2 * seq})
@@ -473,11 +407,10 @@ func (b *GNMT) Spec() workload.Model {
 	return workload.Model{Name: "MLPerf Translation recurrent (GNMT/WMT)", Layers: ls}
 }
 
-// NewMLPerfTransformer returns the MLPerf nonrecurrent translation
-// benchmark (same Transformer architecture as DC-AI-C3).
-func NewMLPerfTransformer(seed int64) Benchmark {
-	b := NewTextToText(seed)
-	spec := b.Spec()
-	spec.Name = "MLPerf Translation nonrecurrent (Transformer/WMT)"
-	return renamedSharded{b, "MLPerf Translation (nonrecurrent)", spec}
+// mlperfTransformerSpec is the paper-scale architecture of MLPerf-TN:
+// DC-AI-C3's Transformer, under the MLPerf name.
+func mlperfTransformerSpec() workload.Model {
+	m := textToTextSpec()
+	m.Name = "MLPerf Translation nonrecurrent (Transformer/WMT)"
+	return m
 }

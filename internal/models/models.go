@@ -1,13 +1,15 @@
 // Package models implements the seventeen AIBench component-benchmark
 // models (Table 3) plus the seven MLPerf training models the paper
-// compares against. Each benchmark provides two things:
+// compares against. Each benchmark is one registry row (Entry), which
+// provides two things:
 //
-//   - a scaled, executable model trained on the synthetic datasets of
-//     internal/data through the full tensor/autograd/nn/optim stack, so
-//     every code path (convolutions, recurrence, attention, adversarial
-//     training, distillation, architecture search) actually runs; and
+//   - a scaled, executable model (a Benchmark, built by Entry.Factory)
+//     trained on the synthetic datasets of internal/data through the
+//     full tensor/autograd/nn/optim stack, so every code path
+//     (convolutions, recurrence, attention, adversarial training,
+//     distillation, architecture search) actually runs; and
 //
-//   - a paper-scale workload.Model spec used for the analytic
+//   - a paper-scale workload.Model spec (Entry.Spec) used for the analytic
 //     FLOPs/parameter characterization (Fig 1a, Fig 2) and for lowering
 //     to the GPU simulator (Fig 3, 5, 6, 7).
 package models
@@ -16,10 +18,11 @@ import (
 	"aibench/internal/autograd"
 	"aibench/internal/nn"
 	"aibench/internal/tensor"
-	"aibench/internal/workload"
 )
 
-// Benchmark is a scaled, executable component benchmark. Its
+// Benchmark is a scaled, executable component benchmark: its training
+// step, and nothing else — what the benchmark is (name, target, metric
+// direction, paper-scale spec) is its registry row, Entry. Its
 // optimizer step is a fixed, ordered list of named phases — one "step"
 // phase for most models; a WGAN's critic-then-generator updates, ENAS's
 // weights-then-controller steps, truncated-BPTT segments of a
@@ -31,26 +34,16 @@ import (
 // installed, and applied before phase p+1 begins, so later phases
 // observe the parameter updates of earlier ones and replicas stay in
 // bitwise lockstep. A serial run goes through the same phases at one
-// grain (TrainEpoch).
+// grain (Trainer).
 type Benchmark interface {
-	// Name returns the component-benchmark task name.
-	Name() string
 	// Quality evaluates the model on held-out data with the benchmark's
 	// Table 3 metric.
 	Quality() float64
-	// LowerIsBetter reports the metric direction (true for WER,
-	// perplexity, MSE, EM distance).
-	LowerIsBetter() bool
-	// ScaledTarget is the quality the scaled model must reach for an
-	// entire (scaled) training session to terminate.
-	ScaledTarget() float64
 	// Module exposes the trainable parameters.
 	Module() nn.Module
-	// Spec returns the paper-scale architecture.
-	Spec() workload.Model
 	// Arena returns the step arena the instance owns (see stepArena).
 	// Whoever runs the optimizer steps resets it once per step: the
-	// phased drivers (TrainEpoch's one-grain loop, internal/dist's
+	// phased drivers (Trainer's one-grain loop, internal/dist's
 	// replica loop); Quality resets it itself. Whoever builds an
 	// instance for a run records the run on it (Arena.SetRun) before the
 	// first step.
@@ -89,18 +82,6 @@ type Benchmark interface {
 	ApplyPhase(phase int)
 }
 
-// TrainEpoch runs one serial epoch of b and returns its mean step
-// loss: b's phased step at one grain. Per step the arena is reset, and
-// per phase the gradients are zeroed, the phase's one grain runs and
-// ApplyPhase updates. A step's loss is the mean over its reporting
-// phases, as in a sharded step.
-func TrainEpoch(b Benchmark) float64 {
-	if h, ok := b.(loopHolder); ok {
-		return h.serial(b).epoch()
-	}
-	return newSerialLoop(b).epoch()
-}
-
 // stepArena is embedded by every benchmark: the one arena all of the
 // instance's step-scoped tensors come from. The constructor adopts the
 // module's parameters into it, so every activation, interior gradient
@@ -114,46 +95,18 @@ func TrainEpoch(b Benchmark) float64 {
 // reset of the step that reads it.
 // Parameters, their gradients, optimizer state, running statistics and
 // dataset batches are heap tensors and never die. The arena holds no
-// memory until the first step, so an instance that is only
-// characterized costs nothing.
-type stepArena struct {
-	arena tensor.Arena
-	// loop is TrainEpoch's one-grain driver, built by the first epoch.
-	loop *serialLoop
-}
+// memory until the first step, so an instance built and never trained
+// costs nothing.
+type stepArena struct{ arena tensor.Arena }
 
 // Arena implements Benchmark.
 func (s *stepArena) Arena() *tensor.Arena { return &s.arena }
-
-// loopHolder is implemented, through stepArena, by every benchmark of
-// the suite: it keeps the instance's one-grain driver across epochs.
-type loopHolder interface {
-	serial(Benchmark) *serialLoop
-}
-
-// serial returns the instance's one-grain driver over t, the instance
-// itself, building it on first use.
-func (s *stepArena) serial(t Benchmark) *serialLoop {
-	if s.loop == nil {
-		s.loop = newSerialLoop(t)
-	}
-	return s.loop
-}
 
 // adopt places every parameter of m in the instance's arena.
 func (s *stepArena) adopt(m nn.Module) {
 	for _, p := range m.Params() {
 		s.arena.Adopt(p.Value.Data)
 	}
-}
-
-// MeetsTarget reports whether quality q satisfies the benchmark's scaled
-// target given its metric direction.
-func MeetsTarget(b Benchmark, q float64) bool {
-	if b.LowerIsBetter() {
-		return q <= b.ScaledTarget()
-	}
-	return q >= b.ScaledTarget()
 }
 
 // Evaluate returns b.Quality() computed without a backward graph: for

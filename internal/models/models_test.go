@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"aibench/internal/workload"
@@ -26,16 +27,46 @@ func TestRegistryCounts(t *testing.T) {
 	}
 }
 
+// entryOf returns the registry row of id.
+func entryOf(t testing.TB, id string) Entry {
+	t.Helper()
+	for _, e := range AllEntries() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no entry %s", id)
+	return Entry{}
+}
+
+// serialEpochs trains b for the given epochs on one Trainer and
+// returns the epoch losses. It panics on a refusal, which no
+// registered benchmark earns: every phase list reports, and every
+// phase makes one grain of a one-grain step.
+func serialEpochs(b Benchmark, epochs int) []float64 {
+	tr, err := NewTrainer(b)
+	if err != nil {
+		panic(err)
+	}
+	losses := make([]float64, epochs)
+	for ep := range losses {
+		if losses[ep], err = tr.TrainEpoch(); err != nil {
+			panic(err)
+		}
+	}
+	return losses
+}
+
 // TestOneSerialPath pins the one serial path: every one of the 24
-// benchmarks is driven by TrainEpoch's one-grain phased driver, kept on
-// the instance, and none keeps a serial epoch of its own.
+// benchmarks is accepted by the one-grain phased driver, Trainer, and
+// none keeps a serial epoch of its own.
 func TestOneSerialPath(t *testing.T) {
 	for _, e := range AllEntries() {
 		b := e.Factory(1)
-		if _, holds := b.(loopHolder); !holds {
-			t.Errorf("%s: keeps no one-grain driver", e.ID)
+		if _, err := NewTrainer(b); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
 		}
-		if _, own := b.(interface{ TrainEpoch() float64 }); own {
+		if _, own := reflect.TypeOf(b).MethodByName("TrainEpoch"); own {
 			t.Errorf("%s: keeps a serial epoch of its own", e.ID)
 		}
 	}
@@ -73,12 +104,7 @@ func TestOneGrainIsTheShardedObjective(t *testing.T) {
 	const tol = 1e-12
 	for _, id := range []string{"DC-AI-C6", "DC-AI-C17", "MLPerf-RL"} {
 		t.Run(id, func(t *testing.T) {
-			var e Entry
-			for _, c := range AllEntries() {
-				if c.ID == id {
-					e = c
-				}
-			}
+			e := entryOf(t, id)
 			serial, sharded := e.Factory(42), e.Factory(42)
 			for _, b := range []Benchmark{serial, sharded} {
 				b.BeginEpoch()
@@ -133,16 +159,16 @@ func TestOneGrainIsTheShardedObjective(t *testing.T) {
 
 // TestEveryBenchmarkExecutes builds each of the 24 benchmarks, runs one
 // training epoch through the full autograd stack, and sanity-checks the
-// quality metric and spec.
+// quality metric and its row's name and spec.
 func TestEveryBenchmarkExecutes(t *testing.T) {
 	for _, e := range AllEntries() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			b := e.Factory(42)
-			if b.Name() == "" {
+			if e.Name == "" {
 				t.Fatal("empty name")
 			}
-			loss := TrainEpoch(b)
+			b := e.Factory(42)
+			loss := serialEpochs(b, 1)[0]
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				t.Fatalf("loss = %g", loss)
 			}
@@ -153,7 +179,7 @@ func TestEveryBenchmarkExecutes(t *testing.T) {
 			if len(b.Module().Params()) == 0 {
 				t.Fatal("no parameters")
 			}
-			spec := b.Spec()
+			spec := e.Spec()
 			if len(spec.Layers) == 0 {
 				t.Fatal("empty spec")
 			}
@@ -183,13 +209,8 @@ func TestTrainingImprovesLoss(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.id, func(t *testing.T) {
-			b := c.mk()
-			first := TrainEpoch(b)
-			last := first
-			for i := 1; i < c.epochs; i++ {
-				last = TrainEpoch(b)
-			}
-			if last >= first {
+			losses := serialEpochs(c.mk(), c.epochs)
+			if first, last := losses[0], losses[c.epochs-1]; last >= first {
 				t.Fatalf("loss did not improve: first %g, last %g", first, last)
 			}
 		})
@@ -205,40 +226,46 @@ func TestFastBenchmarksReachTarget(t *testing.T) {
 	}
 	cases := []struct {
 		id        string
-		mk        func() Benchmark
 		maxEpochs int
 	}{
-		{"DC-AI-C1", func() Benchmark { return NewImageClassification(42) }, 15},
-		{"DC-AI-C3", func() Benchmark { return NewTextToText(42) }, 40},
-		{"DC-AI-C6", func() Benchmark { return NewSpeechRecognition(42) }, 20},
-		{"DC-AI-C10", func() Benchmark { return NewRecommendation(42) }, 60},
-		{"DC-AI-C14", func() Benchmark { return NewTextSummarization(42) }, 60},
-		{"DC-AI-C16", func() Benchmark { return NewLearningToRank(42) }, 60},
-		{"MLPerf-RL", func() Benchmark { return NewReinforcementLearning(42) }, 40},
+		{"DC-AI-C1", 15},
+		{"DC-AI-C3", 40},
+		{"DC-AI-C6", 20},
+		{"DC-AI-C10", 60},
+		{"DC-AI-C14", 60},
+		{"DC-AI-C16", 60},
+		{"MLPerf-RL", 40},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.id, func(t *testing.T) {
-			b := c.mk()
+			e := entryOf(t, c.id)
+			b := e.Factory(42)
+			tr, err := NewTrainer(b)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for ep := 0; ep < c.maxEpochs; ep++ {
-				TrainEpoch(b)
-				if MeetsTarget(b, b.Quality()) {
+				if _, err := tr.TrainEpoch(); err != nil {
+					t.Fatal(err)
+				}
+				if e.MeetsTarget(b.Quality()) {
 					return
 				}
 			}
 			t.Fatalf("did not reach target %g within %d epochs (last quality %g)",
-				b.ScaledTarget(), c.maxEpochs, b.Quality())
+				e.ScaledTarget, c.maxEpochs, b.Quality())
 		})
 	}
 }
 
 func TestMeetsTargetDirections(t *testing.T) {
-	ic := NewImageClassification(1) // higher is better, target 0.90
-	if MeetsTarget(ic, 0.5) || !MeetsTarget(ic, 0.95) {
+	ic := entryOf(t, "DC-AI-C1") // higher is better, target 0.90
+	if ic.MeetsTarget(0.5) || !ic.MeetsTarget(0.95) {
 		t.Fatal("higher-is-better direction wrong")
 	}
-	sr := NewSpeechRecognition(1) // lower is better, target 0.235
-	if MeetsTarget(sr, 0.5) || !MeetsTarget(sr, 0.1) {
+	sr := entryOf(t, "DC-AI-C6") // lower is better, target 0.235
+	if sr.MeetsTarget(0.5) || !sr.MeetsTarget(0.1) {
 		t.Fatal("lower-is-better direction wrong")
 	}
 }
@@ -251,7 +278,7 @@ func TestMeetsTargetDirections(t *testing.T) {
 func TestSpecComplexityRanges(t *testing.T) {
 	specs := map[string]workload.Model{}
 	for _, e := range AIBenchEntries() {
-		specs[e.ID] = e.Factory(1).Spec()
+		specs[e.ID] = e.Spec()
 	}
 	params := func(id string) float64 { return float64(specs[id].Params()) / 1e6 }
 	flops := func(id string) float64 { return specs[id].FLOPs() / 1e6 }
@@ -306,17 +333,14 @@ func TestSpecComplexityRanges(t *testing.T) {
 }
 
 func TestSharedBenchmarksConsistent(t *testing.T) {
-	// The paper notes AIBench and MLPerf share Image Classification and
-	// Recommendation models/datasets: specs must match.
-	a := NewImageClassification(1).Spec()
-	m := NewMLPerfImageClassification(1).Spec()
-	if a.FLOPs() != m.FLOPs() || a.Params() != m.Params() {
-		t.Fatal("shared image classification specs differ")
-	}
-	ar := NewRecommendation(1).Spec()
-	mr := NewMLPerfRecommendation(1).Spec()
-	if ar.FLOPs() != mr.FLOPs() || ar.Params() != mr.Params() {
-		t.Fatal("shared recommendation specs differ")
+	// The paper notes AIBench and MLPerf share the Image Classification,
+	// Transformer translation and Recommendation models/datasets: specs
+	// must match.
+	for aibench, mlperf := range map[string]string{"DC-AI-C1": "MLPerf-IC", "DC-AI-C3": "MLPerf-TN", "DC-AI-C10": "MLPerf-RC"} {
+		a, m := entryOf(t, aibench).Spec(), entryOf(t, mlperf).Spec()
+		if a.FLOPs() != m.FLOPs() || a.Params() != m.Params() {
+			t.Errorf("shared %s/%s specs differ", aibench, mlperf)
+		}
 	}
 }
 
@@ -348,10 +372,7 @@ func TestNASSearchSpace(t *testing.T) {
 
 func TestDetectorNMSSuppressesDuplicates(t *testing.T) {
 	b := NewObjectDetection(3)
-	// Three epochs is enough to produce some detections.
-	for i := 0; i < 3; i++ {
-		TrainEpoch(b)
-	}
+	serialEpochs(b, 3) // enough to produce some detections
 	results := b.Detect(b.evalX)
 	// After NMS, no two same-class detections in one image may overlap
 	// by IoU >= 0.4.

@@ -217,9 +217,6 @@ func NewNAS(seed int64) *NAS {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *NAS) Name() string { return "Neural Architecture Search" }
-
 // nasSegments is the truncated-BPTT segment count a weights phase
 // splits the child's token stream into; the segments are split over
 // the phase's grains.
@@ -330,21 +327,13 @@ func (b *NAS) Quality() float64 {
 	return ppl
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *NAS) LowerIsBetter() bool { return true }
-
-// ScaledTarget implements Benchmark: the synthetic Markov language has
-// entropy ≈1.7 nats (perplexity ≈5.5); a trained child should approach
-// it.
-func (b *NAS) ScaledTarget() float64 { return 8 }
-
 // Module implements Benchmark.
 func (b *NAS) Module() nn.Module { return Modules(b.child, b.controller) }
 
-// Spec implements Benchmark: the ENAS recurrent search — a 64-unit LSTM
-// controller plus the shared-weight child LM (1000-unit cell, 10k PTB
-// vocabulary).
-func (b *NAS) Spec() workload.Model {
+// nasSpec is the paper-scale architecture: the ENAS recurrent search — a
+// 64-unit LSTM controller plus the shared-weight child LM (1000-unit
+// cell, 10k PTB vocabulary).
+func nasSpec() workload.Model {
 	var ls []workload.Layer
 	ls = append(ls,
 		// Controller.

@@ -81,9 +81,6 @@ func NewLearningToRank(seed int64) *LearningToRank {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *LearningToRank) Name() string { return "Learning to Rank" }
-
 // bprLoss is the Bayesian Personalized Ranking objective:
 // −log σ(s⁺ − s⁻).
 func bprLoss(m *mfScorer, users, pos, neg []int) *autograd.Value {
@@ -171,21 +168,15 @@ func (b *LearningToRank) Quality() float64 {
 	return total / float64(b.users)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *LearningToRank) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark.
-func (b *LearningToRank) ScaledTarget() float64 { return 0.5 }
-
 // Module implements Benchmark.
 func (b *LearningToRank) Module() nn.Module {
 	return Modules(b.teacher, b.student)
 }
 
-// Spec implements Benchmark: the paper's smallest-FLOPs workload
-// (0.09 M-FLOPs per sample) — compact student MF with an MLP re-ranker
-// over Gowalla-scale tables.
-func (b *LearningToRank) Spec() workload.Model {
+// learningToRankSpec is the paper-scale architecture: the paper's
+// smallest-FLOPs workload (0.09 M-FLOPs per sample) — compact student MF
+// with an MLP re-ranker over Gowalla-scale tables.
+func learningToRankSpec() workload.Model {
 	users, items, dim := 196591, 183000, 50
 	var ls []workload.Layer
 	ls = append(ls,

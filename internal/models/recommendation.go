@@ -52,9 +52,6 @@ func NewRecommendation(seed int64) *Recommendation {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *Recommendation) Name() string { return "Recommendation" }
-
 // score returns interaction logits for (user, item) id pairs.
 func (b *Recommendation) score(users, items []int) *autograd.Value {
 	u := b.userEmb.Lookup(users)
@@ -110,21 +107,14 @@ func (b *Recommendation) Quality() float64 {
 	return total / float64(b.users)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *Recommendation) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 63.5% HR@10; the
-// characterization's convergent quality is 60%).
-func (b *Recommendation) ScaledTarget() float64 { return 0.60 }
-
 // Module implements Benchmark.
 func (b *Recommendation) Module() nn.Module {
 	return Modules(b.userEmb, b.itemEmb, b.mlp)
 }
 
-// Spec implements Benchmark: NeuMF on MovieLens — GMF + MLP towers over
-// user/item embeddings.
-func (b *Recommendation) Spec() workload.Model {
+// recommendationSpec is the paper-scale architecture: NeuMF on MovieLens
+// — GMF + MLP towers over user/item embeddings.
+func recommendationSpec() workload.Model {
 	users, items, dim := 138000, 27000, 64
 	var ls []workload.Layer
 	ls = append(ls,

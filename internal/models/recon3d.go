@@ -45,9 +45,6 @@ func NewRecon3D(seed int64) *Recon3D {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *Recon3D) Name() string { return "3D Object Reconstruction" }
-
 // voxelLogits maps a view batch to voxel occupancy logits [N, D³].
 func (b *Recon3D) voxelLogits(views *autograd.Value) *autograd.Value {
 	h := b.enc2.Forward(b.enc.Forward(views))
@@ -111,21 +108,16 @@ func (b *Recon3D) Quality() float64 {
 	return total / float64(n)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *Recon3D) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 45.83% IU).
-func (b *Recon3D) ScaledTarget() float64 { return 0.4583 }
-
 // Module implements Benchmark.
 func (b *Recon3D) Module() nn.Module { return Modules(b.enc, b.enc2, b.fc) }
 
-// Spec implements Benchmark: the perspective-transformer network — image
-// encoder, volume decoder (3-D deconvolutions approximated by their
-// GEMM-equivalent volume), and the perspective sampling layer. The paper
-// notes this benchmark's FLOPs and parameters approximate Object
-// Detection's (both the largest in the suite).
-func (b *Recon3D) Spec() workload.Model {
+// recon3DSpec is the paper-scale architecture: the
+// perspective-transformer network — image encoder, volume decoder (3-D
+// deconvolutions approximated by their GEMM-equivalent volume), and the
+// perspective sampling layer. The paper notes this benchmark's FLOPs and
+// parameters approximate Object Detection's (both the largest in the
+// suite).
+func recon3DSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	// Image encoder at 224².

@@ -46,9 +46,6 @@ func NewReinforcementLearning(seed int64) *ReinforcementLearning {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ReinforcementLearning) Name() string { return "MLPerf Reinforcement Learning" }
-
 // boardTensor encodes agent and target positions as a 2-channel plane.
 func (b *ReinforcementLearning) boardTensor(ax, ay, tx, ty int) *tensor.Tensor {
 	t := tensor.New(1, 2, b.board, b.board)
@@ -225,23 +222,17 @@ func (b *ReinforcementLearning) Quality() float64 {
 	return float64(match) / float64(total)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ReinforcementLearning) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (MLPerf target: 40% move
-// prediction).
-func (b *ReinforcementLearning) ScaledTarget() float64 { return 0.40 }
-
 // Module implements Benchmark.
 func (b *ReinforcementLearning) Module() nn.Module {
 	return Modules(b.policy, b.polHead, b.valHead)
 }
 
-// Spec implements Benchmark: the Minigo dual network — 19 residual
-// blocks of 256 filters at 19×19 with policy and value heads. (The
-// paper excludes RL from the FLOPs/params comparison because they vary
-// across epochs; the spec is still used for kernel-mix analysis.)
-func (b *ReinforcementLearning) Spec() workload.Model {
+// minigoSpec is the paper-scale architecture: the Minigo dual network —
+// 19 residual blocks of 256 filters at 19×19 with policy and value
+// heads. (The paper excludes RL from the FLOPs/params comparison because
+// they vary across epochs; the spec is still used for kernel-mix
+// analysis.)
+func minigoSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	ls, oh, ow = workload.ConvBNReLU(ls, "stem", 17, 256, 3, 1, 19, 19)

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"errors"
 	"fmt"
 
 	"aibench/internal/autograd"
@@ -14,7 +15,7 @@ import (
 // the all-reduce always combines the same per-grain gradients in the
 // same order, so any worker count from 1 to ShardGrains is a pure
 // scheduling choice and produces bitwise-identical training. A serial
-// run (TrainEpoch) takes the same phases at one grain.
+// run (Trainer) takes the same phases at one grain.
 const ShardGrains = 8
 
 // Grain computes one micro-shard of a training step on the replica
@@ -47,19 +48,20 @@ type Buffered interface {
 
 // CheckPhases returns t's phase list, or an error when t declares no
 // phase or no reporting phase — a step whose loss would be a mean over
-// nothing. Both drivers, dist's replica and the serial TrainEpoch,
-// refuse such a benchmark before its first step.
+// nothing. Both drivers, dist's replica and the serial Trainer, refuse
+// such a benchmark before its first step; the error is worded for the
+// caller to name the benchmark in front of it.
 func CheckPhases(t Benchmark) ([]PhaseSpec, error) {
 	phases := t.Phases()
 	if len(phases) == 0 {
-		return nil, fmt.Errorf("%s declares no phases", t.Name())
+		return nil, errors.New("declares no phases")
 	}
 	for _, p := range phases {
 		if p.Report {
 			return phases, nil
 		}
 	}
-	return nil, fmt.Errorf("%s declares no reporting phase", t.Name())
+	return nil, errors.New("declares no reporting phase")
 }
 
 // singlePhase is embedded by benchmarks whose optimizer step is one
@@ -132,55 +134,69 @@ func batchRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	return x.SliceRows(lo, hi)
 }
 
-// serialLoop is the one-grain phased driver behind TrainEpoch: the
-// trainer plus what dist's replica also reads once per instance — the
-// parameters, the checked phase list and the step count.
-type serialLoop struct {
-	t      Benchmark
+// Trainer is the serial driver: the benchmark's phased step at one
+// grain, plus what dist's replica also reads once per instance — the
+// parameters, the checked phase list and the step count. Whoever runs a
+// serial session owns one per instance, across its epochs.
+type Trainer struct {
+	b      Benchmark
 	params []*nn.Param
 	phases []PhaseSpec
 	steps  int
 }
 
-func newSerialLoop(t Benchmark) *serialLoop {
-	phases, err := CheckPhases(t)
+// NewTrainer returns b's serial driver, or an error when b's phase list
+// cannot produce a step loss (CheckPhases).
+func NewTrainer(b Benchmark) (*Trainer, error) {
+	phases, err := CheckPhases(b)
 	if err != nil {
-		panic("models: " + err.Error())
+		return nil, fmt.Errorf("models: benchmark %w", err)
 	}
-	return &serialLoop{t: t, params: t.Module().Params(), phases: phases, steps: t.StepsPerEpoch(1)}
+	return &Trainer{b: b, params: b.Module().Params(), phases: phases, steps: b.StepsPerEpoch(1)}, nil
 }
 
-// epoch runs one epoch and returns its mean step loss.
-func (l *serialLoop) epoch() float64 {
-	l.t.BeginEpoch()
+// TrainEpoch runs one serial epoch and returns its mean step loss. Per
+// step the arena is reset, and per phase the gradients are zeroed, the
+// phase's one grain runs and ApplyPhase updates. A step's loss is the
+// mean over its reporting phases, as in a sharded step. An error — a
+// phase that split a one-grain step — leaves the trainer unusable.
+func (t *Trainer) TrainEpoch() (float64, error) {
+	t.b.BeginEpoch()
 	total := 0.0
-	for s := 0; s < l.steps; s++ {
-		total += l.step()
+	for s := 0; s < t.steps; s++ {
+		loss, err := t.step()
+		if err != nil {
+			return 0, err
+		}
+		total += loss
 	}
-	return total / float64(l.steps)
+	return total / float64(t.steps), nil
 }
+
+// Quality evaluates the benchmark without a backward graph (Evaluate).
+func (t *Trainer) Quality() (float64, error) { return Evaluate(t.b), nil }
 
 // step runs one optimizer step — every phase in declared order, each
 // one grain followed by its update — and returns the mean loss of its
 // reporting phases. The arena is reset once, before phase 0 draws its
 // batch: later phases reuse tensors earlier ones built.
-func (l *serialLoop) step() float64 {
-	l.t.Arena().Reset()
+func (t *Trainer) step() (float64, error) {
+	t.b.Arena().Reset()
 	total, reporting := 0.0, 0
-	for p, ph := range l.phases {
-		gs := l.t.BeginPhase(p, 1)
+	for p, ph := range t.phases {
+		gs := t.b.BeginPhase(p, 1)
 		if len(gs) != 1 {
-			panic(fmt.Sprintf("models: %s phase %q made %d grains of a one-grain step", l.t.Name(), ph.Name, len(gs)))
+			return 0, fmt.Errorf("models: phase %q made %d grains of a one-grain step", ph.Name, len(gs))
 		}
-		for _, pr := range l.params {
+		for _, pr := range t.params {
 			pr.Value.ZeroGrad()
 		}
 		loss, _ := gs[0]()
-		l.t.ApplyPhase(p)
+		t.b.ApplyPhase(p)
 		if ph.Report {
 			total += loss
 			reporting++
 		}
 	}
-	return total / float64(reporting)
+	return total / float64(reporting), nil
 }

@@ -52,9 +52,6 @@ func NewSpeechRecognition(seed int64) *SpeechRecognition {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *SpeechRecognition) Name() string { return "Speech Recognition" }
-
 // frameLogits runs the acoustic model over an utterance's frames [T, F]
 // and returns per-frame logits [T, vocab].
 func (b *SpeechRecognition) frameLogits(frames *autograd.Value) *autograd.Value {
@@ -198,22 +195,16 @@ func (b *SpeechRecognition) Quality() float64 {
 	return total / utterances
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *SpeechRecognition) LowerIsBetter() bool { return true }
-
-// ScaledTarget implements Benchmark (the paper's convergent quality for
-// characterization is 23.5% WER).
-func (b *SpeechRecognition) ScaledTarget() float64 { return 0.235 }
-
 // Module implements Benchmark.
 func (b *SpeechRecognition) Module() nn.Module {
 	return Modules(b.front, b.gru, b.proj)
 }
 
-// Spec implements Benchmark: DeepSpeech2 — two conv input layers over
-// spectrograms, five bidirectional recurrent layers of 800 hidden units,
-// and a fully connected softmax over characters.
-func (b *SpeechRecognition) Spec() workload.Model {
+// speechRecognitionSpec is the paper-scale architecture: DeepSpeech2 —
+// two conv input layers over spectrograms, five bidirectional recurrent
+// layers of 800 hidden units, and a fully connected softmax over
+// characters.
+func speechRecognitionSpec() workload.Model {
 	var ls []workload.Layer
 	// Spectrogram input: 161 freq bins × 200 frames (a 2-second
 	// utterance, treated as H×W).

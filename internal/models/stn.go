@@ -54,9 +54,6 @@ func NewSpatialTransformer(seed int64) *SpatialTransformer {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *SpatialTransformer) Name() string { return "Spatial Transformer" }
-
 // forward rectifies the input with the learned transform, then
 // classifies.
 func (b *SpatialTransformer) forward(x *autograd.Value) *autograd.Value {
@@ -110,22 +107,15 @@ func (b *SpatialTransformer) Quality() float64 {
 	return metrics.Accuracy(argmaxRows(logits), b.testY)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *SpatialTransformer) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 99% on MNIST; the
-// scaled distorted task converges slightly lower).
-func (b *SpatialTransformer) ScaledTarget() float64 { return 0.9 }
-
 // Module implements Benchmark.
 func (b *SpatialTransformer) Module() nn.Module {
 	return Modules(b.locConv, b.locFC, b.classifier)
 }
 
-// Spec implements Benchmark: the paper's least complex model (≈0.03M
-// parameters) — a small localization CNN, the grid generator/sampler,
-// and a compact classifier on 28×28 MNIST.
-func (b *SpatialTransformer) Spec() workload.Model {
+// spatialTransformerSpec is the paper-scale architecture: the paper's
+// least complex model (≈0.03M parameters) — a small localization CNN,
+// the grid generator/sampler, and a compact classifier on 28×28 MNIST.
+func spatialTransformerSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	ls, oh, ow = workload.ConvBNReLU(ls, "loc1", 1, 8, 7, 2, 28, 28)

@@ -54,9 +54,6 @@ func NewTextSummarization(seed int64) *TextSummarization {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *TextSummarization) Name() string { return "Text Summarization" }
-
 // encode runs the encoder over the document, returning all hidden states
 // [T, H] and the final state.
 func (b *TextSummarization) encode(doc []int) (states *autograd.Value, h, c *autograd.Value) {
@@ -154,21 +151,15 @@ func (b *TextSummarization) Quality() float64 {
 	return total / docs
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *TextSummarization) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 41 Rouge-L).
-func (b *TextSummarization) ScaledTarget() float64 { return 0.41 }
-
 // Module implements Benchmark.
 func (b *TextSummarization) Module() nn.Module {
 	return Modules(b.emb, b.enc, b.dec, b.attnW, b.proj)
 }
 
-// Spec implements Benchmark: the off-the-shelf attentional
-// encoder-decoder RNN (2-layer 400-unit encoder/decoder, 69k vocabulary)
-// on Gigaword-length inputs.
-func (b *TextSummarization) Spec() workload.Model {
+// textSummarizationSpec is the paper-scale architecture: the
+// off-the-shelf attentional encoder-decoder RNN (2-layer 400-unit
+// encoder/decoder, 69k vocabulary) on Gigaword-length inputs.
+func textSummarizationSpec() workload.Model {
 	docLen, headLen, d, hidden, vocab := 50, 15, 200, 400, 69000
 	var ls []workload.Layer
 	ls = append(ls,

@@ -93,9 +93,6 @@ func NewTextToText(seed int64) *TextToText {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *TextToText) Name() string { return "Text-to-Text Translation" }
-
 // embed looks up tokens and adds positional encodings.
 func (b *TextToText) embed(tokens []int) *autograd.Value {
 	e := b.emb.Lookup(tokens)
@@ -164,20 +161,14 @@ func (b *TextToText) Quality() float64 {
 	return float64(correct) / float64(count)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *TextToText) LowerIsBetter() bool { return false }
-
-// ScaledTarget implements Benchmark (paper target: 55% accuracy).
-func (b *TextToText) ScaledTarget() float64 { return 0.55 }
-
 // Module implements Benchmark.
 func (b *TextToText) Module() nn.Module {
 	return Modules(b.emb, b.enc, paramsOf(b.dec.Params()), b.proj)
 }
 
-// Spec implements Benchmark: Transformer-base (6+6 layers, d=512,
-// ff=2048, 8 heads) on WMT sequences of length 30.
-func (b *TextToText) Spec() workload.Model {
+// textToTextSpec is the paper-scale architecture: Transformer-base (6+6
+// layers, d=512, ff=2048, 8 heads) on WMT sequences of length 30.
+func textToTextSpec() workload.Model {
 	seq, d, ff, heads, vocab := 30, 512, 2048, 8, 32000
 	var ls []workload.Layer
 	ls = append(ls, workload.Layer{Kind: workload.Embedding, Name: "src_emb", Vocab: vocab, EmbDim: d, Lookups: seq})

@@ -63,9 +63,6 @@ func NewVideoPrediction(seed int64) *VideoPrediction {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *VideoPrediction) Name() string { return "Video Prediction" }
-
 // forward predicts the next frame: shift the current frame by every
 // kernel in the bank, then composite with gates computed from the
 // action.
@@ -113,19 +110,13 @@ func (b *VideoPrediction) Quality() float64 {
 	return metrics.MSE(pred.Data.Data, next.Data)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *VideoPrediction) LowerIsBetter() bool { return true }
-
-// ScaledTarget implements Benchmark.
-func (b *VideoPrediction) ScaledTarget() float64 { return 0.005 }
-
 // Module implements Benchmark.
 func (b *VideoPrediction) Module() nn.Module { return b.gate }
 
-// Spec implements Benchmark: the CDNA-style motion-focused model — conv
-// LSTM encoder over 64×64 frames with action conditioning and
-// transformation-based decoding.
-func (b *VideoPrediction) Spec() workload.Model {
+// videoPredictionSpec is the paper-scale architecture: the CDNA-style
+// motion-focused model — conv LSTM encoder over 64×64 frames with action
+// conditioning and transformation-based decoding.
+func videoPredictionSpec() workload.Model {
 	var ls []workload.Layer
 	var oh, ow int
 	ls, oh, ow = workload.ConvBNReLU(ls, "enc1", 3, 32, 5, 2, 64, 64)

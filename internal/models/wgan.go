@@ -62,9 +62,6 @@ func NewImageGeneration(seed int64) *ImageGeneration {
 	return b
 }
 
-// Name implements Benchmark.
-func (b *ImageGeneration) Name() string { return "Image Generation" }
-
 // sample draws generator outputs for n latent vectors.
 func (b *ImageGeneration) sample(n int) *autograd.Value {
 	z := tensor.Randn(b.rng, 0, 1, n, b.zDim)
@@ -178,18 +175,13 @@ func (b *ImageGeneration) Quality() float64 {
 	return metrics.SlicedEMDistance(toRows(fake.Data), toRows(real), 12)
 }
 
-// LowerIsBetter implements Benchmark.
-func (b *ImageGeneration) LowerIsBetter() bool { return true }
-
-// ScaledTarget implements Benchmark (paper: EM distance 0.5±0.005).
-func (b *ImageGeneration) ScaledTarget() float64 { return 0.5 }
-
 // Module implements Benchmark.
 func (b *ImageGeneration) Module() nn.Module { return Modules(b.gen, b.critic) }
 
-// Spec implements Benchmark: 4-layer 512-hidden MLP generator + critic on
-// 64×64×3 LSUN images, per Section 4.1.4.
-func (b *ImageGeneration) Spec() workload.Model {
+// imageGenerationSpec is the paper-scale architecture: 4-layer
+// 512-hidden MLP generator + critic on 64×64×3 LSUN images, per
+// Section 4.1.4.
+func imageGenerationSpec() workload.Model {
 	vol := 3 * 64 * 64
 	ls := workload.MLP(nil, "gen", []int{128, 512, 512, 512, vol}, 1)
 	ls = workload.MLP(ls, "critic", []int{vol, 512, 512, 512, 1}, 1)
