@@ -36,9 +36,11 @@ import (
 // naming one allocates nothing.
 //
 // The documented exceptions carry a //lint:allow: a leaf's gradient
-// buffer (Value.EnsureGrad), the Var and Const leaves, whose nodes
-// outlive every step, and Tensor.Detach, whose purpose is to outlive
-// the arena.
+// buffer (Value.EnsureGrad), the Var leaf and a Const over heap or
+// adopted storage, whose nodes may outlive every step (a Const over a
+// tensor an arena handed out takes its node from that arena's slab,
+// like an interior node), and Tensor.Detach, whose purpose is to
+// outlive the arena.
 var Heapalloc = &Analyzer{
 	Name:  "heapalloc",
 	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node or backward closure on the heap",

@@ -173,15 +173,26 @@ func TestNodeAllocs(t *testing.T) {
 			}
 		}
 	}
+	// A leaf over data the arena handed out — a mask, a ones column
+	// built for the step — is a node of the arena's slab too.
+	adopted := leaf(false, 4, 5).Data
+	got := testing.AllocsPerRun(100, func() {
+		arena.Reset()
+		sink = Const(tensor.NewLike(adopted))
+	})
+	if got != 0 {
+		t.Errorf("Const over arena data: %v heap objects per node, want 0", got)
+	}
 	sink = nil
 }
 
 // TestNodesDieAtReset pins the node slab's lifetime: an interior node
 // is cleared by the Reset that ends its step, under the production
 // rewind and the poisoning one alike, so a node kept past its step
-// reads a nil Data and an empty save area; leaves built on adopted tensors are heap nodes and
-// keep theirs; a node over heap data is a heap node; and a warmed step
-// takes its nodes from the slabs it already has.
+// reads a nil Data and an empty save area; a Const over a tensor the
+// arena handed out is cleared with it; leaves built on adopted tensors
+// are heap nodes and keep theirs; a node over heap data is a heap node;
+// and a warmed step takes its nodes from the slabs it already has.
 func TestNodesDieAtReset(t *testing.T) {
 	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetRewind))
 	for _, mode := range []tensor.ArenaResetMode{tensor.ResetRewind, tensor.ResetPoison} {
@@ -192,6 +203,10 @@ func TestNodesDieAtReset(t *testing.T) {
 		arena.Adopt(w, x)
 		param, input := Var(w), Const(x)
 		kept := ReLU(MatMul(input, param))
+		stepConst := Const(tensor.NewLike(x))
+		if stepConst.Data == nil || tensor.StepArenaOf(stepConst.Data) != &arena {
+			t.Fatalf("mode %d: a Const over arena data does not hold its tensor", mode)
+		}
 		if kept.Data == nil || tensor.ArenaOf(kept.Data) != &arena {
 			t.Fatalf("mode %d: interior node not built on the arena", mode)
 		}
@@ -215,6 +230,9 @@ func TestNodesDieAtReset(t *testing.T) {
 			if !savedZero(v) {
 				t.Errorf("mode %d: saver %d kept its save area past Reset", mode, i)
 			}
+		}
+		if stepConst.Data != nil {
+			t.Errorf("mode %d: a Const over arena data kept its tensor past Reset", mode)
 		}
 		if param.Data != w || !param.requiresGrad || input.Data != x {
 			t.Errorf("mode %d: a leaf lost its tensor at Reset", mode)

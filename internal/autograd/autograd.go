@@ -27,8 +27,11 @@
 // state, rewound by its Reset), so it dies at the same Reset as the
 // tensors it holds, and a node over heap data is a heap object. A
 // rewind clears the nodes it takes back, so a node kept past its step
-// reads a nil Data. Leaves (Var, Const) are heap objects wherever their
-// tensor is placed: a parameter's node outlives every step.
+// reads a nil Data. A Const over a tensor an arena handed out (a
+// mask, a position table, a ones column built for the step) is such a
+// node too: it dies with its tensor. The other leaves are heap
+// objects: a Var, and a Const over heap or adopted storage, may
+// outlive every step — a parameter's node does.
 //
 // An op's backward is a top-level function, not a closure: it reads the
 // operands from the node's parents, the op's output from its Data, and
@@ -94,9 +97,18 @@ func Var(t *tensor.Tensor) *Value {
 	return &Value{Data: t, requiresGrad: true}
 }
 
-// Const wraps a tensor as a non-differentiable graph leaf.
+// Const wraps a tensor as a non-differentiable graph leaf. Over a
+// tensor an arena handed out (tensor.StepArenaOf) the node comes from
+// that arena's node slab, like an interior node's, and dies at the same
+// Reset as its tensor; over heap or adopted storage, which may outlive
+// the step, it is a heap object, like Var's.
 func Const(t *tensor.Tensor) *Value {
-	//lint:allow heapalloc a leaf outlives the step, like Var's
+	if a := tensor.StepArenaOf(t); a != nil {
+		n := nodesOf(a).take()
+		n.Data = t
+		return n
+	}
+	//lint:allow heapalloc a leaf over heap or adopted storage may outlive the step, like Var's
 	return &Value{Data: t}
 }
 

@@ -300,3 +300,16 @@ func TestReplaySessionCostScale(t *testing.T) {
 		t.Fatalf("replayed IC session %.1f h, want ≈130", s.Hours)
 	}
 }
+
+// TestSuiteSHAPinned: the suite digest every persisted stream and cache
+// key carries is the literal value of this roster, and computing it —
+// which every run's metadata does — costs at most three heap objects.
+func TestSuiteSHAPinned(t *testing.T) {
+	r := NewRegistry()
+	if got, want := r.SHA(), "07870b78f2592295"; got != want {
+		t.Errorf("suite_sha = %s, want %s", got, want)
+	}
+	if got := testing.AllocsPerRun(20, func() { r.SHA() }); got > 3 {
+		t.Errorf("SHA makes %v mallocs per call, want ≤ 3", got)
+	}
+}

@@ -200,12 +200,20 @@ func (r *Registry) ByID(id string) *Benchmark {
 // identifies which suite revision produced a persisted result stream:
 // the digest changes when benchmarks are added, removed, reordered, or
 // re-bound, and is stable across runs of the same build.
+// The lines it hashes are built in one buffer, not written field by
+// field through fmt: every run's metadata asks for the digest.
 func (r *Registry) SHA() string {
-	h := sha256.New()
-	for _, b := range r.All() {
-		fmt.Fprintf(h, "%s|%s|%s|%s|%s\n", b.ID, b.Suite, b.Task, b.Algorithm, b.Dataset)
+	buf := make([]byte, 0, 2048) // the roster's lines take 1.6 KB
+	for _, suite := range [...][]*Benchmark{r.AIBench, r.MLPerf} {
+		for _, b := range suite {
+			for _, f := range [...]string{b.ID, b.Suite, b.Task, b.Algorithm, b.Dataset} {
+				buf = append(append(buf, f...), '|')
+			}
+			buf[len(buf)-1] = '\n'
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
 }
 
 // registryOrder maps every benchmark id to its canonical suite position

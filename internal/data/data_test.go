@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -388,10 +389,34 @@ func TestRatingsNoQualifyingItem(t *testing.T) {
 
 func TestCheckinsBPRTripleOrdering(t *testing.T) {
 	c := NewCheckins(59, 6, 25, 4)
-	users, pos, neg := c.BPRTriple(30)
+	users, pos, neg := make([]int, 30), make([]int, 30), make([]int, 30)
+	c.BPRTriple(users, pos, neg)
 	for k := range users {
 		if c.affinity(users[k], pos[k]) < c.affinity(users[k], neg[k]) {
 			t.Fatal("BPR triple violates preference order")
+		}
+	}
+}
+
+// TestDrawsIntoReusedBuffers: a draw into buffers the caller reuses —
+// dirty with the previous draw — yields what a twin generator draws
+// into fresh ones, call after call.
+func TestDrawsIntoReusedBuffers(t *testing.T) {
+	fresh, reused := NewTranslation(31, 15, 6), NewTranslation(31, 15, 6)
+	src, tgt := make([]int, 6), make([]int, 8)
+	c1, c2 := NewCheckins(37, 6, 25, 4), NewCheckins(37, 6, 25, 4)
+	users, pos, neg := make([]int, 9), make([]int, 9), make([]int, 9)
+	for range 4 {
+		wantSrc, wantTgt := fresh.Pair()
+		reused.PairInto(src, tgt)
+		if !slices.Equal(src, wantSrc) || !slices.Equal(tgt, wantTgt) {
+			t.Fatalf("PairInto drew %v → %v, Pair %v → %v", src, tgt, wantSrc, wantTgt)
+		}
+		wu, wp, wn := make([]int, 9), make([]int, 9), make([]int, 9)
+		c1.BPRTriple(wu, wp, wn)
+		c2.BPRTriple(users, pos, neg)
+		if !slices.Equal(users, wu) || !slices.Equal(pos, wp) || !slices.Equal(neg, wn) {
+			t.Fatal("BPRTriple into reused buffers drew other triples than into fresh ones")
 		}
 	}
 }

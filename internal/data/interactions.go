@@ -168,13 +168,12 @@ func (c *Checkins) affinity(u, i int) float64 {
 	return s
 }
 
-// BPRTriple samples n (user, preferredItem, otherItem) triples where the
-// preferred item has strictly higher ground-truth affinity.
-func (c *Checkins) BPRTriple(n int) (users, pos, neg []int) {
-	users = make([]int, n)
-	pos = make([]int, n)
-	neg = make([]int, n)
-	for k := 0; k < n; k++ {
+// BPRTriple samples len(users) (user, preferredItem, otherItem)
+// triples, where the preferred item has strictly higher ground-truth
+// affinity, into the caller's buffers; pos and neg are as long as
+// users.
+func (c *Checkins) BPRTriple(users, pos, neg []int) {
+	for k := range users {
 		u := c.rng.Intn(c.Users)
 		i := c.rng.Intn(c.Items)
 		j := c.rng.Intn(c.Items)
@@ -183,7 +182,6 @@ func (c *Checkins) BPRTriple(n int) (users, pos, neg []int) {
 		}
 		users[k], pos[k], neg[k] = u, i, j
 	}
-	return users, pos, neg
 }
 
 // TopK returns the ground-truth top-k items for a user, for precision@k

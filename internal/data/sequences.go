@@ -47,12 +47,18 @@ func NewLanguage(seed int64, vocab int) *Language {
 // [FirstWordToken, FirstWordToken+Vocab).
 func (l *Language) Sentence(length int) []int {
 	s := make([]int, length)
+	l.SentenceInto(s)
+	return s
+}
+
+// SentenceInto samples a sentence of len(s) tokens into s, the
+// caller's buffer, with Sentence's draws.
+func (l *Language) SentenceInto(s []int) {
 	w := l.rng.Intn(l.Vocab)
-	for i := 0; i < length; i++ {
+	for i := range s {
 		s[i] = FirstWordToken + w
 		w = l.next(w)
 	}
-	return s
 }
 
 func (l *Language) next(w int) int {
@@ -94,15 +100,20 @@ func NewTranslation(seed int64, vocab, srcLen int) *Translation {
 // Pair samples one (source, target) sentence pair. The target includes
 // BOS/EOS framing for teacher-forced decoding.
 func (t *Translation) Pair() (src, tgt []int) {
-	src = t.Lang.Sentence(t.SrcLen)
-	body := make([]int, len(src))
+	src, tgt = make([]int, t.SrcLen), make([]int, t.SrcLen+2)
+	t.PairInto(src, tgt)
+	return src, tgt
+}
+
+// PairInto samples one pair into the caller's buffers, with Pair's
+// draws: src must hold SrcLen tokens and tgt two more, for the framing.
+func (t *Translation) PairInto(src, tgt []int) {
+	t.Lang.SentenceInto(src)
+	tgt[0], tgt[len(src)+1] = BosToken, EosToken
 	for i, w := range src {
 		// Reverse order and map tokens.
-		body[len(src)-1-i] = FirstWordToken + t.mapping[w-FirstWordToken]
+		tgt[len(src)-i] = FirstWordToken + t.mapping[w-FirstWordToken]
 	}
-	tgt = append([]int{BosToken}, body...)
-	tgt = append(tgt, EosToken)
-	return src, tgt
 }
 
 // TotalVocab returns the full vocabulary size including special tokens.

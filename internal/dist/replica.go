@@ -133,7 +133,7 @@ func (r *replica) apply(p int, grad, buf []float64) {
 }
 
 // quality evaluates the benchmark metric on this rank.
-func (r *replica) quality() float64 { return models.Evaluate(r.trainer) }
+func (r *replica) quality() float64 { return models.Evaluate(r.trainer, r.params) }
 
 // restoreBuffers resets the rank's buffers to the phase-start snapshot
 // so every grain's capture starts from the same state regardless of

@@ -2,6 +2,7 @@ package models
 
 import (
 	"math/rand"
+	"slices"
 
 	"aibench/internal/autograd"
 	"aibench/internal/nn"
@@ -130,10 +131,11 @@ func (m *miniResNet) Buffers() []*tensor.Tensor {
 	return append(bs, m.stage2.Buffers()...)
 }
 
-// argmaxRows extracts the predicted class per row of a logits Value.
-func argmaxRows(v *autograd.Value) []int {
+// argmaxRows extracts the predicted class per row of a logits Value
+// into dst, grown when it is too short, and returns it.
+func argmaxRows(dst []int, v *autograd.Value) []int {
 	rows, cols := v.Data.Dim(0), v.Data.Dim(1)
-	out := make([]int, rows)
+	out := slices.Grow(dst[:0], rows)[:rows]
 	for r := 0; r < rows; r++ {
 		row := v.Data.Data[r*cols : (r+1)*cols]
 		best := 0

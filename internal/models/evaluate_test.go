@@ -61,7 +61,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 			sameBits(t, "first epoch", serialEpochs(b1, 1), serialEpochs(b2, 1))
 
 			probe := &probing{Benchmark: b1}
-			got, want := Evaluate(probe), b2.Quality()
+			got, want := Evaluate(probe, b1.Module().Params()), b2.Quality()
 			sameBits(t, "Evaluate vs Quality", []float64{got}, []float64{want})
 			if probe.gradNodes != 0 {
 				t.Errorf("%d nodes built during Evaluate from parameters carry a gradient", probe.gradNodes)
@@ -75,7 +75,7 @@ func TestEvaluateMatchesQuality(t *testing.T) {
 						t.Fatal("Quality's panic did not reach the caller")
 					}
 				}()
-				Evaluate(bad)
+				Evaluate(bad, b1.Module().Params())
 			}()
 			if bad.sawGrad {
 				t.Error("a parameter required a gradient during Evaluate")
@@ -123,13 +123,13 @@ func TestWarmedEvaluateMakesNoNodeMallocs(t *testing.T) {
 	runtime.MemProfileRate = 1
 	b := NewTextToText(3)
 	before := nodeMallocs()
-	Evaluate(b)
+	Evaluate(b, b.Module().Params())
 	warm := nodeMallocs()
 	if warm == before {
 		t.Fatal("the first Evaluate grew no node slab: the profile does not see node mallocs")
 	}
 	for range 3 {
-		Evaluate(b)
+		Evaluate(b, b.Module().Params())
 	}
 	if got := nodeMallocs() - warm; got != 0 {
 		t.Errorf("three warmed Evaluates of DC-AI-C3 made %d graph-node mallocs, want 0", got)

@@ -224,7 +224,7 @@ func (b *Face3D) Quality() float64 {
 	b.arena.Reset()
 	b.net.SetTraining(false)
 	logits := b.net.Forward(autograd.Const(b.testX))
-	return metrics.Accuracy(argmaxRows(logits), b.testY)
+	return metrics.Accuracy(argmaxRows(nil, logits), b.testY)
 }
 
 // Module implements Benchmark.

@@ -357,7 +357,7 @@ func (b *GNMT) Translate(src []int, maxLen int) []int {
 	for t := 0; t < maxLen; t++ {
 		var logits *autograd.Value
 		logits, h, c = b.decodeStep(tok, h, c, encStates)
-		tok = argmaxRows(logits)[0]
+		tok = argmaxRows(nil, logits)[0]
 		if tok == data.EosToken {
 			break
 		}

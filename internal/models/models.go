@@ -90,11 +90,16 @@ type Benchmark interface {
 // step, and of each Quality batch — on the instance's goroutine, the
 // only one that ever touches it. The graph nodes over those tensors
 // come from the arena too (autograd's node slab) and die at the same
-// reset. No step-scoped tensor or node outlives the step: state a later
-// phase reads (the speech model's TBPTT entry state) is built after the
-// reset of the step that reads it.
-// Parameters, their gradients, optimizer state, running statistics and
-// dataset batches are heap tensors and never die. The arena holds no
+// reset, and so do the graph leaves over tensors built for the step
+// (masks, position tables, ones columns: autograd.Const). No
+// step-scoped tensor or node outlives the step: state a later phase
+// reads (the speech model's TBPTT entry state) is built after the reset
+// of the step that reads it. Parameters, their gradients, optimizer
+// state, running statistics and datasets are heap tensors and never
+// die. What every step reuses — a draw's buffers, the grain closures
+// over them, evaluation buffers — lives on the instance, built once
+// (per grain count, for the grains), so a warmed epoch need make no
+// heap object (TestWarmedEpochAllocatesNothing). The arena holds no
 // memory until the first step, so an instance built and never trained
 // costs nothing.
 type stepArena struct{ arena tensor.Arena }
@@ -118,9 +123,9 @@ func (s *stepArena) adopt(m nn.Module) {
 // unchanged and Quality never calls Backward, so the result is bitwise
 // that of b.Quality(). The parameters require gradients again when
 // Evaluate returns, even if Quality panics. Each instance owns its
-// parameters, so no other instance sees the change.
-func Evaluate(b Benchmark) float64 {
-	ps := b.Module().Params()
+// parameters, so no other instance sees the change. ps is b's
+// parameter list, b.Module().Params(), which its driver already holds.
+func Evaluate(b Benchmark, ps []*nn.Param) float64 {
 	for _, p := range ps {
 		p.Value.SetRequiresGrad(false)
 	}

@@ -29,13 +29,16 @@ func newMFScorer(rng *rand.Rand, users, items, dim int) *mfScorer {
 	}
 }
 
-// score returns [N,1] dot-product scores for (user, item) pairs.
+// score returns [N,1] dot-product scores for (user, item) pairs: the
+// row sums of the embeddings' product, taken as a product with a ones
+// column built in the step's arena.
 func (m *mfScorer) score(users, items []int) *autograd.Value {
 	u := m.userEmb.Lookup(users)
 	v := m.itemEmb.Lookup(items)
 	prod := autograd.Mul(u, v)
-	ones := autograd.Const(tensor.Ones(m.dim, 1))
-	return autograd.MatMul(prod, ones)
+	ones := tensor.ArenaOf(prod.Data).New(m.dim, 1)
+	ones.Fill(1)
+	return autograd.MatMul(prod, autograd.Const(ones))
 }
 
 func (m *mfScorer) Params() []*nn.Param {
@@ -59,6 +62,18 @@ type LearningToRank struct {
 	batches       int
 	batch         int
 	users, items  int
+
+	// What every step reuses: the step's BPR draw, and its grains,
+	// built once per grain count (split) over it.
+	drawUsers, drawPos, drawNeg []int
+	grains                      []Grain
+	split                       int
+	// What every evaluation reuses: the ground-truth top 5 of each
+	// user, and rankItems' (user, item) pairs and sort order.
+	topK       [][]int
+	rankUsers  []int
+	rankIDs    []int
+	rankScores byScore
 }
 
 // NewLearningToRank constructs the scaled benchmark.
@@ -77,15 +92,26 @@ func NewLearningToRank(seed int64) *LearningToRank {
 	}
 	b.optT = optim.NewAdam(b.teacher, 5e-3)
 	b.optS = optim.NewAdam(b.student, 5e-3)
+	b.drawUsers, b.drawPos, b.drawNeg = make([]int, b.batch), make([]int, b.batch), make([]int, b.batch)
+	b.topK = make([][]int, users)
+	for u := range b.topK {
+		b.topK[u] = b.ds.TopK(u, 5)
+	}
+	b.rankUsers, b.rankIDs = make([]int, items), make([]int, items)
+	for i := range b.rankIDs {
+		b.rankIDs[i] = i
+	}
+	b.rankScores.idx = make([]int, items)
 	b.adopt(b.Module())
 	return b
 }
 
 // bprLoss is the Bayesian Personalized Ranking objective:
-// −log σ(s⁺ − s⁻).
+// −log σ(s⁺ − s⁻), whose all-ones target is built in the step's arena.
 func bprLoss(m *mfScorer, users, pos, neg []int) *autograd.Value {
 	diff := autograd.Sub(m.score(users, pos), m.score(users, neg))
-	ones := tensor.Ones(len(users), 1)
+	ones := tensor.NewLike(diff.Data)
+	ones.Fill(1)
 	return autograd.BCEWithLogits(diff, ones)
 }
 
@@ -112,46 +138,66 @@ func (b *LearningToRank) ApplyPhase(int) {
 // BeginPhase implements Benchmark: draw the BPR triple macro-batch
 // and split it into per-grain ranking (or distillation) sub-batches.
 func (b *LearningToRank) BeginPhase(_, grains int) []Grain {
-	users, pos, neg := b.ds.BPRTriple(b.batch)
-	teacherPhase := b.epoch <= b.teacherEpochs
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			u, p, n := users[lo:hi], pos[lo:hi], neg[lo:hi]
-			var loss *autograd.Value
-			if teacherPhase {
-				loss = bprLoss(b.teacher, u, p, n)
-			} else {
-				// Distillation: the student's score matches the
-				// (frozen) teacher's on both items of the triple.
-				rank := bprLoss(b.student, u, p, n)
-				tPos := b.teacher.score(u, p).Data
-				tNeg := b.teacher.score(u, n).Data
-				distill := autograd.Add(
-					autograd.MSELoss(b.student.score(u, p), tPos),
-					autograd.MSELoss(b.student.score(u, n), tNeg))
-				loss = autograd.Add(rank, autograd.Scale(distill, 0.5))
-			}
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+	b.ds.BPRTriple(b.drawUsers, b.drawPos, b.drawNeg)
+	if b.grains == nil || b.split != grains {
+		b.grains, b.split = splitGrains(b.batch, grains, b.grain), grains
+	}
+	return b.grains
 }
 
-// rankItems returns all items sorted by the student's score for a user.
-func (b *LearningToRank) rankItems(u int) []int {
-	users := make([]int, b.items)
-	items := make([]int, b.items)
-	for i := range items {
-		users[i], items[i] = u, i
+// grain trains on triples [lo,hi) of the step's draw: BPR on the
+// teacher until it has trained teacherEpochs epochs, then BPR plus
+// distillation on the student.
+func (b *LearningToRank) grain(lo, hi int) Grain {
+	return func() (float64, int) {
+		u, p, n := b.drawUsers[lo:hi], b.drawPos[lo:hi], b.drawNeg[lo:hi]
+		var loss *autograd.Value
+		if b.epoch <= b.teacherEpochs {
+			loss = bprLoss(b.teacher, u, p, n)
+		} else {
+			// Distillation: the student's score matches the
+			// (frozen) teacher's on both items of the triple.
+			rank := bprLoss(b.student, u, p, n)
+			tPos := b.teacher.score(u, p).Data
+			tNeg := b.teacher.score(u, n).Data
+			distill := autograd.Add(
+				autograd.MSELoss(b.student.score(u, p), tPos),
+				autograd.MSELoss(b.student.score(u, n), tNeg))
+			loss = autograd.Add(rank, autograd.Scale(distill, 0.5))
+		}
+		loss.Backward()
+		return loss.Item(), hi - lo
 	}
-	s := b.student.score(users, items).Data
-	idx := make([]int, b.items)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, c int) bool { return s.At(idx[a], 0) > s.At(idx[c], 0) })
-	return idx
 }
+
+// rankItems returns all items sorted by the student's score for user
+// u, best first. The slice is the instance's, valid until the next
+// call.
+func (b *LearningToRank) rankItems(u int) []int {
+	for i := range b.rankUsers {
+		b.rankUsers[i] = u
+	}
+	o := &b.rankScores
+	o.s = b.student.score(b.rankUsers, b.rankIDs).Data.Data
+	for i := range o.idx {
+		o.idx[i] = i
+	}
+	sort.Sort(o)
+	o.s = nil // the scores die at the next Reset
+	return o.idx
+}
+
+// byScore orders item ids by descending score; it is sort.Slice's
+// comparison over sort.Sort, the same pdqsort without a reflected
+// swapper, so the order of tied scores is what it always was.
+type byScore struct {
+	idx []int
+	s   []float64 // score of item i, one per item
+}
+
+func (o *byScore) Len() int           { return len(o.idx) }
+func (o *byScore) Less(a, c int) bool { return o.s[o.idx[a]] > o.s[o.idx[c]] }
+func (o *byScore) Swap(a, c int)      { o.idx[a], o.idx[c] = o.idx[c], o.idx[a] }
 
 // Quality implements Benchmark: mean student precision@5 against the
 // ground-truth top-5 (the paper's Table 3 metric is precision; its
@@ -161,9 +207,7 @@ func (b *LearningToRank) Quality() float64 {
 	total := 0.0
 	for u := 0; u < b.users; u++ {
 		b.arena.Reset()
-		ranked := b.rankItems(u)
-		relevant := b.ds.TopK(u, 5)
-		total += metrics.PrecisionAtK(ranked, relevant, 5)
+		total += metrics.PrecisionAtK(b.rankItems(u), b.topK[u], 5)
 	}
 	return total / float64(b.users)
 }

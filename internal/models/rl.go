@@ -200,7 +200,7 @@ func (b *ReinforcementLearning) Quality() float64 {
 			continue
 		}
 		logits, _ := b.forward(b.boardTensor(ax, ay, tx, ty))
-		pred := argmaxRows(logits)[0]
+		pred := argmaxRows(nil, logits)[0]
 		want := optimalMove(ax, ay, tx, ty)
 		// Both axis moves can be optimal when off on both axes.
 		alt := -1

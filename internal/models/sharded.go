@@ -174,7 +174,7 @@ func (t *Trainer) TrainEpoch() (float64, error) {
 }
 
 // Quality evaluates the benchmark without a backward graph (Evaluate).
-func (t *Trainer) Quality() (float64, error) { return Evaluate(t.b), nil }
+func (t *Trainer) Quality() (float64, error) { return Evaluate(t.b, t.params), nil }
 
 // step runs one optimizer step — every phase in declared order, each
 // one grain followed by its update — and returns the mean loss of its

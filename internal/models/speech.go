@@ -172,7 +172,7 @@ func (b *SpeechRecognition) ApplyPhase(int) { b.opt.Step() }
 // consecutive repeats.
 func (b *SpeechRecognition) decode(frames *autograd.Value) []int {
 	logits := b.frameLogits(frames)
-	raw := argmaxRows(logits)
+	raw := argmaxRows(nil, logits)
 	var out []int
 	for i, t := range raw {
 		if i == 0 || raw[i-1] != t {

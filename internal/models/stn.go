@@ -104,7 +104,7 @@ func (b *SpatialTransformer) Quality() float64 {
 	b.locConv.SetTraining(false)
 	b.classifier.SetTraining(false)
 	logits := b.forward(autograd.Const(b.testX))
-	return metrics.Accuracy(argmaxRows(logits), b.testY)
+	return metrics.Accuracy(argmaxRows(nil, logits), b.testY)
 }
 
 // Module implements Benchmark.

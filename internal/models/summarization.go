@@ -127,7 +127,7 @@ func (b *TextSummarization) greedyDecode(doc []int) []int {
 	for t := 0; t < b.maxHead+2; t++ {
 		var logits *autograd.Value
 		logits, h, c = b.stepLogits(tok, h, c, encStates)
-		tok = argmaxRows(logits)[0]
+		tok = argmaxRows(nil, logits)[0]
 		if tok == data.EosToken {
 			break
 		}

@@ -65,6 +65,12 @@ type TextToText struct {
 	vocab   int
 	dim     int
 	batches int
+
+	// What every step reuses, built once per grain count: the step's
+	// draw, one pair per grain, and the grains training on it.
+	src, tgt [][]int
+	grains   []Grain
+	pred     []int // Quality's predictions, one pair at a time
 }
 
 // NewTextToText constructs the scaled benchmark.
@@ -127,17 +133,26 @@ func (b *TextToText) ApplyPhase(int) { b.opt.Step() }
 // BeginPhase implements Benchmark: draw the macro-batch of
 // translation pairs, one grain per pair, weighted by target length.
 func (b *TextToText) BeginPhase(_, grains int) []Grain {
-	gs := make([]Grain, grains)
-	for g := range gs {
-		src, tgt := b.ds.Pair()
-		gs[g] = func() (float64, int) {
-			lg, want := b.logits(src, tgt)
-			loss := autograd.SoftmaxCrossEntropy(lg, want)
-			loss.Backward()
-			return loss.Item(), len(want)
+	if len(b.grains) != grains {
+		b.src, b.tgt, b.grains = make([][]int, grains), make([][]int, grains), make([]Grain, grains)
+		for g := range b.grains {
+			b.src[g], b.tgt[g] = make([]int, b.ds.SrcLen), make([]int, b.ds.SrcLen+2)
+			b.grains[g] = func() (float64, int) { return b.trainPair(b.src[g], b.tgt[g]) }
 		}
 	}
-	return gs
+	for g := range b.grains {
+		b.ds.PairInto(b.src[g], b.tgt[g])
+	}
+	return b.grains
+}
+
+// trainPair backpropagates the teacher-forced loss of one pair and
+// returns it with the pair's target length.
+func (b *TextToText) trainPair(src, tgt []int) (float64, int) {
+	lg, want := b.logits(src, tgt)
+	loss := autograd.SoftmaxCrossEntropy(lg, want)
+	loss.Backward()
+	return loss.Item(), len(want)
 }
 
 // Quality implements Benchmark: teacher-forced next-token accuracy on
@@ -147,9 +162,9 @@ func (b *TextToText) Quality() float64 {
 	for _, pair := range b.evalSet {
 		b.arena.Reset()
 		lg, want := b.logits(pair[0], pair[1])
-		pred := argmaxRows(lg)
+		b.pred = argmaxRows(b.pred, lg)
 		for i := range want {
-			if pred[i] == want[i] {
+			if b.pred[i] == want[i] {
 				correct++
 			}
 			count++

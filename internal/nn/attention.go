@@ -15,6 +15,10 @@ import (
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Param
 	D, Heads       int
+	// headsOut holds Attend's per-head outputs until they are
+	// concatenated: one per head, reused by every call, so one layer
+	// attends on one goroutine at a time (a benchmark instance's).
+	headsOut []*autograd.Value
 }
 
 // NewMultiHeadAttention constructs attention with D model dims split over
@@ -28,7 +32,7 @@ func NewMultiHeadAttention(rng *rand.Rand, d, heads int) *MultiHeadAttention {
 	}
 	return &MultiHeadAttention{
 		Wq: mk("attn.wq"), Wk: mk("attn.wk"), Wv: mk("attn.wv"), Wo: mk("attn.wo"),
-		D: d, Heads: heads,
+		D: d, Heads: heads, headsOut: make([]*autograd.Value, heads),
 	}
 }
 
@@ -41,7 +45,7 @@ func (a *MultiHeadAttention) Attend(q, kv *autograd.Value, causal bool) *autogra
 	ks := autograd.MatMul(kv, a.Wk.Value)
 	vs := autograd.MatMul(kv, a.Wv.Value)
 	scale := 1 / math.Sqrt(float64(hd))
-	headsOut := make([]*autograd.Value, a.Heads)
+	headsOut := a.headsOut
 	for h := 0; h < a.Heads; h++ {
 		qh := autograd.SliceCols(qs, h*hd, (h+1)*hd)
 		kh := autograd.SliceCols(ks, h*hd, (h+1)*hd)
@@ -56,6 +60,7 @@ func (a *MultiHeadAttention) Attend(q, kv *autograd.Value, causal bool) *autogra
 		headsOut[h] = autograd.MatMul(attn, vh)
 	}
 	concat := autograd.ConcatCols(headsOut...)
+	clear(headsOut) // the concatenation holds what a gradient needs
 	return autograd.MatMul(concat, a.Wo.Value)
 }
 

@@ -160,7 +160,7 @@ func (a *Arena) shaped(data []float64, shape []int) *Tensor {
 	// Field by field, not *t = Tensor{…}: a struct store into a heap
 	// slab is a typed copy with a bulk write barrier. Rewind leaves the
 	// slab as it was, so every field is assigned.
-	t.shape, t.strides, t.Data, t.arena = meta[:r:r], meta[r:], data, a
+	t.shape, t.strides, t.Data, t.arena, t.stepped = meta[:r:r], meta[r:], data, a, a != nil
 	return t
 }
 
@@ -220,6 +220,18 @@ func ArenaOf(ts ...*Tensor) *Arena {
 		if t.arena != nil {
 			return t.arena
 		}
+	}
+	return nil
+}
+
+// StepArenaOf returns the arena that handed t out, nil for a heap
+// tensor and for an adopted one: t dies at that arena's next Reset, so
+// whatever holds t for the step (a graph leaf over it) may come from the
+// arena too. Placement alone (ArenaOf) does not say as much: a
+// parameter is placed in its instance's arena but outlives every step.
+func StepArenaOf(t *Tensor) *Arena {
+	if t.stepped {
+		return t.arena
 	}
 	return nil
 }

@@ -108,8 +108,9 @@ func TestArenaGrowthIsDeterministic(t *testing.T) {
 
 // TestPlacementIsInherited runs every result-allocating op family once
 // with an adopted operand and once without: the results must be placed
-// in the arena in the first case — whichever operand carries it — and
-// on the heap in the second, with identical numbers.
+// in the arena in the first case — whichever operand carries it, and
+// handed out by it (StepArenaOf) — and on the heap in the second, with
+// identical numbers.
 func TestPlacementIsInherited(t *testing.T) {
 	var a Arena
 	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
@@ -163,6 +164,9 @@ func TestPlacementIsInherited(t *testing.T) {
 				if got := ArenaOf(heap[i]); got != nil {
 					t.Errorf("%s/%s: result %d of heap operands is placed in an arena", kernel, name, i)
 				}
+				if StepArenaOf(placed[i]) != &a || StepArenaOf(heap[i]) != nil {
+					t.Errorf("%s/%s: result %d: StepArenaOf does not name the arena that handed it out", kernel, name, i)
+				}
 				if !placed[i].SameShape(heap[i]) {
 					t.Fatalf("%s/%s: result %d shapes %v vs %v", kernel, name, i, placed[i].shape, heap[i].shape)
 				}
@@ -193,6 +197,10 @@ func TestPlacementIsInherited(t *testing.T) {
 	// Operand-less constructors and Detach are heap, always.
 	if ArenaOf(New(2), Ones(2), Full(3, 2), FromSlice([]float64{1}, 1), adopted(&a, 2).Detach()) != nil {
 		t.Error("a heap constructor returned a placed tensor")
+	}
+	// An adopted tensor is placed in the arena but outlives its steps.
+	if StepArenaOf(adopted(&a, 2)) != nil {
+		t.Error("an adopted tensor counts as handed out by the arena")
 	}
 }
 

@@ -48,6 +48,10 @@ type Tensor struct {
 	// are allocated and which kernels compute them (nil: the Go heap,
 	// the process default kernels). See Arena.
 	arena *Arena
+	// stepped marks a tensor an arena handed out (the struct itself
+	// comes from its slab), which dies at the arena's next Reset; a
+	// heap tensor and an adopted one do not (StepArenaOf).
+	stepped bool
 }
 
 // New creates a zero-filled tensor with the given shape on the heap.
