@@ -39,9 +39,10 @@ func expPath() string {
 
 // digestRuns are the pinned plans: every benchmark's two-epoch
 // quasi-entire session under each kernel, and at two local shards;
-// and the traced sessions of C1 and C16, serial and at two shards on
+// the traced sessions of C1 and C16, serial and at two shards on
 // each backend, whose trace records pin the deterministic plane — the
-// process backend's phase spans and its children's counters with it.
+// process backend's phase spans and its children's counters with it;
+// and every benchmark's characterization on each simulated GPU.
 func digestRuns() map[string]aibench.Plan {
 	base := aibench.Plan{Kind: aibench.RunSession, Session: aibench.QuasiEntireSession, Seed: 42, Epochs: 2, Workers: 1}
 	blocked, naive, sharded := base, base, base
@@ -52,16 +53,20 @@ func digestRuns() map[string]aibench.Plan {
 	tracedLocal, tracedProcess := traced, traced
 	tracedLocal.Shards, tracedLocal.Backend = 2, "local"
 	tracedProcess.Shards, tracedProcess.Backend = 2, "process"
+	charXP := aibench.Plan{Kind: aibench.RunCharacterize, Device: aibench.TitanXP(), Workers: 1}
+	charRTX := charXP
+	charRTX.Device = aibench.TitanRTX()
 	return map[string]aibench.Plan{
 		"blocked": blocked, "naive": naive, "local-shards-2": sharded,
 		"traced": traced, "traced-local-shards-2": tracedLocal, "traced-process-shards-2": tracedProcess,
+		"characterize-xp": charXP, "characterize-rtx": charRTX,
 	}
 }
 
 // recordDigests runs p and returns the sha256 of each record's
 // persisted data — the bytes `aibench run-all -out` writes, less the
-// run header — keyed by benchmark id for a session record and by
-// "trace" for the run's trace record. The wall-clock runmetrics record
+// run header — keyed by benchmark id for a session or characterization
+// record and by "trace" for the run's trace record. The wall-clock runmetrics record
 // is not pinned.
 func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]string {
 	t.Helper()
@@ -87,7 +92,7 @@ func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]st
 		switch env.Kind {
 		case "runmetrics":
 			continue
-		case "session":
+		case "session", "characterization":
 			var id struct {
 				ID string `json:"id"`
 			}

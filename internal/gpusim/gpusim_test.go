@@ -37,7 +37,7 @@ func TestExecuteComputeBoundKernel(t *testing.T) {
 		BytesRead: 1e6, BytesWritten: 1e6,
 	}
 	Execute(&k, TitanXP())
-	p := profiles[GEMM]
+	p := profiles[iGEMM]
 	wantTime := 1e12/(TitanXP().PeakGFLOPs()*1e9*p.computeEff) + launchOverhead
 	if math.Abs(k.Time-wantTime)/wantTime > 1e-9 {
 		t.Fatalf("time = %g, want %g", k.Time, wantTime)
@@ -67,12 +67,21 @@ func TestExecuteMemoryBoundKernel(t *testing.T) {
 	}
 }
 
+func TestExecutePanicsOnUnknownCategory(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Execute accepted a kernel of no category")
+		}
+	}()
+	Execute(&Kernel{Category: "tensor_core"}, TitanXP())
+}
+
 func TestStallsSumToOne(t *testing.T) {
 	f := func(memBoundRaw uint8, catIdx uint8) bool {
 		cats := Categories()
 		cat := cats[int(catIdx)%len(cats)]
 		mb := float64(memBoundRaw) / 255
-		s := stallsFor(cat, mb)
+		s := stallsFor(cat.index(), mb)
 		return math.Abs(s.Sum()-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -84,7 +93,7 @@ func TestMemDependAndExecDependDominate(t *testing.T) {
 	// Fig 7's headline: the top two stalls are memory dependency and
 	// execution dependency in every category.
 	for _, cat := range Categories() {
-		s := stallsFor(cat, 0.5)
+		s := stallsFor(cat.index(), 0.5)
 		others := []float64{s.InstFetch, s.Texture, s.Sync, s.ConstMemDepend, s.MemThrottle}
 		for _, o := range others {
 			if o > s.MemDepend && o > s.ExecDepend {
@@ -115,9 +124,16 @@ func TestMetricsInUnitRange(t *testing.T) {
 	}
 }
 
+// lowered collects the launches Lower emits.
+func lowered(m workload.Model, batch int, training bool) []Kernel {
+	var ks []Kernel
+	Lower(m, batch, training, func(k Kernel) { ks = append(ks, k) })
+	return ks
+}
+
 func TestLowerResNetKernelMix(t *testing.T) {
 	m := workload.ResNet50(3, 32, 32, 10)
-	ks := Lower(m, 4, true)
+	ks := lowered(m, 4, true)
 	counts := map[Category]int{}
 	for _, k := range ks {
 		counts[k.Category]++
@@ -140,7 +156,7 @@ func TestLowerResNetKernelMix(t *testing.T) {
 		t.Fatalf("conv kernels %d <= conv layers %d: no backward kernels", counts[Convolution], convLayers)
 	}
 	// Inference should emit strictly fewer kernels.
-	if len(Lower(m, 4, false)) >= len(ks) {
+	if len(lowered(m, 4, false)) >= len(ks) {
 		t.Fatal("inference lowering should be smaller than training")
 	}
 }
@@ -256,7 +272,6 @@ func TestKernelNameSelection(t *testing.T) {
 }
 
 func TestTable7NamesPresent(t *testing.T) {
-	names := kernelNames
 	// Spot-check the exact function names Table 7 lists.
 	want := map[Category]string{
 		DataArrangement: "maxwell_scudnn_128x32_stridedB_splitK_interior_nn",
@@ -270,7 +285,7 @@ func TestTable7NamesPresent(t *testing.T) {
 	}
 	for cat, name := range want {
 		found := false
-		for _, n := range names[cat] {
+		for _, n := range kernelNames[cat.index()] {
 			if n == name {
 				found = true
 			}

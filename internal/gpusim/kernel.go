@@ -16,12 +16,41 @@ const (
 	MemcpyCat       Category = "memcpy"
 )
 
+// The position of each category in Categories() order. The
+// per-category tables and a Profile's accumulators are arrays indexed
+// by it.
+const (
+	iDataArrangement = iota
+	iConvolution
+	iGEMM
+	iBatchNorm
+	iReLU
+	iElementwise
+	iPooling
+	iMemcpy
+	numCategories
+)
+
+var categories = [numCategories]Category{
+	iDataArrangement: DataArrangement, iConvolution: Convolution, iGEMM: GEMM, iBatchNorm: BatchNormCat,
+	iReLU: ReluCat, iElementwise: Elementwise, iPooling: Pooling, iMemcpy: MemcpyCat,
+}
+
 // Categories lists all eight in Table 7 order.
 func Categories() []Category {
-	return []Category{
-		DataArrangement, Convolution, GEMM, BatchNormCat,
-		ReluCat, Elementwise, Pooling, MemcpyCat,
+	cs := categories
+	return cs[:]
+}
+
+// index returns c's position in Categories(), or -1 for a string that
+// names no category.
+func (c Category) index() int {
+	for i, x := range categories {
+		if x == c {
+			return i
+		}
 	}
+	return -1
 }
 
 // Kernel is one simulated kernel launch.
@@ -69,9 +98,9 @@ func MetricNames() []string {
 // kernelNames holds the CUDA-style function names per category, taken
 // from Table 7. Lowering picks among them by work-size so different
 // model geometries surface different hotspot functions (the effect
-// behind Fig 6).
-var kernelNames = map[Category][]string{
-	DataArrangement: {
+// behind Fig 6). It is indexed by category position.
+var kernelNames = [numCategories][]string{
+	iDataArrangement: {
 		"maxwell_scudnn_128x128_stridedB_splitK_interior_nn",
 		"maxwell_scudnn_128x32_stridedB_splitK_interior_nn",
 		"maxwell_scudnn_128x128_stridedB_interior_nn",
@@ -81,7 +110,7 @@ var kernelNames = map[Category][]string{
 		"indexSelectLargeIndex",
 		"bilinear_sampler_2d_kernel",
 	},
-	Convolution: {
+	iConvolution: {
 		"maxwell_scudnn_winograd_128x128_ldg1_ldg4_tile148n_nt",
 		"wgrad_alg0_engine",
 		"fft2d_r2c_32x32",
@@ -89,7 +118,7 @@ var kernelNames = map[Category][]string{
 		"implicit_convolve_sgemm",
 		"dgrad_engine",
 	},
-	GEMM: {
+	iGEMM: {
 		"maxwell_sgemm_128x64_nt",
 		"maxwell_sgemm_128x64_nn",
 		"sgemm_32x32x32_NN_vec",
@@ -97,20 +126,20 @@ var kernelNames = map[Category][]string{
 		"gemv2N_kernel",
 		"gemmk1_kernel",
 	},
-	BatchNormCat: {
+	iBatchNorm: {
 		"cudnn_bn_fw_tr_1C11_kernel_NCHW",
 		"cudnn_bn_bw_1C11_kernel_new",
 		"batch_norm_backward_kernel",
 		"native_batch_norm_backward_kernel",
 		"layer_norm_kernel",
 	},
-	ReluCat: {
+	iReLU: {
 		"maxwell_scudnn_128x128_relu_small_nn",
 		"maxwell_scudnn_128x128_relu_interior_nn",
 		"maxwell_scudnn_128x32_relu_interior_nn",
 		"relu_backward_kernel",
 	},
-	Elementwise: {
+	iElementwise: {
 		"elementwise_add_kernel",
 		"elementwise_threshold_kernel",
 		"elementwise_mul_kernel",
@@ -120,13 +149,13 @@ var kernelNames = map[Category][]string{
 		"adam_update_kernel",
 		"sgd_momentum_update_kernel",
 	},
-	Pooling: {
+	iPooling: {
 		"MaxPoolForward",
 		"MaxPoolBackward",
 		"AvePoolForward",
 		"AvePoolBackward",
 	},
-	MemcpyCat: {
+	iMemcpy: {
 		"CUDA_memcpy_HtoD",
 		"CUDA_memcpy_DtoD",
 		"CUDA_memcpy_DtoH",
@@ -136,7 +165,7 @@ var kernelNames = map[Category][]string{
 // pickName deterministically selects a function name for a category from
 // a size-derived variant index.
 func pickName(cat Category, variant int) string {
-	names := kernelNames[cat]
+	names := kernelNames[cat.index()]
 	if variant < 0 {
 		variant = -variant
 	}

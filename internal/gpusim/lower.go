@@ -10,40 +10,39 @@ const bytesPerElem = 4 // FP32 training
 
 // Lower translates a workload model into the stream of kernel launches
 // one training iteration (forward + backward when training is set) of a
-// batch executes. The mapping follows how PyTorch+cuDNN dispatch these
-// layer types: convolutions become implicit-GEMM/winograd kernels plus
-// strided data-arrangement kernels, linear layers become sgemm calls,
-// recurrent layers launch per-timestep GEMM and element-wise kernels,
-// and every iteration begins with a host-to-device input copy and ends
-// with element-wise optimizer updates.
-func Lower(m workload.Model, batch int, training bool) []Kernel {
+// batch executes, handing each launch to emit in stream order; it keeps
+// no list of its own. The mapping follows how PyTorch+cuDNN dispatch
+// these layer types: convolutions become implicit-GEMM/winograd kernels
+// plus strided data-arrangement kernels, linear layers become sgemm
+// calls, recurrent layers launch per-timestep GEMM and element-wise
+// kernels, and every iteration begins with a host-to-device input copy
+// and ends with element-wise optimizer updates.
+func Lower(m workload.Model, batch int, training bool, emit func(Kernel)) {
 	b := float64(batch)
-	var ks []Kernel
 
 	// Input transfer.
 	inputElems := 0.0
 	if len(m.Layers) > 0 {
 		inputElems = float64(inputVolume(m.Layers[0]))
 	}
-	ks = append(ks, Kernel{
+	emit(Kernel{
 		Name: pickName(MemcpyCat, 0), Category: MemcpyCat,
 		BytesRead: b * inputElems * bytesPerElem, BytesWritten: b * inputElems * bytesPerElem,
 	})
 
 	for _, l := range m.Layers {
-		ks = append(ks, lowerLayer(l, b, training)...)
+		lowerLayer(l, b, training, emit)
 	}
 
 	if training {
 		// Optimizer update: read grad + read/write weights + momentum.
 		params := float64(m.Params())
-		ks = append(ks, Kernel{
+		emit(Kernel{
 			Name: "sgd_momentum_update_kernel", Category: Elementwise,
 			FLOPs:     4 * params,
 			BytesRead: 3 * params * bytesPerElem, BytesWritten: 2 * params * bytesPerElem,
 		})
 	}
-	return ks
 }
 
 // inputVolume estimates the input elements of the first layer.
@@ -69,14 +68,13 @@ func inputVolume(l workload.Layer) int {
 }
 
 // lowerLayer emits the kernels for one layer.
-func lowerLayer(l workload.Layer, b float64, training bool) []Kernel {
-	var ks []Kernel
+func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
 	add := func(cat Category, variant int, nameOverride string, flops, read, written float64) {
 		name := nameOverride
 		if name == "" {
 			name = pickName(cat, variant)
 		}
-		ks = append(ks, Kernel{
+		emit(Kernel{
 			Name: name, Category: cat,
 			FLOPs: flops, BytesRead: read, BytesWritten: written,
 		})
@@ -229,7 +227,6 @@ func lowerLayer(l workload.Layer, b float64, training bool) []Kernel {
 	default:
 		panic(fmt.Sprintf("gpusim: cannot lower layer kind %q", l.Kind))
 	}
-	return ks
 }
 
 // convName selects the cuDNN-style forward convolution kernel by

@@ -17,15 +17,16 @@ type categoryProfile struct {
 	ipcBase    float64 // IPC efficiency when fully compute-bound
 }
 
-var profiles = map[Category]categoryProfile{
-	Convolution:     {computeEff: 0.55, memEff: 0.60, gldEff: 0.72, gstEff: 0.66, baseOcc: 0.56, ipcBase: 0.66},
-	GEMM:            {computeEff: 0.65, memEff: 0.70, gldEff: 0.90, gstEff: 0.86, baseOcc: 0.50, ipcBase: 0.74},
-	BatchNormCat:    {computeEff: 0.15, memEff: 0.75, gldEff: 0.84, gstEff: 0.80, baseOcc: 0.62, ipcBase: 0.42},
-	ReluCat:         {computeEff: 0.10, memEff: 0.80, gldEff: 0.94, gstEff: 0.94, baseOcc: 0.66, ipcBase: 0.36},
-	Elementwise:     {computeEff: 0.10, memEff: 0.80, gldEff: 0.90, gstEff: 0.90, baseOcc: 0.64, ipcBase: 0.32},
-	Pooling:         {computeEff: 0.12, memEff: 0.70, gldEff: 0.80, gstEff: 0.86, baseOcc: 0.58, ipcBase: 0.38},
-	DataArrangement: {computeEff: 0.06, memEff: 0.50, gldEff: 0.32, gstEff: 0.38, baseOcc: 0.46, ipcBase: 0.26},
-	MemcpyCat:       {computeEff: 0.01, memEff: 0.85, gldEff: 1.00, gstEff: 1.00, baseOcc: 0.30, ipcBase: 0.12},
+// profiles is indexed by category position.
+var profiles = [numCategories]categoryProfile{
+	iConvolution:     {computeEff: 0.55, memEff: 0.60, gldEff: 0.72, gstEff: 0.66, baseOcc: 0.56, ipcBase: 0.66},
+	iGEMM:            {computeEff: 0.65, memEff: 0.70, gldEff: 0.90, gstEff: 0.86, baseOcc: 0.50, ipcBase: 0.74},
+	iBatchNorm:       {computeEff: 0.15, memEff: 0.75, gldEff: 0.84, gstEff: 0.80, baseOcc: 0.62, ipcBase: 0.42},
+	iReLU:            {computeEff: 0.10, memEff: 0.80, gldEff: 0.94, gstEff: 0.94, baseOcc: 0.66, ipcBase: 0.36},
+	iElementwise:     {computeEff: 0.10, memEff: 0.80, gldEff: 0.90, gstEff: 0.90, baseOcc: 0.64, ipcBase: 0.32},
+	iPooling:         {computeEff: 0.12, memEff: 0.70, gldEff: 0.80, gstEff: 0.86, baseOcc: 0.58, ipcBase: 0.38},
+	iDataArrangement: {computeEff: 0.06, memEff: 0.50, gldEff: 0.32, gstEff: 0.38, baseOcc: 0.46, ipcBase: 0.26},
+	iMemcpy:          {computeEff: 0.01, memEff: 0.85, gldEff: 1.00, gstEff: 1.00, baseOcc: 0.30, ipcBase: 0.12},
 }
 
 // launchOverhead is the fixed per-kernel launch latency (seconds).
@@ -37,10 +38,11 @@ const launchOverhead = 4e-6
 // FLOP rate and memory time at its achievable bandwidth, plus launch
 // overhead.
 func Execute(k *Kernel, d Device) {
-	p, ok := profiles[k.Category]
-	if !ok {
+	ci := k.Category.index()
+	if ci < 0 {
 		panic("gpusim: unknown kernel category " + string(k.Category))
 	}
+	p := profiles[ci]
 	peakFLOPs := d.PeakGFLOPs() * 1e9
 	peakBytes := d.MemBandwidthGBs * 1e9
 
@@ -91,7 +93,7 @@ func Execute(k *Kernel, d Device) {
 		GstEfficiency:     clamp01(p.gstEff),
 		DramUtilization:   clamp01(dram),
 	}
-	k.Stalls = stallsFor(k.Category, memBound)
+	k.Stalls = stallsFor(ci, memBound)
 }
 
 func clamp01(x float64) float64 {

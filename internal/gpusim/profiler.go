@@ -6,34 +6,97 @@ import (
 	"aibench/internal/workload"
 )
 
-// Profile is the nvprof-like record of one simulated training iteration.
+// Profile is the nvprof-like record of one simulated training
+// iteration. Run folds each kernel into it as the kernel is lowered —
+// the per-category time and stall sums, the per-function census and the
+// time-weighted metrics — and keeps no list of launches.
 type Profile struct {
 	Device    Device
-	Kernels   []Kernel
 	TotalTime float64 // seconds per iteration
+
+	metrics  Metrics                       // time-weighted means
+	launches [numCategories]int            // kernels per category
+	catTime  [numCategories]float64        // seconds per category
+	stalls   [numCategories]StallBreakdown // Σ stall fraction × seconds
+	funcs    []funcTime                    // one per distinct name, first-seen order
+}
+
+// funcTime is one function's running census.
+type funcTime struct {
+	name  string
+	cat   Category
+	time  float64
+	calls int
 }
 
 // Run lowers the model, executes every kernel on the device, and returns
-// the aggregated profile.
+// the aggregated profile. Every sum adds its kernels in stream order.
+// The weighted metrics need the total time first, so Run lowers the
+// model twice: the first pass folds times, stalls and the census, the
+// second folds each kernel's metrics at weight Time/TotalTime.
 func Run(m workload.Model, batch int, training bool, dev Device) *Profile {
-	ks := Lower(m, batch, training)
-	total := 0.0
-	for i := range ks {
-		Execute(&ks[i], dev)
-		total += ks[i].Time
+	p := &Profile{Device: dev, funcs: make([]funcTime, 0, maxFuncs)}
+	Lower(m, batch, training, func(k Kernel) {
+		Execute(&k, dev)
+		p.TotalTime += k.Time
+		ci := k.Category.index()
+		p.launches[ci]++
+		p.catTime[ci] += k.Time
+		s := &p.stalls[ci]
+		s.InstFetch += k.Stalls.InstFetch * k.Time
+		s.ExecDepend += k.Stalls.ExecDepend * k.Time
+		s.MemDepend += k.Stalls.MemDepend * k.Time
+		s.Texture += k.Stalls.Texture * k.Time
+		s.Sync += k.Stalls.Sync * k.Time
+		s.ConstMemDepend += k.Stalls.ConstMemDepend * k.Time
+		s.PipeBusy += k.Stalls.PipeBusy * k.Time
+		s.MemThrottle += k.Stalls.MemThrottle * k.Time
+		p.census(k)
+	})
+	if p.TotalTime == 0 {
+		return p
 	}
-	return &Profile{Device: dev, Kernels: ks, TotalTime: total}
+	Lower(m, batch, training, func(k Kernel) {
+		Execute(&k, dev)
+		w := k.Time / p.TotalTime
+		p.metrics.AchievedOccupancy += w * k.Metrics.AchievedOccupancy
+		p.metrics.IPCEfficiency += w * k.Metrics.IPCEfficiency
+		p.metrics.GldEfficiency += w * k.Metrics.GldEfficiency
+		p.metrics.GstEfficiency += w * k.Metrics.GstEfficiency
+		p.metrics.DramUtilization += w * k.Metrics.DramUtilization
+	})
+	return p
+}
+
+// maxFuncs is the number of distinct function names lowering can
+// launch: every name of kernelNames plus softmax_warp_backward. A
+// profile's census is allocated at this capacity once.
+const maxFuncs = 45
+
+// census adds k to its function's entry, found by a linear scan: a
+// model launches a few dozen distinct names at most.
+func (p *Profile) census(k Kernel) {
+	for i := range p.funcs {
+		if f := &p.funcs[i]; f.name == k.Name {
+			f.time += k.Time
+			f.calls++
+			return
+		}
+	}
+	p.funcs = append(p.funcs, funcTime{name: k.Name, cat: k.Category, time: k.Time, calls: 1})
 }
 
 // CategoryShares returns each kernel category's fraction of total
-// runtime — one bar of Fig 5.
+// runtime — one bar of Fig 5. It holds exactly the categories that
+// launched.
 func (p *Profile) CategoryShares() map[Category]float64 {
 	shares := make(map[Category]float64)
-	for _, k := range p.Kernels {
-		shares[k.Category] += k.Time
-	}
-	if p.TotalTime > 0 {
-		for c := range shares {
+	for ci, c := range categories {
+		if p.launches[ci] == 0 {
+			continue
+		}
+		shares[c] = p.catTime[ci]
+		if p.TotalTime > 0 {
 			shares[c] /= p.TotalTime
 		}
 	}
@@ -43,19 +106,7 @@ func (p *Profile) CategoryShares() map[Category]float64 {
 // WeightedMetrics returns the time-weighted mean of the five
 // micro-architectural metrics — one radar of Fig 3.
 func (p *Profile) WeightedMetrics() Metrics {
-	var m Metrics
-	if p.TotalTime == 0 {
-		return m
-	}
-	for _, k := range p.Kernels {
-		w := k.Time / p.TotalTime
-		m.AchievedOccupancy += w * k.Metrics.AchievedOccupancy
-		m.IPCEfficiency += w * k.Metrics.IPCEfficiency
-		m.GldEfficiency += w * k.Metrics.GldEfficiency
-		m.GstEfficiency += w * k.Metrics.GstEfficiency
-		m.DramUtilization += w * k.Metrics.DramUtilization
-	}
-	return m
+	return p.metrics
 }
 
 // Hotspot is one function's share of total runtime.
@@ -69,28 +120,13 @@ type Hotspot struct {
 // Hotspots aggregates kernels by function name, sorted by descending
 // share — the census behind Fig 6 and Table 7.
 func (p *Profile) Hotspots() []Hotspot {
-	type agg struct {
-		time  float64
-		calls int
-		cat   Category
-	}
-	byName := make(map[string]*agg)
-	for _, k := range p.Kernels {
-		a := byName[k.Name]
-		if a == nil {
-			a = &agg{cat: k.Category}
-			byName[k.Name] = a
-		}
-		a.time += k.Time
-		a.calls++
-	}
-	out := make([]Hotspot, 0, len(byName))
-	for name, a := range byName {
+	out := make([]Hotspot, 0, len(p.funcs))
+	for _, f := range p.funcs {
 		share := 0.0
 		if p.TotalTime > 0 {
-			share = a.time / p.TotalTime
+			share = f.time / p.TotalTime
 		}
-		out = append(out, Hotspot{Name: name, Category: a.cat, Share: share, Calls: a.calls})
+		out = append(out, Hotspot{Name: f.name, Category: f.cat, Share: share, Calls: f.calls})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Share != out[j].Share {
@@ -102,37 +138,25 @@ func (p *Profile) Hotspots() []Hotspot {
 }
 
 // CategoryStalls returns the time-weighted stall breakdown per kernel
-// category — the bars of Fig 7.
+// category — the bars of Fig 7. It holds the categories that launched
+// and took time.
 func (p *Profile) CategoryStalls() map[Category]StallBreakdown {
-	times := make(map[Category]float64)
-	sums := make(map[Category][]float64)
-	for _, k := range p.Kernels {
-		times[k.Category] += k.Time
-		v := k.Stalls.Vector()
-		acc := sums[k.Category]
-		if acc == nil {
-			acc = make([]float64, len(v))
-			sums[k.Category] = acc
-		}
-		for i, x := range v {
-			acc[i] += x * k.Time
-		}
-	}
 	out := make(map[Category]StallBreakdown)
-	for c, acc := range sums {
-		t := times[c]
-		if t == 0 {
+	for ci, c := range categories {
+		t := p.catTime[ci]
+		if p.launches[ci] == 0 || t == 0 {
 			continue
 		}
+		s := p.stalls[ci]
 		out[c] = StallBreakdown{
-			InstFetch:      acc[0] / t,
-			ExecDepend:     acc[1] / t,
-			MemDepend:      acc[2] / t,
-			Texture:        acc[3] / t,
-			Sync:           acc[4] / t,
-			ConstMemDepend: acc[5] / t,
-			PipeBusy:       acc[6] / t,
-			MemThrottle:    acc[7] / t,
+			InstFetch:      s.InstFetch / t,
+			ExecDepend:     s.ExecDepend / t,
+			MemDepend:      s.MemDepend / t,
+			Texture:        s.Texture / t,
+			Sync:           s.Sync / t,
+			ConstMemDepend: s.ConstMemDepend / t,
+			PipeBusy:       s.PipeBusy / t,
+			MemThrottle:    s.MemThrottle / t,
 		}
 	}
 	return out
@@ -141,7 +165,12 @@ func (p *Profile) CategoryStalls() map[Category]StallBreakdown {
 // IterationTime is the simulated wall-clock seconds for one training
 // iteration of the given batch.
 func IterationTime(m workload.Model, batch int, dev Device) float64 {
-	return Run(m, batch, true, dev).TotalTime
+	total := 0.0
+	Lower(m, batch, true, func(k Kernel) {
+		Execute(&k, dev)
+		total += k.Time
+	})
+	return total
 }
 
 // EpochTime is the simulated wall-clock seconds for one pass over a

@@ -41,24 +41,25 @@ func (s StallBreakdown) Sum() float64 {
 // baseStalls is the calibrated stall mix of each kernel family at its
 // typical operating point. Memory-dependency and execution-dependency
 // stalls dominate every family — the paper's headline Fig 7 finding —
-// and element-wise kernels sit near 70% memory dependency.
-var baseStalls = map[Category]StallBreakdown{
-	Convolution:     {InstFetch: 0.06, ExecDepend: 0.30, MemDepend: 0.28, Texture: 0.02, Sync: 0.08, ConstMemDepend: 0.02, PipeBusy: 0.18, MemThrottle: 0.06},
-	GEMM:            {InstFetch: 0.05, ExecDepend: 0.35, MemDepend: 0.25, Texture: 0.02, Sync: 0.10, ConstMemDepend: 0.02, PipeBusy: 0.16, MemThrottle: 0.05},
-	BatchNormCat:    {InstFetch: 0.06, ExecDepend: 0.22, MemDepend: 0.45, Texture: 0.01, Sync: 0.12, ConstMemDepend: 0.01, PipeBusy: 0.05, MemThrottle: 0.08},
-	ReluCat:         {InstFetch: 0.05, ExecDepend: 0.15, MemDepend: 0.60, Texture: 0.01, Sync: 0.04, ConstMemDepend: 0.01, PipeBusy: 0.04, MemThrottle: 0.10},
-	Elementwise:     {InstFetch: 0.04, ExecDepend: 0.12, MemDepend: 0.70, Texture: 0.01, Sync: 0.03, ConstMemDepend: 0.01, PipeBusy: 0.03, MemThrottle: 0.06},
-	Pooling:         {InstFetch: 0.06, ExecDepend: 0.18, MemDepend: 0.50, Texture: 0.03, Sync: 0.05, ConstMemDepend: 0.01, PipeBusy: 0.05, MemThrottle: 0.12},
-	DataArrangement: {InstFetch: 0.08, ExecDepend: 0.15, MemDepend: 0.55, Texture: 0.02, Sync: 0.05, ConstMemDepend: 0.02, PipeBusy: 0.04, MemThrottle: 0.09},
-	MemcpyCat:       {InstFetch: 0.05, ExecDepend: 0.10, MemDepend: 0.65, Texture: 0.01, Sync: 0.02, ConstMemDepend: 0.01, PipeBusy: 0.02, MemThrottle: 0.14},
+// and element-wise kernels sit near 70% memory dependency. It is indexed
+// by category position.
+var baseStalls = [numCategories]StallBreakdown{
+	iConvolution:     {InstFetch: 0.06, ExecDepend: 0.30, MemDepend: 0.28, Texture: 0.02, Sync: 0.08, ConstMemDepend: 0.02, PipeBusy: 0.18, MemThrottle: 0.06},
+	iGEMM:            {InstFetch: 0.05, ExecDepend: 0.35, MemDepend: 0.25, Texture: 0.02, Sync: 0.10, ConstMemDepend: 0.02, PipeBusy: 0.16, MemThrottle: 0.05},
+	iBatchNorm:       {InstFetch: 0.06, ExecDepend: 0.22, MemDepend: 0.45, Texture: 0.01, Sync: 0.12, ConstMemDepend: 0.01, PipeBusy: 0.05, MemThrottle: 0.08},
+	iReLU:            {InstFetch: 0.05, ExecDepend: 0.15, MemDepend: 0.60, Texture: 0.01, Sync: 0.04, ConstMemDepend: 0.01, PipeBusy: 0.04, MemThrottle: 0.10},
+	iElementwise:     {InstFetch: 0.04, ExecDepend: 0.12, MemDepend: 0.70, Texture: 0.01, Sync: 0.03, ConstMemDepend: 0.01, PipeBusy: 0.03, MemThrottle: 0.06},
+	iPooling:         {InstFetch: 0.06, ExecDepend: 0.18, MemDepend: 0.50, Texture: 0.03, Sync: 0.05, ConstMemDepend: 0.01, PipeBusy: 0.05, MemThrottle: 0.12},
+	iDataArrangement: {InstFetch: 0.08, ExecDepend: 0.15, MemDepend: 0.55, Texture: 0.02, Sync: 0.05, ConstMemDepend: 0.02, PipeBusy: 0.04, MemThrottle: 0.09},
+	iMemcpy:          {InstFetch: 0.05, ExecDepend: 0.10, MemDepend: 0.65, Texture: 0.01, Sync: 0.02, ConstMemDepend: 0.01, PipeBusy: 0.02, MemThrottle: 0.14},
 }
 
-// stallsFor returns the stall mix for a kernel of the given category,
-// shifted by how memory-bound this particular launch is: memory-bound
-// launches trade execution-dependency and pipe-busy stalls for
-// memory-dependency and memory-throttle stalls.
-func stallsFor(cat Category, memBound float64) StallBreakdown {
-	b := baseStalls[cat]
+// stallsFor returns the stall mix for a kernel of the category at
+// position ci, shifted by how memory-bound this particular launch is:
+// memory-bound launches trade execution-dependency and pipe-busy stalls
+// for memory-dependency and memory-throttle stalls.
+func stallsFor(ci int, memBound float64) StallBreakdown {
+	b := baseStalls[ci]
 	// Shift up to 10% of mass between the compute and memory stall pools.
 	shift := 0.10 * (memBound - 0.5) * 2
 	if shift > 0 {

@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"aibench/internal/nn"
-	"aibench/internal/tensor"
 )
 
 // Optimizer updates parameters from their accumulated gradients.
@@ -33,27 +32,45 @@ func (b *base) ZeroGrad() {
 }
 func (b *base) SetLR(lr float64) { b.lr = lr }
 
+// state returns n zeroed state vectors per parameter, each as long as
+// the parameter's data: vector k of parameter i is at k*len(ps)+i. All
+// of them are views of one slab, so an optimizer's state costs the
+// heap two objects however many parameters it manages.
+func state(ps []*nn.Param, n int) [][]float64 {
+	size := 0
+	for _, p := range ps {
+		size += len(p.Value.Data.Data)
+	}
+	slab := make([]float64, n*size)
+	views := make([][]float64, n*len(ps))
+	off := 0
+	for k := range n {
+		for i, p := range ps {
+			end := off + len(p.Value.Data.Data)
+			views[k*len(ps)+i] = slab[off:end:end]
+			off = end
+		}
+	}
+	return views
+}
+
 // SGD is stochastic gradient descent with heavy-ball momentum and
 // weight decay added to the gradient.
 type SGD struct {
 	base
 	Momentum    float64
 	WeightDecay float64
-	velocity    []*tensor.Tensor
+	velocity    [][]float64
 }
 
 // NewSGD constructs an SGD optimizer over the module's parameters.
 func NewSGD(m nn.Module, lr, momentum, weightDecay float64) *SGD {
 	ps := m.Params()
-	vel := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		vel[i] = tensor.New(p.Value.Data.Shape()...)
-	}
 	return &SGD{
 		base:        base{params: ps, lr: lr},
 		Momentum:    momentum,
 		WeightDecay: weightDecay,
-		velocity:    vel,
+		velocity:    state(ps, 1),
 	}
 }
 
@@ -67,7 +84,7 @@ func (s *SGD) Step() {
 			continue
 		}
 		w := p.Value.Data.Data
-		gd, v := g.Data[:len(w)], s.velocity[i].Data[:len(w)]
+		gd, v := g.Data[:len(w)], s.velocity[i][:len(w)]
 		for j := range w {
 			grad := gd[j] + decay*w[j]
 			v[j] = mom*v[j] + grad
@@ -82,22 +99,17 @@ type Adam struct {
 	Beta1, Beta2 float64
 	Eps          float64
 	step         int
-	m, v         []*tensor.Tensor
+	m, v         [][]float64
 }
 
 // NewAdam constructs Adam with the canonical defaults β1=0.9, β2=0.999.
 func NewAdam(mod nn.Module, lr float64) *Adam {
 	ps := mod.Params()
-	m := make([]*tensor.Tensor, len(ps))
-	v := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		m[i] = tensor.New(p.Value.Data.Shape()...)
-		v[i] = tensor.New(p.Value.Data.Shape()...)
-	}
+	mv := state(ps, 2)
 	return &Adam{
 		base:  base{params: ps, lr: lr},
 		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: m, v: v,
+		m: mv[:len(ps)], v: mv[len(ps):],
 	}
 }
 
@@ -113,7 +125,7 @@ func (a *Adam) Step() {
 			continue
 		}
 		w := p.Value.Data.Data
-		gd, m, v := g.Data[:len(w)], a.m[i].Data[:len(w)], a.v[i].Data[:len(w)]
+		gd, m, v := g.Data[:len(w)], a.m[i][:len(w)], a.v[i][:len(w)]
 		for j := range w {
 			grad := gd[j]
 			m[j] = b1*m[j] + (1-b1)*grad
@@ -130,18 +142,14 @@ type RMSProp struct {
 	base
 	Alpha float64
 	Eps   float64
-	sq    []*tensor.Tensor
+	sq    [][]float64
 }
 
 // NewRMSProp constructs RMSProp with decay alpha (default 0.99 in the
 // reference implementations).
 func NewRMSProp(mod nn.Module, lr, alpha float64) *RMSProp {
 	ps := mod.Params()
-	sq := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		sq[i] = tensor.New(p.Value.Data.Shape()...)
-	}
-	return &RMSProp{base: base{params: ps, lr: lr}, Alpha: alpha, Eps: 1e-8, sq: sq}
+	return &RMSProp{base: base{params: ps, lr: lr}, Alpha: alpha, Eps: 1e-8, sq: state(ps, 1)}
 }
 
 // Step applies one RMSProp update.
@@ -152,7 +160,7 @@ func (r *RMSProp) Step() {
 			continue
 		}
 		w := p.Value.Data.Data
-		gd, sq := g.Data[:len(w)], r.sq[i].Data[:len(w)]
+		gd, sq := g.Data[:len(w)], r.sq[i][:len(w)]
 		for j := range w {
 			grad := gd[j]
 			sq[j] = r.Alpha*sq[j] + (1-r.Alpha)*grad*grad

@@ -193,3 +193,31 @@ func TestStepMatchesPerElementFormula(t *testing.T) {
 		}
 	}
 }
+
+// TestConstructionAllocs pins what building an optimizer costs the
+// heap: a constant count of objects, however many parameters it
+// manages. Every state vector is a view of one slab.
+func TestConstructionAllocs(t *testing.T) {
+	module := func(n int) nn.Module {
+		var mod paramsModule
+		for i := range n {
+			mod = append(mod, &nn.Param{Value: autograd.Var(tensor.New(i%4+1, 3))})
+		}
+		return mod // boxed once here, not per construction
+	}
+	few, many := module(3), module(300)
+	for _, c := range []struct {
+		name string
+		mk   func(nn.Module) Optimizer
+	}{
+		{"sgd", func(m nn.Module) Optimizer { return NewSGD(m, 0.1, 0.9, 0) }},
+		{"adam", func(m nn.Module) Optimizer { return NewAdam(m, 0.05) }},
+		{"rmsprop", func(m nn.Module) Optimizer { return NewRMSProp(m, 0.01, 0.99) }},
+	} {
+		a := testing.AllocsPerRun(10, func() { c.mk(few) })
+		b := testing.AllocsPerRun(10, func() { c.mk(many) })
+		if a != b || a > 3 {
+			t.Errorf("%s: construction makes %v objects over 3 parameters and %v over 300, want the same count, ≤ 3", c.name, a, b)
+		}
+	}
+}
