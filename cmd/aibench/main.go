@@ -475,6 +475,18 @@ func cmdScaling(s *aibench.Suite, args []string) {
 	}
 }
 
+// gpuDevice returns the device the -gpu flag names: xp (the Titan XP)
+// or rtx (the Titan RTX), spelled exactly so; anything else is refused.
+func gpuDevice(name string) (aibench.Device, bool) {
+	switch name {
+	case "xp":
+		return aibench.TitanXP(), true
+	case "rtx":
+		return aibench.TitanRTX(), true
+	}
+	return aibench.Device{}, false
+}
+
 func cmdCharacterize(s *aibench.Suite, args []string) {
 	fs := flag.NewFlagSet("characterize", flag.ExitOnError)
 	gpu := fs.String("gpu", "xp", "device: xp (Titan XP) or rtx (Titan RTX)")
@@ -482,13 +494,13 @@ func cmdCharacterize(s *aibench.Suite, args []string) {
 	out := outFlag(fs)
 	opts := runOptsFlags(fs)
 	id := parseWithID(fs, args)
-	if id == "" {
+	dev, ok := gpuDevice(*gpu)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown -gpu %q (have: xp, rtx)\n", *gpu)
+	}
+	if id == "" || !ok {
 		fmt.Fprintln(os.Stderr, "usage: aibench characterize <id|all> [-gpu xp|rtx] [-workers N] [-out F]")
 		os.Exit(2)
-	}
-	dev := aibench.TitanXP()
-	if *gpu == "rtx" {
-		dev = aibench.TitanRTX()
 	}
 	plan := aibench.Plan{Kind: aibench.RunCharacterize, Device: dev, Workers: *workers}
 	if id != "all" {

@@ -406,7 +406,14 @@ func TestDrawsIntoReusedBuffers(t *testing.T) {
 	src, tgt := make([]int, 6), make([]int, 8)
 	c1, c2 := NewCheckins(37, 6, 25, 4), NewCheckins(37, 6, 25, 4)
 	users, pos, neg := make([]int, 9), make([]int, 9), make([]int, 9)
+	i1, i2 := NewImageClassification(41, 5, 2, 4, 3, 0.4), NewImageClassification(41, 5, 2, 4, 3, 0.4)
+	x, labels := tensor.New(6, 2, 4, 3), make([]int, 6)
 	for range 4 {
+		wantX, wantLabels := i1.Batch(6)
+		i2.BatchInto(x, labels)
+		if !slices.Equal(x.Data, wantX.Data) || !slices.Equal(labels, wantLabels) {
+			t.Fatal("BatchInto into reused buffers drew other samples than Batch")
+		}
 		wantSrc, wantTgt := fresh.Pair()
 		reused.PairInto(src, tgt)
 		if !slices.Equal(src, wantSrc) || !slices.Equal(tgt, wantTgt) {

@@ -35,17 +35,23 @@ func NewImageClassification(seed int64, classes, c, h, w int, noise float64) *Im
 
 // Batch draws n labeled samples.
 func (d *ImageClassification) Batch(n int) (*tensor.Tensor, []int) {
-	x := tensor.New(n, d.C, d.H, d.W)
-	labels := make([]int, n)
+	x, labels := tensor.New(n, d.C, d.H, d.W), make([]int, n)
+	d.BatchInto(x, labels)
+	return x, labels
+}
+
+// BatchInto draws len(labels) labeled samples into the caller's
+// buffers, with Batch's draws: x must be len(labels)×C×H×W, and every
+// element of it is written.
+func (d *ImageClassification) BatchInto(x *tensor.Tensor, labels []int) {
 	vol := d.C * d.H * d.W
-	for i := 0; i < n; i++ {
+	for i := range labels {
 		cls := d.rng.Intn(d.Classes)
 		labels[i] = cls
 		for j := 0; j < vol; j++ {
 			x.Data[i*vol+j] = d.prototypes[cls].Data[j] + d.Noise*d.rng.NormFloat64()
 		}
 	}
-	return x, labels
 }
 
 // DistortedBatch draws labeled samples with a random affine distortion

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -133,58 +134,95 @@ func TestRankStepSteadyStateAllocs(t *testing.T) {
 
 // warmedEpochCeilings lists the benchmarks whose warmed epoch still
 // asks the heap for objects, each with the count measured for it at
-// seed 7 before the transformer (DC-AI-C3, MLPerf-TN) and ranking
-// (DC-AI-C16) families left the heap. A ceiling may only come down: a
-// family that leaves the heap leaves this list, and every benchmark
-// not on it must read 0.
+// seed 7 once the kernel layer stopped allocating, forks included (the
+// larger of the amd64 and 386 counts, which differ by a few). A
+// ceiling may only come down: a family that leaves the heap leaves
+// this list, and every benchmark not on it must read 0.
 var warmedEpochCeilings = map[string]uint64{
-	"DC-AI-C1": 261, "DC-AI-C2": 877, "DC-AI-C4": 639, "DC-AI-C5": 896,
-	"DC-AI-C6": 1905, "DC-AI-C7": 2004, "DC-AI-C8": 653, "DC-AI-C9": 8604,
-	"DC-AI-C10": 395, "DC-AI-C11": 180, "DC-AI-C12": 495, "DC-AI-C13": 230,
-	"DC-AI-C14": 996, "DC-AI-C15": 343, "DC-AI-C17": 1616,
-	"MLPerf-IC": 261, "MLPerf-ODL": 883, "MLPerf-ODH": 8904, "MLPerf-TR": 2579,
-	"MLPerf-RC": 395, "MLPerf-RL": 1081,
+	"DC-AI-C2": 829, "DC-AI-C4": 336, "DC-AI-C5": 284,
+	"DC-AI-C6": 1593, "DC-AI-C7": 1410, "DC-AI-C8": 450, "DC-AI-C9": 8522,
+	"DC-AI-C10": 382, "DC-AI-C11": 150, "DC-AI-C12": 230, "DC-AI-C13": 128,
+	"DC-AI-C14": 985, "DC-AI-C15": 99, "DC-AI-C17": 1582,
+	"MLPerf-ODL": 806, "MLPerf-ODH": 8816, "MLPerf-TR": 2460,
+	"MLPerf-RC": 382, "MLPerf-RL": 822,
 }
 
 // TestWarmedEpochAllocatesNothing is the allocation gate of the
 // training step: for every benchmark, the third serial epoch plus its
-// evaluation — by then every arena slab, node slab and instance buffer
-// has grown to what a step needs — must make no heap object, or, for a
-// benchmark still on warmedEpochCeilings, no more than its ceiling.
-// The count is the process's MemStats.Mallocs delta at GOMAXPROCS 1,
-// as testing.AllocsPerRun takes it, so no kernel forks and the count
-// does not depend on the host's cores. The ceilings are plain-build
-// counts, so a -race build skips the test (CI runs it outside -race).
+// evaluation — by then every arena slab, node slab, instance buffer and
+// kernel free list has grown to what a step needs — must make no heap
+// object, or, for a benchmark still on warmedEpochCeilings, no more
+// than its ceiling. The count is the process's MemStats.Mallocs delta,
+// as testing.AllocsPerRun takes it, at GOMAXPROCS 1, where no kernel
+// forks, and at GOMAXPROCS 2, where the large ones do; one table bounds
+// both, since a fork costs the heap nothing (see runtimeSlack for what
+// the runtime may add at 2). The ceilings are plain-build counts, so a
+// -race build skips the test (CI runs it outside -race).
 func TestWarmedEpochAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own; counts are plain-build counts")
 	}
 	for _, e := range AllEntries() {
 		t.Run(e.ID, func(t *testing.T) {
-			tr, err := NewTrainer(e.Factory(7))
-			if err != nil {
-				t.Fatal(err)
+			ceiling := warmedEpochCeilings[e.ID]
+			for _, c := range []struct {
+				procs, attempts int
+				most            uint64
+			}{{1, 1, ceiling}, {2, 3, ceiling + runtimeSlack}} {
+				t.Run(fmt.Sprintf("GOMAXPROCS=%d", c.procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+					got := uint64(math.MaxUint64)
+					for range c.attempts {
+						if got = min(got, warmedEpochMallocs(t, e)); got <= c.most {
+							break
+						}
+					}
+					if got > c.most {
+						t.Errorf("a warmed epoch and evaluation of %s at GOMAXPROCS %d make %d mallocs, want ≤ %d", e.ID, c.procs, got, c.most)
+					}
+					t.Logf("%s at GOMAXPROCS %d: %d mallocs (ceiling %d)", e.ID, c.procs, got, ceiling)
+				})
 			}
-			epoch := func() {
-				if _, err := tr.TrainEpoch(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := tr.Quality(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			epoch()
-			epoch()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			epoch()
-			runtime.ReadMemStats(&after)
-			got, ceiling := after.Mallocs-before.Mallocs, warmedEpochCeilings[e.ID]
-			if got > ceiling {
-				t.Errorf("a warmed epoch and evaluation of %s make %d mallocs, want ≤ %d", e.ID, got, ceiling)
-			}
-			t.Logf("%s: %d mallocs (ceiling %d)", e.ID, got, ceiling)
 		})
 	}
+}
+
+// runtimeSlack is how many objects of the runtime's own an epoch at
+// GOMAXPROCS 2 may add to the program's, and that count is the smallest
+// of up to three fresh instances'. Two kinds were seen there. A
+// goroutine that parks — a worker waiting for a fork, a caller joining
+// one — takes a wait record (a sudog) from its P's cache and hands it
+// to the cache of the P it wakes on; when a P's cache and the shared
+// one are both empty, the runtime allocates one. Most epochs measured
+// here made none, a few made 1 or 2. And the first time the process
+// needs another OS thread, its descriptors are objects too (5 were
+// seen), which a second attempt does not make again. A scratch free
+// list that grows to a new peak of buffers held at once is a one-time
+// cost of the same kind. A fork that allocated would add hundreds: a
+// convolutional epoch forks at every conv pass.
+const runtimeSlack = 2
+
+// warmedEpochMallocs builds e's benchmark at seed 7, trains and
+// evaluates it for two epochs, and returns the heap objects its third
+// epoch and evaluation make.
+func warmedEpochMallocs(t *testing.T, e Entry) uint64 {
+	tr, err := NewTrainer(e.Factory(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := func() {
+		if _, err := tr.TrainEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Quality(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch()
+	epoch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	epoch()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -20,10 +20,22 @@ type ImageClassification struct {
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.ImageClassification
-	testX   *tensor.Tensor
-	testY   []int
 	batches int
 	batch   int
+
+	// What every step reuses: the step's labels (its images are drawn
+	// into the step's arena), and the grains over them, built once per
+	// grain count (split).
+	x      *tensor.Tensor
+	y      []int
+	grains []Grain
+	split  int
+	// What every evaluation reuses: the held-out images' graph leaf,
+	// built once over the heap tensor, their labels and the
+	// predictions.
+	testX *autograd.Value
+	testY []int
+	pred  []int
 }
 
 // NewImageClassification constructs the scaled benchmark.
@@ -36,11 +48,12 @@ func NewImageClassification(seed int64) *ImageClassification {
 		net:     net,
 		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4),
 		ds:      ds,
-		testX:   testX,
+		testX:   autograd.Const(testX),
 		testY:   testY,
 		batches: 8,
 		batch:   16,
 	}
+	b.y = make([]int, b.batch)
 	b.adopt(b.Module())
 	return b
 }
@@ -57,15 +70,22 @@ func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 // BeginPhase implements Benchmark: draw the macro-batch and split
 // it into per-grain classification sub-batches.
 func (b *ImageClassification) BeginPhase(_, grains int) []Grain {
-	x, y := b.ds.Batch(b.batch)
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			logits := b.net.Forward(autograd.Const(batchRows(x, lo, hi)))
-			loss := autograd.SoftmaxCrossEntropy(logits, y[lo:hi])
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+	b.x = b.arena.New(b.batch, b.ds.C, b.ds.H, b.ds.W)
+	b.ds.BatchInto(b.x, b.y)
+	if b.grains == nil || b.split != grains {
+		b.grains, b.split = splitGrains(b.batch, grains, b.grain), grains
+	}
+	return b.grains
+}
+
+// grain trains on samples [lo,hi) of the step's draw.
+func (b *ImageClassification) grain(lo, hi int) Grain {
+	return func() (float64, int) {
+		logits := b.net.Forward(autograd.Const(batchRows(b.x, lo, hi)))
+		loss := autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi])
+		loss.Backward()
+		return loss.Item(), hi - lo
+	}
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.
@@ -75,8 +95,8 @@ func (b *ImageClassification) Buffers() []*tensor.Tensor { return b.net.Buffers(
 func (b *ImageClassification) Quality() float64 {
 	b.arena.Reset()
 	b.net.SetTraining(false)
-	logits := b.net.Forward(autograd.Const(b.testX))
-	return metrics.Accuracy(argmaxRows(nil, logits), b.testY)
+	b.pred = argmaxRows(b.pred, b.net.Forward(b.testX))
+	return metrics.Accuracy(b.pred, b.testY)
 }
 
 // Module implements Benchmark.

@@ -1,24 +1,29 @@
 // Package parallel implements the bounded fork-join worker pool the
 // suite uses to execute benchmarks and split tensor-kernel loops across
-// CPU cores. The pool is stateless between calls: every For/ForCtx
-// spawns extra goroutines, drains an atomic index counter with the
-// calling goroutine participating, and joins before returning, so
-// nested use (a pooled suite run whose sessions call pooled matmuls)
-// cannot deadlock.
+// CPU cores. The pool is a fixed set of long-lived workers, one per
+// unit of the extra-worker budget, started when the package loads. A
+// call that forks hands its state to that many of them over a channel,
+// drains an atomic index counter with the calling goroutine
+// participating, and joins before returning, so nested use (a pooled
+// suite run whose sessions call pooled matmuls) cannot deadlock. The
+// state a forking call shares with its workers is borrowed from a free
+// list and handed back when it joins, and a kernel's loop body is a
+// Task borrowed the same way (see FreeList), so once warm a fork asks
+// the heap for nothing.
 //
 // Nested levels share one process-wide budget of GOMAXPROCS extra
 // workers, acquired non-blockingly: when the suite pool already has a
 // session per core, the matmuls inside run serially instead of forking
-// another GOMAXPROCS goroutines each, and when only one session runs,
+// another GOMAXPROCS workers each, and when only one session runs,
 // its kernels pick up the whole budget. Total compute goroutines stay
 // ~GOMAXPROCS regardless of how calls nest, without any configuration
 // threading.
 //
 // Work is handed out one index at a time, so uneven per-index cost
 // (e.g. benchmarks whose epochs differ by 100x) still balances across
-// workers. Panics inside fn are captured and re-raised on the caller's
-// goroutine, preserving the tensor package's panic-on-shape-error
-// contract.
+// workers. Panics inside a body are captured and re-raised on the
+// caller's goroutine, preserving the tensor package's
+// panic-on-shape-error contract.
 package parallel
 
 import (
@@ -47,6 +52,44 @@ func tryAcquire() bool {
 
 func release() { <-extraTokens }
 
+// queue carries a forking call's state to the workers, once per extra
+// worker the call acquired. Every fork in the queue or in a worker's
+// hands holds a budget token, so there are never more of them than
+// workers: a send never blocks, and a queued fork always finds an idle
+// worker.
+var queue = make(chan *fork, cap(extraTokens))
+
+// The workers start with the package, not with the first fork, so a
+// process's goroutine count does not move when its kernels first fork.
+func init() {
+	for range cap(extraTokens) {
+		go worker()
+	}
+}
+
+// worker runs the forks it is handed, for the life of the process. A
+// body that ends its goroutine (runtime.Goexit) ends the worker after
+// the fork's bookkeeping has run, so a replacement takes its place.
+func worker() {
+	defer func() { go worker() }()
+	for c := range queue {
+		c.work()
+	}
+}
+
+// Task is a loop body: Run(i) does index i's work. A kernel hands the
+// pool a small struct borrowed from a FreeList rather than a closure,
+// which would be a heap object per call.
+type Task interface{ Run(i int) }
+
+// Func adapts a plain function to Task. A func value converts to an
+// interface without an allocation, so For and ForCtx cost what their
+// caller's closure costs.
+type Func func(i int)
+
+// Run implements Task.
+func (f Func) Run(i int) { f(i) }
+
 // For runs fn(i) for i in [0, n) across at most workers goroutines
 // including the caller (non-positive means GOMAXPROCS; with one worker,
 // or n <= 1, a plain serial loop on the calling goroutine), further
@@ -57,21 +100,14 @@ func release() { <-extraTokens }
 // skipped and the first panic is re-raised on the caller's goroutine
 // (see ForCtx).
 func For(workers, n int, fn func(i int)) {
-	ForCtx(context.Background(), workers, n, fn)
+	run(context.Background(), workers, n, Func(fn))
 }
 
-// For2D runs fn over the rows×cols grid, flattening the two loops into
-// one index space so the pool hands out whole (r,c) tiles and balances
-// uneven tile costs the same way For balances rows. Kernel code uses it
-// to split a matrix across both row and column blocks instead of only
-// the outer row loop, which keeps every core busy even when one
-// dimension is short. The same claim/panic/ordering contract as For
-// applies; iteration order within one goroutine is row-major.
-func For2D(workers, rows, cols int, fn func(r, c int)) {
-	if rows <= 0 || cols <= 0 {
-		return
-	}
-	For(workers, rows*cols, func(t int) { fn(t/cols, t%cols) })
+// ForTask is For over a Task, as wide as GOMAXPROCS allows: the form
+// kernels use, since a task borrowed from a FreeList makes a fork cost
+// the heap nothing.
+func ForTask(n int, t Task) {
+	run(context.Background(), 0, n, t)
 }
 
 // ForCtx is For with early stopping: no new index is claimed once ctx
@@ -79,10 +115,16 @@ func For2D(workers, rows, cols int, fn func(r, c int)) {
 // re-raised on the caller's goroutine after the in-flight indices
 // finish). A suite run whose session dies therefore stops launching
 // new sessions instead of draining the whole work list, and callers
-// can abort long runs cleanly with a context. A call that forks costs
-// the heap one object for the state it shares with its workers (fork)
-// and one closure per extra worker; a serial call costs nothing.
+// can abort long runs cleanly with a context.
 func ForCtx(ctx context.Context, workers, n int, fn func(i int)) {
+	run(ctx, workers, n, Func(fn))
+}
+
+// run is the one fork path behind For, ForTask and ForCtx. A call that
+// forks borrows its shared state from forks and hands it back when it
+// joins, panicking or not, so neither path allocates once the free
+// list holds as many forks as calls ever overlapped.
+func run(ctx context.Context, workers, n int, t Task) {
 	if n <= 0 {
 		return
 	}
@@ -105,22 +147,26 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int)) {
 	}
 	if extra == 0 {
 		for i := 0; i < n && !cancelled(done); i++ {
-			fn(i)
+			t.Run(i)
 		}
 		return
 	}
-	c := &fork{fn: fn, n: n, done: done}
+	c := forks.Get()
+	c.task, c.n, c.done = t, n, done
 	c.wg.Add(extra)
 	for w := 0; w < extra; w++ {
-		go c.work()
+		queue <- c
 	}
 	func() { // the caller drains too; capture so workers still join
 		defer c.capture()
 		c.drain()
 	}()
 	c.wg.Wait()
-	if c.panicked != nil {
-		panic(c.panicked)
+	panicked := c.panicked
+	*c = fork{}
+	forks.Put(c)
+	if panicked != nil {
+		panic(panicked)
 	}
 }
 
@@ -138,10 +184,9 @@ func cancelled(done <-chan struct{}) bool {
 	}
 }
 
-// fork is the state a forking ForCtx call shares with its workers, in
-// one heap object.
+// fork is the state a forking call shares with its workers.
 type fork struct {
-	fn   func(i int)
+	task Task
 	n    int
 	done <-chan struct{}
 	// next is the next unclaimed index; stop is set by the first panic.
@@ -152,6 +197,9 @@ type fork struct {
 	panicMu  sync.Mutex
 	panicked any
 }
+
+// forks holds the fork state of calls that have joined.
+var forks FreeList[fork]
 
 // halted reports whether no new index may be claimed.
 func (c *fork) halted() bool { return c.stop.Load() || cancelled(c.done) }
@@ -169,23 +217,60 @@ func (c *fork) capture() {
 	}
 }
 
-// drain runs fn over claimed indices until they run out or the call
-// halts.
+// drain runs the task over claimed indices until they run out or the
+// call halts.
 func (c *fork) drain() {
 	for !c.halted() {
 		i := int(c.next.Add(1)) - 1
 		if i >= c.n {
 			return
 		}
-		c.fn(i)
+		c.task.Run(i)
 	}
 }
 
-// work is an extra worker: it drains, then hands back its budget token
-// and joins.
+// work is one worker's share of a fork: it drains, then hands back its
+// budget token and joins. Done comes last: once it returns, the caller
+// may hand c to another call.
 func (c *fork) work() {
 	defer c.wg.Done()
 	defer release()
 	defer c.capture()
 	c.drain()
+}
+
+// FreeList is a mutex-guarded stack of reusable *T: what a fork's state
+// and a kernel's task structs are borrowed from, so that a warmed fork
+// allocates nothing. It is not a sync.Pool, which the collector
+// empties: with one, how many objects a job allocates would depend on
+// where its GC cycles fall. A list only grows to the peak number of
+// values borrowed at once. The zero value is an empty list.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get borrows a zeroed *T.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	if last := len(l.free) - 1; last >= 0 {
+		x := l.free[last]
+		l.free = l.free[:last]
+		l.mu.Unlock()
+		return x
+	}
+	l.mu.Unlock()
+	return new(T)
+}
+
+// Put returns x to the list. The caller zeroes it first, so it keeps
+// nothing it pointed at alive, with a literal of its concrete type:
+// zeroing a T here would take a temporary, and on a 32-bit platform a
+// T holding a 64-bit atomic (a fork's WaitGroup) needs an alignment
+// the stack does not give, so the temporary would be a heap object.
+// The caller must not touch x afterwards.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
 }

@@ -152,9 +152,9 @@ func TestForCtxPreCancelledRunsNothing(t *testing.T) {
 	}
 }
 
-// TestForkingCallAllocs pins what a forking call costs the heap: one
-// object for the call's shared state plus one closure per extra worker
-// goroutine; a serial call costs nothing.
+// TestForkingCallAllocs pins what a call costs the heap: nothing,
+// serial or forking. A forking call borrows its state from the free
+// list and hands its work to the standing workers.
 func TestForkingCallAllocs(t *testing.T) {
 	var sum atomic.Int64
 	fn := func(i int) { sum.Add(int64(i)) }
@@ -165,7 +165,109 @@ func TestForkingCallAllocs(t *testing.T) {
 	}
 	// Nothing else in this test holds the worker budget, so every call
 	// forks one extra worker.
-	if got := testing.AllocsPerRun(100, func() { ForCtx(ctx, 2, 64, fn) }); got > 2 {
-		t.Errorf("a two-worker call makes %v mallocs, want ≤ 2 (its state and one worker closure)", got)
+	if got := testing.AllocsPerRun(100, func() { ForCtx(ctx, 2, 64, fn) }); got != 0 {
+		t.Errorf("a two-worker call makes %v mallocs, want 0", got)
+	}
+}
+
+// freeForks is how many fork states wait on the free list.
+func freeForks() int {
+	forks.mu.Lock()
+	defer forks.mu.Unlock()
+	return len(forks.free)
+}
+
+// TestPanickingForkReturnsItsState: a fork whose body panics still
+// hands its state back to the free list and its tokens back to the
+// budget, and the pool forks as before afterwards.
+func TestPanickingForkReturnsItsState(t *testing.T) {
+	if cap(extraTokens) == 0 {
+		t.Skip("no extra-worker budget: nothing forks")
+	}
+	For(2, 64, func(int) {}) // at least one fork state on the list
+	before := freeForks()
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want \"boom\"", r)
+			}
+		}()
+		For(2, 64, func(i int) {
+			if i == 5 {
+				panic("boom")
+			}
+		})
+	}()
+	if after := freeForks(); after != before {
+		t.Errorf("free fork states went from %d to %d across a panicking fork", before, after)
+	}
+	if held := len(extraTokens); held != 0 {
+		t.Errorf("%d budget tokens still held after a panicking fork", held)
+	}
+	var ran atomic.Int32
+	For(2, 1000, func(int) { ran.Add(1) })
+	if got := ran.Load(); got != 1000 {
+		t.Errorf("after a panicking fork, a fork ran %d of 1000 indices", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { For(2, 64, func(int) {}) }); got != 0 {
+		t.Errorf("after a panicking fork, a fork makes %v mallocs, want 0", got)
+	}
+}
+
+// TestForksStartNoGoroutines: the workers stand from package load, so
+// while a thousand forks run, nested ones included, the goroutine count
+// never rises above what it was before them.
+func TestForksStartNoGoroutines(t *testing.T) {
+	For(2, 8, func(int) {})
+	baseline := int64(runtime.NumGoroutine())
+	var peak, ran atomic.Int64
+	body := func(int) {
+		ran.Add(1)
+		for n := int64(runtime.NumGoroutine()); ; {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+	}
+	for range 1000 {
+		For(2, 8, body)
+	}
+	For(4, 8, func(int) { For(4, 8, body) })
+	if got := peak.Load(); got > baseline {
+		t.Errorf("forks ran beside %d goroutines, %d before them", got, baseline)
+	}
+	if got := ran.Load(); got != 8*1000+64 {
+		t.Errorf("ran %d indices, want %d", got, 8*1000+64)
+	}
+}
+
+// TestGoexitInABodyKeepsThePool: a body that ends its goroutine
+// (runtime.Goexit, as t.FailNow does) on a worker ends that worker
+// after it has joined its fork, and a replacement takes its place, so
+// the pool still forks and its goroutine count returns to where it was.
+func TestGoexitInABodyKeepsThePool(t *testing.T) {
+	if cap(extraTokens) == 0 {
+		t.Skip("no extra-worker budget: nothing forks")
+	}
+	For(2, 64, func(int) {})
+	baseline := runtime.NumGoroutine()
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		For(2, 64, func(int) { runtime.Goexit() })
+	}()
+	<-exited
+	var ran atomic.Int32
+	For(2, 1000, func(int) { ran.Add(1) })
+	if got := ran.Load(); got != 1000 {
+		t.Errorf("after a body's Goexit, a fork ran %d of 1000 indices", got)
+	}
+	// The worker that exits may still be draining the first fork here.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != baseline || len(extraTokens) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count %d (want %d), %d budget tokens held (want 0)", runtime.NumGoroutine(), baseline, len(extraTokens))
+		}
+		runtime.Gosched()
 	}
 }

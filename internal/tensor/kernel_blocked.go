@@ -15,10 +15,12 @@ import "aibench/internal/parallel"
 // cache-sized blockM×blockN output tiles; the conv passes always pack
 // or gather into panels for micro2x4u4. Pack panels, padded copies and
 // chunk scratch are borrowed from the package's scratch pool
-// (scratch.go) and returned before each op does; an op allocates its
-// results and nothing that grows with its operands. Every loop forks
-// across cores at or above threshold multiply-adds (the conv passes
-// walk their own image chunks and read the threshold alone).
+// (scratch.go), and each loop body is a small task struct borrowed from
+// a free list (parallel.FreeList); both go back before the op returns,
+// so once warm an op allocates its result and nothing else, whether it
+// forks or not. Every loop forks across cores at or above threshold
+// multiply-adds (the conv passes walk their own image chunks and read
+// the threshold alone).
 // LookupKernels("blocked") returns the one value the program runs,
 // builtinBlocked; the package's tests build others to reach every tile
 // edge, both GEMM paths and both fork paths.
@@ -76,23 +78,25 @@ func colsOf(t *Tensor) operand {
 // threshold and the conv passes pack; a smaller GEMM reads its operands
 // in place (gemmDirect). The panels are borrowed scratch: the caller
 // hands them to putScratch once the product is done. Panels are
-// disjoint, so the gate decides scheduling only; the closure the pool
-// needs is built on the parallel branch alone, because it escapes into
-// the pool and would cost a heap allocation per small product too.
+// disjoint, so the gate decides scheduling only.
 func pack(o operand, width, threshold int) []float64 {
-	K := o.K
 	panels := (o.lanes + width - 1) / width
-	dst := getScratch(panels * K * width)
-	if o.lanes*K >= threshold && panels > 1 {
-		parallel.For(0, panels, func(p int) {
-			packPanel(dst[p*K*width:], o, p*width, width)
-		})
-		return dst
-	}
-	for p := 0; p < panels; p++ {
-		packPanel(dst[p*K*width:], o, p*width, width)
-	}
+	dst := getScratch(panels * o.K * width)
+	borrowGate(&packTasks, packTask{dst, o, width}, threshold, panels, o.lanes*o.K)
 	return dst
+}
+
+// packTask is pack's loop body: index p packs panel p.
+type packTask struct {
+	dst   []float64
+	o     operand
+	width int
+}
+
+var packTasks parallel.FreeList[packTask]
+
+func (t *packTask) Run(p int) {
+	packPanel(t.dst[p*t.o.K*t.width:], t.o, p*t.width, t.width)
 }
 
 // packPanel writes lanes [lane0, lane0+width) of o as one k-major
@@ -307,8 +311,8 @@ func gemmDirect(ar *Arena, a, b operand) *Tensor {
 // or above it packs both operands into mr- and nr-lane panels and runs
 // the 2-D decomposition: the output, allocated in ar, splits into
 // blockM×blockN tiles (disjoint writes, scheduling-independent) handed
-// to the pool as a flattened grid; a product that fits one tile walks
-// it serially, without building the closure the pool would need.
+// to the pool as a flattened grid, row-major; a product that fits one
+// tile walks it on the calling goroutine.
 func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
 	m, n, K := a.lanes, b.lanes, a.K
 	if m*K*n < g.threshold {
@@ -319,29 +323,28 @@ func (g *gebpKernels) gemm(ar *Arena, a, b operand) *Tensor {
 	out := ar.New(m, n)
 	mt := (m + g.blockM - 1) / g.blockM
 	nt := (n + g.blockN - 1) / g.blockN
-	if mt*nt > 1 {
-		parallel.For2D(0, mt, nt, func(ti, tj int) {
-			g.tile(apack, bpack, out.Data, m, n, K, ti, tj)
-		})
-	} else {
-		for ti := 0; ti < mt; ti++ {
-			for tj := 0; tj < nt; tj++ {
-				g.tile(apack, bpack, out.Data, m, n, K, ti, tj)
-			}
-		}
-	}
+	borrowGate(&tileTasks, tileTask{g, apack, bpack, out.Data, m, n, K, nt}, g.threshold, mt*nt, m*K*n)
 	putScratch(apack)
 	putScratch(bpack)
 	return out
 }
 
-// tile fills output tile (ti, tj) of the m×n product from the packed
-// operands.
-func (g *gebpKernels) tile(apack, bpack, out []float64, m, n, K, ti, tj int) {
-	i0, j0 := ti*g.blockM, tj*g.blockN
-	rows := min(g.blockM, m-i0)
+// tileTask is gemm's loop body: index i fills output tile (i/nt, i%nt)
+// of the m×n product from the packed operands.
+type tileTask struct {
+	g                 *gebpKernels
+	apack, bpack, out []float64
+	m, n, K, nt       int
+}
+
+var tileTasks parallel.FreeList[tileTask]
+
+func (t *tileTask) Run(i int) {
+	g, K, n := t.g, t.K, t.n
+	i0, j0 := i/t.nt*g.blockM, i%t.nt*g.blockN
+	rows := min(g.blockM, t.m-i0)
 	cols := min(g.blockN, n-j0)
-	gebpTile(apack[(i0/mr)*K*mr:], bpack[(j0/nr)*K*nr:], K, rows, cols, out[i0*n+j0:], n)
+	gebpTile(t.apack[(i0/mr)*K*mr:], t.bpack[(j0/nr)*K*nr:], K, rows, cols, t.out[i0*n+j0:], n)
 }
 
 func (g *gebpKernels) MatMul(a, b *Tensor) *Tensor {
@@ -373,9 +376,8 @@ func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, ne
 // to hp×wp, so every tap of every output pixel, padded or not, is an
 // in-bounds load and no pass tests a bound per tap. Tap (ch, ky, kx) of
 // the pixel whose receptive field starts at offset 0 is at
-// (ch·hp+ky)·wp+kx. Task closures capture it and derive the rest (K =
-// taps(), a padded image's size()): a closure is a heap allocation per
-// call, sized by what it captures.
+// (ch·hp+ky)·wp+kx. The passes' task structs hold it and derive the
+// rest (K = taps(), a padded image's size()).
 type convGeom struct {
 	c, h, w, k, stride, pad int
 	oh, ow, hp, wp          int
@@ -471,23 +473,35 @@ func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 	K := cg.taps()
 	wpack := pack(operand{weight.Data, outC, K, K, 1}, mr, threshold)
 	out := ArenaOf(x, weight).New(n, outC, cg.oh, cg.ow)
-	parGate(threshold, n, n*cg.oh*cg.ow*K*outC, func(img int) {
-		K, plane := cg.taps(), cg.oh*cg.ow
-		xp := getScratch(cg.size())
-		cg.padImage(xp, x.Data[img*cg.c*cg.h*cg.w:])
-		bpack := getScratch((min(convRowChunk, plane) + nr - 1) / nr * nr * K)
-		var off [convRowChunk]int
-		for lo := 0; lo < plane; lo += convRowChunk {
-			px := off[:min(convRowChunk, plane-lo)]
-			cg.offsets(px, lo)
-			cg.gather(bpack, xp, px)
-			gebpTile(wpack, bpack, K, outC, len(px), out.Data[img*outC*plane+lo:], plane)
-		}
-		putScratch(xp)
-		putScratch(bpack)
-	})
+	borrowGate(&convForwardTasks, convForward{cg, x.Data, wpack, out.Data, outC}, threshold, n, n*cg.oh*cg.ow*K*outC)
 	putScratch(wpack)
 	return out
+}
+
+// convForward is conv2D's loop body: index img convolves image img.
+type convForward struct {
+	cg            convGeom
+	x, wpack, out []float64
+	outC          int
+}
+
+var convForwardTasks parallel.FreeList[convForward]
+
+func (t *convForward) Run(img int) {
+	cg, outC := t.cg, t.outC
+	K, plane := cg.taps(), cg.oh*cg.ow
+	xp := getScratch(cg.size())
+	cg.padImage(xp, t.x[img*cg.c*cg.h*cg.w:])
+	bpack := getScratch((min(convRowChunk, plane) + nr - 1) / nr * nr * K)
+	var off [convRowChunk]int
+	for lo := 0; lo < plane; lo += convRowChunk {
+		px := off[:min(convRowChunk, plane-lo)]
+		cg.offsets(px, lo)
+		cg.gather(bpack, xp, px)
+		gebpTile(t.wpack, bpack, K, outC, len(px), t.out[img*outC*plane+lo:], plane)
+	}
+	putScratch(xp)
+	putScratch(bpack)
 }
 
 // conv2DBackward is the adjoint of conv2D, equally chunked: neither the
@@ -522,38 +536,51 @@ func convBackwardInput(dx, weight, g *Tensor, p Conv2DParams, threshold int) {
 	K := cg.taps()
 	// Wᵀ's lanes are W's columns; k runs down them over output channels.
 	wpack := pack(operand{weight.Data, K, outC, 1, K}, mr, threshold)
-	parGate(threshold, n, n*cg.oh*cg.ow*outC*K, func(img int) {
-		K, plane := cg.taps(), cg.oh*cg.ow
-		// An image smaller than a chunk borrows scratch for its own size.
-		chunk := min(convRowChunk, plane)
-		acc := getScratch(cg.size())
-		clear(acc)
-		gpack := getScratch((chunk + nr - 1) / nr * nr * outC)
-		prod := getScratch(K * chunk)
-		gimg := g.Data[img*outC*plane : (img+1)*outC*plane]
-		var off [convRowChunk]int
-		for lo := 0; lo < plane; lo += chunk {
-			px := off[:min(chunk, plane-lo)]
-			// Pixel lo+j of channel oc sits at gimg[oc·plane+lo+j].
-			pixels := operand{gimg[lo:], len(px), outC, 1, plane}
-			for r := 0; r < len(px); r += nr {
-				packPanel(gpack[r*outC:], pixels, r, nr)
-			}
-			gebpTile(wpack, gpack, outC, K, len(px), prod, len(px))
-			cg.offsets(px, lo)
-			cg.fold(acc, prod, px)
-		}
-		dimg := dx.Data[img*cg.c*cg.h*cg.w:]
-		for ch := 0; ch < cg.c; ch++ {
-			for y := 0; y < cg.h; y++ {
-				copy(dimg[(ch*cg.h+y)*cg.w:][:cg.w], acc[(ch*cg.hp+y+cg.pad)*cg.wp+cg.pad:])
-			}
-		}
-		putScratch(acc)
-		putScratch(gpack)
-		putScratch(prod)
-	})
+	borrowGate(&convInputTasks, convInput{cg, dx.Data, wpack, g.Data, outC}, threshold, n, n*cg.oh*cg.ow*outC*K)
 	putScratch(wpack)
+}
+
+// convInput is convBackwardInput's loop body: index img folds image
+// img's input gradient.
+type convInput struct {
+	cg           convGeom
+	dx, wpack, g []float64
+	outC         int
+}
+
+var convInputTasks parallel.FreeList[convInput]
+
+func (t *convInput) Run(img int) {
+	cg, outC := t.cg, t.outC
+	K, plane := cg.taps(), cg.oh*cg.ow
+	// An image smaller than a chunk borrows scratch for its own size.
+	chunk := min(convRowChunk, plane)
+	acc := getScratch(cg.size())
+	clear(acc)
+	gpack := getScratch((chunk + nr - 1) / nr * nr * outC)
+	prod := getScratch(K * chunk)
+	gimg := t.g[img*outC*plane : (img+1)*outC*plane]
+	var off [convRowChunk]int
+	for lo := 0; lo < plane; lo += chunk {
+		px := off[:min(chunk, plane-lo)]
+		// Pixel lo+j of channel oc sits at gimg[oc·plane+lo+j].
+		pixels := operand{gimg[lo:], len(px), outC, 1, plane}
+		for r := 0; r < len(px); r += nr {
+			packPanel(gpack[r*outC:], pixels, r, nr)
+		}
+		gebpTile(t.wpack, gpack, outC, K, len(px), prod, len(px))
+		cg.offsets(px, lo)
+		cg.fold(acc, prod, px)
+	}
+	dimg := t.dx[img*cg.c*cg.h*cg.w:]
+	for ch := 0; ch < cg.c; ch++ {
+		for y := 0; y < cg.h; y++ {
+			copy(dimg[(ch*cg.h+y)*cg.w:][:cg.w], acc[(ch*cg.hp+y+cg.pad)*cg.wp+cg.pad:])
+		}
+	}
+	putScratch(acc)
+	putScratch(gpack)
+	putScratch(prod)
 }
 
 // convBackwardWeight fills dw = Gᵀ·im2col(x). The reduction runs over
@@ -567,43 +594,70 @@ func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, threshold int) {
 	n, outC, cg := x.shape[0], g.shape[1], convGeomOf(x.shape, p)
 	K, R := cg.taps(), n*cg.oh*cg.ow
 	buf := getScratch(n*cg.size() + (outC+mr-1)/mr*mr*R)
-	parGate(threshold, n, outC*R, func(img int) {
-		n, plane, size := x.shape[0], cg.oh*cg.ow, cg.size()
-		cg.padImage(buf[img*size:(img+1)*size], x.Data[img*cg.c*cg.h*cg.w:])
-		// Channel oc of this image is plane contiguous pixels, which land
-		// at k = img·plane onwards in oc's panel.
-		channels := operand{g.Data[img*outC*plane:], outC, plane, plane, 1}
-		for mp := 0; mp*mr < outC; mp++ {
-			packPanel(buf[n*size+(mp*n+img)*plane*mr:], channels, mp*mr, mr)
-		}
-	})
-	parGate(threshold, (K+nr-1)/nr, outC*R*K, func(jp int) {
-		n, K, size := x.shape[0], cg.taps(), cg.size()
-		R, j0 := n*cg.oh*cg.ow, jp*nr
-		cols := getScratch(R * nr)
-		for l := 0; l < nr; l++ {
-			tap := j0 + l
-			if tap >= K { // a lane past the last tap
-				for r := 0; r < R; r++ {
-					cols[r*nr+l] = 0
-				}
-				continue
-			}
-			ch, ky, kx := tap/(cg.k*cg.k), tap/cg.k%cg.k, tap%cg.k
-			src := buf[(ch*cg.hp+ky)*cg.wp+kx:]
-			di := l
-			for img := 0; img < n; img++ {
-				for oy := 0; oy < cg.oh; oy++ {
-					row := src[img*size+oy*cg.stride*cg.wp:]
-					for ox := 0; ox < cg.ow; ox++ {
-						cols[di] = row[ox*cg.stride]
-						di += nr
-					}
-				}
-			}
-		}
-		gebpTile(buf[n*size:], cols, R, outC, min(nr, K-j0), dw.Data[j0:], K)
-		putScratch(cols)
-	})
+	w := convWeight{cg, buf, x.Data, g.Data, dw.Data, n, outC}
+	borrowGate(&convPadPackTasks, convPadPack(w), threshold, n, outC*R)
+	borrowGate(&convTapsTasks, convTaps(w), threshold, (K+nr-1)/nr, outC*R*K)
 	putScratch(buf)
+}
+
+// convWeight is what convBackwardWeight's two loops share. As a
+// convPadPack, index img pads image img and packs its output gradient;
+// as a convTaps, index jp gathers tap panel jp and multiplies it
+// against the packed gradient.
+type convWeight struct {
+	cg            convGeom
+	buf, x, g, dw []float64
+	n, outC       int
+}
+
+type (
+	convPadPack convWeight
+	convTaps    convWeight
+)
+
+var (
+	convPadPackTasks parallel.FreeList[convPadPack]
+	convTapsTasks    parallel.FreeList[convTaps]
+)
+
+func (t *convPadPack) Run(img int) {
+	cg, n, outC := t.cg, t.n, t.outC
+	plane, size := cg.oh*cg.ow, cg.size()
+	cg.padImage(t.buf[img*size:(img+1)*size], t.x[img*cg.c*cg.h*cg.w:])
+	// Channel oc of this image is plane contiguous pixels, which land
+	// at k = img·plane onwards in oc's panel.
+	channels := operand{t.g[img*outC*plane:], outC, plane, plane, 1}
+	for mp := 0; mp*mr < outC; mp++ {
+		packPanel(t.buf[n*size+(mp*n+img)*plane*mr:], channels, mp*mr, mr)
+	}
+}
+
+func (t *convTaps) Run(jp int) {
+	cg, n, buf := t.cg, t.n, t.buf
+	K, size := cg.taps(), cg.size()
+	R, j0 := n*cg.oh*cg.ow, jp*nr
+	cols := getScratch(R * nr)
+	for l := 0; l < nr; l++ {
+		tap := j0 + l
+		if tap >= K { // a lane past the last tap
+			for r := 0; r < R; r++ {
+				cols[r*nr+l] = 0
+			}
+			continue
+		}
+		ch, ky, kx := tap/(cg.k*cg.k), tap/cg.k%cg.k, tap%cg.k
+		src := buf[(ch*cg.hp+ky)*cg.wp+kx:]
+		di := l
+		for img := 0; img < n; img++ {
+			for oy := 0; oy < cg.oh; oy++ {
+				row := src[img*size+oy*cg.stride*cg.wp:]
+				for ox := 0; ox < cg.ow; ox++ {
+					cols[di] = row[ox*cg.stride]
+					di += nr
+				}
+			}
+		}
+	}
+	gebpTile(buf[n*size:], cols, R, t.outC, min(nr, K-j0), t.dw[j0:], K)
+	putScratch(cols)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -166,32 +167,41 @@ func TestBlockedIsTheBuiltinEngine(t *testing.T) {
 	bitwiseEqual(t, "blocked Conv2D", blocked.Conv2D(x, w, p), naive.Conv2D(x, w, p))
 }
 
-// TestBlockedAllocationBounds: with its transient buffers pooled, the
-// GEBP engine allocates the result tensor plus the fork-join closures —
-// nothing that grows with the operands. Each op runs once first so the
-// scratch pool is stocked; the steady-state count must then stay under
-// a small constant.
+// TestBlockedAllocationBounds: with its transient buffers and loop
+// bodies borrowed from free lists, the GEBP engine allocates its result
+// and nothing else, and a result over arena operands comes from the
+// arena — so once warm, a conv pass and a MatMul large enough to fork
+// ask the heap for nothing. GOMAXPROCS is at least 2, so the MatMul and
+// the conv passes fork even on a one-core host. Each op runs once
+// first, so the scratch pool, the free lists and the arena's slabs are
+// stocked.
 func TestBlockedAllocationBounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	_, blocked := kernelPair(t)
 	rng := rand.New(rand.NewSource(89))
 	a, b := Randn(rng, 0, 1, 256, 256), Randn(rng, 0, 1, 256, 256)
 	x, w := Randn(rng, 0, 1, 8, 16, 32, 32), Randn(rng, 0, 1, 32, 16, 3, 3)
 	g := Randn(rng, 0, 1, 8, 32, 32, 32)
+	var ar Arena
+	ar.Adopt(a, b, x, w, g)
 	p := Conv2DParams{Kernel: 3, Stride: 1, Padding: 1}
 	for _, op := range []struct {
 		name string
-		most float64
 		run  func(Kernels)
 	}{
-		{"MatMul 256^3", 12, func(k Kernels) { k.MatMul(a, b) }},
-		{"Conv2D 8x16x32x32 * 32x16x3x3", 10, func(k Kernels) { k.Conv2D(x, w, p) }},
-		{"Conv2DBackward of it", 20, func(k Kernels) { k.Conv2DBackward(x, w, g, p, true, true) }},
+		{"MatMul 256^3", func(k Kernels) { k.MatMul(a, b) }},
+		{"Conv2D 8x16x32x32 * 32x16x3x3", func(k Kernels) { k.Conv2D(x, w, p) }},
+		{"Conv2DBackward of it", func(k Kernels) { k.Conv2DBackward(x, w, g, p, true, true) }},
 	} {
-		op.run(blocked)
-		got := testing.AllocsPerRun(5, func() { op.run(blocked) })
+		step := func() {
+			ar.Reset()
+			op.run(blocked)
+		}
+		step()
+		got := testing.AllocsPerRun(5, step)
 		t.Logf("%s: %v allocations per call", op.name, got)
-		if got > op.most {
-			t.Errorf("%s: blocked allocates %v objects per call, want at most %v", op.name, got, op.most)
+		if got != 0 {
+			t.Errorf("%s: blocked allocates %v objects per call on arena operands, want 0", op.name, got)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"aibench/internal/parallel"
+)
 
 // naiveKernels is the original straight-loop implementation, kept
 // selectable as the reference oracle for cross-kernel equivalence
@@ -24,7 +28,7 @@ func (naiveKernels) MatMul(a, b *Tensor) *Tensor {
 	// ikj loop order keeps the inner loop streaming over contiguous rows
 	// of b and out. Each output row depends only on one row of a, so
 	// rows parallelize cleanly.
-	parGate(naiveThreshold, m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, parallel.Func(func(i int) {
 		arow := a.Data[i*ka : (i+1)*ka]
 		orow := out.Data[i*n : (i+1)*n]
 		for k := 0; k < ka; k++ {
@@ -37,7 +41,7 @@ func (naiveKernels) MatMul(a, b *Tensor) *Tensor {
 				orow[j] += av * brow[j]
 			}
 		}
-	})
+	}))
 	return out
 }
 
@@ -45,7 +49,7 @@ func (naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 	m, ka := a.shape[0], a.shape[1]
 	n, kb := b.shape[0], b.shape[1]
 	out := ArenaOf(a, b).New(m, n)
-	parGate(naiveThreshold, m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, parallel.Func(func(i int) {
 		arow := a.Data[i*ka : (i+1)*ka]
 		orow := out.Data[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -56,7 +60,7 @@ func (naiveKernels) MatMulT(a, b *Tensor) *Tensor {
 			}
 			orow[j] = s
 		}
-	})
+	}))
 	return out
 }
 
@@ -67,7 +71,7 @@ func (naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 	// i-outer/k-middle order so output rows are independent and can be
 	// split across cores; per-element accumulation still runs k
 	// ascending, matching the k-outer serial order bit for bit.
-	parGate(naiveThreshold, m, m*ka*n, func(i int) {
+	parGate(naiveThreshold, m, m*ka*n, parallel.Func(func(i int) {
 		orow := out.Data[i*n : (i+1)*n]
 		for k := 0; k < ka; k++ {
 			av := a.Data[k*m+i]
@@ -79,7 +83,7 @@ func (naiveKernels) TMatMul(a, b *Tensor) *Tensor {
 				orow[j] += av * brow[j]
 			}
 		}
-	})
+	}))
 	return out
 }
 
@@ -135,7 +139,7 @@ func im2col(x *Tensor, p Conv2DParams, threshold int) *Tensor {
 	cols := x.arena.New(n*oh*ow, c*k*k)
 	// Each output row unfolds one (img, oy, ox) receptive field into its
 	// own slice of cols, so rows parallelize with no shared writes.
-	parGate(threshold, n*oh*ow, n*oh*ow*c*k*k, func(row int) {
+	parGate(threshold, n*oh*ow, n*oh*ow*c*k*k, parallel.Func(func(row int) {
 		img := row / (oh * ow)
 		oy := row / ow % oh
 		ox := row % ow
@@ -154,7 +158,7 @@ func im2col(x *Tensor, p Conv2DParams, threshold int) *Tensor {
 				}
 			}
 		}
-	})
+	}))
 	return cols
 }
 
@@ -201,13 +205,13 @@ func col2im(cols *Tensor, n, c, h, w int, p Conv2DParams) *Tensor {
 func matToNCHW(prod *Tensor, n, c, oh, ow int, threshold int) *Tensor {
 	out := prod.arena.New(n, c, oh, ow)
 	plane := oh * ow
-	parGate(threshold, n*plane, n*plane*c, func(r int) {
+	parGate(threshold, n*plane, n*plane*c, parallel.Func(func(r int) {
 		img, pix := r/plane, r%plane
 		src := prod.Data[r*c : (r+1)*c]
 		for ch := 0; ch < c; ch++ {
 			out.Data[(img*c+ch)*plane+pix] = src[ch]
 		}
-	})
+	}))
 	return out
 }
 
@@ -218,12 +222,12 @@ func nchwToMat(g *Tensor, threshold int) *Tensor {
 	n, c, oh, ow := g.shape[0], g.shape[1], g.shape[2], g.shape[3]
 	plane := oh * ow
 	out := g.arena.New(n*plane, c)
-	parGate(threshold, n*plane, n*plane*c, func(r int) {
+	parGate(threshold, n*plane, n*plane*c, parallel.Func(func(r int) {
 		img, pix := r/plane, r%plane
 		dst := out.Data[r*c : (r+1)*c]
 		for ch := 0; ch < c; ch++ {
 			dst[ch] = g.Data[(img*c+ch)*plane+pix]
 		}
-	})
+	}))
 	return out
 }

@@ -133,16 +133,33 @@ func RunFrom(ctx context.Context) *Run {
 	return processRun
 }
 
-// parGate runs fn over [0, units) — across the cores when flops is at
+// borrowGate runs v through parGate from a copy borrowed from l: the
+// pool needs a pointer, and a pointer to v would put v on the heap on
+// every call. The copy goes back zeroed, so the list keeps no operand
+// alive. T must hold no 64-bit atomic, whose zero value the generic
+// code could only build in a heap temporary on 32-bit platforms.
+func borrowGate[T any, P interface {
+	*T
+	parallel.Task
+}](l *parallel.FreeList[T], v T, threshold, units, flops int) {
+	t := P(l.Get())
+	*t = v
+	parGate(threshold, units, flops, t)
+	var zero T
+	*t = zero
+	l.Put(t)
+}
+
+// parGate runs t over [0, units) — across the cores when flops is at
 // or above threshold (and there is more than one unit to hand out),
-// serially otherwise. Both paths invoke fn over the same index set, so
-// the threshold only decides scheduling, never results.
-func parGate(threshold, units, flops int, fn func(i int)) {
+// serially otherwise. Both paths run t over the same index set, so the
+// threshold only decides scheduling, never results.
+func parGate(threshold, units, flops int, t parallel.Task) {
 	if flops >= threshold && units > 1 {
-		parallel.For(0, units, fn)
+		parallel.ForTask(units, t)
 		return
 	}
 	for i := 0; i < units; i++ {
-		fn(i)
+		t.Run(i)
 	}
 }
