@@ -6,10 +6,13 @@
 // device's compute and memory throughput, and an nvprof-like profiler
 // aggregates the five micro-architectural metrics of Fig 3, the runtime
 // breakdown of Fig 5, the hotspot census of Fig 6, and the stall
-// breakdown of Fig 7. The profiler folds each kernel into fixed
-// per-category and per-function sums as the kernel is lowered; no list
-// of launches is kept, so a profile costs the heap the same few objects
-// whether the model launches twenty kernels or six thousand.
+// breakdown of Fig 7. Lowering executes each kernel as it builds it,
+// and a loop that repeats the same work (a recurrent layer's timesteps)
+// builds and executes its kernels once, then launches them again and
+// again. The profiler folds each launch into fixed per-category and
+// per-function sums as it is lowered; no list of launches is kept, so a
+// profile costs the heap the same few objects whether the model
+// launches twenty kernels or six thousand.
 //
 // The per-category efficiency and stall parameters are calibrated so the
 // simulator reproduces the qualitative signatures nvprof reports for

@@ -33,6 +33,7 @@ func TestCPUConfigTable4(t *testing.T) {
 func TestExecuteComputeBoundKernel(t *testing.T) {
 	k := Kernel{
 		Category:  GEMM,
+		ci:        iGEMM,
 		FLOPs:     1e12, // 1 TFLOP — heavily compute-bound
 		BytesRead: 1e6, BytesWritten: 1e6,
 	}
@@ -53,6 +54,7 @@ func TestExecuteComputeBoundKernel(t *testing.T) {
 func TestExecuteMemoryBoundKernel(t *testing.T) {
 	k := Kernel{
 		Category:  Elementwise,
+		ci:        iElementwise,
 		FLOPs:     1e6,
 		BytesRead: 5e8, BytesWritten: 5e8, // 1 GB traffic
 	}
@@ -74,6 +76,30 @@ func TestExecutePanicsOnUnknownCategory(t *testing.T) {
 		}
 	}()
 	Execute(&Kernel{Category: "tensor_core"}, TitanXP())
+}
+
+func TestExecutePanicsOnAMisplacedCategory(t *testing.T) {
+	for _, k := range []Kernel{{Category: GEMM}, {Category: GEMM, ci: iReLU}, {Category: MemcpyCat, ci: numCategories}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Execute accepted %s at position %d", k.Category, k.ci)
+				}
+			}()
+			Execute(&k, TitanXP())
+		}()
+	}
+}
+
+// index returns c's position in Categories(), or -1 for a string that
+// names no category.
+func (c Category) index() int {
+	for i, x := range categories {
+		if x == c {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestStallsSumToOne(t *testing.T) {
@@ -105,9 +131,10 @@ func TestMemDependAndExecDependDominate(t *testing.T) {
 
 func TestMetricsInUnitRange(t *testing.T) {
 	f := func(flopsRaw, bytesRaw uint32, catIdx uint8) bool {
-		cats := Categories()
+		ci := int(catIdx) % numCategories
 		k := Kernel{
-			Category:  cats[int(catIdx)%len(cats)],
+			Category:  Categories()[ci],
+			ci:        ci,
 			FLOPs:     float64(flopsRaw),
 			BytesRead: float64(bytesRaw), BytesWritten: float64(bytesRaw) / 2,
 		}
@@ -127,7 +154,7 @@ func TestMetricsInUnitRange(t *testing.T) {
 // lowered collects the launches Lower emits.
 func lowered(m workload.Model, batch int, training bool) []Kernel {
 	var ks []Kernel
-	Lower(m, batch, training, func(k Kernel) { ks = append(ks, k) })
+	Lower(m, batch, training, TitanXP(), func(k *Kernel) { ks = append(ks, *k) })
 	return ks
 }
 

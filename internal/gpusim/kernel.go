@@ -42,21 +42,13 @@ func Categories() []Category {
 	return cs[:]
 }
 
-// index returns c's position in Categories(), or -1 for a string that
-// names no category.
-func (c Category) index() int {
-	for i, x := range categories {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // Kernel is one simulated kernel launch.
 type Kernel struct {
 	Name     string
 	Category Category
+	// ci is Category's position in Categories(), set with it by
+	// lowering, so no step after it looks the category up by name.
+	ci int
 	// Work characterization, filled by lowering.
 	FLOPs        float64
 	BytesRead    float64
@@ -162,10 +154,10 @@ var kernelNames = [numCategories][]string{
 	},
 }
 
-// pickName deterministically selects a function name for a category from
-// a size-derived variant index.
-func pickName(cat Category, variant int) string {
-	names := kernelNames[cat.index()]
+// pickName deterministically selects a function name for the category
+// at position ci from a size-derived variant index.
+func pickName(ci, variant int) string {
+	names := kernelNames[ci]
 	if variant < 0 {
 		variant = -variant
 	}

@@ -10,14 +10,43 @@ const bytesPerElem = 4 // FP32 training
 
 // Lower translates a workload model into the stream of kernel launches
 // one training iteration (forward + backward when training is set) of a
-// batch executes, handing each launch to emit in stream order; it keeps
-// no list of its own. The mapping follows how PyTorch+cuDNN dispatch
-// these layer types: convolutions become implicit-GEMM/winograd kernels
-// plus strided data-arrangement kernels, linear layers become sgemm
-// calls, recurrent layers launch per-timestep GEMM and element-wise
-// kernels, and every iteration begins with a host-to-device input copy
-// and ends with element-wise optimizer updates.
-func Lower(m workload.Model, batch int, training bool, emit func(Kernel)) {
+// batch executes, executes each launch on dev and hands it to emit in
+// stream order; it keeps no list of its own. The mapping follows how
+// PyTorch+cuDNN dispatch these layer types: convolutions become
+// implicit-GEMM/winograd kernels plus strided data-arrangement kernels,
+// linear layers become sgemm calls, recurrent layers launch
+// per-timestep GEMM and element-wise kernels, and every iteration
+// begins with a host-to-device input copy and ends with element-wise
+// optimizer updates.
+//
+// A loop that launches the same work over and over — a recurrent
+// layer's timesteps, attention's passes, the splitK workspace passes of
+// a small-batch convolution — builds and executes its kernels once,
+// before the loop, and emits the same kernels on every iteration,
+// renaming those whose function name depends on the pass. The kernel
+// emit receives belongs to Lower and is valid only for the call: emit
+// copies what it keeps and changes nothing.
+func Lower(m workload.Model, batch int, training bool, dev Device, emit func(*Kernel)) {
+	lower(m, batch, training, dev, new(kernelSlots), emit)
+}
+
+// kernelSlots is the storage lowering builds and executes kernels in:
+// the most kernels one loop emits over and over (attention's six).
+// Run keeps it on its Profile, so lowering allocates nothing.
+type kernelSlots [6]Kernel
+
+// lowering is where one Lower call's kernels execute and the slots
+// they are built in. emit travels beside it as a parameter: escape
+// analysis does not tell one field from another, so a struct holding
+// both would send Run's fold closure to the heap with the slots.
+type lowering struct {
+	dev Device
+	ks  *kernelSlots
+}
+
+// lower is Lower with its kernels built in ks.
+func lower(m workload.Model, batch int, training bool, dev Device, ks *kernelSlots, emit func(*Kernel)) {
+	lo := lowering{dev: dev, ks: ks}
 	b := float64(batch)
 
 	// Input transfer.
@@ -25,24 +54,36 @@ func Lower(m workload.Model, batch int, training bool, emit func(Kernel)) {
 	if len(m.Layers) > 0 {
 		inputElems = float64(inputVolume(m.Layers[0]))
 	}
-	emit(Kernel{
-		Name: pickName(MemcpyCat, 0), Category: MemcpyCat,
-		BytesRead: b * inputElems * bytesPerElem, BytesWritten: b * inputElems * bytesPerElem,
-	})
+	emit(lo.launch(iMemcpy, 0, "", 0, b*inputElems*bytesPerElem, b*inputElems*bytesPerElem))
 
 	for _, l := range m.Layers {
-		lowerLayer(l, b, training, emit)
+		lo.layer(l, b, training, emit)
 	}
 
 	if training {
 		// Optimizer update: read grad + read/write weights + momentum.
 		params := float64(m.Params())
-		emit(Kernel{
-			Name: "sgd_momentum_update_kernel", Category: Elementwise,
-			FLOPs:     4 * params,
-			BytesRead: 3 * params * bytesPerElem, BytesWritten: 2 * params * bytesPerElem,
-		})
+		emit(lo.launch(iElementwise, 0, "sgd_momentum_update_kernel", 4*params, 3*params*bytesPerElem, 2*params*bytesPerElem))
 	}
+}
+
+// build makes slot i a kernel of the category at position ci with the
+// given name and work, executes it, and returns it.
+func (lo *lowering) build(i, ci int, name string, flops, read, written float64) *Kernel {
+	k := &lo.ks[i]
+	k.Name, k.Category, k.ci = name, categories[ci], ci
+	k.FLOPs, k.BytesRead, k.BytesWritten = flops, read, written
+	Execute(k, lo.dev) // sets every other field
+	return k
+}
+
+// launch builds and executes a one-off launch in slot 0; an empty name
+// picks the category's function by variant.
+func (lo *lowering) launch(ci, variant int, name string, flops, read, written float64) *Kernel {
+	if name == "" {
+		name = pickName(ci, variant)
+	}
+	return lo.build(0, ci, name, flops, read, written)
 }
 
 // inputVolume estimates the input elements of the first layer.
@@ -67,18 +108,8 @@ func inputVolume(l workload.Layer) int {
 	}
 }
 
-// lowerLayer emits the kernels for one layer.
-func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
-	add := func(cat Category, variant int, nameOverride string, flops, read, written float64) {
-		name := nameOverride
-		if name == "" {
-			name = pickName(cat, variant)
-		}
-		emit(Kernel{
-			Name: name, Category: cat,
-			FLOPs: flops, BytesRead: read, BytesWritten: written,
-		})
-	}
+// layer emits the kernels for one layer.
+func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(*Kernel)) {
 	fwdFLOPs := b * l.FLOPs()
 	actBytes := b * float64(l.Activations()) * bytesPerElem
 	paramBytes := float64(l.Params()) * bytesPerElem
@@ -100,22 +131,28 @@ func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
 			// staging its own interior/exterior workspace pass.
 			splitK = 2
 		}
+		arrange := lo.build(0, iDataArrangement, "", 0, inBytes, inBytes*arrangeFactor)
 		for s := 0; s < splitK; s++ {
-			add(DataArrangement, variant+s, "", 0, inBytes, inBytes*arrangeFactor)
+			arrange.Name = pickName(iDataArrangement, variant+s)
+			emit(arrange)
 		}
-		add(Convolution, variant, convName(l, false), fwdFLOPs, inBytes+paramBytes, actBytes)
+		emit(lo.launch(iConvolution, variant, convName(l, false), fwdFLOPs, inBytes+paramBytes, actBytes))
 		if training {
 			// dgrad (data gradient) + wgrad (weight gradient). The
 			// small-batch splitK path stages workspace transforms for the
 			// backward kernels too.
 			if b < 8 {
+				grad := lo.build(0, iDataArrangement, "", 0, actBytes, actBytes*arrangeFactor)
+				input := lo.build(1, iDataArrangement, "", 0, inBytes, inBytes*arrangeFactor)
 				for s := 0; s < splitK; s++ {
-					add(DataArrangement, variant+1+s, "", 0, actBytes, actBytes*arrangeFactor)
-					add(DataArrangement, variant+2+s, "", 0, inBytes, inBytes*arrangeFactor)
+					grad.Name = pickName(iDataArrangement, variant+1+s)
+					input.Name = pickName(iDataArrangement, variant+2+s)
+					emit(grad)
+					emit(input)
 				}
 			}
-			add(Convolution, variant+1, "dgrad_engine", fwdFLOPs, actBytes+paramBytes, inBytes)
-			add(Convolution, variant, "wgrad_alg0_engine", fwdFLOPs, actBytes+inBytes, paramBytes)
+			emit(lo.launch(iConvolution, variant+1, "dgrad_engine", fwdFLOPs, actBytes+paramBytes, inBytes))
+			emit(lo.launch(iConvolution, variant, "wgrad_alg0_engine", fwdFLOPs, actBytes+inBytes, paramBytes))
 		}
 	case workload.Linear:
 		m := l.M
@@ -124,52 +161,52 @@ func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
 		}
 		variant := (l.In + l.Out) / 512
 		inBytes := b * float64(m*l.In) * bytesPerElem
-		add(GEMM, variant, gemmName(m, l.In, l.Out), fwdFLOPs, inBytes+paramBytes, actBytes)
+		emit(lo.launch(iGEMM, variant, gemmName(m, l.In, l.Out), fwdFLOPs, inBytes+paramBytes, actBytes))
 		if training {
-			add(GEMM, variant+1, "", fwdFLOPs, actBytes+paramBytes, inBytes)
-			add(GEMM, variant+2, "", fwdFLOPs, actBytes+inBytes, paramBytes)
+			emit(lo.launch(iGEMM, variant+1, "", fwdFLOPs, actBytes+paramBytes, inBytes))
+			emit(lo.launch(iGEMM, variant+2, "", fwdFLOPs, actBytes+inBytes, paramBytes))
 		}
 	case workload.BatchNorm:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(BatchNormCat, 0, "cudnn_bn_fw_tr_1C11_kernel_NCHW", fwdFLOPs, vol, vol)
+		emit(lo.launch(iBatchNorm, 0, "cudnn_bn_fw_tr_1C11_kernel_NCHW", fwdFLOPs, vol, vol))
 		if training {
-			add(BatchNormCat, 1, "cudnn_bn_bw_1C11_kernel_new", fwdFLOPs, 2*vol, vol)
+			emit(lo.launch(iBatchNorm, 1, "cudnn_bn_bw_1C11_kernel_new", fwdFLOPs, 2*vol, vol))
 		}
 	case workload.LayerNorm:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(BatchNormCat, 4, "layer_norm_kernel", fwdFLOPs, vol, vol)
+		emit(lo.launch(iBatchNorm, 4, "layer_norm_kernel", fwdFLOPs, vol, vol))
 		if training {
-			add(BatchNormCat, 2, "", fwdFLOPs, 2*vol, vol)
+			emit(lo.launch(iBatchNorm, 2, "", fwdFLOPs, 2*vol, vol))
 		}
 	case workload.ReLU:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(ReluCat, l.Elems/65536, "", fwdFLOPs, vol, vol)
+		emit(lo.launch(iReLU, l.Elems/65536, "", fwdFLOPs, vol, vol))
 		if training {
-			add(ReluCat, 3, "relu_backward_kernel", fwdFLOPs, 2*vol, vol)
+			emit(lo.launch(iReLU, 3, "relu_backward_kernel", fwdFLOPs, 2*vol, vol))
 		}
 	case workload.Elementwise:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(Elementwise, l.Elems/65536, "", fwdFLOPs, 2*vol, vol)
+		emit(lo.launch(iElementwise, l.Elems/65536, "", fwdFLOPs, 2*vol, vol))
 		if training {
-			add(Elementwise, l.Elems/65536+1, "", fwdFLOPs, vol, vol)
+			emit(lo.launch(iElementwise, l.Elems/65536+1, "", fwdFLOPs, vol, vol))
 		}
 	case workload.Softmax:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(Elementwise, 5, "softmax_warp_forward", fwdFLOPs, vol, vol)
+		emit(lo.launch(iElementwise, 5, "softmax_warp_forward", fwdFLOPs, vol, vol))
 		if training {
-			add(Elementwise, 5, "softmax_warp_backward", fwdFLOPs, 2*vol, vol)
+			emit(lo.launch(iElementwise, 5, "softmax_warp_backward", fwdFLOPs, 2*vol, vol))
 		}
 	case workload.Pool:
 		inBytes := b * float64(l.InC*l.H*l.W) * bytesPerElem
-		add(Pooling, 0, "MaxPoolForward", fwdFLOPs, inBytes, actBytes)
+		emit(lo.launch(iPooling, 0, "MaxPoolForward", fwdFLOPs, inBytes, actBytes))
 		if training {
-			add(Pooling, 1, "MaxPoolBackward", fwdFLOPs, actBytes, inBytes)
+			emit(lo.launch(iPooling, 1, "MaxPoolBackward", fwdFLOPs, actBytes, inBytes))
 		}
 	case workload.Embedding:
 		out := b * float64(l.Lookups*l.EmbDim) * bytesPerElem
-		add(DataArrangement, 6, "indexSelectLargeIndex", 0, out, out)
+		emit(lo.launch(iDataArrangement, 6, "indexSelectLargeIndex", 0, out, out))
 		if training {
-			add(DataArrangement, 5, "gatherTopK", 0, out, out)
+			emit(lo.launch(iDataArrangement, 5, "gatherTopK", 0, out, out))
 		}
 	case workload.LSTM, workload.GRU:
 		gates := 4
@@ -184,10 +221,16 @@ func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
 		if training {
 			passes = 3 // forward + dgrad + wgrad
 		}
+		// Every timestep of every pass does the same work; a pass only
+		// renames its kernels.
+		gemm := lo.build(0, iGEMM, "", perStepFLOPs, gemmBytes, b*float64(gates*l.Hidden)*bytesPerElem)
+		ew := lo.build(1, iElementwise, "", perStepEw, 3*ewBytes, ewBytes)
 		for p := 0; p < passes; p++ {
+			gemm.Name = pickName(iGEMM, l.Hidden/128+p)
+			ew.Name = pickName(iElementwise, 1+p)
 			for t := 0; t < l.SeqLen; t++ {
-				add(GEMM, l.Hidden/128+p, "", perStepFLOPs, gemmBytes, b*float64(gates*l.Hidden)*bytesPerElem)
-				add(Elementwise, 1+p, "", perStepEw, 3*ewBytes, ewBytes)
+				emit(gemm)
+				emit(ew)
 			}
 		}
 	case workload.Attention:
@@ -200,30 +243,39 @@ func lowerLayer(l workload.Layer, b float64, training bool, emit func(Kernel)) {
 		if training {
 			passes = 3
 		}
+		// QKV projections (batched as one), transpose, QKᵀ, softmax, AV,
+		// output proj: the same work on every pass, which only renames
+		// the GEMMs.
+		qkv := lo.build(0, iGEMM, "", 3*projFLOPs, seqBytes+3*float64(l.Dim*l.Dim)*bytesPerElem, 3*seqBytes)
+		lo.build(1, iDataArrangement, "transpose_readWrite_alignment_kernel", 0, seqBytes, seqBytes)
+		score := lo.build(2, iGEMM, "", scoreFLOPs, 2*seqBytes, scoreBytes)
+		lo.build(3, iElementwise, "softmax_warp_forward", b*5*s*s, scoreBytes, scoreBytes)
+		av := lo.build(4, iGEMM, "", scoreFLOPs, scoreBytes+seqBytes, seqBytes)
+		proj := lo.build(5, iGEMM, "", projFLOPs, seqBytes+float64(l.Dim*l.Dim)*bytesPerElem, seqBytes)
 		for p := 0; p < passes; p++ {
-			// QKV projections (batched as one), transpose, QKᵀ, softmax, AV, output proj.
-			add(GEMM, l.Dim/256+p, "", 3*projFLOPs, seqBytes+3*float64(l.Dim*l.Dim)*bytesPerElem, 3*seqBytes)
-			add(DataArrangement, 4, "transpose_readWrite_alignment_kernel", 0, seqBytes, seqBytes)
-			add(GEMM, l.Seq/64+p, "", scoreFLOPs, 2*seqBytes, scoreBytes)
-			add(Elementwise, 5, "softmax_warp_forward", b*5*s*s, scoreBytes, scoreBytes)
-			add(GEMM, l.Seq/64+1+p, "", scoreFLOPs, scoreBytes+seqBytes, seqBytes)
-			add(GEMM, l.Dim/256+1+p, "", projFLOPs, seqBytes+float64(l.Dim*l.Dim)*bytesPerElem, seqBytes)
+			qkv.Name = pickName(iGEMM, l.Dim/256+p)
+			score.Name = pickName(iGEMM, l.Seq/64+p)
+			av.Name = pickName(iGEMM, l.Seq/64+1+p)
+			proj.Name = pickName(iGEMM, l.Dim/256+1+p)
+			for i := range lo.ks {
+				emit(&lo.ks[i])
+			}
 		}
 	case workload.GridSample:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(DataArrangement, 7, "bilinear_sampler_2d_kernel", fwdFLOPs, 4*vol, vol)
+		emit(lo.launch(iDataArrangement, 7, "bilinear_sampler_2d_kernel", fwdFLOPs, 4*vol, vol))
 		if training {
-			add(DataArrangement, 7, "bilinear_sampler_2d_kernel", fwdFLOPs, vol, 4*vol)
+			emit(lo.launch(iDataArrangement, 7, "bilinear_sampler_2d_kernel", fwdFLOPs, vol, 4*vol))
 		}
 	case workload.Upsample:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(DataArrangement, 2, "", fwdFLOPs, vol/4, vol)
+		emit(lo.launch(iDataArrangement, 2, "", fwdFLOPs, vol/4, vol))
 		if training {
-			add(DataArrangement, 2, "", fwdFLOPs, vol, vol/4)
+			emit(lo.launch(iDataArrangement, 2, "", fwdFLOPs, vol, vol/4))
 		}
 	case workload.Memcpy:
 		vol := b * float64(l.Elems) * bytesPerElem
-		add(MemcpyCat, 1, "CUDA_memcpy_DtoD", 0, vol, vol)
+		emit(lo.launch(iMemcpy, 1, "CUDA_memcpy_DtoD", 0, vol, vol))
 	default:
 		panic(fmt.Sprintf("gpusim: cannot lower layer kind %q", l.Kind))
 	}

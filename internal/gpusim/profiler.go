@@ -9,7 +9,9 @@ import (
 // Profile is the nvprof-like record of one simulated training
 // iteration. Run folds each kernel into it as the kernel is lowered —
 // the per-category time and stall sums, the per-function census and the
-// time-weighted metrics — and keeps no list of launches.
+// time-weighted metrics — and keeps no list of launches. The kernels
+// lowering builds live in the profile too, so a Run costs the heap the
+// profile and its census slice, whatever the model launches.
 type Profile struct {
 	Device    Device
 	TotalTime float64 // seconds per iteration
@@ -19,6 +21,7 @@ type Profile struct {
 	catTime  [numCategories]float64        // seconds per category
 	stalls   [numCategories]StallBreakdown // Σ stall fraction × seconds
 	funcs    []funcTime                    // one per distinct name, first-seen order
+	ks       kernelSlots                   // where lowering builds its kernels
 }
 
 // funcTime is one function's running census.
@@ -29,20 +32,19 @@ type funcTime struct {
 	calls int
 }
 
-// Run lowers the model, executes every kernel on the device, and returns
-// the aggregated profile. Every sum adds its kernels in stream order.
-// The weighted metrics need the total time first, so Run lowers the
-// model twice: the first pass folds times, stalls and the census, the
-// second folds each kernel's metrics at weight Time/TotalTime.
+// Run lowers the model, executing its kernels on the device, and returns
+// the aggregated profile. Every sum adds its kernels per launch, in
+// stream order; a kernel's category position indexes the per-category
+// sums. The weighted metrics need the total time first, so Run lowers
+// the model twice: the first pass folds times, stalls and the census,
+// the second folds each kernel's metrics at weight Time/TotalTime.
 func Run(m workload.Model, batch int, training bool, dev Device) *Profile {
 	p := &Profile{Device: dev, funcs: make([]funcTime, 0, maxFuncs)}
-	Lower(m, batch, training, func(k Kernel) {
-		Execute(&k, dev)
+	lower(m, batch, training, dev, &p.ks, func(k *Kernel) {
 		p.TotalTime += k.Time
-		ci := k.Category.index()
-		p.launches[ci]++
-		p.catTime[ci] += k.Time
-		s := &p.stalls[ci]
+		p.launches[k.ci]++
+		p.catTime[k.ci] += k.Time
+		s := &p.stalls[k.ci]
 		s.InstFetch += k.Stalls.InstFetch * k.Time
 		s.ExecDepend += k.Stalls.ExecDepend * k.Time
 		s.MemDepend += k.Stalls.MemDepend * k.Time
@@ -56,8 +58,7 @@ func Run(m workload.Model, batch int, training bool, dev Device) *Profile {
 	if p.TotalTime == 0 {
 		return p
 	}
-	Lower(m, batch, training, func(k Kernel) {
-		Execute(&k, dev)
+	lower(m, batch, training, dev, &p.ks, func(k *Kernel) {
 		w := k.Time / p.TotalTime
 		p.metrics.AchievedOccupancy += w * k.Metrics.AchievedOccupancy
 		p.metrics.IPCEfficiency += w * k.Metrics.IPCEfficiency
@@ -75,7 +76,7 @@ const maxFuncs = 45
 
 // census adds k to its function's entry, found by a linear scan: a
 // model launches a few dozen distinct names at most.
-func (p *Profile) census(k Kernel) {
+func (p *Profile) census(k *Kernel) {
 	for i := range p.funcs {
 		if f := &p.funcs[i]; f.name == k.Name {
 			f.time += k.Time
@@ -166,10 +167,7 @@ func (p *Profile) CategoryStalls() map[Category]StallBreakdown {
 // iteration of the given batch.
 func IterationTime(m workload.Model, batch int, dev Device) float64 {
 	total := 0.0
-	Lower(m, batch, true, func(k Kernel) {
-		Execute(&k, dev)
-		total += k.Time
-	})
+	Lower(m, batch, true, dev, func(k *Kernel) { total += k.Time })
 	return total
 }
 

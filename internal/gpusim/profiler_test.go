@@ -2,7 +2,9 @@ package gpusim
 
 import (
 	"encoding/json"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -93,10 +95,7 @@ func TestRunFoldsLikeTheLaunchList(t *testing.T) {
 		for _, batch := range []int{1, 4, 32} {
 			for _, dev := range []Device{TitanXP(), TitanRTX()} {
 				var ks []Kernel
-				Lower(spec, batch, true, func(k Kernel) {
-					Execute(&k, dev)
-					ks = append(ks, k)
-				})
+				Lower(spec, batch, true, dev, func(k *Kernel) { ks = append(ks, *k) })
 				p := Run(spec, batch, true, dev)
 				got, err := json.Marshal(census{p.TotalTime, p.WeightedMetrics(), p.CategoryShares(), p.Hotspots(), p.CategoryStalls()})
 				if err != nil {
@@ -134,7 +133,7 @@ func TestRunAllocs(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	launches := func(m workload.Model) (n int) {
-		Lower(m, 32, true, func(Kernel) { n++ })
+		Lower(m, 32, true, TitanXP(), func(*Kernel) { n++ })
 		return n
 	}
 	big, small := specs["DC-AI-C6"], specs["DC-AI-C16"]
@@ -146,4 +145,41 @@ func TestRunAllocs(t *testing.T) {
 		t.Fatalf("Run makes %d mallocs on DC-AI-C6 and %d on DC-AI-C16, want the same count, ≤ 8", gb, gs)
 	}
 	t.Logf("Run: %d mallocs, whatever the launch count", gb)
+}
+
+// TestLowerEmitsExecutedKernels pins what lowering hands emit: every
+// kernel of every benchmark's paper-scale spec, at three batch sizes
+// on both devices, carries the Time, Metrics and Stalls that Execute
+// gives a fresh kernel of the same name, category and work, bit for
+// bit. A kernel a loop builds once and emits many times must therefore
+// stand for the same work at every launch.
+func TestLowerEmitsExecutedKernels(t *testing.T) {
+	bits := func(k *Kernel) []uint64 {
+		out := []uint64{math.Float64bits(k.Time)}
+		for _, v := range append(k.Metrics.Vector(), k.Stalls.Vector()...) {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	for _, e := range models.AllEntries() {
+		spec := e.Spec()
+		for _, batch := range []int{1, 4, 32} {
+			for _, dev := range []Device{TitanXP(), TitanRTX()} {
+				n := 0
+				Lower(spec, batch, true, dev, func(k *Kernel) {
+					fresh := Kernel{Name: k.Name, Category: k.Category, ci: k.Category.index(),
+						FLOPs: k.FLOPs, BytesRead: k.BytesRead, BytesWritten: k.BytesWritten}
+					Execute(&fresh, dev)
+					if got, want := bits(k), bits(&fresh); !slices.Equal(got, want) {
+						t.Fatalf("%s batch %d on %s, launch %d (%s): executed to %x, a fresh kernel to %x",
+							e.ID, batch, dev.Name, n, k.Name, got, want)
+					}
+					n++
+				})
+				if n == 0 {
+					t.Fatalf("%s batch %d lowered no kernels", e.ID, batch)
+				}
+			}
+		}
+	}
 }

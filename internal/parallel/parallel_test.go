@@ -62,9 +62,11 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 
 // TestForSharesGlobalWorkerBudget asserts the process-wide cap: no
 // matter how wide the requested pool, concurrently-active bodies never
-// exceed the caller plus GOMAXPROCS extra workers.
+// exceed the caller plus the extra workers the pool was sized with at
+// package load (GOMAXPROCS then, which `go test -cpu` may since have
+// changed).
 func TestForSharesGlobalWorkerBudget(t *testing.T) {
-	bound := int32(runtime.GOMAXPROCS(0) + 1)
+	bound := int32(cap(extraTokens) + 1)
 	var active, peak atomic.Int32
 	For(64, 256, func(i int) {
 		a := active.Add(1)

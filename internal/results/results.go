@@ -11,6 +11,10 @@
 // kind instead of failing, so streams written by newer suite revisions
 // stay partially readable, and bare SessionResult lines from the
 // pre-envelope format still decode as session records.
+//
+// A Writer encodes each record once: the payload is encoded straight
+// into the line's buffer behind the envelope header, and the finished
+// line reaches the output in one Write.
 package results
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 
 	"aibench/internal/core"
@@ -57,18 +62,34 @@ type Envelope struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// Writer streams records as enveloped JSONL lines. Writes are
+// Writer streams records as enveloped JSONL lines. Each record is
+// encoded once: NewWriter encodes the run identity once, and Write
+// builds the whole line in one buffer the writer reuses — the envelope
+// header, the payload encoded straight into the buffer, the closing
+// brace — and hands it to the output in one Write. Writes are
 // serialized internally, so it can back a Runner sink directly.
 type Writer struct {
 	mu    sync.Mutex
-	enc   *json.Encoder
-	meta  core.RunMeta
+	out   io.Writer
+	run   []byte // the encoded RunMeta
+	err   error  // why the RunMeta did not encode
+	line  bytes.Buffer
+	enc   *json.Encoder // encodes into line
 	count int
 }
 
+// lineCap is the line buffer a Writer starts with.
+const lineCap = 1 << 10
+
 // NewWriter wraps w; every envelope carries meta as its run identity.
 func NewWriter(w io.Writer, meta core.RunMeta) *Writer {
-	return &Writer{enc: json.NewEncoder(w), meta: meta}
+	out := &Writer{out: w}
+	out.run, out.err = json.Marshal(meta)
+	// A session line of a short run fits in lineCap; a longer line
+	// grows the buffer once, and the writer keeps it.
+	out.line.Grow(lineCap)
+	out.enc = json.NewEncoder(&out.line)
+	return out
 }
 
 // Write envelopes one record and appends it as a JSONL line. It has
@@ -79,13 +100,46 @@ func (w *Writer) Write(rec core.Record) error {
 	if payload == nil {
 		return fmt.Errorf("results: record kind %q carries no payload", rec.Kind)
 	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("results: encode %s record: %v", rec.Kind, err)
+	return w.write(string(rec.Kind), payload)
+}
+
+// WriteLine writes one envelope of the given kind around payload to w,
+// byte for byte as a Writer would. It serves one-off lines that are not
+// run records, such as a server's terminal error line.
+func WriteLine(w io.Writer, kind string, meta core.RunMeta, payload any) error {
+	return NewWriter(w, meta).write(kind, payload)
+}
+
+// write builds the line
+//
+//	{"v":1,"kind":"<kind>","run":<meta>,"data":<payload>}
+//
+// and writes it. The bytes are those of json.Encoder encoding an
+// Envelope whose Data is json.Marshal(payload): Marshal's output is
+// already compact and HTML-escaped, so the encoder's rescan of the
+// RawMessage changed nothing. kind is a bare identifier (a record kind
+// or "error") and needs no escaping.
+func (w *Writer) write(kind string, payload any) error {
+	if w.err != nil {
+		return fmt.Errorf("results: encode run identity: %v", w.err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.enc.Encode(Envelope{V: Version, Kind: string(rec.Kind), Run: w.meta, Data: data}); err != nil {
+	b := &w.line
+	b.Reset()
+	b.WriteString(`{"v":`)
+	b.WriteString(strconv.Itoa(Version))
+	b.WriteString(`,"kind":"`)
+	b.WriteString(kind)
+	b.WriteString(`","run":`)
+	b.Write(w.run)
+	b.WriteString(`,"data":`)
+	if err := w.enc.Encode(payload); err != nil {
+		return fmt.Errorf("results: encode %s record: %v", kind, err)
+	}
+	b.Truncate(b.Len() - 1) // the encoder's newline
+	b.WriteString("}\n")
+	if _, err := w.out.Write(b.Bytes()); err != nil {
 		return err
 	}
 	w.count++

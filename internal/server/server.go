@@ -348,17 +348,12 @@ func cleanRun(res *core.RunResult) bool {
 // merely short one. The "error" kind is unknown to results.Read, which
 // counts it as Skipped — it never poisons the decodable records.
 func writeErrorEnvelope(out io.Writer, meta core.RunMeta, runErr error) {
-	data, err := json.Marshal(map[string]string{"error": runErr.Error()})
-	if err != nil {
-		return
-	}
-	line, err := json.Marshal(results.Envelope{V: results.Version, Kind: "error", Run: meta, Data: data})
-	if err != nil {
-		return
-	}
-	if _, err := out.Write(append(line, '\n')); err != nil {
-		return // client is gone; the job ledger still holds the error
-	}
+	line := struct {
+		Error string `json:"error"`
+	}{runErr.Error()}
+	// A failed write means the client is gone; the job ledger still
+	// holds the error.
+	_ = results.WriteLine(out, "error", meta, line)
 }
 
 // flushWriter flushes the response after every write so each envelope

@@ -920,6 +920,32 @@ func TestReplayAndCharacterizeKindsServe(t *testing.T) {
 	}
 }
 
+// TestErrorEnvelopeBytes pins the terminal error line byte for byte to
+// the encoding it had when the server marshalled a map and then an
+// Envelope around it, with and without a backend in the run identity
+// and with a message the encoder must escape.
+func TestErrorEnvelopeBytes(t *testing.T) {
+	for _, meta := range []core.RunMeta{
+		{SuiteSHA: "sha", Seed: 7, Kernel: "blocked", Shards: 2, Started: "2026-07-27T00:00:00Z"},
+		{SuiteSHA: "sha", Seed: 7, Kernel: "naive", Backend: "process"},
+	} {
+		runErr := errors.New("run panicked: <nil> & \"quoted\" \u2028 naïve")
+		data, err := json.Marshal(map[string]string{"error": runErr.Error()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(results.Envelope{V: results.Version, Kind: "error", Run: meta, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		writeErrorEnvelope(&got, meta, runErr)
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("error line:\n got %s\nwant %s", got.Bytes(), want)
+		}
+	}
+}
+
 // TestPanickingRunFailsOneJob: a run that panics fails its own job —
 // state failed, a terminal error envelope on the stream, nothing
 // cached, slot and gauges given back — and the server goes on to run
