@@ -6,13 +6,17 @@
 // device's compute and memory throughput, and an nvprof-like profiler
 // aggregates the five micro-architectural metrics of Fig 3, the runtime
 // breakdown of Fig 5, the hotspot census of Fig 6, and the stall
-// breakdown of Fig 7. Lowering executes each kernel as it builds it,
-// and a loop that repeats the same work (a recurrent layer's timesteps)
-// builds and executes its kernels once, then launches them again and
-// again. The profiler folds each launch into fixed per-category and
-// per-function sums as it is lowered; no list of launches is kept, so a
-// profile costs the heap the same few objects whether the model
-// launches twenty kernels or six thousand.
+// breakdown of Fig 7. A lowering executes each distinct work (a
+// category and its FLOPs and bytes) once: a loop that repeats the same
+// work (a recurrent layer's timesteps) builds its kernels once and
+// launches them again and again, and any other kernel whose work an
+// earlier one executed copies that work's results. The profiler folds
+// each launch into fixed per-category and per-function sums as it is
+// lowered, in one pass, noting only the index of each launch's work for
+// the time-weighted metrics; the kernels, the works and that index live
+// in scratch borrowed for the call and kept for the next, so a profile
+// costs the heap the same two objects whether the model launches twenty
+// kernels or six thousand.
 //
 // The per-category efficiency and stall parameters are calibrated so the
 // simulator reproduces the qualitative signatures nvprof reports for

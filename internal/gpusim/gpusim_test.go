@@ -284,13 +284,13 @@ func TestKernelNameSelection(t *testing.T) {
 	one := workload.Layer{Kind: workload.Conv, Kernel: 1, Stride: 1, InC: 64, OutC: 64, H: 8, W: 8}
 	three := workload.Layer{Kind: workload.Conv, Kernel: 3, Stride: 1, InC: 64, OutC: 64, H: 8, W: 8}
 	five := workload.Layer{Kind: workload.Conv, Kernel: 5, Stride: 1, InC: 64, OutC: 64, H: 8, W: 8}
-	if convName(one, false) != "implicit_convolve_sgemm" {
+	if convName(&one, false) != "implicit_convolve_sgemm" {
 		t.Fatal("1x1 conv should dispatch to implicit gemm")
 	}
-	if convName(three, false) != "maxwell_scudnn_winograd_128x128_ldg1_ldg4_tile148n_nt" {
+	if convName(&three, false) != "maxwell_scudnn_winograd_128x128_ldg1_ldg4_tile148n_nt" {
 		t.Fatal("3x3 stride-1 conv should dispatch to winograd")
 	}
-	if convName(five, false) != "fft2d_r2c_32x32" {
+	if convName(&five, false) != "fft2d_r2c_32x32" {
 		t.Fatal("5x5 conv should dispatch to FFT")
 	}
 	if gemmName(1, 512, 512) != "gemv2N_kernel" {

@@ -49,6 +49,11 @@ type Kernel struct {
 	// ci is Category's position in Categories(), set with it by
 	// lowering, so no step after it looks the category up by name.
 	ci int
+	// fn is Name's position in funcNames, set with it by lowering.
+	fn int
+	// wi is the index of the kernel's work among those its lowering
+	// executed, set with its results.
+	wi int32
 	// Work characterization, filled by lowering.
 	FLOPs        float64
 	BytesRead    float64
@@ -154,12 +159,51 @@ var kernelNames = [numCategories][]string{
 	},
 }
 
-// pickName deterministically selects a function name for the category
-// at position ci from a size-derived variant index.
-func pickName(ci, variant int) string {
-	names := kernelNames[ci]
+// softmaxBackward is the one function lowering launches by name that
+// no row of kernelNames offers for picking.
+const softmaxBackward = "softmax_warp_backward"
+
+// maxFuncs is the number of distinct function names lowering can
+// launch: every name of kernelNames plus softmaxBackward.
+const maxFuncs = 45
+
+// funcNames is every function name lowering launches, flat: the rows of
+// kernelNames in category order, then softmaxBackward. funcBase holds
+// where each category's row starts. A kernel carries its name's
+// position here, and Run's census is indexed by it.
+var funcNames, funcBase = flattenNames()
+
+func flattenNames() (names [maxFuncs]string, base [numCategories]int) {
+	n := 0
+	for ci, row := range kernelNames {
+		base[ci] = n
+		n += copy(names[n:], row)
+	}
+	names[n] = softmaxBackward
+	return names, base
+}
+
+// pickFunc deterministically selects a function for the category at
+// position ci from a size-derived variant index, and returns its
+// position in funcNames.
+func pickFunc(ci, variant int) int {
 	if variant < 0 {
 		variant = -variant
 	}
-	return names[variant%len(names)]
+	return funcBase[ci] + variant%len(kernelNames[ci])
+}
+
+// funcOf returns the position in funcNames of a function lowering
+// launches by name in the category at position ci. A name lowering
+// cannot launch there is a bug, and funcOf panics on it.
+func funcOf(ci int, name string) int {
+	for i, n := range kernelNames[ci] {
+		if n == name {
+			return funcBase[ci] + i
+		}
+	}
+	if ci == iElementwise && name == softmaxBackward {
+		return maxFuncs - 1
+	}
+	panic("gpusim: no function " + name + " in category " + string(categories[ci]))
 }

@@ -2,7 +2,10 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
+	"aibench/internal/parallel"
 	"aibench/internal/workload"
 )
 
@@ -19,45 +22,89 @@ const bytesPerElem = 4 // FP32 training
 // begins with a host-to-device input copy and ends with element-wise
 // optimizer updates.
 //
-// A loop that launches the same work over and over — a recurrent
-// layer's timesteps, attention's passes, the splitK workspace passes of
-// a small-batch convolution — builds and executes its kernels once,
-// before the loop, and emits the same kernels on every iteration,
-// renaming those whose function name depends on the pass. The kernel
-// emit receives belongs to Lower and is valid only for the call: emit
-// copies what it keeps and changes nothing.
+// Each distinct work executes once per call. A loop that launches the
+// same work over and over — a recurrent layer's timesteps, attention's
+// passes, the splitK workspace passes of a small-batch convolution —
+// builds its kernels once, before the loop, and emits the same kernels
+// on every iteration, renaming those whose function name depends on the
+// pass. A kernel built with a work an earlier one executed (the same
+// category position, FLOPs and bytes) copies that work's results
+// instead of executing again; Execute reads nothing else, so the copy
+// is what it would compute, bit for bit. The kernel emit receives
+// belongs to Lower and is valid only for the call: emit copies what it
+// keeps and changes nothing. Kernels, works and the table that finds
+// them live in scratch borrowed for the call, so a warmed Lower
+// allocates nothing.
 func Lower(m workload.Model, batch int, training bool, dev Device, emit func(*Kernel)) {
-	lower(m, batch, training, dev, new(kernelSlots), emit)
+	sc := scratches.Get()
+	lower(m, batch, training, dev, sc, emit)
+	scratches.Put(sc)
 }
 
 // kernelSlots is the storage lowering builds and executes kernels in:
 // the most kernels one loop emits over and over (attention's six).
-// Run keeps it on its Profile, so lowering allocates nothing.
 type kernelSlots [6]Kernel
 
-// lowering is where one Lower call's kernels execute and the slots
-// they are built in. emit travels beside it as a parameter: escape
-// analysis does not tell one field from another, so a struct holding
-// both would send Run's fold closure to the heap with the slots.
-type lowering struct {
-	dev Device
-	ks  *kernelSlots
+// scratch is what one lowering borrows: the slots it builds kernels in,
+// the distinct works it has executed, an open-addressed table that
+// finds a work by its key, and, for Run, the index of each launch's
+// work in stream order. It holds no pointer into the heap but its own
+// slices, which keep their capacity from one lowering to the next.
+type scratch struct {
+	ks    kernelSlots
+	works []work
+	slots []int32 // a work's index + 1 at its hash position, 0 if empty
+	order []int32 // per launch, its work's index (filled by Run)
 }
 
-// lower is Lower with its kernels built in ks.
-func lower(m workload.Model, batch int, training bool, dev Device, ks *kernelSlots, emit func(*Kernel)) {
-	lo := lowering{dev: dev, ks: ks}
+// scratches is where lowerings borrow their scratch: one per lowering
+// running at once, kept across calls.
+var scratches parallel.FreeList[scratch]
+
+// work is one distinct executed work: the key Execute reads and the
+// results it gave.
+type work struct {
+	ci                   int
+	flops, read, written uint64 // math.Float64bits of the kernel's work
+	time                 float64
+	metrics              Metrics
+	stalls               StallBreakdown
+}
+
+// minSlots is the work table's starting size, a power of two: twice
+// the most distinct works a roster spec executes at its own batch.
+const minSlots = 512
+
+// lowering is where one Lower call's kernels execute and the scratch
+// they are built in. emit travels beside it as a parameter: escape
+// analysis does not tell one field from another, so a struct holding
+// both would send Run's fold closure to the heap with the scratch.
+type lowering struct {
+	dev Device
+	sc  *scratch
+}
+
+// lower is Lower with its kernels built and its works kept in sc,
+// which it empties first.
+func lower(m workload.Model, batch int, training bool, dev Device, sc *scratch, emit func(*Kernel)) {
+	if len(sc.slots) == 0 {
+		sc.slots = make([]int32, minSlots)
+	} else {
+		clear(sc.slots)
+	}
+	sc.works, sc.order = sc.works[:0], sc.order[:0]
+	lo := lowering{dev: dev, sc: sc}
 	b := float64(batch)
 
 	// Input transfer.
 	inputElems := 0.0
 	if len(m.Layers) > 0 {
-		inputElems = float64(inputVolume(m.Layers[0]))
+		inputElems = float64(inputVolume(&m.Layers[0]))
 	}
 	emit(lo.launch(iMemcpy, 0, "", 0, b*inputElems*bytesPerElem, b*inputElems*bytesPerElem))
 
-	for _, l := range m.Layers {
-		lo.layer(l, b, training, emit)
+	for i := range m.Layers {
+		lo.layer(&m.Layers[i], b, training, emit)
 	}
 
 	if training {
@@ -68,26 +115,88 @@ func lower(m workload.Model, batch int, training bool, dev Device, ks *kernelSlo
 }
 
 // build makes slot i a kernel of the category at position ci with the
-// given name and work, executes it, and returns it.
+// given name and work, gives it its results, and returns it. A kernel
+// built without a name is named by pick before it is emitted.
 func (lo *lowering) build(i, ci int, name string, flops, read, written float64) *Kernel {
-	k := &lo.ks[i]
-	k.Name, k.Category, k.ci = name, categories[ci], ci
+	k := &lo.sc.ks[i]
+	k.Category, k.ci = categories[ci], ci
+	k.Name, k.fn = name, -1
+	if name != "" {
+		k.fn = funcOf(ci, name)
+	}
 	k.FLOPs, k.BytesRead, k.BytesWritten = flops, read, written
-	Execute(k, lo.dev) // sets every other field
+	lo.execute(k)
 	return k
 }
 
-// launch builds and executes a one-off launch in slot 0; an empty name
-// picks the category's function by variant.
-func (lo *lowering) launch(ci, variant int, name string, flops, read, written float64) *Kernel {
-	if name == "" {
-		name = pickName(ci, variant)
+// pick names k by the function its category picks for variant.
+func (k *Kernel) pick(variant int) {
+	k.fn = pickFunc(k.ci, variant)
+	k.Name = funcNames[k.fn]
+}
+
+// execute sets k's results and work index: copied from the table when
+// this lowering has executed k's work before, from Execute otherwise,
+// which then adds the work to the table.
+func (lo *lowering) execute(k *Kernel) {
+	sc := lo.sc
+	f, r, w := math.Float64bits(k.FLOPs), math.Float64bits(k.BytesRead), math.Float64bits(k.BytesWritten)
+	mask := uint64(len(sc.slots) - 1)
+	i := workHash(k.ci, f, r, w) & mask
+	for ; sc.slots[i] != 0; i = (i + 1) & mask {
+		wk := &sc.works[sc.slots[i]-1]
+		if wk.ci == k.ci && wk.flops == f && wk.read == r && wk.written == w {
+			k.Time, k.Metrics, k.Stalls = wk.time, wk.metrics, wk.stalls
+			k.wi = sc.slots[i] - 1
+			return
+		}
 	}
-	return lo.build(0, ci, name, flops, read, written)
+	Execute(k, lo.dev)
+	k.wi = int32(len(sc.works))
+	sc.works = append(sc.works, work{ci: k.ci, flops: f, read: r, written: w,
+		time: k.Time, metrics: k.Metrics, stalls: k.Stalls})
+	sc.slots[i] = k.wi + 1
+	if 2*len(sc.works) > len(sc.slots) {
+		sc.rehash(2 * len(sc.slots))
+	}
+}
+
+// rehash rebuilds the work table at n slots.
+func (sc *scratch) rehash(n int) {
+	sc.slots = make([]int32, n)
+	mask := uint64(n - 1)
+	for wi := range sc.works {
+		wk := &sc.works[wi]
+		i := workHash(wk.ci, wk.flops, wk.read, wk.written) & mask
+		for sc.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		sc.slots[i] = int32(wi) + 1
+	}
+}
+
+// workHash mixes a work's key into a table position. A float that
+// counts whole bytes or FLOPs has its low mantissa bits clear, so the
+// high bits are folded down before the table masks them off.
+func workHash(ci int, f, r, w uint64) uint64 {
+	h := f ^ bits.RotateLeft64(r, 21) ^ bits.RotateLeft64(w, 42) ^ uint64(ci)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// launch builds a one-off launch in slot 0; an empty name picks the
+// category's function by variant.
+func (lo *lowering) launch(ci, variant int, name string, flops, read, written float64) *Kernel {
+	k := lo.build(0, ci, name, flops, read, written)
+	if name == "" {
+		k.pick(variant)
+	}
+	return k
 }
 
 // inputVolume estimates the input elements of the first layer.
-func inputVolume(l workload.Layer) int {
+func inputVolume(l *workload.Layer) int {
 	switch l.Kind {
 	case workload.Conv, workload.Pool:
 		return l.InC * l.H * l.W
@@ -109,7 +218,7 @@ func inputVolume(l workload.Layer) int {
 }
 
 // layer emits the kernels for one layer.
-func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(*Kernel)) {
+func (lo *lowering) layer(l *workload.Layer, b float64, training bool, emit func(*Kernel)) {
 	fwdFLOPs := b * l.FLOPs()
 	actBytes := b * float64(l.Activations()) * bytesPerElem
 	paramBytes := float64(l.Params()) * bytesPerElem
@@ -133,7 +242,7 @@ func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(
 		}
 		arrange := lo.build(0, iDataArrangement, "", 0, inBytes, inBytes*arrangeFactor)
 		for s := 0; s < splitK; s++ {
-			arrange.Name = pickName(iDataArrangement, variant+s)
+			arrange.pick(variant + s)
 			emit(arrange)
 		}
 		emit(lo.launch(iConvolution, variant, convName(l, false), fwdFLOPs, inBytes+paramBytes, actBytes))
@@ -145,8 +254,8 @@ func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(
 				grad := lo.build(0, iDataArrangement, "", 0, actBytes, actBytes*arrangeFactor)
 				input := lo.build(1, iDataArrangement, "", 0, inBytes, inBytes*arrangeFactor)
 				for s := 0; s < splitK; s++ {
-					grad.Name = pickName(iDataArrangement, variant+1+s)
-					input.Name = pickName(iDataArrangement, variant+2+s)
+					grad.pick(variant + 1 + s)
+					input.pick(variant + 2 + s)
 					emit(grad)
 					emit(input)
 				}
@@ -226,8 +335,8 @@ func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(
 		gemm := lo.build(0, iGEMM, "", perStepFLOPs, gemmBytes, b*float64(gates*l.Hidden)*bytesPerElem)
 		ew := lo.build(1, iElementwise, "", perStepEw, 3*ewBytes, ewBytes)
 		for p := 0; p < passes; p++ {
-			gemm.Name = pickName(iGEMM, l.Hidden/128+p)
-			ew.Name = pickName(iElementwise, 1+p)
+			gemm.pick(l.Hidden/128 + p)
+			ew.pick(1 + p)
 			for t := 0; t < l.SeqLen; t++ {
 				emit(gemm)
 				emit(ew)
@@ -253,12 +362,12 @@ func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(
 		av := lo.build(4, iGEMM, "", scoreFLOPs, scoreBytes+seqBytes, seqBytes)
 		proj := lo.build(5, iGEMM, "", projFLOPs, seqBytes+float64(l.Dim*l.Dim)*bytesPerElem, seqBytes)
 		for p := 0; p < passes; p++ {
-			qkv.Name = pickName(iGEMM, l.Dim/256+p)
-			score.Name = pickName(iGEMM, l.Seq/64+p)
-			av.Name = pickName(iGEMM, l.Seq/64+1+p)
-			proj.Name = pickName(iGEMM, l.Dim/256+1+p)
-			for i := range lo.ks {
-				emit(&lo.ks[i])
+			qkv.pick(l.Dim/256 + p)
+			score.pick(l.Seq/64 + p)
+			av.pick(l.Seq/64 + 1 + p)
+			proj.pick(l.Dim/256 + 1 + p)
+			for i := range lo.sc.ks {
+				emit(&lo.sc.ks[i])
 			}
 		}
 	case workload.GridSample:
@@ -284,7 +393,7 @@ func (lo *lowering) layer(l workload.Layer, b float64, training bool, emit func(
 // convName selects the cuDNN-style forward convolution kernel by
 // geometry: 1×1 convolutions dispatch to GEMM-like kernels, 3×3 to
 // winograd, larger kernels to FFT.
-func convName(l workload.Layer, backward bool) string {
+func convName(l *workload.Layer, backward bool) string {
 	switch {
 	case l.Kernel == 1:
 		return "implicit_convolve_sgemm"

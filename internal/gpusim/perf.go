@@ -36,11 +36,12 @@ const launchOverhead = 4e-6
 // and stall breakdown for the given device using a roofline model:
 // duration is the larger of compute time at the category's achievable
 // FLOP rate and memory time at its achievable bandwidth, plus launch
-// overhead. It reads only the kernel's category and work, so kernels
-// of the same category and work execute to the same results whatever
-// their names. The category's tables are read at the kernel's category
-// position; a kernel whose position does not hold its Category is a
-// bug, and Execute panics on it.
+// overhead. Of the kernel it reads only the category position, FLOPs,
+// BytesRead and BytesWritten, so two kernels that agree on those four
+// execute to the same results bit for bit, whatever their names; a
+// lowering relies on that to execute each distinct work once. Category
+// is only checked: a kernel whose position does not hold its Category
+// is a bug, and Execute panics on it.
 func Execute(k *Kernel, d Device) {
 	ci := k.ci
 	if ci < 0 || ci >= numCategories || categories[ci] != k.Category {

@@ -1,17 +1,18 @@
 package gpusim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"aibench/internal/workload"
 )
 
 // Profile is the nvprof-like record of one simulated training
 // iteration. Run folds each kernel into it as the kernel is lowered —
-// the per-category time and stall sums, the per-function census and the
-// time-weighted metrics — and keeps no list of launches. The kernels
-// lowering builds live in the profile too, so a Run costs the heap the
-// profile and its census slice, whatever the model launches.
+// the per-category time and stall sums and the per-function census —
+// and keeps no list of kernels, so a Run costs the heap the profile and
+// its census slice, whatever the model launches.
 type Profile struct {
 	Device    Device
 	TotalTime float64 // seconds per iteration
@@ -21,7 +22,7 @@ type Profile struct {
 	catTime  [numCategories]float64        // seconds per category
 	stalls   [numCategories]StallBreakdown // Σ stall fraction × seconds
 	funcs    []funcTime                    // one per distinct name, first-seen order
-	ks       kernelSlots                   // where lowering builds its kernels
+	funcAt   [maxFuncs]uint8               // 1 + a function's index in funcs, by its position
 }
 
 // funcTime is one function's running census.
@@ -32,15 +33,18 @@ type funcTime struct {
 	calls int
 }
 
-// Run lowers the model, executing its kernels on the device, and returns
-// the aggregated profile. Every sum adds its kernels per launch, in
-// stream order; a kernel's category position indexes the per-category
-// sums. The weighted metrics need the total time first, so Run lowers
-// the model twice: the first pass folds times, stalls and the census,
-// the second folds each kernel's metrics at weight Time/TotalTime.
+// Run lowers the model once, executing each distinct work on the device
+// once, and returns the aggregated profile. Every sum adds its kernels
+// per launch, in stream order; a kernel's category position indexes the
+// per-category sums. The weighted metrics need the total time first, so
+// as it folds a launch Run also notes the index of its work in the
+// lowering's table (four bytes a launch, in borrowed scratch); it then
+// walks that list in stream order and folds each launch's metrics at
+// weight Time/TotalTime.
 func Run(m workload.Model, batch int, training bool, dev Device) *Profile {
 	p := &Profile{Device: dev, funcs: make([]funcTime, 0, maxFuncs)}
-	lower(m, batch, training, dev, &p.ks, func(k *Kernel) {
+	sc := scratches.Get()
+	lower(m, batch, training, dev, sc, func(k *Kernel) {
 		p.TotalTime += k.Time
 		p.launches[k.ci]++
 		p.catTime[k.ci] += k.Time
@@ -54,37 +58,34 @@ func Run(m workload.Model, batch int, training bool, dev Device) *Profile {
 		s.PipeBusy += k.Stalls.PipeBusy * k.Time
 		s.MemThrottle += k.Stalls.MemThrottle * k.Time
 		p.census(k)
+		sc.order = append(sc.order, k.wi)
 	})
-	if p.TotalTime == 0 {
-		return p
+	if p.TotalTime != 0 {
+		for _, wi := range sc.order {
+			wk := &sc.works[wi]
+			w := wk.time / p.TotalTime
+			p.metrics.AchievedOccupancy += w * wk.metrics.AchievedOccupancy
+			p.metrics.IPCEfficiency += w * wk.metrics.IPCEfficiency
+			p.metrics.GldEfficiency += w * wk.metrics.GldEfficiency
+			p.metrics.GstEfficiency += w * wk.metrics.GstEfficiency
+			p.metrics.DramUtilization += w * wk.metrics.DramUtilization
+		}
 	}
-	lower(m, batch, training, dev, &p.ks, func(k *Kernel) {
-		w := k.Time / p.TotalTime
-		p.metrics.AchievedOccupancy += w * k.Metrics.AchievedOccupancy
-		p.metrics.IPCEfficiency += w * k.Metrics.IPCEfficiency
-		p.metrics.GldEfficiency += w * k.Metrics.GldEfficiency
-		p.metrics.GstEfficiency += w * k.Metrics.GstEfficiency
-		p.metrics.DramUtilization += w * k.Metrics.DramUtilization
-	})
+	scratches.Put(sc)
 	return p
 }
 
-// maxFuncs is the number of distinct function names lowering can
-// launch: every name of kernelNames plus softmax_warp_backward. A
-// profile's census is allocated at this capacity once.
-const maxFuncs = 45
-
-// census adds k to its function's entry, found by a linear scan: a
-// model launches a few dozen distinct names at most.
+// census adds k to its function's entry, found by the position of k's
+// name in funcNames.
 func (p *Profile) census(k *Kernel) {
-	for i := range p.funcs {
-		if f := &p.funcs[i]; f.name == k.Name {
-			f.time += k.Time
-			f.calls++
-			return
-		}
+	if j := p.funcAt[k.fn]; j != 0 {
+		f := &p.funcs[j-1]
+		f.time += k.Time
+		f.calls++
+		return
 	}
 	p.funcs = append(p.funcs, funcTime{name: k.Name, cat: k.Category, time: k.Time, calls: 1})
+	p.funcAt[k.fn] = uint8(len(p.funcs))
 }
 
 // CategoryShares returns each kernel category's fraction of total
@@ -129,11 +130,11 @@ func (p *Profile) Hotspots() []Hotspot {
 		}
 		out = append(out, Hotspot{Name: f.name, Category: f.cat, Share: share, Calls: f.calls})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Share != out[j].Share {
-			return out[i].Share > out[j].Share
+	slices.SortFunc(out, func(a, b Hotspot) int {
+		if c := cmp.Compare(b.Share, a.Share); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return out
 }

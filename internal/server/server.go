@@ -16,11 +16,14 @@
 //     flushed per record, so a saved response body feeds
 //     `aibench-report -from` unchanged and a dropped connection loses
 //     only the tail.
-//   - Identical submissions are free. Runs are bitwise-deterministic
-//     functions of (suite roster, canonical plan), so completed streams
-//     are cached under results.Key(suite SHA, Plan.Canonical) and
-//     replayed byte-identically for every later identical submission —
-//     zero retraining.
+//   - Identical submissions are free. Every record of a run is a
+//     bitwise-deterministic function of (suite roster, canonical
+//     plan), so completed streams are cached under results.Key(suite
+//     SHA, Plan.Canonical) and replayed byte-identically for every
+//     later identical submission — zero retraining. (A pooled run
+//     streams its records in completion order, so two misses of one
+//     plan may order the same lines differently; a hit replays the
+//     stream that was cached.)
 //
 // Endpoints: POST /jobs (submit a core.ParsePlan wire plan, NDJSON
 // stream back), GET /jobs/{id} (status), GET /healthz, GET /stats
@@ -288,11 +291,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // while teeing them into a buffer that becomes the cache entry when,
 // and only when, the run finishes cleanly: no engine error, no
 // cancellation, no per-benchmark failure. Started stays empty in the
-// run meta, so the stream is a pure function of (roster, canonical
-// plan) and replaying it later is exact.
+// run meta, so every line is a pure function of (roster, canonical
+// plan), and a hit replays the first clean miss byte for byte. The
+// order of the lines is not: records stream as they complete, so two
+// misses of a plan whose Workers is not 1 may list the same lines in
+// different orders.
 func (s *Server) runJob(ctx context.Context, j *job, out io.Writer) {
-	var cacheBuf bytes.Buffer
-	w := results.NewWriter(io.MultiWriter(&cacheBuf, out), j.runner.Meta())
+	cacheBuf := newCacheTee()
+	w := results.NewWriter(io.MultiWriter(cacheBuf, out), j.runner.Meta())
 	sink := func(rec core.Record) error {
 		if err := w.Write(rec); err != nil {
 			return err
@@ -326,6 +332,22 @@ func (s *Server) runJob(ctx context.Context, j *job, out io.Writer) {
 			s.cache.put(j.key, cacheBuf.Bytes())
 		}
 	}
+}
+
+// cacheTeeStart is the capacity a job's cache tee starts at: more than
+// one record line of the roster takes (a characterization line is
+// under 6 KB).
+const cacheTeeStart = 8192
+
+// newCacheTee returns the buffer runJob tees a stream into. A
+// bytes.Buffer sizes its first growth by its first write, and a pooled
+// kind's first record is whichever completes first. From a start no
+// line outgrows, every growth doubles the capacity, so what the tee
+// allocates depends on the stream's length, not on its order.
+func newCacheTee() *bytes.Buffer {
+	b := new(bytes.Buffer)
+	b.Grow(cacheTeeStart)
+	return b
 }
 
 // cleanRun reports whether every session in the result ran to its end:

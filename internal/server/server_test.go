@@ -7,8 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1000,4 +1004,86 @@ func TestPanickingRunFailsOneJob(t *testing.T) {
 	if stream, err := results.Read(bytes.NewReader(nextBody)); err != nil || len(stream.Sessions()) != 1 {
 		t.Fatalf("submit after the panic did not stream a session: %v\n%s", err, nextBody)
 	}
+}
+
+// characterizeLines returns the record lines of a characterization of
+// the whole roster, in plan order, each with its newline.
+func characterizeLines(t *testing.T) [][]byte {
+	t.Helper()
+	runner, err := core.NewRunner(core.NewRegistry(), core.Plan{Kind: core.RunCharacterize, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	w := results.NewWriter(&stream, runner.Meta())
+	if _, err := runner.Run(context.Background(), w.Write); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(stream.Bytes(), []byte("\n"))
+	return lines[:len(lines)-1] // the empty remainder after the last newline
+}
+
+// TestPooledMissesStreamTheSameLines pins what the cache contract
+// promises a pooled plan: two misses of one characterize plan, on two
+// servers, stream the same multiset of lines, whatever order each
+// stream's records completed in.
+func TestPooledMissesStreamTheSameLines(t *testing.T) {
+	const plan = `{"kind":"characterize","workers":4}`
+	var streams [2][]string
+	for i := range streams {
+		_, ts := newTestServer(t, Options{Workers: 1, QueueCap: 2}, true)
+		resp := submit(t, ts, "alice", plan)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("server %d: status %d, X-Cache %q, err %v", i, resp.StatusCode, resp.Header.Get("X-Cache"), err)
+		}
+		streams[i] = strings.SplitAfter(string(body), "\n")
+		sort.Strings(streams[i])
+	}
+	if len(streams[0]) < 24 {
+		t.Fatalf("a characterization of the roster streamed %d lines", len(streams[0]))
+	}
+	if !slices.Equal(streams[0], streams[1]) {
+		t.Fatal("two misses of one characterize plan streamed different lines")
+	}
+}
+
+// TestCacheTeeAllocsFollowLength pins what a job's cache tee
+// allocates to the stream's length: the roster's characterization
+// lines teed in plan order and reversed allocate the same bytes.
+func TestCacheTeeAllocsFollowLength(t *testing.T) {
+	lines := characterizeLines(t)
+	if len(lines) != 24 {
+		t.Fatalf("a characterization of the roster wrote %d lines, want 24", len(lines))
+	}
+	for _, l := range lines {
+		if len(l) > cacheTeeStart {
+			t.Fatalf("a %d-byte line outgrows the tee's %d-byte start", len(l), cacheTeeStart)
+		}
+	}
+	reversed := slices.Clone(lines)
+	slices.Reverse(reversed)
+	// The fewest bytes of five tries: another goroutine's allocation
+	// can only add to a try.
+	teed := func(lines [][]byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b := newCacheTee()
+			for _, l := range lines {
+				b.Write(l)
+			}
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(b)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	inOrder, backwards := teed(lines), teed(reversed)
+	if inOrder != backwards {
+		t.Fatalf("teeing the roster's characterization allocates %d B in plan order and %d B reversed", inOrder, backwards)
+	}
+	t.Logf("tee: %d B for %d lines, either order", inOrder, len(lines))
 }

@@ -68,8 +68,8 @@ type Layer struct {
 	Tied bool
 }
 
-// OutDim returns the convolution output spatial size for input size in.
-func (l Layer) outDim(in int) int {
+// outDim returns the convolution output spatial size for input size in.
+func (l *Layer) outDim(in int) int {
 	if l.Stride == 0 {
 		return in
 	}
@@ -78,7 +78,9 @@ func (l Layer) outDim(in int) int {
 }
 
 // FLOPs returns the forward floating-point operations for one sample.
-func (l Layer) FLOPs() float64 {
+// It and the other Layer methods read the layer in place: a Layer is
+// some two hundred bytes, and lowering calls them per layer.
+func (l *Layer) FLOPs() float64 {
 	switch l.Kind {
 	case Conv:
 		oh, ow := l.outDim(l.H), l.outDim(l.W)
@@ -125,7 +127,7 @@ func (l Layer) FLOPs() float64 {
 }
 
 // Params returns the number of learnable parameters.
-func (l Layer) Params() int {
+func (l *Layer) Params() int {
 	if l.Tied {
 		return 0
 	}
@@ -153,7 +155,7 @@ func (l Layer) Params() int {
 
 // Activations returns the output element count per sample, which drives
 // the simulator's memory-traffic model.
-func (l Layer) Activations() int {
+func (l *Layer) Activations() int {
 	switch l.Kind {
 	case Conv:
 		oh, ow := l.outDim(l.H), l.outDim(l.W)
@@ -187,8 +189,8 @@ type Model struct {
 // FLOPs returns total forward FLOPs per sample.
 func (m Model) FLOPs() float64 {
 	s := 0.0
-	for _, l := range m.Layers {
-		s += l.FLOPs()
+	for i := range m.Layers {
+		s += m.Layers[i].FLOPs()
 	}
 	return s
 }
@@ -196,8 +198,8 @@ func (m Model) FLOPs() float64 {
 // Params returns total learnable parameters.
 func (m Model) Params() int {
 	s := 0
-	for _, l := range m.Layers {
-		s += l.Params()
+	for i := range m.Layers {
+		s += m.Layers[i].Params()
 	}
 	return s
 }
