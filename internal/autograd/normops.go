@@ -68,8 +68,8 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 	for ch := 0; ch < c; ch++ {
 		invStd.Data[ch] = 1 / math.Sqrt(variance.Data[ch]+eps)
 	}
-	xhat := ar.New(n, c, h, w)
-	o := ar.New(n, c, h, w)
+	xhat := ar.Take(n, c, h, w)
+	o := ar.Take(n, c, h, w)
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
 			base := (img*c + ch) * plane
@@ -91,7 +91,9 @@ func BatchNorm2D(x, gamma, beta *Value, eps float64) (out *Value, batchMean, bat
 }
 
 // batchNorm2DBack reads the normalized input and the per-channel
-// inverse deviations from the save area.
+// inverse deviations from the save area. Each channel's sums are
+// accumulated image by image in the order a running per-channel total
+// would see them, and the input gradient is added straight into x's.
 func batchNorm2DBack(node *Value, g *tensor.Tensor) {
 	x, gamma, beta := node.parents[0], node.parents[1], node.parents[2]
 	xhat, invStd := node.saved[0], node.saved[1]
@@ -101,36 +103,35 @@ func batchNorm2DBack(node *Value, g *tensor.Tensor) {
 	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
 	dgamma := ar.New(c)
 	dbeta := ar.New(c)
-	sumDy := ar.New(c)
-	sumDyXhat := ar.New(c)
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
+	for ch := 0; ch < c; ch++ {
+		sDy, sDyX := 0.0, 0.0
+		for img := 0; img < n; img++ {
 			base := (img*c + ch) * plane
 			for k := 0; k < plane; k++ {
 				gy := g.Data[base+k]
-				sumDy.Data[ch] += gy
-				sumDyXhat.Data[ch] += gy * xhat.Data[base+k]
+				sDy += gy
+				sDyX += gy * xhat.Data[base+k]
 			}
 		}
+		dbeta.Data[ch], dgamma.Data[ch] = sDy, sDyX
 	}
-	copy(dbeta.Data, sumDy.Data)
-	copy(dgamma.Data, sumDyXhat.Data)
 	gamma.accumGrad(dgamma)
 	beta.accumGrad(dbeta)
 	if x.requiresGrad {
-		gx := ar.New(n, c, h, w)
+		gx := x.EnsureGrad().Data
 		for img := 0; img < n; img++ {
 			for ch := 0; ch < c; ch++ {
 				base := (img*c + ch) * plane
 				ga, is := gamma.Data.Data[ch], invStd.Data[ch]
-				sDy, sDyX := sumDy.Data[ch], sumDyXhat.Data[ch]
+				sDy, sDyX := dbeta.Data[ch], dgamma.Data[ch]
 				for k := 0; k < plane; k++ {
 					gy := g.Data[base+k]
-					gx.Data[base+k] = ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX)
+					// The conversion rounds the term before the add,
+					// so no FMA fuses the two on any architecture.
+					gx[base+k] += float64(ga * is / m * (m*gy - sDy - xhat.Data[base+k]*sDyX))
 				}
 			}
 		}
-		x.accumGrad(gx)
 	}
 }
 
@@ -140,7 +141,7 @@ func BatchNorm2DInference(x *Value, gamma, beta *Value, runMean, runVar *tensor.
 	n, c, h, w := x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2), x.Data.Dim(3)
 	plane := h * w
 	ar := tensor.ArenaOf(x.Data, gamma.Data, beta.Data)
-	o := ar.New(n, c, h, w)
+	o := ar.Take(n, c, h, w)
 	scale := ar.New(c)
 	for ch := 0; ch < c; ch++ {
 		scale.Data[ch] = gamma.Data.Data[ch] / math.Sqrt(runVar.Data[ch]+eps)

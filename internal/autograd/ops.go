@@ -76,15 +76,13 @@ func ReLU(a *Value) *Value {
 	return node
 }
 
+// reluBack adds the masked upstream gradient straight into the
+// parent's: no masked copy is built, and nothing at all when the parent
+// needs no gradient.
 func reluBack(n *Value, g *tensor.Tensor) {
-	a := n.parents[0]
-	da := tensor.NewLike(a.Data)
-	for i, x := range a.Data.Data {
-		if x > 0 {
-			da.Data[i] = g.Data[i]
-		}
+	if a := n.parents[0]; a.requiresGrad {
+		tensor.AddReLUGrad(a.EnsureGrad(), a.Data, g)
 	}
-	a.accumGrad(da)
 }
 
 // Sigmoid returns the logistic function element-wise.

@@ -75,20 +75,25 @@ func sameResult(t *testing.T, id string, shards int, got, want core.SessionResul
 // TestShardedLossesBitwiseIdentical is the engine's core guarantee:
 // the shard count is a pure scheduling knob. Per-epoch losses (and
 // qualities) with Shards in {2,4,7} must be bitwise identical to
-// Shards=1 for every sharded benchmark.
+// Shards=1 for every sharded benchmark. Each benchmark is a parallel
+// subtest: its sessions build their own registry, instances and
+// arenas, and share nothing but the kernel pool.
 func TestShardedLossesBitwiseIdentical(t *testing.T) {
 	for _, id := range shardedIDs {
-		base := runSession(t, id, 1, 3, core.QuasiEntireSession)
-		if base.Shards != 1 {
-			t.Fatalf("%s: expected dist path at Shards=1, got Shards=%d", id, base.Shards)
-		}
-		for _, n := range []int{2, 4, 7} {
-			got := runSession(t, id, n, 3, core.QuasiEntireSession)
-			if got.Shards != n {
-				t.Fatalf("%s: expected dist path at Shards=%d, got Shards=%d", id, n, got.Shards)
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			base := runSession(t, id, 1, 3, core.QuasiEntireSession)
+			if base.Shards != 1 {
+				t.Fatalf("%s: expected dist path at Shards=1, got Shards=%d", id, base.Shards)
 			}
-			sameResult(t, id, n, got, base)
-		}
+			for _, n := range []int{2, 4, 7} {
+				got := runSession(t, id, n, 3, core.QuasiEntireSession)
+				if got.Shards != n {
+					t.Fatalf("%s: expected dist path at Shards=%d, got Shards=%d", id, n, got.Shards)
+				}
+				sameResult(t, id, n, got, base)
+			}
+		})
 	}
 }
 

@@ -126,14 +126,29 @@ func (s *slabs[T]) rewind(wipe func([]T)) {
 }
 
 // New returns a zero-filled tensor of the given shape placed in a; on
-// a nil arena it is the heap constructor New.
+// a nil arena it is the heap constructor New. The zero fill is for a
+// result the op accumulates into (+= over a reduction, a gradient
+// buffer, a scatter that leaves elements untouched); a result the op
+// writes in full before reading any of it comes from Take.
 func (a *Arena) New(shape ...int) *Tensor {
+	t := a.Take(shape...)
+	if a != nil {
+		clear(t.Data)
+	}
+	return t
+}
+
+// Take returns a tensor of the given shape placed in a with its
+// contents unspecified: whatever the slab held last step, NaN under
+// ResetPoison. It is right only for an op that writes every element of
+// its result before anything reads one (an element-wise output, a
+// normalized copy), and saves New's zero fill there. On a nil arena it
+// is the heap constructor New, which zero-fills anyway.
+func (a *Arena) Take(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
-	data := a.floats.take(volume(shape), arenaFloats)
-	clear(data)
-	return a.shaped(data, shape)
+	return a.shaped(a.floats.take(volume(shape), arenaFloats), shape)
 }
 
 // shaped is the package's one way to finish a tensor: data under a
@@ -268,7 +283,9 @@ func RunOf(ts ...*Tensor) *Run {
 	return processRun
 }
 
-// NewLike returns a zero-filled tensor with t's shape and placement.
+// NewLike returns a zero-filled tensor with t's shape and placement
+// (Arena.New): the buffer for an accumulation. A result written in full
+// takes t's arena's Take instead.
 func NewLike(t *Tensor) *Tensor { return t.arena.New(t.shape...) }
 
 // Detach returns a deep copy of t on the heap with no placement. No

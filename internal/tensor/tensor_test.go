@@ -235,6 +235,69 @@ func TestReLUBits(t *testing.T) {
 	}
 }
 
+// reluEdges are the values on which a branch-free ReLU could part from
+// the branchy definition: signed zeros, infinities, quiet NaNs of both
+// signs, the smallest subnormals and the largest finite values.
+var reluEdges = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Copysign(math.NaN(), -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.MaxFloat64, -math.MaxFloat64,
+}
+
+// TestReLUPairMatchesBranchyDefinition holds ReLU and AddReLUGrad to
+// the definitions they replace, bit for bit: a zero-filled result that
+// takes x where x > 0, and a zero-filled masked copy of g added into
+// the gradient. The gradient already holds −0, +0 and finite values,
+// and x and g run over every edge value against every other.
+func TestReLUPairMatchesBranchyDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var xs, gs []float64
+	for _, x := range reluEdges {
+		for _, g := range reluEdges {
+			xs, gs = append(xs, x), append(gs, g)
+		}
+	}
+	for range 4000 {
+		xs, gs = append(xs, rng.NormFloat64()), append(gs, rng.NormFloat64())
+	}
+	start := make([]float64, len(xs))
+	for i := range start {
+		start[i] = []float64{math.Copysign(0, -1), 0, 1.5, -2.25, rng.NormFloat64()}[i%5]
+	}
+	x, g := FromSlice(xs, len(xs)), FromSlice(gs, len(gs))
+
+	want := NewLike(x)
+	for i, v := range x.Data {
+		if v > 0 {
+			want.Data[i] = v
+		}
+	}
+	got := ReLU(x)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("ReLU(%v) bits %#x, want %#x", xs[i], math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
+
+	da := NewLike(x)
+	for i, v := range x.Data {
+		if v > 0 {
+			da.Data[i] = g.Data[i]
+		}
+	}
+	wantGrad := FromSlice(append([]float64(nil), start...), len(start))
+	AddInPlace(wantGrad, da)
+	gotGrad := FromSlice(append([]float64(nil), start...), len(start))
+	AddReLUGrad(gotGrad, x, g)
+	for i := range wantGrad.Data {
+		if math.Float64bits(gotGrad.Data[i]) != math.Float64bits(wantGrad.Data[i]) {
+			t.Fatalf("x=%v g=%v into %v: bits %#x, want %#x", xs[i], gs[i], start[i],
+				math.Float64bits(gotGrad.Data[i]), math.Float64bits(wantGrad.Data[i]))
+		}
+	}
+}
+
 func TestMaxAbs(t *testing.T) {
 	if MaxAbs(FromSlice([]float64{-7, 2}, 2)) != 7 {
 		t.Fatal("MaxAbs wrong")
