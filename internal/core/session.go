@@ -58,8 +58,8 @@ type SessionResult struct {
 // epochTrainer is one epoch of work plus its evaluation — implemented
 // by the data-parallel dist.Engine and by the serial models.Trainer.
 // Errors are per-benchmark failures (a dead replica process, a
-// determinism violation, a phase that split a one-grain step), recorded
-// on the session instead of crashing the suite.
+// determinism violation), recorded on the session instead of crashing
+// the suite.
 type epochTrainer interface {
 	TrainEpoch() (float64, error)
 	Quality() (float64, error)

@@ -20,7 +20,8 @@ func (f *noReportPhase) Arena() *tensor.Arena             { return &f.arena }
 func (*noReportPhase) BeginEpoch()                        {}
 func (*noReportPhase) StepsPerEpoch(int) int              { return 1 }
 func (*noReportPhase) Phases() []models.PhaseSpec         { return []models.PhaseSpec{{Name: "step"}} }
-func (*noReportPhase) BeginPhase(int, int) []models.Grain { return nil }
+func (*noReportPhase) BeginPhase(int, int) int            { return 0 }
+func (*noReportPhase) Grain(int, int, int) (float64, int) { return 0, 0 }
 func (*noReportPhase) PhaseParams(int) []*nn.Param        { return nil }
 func (*noReportPhase) ApplyPhase(int)                     {}
 

@@ -104,7 +104,8 @@ func TestShardedLossesBitwiseIdentical(t *testing.T) {
 // into the numbers: shard counts stay bitwise identical within a
 // kernel, and — because every kernel accumulates each output element
 // in the same ascending-k order — the losses must match bitwise across
-// kernels too.
+// kernels too. Each benchmark is a parallel subtest, as in
+// TestShardedLossesBitwiseIdentical.
 func TestShardDeterminismAcrossKernels(t *testing.T) {
 	runSession := func(t *testing.T, id, kernel string, shards int) core.SessionResult {
 		t.Helper()
@@ -113,21 +114,24 @@ func TestShardDeterminismAcrossKernels(t *testing.T) {
 		})
 	}
 	for _, id := range []string{"DC-AI-C1", "DC-AI-C2", "DC-AI-C6", "DC-AI-C17"} {
-		var acrossKernels []core.SessionResult
-		for _, kname := range tensor.KernelNames() {
-			base := runSession(t, id, kname, 1)
-			if base.Kernel != kname {
-				t.Fatalf("%s: SessionResult.Kernel = %q, want %q", id, base.Kernel, kname)
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			var acrossKernels []core.SessionResult
+			for _, kname := range tensor.KernelNames() {
+				base := runSession(t, id, kname, 1)
+				if base.Kernel != kname {
+					t.Fatalf("%s: SessionResult.Kernel = %q, want %q", id, base.Kernel, kname)
+				}
+				for _, n := range []int{2, 4, 7} {
+					got := runSession(t, id, kname, n)
+					sameResult(t, id+"/"+kname, n, got, base)
+				}
+				acrossKernels = append(acrossKernels, base)
 			}
-			for _, n := range []int{2, 4, 7} {
-				got := runSession(t, id, kname, n)
-				sameResult(t, id+"/"+kname, n, got, base)
+			for i := 1; i < len(acrossKernels); i++ {
+				sameResult(t, id+"/cross-kernel", 1, acrossKernels[i], acrossKernels[0])
 			}
-			acrossKernels = append(acrossKernels, base)
-		}
-		for i := 1; i < len(acrossKernels); i++ {
-			sameResult(t, id+"/cross-kernel", 1, acrossKernels[i], acrossKernels[0])
-		}
+		})
 	}
 }
 

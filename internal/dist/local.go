@@ -42,6 +42,7 @@ func (l *Local) Open(ctx context.Context, benchID string, factory models.Factory
 		outs:     make([]PhaseOut, l.workers),
 		quals:    make([]float64, l.workers),
 	}
+	g.body = g.rank
 	specs := make([]GroupSpec, l.workers)
 	for r := 0; r < l.workers; r++ {
 		rep, err := newReplica(benchID, factory, seed, r, l.workers, tensor.RunFrom(ctx))
@@ -64,32 +65,69 @@ type localGroup struct {
 	replicas []*replica
 	outs     []PhaseOut
 	quals    []float64
+
+	// The collective the ranks run next, with its phase and the vectors
+	// an apply installs. body is the group's rank method, bound once in
+	// Open, so a collective costs the heap nothing.
+	op        localOp
+	phase     int
+	grad, buf []float64
+	body      func(r int)
 }
 
-func (g *localGroup) run(fn func(r int)) {
+// localOp names a collective of the local group.
+type localOp int
+
+const (
+	opBeginEpoch localOp = iota
+	opCompute
+	opApply
+	opQuality
+)
+
+// run executes op on every rank.
+func (g *localGroup) run(op localOp) {
+	g.op = op
 	w := len(g.replicas)
-	parallel.For(w, w, fn)
+	parallel.For(w, w, g.body)
+}
+
+// rank runs the current collective on rank r.
+func (g *localGroup) rank(r int) {
+	rep := g.replicas[r]
+	switch g.op {
+	case opBeginEpoch:
+		rep.trainer.BeginEpoch()
+	case opCompute:
+		g.outs[r] = rep.computePhase(g.phase)
+	case opApply:
+		rep.apply(g.phase, g.grad, g.buf)
+	case opQuality:
+		g.quals[r] = rep.quality()
+	}
 }
 
 func (g *localGroup) Spec() GroupSpec { return g.replicas[0].spec }
 
 func (g *localGroup) BeginEpoch() error {
-	g.run(func(r int) { g.replicas[r].trainer.BeginEpoch() })
+	g.run(opBeginEpoch)
 	return nil
 }
 
 func (g *localGroup) ComputePhase(p int) ([]PhaseOut, error) {
-	g.run(func(r int) { g.outs[r] = g.replicas[r].computePhase(p) })
+	g.phase = p
+	g.run(opCompute)
 	return g.outs, nil
 }
 
 func (g *localGroup) ApplyPhase(p int, grad, buf []float64) error {
-	g.run(func(r int) { g.replicas[r].apply(p, grad, buf) })
+	g.phase, g.grad, g.buf = p, grad, buf
+	g.run(opApply)
 	return nil
 }
 
 func (g *localGroup) Quality() ([]float64, error) {
-	g.run(func(r int) { g.quals[r] = g.replicas[r].quality() })
+	g.run(opQuality)
 	return g.quals, nil
 }
 

@@ -26,14 +26,12 @@ func (m fakeModule) Params() []*nn.Param { return m }
 // if per-phase reduces mixed gradients across phases, b's update
 // would absorb the leak. Each replica records its own event sequence
 // so the declared phase order is checked on every rank. Phase "first"
-// splits its batch {1, 3} into the grains it is asked for. phases is
-// the declared phase list, and splitsOne makes phase "first" split a
-// one-grain request too.
+// draws two units whose gradients on a are 1 and 3; a grain's gradient
+// is its units' mean. phases is the declared phase list.
 type fakePhased struct {
-	a, b      *nn.Param
-	events    []string
-	phases    []models.PhaseSpec
-	splitsOne bool
+	a, b   *nn.Param
+	events []string
+	phases []models.PhaseSpec
 }
 
 func newFakePhased() *fakePhased {
@@ -60,28 +58,33 @@ func (f *fakePhased) PhaseParams(phase int) []*nn.Param {
 	return []*nn.Param{f.b}
 }
 
-func (f *fakePhased) BeginPhase(phase, grains int) []models.Grain {
+func (f *fakePhased) BeginPhase(phase, _ int) int {
 	f.events = append(f.events, "begin:"+f.phaseName(phase))
 	if phase == 0 {
-		mk := func(g float64, n int) models.Grain {
-			return func() (float64, int) {
-				f.a.Value.EnsureGrad().Data[0] += g
-				f.b.Value.EnsureGrad().Data[0] += 1e6 // cross-phase leak
-				return g, n
-			}
-		}
-		if grains == 1 && !f.splitsOne {
-			return []models.Grain{mk(2, 2)} // the batch's mean gradient
-		}
-		return []models.Grain{mk(1, 1), mk(3, 1)}
+		return 2
 	}
-	return []models.Grain{func() (float64, int) {
-		// The second phase sees the first phase's update: its gradient
-		// is derived from a's post-apply value, so a stale or skipped
-		// "first" apply shows up as a wrong b update.
-		f.b.Value.EnsureGrad().Data[0] += 10 * f.a.Value.Data.Data[0]
-		return 5, 1
-	}}
+	return 1
+}
+
+// firstUnits is the gradient phase "first" puts on a per unit.
+var firstUnits = []float64{1, 3}
+
+func (f *fakePhased) Grain(phase, lo, hi int) (float64, int) {
+	if phase == 0 {
+		g := 0.0
+		for _, u := range firstUnits[lo:hi] {
+			g += u
+		}
+		g /= float64(hi - lo) // the grain's mean gradient
+		f.a.Value.EnsureGrad().Data[0] += g
+		f.b.Value.EnsureGrad().Data[0] += 1e6 // cross-phase leak
+		return g, hi - lo
+	}
+	// The second phase sees the first phase's update: its gradient is
+	// derived from a's post-apply value, so a stale or skipped "first"
+	// apply shows up as a wrong b update.
+	f.b.Value.EnsureGrad().Data[0] += 10 * f.a.Value.Data.Data[0]
+	return 5, 1
 }
 
 func (f *fakePhased) ApplyPhase(phase int) {
@@ -158,8 +161,7 @@ func TestPhaseOrderAndIsolation(t *testing.T) {
 // TestMalformedTrainersAreRefused: both drivers refuse a trainer whose
 // phase list cannot produce a step loss — dist naming the benchmark by
 // the id it opens, the serial driver leaving that to the session record
-// it fails — and the serial driver refuses a phase that splits a
-// one-grain step.
+// it fails.
 func TestMalformedTrainersAreRefused(t *testing.T) {
 	for _, tc := range []struct {
 		phases []models.PhaseSpec
@@ -181,15 +183,5 @@ func TestMalformedTrainersAreRefused(t *testing.T) {
 		if want := "models: benchmark " + tc.want; err == nil || err.Error() != want {
 			t.Errorf("models.NewTrainer: error %v, want %q", err, want)
 		}
-	}
-	f := newFakePhased()
-	f.splitsOne = true
-	tr, err := models.NewTrainer(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `models: phase "first" made 2 grains of a one-grain step`
-	if _, err := tr.TrainEpoch(); err == nil || err.Error() != want {
-		t.Errorf("Trainer.TrainEpoch: error %v, want %q", err, want)
 	}
 }

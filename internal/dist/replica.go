@@ -78,9 +78,10 @@ func newReplica(benchID string, factory models.Factory, seed int64, rank, worker
 }
 
 // computePhase runs the rank's round-robin share of phase p's grains:
-// snapshot the phase-start buffer state, then for each owned grain
-// restore that state, zero every gradient, run the grain, and record
-// its flattened gradient and buffer capture in isolation. The returned
+// snapshot the phase-start buffer state, draw the phase's units, then
+// for each owned grain — its units from models.GrainUnits — restore
+// that state, zero every gradient, train the grain, and record its
+// flattened gradient and buffer capture in isolation. The returned
 // slices are reused across calls.
 func (r *replica) computePhase(p int) PhaseOut {
 	// The replica drives the optimizer steps, so it ends them: the
@@ -97,14 +98,16 @@ func (r *replica) computePhase(p int) PhaseOut {
 	for _, b := range r.buffers {
 		off += copy(r.bufSnap[off:], b.Data)
 	}
-	grains := r.trainer.BeginPhase(p, models.ShardGrains)
-	out := PhaseOut{Total: len(grains), Grains: r.grains[:0]}
+	units := r.trainer.BeginPhase(p, models.ShardGrains)
+	out := PhaseOut{Grains: r.grains[:0]}
+	out.Total, _, _ = models.GrainUnits(units, models.ShardGrains, 0)
 	plen := r.spec.GroupLen[p]
 	k := 0
-	for g := r.rank; g < len(grains); g += r.workers {
+	for g := r.rank; g < out.Total; g += r.workers {
+		_, lo, hi := models.GrainUnits(units, models.ShardGrains, g)
 		r.restoreBuffers()
 		zeroGrads(r.params)
-		loss, n := grains[g]()
+		loss, n := r.trainer.Grain(p, lo, hi)
 		grad := scratchVec(&r.gradScratch, k, r.spec.ParamLen)[:plen]
 		r.flattenGradsInto(p, grad)
 		buf := scratchVec(&r.bufScratch, k, r.spec.BufLen)

@@ -139,12 +139,12 @@ func TestRankStepSteadyStateAllocs(t *testing.T) {
 // ceiling may only come down: a family that leaves the heap leaves
 // this list, and every benchmark not on it must read 0.
 var warmedEpochCeilings = map[string]uint64{
-	"DC-AI-C2": 829, "DC-AI-C4": 336, "DC-AI-C5": 284,
-	"DC-AI-C6": 1593, "DC-AI-C7": 1410, "DC-AI-C8": 450, "DC-AI-C9": 8522,
-	"DC-AI-C10": 382, "DC-AI-C11": 150, "DC-AI-C12": 230, "DC-AI-C13": 128,
-	"DC-AI-C14": 985, "DC-AI-C15": 99, "DC-AI-C17": 1582,
-	"MLPerf-ODL": 806, "MLPerf-ODH": 8816, "MLPerf-TR": 2460,
-	"MLPerf-RC": 382, "MLPerf-RL": 822,
+	"DC-AI-C2": 749, "DC-AI-C4": 312, "DC-AI-C5": 260,
+	"DC-AI-C6": 1569, "DC-AI-C7": 1394, "DC-AI-C8": 434, "DC-AI-C9": 8510,
+	"DC-AI-C10": 362, "DC-AI-C11": 134, "DC-AI-C12": 214, "DC-AI-C13": 112,
+	"DC-AI-C14": 953, "DC-AI-C15": 83, "DC-AI-C17": 1550,
+	"MLPerf-ODL": 794, "MLPerf-ODH": 8804, "MLPerf-TR": 2420,
+	"MLPerf-RC": 362, "MLPerf-RL": 814,
 }
 
 // TestWarmedEpochAllocatesNothing is the allocation gate of the

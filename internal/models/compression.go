@@ -31,6 +31,7 @@ type ImageCompression struct {
 	h, w    int
 	epoch   int
 	testX   *tensor.Tensor
+	x       *tensor.Tensor // the step's image draw
 }
 
 // NewImageCompression constructs the scaled benchmark.
@@ -86,19 +87,17 @@ func (b *ImageCompression) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *ImageCompression) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the image macro-batch and split
-// it into per-grain sub-batches, each minimizing the residual energy
-// across codec iterations.
-func (b *ImageCompression) BeginPhase(_, grains int) []Grain {
-	x, _ := b.ds.Batch(8)
-	return splitGrains(x.Dim(0), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			xs := batchRows(x, lo, hi)
-			loss := autograd.MSELoss(b.reconstruct(autograd.Const(xs)), xs)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the image macro-batch.
+func (b *ImageCompression) BeginPhase(int, int) int {
+	b.x, _ = b.ds.Batch(8)
+	return b.x.Dim(0)
+}
+
+// Grain implements Benchmark: images [lo,hi) of the draw minimize the
+// residual energy across codec iterations.
+func (b *ImageCompression) Grain(_, lo, hi int) (float64, int) {
+	xs := batchRows(b.x, lo, hi)
+	return backward(autograd.MSELoss(b.reconstruct(autograd.Const(xs)), xs), hi-lo)
 }
 
 // Quality implements Benchmark: mean MS-SSIM between original and

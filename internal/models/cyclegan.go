@@ -132,51 +132,43 @@ func (b *ImageToImage) PhaseParams(phase int) []*nn.Param {
 }
 
 // BeginPhase implements Benchmark: the discriminator phase draws
-// the step's paired macro-batch (stored for the generator phase to
-// reuse) and scores real-vs-translated slices; the generator phase
-// computes the adversarial plus cycle-consistency objective on the
-// same slices.
-func (b *ImageToImage) BeginPhase(phase, grains int) []Grain {
+// the step's paired macro-batch, which the generator phase reuses.
+func (b *ImageToImage) BeginPhase(phase, _ int) int {
 	if phase == 0 {
 		b.stepA, b.stepB, _ = b.ds.Pair(b.batch)
-		return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-			return func() (float64, int) {
-				av, bv := autograd.Const(batchRows(b.stepA, lo, hi)), autograd.Const(batchRows(b.stepB, lo, hi))
-				fakeB := b.gAB.Forward(av)
-				fakeA := b.gBA.Forward(bv)
-				dRealB := b.dB.Forward(bv)
-				dFakeB := b.dB.Forward(autograd.Const(fakeB.Data))
-				dRealA := b.dA.Forward(av)
-				dFakeA := b.dA.Forward(autograd.Const(fakeA.Data))
-				ones := tensor.Ones(dRealB.Shape()...)
-				zeros := tensor.New(dRealB.Shape()...)
-				dLoss := autograd.Add(
-					autograd.Add(autograd.BCEWithLogits(dRealB, ones), autograd.BCEWithLogits(dFakeB, zeros)),
-					autograd.Add(autograd.BCEWithLogits(dRealA, ones), autograd.BCEWithLogits(dFakeA, zeros)))
-				dLoss.Backward()
-				return dLoss.Item(), hi - lo
-			}
-		})
 	}
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			a, bd := batchRows(b.stepA, lo, hi), batchRows(b.stepB, lo, hi)
-			av, bv := autograd.Const(a), autograd.Const(bd)
-			fakeB := b.gAB.Forward(av)
-			fakeA := b.gBA.Forward(bv)
-			recA := b.gBA.Forward(fakeB)
-			recB := b.gAB.Forward(fakeA)
-			dOutB := b.dB.Forward(fakeB)
-			ones := tensor.Ones(dOutB.Shape()...)
-			gAdv := autograd.Add(
-				autograd.BCEWithLogits(dOutB, ones),
-				autograd.BCEWithLogits(b.dA.Forward(fakeA), ones))
-			cycle := autograd.Add(autograd.L1Loss(recA, a), autograd.L1Loss(recB, bd))
-			gLoss := autograd.Add(gAdv, autograd.Scale(cycle, 10))
-			gLoss.Backward()
-			return gLoss.Item(), hi - lo
-		}
-	})
+	return b.batch
+}
+
+// Grain implements Benchmark: the discriminator phase scores
+// real-vs-translated pairs [lo,hi) of the draw; the generator phase
+// computes the adversarial plus cycle-consistency objective on the
+// same pairs.
+func (b *ImageToImage) Grain(phase, lo, hi int) (float64, int) {
+	a, bd := batchRows(b.stepA, lo, hi), batchRows(b.stepB, lo, hi)
+	av, bv := autograd.Const(a), autograd.Const(bd)
+	fakeB := b.gAB.Forward(av)
+	fakeA := b.gBA.Forward(bv)
+	if phase == 0 {
+		dRealB := b.dB.Forward(bv)
+		dFakeB := b.dB.Forward(autograd.Const(fakeB.Data))
+		dRealA := b.dA.Forward(av)
+		dFakeA := b.dA.Forward(autograd.Const(fakeA.Data))
+		ones := tensor.Ones(dRealB.Shape()...)
+		zeros := tensor.New(dRealB.Shape()...)
+		return backward(autograd.Add(
+			autograd.Add(autograd.BCEWithLogits(dRealB, ones), autograd.BCEWithLogits(dFakeB, zeros)),
+			autograd.Add(autograd.BCEWithLogits(dRealA, ones), autograd.BCEWithLogits(dFakeA, zeros))), hi-lo)
+	}
+	recA := b.gBA.Forward(fakeB)
+	recB := b.gAB.Forward(fakeA)
+	dOutB := b.dB.Forward(fakeB)
+	ones := tensor.Ones(dOutB.Shape()...)
+	gAdv := autograd.Add(
+		autograd.BCEWithLogits(dOutB, ones),
+		autograd.BCEWithLogits(b.dA.Forward(fakeA), ones))
+	cycle := autograd.Add(autograd.L1Loss(recA, a), autograd.L1Loss(recB, bd))
+	return backward(autograd.Add(gAdv, autograd.Scale(cycle, 10)), hi-lo)
 }
 
 // ApplyPhase implements Benchmark.

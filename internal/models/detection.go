@@ -163,6 +163,10 @@ type ObjectDetection struct {
 	evalGT   [][]data.Box
 	poolN    int
 	epoch    int
+	// The step's draw: scenes, their boxes and per-image negative RoIs.
+	x     *tensor.Tensor
+	boxes [][]data.Box
+	negs  []data.Box
 }
 
 // NewObjectDetection constructs the scaled DC-AI-C9 benchmark.
@@ -218,13 +222,13 @@ func (b *ObjectDetection) drawNegatives(n int) []data.Box {
 	return negs
 }
 
-// rangeLoss builds the joint RPN + head loss over scene images
-// [lo,hi): backbone + RPN forward on the slice, per-cell objectness
+// rangeLoss builds the joint RPN + head loss over images [lo,hi) of
+// the step's draw: backbone + RPN forward on the slice, per-cell objectness
 // and box targets, and RoI-head losses for every ground-truth box plus
 // the image's pre-drawn candidate negative (used only when it is
 // actually background).
-func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs []data.Box, lo, hi int) *autograd.Value {
-	xs := batchRows(x, lo, hi)
+func (b *ObjectDetection) rangeLoss(lo, hi int) *autograd.Value {
+	xs := batchRows(b.x, lo, hi)
 	feat := b.backbone.Forward(autograd.Const(xs))
 	pred := b.rpnHead.Forward(feat) // [n, 5, 4, 4]
 	n := hi - lo
@@ -236,7 +240,7 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 	boxMask := tensor.New(n, 4, b.grid, b.grid)
 	roiLosses := []*autograd.Value{}
 	for i := 0; i < n; i++ {
-		obj, tx, ty, tw, th, _ := cellTargets(boxes[lo+i], b.imgSize, b.grid)
+		obj, tx, ty, tw, th, _ := cellTargets(b.boxes[lo+i], b.imgSize, b.grid)
 		for c := 0; c < cells; c++ {
 			gy, gx := c/b.grid, c%b.grid
 			objT.Set(obj[c], i, 0, gy, gx)
@@ -255,7 +259,7 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 		// Head training: ground-truth boxes as positive RoIs plus one
 		// random negative RoI per image.
 		img := autograd.Const(xs)
-		for _, gt := range boxes[lo+i] {
+		for _, gt := range b.boxes[lo+i] {
 			cropv := b.roiFeatures(feat, img, i, gt)
 			logits := b.clsHead.Forward(cropv)
 			roiLosses = append(roiLosses, autograd.SoftmaxCrossEntropy(logits, []int{gt.Class}))
@@ -263,7 +267,7 @@ func (b *ObjectDetection) rangeLoss(x *tensor.Tensor, boxes [][]data.Box, negs [
 				roiLosses = append(roiLosses, b.maskLoss(cropv, gt))
 			}
 		}
-		if neg := negs[lo+i]; isBackground(neg, boxes[lo+i]) {
+		if neg := b.negs[lo+i]; isBackground(neg, b.boxes[lo+i]) {
 			cropv := b.roiFeatures(feat, img, i, neg)
 			logits := b.clsHead.Forward(cropv)
 			roiLosses = append(roiLosses, autograd.SoftmaxCrossEntropy(logits, []int{b.classes}))
@@ -300,19 +304,18 @@ func (b *ObjectDetection) StepsPerEpoch(int) int { return b.batches }
 func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the scene macro-batch and
-// the per-image negative RoIs, then split the batch into per-grain
-// image ranges (batch-norm statistics are computed per grain; the
-// engine reduces and syncs the running stats through Buffers).
-func (b *ObjectDetection) BeginPhase(_, grains int) []Grain {
-	x, boxes := b.ds.Scene(8)
-	negs := b.drawNegatives(len(boxes))
-	return splitGrains(x.Dim(0), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			loss := b.rangeLoss(x, boxes, negs, lo, hi)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// the per-image negative RoIs.
+func (b *ObjectDetection) BeginPhase(int, int) int {
+	b.x, b.boxes = b.ds.Scene(8)
+	b.negs = b.drawNegatives(len(b.boxes))
+	return b.x.Dim(0)
+}
+
+// Grain implements Benchmark: train images [lo,hi) of the draw
+// (batch-norm statistics are computed per grain; the engine reduces and
+// syncs the running stats through Buffers).
+func (b *ObjectDetection) Grain(_, lo, hi int) (float64, int) {
+	return backward(b.rangeLoss(lo, hi), hi-lo)
 }
 
 // Buffers implements Buffered: the backbone's batch-norm running

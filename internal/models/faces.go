@@ -26,6 +26,8 @@ type FaceEmbedding struct {
 	batches  int
 	triplets int
 	dim      int
+	// The step's triplet draw: anchors, positives, negatives.
+	a, p, n *tensor.Tensor
 }
 
 // NewFaceEmbedding constructs the scaled benchmark.
@@ -61,21 +63,20 @@ func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the step's triplet
 // macro-batch once — all RNG happens here, keeping replicas in
-// lockstep — and split it row-wise into per-grain triplet sub-batches,
-// anchors, positives, and negatives sliced in step, each trained with
-// the FaceNet triplet loss.
-func (b *FaceEmbedding) BeginPhase(_, grains int) []Grain {
-	a, p, n := b.ds.Triplets(b.triplets)
-	return splitGrains(b.triplets, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			loss := autograd.TripletLoss(
-				b.embedBatch(batchRows(a, lo, hi)),
-				b.embedBatch(batchRows(p, lo, hi)),
-				b.embedBatch(batchRows(n, lo, hi)), 0.5)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// lockstep.
+func (b *FaceEmbedding) BeginPhase(int, int) int {
+	b.a, b.p, b.n = b.ds.Triplets(b.triplets)
+	return b.triplets
+}
+
+// Grain implements Benchmark: train triplets [lo,hi) of the draw —
+// anchors, positives and negatives sliced in step — with the FaceNet
+// triplet loss.
+func (b *FaceEmbedding) Grain(_, lo, hi int) (float64, int) {
+	return backward(autograd.TripletLoss(
+		b.embedBatch(batchRows(b.a, lo, hi)),
+		b.embedBatch(batchRows(b.p, lo, hi)),
+		b.embedBatch(batchRows(b.n, lo, hi)), 0.5), hi-lo)
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.
@@ -174,6 +175,8 @@ type Face3D struct {
 	testX   *tensor.Tensor
 	testY   []int
 	batches int
+	x       *tensor.Tensor // the step's RGB-D draw and its labels
+	y       []int
 }
 
 // NewFace3D constructs the scaled benchmark.
@@ -203,17 +206,15 @@ func (b *Face3D) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *Face3D) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the RGB-D macro-batch and split
-// it into per-grain identification sub-batches.
-func (b *Face3D) BeginPhase(_, grains int) []Grain {
-	x, y := b.ds.Batch(16)
-	return splitGrains(len(y), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			loss := autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(batchRows(x, lo, hi))), y[lo:hi])
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the RGB-D macro-batch.
+func (b *Face3D) BeginPhase(int, int) int {
+	b.x, b.y = b.ds.Batch(16)
+	return len(b.y)
+}
+
+// Grain implements Benchmark: identify images [lo,hi) of the draw.
+func (b *Face3D) Grain(_, lo, hi int) (float64, int) {
+	return backward(autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(batchRows(b.x, lo, hi))), b.y[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.

@@ -24,12 +24,9 @@ type ImageClassification struct {
 	batch   int
 
 	// What every step reuses: the step's labels (its images are drawn
-	// into the step's arena), and the grains over them, built once per
-	// grain count (split).
-	x      *tensor.Tensor
-	y      []int
-	grains []Grain
-	split  int
+	// into the step's arena).
+	x *tensor.Tensor
+	y []int
 	// What every evaluation reuses: the held-out images' graph leaf,
 	// built once over the heap tensor, their labels and the
 	// predictions.
@@ -67,25 +64,17 @@ func (b *ImageClassification) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the macro-batch and split
-// it into per-grain classification sub-batches.
-func (b *ImageClassification) BeginPhase(_, grains int) []Grain {
+// BeginPhase implements Benchmark: draw the macro-batch of images.
+func (b *ImageClassification) BeginPhase(int, int) int {
 	b.x = b.arena.New(b.batch, b.ds.C, b.ds.H, b.ds.W)
 	b.ds.BatchInto(b.x, b.y)
-	if b.grains == nil || b.split != grains {
-		b.grains, b.split = splitGrains(b.batch, grains, b.grain), grains
-	}
-	return b.grains
+	return b.batch
 }
 
-// grain trains on samples [lo,hi) of the step's draw.
-func (b *ImageClassification) grain(lo, hi int) Grain {
-	return func() (float64, int) {
-		logits := b.net.Forward(autograd.Const(batchRows(b.x, lo, hi)))
-		loss := autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi])
-		loss.Backward()
-		return loss.Item(), hi - lo
-	}
+// Grain implements Benchmark: classify images [lo,hi) of the draw.
+func (b *ImageClassification) Grain(_, lo, hi int) (float64, int) {
+	logits := b.net.Forward(autograd.Const(batchRows(b.x, lo, hi)))
+	return backward(autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.

@@ -28,6 +28,8 @@ type ImageToText struct {
 	vocab   int
 	hidden  int
 	batches int
+	x       *tensor.Tensor // the step's images and their captions
+	caps    [][]int
 }
 
 // NewImageToText constructs the scaled benchmark.
@@ -87,17 +89,15 @@ func (b *ImageToText) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *ImageToText) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the captioned macro-batch and
-// split it into per-grain image/caption sub-batches.
-func (b *ImageToText) BeginPhase(_, grains int) []Grain {
-	x, _, caps := b.ds.Pair(12)
-	return splitGrains(len(caps), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			loss := b.captionNLL(batchRows(x, lo, hi), caps[lo:hi], true)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the captioned macro-batch.
+func (b *ImageToText) BeginPhase(int, int) int {
+	b.x, _, b.caps = b.ds.Pair(12)
+	return len(b.caps)
+}
+
+// Grain implements Benchmark: caption images [lo,hi) of the draw.
+func (b *ImageToText) Grain(_, lo, hi int) (float64, int) {
+	return backward(b.captionNLL(batchRows(b.x, lo, hi), b.caps[lo:hi], true), hi-lo)
 }
 
 // Buffers implements Buffered: the encoder's batch-norm running

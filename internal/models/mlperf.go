@@ -71,6 +71,8 @@ type SSDLight struct {
 	evalX    *tensor.Tensor
 	evalGT   [][]data.Box
 	epoch    int
+	x        *tensor.Tensor // the step's scenes and their boxes
+	boxes    [][]data.Box
 }
 
 // NewSSDLight constructs the scaled benchmark.
@@ -111,18 +113,16 @@ func (b *SSDLight) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *SSDLight) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the scene macro-batch and split
-// it, images and their per-row boxes together, into per-grain
-// sub-batches trained with the one-stage multibox loss.
-func (b *SSDLight) BeginPhase(_, grains int) []Grain {
-	x, boxes := b.ds.Scene(8)
-	return splitGrains(len(boxes), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			loss := b.multiboxLoss(batchRows(x, lo, hi), boxes[lo:hi])
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the scene macro-batch.
+func (b *SSDLight) BeginPhase(int, int) int {
+	b.x, b.boxes = b.ds.Scene(8)
+	return len(b.boxes)
+}
+
+// Grain implements Benchmark: train scenes [lo,hi) of the draw, images
+// and their boxes together, with the one-stage multibox loss.
+func (b *SSDLight) Grain(_, lo, hi int) (float64, int) {
+	return backward(b.multiboxLoss(batchRows(b.x, lo, hi), b.boxes[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: the backbone's batch-norm running
@@ -277,6 +277,8 @@ type GNMT struct {
 	vocab   int
 	hidden  int
 	batches int
+	// The step's one translation pair.
+	src, tgt []int
 }
 
 // NewGNMT constructs the scaled benchmark.
@@ -332,21 +334,23 @@ func (b *GNMT) StepsPerEpoch(int) int { return b.batches }
 func (b *GNMT) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the step's one translation
-// pair, its one grain trained with teacher-forced cross-entropy.
-func (b *GNMT) BeginPhase(int, int) []Grain {
-	src, tgt := b.ds.Pair()
-	return []Grain{func() (float64, int) {
-		encStates, h, c := b.encode(src)
-		var losses []*autograd.Value
-		for t := 0; t+1 < len(tgt); t++ {
-			var logits *autograd.Value
-			logits, h, c = b.decodeStep(tgt[t], h, c, encStates)
-			losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{tgt[t+1]}))
-		}
-		loss := meanLoss(losses)
-		loss.Backward()
-		return loss.Item(), len(losses)
-	}}
+// pair.
+func (b *GNMT) BeginPhase(int, int) int {
+	b.src, b.tgt = b.ds.Pair()
+	return 1
+}
+
+// Grain implements Benchmark: train the draw's one pair with
+// teacher-forced cross-entropy.
+func (b *GNMT) Grain(int, int, int) (float64, int) {
+	encStates, h, c := b.encode(b.src)
+	var losses []*autograd.Value
+	for t := 0; t+1 < len(b.tgt); t++ {
+		var logits *autograd.Value
+		logits, h, c = b.decodeStep(b.tgt[t], h, c, encStates)
+		losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{b.tgt[t+1]}))
+	}
+	return backward(meanLoss(losses), len(losses))
 }
 
 // Translate greedily decodes a source sentence.

@@ -26,15 +26,16 @@ import (
 // optimizer step is a fixed, ordered list of named phases — one "step"
 // phase for most models; a WGAN's critic-then-generator updates, ENAS's
 // weights-then-controller steps, truncated-BPTT segments of a
-// recurrent model — each with its own grain decomposition, gradient
-// reduce over the phase's parameter group, and buffer sync.
-// internal/dist trains one identically-seeded replica per worker at
-// ShardGrains grains and executes the phases of every step in declared
-// order on every replica: phase p's grains are computed, all-reduced,
-// installed, and applied before phase p+1 begins, so later phases
-// observe the parameter updates of earlier ones and replicas stay in
-// bitwise lockstep. A serial run goes through the same phases at one
-// grain (Trainer).
+// recurrent model — each drawing its own units, with its own gradient
+// reduce over the phase's parameter group and buffer sync.
+// internal/dist trains one identically-seeded replica per worker and
+// executes the phases of every step in declared order on every
+// replica: each replica draws phase p's units, splits them into at
+// most ShardGrains grains (GrainUnits), trains its round-robin share,
+// and the grains are all-reduced, installed, and applied before phase
+// p+1 begins, so later phases observe the parameter updates of earlier
+// ones and replicas stay in bitwise lockstep. A serial run goes
+// through the same phases at one grain (Trainer).
 type Benchmark interface {
 	// Quality evaluates the model on held-out data with the benchmark's
 	// Table 3 metric.
@@ -61,14 +62,23 @@ type Benchmark interface {
 	// same phases in the same order.
 	Phases() []PhaseSpec
 	// BeginPhase draws the phase's batch from the synthetic dataset
-	// stream and partitions it into grains: ShardGrains for a sharded
-	// run, one for a serial one. Every replica calls BeginPhase for
-	// every phase of every step — the identical draws keep all
-	// replicas' RNG streams in lockstep — and receives the same grain
-	// decomposition regardless of the worker count. A phase may reuse a
-	// batch drawn by an earlier phase of the same step (the CycleGAN
-	// discriminator/generator pair trains on one draw).
-	BeginPhase(phase, grains int) []Grain
+	// stream and returns the number of units it holds: samples, pairs,
+	// utterances, segments or episodes. grains is the driver's grain
+	// count, ShardGrains for a sharded run and one for a serial one;
+	// only a benchmark that draws one unit per grain reads it. Every
+	// replica calls BeginPhase for every phase of every step — the
+	// identical draws keep all replicas' RNG streams in lockstep. A
+	// phase may reuse a batch drawn by an earlier phase of the same step
+	// (the CycleGAN discriminator/generator pair trains on one draw).
+	BeginPhase(phase, grains int) int
+	// Grain trains units [lo,hi) of the phase's draw: it runs
+	// forward/backward over them, accumulating into the module's
+	// (driver-zeroed) gradients, and returns their mean loss and sample
+	// count. A grain must not draw from any RNG: every random choice of
+	// a step happens in BeginPhase, so a grain's gradient is bitwise
+	// independent of which replica runs it. The drivers pick the ranges
+	// with GrainUnits.
+	Grain(phase, lo, hi int) (loss float64, n int)
 	// PhaseParams returns the phase's reduce group: the parameters its
 	// grains produce gradients for and its ApplyPhase updates. nil
 	// means all of Module().Params(). Gradients on parameters outside
@@ -96,10 +106,10 @@ type Benchmark interface {
 // reads (the speech model's TBPTT entry state) is built after the reset
 // of the step that reads it. Parameters, their gradients, optimizer
 // state, running statistics and datasets are heap tensors and never
-// die. What every step reuses — a draw's buffers, the grain closures
-// over them, evaluation buffers — lives on the instance, built once
-// (per grain count, for the grains), so a warmed epoch need make no
-// heap object (TestWarmedEpochAllocatesNothing). The arena holds no
+// die. What every step reuses — a draw's buffers, what a phase drew
+// for its grains to read, evaluation buffers — lives on the instance,
+// built once, so a warmed epoch need make no heap object
+// (TestWarmedEpochAllocatesNothing). The arena holds no
 // memory until the first step, so an instance built and never trained
 // costs nothing.
 type stepArena struct{ arena tensor.Arena }

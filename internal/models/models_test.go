@@ -1,8 +1,13 @@
 package models
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aibench/internal/workload"
@@ -72,6 +77,42 @@ func TestOneSerialPath(t *testing.T) {
 	}
 }
 
+// TestPhasesBuildNoClosures pins the grain contract's shape: what a
+// phase draws lives on the instance and Grain reads it, so no
+// BeginPhase or Grain method of the package builds a function literal.
+func TestPhasesBuildNoClosures(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, methods := token.NewFileSet(), 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || (fn.Name.Name != "BeginPhase" && fn.Name.Name != "Grain") {
+				continue
+			}
+			methods++
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if _, ok := n.(*ast.FuncLit); ok {
+					t.Errorf("%s: %s builds a function literal", fset.Position(n.Pos()), fn.Name.Name)
+				}
+				return true
+			})
+		}
+	}
+	if methods == 0 {
+		t.Fatal("found no BeginPhase or Grain method")
+	}
+}
+
 // flatGrads returns the gradients of b's parameters, flattened in
 // parameter order (zeros for a parameter no grain reached).
 func flatGrads(b Benchmark) []float64 {
@@ -111,24 +152,23 @@ func TestOneGrainIsTheShardedObjective(t *testing.T) {
 				b.Arena().Reset()
 			}
 			for p, ph := range serial.Phases() {
-				one := serial.BeginPhase(p, 1)
-				if len(one) != 1 {
-					t.Fatalf("phase %q: BeginPhase(p, 1) made %d grains, want 1", ph.Name, len(one))
-				}
+				_, lo, hi := GrainUnits(serial.BeginPhase(p, 1), 1, 0)
 				zeroGrads(serial)
-				loss, n := one[0]()
+				loss, n := serial.Grain(p, lo, hi)
 				got := flatGrads(serial)
 
-				gs := sharded.BeginPhase(p, ShardGrains)
-				losses, counts, grads, samples := make([]float64, len(gs)), make([]int, len(gs)), make([][]float64, len(gs)), 0
-				for g, grain := range gs {
+				units := sharded.BeginPhase(p, ShardGrains)
+				count, _, _ := GrainUnits(units, ShardGrains, 0)
+				losses, counts, grads, samples := make([]float64, count), make([]int, count), make([][]float64, count), 0
+				for g := range count {
+					_, lo, hi := GrainUnits(units, ShardGrains, g)
 					zeroGrads(sharded)
-					losses[g], counts[g] = grain()
+					losses[g], counts[g] = sharded.Grain(p, lo, hi)
 					grads[g] = flatGrads(sharded)
 					samples += counts[g]
 				}
 				wantLoss, want := 0.0, make([]float64, len(got))
-				for g := range gs {
+				for g := range count {
 					w := float64(counts[g]) / float64(samples)
 					wantLoss += w * losses[g]
 					for j, v := range grads[g] {
@@ -136,14 +176,14 @@ func TestOneGrainIsTheShardedObjective(t *testing.T) {
 					}
 				}
 				if n != samples || math.Abs(loss-wantLoss) > tol {
-					t.Errorf("phase %q: one grain = (%v, %d), %d grains = (%v, %d)", ph.Name, loss, n, len(gs), wantLoss, samples)
+					t.Errorf("phase %q: one grain = (%v, %d), %d grains = (%v, %d)", ph.Name, loss, n, count, wantLoss, samples)
 				}
 				worst := 0.0
 				for j := range want {
 					worst = max(worst, math.Abs(got[j]-want[j]))
 				}
 				if worst > tol {
-					t.Errorf("phase %q: gradient differs from the %d grains' weighted sum by %g", ph.Name, len(gs), worst)
+					t.Errorf("phase %q: gradient differs from the %d grains' weighted sum by %g", ph.Name, count, worst)
 				}
 				for _, b := range []Benchmark{serial, sharded} {
 					off := 0

@@ -186,6 +186,7 @@ type NAS struct {
 	baseline   float64
 	vocab      int
 	seqLen     int
+	units
 
 	// Sharded-step state of the current phase: the sampled child
 	// architecture and token stream with its precomputed segment entry
@@ -256,19 +257,16 @@ func (b *NAS) PhaseParams(phase int) []*nn.Param {
 // BeginPhase implements Benchmark. A weights phase samples an
 // architecture from the controller, draws a token stream, and
 // precomputes the truncated-BPTT segment entry states with a forward
-// pass (identical on every replica); its segments are split over the
-// grains, each weighted by its prediction count. A controller phase
-// samples an architecture, scores it with the child's validation
-// perplexity, updates the reward baseline, and exposes a single
-// REINFORCE grain.
-func (b *NAS) BeginPhase(phase, grains int) []Grain {
+// pass (identical on every replica); its units are the nasSegments
+// segments. A controller phase samples an architecture, scores it with
+// the child's validation perplexity, updates the reward baseline, and
+// holds one unit, the REINFORCE update.
+func (b *NAS) BeginPhase(phase, _ int) int {
 	if phase < 3 {
 		b.stepArch, _ = b.controller.sample(b.rng)
 		b.stepStream = b.lang.Stream(b.seqLen)
 		b.stepStates = b.child.hiddenStates(b.stepArch, b.stepStream)
-		return splitGrains(nasSegments, grains, func(lo, hi int) Grain {
-			return func() (float64, int) { return unitsGrain(lo, hi, b.segmentLoss) }
-		})
+		return nasSegments
 	}
 	arch, nlp := b.controller.sample(b.rng)
 	val := b.lang.Stream(b.seqLen)
@@ -280,16 +278,22 @@ func (b *NAS) BeginPhase(phase, grains int) []Grain {
 	b.stepNLP = nlp
 	b.stepAdv = reward - b.baseline
 	b.baseline = 0.9*b.baseline + 0.1*reward
-	return []Grain{func() (float64, int) {
-		loss := autograd.Scale(b.stepNLP, b.stepAdv)
-		loss.Backward()
-		return loss.Item(), 1
-	}}
+	return 1
+}
+
+// Grain implements Benchmark: a weights phase trains segments [lo,hi),
+// each weighted by its prediction count; a controller phase backs the
+// REINFORCE loss of its one unit.
+func (b *NAS) Grain(phase, lo, hi int) (float64, int) {
+	if phase < 3 {
+		return b.unitsGrain(phase, lo, hi, b.segmentLoss)
+	}
+	return backward(autograd.Scale(b.stepNLP, b.stepAdv), 1)
 }
 
 // segmentLoss builds truncated-BPTT segment s's loss from its entry
 // state and returns it with the segment's prediction count.
-func (b *NAS) segmentLoss(s int) (*autograd.Value, int) {
+func (b *NAS) segmentLoss(_, s int) (*autograd.Value, int) {
 	lo, hi := part(len(b.stepStream)-1, nasSegments, s)
 	return b.child.segmentNLL(b.stepArch, b.stepStream, lo, hi, b.stepStates[lo]), hi - lo
 }

@@ -63,11 +63,8 @@ type LearningToRank struct {
 	batch         int
 	users, items  int
 
-	// What every step reuses: the step's BPR draw, and its grains,
-	// built once per grain count (split) over it.
+	// What every step reuses: the step's BPR draw.
 	drawUsers, drawPos, drawNeg []int
-	grains                      []Grain
-	split                       int
 	// What every evaluation reuses: the ground-truth top 5 of each
 	// user, and rankItems' (user, item) pairs and sort order.
 	topK       [][]int
@@ -135,39 +132,29 @@ func (b *LearningToRank) ApplyPhase(int) {
 	}
 }
 
-// BeginPhase implements Benchmark: draw the BPR triple macro-batch
-// and split it into per-grain ranking (or distillation) sub-batches.
-func (b *LearningToRank) BeginPhase(_, grains int) []Grain {
+// BeginPhase implements Benchmark: draw the BPR triple macro-batch.
+func (b *LearningToRank) BeginPhase(int, int) int {
 	b.ds.BPRTriple(b.drawUsers, b.drawPos, b.drawNeg)
-	if b.grains == nil || b.split != grains {
-		b.grains, b.split = splitGrains(b.batch, grains, b.grain), grains
-	}
-	return b.grains
+	return b.batch
 }
 
-// grain trains on triples [lo,hi) of the step's draw: BPR on the
-// teacher until it has trained teacherEpochs epochs, then BPR plus
-// distillation on the student.
-func (b *LearningToRank) grain(lo, hi int) Grain {
-	return func() (float64, int) {
-		u, p, n := b.drawUsers[lo:hi], b.drawPos[lo:hi], b.drawNeg[lo:hi]
-		var loss *autograd.Value
-		if b.epoch <= b.teacherEpochs {
-			loss = bprLoss(b.teacher, u, p, n)
-		} else {
-			// Distillation: the student's score matches the
-			// (frozen) teacher's on both items of the triple.
-			rank := bprLoss(b.student, u, p, n)
-			tPos := b.teacher.score(u, p).Data
-			tNeg := b.teacher.score(u, n).Data
-			distill := autograd.Add(
-				autograd.MSELoss(b.student.score(u, p), tPos),
-				autograd.MSELoss(b.student.score(u, n), tNeg))
-			loss = autograd.Add(rank, autograd.Scale(distill, 0.5))
-		}
-		loss.Backward()
-		return loss.Item(), hi - lo
+// Grain implements Benchmark: train on triples [lo,hi) of the draw —
+// BPR on the teacher until it has trained teacherEpochs epochs, then
+// BPR plus distillation on the student.
+func (b *LearningToRank) Grain(_, lo, hi int) (float64, int) {
+	u, p, n := b.drawUsers[lo:hi], b.drawPos[lo:hi], b.drawNeg[lo:hi]
+	if b.epoch <= b.teacherEpochs {
+		return backward(bprLoss(b.teacher, u, p, n), hi-lo)
 	}
+	// Distillation: the student's score matches the (frozen) teacher's
+	// on both items of the triple.
+	rank := bprLoss(b.student, u, p, n)
+	tPos := b.teacher.score(u, p).Data
+	tNeg := b.teacher.score(u, n).Data
+	distill := autograd.Add(
+		autograd.MSELoss(b.student.score(u, p), tPos),
+		autograd.MSELoss(b.student.score(u, n), tNeg))
+	return backward(autograd.Add(rank, autograd.Scale(distill, 0.5)), hi-lo)
 }
 
 // rankItems returns all items sorted by the student's score for user

@@ -28,6 +28,9 @@ type Recommendation struct {
 	batches int
 	batch   int
 	users   int
+	// The step's interaction draw.
+	drawUsers, drawItems []int
+	drawLabels           []float64
 }
 
 // NewRecommendation constructs the scaled benchmark.
@@ -68,20 +71,18 @@ func (b *Recommendation) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *Recommendation) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the interaction macro-batch
-// and split it into per-grain scoring sub-batches, binary cross-entropy
-// on implicit feedback.
-func (b *Recommendation) BeginPhase(_, grains int) []Grain {
-	users, items, labels := b.ds.TrainBatch(b.batch)
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			logits := b.score(users[lo:hi], items[lo:hi])
-			target := tensor.FromSlice(labels[lo:hi], hi-lo, 1)
-			loss := autograd.BCEWithLogits(logits, target)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the interaction macro-batch.
+func (b *Recommendation) BeginPhase(int, int) int {
+	b.drawUsers, b.drawItems, b.drawLabels = b.ds.TrainBatch(b.batch)
+	return b.batch
+}
+
+// Grain implements Benchmark: score interactions [lo,hi) of the draw
+// with binary cross-entropy on implicit feedback.
+func (b *Recommendation) Grain(_, lo, hi int) (float64, int) {
+	logits := b.score(b.drawUsers[lo:hi], b.drawItems[lo:hi])
+	target := tensor.FromSlice(b.drawLabels[lo:hi], hi-lo, 1)
+	return backward(autograd.BCEWithLogits(logits, target), hi-lo)
 }
 
 // Quality implements Benchmark: mean HR@10 over all users with 50

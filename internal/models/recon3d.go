@@ -26,6 +26,8 @@ type Recon3D struct {
 	ds      *data.Shapes3D
 	batches int
 	d       int
+	// The step's draw: silhouette views and their voxel grids.
+	views, voxels *tensor.Tensor
 }
 
 // NewRecon3D constructs the scaled benchmark.
@@ -65,20 +67,18 @@ func (b *Recon3D) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *Recon3D) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the view/voxel macro-batch and
-// split it into per-grain sub-batches trained with voxel-wise binary
-// cross-entropy.
-func (b *Recon3D) BeginPhase(_, grains int) []Grain {
-	views, voxels := b.ds.Sample(8)
-	return splitGrains(views.Dim(0), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			logits := b.voxelLogits(autograd.Const(batchRows(views, lo, hi)))
-			target := batchRows(voxels, lo, hi).Reshape(hi-lo, b.d*b.d*b.d)
-			loss := autograd.BCEWithLogits(logits, target)
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the view/voxel macro-batch.
+func (b *Recon3D) BeginPhase(int, int) int {
+	b.views, b.voxels = b.ds.Sample(8)
+	return b.views.Dim(0)
+}
+
+// Grain implements Benchmark: train views [lo,hi) of the draw with
+// voxel-wise binary cross-entropy.
+func (b *Recon3D) Grain(_, lo, hi int) (float64, int) {
+	logits := b.voxelLogits(autograd.Const(batchRows(b.views, lo, hi)))
+	target := batchRows(b.voxels, lo, hi).Reshape(hi-lo, b.d*b.d*b.d)
+	return backward(autograd.BCEWithLogits(logits, target), hi-lo)
 }
 
 // Buffers implements Buffered: the encoder's batch-norm running

@@ -28,6 +28,8 @@ type ReinforcementLearning struct {
 	opt     optim.Optimizer
 	rng     *rand.Rand
 	board   int
+	units
+	episodes [rlEpisodesPerStep][]rlStep // the step's self-played episodes
 }
 
 // NewReinforcementLearning constructs the scaled benchmark.
@@ -166,20 +168,23 @@ func (b *ReinforcementLearning) ApplyPhase(int) { b.opt.Step() }
 // BeginPhase implements Benchmark: every replica self-plays the
 // step's episodes (identical policy weights and rng keep the
 // trajectories in lockstep; the generation forwards' batch-norm
-// drift is discarded by the engine's phase-start buffer snapshot),
-// then splits the episodes over the grains, each weighted by its step
-// count.
-func (b *ReinforcementLearning) BeginPhase(_, grains int) []Grain {
-	var drawn [rlEpisodesPerStep][]rlStep
-	for e := range drawn {
-		drawn[e] = b.episode(12)
+// drift is discarded by the engine's phase-start buffer snapshot).
+func (b *ReinforcementLearning) BeginPhase(int, int) int {
+	for e := range b.episodes {
+		b.episodes[e] = b.episode(12)
 	}
-	episodes := drawn // never reassigned, so each grain holds a copy and nothing escapes
-	return splitGrains(len(episodes), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			return unitsGrain(lo, hi, func(e int) (*autograd.Value, int) { return b.episodeLoss(episodes[e]), len(episodes[e]) })
-		}
-	})
+	return len(b.episodes)
+}
+
+// Grain implements Benchmark: train episodes [lo,hi) of the draw, each
+// weighted by its step count.
+func (b *ReinforcementLearning) Grain(phase, lo, hi int) (float64, int) {
+	return b.unitsGrain(phase, lo, hi, b.episodeUnit)
+}
+
+// episodeUnit is episode e's loss and step count.
+func (b *ReinforcementLearning) episodeUnit(_, e int) (*autograd.Value, int) {
+	return b.episodeLoss(b.episodes[e]), len(b.episodes[e])
 }
 
 // Buffers implements Buffered: the policy trunk's batch-norm running

@@ -10,23 +10,13 @@ import (
 )
 
 // ShardGrains is the fixed number of micro-shards ("grains") every
-// sharded run splits each optimizer step's macro-batch into. The grain
+// sharded run splits each phase's units into (GrainUnits). The grain
 // decomposition — not the worker count — defines the numeric result:
 // the all-reduce always combines the same per-grain gradients in the
 // same order, so any worker count from 1 to ShardGrains is a pure
 // scheduling choice and produces bitwise-identical training. A serial
 // run (Trainer) takes the same phases at one grain.
 const ShardGrains = 8
-
-// Grain computes one micro-shard of a training step on the replica
-// that owns it: it runs forward/backward for its contiguous slice of
-// the step's macro-batch, accumulating into the replica module's
-// (driver-zeroed) gradients, and returns the slice's mean loss and its
-// sample count. Grains must not draw from any RNG: every random choice
-// of a step happens in BeginPhase, which all replicas execute
-// identically, so a grain's gradient is bitwise independent of which
-// replica runs it.
-type Grain func() (loss float64, n int)
 
 // PhaseSpec names one phase of a multi-phase optimizer step.
 type PhaseSpec struct {
@@ -72,16 +62,16 @@ type singlePhase struct{}
 func (singlePhase) Phases() []PhaseSpec         { return []PhaseSpec{{Name: "step", Report: true}} }
 func (singlePhase) PhaseParams(int) []*nn.Param { return nil }
 
-// splitGrains splits n samples into at most grains contiguous
-// near-equal [lo,hi) ranges and returns grain(lo, hi) for each. The
-// split depends only on (n, grains), never on the worker count.
-func splitGrains(n, grains int, grain func(lo, hi int) Grain) []Grain {
-	grains = max(1, min(grains, n))
-	gs := make([]Grain, grains)
-	for g := range gs {
-		gs[g] = grain(part(n, grains, g))
-	}
-	return gs
+// GrainUnits is the one split rule of a phase: it returns how many
+// grains a draw of n units makes when the driver asks for grains — one
+// unit each at most, at least one grain — and grain g's [lo,hi) range
+// of the units, for g below that count. Both drivers, Trainer and
+// dist's replica, call it, so the split depends only on (n, grains),
+// never on the worker count.
+func GrainUnits(n, grains, g int) (count, lo, hi int) {
+	count = max(1, min(grains, n))
+	lo, hi = part(n, count, g)
+	return count, lo, hi
 }
 
 // part returns range i of n split into parts contiguous near-equal
@@ -97,27 +87,43 @@ func part(n, parts, i int) (lo, hi int) {
 	}
 }
 
-// unitsGrain runs units [lo,hi) of a step — utterances, truncated-BPTT
-// segments, episodes — as one grain; unit(u) builds unit u's loss and
-// returns it with its sample count. One unit is backpropagated as it
-// stands. Several are each backpropagated scaled by their share of the
-// grain's samples, so the grain's loss and gradient are the
-// sample-weighted mean of its units' — what the all-reduce makes of the
-// same units as one grain each.
-func unitsGrain(lo, hi int, unit func(u int) (*autograd.Value, int)) (float64, int) {
+// backward backpropagates a grain's loss and returns it with the
+// grain's sample count.
+func backward(loss *autograd.Value, n int) (float64, int) {
+	loss.Backward()
+	return loss.Item(), n
+}
+
+// units holds what unitsGrain reuses across steps: the losses and
+// sample counts of a grain's units. A benchmark whose grains span
+// several units embeds one; each instance owns its buffers, so
+// replicas running concurrently share none.
+type units struct {
+	losses []*autograd.Value
+	counts []int
+}
+
+// unitsGrain runs units [lo,hi) of a phase's draw — utterances,
+// truncated-BPTT segments, episodes, sentence pairs — as one grain;
+// unit(phase, u) builds unit u's loss and returns it with its sample
+// count. One unit is backpropagated as it stands. Several are each
+// backpropagated scaled by their share of the grain's samples, so the
+// grain's loss and gradient are the sample-weighted mean of its units'
+// — what the all-reduce makes of the same units as one grain each.
+func (us *units) unitsGrain(phase, lo, hi int, unit func(phase, u int) (*autograd.Value, int)) (float64, int) {
 	if hi-lo == 1 {
-		loss, n := unit(lo)
-		loss.Backward()
-		return loss.Item(), n
+		return backward(unit(phase, lo))
 	}
-	losses, counts, total := make([]*autograd.Value, hi-lo), make([]int, hi-lo), 0
-	for i := range losses {
-		losses[i], counts[i] = unit(lo + i)
-		total += counts[i]
+	us.losses, us.counts = us.losses[:0], us.counts[:0]
+	total := 0
+	for u := lo; u < hi; u++ {
+		loss, n := unit(phase, u)
+		us.losses, us.counts = append(us.losses, loss), append(us.counts, n)
+		total += n
 	}
 	mean := 0.0
-	for i, loss := range losses {
-		w := float64(counts[i]) / float64(total)
+	for i, loss := range us.losses {
+		w := float64(us.counts[i]) / float64(total)
 		autograd.Scale(loss, w).Backward()
 		mean += w * loss.Item()
 	}
@@ -158,17 +164,13 @@ func NewTrainer(b Benchmark) (*Trainer, error) {
 // TrainEpoch runs one serial epoch and returns its mean step loss. Per
 // step the arena is reset, and per phase the gradients are zeroed, the
 // phase's one grain runs and ApplyPhase updates. A step's loss is the
-// mean over its reporting phases, as in a sharded step. An error — a
-// phase that split a one-grain step — leaves the trainer unusable.
+// mean over its reporting phases, as in a sharded step. The error is
+// always nil: a serial epoch has no failure of its own.
 func (t *Trainer) TrainEpoch() (float64, error) {
 	t.b.BeginEpoch()
 	total := 0.0
 	for s := 0; s < t.steps; s++ {
-		loss, err := t.step()
-		if err != nil {
-			return 0, err
-		}
-		total += loss
+		total += t.step()
 	}
 	return total / float64(t.steps), nil
 }
@@ -177,26 +179,24 @@ func (t *Trainer) TrainEpoch() (float64, error) {
 func (t *Trainer) Quality() (float64, error) { return Evaluate(t.b, t.params), nil }
 
 // step runs one optimizer step — every phase in declared order, each
-// one grain followed by its update — and returns the mean loss of its
-// reporting phases. The arena is reset once, before phase 0 draws its
-// batch: later phases reuse tensors earlier ones built.
-func (t *Trainer) step() (float64, error) {
+// one grain over all the units it drew, followed by its update — and
+// returns the mean loss of its reporting phases. The arena is reset
+// once, before phase 0 draws its batch: later phases reuse tensors
+// earlier ones built.
+func (t *Trainer) step() float64 {
 	t.b.Arena().Reset()
 	total, reporting := 0.0, 0
 	for p, ph := range t.phases {
-		gs := t.b.BeginPhase(p, 1)
-		if len(gs) != 1 {
-			return 0, fmt.Errorf("models: phase %q made %d grains of a one-grain step", ph.Name, len(gs))
-		}
+		_, lo, hi := GrainUnits(t.b.BeginPhase(p, 1), 1, 0)
 		for _, pr := range t.params {
 			pr.Value.ZeroGrad()
 		}
-		loss, _ := gs[0]()
+		loss, _ := t.b.Grain(p, lo, hi)
 		t.b.ApplyPhase(p)
 		if ph.Report {
 			total += loss
 			reporting++
 		}
 	}
-	return total / float64(reporting), nil
+	return total / float64(reporting)
 }

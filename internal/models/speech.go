@@ -25,6 +25,7 @@ type SpeechRecognition struct {
 	opt   optim.Optimizer
 	ds    *data.Speech
 	vocab int
+	units
 
 	// Step state: the utterances of the current step, their framewise
 	// alignments, the segment split point per utterance, and the GRU
@@ -122,9 +123,8 @@ func (b *SpeechRecognition) PhaseParams(int) []*nn.Param { return nil }
 // the step's utterances and trains frames [0, mid) of each from a zero
 // state; the second recomputes each utterance's midpoint state under
 // the post-segment-1 weights (forward only, identically on every
-// replica) and trains frames [mid, T). The utterances are split over
-// the grains, each weighted by its segment's frame count.
-func (b *SpeechRecognition) BeginPhase(phase, grains int) []Grain {
+// replica) and trains frames [mid, T). Its units are the utterances.
+func (b *SpeechRecognition) BeginPhase(phase, _ int) int {
 	if phase == 0 {
 		b.stepFrames = b.stepFrames[:0]
 		b.stepAlign = b.stepAlign[:0]
@@ -141,11 +141,13 @@ func (b *SpeechRecognition) BeginPhase(phase, grains int) []Grain {
 			b.stepState[u] = b.segmentState(b.stepFrames[u], 0, b.stepMid[u], b.gru.InitState(1)).Data
 		}
 	}
-	return splitGrains(len(b.stepFrames), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			return unitsGrain(lo, hi, func(u int) (*autograd.Value, int) { return b.segmentLoss(phase, u) })
-		}
-	})
+	return len(b.stepFrames)
+}
+
+// Grain implements Benchmark: train the phase's segment of utterances
+// [lo,hi), each weighted by its segment's frame count.
+func (b *SpeechRecognition) Grain(phase, lo, hi int) (float64, int) {
+	return b.unitsGrain(phase, lo, hi, b.segmentLoss)
 }
 
 // segmentLoss builds utterance u's loss over the phase's segment —

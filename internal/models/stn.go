@@ -29,6 +29,8 @@ type SpatialTransformer struct {
 	batches    int
 	batch      int
 	h, w       int
+	x          *tensor.Tensor // the step's distorted draw and its labels
+	y          []int
 }
 
 // NewSpatialTransformer constructs the scaled benchmark.
@@ -78,18 +80,17 @@ func (b *SpatialTransformer) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *SpatialTransformer) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the distorted macro-batch
-// and split it into per-grain rectification sub-batches.
-func (b *SpatialTransformer) BeginPhase(_, grains int) []Grain {
-	x, y := b.ds.DistortedBatch(b.batch, 0.25, 0.2)
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			logits := b.forward(autograd.Const(batchRows(x, lo, hi)))
-			loss := autograd.SoftmaxCrossEntropy(logits, y[lo:hi])
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the distorted macro-batch.
+func (b *SpatialTransformer) BeginPhase(int, int) int {
+	b.x, b.y = b.ds.DistortedBatch(b.batch, 0.25, 0.2)
+	return b.batch
+}
+
+// Grain implements Benchmark: rectify and classify images [lo,hi) of
+// the draw.
+func (b *SpatialTransformer) Grain(_, lo, hi int) (float64, int) {
+	logits := b.forward(autograd.Const(batchRows(b.x, lo, hi)))
+	return backward(autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: batch-norm running statistics of both

@@ -29,6 +29,9 @@ type TextSummarization struct {
 	hidden  int
 	batches int
 	maxHead int
+	units
+	// The step's draw: one (document, headline) pair per grain.
+	docs, heads [][]int
 }
 
 // NewTextSummarization constructs the scaled benchmark.
@@ -97,26 +100,34 @@ func (b *TextSummarization) StepsPerEpoch(grains int) int { return b.batches / g
 func (b *TextSummarization) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the macro-batch of (document,
-// headline) pairs, one grain per pair, each trained with teacher-forced
-// cross-entropy and weighted by its target length.
-func (b *TextSummarization) BeginPhase(_, grains int) []Grain {
-	gs := make([]Grain, grains)
-	for g := range gs {
+// headline) pairs, one pair per grain.
+func (b *TextSummarization) BeginPhase(_, grains int) int {
+	b.docs, b.heads = b.docs[:0], b.heads[:0]
+	for range grains {
 		doc, head := b.ds.Pair()
-		gs[g] = func() (float64, int) {
-			encStates, h, c := b.encode(doc)
-			var losses []*autograd.Value
-			for t := 0; t+1 < len(head); t++ {
-				var logits *autograd.Value
-				logits, h, c = b.stepLogits(head[t], h, c, encStates)
-				losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{head[t+1]}))
-			}
-			loss := meanLoss(losses)
-			loss.Backward()
-			return loss.Item(), len(losses)
-		}
+		b.docs, b.heads = append(b.docs, doc), append(b.heads, head)
 	}
-	return gs
+	return grains
+}
+
+// Grain implements Benchmark: train pairs [lo,hi) of the draw, each
+// with teacher-forced cross-entropy and weighted by its target length.
+func (b *TextSummarization) Grain(phase, lo, hi int) (float64, int) {
+	return b.unitsGrain(phase, lo, hi, b.pairLoss)
+}
+
+// pairLoss builds the teacher-forced loss of pair u and returns it with
+// the headline's prediction count.
+func (b *TextSummarization) pairLoss(_, u int) (*autograd.Value, int) {
+	head := b.heads[u]
+	encStates, h, c := b.encode(b.docs[u])
+	var losses []*autograd.Value
+	for t := 0; t+1 < len(head); t++ {
+		var logits *autograd.Value
+		logits, h, c = b.stepLogits(head[t], h, c, encStates)
+		losses = append(losses, autograd.SoftmaxCrossEntropy(logits, []int{head[t+1]}))
+	}
+	return meanLoss(losses), len(losses)
 }
 
 // greedyDecode generates a headline for a document.

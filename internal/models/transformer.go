@@ -66,10 +66,10 @@ type TextToText struct {
 	dim     int
 	batches int
 
+	units
 	// What every step reuses, built once per grain count: the step's
-	// draw, one pair per grain, and the grains training on it.
+	// draw, one pair per grain.
 	src, tgt [][]int
-	grains   []Grain
 	pred     []int // Quality's predictions, one pair at a time
 }
 
@@ -131,28 +131,31 @@ func (b *TextToText) StepsPerEpoch(grains int) int { return b.batches / grains }
 func (b *TextToText) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the macro-batch of
-// translation pairs, one grain per pair, weighted by target length.
-func (b *TextToText) BeginPhase(_, grains int) []Grain {
-	if len(b.grains) != grains {
-		b.src, b.tgt, b.grains = make([][]int, grains), make([][]int, grains), make([]Grain, grains)
-		for g := range b.grains {
+// translation pairs, one pair per grain.
+func (b *TextToText) BeginPhase(_, grains int) int {
+	if len(b.src) != grains {
+		b.src, b.tgt = make([][]int, grains), make([][]int, grains)
+		for g := range b.src {
 			b.src[g], b.tgt[g] = make([]int, b.ds.SrcLen), make([]int, b.ds.SrcLen+2)
-			b.grains[g] = func() (float64, int) { return b.trainPair(b.src[g], b.tgt[g]) }
 		}
 	}
-	for g := range b.grains {
+	for g := range b.src {
 		b.ds.PairInto(b.src[g], b.tgt[g])
 	}
-	return b.grains
+	return grains
 }
 
-// trainPair backpropagates the teacher-forced loss of one pair and
-// returns it with the pair's target length.
-func (b *TextToText) trainPair(src, tgt []int) (float64, int) {
-	lg, want := b.logits(src, tgt)
-	loss := autograd.SoftmaxCrossEntropy(lg, want)
-	loss.Backward()
-	return loss.Item(), len(want)
+// Grain implements Benchmark: train pairs [lo,hi) of the draw, each
+// weighted by its target length.
+func (b *TextToText) Grain(phase, lo, hi int) (float64, int) {
+	return b.unitsGrain(phase, lo, hi, b.pairLoss)
+}
+
+// pairLoss builds the teacher-forced loss of pair u and returns it with
+// the pair's target length.
+func (b *TextToText) pairLoss(_, u int) (*autograd.Value, int) {
+	lg, want := b.logits(b.src[u], b.tgt[u])
+	return autograd.SoftmaxCrossEntropy(lg, want), len(want)
 }
 
 // Quality implements Benchmark: teacher-forced next-token accuracy on

@@ -29,6 +29,8 @@ type VideoPrediction struct {
 	batches int
 	k       int
 	h, w    int
+	// The step's transition draw.
+	frames, actions, next *tensor.Tensor
 }
 
 // NewVideoPrediction constructs the scaled benchmark.
@@ -87,18 +89,17 @@ func (b *VideoPrediction) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *VideoPrediction) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the transition macro-batch
-// and split it into per-grain compositing sub-batches.
-func (b *VideoPrediction) BeginPhase(_, grains int) []Grain {
-	frames, actions, next := b.ds.Transition(8)
-	return splitGrains(frames.Dim(0), grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			pred := b.forward(autograd.Const(batchRows(frames, lo, hi)), autograd.Const(batchRows(actions, lo, hi)))
-			loss := autograd.MSELoss(pred, batchRows(next, lo, hi))
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+// BeginPhase implements Benchmark: draw the transition macro-batch.
+func (b *VideoPrediction) BeginPhase(int, int) int {
+	b.frames, b.actions, b.next = b.ds.Transition(8)
+	return b.frames.Dim(0)
+}
+
+// Grain implements Benchmark: predict the next frame of transitions
+// [lo,hi) of the draw.
+func (b *VideoPrediction) Grain(_, lo, hi int) (float64, int) {
+	pred := b.forward(autograd.Const(batchRows(b.frames, lo, hi)), autograd.Const(batchRows(b.actions, lo, hi)))
+	return backward(autograd.MSELoss(pred, batchRows(b.next, lo, hi)), hi-lo)
 }
 
 // Quality implements Benchmark: next-frame MSE on held-out transitions

@@ -30,6 +30,9 @@ type ImageGeneration struct {
 	batches int
 	batch   int
 	clip    float64
+	// The phase's draw: a critic phase's real and detached generated
+	// images, the generator phase's latents.
+	real, fake, z *tensor.Tensor
 }
 
 // NewImageGeneration constructs the scaled benchmark.
@@ -112,37 +115,34 @@ func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 }
 
 // BeginPhase implements Benchmark: a critic phase draws a real
-// macro-batch plus latents and scores real-vs-generated slices; the
-// generator phase draws latents and maximizes the critic's score of
-// its slices. Every replica draws identically, keeping the dataset and
-// latent RNG streams in lockstep.
-func (b *ImageGeneration) BeginPhase(phase, grains int) []Grain {
+// macro-batch plus latents, the generator phase draws latents. Every
+// replica draws identically, keeping the dataset and latent RNG
+// streams in lockstep.
+func (b *ImageGeneration) BeginPhase(phase, _ int) int {
 	if phase < 3 {
-		real := b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
+		b.real = b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
 		z := tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
 		// The generator forward is deterministic given the lockstep
 		// weights; its output is detached so critic grains never put
 		// gradients on the generator.
-		fake := b.gen.Forward(autograd.Const(z)).Data
-		return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-			return func() (float64, int) {
-				fReal := b.critic.Forward(autograd.Const(batchRows(real, lo, hi)))
-				fFake := b.critic.Forward(autograd.Const(batchRows(fake, lo, hi)))
-				loss := autograd.Sub(autograd.Mean(fFake), autograd.Mean(fReal))
-				loss.Backward()
-				return loss.Item(), hi - lo
-			}
-		})
+		b.fake = b.gen.Forward(autograd.Const(z)).Data
+		return b.batch
 	}
-	z := tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
-	return splitGrains(b.batch, grains, func(lo, hi int) Grain {
-		return func() (float64, int) {
-			fake := b.gen.Forward(autograd.Const(batchRows(z, lo, hi)))
-			loss := autograd.Neg(autograd.Mean(b.critic.Forward(fake)))
-			loss.Backward()
-			return loss.Item(), hi - lo
-		}
-	})
+	b.z = tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
+	return b.batch
+}
+
+// Grain implements Benchmark: a critic phase scores real-vs-generated
+// samples [lo,hi) of the draw; the generator phase maximizes the
+// critic's score of samples [lo,hi) generated from its latents.
+func (b *ImageGeneration) Grain(phase, lo, hi int) (float64, int) {
+	if phase < 3 {
+		fReal := b.critic.Forward(autograd.Const(batchRows(b.real, lo, hi)))
+		fFake := b.critic.Forward(autograd.Const(batchRows(b.fake, lo, hi)))
+		return backward(autograd.Sub(autograd.Mean(fFake), autograd.Mean(fReal)), hi-lo)
+	}
+	fake := b.gen.Forward(autograd.Const(batchRows(b.z, lo, hi)))
+	return backward(autograd.Neg(autograd.Mean(b.critic.Forward(fake))), hi-lo)
 }
 
 // ApplyPhase implements Benchmark: critic phases step the critic
