@@ -30,7 +30,9 @@
 //     allocate their results where their operands are placed — in the
 //     owning benchmark's step arena — never with a heap constructor,
 //     and build no graph node on the heap (&Value{…}, new(Value)); the
-//     numbers would not change, only the mallocs would come back.
+//     numbers would not change, only the mallocs would come back. The
+//     draws of internal/data take their tensors from the arena they
+//     are given in the same way.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, diagnostics, analysistest-style golden tests) but is built on

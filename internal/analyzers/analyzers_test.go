@@ -54,6 +54,12 @@ func TestHeapallocInsideNN(t *testing.T) {
 	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_nn", "aibench/internal/nn")
 }
 
+// TestHeapallocInsideData: internal/data's draws are in scope — each
+// takes the arena its tensors come from — and its constructors are not.
+func TestHeapallocInsideData(t *testing.T) {
+	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_data", "aibench/internal/data")
+}
+
 func TestHeapallocOutOfScope(t *testing.T) {
 	runGolden(t, []*Analyzer{Heapalloc}, "testdata/heapalloc_outofscope", "aibench/internal/models")
 }

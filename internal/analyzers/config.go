@@ -87,9 +87,17 @@ const (
 	nnPackage       = "aibench/internal/nn"
 )
 
+// dataPackage holds the synthetic dataset generators, whose draws
+// take the arena their tensors come from (heapalloc).
+const dataPackage = "aibench/internal/data"
+
 func inOpPackages(path string) bool {
 	return path == tensorPackage || path == autogradPackage || path == nnPackage
 }
+
+// inHeapallocScope is heapalloc's scope: the op packages and the
+// dataset draws.
+func inHeapallocScope(path string) bool { return inOpPackages(path) || path == dataPackage }
 
 func inDeterministic(path string) bool { return deterministicPackages[path] }
 func inResultAffecting(path string) bool {

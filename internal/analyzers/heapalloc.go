@@ -41,21 +41,38 @@ import (
 // tensor an arena handed out takes its node from that arena's slab,
 // like an interior node), and Tensor.Detach, whose purpose is to
 // outlive the arena.
+//
+// Dataset draws follow one rule too: every internal/data draw takes
+// the arena its tensors come from (nil: the heap). There, a function
+// with a *tensor.Arena parameter is a draw body, and tensor.New, Full,
+// Ones, Randn, Concat and a fresh FromSlice inside one are flagged: a
+// draw takes its tensors from its arena (Take, or New for one it
+// leaves partly unwritten) and writes rows in place. A generator's
+// constructor has no arena parameter and builds its state on the heap.
 var Heapalloc = &Analyzer{
 	Name:  "heapalloc",
-	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node or backward closure on the heap",
-	Scope: inOpPackages,
+	Doc:   "tensor, autograd and nn op bodies allocate results where their operands are placed (tensor.ArenaOf/NewLike), never with a heap constructor, and build no graph node or backward closure on the heap; internal/data draws take their tensors from the arena they are given",
+	Scope: inHeapallocScope,
 	Run:   runHeapalloc,
 }
 
-// heapConstructors are the tensor package's operand-less constructors.
-var heapConstructors = []string{"New", "Full", "Ones", "FromSlice"}
+// heapConstructors are the tensor package's operand-less constructors;
+// drawConstructors are those a draw body may not call, Randn and
+// Concat among them.
+var (
+	heapConstructors = []string{"New", "Full", "Ones", "FromSlice"}
+	drawConstructors = []string{"New", "Full", "Ones", "FromSlice", "Randn", "Concat"}
+)
 
 func runHeapalloc(pass *Pass) error {
+	inBody, constructors := hasTensorOperand, heapConstructors
+	if pass.Path == dataPackage {
+		inBody, constructors = hasArenaParam, drawConstructors
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasTensorOperand(pass, fn) {
+			if !ok || fn.Body == nil || !inBody(pass, fn) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -75,8 +92,14 @@ func runHeapalloc(pass *Pass) error {
 				if !ok {
 					return true
 				}
-				name := heapConstructor(pass, call)
+				name := heapConstructor(pass, call, constructors)
 				if name == "" || (name == "FromSlice" && !freshSlice(call)) {
+					return true
+				}
+				if pass.Path == dataPackage {
+					pass.Reportf(call.Pos(),
+						"heap constructor tensor.%s in the body of draw %s: take the draw's tensors from its arena (Take, or New where elements stay unwritten) and write rows in place",
+						name, fn.Name.Name)
 					return true
 				}
 				pass.Reportf(call.Pos(),
@@ -101,6 +124,22 @@ func hasTensorOperand(pass *Pass, fn *ast.FuncDecl) bool {
 			if isOperandType(pass.TypeOf(field.Type)) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// hasArenaParam reports whether one of fn's parameters is a
+// *tensor.Arena: fn is a draw.
+func hasArenaParam(pass *Pass, fn *ast.FuncDecl) bool {
+	for _, field := range fn.Type.Params.List {
+		ptr, ok := pass.TypeOf(field.Type).(*types.Pointer)
+		if !ok {
+			continue
+		}
+		if named, ok := ptr.Elem().(*types.Named); ok && named.Obj().Pkg() != nil &&
+			named.Obj().Pkg().Path() == tensorPackage && named.Obj().Name() == "Arena" {
+			return true
 		}
 	}
 	return false
@@ -175,9 +214,9 @@ func isOperandType(t types.Type) bool {
 	return false
 }
 
-// heapConstructor returns the name of the tensor heap constructor the
-// call invokes, or "".
-func heapConstructor(pass *Pass, call *ast.CallExpr) string {
+// heapConstructor returns the name of the tensor constructor among
+// names that the call invokes, or "".
+func heapConstructor(pass *Pass, call *ast.CallExpr, names []string) string {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -188,7 +227,7 @@ func heapConstructor(pass *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	obj := pass.ObjectOf(id)
-	for _, name := range heapConstructors {
+	for _, name := range names {
 		if isPkgFunc(obj, tensorPackage, name) {
 			return name
 		}

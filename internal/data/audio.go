@@ -35,26 +35,29 @@ func NewSpeech(seed int64, vocab, features, minDur, maxDur int) *Speech {
 	}
 }
 
-// Utterance samples a token string of the given length and its frame
-// matrix [T, Features]. Also returns the per-frame token alignment so
-// scaled models can train framewise (the CTC-free simplification).
-func (s *Speech) Utterance(tokens int) (frames *tensor.Tensor, tokenSeq []int, alignment []int) {
-	tokenSeq = make([]int, tokens)
-	var rows []*tensor.Tensor
-	for i := 0; i < tokens; i++ {
+// Utterance samples a string of len(tokenSeq) tokens into tokenSeq
+// and its frame matrix [T, Features] from a. It also returns the
+// per-frame token alignment, written over alignment's storage, so
+// scaled models can train framewise (the CTC-free simplification). The
+// frames are a view of the first T rows of a len(tokenSeq)·MaxDur-row
+// matrix, so every utterance of a token count takes the same arena
+// footprint, whatever its durations.
+func (s *Speech) Utterance(a *tensor.Arena, tokenSeq, alignment []int) (*tensor.Tensor, []int) {
+	frames := a.Take(len(tokenSeq)*s.MaxDur, s.Features)
+	alignment = alignment[:0]
+	for i := range tokenSeq {
 		tok := s.rng.Intn(s.Vocab)
 		tokenSeq[i] = tok
 		dur := s.MinDur + s.rng.Intn(s.MaxDur-s.MinDur+1)
 		for d := 0; d < dur; d++ {
-			frame := tensor.New(1, s.Features)
+			frame := frames.Data[len(alignment)*s.Features:]
 			for f := 0; f < s.Features; f++ {
-				frame.Data[f] = s.prototypes[tok].Data[f] + 0.3*s.rng.NormFloat64()
+				frame[f] = s.prototypes[tok].Data[f] + 0.3*s.rng.NormFloat64()
 			}
-			rows = append(rows, frame)
 			alignment = append(alignment, tok)
 		}
 	}
-	return tensor.Concat(rows...), tokenSeq, alignment
+	return frames.SliceRows(0, len(alignment)), alignment
 }
 
 // VideoPushing generates robot-pushing-style frame transitions: an object
@@ -71,12 +74,12 @@ func NewVideoPushing(seed int64, c, h, w int) *VideoPushing {
 	return &VideoPushing{C: c, H: h, W: w, rng: NewRNG(seed)}
 }
 
-// Transition samples n (frame, action, nextFrame) triples. Actions are
-// [n, 2] pixel displacement vectors scaled to [-1, 1].
-func (v *VideoPushing) Transition(n int) (frames, actions, next *tensor.Tensor) {
-	frames = tensor.New(n, v.C, v.H, v.W)
-	next = tensor.New(n, v.C, v.H, v.W)
-	actions = tensor.New(n, 2)
+// Transition samples n (frame, action, nextFrame) triples from a.
+// Actions are [n, 2] pixel displacement vectors scaled to [-1, 1].
+func (v *VideoPushing) Transition(a *tensor.Arena, n int) (frames, actions, next *tensor.Tensor) {
+	frames = a.New(n, v.C, v.H, v.W)
+	next = a.New(n, v.C, v.H, v.W)
+	actions = a.Take(n, 2)
 	maxMove := 2
 	for i := 0; i < n; i++ {
 		// Object position with margin so the moved object stays in frame.

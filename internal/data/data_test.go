@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -41,8 +42,8 @@ func TestBoxIoUSymmetricAndBounded(t *testing.T) {
 func TestImageClassificationDeterminismAndSeparation(t *testing.T) {
 	d1 := NewImageClassification(7, 4, 1, 6, 6, 0.2)
 	d2 := NewImageClassification(7, 4, 1, 6, 6, 0.2)
-	x1, l1 := d1.Batch(8)
-	x2, l2 := d2.Batch(8)
+	l1, l2 := make([]int, 8), make([]int, 8)
+	x1, x2 := d1.Batch(nil, l1), d2.Batch(nil, l2)
 	if !tensor.AllClose(x1, x2, 0) {
 		t.Fatal("same seed should reproduce batches")
 	}
@@ -54,7 +55,8 @@ func TestImageClassificationDeterminismAndSeparation(t *testing.T) {
 	// Signal check: samples should be closer to their class prototype than
 	// to others (nearest-prototype classification achievable).
 	d := NewImageClassification(9, 3, 1, 6, 6, 0.2)
-	x, labels := d.Batch(30)
+	labels := make([]int, 30)
+	x := d.Batch(nil, labels)
 	vol := 36
 	correct := 0
 	for i, lab := range labels {
@@ -80,7 +82,8 @@ func TestImageClassificationDeterminismAndSeparation(t *testing.T) {
 
 func TestDistortedBatchKeepsShape(t *testing.T) {
 	d := NewImageClassification(3, 4, 1, 8, 8, 0.1)
-	x, labels := d.DistortedBatch(5, 0.2, 0.2)
+	labels := make([]int, 5)
+	x := d.DistortedBatch(nil, labels, 0.2, 0.2)
 	if x.Dim(0) != 5 || len(labels) != 5 {
 		t.Fatalf("batch shape %v labels %d", x.Shape(), len(labels))
 	}
@@ -88,7 +91,8 @@ func TestDistortedBatchKeepsShape(t *testing.T) {
 
 func TestDetectionSceneAnnotationsInBounds(t *testing.T) {
 	d := NewDetection(11, 4, 3, 16, 16, 3)
-	x, boxes := d.Scene(6)
+	boxes := make([][]Box, 6)
+	x := d.Scene(nil, boxes)
 	if x.Dim(0) != 6 {
 		t.Fatalf("batch dim %d", x.Dim(0))
 	}
@@ -109,7 +113,7 @@ func TestDetectionSceneAnnotationsInBounds(t *testing.T) {
 
 func TestUnconditionalModes(t *testing.T) {
 	d := NewUnconditional(13, 1, 4, 4, 3, 0.05)
-	x := d.Real(20)
+	x := d.Real(nil, 20)
 	if x.Dim(0) != 20 {
 		t.Fatalf("dim %d", x.Dim(0))
 	}
@@ -135,19 +139,20 @@ func TestUnconditionalModes(t *testing.T) {
 
 func TestPairedDomainsAligned(t *testing.T) {
 	d := NewPairedDomains(17, 3, 8, 8, 4)
-	a, b, seg := d.Pair(2)
-	if a.Dim(0) != 2 || b.Dim(0) != 2 || len(seg) != 2 {
+	a, b := d.Pair(nil, 2)
+	if a.Dim(0) != 2 || b.Dim(0) != 2 {
 		t.Fatal("batch size mismatch")
 	}
 	// Segmentation is vertical bands: leftmost and rightmost differ.
-	if seg[0][0] == seg[0][7] {
+	if d.Class(0) == d.Class(7) {
 		t.Fatal("expected multiple segmentation classes per row")
 	}
 }
 
 func TestLanguageTokensInRange(t *testing.T) {
 	l := NewLanguage(19, 20)
-	s := l.Sentence(50)
+	s := make([]int, 50)
+	l.Sentence(s)
 	for _, w := range s {
 		if w < FirstWordToken || w >= FirstWordToken+20 {
 			t.Fatalf("token %d out of range", w)
@@ -159,7 +164,8 @@ func TestLanguageIsNotUniform(t *testing.T) {
 	// Bigram structure should make some successors much more common.
 	l := NewLanguage(23, 10)
 	counts := map[[2]int]int{}
-	s := l.Sentence(4000)
+	s := make([]int, 4000)
+	l.Sentence(s)
 	for i := 0; i+1 < len(s); i++ {
 		counts[[2]int{s[i], s[i+1]}]++
 	}
@@ -177,7 +183,8 @@ func TestLanguageIsNotUniform(t *testing.T) {
 
 func TestTranslationPairConsistency(t *testing.T) {
 	tr := NewTranslation(29, 15, 6)
-	src, tgt := tr.Pair()
+	src, tgt := make([]int, 6), make([]int, 8)
+	tr.Pair(src, tgt)
 	if len(src) != 6 {
 		t.Fatalf("src len %d", len(src))
 	}
@@ -192,7 +199,8 @@ func TestTranslationPairConsistency(t *testing.T) {
 	}
 	// The mapping must be a bijection: two different sources with the same
 	// length map to different targets unless the sources are equal.
-	src2, _ := tr.Pair()
+	src2 := make([]int, 6)
+	tr.Pair(src2, make([]int, 8))
 	same := true
 	for i := range src {
 		if src[i] != src2[i] {
@@ -238,7 +246,8 @@ func TestSummarizationHeadlineIsSalientSubsequence(t *testing.T) {
 
 func TestCaptioningClassCaptionBinding(t *testing.T) {
 	c := NewCaptioning(37, 5, 1, 6, 6, 12, 4)
-	_, labels, caps := c.Pair(10)
+	labels, caps := make([]int, 10), make([][]int, 10)
+	c.Pair(nil, labels, caps)
 	for i, l := range labels {
 		want := c.captions[l]
 		if len(caps[i]) != len(want) {
@@ -254,7 +263,8 @@ func TestCaptioningClassCaptionBinding(t *testing.T) {
 
 func TestSpeechUtteranceAlignment(t *testing.T) {
 	s := NewSpeech(41, 6, 8, 2, 4)
-	frames, tokens, align := s.Utterance(5)
+	tokens := make([]int, 5)
+	frames, align := s.Utterance(nil, tokens, nil)
 	if len(tokens) != 5 {
 		t.Fatalf("tokens %d", len(tokens))
 	}
@@ -282,7 +292,7 @@ func TestSpeechUtteranceAlignment(t *testing.T) {
 
 func TestVideoPushingActionMovesBlob(t *testing.T) {
 	v := NewVideoPushing(43, 1, 12, 12)
-	frames, actions, next := v.Transition(8)
+	frames, actions, next := v.Transition(nil, 8)
 	if frames.Dim(0) != 8 || next.Dim(0) != 8 || actions.Dim(0) != 8 {
 		t.Fatal("batch size mismatch")
 	}
@@ -319,7 +329,8 @@ func TestRatingsEvalCase(t *testing.T) {
 
 func TestRatingsTrainBatchBalanced(t *testing.T) {
 	r := NewRatings(53, 8, 40, 4)
-	users, items, labels := r.TrainBatch(20)
+	users, items, labels := make([]int, 20), make([]int, 20), make([]float64, 20)
+	r.TrainBatch(users, items, labels)
 	if len(users) != 20 || len(items) != 20 {
 		t.Fatal("batch size mismatch")
 	}
@@ -360,7 +371,8 @@ func TestRatingsNoQualifyingItem(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		users, items, labels := r.TrainBatch(256)
+		users, items, labels := make([]int, 256), make([]int, 256), make([]float64, 256)
+		r.TrainBatch(users, items, labels)
 		for k, u := range users {
 			a := r.affinity(u, items[k])
 			switch {
@@ -398,34 +410,286 @@ func TestCheckinsBPRTripleOrdering(t *testing.T) {
 	}
 }
 
-// TestDrawsIntoReusedBuffers: a draw into buffers the caller reuses —
-// dirty with the previous draw — yields what a twin generator draws
-// into fresh ones, call after call.
+// TestDrawsIntoReusedBuffers: every draw, into an arena it shares
+// with every other draw and into buffers the caller reuses — both dirty
+// with the previous draw and poisoned, the arena by its Reset and the
+// buffers by poisonBuffers — yields bit for bit what a twin generator
+// draws onto the heap (a nil arena) and into fresh buffers, call after
+// call. A draw that takes unspecified memory (Arena.Take) for an
+// element it leaves unwritten reads NaN here, and one that leaves an
+// element of a slice buffer unwritten, or appends to it without
+// truncating it first, returns the poison.
 func TestDrawsIntoReusedBuffers(t *testing.T) {
-	fresh, reused := NewTranslation(31, 15, 6), NewTranslation(31, 15, 6)
-	src, tgt := make([]int, 6), make([]int, 8)
-	c1, c2 := NewCheckins(37, 6, 25, 4), NewCheckins(37, 6, 25, 4)
-	users, pos, neg := make([]int, 9), make([]int, 9), make([]int, 9)
-	i1, i2 := NewImageClassification(41, 5, 2, 4, 3, 0.4), NewImageClassification(41, 5, 2, 4, 3, 0.4)
-	x, labels := tensor.New(6, 2, 4, 3), make([]int, 6)
-	for range 4 {
-		wantX, wantLabels := i1.Batch(6)
-		i2.BatchInto(x, labels)
-		if !slices.Equal(x.Data, wantX.Data) || !slices.Equal(labels, wantLabels) {
-			t.Fatal("BatchInto into reused buffers drew other samples than Batch")
-		}
-		wantSrc, wantTgt := fresh.Pair()
-		reused.PairInto(src, tgt)
-		if !slices.Equal(src, wantSrc) || !slices.Equal(tgt, wantTgt) {
-			t.Fatalf("PairInto drew %v → %v, Pair %v → %v", src, tgt, wantSrc, wantTgt)
-		}
-		wu, wp, wn := make([]int, 9), make([]int, 9), make([]int, 9)
-		c1.BPRTriple(wu, wp, wn)
-		c2.BPRTriple(users, pos, neg)
-		if !slices.Equal(users, wu) || !slices.Equal(pos, wp) || !slices.Equal(neg, wn) {
-			t.Fatal("BPRTriple into reused buffers drew other triples than into fresh ones")
+	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetPoison))
+	// A draw is a function of its arena and of whether to make fresh
+	// buffers; each row builds two, over twin generators.
+	type draw func(a *tensor.Arena, fresh bool) []any
+	rows := []struct {
+		name string
+		twin func() draw
+	}{
+		{"Speech.Utterance", func() draw {
+			s := NewSpeech(3, 6, 5, 2, 4)
+			tokens, align := make([]int, 5), []int(nil)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					tokens, align = make([]int, 5), nil
+				}
+				var frames *tensor.Tensor
+				frames, align = s.Utterance(a, tokens, align)
+				return []any{frames, tokens, align}
+			}
+		}},
+		{"VideoPushing.Transition", func() draw {
+			v := NewVideoPushing(5, 2, 9, 10)
+			return func(a *tensor.Arena, _ bool) []any {
+				frames, actions, next := v.Transition(a, 3)
+				return []any{frames, actions, next}
+			}
+		}},
+		{"ImageClassification.Batch", func() draw {
+			d := NewImageClassification(41, 5, 2, 4, 3, 0.4)
+			labels := make([]int, 6)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					labels = make([]int, 6)
+				}
+				return []any{d.Batch(a, labels), labels}
+			}
+		}},
+		{"ImageClassification.DistortedBatch", func() draw {
+			d := NewImageClassification(43, 4, 1, 8, 8, 0.1)
+			labels := make([]int, 5)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					labels = make([]int, 5)
+				}
+				return []any{d.DistortedBatch(a, labels, 0.25, 0.3), labels}
+			}
+		}},
+		{"Detection.Scene", func() draw {
+			d := NewDetection(11, 4, 3, 16, 16, 3)
+			boxes := make([][]Box, 4)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					boxes = make([][]Box, 4)
+				}
+				return []any{d.Scene(a, boxes), boxes}
+			}
+		}},
+		{"Unconditional.Real", func() draw {
+			d := NewUnconditional(13, 1, 4, 4, 3, 0.05)
+			return func(a *tensor.Arena, _ bool) []any { return []any{d.Real(a, 5)} }
+		}},
+		{"PairedDomains.Pair", func() draw {
+			d := NewPairedDomains(17, 3, 6, 8, 4)
+			return func(a *tensor.Arena, _ bool) []any {
+				x, y := d.Pair(a, 2)
+				return []any{x, y}
+			}
+		}},
+		{"Captioning.Pair", func() draw {
+			c := NewCaptioning(37, 5, 1, 6, 6, 12, 4)
+			labels, caps := make([]int, 7), make([][]int, 7)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					labels, caps = make([]int, 7), make([][]int, 7)
+				}
+				return []any{c.Pair(a, labels, caps), labels, caps}
+			}
+		}},
+		{"Shapes3D.Sample", func() draw {
+			s := NewShapes3D(67, 8, 2, 8, 8, 3)
+			return func(a *tensor.Arena, _ bool) []any {
+				views, voxels := s.Sample(a, 3)
+				return []any{views, voxels}
+			}
+		}},
+		{"Faces.Sample", func() draw {
+			f := NewFaces(71, 5, 2, 6, 6, 0.2)
+			id := 0
+			return func(a *tensor.Arena, _ bool) []any {
+				id = (id + 2) % 5
+				return []any{f.Sample(a, id)}
+			}
+		}},
+		{"Faces.Batch", func() draw {
+			f := NewFaces(73, 5, 4, 6, 6, 0.3)
+			labels := make([]int, 6)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					labels = make([]int, 6)
+				}
+				return []any{f.Batch(a, labels), labels}
+			}
+		}},
+		{"Faces.Triplets", func() draw {
+			f := NewFaces(79, 3, 1, 6, 6, 0.2)
+			return func(a *tensor.Arena, _ bool) []any {
+				x, p, n := f.Triplets(a, 4)
+				return []any{x, p, n}
+			}
+		}},
+		{"Faces.VerificationPairs", func() draw {
+			f := NewFaces(83, 4, 1, 6, 6, 0.2)
+			same := make([]bool, 7)
+			return func(a *tensor.Arena, fresh bool) []any {
+				if fresh {
+					same = make([]bool, 7)
+				}
+				x, y := f.VerificationPairs(a, same)
+				return []any{x, y, same}
+			}
+		}},
+		{"Language.Sentence", func() draw {
+			l := NewLanguage(19, 20)
+			s := make([]int, 9)
+			return func(_ *tensor.Arena, fresh bool) []any {
+				if fresh {
+					s = make([]int, 9)
+				}
+				l.Sentence(s)
+				return []any{s}
+			}
+		}},
+		{"Translation.Pair", func() draw {
+			tr := NewTranslation(31, 15, 6)
+			src, tgt := make([]int, 6), make([]int, 8)
+			return func(_ *tensor.Arena, fresh bool) []any {
+				if fresh {
+					src, tgt = make([]int, 6), make([]int, 8)
+				}
+				tr.Pair(src, tgt)
+				return []any{src, tgt}
+			}
+		}},
+		{"Ratings.TrainBatch", func() draw {
+			r := NewRatings(53, 8, 40, 4)
+			users, items, labels := make([]int, 9), make([]int, 9), make([]float64, 9)
+			return func(_ *tensor.Arena, fresh bool) []any {
+				if fresh {
+					users, items, labels = make([]int, 9), make([]int, 9), make([]float64, 9)
+				}
+				r.TrainBatch(users, items, labels)
+				return []any{users, items, labels}
+			}
+		}},
+		{"Checkins.BPRTriple", func() draw {
+			c := NewCheckins(37, 6, 25, 4)
+			users, pos, neg := make([]int, 9), make([]int, 9), make([]int, 9)
+			return func(_ *tensor.Arena, fresh bool) []any {
+				if fresh {
+					users, pos, neg = make([]int, 9), make([]int, 9), make([]int, 9)
+				}
+				c.BPRTriple(users, pos, neg)
+				return []any{users, pos, neg}
+			}
+		}},
+	}
+	var arena tensor.Arena
+	for _, row := range rows {
+		heap, reused := row.twin(), row.twin()
+		var got []any
+		for call := range 4 {
+			want := heap(nil, true)
+			arena.Reset()
+			poisonBuffers(got)
+			got = reused(&arena, false)
+			for i, v := range got {
+				if x, ok := v.(*tensor.Tensor); ok && tensor.StepArenaOf(x) != &arena {
+					t.Errorf("%s call %d: tensor %d is not drawn from the arena it was given", row.name, call, i)
+				}
+				if x, ok := want[i].(*tensor.Tensor); ok && tensor.StepArenaOf(x) != nil {
+					t.Errorf("%s call %d: tensor %d of a nil-arena draw is not on the heap", row.name, call, i)
+				}
+			}
+			if g, w := drawnWords(got), drawnWords(want); !slices.Equal(g, w) {
+				t.Fatalf("%s call %d: a draw into a reused arena and buffers is not the heap draw into fresh ones:\n got %v\nwant %v", row.name, call, got, want)
+			}
 		}
 	}
+}
+
+// poisonBuffers overwrites the slices a draw returned — the buffers its
+// next call reuses — with values no draw makes: MinInt, NaN, true, nil
+// captions and one bogus box per image.
+func poisonBuffers(vs []any) {
+	for _, v := range vs {
+		switch v := v.(type) {
+		case []int:
+			for i := range v {
+				v[i] = math.MinInt
+			}
+		case []float64:
+			for i := range v {
+				v[i] = math.NaN()
+			}
+		case []bool:
+			for i := range v {
+				v[i] = true
+			}
+		case [][]int:
+			clear(v)
+		case [][]Box:
+			for i := range v {
+				v[i] = append(v[i][:0], Box{X: -1, Y: -1, W: -1, H: -1, Class: -1})
+			}
+		}
+	}
+}
+
+// drawnWords flattens what a draw returned into comparable words, each
+// value prefixed by its length: a tensor's shape and float bits, a
+// slice's elements, a slice of slices element by element.
+func drawnWords(vs []any) []uint64 {
+	var out []uint64
+	for _, v := range vs {
+		switch v := v.(type) {
+		case *tensor.Tensor:
+			out = append(out, uint64(v.Rank()))
+			for _, d := range v.Shape() {
+				out = append(out, uint64(d))
+			}
+			for _, f := range v.Data {
+				out = append(out, math.Float64bits(f))
+			}
+		case []int:
+			out = append(out, uint64(len(v)))
+			for _, x := range v {
+				out = append(out, uint64(x))
+			}
+		case []float64:
+			out = append(out, uint64(len(v)))
+			for _, f := range v {
+				out = append(out, math.Float64bits(f))
+			}
+		case []bool:
+			out = append(out, uint64(len(v)))
+			for _, b := range v {
+				if b {
+					out = append(out, 1)
+				} else {
+					out = append(out, 0)
+				}
+			}
+		case [][]int:
+			out = append(out, uint64(len(v)))
+			for _, s := range v {
+				out = append(out, drawnWords([]any{s})...)
+			}
+		case [][]Box:
+			out = append(out, uint64(len(v)))
+			for _, bs := range v {
+				out = append(out, uint64(len(bs)))
+				for _, b := range bs {
+					out = append(out, uint64(b.X), uint64(b.Y), uint64(b.W), uint64(b.H), uint64(b.Class))
+				}
+			}
+		default:
+			panic(fmt.Sprintf("drawnWords: unhandled %T", v))
+		}
+	}
+	return out
 }
 
 func TestCheckinsTopK(t *testing.T) {
@@ -454,7 +718,7 @@ func TestCheckinsTopK(t *testing.T) {
 
 func TestShapes3DProjectionConsistency(t *testing.T) {
 	s := NewShapes3D(67, 8, 1, 8, 8, 3)
-	views, voxels := s.Sample(4)
+	views, voxels := s.Sample(nil, 4)
 	if views.Dim(0) != 4 || voxels.Dim(0) != 4 {
 		t.Fatal("batch mismatch")
 	}
@@ -484,11 +748,12 @@ func TestShapes3DProjectionConsistency(t *testing.T) {
 
 func TestFacesTripletsAndVerification(t *testing.T) {
 	f := NewFaces(71, 5, 1, 6, 6, 0.2)
-	a, p, n := f.Triplets(6)
+	a, p, n := f.Triplets(nil, 6)
 	if a.Dim(0) != 6 || p.Dim(0) != 6 || n.Dim(0) != 6 {
 		t.Fatal("triplet batch mismatch")
 	}
-	va, vb, same := f.VerificationPairs(10)
+	same := make([]bool, 10)
+	va, vb := f.VerificationPairs(nil, same)
 	if va.Dim(0) != 10 || vb.Dim(0) != 10 {
 		t.Fatal("verification batch mismatch")
 	}

@@ -33,17 +33,10 @@ func NewImageClassification(seed int64, classes, c, h, w int, noise float64) *Im
 	}
 }
 
-// Batch draws n labeled samples.
-func (d *ImageClassification) Batch(n int) (*tensor.Tensor, []int) {
-	x, labels := tensor.New(n, d.C, d.H, d.W), make([]int, n)
-	d.BatchInto(x, labels)
-	return x, labels
-}
-
-// BatchInto draws len(labels) labeled samples into the caller's
-// buffers, with Batch's draws: x must be len(labels)×C×H×W, and every
-// element of it is written.
-func (d *ImageClassification) BatchInto(x *tensor.Tensor, labels []int) {
+// Batch draws len(labels) labeled samples: the images [n, C, H, W]
+// come from a (nil: the heap) and their classes go to labels.
+func (d *ImageClassification) Batch(a *tensor.Arena, labels []int) *tensor.Tensor {
+	x := a.Take(len(labels), d.C, d.H, d.W)
 	vol := d.C * d.H * d.W
 	for i := range labels {
 		cls := d.rng.Intn(d.Classes)
@@ -52,22 +45,25 @@ func (d *ImageClassification) BatchInto(x *tensor.Tensor, labels []int) {
 			x.Data[i*vol+j] = d.prototypes[cls].Data[j] + d.Noise*d.rng.NormFloat64()
 		}
 	}
+	return x
 }
 
 // DistortedBatch draws labeled samples with a random affine distortion
 // applied — the Spatial Transformer workload's input, where the model
-// must learn to undo the warp before classifying.
-func (d *ImageClassification) DistortedBatch(n int, maxShift, maxScale float64) (*tensor.Tensor, []int) {
-	x, labels := d.Batch(n)
-	out := tensor.New(n, d.C, d.H, d.W)
-	for i := 0; i < n; i++ {
+// must learn to undo the warp before classifying. Like Batch, it draws
+// len(labels) samples from a; the warp leaves the pixels it maps from
+// outside the image at zero.
+func (d *ImageClassification) DistortedBatch(a *tensor.Arena, labels []int, maxShift, maxScale float64) *tensor.Tensor {
+	x := d.Batch(a, labels)
+	out := a.New(len(labels), d.C, d.H, d.W)
+	for i := range labels {
 		sx := 1 + (d.rng.Float64()*2-1)*maxScale
 		sy := 1 + (d.rng.Float64()*2-1)*maxScale
 		tx := (d.rng.Float64()*2 - 1) * maxShift
 		ty := (d.rng.Float64()*2 - 1) * maxShift
 		d.warpInto(out, x, i, sx, sy, tx, ty)
 	}
-	return out, labels
+	return out
 }
 
 // warpInto applies a nearest-neighbour affine warp of sample i.
@@ -112,12 +108,16 @@ func NewDetection(seed int64, classes, c, h, w, maxObjects int) *Detection {
 	return &Detection{Classes: classes, C: c, H: h, W: w, MaxObjects: maxObjects, textures: tex, rng: rng}
 }
 
-// Scene draws n annotated images.
-func (d *Detection) Scene(n int) (*tensor.Tensor, [][]Box) {
-	x := tensor.Randn(d.rng, 0, 0.2, n, d.C, d.H, d.W)
-	boxes := make([][]Box, n)
+// Scene draws len(boxes) annotated images from a: image i's boxes
+// replace boxes[i], reusing its storage.
+func (d *Detection) Scene(a *tensor.Arena, boxes [][]Box) *tensor.Tensor {
+	x := a.Take(len(boxes), d.C, d.H, d.W)
+	for i := range x.Data {
+		x.Data[i] = 0.2 * d.rng.NormFloat64()
+	}
 	minSize := d.H / 4
-	for i := 0; i < n; i++ {
+	for i := range boxes {
+		boxes[i] = boxes[i][:0]
 		objs := 1 + d.rng.Intn(d.MaxObjects)
 		for o := 0; o < objs; o++ {
 			// Rejection-sample a placement that does not occlude earlier
@@ -158,7 +158,7 @@ func (d *Detection) Scene(n int) (*tensor.Tensor, [][]Box) {
 			boxes[i] = append(boxes[i], b)
 		}
 	}
-	return x, boxes
+	return x
 }
 
 // Unconditional generates images from a mixture of K Gaussian modes in
@@ -183,10 +183,10 @@ func NewUnconditional(seed int64, c, h, w, modes int, spread float64) *Unconditi
 	return &Unconditional{C: c, H: h, W: w, Modes: modes, centers: centers, Spread: spread, rng: rng}
 }
 
-// Real draws n samples from the target distribution.
-func (d *Unconditional) Real(n int) *tensor.Tensor {
+// Real draws n samples from the target distribution, from a.
+func (d *Unconditional) Real(a *tensor.Arena, n int) *tensor.Tensor {
 	vol := d.C * d.H * d.W
-	x := tensor.New(n, d.C, d.H, d.W)
+	x := a.Take(n, d.C, d.H, d.W)
 	for i := 0; i < n; i++ {
 		m := d.centers[d.rng.Intn(d.Modes)]
 		for j := 0; j < vol; j++ {
@@ -199,9 +199,9 @@ func (d *Unconditional) Real(n int) *tensor.Tensor {
 // PairedDomains generates aligned samples from two visual domains — the
 // Cityscapes photo↔label stand-in for CycleGAN. Domain A applies style
 // transform A to a shared latent scene; domain B applies transform B.
-// Per-pixel class labels of the underlying scene are included so the
-// CycleGAN evaluation metrics (per-pixel accuracy, class IoU) can be
-// computed.
+// The underlying scene's per-pixel class labels (Class) are what the
+// CycleGAN evaluation metrics (per-pixel accuracy, class IoU) score
+// against.
 type PairedDomains struct {
 	C, H, W  int
 	SegClass int
@@ -221,24 +221,15 @@ func NewPairedDomains(seed int64, c, h, w, segClasses int) *PairedDomains {
 	}
 }
 
-// Pair draws n aligned (A, B, segmentation) triples. The segmentation map
-// has shape [n, H, W] of class ids.
-func (d *PairedDomains) Pair(n int) (a, b *tensor.Tensor, seg [][]int) {
-	a = tensor.New(n, d.C, d.H, d.W)
-	b = tensor.New(n, d.C, d.H, d.W)
-	seg = make([][]int, n)
+// Pair draws n aligned (A, B) pairs from ar. Their scene's
+// segmentation is Class.
+func (d *PairedDomains) Pair(ar *tensor.Arena, n int) (a, b *tensor.Tensor) {
+	a = ar.Take(n, d.C, d.H, d.W)
+	b = ar.Take(n, d.C, d.H, d.W)
 	for i := 0; i < n; i++ {
-		seg[i] = make([]int, d.H*d.W)
-		// The latent scene: vertical bands of classes.
-		bands := make([]int, d.W)
-		for x := range bands {
-			bands[x] = (x * d.SegClass) / d.W
-		}
 		for y := 0; y < d.H; y++ {
 			for x := 0; x < d.W; x++ {
-				cls := bands[x]
-				seg[i][y*d.W+x] = cls
-				base := float64(cls)/float64(d.SegClass) - 0.5
+				base := float64(d.Class(x))/float64(d.SegClass) - 0.5
 				for c := 0; c < d.C; c++ {
 					noise := 0.05 * d.rng.NormFloat64()
 					a.Set(base*d.styleA.Data[c]+noise, i, c, y, x)
@@ -247,5 +238,9 @@ func (d *PairedDomains) Pair(n int) (a, b *tensor.Tensor, seg [][]int) {
 			}
 		}
 	}
-	return a, b, seg
+	return a, b
 }
+
+// Class is the segmentation class of pixel column x in every drawn
+// scene: the latent scene is vertical bands of classes.
+func (d *PairedDomains) Class(x int) int { return (x * d.SegClass) / d.W }

@@ -88,15 +88,13 @@ func (r *Ratings) sample(u, extreme int, ok func(affinity float64) bool) int {
 	}
 }
 
-// TrainBatch draws n (user, item, label) triples with balanced
-// positives/negatives. A pair is positive when its ground-truth
+// TrainBatch draws len(users) (user, item, label) triples with
+// balanced positives/negatives into the caller's buffers; items and
+// labels are as long as users. A pair is positive when its ground-truth
 // affinity is above 0.5 and negative when below −0.5; a user with no
 // item past a threshold contributes their extreme item instead.
-func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
-	users = make([]int, n)
-	items = make([]int, n)
-	labels = make([]float64, n)
-	for k := 0; k < n; k++ {
+func (r *Ratings) TrainBatch(users, items []int, labels []float64) {
+	for k := range users {
 		u := r.rng.Intn(r.Users)
 		users[k] = u
 		if k%2 == 0 {
@@ -104,9 +102,9 @@ func (r *Ratings) TrainBatch(n int) (users, items []int, labels []float64) {
 			labels[k] = 1
 		} else {
 			items[k] = r.sample(u, r.worst[u], func(a float64) bool { return a < -0.5 })
+			labels[k] = 0
 		}
 	}
-	return users, items, labels
 }
 
 // EvalCase returns the leave-one-out evaluation instance for a user: the

@@ -43,17 +43,11 @@ func NewLanguage(seed int64, vocab int) *Language {
 	return &Language{Vocab: vocab, trans: trans, rng: rng}
 }
 
-// Sentence samples a sentence of content-token ids in
-// [FirstWordToken, FirstWordToken+Vocab).
-func (l *Language) Sentence(length int) []int {
-	s := make([]int, length)
-	l.SentenceInto(s)
-	return s
-}
-
-// SentenceInto samples a sentence of len(s) tokens into s, the
-// caller's buffer, with Sentence's draws.
-func (l *Language) SentenceInto(s []int) {
+// Sentence samples a sentence of len(s) content-token ids in
+// [FirstWordToken, FirstWordToken+Vocab) into s. A contiguous stretch
+// of the language is also the token stream of the language-modeling
+// workloads (the PTB stand-in).
+func (l *Language) Sentence(s []int) {
 	w := l.rng.Intn(l.Vocab)
 	for i := range s {
 		s[i] = FirstWordToken + w
@@ -70,12 +64,6 @@ func (l *Language) next(w int) int {
 		}
 	}
 	return l.Vocab - 1
-}
-
-// Stream samples a contiguous token stream for language modeling (the PTB
-// stand-in used by the Neural Architecture Search workload).
-func (l *Language) Stream(length int) []int {
-	return l.Sentence(length)
 }
 
 // Translation generates parallel sentence pairs: the target is the source
@@ -97,18 +85,11 @@ func NewTranslation(seed int64, vocab, srcLen int) *Translation {
 	return &Translation{Lang: l, mapping: mapping, SrcLen: srcLen}
 }
 
-// Pair samples one (source, target) sentence pair. The target includes
-// BOS/EOS framing for teacher-forced decoding.
-func (t *Translation) Pair() (src, tgt []int) {
-	src, tgt = make([]int, t.SrcLen), make([]int, t.SrcLen+2)
-	t.PairInto(src, tgt)
-	return src, tgt
-}
-
-// PairInto samples one pair into the caller's buffers, with Pair's
-// draws: src must hold SrcLen tokens and tgt two more, for the framing.
-func (t *Translation) PairInto(src, tgt []int) {
-	t.Lang.SentenceInto(src)
+// Pair samples one (source, target) sentence pair into src, SrcLen
+// tokens, and tgt, two more: the target includes BOS/EOS framing for
+// teacher-forced decoding.
+func (t *Translation) Pair(src, tgt []int) {
+	t.Lang.Sentence(src)
 	tgt[0], tgt[len(src)+1] = BosToken, EosToken
 	for i, w := range src {
 		// Reverse order and map tokens.
@@ -154,7 +135,8 @@ func NewSummarization(seed int64, vocab, docLen, maxHead int) *Summarization {
 // Pair samples one (document, headline) pair with BOS/EOS framing on the
 // headline.
 func (s *Summarization) Pair() (doc, head []int) {
-	doc = s.Lang.Sentence(s.DocLen)
+	doc = make([]int, s.DocLen)
+	s.Lang.Sentence(doc)
 	head = []int{BosToken}
 	for _, w := range doc {
 		if s.salient[w] && len(head) < s.MaxHead+1 {
@@ -196,18 +178,19 @@ func NewCaptioning(seed int64, classes, c, h, w, vocab, capLen int) *Captioning 
 	lang := NewLanguage(seed+3, vocab)
 	caps := make([][]int, classes)
 	for i := range caps {
-		body := lang.Sentence(capLen)
-		caps[i] = append(append([]int{BosToken}, body...), EosToken)
+		caps[i] = make([]int, capLen+2)
+		caps[i][0], caps[i][capLen+1] = BosToken, EosToken
+		lang.Sentence(caps[i][1 : capLen+1])
 	}
 	return &Captioning{Images: imgs, captions: caps, CapLen: capLen}
 }
 
-// Pair samples a batch of n images with class labels and captions.
-func (c *Captioning) Pair(n int) (imgs *tensor.Tensor, labels []int, captions [][]int) {
-	x, labels := c.Images.Batch(n)
-	captions = make([][]int, n)
+// Pair samples a batch of len(labels) images from a, their classes
+// into labels and their captions into captions, which is as long.
+func (c *Captioning) Pair(a *tensor.Arena, labels []int, captions [][]int) *tensor.Tensor {
+	x := c.Images.Batch(a, labels)
 	for i, l := range labels {
 		captions[i] = c.captions[l]
 	}
-	return x, labels, captions
+	return x
 }

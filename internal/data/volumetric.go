@@ -23,11 +23,11 @@ func NewShapes3D(seed int64, d, c, h, w, kinds int) *Shapes3D {
 	return &Shapes3D{D: d, C: c, H: h, W: w, Kinds: kinds, rng: NewRNG(seed)}
 }
 
-// Sample draws n (view, voxels) pairs. Voxels have shape [n, D, D, D]
-// with {0,1} occupancy; views have shape [n, C, H, W].
-func (s *Shapes3D) Sample(n int) (views, voxels *tensor.Tensor) {
-	views = tensor.New(n, s.C, s.H, s.W)
-	voxels = tensor.New(n, s.D, s.D, s.D)
+// Sample draws n (view, voxels) pairs from a. Voxels have shape
+// [n, D, D, D] with {0,1} occupancy; views have shape [n, C, H, W].
+func (s *Shapes3D) Sample(a *tensor.Arena, n int) (views, voxels *tensor.Tensor) {
+	views = a.Take(n, s.C, s.H, s.W)
+	voxels = a.New(n, s.D, s.D, s.D)
 	for i := 0; i < n; i++ {
 		kind := s.rng.Intn(s.Kinds)
 		s.fillSolid(voxels, i, kind)
@@ -115,68 +115,68 @@ func NewFaces(seed int64, identities, c, h, w int, variation float64) *Faces {
 	}
 }
 
-// Sample draws one image of the given identity.
-func (f *Faces) Sample(identity int) *tensor.Tensor {
-	x := tensor.New(1, f.C, f.H, f.W)
-	vol := f.C * f.H * f.W
-	for j := 0; j < vol; j++ {
-		x.Data[j] = f.prototypes[identity].Data[j] + f.Variation*f.rng.NormFloat64()
+// Sample draws one image [1, C, H, W] of the given identity from a.
+func (f *Faces) Sample(a *tensor.Arena, identity int) *tensor.Tensor {
+	x := a.Take(1, f.C, f.H, f.W)
+	f.sampleInto(x, 0, identity)
+	return x
+}
+
+// sampleInto draws an image of the given identity into row i of x.
+func (f *Faces) sampleInto(x *tensor.Tensor, i, identity int) {
+	p := f.prototypes[identity].Data
+	row := x.Data[i*len(p) : (i+1)*len(p)]
+	for j := range row {
+		row[j] = p[j] + f.Variation*f.rng.NormFloat64()
+	}
+}
+
+// Batch draws len(labels) identity images from a, their identities
+// into labels.
+func (f *Faces) Batch(a *tensor.Arena, labels []int) *tensor.Tensor {
+	x := a.Take(len(labels), f.C, f.H, f.W)
+	for i := range labels {
+		id := f.rng.Intn(f.Identities)
+		labels[i] = id
+		f.sampleInto(x, i, id)
 	}
 	return x
 }
 
-// Batch draws n labeled identity images.
-func (f *Faces) Batch(n int) (*tensor.Tensor, []int) {
-	labels := make([]int, n)
-	imgs := make([]*tensor.Tensor, n)
-	for i := 0; i < n; i++ {
-		id := f.rng.Intn(f.Identities)
-		labels[i] = id
-		imgs[i] = f.Sample(id)
-	}
-	return tensor.Concat(imgs...), labels
-}
-
-// Triplets draws n (anchor, positive, negative) image triples for the
-// FaceNet triplet loss: anchor and positive share an identity, negative
-// differs.
-func (f *Faces) Triplets(n int) (anchor, pos, neg *tensor.Tensor) {
-	as := make([]*tensor.Tensor, n)
-	ps := make([]*tensor.Tensor, n)
-	ns := make([]*tensor.Tensor, n)
+// Triplets draws n (anchor, positive, negative) image triples from a
+// for the FaceNet triplet loss: anchor and positive share an identity,
+// negative differs.
+func (f *Faces) Triplets(a *tensor.Arena, n int) (anchor, pos, neg *tensor.Tensor) {
+	anchor, pos, neg = a.Take(n, f.C, f.H, f.W), a.Take(n, f.C, f.H, f.W), a.Take(n, f.C, f.H, f.W)
 	for i := 0; i < n; i++ {
 		idA := f.rng.Intn(f.Identities)
 		idN := f.rng.Intn(f.Identities)
 		for idN == idA {
 			idN = f.rng.Intn(f.Identities)
 		}
-		as[i] = f.Sample(idA)
-		ps[i] = f.Sample(idA)
-		ns[i] = f.Sample(idN)
+		f.sampleInto(anchor, i, idA)
+		f.sampleInto(pos, i, idA)
+		f.sampleInto(neg, i, idN)
 	}
-	return tensor.Concat(as...), tensor.Concat(ps...), tensor.Concat(ns...)
+	return anchor, pos, neg
 }
 
-// VerificationPairs draws n same/different pairs with boolean ground
-// truth, for the verification-accuracy metric.
-func (f *Faces) VerificationPairs(n int) (a, b *tensor.Tensor, same []bool) {
-	as := make([]*tensor.Tensor, n)
-	bs := make([]*tensor.Tensor, n)
-	same = make([]bool, n)
-	for i := 0; i < n; i++ {
+// VerificationPairs draws len(same) pairs from a, alternately of one
+// identity and of two, and records which into same, the ground truth of
+// the verification-accuracy metric.
+func (f *Faces) VerificationPairs(a *tensor.Arena, same []bool) (x, y *tensor.Tensor) {
+	x, y = a.Take(len(same), f.C, f.H, f.W), a.Take(len(same), f.C, f.H, f.W)
+	for i := range same {
 		idA := f.rng.Intn(f.Identities)
-		if i%2 == 0 {
-			as[i] = f.Sample(idA)
-			bs[i] = f.Sample(idA)
-			same[i] = true
-		} else {
-			idB := f.rng.Intn(f.Identities)
+		idB := idA
+		if i%2 != 0 {
 			for idB == idA {
 				idB = f.rng.Intn(f.Identities)
 			}
-			as[i] = f.Sample(idA)
-			bs[i] = f.Sample(idB)
 		}
+		same[i] = idB == idA
+		f.sampleInto(x, i, idA)
+		f.sampleInto(y, i, idB)
 	}
-	return tensor.Concat(as...), tensor.Concat(bs...), same
+	return x, y
 }

@@ -13,16 +13,17 @@ import (
 // warmedShardedCeilings is models' warmedEpochCeilings for a sharded
 // epoch: the benchmarks whose warmed epoch of ShardGrains-grain steps
 // still asks the heap for objects, each with the count measured for it
-// at seed 7 (the larger of the amd64 and 386 counts). A ceiling may
+// at seed 7 (the largest of the amd64 and 386 counts at GOMAXPROCS 1
+// and 2). A ceiling may
 // only come down: a family that leaves the heap leaves this list, and
 // every benchmark not on it must read 0.
 var warmedShardedCeilings = map[string]uint64{
-	"DC-AI-C2": 1790, "DC-AI-C4": 2172, "DC-AI-C5": 1122,
-	"DC-AI-C6": 874, "DC-AI-C7": 1728, "DC-AI-C8": 680, "DC-AI-C9": 3440,
-	"DC-AI-C10": 190, "DC-AI-C11": 1032, "DC-AI-C12": 608, "DC-AI-C13": 752,
-	"DC-AI-C14": 584, "DC-AI-C15": 440, "DC-AI-C17": 734,
-	"MLPerf-ODL": 2492, "MLPerf-ODH": 3782, "MLPerf-TR": 740,
-	"MLPerf-RC": 190, "MLPerf-RL": 462,
+	"DC-AI-C2": 210, "DC-AI-C4": 1728, "DC-AI-C5": 432,
+	"DC-AI-C6": 216, "DC-AI-C9": 2057,
+	"DC-AI-C11": 256, "DC-AI-C12": 320, "DC-AI-C13": 128,
+	"DC-AI-C14": 584, "DC-AI-C15": 128, "DC-AI-C17": 724,
+	"MLPerf-ODL": 1968, "MLPerf-ODH": 2344, "MLPerf-TR": 700,
+	"MLPerf-RL": 462,
 }
 
 // runtimeSlack is models' runtimeSlack: the runtime's own objects an

@@ -239,7 +239,12 @@ func TestFuncNamesAreDistinct(t *testing.T) {
 // TestRunAllocs pins what a profile costs the heap: the Profile and its
 // census slice, however many kernels the model launches. DC-AI-C6's
 // spec launches thousands of kernels and DC-AI-C16's a few dozen; both
-// must read the same count.
+// must read the same count. The count is the process's MemStats.Mallocs
+// delta around one warmed Run, and the runtime's own background work (a
+// GC mark worker, the scavenger's timer) lands in such a window now and
+// then, more often the longer the Run and the busier the host; so each
+// spec reads the smallest count of several windows, as the
+// warmed-epoch gates take theirs.
 func TestRunAllocs(t *testing.T) {
 	specs := map[string]workload.Model{}
 	for _, e := range models.AllEntries() {
@@ -249,11 +254,15 @@ func TestRunAllocs(t *testing.T) {
 	}
 	mallocs := func(m workload.Model) uint64 {
 		Run(m, 32, true, TitanXP())
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		Run(m, 32, true, TitanXP())
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Run(m, 32, true, TitanXP())
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
 	}
 	launches := func(m workload.Model) (n int) {
 		Lower(m, 32, true, TitanXP(), func(*Kernel) { n++ })

@@ -135,16 +135,17 @@ func TestRankStepSteadyStateAllocs(t *testing.T) {
 // warmedEpochCeilings lists the benchmarks whose warmed epoch still
 // asks the heap for objects, each with the count measured for it at
 // seed 7 once the kernel layer stopped allocating, forks included (the
-// larger of the amd64 and 386 counts, which differ by a few). A
+// largest of the amd64 and 386 counts at GOMAXPROCS 1 and 2, which
+// differ by a few). A
 // ceiling may only come down: a family that leaves the heap leaves
 // this list, and every benchmark not on it must read 0.
 var warmedEpochCeilings = map[string]uint64{
-	"DC-AI-C2": 749, "DC-AI-C4": 312, "DC-AI-C5": 260,
-	"DC-AI-C6": 1569, "DC-AI-C7": 1394, "DC-AI-C8": 434, "DC-AI-C9": 8510,
-	"DC-AI-C10": 362, "DC-AI-C11": 134, "DC-AI-C12": 214, "DC-AI-C13": 112,
-	"DC-AI-C14": 953, "DC-AI-C15": 83, "DC-AI-C17": 1550,
-	"MLPerf-ODL": 794, "MLPerf-ODH": 8804, "MLPerf-TR": 2420,
-	"MLPerf-RC": 362, "MLPerf-RL": 814,
+	"DC-AI-C2": 400, "DC-AI-C4": 234, "DC-AI-C5": 99,
+	"DC-AI-C6": 368, "DC-AI-C9": 6932,
+	"DC-AI-C10": 312, "DC-AI-C11": 35, "DC-AI-C12": 174, "DC-AI-C13": 33,
+	"DC-AI-C14": 953, "DC-AI-C15": 19, "DC-AI-C17": 1534,
+	"MLPerf-ODL": 667, "MLPerf-ODH": 7171, "MLPerf-TR": 2348,
+	"MLPerf-RC": 312, "MLPerf-RL": 814,
 }
 
 // TestWarmedEpochAllocatesNothing is the allocation gate of the

@@ -31,7 +31,10 @@ type ImageCompression struct {
 	h, w    int
 	epoch   int
 	testX   *tensor.Tensor
-	x       *tensor.Tensor // the step's image draw
+	// The step's image draw and its labels, which the codec does not
+	// read.
+	x      *tensor.Tensor
+	labels []int
 }
 
 // NewImageCompression constructs the scaled benchmark.
@@ -52,7 +55,8 @@ func NewImageCompression(seed int64) *ImageCompression {
 		h:       8, w: 8,
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
-	b.testX, _ = b.ds.Batch(32)
+	b.testX = b.ds.Batch(nil, make([]int, 32))
+	b.labels = make([]int, 8)
 	b.adopt(b.Module())
 	return b
 }
@@ -89,14 +93,14 @@ func (b *ImageCompression) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the image macro-batch.
 func (b *ImageCompression) BeginPhase(int, int) int {
-	b.x, _ = b.ds.Batch(8)
+	b.x = b.ds.Batch(b.Arena(), b.labels)
 	return b.x.Dim(0)
 }
 
 // Grain implements Benchmark: images [lo,hi) of the draw minimize the
 // residual energy across codec iterations.
 func (b *ImageCompression) Grain(_, lo, hi int) (float64, int) {
-	xs := batchRows(b.x, lo, hi)
+	xs := b.x.SliceRows(lo, hi)
 	return backward(autograd.MSELoss(b.reconstruct(autograd.Const(xs)), xs), hi-lo)
 }
 

@@ -135,7 +135,7 @@ func (b *ImageToImage) PhaseParams(phase int) []*nn.Param {
 // the step's paired macro-batch, which the generator phase reuses.
 func (b *ImageToImage) BeginPhase(phase, _ int) int {
 	if phase == 0 {
-		b.stepA, b.stepB, _ = b.ds.Pair(b.batch)
+		b.stepA, b.stepB = b.ds.Pair(b.Arena(), b.batch)
 	}
 	return b.batch
 }
@@ -145,7 +145,7 @@ func (b *ImageToImage) BeginPhase(phase, _ int) int {
 // computes the adversarial plus cycle-consistency objective on the
 // same pairs.
 func (b *ImageToImage) Grain(phase, lo, hi int) (float64, int) {
-	a, bd := batchRows(b.stepA, lo, hi), batchRows(b.stepB, lo, hi)
+	a, bd := b.stepA.SliceRows(lo, hi), b.stepB.SliceRows(lo, hi)
 	av, bv := autograd.Const(a), autograd.Const(bd)
 	fakeB := b.gAB.Forward(av)
 	fakeA := b.gBA.Forward(bv)
@@ -195,7 +195,7 @@ func (b *ImageToImage) Buffers() []*tensor.Tensor {
 // protocol the Cityscapes benchmark uses; paper target 0.52).
 func (b *ImageToImage) Quality() float64 {
 	b.arena.Reset()
-	a, bd, seg := b.ds.Pair(8)
+	a, bd := b.ds.Pair(b.Arena(), 8)
 	fakeA := b.gBA.Forward(autograd.Const(bd)).Data
 	n, c := a.Dim(0), a.Dim(1)
 	h, w := a.Dim(2), a.Dim(3)
@@ -210,7 +210,7 @@ func (b *ImageToImage) Quality() float64 {
 	for i := 0; i < n; i++ {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				cls := seg[i][y*w+x]
+				cls := b.ds.Class(x)
 				for ch := 0; ch < c; ch++ {
 					protoSum[cls][ch] += a.At(i, ch, y, x)
 				}
@@ -242,7 +242,7 @@ func (b *ImageToImage) Quality() float64 {
 					}
 				}
 				pred = append(pred, best)
-				truth = append(truth, seg[i][y*w+x])
+				truth = append(truth, b.ds.Class(x))
 			}
 		}
 	}

@@ -206,20 +206,10 @@ func newTwoStageDetector(seed int64, withMask bool) *ObjectDetection {
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	// Held-out scenes from the same generator: the class textures are
 	// part of the task definition and must match between train and eval.
-	b.evalX, b.evalGT = b.ds.Scene(24)
+	b.evalGT, b.boxes, b.negs = make([][]data.Box, 24), make([][]data.Box, 8), make([]data.Box, 8)
+	b.evalX = b.ds.Scene(nil, b.evalGT)
 	b.adopt(b.Module())
 	return b
-}
-
-// drawNegatives draws one candidate negative RoI per image, in image
-// order — the rng stream is identical whether the batch then trains
-// serially or split into grains.
-func (b *ObjectDetection) drawNegatives(n int) []data.Box {
-	negs := make([]data.Box, n)
-	for i := range negs {
-		negs[i] = data.Box{X: b.rng.Intn(12), Y: b.rng.Intn(12), W: 4, H: 4}
-	}
-	return negs
 }
 
 // rangeLoss builds the joint RPN + head loss over images [lo,hi) of
@@ -228,7 +218,7 @@ func (b *ObjectDetection) drawNegatives(n int) []data.Box {
 // the image's pre-drawn candidate negative (used only when it is
 // actually background).
 func (b *ObjectDetection) rangeLoss(lo, hi int) *autograd.Value {
-	xs := batchRows(b.x, lo, hi)
+	xs := b.x.SliceRows(lo, hi)
 	feat := b.backbone.Forward(autograd.Const(xs))
 	pred := b.rpnHead.Forward(feat) // [n, 5, 4, 4]
 	n := hi - lo
@@ -303,11 +293,15 @@ func (b *ObjectDetection) StepsPerEpoch(int) int { return b.batches }
 // ApplyPhase implements Benchmark.
 func (b *ObjectDetection) ApplyPhase(int) { b.opt.Step() }
 
-// BeginPhase implements Benchmark: draw the scene macro-batch and
-// the per-image negative RoIs.
+// BeginPhase implements Benchmark: draw the scene macro-batch and one
+// candidate negative RoI per image, in image order — the rng stream is
+// identical whether the batch then trains serially or split into
+// grains.
 func (b *ObjectDetection) BeginPhase(int, int) int {
-	b.x, b.boxes = b.ds.Scene(8)
-	b.negs = b.drawNegatives(len(b.boxes))
+	b.x = b.ds.Scene(b.Arena(), b.boxes)
+	for i := range b.negs {
+		b.negs[i] = data.Box{X: b.rng.Intn(12), Y: b.rng.Intn(12), W: 4, H: 4}
+	}
 	return b.x.Dim(0)
 }
 

@@ -65,7 +65,7 @@ func (b *FaceEmbedding) ApplyPhase(int) { b.opt.Step() }
 // macro-batch once — all RNG happens here, keeping replicas in
 // lockstep.
 func (b *FaceEmbedding) BeginPhase(int, int) int {
-	b.a, b.p, b.n = b.ds.Triplets(b.triplets)
+	b.a, b.p, b.n = b.ds.Triplets(b.Arena(), b.triplets)
 	return b.triplets
 }
 
@@ -74,37 +74,43 @@ func (b *FaceEmbedding) BeginPhase(int, int) int {
 // triplet loss.
 func (b *FaceEmbedding) Grain(_, lo, hi int) (float64, int) {
 	return backward(autograd.TripletLoss(
-		b.embedBatch(batchRows(b.a, lo, hi)),
-		b.embedBatch(batchRows(b.p, lo, hi)),
-		b.embedBatch(batchRows(b.n, lo, hi)), 0.5), hi-lo)
+		b.embedBatch(b.a.SliceRows(lo, hi)),
+		b.embedBatch(b.p.SliceRows(lo, hi)),
+		b.embedBatch(b.n.SliceRows(lo, hi)), 0.5), hi-lo)
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.
 func (b *FaceEmbedding) Buffers() []*tensor.Tensor { return b.net.Buffers() }
 
+// verifyPairs is the size of each pair set FaceEmbedding.Quality draws.
+const verifyPairs = 32
+
 // Quality implements Benchmark: verification accuracy — fit a distance
-// threshold on one pair set, evaluate on another.
+// threshold on one pair set, evaluate on another. Each set is drawn
+// into the step arena and embedded before the next reset.
 func (b *FaceEmbedding) Quality() float64 {
 	b.net.SetTraining(false)
-	dist := func(x, y *tensor.Tensor) []float64 {
+	// draw draws a pair set, its ground truth into same and its squared
+	// embedding distances into dist.
+	draw := func(same []bool, dist []float64) {
 		b.arena.Reset()
+		x, y := b.ds.VerificationPairs(b.Arena(), same)
 		ex := b.embedBatch(x).Data
 		ey := b.embedBatch(y).Data
-		n := ex.Dim(0)
-		out := make([]float64, n)
-		for i := 0; i < n; i++ {
+		for i := range dist {
 			s := 0.0
 			for d := 0; d < b.dim; d++ {
 				diff := ex.At(i, d) - ey.At(i, d)
 				s += diff * diff
 			}
-			out[i] = s
+			dist[i] = s
 		}
-		return out
 	}
+	var csame, vsame [verifyPairs]bool
+	var cd, vd [verifyPairs]float64
+	var pred, truth [verifyPairs]int
 	// Fit threshold on a calibration set.
-	ca, cb, csame := b.ds.VerificationPairs(32)
-	cd := dist(ca, cb)
+	draw(csame[:], cd[:])
 	bestThresh, bestAcc := 0.0, -1.0
 	for _, t := range cd {
 		correct := 0
@@ -118,10 +124,7 @@ func (b *FaceEmbedding) Quality() float64 {
 		}
 	}
 	// Evaluate on a fresh set.
-	va, vb, vsame := b.ds.VerificationPairs(32)
-	vd := dist(va, vb)
-	pred := make([]int, len(vd))
-	truth := make([]int, len(vd))
+	draw(vsame[:], vd[:])
 	for i := range vd {
 		if vd[i] <= bestThresh {
 			pred[i] = 1
@@ -130,7 +133,7 @@ func (b *FaceEmbedding) Quality() float64 {
 			truth[i] = 1
 		}
 	}
-	return metrics.Accuracy(pred, truth)
+	return metrics.Accuracy(pred[:], truth[:])
 }
 
 // Module implements Benchmark.
@@ -172,8 +175,9 @@ type Face3D struct {
 	net     *miniResNet
 	opt     optim.Optimizer
 	ds      *data.Faces
-	testX   *tensor.Tensor
+	testX   *autograd.Value // the held-out images' graph leaf, built once
 	testY   []int
+	pred    []int // what every evaluation reuses
 	batches int
 	x       *tensor.Tensor // the step's RGB-D draw and its labels
 	y       []int
@@ -184,14 +188,15 @@ func NewFace3D(seed int64) *Face3D {
 	rng := rand.New(rand.NewSource(seed))
 	net := newMiniResNet(rng, 4, 8, 6) // 4 input channels: RGB + depth
 	ds := data.NewFaces(seed+1000, 6, 4, 8, 8, 0.4)
-	testX, testY := ds.Batch(72)
+	testY := make([]int, 72)
 	b := &Face3D{
 		net:     net,
 		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4),
 		ds:      ds,
-		testX:   testX,
+		testX:   autograd.Const(ds.Batch(nil, testY)),
 		testY:   testY,
 		batches: 8,
+		y:       make([]int, 16),
 	}
 	b.adopt(b.Module())
 	return b
@@ -208,13 +213,13 @@ func (b *Face3D) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the RGB-D macro-batch.
 func (b *Face3D) BeginPhase(int, int) int {
-	b.x, b.y = b.ds.Batch(16)
+	b.x = b.ds.Batch(b.Arena(), b.y)
 	return len(b.y)
 }
 
 // Grain implements Benchmark: identify images [lo,hi) of the draw.
 func (b *Face3D) Grain(_, lo, hi int) (float64, int) {
-	return backward(autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(batchRows(b.x, lo, hi))), b.y[lo:hi]), hi-lo)
+	return backward(autograd.SoftmaxCrossEntropy(b.net.Forward(autograd.Const(b.x.SliceRows(lo, hi))), b.y[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: the batch-norm running statistics.
@@ -224,8 +229,8 @@ func (b *Face3D) Buffers() []*tensor.Tensor { return b.net.Buffers() }
 func (b *Face3D) Quality() float64 {
 	b.arena.Reset()
 	b.net.SetTraining(false)
-	logits := b.net.Forward(autograd.Const(b.testX))
-	return metrics.Accuracy(argmaxRows(nil, logits), b.testY)
+	b.pred = argmaxRows(b.pred, b.net.Forward(b.testX))
+	return metrics.Accuracy(b.pred, b.testY)
 }
 
 // Module implements Benchmark.

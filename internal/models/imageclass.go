@@ -23,8 +23,8 @@ type ImageClassification struct {
 	batches int
 	batch   int
 
-	// What every step reuses: the step's labels (its images are drawn
-	// into the step's arena).
+	// The step's draw: its images, from the step's arena, and its
+	// labels, in a buffer every step reuses.
 	x *tensor.Tensor
 	y []int
 	// What every evaluation reuses: the held-out images' graph leaf,
@@ -40,12 +40,12 @@ func NewImageClassification(seed int64) *ImageClassification {
 	rng := rand.New(rand.NewSource(seed))
 	net := newMiniResNet(rng, 3, 8, 8)
 	ds := data.NewImageClassification(seed+1000, 8, 3, 8, 8, 0.4)
-	testX, testY := ds.Batch(96)
+	testY := make([]int, 96)
 	b := &ImageClassification{
 		net:     net,
 		opt:     optim.NewSGD(net, 0.05, 0.9, 1e-4),
 		ds:      ds,
-		testX:   autograd.Const(testX),
+		testX:   autograd.Const(ds.Batch(nil, testY)),
 		testY:   testY,
 		batches: 8,
 		batch:   16,
@@ -66,14 +66,13 @@ func (b *ImageClassification) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the macro-batch of images.
 func (b *ImageClassification) BeginPhase(int, int) int {
-	b.x = b.arena.New(b.batch, b.ds.C, b.ds.H, b.ds.W)
-	b.ds.BatchInto(b.x, b.y)
+	b.x = b.ds.Batch(b.Arena(), b.y)
 	return b.batch
 }
 
 // Grain implements Benchmark: classify images [lo,hi) of the draw.
 func (b *ImageClassification) Grain(_, lo, hi int) (float64, int) {
-	logits := b.net.Forward(autograd.Const(batchRows(b.x, lo, hi)))
+	logits := b.net.Forward(autograd.Const(b.x.SliceRows(lo, hi)))
 	return backward(autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi]), hi-lo)
 }
 

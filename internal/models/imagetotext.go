@@ -28,8 +28,10 @@ type ImageToText struct {
 	vocab   int
 	hidden  int
 	batches int
-	x       *tensor.Tensor // the step's images and their captions
-	caps    [][]int
+	// The step's images, their classes and captions.
+	x      *tensor.Tensor
+	labels []int
+	caps   [][]int
 }
 
 // NewImageToText constructs the scaled benchmark.
@@ -48,6 +50,8 @@ func NewImageToText(seed int64) *ImageToText {
 		vocab:   vocab,
 		hidden:  hidden,
 		batches: 12,
+		labels:  make([]int, 12),
+		caps:    make([][]int, 12),
 	}
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	b.adopt(b.Module())
@@ -91,13 +95,13 @@ func (b *ImageToText) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the captioned macro-batch.
 func (b *ImageToText) BeginPhase(int, int) int {
-	b.x, _, b.caps = b.ds.Pair(12)
+	b.x = b.ds.Pair(b.Arena(), b.labels, b.caps)
 	return len(b.caps)
 }
 
 // Grain implements Benchmark: caption images [lo,hi) of the draw.
 func (b *ImageToText) Grain(_, lo, hi int) (float64, int) {
-	return backward(b.captionNLL(batchRows(b.x, lo, hi), b.caps[lo:hi], true), hi-lo)
+	return backward(b.captionNLL(b.x.SliceRows(lo, hi), b.caps[lo:hi], true), hi-lo)
 }
 
 // Buffers implements Buffered: the encoder's batch-norm running
@@ -109,7 +113,8 @@ func (b *ImageToText) Buffers() []*tensor.Tensor { return b.encoder.Buffers() }
 func (b *ImageToText) Quality() float64 {
 	b.arena.Reset()
 	b.encoder.SetTraining(false)
-	x, _, caps := b.ds.Pair(24)
+	caps := make([][]int, 24)
+	x := b.ds.Pair(b.Arena(), make([]int, 24), caps)
 	nll := b.captionNLL(x, caps, false)
 	return math.Exp(nll.Item())
 }

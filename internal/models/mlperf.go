@@ -94,7 +94,8 @@ func NewSSDLight(seed int64) *SSDLight {
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
 	// Held-out scenes from the same generator: the class textures are
 	// part of the task definition and must match between train and eval.
-	b.evalX, b.evalGT = b.ds.Scene(24)
+	b.evalGT, b.boxes = make([][]data.Box, 24), make([][]data.Box, 8)
+	b.evalX = b.ds.Scene(nil, b.evalGT)
 	b.adopt(b.Module())
 	return b
 }
@@ -115,14 +116,14 @@ func (b *SSDLight) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the scene macro-batch.
 func (b *SSDLight) BeginPhase(int, int) int {
-	b.x, b.boxes = b.ds.Scene(8)
+	b.x = b.ds.Scene(b.Arena(), b.boxes)
 	return len(b.boxes)
 }
 
 // Grain implements Benchmark: train scenes [lo,hi) of the draw, images
 // and their boxes together, with the one-stage multibox loss.
 func (b *SSDLight) Grain(_, lo, hi int) (float64, int) {
-	return backward(b.multiboxLoss(batchRows(b.x, lo, hi), b.boxes[lo:hi]), hi-lo)
+	return backward(b.multiboxLoss(b.x.SliceRows(lo, hi), b.boxes[lo:hi]), hi-lo)
 }
 
 // Buffers implements Buffered: the backbone's batch-norm running
@@ -277,7 +278,8 @@ type GNMT struct {
 	vocab   int
 	hidden  int
 	batches int
-	// The step's one translation pair.
+	// The step's one translation pair, in buffers every step reuses
+	// (and evaluation after it).
 	src, tgt []int
 }
 
@@ -297,6 +299,8 @@ func NewGNMT(seed int64) *GNMT {
 		vocab:   vocab,
 		hidden:  hidden,
 		batches: 20,
+		src:     make([]int, ds.SrcLen),
+		tgt:     make([]int, ds.SrcLen+2),
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
 	b.adopt(b.Module())
@@ -336,7 +340,7 @@ func (b *GNMT) ApplyPhase(int) { b.opt.Step() }
 // BeginPhase implements Benchmark: draw the step's one translation
 // pair.
 func (b *GNMT) BeginPhase(int, int) int {
-	b.src, b.tgt = b.ds.Pair()
+	b.ds.Pair(b.src, b.tgt)
 	return 1
 }
 
@@ -376,9 +380,9 @@ func (b *GNMT) Quality() float64 {
 	var hyps, refs [][]int
 	for i := 0; i < 16; i++ {
 		b.arena.Reset()
-		src, _ := b.ds.Pair()
-		hyps = append(hyps, b.Translate(src, 8))
-		refs = append(refs, b.ds.Reference(src))
+		b.ds.Pair(b.src, b.tgt)
+		hyps = append(hyps, b.Translate(b.src, 8))
+		refs = append(refs, b.ds.Reference(b.src))
 	}
 	return 100 * metrics.BLEU(hyps, refs)
 }

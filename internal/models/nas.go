@@ -197,6 +197,9 @@ type NAS struct {
 	stepStates []*tensor.Tensor
 	stepNLP    *autograd.Value
 	stepAdv    float64
+	// val holds the validation streams the controller phases and
+	// BestArchitecture score architectures on.
+	val []int
 }
 
 // NewNAS constructs the scaled benchmark.
@@ -212,6 +215,7 @@ func NewNAS(seed int64) *NAS {
 		vocab:      vocab,
 		seqLen:     12,
 	}
+	b.stepStream, b.val = make([]int, b.seqLen), make([]int, 4*b.seqLen)
 	b.optChild = optim.NewAdam(b.child, 3e-3)
 	b.optCtrl = optim.NewAdam(b.controller, 2e-3)
 	b.adopt(b.Module())
@@ -264,12 +268,13 @@ func (b *NAS) PhaseParams(phase int) []*nn.Param {
 func (b *NAS) BeginPhase(phase, _ int) int {
 	if phase < 3 {
 		b.stepArch, _ = b.controller.sample(b.rng)
-		b.stepStream = b.lang.Stream(b.seqLen)
+		b.lang.Sentence(b.stepStream)
 		b.stepStates = b.child.hiddenStates(b.stepArch, b.stepStream)
 		return nasSegments
 	}
 	arch, nlp := b.controller.sample(b.rng)
-	val := b.lang.Stream(b.seqLen)
+	val := b.val[:b.seqLen]
+	b.lang.Sentence(val)
 	ppl := math.Exp(b.child.nll(arch, val).Item())
 	reward := 1 / ppl
 	if b.baseline == 0 {
@@ -315,7 +320,8 @@ func (b *NAS) BestArchitecture(samples int) (architecture, float64) {
 	for i := 0; i < samples; i++ {
 		b.arena.Reset()
 		arch, _ := b.controller.sample(b.rng)
-		val := b.lang.Stream(4 * b.seqLen)
+		val := b.val[:4*b.seqLen]
+		b.lang.Sentence(val)
 		ppl := math.Exp(b.child.nll(arch, val).Item())
 		if ppl < bestPPL {
 			best, bestPPL = arch, ppl

@@ -28,9 +28,12 @@ type Recommendation struct {
 	batches int
 	batch   int
 	users   int
-	// The step's interaction draw.
+	// The step's interaction draw, in buffers every step reuses; target
+	// is the labels' [batch, 1] tensor, placed in the arena so a grain's
+	// rows of it are an arena view.
 	drawUsers, drawItems []int
 	drawLabels           []float64
+	target               *tensor.Tensor
 }
 
 // NewRecommendation constructs the scaled benchmark.
@@ -50,8 +53,11 @@ func NewRecommendation(seed int64) *Recommendation {
 		batch:   32,
 		users:   users,
 	}
+	b.drawUsers, b.drawItems, b.drawLabels = make([]int, b.batch), make([]int, b.batch), make([]float64, b.batch)
+	b.target = tensor.FromSlice(b.drawLabels, b.batch, 1)
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
 	b.adopt(b.Module())
+	b.arena.Adopt(b.target)
 	return b
 }
 
@@ -73,7 +79,7 @@ func (b *Recommendation) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the interaction macro-batch.
 func (b *Recommendation) BeginPhase(int, int) int {
-	b.drawUsers, b.drawItems, b.drawLabels = b.ds.TrainBatch(b.batch)
+	b.ds.TrainBatch(b.drawUsers, b.drawItems, b.drawLabels)
 	return b.batch
 }
 
@@ -81,8 +87,7 @@ func (b *Recommendation) BeginPhase(int, int) int {
 // with binary cross-entropy on implicit feedback.
 func (b *Recommendation) Grain(_, lo, hi int) (float64, int) {
 	logits := b.score(b.drawUsers[lo:hi], b.drawItems[lo:hi])
-	target := tensor.FromSlice(b.drawLabels[lo:hi], hi-lo, 1)
-	return backward(autograd.BCEWithLogits(logits, target), hi-lo)
+	return backward(autograd.BCEWithLogits(logits, b.target.SliceRows(lo, hi)), hi-lo)
 }
 
 // Quality implements Benchmark: mean HR@10 over all users with 50

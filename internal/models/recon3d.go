@@ -69,15 +69,15 @@ func (b *Recon3D) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the view/voxel macro-batch.
 func (b *Recon3D) BeginPhase(int, int) int {
-	b.views, b.voxels = b.ds.Sample(8)
+	b.views, b.voxels = b.ds.Sample(b.Arena(), 8)
 	return b.views.Dim(0)
 }
 
 // Grain implements Benchmark: train views [lo,hi) of the draw with
 // voxel-wise binary cross-entropy.
 func (b *Recon3D) Grain(_, lo, hi int) (float64, int) {
-	logits := b.voxelLogits(autograd.Const(batchRows(b.views, lo, hi)))
-	target := batchRows(b.voxels, lo, hi).Reshape(hi-lo, b.d*b.d*b.d)
+	logits := b.voxelLogits(autograd.Const(b.views.SliceRows(lo, hi)))
+	target := b.voxels.SliceRows(lo, hi).Reshape(hi-lo, b.d*b.d*b.d)
 	return backward(autograd.BCEWithLogits(logits, target), hi-lo)
 }
 
@@ -93,7 +93,7 @@ func (b *Recon3D) Quality() float64 {
 	b.arena.Reset()
 	b.enc.SetTraining(false)
 	b.enc2.SetTraining(false)
-	views, voxels := b.ds.Sample(16)
+	views, voxels := b.ds.Sample(b.Arena(), 16)
 	logits := b.voxelLogits(autograd.Const(views))
 	n := views.Dim(0)
 	vol := b.d * b.d * b.d

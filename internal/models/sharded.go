@@ -130,16 +130,6 @@ func (us *units) unitsGrain(phase, lo, hi int, unit func(phase, u int) (*autogra
 	return mean, total
 }
 
-// batchRows returns rows [lo,hi) of a step's batch: the batch itself
-// when the range spans it (every grain of a serial step), else an
-// arena copy of the rows.
-func batchRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	if lo == 0 && hi == x.Dim(0) {
-		return x
-	}
-	return x.SliceRows(lo, hi)
-}
-
 // Trainer is the serial driver: the benchmark's phased step at one
 // grain, plus what dist's replica also reads once per instance — the
 // parameters, the checked phase list and the step count. Whoever runs a

@@ -27,14 +27,16 @@ type SpeechRecognition struct {
 	vocab int
 	units
 
-	// Step state: the utterances of the current step, their framewise
-	// alignments, the segment split point per utterance, and the GRU
-	// entry state of the current TBPTT segment (recomputed with
-	// post-segment-1 weights before segment 2).
-	stepFrames []*tensor.Tensor
-	stepAlign  [][]int
-	stepMid    []int
-	stepState  []*tensor.Tensor
+	// Step state: the utterances of the current step, their token
+	// strings and framewise alignments (in buffers every step reuses),
+	// the segment split point per utterance, and the GRU entry state of
+	// the current TBPTT segment (recomputed with post-segment-1 weights
+	// before segment 2).
+	stepFrames [speechUtterPerStep]*tensor.Tensor
+	stepTokens [speechUtterPerStep][speechTokens]int
+	stepAlign  [speechUtterPerStep][]int
+	stepMid    [speechUtterPerStep]int
+	stepState  [speechUtterPerStep]*tensor.Tensor
 }
 
 // NewSpeechRecognition constructs the scaled benchmark.
@@ -53,24 +55,10 @@ func NewSpeechRecognition(seed int64) *SpeechRecognition {
 	return b
 }
 
-// frameLogits runs the acoustic model over an utterance's frames [T, F]
-// and returns per-frame logits [T, vocab].
-func (b *SpeechRecognition) frameLogits(frames *autograd.Value) *autograd.Value {
-	h := autograd.ReLU(b.front.Forward(frames))
-	// Run the GRU over time: each frame is a timestep with batch 1.
-	t := h.Shape()[0]
-	state := b.gru.InitState(1)
-	outs := make([]*autograd.Value, t)
-	for i := 0; i < t; i++ {
-		state = b.gru.Step(autograd.SliceRows(h, i, i+1), state)
-		outs[i] = state
-	}
-	return b.proj.Forward(autograd.Concat(outs...))
-}
-
 // speechUtterPerStep is the step's utterance count: each optimizer
 // step trains a batch of utterances, split over the step's grains.
-const speechUtterPerStep = 4
+// Every utterance, trained or evaluated, is speechTokens tokens long.
+const speechUtterPerStep, speechTokens = 4, 4
 
 // speechPhases splits every utterance's recurrence into two
 // truncated-BPTT segments, each its own ordered phase: segment 1 is
@@ -82,8 +70,10 @@ var speechPhases = []PhaseSpec{
 	{Name: "tbptt-1", Report: true}, {Name: "tbptt-2", Report: true},
 }
 
-// segmentForward runs the acoustic model over frame rows [lo,hi) from
-// the given GRU state, returning the segment's per-frame logits.
+// segmentForward runs the acoustic model over frame rows [lo,hi) of an
+// utterance's frames [T, F] from the given GRU state, returning the
+// segment's per-frame logits [hi-lo, vocab]. The GRU runs over time:
+// each frame is a timestep with batch 1.
 func (b *SpeechRecognition) segmentForward(frames *tensor.Tensor, lo, hi int, state *autograd.Value) *autograd.Value {
 	h := autograd.ReLU(b.front.Forward(autograd.Const(frames.SliceRows(lo, hi))))
 	outs := make([]*autograd.Value, hi-lo)
@@ -126,15 +116,9 @@ func (b *SpeechRecognition) PhaseParams(int) []*nn.Param { return nil }
 // replica) and trains frames [mid, T). Its units are the utterances.
 func (b *SpeechRecognition) BeginPhase(phase, _ int) int {
 	if phase == 0 {
-		b.stepFrames = b.stepFrames[:0]
-		b.stepAlign = b.stepAlign[:0]
-		b.stepMid = b.stepMid[:0]
-		b.stepState = make([]*tensor.Tensor, speechUtterPerStep)
-		for u := 0; u < speechUtterPerStep; u++ {
-			frames, _, align := b.ds.Utterance(4)
-			b.stepFrames = append(b.stepFrames, frames)
-			b.stepAlign = append(b.stepAlign, align)
-			b.stepMid = append(b.stepMid, frames.Dim(0)/2)
+		for u := range b.stepFrames {
+			b.stepFrames[u], b.stepAlign[u] = b.ds.Utterance(b.Arena(), b.stepTokens[u][:], b.stepAlign[u])
+			b.stepMid[u] = b.stepFrames[u].Dim(0) / 2
 		}
 	} else {
 		for u := range b.stepFrames {
@@ -170,10 +154,10 @@ func (b *SpeechRecognition) segmentLoss(phase, u int) (*autograd.Value, int) {
 // optimizer step, the per-segment-update TBPTT scheme.
 func (b *SpeechRecognition) ApplyPhase(int) { b.opt.Step() }
 
-// decode greedily decodes an utterance: argmax per frame, then collapse
-// consecutive repeats.
-func (b *SpeechRecognition) decode(frames *autograd.Value) []int {
-	logits := b.frameLogits(frames)
+// decode greedily decodes an utterance: argmax per frame of the whole
+// utterance's logits, then collapse consecutive repeats.
+func (b *SpeechRecognition) decode(frames *tensor.Tensor) []int {
+	logits := b.segmentForward(frames, 0, frames.Dim(0), b.gru.InitState(1))
 	raw := argmaxRows(nil, logits)
 	var out []int
 	for i, t := range raw {
@@ -188,11 +172,14 @@ func (b *SpeechRecognition) decode(frames *autograd.Value) []int {
 func (b *SpeechRecognition) Quality() float64 {
 	total := 0.0
 	const utterances = 12
+	var tokens [speechTokens]int
+	var align []int
 	for i := 0; i < utterances; i++ {
 		b.arena.Reset()
-		frames, tokens, _ := b.ds.Utterance(4)
-		hyp := b.decode(autograd.Const(frames))
-		total += metrics.WER(hyp, tokens)
+		var frames *tensor.Tensor
+		frames, align = b.ds.Utterance(b.Arena(), tokens[:], align)
+		hyp := b.decode(frames)
+		total += metrics.WER(hyp, tokens[:])
 	}
 	return total / utterances
 }

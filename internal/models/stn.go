@@ -51,7 +51,8 @@ func NewSpatialTransformer(seed int64) *SpatialTransformer {
 	copy(b.locFC.B.Value.Data.Data, identity)
 	tensor.ScaleInPlace(b.locFC.W.Value.Data, 0.01)
 	b.opt = optim.NewAdam(b.Module(), 2e-3)
-	b.testX, b.testY = b.ds.DistortedBatch(72, 0.25, 0.2)
+	b.testY, b.y = make([]int, 72), make([]int, b.batch)
+	b.testX = b.ds.DistortedBatch(nil, b.testY, 0.25, 0.2)
 	b.adopt(b.Module())
 	return b
 }
@@ -82,14 +83,14 @@ func (b *SpatialTransformer) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the distorted macro-batch.
 func (b *SpatialTransformer) BeginPhase(int, int) int {
-	b.x, b.y = b.ds.DistortedBatch(b.batch, 0.25, 0.2)
+	b.x = b.ds.DistortedBatch(b.Arena(), b.y, 0.25, 0.2)
 	return b.batch
 }
 
 // Grain implements Benchmark: rectify and classify images [lo,hi) of
 // the draw.
 func (b *SpatialTransformer) Grain(_, lo, hi int) (float64, int) {
-	logits := b.forward(autograd.Const(batchRows(b.x, lo, hi)))
+	logits := b.forward(autograd.Const(b.x.SliceRows(lo, hi)))
 	return backward(autograd.SoftmaxCrossEntropy(logits, b.y[lo:hi]), hi-lo)
 }
 

@@ -92,7 +92,8 @@ func NewTextToText(seed int64) *TextToText {
 	}
 	b.opt = optim.NewAdam(b.Module(), 3e-3)
 	for i := 0; i < 32; i++ {
-		src, tgt := ds.Pair()
+		src, tgt := make([]int, ds.SrcLen), make([]int, ds.SrcLen+2)
+		ds.Pair(src, tgt)
 		b.evalSet = append(b.evalSet, [2][]int{src, tgt})
 	}
 	b.adopt(b.Module())
@@ -140,7 +141,7 @@ func (b *TextToText) BeginPhase(_, grains int) int {
 		}
 	}
 	for g := range b.src {
-		b.ds.PairInto(b.src[g], b.tgt[g])
+		b.ds.Pair(b.src[g], b.tgt[g])
 	}
 	return grains
 }

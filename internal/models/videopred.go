@@ -91,22 +91,22 @@ func (b *VideoPrediction) ApplyPhase(int) { b.opt.Step() }
 
 // BeginPhase implements Benchmark: draw the transition macro-batch.
 func (b *VideoPrediction) BeginPhase(int, int) int {
-	b.frames, b.actions, b.next = b.ds.Transition(8)
+	b.frames, b.actions, b.next = b.ds.Transition(b.Arena(), 8)
 	return b.frames.Dim(0)
 }
 
 // Grain implements Benchmark: predict the next frame of transitions
 // [lo,hi) of the draw.
 func (b *VideoPrediction) Grain(_, lo, hi int) (float64, int) {
-	pred := b.forward(autograd.Const(batchRows(b.frames, lo, hi)), autograd.Const(batchRows(b.actions, lo, hi)))
-	return backward(autograd.MSELoss(pred, batchRows(b.next, lo, hi)), hi-lo)
+	pred := b.forward(autograd.Const(b.frames.SliceRows(lo, hi)), autograd.Const(b.actions.SliceRows(lo, hi)))
+	return backward(autograd.MSELoss(pred, b.next.SliceRows(lo, hi)), hi-lo)
 }
 
 // Quality implements Benchmark: next-frame MSE on held-out transitions
 // (paper target: 72 MSE on 8-bit pixels ≈ 0.0011 in [0,1] units).
 func (b *VideoPrediction) Quality() float64 {
 	b.arena.Reset()
-	frames, actions, next := b.ds.Transition(24)
+	frames, actions, next := b.ds.Transition(b.Arena(), 24)
 	pred := b.forward(autograd.Const(frames), autograd.Const(actions))
 	return metrics.MSE(pred.Data.Data, next.Data)
 }

@@ -65,10 +65,14 @@ func NewImageGeneration(seed int64) *ImageGeneration {
 	return b
 }
 
-// sample draws generator outputs for n latent vectors.
-func (b *ImageGeneration) sample(n int) *autograd.Value {
-	z := tensor.Randn(b.rng, 0, 1, n, b.zDim)
-	return b.gen.Forward(autograd.Const(z))
+// latents draws n standard-normal latent vectors [n, zDim] from the
+// step arena, the draws tensor.Randn(b.rng, 0, 1, n, zDim) makes.
+func (b *ImageGeneration) latents(n int) *tensor.Tensor {
+	z := b.Arena().Take(n, b.zDim)
+	for i := range z.Data {
+		z.Data[i] = b.rng.NormFloat64()
+	}
+	return z
 }
 
 // clipCritic clamps every critic weight to [-clip, clip], the WGAN
@@ -120,15 +124,15 @@ func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 // streams in lockstep.
 func (b *ImageGeneration) BeginPhase(phase, _ int) int {
 	if phase < 3 {
-		b.real = b.ds.Real(b.batch).Reshape(b.batch, b.imgVol)
-		z := tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
+		b.real = b.ds.Real(b.Arena(), b.batch).Reshape(b.batch, b.imgVol)
+		z := b.latents(b.batch)
 		// The generator forward is deterministic given the lockstep
 		// weights; its output is detached so critic grains never put
 		// gradients on the generator.
 		b.fake = b.gen.Forward(autograd.Const(z)).Data
 		return b.batch
 	}
-	b.z = tensor.Randn(b.rng, 0, 1, b.batch, b.zDim)
+	b.z = b.latents(b.batch)
 	return b.batch
 }
 
@@ -137,11 +141,11 @@ func (b *ImageGeneration) BeginPhase(phase, _ int) int {
 // critic's score of samples [lo,hi) generated from its latents.
 func (b *ImageGeneration) Grain(phase, lo, hi int) (float64, int) {
 	if phase < 3 {
-		fReal := b.critic.Forward(autograd.Const(batchRows(b.real, lo, hi)))
-		fFake := b.critic.Forward(autograd.Const(batchRows(b.fake, lo, hi)))
+		fReal := b.critic.Forward(autograd.Const(b.real.SliceRows(lo, hi)))
+		fFake := b.critic.Forward(autograd.Const(b.fake.SliceRows(lo, hi)))
 		return backward(autograd.Sub(autograd.Mean(fFake), autograd.Mean(fReal)), hi-lo)
 	}
-	fake := b.gen.Forward(autograd.Const(batchRows(b.z, lo, hi)))
+	fake := b.gen.Forward(autograd.Const(b.z.SliceRows(lo, hi)))
 	return backward(autograd.Neg(autograd.Mean(b.critic.Forward(fake))), hi-lo)
 }
 
@@ -163,8 +167,8 @@ func (b *ImageGeneration) ApplyPhase(phase int) {
 func (b *ImageGeneration) Quality() float64 {
 	b.arena.Reset()
 	n := 64
-	real := b.ds.Real(n).Reshape(n, b.imgVol)
-	fake := b.sample(n)
+	real := b.ds.Real(b.Arena(), n).Reshape(n, b.imgVol)
+	fake := b.gen.Forward(autograd.Const(b.latents(n)))
 	toRows := func(t *tensor.Tensor) [][]float64 {
 		rows := make([][]float64, n)
 		for i := 0; i < n; i++ {

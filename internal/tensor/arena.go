@@ -38,7 +38,10 @@ import (
 // memory will be handed out again. A value that must outlive its step
 // (a replay-buffer entry, carried recurrent state) is copied out with
 // Detach first. Never arena-backed: parameter storage, leaf gradients,
-// optimizer state, running statistics, datasets.
+// optimizer state, running statistics, a dataset generator's state and
+// the evaluation sets built with the instance. A step's dataset draws
+// are arena-backed: internal/data draws its tensors from the arena it is
+// given, and a sharded grain reads its rows of them as a view.
 //
 // The graph nodes that hold a step's tensors die with them, so an arena
 // also carries one slot of graph state (SetGraph): autograd keeps its

@@ -5,8 +5,8 @@
 // reductions, and deterministic random initialization.
 //
 // Tensors use a flat row-major (C-order) backing slice. Shapes are
-// immutable after construction except through Reshape, which shares the
-// backing data.
+// immutable after construction except through Reshape and SliceRows,
+// views that share the backing data.
 //
 // Where a tensor lives is decided by placement, not by the op. The
 // constructors that take no operand (New, Full, Ones, FromSlice, Rand…)
@@ -26,7 +26,8 @@
 // grown to one step's footprint, and are dead after the next Reset;
 // what must outlive a step is copied out with Detach. Parameter
 // storage, leaf gradients, optimizer state, batch-norm running
-// statistics and datasets are never arena-backed.
+// statistics, a dataset generator's state and evaluation sets are never
+// arena-backed; a step's dataset draws are.
 //
 // What the GEBP engine needs besides the result — pack panels,
 // convolution chunk scratch — it borrows from a package-private free
@@ -214,7 +215,9 @@ func (t *Tensor) String() string {
 	return b.String()
 }
 
-// SliceRows returns rows [lo,hi) of the first dimension as a copy.
+// SliceRows returns rows [lo,hi) of the first dimension as a view: like
+// Reshape, it shares t's data and placement, so a write through either
+// shows in the other, and it dies with t.
 func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	if len(t.shape) < 1 {
 		panic("tensor: SliceRows requires rank >= 1")
@@ -226,9 +229,9 @@ func (t *Tensor) SliceRows(lo, hi int) *Tensor {
 	for _, d := range t.shape[1:] {
 		rowVol *= d
 	}
-	out := t.arena.withRows(hi-lo, t.shape[1:])
-	copy(out.Data, t.Data[lo*rowVol:hi*rowVol])
-	return out
+	var buf [8]int
+	shape := append(append(buf[:0], hi-lo), t.shape[1:]...)
+	return t.arena.shaped(t.Data[lo*rowVol:hi*rowVol:hi*rowVol], shape)
 }
 
 // Concat concatenates tensors along dimension 0. All trailing dimensions

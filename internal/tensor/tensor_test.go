@@ -208,6 +208,16 @@ func TestConcatAndSliceRows(t *testing.T) {
 	if s.Dim(0) != 2 || s.At(0, 0) != 3 {
 		t.Fatalf("SliceRows = %v", s.Data)
 	}
+	// A view, like Reshape: a write through either shows in the other,
+	// and the view reaches no row past hi.
+	s.Set(-3, 0, 0)
+	c.Set(-6, 2, 1)
+	if c.At(1, 0) != -3 || s.At(1, 1) != -6 {
+		t.Fatalf("SliceRows does not share storage: view %v, source %v", s.Data, c.Data)
+	}
+	if len(s.Data) != 4 || cap(s.Data) != 4 {
+		t.Fatalf("SliceRows view holds len %d cap %d, want 4 and 4", len(s.Data), cap(s.Data))
+	}
 }
 
 func TestApplyFunctions(t *testing.T) {
