@@ -86,7 +86,7 @@ func Reshape(a *Value, shape ...int) *Value {
 
 func reshapeBack(n *Value, g *tensor.Tensor) {
 	a := n.parents[0]
-	a.accumGrad(g.Reshape(a.Data.Shape()...))
+	a.accumGrad(g.ReshapeLike(a.Data))
 }
 
 // Transpose transposes a 2-D Value.

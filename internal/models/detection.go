@@ -138,7 +138,7 @@ func roiCrop(feat *autograd.Value, sample int, b data.Box, imgSize, poolN int) *
 		}
 	}
 	crop := autograd.GridSample(one, autograd.Const(grid), poolN, poolN)
-	c := crop.Shape()[1]
+	c := crop.Data.Dim(1)
 	return autograd.Reshape(crop, 1, c*hw)
 }
 

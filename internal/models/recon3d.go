@@ -50,8 +50,7 @@ func NewRecon3D(seed int64) *Recon3D {
 // voxelLogits maps a view batch to voxel occupancy logits [N, D³].
 func (b *Recon3D) voxelLogits(views *autograd.Value) *autograd.Value {
 	h := b.enc2.Forward(b.enc.Forward(views))
-	shape := h.Shape()
-	flat := autograd.Reshape(h, shape[0], shape[1]*shape[2]*shape[3])
+	flat := autograd.Reshape(h, h.Data.Dim(0), -1)
 	return b.fc.Forward(flat)
 }
 

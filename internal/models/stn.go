@@ -61,8 +61,7 @@ func NewSpatialTransformer(seed int64) *SpatialTransformer {
 // classifies.
 func (b *SpatialTransformer) forward(x *autograd.Value) *autograd.Value {
 	loc := b.locConv.Forward(x)
-	shape := loc.Shape()
-	flat := autograd.Reshape(loc, shape[0], shape[1]*shape[2]*shape[3])
+	flat := autograd.Reshape(loc, loc.Data.Dim(0), -1)
 	theta := b.locFC.Forward(flat)
 	grid := autograd.AffineGrid(theta, b.h, b.w)
 	rectified := autograd.GridSample(x, grid, b.h, b.w)

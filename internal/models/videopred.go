@@ -69,7 +69,7 @@ func NewVideoPrediction(seed int64) *VideoPrediction {
 // kernel in the bank, then composite with gates computed from the
 // action.
 func (b *VideoPrediction) forward(frames, actions *autograd.Value) *autograd.Value {
-	n := frames.Shape()[0]
+	n := frames.Data.Dim(0)
 	nk := b.k * b.k
 	p := tensor.Conv2DParams{Kernel: b.k, Stride: 1, Padding: b.k / 2}
 	shifted := autograd.Conv2D(frames, autograd.Const(b.shiftW), p) // [N, K², H, W]

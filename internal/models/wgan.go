@@ -30,6 +30,9 @@ type ImageGeneration struct {
 	batches int
 	batch   int
 	clip    float64
+	// criticParams is critic.Params(), listed once: every critic phase
+	// reduces and clips it.
+	criticParams []*nn.Param
 	// The phase's draw: a critic phase's real and detached generated
 	// images, the generator phase's latents.
 	real, fake, z *tensor.Tensor
@@ -54,7 +57,7 @@ func NewImageGeneration(seed int64) *ImageGeneration {
 		nn.NewLinear(rng, hidden, 1),
 	)
 	b := &ImageGeneration{
-		gen: gen, critic: critic,
+		gen: gen, critic: critic, criticParams: critic.Params(),
 		optG: optim.NewRMSProp(gen, 5e-4, 0.99),
 		optD: optim.NewRMSProp(critic, 5e-4, 0.99),
 		ds:   ds, rng: rng,
@@ -79,7 +82,7 @@ func (b *ImageGeneration) latents(n int) *tensor.Tensor {
 // Lipschitz constraint. Deterministic, so sharded replicas applying it
 // after the identical optimizer step stay in bitwise lockstep.
 func (b *ImageGeneration) clipCritic() {
-	for _, p := range b.critic.Params() {
+	for _, p := range b.criticParams {
 		for j, v := range p.Value.Data.Data {
 			if v > b.clip {
 				p.Value.Data.Data[j] = b.clip
@@ -113,7 +116,7 @@ func (b *ImageGeneration) Phases() []PhaseSpec { return wganPhases }
 // group discards those gradients.
 func (b *ImageGeneration) PhaseParams(phase int) []*nn.Param {
 	if phase < 3 {
-		return b.critic.Params()
+		return b.criticParams
 	}
 	return b.gen.Params()
 }

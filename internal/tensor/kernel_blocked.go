@@ -143,17 +143,19 @@ func storeEdge(dst []float64, ldc, rows, cols int, acc ...float64) {
 	}
 }
 
-// micro2x4u4 is the micro-kernel of every packed product: it fills the
-// rows×cols corner of one 2×4 output tile at dst (leading dimension
-// ldc) as dot products over the packed panels ap (mr-row, k-major) and
-// bp (nr-column, k-major), k ascending with one scalar accumulator per
-// element. 2×4 keeps the 8 accumulators plus the 6 operand
-// temporaries inside the 15 usable amd64 XMM registers. The k
-// loop is unrolled ×4: each accumulator still receives exactly one
-// product per k step in ascending k order (the unroll widens the loop
-// body, not the addition tree), so the result is bit-identical to the
-// rolled loop while amortizing loop control and bounds checks.
-func micro2x4u4(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
+// micro2x4Go is the micro-kernel of every packed product in portable
+// Go: it fills the rows×cols corner of one 2×4 output tile at dst
+// (leading dimension ldc) as dot products over the packed panels ap
+// (mr-row, k-major) and bp (nr-column, k-major), k ascending with one
+// scalar accumulator per element, started at +0. It is micro2x4u4 on
+// every architecture but amd64, whose micro2x4u4 runs the same
+// arithmetic two lanes per SSE2 instruction (micro_amd64.s) and is
+// tested against this loop. The k loop is unrolled ×4: each
+// accumulator still receives exactly one product per k step in
+// ascending k order (the unroll widens the loop body, not the addition
+// tree), so the result is bit-identical to the rolled loop while
+// amortizing loop control and bounds checks.
+func micro2x4Go(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	p := 0
@@ -251,7 +253,7 @@ func gebpTile(apack, bpack []float64, K, rows, cols int, dst []float64, ldc int)
 // an operand's last repeats the last real one, so every load is in
 // bounds, and the masked store drops what it computed. Each k step
 // walks b's four lanes one at a time against both rows of a: fewer live
-// values than loading all six operands first, as micro2x4u4 does, which
+// values than loading all six operands first, as micro2x4Go does, which
 // spills registers here and measured slower.
 func microStrided(a, b operand, i0, j0 int, dst []float64, ldc, rows, cols int) {
 	ia, ib := i0*a.laneStride, j0*b.laneStride

@@ -187,6 +187,15 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return t.arena.shaped(t.Data, dims)
 }
 
+// ReshapeLike is Reshape to u's shape, read in place rather than copied
+// out through Shape.
+func (t *Tensor) ReshapeLike(u *Tensor) *Tensor {
+	if len(u.Data) != len(t.Data) {
+		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) like %v (%d elems)", t.shape, len(t.Data), u.shape, len(u.Data)))
+	}
+	return t.arena.shaped(t.Data, u.shape)
+}
+
 // withRows allocates a zero tensor of shape [rows, rest...] in a.
 func (a *Arena) withRows(rows int, rest []int) *Tensor {
 	var buf [8]int

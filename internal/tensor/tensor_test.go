@@ -60,15 +60,30 @@ func TestReshapeSharesData(t *testing.T) {
 	if z.Dim(1) != 2 {
 		t.Fatalf("inferred dim = %d, want 2", z.Dim(1))
 	}
+	w := x.ReshapeLike(z)
+	w.Set(42, 0, 0)
+	if !w.SameShape(z) || x.Data[0] != 42 {
+		t.Fatalf("ReshapeLike gave shape %v sharing data %v, want %v sharing", w.Shape(), x.Data[0] == 42, z.Shape())
+	}
 }
 
 func TestReshapeBadVolumePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad reshape")
-		}
-	}()
-	New(4).Reshape(3)
+	for _, bad := range []struct {
+		name string
+		call func()
+	}{
+		{"Reshape", func() { New(4).Reshape(3) }},
+		{"ReshapeLike", func() { New(4).ReshapeLike(New(3)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic on bad %s", bad.name)
+				}
+			}()
+			bad.call()
+		}()
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
