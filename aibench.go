@@ -26,10 +26,10 @@
 // training sessions, characterizations, scaling sweeps, and replayed
 // paper-scale sessions — through one context-aware engine, and every
 // record it emits can be persisted as versioned JSONL and replayed
-// into reports without re-running anything (cmd/aibench-report -from).
+// into reports without re-running anything (`aibench report -from`).
 //
 // The report renderers regenerate every table and figure of the
-// paper's evaluation section; see cmd/aibench-report.
+// paper's evaluation section; see Suite.Report and `aibench report`.
 package aibench
 
 import (
@@ -253,7 +253,7 @@ func (s *Suite) Report(name string, w io.Writer, dev Device, seed int64) bool {
 
 // ResultWriter streams run records to an io.Writer as versioned JSONL
 // envelopes ({"v":1,"kind":…,"run":{…},"data":{…}}) that ReadResults
-// and `aibench-report -from` decode back. Writes are serialized, so
+// and `aibench report -from` decode back. Writes are serialized, so
 // its Write method can back a Runner sink directly:
 //
 //	w := aibench.NewResultWriter(file, runner.Meta())
@@ -314,7 +314,7 @@ func RunReportKind(name string) (RecordKind, bool) { return core.RunReportKind(n
 // RenderRunReport renders one named run report ("sessions",
 // "characterizations", "scaling", "replays") from a record stream,
 // restoring canonical registry order first; it reports whether the
-// name was known. The live CLI and `aibench-report -from` both render
+// name was known. The live CLI and `aibench report -from` both render
 // through this function, so a report rebuilt from persisted JSONL is
 // byte-identical to its live-run output.
 func RenderRunReport(name string, w io.Writer, recs []Record) bool {

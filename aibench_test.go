@@ -180,7 +180,7 @@ func TestDevices(t *testing.T) {
 
 // TestPlanRunnerPublicAPI smoke-tests the unified execution API from
 // the public package: plan validation, a replay run, and the run-report
-// renderer shared with aibench-report.
+// renderer shared with `aibench report`.
 func TestPlanRunnerPublicAPI(t *testing.T) {
 	s := aibench.NewSuite()
 	if _, err := s.NewRunner(aibench.Plan{Benchmarks: []string{"nope"}}); err == nil {

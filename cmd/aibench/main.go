@@ -1,10 +1,11 @@
 // Command aibench is the suite CLI: list benchmarks, run scaled training
 // sessions, characterize workloads, sweep data-parallel scaling, replay
-// paper-scale sessions, select the subset, and render the paper's
-// tables and figures. Every run command builds an aibench.Plan,
-// validates it into a Runner, and executes it with SIGINT cancellation;
-// -out streams each record to a JSONL file as a versioned envelope that
-// `aibench-report -from` can rebuild reports from without re-running.
+// paper-scale sessions, select the subset, and render reports: the
+// paper's tables and figures, or run reports rebuilt from a persisted
+// result stream. Every run command builds an aibench.Plan, validates it
+// into a Runner, and executes it with SIGINT cancellation; -out streams
+// each record to a JSONL file as a versioned envelope that
+// `aibench report -from` can rebuild reports from without re-running.
 //
 // Usage:
 //
@@ -16,7 +17,8 @@
 //	aibench replay [id|all] [-seed S] [-out results.jsonl]
 //	aibench subset
 //	aibench costs
-//	aibench report <table1..table7|figure1a..figure7|all>
+//	aibench report [table1..table7|figure1a..figure7 ...|all]
+//	aibench report -from results.jsonl [-trace] [-trace-out trace.json] [sessions|characterizations|scaling|replays|trace ...|all]
 //	aibench version
 //	aibench serve [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	aibench submit -plan '{"kind":"session",...}' [-addr host:port] [-tenant T] [-out F]
@@ -28,7 +30,7 @@
 // an exact result cache (see internal/server). SIGINT/SIGTERM drains
 // gracefully. `aibench submit` is the matching client: it posts a plan
 // JSON and streams the response to stdout or -out, where
-// `aibench-report -from` can rebuild reports from it.
+// `aibench report -from` can rebuild reports from it.
 //
 // Every run command also accepts -telemetry (collect the two-plane
 // trace/metrics records and print a span summary), -cpuprofile, and
@@ -37,6 +39,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,6 +52,7 @@ import (
 	"time"
 
 	"aibench"
+	"aibench/internal/telemetry"
 )
 
 func main() {
@@ -625,20 +629,120 @@ func cmdCosts(s *aibench.Suite) {
 	fmt.Printf("AIBench vs MLPerf:  %8.1f%% saved (paper: 37%%)\n", c.AIBenchVsMLPerf*100)
 }
 
+// cmdReport renders reports. By default it renders the paper's tables
+// and figures; with -from it rebuilds run reports (sessions,
+// characterizations, scaling, replays, trace) from a persisted JSONL
+// stream with zero retraining, through the same renderers the live run
+// commands use, so the output is byte-identical to the live run's. With
+// no names (or "all") it renders everything: every paper report, or
+// every run report the stream has records for. When more than one
+// report is rendered, each gets a "==== name ====" header and a
+// trailing blank line; a single report renders bare, so it can be
+// diffed directly against a live run's output.
 func cmdReport(s *aibench.Suite, args []string) {
-	if len(args) < 1 {
-		fmt.Fprintf(os.Stderr, "usage: aibench report <%v|all>\n", aibench.ReportNames())
+	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	from := fs.String("from", "", "rebuild run reports from this persisted JSONL result stream instead of rendering paper reports")
+	trace := fs.Bool("trace", false, "with -from: render the telemetry trace report (deterministic plane + wall-clock columns)")
+	traceOut := fs.String("trace-out", "", "with -from: export the stream's first trace as Chrome trace-event JSON to this file")
+	fs.Parse(args)
+	if (*trace || *traceOut != "") && *from == "" {
+		fmt.Fprintln(os.Stderr, "-trace and -trace-out require -from")
 		os.Exit(2)
 	}
-	names := args
-	if args[0] == "all" {
-		names = aibench.ReportNames()
+	names := fs.Args()
+	if len(names) == 1 && names[0] == "all" {
+		names = nil
 	}
-	for _, n := range names {
-		if !s.Report(n, os.Stdout, aibench.TitanXP(), 1) {
-			fmt.Fprintf(os.Stderr, "unknown report %q\n", n)
+	have := aibench.ReportNames()
+	render := func(n string) bool { return s.Report(n, os.Stdout, aibench.TitanXP(), 1) }
+	if *from != "" {
+		f, err := os.Open(*from)
+		var stream *aibench.ResultStream
+		if err == nil {
+			stream, err = aibench.ReadResults(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Println()
+		if stream.Skipped > 0 {
+			fmt.Fprintf(os.Stderr, "note: skipped %d records with an unknown envelope version or kind\n", stream.Skipped)
+		}
+		if *traceOut != "" {
+			if err := exportChrome(stream.Records, *traceOut); err != nil {
+				fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s\n", *traceOut)
+			if !*trace && len(names) == 0 {
+				return
+			}
+		}
+		if *trace {
+			names = []string{"trace"}
+		}
+		have = aibench.RunReportNames()
+		if len(names) == 0 {
+			kinds := map[aibench.RecordKind]bool{}
+			for _, r := range stream.Records {
+				kinds[r.Kind] = true
+			}
+			for _, n := range have {
+				if k, _ := aibench.RunReportKind(n); kinds[k] {
+					names = append(names, n)
+				}
+			}
+			if len(names) == 0 {
+				fmt.Fprintf(os.Stderr, "%s holds no renderable records\n", *from)
+				os.Exit(1)
+			}
+		}
+		render = func(n string) bool { return aibench.RenderRunReport(n, os.Stdout, stream.Records) }
+	} else if len(names) == 0 {
+		names = have
 	}
+	headers := len(names) > 1
+	for _, n := range names {
+		if headers {
+			fmt.Printf("==== %s ====\n", n)
+		}
+		if !render(n) {
+			fmt.Fprintf(os.Stderr, "unknown report %q (have %v)\n", n, have)
+			os.Exit(1)
+		}
+		if headers {
+			fmt.Println()
+		}
+	}
+}
+
+// exportChrome writes the first trace + runmetrics pair among recs as
+// Chrome trace-event JSON, loadable in chrome://tracing or
+// ui.perfetto.dev. The span layout (ids, names, tree) comes from the
+// deterministic plane; only the timestamps come from the wall-clock
+// plane.
+func exportChrome(recs []aibench.Record, path string) error {
+	var trace *aibench.Trace
+	var metrics *aibench.RunMetrics
+	for _, r := range recs {
+		if trace == nil {
+			trace = r.Trace
+		}
+		if metrics == nil {
+			metrics = r.RunMetrics
+		}
+	}
+	if trace == nil || metrics == nil {
+		return errors.New("no trace/runmetrics records to export (collect them with `aibench run ... -telemetry -out ...`)")
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = telemetry.WriteChrome(f, trace, metrics)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

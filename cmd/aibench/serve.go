@@ -75,7 +75,7 @@ func cmdServe(args []string) {
 
 // cmdSubmit posts one Plan to a running `aibench serve` and streams
 // the NDJSON envelope response as it arrives — to stdout by default,
-// or to -out, where `aibench-report -from` can rebuild reports from
+// or to -out, where `aibench report -from` can rebuild reports from
 // it. Exit status: 0 on a streamed or cached result, 3 on backpressure
 // (429: retry after the Retry-After delay), 1 otherwise.
 func cmdSubmit(args []string) {

@@ -54,7 +54,7 @@ func main() {
 	// The unified Plan/Runner API replays entire paper-scale sessions
 	// (calibrated epochs-to-quality × the Table 6 cost model) in
 	// milliseconds — the repeatable artifact behind a purchase report,
-	// persistable as JSONL and rebuildable with `aibench-report -from`.
+	// persistable as JSONL and rebuildable with `aibench report -from`.
 	ids := make([]string, 0, 3)
 	for _, b := range suite.Subset() {
 		ids = append(ids, b.ID)

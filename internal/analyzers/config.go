@@ -45,7 +45,6 @@ var resultAffectingPackages = map[string]bool{
 	"aibench/internal/telemetry":    true, // trace records are persisted and byte-diffed in CI
 	"aibench/internal/server":       true, // streamed/cached envelope bodies are byte-compared on replay
 	"aibench/cmd/aibench":           true,
-	"aibench/cmd/aibench-report":    true,
 	"aibench/cmd/aibench-benchjson": true,
 }
 
@@ -68,7 +67,6 @@ var sinkPackages = map[string]bool{
 	"aibench/internal/results":      true,
 	"aibench/internal/server":       true, // tees envelope streams to clients and the result cache
 	"aibench/cmd/aibench":           true,
-	"aibench/cmd/aibench-report":    true,
 	"aibench/cmd/aibench-benchjson": true,
 }
 

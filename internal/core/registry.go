@@ -34,7 +34,7 @@ type Benchmark struct {
 	// convergent quality (the Fig 2 y-axis). The paper prints the range
 	// (6..96 for AIBench, 3..49 for MLPerf) and a few anchors; values
 	// not directly derivable from Table 6 are estimates within those
-	// constraints and are flagged in EXPERIMENTS.md.
+	// constraints.
 	ConvergeEpochs float64
 	// VariationCV is Table 5's run-to-run variation (std/mean of epochs
 	// to quality); negative means "Not available" (no accepted metric).

@@ -9,12 +9,12 @@ import (
 )
 
 // Text renderers: each Render* writes the rows/series of one paper table
-// or figure, so `aibench-report` and the bench harness can regenerate
+// or figure, so `aibench report` and the bench harness can regenerate
 // the whole evaluation section.
 //
 // The run-report renderers at the bottom render the records a Plan run
 // emits (sessions, characterizations, scaling rows, replay sessions).
-// Both the live CLI and `aibench-report -from results.jsonl` call the
+// Both the live CLI and `aibench report -from results.jsonl` call the
 // same renderer over the same records — and every renderer restores
 // canonical registry order first — so a report rebuilt from a persisted
 // stream is byte-identical to its live-run output.

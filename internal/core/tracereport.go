@@ -11,10 +11,11 @@ import (
 
 // Trace report: renders a persisted telemetry trace (deterministic
 // plane) — optionally joined with its wall-clock RunMetrics — as the
-// `-trace` view of aibench-report. Like every run-report renderer, it
-// works from records alone, so a report rebuilt from results.jsonl is
-// byte-identical to the live run's (the wall-clock columns come from
-// the persisted runmetrics record, not from re-measuring).
+// `-trace` view of `aibench report -from`. Like every run-report
+// renderer, it works from records alone, so a report rebuilt from
+// results.jsonl is byte-identical to the live run's (the wall-clock
+// columns come from the persisted runmetrics record, not from
+// re-measuring).
 
 // RenderTraces renders every trace in the record stream. Traces and
 // runmetrics pair up in stream order (a telemetry run emits exactly

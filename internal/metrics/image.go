@@ -96,21 +96,20 @@ func downsample2(img []float64, width int) []float64 {
 
 // EMDistance1D computes the exact 1-D Earth-Mover (Wasserstein-1) distance
 // between two equal-size empirical samples: the mean absolute difference
-// of sorted values. The WGAN workload's loss estimates exactly this
-// quantity, so the quality target (EM ≈ 0.5) is checked against it.
+// of sorted values. It sorts a and b in place. The WGAN workload's loss
+// estimates exactly this quantity, so the quality target (EM ≈ 0.5) is
+// checked against it.
 func EMDistance1D(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) == 0 {
 		return math.NaN()
 	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
+	sort.Float64s(a)
+	sort.Float64s(b)
 	s := 0.0
-	for i := range as {
-		s += math.Abs(as[i] - bs[i])
+	for i := range a {
+		s += math.Abs(a[i] - b[i])
 	}
-	return s / float64(len(as))
+	return s / float64(len(a))
 }
 
 // SlicedEMDistance approximates the Wasserstein distance between two sets
@@ -121,18 +120,20 @@ func SlicedEMDistance(a, b [][]float64, projections int) float64 {
 		return math.NaN()
 	}
 	d := len(a[0])
+	dir := make([]float64, d)
+	pa := make([]float64, len(a))
+	pb := make([]float64, len(b))
 	total := 0.0
 	for p := 0; p < projections; p++ {
 		// Deterministic quasi-random direction.
-		dir := make([]float64, d)
 		norm := 0.0
 		for i := range dir {
 			dir[i] = math.Sin(float64(p*d+i+1) * 12.9898)
 			norm += dir[i] * dir[i]
 		}
 		norm = math.Sqrt(norm)
-		pa := make([]float64, len(a))
-		pb := make([]float64, len(b))
+		clear(pa) // every projected sum starts at +0
+		clear(pb)
 		for i := range a {
 			for j := 0; j < d; j++ {
 				pa[i] += a[i][j] * dir[j] / norm

@@ -1,6 +1,6 @@
 package results
 
-// FuzzEnvelopeDecode hardens the replay path: `aibench-report -from`
+// FuzzEnvelopeDecode hardens the replay path: `aibench report -from`
 // feeds whatever bytes are on disk straight into Read, so a corrupted,
 // truncated, or future-versioned stream must come back as an error or
 // a Skipped count — never a panic. CI runs a short fuzz smoke on every
@@ -61,18 +61,11 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if s.Skipped < 0 {
 			t.Fatalf("negative skip count %d", s.Skipped)
 		}
-		total := 0
-		for kind, n := range s.Kinds() {
-			if strings.TrimSpace(string(kind)) == "" {
+		for _, r := range s.Records {
+			if strings.TrimSpace(string(r.Kind)) == "" {
 				t.Fatalf("decoded record with empty kind")
 			}
-			total += n
-		}
-		if total != len(s.Records) {
-			t.Fatalf("Kinds() counts %d records, stream has %d", total, len(s.Records))
 		}
 		_ = s.Sessions()
-		_ = s.Traces()
-		_ = s.RunMetrics()
 	})
 }

@@ -6,7 +6,7 @@
 //	{"v":1,"kind":"session","run":{"suite_sha":"…","seed":42,"kernel":"blocked","shards":2,"started":"…"},"data":{…}}
 //
 // so a persisted stream carries enough provenance to rebuild every run
-// report later — `aibench-report -from results.jsonl` — without
+// report later — `aibench report -from results.jsonl` — without
 // re-running anything. Readers skip records with an unknown version or
 // kind instead of failing, so streams written by newer suite revisions
 // stay partially readable, and bare SessionResult lines from the
@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"sync"
 
@@ -171,16 +170,6 @@ type Stream struct {
 	Truncated bool
 }
 
-// ReadFile decodes the JSONL result stream at path.
-func ReadFile(path string) (*Stream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
-}
-
 // Read decodes a JSONL result stream: enveloped records of a known
 // version and kind become Records, unknown versions/kinds count as
 // Skipped, bare pre-envelope SessionResult lines decode as session
@@ -304,45 +293,12 @@ func (s *Stream) addRun(m core.RunMeta) {
 	s.Runs = append(s.Runs, m)
 }
 
-// Kinds reports which record kinds the stream contains.
-func (s *Stream) Kinds() map[core.RecordKind]int {
-	out := map[core.RecordKind]int{}
-	for _, r := range s.Records {
-		out[r.Kind]++
-	}
-	return out
-}
-
 // Sessions returns the stream's session records in file order.
 func (s *Stream) Sessions() []core.SessionResult {
 	var out []core.SessionResult
 	for _, r := range s.Records {
 		if r.Kind == core.KindSession && r.Session != nil {
 			out = append(out, *r.Session)
-		}
-	}
-	return out
-}
-
-// Traces returns the stream's deterministic-plane trace records in
-// file order.
-func (s *Stream) Traces() []*telemetry.Trace {
-	var out []*telemetry.Trace
-	for _, r := range s.Records {
-		if r.Kind == core.KindTrace && r.Trace != nil {
-			out = append(out, r.Trace)
-		}
-	}
-	return out
-}
-
-// RunMetrics returns the stream's wall-clock-plane records in file
-// order.
-func (s *Stream) RunMetrics() []*telemetry.RunMetrics {
-	var out []*telemetry.RunMetrics
-	for _, r := range s.Records {
-		if r.Kind == core.KindRunMetrics && r.RunMetrics != nil {
-			out = append(out, r.RunMetrics)
 		}
 	}
 	return out

@@ -101,7 +101,16 @@ func TestTraceEnvelopesDoNotPerturbOldReports(t *testing.T) {
 	}
 
 	// The telemetry planes themselves round-trip intact.
-	traces, rms := mixedStream.Traces(), mixedStream.RunMetrics()
+	var traces []*telemetry.Trace
+	var rms []*telemetry.RunMetrics
+	for _, r := range mixedStream.Records {
+		if r.Trace != nil {
+			traces = append(traces, r.Trace)
+		}
+		if r.RunMetrics != nil {
+			rms = append(rms, r.RunMetrics)
+		}
+	}
 	if len(traces) != 1 || len(rms) != 1 {
 		t.Fatalf("decoded %d traces, %d runmetrics; want 1 each", len(traces), len(rms))
 	}

@@ -14,7 +14,7 @@
 //   - Results stream as they are produced. The response body is the
 //     same versioned JSONL envelope stream `aibench run -out` writes,
 //     flushed per record, so a saved response body feeds
-//     `aibench-report -from` unchanged and a dropped connection loses
+//     `aibench report -from` unchanged and a dropped connection loses
 //     only the tail.
 //   - Identical submissions are free. Every record of a run is a
 //     bitwise-deterministic function of (suite roster, canonical

@@ -117,7 +117,7 @@ func TestSubmitStreamsThenCaches(t *testing.T) {
 		t.Fatalf("first submit: Content-Type = %q", ct)
 	}
 
-	// The response body is a results stream aibench-report could read.
+	// The response body is a results stream `aibench report -from` could read.
 	stream, err := results.Read(bytes.NewReader(firstBody))
 	if err != nil {
 		t.Fatalf("response body is not a decodable result stream: %v", err)
