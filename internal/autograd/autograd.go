@@ -161,9 +161,16 @@ func (v *Value) EnsureGrad() *tensor.Tensor {
 	return v.Grad
 }
 
-// accumGrad adds g into v's gradient buffer, allocating it on first use.
+// accumGrad adds g into v's gradient buffer, allocating it on first
+// use. An interior node's first gradient is 0 + g written into a buffer
+// with no zero fill (tensor.ZeroPlus), the bits of adding g to zeros;
+// a leaf's buffer comes from EnsureGrad.
 func (v *Value) accumGrad(g *tensor.Tensor) {
 	if !v.requiresGrad {
+		return
+	}
+	if v.Grad == nil && v.parents != nil {
+		v.Grad = tensor.ZeroPlus(v.Data, g)
 		return
 	}
 	tensor.AddInPlace(v.EnsureGrad(), g)

@@ -116,6 +116,41 @@ func TestBatchNormBackMatchesBufferedDefinition(t *testing.T) {
 	sameBits(t, "beta gradient", beta.Grad, sumDy)
 }
 
+// TestFirstGradientIsZeroPlusG holds an interior node's first gradient
+// to the definition it replaces — g added into a zero-filled buffer —
+// over signed zeros, infinities, NaNs and N(0,1) draws, on an arena
+// whose memory a previous step left NaN-poisoned: a −0 must come out
+// +0, and an element left unwritten keeps its NaN. The second gradient
+// adds into the first.
+func TestFirstGradientIsZeroPlusG(t *testing.T) {
+	defer tensor.SetArenaResetMode(tensor.SetArenaResetMode(tensor.ResetPoison))
+	rng := rand.New(rand.NewSource(19))
+	gs := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64}
+	for len(gs) < 300 {
+		gs = append(gs, rng.NormFloat64())
+	}
+	n := len(gs)
+	g := tensor.FromSlice(gs, n)
+	want := tensor.New(n)
+	tensor.AddInPlace(want, g)
+
+	var ar tensor.Arena
+	ar.New(1 << 12).Fill(7)
+	ar.Reset()
+	xa := tensor.Randn(rng, 0, 1, n)
+	ar.Adopt(xa)
+	node := Add(Var(xa), Const(tensor.Randn(rng, 0, 1, n)))
+	node.accumGrad(g)
+	if tensor.ArenaOf(node.Grad) != &ar {
+		t.Fatal("the first gradient is not placed like the node's data")
+	}
+	sameBits(t, "first gradient", node.Grad, want)
+	node.accumGrad(g)
+	tensor.AddInPlace(want, g)
+	sameBits(t, "second gradient", node.Grad, want)
+}
+
 // TestNoFillOutputsAreWrittenInFull runs every op whose result skips
 // the zero fill (Arena.Take) on an arena whose memory a previous step
 // left dirty — poisoned with NaN by Reset — and requires each to come
@@ -153,6 +188,13 @@ func TestNoFillOutputsAreWrittenInFull(t *testing.T) {
 			a.Adopt(ga)
 			out, _, _ := BatchNorm2D(Const(x), Var(ga), Const(beta), 1e-5)
 			return []*tensor.Tensor{out.saved[0], out.Data}
+		}},
+		{"first gradient", func(a *tensor.Arena) []*tensor.Tensor {
+			xa := x.Detach()
+			a.Adopt(xa)
+			node := Add(Var(xa), Const(y))
+			node.accumGrad(y)
+			return []*tensor.Tensor{node.Grad}
 		}},
 		{"BatchNorm2DInference", func(a *tensor.Arena) []*tensor.Tensor {
 			ga := gamma.Detach()

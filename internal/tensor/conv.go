@@ -20,9 +20,9 @@ func (p Conv2DParams) OutDim(in int) int {
 
 // Conv2D convolves an NCHW input with an OIKK weight tensor, producing
 // an N×O×outH×outW output. Both implementations do it as im2col + GEMM
-// (mirroring cuDNN's implicit-GEMM kernels); the GEBP engine gathers
-// each chunk's taps from a zero-bordered image copy instead of
-// materializing the full column matrix.
+// (mirroring cuDNN's implicit-GEMM kernels); the GEBP engine reads
+// each pixel's taps in place from a zero-bordered image copy instead of
+// materializing the column matrix.
 func Conv2D(x, weight *Tensor, p Conv2DParams) *Tensor {
 	if len(x.shape) != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D requires NCHW input, got %v", x.shape))

@@ -28,7 +28,8 @@ func newConvCase(rng *rand.Rand, n, c, h, w, outC int, p Conv2DParams) convCase 
 // over a 7×9 and a 13×11 image, one image and three. Output rows are
 // not all a multiple of 4 or 8, some planes exceed convRowChunk so an
 // image spans two chunks, and outC = 5 and C·k·k odd leave both edge
-// panels partial.
+// panels partial. Last come DC-AI-C1's own widths, 8 channels in and 8
+// or 16 out, on its 8×8 images, where every channel panel is full.
 func convTable(rng *rand.Rand, fn func(name string, cc convCase)) {
 	for _, hw := range [][2]int{{7, 9}, {13, 11}} {
 		for _, kern := range []int{1, 3, 5} {
@@ -42,10 +43,16 @@ func convTable(rng *rand.Rand, fn func(name string, cc convCase)) {
 			}
 		}
 	}
+	for _, outC := range []int{8, 16} {
+		for _, stride := range []int{1, 2} {
+			p := Conv2DParams{Kernel: 3, Stride: stride, Padding: 1}
+			fn(fmt.Sprintf("n=2 8x8 outC=%d %+v", outC, p), newConvCase(rng, 2, 8, 8, 8, outC, p))
+		}
+	}
 }
 
 // convSweepSize is how many (case, engine) pairs convTable × engines visit.
-var convSweepSize = 2 * 3 * 2 * 3 * 2 * len(testBlocks) * 2
+var convSweepSize = (2*3*2*3*2 + 2*2) * len(testBlocks) * 2
 
 // TestConv2DBackwardBitwise holds the fused backward to the naive
 // composition bit for bit over convTable × engines, either gradient
@@ -137,16 +144,22 @@ func TestConv2DBackwardDispatch(t *testing.T) {
 	Conv2DBackward(cc.x, cc.w, cc.x, cc.p, true, true)
 }
 
-// poisonScratch overwrites every pooled buffer, to its full capacity,
-// with NaN.
+// poisonScratch overwrites every pooled buffer, to its full capacity:
+// float buffers with NaN, index tables with an offset past any operand
+// the tests build.
 func poisonScratch() {
-	for i := range scratchFree {
-		f := &scratchFree[i]
+	poisonList(&scratchFree, math.NaN())
+	poisonList(&indexFree, math.MaxInt32)
+}
+
+func poisonList[T any](l *freeList[T], v T) {
+	for i := range l {
+		f := &l[i]
 		f.mu.Lock()
 		for _, buf := range f.bufs {
 			buf = buf[:cap(buf)]
 			for j := range buf {
-				buf[j] = math.NaN()
+				buf[j] = v
 			}
 		}
 		f.mu.Unlock()
@@ -155,11 +168,12 @@ func poisonScratch() {
 
 // TestScratchPoolDirtyBuffers proves no engine path relies on zeroed
 // scratch and no pooled slice backs a returned Tensor. Each op runs
-// once to stock the pool, the pool is poisoned with NaN, the op runs
-// again on dirty buffers, and the pool is poisoned once more while the
-// result is still held: a padded tap or tail row read before it was
-// written, or a result aliasing scratch, surfaces as a NaN against the
-// naive oracle.
+// once to stock the pool, the pool is poisoned (poisonScratch), the op
+// runs again on dirty buffers, and the pool is poisoned once more while
+// the result is still held: a padded tap or tail row read before it
+// was written, or a result aliasing scratch, surfaces as a NaN against
+// the naive oracle, and an index-table entry read before it was written
+// as a panic or a fault.
 func TestScratchPoolDirtyBuffers(t *testing.T) {
 	naive, _ := kernelPair(t)
 	rng := rand.New(rand.NewSource(107))

@@ -5,22 +5,24 @@ import "aibench/internal/parallel"
 // gebpKernels is the optimized engine, the kernel named "blocked": a
 // GEBP-style GEMM over mr×nr (2×4) register micro-tiles, plus an
 // implicit im2col-GEMM convolution — forward, input gradient and
-// weight gradient — that gathers every tap from a zero-bordered image
+// weight gradient — that reads every tap from a zero-bordered image
 // copy without a bounds test, never materializes the column matrix,
 // its gradient or a GEMM-layout copy of the output gradient, and
 // stores the forward product straight into NCHW. A GEMM below the fork
 // threshold is too small to repay a copy: microStrided reads both
 // operands where they live. A GEMM at or above it packs both operands
 // into contiguous panels and drives micro2x4u4 over a 2-D grid of
-// cache-sized blockM×blockN output tiles; the conv passes always pack
-// or gather into panels for micro2x4u4. Pack panels, padded copies and
-// chunk scratch are borrowed from the package's scratch pool
-// (scratch.go), and each loop body is a small task struct borrowed from
-// a free list (parallel.FreeList); both go back before the op returns,
-// so once warm an op allocates its result and nothing else, whether it
-// forks or not. Every loop forks across cores at or above threshold
-// multiply-adds (the conv passes walk their own image chunks and read
-// the threshold alone).
+// cache-sized blockM×blockN output tiles. The forward and the weight
+// gradient read their taps in place through an index table (idxTable)
+// and run micro2x4Idx against a packed panel; the input gradient packs
+// for micro2x4u4 and folds its product. Pack panels, padded copies,
+// index tables and chunk scratch are borrowed from the package's
+// scratch pool (scratch.go), and each loop body is a small task struct
+// borrowed from a free list (parallel.FreeList); both go back before
+// the op returns, so once warm an op allocates its result and nothing
+// else, whether it forks or not. Every loop forks across cores at or
+// above threshold multiply-adds (the conv passes split by image or by
+// tap pair and read the threshold alone).
 // LookupKernels("blocked") returns the one value the program runs,
 // builtinBlocked; the package's tests build others to reach every tile
 // edge, both GEMM paths and both fork paths.
@@ -44,8 +46,8 @@ type gebpKernels struct {
 
 func (g *gebpKernels) Name() string { return "blocked" }
 
-// convRowChunk is how many output pixels of one image a convolution
-// pass gathers and multiplies at a time. It is a multiple of nr, so a
+// convRowChunk is how many output pixels of one image the input
+// gradient packs and multiplies at a time. It is a multiple of nr, so a
 // chunk's pixels fill whole nr-lane panels, and it sizes the chunk's
 // pixel-offset table, a fixed array on the stack.
 const convRowChunk = 128
@@ -131,14 +133,15 @@ const (
 	nr = 4
 )
 
-// storeEdge is the micro-kernel's masked store for edge tiles: it
+// storeEdge is the micro-kernels' masked store for edge tiles: it
 // writes the rows×cols corner of the accumulator block acc (row-major,
-// nr wide) to dst. Interior tiles take the straight-store fast path
-// inline instead.
-func storeEdge(dst []float64, ldc, rows, cols int, acc ...float64) {
+// nr wide) to dst, element (r, c) at dst[r·rs + c·cs]. Interior tiles
+// of the packed kernels take the straight-store fast path inline
+// instead.
+func storeEdge(dst []float64, rs, cs, rows, cols int, acc ...float64) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			dst[r*ldc+c] = acc[r*nr+c]
+			dst[r*rs+c*cs] = acc[r*nr+c]
 		}
 	}
 }
@@ -224,7 +227,77 @@ func micro2x4Go(ap, bp []float64, K int, dst []float64, ldc, rows, cols int) {
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
 		return
 	}
-	storeEdge(dst, ldc, rows, cols,
+	storeEdge(dst, ldc, 1, rows, cols,
+		c00, c01, c02, c03,
+		c10, c11, c12, c13)
+}
+
+// idxTable is the index table of micro2x4Idx: entry k is where a
+// lane's k-th operand element sits, counted from the lane's base. The
+// entries ascend (repeats allowed), so the first and the last bound all
+// the others; newIdxTable is the one constructor, and release hands the
+// table back to the free list.
+type idxTable struct{ off []int }
+
+// newIdxTable borrows a table of n0·n1·n2 entries and fills it with
+// i·s0 + j·s1 + l·s2 for i < n0, j < n1, l < n2 in row-major order. It
+// panics unless the step of each level with more than one entry covers
+// the span of the levels inside it, which is what makes the entries
+// ascend.
+func newIdxTable(n0, s0, n1, s1, n2, s2 int) idxTable {
+	span := 0
+	for _, l := range [...][2]int{{n2, s2}, {n1, s1}, {n0, s0}} {
+		if l[0] > 1 {
+			if l[1] < span {
+				panic("tensor: index table would not ascend")
+			}
+			span += (l[0] - 1) * l[1]
+		}
+	}
+	off := indexFree.get(n0 * n1 * n2)
+	k := 0
+	for i := 0; i < n0; i++ {
+		for j := 0; j < n1; j++ {
+			for l := 0; l < n2; l++ {
+				off[k] = i*s0 + j*s1 + l*s2
+				k++
+			}
+		}
+	}
+	return idxTable{off}
+}
+
+func (t idxTable) release() { indexFree.put(t.off) }
+
+// micro2x4IdxGo is the micro-kernel of the conv passes in portable Go.
+// Its left operand is read in place through t: lane r's k-th element is
+// x[o_r + t.off[k]], and o1 is read only when rows is 2. Its right
+// operand is the nr-column k-major panel bp. It fills the rows×cols
+// corner of one 2×4 output tile, element (r, c) at dst[r·rs + c·cs],
+// with one scalar accumulator per element started at +0, k ascending.
+// It is micro2x4Idx on every architecture but amd64, whose micro2x4Idx
+// runs the same arithmetic in SSE2 (micro_amd64.s) and is tested
+// against this loop. Each product is rounded on its own (float64(a·b))
+// so no architecture fuses it into the add.
+func micro2x4IdxGo(x []float64, o0, o1 int, t idxTable, bp, dst []float64, rs, cs, rows, cols int) {
+	if rows < mr {
+		o1 = o0
+	}
+	var c00, c01, c02, c03 float64
+	var c10, c11, c12, c13 float64
+	for k, off := range t.off {
+		a0, a1 := x[o0+off], x[o1+off]
+		b := bp[nr*k : nr*k+nr]
+		c00 += float64(a0 * b[0])
+		c01 += float64(a0 * b[1])
+		c02 += float64(a0 * b[2])
+		c03 += float64(a0 * b[3])
+		c10 += float64(a1 * b[0])
+		c11 += float64(a1 * b[1])
+		c12 += float64(a1 * b[2])
+		c13 += float64(a1 * b[3])
+	}
+	storeEdge(dst, rs, cs, rows, cols,
 		c00, c01, c02, c03,
 		c10, c11, c12, c13)
 }
@@ -289,7 +362,7 @@ func microStrided(a, b operand, i0, j0 int, dst []float64, ldc, rows, cols int) 
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
 		return
 	}
-	storeEdge(dst, ldc, rows, cols,
+	storeEdge(dst, ldc, 1, rows, cols,
 		c00, c01, c02, c03,
 		c10, c11, c12, c13)
 }
@@ -377,9 +450,10 @@ func (g *gebpKernels) Conv2DBackward(x, weight, grad *Tensor, p Conv2DParams, ne
 // of each image: every channel plane grows by the padding on each side
 // to hp×wp, so every tap of every output pixel, padded or not, is an
 // in-bounds load and no pass tests a bound per tap. Tap (ch, ky, kx) of
-// the pixel whose receptive field starts at offset 0 is at
-// (ch·hp+ky)·wp+kx. The passes' task structs hold it and derive the
-// rest (K = taps(), a padded image's size()).
+// output pixel (oy, ox) is at pixel(oy·ow+ox) + tap((ch·k+ky)·k+kx) in
+// a padded image, so a pass reads its taps in place through an
+// idxTable over one of the two. The passes' task structs hold it and
+// derive the rest (K = taps(), a padded image's size()).
 type convGeom struct {
 	c, h, w, k, stride, pad int
 	oh, ow, hp, wp          int
@@ -393,6 +467,29 @@ func convGeomOf(x []int, p Conv2DParams) convGeom {
 func (cg convGeom) taps() int { return cg.c * cg.k * cg.k }
 func (cg convGeom) size() int { return cg.c * cg.hp * cg.wp }
 
+// tap is where tap t = (ch·k+ky)·k+kx sits from the start of a pixel's
+// receptive field: (ch·hp+ky)·wp+kx.
+func (cg convGeom) tap(t int) int {
+	return (t/(cg.k*cg.k)*cg.hp+t/cg.k%cg.k)*cg.wp + t%cg.k
+}
+
+// pixel is where output pixel p = oy·ow+ox's receptive field starts in
+// a padded image: (oy·wp+ox)·stride.
+func (cg convGeom) pixel(p int) int {
+	return (p/cg.ow*cg.wp + p%cg.ow) * cg.stride
+}
+
+// tapTable is tap over every tap, in ascending order.
+func (cg convGeom) tapTable() idxTable {
+	return newIdxTable(cg.c, cg.hp*cg.wp, cg.k, cg.wp, cg.k, 1)
+}
+
+// pixelTable is pixel over every output pixel of n padded images laid
+// end to end, image img's at img·size() onwards, in ascending order.
+func (cg convGeom) pixelTable(n int) idxTable {
+	return newIdxTable(n, cg.size(), cg.oh, cg.wp*cg.stride, cg.ow, cg.stride)
+}
+
 // padImage copies the c×h×w image src into dst, size() long, inside its
 // zero border. dst is dirty scratch, so the border is written too.
 func (cg convGeom) padImage(dst, src []float64) {
@@ -404,38 +501,10 @@ func (cg convGeom) padImage(dst, src []float64) {
 	}
 }
 
-// offsets fills off[j] with where output pixel lo+j's receptive field
-// starts in a padded image.
+// offsets fills off[j] with pixel(lo+j).
 func (cg convGeom) offsets(off []int, lo int) {
 	for j := range off {
-		oy, ox := (lo+j)/cg.ow, (lo+j)%cg.ow
-		off[j] = (oy*cg.wp + ox) * cg.stride
-	}
-}
-
-// gather packs the taps of the pixels at off in the padded image xp as
-// nr-lane k-major panels — packPanel's layout of the column matrix's
-// rows, read straight from the image. Lanes past the last pixel are
-// zeros.
-func (cg convGeom) gather(dst, xp []float64, off []int) {
-	K := cg.taps()
-	for j := 0; j < (len(off)+nr-1)/nr*nr; j++ {
-		di := j/nr*K*nr + j%nr
-		if j >= len(off) {
-			for t := 0; t < K; t++ {
-				dst[di] = 0
-				di += nr
-			}
-			continue
-		}
-		for ch := 0; ch < cg.c; ch++ {
-			for ky := 0; ky < cg.k; ky++ {
-				for _, v := range xp[off[j]+(ch*cg.hp+ky)*cg.wp:][:cg.k] {
-					dst[di] = v
-					di += nr
-				}
-			}
-		}
+		off[j] = cg.pixel(lo + j)
 	}
 }
 
@@ -460,22 +529,25 @@ func (cg convGeom) fold(acc, prod []float64, off []int) {
 	}
 }
 
-// conv2D is an implicit im2col-GEMM with the weights as the left
-// operand (mr lanes over output channels) and the output pixels as the
-// right one (nr lanes). A task owns an image: chunk by chunk it gathers
-// the pixels' taps from one zero-bordered copy of the image into
-// panels, and the micro-kernel stores the outC×chunk tile straight into
-// the image's NCHW planes (ldc = oh·ow), so there is no column matrix,
-// no product scratch and no scatter.
+// conv2D is a true implicit im2col-GEMM: the output pixels are the left
+// operand (mr lanes), read in place from a zero-bordered copy of their
+// image through the tap table, and the weights the right one, packed
+// once as nr-lane panels over output channels with k running over taps.
+// A task owns an image: for each pixel pair and each channel panel,
+// micro2x4Idx stores the 2×4 tile straight into the image's NCHW planes
+// (pixels 1 apart, channels oh·ow apart), so there is no column matrix,
+// no tap copy, no product scratch and no scatter.
 func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 	n, outC, cg := x.shape[0], weight.shape[0], convGeomOf(x.shape, p)
 	if cg.oh <= 0 || cg.ow <= 0 {
 		panic("tensor: Conv2D output would be empty")
 	}
 	K := cg.taps()
-	wpack := pack(operand{weight.Data, outC, K, K, 1}, mr, threshold)
+	wpack := pack(operand{weight.Data, outC, K, K, 1}, nr, threshold)
+	taps := cg.tapTable()
 	out := ArenaOf(x, weight).New(n, outC, cg.oh, cg.ow)
-	borrowGate(&convForwardTasks, convForward{cg, x.Data, wpack, out.Data, outC}, threshold, n, n*cg.oh*cg.ow*K*outC)
+	borrowGate(&convForwardTasks, convForward{cg, x.Data, wpack, out.Data, taps, outC}, threshold, n, n*cg.oh*cg.ow*K*outC)
+	taps.release()
 	putScratch(wpack)
 	return out
 }
@@ -484,6 +556,7 @@ func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 type convForward struct {
 	cg            convGeom
 	x, wpack, out []float64
+	taps          idxTable
 	outC          int
 }
 
@@ -494,24 +567,22 @@ func (t *convForward) Run(img int) {
 	K, plane := cg.taps(), cg.oh*cg.ow
 	xp := getScratch(cg.size())
 	cg.padImage(xp, t.x[img*cg.c*cg.h*cg.w:])
-	bpack := getScratch((min(convRowChunk, plane) + nr - 1) / nr * nr * K)
-	var off [convRowChunk]int
-	for lo := 0; lo < plane; lo += convRowChunk {
-		px := off[:min(convRowChunk, plane-lo)]
-		cg.offsets(px, lo)
-		cg.gather(bpack, xp, px)
-		gebpTile(t.wpack, bpack, K, outC, len(px), t.out[img*outC*plane+lo:], plane)
+	out := t.out[img*outC*plane:]
+	for p := 0; p < plane; p += mr {
+		o0, o1, rows := cg.pixel(p), cg.pixel(p+1), min(mr, plane-p)
+		for j0 := 0; j0 < outC; j0 += nr {
+			micro2x4Idx(xp, o0, o1, t.taps, t.wpack[j0*K:], out[j0*plane+p:], 1, plane, rows, min(nr, outC-j0))
+		}
 	}
 	putScratch(xp)
-	putScratch(bpack)
 }
 
-// conv2DBackward is the adjoint of conv2D, equally chunked: neither the
-// column matrix, nor its gradient, nor a GEMM-layout copy of g ever
-// exists in full. With G the gradient as an (n·oh·ow)×outC matrix and W
-// the weights as outC×(c·k·k), dx folds G·W back onto the input and dw
-// is Gᵀ times the unfolded input — the same two products, each output
-// element accumulated in the same order, as the naive composition.
+// conv2DBackward is the adjoint of conv2D: neither the column matrix,
+// nor its gradient, nor a GEMM-layout copy of g ever exists in full.
+// With G the gradient as an (n·oh·ow)×outC matrix and W the weights as
+// outC×(c·k·k), dx folds G·W back onto the input and dw is Gᵀ times
+// the unfolded input — the same two products, each output element
+// accumulated in the same order, as the naive composition.
 func conv2DBackward(x, weight, g *Tensor, p Conv2DParams, needX, needW bool, threshold int) (dx, dw *Tensor) {
 	ar := ArenaOf(g, x, weight)
 	if needX {
@@ -588,27 +659,31 @@ func (t *convInput) Run(img int) {
 // convBackwardWeight fills dw = Gᵀ·im2col(x). The reduction runs over
 // all n·oh·ow pixels, one ascending accumulator chain per element, as
 // each micro-kernel call streams the whole of it. One borrow holds the
-// padded images, then g packed into mr-row panels (lanes are output
-// channels, k runs over every pixel of every image); each task gathers
-// one nr-wide panel of taps — nr columns of the column matrix — output
-// row by output row from the padded images and walks it against g.
+// padded images, then g packed into nr-lane panels (lanes are output
+// channels, k runs over every pixel of every image). A task owns a pair
+// of taps: the two lanes are the taps' offsets, read in place through
+// the pixel table, and micro2x4Idx stores each 2×4 tile into dw (taps 1
+// apart, channels K apart).
 func convBackwardWeight(dw, x, g *Tensor, p Conv2DParams, threshold int) {
 	n, outC, cg := x.shape[0], g.shape[1], convGeomOf(x.shape, p)
 	K, R := cg.taps(), n*cg.oh*cg.ow
-	buf := getScratch(n*cg.size() + (outC+mr-1)/mr*mr*R)
-	w := convWeight{cg, buf, x.Data, g.Data, dw.Data, n, outC}
+	buf := getScratch(n*cg.size() + (outC+nr-1)/nr*nr*R)
+	pixels := cg.pixelTable(n)
+	w := convWeight{cg, buf, x.Data, g.Data, dw.Data, pixels, n, outC}
 	borrowGate(&convPadPackTasks, convPadPack(w), threshold, n, outC*R)
-	borrowGate(&convTapsTasks, convTaps(w), threshold, (K+nr-1)/nr, outC*R*K)
+	borrowGate(&convTapsTasks, convTaps(w), threshold, (K+mr-1)/mr, outC*R*K)
+	pixels.release()
 	putScratch(buf)
 }
 
 // convWeight is what convBackwardWeight's two loops share. As a
 // convPadPack, index img pads image img and packs its output gradient;
-// as a convTaps, index jp gathers tap panel jp and multiplies it
-// against the packed gradient.
+// as a convTaps, index tp multiplies tap pair tp against the packed
+// gradient.
 type convWeight struct {
 	cg            convGeom
 	buf, x, g, dw []float64
+	pixels        idxTable
 	n, outC       int
 }
 
@@ -629,37 +704,17 @@ func (t *convPadPack) Run(img int) {
 	// Channel oc of this image is plane contiguous pixels, which land
 	// at k = img·plane onwards in oc's panel.
 	channels := operand{t.g[img*outC*plane:], outC, plane, plane, 1}
-	for mp := 0; mp*mr < outC; mp++ {
-		packPanel(t.buf[n*size+(mp*n+img)*plane*mr:], channels, mp*mr, mr)
+	for jp := 0; jp*nr < outC; jp++ {
+		packPanel(t.buf[n*size+(jp*n+img)*plane*nr:], channels, jp*nr, nr)
 	}
 }
 
-func (t *convTaps) Run(jp int) {
-	cg, n, buf := t.cg, t.n, t.buf
-	K, size := cg.taps(), cg.size()
-	R, j0 := n*cg.oh*cg.ow, jp*nr
-	cols := getScratch(R * nr)
-	for l := 0; l < nr; l++ {
-		tap := j0 + l
-		if tap >= K { // a lane past the last tap
-			for r := 0; r < R; r++ {
-				cols[r*nr+l] = 0
-			}
-			continue
-		}
-		ch, ky, kx := tap/(cg.k*cg.k), tap/cg.k%cg.k, tap%cg.k
-		src := buf[(ch*cg.hp+ky)*cg.wp+kx:]
-		di := l
-		for img := 0; img < n; img++ {
-			for oy := 0; oy < cg.oh; oy++ {
-				row := src[img*size+oy*cg.stride*cg.wp:]
-				for ox := 0; ox < cg.ow; ox++ {
-					cols[di] = row[ox*cg.stride]
-					di += nr
-				}
-			}
-		}
+func (t *convTaps) Run(tp int) {
+	cg, outC := t.cg, t.outC
+	K, R, t0 := cg.taps(), len(t.pixels.off), tp*mr
+	gpack := t.buf[t.n*cg.size():]
+	o0, o1, rows := cg.tap(t0), cg.tap(t0+1), min(mr, K-t0)
+	for j0 := 0; j0 < outC; j0 += nr {
+		micro2x4Idx(t.buf, o0, o1, t.pixels, gpack[j0*R:], t.dw[j0*K+t0:], 1, K, rows, min(nr, outC-j0))
 	}
-	gebpTile(buf[n*size:], cols, R, t.outC, min(nr, K-j0), t.dw[j0:], K)
-	putScratch(cols)
 }

@@ -50,6 +50,18 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
+// ZeroPlus returns 0 + g element-wise, placed like t: the bits
+// AddInPlace leaves in a zero-filled tensor (a −0 turns +0), without
+// the zero fill. It panics unless t and g have the same shape.
+func ZeroPlus(t, g *Tensor) *Tensor {
+	checkSameShape("ZeroPlus", t, g)
+	out := t.arena.Take(t.shape...)
+	for i, v := range g.Data {
+		out.Data[i] = 0 + v
+	}
+	return out
+}
+
 // Scale returns alpha * a.
 func Scale(a *Tensor, alpha float64) *Tensor {
 	out := NewLike(a)

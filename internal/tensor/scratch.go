@@ -6,8 +6,8 @@ import (
 )
 
 // Every transient buffer of the GEBP engine — pack panels, the conv
-// passes' padded image copies, gathered panels and product scratch —
-// is borrowed from these free lists and handed back before the op
+// passes' padded image copies, index tables and product scratch — is
+// borrowed from these free lists and handed back before the op
 // returns, so in steady state an op allocates its result and nothing
 // else. Buffers come in power-of-two size classes; a borrower gets the
 // first len it asked for of a buffer whose previous contents are
@@ -34,22 +34,31 @@ import (
 // class mutexes show up as contention (parallel.* or
 // tensor.kernel_time_share on the benchmark ladder).
 
-// scratchMinBits is the smallest class, 64 floats: below that a class
-// per power of two would only multiply lists.
+// scratchMinBits is the smallest class, 64 elements: below that a
+// class per power of two would only multiply lists.
 const scratchMinBits = 6
 
-var scratchFree [bits.UintSize - scratchMinBits]struct {
+// freeList is one free list per size class of a buffer element type.
+type freeList[T any] [bits.UintSize - scratchMinBits]struct {
 	mu   sync.Mutex
-	bufs [][]float64
+	bufs [][]T
 }
 
-// getScratch borrows a dirty buffer of length n.
-func getScratch(n int) []float64 {
+var (
+	// scratchFree holds the float buffers: panels, padded images,
+	// product scratch.
+	scratchFree freeList[float64]
+	// indexFree holds the conv passes' index tables (idxTable).
+	indexFree freeList[int]
+)
+
+// get borrows a dirty buffer of length n.
+func (l *freeList[T]) get(n int) []T {
 	class := 0
 	if n > 1<<scratchMinBits {
 		class = bits.Len(uint(n-1)) - scratchMinBits
 	}
-	f := &scratchFree[class]
+	f := &l[class]
 	f.mu.Lock()
 	if last := len(f.bufs) - 1; last >= 0 {
 		buf := f.bufs[last]
@@ -58,14 +67,21 @@ func getScratch(n int) []float64 {
 		return buf[:n]
 	}
 	f.mu.Unlock()
-	return make([]float64, n, 1<<(class+scratchMinBits))
+	return make([]T, n, 1<<(class+scratchMinBits))
 }
 
-// putScratch returns a buffer obtained from getScratch. The caller must
-// not touch it afterwards, and must never let it back a returned Tensor.
-func putScratch(buf []float64) {
-	f := &scratchFree[bits.Len(uint(cap(buf)-1))-scratchMinBits]
+// put returns a buffer obtained from get. The caller must not touch it
+// afterwards.
+func (l *freeList[T]) put(buf []T) {
+	f := &l[bits.Len(uint(cap(buf)-1))-scratchMinBits]
 	f.mu.Lock()
 	f.bufs = append(f.bufs, buf)
 	f.mu.Unlock()
 }
+
+// getScratch borrows a dirty float buffer of length n.
+func getScratch(n int) []float64 { return scratchFree.get(n) }
+
+// putScratch returns a buffer obtained from getScratch. The caller must
+// not touch it afterwards, and must never let it back a returned Tensor.
+func putScratch(buf []float64) { scratchFree.put(buf) }
