@@ -42,7 +42,8 @@ func expPath() string {
 // the traced sessions of C1 and C16, serial and at two shards on
 // each backend, whose trace records pin the deterministic plane — the
 // process backend's phase spans and its children's counters with it;
-// and every benchmark's characterization on each simulated GPU.
+// every benchmark's characterization on each simulated GPU; and every
+// benchmark's replayed paper-scale session.
 func digestRuns() map[string]aibench.Plan {
 	base := aibench.Plan{Kind: aibench.RunSession, Session: aibench.QuasiEntireSession, Seed: 42, Epochs: 2, Workers: 1}
 	blocked, naive, sharded := base, base, base
@@ -56,17 +57,19 @@ func digestRuns() map[string]aibench.Plan {
 	charXP := aibench.Plan{Kind: aibench.RunCharacterize, Device: aibench.TitanXP(), Workers: 1}
 	charRTX := charXP
 	charRTX.Device = aibench.TitanRTX()
+	replay := aibench.Plan{Kind: aibench.RunReplay, Seed: 42}
 	return map[string]aibench.Plan{
 		"blocked": blocked, "naive": naive, "local-shards-2": sharded,
 		"traced": traced, "traced-local-shards-2": tracedLocal, "traced-process-shards-2": tracedProcess,
 		"characterize-xp": charXP, "characterize-rtx": charRTX,
+		"replay": replay,
 	}
 }
 
 // recordDigests runs p and returns the sha256 of each record's
 // persisted data — the bytes `aibench run-all -out` writes, less the
-// run header — keyed by benchmark id for a session or characterization
-// record and by "trace" for the run's trace record. The wall-clock runmetrics record
+// run header — keyed by benchmark id for a session, characterization
+// or replay record and by "trace" for the run's trace record. The wall-clock runmetrics record
 // is not pinned.
 func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]string {
 	t.Helper()
@@ -92,12 +95,12 @@ func recordDigests(t *testing.T, s *aibench.Suite, p aibench.Plan) map[string]st
 		switch env.Kind {
 		case "runmetrics":
 			continue
-		case "session", "characterization":
+		case "session", "characterization", "replay":
 			var id struct {
 				ID string `json:"id"`
 			}
 			if err := json.Unmarshal(env.Data, &id); err != nil || id.ID == "" {
-				t.Fatalf("unexpected session record %s", env.Data)
+				t.Fatalf("unexpected %s record %s", env.Kind, env.Data)
 			}
 			key = id.ID
 		case "trace":
