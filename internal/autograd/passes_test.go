@@ -166,6 +166,10 @@ func TestNoFillOutputsAreWrittenInFull(t *testing.T) {
 	beta := tensor.Randn(rng, 0, 0.5, c)
 	runMean := tensor.Randn(rng, 0, 0.3, c)
 	runVar := tensor.Rand(rng, 0.5, 1.5, c)
+	// A convolution with 15 output pixels and 5 output channels: its
+	// last pixel pair and its last channel panel are edge tiles.
+	xc := tensor.Randn(rng, 0, 1, n, c, 3, 5)
+	wc := tensor.Randn(rng, 0, 0.5, 5, c, 3, 3)
 
 	// Each op returns the tensors it built without a zero fill. Its
 	// operands are adopted into the arena, so its results land there.
@@ -195,6 +199,11 @@ func TestNoFillOutputsAreWrittenInFull(t *testing.T) {
 			node := Add(Var(xa), Const(y))
 			node.accumGrad(y)
 			return []*tensor.Tensor{node.Grad}
+		}},
+		{"Conv2D", func(a *tensor.Arena) []*tensor.Tensor {
+			xa := xc.Detach()
+			a.Adopt(xa)
+			return []*tensor.Tensor{tensor.Conv2D(xa, wc, tensor.Conv2DParams{Kernel: 3, Stride: 1, Padding: 1})}
 		}},
 		{"BatchNorm2DInference", func(a *tensor.Arena) []*tensor.Tensor {
 			ga := gamma.Detach()

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -24,15 +26,25 @@ const awkward = "<b>&amp; \u2028 naïve ∑ 日本"
 // rescanned and compacted the RawMessage.
 func oracleLine(t *testing.T, kind string, meta core.RunMeta, payload any) []byte {
 	t.Helper()
-	data, err := json.Marshal(payload)
+	line, err := oracle(kind, meta, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return line
+}
+
+// oracle is oracleLine's encoding, with the error of a payload
+// encoding/json refuses.
+func oracle(kind string, meta core.RunMeta, payload any) ([]byte, error) {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(Envelope{V: Version, Kind: kind, Run: meta, Data: data}); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
 
 // awkwardRecords is one record of each of the six kinds, every string
@@ -112,7 +124,7 @@ func TestWriterMatchesTheDoubleEncoding(t *testing.T) {
 	}
 }
 
-// TestErrorLineMatchesTheDoubleMarshal pins WriteLine's terminal error
+// TestErrorLineMatchesTheDoubleMarshal pins WriteError's terminal error
 // line — the one a server appends when a run fails — to the bytes the
 // server wrote when it marshalled a map and then an Envelope around it.
 func TestErrorLineMatchesTheDoubleMarshal(t *testing.T) {
@@ -128,10 +140,7 @@ func TestErrorLineMatchesTheDoubleMarshal(t *testing.T) {
 		}
 		want = append(want, '\n')
 		var got bytes.Buffer
-		line := struct {
-			Error string `json:"error"`
-		}{msg}
-		if err := WriteLine(&got, "error", meta, line); err != nil {
+		if err := WriteError(&got, meta, msg); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
@@ -170,40 +179,104 @@ func TestWriterFailuresCountNothing(t *testing.T) {
 	}
 }
 
-// TestWriterAllocs pins that a warmed Write encodes the payload once:
-// it makes no more heap objects than json.Marshal of the payload alone,
-// which the Writer used to do before encoding the envelope around a
-// copy of it. The collector is off while it counts: a collection
-// empties the encoder's pool, and a refill would be counted against
-// whichever side it landed in. Each side reads the smallest of ten
-// windows: under -race a sync.Pool drops a random share of what is put
-// back, and the race runtime allocates objects of its own, so one
-// window of either side may count a refill the other did not.
+// TestWriterAllocs pins that a warmed Write makes no heap object for
+// any of the six record kinds, awkward strings and all: the line is
+// built in the writer's own buffer, and a characterization's map keys
+// are sorted on the stack. The collector is off while it counts, and
+// each record reads the smallest of ten windows, so an object the
+// runtime makes for itself (a background mark worker, a timer) in one
+// window is not counted against the Writer.
 func TestWriterAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	least := func(f func()) float64 {
+	for _, r := range awkwardRecords() {
+		w := NewWriter(io.Discard, sampleMeta())
 		n := math.Inf(1)
 		for range 10 {
-			n = min(n, testing.AllocsPerRun(100, f))
+			n = min(n, testing.AllocsPerRun(100, func() {
+				if err := w.Write(r); err != nil {
+					t.Fatal(err)
+				}
+			}))
 		}
-		return n
+		if n != 0 {
+			t.Errorf("%s: a warmed Write makes %v heap objects, want 0", r.Kind, n)
+		}
 	}
-	for _, r := range awkwardRecords()[:2] { // a session and a characterization
-		payload := r.Payload()
-		w := NewWriter(io.Discard, sampleMeta())
-		write := least(func() {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		})
-		marshal := least(func() {
-			if _, err := json.Marshal(payload); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if write > marshal {
-			t.Fatalf("%s: a warmed Write makes %v objects, json.Marshal of its payload %v", r.Kind, write, marshal)
+}
+
+// TestEveryPayloadFieldIsEncoded fills every exported field of each
+// record kind's payload, nested structs, slices and maps included, with
+// a value of its own that is not zero, and compares the Writer's line
+// with the double encoding: a field added to a payload type without
+// its line in the kind's encoder is missing from the Writer's bytes,
+// and two fields swapped put the wrong value under a key.
+func TestEveryPayloadFieldIsEncoded(t *testing.T) {
+	next := 0
+	leaf := func(v reflect.Value) {
+		next++
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", next))
+		case reflect.Int, reflect.Int64:
+			v.SetInt(int64(next))
+		case reflect.Uint64:
+			v.SetUint(uint64(next))
+		case reflect.Float64:
+			v.SetFloat(float64(next) + 0.25)
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("no filler for a %s field", v.Type())
 		}
-		t.Logf("%s: Write %v objects, json.Marshal %v", r.Kind, write, marshal)
+	}
+	for _, r := range awkwardRecords() {
+		v := reflect.ValueOf(r.Payload()).Elem()
+		v.SetZero()
+		fill(v, 2, leaf)
+		var got bytes.Buffer
+		if err := NewWriter(&got, sampleMeta()).Write(r); err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleLine(t, string(r.Kind), sampleMeta(), r.Payload()); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s, every field set:\n got %s\nwant %s", r.Kind, got.Bytes(), want)
+		}
+	}
+}
+
+// fill sets every exported field reachable from v: leaf sets a
+// string, number or bool; a pointer gets a new value, a slice n
+// elements and a map n entries (nil when n is 0), each filled in turn.
+func fill(v reflect.Value, n int, leaf func(reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i), n, leaf)
+			}
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(v.Elem(), n, leaf)
+	case reflect.Slice:
+		if n == 0 {
+			return
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := range n {
+			fill(v.Index(i), n, leaf)
+		}
+	case reflect.Map:
+		if n == 0 {
+			return
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		for range n {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(k, n, leaf)
+			fill(e, n, leaf)
+			v.SetMapIndex(k, e)
+		}
+	default:
+		leaf(v)
 	}
 }

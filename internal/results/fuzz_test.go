@@ -9,6 +9,8 @@ package results
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,5 +69,80 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			}
 		}
 		_ = s.Sessions()
+	})
+}
+
+// FuzzRecordLine is the Writer's differential test: every string field
+// of each record kind (and the error line's message) takes the fuzzed
+// bytes, invalid UTF-8 included, every float field one of two fuzzed
+// bit patterns, every integer the fuzzed int64 (so omitempty fields
+// come and go), and slices and maps hold 0 (nil), 1 or 2 elements. The
+// Writer's line must equal the double encoding's; where encoding/json
+// refuses the payload (a NaN or an infinity), the Writer must fail too
+// and write and count nothing. CI runs a short smoke of it;
+// `go test -run '^$' -fuzz FuzzRecordLine ./internal/results` explores
+// further.
+func FuzzRecordLine(f *testing.F) {
+	for _, s := range []string{"", "DC-AI-C1", awkward, "\xff\xfe\xc0\x80", "a\x00\x1f\x7f\"\\\b\f\n\r\t", "\u2029\ufffd"} {
+		f.Add(s, math.Float64bits(0.1+0.2), math.Float64bits(3e21), int64(2))
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308, 1e-6, math.Nextafter(1e-6, 0), -1e-7,
+		1e21, math.Nextafter(1e21, 0), -1e21, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add("x", math.Float64bits(x), math.Float64bits(-x), int64(1))
+	}
+	meta := core.RunMeta{SuiteSHA: "abc123", Seed: 42, Kernel: "blocked", Shards: 2, Backend: "process"}
+	f.Fuzz(func(t *testing.T, s string, a, b uint64, n int64) {
+		floats := [2]float64{math.Float64frombits(a), math.Float64frombits(b)}
+		next := 0
+		leaf := func(v reflect.Value) {
+			switch v.Kind() {
+			case reflect.String:
+				v.SetString(s)
+			case reflect.Int, reflect.Int64:
+				v.SetInt(n)
+			case reflect.Uint64:
+				v.SetUint(uint64(n))
+			case reflect.Float64:
+				v.SetFloat(floats[next%2])
+				next++
+			case reflect.Bool:
+				v.SetBool(n&1 != 0)
+			default:
+				t.Fatalf("no filler for a %s field", v.Type())
+			}
+		}
+		check := func(kind string, payload any, write func(*bytes.Buffer) (int, error)) {
+			var got bytes.Buffer
+			count, err := write(&got)
+			want, werr := oracle(kind, meta, payload)
+			if werr != nil {
+				if err == nil || got.Len() != 0 || count != 0 {
+					t.Fatalf("%s: encoding/json refuses the payload (%v); the Writer returned %v, wrote %q and counted %d", kind, werr, err, got.Bytes(), count)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s:\n got %s\nwant %s", kind, got.Bytes(), want)
+			}
+		}
+		for _, r := range awkwardRecords() {
+			v := reflect.ValueOf(r.Payload()).Elem()
+			v.SetZero()
+			fill(v, int(uint64(n)%3), leaf)
+			check(string(r.Kind), r.Payload(), func(out *bytes.Buffer) (int, error) {
+				w := NewWriter(out, meta)
+				err := w.Write(r)
+				return w.Count(), err
+			})
+		}
+		line := struct {
+			Error string `json:"error"`
+		}{s}
+		check("error", line, func(out *bytes.Buffer) (int, error) {
+			return 0, WriteError(out, meta, s)
+		})
 	})
 }

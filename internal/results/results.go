@@ -12,9 +12,11 @@
 // stay partially readable, and bare SessionResult lines from the
 // pre-envelope format still decode as session records.
 //
-// A Writer encodes each record once: the payload is encoded straight
-// into the line's buffer behind the envelope header, and the finished
-// line reaches the output in one Write.
+// A Writer encodes each record once and without reflection: each
+// record kind has an encoder that appends its payload field by field
+// into the line's buffer behind the envelope header, giving the bytes
+// encoding/json would, and the finished line reaches the output in one
+// Write. Reading still goes through encoding/json.
 package results
 
 import (
@@ -25,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 
 	"aibench/internal/core"
@@ -62,18 +63,19 @@ type Envelope struct {
 }
 
 // Writer streams records as enveloped JSONL lines. Each record is
-// encoded once: NewWriter encodes the run identity once, and Write
-// builds the whole line in one buffer the writer reuses — the envelope
-// header, the payload encoded straight into the buffer, the closing
-// brace — and hands it to the output in one Write. Writes are
-// serialized internally, so it can back a Runner sink directly.
+// encoded once and without reflection: NewWriter marshals the run
+// identity once, and Write builds the whole line in one buffer the
+// writer reuses — the envelope header, the payload appended field by
+// field by the encoder of its kind (encode.go), the closing brace — and
+// hands it to the output in one Write. The bytes are those
+// encoding/json gives the same payload. Writes are serialized
+// internally, so it can back a Runner sink directly.
 type Writer struct {
 	mu    sync.Mutex
 	out   io.Writer
 	run   []byte // the encoded RunMeta
 	err   error  // why the RunMeta did not encode
-	line  bytes.Buffer
-	enc   *json.Encoder // encodes into line
+	line  encoder
 	count int
 }
 
@@ -86,27 +88,26 @@ func NewWriter(w io.Writer, meta core.RunMeta) *Writer {
 	out.run, out.err = json.Marshal(meta)
 	// A session line of a short run fits in lineCap; a longer line
 	// grows the buffer once, and the writer keeps it.
-	out.line.Grow(lineCap)
-	out.enc = json.NewEncoder(&out.line)
+	out.line.b = make([]byte, 0, lineCap)
 	return out
 }
 
 // Write envelopes one record and appends it as a JSONL line. It has
 // the Runner sink signature, so `runner.Run(ctx, w.Write)` persists a
-// whole run.
+// whole run. A record holding a NaN or infinite float is an error, and
+// nothing of it is written or counted.
 func (w *Writer) Write(rec core.Record) error {
-	payload := rec.Payload()
-	if payload == nil {
+	if rec.Payload() == nil {
 		return fmt.Errorf("results: record kind %q carries no payload", rec.Kind)
 	}
-	return w.write(string(rec.Kind), payload)
+	return w.write(rec, "")
 }
 
-// WriteLine writes one envelope of the given kind around payload to w,
-// byte for byte as a Writer would. It serves one-off lines that are not
-// run records, such as a server's terminal error line.
-func WriteLine(w io.Writer, kind string, meta core.RunMeta, payload any) error {
-	return NewWriter(w, meta).write(kind, payload)
+// WriteError writes the envelope of kind "error" around the payload
+// {"error":msg} to w, byte for byte as a Writer builds its lines. It
+// serves a server's terminal error line, which is not a run record.
+func WriteError(w io.Writer, meta core.RunMeta, msg string) error {
+	return NewWriter(w, meta).write(core.Record{Kind: kindError}, msg)
 }
 
 // write builds the line
@@ -114,31 +115,28 @@ func WriteLine(w io.Writer, kind string, meta core.RunMeta, payload any) error {
 //	{"v":1,"kind":"<kind>","run":<meta>,"data":<payload>}
 //
 // and writes it. The bytes are those of json.Encoder encoding an
-// Envelope whose Data is json.Marshal(payload): Marshal's output is
-// already compact and HTML-escaped, so the encoder's rescan of the
-// RawMessage changed nothing. kind is a bare identifier (a record kind
-// or "error") and needs no escaping.
-func (w *Writer) write(kind string, payload any) error {
+// Envelope whose Data is json.Marshal(payload). The kind is a bare
+// identifier (a record kind or "error") and needs no escaping.
+func (w *Writer) write(rec core.Record, msg string) error {
 	if w.err != nil {
 		return fmt.Errorf("results: encode run identity: %v", w.err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b := &w.line
-	b.Reset()
-	b.WriteString(`{"v":`)
-	b.WriteString(strconv.Itoa(Version))
-	b.WriteString(`,"kind":"`)
-	b.WriteString(kind)
-	b.WriteString(`","run":`)
-	b.Write(w.run)
-	b.WriteString(`,"data":`)
-	if err := w.enc.Encode(payload); err != nil {
-		return fmt.Errorf("results: encode %s record: %v", kind, err)
+	e := &w.line
+	e.b, e.err = e.b[:0], nil
+	e.i64(`{"v":`, Version)
+	e.raw(`,"kind":"`)
+	e.raw(string(rec.Kind))
+	e.raw(`","run":`)
+	e.b = append(e.b, w.run...)
+	e.raw(`,"data":`)
+	e.payload(rec, msg)
+	if e.err != nil {
+		return fmt.Errorf("results: encode %s record: %v", rec.Kind, e.err)
 	}
-	b.Truncate(b.Len() - 1) // the encoder's newline
-	b.WriteString("}\n")
-	if _, err := w.out.Write(b.Bytes()); err != nil {
+	e.raw("}\n")
+	if _, err := w.out.Write(e.b); err != nil {
 		return err
 	}
 	w.count++

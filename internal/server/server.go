@@ -370,12 +370,9 @@ func cleanRun(res *core.RunResult) bool {
 // merely short one. The "error" kind is unknown to results.Read, which
 // counts it as Skipped — it never poisons the decodable records.
 func writeErrorEnvelope(out io.Writer, meta core.RunMeta, runErr error) {
-	line := struct {
-		Error string `json:"error"`
-	}{runErr.Error()}
 	// A failed write means the client is gone; the job ledger still
 	// holds the error.
-	_ = results.WriteLine(out, "error", meta, line)
+	_ = results.WriteError(out, meta, runErr.Error())
 }
 
 // flushWriter flushes the response after every write so each envelope

@@ -536,7 +536,9 @@ func (cg convGeom) fold(acc, prod []float64, off []int) {
 // A task owns an image: for each pixel pair and each channel panel,
 // micro2x4Idx stores the 2×4 tile straight into the image's NCHW planes
 // (pixels 1 apart, channels oh·ow apart), so there is no column matrix,
-// no tap copy, no product scratch and no scatter.
+// no tap copy, no product scratch and no scatter. The tiles cover every
+// output element, edge tiles included, so the output comes from Take
+// with no zero fill under it.
 func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 	n, outC, cg := x.shape[0], weight.shape[0], convGeomOf(x.shape, p)
 	if cg.oh <= 0 || cg.ow <= 0 {
@@ -545,7 +547,7 @@ func conv2D(x, weight *Tensor, p Conv2DParams, threshold int) *Tensor {
 	K := cg.taps()
 	wpack := pack(operand{weight.Data, outC, K, K, 1}, nr, threshold)
 	taps := cg.tapTable()
-	out := ArenaOf(x, weight).New(n, outC, cg.oh, cg.ow)
+	out := ArenaOf(x, weight).Take(n, outC, cg.oh, cg.ow)
 	borrowGate(&convForwardTasks, convForward{cg, x.Data, wpack, out.Data, taps, outC}, threshold, n, n*cg.oh*cg.ow*K*outC)
 	taps.release()
 	putScratch(wpack)
